@@ -1,25 +1,31 @@
-//! Seeded drift: `Frobnicate` is not in `VARIANT_CAPS`, `Metrics` is
-//! mapped to the `metrics` capability but `capabilities()` below does
-//! not advertise it, and `docs/PROTOCOL.md` documents neither verb.
+//! Seeded drift: `metrics` is advertised by the `metrics` capability
+//! but `capabilities()` below does not list it, and
+//! `docs/PROTOCOL.md` documents neither it nor `frobnicate`.
 
 /// The protocol surface, with drift seeded in.
 pub enum Request {
-    /// Fine: documented and mapped.
+    /// Fine: documented, baseline.
     Hello {
         /// Protocol version.
         version: u64,
     },
-    /// proto-doc-drift: unknown to VARIANT_CAPS.
+    /// proto-doc-drift: missing from the doc.
     Frobnicate {
         /// How hard to frobnicate.
         intensity: u8,
     },
-    /// proto-doc-drift: mapped to a capability the list lacks, and
+    /// proto-doc-drift: advertised by a capability the list lacks, and
     /// missing from the doc.
     Metrics {
         /// Correlation id.
         id: Option<u64>,
     },
+}
+
+wire_messages! { requests Request, "request";
+    "hello"      [None]            Hello { version }        => { req version }
+    "frobnicate" [Some("jobs")]    Frobnicate { intensity } => { req intensity }
+    "metrics"    [Some("metrics")] Metrics { id }           => { opt id }
 }
 
 /// The advertised capability list — `metrics` is missing, and

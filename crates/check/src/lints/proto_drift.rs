@@ -1,20 +1,21 @@
-//! `proto-doc-drift`: the `Request` enum, the `hello` capability
+//! `proto-doc-drift`: the request table, the `hello` capability
 //! list, and `docs/PROTOCOL.md` must agree.
 //!
-//! Three artifacts describe the protocol surface: the `Request` enum
-//! in `crates/service/src/proto.rs` (what the server dispatches), the
-//! string list returned by `capabilities()` (what `hello` advertises),
-//! and `docs/PROTOCOL.md` (what operators read). This lint parses the
+//! Three artifacts describe the protocol surface: the request rows of
+//! `wire_messages! { requests Request, … }` in
+//! `crates/service/src/proto.rs` (the one place a verb, the capability
+//! that advertises it, and its wire fields are declared), the string
+//! list returned by `capabilities()` (what `hello` advertises), and
+//! `docs/PROTOCOL.md` (what operators read). This lint parses the
 //! first two out of the token stream and cross-checks all three:
 //!
-//! 1. every `Request` variant must appear in [`VARIANT_CAPS`] — adding
-//!    a verb without deciding which capability advertises it fails the
-//!    build;
-//! 2. the capability named there must actually be in the
-//!    `capabilities()` list;
-//! 3. the variant's kebab-case verb must appear (backticked) in
-//!    `docs/PROTOCOL.md`;
-//! 4. every capability string must itself be documented in
+//! 1. a row's capability (`[Some("…")]` beside the verb; `[None]`
+//!    marks a baseline verb every server speaks) must actually be in
+//!    the `capabilities()` list — the table's grammar already makes
+//!    declaring one mandatory, and the compiler already insists every
+//!    `Request` variant has a row;
+//! 2. the row's verb must appear (backticked) in `docs/PROTOCOL.md`;
+//! 3. every capability string must itself be documented in
 //!    `docs/PROTOCOL.md`.
 
 use crate::diag::{Diagnostic, Lint};
@@ -25,82 +26,64 @@ use crate::lints::seq_at;
 const PROTO: &str = "crates/service/src/proto.rs";
 const DOC: &str = "docs/PROTOCOL.md";
 
-/// Which `hello` capability advertises each `Request` variant. `None`
-/// marks a baseline verb available at every protocol version (the
-/// pre-capability legacy verbs and the handshake itself); everything
-/// else must be gated by a capability the server actually advertises.
-const VARIANT_CAPS: [(&str, Option<&str>); 17] = [
-    ("Hello", None),
-    ("Ping", None),
-    ("Stats", None),
-    ("Shutdown", None),
-    ("Submit", Some("jobs")),
-    ("SetPolicy", Some("admin")),
-    ("SetShardPolicy", Some("admin")),
-    ("CacheClear", Some("admin")),
-    ("CacheWarm", Some("store")),
-    ("StoreCompact", Some("store")),
-    ("Metrics", Some("metrics")),
-    ("SetBounds", Some("set-bounds")),
-    ("MetricsHistory", Some("metrics-history")),
-    ("SlowTraces", Some("slow-traces")),
-    ("SetSlowLog", Some("admin")),
-    ("SetFaults", Some("faults")),
-    ("SetOverload", Some("overload-control")),
-];
+/// One row of the request table.
+struct Row {
+    verb: String,
+    capability: Option<String>,
+    variant: String,
+    line: u32,
+}
 
 /// Run the drift check; silently skipped when `proto.rs` is not part
 /// of the analyzed tree (fixture roots without a service crate).
 pub fn run(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     let Some(file) = ws.file(PROTO) else { return };
     let toks = &file.lexed.toks;
-    let variants = request_variants(toks);
+    let rows = request_rows(toks);
     let caps = capability_strings(toks);
     let doc = ws.docs.get(DOC).map(String::as_str);
 
-    if variants.is_empty() {
+    if rows.is_empty() {
         diags.push(Diagnostic {
             lint: Lint::ProtoDocDrift,
             file: PROTO.to_owned(),
             line: 1,
-            message: "could not find any `enum Request` variants to check".to_owned(),
+            message: "could not find any rows of the `wire_messages! { requests Request, … }` \
+                      table to check"
+                .to_owned(),
         });
         return;
     }
 
-    for (name, line) in &variants {
-        match VARIANT_CAPS.iter().find(|(v, _)| v == name) {
-            None => diags.push(Diagnostic {
-                lint: Lint::ProtoDocDrift,
-                file: PROTO.to_owned(),
-                line: *line,
-                message: format!(
-                    "Request::{name} is not mapped to a hello capability; add it to \
-                     VARIANT_CAPS in crates/check/src/lints/proto_drift.rs and to the \
-                     capabilities() list it belongs under"
-                ),
-            }),
-            Some((_, Some(cap))) if !caps.iter().any(|(c, _)| c == cap) => {
+    for row in &rows {
+        let Row {
+            verb,
+            capability,
+            variant,
+            line,
+        } = row;
+        if let Some(cap) = capability {
+            if !caps.iter().any(|(c, _)| c == cap) {
                 diags.push(Diagnostic {
                     lint: Lint::ProtoDocDrift,
                     file: PROTO.to_owned(),
                     line: *line,
                     message: format!(
-                        "Request::{name} is advertised by capability {cap:?}, but \
+                        "Request::{variant} is advertised by capability {cap:?}, but \
                          capabilities() does not return {cap:?}"
                     ),
                 });
             }
-            _ => {}
         }
-        let verb = kebab(name);
         if let Some(doc) = doc {
             if !doc.contains(&format!("`{verb}`")) {
                 diags.push(Diagnostic {
                     lint: Lint::ProtoDocDrift,
                     file: PROTO.to_owned(),
                     line: *line,
-                    message: format!("Request::{name} has no backticked `{verb}` entry in {DOC}"),
+                    message: format!(
+                        "Request::{variant} has no backticked `{verb}` entry in {DOC}"
+                    ),
                 });
             }
         }
@@ -130,53 +113,62 @@ pub fn run(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `SetShardPolicy` → `set-shard-policy`.
-fn kebab(name: &str) -> String {
-    let mut out = String::new();
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_uppercase() && i > 0 {
-            out.push('-');
-        }
-        out.push(c.to_ascii_lowercase());
-    }
-    out
-}
-
-/// The `(name, line)` of every variant of `pub enum Request`.
-fn request_variants(toks: &[crate::lexer::Tok]) -> Vec<(String, u32)> {
+/// Every `"verb" [capability] Variant …` row of the
+/// `wire_messages! { requests Request, "request"; … }` table.
+fn request_rows(toks: &[crate::lexer::Tok]) -> Vec<Row> {
     let mut out = Vec::new();
     let start = (0..toks.len()).find(|&i| {
         seq_at(
             toks,
             i,
-            &[(Ident, "enum"), (Ident, "Request"), (Punct, "{")],
+            &[
+                (Ident, "wire_messages"),
+                (Punct, "!"),
+                (Punct, "{"),
+                (Ident, "requests"),
+                (Ident, "Request"),
+            ],
         )
     });
     let Some(start) = start else { return out };
-    let mut brace = 0usize;
-    let mut paren = 0usize;
-    let mut prev_significant = String::from("{");
+    // Rows begin after the header's `;`. A row's verb is the string
+    // literal at the table's own nesting level; its capability is the
+    // string (if any) in the `[…]` that follows, its variant the
+    // identifier after that. Everything deeper is the row's fields.
+    let mut depth = 0usize;
+    let mut in_rows = false;
+    let mut row: Option<Row> = None;
     for t in &toks[start + 2..] {
         match (t.kind, t.text.as_str()) {
-            (Punct, "{") => brace += 1,
-            (Punct, "}") => {
-                if brace == 1 {
+            (Punct, "{" | "[" | "(") => depth += 1,
+            (Punct, "}" | "]" | ")") => {
+                depth -= 1;
+                if depth == 0 {
                     break;
                 }
-                brace -= 1;
             }
-            (Punct, "(") => paren += 1,
-            (Punct, ")") => paren = paren.saturating_sub(1),
-            (Ident, name)
-                if brace == 1
-                    && paren == 0
-                    && (prev_significant == "{" || prev_significant == ",") =>
-            {
-                out.push((name.to_owned(), t.line));
+            (Punct, ";") if depth == 1 => in_rows = true,
+            (Str, verb) if in_rows && depth == 1 => {
+                row = Some(Row {
+                    verb: verb.to_owned(),
+                    capability: None,
+                    variant: String::new(),
+                    line: t.line,
+                });
+            }
+            (Str, cap) if depth > 1 => {
+                if let Some(row) = row.as_mut().filter(|r| r.variant.is_empty()) {
+                    row.capability = Some(cap.to_owned());
+                }
+            }
+            (Ident, variant) if depth == 1 => {
+                if let Some(mut row) = row.take() {
+                    row.variant = variant.to_owned();
+                    out.push(row);
+                }
             }
             _ => {}
         }
-        prev_significant = t.text.clone();
     }
     out
 }

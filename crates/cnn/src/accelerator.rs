@@ -11,7 +11,6 @@ use crate::layer::DataKind;
 
 /// Arithmetic precision of activations and weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Precision {
     /// 8-bit integer (1 byte per element).
     Int8,
@@ -56,7 +55,6 @@ impl fmt::Display for Precision {
 /// assert_eq!(acc.mac_rows * acc.mac_cols, 64);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AcceleratorConfig {
     /// Input-buffer capacity in bytes (iB).
     pub ifms_buffer: usize,

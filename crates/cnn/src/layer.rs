@@ -11,7 +11,6 @@ use crate::error::ModelError;
 
 /// The three CNN data types moved between DRAM and the on-chip buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DataKind {
     /// Input feature maps (activations).
     Ifms,
@@ -43,7 +42,6 @@ impl fmt::Display for DataKind {
 
 /// Layer category, used for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LayerKind {
     /// Convolutional layer.
     Conv,
@@ -66,7 +64,6 @@ pub enum LayerKind {
 /// assert_eq!(conv1.macs(), 55 * 55 * 96 * 3 * 11 * 11);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Layer {
     /// Layer name (e.g. `CONV1`, `FC6`).
     pub name: String,

@@ -21,7 +21,6 @@ pub type ZooEntry = (&'static str, fn() -> Network);
 /// assert_eq!(alexnet.layers()[0].name, "CONV1");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Network {
     name: String,
     layers: Vec<Layer>,

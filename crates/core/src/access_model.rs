@@ -41,7 +41,6 @@ use crate::mapping::MappingPolicy;
 /// assert_eq!(counts.total(), 256);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransitionCounts {
     counts: [u64; 4],
 }

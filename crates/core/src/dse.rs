@@ -50,7 +50,6 @@ use crate::tiling::{count_tilings, enumerate_tilings, Tiling};
 /// The paper minimizes EDP (Eq. 1); the alternatives let a deployment
 /// weigh energy or latency differently without touching the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Objective {
     /// Energy × delay (the paper's Eq. 1).
     #[default]
@@ -100,7 +99,6 @@ impl Objective {
 
 /// Which schemes and mappings the DSE sweeps.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DseConfig {
     /// Scheduling schemes to consider (default: all four of the paper).
     pub schemes: Vec<ReuseScheme>,
@@ -185,7 +183,6 @@ pub fn layer_cache_key(
 
 /// One evaluated configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DseCandidate {
     /// The mapping policy.
     pub mapping: MappingPolicy,
@@ -209,7 +206,6 @@ impl fmt::Display for DseCandidate {
 
 /// DSE output for one layer.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayerDseResult {
     /// Layer name.
     pub layer_name: String,
@@ -223,7 +219,6 @@ pub struct LayerDseResult {
 
 /// DSE output for a whole network.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkDseResult {
     /// Per-layer results, in network order.
     pub layers: Vec<LayerDseResult>,

@@ -27,7 +27,6 @@ use crate::tiling::Tiling;
 /// assert!((e.edp() - 0.5).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdpEstimate {
     /// DRAM access latency in memory-clock cycles.
     pub cycles: f64,
@@ -176,7 +175,6 @@ impl EdpModel {
 
 /// Cost attributed to one traffic class of a layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostComponent {
     /// Cycles spent on this class.
     pub cycles: f64,
@@ -188,7 +186,6 @@ pub struct CostComponent {
 
 /// Per-data-kind breakdown of one layer estimate.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayerBreakdown {
     /// ifms tile loads.
     pub ifms: CostComponent,

@@ -32,7 +32,6 @@ use crate::error::DseError;
 /// assert_eq!(drmap.order()[1], Level::Bank);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MappingPolicy {
     /// Table I index (1..=6), or 0 for custom permutations.
     index: usize,

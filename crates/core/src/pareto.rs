@@ -6,7 +6,6 @@ use crate::edp::EdpEstimate;
 /// A design point with its (energy, latency) coordinates and an opaque
 /// label describing the configuration that produced it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DesignPoint {
     /// Human-readable configuration description.
     pub label: String,

@@ -10,7 +10,6 @@ use crate::dse::{LayerDseResult, NetworkDseResult};
 
 /// One row of a network report.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayerReport {
     /// Layer name.
     pub layer: String,
@@ -48,7 +47,6 @@ impl LayerReport {
 
 /// A rendered whole-network report.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkReport {
     /// Per-layer rows.
     pub layers: Vec<LayerReport>,

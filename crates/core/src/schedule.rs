@@ -22,7 +22,6 @@ use crate::tiling::Tiling;
 /// The outer loops of Fig. 3 (batch, output rows, output cols, output
 /// channels, input channels).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OuterLoop {
     /// Batch loop `b`.
     B,
@@ -55,7 +54,6 @@ impl OuterLoop {
 
 /// The four scheduling schemes of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReuseScheme {
     /// Keep an ifms tile resident while all dependent work completes.
     IfmsReuse,
@@ -139,7 +137,6 @@ impl fmt::Display for ReuseScheme {
 ///
 /// `ofms` distinguishes loads (partial-sum re-reads) from stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TileTraffic {
     /// ifms tile loads.
     pub ifms_loads: u64,

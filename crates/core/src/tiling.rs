@@ -25,7 +25,6 @@ use crate::error::DseError;
 /// assert_eq!(tiling.tile_elems(&layer, DataKind::Ofms), 13 * 13 * 16);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tiling {
     /// Output-row step `Th`.
     pub th: usize,

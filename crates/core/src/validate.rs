@@ -23,7 +23,6 @@ use crate::error::DseError;
 
 /// Outcome of validating one configuration against the simulator.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ValidationReport {
     /// The analytical estimate under validation.
     pub analytical: EdpEstimate,

@@ -28,7 +28,6 @@ use crate::geometry::{Geometry, Level};
 /// assert_eq!(a.bank, 3);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhysicalAddress {
     /// Channel index.
     pub channel: usize,

@@ -19,7 +19,6 @@ use crate::address::PhysicalAddress;
 /// assert!(CommandKind::Read.is_column_command());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CommandKind {
     /// Open a row: copy it into the (local) row buffer.
     Activate,
@@ -81,7 +80,6 @@ impl fmt::Display for CommandKind {
 /// Produced by the controller for command-trace export (the "Command Trace"
 /// artefact of the paper's Fig. 8 tool flow).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScheduledCommand {
     /// Cycle at which the command was placed on the command bus.
     pub cycle: u64,

@@ -30,7 +30,6 @@ use crate::timing::{DramArch, TimingParams};
 
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RowPolicy {
     /// Keep rows open after access (Table II: the paper's configuration).
     #[default]
@@ -45,7 +44,6 @@ pub enum RowPolicy {
 
 /// Request scheduling discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulerKind {
     /// First-come first-served (Table II: the paper's configuration).
     #[default]
@@ -66,7 +64,6 @@ pub enum SchedulerKind {
 /// assert_eq!(cfg.arch, DramArch::Salp2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ControllerConfig {
     /// DRAM architecture (timing-rule set).
     pub arch: DramArch,
@@ -104,7 +101,6 @@ impl Default for ControllerConfig {
 
 /// Outcome of serving one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServiceRecord {
     /// Cycle the request became visible to the controller.
     pub arrival: u64,
@@ -125,7 +121,6 @@ impl ServiceRecord {
 
 /// Raw activity counters the energy model consumes.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ActivityCounters {
     /// Issued commands per kind, indexed by [`CommandKind::ALL`] order.
     pub commands: [u64; 6],

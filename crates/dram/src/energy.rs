@@ -30,7 +30,6 @@ use crate::timing::TimingParams;
 /// assert!(p.idd4r > p.idd3n);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyParams {
     /// Supply voltage (V).
     pub vdd: f64,
@@ -124,7 +123,6 @@ impl Default for EnergyParams {
 /// Energy consumed by a simulated interval, broken down by source.
 /// All values in joules.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyBreakdown {
     /// Activation + precharge pair energy.
     pub act_pre: f64,

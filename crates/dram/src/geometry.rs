@@ -27,7 +27,6 @@ use crate::error::ConfigError;
 /// assert_eq!(Level::ALL.len(), 6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Level {
     /// Independent command/data bus.
     Channel,
@@ -99,7 +98,6 @@ impl fmt::Display for Level {
 /// assert_eq!(g.capacity_bytes(), 2 * 1024 * 1024 * 1024 / 8); // 2 Gb chip
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Geometry {
     /// Number of independent channels.
     pub channels: usize,

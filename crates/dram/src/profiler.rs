@@ -27,7 +27,6 @@ use crate::trace::TraceBuilder;
 
 /// The five access conditions of Fig. 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessCondition {
     /// Requested row already in the row buffer.
     RowBufferHit,
@@ -71,7 +70,6 @@ impl fmt::Display for AccessCondition {
 
 /// The four transition classes of Eq. 2/3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TransitionClass {
     /// Next access differs only in column: a row-buffer hit.
     DifColumn,
@@ -134,7 +132,6 @@ impl fmt::Display for TransitionClass {
 
 /// Measured per-access cost: cycles and energy.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessCost {
     /// Average cycles per access.
     pub cycles: f64,
@@ -155,7 +152,6 @@ impl AccessCost {
 /// simulator to the analytical DSE (the paper's Fig. 8 arrow from
 /// Ramulator/VAMPIRE into the in-house simulator).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessCostTable {
     /// Architecture the table was measured on.
     pub arch: DramArch,

@@ -10,7 +10,6 @@ use crate::address::PhysicalAddress;
 
 /// Direction of a memory request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RequestKind {
     /// Read one burst.
     Read,
@@ -49,7 +48,6 @@ impl fmt::Display for RequestKind {
 /// assert_eq!(r.kind, RequestKind::Read);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Request {
     /// Target location (one burst slot).
     pub address: PhysicalAddress,
@@ -88,7 +86,6 @@ impl fmt::Display for Request {
 /// [`DriveMode::Streamed`] for the parallelism conditions, matching how a
 /// CNN accelerator's DMA engine streams tile data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DriveMode {
     /// Each request is issued only after the previous one completed
     /// (isolated per-access latency).

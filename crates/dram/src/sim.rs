@@ -14,7 +14,6 @@ use crate::timing::TimingParams;
 
 /// Aggregated results of simulating one request trace.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimStats {
     /// Number of requests served.
     pub requests: u64,

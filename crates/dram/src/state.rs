@@ -20,7 +20,6 @@ use crate::timing::DramArch;
 /// assert!(!RowBufferOutcome::Conflict.is_hit());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RowBufferOutcome {
     /// Requested row already open and selected: RD/WR only.
     Hit,
@@ -73,7 +72,6 @@ impl RowBufferOutcome {
 
 /// State of one subarray's local row buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SubarrayState {
     /// No row latched.
     #[default]
@@ -99,7 +97,6 @@ impl SubarrayState {
 /// changes *how many* subarrays may be open at once and how an access is
 /// classified (see [`BankState::classify`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BankState {
     subarrays: Vec<SubarrayState>,
     designated: usize,

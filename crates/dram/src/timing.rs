@@ -26,7 +26,6 @@ use crate::error::ConfigError;
 /// assert_eq!(DramArch::ALL.len(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DramArch {
     /// Commodity DDR3: one row buffer per bank; subarrays invisible.
     Ddr3,
@@ -88,7 +87,6 @@ impl fmt::Display for DramArch {
 /// assert_eq!(t.cl + t.t_rcd + t.t_rp, 33); // 11-11-11 speed grade
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingParams {
     /// Clock period in nanoseconds (DDR3-1600: 1.25 ns).
     pub t_ck_ns: f64,

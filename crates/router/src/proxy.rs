@@ -48,9 +48,7 @@ use drmap_service::client::{ClientConfig, RetryPolicy};
 use drmap_service::engine::job_route_key;
 use drmap_service::error::ServiceError;
 use drmap_service::loadgen::SplitMix64;
-use drmap_service::proto::{
-    router_capabilities, Dialect, Request, Response, StatsReport, PROTOCOL_VERSION,
-};
+use drmap_service::proto::{router_capabilities, Request, Response, StatsReport, PROTOCOL_VERSION};
 use drmap_service::spec::{JobResult, JobSpec, LayerOutcome};
 use drmap_service::wire::{self, Encoding};
 use drmap_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -152,7 +150,7 @@ impl RouterMetrics {
 }
 
 /// What a client session's writer thread consumes.
-type Outbound = (Response, Dialect, Encoding);
+type Outbound = (Response, Encoding);
 /// Where a job's eventual response goes.
 type ReplyTx = mpsc::Sender<Outbound>;
 
@@ -165,7 +163,6 @@ struct Pending {
     /// The id the client chose, restored on the way out.
     client_id: u64,
     reply: ReplyTx,
-    dialect: Dialect,
     encoding: Encoding,
     /// Index of the backend currently running the job.
     backend: usize,
@@ -195,7 +192,6 @@ struct ScatterJob {
     /// error reply reaches the client, later parts are dropped.
     failed: AtomicBool,
     reply: ReplyTx,
-    dialect: Dialect,
     encoding: Encoding,
 }
 
@@ -380,15 +376,9 @@ impl RouterCore {
 
     /// Route one client job: rewrite its id, register it pending, and
     /// forward it to the rendezvous pick (or scatter it).
-    fn submit(
-        self: &Arc<Self>,
-        mut spec: JobSpec,
-        reply: &ReplyTx,
-        dialect: Dialect,
-        encoding: Encoding,
-    ) {
+    fn submit(self: &Arc<Self>, mut spec: JobSpec, reply: &ReplyTx, encoding: Encoding) {
         if let Some(ranges) = self.scatter_plan(&spec) {
-            self.submit_scatter(spec, ranges, reply, dialect, encoding);
+            self.submit_scatter(spec, ranges, reply, encoding);
             return;
         }
         let client_id = spec.id;
@@ -398,7 +388,6 @@ impl RouterCore {
             spec,
             client_id,
             reply: reply.clone(),
-            dialect,
             encoding,
             backend: usize::MAX,
             attempts: 0,
@@ -491,11 +480,9 @@ impl RouterCore {
                 match pending.scatter {
                     None => {
                         result.id = pending.client_id;
-                        let _ = pending.reply.send((
-                            Response::Job { result },
-                            pending.dialect,
-                            pending.encoding,
-                        ));
+                        let _ = pending
+                            .reply
+                            .send((Response::Job { result }, pending.encoding));
                     }
                     Some(part) => self.scatter_collect(&part, result),
                 }
@@ -526,7 +513,6 @@ impl RouterCore {
                                 id: Some(pending.client_id),
                                 deadline_ms,
                             },
-                            pending.dialect,
                             pending.encoding,
                         ));
                     }
@@ -560,7 +546,6 @@ impl RouterCore {
                         id: Some(pending.client_id),
                         message: message.to_owned(),
                     },
-                    pending.dialect,
                     pending.encoding,
                 ));
             }
@@ -606,7 +591,6 @@ impl RouterCore {
         spec: JobSpec,
         ranges: Vec<(u64, u64)>,
         reply: &ReplyTx,
-        dialect: Dialect,
         encoding: Encoding,
     ) {
         self.m.scatter_jobs_total.inc();
@@ -617,7 +601,6 @@ impl RouterCore {
             parts: Mutex::new(vec![None; ranges.len()]),
             failed: AtomicBool::new(false),
             reply: reply.clone(),
-            dialect,
             encoding,
         });
         // Spread the parts over the healthy slice of the base key's
@@ -637,7 +620,6 @@ impl RouterCore {
                 spec: part_spec,
                 client_id: job.client_id,
                 reply: reply.clone(),
-                dialect,
                 encoding,
                 backend: usize::MAX,
                 attempts: 0,
@@ -680,9 +662,7 @@ impl RouterCore {
             self.scatter_fail(job, "scatter merge found no feasible configuration");
             return;
         };
-        let _ = job
-            .reply
-            .send((Response::Job { result }, job.dialect, job.encoding));
+        let _ = job.reply.send((Response::Job { result }, job.encoding));
     }
 
     /// Exact merge of the completed parts, mirroring the pool's
@@ -741,7 +721,6 @@ impl RouterCore {
                 id: Some(job.client_id),
                 message: format!("scatter failed: {message}"),
             },
-            job.dialect,
             job.encoding,
         ));
     }
@@ -856,7 +835,7 @@ impl RouterCore {
     /// entries warmed, compaction reports) aggregate; the rest answer
     /// with the first backend's response.
     fn broadcast(&self, request: &Request) -> Response {
-        let id = admin_request_id(request);
+        let id = request.id();
         let mut first: Option<Response> = None;
         let mut warmed = 0usize;
         let mut compact: Option<drmap_store::store::CompactReport> = None;
@@ -917,7 +896,6 @@ impl RouterCore {
     fn handle_request(
         self: &Arc<Self>,
         request: Request,
-        dialect: Dialect,
         encoding: Encoding,
         reply: &ReplyTx,
     ) -> bool {
@@ -944,11 +922,11 @@ impl RouterCore {
                 // The session flushes this acknowledgement and *then*
                 // triggers the shutdown — the process may exit moments
                 // after the accept loop observes the flag.
-                let _ = reply.send((Response::Shutdown { id }, dialect, encoding));
+                let _ = reply.send((Response::Shutdown { id }, encoding));
                 return true;
             }
             Request::Submit(spec) => {
-                self.submit(spec, reply, dialect, encoding);
+                self.submit(spec, reply, encoding);
                 return false;
             }
             Request::Stats { id } => self.aggregate_stats(id),
@@ -966,7 +944,7 @@ impl RouterCore {
             },
             other => self.broadcast(&other),
         };
-        let _ = reply.send((response, dialect, encoding));
+        let _ = reply.send((response, encoding));
         false
     }
 }
@@ -1017,29 +995,6 @@ fn sum_stats(mut acc: StatsReport, other: &StatsReport) -> StatsReport {
         (a, None) => a,
     };
     acc
-}
-
-/// The correlation id carried by an admin request (for error replies
-/// composed by the router itself).
-fn admin_request_id(request: &Request) -> Option<u64> {
-    match request {
-        Request::Hello { .. } | Request::Submit(_) => None,
-        Request::Ping { id }
-        | Request::Stats { id }
-        | Request::Shutdown { id }
-        | Request::SetPolicy { id, .. }
-        | Request::SetShardPolicy { id, .. }
-        | Request::CacheClear { id }
-        | Request::CacheWarm { id, .. }
-        | Request::StoreCompact { id, .. }
-        | Request::Metrics { id }
-        | Request::SetBounds { id, .. }
-        | Request::MetricsHistory { id }
-        | Request::SlowTraces { id, .. }
-        | Request::SetSlowLog { id, .. }
-        | Request::SetFaults { id, .. }
-        | Request::SetOverload { id, .. } => *id,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1150,8 +1105,8 @@ fn client_session(core: &Arc<RouterCore>, stream: TcpStream) -> Result<(), Servi
     let (tx, rx) = mpsc::channel::<Outbound>();
     let writer = std::thread::spawn(move || {
         let mut writer = BufWriter::new(stream);
-        while let Ok((response, dialect, encoding)) = rx.recv() {
-            if wire::write_response(&mut writer, &response, dialect, encoding).is_err() {
+        while let Ok((response, encoding)) = rx.recv() {
+            if wire::write_response(&mut writer, &response, encoding).is_err() {
                 break;
             }
             if writer.flush().is_err() {
@@ -1163,17 +1118,14 @@ fn client_session(core: &Arc<RouterCore>, stream: TcpStream) -> Result<(), Servi
     while let Ok(Some(message)) = wire::read_request(&mut reader) {
         match message {
             (Err(decode), encoding) => {
-                let _ = tx.send((
-                    Response::Error {
-                        id: decode.id,
-                        message: decode.message,
-                    },
-                    decode.dialect,
-                    encoding,
-                ));
+                let response = Response::Error {
+                    id: decode.id,
+                    message: decode.message,
+                };
+                let _ = tx.send((response, encoding));
             }
-            (Ok((request, dialect)), encoding) => {
-                if core.handle_request(request, dialect, encoding, &tx) {
+            (Ok(request), encoding) => {
+                if core.handle_request(request, encoding, &tx) {
                     stop = true;
                     break;
                 }

@@ -661,18 +661,19 @@ fn run_connected(args: &Args, batch: &[JobSpec]) -> Result<(), String> {
         results.len() as f64 / elapsed,
         layers as f64 / elapsed,
     );
-    if let Ok(stats) = client.stats() {
+    if let Ok(report) = client.stats_report() {
+        let stats = report.cache;
         println!(
             "server cache: {} hits / {} misses / {} coalesced ({:.1}% hit rate), \
              {} entries, {} bytes, {} evictions, {} workers",
             stats.hits,
             stats.misses,
             stats.coalesced,
-            stats.hit_rate * 100.0,
+            stats.hit_rate() * 100.0,
             stats.entries,
             stats.bytes,
             stats.evictions,
-            stats.workers,
+            report.workers,
         );
         if stats.store_hits + stats.store_misses > 0 {
             println!(

@@ -10,9 +10,8 @@
 //!             [--drain-secs N] [--fault-plan SPEC] [--overload SPEC]
 //! ```
 //!
-//! Speaks the typed, versioned protocol (plus the legacy shim) over
-//! pipelined TCP — newline-delimited text or binary frames; see
-//! `docs/PROTOCOL.md`. The cache flags bound the layer memo cache;
+//! Speaks the typed, versioned protocol over pipelined TCP —
+//! newline-delimited text or binary frames; see `docs/PROTOCOL.md`. The cache flags bound the layer memo cache;
 //! without them the cache is unbounded. `--cache-policy cost` evicts
 //! the cheapest-to-recompute entry first (using each entry's recorded
 //! exploration duration) instead of the least recently used — and can
@@ -49,7 +48,7 @@
 //!
 //! ```text
 //! $ drmap-serve --addr 127.0.0.1:7878 --cache-entries 4096 --store results.wal &
-//! $ echo '{"id":1,"network":{"model":"alexnet"}}' | nc 127.0.0.1 7878
+//! $ echo '{"type":"submit","id":1,"network":{"model":"alexnet"}}' | nc 127.0.0.1 7878
 //! ```
 
 use std::process::ExitCode;

@@ -3,16 +3,17 @@
 //! Three usage styles:
 //!
 //! * **One at a time** — [`Client::submit`], [`Client::ping`],
-//!   [`Client::stats`]: send a request, block for its response.
+//!   [`Client::stats_report`]: send a request, block for its response.
 //! * **Pipelined** — [`Client::submit_batch`] (or the lower-level
-//!   [`Client::send`]/[`Client::recv`] pair): put many jobs on the wire
+//!   [`Client::send`]/[`Client::recv`] pair, which move raw JSON
+//!   documents): put many jobs on the wire
 //!   without waiting, then collect responses **in completion order**,
 //!   matching them back to jobs by `id`. The server executes the whole
 //!   window concurrently on its worker pool, so a pipelined batch
 //!   finishes in roughly the time of its slowest job rather than the
 //!   sum of all of them.
-//! * **Typed / admin** — the versioned protocol of [`crate::proto`]:
-//!   [`Client::hello`] opens the handshake, [`Client::submit_with`]
+//! * **Admin** — [`Client::hello`] opens the handshake of
+//!   [`crate::proto`]'s versioned protocol, [`Client::submit_with`]
 //!   attaches per-job options, and [`Client::set_policy`],
 //!   [`Client::set_shard_policy`], [`Client::set_bounds`],
 //!   [`Client::cache_clear`], [`Client::cache_warm`],
@@ -131,35 +132,6 @@ impl HelloInfo {
     pub fn has(&self, capability: &str) -> bool {
         self.capabilities.iter().any(|c| c == capability)
     }
-}
-
-/// Cache/pool statistics as reported by a server's `stats` command.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerStats {
-    /// Cache lookups served from a resident entry.
-    pub hits: u64,
-    /// Cache lookups that required computation.
-    pub misses: u64,
-    /// Cache lookups coalesced onto an in-flight computation.
-    pub coalesced: u64,
-    /// Entries evicted to satisfy the cache capacity bounds.
-    pub evictions: u64,
-    /// Distinct cached layer results.
-    pub entries: usize,
-    /// Approximate bytes resident in the cache.
-    pub bytes: usize,
-    /// Fraction of lookups served without a fresh computation.
-    pub hit_rate: f64,
-    /// Worker threads in the server's pool.
-    pub workers: usize,
-    /// Cache misses served from the persistent store tier (0 when the
-    /// server has none attached).
-    pub store_hits: u64,
-    /// Cache misses the persistent store also missed.
-    pub store_misses: u64,
-    /// Summed exploration durations the server's cache has recorded
-    /// (fresh computations plus store revivals), in nanoseconds.
-    pub compute_ns_total: u64,
 }
 
 /// A connected client. Supports both blocking request/response and
@@ -295,37 +267,14 @@ impl Client {
         self.recv()
     }
 
-    /// Check that a response has `"ok": true`, surfacing its error.
-    fn expect_ok(response: Json) -> Result<Json, ServiceError> {
-        if response.get("ok").and_then(Json::as_bool) == Some(true) {
-            Ok(response)
-        } else {
-            let message = response
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("server reported failure without an error message");
-            Err(ServiceError::protocol(message))
-        }
-    }
-
-    /// Extract the `result` payload of a job response.
-    fn job_result(response: Json) -> Result<JobResult, ServiceError> {
-        let response = Self::expect_ok(response)?;
-        let result = response
-            .get("result")
-            .ok_or_else(|| ServiceError::protocol("response missing \"result\""))?;
-        JobResult::from_json(result)
-    }
-
-    /// Submit a job and wait for its result. Sends the *legacy* bare
-    /// job form (no `"type"`), exercising the compatibility shim on
-    /// every call; [`Client::submit_with`] speaks the typed protocol.
+    /// Submit a job (with the options it carries) and wait for its
+    /// result.
     ///
     /// # Errors
     ///
     /// Surfaces server-side job failures as protocol errors.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<JobResult, ServiceError> {
-        Self::job_result(self.request(&spec.to_json())?)
+        self.submit_with(spec, spec.options)
     }
 
     // -----------------------------------------------------------------
@@ -341,16 +290,28 @@ impl Client {
     /// send verbs this client has no dedicated wrapper for.
     pub fn typed_request(&mut self, request: &Request) -> Result<Response, ServiceError> {
         wire::write_request(&mut self.writer, request, self.encoding)?;
+        Self::lift_failure(self.recv_response()?)
+    }
+
+    /// Read and decode the next response, whichever request it answers.
+    fn recv_response(&mut self) -> Result<Response, ServiceError> {
         match wire::read_response(&mut self.reader)? {
-            Some((Response::Error { message, .. }, _)) => Err(ServiceError::protocol(message)),
-            Some((Response::Overloaded { retry_after_ms, .. }, _)) => {
-                Err(ServiceError::Overloaded { retry_after_ms })
-            }
-            Some((Response::DeadlineExceeded { deadline_ms, .. }, _)) => {
-                Err(ServiceError::DeadlineExceeded { deadline_ms })
-            }
             Some((response, _)) => Ok(response),
             None => Err(ServiceError::protocol("server closed the connection")),
+        }
+    }
+
+    /// Turn the three failure responses into their `Err` forms.
+    fn lift_failure(response: Response) -> Result<Response, ServiceError> {
+        match response {
+            Response::Error { message, .. } => Err(ServiceError::protocol(message)),
+            Response::Overloaded { retry_after_ms, .. } => {
+                Err(ServiceError::Overloaded { retry_after_ms })
+            }
+            Response::DeadlineExceeded { deadline_ms, .. } => {
+                Err(ServiceError::DeadlineExceeded { deadline_ms })
+            }
+            response => Ok(response),
         }
     }
 
@@ -386,8 +347,8 @@ impl Client {
     }
 
     /// Submit a job with explicit per-job options (cache mode,
-    /// Pareto-point retention, shard-chunk hint) over the typed
-    /// protocol, and wait for its result.
+    /// Pareto-point retention, shard-chunk hint), and wait for its
+    /// result.
     ///
     /// # Errors
     ///
@@ -589,9 +550,9 @@ impl Client {
         }
     }
 
-    /// Fetch the typed stats report: every counter plus the **active
+    /// Fetch the stats report: every counter plus the **active
     /// configuration** (live eviction policy, cache bounds, shard
-    /// policy). The legacy [`Client::stats`] carries counters only.
+    /// policy).
     ///
     /// # Errors
     ///
@@ -754,13 +715,13 @@ impl Client {
         let mut received = 0;
         while received < specs.len() {
             while sent < specs.len() && sent - received < Self::PIPELINE_WINDOW {
-                self.send(&specs[sent].to_json())?;
+                let request = Request::Submit(specs[sent].clone());
+                wire::write_request(&mut self.writer, &request, self.encoding)?;
                 sent += 1;
             }
-            let response = self.recv()?;
+            let response = self.recv_response()?;
             let id = response
-                .get("id")
-                .and_then(Json::as_u64)
+                .id()
                 .ok_or_else(|| ServiceError::protocol("pipelined response carries no job id"))?;
             let slot = *slot_of
                 .get(&id)
@@ -770,7 +731,12 @@ impl Client {
                     "duplicate response for job id {id}"
                 )));
             }
-            results[slot] = Some(Self::job_result(response));
+            results[slot] = Some(Self::lift_failure(response).and_then(
+                |response| match response {
+                    Response::Job { result } => Ok(result),
+                    other => Err(Self::unexpected("submit", &other)),
+                },
+            ));
             received += 1;
         }
         Ok(results
@@ -785,49 +751,10 @@ impl Client {
     ///
     /// Fails if the server is unreachable or answers incorrectly.
     pub fn ping(&mut self) -> Result<(), ServiceError> {
-        let response = Self::expect_ok(self.request(&Json::obj([("cmd", Json::str("ping"))]))?)?;
-        match response.get("pong").and_then(Json::as_bool) {
-            Some(true) => Ok(()),
-            _ => Err(ServiceError::protocol("ping got no pong")),
+        match self.typed_request(&Request::Ping { id: None })? {
+            Response::Pong { .. } => Ok(()),
+            other => Err(Self::unexpected("ping", &other)),
         }
-    }
-
-    /// Fetch the server's cache/pool statistics.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed responses.
-    pub fn stats(&mut self) -> Result<ServerStats, ServiceError> {
-        let response = Self::expect_ok(self.request(&Json::obj([("cmd", Json::str("stats"))]))?)?;
-        let stats = response
-            .get("stats")
-            .ok_or_else(|| ServiceError::protocol("response missing \"stats\""))?;
-        let int = |name: &str| {
-            stats
-                .get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ServiceError::protocol(format!("stats missing {name:?}")))
-        };
-        Ok(ServerStats {
-            hits: int("hits")?,
-            misses: int("misses")?,
-            coalesced: int("coalesced")?,
-            evictions: int("evictions")?,
-            entries: int("entries")? as usize,
-            bytes: int("bytes")? as usize,
-            hit_rate: stats.get("hit_rate").and_then(Json::as_f64).unwrap_or(0.0),
-            workers: int("workers")? as usize,
-            // Absent on servers predating the persistent tier.
-            store_hits: stats.get("store_hits").and_then(Json::as_u64).unwrap_or(0),
-            store_misses: stats
-                .get("store_misses")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            compute_ns_total: stats
-                .get("compute_ns_total")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-        })
     }
 
     /// Ask the server to stop accepting connections.
@@ -836,8 +763,10 @@ impl Client {
     ///
     /// Fails if the server rejects the command.
     pub fn shutdown(&mut self) -> Result<(), ServiceError> {
-        Self::expect_ok(self.request(&Json::obj([("cmd", Json::str("shutdown"))]))?)?;
-        Ok(())
+        match self.typed_request(&Request::Shutdown { id: None })? {
+            Response::Shutdown { .. } => Ok(()),
+            other => Err(Self::unexpected("shutdown", &other)),
+        }
     }
 }
 

@@ -41,12 +41,13 @@
 //!   write through, and restarts warm-start from disk — each
 //!   fingerprint is explored once, *ever*;
 //! * [`proto`] — the typed, versioned protocol: [`Request`](proto::Request)
-//!   /[`Response`](proto::Response) enums with one JSON codec, a `hello`
-//!   handshake advertising [`PROTOCOL_VERSION`](proto::PROTOCOL_VERSION)
-//!   and capabilities, admin verbs (`set-policy`, `set-shard-policy`,
-//!   `set-bounds`, `cache-clear`/`cache-warm`, `store-compact`,
-//!   `metrics`), per-job options, and a legacy shim keeping
-//!   pre-versioning clients byte-compatible;
+//!   /[`Response`](proto::Response) enums whose wire shapes are each
+//!   declared once, as a field table both codec directions are
+//!   generated from; a `hello` handshake advertising
+//!   [`PROTOCOL_VERSION`](proto::PROTOCOL_VERSION) and capabilities,
+//!   admin verbs (`set-policy`, `set-shard-policy`, `set-bounds`,
+//!   `cache-clear`/`cache-warm`, `store-compact`, `metrics`), and
+//!   per-job options;
 //! * [`server`]/[`client`] — a hand-rolled, std-only, **pipelined**
 //!   TCP front-end: submit many jobs tagged by `id`, receive responses
 //!   out of order as they complete; the client grows typed admin
@@ -121,7 +122,7 @@ pub mod wire;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::cache::{CacheConfig, CacheOutcome, CacheStats, DseCache, EvictionPolicy};
-    pub use crate::client::{Client, ClientConfig, RetryPolicy, ServerStats};
+    pub use crate::client::{Client, ClientConfig, RetryPolicy};
     pub use crate::engine::{default_workers, EngineFactory, ServiceState};
     pub use crate::error::ServiceError;
     pub use crate::faults::{FaultPlan, FaultState};
@@ -129,7 +130,7 @@ pub mod prelude {
     pub use crate::overload::{OverloadConfig, OverloadController};
     pub use crate::pool::{DsePool, PendingJob, ShardPolicy};
     pub use crate::proto::{
-        BoundsUpdate, Dialect, MetricsReport, OverloadUpdate, Request, Response, ShardPolicyUpdate,
+        BoundsUpdate, MetricsReport, OverloadUpdate, Request, Response, ShardPolicyUpdate,
         StatsReport, PROTOCOL_VERSION,
     };
     pub use crate::server::{JobServer, ServerConfig};

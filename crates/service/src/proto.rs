@@ -22,19 +22,18 @@
 //!   [`PROTOCOL_VERSION`]; servers reject hellos for versions they do
 //!   not speak.
 //!
-//! ## Dialects
+//! ## One dialect, one codec
 //!
-//! Two request dialects share the wire, distinguished per message:
+//! Every message — request or response — is a JSON object whose
+//! `"type"` field names its verb. A message without one is answered
+//! with a typed error (`{"type":"error", …}`); nothing else is spoken
+//! on the wire. Each message's shape is declared **once**, as a field
+//! table (see "The codec" below): [`Request::to_json`],
+//! [`Request::decode`], [`Response::render`], [`Response::decode`] and
+//! the `id` accessors are all generated from the same rows, so a field
+//! cannot be written under one name and read under another.
 //!
-//! * **Typed (v1)** — objects carrying a `"type"` field naming the
-//!   verb. Responses to typed requests carry `"type"` too.
-//! * **Legacy** — the pre-versioning protocol: bare job objects (no
-//!   `"type"`, no `"cmd"`) and `{"cmd": "ping"|"stats"|"shutdown"}`
-//!   control verbs. Responses to legacy requests are rendered
-//!   **byte-identically** to the pre-versioning server, so deployed
-//!   clients keep working unchanged.
-//!
-//! Either dialect travels in either encoding of [`crate::wire`]
+//! Messages travel in either encoding of [`crate::wire`]
 //! (newline-delimited JSON text or length-prefixed binary frames); a
 //! response always uses the encoding of its request.
 //!
@@ -56,13 +55,13 @@ use crate::spec::{JobResult, JobSpec};
 /// when it bumps.
 pub const PROTOCOL_VERSION: u64 = 1;
 
-/// Which request dialect a message arrived in — the server answers in
-/// kind.
+/// The protocol's dialect tag. There is exactly one — typed
+/// `{"type": …}` messages — and nothing branches on it; the type
+/// survives only because [`Request::decode`] and [`Response::render`]
+/// are pinned, with it in their signatures, by the frozen `benchmark/`
+/// harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dialect {
-    /// Pre-versioning messages: bare job objects and `{"cmd": …}`
-    /// verbs. Responses render byte-identically to the old server.
-    Legacy,
     /// `{"type": …}` messages of the versioned protocol.
     V1,
 }
@@ -374,8 +373,7 @@ pub enum Request {
 }
 
 /// A snapshot of the server's counters **and active configuration**,
-/// carried by the typed `stats` response. The legacy `{"cmd":"stats"}`
-/// rendering exposes only the counter subset the old protocol had.
+/// carried by the `stats` response.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatsReport {
     /// Cache counters and sizes.
@@ -395,8 +393,7 @@ pub struct StatsReport {
     pub store: Option<StoreStats>,
     /// How many backends stand behind this endpoint: `Some(n)` from a
     /// `drmap-router` (whose report sums its backends' counters),
-    /// `None` from a single node. V1-only — the legacy rendering
-    /// predates clusters.
+    /// `None` from a single node.
     pub backends: Option<usize>,
 }
 
@@ -593,1467 +590,635 @@ pub enum Response {
         message: String,
     },
 }
-
-/// A request that could not be decoded, with enough context to answer
-/// in the right dialect with the right correlation id.
+/// A request that could not be decoded, with the correlation id (when
+/// one was recognizable) so the error can be matched to its request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodeError {
     /// The request's id, when one was recognizable.
     pub id: Option<u64>,
-    /// The dialect the malformed request appeared to be in (errors are
-    /// answered in kind).
-    pub dialect: Dialect,
     /// What was wrong with it.
     pub message: String,
 }
 
-impl DecodeError {
-    fn new(id: Option<u64>, dialect: Dialect, message: impl Into<String>) -> Self {
-        DecodeError {
-            id,
-            dialect,
-            message: message.into(),
+// ---------------------------------------------------------------------
+// The codec: every wire shape is declared once, as a field table
+// ---------------------------------------------------------------------
+//
+// A table row names each field once — `mode field [as "wire-name"]` —
+// and both directions are generated from it: the write half calls
+// `Writer::mode`, the read half `Reader::mode`. The modes:
+//
+//   req   required field
+//   opt   `Option` field, left out when `None`
+//   null  `Option` field, rendered as `null` when `None`
+//   flat  nested object whose fields are spliced into this one
+//   map   name/value pairs rendered as one `{name: value}` object
+//   out   write-only field computed from the others: `out "name" = expr`
+//
+// Field order in a table is field order on the wire.
+
+/// A value with exactly one JSON form. Decode failures are plain
+/// messages; [`Request::decode`] and [`Response::decode`] wrap them in
+/// their error types.
+trait Wire: Sized {
+    fn to_json(&self) -> Json;
+    fn from_json(v: &Json) -> Result<Self, String>;
+}
+
+macro_rules! wire_scalars {
+    ($($ty:ty: $expected:literal, $to:expr, $from:expr;)*) => {$(
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                ($to)(self)
+            }
+            fn from_json(v: &Json) -> Result<Self, String> {
+                ($from)(v).ok_or_else(|| concat!("expected ", $expected).to_owned())
+            }
+        }
+    )*};
+}
+
+wire_scalars! {
+    u64: "a non-negative integer", |n: &u64| Json::num_u64(*n), Json::as_u64;
+    usize: "a non-negative integer", |n: &usize| Json::num_usize(*n), Json::as_usize;
+    u32: "a non-negative integer below 2^32", |n: &u32| Json::num_u64(u64::from(*n)),
+        |v: &Json| v.as_u64().and_then(|n| u32::try_from(n).ok());
+    i64: "an integer", |n: &i64| Json::Num(*n as f64),
+        |v: &Json| v.as_f64().filter(|n| n.fract() == 0.0).map(|n| n as i64);
+    f64: "a number", |n: &f64| Json::Num(*n), Json::as_f64;
+    bool: "a boolean", |b: &bool| Json::Bool(*b), Json::as_bool;
+    String: "a string", |s: &String| Json::str(s.as_str()),
+        |v: &Json| v.as_str().map(str::to_owned);
+}
+
+impl Wire for EvictionPolicy {
+    fn to_json(&self) -> Json {
+        Json::str(self.label())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let label = v.as_str().ok_or("expected a string")?;
+        EvictionPolicy::from_label(label).ok_or_else(|| {
+            format!("unknown eviction policy {label:?} (expected \"lru\" or \"cost\")")
+        })
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(Wire::to_json).collect())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let items = v.as_array().ok_or("expected an array")?;
+        items.iter().map(T::from_json).collect()
+    }
+}
+
+/// Pairs travel as two-element arrays (histogram buckets, trace stages).
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v.as_array() {
+            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err("expected a two-element array".to_owned()),
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Request codec
-// ---------------------------------------------------------------------
-
-fn push_id(pairs: &mut Vec<(String, Json)>, id: Option<u64>) {
-    if let Some(id) = id {
-        pairs.push(("id".to_owned(), Json::num_u64(id)));
+// Job specs and results keep their own codec in `crate::spec` (the
+// spec form doubles as `drmap-batch`'s NDJSON job-file format).
+impl Wire for JobSpec {
+    fn to_json(&self) -> Json {
+        JobSpec::to_json(self)
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        JobSpec::from_json(v).map_err(|e| e.to_string())
     }
 }
 
-fn typed(kind: &str, id: Option<u64>, rest: Vec<(String, Json)>) -> Json {
-    let mut pairs = vec![("type".to_owned(), Json::str(kind))];
-    push_id(&mut pairs, id);
-    pairs.extend(rest);
-    Json::Obj(pairs)
+impl Wire for JobResult {
+    fn to_json(&self) -> Json {
+        JobResult::to_json(self)
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        JobResult::from_json(v).map_err(|e| e.to_string())
+    }
+}
+
+/// The write half of a field table: one method per mode.
+#[derive(Default)]
+struct Writer(Vec<(String, Json)>);
+
+impl Writer {
+    /// A typed message: `"type"` always leads.
+    fn message(kind: &str) -> Self {
+        // Most messages have at most eight top-level fields.
+        let mut fields = Vec::with_capacity(8);
+        fields.push(("type".to_owned(), Json::str(kind)));
+        Writer(fields)
+    }
+
+    fn req<T: Wire>(&mut self, name: &str, value: &T) {
+        self.0.push((name.to_owned(), value.to_json()));
+    }
+
+    fn opt<T: Wire>(&mut self, name: &str, value: &Option<T>) {
+        if let Some(value) = value {
+            self.req(name, value);
+        }
+    }
+
+    fn null<T: Wire>(&mut self, name: &str, value: &Option<T>) {
+        let value = value.as_ref().map_or(Json::Null, Wire::to_json);
+        self.0.push((name.to_owned(), value));
+    }
+
+    fn flat<T: Wire>(&mut self, _name: &str, value: &T) {
+        if let Json::Obj(fields) = value.to_json() {
+            self.0.extend(fields);
+        }
+    }
+
+    fn map<T: Wire>(&mut self, name: &str, entries: &[(String, T)]) {
+        let entries = entries.iter().map(|(k, v)| (k.clone(), v.to_json()));
+        self.0.push((name.to_owned(), Json::Obj(entries.collect())));
+    }
+}
+
+/// The read half of a field table: one method per mode. `what` names
+/// the object being read in "missing field" errors.
+struct Reader<'a> {
+    v: &'a Json,
+    what: &'a str,
+}
+
+impl Reader<'_> {
+    fn req<T: Wire>(&self, name: &str) -> Result<T, String> {
+        self.opt(name)?
+            .ok_or_else(|| format!("{} missing {name:?}", self.what))
+    }
+
+    /// An absent field and an explicit `null` both read as `None`,
+    /// whichever of the two the writer's mode produces.
+    fn opt<T: Wire>(&self, name: &str) -> Result<Option<T>, String> {
+        match self.v.get(name) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => T::from_json(v)
+                .map(Some)
+                .map_err(|e| format!("{name:?}: {e}")),
+        }
+    }
+
+    fn null<T: Wire>(&self, name: &str) -> Result<Option<T>, String> {
+        self.opt(name)
+    }
+
+    fn flat<T: Wire>(&self, _name: &str) -> Result<T, String> {
+        T::from_json(self.v)
+    }
+
+    fn map<T: Wire>(&self, name: &str) -> Result<Vec<(String, T)>, String> {
+        let Some(Json::Obj(entries)) = self.v.get(name) else {
+            return Err(format!("{} missing object {name:?}", self.what));
+        };
+        entries
+            .iter()
+            .map(|(k, v)| match T::from_json(v) {
+                Ok(v) => Ok((k.clone(), v)),
+                Err(e) => Err(format!("{name}.{k}: {e}")),
+            })
+            .collect()
+    }
+}
+
+/// One table row → the statement that writes it.
+macro_rules! put {
+    ($w:ident, out $name:literal = $value:expr) => {
+        $w.req($name, &$value)
+    };
+    ($w:ident, $mode:ident $field:ident) => {
+        $w.$mode(stringify!($field), $field)
+    };
+    ($w:ident, $mode:ident $field:ident as $name:literal) => {
+        $w.$mode($name, $field)
+    };
+}
+
+/// One table row → the binding that reads it (`out` rows read nothing).
+macro_rules! get {
+    ($r:ident, out $name:literal = $value:expr) => {};
+    ($r:ident, $mode:ident $field:ident) => {
+        let $field = $r.$mode(stringify!($field))?;
+    };
+    ($r:ident, $mode:ident $field:ident as $name:literal) => {
+        let $field = $r.$mode($name)?;
+    };
+}
+
+/// The top-level `"id"` a message's rows put on the wire, if any: an
+/// `id` field, a computed `"id"`, or the id a flattened job `spec`
+/// brings with it. Field names go through `@named` twice — once to
+/// compare, once to use — because hygiene hides the row's binding from
+/// a literal `id` written here.
+macro_rules! id_of {
+    () => { None };
+    ([out "id" = $value:expr] $($rest:tt)*) => { Some($value) };
+    ([$mode:ident $field:ident] $($rest:tt)*) => { id_of!(@named $field $field $($rest)*) };
+    ([$($other:tt)*] $($rest:tt)*) => { id_of!($($rest)*) };
+    (@named id $id:ident $($rest:tt)*) => { *$id };
+    (@named spec $spec:ident $($rest:tt)*) => { Some($spec.id) };
+    (@named $other:ident $field:ident $($rest:tt)*) => { id_of!($($rest)*) };
+}
+
+/// Declare a nested object's wire shape. `$shape` is the struct
+/// literal that both destructures a value (write) and rebuilds it from
+/// the fields read (read); the short form derives it from the rows,
+/// the long form spells it out — for nested destructuring — and names
+/// the value so `out` rows can call its methods.
+macro_rules! wire_object {
+    ($what:literal $Ty:ident => { $($mode:ident $field:ident),* $(,)? }) => {
+        wire_object!(_this: $what $Ty { $($field),* } => { $($mode $field),* });
+    };
+    ($this:ident: $what:literal $Ty:ident $shape:tt => {
+        $($mode:ident $field:tt $(as $name:literal)? $(= $value:expr)?),* $(,)?
+    }) => {
+        impl Wire for $Ty {
+            fn to_json(&self) -> Json {
+                let $this = self;
+                let $Ty $shape = $this;
+                let mut w = Writer::default();
+                $( put!(w, $mode $field $(as $name)? $(= $value)?); )*
+                Json::Obj(w.0)
+            }
+            fn from_json(v: &Json) -> Result<Self, String> {
+                let r = Reader { v, what: $what };
+                $( get!(r, $mode $field $(as $name)? $(= $value)?); )*
+                Ok($Ty $shape)
+            }
+        }
+    };
+}
+
+/// Declare a message enum's wire shapes, one row per verb:
+/// `"verb" Variant shape => { rows }`. Generates `to_json`, the
+/// `from_json` behind `decode`, and `id`. The `requests` form also
+/// takes, beside each verb, the `hello` capability that advertises it
+/// (`[None]` for the baseline verbs every server speaks) and generates
+/// `capability` — `drmap-check`'s `proto-doc-drift` lint reads those
+/// rows.
+macro_rules! wire_messages {
+    ($Enum:ident, $what:literal; $(
+        $verb:literal $Variant:ident $shape:tt => {
+            $($mode:ident $field:tt $(as $name:literal)? $(= $value:expr)?),* $(,)?
+        }
+    )*) => {
+        impl $Enum {
+            /// The message's wire form: `"type"` first, then the
+            /// verb's fields.
+            pub fn to_json(&self) -> Json {
+                match self {$(
+                    $Enum::$Variant $shape => {
+                        let mut w = Writer::message($verb);
+                        $( put!(w, $mode $field $(as $name)? $(= $value)?); )*
+                        Json::Obj(w.0)
+                    }
+                )*}
+            }
+
+            fn from_json(v: &Json) -> Result<Self, String> {
+                let kind = match v.get("type") {
+                    Some(kind) => kind.as_str().ok_or("\"type\" must be a string")?,
+                    None => return Err(concat!($what, " carries no \"type\"").to_owned()),
+                };
+                match kind {
+                    $($verb => {
+                        let r = Reader { v, what: $verb };
+                        $( get!(r, $mode $field $(as $name)? $(= $value)?); )*
+                        Ok($Enum::$Variant $shape)
+                    })*
+                    other => Err(format!(concat!("unknown ", $what, " type {:?}"), other)),
+                }
+            }
+
+            /// The correlation id the message carries at its top level
+            /// (a job's own id for `submit` and `job`).
+            #[allow(unused_variables)]
+            pub fn id(&self) -> Option<u64> {
+                match self {$(
+                    $Enum::$Variant $shape => id_of!($([$mode $field $(= $value)?])*),
+                )*}
+            }
+        }
+    };
+    (requests $Enum:ident, $what:literal; $(
+        $verb:literal [$capability:expr] $Variant:ident $shape:tt => $rows:tt
+    )*) => {
+        wire_messages!($Enum, $what; $( $verb $Variant $shape => $rows )*);
+
+        impl $Enum {
+            /// The `hello` capability that advertises this verb
+            /// (`None`: a baseline verb every server speaks).
+            pub fn capability(&self) -> Option<&'static str> {
+                match self {$(
+                    $Enum::$Variant { .. } => $capability,
+                )*}
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------
+// Nested objects
+// ---------------------------------------------------------------------
+
+wire_object! { "shard policy" ShardPolicy => {
+    req min_tilings, req chunks_per_worker, null chunk_tilings,
+}}
+
+wire_object! { "shard policy update" ShardPolicyUpdate => {
+    opt min_tilings, opt chunks_per_worker, opt chunk_tilings,
+}}
+
+wire_object! { "bounds update" BoundsUpdate => { opt max_entries, opt max_bytes }}
+
+wire_object! { "overload config" OverloadConfig => {
+    req enabled, req high_ms, req low_ms, req recover_windows, req retry_after_ms,
+    null max_inflight,
+}}
+
+wire_object! { "overload update" OverloadUpdate => {
+    opt enabled, opt high_ms, opt low_ms, opt recover_windows, opt retry_after_ms,
+    opt max_inflight,
+}}
+
+wire_object! { "store stats" StoreStats => {
+    req live_entries, req records, req dead_records, req file_bytes, req live_value_bytes,
+    req dead_bytes, req appends, req gets, req hits, req compactions, req recovered_bytes,
+}}
+
+wire_object! { "compaction report" CompactReport => {
+    req live_records, req dropped_records, req bytes_before, req bytes_after,
+}}
+
+// The cache counters are scattered between the report's own fields on
+// the wire (the order predates the configuration fields), hence the
+// spelled-out shape.
+wire_object! { report: "stats" StatsReport {
+    cache: CacheStats {
+        hits, misses, coalesced, bypasses, refreshes, evictions, cost_evictions, entries,
+        bytes, store_hits, store_misses, store_errors, compute_ns_min, compute_ns_max,
+        compute_ns_total,
+    },
+    policy, max_entries, max_bytes, shard, workers, store, backends,
+} => {
+    req hits, req misses, req coalesced, req evictions, req cost_evictions, req entries,
+    req bytes, out "hit_rate" = report.cache.hit_rate(), req workers,
+    req store_hits, req store_misses, req store_errors,
+    req compute_ns_min, req compute_ns_max, req compute_ns_total,
+    req bypasses, req refreshes, req policy, null max_entries, null max_bytes, req shard,
+    out "protocol_version" = PROTOCOL_VERSION,
+    // Only router reports carry `backends`, only store-backed servers
+    // `store`.
+    opt backends, opt store,
+}}
+
+// Precomputed quantiles are a reader convenience; decoders ignore them
+// and recompute from the buckets.
+wire_object! { h: "histogram" HistogramSnapshot { count, sum, min, max, buckets } => {
+    req count, req sum, req min, req max,
+    out "p50" = h.p50(), out "p95" = h.p95(), out "p99" = h.p99(), out "p999" = h.p999(),
+    req buckets,
+}}
+
+wire_object! { "slow entry" SlowEntry => { req trace_id, req total_ns, req stages }}
+
+wire_object! { "slow trace" PersistedSlowTrace => { req seq, req unix_ms, flat entry }}
+
+wire_object! { "metrics" MetricsSnapshot => { map counters, map gauges, map histograms }}
+
+wire_object! { "metrics" MetricsReport => { flat snapshot, req slow }}
+
+wire_object! { "sample" SnapshotSample => { req uptime_ms, req window_ms, req delta }}
+
+wire_object! { "history" SnapshotHistory => { req base, req samples, req cumulative }}
+
+// ---------------------------------------------------------------------
+// Messages
+// ---------------------------------------------------------------------
+
+wire_messages! { requests Request, "request";
+    "hello"            [None]                     Hello { version, client }       => { req version, opt client }
+    "ping"             [None]                     Ping { id }                     => { opt id }
+    "stats"            [None]                     Stats { id }                    => { opt id }
+    "shutdown"         [None]                     Shutdown { id }                 => { opt id }
+    "set-policy"       [Some("admin")]            SetPolicy { id, policy }        => { opt id, req policy }
+    "set-shard-policy" [Some("admin")]            SetShardPolicy { id, update }   => { opt id, flat update }
+    "cache-clear"      [Some("admin")]            CacheClear { id }               => { opt id }
+    "cache-warm"       [Some("store")]            CacheWarm { id, limit }         => { opt id, opt limit }
+    "store-compact"    [Some("store")]            StoreCompact { id, auto_ratio } => { opt id, opt auto_ratio }
+    "metrics"          [Some("metrics")]          Metrics { id }                  => { opt id }
+    "set-bounds"       [Some("set-bounds")]       SetBounds { id, update }        => { opt id, flat update }
+    "metrics-history"  [Some("metrics-history")]  MetricsHistory { id }           => { opt id }
+    "slow-traces"      [Some("slow-traces")]      SlowTraces { id, limit }        => { opt id, opt limit }
+    "set-slow-log"     [Some("admin")]            SetSlowLog { id, slow_ms, cap } => { opt id, opt slow_ms, opt cap }
+    "set-faults"       [Some("faults")]           SetFaults { id, spec }          => { opt id, opt spec }
+    "set-overload"     [Some("overload-control")] SetOverload { id, update }      => { opt id, flat update }
+    "submit"           [Some("jobs")]             Submit(spec)                    => { flat spec }
+}
+
+wire_messages! { Response, "response";
+    "hello" Hello { version, server, capabilities } => {
+        out "ok" = true, req version, req server, req capabilities,
+    }
+    "pong" Pong { id } => { out "ok" = true, opt id }
+    "stats" Stats { id, report } => { out "ok" = true, opt id, req report as "stats" }
+    "shutdown" Shutdown { id } => { out "ok" = true, opt id, out "shutdown" = true }
+    "policy-set" PolicySet { id, policy, previous } => {
+        out "ok" = true, opt id, req policy, req previous,
+    }
+    "shard-policy-set" ShardPolicySet { id, policy, previous } => {
+        out "ok" = true, opt id, req policy, req previous,
+    }
+    "cache-cleared" CacheCleared { id } => { out "ok" = true, opt id }
+    "cache-warmed" CacheWarmed { id, loaded } => { out "ok" = true, opt id, req loaded }
+    "store-compacted" StoreCompacted { id, report } => { out "ok" = true, opt id, flat report }
+    "metrics" Metrics { id, report } => { out "ok" = true, opt id, flat report }
+    "bounds-set" BoundsSet { id, max_entries, max_bytes, previous_entries, previous_bytes, evicted } => {
+        out "ok" = true, opt id, null max_entries, null max_bytes, null previous_entries,
+        null previous_bytes, req evicted,
+    }
+    "metrics-history" MetricsHistory { id, history } => { out "ok" = true, opt id, flat history }
+    "slow-traces" SlowTraces { id, traces } => { out "ok" = true, opt id, req traces }
+    "slow-log-set" SlowLogSet { id, slow_ms, cap, previous_ms, previous_cap } => {
+        out "ok" = true, opt id, null slow_ms, req cap, null previous_ms, req previous_cap,
+    }
+    "faults-set" FaultsSet { id, spec } => { out "ok" = true, opt id, null spec }
+    "overload-set" OverloadSet { id, config, previous } => {
+        out "ok" = true, opt id, req config, req previous,
+    }
+    // The two typed failures carry their payload and, for readers that
+    // only look at `error`, the same text a generic error would.
+    "overloaded" Overloaded { id, retry_after_ms } => {
+        out "ok" = false, opt id, req retry_after_ms,
+        out "error" = ServiceError::Overloaded { retry_after_ms: *retry_after_ms }.to_string(),
+    }
+    "deadline_exceeded" DeadlineExceeded { id, deadline_ms } => {
+        out "ok" = false, opt id, req deadline_ms,
+        out "error" = ServiceError::DeadlineExceeded { deadline_ms: *deadline_ms }.to_string(),
+    }
+    "job" Job { result } => { out "ok" = true, out "id" = result.id, req result }
+    "error" Error { id, message } => { out "ok" = false, opt id, req message as "error" }
 }
 
 impl Request {
-    /// The typed (v1) wire form. Legacy forms are only *parsed* (the
-    /// compatibility shim); new writers always emit typed messages.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Request::Hello { version, client } => {
-                let mut rest = vec![("version".to_owned(), Json::num_u64(*version))];
-                if let Some(client) = client {
-                    rest.push(("client".to_owned(), Json::str(client)));
-                }
-                typed("hello", None, rest)
-            }
-            Request::Ping { id } => typed("ping", *id, vec![]),
-            Request::Stats { id } => typed("stats", *id, vec![]),
-            Request::Shutdown { id } => typed("shutdown", *id, vec![]),
-            Request::SetPolicy { id, policy } => typed(
-                "set-policy",
-                *id,
-                vec![("policy".to_owned(), Json::str(policy.label()))],
-            ),
-            Request::SetShardPolicy { id, update } => {
-                let mut rest = Vec::new();
-                if let Some(n) = update.min_tilings {
-                    rest.push(("min_tilings".to_owned(), Json::num_usize(n)));
-                }
-                if let Some(n) = update.chunks_per_worker {
-                    rest.push(("chunks_per_worker".to_owned(), Json::num_usize(n)));
-                }
-                if let Some(n) = update.chunk_tilings {
-                    rest.push(("chunk_tilings".to_owned(), Json::num_usize(n)));
-                }
-                typed("set-shard-policy", *id, rest)
-            }
-            Request::CacheClear { id } => typed("cache-clear", *id, vec![]),
-            Request::CacheWarm { id, limit } => {
-                let mut rest = Vec::new();
-                if let Some(limit) = limit {
-                    rest.push(("limit".to_owned(), Json::num_usize(*limit)));
-                }
-                typed("cache-warm", *id, rest)
-            }
-            Request::StoreCompact { id, auto_ratio } => {
-                let mut rest = Vec::new();
-                if let Some(ratio) = auto_ratio {
-                    rest.push(("auto_ratio".to_owned(), Json::Num(*ratio)));
-                }
-                typed("store-compact", *id, rest)
-            }
-            Request::Metrics { id } => typed("metrics", *id, vec![]),
-            Request::SetBounds { id, update } => {
-                let mut rest = Vec::new();
-                if let Some(n) = update.max_entries {
-                    rest.push(("max_entries".to_owned(), Json::num_usize(n)));
-                }
-                if let Some(n) = update.max_bytes {
-                    rest.push(("max_bytes".to_owned(), Json::num_usize(n)));
-                }
-                typed("set-bounds", *id, rest)
-            }
-            Request::MetricsHistory { id } => typed("metrics-history", *id, vec![]),
-            Request::SlowTraces { id, limit } => {
-                let mut rest = Vec::new();
-                if let Some(limit) = limit {
-                    rest.push(("limit".to_owned(), Json::num_usize(*limit)));
-                }
-                typed("slow-traces", *id, rest)
-            }
-            Request::SetSlowLog { id, slow_ms, cap } => {
-                let mut rest = Vec::new();
-                if let Some(ms) = slow_ms {
-                    rest.push(("slow_ms".to_owned(), Json::num_u64(*ms)));
-                }
-                if let Some(cap) = cap {
-                    rest.push(("cap".to_owned(), Json::num_usize(*cap)));
-                }
-                typed("set-slow-log", *id, rest)
-            }
-            Request::SetFaults { id, spec } => {
-                let mut rest = Vec::new();
-                if let Some(spec) = spec {
-                    rest.push(("spec".to_owned(), Json::str(spec)));
-                }
-                typed("set-faults", *id, rest)
-            }
-            Request::SetOverload { id, update } => {
-                let mut rest = Vec::new();
-                if let Some(enabled) = update.enabled {
-                    rest.push(("enabled".to_owned(), Json::Bool(enabled)));
-                }
-                if let Some(ms) = update.high_ms {
-                    rest.push(("high_ms".to_owned(), Json::num_u64(ms)));
-                }
-                if let Some(ms) = update.low_ms {
-                    rest.push(("low_ms".to_owned(), Json::num_u64(ms)));
-                }
-                if let Some(n) = update.recover_windows {
-                    rest.push(("recover_windows".to_owned(), Json::num_u64(u64::from(n))));
-                }
-                if let Some(ms) = update.retry_after_ms {
-                    rest.push(("retry_after_ms".to_owned(), Json::num_u64(ms)));
-                }
-                if let Some(n) = update.max_inflight {
-                    rest.push(("max_inflight".to_owned(), Json::num_u64(n)));
-                }
-                typed("set-overload", *id, rest)
-            }
-            Request::Submit(spec) => match spec.to_json() {
-                Json::Obj(pairs) => {
-                    let mut all = vec![("type".to_owned(), Json::str("submit"))];
-                    all.extend(pairs);
-                    Json::Obj(all)
-                }
-                _ => unreachable!("JobSpec::to_json builds an object"),
-            },
-        }
-    }
-
-    /// Decode one request in either dialect.
-    ///
-    /// * `"type"` present → typed (v1) verbs.
-    /// * `"cmd"` present → the legacy control shim (`ping`, `stats`,
-    ///   `shutdown` — exactly the verbs the old protocol had).
-    /// * neither → a legacy bare job object.
+    /// Decode one request. Every request is an object whose `"type"`
+    /// names its verb; anything else — no `"type"`, an unknown verb, a
+    /// missing or mistyped field, a value outside its range — is a
+    /// [`DecodeError`] carrying any recognizable id, so the server can
+    /// answer it with a typed error instead of dropping the
+    /// connection.
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] carrying the dialect and any
-    /// recognizable id, so the caller can answer in kind.
+    /// See above.
     pub fn decode(v: &Json) -> Result<(Request, Dialect), DecodeError> {
-        let id = v.get("id").and_then(Json::as_u64);
-        if let Some(kind) = v.get("type") {
-            let kind = kind
-                .as_str()
-                .ok_or_else(|| DecodeError::new(id, Dialect::V1, "\"type\" must be a string"))?;
-            return Self::decode_typed(kind, id, v).map(|r| (r, Dialect::V1));
-        }
-        if let Some(cmd) = v.get("cmd") {
-            let cmd = cmd
-                .as_str()
-                .ok_or_else(|| DecodeError::new(id, Dialect::Legacy, "\"cmd\" must be a string"))?;
-            let request = match cmd {
-                "ping" => Request::Ping { id },
-                "stats" => Request::Stats { id },
-                "shutdown" => Request::Shutdown { id },
-                other => {
-                    // Exactly the old server's message, byte for byte.
-                    return Err(DecodeError::new(
-                        id,
-                        Dialect::Legacy,
-                        format!("unknown command {other:?}"),
-                    ));
-                }
-            };
-            return Ok((request, Dialect::Legacy));
-        }
-        match JobSpec::from_json(v) {
-            Ok(spec) => Ok((Request::Submit(spec), Dialect::Legacy)),
-            Err(e) => Err(DecodeError::new(id, Dialect::Legacy, e.to_string())),
-        }
-    }
-
-    fn decode_typed(kind: &str, id: Option<u64>, v: &Json) -> Result<Request, DecodeError> {
-        let bad = |message: String| DecodeError::new(id, Dialect::V1, message);
-        let opt_usize = |field: &str| -> Result<Option<usize>, DecodeError> {
-            match v.get(field) {
-                None | Some(Json::Null) => Ok(None),
-                Some(n) => n
-                    .as_usize()
-                    .map(Some)
-                    .ok_or_else(|| bad(format!("{field:?} must be a non-negative integer"))),
-            }
-        };
-        match kind {
-            "hello" => {
-                let version = v
-                    .get("version")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("hello needs an integer \"version\"".to_owned()))?;
-                let client = match v.get("client") {
-                    None | Some(Json::Null) => None,
-                    Some(c) => Some(
-                        c.as_str()
-                            .ok_or_else(|| bad("\"client\" must be a string".to_owned()))?
-                            .to_owned(),
-                    ),
-                };
-                Ok(Request::Hello { version, client })
-            }
-            "ping" => Ok(Request::Ping { id }),
-            "stats" => Ok(Request::Stats { id }),
-            "shutdown" => Ok(Request::Shutdown { id }),
-            "set-policy" => {
-                let label = v
-                    .get("policy")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("set-policy needs a string \"policy\"".to_owned()))?;
-                let policy = EvictionPolicy::from_label(label).ok_or_else(|| {
-                    bad(format!(
-                        "unknown eviction policy {label:?} (expected \"lru\" or \"cost\")"
-                    ))
-                })?;
-                Ok(Request::SetPolicy { id, policy })
-            }
-            "set-shard-policy" => {
-                let update = ShardPolicyUpdate {
-                    min_tilings: opt_usize("min_tilings")?,
-                    chunks_per_worker: opt_usize("chunks_per_worker")?,
-                    chunk_tilings: opt_usize("chunk_tilings")?,
-                };
-                if update.min_tilings == Some(0) || update.chunks_per_worker == Some(0) {
-                    return Err(bad(
-                        "min_tilings and chunks_per_worker must be positive".to_owned()
-                    ));
-                }
-                Ok(Request::SetShardPolicy { id, update })
-            }
-            "cache-clear" => Ok(Request::CacheClear { id }),
-            "cache-warm" => Ok(Request::CacheWarm {
-                id,
-                limit: opt_usize("limit")?,
-            }),
-            "store-compact" => {
-                let auto_ratio = match v.get("auto_ratio") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Num(n)) if (0.0..=1.0).contains(n) => Some(*n),
-                    Some(_) => {
-                        return Err(bad(
-                            "\"auto_ratio\" must be a number in [0, 1] (0 disarms)".to_owned()
-                        ))
-                    }
-                };
-                Ok(Request::StoreCompact { id, auto_ratio })
-            }
-            "metrics" => Ok(Request::Metrics { id }),
-            "set-bounds" => Ok(Request::SetBounds {
-                id,
-                update: BoundsUpdate {
-                    max_entries: opt_usize("max_entries")?,
-                    max_bytes: opt_usize("max_bytes")?,
-                },
-            }),
-            "metrics-history" => Ok(Request::MetricsHistory { id }),
-            "slow-traces" => Ok(Request::SlowTraces {
-                id,
-                limit: opt_usize("limit")?,
-            }),
-            "set-slow-log" => {
-                let slow_ms = match v.get("slow_ms") {
-                    None | Some(Json::Null) => None,
-                    Some(n) => Some(n.as_u64().ok_or_else(|| {
-                        bad("\"slow_ms\" must be a non-negative integer".to_owned())
-                    })?),
-                };
-                let cap = opt_usize("cap")?;
-                if cap == Some(0) {
-                    return Err(bad("\"cap\" must be positive".to_owned()));
-                }
-                Ok(Request::SetSlowLog { id, slow_ms, cap })
-            }
-            "set-faults" => {
-                let spec = match v.get("spec") {
-                    None | Some(Json::Null) => None,
-                    Some(s) => Some(
-                        s.as_str()
-                            .ok_or_else(|| bad("\"spec\" must be a string".to_owned()))?
-                            .to_owned(),
-                    ),
-                };
-                Ok(Request::SetFaults { id, spec })
-            }
-            "set-overload" => {
-                let opt_u64 = |field: &str| -> Result<Option<u64>, DecodeError> {
-                    match v.get(field) {
-                        None | Some(Json::Null) => Ok(None),
-                        Some(n) => n.as_u64().map(Some).ok_or_else(|| {
-                            bad(format!("{field:?} must be a non-negative integer"))
-                        }),
-                    }
-                };
-                let enabled = match v.get("enabled") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Bool(b)) => Some(*b),
-                    Some(_) => return Err(bad("\"enabled\" must be a boolean".to_owned())),
-                };
-                let recover_windows = match opt_u64("recover_windows")? {
-                    None => None,
-                    Some(n) => Some(
-                        u32::try_from(n)
-                            .map_err(|_| bad("\"recover_windows\" is out of range".to_owned()))?,
-                    ),
-                };
-                let update = OverloadUpdate {
-                    enabled,
-                    high_ms: opt_u64("high_ms")?,
-                    low_ms: opt_u64("low_ms")?,
-                    recover_windows,
-                    retry_after_ms: opt_u64("retry_after_ms")?,
-                    max_inflight: opt_u64("max_inflight")?,
-                };
-                if update.high_ms == Some(0) || update.recover_windows == Some(0) {
-                    return Err(bad(
-                        "high_ms and recover_windows must be positive".to_owned()
-                    ));
-                }
-                Ok(Request::SetOverload { id, update })
-            }
-            "submit" => JobSpec::from_json(v)
-                .map(Request::Submit)
-                .map_err(|e| bad(e.to_string())),
-            other => Err(bad(format!("unknown request type {other:?}"))),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Response codec
-// ---------------------------------------------------------------------
-
-fn shard_policy_to_json(policy: &ShardPolicy) -> Json {
-    Json::obj([
-        ("min_tilings", Json::num_usize(policy.min_tilings)),
-        (
-            "chunks_per_worker",
-            Json::num_usize(policy.chunks_per_worker),
-        ),
-        (
-            "chunk_tilings",
-            match policy.chunk_tilings {
-                Some(n) => Json::num_usize(n),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn shard_policy_from_json(v: &Json) -> Result<ShardPolicy, ServiceError> {
-    let field = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| ServiceError::protocol(format!("shard policy missing {name:?}")))
-    };
-    Ok(ShardPolicy {
-        min_tilings: field("min_tilings")?,
-        chunks_per_worker: field("chunks_per_worker")?,
-        chunk_tilings: match v.get("chunk_tilings") {
-            None | Some(Json::Null) => None,
-            Some(n) => Some(n.as_usize().ok_or_else(|| {
-                ServiceError::protocol("\"chunk_tilings\" must be an integer or null")
-            })?),
-        },
-    })
-}
-
-fn store_stats_to_json(s: &StoreStats) -> Json {
-    Json::obj([
-        ("live_entries", Json::num_usize(s.live_entries)),
-        ("records", Json::num_u64(s.records)),
-        ("dead_records", Json::num_u64(s.dead_records)),
-        ("file_bytes", Json::num_u64(s.file_bytes)),
-        ("live_value_bytes", Json::num_u64(s.live_value_bytes)),
-        ("dead_bytes", Json::num_u64(s.dead_bytes)),
-        ("appends", Json::num_u64(s.appends)),
-        ("gets", Json::num_u64(s.gets)),
-        ("hits", Json::num_u64(s.hits)),
-        ("compactions", Json::num_u64(s.compactions)),
-        ("recovered_bytes", Json::num_u64(s.recovered_bytes)),
-    ])
-}
-
-fn store_stats_from_json(v: &Json) -> Result<StoreStats, ServiceError> {
-    let int = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ServiceError::protocol(format!("store stats missing {name:?}")))
-    };
-    Ok(StoreStats {
-        live_entries: int("live_entries")? as usize,
-        records: int("records")?,
-        dead_records: int("dead_records")?,
-        file_bytes: int("file_bytes")?,
-        live_value_bytes: int("live_value_bytes")?,
-        dead_bytes: int("dead_bytes")?,
-        appends: int("appends")?,
-        gets: int("gets")?,
-        hits: int("hits")?,
-        compactions: int("compactions")?,
-        recovered_bytes: int("recovered_bytes")?,
-    })
-}
-
-impl StatsReport {
-    /// The counter fields the legacy `{"cmd":"stats"}` response carried,
-    /// in their exact historical order — the byte-compatibility
-    /// contract with pre-versioning clients.
-    fn legacy_fields(&self) -> Vec<(String, Json)> {
-        let stats = &self.cache;
-        let mut fields = vec![
-            ("hits".to_owned(), Json::num_u64(stats.hits)),
-            ("misses".to_owned(), Json::num_u64(stats.misses)),
-            ("coalesced".to_owned(), Json::num_u64(stats.coalesced)),
-            ("evictions".to_owned(), Json::num_u64(stats.evictions)),
-            (
-                "cost_evictions".to_owned(),
-                Json::num_u64(stats.cost_evictions),
-            ),
-            ("entries".to_owned(), Json::num_usize(stats.entries)),
-            ("bytes".to_owned(), Json::num_usize(stats.bytes)),
-            ("hit_rate".to_owned(), Json::Num(stats.hit_rate())),
-            ("workers".to_owned(), Json::num_usize(self.workers)),
-            ("store_hits".to_owned(), Json::num_u64(stats.store_hits)),
-            ("store_misses".to_owned(), Json::num_u64(stats.store_misses)),
-            ("store_errors".to_owned(), Json::num_u64(stats.store_errors)),
-            (
-                "compute_ns_min".to_owned(),
-                Json::num_u64(stats.compute_ns_min),
-            ),
-            (
-                "compute_ns_max".to_owned(),
-                Json::num_u64(stats.compute_ns_max),
-            ),
-            (
-                "compute_ns_total".to_owned(),
-                Json::num_u64(stats.compute_ns_total),
-            ),
-        ];
-        if let Some(s) = &self.store {
-            fields.push((
-                "store".to_owned(),
-                Json::obj([
-                    ("live_entries", Json::num_usize(s.live_entries)),
-                    ("records", Json::num_u64(s.records)),
-                    ("dead_records", Json::num_u64(s.dead_records)),
-                    ("file_bytes", Json::num_u64(s.file_bytes)),
-                    ("appends", Json::num_u64(s.appends)),
-                    ("gets", Json::num_u64(s.gets)),
-                    ("hits", Json::num_u64(s.hits)),
-                ]),
-            ));
-        }
-        fields
-    }
-
-    /// The legacy stats object (counters only).
-    pub fn to_legacy_json(&self) -> Json {
-        Json::Obj(self.legacy_fields())
-    }
-
-    /// The extended (v1) stats object: the legacy counters plus the
-    /// bypass/refresh counters and the **active configuration**.
-    pub fn to_json(&self) -> Json {
-        let mut fields = self.legacy_fields();
-        // The store sub-object (when present) stays last for readers;
-        // insert the extensions just before it.
-        let config_at = fields
-            .iter()
-            .position(|(k, _)| k == "store")
-            .unwrap_or(fields.len());
-        let mut extensions = vec![
-            ("bypasses".to_owned(), Json::num_u64(self.cache.bypasses)),
-            ("refreshes".to_owned(), Json::num_u64(self.cache.refreshes)),
-            ("policy".to_owned(), Json::str(self.policy.label())),
-            (
-                "max_entries".to_owned(),
-                match self.max_entries {
-                    Some(n) => Json::num_usize(n),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "max_bytes".to_owned(),
-                match self.max_bytes {
-                    Some(n) => Json::num_usize(n),
-                    None => Json::Null,
-                },
-            ),
-            ("shard".to_owned(), shard_policy_to_json(&self.shard)),
-            (
-                "protocol_version".to_owned(),
-                Json::num_u64(PROTOCOL_VERSION),
-            ),
-        ];
-        // `backends` only appears on router reports: single-node
-        // reports stay byte-identical to the pre-cluster protocol.
-        if let Some(n) = self.backends {
-            extensions.push(("backends".to_owned(), Json::num_usize(n)));
-        }
-        // Replace the legacy partial store object with the full one.
-        if let Some(s) = &self.store {
-            if let Some(slot) = fields.iter_mut().find(|(k, _)| k == "store") {
-                slot.1 = store_stats_to_json(s);
-            }
-        }
-        fields.splice(config_at..config_at, extensions);
-        Json::Obj(fields)
-    }
-
-    /// Parse the extended (v1) stats object.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::Protocol`] for missing counters or
-    /// configuration fields.
-    pub fn from_json(v: &Json) -> Result<Self, ServiceError> {
-        let int = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ServiceError::protocol(format!("stats missing {name:?}")))
-        };
-        let opt = |name: &str| match v.get(name) {
-            None | Some(Json::Null) => Ok(None),
-            Some(n) => n.as_usize().map(Some).ok_or_else(|| {
-                ServiceError::protocol(format!("{name:?} must be an integer or null"))
-            }),
-        };
-        let cache = CacheStats {
-            hits: int("hits")?,
-            misses: int("misses")?,
-            coalesced: int("coalesced")?,
-            bypasses: int("bypasses")?,
-            refreshes: int("refreshes")?,
-            evictions: int("evictions")?,
-            cost_evictions: int("cost_evictions")?,
-            entries: int("entries")? as usize,
-            bytes: int("bytes")? as usize,
-            store_hits: int("store_hits")?,
-            store_misses: int("store_misses")?,
-            store_errors: int("store_errors")?,
-            compute_ns_min: int("compute_ns_min")?,
-            compute_ns_max: int("compute_ns_max")?,
-            compute_ns_total: int("compute_ns_total")?,
-        };
-        let label = v
-            .get("policy")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServiceError::protocol("stats missing \"policy\""))?;
-        let policy = EvictionPolicy::from_label(label)
-            .ok_or_else(|| ServiceError::protocol(format!("unknown eviction policy {label:?}")))?;
-        Ok(StatsReport {
-            cache,
-            policy,
-            max_entries: opt("max_entries")?,
-            max_bytes: opt("max_bytes")?,
-            shard: shard_policy_from_json(
-                v.get("shard")
-                    .ok_or_else(|| ServiceError::protocol("stats missing \"shard\""))?,
-            )?,
-            workers: int("workers")? as usize,
-            store: match v.get("store") {
-                None | Some(Json::Null) => None,
-                Some(s) => Some(store_stats_from_json(s)?),
-            },
-            backends: opt("backends")?,
-        })
-    }
-}
-
-fn opt_usize_to_json(v: Option<usize>) -> Json {
-    match v {
-        Some(n) => Json::num_usize(n),
-        None => Json::Null,
-    }
-}
-
-fn histogram_snapshot_to_json(h: &HistogramSnapshot) -> Json {
-    Json::obj([
-        ("count", Json::num_u64(h.count)),
-        ("sum", Json::num_u64(h.sum)),
-        ("min", Json::num_u64(h.min)),
-        ("max", Json::num_u64(h.max)),
-        // Precomputed quantiles are a reader convenience; decoders
-        // ignore them and recompute from the buckets.
-        ("p50", Json::num_u64(h.p50())),
-        ("p95", Json::num_u64(h.p95())),
-        ("p99", Json::num_u64(h.p99())),
-        ("p999", Json::num_u64(h.p999())),
-        (
-            "buckets",
-            Json::Arr(
-                h.buckets
-                    .iter()
-                    .map(|&(index, n)| {
-                        Json::Arr(vec![Json::num_u64(u64::from(index)), Json::num_u64(n)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn histogram_snapshot_from_json(v: &Json) -> Result<HistogramSnapshot, ServiceError> {
-    let int = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ServiceError::protocol(format!("histogram missing {name:?}")))
-    };
-    let buckets = v
-        .get("buckets")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ServiceError::protocol("histogram missing \"buckets\""))?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
-                ServiceError::protocol("histogram buckets must be [index, count] pairs")
-            })?;
-            let index = pair[0]
-                .as_u64()
-                .ok_or_else(|| ServiceError::protocol("bucket index must be an integer"))?;
-            let count = pair[1]
-                .as_u64()
-                .ok_or_else(|| ServiceError::protocol("bucket count must be an integer"))?;
-            Ok((index as u32, count))
-        })
-        .collect::<Result<Vec<_>, ServiceError>>()?;
-    Ok(HistogramSnapshot {
-        count: int("count")?,
-        sum: int("sum")?,
-        min: int("min")?,
-        max: int("max")?,
-        buckets,
-    })
-}
-
-fn slow_entry_to_json(e: &SlowEntry) -> Json {
-    Json::obj([
-        ("trace_id", Json::num_u64(e.trace_id)),
-        ("total_ns", Json::num_u64(e.total_ns)),
-        (
-            "stages",
-            Json::Arr(
-                e.stages
-                    .iter()
-                    .map(|(name, ns)| Json::Arr(vec![Json::str(name), Json::num_u64(*ns)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn slow_entry_from_json(v: &Json) -> Result<SlowEntry, ServiceError> {
-    let int = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ServiceError::protocol(format!("slow entry missing {name:?}")))
-    };
-    let stages =
-        v.get("stages")
-            .and_then(Json::as_array)
-            .ok_or_else(|| ServiceError::protocol("slow entry missing \"stages\""))?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
-                    ServiceError::protocol("slow stages must be [name, ns] pairs")
-                })?;
-                let name = pair[0]
-                    .as_str()
-                    .ok_or_else(|| ServiceError::protocol("stage name must be a string"))?;
-                let ns = pair[1]
-                    .as_u64()
-                    .ok_or_else(|| ServiceError::protocol("stage time must be an integer"))?;
-                Ok((name.to_owned(), ns))
+        Self::from_json(v)
+            .and_then(|request| request.validate().map(|()| (request, Dialect::V1)))
+            .map_err(|message| DecodeError {
+                id: v.get("id").and_then(Json::as_u64),
+                message,
             })
-            .collect::<Result<Vec<_>, ServiceError>>()?;
-    Ok(SlowEntry {
-        trace_id: int("trace_id")?,
-        total_ns: int("total_ns")?,
-        stages,
-    })
-}
-
-fn metrics_snapshot_to_json(snapshot: &MetricsSnapshot) -> Json {
-    Json::obj([
-        (
-            "counters",
-            Json::Obj(
-                snapshot
-                    .counters
-                    .iter()
-                    .map(|(name, v)| (name.clone(), Json::num_u64(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges",
-            Json::Obj(
-                snapshot
-                    .gauges
-                    .iter()
-                    .map(|(name, v)| (name.clone(), Json::Num(*v as f64)))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Json::Obj(
-                snapshot
-                    .histograms
-                    .iter()
-                    .map(|(name, h)| (name.clone(), histogram_snapshot_to_json(h)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn metrics_snapshot_from_json(v: &Json) -> Result<MetricsSnapshot, ServiceError> {
-    let obj = |name: &str| match v.get(name) {
-        Some(Json::Obj(pairs)) => Ok(pairs),
-        _ => Err(ServiceError::protocol(format!(
-            "metrics missing object {name:?}"
-        ))),
-    };
-    let counters = obj("counters")?
-        .iter()
-        .map(|(name, val)| {
-            val.as_u64().map(|n| (name.clone(), n)).ok_or_else(|| {
-                ServiceError::protocol(format!("counter {name:?} must be an integer"))
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let gauges = obj("gauges")?
-        .iter()
-        .map(|(name, val)| {
-            val.as_f64()
-                .filter(|n| n.fract() == 0.0)
-                .map(|n| (name.clone(), n as i64))
-                .ok_or_else(|| ServiceError::protocol(format!("gauge {name:?} must be an integer")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let histograms = obj("histograms")?
-        .iter()
-        .map(|(name, val)| Ok((name.clone(), histogram_snapshot_from_json(val)?)))
-        .collect::<Result<Vec<_>, ServiceError>>()?;
-    Ok(MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-    })
-}
-
-fn metrics_report_fields(report: &MetricsReport) -> Vec<(String, Json)> {
-    let mut fields = match metrics_snapshot_to_json(&report.snapshot) {
-        Json::Obj(pairs) => pairs,
-        _ => unreachable!("metrics_snapshot_to_json builds an object"),
-    };
-    fields.push((
-        "slow".to_owned(),
-        Json::Arr(report.slow.iter().map(slow_entry_to_json).collect()),
-    ));
-    fields
-}
-
-fn metrics_report_from_json(v: &Json) -> Result<MetricsReport, ServiceError> {
-    let slow = v
-        .get("slow")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ServiceError::protocol("metrics missing \"slow\""))?
-        .iter()
-        .map(slow_entry_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(MetricsReport {
-        snapshot: metrics_snapshot_from_json(v)?,
-        slow,
-    })
-}
-
-fn snapshot_history_fields(history: &SnapshotHistory) -> Vec<(String, Json)> {
-    vec![
-        ("base".to_owned(), metrics_snapshot_to_json(&history.base)),
-        (
-            "samples".to_owned(),
-            Json::Arr(
-                history
-                    .samples
-                    .iter()
-                    .map(|s| {
-                        Json::obj([
-                            ("uptime_ms", Json::num_u64(s.uptime_ms)),
-                            ("window_ms", Json::num_u64(s.window_ms)),
-                            ("delta", metrics_snapshot_to_json(&s.delta)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "cumulative".to_owned(),
-            metrics_snapshot_to_json(&history.cumulative),
-        ),
-    ]
-}
-
-fn snapshot_history_from_json(v: &Json) -> Result<SnapshotHistory, ServiceError> {
-    let samples = v
-        .get("samples")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ServiceError::protocol("history missing \"samples\""))?
-        .iter()
-        .map(|s| {
-            let int = |name: &str| {
-                s.get(name)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| ServiceError::protocol(format!("sample missing {name:?}")))
-            };
-            Ok(SnapshotSample {
-                uptime_ms: int("uptime_ms")?,
-                window_ms: int("window_ms")?,
-                delta: metrics_snapshot_from_json(
-                    s.get("delta")
-                        .ok_or_else(|| ServiceError::protocol("sample missing \"delta\""))?,
-                )?,
-            })
-        })
-        .collect::<Result<Vec<_>, ServiceError>>()?;
-    Ok(SnapshotHistory {
-        base: metrics_snapshot_from_json(
-            v.get("base")
-                .ok_or_else(|| ServiceError::protocol("history missing \"base\""))?,
-        )?,
-        samples,
-        cumulative: metrics_snapshot_from_json(
-            v.get("cumulative")
-                .ok_or_else(|| ServiceError::protocol("history missing \"cumulative\""))?,
-        )?,
-    })
-}
-
-fn persisted_trace_to_json(t: &PersistedSlowTrace) -> Json {
-    let mut pairs = vec![
-        ("seq".to_owned(), Json::num_u64(t.seq)),
-        ("unix_ms".to_owned(), Json::num_u64(t.unix_ms)),
-    ];
-    match slow_entry_to_json(&t.entry) {
-        Json::Obj(entry) => pairs.extend(entry),
-        _ => unreachable!("slow_entry_to_json builds an object"),
     }
-    Json::Obj(pairs)
-}
 
-fn persisted_trace_from_json(v: &Json) -> Result<PersistedSlowTrace, ServiceError> {
-    let int = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ServiceError::protocol(format!("slow trace missing {name:?}")))
-    };
-    Ok(PersistedSlowTrace {
-        seq: int("seq")?,
-        unix_ms: int("unix_ms")?,
-        entry: slow_entry_from_json(v)?,
-    })
-}
-
-fn overload_config_to_json(c: &OverloadConfig) -> Json {
-    Json::obj([
-        ("enabled", Json::Bool(c.enabled)),
-        ("high_ms", Json::num_u64(c.high_ms)),
-        ("low_ms", Json::num_u64(c.low_ms)),
-        (
-            "recover_windows",
-            Json::num_u64(u64::from(c.recover_windows)),
-        ),
-        ("retry_after_ms", Json::num_u64(c.retry_after_ms)),
-        (
-            "max_inflight",
-            match c.max_inflight {
-                Some(n) => Json::num_u64(n),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn overload_config_from_json(v: &Json) -> Result<OverloadConfig, ServiceError> {
-    let int = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ServiceError::protocol(format!("overload config missing {name:?}")))
-    };
-    let enabled = match v.get("enabled") {
-        Some(Json::Bool(b)) => *b,
-        _ => {
-            return Err(ServiceError::protocol(
-                "overload config missing boolean \"enabled\"",
-            ))
-        }
-    };
-    Ok(OverloadConfig {
-        enabled,
-        high_ms: int("high_ms")?,
-        low_ms: int("low_ms")?,
-        recover_windows: u32::try_from(int("recover_windows")?)
-            .map_err(|_| ServiceError::protocol("\"recover_windows\" is out of range"))?,
-        retry_after_ms: int("retry_after_ms")?,
-        max_inflight: match v.get("max_inflight") {
-            None | Some(Json::Null) => None,
-            Some(n) => Some(n.as_u64().ok_or_else(|| {
-                ServiceError::protocol("\"max_inflight\" must be an integer or null")
-            })?),
-        },
-    })
-}
-
-fn legacy_error(id: Option<u64>, message: &str) -> Json {
-    let mut pairs = vec![("ok".to_owned(), Json::Bool(false))];
-    if let Some(id) = id {
-        pairs.push(("id".to_owned(), Json::num_u64(id)));
+    /// The range rules a field table cannot express.
+    fn validate(&self) -> Result<(), String> {
+        let problem = match self {
+            Request::SetShardPolicy { update, .. }
+                if update.min_tilings == Some(0) || update.chunks_per_worker == Some(0) =>
+            {
+                "min_tilings and chunks_per_worker must be positive"
+            }
+            Request::StoreCompact {
+                auto_ratio: Some(ratio),
+                ..
+            } if !(0.0..=1.0).contains(ratio) => {
+                "\"auto_ratio\" must be a number in [0, 1] (0 disarms)"
+            }
+            Request::SetSlowLog { cap: Some(0), .. } => "\"cap\" must be positive",
+            Request::SetOverload { update, .. }
+                if update.high_ms == Some(0) || update.recover_windows == Some(0) =>
+            {
+                "high_ms and recover_windows must be positive"
+            }
+            _ => return Ok(()),
+        };
+        Err(problem.to_owned())
     }
-    pairs.push(("error".to_owned(), Json::str(message)));
-    Json::Obj(pairs)
-}
-
-fn typed_ok(kind: &str, id: Option<u64>, rest: Vec<(String, Json)>) -> Json {
-    let mut pairs = vec![
-        ("type".to_owned(), Json::str(kind)),
-        ("ok".to_owned(), Json::Bool(true)),
-    ];
-    push_id(&mut pairs, id);
-    pairs.extend(rest);
-    Json::Obj(pairs)
 }
 
 impl Response {
-    /// Render for the wire in the given dialect. Legacy renderings are
-    /// byte-identical to the pre-versioning server's responses; typed
-    /// renderings carry a `"type"` field. Admin responses have no
-    /// legacy form (the old protocol had no such verbs) and render
-    /// typed in both dialects.
-    pub fn render(&self, dialect: Dialect) -> Json {
-        match (self, dialect) {
-            (Response::Pong { .. }, Dialect::Legacy) => {
-                Json::obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))])
-            }
-            (Response::Pong { id }, Dialect::V1) => typed_ok("pong", *id, vec![]),
-            (Response::Stats { report, .. }, Dialect::Legacy) => {
-                Json::obj([("ok", Json::Bool(true)), ("stats", report.to_legacy_json())])
-            }
-            (Response::Stats { id, report }, Dialect::V1) => {
-                typed_ok("stats", *id, vec![("stats".to_owned(), report.to_json())])
-            }
-            (Response::Shutdown { .. }, Dialect::Legacy) => {
-                Json::obj([("ok", Json::Bool(true)), ("shutdown", Json::Bool(true))])
-            }
-            (Response::Shutdown { id }, Dialect::V1) => typed_ok(
-                "shutdown",
-                *id,
-                vec![("shutdown".to_owned(), Json::Bool(true))],
-            ),
-            (Response::Job { result }, Dialect::Legacy) => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("id", Json::num_u64(result.id)),
-                ("result", result.to_json()),
-            ]),
-            (Response::Job { result }, Dialect::V1) => Json::obj([
-                ("type", Json::str("job")),
-                ("ok", Json::Bool(true)),
-                ("id", Json::num_u64(result.id)),
-                ("result", result.to_json()),
-            ]),
-            (Response::Error { id, message }, Dialect::Legacy) => legacy_error(*id, message),
-            (Response::Error { id, message }, Dialect::V1) => {
-                let mut pairs = vec![
-                    ("type".to_owned(), Json::str("error")),
-                    ("ok".to_owned(), Json::Bool(false)),
-                ];
-                push_id(&mut pairs, *id);
-                pairs.push(("error".to_owned(), Json::str(message)));
-                Json::Obj(pairs)
-            }
-            (
-                Response::Hello {
-                    version,
-                    server,
-                    capabilities,
-                },
-                _,
-            ) => typed_ok(
-                "hello",
-                None,
-                vec![
-                    ("version".to_owned(), Json::num_u64(*version)),
-                    ("server".to_owned(), Json::str(server)),
-                    (
-                        "capabilities".to_owned(),
-                        Json::Arr(capabilities.iter().map(|c| Json::str(c.as_str())).collect()),
-                    ),
-                ],
-            ),
-            (
-                Response::PolicySet {
-                    id,
-                    policy,
-                    previous,
-                },
-                _,
-            ) => typed_ok(
-                "policy-set",
-                *id,
-                vec![
-                    ("policy".to_owned(), Json::str(policy.label())),
-                    ("previous".to_owned(), Json::str(previous.label())),
-                ],
-            ),
-            (
-                Response::ShardPolicySet {
-                    id,
-                    policy,
-                    previous,
-                },
-                _,
-            ) => typed_ok(
-                "shard-policy-set",
-                *id,
-                vec![
-                    ("policy".to_owned(), shard_policy_to_json(policy)),
-                    ("previous".to_owned(), shard_policy_to_json(previous)),
-                ],
-            ),
-            (Response::CacheCleared { id }, _) => typed_ok("cache-cleared", *id, vec![]),
-            (Response::CacheWarmed { id, loaded }, _) => typed_ok(
-                "cache-warmed",
-                *id,
-                vec![("loaded".to_owned(), Json::num_usize(*loaded))],
-            ),
-            (Response::StoreCompacted { id, report }, _) => typed_ok(
-                "store-compacted",
-                *id,
-                vec![
-                    (
-                        "live_records".to_owned(),
-                        Json::num_u64(report.live_records),
-                    ),
-                    (
-                        "dropped_records".to_owned(),
-                        Json::num_u64(report.dropped_records),
-                    ),
-                    (
-                        "bytes_before".to_owned(),
-                        Json::num_u64(report.bytes_before),
-                    ),
-                    ("bytes_after".to_owned(), Json::num_u64(report.bytes_after)),
-                ],
-            ),
-            (Response::Metrics { id, report }, _) => {
-                typed_ok("metrics", *id, metrics_report_fields(report))
-            }
-            (Response::MetricsHistory { id, history }, _) => {
-                typed_ok("metrics-history", *id, snapshot_history_fields(history))
-            }
-            (Response::SlowTraces { id, traces }, _) => typed_ok(
-                "slow-traces",
-                *id,
-                vec![(
-                    "traces".to_owned(),
-                    Json::Arr(traces.iter().map(persisted_trace_to_json).collect()),
-                )],
-            ),
-            (
-                Response::SlowLogSet {
-                    id,
-                    slow_ms,
-                    cap,
-                    previous_ms,
-                    previous_cap,
-                },
-                _,
-            ) => typed_ok(
-                "slow-log-set",
-                *id,
-                vec![
-                    (
-                        "slow_ms".to_owned(),
-                        match slow_ms {
-                            Some(ms) => Json::num_u64(*ms),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("cap".to_owned(), Json::num_usize(*cap)),
-                    (
-                        "previous_ms".to_owned(),
-                        match previous_ms {
-                            Some(ms) => Json::num_u64(*ms),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("previous_cap".to_owned(), Json::num_usize(*previous_cap)),
-                ],
-            ),
-            (Response::FaultsSet { id, spec }, _) => typed_ok(
-                "faults-set",
-                *id,
-                vec![(
-                    "spec".to_owned(),
-                    match spec {
-                        Some(s) => Json::str(s),
-                        None => Json::Null,
-                    },
-                )],
-            ),
-            (
-                Response::OverloadSet {
-                    id,
-                    config,
-                    previous,
-                },
-                _,
-            ) => typed_ok(
-                "overload-set",
-                *id,
-                vec![
-                    ("config".to_owned(), overload_config_to_json(config)),
-                    ("previous".to_owned(), overload_config_to_json(previous)),
-                ],
-            ),
-            (Response::Overloaded { id, retry_after_ms }, Dialect::Legacy) => legacy_error(
-                *id,
-                &ServiceError::Overloaded {
-                    retry_after_ms: *retry_after_ms,
-                }
-                .to_string(),
-            ),
-            (Response::Overloaded { id, retry_after_ms }, Dialect::V1) => {
-                let mut pairs = vec![
-                    ("type".to_owned(), Json::str("overloaded")),
-                    ("ok".to_owned(), Json::Bool(false)),
-                ];
-                push_id(&mut pairs, *id);
-                pairs.push(("retry_after_ms".to_owned(), Json::num_u64(*retry_after_ms)));
-                pairs.push((
-                    "error".to_owned(),
-                    Json::str(
-                        ServiceError::Overloaded {
-                            retry_after_ms: *retry_after_ms,
-                        }
-                        .to_string(),
-                    ),
-                ));
-                Json::Obj(pairs)
-            }
-            (Response::DeadlineExceeded { id, deadline_ms }, Dialect::Legacy) => legacy_error(
-                *id,
-                &ServiceError::DeadlineExceeded {
-                    deadline_ms: *deadline_ms,
-                }
-                .to_string(),
-            ),
-            (Response::DeadlineExceeded { id, deadline_ms }, Dialect::V1) => {
-                let mut pairs = vec![
-                    ("type".to_owned(), Json::str("deadline_exceeded")),
-                    ("ok".to_owned(), Json::Bool(false)),
-                ];
-                push_id(&mut pairs, *id);
-                pairs.push(("deadline_ms".to_owned(), Json::num_u64(*deadline_ms)));
-                pairs.push((
-                    "error".to_owned(),
-                    Json::str(
-                        ServiceError::DeadlineExceeded {
-                            deadline_ms: *deadline_ms,
-                        }
-                        .to_string(),
-                    ),
-                ));
-                Json::Obj(pairs)
-            }
-            (
-                Response::BoundsSet {
-                    id,
-                    max_entries,
-                    max_bytes,
-                    previous_entries,
-                    previous_bytes,
-                    evicted,
-                },
-                _,
-            ) => typed_ok(
-                "bounds-set",
-                *id,
-                vec![
-                    ("max_entries".to_owned(), opt_usize_to_json(*max_entries)),
-                    ("max_bytes".to_owned(), opt_usize_to_json(*max_bytes)),
-                    (
-                        "previous_entries".to_owned(),
-                        opt_usize_to_json(*previous_entries),
-                    ),
-                    (
-                        "previous_bytes".to_owned(),
-                        opt_usize_to_json(*previous_bytes),
-                    ),
-                    ("evicted".to_owned(), Json::num_u64(*evicted)),
-                ],
-            ),
-        }
+    /// Render for the wire. The [`Dialect`] argument is vestigial (see
+    /// its docs): this is [`Response::to_json`].
+    pub fn render(&self, _dialect: Dialect) -> Json {
+        self.to_json()
     }
 
-    /// Decode a typed (v1) response. Legacy responses have no `"type"`
-    /// field and are parsed by their own pre-versioning readers.
+    /// Decode one response.
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::Protocol`] for unknown types or missing
-    /// fields.
+    /// Returns [`ServiceError::Protocol`] for a missing or unknown
+    /// `"type"` and for missing or mistyped fields.
     pub fn decode(v: &Json) -> Result<Response, ServiceError> {
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServiceError::protocol("response carries no \"type\""))?;
-        let id = v.get("id").and_then(Json::as_u64);
-        let policy_field = |name: &str| {
-            let label = v
-                .get(name)
-                .and_then(Json::as_str)
-                .ok_or_else(|| ServiceError::protocol(format!("response missing {name:?}")))?;
-            EvictionPolicy::from_label(label)
-                .ok_or_else(|| ServiceError::protocol(format!("unknown eviction policy {label:?}")))
-        };
-        let int = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ServiceError::protocol(format!("response missing {name:?}")))
-        };
-        match kind {
-            "hello" => Ok(Response::Hello {
-                version: int("version")?,
-                server: v
-                    .get("server")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ServiceError::protocol("hello missing \"server\""))?
-                    .to_owned(),
-                capabilities: v
-                    .get("capabilities")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| ServiceError::protocol("hello missing \"capabilities\""))?
-                    .iter()
-                    .map(|c| {
-                        c.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| ServiceError::protocol("capabilities must be strings"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "pong" => Ok(Response::Pong { id }),
-            "stats" => Ok(Response::Stats {
-                id,
-                report: StatsReport::from_json(
-                    v.get("stats")
-                        .ok_or_else(|| ServiceError::protocol("response missing \"stats\""))?,
-                )?,
-            }),
-            "shutdown" => Ok(Response::Shutdown { id }),
-            "policy-set" => Ok(Response::PolicySet {
-                id,
-                policy: policy_field("policy")?,
-                previous: policy_field("previous")?,
-            }),
-            "shard-policy-set" => Ok(Response::ShardPolicySet {
-                id,
-                policy: shard_policy_from_json(
-                    v.get("policy")
-                        .ok_or_else(|| ServiceError::protocol("response missing \"policy\""))?,
-                )?,
-                previous: shard_policy_from_json(
-                    v.get("previous")
-                        .ok_or_else(|| ServiceError::protocol("response missing \"previous\""))?,
-                )?,
-            }),
-            "cache-cleared" => Ok(Response::CacheCleared { id }),
-            "cache-warmed" => Ok(Response::CacheWarmed {
-                id,
-                loaded: int("loaded")? as usize,
-            }),
-            "store-compacted" => Ok(Response::StoreCompacted {
-                id,
-                report: CompactReport {
-                    live_records: int("live_records")?,
-                    dropped_records: int("dropped_records")?,
-                    bytes_before: int("bytes_before")?,
-                    bytes_after: int("bytes_after")?,
-                },
-            }),
-            "metrics" => Ok(Response::Metrics {
-                id,
-                report: metrics_report_from_json(v)?,
-            }),
-            "metrics-history" => Ok(Response::MetricsHistory {
-                id,
-                history: snapshot_history_from_json(v)?,
-            }),
-            "slow-traces" => Ok(Response::SlowTraces {
-                id,
-                traces: v
-                    .get("traces")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| ServiceError::protocol("response missing \"traces\""))?
-                    .iter()
-                    .map(persisted_trace_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "slow-log-set" => {
-                let opt_ms = |name: &str| match v.get(name) {
-                    None | Some(Json::Null) => Ok(None),
-                    Some(n) => n.as_u64().map(Some).ok_or_else(|| {
-                        ServiceError::protocol(format!("{name:?} must be an integer or null"))
-                    }),
-                };
-                Ok(Response::SlowLogSet {
-                    id,
-                    slow_ms: opt_ms("slow_ms")?,
-                    cap: int("cap")? as usize,
-                    previous_ms: opt_ms("previous_ms")?,
-                    previous_cap: int("previous_cap")? as usize,
-                })
-            }
-            "bounds-set" => {
-                let opt = |name: &str| match v.get(name) {
-                    None | Some(Json::Null) => Ok(None),
-                    Some(n) => n.as_usize().map(Some).ok_or_else(|| {
-                        ServiceError::protocol(format!("{name:?} must be an integer or null"))
-                    }),
-                };
-                Ok(Response::BoundsSet {
-                    id,
-                    max_entries: opt("max_entries")?,
-                    max_bytes: opt("max_bytes")?,
-                    previous_entries: opt("previous_entries")?,
-                    previous_bytes: opt("previous_bytes")?,
-                    evicted: int("evicted")?,
-                })
-            }
-            "faults-set" => Ok(Response::FaultsSet {
-                id,
-                spec: match v.get("spec") {
-                    None | Some(Json::Null) => None,
-                    Some(s) => Some(
-                        s.as_str()
-                            .ok_or_else(|| {
-                                ServiceError::protocol("\"spec\" must be a string or null")
-                            })?
-                            .to_owned(),
-                    ),
-                },
-            }),
-            "overload-set" => Ok(Response::OverloadSet {
-                id,
-                config: overload_config_from_json(
-                    v.get("config")
-                        .ok_or_else(|| ServiceError::protocol("response missing \"config\""))?,
-                )?,
-                previous: overload_config_from_json(
-                    v.get("previous")
-                        .ok_or_else(|| ServiceError::protocol("response missing \"previous\""))?,
-                )?,
-            }),
-            "overloaded" => Ok(Response::Overloaded {
-                id,
-                retry_after_ms: int("retry_after_ms")?,
-            }),
-            "deadline_exceeded" => Ok(Response::DeadlineExceeded {
-                id,
-                deadline_ms: int("deadline_ms")?,
-            }),
-            "job" => Ok(Response::Job {
-                result: JobResult::from_json(
-                    v.get("result")
-                        .ok_or_else(|| ServiceError::protocol("response missing \"result\""))?,
-                )?,
-            }),
-            "error" => Ok(Response::Error {
-                id,
-                message: v
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ServiceError::protocol("error response missing \"error\""))?
-                    .to_owned(),
-            }),
-            other => Err(ServiceError::protocol(format!(
-                "unknown response type {other:?}"
-            ))),
-        }
+        Self::from_json(v).map_err(ServiceError::protocol)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::EngineSpec;
+    use crate::spec::{CacheMode, EngineSpec, JobOptions, LayerOutcome};
+    use drmap_cnn::layer::Layer;
     use drmap_cnn::network::Network;
-    use drmap_telemetry::MetricsRegistry;
+    use drmap_core::dse::Objective;
+    use drmap_core::edp::EdpEstimate;
+    use drmap_core::pareto::DesignPoint;
+    use drmap_core::tiling::Tiling;
+    use drmap_dram::timing::DramArch;
 
-    #[test]
-    fn typed_requests_round_trip() {
-        let requests = vec![
+    /// One rendered line per message below — every `Request` variant,
+    /// then every `Response` variant, each optional field once present
+    /// and once absent. Generated by the hand-paired codec that
+    /// preceded the field tables and never regenerated: a codec change
+    /// that moves one byte on the wire fails the two tests below.
+    const GOLDEN: &str = include_str!("../tests/golden/proto_v1.ndjson");
+
+    fn requests() -> Vec<Request> {
+        let ranged_layer = JobSpec::layer(
+            9,
+            EngineSpec {
+                arch: DramArch::Ddr3,
+                objective: Objective::Energy,
+            },
+            Layer::conv("P", 8, 8, 16, 8, 3, 3, 1),
+        )
+        .with_options(JobOptions {
+            cache: CacheMode::Refresh,
+            keep_points: true,
+            shard_chunk: Some(16),
+            deadline_ms: Some(2_500),
+            tiling_range: Some((4, 64)),
+        });
+        vec![
             Request::Hello {
                 version: 1,
-                client: Some("test/1".into()),
+                client: Some("golden/1".into()),
+            },
+            Request::Hello {
+                version: 1,
+                client: None,
             },
             Request::Ping { id: Some(7) },
-            Request::Stats { id: None },
-            Request::Shutdown { id: Some(0) },
+            Request::Ping { id: None },
+            Request::Stats { id: Some(8) },
+            Request::Shutdown { id: None },
             Request::SetPolicy {
                 id: Some(3),
                 policy: EvictionPolicy::Cost,
             },
-            Request::SetShardPolicy {
+            Request::SetPolicy {
                 id: None,
+                policy: EvictionPolicy::Lru,
+            },
+            Request::SetShardPolicy {
+                id: Some(4),
                 update: ShardPolicyUpdate {
                     min_tilings: Some(32),
-                    chunks_per_worker: None,
+                    chunks_per_worker: Some(4),
                     chunk_tilings: Some(0),
                 },
             },
+            Request::SetShardPolicy {
+                id: None,
+                update: ShardPolicyUpdate::default(),
+            },
             Request::CacheClear { id: Some(9) },
             Request::CacheWarm {
-                id: None,
+                id: Some(10),
                 limit: Some(100),
             },
-            Request::StoreCompact {
-                id: Some(2),
-                auto_ratio: None,
+            Request::CacheWarm {
+                id: None,
+                limit: None,
             },
             Request::StoreCompact {
                 id: None,
                 auto_ratio: Some(0.25),
+            },
+            Request::StoreCompact {
+                id: Some(2),
+                auto_ratio: None,
             },
             Request::Metrics { id: Some(11) },
             Request::SetBounds {
@@ -2062,6 +1227,10 @@ mod tests {
                     max_entries: Some(64),
                     max_bytes: Some(0),
                 },
+            },
+            Request::SetBounds {
+                id: None,
+                update: BoundsUpdate::default(),
             },
             Request::MetricsHistory { id: Some(13) },
             Request::SlowTraces {
@@ -2080,7 +1249,7 @@ mod tests {
             Request::SetSlowLog {
                 id: None,
                 slow_ms: None,
-                cap: Some(8),
+                cap: None,
             },
             Request::SetFaults {
                 id: Some(16),
@@ -2095,116 +1264,80 @@ mod tests {
                 update: OverloadUpdate {
                     enabled: Some(true),
                     high_ms: Some(800),
-                    low_ms: None,
+                    low_ms: Some(400),
                     recover_windows: Some(4),
-                    retry_after_ms: None,
+                    retry_after_ms: Some(250),
                     max_inflight: Some(0),
                 },
             },
+            Request::SetOverload {
+                id: None,
+                update: OverloadUpdate::default(),
+            },
             Request::Submit(JobSpec::network(5, EngineSpec::default(), Network::tiny())),
-        ];
-        for request in requests {
-            let rendered = request.to_json().render();
-            let (decoded, dialect) = Request::decode(&Json::parse(&rendered).unwrap())
-                .unwrap_or_else(|e| {
-                    panic!("failed to decode {rendered}: {e:?}");
-                });
-            assert_eq!(dialect, Dialect::V1, "{rendered}");
-            assert_eq!(decoded, request, "{rendered}");
+            Request::Submit(ranged_layer),
+        ]
+    }
+
+    fn metrics_snapshot(scale: u64) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: vec![
+                ("jobs_total".into(), 3 * scale),
+                ("layers_total".into(), 9 * scale),
+            ],
+            gauges: vec![
+                ("connections_open".into(), 2),
+                ("jobs_inflight".into(), -(scale as i64)),
+            ],
+            histograms: vec![(
+                "request_ns".into(),
+                HistogramSnapshot {
+                    count: 2 * scale,
+                    sum: 2_001_000 * scale,
+                    min: 1_000,
+                    max: 2_000_000,
+                    buckets: vec![(79, scale), (167, scale)],
+                },
+            )],
         }
     }
 
-    #[test]
-    fn legacy_requests_decode_through_the_shim() {
-        let (req, dialect) = Request::decode(&Json::parse(r#"{"cmd":"ping"}"#).unwrap()).unwrap();
-        assert_eq!(req, Request::Ping { id: None });
-        assert_eq!(dialect, Dialect::Legacy);
-
-        let (req, dialect) =
-            Request::decode(&Json::parse(r#"{"id":4,"network":{"model":"tiny"}}"#).unwrap())
-                .unwrap();
-        assert!(matches!(req, Request::Submit(spec) if spec.id == 4));
-        assert_eq!(dialect, Dialect::Legacy);
-
-        let err = Request::decode(&Json::parse(r#"{"cmd":"reboot","id":6}"#).unwrap()).unwrap_err();
-        assert_eq!(err.dialect, Dialect::Legacy);
-        assert_eq!(err.id, Some(6));
-        assert_eq!(err.message, "unknown command \"reboot\"");
+    fn slow_entry(trace_id: u64) -> SlowEntry {
+        SlowEntry {
+            trace_id,
+            total_ns: 7_000_000,
+            stages: vec![
+                ("frame_decode".to_owned(), 21_000),
+                ("explore".to_owned(), 6_000_000),
+            ],
+        }
     }
 
-    #[test]
-    fn shard_policy_updates_merge_field_by_field() {
-        let current = ShardPolicy {
-            min_tilings: 64,
-            chunks_per_worker: 3,
-            chunk_tilings: Some(16),
-        };
-        let keep_all = ShardPolicyUpdate::default();
-        assert_eq!(keep_all.apply(current), current);
-        let retune = ShardPolicyUpdate {
-            min_tilings: Some(128),
-            chunks_per_worker: None,
-            chunk_tilings: Some(0), // clears the override
-        };
-        assert_eq!(
-            retune.apply(current),
-            ShardPolicy {
-                min_tilings: 128,
-                chunks_per_worker: 3,
-                chunk_tilings: None,
-            }
-        );
+    fn estimate(cycles: f64) -> EdpEstimate {
+        EdpEstimate {
+            cycles,
+            energy: cycles * 1.3e-9,
+            t_ck_ns: 1.25,
+        }
     }
 
-    #[test]
-    fn legacy_renderings_match_the_pre_versioning_bytes() {
-        assert_eq!(
-            Response::Pong { id: Some(3) }
-                .render(Dialect::Legacy)
-                .render(),
-            r#"{"ok":true,"pong":true}"#
-        );
-        assert_eq!(
-            Response::Shutdown { id: None }
-                .render(Dialect::Legacy)
-                .render(),
-            r#"{"ok":true,"shutdown":true}"#
-        );
-        assert_eq!(
-            Response::Error {
-                id: Some(6),
-                message: "unknown command \"reboot\"".into()
-            }
-            .render(Dialect::Legacy)
-            .render(),
-            r#"{"ok":false,"id":6,"error":"unknown command \"reboot\""}"#
-        );
-        // A fresh report renders the exact legacy stats field set.
-        let report = StatsReport {
-            cache: CacheStats::default(),
-            policy: EvictionPolicy::Lru,
-            max_entries: None,
-            max_bytes: None,
-            shard: ShardPolicy::default(),
-            workers: 2,
-            store: None,
-            backends: None,
-        };
-        assert_eq!(
-            Response::Stats { id: None, report }
-                .render(Dialect::Legacy)
-                .render(),
-            "{\"ok\":true,\"stats\":{\"hits\":0,\"misses\":0,\"coalesced\":0,\
-             \"evictions\":0,\"cost_evictions\":0,\"entries\":0,\"bytes\":0,\
-             \"hit_rate\":0,\"workers\":2,\"store_hits\":0,\"store_misses\":0,\
-             \"store_errors\":0,\"compute_ns_min\":0,\"compute_ns_max\":0,\
-             \"compute_ns_total\":0}}"
-        );
+    fn layer_outcome(name: &str, cached: bool, pareto: Vec<DesignPoint>) -> LayerOutcome {
+        LayerOutcome {
+            name: name.into(),
+            mapping: "Mapping-3 (DRMap)".into(),
+            scheme: "adaptive-reuse".into(),
+            tiling: Tiling::new(13, 13, 16, 8),
+            estimate: estimate(1.234_567_890_123e6),
+            evaluations: 40_320,
+            cached,
+            coalesced: !cached,
+            store_hit: cached,
+            pareto,
+        }
     }
 
-    #[test]
-    fn typed_responses_round_trip() {
-        let report = StatsReport {
+    fn responses() -> Vec<Response> {
+        let full_stats = StatsReport {
             cache: CacheStats {
                 hits: 10,
                 misses: 4,
@@ -2246,16 +1379,39 @@ mod tests {
             }),
             backends: Some(3),
         };
-        let responses = vec![
+        let bare_stats = StatsReport {
+            cache: CacheStats::default(),
+            policy: EvictionPolicy::Lru,
+            max_entries: None,
+            max_bytes: Some(1 << 20),
+            shard: ShardPolicy::default(),
+            workers: 2,
+            store: None,
+            backends: None,
+        };
+        let armed = OverloadConfig {
+            enabled: true,
+            high_ms: 800,
+            low_ms: 400,
+            recover_windows: 4,
+            retry_after_ms: 250,
+            max_inflight: Some(32),
+        };
+        vec![
             Response::Hello {
-                version: PROTOCOL_VERSION,
-                server: "drmap-service/test".into(),
-                capabilities: capabilities(true),
+                version: 1,
+                server: "drmap-service/golden".into(),
+                capabilities: vec!["jobs".into(), "admin".into(), "store".into()],
             },
             Response::Pong { id: Some(1) },
+            Response::Pong { id: None },
             Response::Stats {
                 id: Some(2),
-                report,
+                report: full_stats,
+            },
+            Response::Stats {
+                id: None,
+                report: bare_stats,
             },
             Response::Shutdown { id: None },
             Response::PolicySet {
@@ -2287,55 +1443,45 @@ mod tests {
             },
             Response::Metrics {
                 id: Some(8),
-                report: {
-                    let registry = MetricsRegistry::new();
-                    registry.counter("jobs_total").add(3);
-                    registry.gauge("connections_open").set(2);
-                    let h = registry.histogram("request_ns");
-                    h.record(1_000);
-                    h.record(2_000_000);
-                    MetricsReport {
-                        snapshot: registry.snapshot(),
-                        slow: vec![SlowEntry {
-                            trace_id: 9,
-                            total_ns: 2_000_000,
-                            stages: vec![("explore".to_owned(), 1_500_000)],
-                        }],
-                    }
+                report: MetricsReport {
+                    snapshot: metrics_snapshot(1),
+                    slow: vec![slow_entry(9)],
                 },
+            },
+            Response::Metrics {
+                id: None,
+                report: MetricsReport::default(),
             },
             Response::BoundsSet {
                 id: Some(9),
                 max_entries: Some(64),
                 max_bytes: None,
-                previous_entries: Some(128),
+                previous_entries: None,
                 previous_bytes: Some(1 << 20),
                 evicted: 17,
             },
             Response::MetricsHistory {
                 id: Some(10),
-                history: {
-                    let registry = MetricsRegistry::new();
-                    let ring = drmap_telemetry::SnapshotRing::new(2);
-                    let c = registry.counter("jobs_total");
-                    for step in 1..=3u64 {
-                        c.add(step);
-                        registry.histogram("request_ns").record(step * 1_000);
-                        ring.record(registry.snapshot(), registry.uptime_ms());
-                    }
-                    ring.history()
+                history: SnapshotHistory {
+                    base: metrics_snapshot(1),
+                    samples: vec![SnapshotSample {
+                        uptime_ms: 20_000,
+                        window_ms: 10_000,
+                        delta: metrics_snapshot(2),
+                    }],
+                    cumulative: metrics_snapshot(3),
                 },
+            },
+            Response::MetricsHistory {
+                id: None,
+                history: SnapshotHistory::default(),
             },
             Response::SlowTraces {
                 id: Some(11),
                 traces: vec![PersistedSlowTrace {
                     seq: 3,
                     unix_ms: 1_700_000_000_000,
-                    entry: SlowEntry {
-                        trace_id: 42,
-                        total_ns: 7_000_000,
-                        stages: vec![("explore".to_owned(), 6_000_000)],
-                    },
+                    entry: slow_entry(42),
                 }],
             },
             Response::SlowTraces {
@@ -2349,6 +1495,13 @@ mod tests {
                 previous_ms: None,
                 previous_cap: 32,
             },
+            Response::SlowLogSet {
+                id: None,
+                slow_ms: None,
+                cap: 8,
+                previous_ms: Some(0),
+                previous_cap: 64,
+            },
             Response::FaultsSet {
                 id: Some(13),
                 spec: Some("seed=7,store-fail=0.1".into()),
@@ -2359,35 +1512,141 @@ mod tests {
             },
             Response::OverloadSet {
                 id: Some(14),
-                config: crate::overload::OverloadConfig {
-                    enabled: true,
-                    high_ms: 800,
-                    low_ms: 400,
-                    recover_windows: 4,
-                    retry_after_ms: 250,
-                    max_inflight: Some(32),
-                },
-                previous: crate::overload::OverloadConfig::default(),
+                config: armed,
+                previous: OverloadConfig::default(),
             },
             Response::Overloaded {
                 id: Some(15),
                 retry_after_ms: 1_000,
             },
+            Response::Overloaded {
+                id: None,
+                retry_after_ms: 250,
+            },
             Response::DeadlineExceeded {
                 id: Some(16),
                 deadline_ms: 250,
             },
+            Response::DeadlineExceeded {
+                id: None,
+                deadline_ms: 40,
+            },
+            Response::Job {
+                result: JobResult {
+                    id: 21,
+                    workload: "Tiny".into(),
+                    total: estimate(2.469_135_780_246e6),
+                    layers: vec![
+                        layer_outcome("CONV1", false, vec![]),
+                        layer_outcome(
+                            "CONV2",
+                            true,
+                            vec![DesignPoint::new("th=13 tw=13", estimate(0.5e6))],
+                        ),
+                    ],
+                },
+            },
             Response::Error {
                 id: Some(7),
-                message: "no store attached".into(),
+                message: "no store attached (\"--store\")".into(),
             },
-        ];
-        for response in responses {
-            let rendered = response.render(Dialect::V1).render();
-            let decoded = Response::decode(&Json::parse(&rendered).unwrap())
-                .unwrap_or_else(|e| panic!("failed to decode {rendered}: {e}"));
-            assert_eq!(decoded, response, "{rendered}");
+            Response::Error {
+                id: None,
+                message: "invalid JSON at byte 1: expected '\"'".into(),
+            },
+        ]
+    }
+
+    #[test]
+    fn typed_requests_round_trip() {
+        let requests = requests();
+        for (request, line) in requests.iter().zip(GOLDEN.lines()) {
+            assert_eq!(request.to_json().render(), line, "{request:?}");
+            let (decoded, _) = Request::decode(&Json::parse(line).unwrap())
+                .unwrap_or_else(|e| panic!("failed to decode {line}: {e:?}"));
+            assert_eq!(&decoded, request, "{line}");
         }
+    }
+
+    #[test]
+    fn typed_responses_round_trip() {
+        let responses = responses();
+        let lines: Vec<&str> = GOLDEN.lines().skip(requests().len()).collect();
+        assert_eq!(lines.len(), responses.len(), "one golden line per message");
+        for (response, line) in responses.iter().zip(lines) {
+            assert_eq!(response.render(Dialect::V1).render(), line, "{response:?}");
+            let decoded = Response::decode(&Json::parse(line).unwrap())
+                .unwrap_or_else(|e| panic!("failed to decode {line}: {e}"));
+            assert_eq!(&decoded, response, "{line}");
+        }
+    }
+
+    #[test]
+    fn messages_without_a_type_are_decode_errors() {
+        // A bare job object (once the pre-versioning job line) and
+        // anything else that names no verb is just a malformed message.
+        for untyped in [
+            r#"{"id":4,"network":{"model":"tiny"}}"#,
+            r#"{"ping":true}"#,
+            "[1]",
+        ] {
+            let err = Request::decode(&Json::parse(untyped).unwrap()).unwrap_err();
+            assert_eq!(err.message, "request carries no \"type\"", "{untyped}");
+        }
+        // The id survives so the error can be correlated.
+        let err = Request::decode(&Json::parse(r#"{"type":7,"id":6}"#).unwrap()).unwrap_err();
+        assert_eq!(err.id, Some(6));
+        assert_eq!(err.message, "\"type\" must be a string");
+        let err =
+            Request::decode(&Json::parse(r#"{"type":"reboot","id":6}"#).unwrap()).unwrap_err();
+        assert_eq!(err.message, "unknown request type \"reboot\"");
+        assert!(Response::decode(&Json::parse(r#"{"ok":true,"pong":true}"#).unwrap()).is_err());
+    }
+
+    #[test]
+    fn ids_and_capabilities_come_from_the_tables() {
+        let advertised = capabilities(true);
+        for request in requests() {
+            let rendered = request.to_json();
+            assert_eq!(request.id(), rendered.get("id").and_then(Json::as_u64));
+            if let Some(capability) = request.capability() {
+                // Release builds without the `faults` feature do not
+                // advertise (or honor) fault injection.
+                let compiled_out = capability == "faults" && !crate::faults::FAULTS_COMPILED_IN;
+                assert!(
+                    compiled_out || advertised.iter().any(|c| c == capability),
+                    "{request:?} is advertised by {capability:?}, which hello never lists"
+                );
+            }
+        }
+        for response in responses() {
+            let rendered = response.to_json();
+            assert_eq!(response.id(), rendered.get("id").and_then(Json::as_u64));
+        }
+    }
+
+    #[test]
+    fn shard_policy_updates_merge_field_by_field() {
+        let current = ShardPolicy {
+            min_tilings: 64,
+            chunks_per_worker: 3,
+            chunk_tilings: Some(16),
+        };
+        let keep_all = ShardPolicyUpdate::default();
+        assert_eq!(keep_all.apply(current), current);
+        let retune = ShardPolicyUpdate {
+            min_tilings: Some(128),
+            chunks_per_worker: None,
+            chunk_tilings: Some(0), // clears the override
+        };
+        assert_eq!(
+            retune.apply(current),
+            ShardPolicy {
+                min_tilings: 128,
+                chunks_per_worker: 3,
+                chunk_tilings: None,
+            }
+        );
     }
 
     #[test]
@@ -2433,26 +1692,6 @@ mod tests {
         }
         .apply(applied);
         assert_eq!(cleared.max_inflight, None);
-        // Shed responses carry the typed payloads in the legacy
-        // dialect too, rendered as ordinary legacy errors.
-        assert_eq!(
-            Response::Overloaded {
-                id: Some(3),
-                retry_after_ms: 250
-            }
-            .render(Dialect::Legacy)
-            .render(),
-            r#"{"ok":false,"id":3,"error":"server overloaded; retry after 250 ms"}"#
-        );
-        assert_eq!(
-            Response::DeadlineExceeded {
-                id: None,
-                deadline_ms: 40
-            }
-            .render(Dialect::Legacy)
-            .render(),
-            r#"{"ok":false,"error":"deadline exceeded after 40 ms"}"#
-        );
         // This build runs tests with debug assertions, so fault
         // injection is compiled in and advertised.
         assert!(capabilities(false).contains(&"faults".to_owned()));

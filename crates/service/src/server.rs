@@ -8,11 +8,12 @@
 //! are delivered **as jobs complete — possibly out of submission
 //! order** — matched back to requests by their client-chosen `id`.
 //!
-//! Requests arrive in either dialect (typed `{"type": …}` messages, or
-//! the legacy shim: bare job objects and `{"cmd": …}` verbs) and either
-//! encoding of [`crate::wire`]; a response always uses the dialect and
-//! encoding of its request. Dispatch is an exhaustive `match` over
-//! [`Request`] — adding a verb without handling it does not compile.
+//! Requests are typed `{"type": …}` messages in either encoding of
+//! [`crate::wire`]; a response always uses the encoding of its request,
+//! and anything that does not decode — unparsable JSON, no `"type"`, an
+//! unknown verb — is answered with a typed error on a connection that
+//! stays open. Dispatch is an exhaustive `match` over [`Request`] —
+//! adding a verb without handling it does not compile.
 //!
 //! Control and admin requests (`hello`, `ping`, `stats`, `set-policy`,
 //! `set-shard-policy`, `set-bounds`, `set-slow-log`, `cache-clear`,
@@ -43,11 +44,12 @@ use drmap_telemetry::{Span, Trace};
 use crate::error::ServiceError;
 use crate::faults::{FaultAction, FaultPlan};
 use crate::json::Json;
-use crate::pool::DsePool;
+use crate::pool::{DsePool, PendingJob};
 use crate::proto::{
-    capabilities, Dialect, MetricsReport, PersistedSlowTrace, Request, Response, StatsReport,
+    capabilities, MetricsReport, PersistedSlowTrace, Request, Response, StatsReport,
     PROTOCOL_VERSION,
 };
+use crate::spec::JobSpec;
 use crate::wire::{self, Encoding};
 
 fn elapsed_ns(start: Instant) -> u64 {
@@ -480,116 +482,133 @@ fn dispatch_message(
     tx: &Sender<(Json, Encoding)>,
     slots: &InflightSlots,
 ) -> bool {
-    let decode_start = Instant::now();
-    let parsed = match Json::parse(payload) {
-        Ok(v) => v,
-        Err(e) => {
-            pool.state()
-                .metrics()
-                .counter("protocol_errors_total")
-                .inc();
-            let response = Response::Error {
-                id: None,
-                message: e.to_string(),
-            };
+    match route(pool, payload) {
+        Routed::Answer(response, stop) => {
             slots.acquire();
-            let _ = tx.send((response.render(Dialect::Legacy), encoding));
+            let _ = tx.send((response.to_json(), encoding));
             slots.release_global();
-            return false;
+            stop
         }
-    };
-    let (request, dialect) = match Request::decode(&parsed) {
-        Ok(decoded) => decoded,
+        Routed::Job(job, decode_ns) => {
+            slots.acquire();
+            let running = start_job(pool, &job, decode_ns);
+            let tx = tx.clone();
+            let slots = slots.clone();
+            let pool = Arc::clone(pool);
+            std::thread::spawn(move || {
+                let response = finish_job(&pool, running);
+                let _ = tx.send((response.to_json(), encoding));
+                pool.state().stages().jobs_inflight.dec();
+                slots.release_global();
+            });
+            false
+        }
+    }
+}
+
+/// A request after the steps every front-end shares — parse, decode,
+/// control dispatch, overload admission: either answered already (the
+/// boolean asks the caller to shut the server down after responding),
+/// or a job cleared to run, with the time its decode took.
+enum Routed {
+    Answer(Response, bool),
+    Job(JobSpec, u64),
+}
+
+fn route(pool: &DsePool, payload: &str) -> Routed {
+    let state = pool.state();
+    let decode_start = Instant::now();
+    let request = match wire::decode_request(payload) {
+        Ok(request) => request,
         Err(e) => {
-            pool.state()
-                .metrics()
-                .counter("protocol_errors_total")
-                .inc();
+            state.metrics().counter("protocol_errors_total").inc();
             let response = Response::Error {
                 id: e.id,
                 message: e.message,
             };
-            slots.acquire();
-            let _ = tx.send((response.render(e.dialect), encoding));
-            slots.release_global();
-            return false;
+            return Routed::Answer(response, false);
         }
     };
     let decode_ns = elapsed_ns(decode_start);
-    pool.state().stages().frame_decode_ns.record(decode_ns);
-    // Job submissions get a waiter thread; everything else answers
-    // inline through the exhaustive control match. Admin verbs skip
-    // the admission check on purpose: an operator must always be able
-    // to reach (and retune) a shedding server.
-    if let Request::Submit(job) = request {
-        let state = pool.state();
-        let inflight = state.stages().jobs_inflight.get().max(0) as u64;
-        if let Some(retry_after_ms) = state.overload().admission(inflight) {
-            state.stages().shed_total.inc();
-            let response = Response::Overloaded {
-                id: Some(job.id),
-                retry_after_ms,
-            };
-            slots.acquire();
-            let _ = tx.send((response.render(dialect), encoding));
-            slots.release_global();
-            return false;
+    state.stages().frame_decode_ns.record(decode_ns);
+    // Everything but a job answers inline through the exhaustive
+    // control match. Admin verbs skip the admission check on purpose:
+    // an operator must always be able to reach (and retune) a shedding
+    // server.
+    let job = match request {
+        Request::Submit(job) => job,
+        control => {
+            let (response, stop) = control_response(pool, &control);
+            return Routed::Answer(response, stop);
         }
-        slots.acquire();
-        state.stages().jobs_inflight.inc();
-        let trace = Trace::new(job.id);
-        trace.add("frame_decode", decode_ns);
-        let pending = pool.submit_traced(&job, Some(Arc::clone(&trace)));
-        let tx = tx.clone();
-        let job_id = job.id;
-        let slots = slots.clone();
-        let pool = Arc::clone(pool);
-        std::thread::spawn(move || {
-            let response = job_response(job_id, pending.wait());
-            let state = pool.state();
-            let total_ns = state.slow_log().observe(&trace);
-            state.stages().request_ns.record(total_ns);
-            if let Some(entry) = state.slow_log().capture(&trace, total_ns) {
-                state.persist_slow_trace(&entry);
-            }
-            let _ = tx.send((response.render(dialect), encoding));
-            state.stages().jobs_inflight.dec();
-            slots.release_global();
-        });
-        return false;
+    };
+    let inflight = state.stages().jobs_inflight.get().max(0) as u64;
+    if let Some(retry_after_ms) = state.overload().admission(inflight) {
+        state.stages().shed_total.inc();
+        let response = Response::Overloaded {
+            id: Some(job.id),
+            retry_after_ms,
+        };
+        return Routed::Answer(response, false);
     }
-    let (response, stop) = control_response(pool, &request);
-    slots.acquire();
-    let _ = tx.send((response.render(dialect), encoding));
-    slots.release_global();
-    stop
+    Routed::Job(job, decode_ns)
+}
+
+/// A job handed to the pool, with the trace its stages report into.
+struct RunningJob {
+    id: u64,
+    trace: Arc<Trace>,
+    pending: PendingJob,
+}
+
+/// Count the job in flight, open its trace, and queue it on the pool.
+/// The caller decrements `jobs_inflight` once the job's response has
+/// been delivered — the graceful drain waits on that gauge, so it must
+/// not fall before the response is queued.
+fn start_job(pool: &DsePool, job: &JobSpec, decode_ns: u64) -> RunningJob {
+    pool.state().stages().jobs_inflight.inc();
+    let trace = Trace::new(job.id);
+    trace.add("frame_decode", decode_ns);
+    RunningJob {
+        id: job.id,
+        pending: pool.submit_traced(job, Some(Arc::clone(&trace))),
+        trace,
+    }
+}
+
+/// Block until the job completes, account for it (request histogram,
+/// slow log, persisted slow trace), and build its response: results
+/// and typed failures (`deadline_exceeded`, `overloaded`) map to their
+/// structured responses, everything else to a generic error.
+fn finish_job(pool: &DsePool, job: RunningJob) -> Response {
+    let response = match job.pending.wait() {
+        Ok(result) => Response::Job { result },
+        Err(ServiceError::DeadlineExceeded { deadline_ms }) => Response::DeadlineExceeded {
+            id: Some(job.id),
+            deadline_ms,
+        },
+        Err(ServiceError::Overloaded { retry_after_ms }) => Response::Overloaded {
+            id: Some(job.id),
+            retry_after_ms,
+        },
+        Err(e) => Response::Error {
+            id: Some(job.id),
+            message: e.to_string(),
+        },
+    };
+    let state = pool.state();
+    let total_ns = state.slow_log().observe(&job.trace);
+    state.stages().request_ns.record(total_ns);
+    if let Some(entry) = state.slow_log().capture(&job.trace, total_ns) {
+        state.persist_slow_trace(&entry);
+    }
+    response
 }
 
 /// A [`SlowLog`](drmap_telemetry::SlowLog) threshold in wire form:
 /// nanoseconds → whole milliseconds, `u64::MAX` (disabled) → `None`.
 fn threshold_ms(threshold_ns: u64) -> Option<u64> {
     (threshold_ns != u64::MAX).then_some(threshold_ns / 1_000_000)
-}
-
-/// The wire response for one finished job: results and typed failures
-/// (`deadline_exceeded`, `overloaded`) map to their structured
-/// responses, everything else to a generic error.
-fn job_response(job_id: u64, outcome: Result<crate::spec::JobResult, ServiceError>) -> Response {
-    match outcome {
-        Ok(result) => Response::Job { result },
-        Err(ServiceError::DeadlineExceeded { deadline_ms }) => Response::DeadlineExceeded {
-            id: Some(job_id),
-            deadline_ms,
-        },
-        Err(ServiceError::Overloaded { retry_after_ms }) => Response::Overloaded {
-            id: Some(job_id),
-            retry_after_ms,
-        },
-        Err(e) => Response::Error {
-            id: Some(job_id),
-            message: e.to_string(),
-        },
-    }
 }
 
 /// A consistent snapshot of the server's counters and **active**
@@ -826,58 +845,18 @@ fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
 
 /// Dispatch one request line to a response, blocking until the job (if
 /// any) completes. The boolean asks the caller to shut the server down
-/// after responding. This is the sequential building block the
-/// pipelined connection handler decomposes; it is exposed for direct
-/// testing and embedding, and accepts both dialects (answering in
-/// kind) exactly like a live connection.
+/// after responding. This is the sequential form of what the pipelined
+/// connection handler does with a waiter thread per job; it is exposed
+/// for direct testing and embedding.
 pub fn handle_request(pool: &DsePool, line: &str) -> (Json, bool) {
-    let parsed = match Json::parse(line) {
-        Ok(v) => v,
-        Err(e) => {
-            let response = Response::Error {
-                id: None,
-                message: e.to_string(),
-            };
-            return (response.render(Dialect::Legacy), false);
+    match route(pool, line) {
+        Routed::Answer(response, stop) => (response.to_json(), stop),
+        Routed::Job(job, decode_ns) => {
+            let response = finish_job(pool, start_job(pool, &job, decode_ns));
+            pool.state().stages().jobs_inflight.dec();
+            (response.to_json(), false)
         }
-    };
-    let (request, dialect) = match Request::decode(&parsed) {
-        Ok(decoded) => decoded,
-        Err(e) => {
-            let response = Response::Error {
-                id: e.id,
-                message: e.message,
-            };
-            return (response.render(e.dialect), false);
-        }
-    };
-    if let Request::Submit(job) = request {
-        let state = pool.state();
-        let inflight = state.stages().jobs_inflight.get().max(0) as u64;
-        if let Some(retry_after_ms) = state.overload().admission(inflight) {
-            state.stages().shed_total.inc();
-            let response = Response::Overloaded {
-                id: Some(job.id),
-                retry_after_ms,
-            };
-            return (response.render(dialect), false);
-        }
-        let trace = Trace::new(job.id);
-        state.stages().jobs_inflight.inc();
-        let response = job_response(
-            job.id,
-            pool.submit_traced(&job, Some(Arc::clone(&trace))).wait(),
-        );
-        state.stages().jobs_inflight.dec();
-        let total_ns = state.slow_log().observe(&trace);
-        state.stages().request_ns.record(total_ns);
-        if let Some(entry) = state.slow_log().capture(&trace, total_ns) {
-            state.persist_slow_trace(&entry);
-        }
-        return (response.render(dialect), false);
     }
-    let (response, stop) = control_response(pool, &request);
-    (response.render(dialect), stop)
 }
 
 #[cfg(test)]
@@ -892,11 +871,12 @@ mod tests {
     #[test]
     fn dispatches_control_commands() {
         let pool = test_pool();
-        let (pong, stop) = handle_request(&pool, r#"{"cmd": "ping"}"#);
-        assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+        let (pong, stop) = handle_request(&pool, r#"{"type": "ping"}"#);
+        assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
+        assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
         assert!(!stop);
 
-        let (stats, _) = handle_request(&pool, r#"{"cmd": "stats"}"#);
+        let (stats, _) = handle_request(&pool, r#"{"type": "stats"}"#);
         let stats = stats.get("stats").unwrap();
         assert_eq!(stats.get("workers").unwrap().as_usize(), Some(2));
         for counter in [
@@ -910,11 +890,11 @@ mod tests {
             assert!(stats.get(counter).is_some(), "stats missing {counter}");
         }
 
-        let (down, stop) = handle_request(&pool, r#"{"cmd": "shutdown"}"#);
+        let (down, stop) = handle_request(&pool, r#"{"type": "shutdown"}"#);
         assert_eq!(down.get("ok"), Some(&Json::Bool(true)));
         assert!(stop);
 
-        let (unknown, stop) = handle_request(&pool, r#"{"cmd": "reboot"}"#);
+        let (unknown, stop) = handle_request(&pool, r#"{"type": "reboot"}"#);
         assert_eq!(unknown.get("ok"), Some(&Json::Bool(false)));
         assert!(!stop);
     }
@@ -923,7 +903,10 @@ mod tests {
     fn metrics_and_bounds_verbs_answer_inline() {
         let pool = test_pool();
         pool.state().slow_log().set_threshold_ms(0); // log everything
-        let (job, _) = handle_request(&pool, r#"{"id": 1, "network": {"model": "tiny"}}"#);
+        let (job, _) = handle_request(
+            &pool,
+            r#"{"type": "submit", "id": 1, "network": {"model": "tiny"}}"#,
+        );
         assert_eq!(job.get("ok"), Some(&Json::Bool(true)));
 
         let (metrics, stop) = handle_request(&pool, r#"{"type":"metrics","id":2}"#);
@@ -956,7 +939,10 @@ mod tests {
     #[test]
     fn runs_jobs_and_reports_errors() {
         let pool = test_pool();
-        let (response, _) = handle_request(&pool, r#"{"id": 5, "network": {"model": "tiny"}}"#);
+        let (response, _) = handle_request(
+            &pool,
+            r#"{"type": "submit", "id": 5, "network": {"model": "tiny"}}"#,
+        );
         assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
         // The job id is echoed at the top level (the pipelining
         // correlation key) as well as inside the result.
@@ -965,10 +951,21 @@ mod tests {
         assert_eq!(result.get("id").and_then(Json::as_u64), Some(5));
         assert_eq!(result.get("layers").unwrap().as_array().unwrap().len(), 3);
 
-        let (bad_json, _) = handle_request(&pool, "{nope");
-        assert_eq!(bad_json.get("ok"), Some(&Json::Bool(false)));
+        // Every failure — unparsable JSON and an object that names no
+        // verb included — is a typed error a typed peer can decode.
+        for malformed in ["{nope", r#"{"id": 5, "network": {"model": "tiny"}}"#] {
+            let (response, _) = handle_request(&pool, malformed);
+            assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
+            assert!(matches!(
+                Response::decode(&response),
+                Ok(Response::Error { .. })
+            ));
+        }
 
-        let (bad_model, _) = handle_request(&pool, r#"{"id": 6, "network": {"model": "no-such"}}"#);
+        let (bad_model, _) = handle_request(
+            &pool,
+            r#"{"type": "submit", "id": 6, "network": {"model": "no-such"}}"#,
+        );
         assert_eq!(bad_model.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(bad_model.get("id").and_then(Json::as_u64), Some(6));
         assert!(bad_model

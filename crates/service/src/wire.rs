@@ -25,7 +25,7 @@ use std::io::{BufRead, Write};
 
 use crate::error::ServiceError;
 use crate::json::Json;
-use crate::proto::{DecodeError, Dialect, Request, Response};
+use crate::proto::{DecodeError, Request, Response};
 
 /// How a message is framed on the wire. The JSON payload is the same in
 /// both; auto-detected per message on read from the first byte.
@@ -213,10 +213,10 @@ pub fn write_request(
     write_message(writer, &request.to_json().render(), encoding)
 }
 
-/// Read and decode one request in either dialect. Returns `None` on a
-/// clean end-of-stream. Decode failures come back as `Some(Err(…))`
-/// inside a successful read, so a server can answer them in the right
-/// dialect with the right id instead of dropping the connection.
+/// Read and decode one request. Returns `None` on a clean
+/// end-of-stream. Decode failures (unparsable JSON included) come back
+/// as `Some(Err(…))` inside a successful read, so a server can answer
+/// them with a typed error instead of dropping the connection.
 ///
 /// # Errors
 ///
@@ -224,22 +224,28 @@ pub fn write_request(
 #[allow(clippy::type_complexity)]
 pub fn read_request(
     reader: &mut impl BufRead,
-) -> Result<Option<(Result<(Request, Dialect), DecodeError>, Encoding)>, ServiceError> {
+) -> Result<Option<(Result<Request, DecodeError>, Encoding)>, ServiceError> {
     let Some((payload, encoding)) = read_message(reader)? else {
         return Ok(None);
     };
-    let decoded = match Json::parse(&payload) {
-        Ok(v) => Request::decode(&v),
-        Err(e) => Err(DecodeError {
-            id: None,
-            dialect: Dialect::Legacy,
-            message: e.to_string(),
-        }),
-    };
-    Ok(Some((decoded, encoding)))
+    Ok(Some((decode_request(&payload), encoding)))
 }
 
-/// Write one [`Response`] in the given dialect and encoding.
+/// Parse and decode one request payload.
+///
+/// # Errors
+///
+/// A payload that is not even JSON is a [`DecodeError`] like any other
+/// malformed request, so every failure can be answered the same way.
+pub fn decode_request(payload: &str) -> Result<Request, DecodeError> {
+    let parsed = Json::parse(payload).map_err(|e| DecodeError {
+        id: None,
+        message: e.to_string(),
+    })?;
+    Request::decode(&parsed).map(|(request, _)| request)
+}
+
+/// Write one [`Response`] in the given encoding.
 ///
 /// # Errors
 ///
@@ -247,13 +253,12 @@ pub fn read_request(
 pub fn write_response(
     writer: &mut impl Write,
     response: &Response,
-    dialect: Dialect,
     encoding: Encoding,
 ) -> Result<(), ServiceError> {
-    write_message(writer, &response.render(dialect).render(), encoding)
+    write_message(writer, &response.to_json().render(), encoding)
 }
 
-/// Read and decode one typed (v1) response. Returns `None` on a clean
+/// Read and decode one response. Returns `None` on a clean
 /// end-of-stream.
 ///
 /// # Errors

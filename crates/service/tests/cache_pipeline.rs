@@ -21,6 +21,7 @@ use drmap_service::client::Client;
 use drmap_service::engine::ServiceState;
 use drmap_service::json::Json;
 use drmap_service::pool::DsePool;
+use drmap_service::proto::Request;
 use drmap_service::server::JobServer;
 use drmap_service::spec::{EngineSpec, JobSpec};
 use proptest::{proptest, ProptestConfig};
@@ -248,7 +249,9 @@ fn pipelined_client_gets_all_eight_inflight_responses_by_id() {
         specs.push(JobSpec::network(id, EngineSpec::default(), Network::tiny()));
     }
     for spec in &specs {
-        client.send(&spec.to_json()).unwrap();
+        client
+            .send(&Request::Submit(spec.clone()).to_json())
+            .unwrap();
     }
     // Collect raw responses in completion order.
     let mut arrival = Vec::new();

@@ -149,7 +149,7 @@ fn a_restarted_tcp_server_serves_store_hits_over_the_wire() {
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
-        let stats = client.stats().unwrap();
+        let stats = client.stats_report().unwrap().cache;
         client.shutdown().unwrap();
         handle.join().unwrap();
         (results, stats.store_hits)

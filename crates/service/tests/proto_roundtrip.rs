@@ -1,8 +1,8 @@
-//! Protocol-level integration tests: every typed `Request`/`Response`
+//! Protocol-level integration tests: every `Request`/`Response`
 //! variant must survive a round trip through **both** wire encodings
-//! (NDJSON lines and length-prefixed binary frames), and pre-versioning
-//! clients — bare job lines, `{"cmd": …}` verbs, old binary frames —
-//! must keep receiving byte-compatible answers through the shim.
+//! (NDJSON lines and length-prefixed binary frames), and everything a
+//! server says — its answers to malformed and untyped messages included
+//! — must decode as a typed response.
 
 use std::io::BufReader;
 
@@ -11,7 +11,7 @@ use drmap_service::engine::ServiceState;
 use drmap_service::json::Json;
 use drmap_service::pool::{DsePool, ShardPolicy};
 use drmap_service::proto::{
-    capabilities, Dialect, Request, Response, ShardPolicyUpdate, StatsReport, PROTOCOL_VERSION,
+    capabilities, Request, Response, ShardPolicyUpdate, StatsReport, PROTOCOL_VERSION,
 };
 use drmap_service::server::handle_request;
 use drmap_service::spec::{CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome};
@@ -25,20 +25,22 @@ use drmap_core::pareto::DesignPoint;
 use drmap_core::tiling::Tiling;
 
 /// Push a request through one encoding and decode it back.
-fn round_trip_request(request: &Request, encoding: Encoding) -> (Request, Dialect, Encoding) {
+fn round_trip_request(request: &Request, encoding: Encoding) -> (Request, Encoding) {
     let mut bytes = Vec::new();
     wire::write_request(&mut bytes, request, encoding).unwrap();
     let (decoded, got_encoding) = wire::read_request(&mut BufReader::new(&bytes[..]))
         .unwrap()
         .expect("one message was written");
-    let (request, dialect) = decoded.expect("a well-formed request decodes");
-    (request, dialect, got_encoding)
+    (
+        decoded.expect("a well-formed request decodes"),
+        got_encoding,
+    )
 }
 
 /// Push a response through one encoding and decode it back.
 fn round_trip_response(response: &Response, encoding: Encoding) -> (Response, Encoding) {
     let mut bytes = Vec::new();
-    wire::write_response(&mut bytes, response, Dialect::V1, encoding).unwrap();
+    wire::write_response(&mut bytes, response, encoding).unwrap();
     wire::read_response(&mut BufReader::new(&bytes[..]))
         .unwrap()
         .expect("one message was written")
@@ -239,8 +241,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every request variant survives NDJSON and binary framing with
-    /// nothing lost: same variant, same fields, typed dialect, and the
-    /// encoding auto-detected back.
+    /// nothing lost: same variant, same fields, and the encoding
+    /// auto-detected back.
     #[test]
     fn every_request_variant_round_trips_through_both_encodings(
         kind in 0_usize..10,
@@ -250,9 +252,8 @@ proptest! {
     ) {
         let request = request_variant(kind, a, b, flag);
         for encoding in [Encoding::Text, Encoding::Binary] {
-            let (decoded, dialect, got) = round_trip_request(&request, encoding);
+            let (decoded, got) = round_trip_request(&request, encoding);
             assert_eq!(decoded, request);
-            assert_eq!(dialect, Dialect::V1);
             assert_eq!(got, encoding);
         }
     }
@@ -289,55 +290,22 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Back-compat: the pre-versioning protocol keeps working, byte for byte
+// The server end: typed answers to everything
 // ---------------------------------------------------------------------
 
 #[test]
-fn legacy_cmd_verbs_answer_byte_identically() {
+fn submitted_jobs_answer_with_the_id_on_top_and_no_empty_pareto() {
     let pool = DsePool::new(ServiceState::new().unwrap(), 2);
-    let (pong, stop) = handle_request(&pool, r#"{"cmd": "ping"}"#);
-    assert_eq!(pong.render(), r#"{"ok":true,"pong":true}"#);
-    assert!(!stop);
-
-    // A fresh 2-worker server's stats, exactly as the old server
-    // rendered them: the old field set in the old order, no "type", no
-    // config extensions.
-    let (stats, _) = handle_request(&pool, r#"{"cmd": "stats"}"#);
-    assert_eq!(
-        stats.render(),
-        "{\"ok\":true,\"stats\":{\"hits\":0,\"misses\":0,\"coalesced\":0,\
-         \"evictions\":0,\"cost_evictions\":0,\"entries\":0,\"bytes\":0,\
-         \"hit_rate\":0,\"workers\":2,\"store_hits\":0,\"store_misses\":0,\
-         \"store_errors\":0,\"compute_ns_min\":0,\"compute_ns_max\":0,\
-         \"compute_ns_total\":0}}"
+    let (response, _) = handle_request(
+        &pool,
+        r#"{"type": "submit", "id": 5, "network": {"model": "tiny"}}"#,
     );
-
-    let (unknown, stop) = handle_request(&pool, r#"{"cmd": "reboot", "id": 6}"#);
-    assert_eq!(
-        unknown.render(),
-        r#"{"ok":false,"id":6,"error":"unknown command \"reboot\""}"#
-    );
-    assert!(!stop);
-
-    let (down, stop) = handle_request(&pool, r#"{"cmd": "shutdown"}"#);
-    assert_eq!(down.render(), r#"{"ok":true,"shutdown":true}"#);
-    assert!(stop);
-}
-
-#[test]
-fn legacy_bare_job_lines_answer_without_a_type_field() {
-    let pool = DsePool::new(ServiceState::new().unwrap(), 2);
-    let (response, _) = handle_request(&pool, r#"{"id": 5, "network": {"model": "tiny"}}"#);
     assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
     assert_eq!(response.get("id").and_then(Json::as_u64), Some(5));
-    assert!(
-        response.get("type").is_none(),
-        "legacy responses must not grow a type field"
-    );
     let rendered = response.render();
     assert!(
-        rendered.starts_with(r#"{"ok":true,"id":5,"result":"#),
-        "legacy job responses keep the old field order: {rendered}"
+        rendered.starts_with(r#"{"type":"job","ok":true,"id":5,"result":"#),
+        "job responses lead with the correlation id: {rendered}"
     );
     assert!(
         !rendered.contains("\"pareto\""),
@@ -372,7 +340,9 @@ fn typed_requests_through_handle_request_answer_typed() {
     let (stats, _) = handle_request(&pool, r#"{"type":"stats","id":8}"#);
     assert_eq!(stats.get("type").and_then(Json::as_str), Some("stats"));
     assert_eq!(stats.get("id").and_then(Json::as_u64), Some(8));
-    let report = StatsReport::from_json(stats.get("stats").unwrap()).unwrap();
+    let Ok(Response::Stats { report, .. }) = Response::decode(&stats) else {
+        panic!("stats must decode as a typed response: {stats}");
+    };
     assert_eq!(report.workers, 2);
     assert_eq!(report.policy, EvictionPolicy::Lru);
     assert_eq!(report.shard, ShardPolicy::default());
@@ -389,18 +359,19 @@ fn old_binary_frames_still_work_over_a_live_socket() {
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run().unwrap());
 
-    // A pre-versioning client: raw legacy payloads in binary frames.
+    // The frame layout predates the typed protocol and carries it
+    // unchanged: raw payloads in binary frames, answered in kind.
     let stream = TcpStream::connect(addr).unwrap();
     let mut reader = IoBufReader::new(stream.try_clone().unwrap());
     let mut writer = BufWriter::new(stream);
-    wire::write_message(&mut writer, r#"{"cmd":"ping"}"#, Encoding::Binary).unwrap();
+    wire::write_message(&mut writer, r#"{"type":"ping"}"#, Encoding::Binary).unwrap();
     let (payload, encoding) = wire::read_message(&mut reader).unwrap().unwrap();
     assert_eq!(encoding, Encoding::Binary, "responses answer in kind");
-    assert_eq!(payload, r#"{"ok":true,"pong":true}"#);
+    assert_eq!(payload, r#"{"type":"pong","ok":true}"#);
 
     wire::write_message(
         &mut writer,
-        r#"{"id":1,"network":{"model":"tiny"}}"#,
+        r#"{"type":"submit","id":1,"network":{"model":"tiny"}}"#,
         Encoding::Binary,
     )
     .unwrap();
@@ -408,11 +379,57 @@ fn old_binary_frames_still_work_over_a_live_socket() {
     assert_eq!(encoding, Encoding::Binary);
     let parsed = Json::parse(&payload).unwrap();
     assert_eq!(parsed.get("ok"), Some(&Json::Bool(true)));
-    assert!(parsed.get("type").is_none());
+    assert_eq!(parsed.get("type").and_then(Json::as_str), Some("job"));
 
-    wire::write_message(&mut writer, r#"{"cmd":"shutdown"}"#, Encoding::Binary).unwrap();
+    wire::write_message(&mut writer, r#"{"type":"shutdown"}"#, Encoding::Binary).unwrap();
     let (payload, _) = wire::read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(payload, r#"{"ok":true,"shutdown":true}"#);
+    assert_eq!(payload, r#"{"type":"shutdown","ok":true,"shutdown":true}"#);
+    handle.join().unwrap();
+}
+
+#[test]
+fn every_error_a_live_server_emits_decodes_as_a_typed_response() {
+    use drmap_service::server::JobServer;
+    use std::io::{BufReader as IoBufReader, BufWriter};
+    use std::net::TcpStream;
+
+    let server = JobServer::bind("127.0.0.1:0", 1).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = IoBufReader::new(stream.try_clone().unwrap());
+    let mut writer = BufWriter::new(stream);
+    // Garbage, a non-string "type", and an object with no "type" (what
+    // used to be a bare job line): each must come back through the
+    // typed reader — a peer such as the router's backend reader treats
+    // an undecodable line as a dead connection.
+    for (malformed, expect) in [
+        ("{nope", "invalid JSON"),
+        (r#"{"type":7,"id":3}"#, "\"type\" must be a string"),
+        (
+            r#"{"id":4,"network":{"model":"tiny"}}"#,
+            "carries no \"type\"",
+        ),
+    ] {
+        wire::write_message(&mut writer, malformed, Encoding::Text).unwrap();
+        let (response, _) = wire::read_response(&mut reader)
+            .unwrap_or_else(|e| panic!("{malformed} was answered undecodably: {e}"))
+            .expect("the connection stays open");
+        let Response::Error { message, .. } = response else {
+            panic!("{malformed} must be answered with an error, got {response:?}");
+        };
+        assert!(message.contains(expect), "{malformed} -> {message}");
+    }
+    // The same connection still serves well-formed requests.
+    wire::write_request(
+        &mut writer,
+        &Request::Shutdown { id: Some(9) },
+        Encoding::Text,
+    )
+    .unwrap();
+    let (response, _) = wire::read_response(&mut reader).unwrap().unwrap();
+    assert_eq!(response, Response::Shutdown { id: Some(9) });
     handle.join().unwrap();
 }
 
@@ -431,7 +448,7 @@ fn mistyped_typed_requests_get_typed_errors() {
         assert_eq!(
             response.get("type").and_then(Json::as_str),
             Some("error"),
-            "typed requests get typed errors: {bad}"
+            "malformed requests get typed errors: {bad}"
         );
         let message = response.get("error").and_then(Json::as_str).unwrap();
         assert!(message.contains(expect), "{bad} -> {message}");

@@ -135,17 +135,19 @@ fn tcp_round_trip_matches_direct_engine_calls() {
         );
     }
 
-    let stats = second.stats().unwrap();
+    let report = second.stats_report().unwrap();
+    let stats = report.cache;
     assert!(stats.hits > 0);
-    assert_eq!(stats.workers, 4);
-    assert!(stats.hit_rate > 0.0);
+    assert_eq!(report.workers, 4);
+    assert!(stats.hit_rate() > 0.0);
     assert!(stats.entries > 0);
     assert!(stats.bytes > 0, "resident entries are byte-accounted");
     assert_eq!(stats.evictions, 0, "an unbounded cache never evicts");
 
     // Unknown models produce an error response, not a dead connection.
     let bad =
-        drmap_service::json::Json::parse(r#"{"id": 99, "network": {"model": "nope"}}"#).unwrap();
+        drmap_service::json::Json::parse(r#"{"type":"submit","id":99,"network":{"model":"nope"}}"#)
+            .unwrap();
     let response = second.request(&bad).unwrap();
     assert_eq!(
         response
