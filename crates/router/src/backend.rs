@@ -16,7 +16,7 @@
 //! plain synchronous [`Client`], lazily connected, used for the verbs
 //! that fan out rather than pipeline (`stats`, `set-policy`, …).
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -51,15 +51,14 @@ const REQUIRED_CAPABILITIES: [&str; 2] = ["jobs", "pipelining"];
 #[derive(Debug)]
 pub struct DataConn {
     stream: TcpStream,
-    writer: Mutex<BufWriter<TcpStream>>,
+    writer: Mutex<TcpStream>,
 }
 
 impl DataConn {
-    /// Serialize one request onto the connection and flush it.
+    /// Serialize one request onto the connection as one whole frame
+    /// (the lock keeps concurrent senders' frames from interleaving).
     pub fn send(&self, request: &Request) -> Result<(), ServiceError> {
-        let mut writer = lock_recovered(&self.writer);
-        wire::write_request(&mut *writer, request, Encoding::Text)?;
-        writer.flush().map_err(ServiceError::from)
+        wire::write_request(&mut *lock_recovered(&self.writer), request, Encoding::Text)
     }
 
     /// Close both halves, unblocking the reader thread.
@@ -90,9 +89,9 @@ pub fn open_data_conn(
     connect_timeout: Duration,
 ) -> Result<(DataConn, BufReader<TcpStream>, Vec<String>), ServiceError> {
     let stream = TcpStream::connect_timeout(&resolve(addr)?, connect_timeout)?;
-    stream.set_nodelay(true)?;
+    wire::configure_socket(&stream, None, None)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream.try_clone()?);
+    let mut writer = stream.try_clone()?;
     wire::write_request(
         &mut writer,
         &Request::Hello {
@@ -101,7 +100,6 @@ pub fn open_data_conn(
         },
         Encoding::Text,
     )?;
-    writer.flush()?;
     let Some((response, _)) = wire::read_response(&mut reader)? else {
         return Err(ServiceError::protocol(format!(
             "backend {addr} closed the connection during the hello handshake"

@@ -34,7 +34,7 @@
 //! counts sum.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -1100,16 +1100,13 @@ fn probe_loop(core: &Arc<RouterCore>) {
 /// thread draining the outbound channel (backend reader threads feed
 /// job responses into the same channel, preserving one-writer framing).
 fn client_session(core: &Arc<RouterCore>, stream: TcpStream) -> Result<(), ServiceError> {
-    stream.set_nodelay(true)?;
+    wire::configure_socket(&stream, None, None)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let (tx, rx) = mpsc::channel::<Outbound>();
     let writer = std::thread::spawn(move || {
-        let mut writer = BufWriter::new(stream);
+        let mut writer = stream;
         while let Ok((response, encoding)) = rx.recv() {
             if wire::write_response(&mut writer, &response, encoding).is_err() {
-                break;
-            }
-            if writer.flush().is_err() {
                 break;
             }
         }

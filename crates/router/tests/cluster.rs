@@ -205,6 +205,44 @@ fn admin_verbs_aggregate_and_broadcast() {
     }
 }
 
+/// The stall `service_roundtrip.rs` pins on a direct connection, through
+/// the router's **default** two data connections per backend: a
+/// response past 8 KiB used to wait ≈ 40 ms on the backend → router hop
+/// for a delayed ACK (the backend wrote each frame in two pieces with
+/// Nagle on), which is why benchmarks had to raise `--data-conns`.
+#[test]
+fn routed_large_responses_do_not_wait_out_a_delayed_ack() {
+    let backends = boot_backends(2);
+    let addrs: Vec<String> = backends.iter().map(|b| b.addr.clone()).collect();
+    let (addr, core) = boot_router(&addrs, |cfg| assert_eq!(cfg.data_conns, 2));
+    wait_healthy(&core, 2);
+
+    let mut client = Client::connect(&addr).unwrap();
+    let spec = drmap_service::loadgen::default_catalog()
+        .pop()
+        .expect("the catalogue is not empty");
+    // Prime: the job's rendezvous pick computes and keeps every layer.
+    client.submit(&spec).unwrap();
+    let mut samples: Vec<Duration> = (1..=21)
+        .map(|id| {
+            let job = JobSpec { id, ..spec.clone() };
+            let sent = Instant::now();
+            let served = client.submit(&job).unwrap();
+            assert_eq!(served.cache_hits(), served.layers.len());
+            sent.elapsed()
+        })
+        .collect();
+    samples.sort();
+    // The upper quartile, not the median: jobs alternate between the two
+    // data connections and only every other one used to stall, which
+    // left the median sitting on the boundary.
+    let upper_quartile = samples[samples.len() * 3 / 4];
+    assert!(
+        upper_quartile < Duration::from_millis(20),
+        "routed round trips, sorted: {samples:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Failover under SIGKILL (external backend processes)
 // ---------------------------------------------------------------------

@@ -39,7 +39,7 @@
 //! footnoted.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::{Shutdown, TcpStream};
 use std::process::ExitCode;
 use std::sync::{Arc, Condvar, Mutex};
@@ -175,11 +175,7 @@ fn sender_loop(
     t0: Instant,
     deadline: Instant,
 ) -> u64 {
-    let mut writer = BufWriter::new(
-        stream
-            .try_clone()
-            .expect("cloning a connected TCP stream handle does not fail"),
-    );
+    let mut writer = &stream;
     let mut sent = 0u64;
     let mut next_send = t0;
     'run: while Instant::now() < deadline {
@@ -227,7 +223,6 @@ fn sender_loop(
     // Half-close: the server drains every in-flight response after a
     // client EOF, then closes — which is exactly the drain the
     // receiver needs to exit cleanly.
-    let _ = writer.flush();
     let _ = stream.shutdown(Shutdown::Write);
     sent
 }
@@ -345,10 +340,10 @@ fn run(args: &Args) -> Result<RunReport, String> {
     for conn in 0..args.connections {
         let stream = TcpStream::connect(&args.addr)
             .map_err(|e| format!("connection {conn} to {} failed: {e}", args.addr))?;
-        stream.set_nodelay(true).ok();
-        // Backstop only: the normal exit path is the server's
-        // drain-and-close after our write-half shutdown.
-        stream.set_read_timeout(Some(Duration::from_secs(120))).ok();
+        // The read deadline is a backstop only: the normal exit path
+        // is the server's drain-and-close after our write-half shutdown.
+        wire::configure_socket(&stream, Some(Duration::from_secs(120)), None)
+            .map_err(|e| format!("cannot configure connection {conn}: {e}"))?;
         let reader = stream
             .try_clone()
             .map_err(|e| format!("cannot clone connection {conn}: {e}"))?;

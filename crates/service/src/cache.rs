@@ -357,6 +357,16 @@ impl Inner {
         }
     }
 
+    /// Serve `key` from the resident tier if it is there: count the
+    /// hit, refresh the entry's recency, clone the value out. A miss
+    /// changes nothing — the caller decides what a miss counts as.
+    fn hit(&mut self, key: &str) -> Option<LayerDseResult> {
+        let index = self.map.get(key).copied()?;
+        self.hits += 1;
+        self.touch(index);
+        Some(self.entry(index).value.clone())
+    }
+
     /// Remove the entry at `index` entirely, returning its slot to the
     /// free list and its bytes to the budget.
     fn remove(&mut self, index: usize) {
@@ -605,17 +615,21 @@ impl DseCache {
     /// name.
     pub fn get(&self, key: &str) -> Option<LayerDseResult> {
         let mut inner = lock_recovered(&self.inner);
-        match inner.map.get(key).copied() {
-            Some(index) => {
-                inner.hits += 1;
-                inner.touch(index);
-                Some(inner.entry(index).value.clone())
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        let hit = inner.hit(key);
+        if hit.is_none() {
+            inner.misses += 1;
         }
+        hit
+    }
+
+    /// [`DseCache::get`] that is **silent on a miss**: a resident entry
+    /// is counted as a hit and refreshed exactly as `get` would, an
+    /// absent one moves no counter. This is the pool's submit-time fast
+    /// path — a layer that misses here goes on to the full
+    /// [`DseCache::get_or_compute_with`] lookup on a worker, which
+    /// counts it once, there.
+    pub fn get_resident(&self, key: &str) -> Option<LayerDseResult> {
+        lock_recovered(&self.inner).hit(key)
     }
 
     /// Store a result, evicting least-recently-used entries as needed
@@ -728,10 +742,8 @@ impl DseCache {
             let existing = {
                 let mut inner = lock_recovered(&self.inner);
                 if mode == CacheMode::Default {
-                    if let Some(index) = inner.map.get(key).copied() {
-                        inner.hits += 1;
-                        inner.touch(index);
-                        return Ok((inner.entry(index).value.clone(), CacheOutcome::Hit));
+                    if let Some(value) = inner.hit(key) {
+                        return Ok((value, CacheOutcome::Hit));
                     }
                 }
                 match inner.inflight.get(key).map(Arc::clone) {

@@ -28,7 +28,7 @@
 //! responses self-describe, so both encodings are always accepted.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -139,7 +139,7 @@ impl HelloInfo {
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     encoding: Encoding,
     /// Remembered for [`Client::reconnect`] after a retryable
     /// transport failure mid-conversation.
@@ -192,11 +192,10 @@ impl Client {
         peer: SocketAddr,
         config: ClientConfig,
     ) -> Result<Self, ServiceError> {
-        stream.set_read_timeout(config.read_timeout)?;
-        stream.set_write_timeout(config.write_timeout)?;
+        wire::configure_socket(&stream, config.read_timeout, config.write_timeout)?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            writer: stream,
             encoding: Encoding::Text,
             peer,
             config,

@@ -515,35 +515,30 @@ impl ServiceState {
     where
         F: FnOnce() -> Result<LayerDseResult, DseError>,
     {
-        self.explore_layer_cached_traced(engine, tag, layer, mode, None, None, explore)
+        let key = layer_key(engine, tag, layer, None);
+        self.explore_keyed(&key, layer, mode, None, explore)
     }
 
-    /// [`ServiceState::explore_layer_cached_with`] with an optional
-    /// per-request [`Trace`]: the whole lookup is timed as a
-    /// `cache_lookup` span and the computation (when the lookup falls
-    /// through) as a nested `explore` span, both recorded in the stage
-    /// histograms and — when a trace is attached — in that request's
-    /// stage breakdown. Instrumentation never touches the result, so
-    /// bit-identity across paths is preserved.
-    ///
-    /// A ranged sweep (`range`, from
-    /// [`JobOptions::tiling_range`](crate::spec::JobOptions)) is keyed
-    /// with a `|range=start..end` suffix so partial results — the unit
-    /// the router's `--scatter` mode distributes — never alias the full
-    /// layer's cache entry, in either the resident tier or the store.
+    /// The full cached lookup of one layer under its precomputed
+    /// [`layer_key`] — what [`ServiceState::run_job`] runs for every
+    /// layer and a pool worker for each layer the submit-time
+    /// [`ServiceState::lookup_resident`] did not answer. The whole
+    /// lookup is timed as a `cache_lookup` span and the computation
+    /// (when the lookup falls through) as a nested `explore` span, both
+    /// recorded in the stage histograms and — when a per-request
+    /// [`Trace`] is attached — in that request's stage breakdown.
+    /// Instrumentation never touches the result, so bit-identity across
+    /// paths is preserved.
     ///
     /// # Errors
     ///
     /// Propagates `explore` failures; failures are not cached.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn explore_layer_cached_traced<F>(
+    pub(crate) fn explore_keyed<F>(
         &self,
-        engine: &DseEngine,
-        tag: &str,
+        key: &str,
         layer: &Layer,
         mode: CacheMode,
         trace: Option<&Arc<Trace>>,
-        range: Option<(u64, u64)>,
         explore: F,
     ) -> Result<(LayerDseResult, CacheOutcome), DseError>
     where
@@ -551,13 +546,8 @@ impl ServiceState {
     {
         let _lookup = Span::enter("cache_lookup", &self.stages.cache_lookup_ns).traced(trace);
         self.stages.layers_total.inc();
-        let acc = engine.model().traffic_model().accelerator();
-        let mut key = layer_cache_key(tag, layer, acc, engine.config());
-        if let Some((start, end)) = range {
-            key.push_str(&format!("|range={start}..{end}"));
-        }
         let stages = &self.stages;
-        let (mut result, outcome) = self.cache.get_or_compute_with(&key, mode, || {
+        let (mut result, outcome) = self.cache.get_or_compute_with(key, mode, || {
             let _explore = Span::enter("explore", &stages.explore_ns).traced(trace);
             explore()
         })?;
@@ -575,6 +565,34 @@ impl ServiceState {
         Ok((result, outcome))
     }
 
+    /// The resident-tier fast path the pool runs on the submitting
+    /// thread: answer `layer` from memory if its entry is resident,
+    /// accounted exactly as [`ServiceState::explore_keyed`] accounts a
+    /// hit (one `layers_total`, one `cache_hits_total`, one
+    /// `cache_lookup` span, an LRU touch). A layer that is not resident
+    /// returns `None` and leaves **no trace at all** — it is counted
+    /// once, by the worker that later serves it.
+    pub(crate) fn lookup_resident(
+        &self,
+        key: &str,
+        layer: &Layer,
+        trace: Option<&Arc<Trace>>,
+    ) -> Option<LayerDseResult> {
+        let start = std::time::Instant::now();
+        let mut result = self.cache.get_resident(key)?;
+        if result.layer_name != layer.name {
+            result.layer_name.clone_from(&layer.name);
+        }
+        self.stages.layers_total.inc();
+        self.stages.cache_hits_total.inc();
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.stages.cache_lookup_ns.record(ns);
+        if let Some(trace) = trace {
+            trace.add("cache_lookup", ns);
+        }
+        Some(result)
+    }
+
     /// Run a whole job sequentially on the calling thread (the reference
     /// path; the worker pool produces bit-identical results in parallel).
     ///
@@ -590,15 +608,11 @@ impl ServiceState {
         let mut outcomes = Vec::with_capacity(spec.workload.layers().len());
         let mut total = drmap_core::edp::EdpEstimate::zero(engine.model().table().t_ck_ns);
         for layer in spec.workload.layers() {
-            let (result, outcome) = self.explore_layer_cached_traced(
-                &engine,
-                &tag,
-                layer,
-                spec.options.cache,
-                None,
-                range,
-                || explore_layer_ranged(&engine, layer, range),
-            )?;
+            let key = layer_key(&engine, &tag, layer, range);
+            let (result, outcome) =
+                self.explore_keyed(&key, layer, spec.options.cache, None, || {
+                    explore_layer_ranged(&engine, layer, range)
+                })?;
             total.accumulate(&result.best.estimate);
             outcomes.push(outcome_from_result(result, outcome));
         }
@@ -609,6 +623,27 @@ impl ServiceState {
             layers: outcomes,
         })
     }
+}
+
+/// The cache key of one layer's sweep on `engine`: the canonical
+/// [`layer_cache_key`] over shape, accelerator, sweep configuration and
+/// the substrate `tag`. A ranged sweep (`range`, from
+/// [`JobOptions::tiling_range`](crate::spec::JobOptions)) is keyed with
+/// a `|range=start..end` suffix so partial results — the unit the
+/// router's `--scatter` mode distributes — never alias the full layer's
+/// cache entry, in either the resident tier or the store.
+pub(crate) fn layer_key(
+    engine: &DseEngine,
+    tag: &str,
+    layer: &Layer,
+    range: Option<(u64, u64)>,
+) -> String {
+    let acc = engine.model().traffic_model().accelerator();
+    let mut key = layer_cache_key(tag, layer, acc, engine.config());
+    if let Some((start, end)) = range {
+        key.push_str(&format!("|range={start}..{end}"));
+    }
+    key
 }
 
 /// Explore a layer, restricted to `range` when one is set. The ranged

@@ -27,6 +27,21 @@
 //! chunks it claims itself), and help tokens arriving after the shard
 //! drained are no-ops.
 //!
+//! ## Submission and completion
+//!
+//! [`DsePool::submit_then`] is the one way a job enters the pool, and
+//! it is **completion-driven**: nobody blocks a thread per job. The
+//! submitting thread first answers every layer that is already resident
+//! in the memo cache (default-cache jobs only — `refresh`/`bypass` jobs
+//! and an injected fault-plan panic always go to the workers) and
+//! enqueues only the layers that missed. Whoever supplies the job's
+//! last layer — the worker that delivers it, or the submitting thread
+//! itself when nothing missed — assembles the [`JobResult`] and runs the
+//! caller's completion with it. A fully resident job therefore never
+//! touches the queue and may **overtake** cold jobs queued before it.
+//! [`DsePool::submit`]`(..).`[`wait()`](PendingJob::wait) is that same
+//! path with a completion that parks the result for the waiter.
+//!
 //! Determinism: workers may *compute* layers (and chunks) in any order,
 //! but results are reassembled in layer (and range) order and totals
 //! are accumulated exactly as the direct engine does, so a job's
@@ -49,18 +64,93 @@ use drmap_core::tiling::{enumerate_tilings, Tiling};
 use drmap_telemetry::{Histogram, Span, Trace};
 
 use crate::cache::CacheOutcome;
-use crate::engine::{outcome_from_result, ServiceState};
+use crate::engine::{layer_key, outcome_from_result, ServiceState};
 use crate::error::{panic_message, ServiceError, DEADLINE_MARKER};
-use crate::spec::{JobOptions, JobResult, JobSpec};
+use crate::spec::{CacheMode, JobOptions, JobResult, JobSpec};
 use crate::sync::lock_recovered;
 
-type LayerReply = (usize, Result<(LayerDseResult, CacheOutcome), DseError>);
+type LayerReply = Result<(LayerDseResult, CacheOutcome), DseError>;
+
+/// What a finished job is handed to: runs exactly once, on whichever
+/// thread supplied the job's last layer.
+type Completion = Box<dyn FnOnce(Result<JobResult, ServiceError>) + Send>;
+
+/// A submitted job collecting its per-layer replies.
+struct Assembling {
+    id: u64,
+    workload: String,
+    t_ck_ns: f64,
+    /// One slot per layer, in layer order; resident layers are filled
+    /// at submission, the rest by workers.
+    replies: Vec<Option<LayerReply>>,
+    /// Layers still with the workers.
+    outstanding: usize,
+    on_complete: Completion,
+}
+
+impl Assembling {
+    /// Assemble the result in layer order — totals accumulated exactly
+    /// as the direct engine does, the lowest-indexed layer failure
+    /// winning — and hand it to the completion.
+    fn finish(self) {
+        let Assembling {
+            id,
+            workload,
+            t_ck_ns,
+            replies,
+            on_complete,
+            ..
+        } = self;
+        let assemble = || -> Result<JobResult, ServiceError> {
+            let mut total = EdpEstimate::zero(t_ck_ns);
+            let mut layers = Vec::with_capacity(replies.len());
+            for reply in replies {
+                let (result, outcome) = reply
+                    .ok_or_else(|| ServiceError::protocol("a layer never received its reply"))??;
+                total.accumulate(&result.best.estimate);
+                layers.push(outcome_from_result(result, outcome));
+            }
+            Ok(JobResult {
+                id,
+                workload,
+                total,
+                layers,
+            })
+        };
+        on_complete(assemble());
+    }
+}
+
+/// The part of a job its queued layer tasks share: each delivers its
+/// reply here, and the delivery that leaves nothing outstanding takes
+/// the job out and finishes it on its own thread.
+struct QueuedJob(Mutex<Option<Assembling>>);
+
+impl QueuedJob {
+    fn deliver(&self, index: usize, reply: LayerReply) {
+        let mut slot = lock_recovered(&self.0);
+        let job = slot
+            .as_mut()
+            .expect("a job stays in place until its last layer is delivered");
+        job.replies[index] = Some(reply);
+        job.outstanding -= 1;
+        if job.outstanding == 0 {
+            let job = slot.take();
+            // Finish with the lock released: the completion may take a
+            // while (slow-log capture, a store write).
+            drop(slot);
+            if let Some(job) = job {
+                job.finish();
+            }
+        }
+    }
+}
 
 /// A job's absolute latency budget, captured at submission. Workers
 /// check it at dequeue (a queued layer whose budget lapsed is never
 /// computed) and between claimed shard chunks; an expired check raises
-/// a [`DEADLINE_MARKER`]-tagged [`DseError`] that
-/// [`PendingJob::wait`] lifts back into the typed
+/// a [`DEADLINE_MARKER`]-tagged [`DseError`] that job assembly lifts
+/// back into the typed
 /// [`ServiceError::DeadlineExceeded`](crate::error::ServiceError).
 #[derive(Debug, Clone, Copy)]
 struct Deadline {
@@ -88,7 +178,8 @@ impl Deadline {
 struct LayerTask {
     state: Arc<ServiceState>,
     engine: SharedEngine,
-    tag: Arc<str>,
+    /// The layer's cache key, computed once at submission.
+    key: String,
     layer: Layer,
     index: usize,
     options: JobOptions,
@@ -101,7 +192,7 @@ struct LayerTask {
     /// the worker's cache-lookup/explore spans add themselves to its
     /// per-stage breakdown.
     trace: Option<Arc<Trace>>,
-    reply: Sender<LayerReply>,
+    job: Arc<QueuedJob>,
 }
 
 /// What travels on the pool's shared queue: a whole-layer exploration,
@@ -472,21 +563,44 @@ impl DsePool {
         self.workers
     }
 
-    /// Enqueue a job's layers and return a handle to await the result.
-    /// Submission never blocks on exploration work. The job's
-    /// [`JobOptions`] travel with every layer task: the cache mode and
-    /// shard-chunk hint steer the worker's leader path, and
-    /// `keep_points` selects a Pareto-retaining engine (cache-keyed
-    /// separately from point-free sweeps).
+    /// Submit a job and return a handle to await the result: the
+    /// blocking form of [`DsePool::submit_then`], whose completion
+    /// parks the result for [`PendingJob::wait`]. Submission never
+    /// blocks on exploration work.
     pub fn submit(&self, spec: &JobSpec) -> PendingJob {
-        self.submit_traced(spec, None)
+        let (done, result) = channel();
+        self.submit_then(spec, None, move |outcome| {
+            // A dropped PendingJob just discards the result.
+            let _ = done.send(outcome);
+        });
+        PendingJob { result }
     }
 
-    /// [`DsePool::submit`] with an optional per-request [`Trace`] (the
-    /// TCP front-end creates one per submitted job, keyed by the wire
-    /// `id`): every layer task carries it, so worker-side spans land in
-    /// the request's stage breakdown as well as the global histograms.
-    pub fn submit_traced(&self, spec: &JobSpec, trace: Option<Arc<Trace>>) -> PendingJob {
+    /// Submit a job and run `on_complete` with its result once every
+    /// layer is in — on the worker that delivers the last one, or on
+    /// this thread, before returning, when no layer needed a worker.
+    ///
+    /// Layers of a [`CacheMode::Default`] job that are resident in the
+    /// memo cache are answered right here (counted and LRU-touched as
+    /// hits; a miss at this point is silent and counted once by the
+    /// worker that serves it); only the rest are enqueued. A
+    /// `refresh`/`bypass` job, and the layer an armed fault plan chose
+    /// to panic in, always go to the workers. The job's [`JobOptions`]
+    /// travel with every layer task: the cache mode and shard-chunk
+    /// hint steer the worker's leader path, and `keep_points` selects a
+    /// Pareto-retaining engine (cache-keyed separately from point-free
+    /// sweeps). `trace` is the submitting request's [`Trace`] (the TCP
+    /// front-end opens one per job, keyed by the wire `id`): lookup and
+    /// explore spans land in its stage breakdown as well as the global
+    /// histograms, whichever thread ran them.
+    ///
+    /// `on_complete` must not own the pool (an `Arc<DsePool>` dropped
+    /// last by a worker would have that worker join itself); capture
+    /// [`DsePool::state`] instead.
+    pub fn submit_then<F>(&self, spec: &JobSpec, trace: Option<Arc<Trace>>, on_complete: F)
+    where
+        F: FnOnce(Result<JobResult, ServiceError>) + Send + 'static,
+    {
         self.state.stages().jobs_total.inc();
         // ordering: Relaxed — a pure submission ticket; the fault
         // plan's panic-job match needs uniqueness, not ordering.
@@ -494,54 +608,70 @@ impl DsePool {
         // An armed plan's chosen job panics in exactly one of its
         // layer tasks (the first): one injected panic per plan, and
         // the job still exercises the full reply path for the rest.
-        let inject_panic = self.state.faults().job_panics(ordinal);
+        let panic_at = self.state.faults().job_panics(ordinal).then_some(0);
         let deadline = Deadline::of(&spec.options);
         let engine = self
             .state
             .factory()
             .engine_with(&spec.engine, spec.options.keep_points)
             .into_shared();
-        let tag: Arc<str> = self.state.factory().engine_tag(&spec.engine).into();
-        let t_ck_ns = engine.model().table().t_ck_ns;
+        let tag = self.state.factory().engine_tag(&spec.engine);
         let layers = spec.workload.layers();
-        let (reply, results) = channel();
+        let mut replies = Vec::with_capacity(layers.len());
+        let mut queued = Vec::new();
         for (index, layer) in layers.iter().enumerate() {
+            let key = layer_key(&engine, &tag, layer, spec.options.tiling_range);
+            let resident = if spec.options.cache == CacheMode::Default && panic_at != Some(index) {
+                self.state.lookup_resident(&key, layer, trace.as_ref())
+            } else {
+                None
+            };
+            if resident.is_none() {
+                queued.push((index, key));
+            }
+            replies.push(resident.map(|result| Ok((result, CacheOutcome::Hit))));
+        }
+        let job = Assembling {
+            id: spec.id,
+            workload: spec.workload.name().to_owned(),
+            t_ck_ns: engine.model().table().t_ck_ns,
+            replies,
+            outstanding: queued.len(),
+            on_complete: Box::new(on_complete),
+        };
+        if queued.is_empty() {
+            return job.finish();
+        }
+        let job = Arc::new(QueuedJob(Mutex::new(Some(job))));
+        for (index, key) in queued {
             let task = LayerTask {
                 state: Arc::clone(&self.state),
                 engine: Arc::clone(&engine),
-                tag: Arc::clone(&tag),
-                layer: layer.clone(),
+                key,
+                layer: layers[index].clone(),
                 index,
                 options: spec.options,
                 deadline,
-                inject_panic: inject_panic && index == 0,
+                inject_panic: panic_at == Some(index),
                 trace: trace.clone(),
-                reply: reply.clone(),
+                job: Arc::clone(&job),
             };
             // The queue lives as long as the pool and workers never exit
-            // while it is open, but if a send fails anyway, reply with an
-            // error for this layer instead of panicking the submitter —
-            // `wait` then surfaces it as a job failure.
+            // while it is open, but if a send fails anyway, fail this
+            // layer instead of panicking the submitter — the job then
+            // completes with that error.
             let queue = self
                 .queue
                 .as_ref()
                 .expect("queue lives as long as the pool");
-            if let Err(send_error) = queue.send(Task::Layer(task)) {
-                let _ = reply.send((
+            if queue.send(Task::Layer(task)).is_err() {
+                job.deliver(
                     index,
                     Err(DseError::new(
                         "worker pool is shut down; layer not scheduled",
                     )),
-                ));
-                drop(send_error);
+                );
             }
-        }
-        PendingJob {
-            id: spec.id,
-            workload: spec.workload.name().to_owned(),
-            expected: layers.len(),
-            t_ck_ns,
-            results,
         }
     }
 
@@ -589,106 +719,85 @@ fn worker_loop(rx: &Mutex<Receiver<Task>>, shared: &PoolShared) {
         // Dequeue-time deadline check: a layer that waited out its
         // job's whole budget in the queue is answered (with the typed
         // error) instead of computed — the submitter has given up.
-        if let Some(deadline) = task.deadline.filter(Deadline::expired) {
-            let _ = task.reply.send((task.index, Err(deadline.error())));
-            continue;
-        }
-        // Catch panics so the reply is *always* sent: a worker that
-        // unwound without replying would leave `PendingJob::wait`
-        // blocked forever on a layer that no one is computing.
-        // (`explore_layer_cached_with` already converts panics inside
-        // the exploration itself; this guards everything else — and is
-        // exactly the mechanism an injected fault-plan panic probes.)
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if task.inject_panic {
-                task.state.stages().fault_pool_total.inc();
-                // check:allow(no-unwrap-hot-path): deliberate, counted fault injection
-                panic!("injected fault-plan worker panic");
-            }
-            let range = task.options.tiling_range;
-            task.state.explore_layer_cached_traced(
-                &task.engine,
-                &task.tag,
-                &task.layer,
-                task.options.cache,
-                task.trace.as_ref(),
-                range,
-                || {
-                    if range.is_some() {
-                        // A ranged job *is* a shard (the router's
-                        // scatter unit); sharding it again would
-                        // re-chunk someone else's chunk.
-                        crate::engine::explore_layer_ranged(&task.engine, &task.layer, range)
-                    } else {
-                        explore_maybe_sharded(
-                            &task.engine,
-                            &task.layer,
-                            shared,
-                            task.options.shard_chunk,
-                            &task.state,
-                            task.deadline,
-                        )
-                    }
-                },
-            )
-        }))
-        .unwrap_or_else(|payload| {
-            Err(DseError::new(format!(
-                "worker panicked exploring layer {:?}: {}",
-                task.layer.name,
-                panic_message(payload.as_ref())
-            )))
-        });
-        // A dropped PendingJob just discards the reply.
-        let _ = task.reply.send((task.index, result));
+        let reply = if let Some(deadline) = task.deadline.filter(Deadline::expired) {
+            Err(deadline.error())
+        } else {
+            explore_task(&task, shared)
+        };
+        // The delivery that completes the job runs its completion right
+        // here; a panic in that must cost one response, not a worker.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            task.job.deliver(task.index, reply);
+        }));
     }
 }
 
-/// A submitted job whose layers are in flight.
+/// Serve one queued layer through the cache. Panics are caught so the
+/// layer is *always* delivered: a worker that unwound without replying
+/// would leave the job waiting forever on a layer that no one is
+/// computing. (`explore_keyed` already converts panics inside the
+/// exploration itself; this guards everything else — and is exactly the
+/// mechanism an injected fault-plan panic probes.)
+fn explore_task(task: &LayerTask, shared: &PoolShared) -> LayerReply {
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if task.inject_panic {
+            task.state.stages().fault_pool_total.inc();
+            // check:allow(no-unwrap-hot-path): deliberate, counted fault injection
+            panic!("injected fault-plan worker panic");
+        }
+        let range = task.options.tiling_range;
+        task.state.explore_keyed(
+            &task.key,
+            &task.layer,
+            task.options.cache,
+            task.trace.as_ref(),
+            || {
+                if range.is_some() {
+                    // A ranged job *is* a shard (the router's scatter
+                    // unit); sharding it again would re-chunk someone
+                    // else's chunk.
+                    crate::engine::explore_layer_ranged(&task.engine, &task.layer, range)
+                } else {
+                    explore_maybe_sharded(
+                        &task.engine,
+                        &task.layer,
+                        shared,
+                        task.options.shard_chunk,
+                        &task.state,
+                        task.deadline,
+                    )
+                }
+            },
+        )
+    }))
+    .unwrap_or_else(|payload| {
+        Err(DseError::new(format!(
+            "worker panicked exploring layer {:?}: {}",
+            task.layer.name,
+            panic_message(payload.as_ref())
+        )))
+    })
+}
+
+/// A submitted job whose result is on its way (or already in: a fully
+/// resident job completes inside [`DsePool::submit`]).
 #[derive(Debug)]
 pub struct PendingJob {
-    id: u64,
-    workload: String,
-    expected: usize,
-    t_ck_ns: f64,
-    results: Receiver<LayerReply>,
+    result: Receiver<Result<JobResult, ServiceError>>,
 }
 
 impl PendingJob {
-    /// Block until every layer finishes and assemble the result in
-    /// layer order.
+    /// Block until every layer has finished and the result has been
+    /// assembled in layer order.
     ///
     /// # Errors
     ///
     /// Returns the lowest-indexed layer failure, or a protocol error if
-    /// a worker died mid-job.
+    /// the pool went away mid-job.
     pub fn wait(self) -> Result<JobResult, ServiceError> {
-        let mut slots: Vec<Option<Result<(LayerDseResult, CacheOutcome), DseError>>> =
-            (0..self.expected).map(|_| None).collect();
-        for _ in 0..self.expected {
-            let (index, result) = self
-                .results
-                .recv()
-                .map_err(|_| ServiceError::protocol("worker pool shut down mid-job"))?;
-            if index >= slots.len() {
-                return Err(ServiceError::protocol("worker replied with a bogus index"));
-            }
-            slots[index] = Some(result);
-        }
-        let mut total = EdpEstimate::zero(self.t_ck_ns);
-        let mut outcomes = Vec::with_capacity(self.expected);
-        for slot in slots {
-            let (result, outcome) =
-                slot.ok_or_else(|| ServiceError::protocol("a layer never received its reply"))??;
-            total.accumulate(&result.best.estimate);
-            outcomes.push(outcome_from_result(result, outcome));
-        }
-        Ok(JobResult {
-            id: self.id,
-            workload: self.workload,
-            total,
-            layers: outcomes,
-        })
+        self.result
+            .recv()
+            .unwrap_or_else(|_| Err(ServiceError::protocol("worker pool shut down mid-job")))
     }
 }
 
@@ -708,21 +817,22 @@ mod tests {
         let fresh = ServiceState::new().unwrap();
         let sequential = fresh.run_job(&spec).unwrap();
         assert_eq!(pooled.id, 7);
-        assert_eq!(pooled.layers.len(), sequential.layers.len());
-        assert_eq!(
-            pooled.total.energy.to_bits(),
-            sequential.total.energy.to_bits()
-        );
-        assert_eq!(
-            pooled.total.cycles.to_bits(),
-            sequential.total.cycles.to_bits()
-        );
-        for (p, s) in pooled.layers.iter().zip(&sequential.layers) {
-            assert_eq!(p.name, s.name);
-            assert_eq!(p.mapping, s.mapping);
-            assert_eq!(p.scheme, s.scheme);
-            assert_eq!(p.tiling, s.tiling);
-            assert_eq!(p.estimate.energy.to_bits(), s.estimate.energy.to_bits());
+        assert_bit_identical(&pooled, &sequential);
+    }
+
+    /// Every total and every layer's winner agree to the bit.
+    fn assert_bit_identical(a: &JobResult, b: &JobResult) {
+        assert_eq!(a.layers.len(), b.layers.len());
+        assert_eq!(a.total.energy.to_bits(), b.total.energy.to_bits());
+        assert_eq!(a.total.cycles.to_bits(), b.total.cycles.to_bits());
+        for (a, b) in a.layers.iter().zip(&b.layers) {
+            assert_eq!(a.name, b.name);
+            assert_eq!(a.mapping, b.mapping);
+            assert_eq!(a.scheme, b.scheme);
+            assert_eq!(a.tiling, b.tiling);
+            assert_eq!(a.evaluations, b.evaluations);
+            assert_eq!(a.estimate.energy.to_bits(), b.estimate.energy.to_bits());
+            assert_eq!(a.estimate.cycles.to_bits(), b.estimate.cycles.to_bits());
         }
     }
 
@@ -788,24 +898,7 @@ mod tests {
 
         let fresh = ServiceState::new().unwrap();
         let sequential = fresh.run_job(&spec).unwrap();
-        assert_eq!(sharded.layers.len(), sequential.layers.len());
-        assert_eq!(
-            sharded.total.energy.to_bits(),
-            sequential.total.energy.to_bits()
-        );
-        assert_eq!(
-            sharded.total.cycles.to_bits(),
-            sequential.total.cycles.to_bits()
-        );
-        for (p, s) in sharded.layers.iter().zip(&sequential.layers) {
-            assert_eq!(p.name, s.name);
-            assert_eq!(p.mapping, s.mapping);
-            assert_eq!(p.scheme, s.scheme);
-            assert_eq!(p.tiling, s.tiling);
-            assert_eq!(p.evaluations, s.evaluations);
-            assert_eq!(p.estimate.energy.to_bits(), s.estimate.energy.to_bits());
-            assert_eq!(p.estimate.cycles.to_bits(), s.estimate.cycles.to_bits());
-        }
+        assert_bit_identical(&sharded, &sequential);
     }
 
     #[test]
@@ -930,6 +1023,128 @@ mod tests {
         // And an undeadlined resubmission completes normally.
         let again = JobSpec::network(3, EngineSpec::default(), Network::tiny());
         assert_eq!(pool.submit(&again).wait().unwrap().layers.len(), 3);
+    }
+
+    #[test]
+    fn resident_jobs_complete_at_submit_and_overtake_queued_cold_ones() {
+        let state = ServiceState::new().unwrap();
+        let pool = DsePool::new(Arc::clone(&state), 1);
+        let hot = JobSpec::network(1, EngineSpec::default(), Network::tiny());
+        pool.submit(&hot).wait().unwrap();
+
+        // Hold the only worker inside a completion, so what follows is
+        // decided by channels, not by how long an exploration takes.
+        let (holding, held) = channel();
+        let (release, released) = channel::<()>();
+        let blocker = drmap_cnn::layer::Layer::conv("BLOCK", 8, 8, 16, 8, 3, 3, 1);
+        pool.submit_then(
+            &JobSpec::layer(2, EngineSpec::default(), blocker),
+            None,
+            move |_| {
+                holding.send(std::thread::current().id()).unwrap();
+                let _ = released.recv();
+            },
+        );
+        let worker = held.recv().unwrap();
+        // A cold whole-network job (same shapes, another architecture)
+        // queues behind the held worker...
+        let cold_engine = EngineSpec::for_arch(drmap_dram::timing::DramArch::SalpMasa);
+        let cold = pool.submit(&JobSpec::network(3, cold_engine, Network::tiny()));
+
+        // ...and the all-resident job submitted after it is answered
+        // before `submit_then` even returns, on this thread.
+        let (done, completed) = channel();
+        pool.submit_then(
+            &JobSpec {
+                id: 4,
+                ..hot.clone()
+            },
+            None,
+            move |result| {
+                done.send((std::thread::current().id(), result)).unwrap();
+            },
+        );
+        let (ran_on, result) = completed
+            .try_recv()
+            .expect("an all-resident job completes inside submit");
+        assert_eq!(ran_on, std::thread::current().id());
+        assert_ne!(ran_on, worker);
+        let result = result.unwrap();
+        assert_eq!(result.id, 4);
+        assert_eq!(result.cache_hits(), result.layers.len());
+        // The blocking form is the same path: `wait` finds the result
+        // already in, while the cold job cannot even have started.
+        let again = pool.submit(&JobSpec { id: 5, ..hot }).wait().unwrap();
+        assert_eq!(again.cache_hits(), again.layers.len());
+        assert!(cold.result.try_recv().is_err(), "the worker is still held");
+
+        release.send(()).unwrap();
+        let cold = cold.wait().unwrap();
+        assert_eq!(cold.cache_hits(), 0);
+    }
+
+    #[test]
+    fn half_resident_jobs_count_every_layer_once_and_match_run_job() {
+        let state = ServiceState::new().unwrap();
+        let pool = DsePool::new(Arc::clone(&state), 2);
+        let tiny = Network::tiny();
+        let first = JobSpec::layer(1, EngineSpec::default(), tiny.layers()[0].clone());
+        pool.submit(&first).wait().unwrap();
+
+        // [layers_total, cache_hits_total, cache_misses_total, cache_lookup spans]
+        let telemetry = || {
+            let snapshot = state.metrics().snapshot();
+            let counter = |name| snapshot.counter(name).unwrap_or(0);
+            [
+                counter("layers_total"),
+                counter("cache_hits_total"),
+                counter("cache_misses_total"),
+                snapshot.histogram("cache_lookup_ns").map_or(0, |h| h.count),
+            ]
+        };
+        let (stats_before, telemetry_before) = (state.cache().stats(), telemetry());
+
+        // Layer 0 is answered at submit, the other two by workers.
+        let spec = JobSpec::network(2, EngineSpec::default(), tiny);
+        let mixed = pool.submit(&spec).wait().unwrap();
+        let cached: Vec<bool> = mixed.layers.iter().map(|l| l.cached).collect();
+        assert_eq!(cached, [true, false, false]);
+
+        let stats = state.cache().stats();
+        assert_eq!(stats.hits - stats_before.hits, 1);
+        assert_eq!(stats.misses - stats_before.misses, 2);
+        assert_eq!(stats.coalesced, stats_before.coalesced);
+        let moved: Vec<u64> = telemetry()
+            .iter()
+            .zip(telemetry_before)
+            .map(|(after, before)| after - before)
+            .collect();
+        assert_eq!(moved, [3, 1, 2, 3]);
+
+        let sequential = ServiceState::new().unwrap().run_job(&spec).unwrap();
+        assert_bit_identical(&mixed, &sequential);
+    }
+
+    #[test]
+    fn refresh_jobs_over_resident_layers_never_count_a_hit() {
+        // The benchmark's `serve-cold` isolation gate: a refresh job
+        // must recompute, whatever is resident.
+        let state = ServiceState::new().unwrap();
+        let pool = DsePool::new(Arc::clone(&state), 2);
+        let spec = JobSpec::network(1, EngineSpec::default(), Network::tiny());
+        pool.submit(&spec).wait().unwrap();
+        let before = state.cache().stats();
+        let refreshed = pool
+            .submit(&spec.clone().with_options(crate::spec::JobOptions {
+                cache: CacheMode::Refresh,
+                ..Default::default()
+            }))
+            .wait()
+            .unwrap();
+        assert_eq!(refreshed.cache_hits(), 0);
+        let after = state.cache().stats();
+        assert_eq!(after.hits, before.hits);
+        assert_eq!(after.refreshes - before.refreshes, 3);
     }
 
     #[test]

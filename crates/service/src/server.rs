@@ -1,12 +1,20 @@
 //! The pipelined TCP front-end, dispatching the typed protocol of
 //! [`crate::proto`].
 //!
-//! Each accepted connection gets its own handler; job execution itself
+//! Each accepted connection gets two threads — a reader that
+//! dispatches requests and a writer that owns the socket's write half —
+//! and no more, however many jobs it has in flight. Job execution
 //! happens on the shared [`DsePool`], so many light connections share
-//! the same workers and memo cache. The protocol is **pipelined**: a
-//! client may submit many requests without waiting, and job responses
-//! are delivered **as jobs complete — possibly out of submission
-//! order** — matched back to requests by their client-chosen `id`.
+//! the same workers and memo cache, and it is **completion-driven**:
+//! the reader hands the pool a completion and moves on; whichever
+//! thread supplies the job's last layer (a pool worker, or the reader
+//! itself for a job whose layers are all resident in the cache) builds
+//! the response and queues it for the writer. The protocol is
+//! **pipelined**: a client may submit many requests without waiting,
+//! and job responses are delivered **as jobs complete — possibly out of
+//! submission order** — matched back to requests by their client-chosen
+//! `id`. In particular a fully resident job is answered at submission
+//! and overtakes cold jobs queued ahead of it.
 //!
 //! Requests are typed `{"type": …}` messages in either encoding of
 //! [`crate::wire`]; a response always uses the encoding of its request,
@@ -32,7 +40,7 @@
 //! ([`ServerConfig::slow_ms`]). The `metrics` verb dumps all of it;
 //! see `docs/OBSERVABILITY.md`.
 
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -41,15 +49,16 @@ use std::time::{Duration, Instant};
 
 use drmap_telemetry::{Span, Trace};
 
+use crate::engine::ServiceState;
 use crate::error::ServiceError;
 use crate::faults::{FaultAction, FaultPlan};
 use crate::json::Json;
-use crate::pool::{DsePool, PendingJob};
+use crate::pool::DsePool;
 use crate::proto::{
     capabilities, MetricsReport, PersistedSlowTrace, Request, Response, StatsReport,
     PROTOCOL_VERSION,
 };
-use crate::spec::JobSpec;
+use crate::spec::{JobResult, JobSpec};
 use crate::wire::{self, Encoding};
 
 fn elapsed_ns(start: Instant) -> u64 {
@@ -67,8 +76,8 @@ pub struct ServerConfig {
     /// from the moment it is accepted until its response has been
     /// written to the socket. Submissions beyond the cap block the
     /// connection's reader until a slot frees — back-pressure, not an
-    /// error — so one client can neither spawn unbounded waiter
-    /// threads nor, by refusing to read responses, queue unbounded
+    /// error — so one client can neither queue unbounded work on the
+    /// pool nor, by refusing to read responses, queue unbounded
     /// response memory server-side.
     pub max_inflight: usize,
     /// Additional cap on in-flight requests summed over *all*
@@ -380,17 +389,20 @@ impl InflightSlots {
     }
 }
 
-/// One connection: a reader loop that dispatches requests, one writer
-/// thread that serializes all responses onto the socket, and a detached
-/// waiter thread per in-flight job. Job responses reach the writer in
+/// One connection: a reader loop (this thread) that dispatches
+/// requests, and one writer thread that serializes all responses onto
+/// the socket, one `write` per frame. In-flight jobs hold no thread:
+/// each job's completion queues its response for the writer from
+/// whichever thread finished it, so responses reach the writer in
 /// completion order, giving out-of-order pipelining; the per-connection
-/// [`InflightGate`] bounds the waiter threads.
+/// [`InflightGate`] bounds how many may be outstanding.
 fn serve_connection(
     stream: TcpStream,
     pool: &Arc<DsePool>,
     slots: InflightSlots,
     shutdown: &ConnectionShutdown,
 ) -> Result<(), ServiceError> {
+    wire::configure_socket(&stream, None, None)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let (tx, rx) = channel::<(Json, Encoding)>();
     let metrics = pool.state().metrics();
@@ -405,7 +417,8 @@ fn serve_connection(
         let state = Arc::clone(pool.state());
         let frame_encode_ns = Arc::clone(&state.stages().frame_encode_ns);
         std::thread::spawn(move || {
-            let mut out = BufWriter::new(stream);
+            let mut out = stream;
+            let mut frame = Vec::new();
             // A write failure means the client is gone: stop writing,
             // but keep draining the channel and releasing gate slots so
             // the reader (possibly blocked in `acquire`) can run its
@@ -429,7 +442,13 @@ fn serve_connection(
                         // connection; the response is simply lost.
                     } else {
                         let _encode = Span::enter("frame_encode", &frame_encode_ns);
-                        if wire::write_message(&mut out, &response.render(), encoding).is_err() {
+                        let written = wire::write_message_reusing(
+                            &mut out,
+                            &mut frame,
+                            &response.render(),
+                            encoding,
+                        );
+                        if written.is_err() {
                             dead = true;
                         }
                     }
@@ -469,9 +488,10 @@ fn serve_connection(
 }
 
 /// Dispatch one request: control and admin verbs answer inline, job
-/// submissions are handed to the pool and answered from a waiter thread
-/// when they complete. Every response path takes both gate slots
-/// *before* queueing; the global slot frees when the response is
+/// submissions are handed to the pool with a completion that queues the
+/// response — run by the worker that finishes the job, or right here
+/// when every layer is resident. Every response path takes both gate
+/// slots *before* queueing; the global slot frees when the response is
 /// queued, the local slot only after the writer thread has put it on
 /// the socket (see [`InflightSlots`]). Returns `true` if the server
 /// should shut down.
@@ -491,14 +511,10 @@ fn dispatch_message(
         }
         Routed::Job(job, decode_ns) => {
             slots.acquire();
-            let running = start_job(pool, &job, decode_ns);
             let tx = tx.clone();
             let slots = slots.clone();
-            let pool = Arc::clone(pool);
-            std::thread::spawn(move || {
-                let response = finish_job(&pool, running);
+            start_job(pool, &job, decode_ns, move |response| {
                 let _ = tx.send((response.to_json(), encoding));
-                pool.state().stages().jobs_inflight.dec();
                 slots.release_global();
             });
             false
@@ -554,52 +570,59 @@ fn route(pool: &DsePool, payload: &str) -> Routed {
     Routed::Job(job, decode_ns)
 }
 
-/// A job handed to the pool, with the trace its stages report into.
-struct RunningJob {
-    id: u64,
-    trace: Arc<Trace>,
-    pending: PendingJob,
-}
-
-/// Count the job in flight, open its trace, and queue it on the pool.
-/// The caller decrements `jobs_inflight` once the job's response has
-/// been delivered — the graceful drain waits on that gauge, so it must
-/// not fall before the response is queued.
-fn start_job(pool: &DsePool, job: &JobSpec, decode_ns: u64) -> RunningJob {
-    pool.state().stages().jobs_inflight.inc();
-    let trace = Trace::new(job.id);
+/// Count the job in flight, open its trace, and submit it to the pool;
+/// when it completes — on a pool worker, or on this thread before
+/// returning if every layer was resident — `respond` is handed the
+/// finished response, and only then does `jobs_inflight` fall: the
+/// graceful drain waits on that gauge, so it must not drop before the
+/// response is delivered.
+fn start_job(
+    pool: &DsePool,
+    job: &JobSpec,
+    decode_ns: u64,
+    respond: impl FnOnce(Response) + Send + 'static,
+) {
+    // The completion may run on a pool worker, so it holds the shared
+    // state, never the pool itself.
+    let state = Arc::clone(pool.state());
+    state.stages().jobs_inflight.inc();
+    let id = job.id;
+    let trace = Trace::new(id);
     trace.add("frame_decode", decode_ns);
-    RunningJob {
-        id: job.id,
-        pending: pool.submit_traced(job, Some(Arc::clone(&trace))),
-        trace,
-    }
+    pool.submit_then(job, Some(Arc::clone(&trace)), move |result| {
+        respond(finish_job(&state, id, &trace, result));
+        state.stages().jobs_inflight.dec();
+    });
 }
 
-/// Block until the job completes, account for it (request histogram,
-/// slow log, persisted slow trace), and build its response: results
-/// and typed failures (`deadline_exceeded`, `overloaded`) map to their
-/// structured responses, everything else to a generic error.
-fn finish_job(pool: &DsePool, job: RunningJob) -> Response {
-    let response = match job.pending.wait() {
+/// Account for a completed job (request histogram, slow log, persisted
+/// slow trace) and build its response: results and typed failures
+/// (`deadline_exceeded`, `overloaded`) map to their structured
+/// responses, everything else to a generic error.
+fn finish_job(
+    state: &ServiceState,
+    id: u64,
+    trace: &Trace,
+    result: Result<JobResult, ServiceError>,
+) -> Response {
+    let response = match result {
         Ok(result) => Response::Job { result },
         Err(ServiceError::DeadlineExceeded { deadline_ms }) => Response::DeadlineExceeded {
-            id: Some(job.id),
+            id: Some(id),
             deadline_ms,
         },
         Err(ServiceError::Overloaded { retry_after_ms }) => Response::Overloaded {
-            id: Some(job.id),
+            id: Some(id),
             retry_after_ms,
         },
         Err(e) => Response::Error {
-            id: Some(job.id),
+            id: Some(id),
             message: e.to_string(),
         },
     };
-    let state = pool.state();
-    let total_ns = state.slow_log().observe(&job.trace);
+    let total_ns = state.slow_log().observe(trace);
     state.stages().request_ns.record(total_ns);
-    if let Some(entry) = state.slow_log().capture(&job.trace, total_ns) {
+    if let Some(entry) = state.slow_log().capture(trace, total_ns) {
         state.persist_slow_trace(&entry);
     }
     response
@@ -845,15 +868,23 @@ fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
 
 /// Dispatch one request line to a response, blocking until the job (if
 /// any) completes. The boolean asks the caller to shut the server down
-/// after responding. This is the sequential form of what the pipelined
-/// connection handler does with a waiter thread per job; it is exposed
-/// for direct testing and embedding.
+/// after responding. This is the sequential form of the pipelined
+/// connection handler — the same `route → start_job → finish_job` path,
+/// with a completion that hands the response back to the caller instead
+/// of to a writer thread; it is exposed for direct testing and
+/// embedding.
 pub fn handle_request(pool: &DsePool, line: &str) -> (Json, bool) {
     match route(pool, line) {
         Routed::Answer(response, stop) => (response.to_json(), stop),
         Routed::Job(job, decode_ns) => {
-            let response = finish_job(pool, start_job(pool, &job, decode_ns));
-            pool.state().stages().jobs_inflight.dec();
+            let (done, response) = channel();
+            start_job(pool, &job, decode_ns, move |response| {
+                let _ = done.send(response);
+            });
+            let response = response.recv().unwrap_or_else(|_| Response::Error {
+                id: Some(job.id),
+                message: "worker pool shut down mid-job".to_owned(),
+            });
             (response.to_json(), false)
         }
     }

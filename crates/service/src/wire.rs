@@ -22,6 +22,8 @@
 //! identical in both encodings, only the framing differs.
 
 use std::io::{BufRead, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 use crate::error::ServiceError;
 use crate::json::Json;
@@ -74,7 +76,11 @@ fn timeout_aware(e: std::io::Error, context: &'static str) -> ServiceError {
 /// length headers.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
-/// Write one message in the chosen encoding and flush.
+/// Write one message in the chosen encoding and flush: the whole frame
+/// — marker, length, payload, terminator — reaches `writer` as **one**
+/// `write_all`. On a socket that is one segment train per frame; split
+/// writes would park the tail behind Nagle's algorithm and the peer's
+/// delayed ACK (≈ 40 ms on Linux).
 ///
 /// # Errors
 ///
@@ -85,11 +91,23 @@ pub fn write_message(
     payload: &str,
     encoding: Encoding,
 ) -> Result<(), ServiceError> {
-    let write = |writer: &mut dyn Write, bytes: &[u8]| {
-        writer
-            .write_all(bytes)
-            .map_err(|e| timeout_aware(e, "write"))
-    };
+    write_message_reusing(writer, &mut Vec::new(), payload, encoding)
+}
+
+/// [`write_message`] assembling the frame in a caller-owned buffer, so
+/// a long-lived writer (the server's per-connection writer thread) pays
+/// for the frame allocation once, not per response.
+///
+/// # Errors
+///
+/// As [`write_message`].
+pub fn write_message_reusing(
+    writer: &mut impl Write,
+    frame: &mut Vec<u8>,
+    payload: &str,
+    encoding: Encoding,
+) -> Result<(), ServiceError> {
+    frame.clear();
     match encoding {
         Encoding::Binary => {
             if payload.len() > MAX_FRAME_BYTES {
@@ -98,16 +116,41 @@ pub fn write_message(
                     payload.len()
                 )));
             }
-            write(writer, &[FRAME_MARKER])?;
-            write(writer, &(payload.len() as u32).to_be_bytes())?;
-            write(writer, payload.as_bytes())?;
+            frame.reserve(payload.len() + 5);
+            frame.push(FRAME_MARKER);
+            frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            frame.extend_from_slice(payload.as_bytes());
         }
         Encoding::Text => {
-            write(writer, payload.as_bytes())?;
-            write(writer, b"\n")?;
+            frame.reserve(payload.len() + 1);
+            frame.extend_from_slice(payload.as_bytes());
+            frame.push(b'\n');
         }
     }
-    writer.flush().map_err(|e| timeout_aware(e, "write"))?;
+    writer
+        .write_all(frame)
+        .and_then(|()| writer.flush())
+        .map_err(|e| timeout_aware(e, "write"))
+}
+
+/// Set a protocol socket's options — the only place they are set, for
+/// every socket either side accepts or dials: Nagle's algorithm off
+/// (frames are written whole, so coalescing could only delay them) and
+/// the caller's read/write deadlines (`None`: block forever), which
+/// [`read_message`]/[`write_message`] surface as the typed
+/// [`ServiceError::Timeout`] when they expire.
+///
+/// # Errors
+///
+/// Propagates the OS's refusal of an option.
+pub fn configure_socket(
+    stream: &TcpStream,
+    read_timeout: Option<Duration>,
+    write_timeout: Option<Duration>,
+) -> Result<(), ServiceError> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(read_timeout)?;
+    stream.set_write_timeout(write_timeout)?;
     Ok(())
 }
 
@@ -387,6 +430,42 @@ mod tests {
         let mut w = PartialThenStall { accepted: 3 };
         let err = write_message(&mut w, r#"{"id":12345}"#, Encoding::Text).unwrap_err();
         assert!(matches!(err, ServiceError::Timeout(_)), "{err}");
+    }
+
+    #[test]
+    fn every_frame_reaches_the_writer_as_exactly_one_write() {
+        // Two writes per frame is the Nagle/delayed-ACK stall: the
+        // terminator would sit behind the unacknowledged payload.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        // Around the 8 KiB default `BufWriter` capacity, where the
+        // split used to begin, and far beyond it.
+        for len in [10, 8191, 8192, 8193, 1 << 20] {
+            let payload = format!("\"{}\"", "x".repeat(len - 2));
+            assert_eq!(payload.len(), len);
+            for encoding in [Encoding::Text, Encoding::Binary] {
+                let mut out = Counting::default();
+                write_message(&mut out, &payload, encoding).unwrap();
+                assert_eq!(out.writes, 1, "{len} B, {encoding:?}");
+                assert_eq!(
+                    read_message(&mut BufReader::new(&out.bytes[..])).unwrap(),
+                    Some((payload.clone(), encoding))
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,19 @@
 //! resubmissions must be served from the memo cache without changing a
 //! single bit.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use drmap_cnn::network::Network;
 use drmap_core::dse::NetworkDseResult;
 use drmap_dram::timing::DramArch;
 use drmap_service::client::Client;
 use drmap_service::engine::ServiceState;
+use drmap_service::loadgen::default_catalog;
 use drmap_service::pool::DsePool;
+use drmap_service::proto::Request;
 use drmap_service::server::JobServer;
 use drmap_service::spec::{EngineSpec, JobResult, JobSpec};
 
@@ -157,5 +162,63 @@ fn tcp_round_trip_matches_direct_engine_calls() {
     );
 
     second.shutdown().unwrap();
+    server_thread.join().unwrap();
+}
+
+/// The median of 21 window-1 round trips of the catalogue's largest
+/// whole-network job (primed first, so every timed one is all resident
+/// hits). `round_trip(id)` submits the job under `id` and blocks for its
+/// response.
+fn median_hot_round_trip(mut round_trip: impl FnMut(JobSpec)) -> Duration {
+    let spec = default_catalog().pop().expect("the catalogue is not empty");
+    round_trip(spec.clone());
+    let mut samples: Vec<Duration> = (1..=21)
+        .map(|id| {
+            let job = JobSpec { id, ..spec.clone() };
+            let sent = Instant::now();
+            round_trip(job);
+            sent.elapsed()
+        })
+        .collect();
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+/// A frame written as payload-then-terminator parks the terminator
+/// behind Nagle's algorithm until the peer's delayed ACK (≈ 40 ms)
+/// whenever the payload outgrows one buffered write — the stall that
+/// was most of `serve-hot`'s round trip. A response well past 8 KiB
+/// must come back in far less than that, whether or not the *client*
+/// turned Nagle off on its side.
+#[test]
+fn large_responses_do_not_wait_out_a_delayed_ack() {
+    const BOUND: Duration = Duration::from_millis(20);
+    let server = JobServer::bind("127.0.0.1:0", 2).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run().unwrap());
+
+    // A bare socket with the OS defaults (Nagle on), as `nc` would be.
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut line = String::new();
+    let raw = median_hot_round_trip(|job| {
+        let request = Request::Submit(job).to_json().render() + "\n";
+        writer.write_all(request.as_bytes()).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.len() > 8192, "the response must span several segments");
+        assert!(line.contains(r#""ok":true"#), "{line}");
+    });
+    assert!(raw < BOUND, "raw socket: median round trip {raw:?}");
+
+    let mut client = Client::connect(addr).unwrap();
+    let typed = median_hot_round_trip(|job| {
+        let served = client.submit(&job).unwrap();
+        assert_eq!(served.cache_hits(), served.layers.len());
+    });
+    assert!(typed < BOUND, "Client: median round trip {typed:?}");
+
+    client.shutdown().unwrap();
     server_thread.join().unwrap();
 }
