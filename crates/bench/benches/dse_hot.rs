@@ -189,7 +189,21 @@ fn verify_telemetry_overhead() -> Json {
 
     let snap = state.metrics().snapshot();
     let span_ops: u64 = snap.histograms.iter().map(|(_, h)| h.count).sum();
-    let counter_ops: u64 = snap.counters.iter().map(|(_, v)| v).sum();
+    // A counter's value is its operation count, except for the two a
+    // finished sweep advances by a whole layer's design points at once.
+    let per_sweep = ["dse_evaluations_total", "dse_pruned_total"];
+    let sweeps = snap.counter("layers_total").unwrap_or(0);
+    let counter_ops: u64 = snap
+        .counters
+        .iter()
+        .map(|(name, v)| {
+            if per_sweep.contains(&name.as_str()) {
+                sweeps
+            } else {
+                *v
+            }
+        })
+        .sum();
 
     // Per-operation prices. The span probe pays the full RAII cost:
     // enter (one `Instant::now`) plus drop (a second `Instant::now`

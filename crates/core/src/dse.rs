@@ -7,42 +7,112 @@
 //!
 //! ## The evaluation pipeline
 //!
-//! The sweep is organized so per-evaluation work shrinks to what
-//! actually varies with the mapping policy:
+//! Every sweep — [`DseEngine::explore_layer`], its ranged forms, and
+//! the one-scheme, one-mapping [`DseEngine::best_over_tilings`] — is
+//! the same loop nest, tilings × schemes × mappings, with each piece of
+//! work done where it first becomes known:
 //!
-//! * per **tiling**: tile footprints in DRAM bursts (three data kinds),
-//! * per **(tiling, scheme)**: adaptive-scheme resolution and
-//!   tile-fetch counts — neither depends on the mapping,
-//! * per **(mapping, burst count)**: the closed-form transition
-//!   counting and its cost weighting, memoized because a layer has only
-//!   a handful of distinct burst counts,
-//! * per **evaluation**: four multiply-adds plus an incremental
-//!   Pareto-front insert (no label allocation; labels materialize for
-//!   survivors only).
+//! * per **burst count**: a *cost row* — every swept mapping's per-tile
+//!   `(read, write)` cost (the closed-form transition counting of
+//!   [`access_model`](crate::access_model), weighted by the profiled
+//!   table) plus their component-wise minimum, the *floor*. A row
+//!   depends on neither the data kind nor the scheme, and a layer's
+//!   tilings produce only a handful of distinct burst counts, so rows
+//!   are memoized for the length of the sweep;
+//! * per **tiling**: one [`Tiling::steps`] call yields the tile traffic
+//!   of all three concrete schemes in closed form
+//!   ([`TrafficModel::concrete_traffic`](crate::schedule::TrafficModel::concrete_traffic)),
+//!   which makes adaptive-reuse an index (the first minimum of the
+//!   three); then one row lookup per data kind, answered without
+//!   hashing when the kind's burst count is the previous tiling's
+//!   (`ti` is the innermost enumeration axis and the ofms tile does not
+//!   depend on it);
+//! * per **(tiling, scheme) group**: one bound — the floor row weighted
+//!   by the group's traffic, the same expression as a real candidate —
+//!   that decides whether the group's mappings are scored at all;
+//! * per **scored point**: four multiply-adds per coordinate
+//!   (`TileCosts::estimate`, the one place an estimate is assembled;
+//!   [`EdpModel::layer_breakdown`] goes through it too, so the sweep
+//!   and the single-point evaluator agree bit for bit) plus, under
+//!   `keep_points`, an incremental Pareto-front insert (no label
+//!   allocation; labels materialize for survivors only).
 //!
-//! The tiling axis is also *shardable*: [`DseEngine::explore_layer_range`]
+//! ## Bound-and-skip, and why it is exact
+//!
+//! The sweep returns what scoring every point in order would return —
+//! same winner, same front, same labels — while scoring almost none of
+//! them. A `(tiling, scheme)` group is skipped in two cases:
+//!
+//! * **Duplicates.** Adaptive-reuse resolves, per tiling, to one of the
+//!   concrete schemes. When that scheme (or adaptive-reuse itself) was
+//!   already swept for this tiling — it comes earlier in
+//!   [`DseConfig::schemes`] — the group's candidates repeat earlier
+//!   estimates bit for bit, and a later equal never displaces an
+//!   earlier one: the incumbent changes on strict improvement only, and
+//!   [`ParetoFront::insert`] discards a point that an existing point
+//!   ties.
+//! * **The bound.** IEEE-754 `*` and `+` round monotonically, so over
+//!   finite non-negative operands they are non-decreasing in each
+//!   operand. The floor row is `<=` every mapping's row component by
+//!   component, hence the floor's estimate has `cycles` and `energy`
+//!   `<=` those of every candidate in the group — computed value for
+//!   computed value, not merely in exact arithmetic. All four
+//!   [`Objective::score`]s are products of those two and non-negative
+//!   constants, so they are monotone in both. And every candidate of
+//!   the group follows the incumbent in sweep order, so merely tying it
+//!   is not enough under the first-of-equals rule. Therefore, when the
+//!   floor scores `>=` the incumbent, no member can become the
+//!   incumbent, and the first global minimum is never skipped. Under
+//!   `keep_points` every point would also be offered to the front, so
+//!   the test is instead that a retained front point is no worse than
+//!   the floor in both coordinates: `insert` would then discard every
+//!   member (the relation is transitive), and no member can beat the
+//!   incumbent either, which scores no worse than any scored point,
+//!   that front point included.
+//!
+//! Nothing is skipped unless every cost of the three rows, and the
+//! clock, is finite and non-negative
+//! ([`AccessCostTable::from_costs`] accepts anything) — checked once
+//! when a row is built — and a range's first group always has no
+//! incumbent, so it is always scored. On the four profiled
+//! architectures DRMap's row *is* the floor at every burst count the
+//! model zoo produces (`tests/drmap_optimality.rs` asserts it), so the
+//! bound is the exact score of the group's best member and about
+//! 99.95 % of the zoo's 4.79 M design points are skipped.
+//!
+//! [`LayerDseResult::evaluations`] counts the design points a sweep
+//! *covered* — scored, or proven unable to win — so it is the size of
+//! the swept product whatever was skipped, and stored results, wire
+//! bytes and golden digests that carry it are unaffected.
+//! [`LayerPartial::pruned`] says how many of them were skipped.
+//!
+//! ## Sharding
+//!
+//! The tiling axis is *shardable*: [`DseEngine::explore_layer_range`]
 //! explores a contiguous subrange of the tiling enumeration and returns
 //! a [`LayerPartial`] whose [`LayerPartial::merge`] is exact, so
 //! several workers can split one huge layer and reassemble a result
-//! bit-identical to the sequential sweep.
+//! bit-identical to the sequential sweep. Each range prunes against its
+//! own incumbent only; what it skips could not have won its range, let
+//! alone the layer.
 
 use core::fmt;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use drmap_cnn::layer::{DataKind, Layer};
+use drmap_cnn::layer::Layer;
 use drmap_cnn::network::Network;
 use drmap_dram::geometry::Geometry;
 use drmap_dram::profiler::{AccessCost, AccessCostTable};
 use drmap_dram::request::RequestKind;
 
 use crate::access_model::{bytes_to_bursts, counts_cost, transition_counts};
-use crate::edp::{EdpEstimate, EdpModel};
+use crate::edp::{EdpEstimate, EdpModel, TileCosts};
 use crate::error::DseError;
 use crate::mapping::MappingPolicy;
 use crate::pareto::{DesignPoint, ParetoFront};
-use crate::schedule::ReuseScheme;
+use crate::schedule::{min_traffic_index, ReuseScheme, TileTraffic};
 use crate::tiling::{count_tilings, enumerate_tilings, Tiling};
 
 /// Optimization objective for the exploration.
@@ -211,7 +281,9 @@ pub struct LayerDseResult {
     pub layer_name: String,
     /// The minimum-EDP configuration (Algorithm 1's `map`, `minEDP`).
     pub best: DseCandidate,
-    /// Number of configurations evaluated.
+    /// Number of design points covered — tilings × schemes × mappings,
+    /// each either scored or proven unable to win (see the module docs).
+    /// Independent of how many the sweep managed to skip.
     pub evaluations: usize,
     /// Pareto front over (energy, latency), if `keep_points` was set.
     pub pareto: Vec<DesignPoint>,
@@ -256,25 +328,73 @@ fn tag_label(tag: &CandidateTag) -> String {
 /// best candidate (bit-identical estimate), same evaluation count, same
 /// Pareto front — because the per-range sweeps preserve evaluation
 /// order, the best-candidate fold is associative with a
-/// first-of-equals tie-break, and [`ParetoFront::merge`] is exact.
+/// first-of-equals tie-break, and [`ParetoFront::merge`] is exact. Each
+/// range prunes against its own incumbent only, so
+/// [`LayerPartial::pruned`] depends on where the cuts fall while
+/// everything else does not.
 #[derive(Debug, Clone)]
 pub struct LayerPartial {
     objective: Objective,
     evaluations: usize,
+    pruned: usize,
     best: Option<DseCandidate>,
     front: ParetoFront<CandidateTag>,
 }
 
 impl LayerPartial {
-    /// Number of configurations this partial evaluated.
+    /// Number of design points this partial covered: tilings in range ×
+    /// schemes × mappings, whether scored or proven unable to win (see
+    /// [`LayerDseResult::evaluations`]).
     pub fn evaluations(&self) -> usize {
         self.evaluations
+    }
+
+    /// How many of [`LayerPartial::evaluations`] were skipped by the
+    /// exact bound instead of scored. Never more than `evaluations()`.
+    pub fn pruned(&self) -> usize {
+        self.pruned
     }
 
     /// Best candidate found within this partial's range, if the range
     /// was non-empty.
     pub fn best(&self) -> Option<&DseCandidate> {
         self.best.as_ref()
+    }
+
+    /// Offer one scored design point, in sweep order: it replaces the
+    /// incumbent only on a strict improvement.
+    fn offer(&mut self, estimate: EdpEstimate, tag: CandidateTag, keep_points: bool) {
+        if keep_points {
+            self.front.insert(estimate, tag);
+        }
+        let objective = self.objective;
+        let better = self
+            .best
+            .as_ref()
+            .is_none_or(|b| objective.score(&estimate) < objective.score(&b.estimate));
+        if better {
+            self.best = Some(DseCandidate {
+                mapping: tag.mapping,
+                tiling: tag.tiling,
+                scheme: tag.scheme,
+                estimate,
+            });
+        }
+    }
+
+    /// True when no design point whose cycles and energy are both `>=`
+    /// `floor`'s can change this partial if offered now (the module
+    /// docs give the argument). With a front to maintain that takes a
+    /// retained point no worse than `floor` in both coordinates;
+    /// without, an incumbent scoring no worse than `floor`.
+    fn shuts_out(&self, floor: &EdpEstimate, keep_points: bool) -> bool {
+        if keep_points {
+            self.front.covers(floor)
+        } else {
+            self.best
+                .as_ref()
+                .is_some_and(|b| self.objective.score(floor) >= self.objective.score(&b.estimate))
+        }
     }
 
     /// Fold the partial of the **next** tiling subrange into this one.
@@ -287,6 +407,7 @@ impl LayerPartial {
             "merged partials of different objectives"
         );
         self.evaluations += later.evaluations;
+        self.pruned += later.pruned;
         let objective = self.objective;
         self.best = match (self.best.take(), later.best) {
             (Some(a), Some(b)) => {
@@ -318,37 +439,146 @@ impl LayerPartial {
     }
 }
 
-/// Per-exploration memo of weighted access costs, keyed by mapping slot
-/// (position in the sweep's mapping list) and tile burst count. A layer
-/// has only a handful of distinct burst counts (three data kinds across
-/// the tiling enumeration), so the closed-form transition counting runs
-/// once per (mapping, burst count) instead of once per evaluation.
-struct CostMemo {
-    /// One `units -> (read cost, write cost)` map per mapping slot.
-    costs: Vec<HashMap<u64, (AccessCost, AccessCost)>>,
+/// Every swept mapping's per-tile cost at one burst count.
+struct CostRow {
+    /// `(read, write)` cost per mapping, in sweep order.
+    costs: Vec<(AccessCost, AccessCost)>,
+    /// The component-wise minimum of `costs`: what the cheapest mapping
+    /// would charge if one mapping were cheapest in every component (on
+    /// the profiled tables DRMap is, so the floor is DRMap's own cost).
+    floor: (AccessCost, AccessCost),
+    /// Every cost in the row is finite and non-negative — the
+    /// precondition of the bound ([`AccessCostTable::from_costs`]
+    /// accepts anything).
+    bounded: bool,
 }
 
-impl CostMemo {
-    fn new(mappings: usize) -> Self {
-        CostMemo {
-            costs: (0..mappings).map(|_| HashMap::new()).collect(),
+/// Per-sweep memo of [`CostRow`]s by burst count. A layer's tilings
+/// produce only a handful of distinct burst counts, and a row does not
+/// depend on the data kind or the scheme, so the closed-form transition
+/// counting runs once per (mapping, burst count) and the sweep does one
+/// lookup per (data kind, tiling). Each kind also remembers the row it
+/// used last: `ti` is the innermost enumeration axis and the ofms tile
+/// does not depend on it, so that check alone answers most ofms lookups.
+struct CostRows<'a> {
+    mappings: &'a [MappingPolicy],
+    geometry: &'a Geometry,
+    table: &'a AccessCostTable,
+    by_units: HashMap<u64, usize>,
+    rows: Vec<CostRow>,
+    last: [Option<(u64, usize)>; 3],
+}
+
+impl<'a> CostRows<'a> {
+    fn new(model: &'a EdpModel, mappings: &'a [MappingPolicy]) -> Self {
+        CostRows {
+            mappings,
+            geometry: model.geometry(),
+            table: model.table(),
+            by_units: HashMap::new(),
+            rows: Vec::new(),
+            last: [None; 3],
         }
     }
 
-    fn get(
-        &mut self,
-        slot: usize,
-        mapping: &MappingPolicy,
-        geometry: &Geometry,
-        table: &AccessCostTable,
-        units: u64,
-    ) -> (AccessCost, AccessCost) {
-        *self.costs[slot].entry(units).or_insert_with(|| {
-            let counts = transition_counts(mapping, geometry, units);
-            (
-                counts_cost(&counts, table, RequestKind::Read),
-                counts_cost(&counts, table, RequestKind::Write),
-            )
+    /// Index into `rows` of the row for a tile of `units` bursts, looked
+    /// up on behalf of data kind `kind` (a [`DataKind::ALL`] position).
+    fn lookup(&mut self, kind: usize, units: u64) -> usize {
+        if let Some((_, row)) = self.last[kind].filter(|&(last, _)| last == units) {
+            return row;
+        }
+        let row = match self.by_units.get(&units) {
+            Some(&row) => row,
+            None => {
+                self.rows.push(self.build(units));
+                self.by_units.insert(units, self.rows.len() - 1);
+                self.rows.len() - 1
+            }
+        };
+        self.last[kind] = Some((units, row));
+        row
+    }
+
+    fn build(&self, units: u64) -> CostRow {
+        let costs: Vec<(AccessCost, AccessCost)> = self
+            .mappings
+            .iter()
+            .map(|mapping| {
+                let counts = transition_counts(mapping, self.geometry, units);
+                (
+                    counts_cost(&counts, self.table, RequestKind::Read),
+                    counts_cost(&counts, self.table, RequestKind::Write),
+                )
+            })
+            .collect();
+        let min = |a: AccessCost, b: AccessCost| AccessCost {
+            cycles: a.cycles.min(b.cycles),
+            energy: a.energy.min(b.energy),
+        };
+        let floor = costs[1..]
+            .iter()
+            .fold(costs[0], |f, c| (min(f.0, c.0), min(f.1, c.1)));
+        // `f64::min` ignores a NaN operand, so look at every cost, not
+        // at the floor.
+        let bounded = costs
+            .iter()
+            .flat_map(|(r, w)| [r.cycles, r.energy, w.cycles, w.energy])
+            .all(|x| x.is_finite() && x >= 0.0);
+        CostRow {
+            costs,
+            floor,
+            bounded,
+        }
+    }
+}
+
+/// What the sweep hoists out of one tiling's scheme × mapping loops.
+struct TilingCosts<'r> {
+    /// Tile traffic of the three concrete schemes.
+    traffic: [TileTraffic; 3],
+    /// The position in `traffic` adaptive-reuse resolves to.
+    adaptive: usize,
+    /// Cost rows of the ifms, wghs and ofms tile.
+    rows: [&'r CostRow; 3],
+}
+
+impl<'r> TilingCosts<'r> {
+    fn hoist(model: &EdpModel, rows: &'r mut CostRows<'_>, layer: &Layer, tiling: &Tiling) -> Self {
+        let traffic_model = model.traffic_model();
+        let traffic = traffic_model.concrete_traffic(layer, tiling);
+        let tile_bytes = traffic_model.tile_bytes(layer, tiling);
+        let mut found = [0usize; 3];
+        for (kind, bytes) in tile_bytes.into_iter().enumerate() {
+            found[kind] = rows.lookup(kind, bytes_to_bursts(bytes, model.geometry()));
+        }
+        let rows: &'r CostRows<'_> = rows;
+        TilingCosts {
+            traffic,
+            adaptive: min_traffic_index(&traffic, tile_bytes),
+            rows: found.map(|row| &rows.rows[row]),
+        }
+    }
+
+    /// Per-tile costs under the mapping in sweep position `slot`.
+    fn of_mapping(&self, slot: usize) -> TileCosts {
+        let [ifms, wghs, ofms] = self.rows;
+        TileCosts {
+            ifms_read: ifms.costs[slot].0,
+            wghs_read: wghs.costs[slot].0,
+            ofms_read: ofms.costs[slot].0,
+            ofms_write: ofms.costs[slot].1,
+        }
+    }
+
+    /// Per-tile costs no swept mapping undercuts in any component, or
+    /// `None` when a row cannot serve as a bound.
+    fn floor(&self) -> Option<TileCosts> {
+        let [ifms, wghs, ofms] = self.rows;
+        (ifms.bounded && wghs.bounded && ofms.bounded).then_some(TileCosts {
+            ifms_read: ifms.floor.0,
+            wghs_read: wghs.floor.0,
+            ofms_read: ofms.floor.0,
+            ofms_write: ofms.floor.1,
         })
     }
 }
@@ -422,25 +652,16 @@ impl DseEngine {
         scheme: ReuseScheme,
         mapping: &MappingPolicy,
     ) -> Result<DseCandidate, DseError> {
-        let acc = *self.model.traffic_model().accelerator();
-        let tilings = enumerate_tilings(layer, &acc)?;
-        let objective = self.config.objective;
-        let mut best: Option<DseCandidate> = None;
-        for tiling in tilings {
-            let estimate = self.evaluate(layer, &tiling, scheme, mapping);
-            let better = best
-                .as_ref()
-                .is_none_or(|b| objective.score(&estimate) < objective.score(&b.estimate));
-            if better {
-                best = Some(DseCandidate {
-                    mapping: *mapping,
-                    tiling,
-                    scheme,
-                    estimate,
-                });
-            }
-        }
-        best.ok_or_else(|| DseError::new("no feasible tiling"))
+        let tilings = enumerate_tilings(layer, self.model.traffic_model().accelerator())?;
+        self.sweep(
+            layer,
+            &tilings,
+            &[scheme],
+            std::slice::from_ref(mapping),
+            false,
+        )
+        .best
+        .ok_or_else(|| DseError::new("no feasible tiling"))
     }
 
     /// Number of feasible tilings of `layer` under this engine's
@@ -509,79 +730,67 @@ impl DseEngine {
         if self.config.schemes.is_empty() || self.config.mappings.is_empty() {
             return Err(DseError::new("empty scheme or mapping sweep"));
         }
-        let acc = *self.model.traffic_model().accelerator();
         let start = tiling_range.start.min(tilings.len());
         let end = tiling_range.end.min(tilings.len()).max(start);
-        let objective = self.config.objective;
-        let keep_points = self.config.keep_points;
-        let geometry = *self.model.geometry();
-        let table = self.model.table();
-        let traffic_model = self.model.traffic_model();
-        let mut memo = CostMemo::new(self.config.mappings.len());
-        let mut best: Option<DseCandidate> = None;
-        let mut evaluations = 0usize;
-        let mut front = ParetoFront::new();
-        for tiling in &tilings[start..end] {
-            // Hoisted per tiling: tile footprints in DRAM bursts.
-            let units = [
-                bytes_to_bursts(tiling.tile_bytes(layer, &acc, DataKind::Ifms), &geometry),
-                bytes_to_bursts(tiling.tile_bytes(layer, &acc, DataKind::Wghs), &geometry),
-                bytes_to_bursts(tiling.tile_bytes(layer, &acc, DataKind::Ofms), &geometry),
-            ];
-            for &scheme in &self.config.schemes {
-                // Hoisted per (tiling, scheme): adaptive resolution and
-                // tile-fetch counts — neither depends on the mapping.
-                let (_, traffic) = traffic_model.resolved_traffic(layer, tiling, scheme);
-                for (slot, mapping) in self.config.mappings.iter().enumerate() {
-                    let (ifms_read, _) = memo.get(slot, mapping, &geometry, table, units[0]);
-                    let (wghs_read, _) = memo.get(slot, mapping, &geometry, table, units[1]);
-                    let (ofms_read, ofms_write) =
-                        memo.get(slot, mapping, &geometry, table, units[2]);
-                    // Same accumulation order as EdpModel::layer_breakdown,
-                    // term by term, so estimates stay bit-identical to the
-                    // unmemoized path.
-                    let estimate = EdpEstimate {
-                        cycles: ifms_read.cycles * traffic.ifms_loads as f64
-                            + wghs_read.cycles * traffic.wghs_loads as f64
-                            + ofms_read.cycles * traffic.ofms_loads as f64
-                            + ofms_write.cycles * traffic.ofms_stores as f64,
-                        energy: ifms_read.energy * traffic.ifms_loads as f64
-                            + wghs_read.energy * traffic.wghs_loads as f64
-                            + ofms_read.energy * traffic.ofms_loads as f64
-                            + ofms_write.energy * traffic.ofms_stores as f64,
-                        t_ck_ns: table.t_ck_ns,
+        Ok(self.sweep(
+            layer,
+            &tilings[start..end],
+            &self.config.schemes,
+            &self.config.mappings,
+            self.config.keep_points,
+        ))
+    }
+
+    /// The evaluation pipeline of the module docs: `tilings` × `schemes`
+    /// × `mappings` (`mappings` non-empty) in that nesting order, under
+    /// this engine's objective.
+    fn sweep(
+        &self,
+        layer: &Layer,
+        tilings: &[Tiling],
+        schemes: &[ReuseScheme],
+        mappings: &[MappingPolicy],
+        keep_points: bool,
+    ) -> LayerPartial {
+        let t_ck_ns = self.model.table().t_ck_ns;
+        // A negative or NaN clock would break the scores' monotonicity.
+        let clock_bounded = t_ck_ns.is_finite() && t_ck_ns >= 0.0;
+        let mut rows = CostRows::new(&self.model, mappings);
+        let mut partial = LayerPartial {
+            objective: self.config.objective,
+            evaluations: 0,
+            pruned: 0,
+            best: None,
+            front: ParetoFront::new(),
+        };
+        for tiling in tilings {
+            let costs = TilingCosts::hoist(&self.model, &mut rows, layer, tiling);
+            let floor = costs.floor().filter(|_| clock_bounded);
+            // Concrete schemes this tiling's earlier groups covered.
+            let mut covered = [false; 3];
+            for &scheme in schemes {
+                let concrete = scheme.concrete_index().unwrap_or(costs.adaptive);
+                let traffic = &costs.traffic[concrete];
+                partial.evaluations += mappings.len();
+                let duplicate = std::mem::replace(&mut covered[concrete], true);
+                if floor.is_some_and(|floor| {
+                    duplicate || partial.shuts_out(&floor.estimate(traffic, t_ck_ns), keep_points)
+                }) {
+                    partial.pruned += mappings.len();
+                    continue;
+                }
+                for (slot, mapping) in mappings.iter().enumerate() {
+                    let tag = CandidateTag {
+                        mapping: *mapping,
+                        scheme,
+                        tiling: *tiling,
                     };
-                    evaluations += 1;
-                    if keep_points {
-                        front.insert(
-                            estimate,
-                            CandidateTag {
-                                mapping: *mapping,
-                                scheme,
-                                tiling: *tiling,
-                            },
-                        );
-                    }
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|b| objective.score(&estimate) < objective.score(&b.estimate));
-                    if better {
-                        best = Some(DseCandidate {
-                            mapping: *mapping,
-                            tiling: *tiling,
-                            scheme,
-                            estimate,
-                        });
-                    }
+                    let estimate = costs.of_mapping(slot).estimate(traffic, t_ck_ns);
+                    partial.offer(estimate, tag, keep_points);
                 }
             }
         }
-        Ok(LayerPartial {
-            objective,
-            evaluations,
-            best,
-            front,
-        })
+        partial
     }
 
     /// Algorithm 1 for a whole network: layers are claimed from a shared
@@ -644,7 +853,11 @@ impl DseEngine {
 }
 
 #[cfg(test)]
+mod exactness;
+
+#[cfg(test)]
 mod tests {
+    use super::exactness::{assert_results_bit_identical, explore_in_ranges, naive_explore};
     use super::*;
     use drmap_cnn::accelerator::AcceleratorConfig;
     use drmap_dram::geometry::Geometry;
@@ -868,70 +1081,6 @@ mod tests {
         assert_eq!(Objective::from_label("bogus"), None);
     }
 
-    /// The pre-pipeline sweep, re-derived from the public single-point
-    /// evaluator: the reference the hoisted/memoized hot loop must match
-    /// bit for bit.
-    fn naive_explore(e: &DseEngine, layer: &Layer) -> LayerDseResult {
-        let acc = *e.model().traffic_model().accelerator();
-        let tilings = enumerate_tilings(layer, &acc).unwrap();
-        let objective = e.config().objective;
-        let mut best: Option<DseCandidate> = None;
-        let mut evaluations = 0usize;
-        let mut points = Vec::new();
-        for tiling in &tilings {
-            for &scheme in &e.config().schemes {
-                for mapping in &e.config().mappings {
-                    let estimate = e.evaluate(layer, tiling, scheme, mapping);
-                    evaluations += 1;
-                    if e.config().keep_points {
-                        points.push(crate::pareto::DesignPoint::new(
-                            format!("{} | {} | {}", mapping.name(), scheme, tiling),
-                            estimate,
-                        ));
-                    }
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|b| objective.score(&estimate) < objective.score(&b.estimate));
-                    if better {
-                        best = Some(DseCandidate {
-                            mapping: *mapping,
-                            tiling: *tiling,
-                            scheme,
-                            estimate,
-                        });
-                    }
-                }
-            }
-        }
-        LayerDseResult {
-            layer_name: layer.name.clone(),
-            best: best.unwrap(),
-            evaluations,
-            pareto: crate::pareto::pareto_front(&points),
-        }
-    }
-
-    fn assert_results_bit_identical(a: &LayerDseResult, b: &LayerDseResult) {
-        assert_eq!(a.best.mapping, b.best.mapping);
-        assert_eq!(a.best.scheme, b.best.scheme);
-        assert_eq!(a.best.tiling, b.best.tiling);
-        assert_eq!(
-            a.best.estimate.cycles.to_bits(),
-            b.best.estimate.cycles.to_bits()
-        );
-        assert_eq!(
-            a.best.estimate.energy.to_bits(),
-            b.best.estimate.energy.to_bits()
-        );
-        assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.pareto.len(), b.pareto.len());
-        for (p, q) in a.pareto.iter().zip(&b.pareto) {
-            assert_eq!(p.label, q.label);
-            assert_eq!(p.estimate.cycles.to_bits(), q.estimate.cycles.to_bits());
-            assert_eq!(p.estimate.energy.to_bits(), q.estimate.energy.to_bits());
-        }
-    }
-
     #[test]
     fn pipelined_sweep_matches_naive_evaluation_bit_exactly() {
         for objective in Objective::ALL {
@@ -961,21 +1110,7 @@ mod tests {
         let n = e.tiling_count(&layer).unwrap();
         assert!(n > 3, "need a non-trivial enumeration, got {n}");
         for cuts in [vec![n / 2], vec![1, n - 1], vec![n / 3, 2 * n / 3], vec![]] {
-            let mut bounds = vec![0usize];
-            bounds.extend(cuts);
-            bounds.push(n);
-            let mut merged: Option<LayerPartial> = None;
-            for pair in bounds.windows(2) {
-                let partial = e.explore_layer_range(&layer, pair[0]..pair[1]).unwrap();
-                merged = Some(match merged {
-                    None => partial,
-                    Some(mut m) => {
-                        m.merge(partial);
-                        m
-                    }
-                });
-            }
-            let merged = merged.unwrap().into_result(layer.name.clone());
+            let merged = explore_in_ranges(&e, &layer, &cuts).into_result(layer.name.clone());
             assert_results_bit_identical(&merged, &whole);
         }
     }

@@ -1,0 +1,444 @@
+//! The sweep against its reference: [`naive_explore`] scores every
+//! design point through the public single-point evaluator, in sweep
+//! order, with no hoisting, memo or skipping. Whatever the pipeline
+//! hoists or skips, it must return the same result bit for bit.
+
+use drmap_cnn::accelerator::AcceleratorConfig;
+use drmap_cnn::network::Network;
+use drmap_dram::profiler::Profiler;
+use drmap_dram::timing::DramArch;
+use proptest::prelude::*;
+
+use super::*;
+use crate::pareto::pareto_front;
+
+/// The reference sweep: per-evaluation [`DseEngine::evaluate`] calls
+/// (schedule resolution and transition counting from scratch each
+/// time), a label per point, batch Pareto extraction at the end.
+pub(super) fn naive_explore(e: &DseEngine, layer: &Layer) -> LayerDseResult {
+    let acc = *e.model().traffic_model().accelerator();
+    let tilings = enumerate_tilings(layer, &acc).unwrap();
+    let objective = e.config().objective;
+    let mut best: Option<DseCandidate> = None;
+    let mut evaluations = 0usize;
+    let mut points = Vec::new();
+    for tiling in &tilings {
+        for &scheme in &e.config().schemes {
+            for mapping in &e.config().mappings {
+                let estimate = e.evaluate(layer, tiling, scheme, mapping);
+                evaluations += 1;
+                if e.config().keep_points {
+                    points.push(DesignPoint::new(
+                        format!("{} | {} | {}", mapping.name(), scheme, tiling),
+                        estimate,
+                    ));
+                }
+                let better = best
+                    .as_ref()
+                    .is_none_or(|b| objective.score(&estimate) < objective.score(&b.estimate));
+                if better {
+                    best = Some(DseCandidate {
+                        mapping: *mapping,
+                        tiling: *tiling,
+                        scheme,
+                        estimate,
+                    });
+                }
+            }
+        }
+    }
+    LayerDseResult {
+        layer_name: layer.name.clone(),
+        best: best.unwrap(),
+        evaluations,
+        pareto: pareto_front(&points),
+    }
+}
+
+pub(super) fn assert_results_bit_identical(a: &LayerDseResult, b: &LayerDseResult) {
+    assert_eq!(a.best.mapping, b.best.mapping);
+    assert_eq!(a.best.scheme, b.best.scheme);
+    assert_eq!(a.best.tiling, b.best.tiling);
+    assert_eq!(
+        a.best.estimate.cycles.to_bits(),
+        b.best.estimate.cycles.to_bits()
+    );
+    assert_eq!(
+        a.best.estimate.energy.to_bits(),
+        b.best.estimate.energy.to_bits()
+    );
+    assert_eq!(a.evaluations, b.evaluations);
+    assert_eq!(a.pareto.len(), b.pareto.len());
+    for (p, q) in a.pareto.iter().zip(&b.pareto) {
+        assert_eq!(p.label, q.label);
+        assert_eq!(p.estimate.cycles.to_bits(), q.estimate.cycles.to_bits());
+        assert_eq!(p.estimate.energy.to_bits(), q.estimate.energy.to_bits());
+    }
+}
+
+/// Explore `0..n` in the ranges `cuts` delimits and merge in order.
+pub(super) fn explore_in_ranges(e: &DseEngine, layer: &Layer, cuts: &[usize]) -> LayerPartial {
+    let n = e.tiling_count(layer).unwrap();
+    let mut bounds = vec![0];
+    bounds.extend(cuts);
+    bounds.push(n);
+    let mut merged: Option<LayerPartial> = None;
+    for pair in bounds.windows(2) {
+        let partial = e.explore_layer_range(layer, pair[0]..pair[1]).unwrap();
+        assert!(partial.pruned() <= partial.evaluations());
+        merged = Some(match merged {
+            None => partial,
+            Some(mut earlier) => {
+                earlier.merge(partial);
+                earlier
+            }
+        });
+    }
+    merged.unwrap()
+}
+
+// ---------------------------------------------------------------------
+// Random sweeps
+// ---------------------------------------------------------------------
+
+/// Conv (strided or not), grouped conv, or FC — small enough that the
+/// naive sweep stays cheap, varied enough that tile sizes cross row and
+/// bank boundaries.
+fn layer_strategy() -> impl Strategy<Value = Layer> {
+    prop_oneof![
+        (
+            1usize..20,
+            1usize..20,
+            1usize..160,
+            1usize..160,
+            1usize..6,
+            1usize..4
+        )
+            .prop_map(|(h, w, j, i, p, stride)| Layer::conv("conv", h, w, j, i, p, p, stride)),
+        (2usize..14, 1usize..40, 1usize..40, 1usize..4, 1usize..4).prop_map(
+            |(hw, j, i, p, log_groups)| {
+                let groups = 1 << log_groups;
+                Layer::conv_grouped("grouped", hw, hw, j * groups, i * groups, p, p, 1, groups)
+            }
+        ),
+        (1usize..5000, 1usize..1200).prop_map(|(i, j)| Layer::fully_connected("fc", i, j)),
+    ]
+}
+
+/// Table II's accelerator with the batch and each buffer redrawn; the
+/// smallest buffers still hold one 5×5 patch, so a tiling always fits.
+fn accelerator_strategy() -> impl Strategy<Value = AcceleratorConfig> {
+    (1usize..5, 6usize..17, 6usize..17, 6usize..17).prop_map(|(batch, ib, wb, ob)| {
+        AcceleratorConfig {
+            batch,
+            ifms_buffer: 1 << ib,
+            wghs_buffer: 1 << wb,
+            ofms_buffer: 1 << ob,
+            ..AcceleratorConfig::table_ii()
+        }
+    })
+}
+
+fn cost(cycles: f64, nj: f64) -> AccessCost {
+    AccessCost {
+        cycles,
+        energy: nj * 1e-9,
+    }
+}
+
+/// Cost tables the profiler would never produce next to one it would.
+fn table_strategy() -> impl Strategy<Value = AccessCostTable> {
+    let table = |read, write| AccessCostTable::from_costs(DramArch::Ddr3, read, write, 1.25);
+    let random_costs = || {
+        prop::collection::vec((0.0f64..50.0, 0.0f64..10.0), 8..9).prop_map(|c| {
+            let c: Vec<AccessCost> = c.into_iter().map(|(cy, nj)| cost(cy, nj)).collect();
+            ([c[0], c[1], c[2], c[3]], [c[4], c[5], c[6], c[7]])
+        })
+    };
+    prop_oneof![
+        // Hardware-like: columns cheapest, rows dearest.
+        Just(table(
+            [
+                cost(4.2, 1.2),
+                cost(6.0, 2.0),
+                cost(40.0, 5.5),
+                cost(42.0, 5.8)
+            ],
+            [
+                cost(4.2, 1.1),
+                cost(6.5, 2.1),
+                cost(44.0, 5.6),
+                cost(46.0, 5.9)
+            ],
+        )),
+        // Flat: every mapping of a group ties, and so do many tilings —
+        // first-of-equals decides everything.
+        Just(table([cost(2.0, 1.0); 4], [cost(2.0, 1.0); 4])),
+        // Free: every point scores zero.
+        Just(table([cost(0.0, 0.0); 4], [cost(0.0, 0.0); 4])),
+        // No ordering between the classes, reads and writes unrelated:
+        // no single mapping's row is the floor.
+        random_costs().prop_map(move |(read, write)| table(read, write)),
+        // The same with free classes mixed in.
+        (random_costs(), 0usize..256).prop_map(move |((mut read, mut write), zeroed)| {
+            for bit in 0..4 {
+                if zeroed >> bit & 1 == 1 {
+                    read[bit] = cost(0.0, 0.0);
+                }
+                if zeroed >> (bit + 4) & 1 == 1 {
+                    write[bit] = cost(0.0, 0.0);
+                }
+            }
+            table(read, write)
+        }),
+        // A negative cost: the rows it drives below zero are no bound.
+        random_costs().prop_map(move |(mut read, write)| {
+            read[1] = cost(-3.0, 1.0);
+            table(read, write)
+        }),
+    ]
+}
+
+/// Permuted, reduced and repeated scheme lists, adaptive-reuse first,
+/// last, alone or absent.
+fn schemes_strategy() -> impl Strategy<Value = Vec<ReuseScheme>> {
+    use ReuseScheme::{AdaptiveReuse, IfmsReuse, OfmsReuse, WghsReuse};
+    prop_oneof![
+        Just(ReuseScheme::ALL.to_vec()),
+        Just(vec![AdaptiveReuse, IfmsReuse, WghsReuse, OfmsReuse]),
+        Just(vec![AdaptiveReuse]),
+        Just(vec![OfmsReuse, AdaptiveReuse, OfmsReuse, AdaptiveReuse]),
+        prop::collection::vec(0usize..4, 1..6)
+            .prop_map(|picks| picks.into_iter().map(|i| ReuseScheme::ALL[i]).collect()),
+    ]
+}
+
+/// Table I in any order, thinned (so DRMap is often absent) or with an
+/// arbitrary permutation policy mixed in.
+fn mappings_strategy() -> impl Strategy<Value = Vec<MappingPolicy>> {
+    prop_oneof![
+        Just(MappingPolicy::table_i().to_vec()),
+        prop::collection::vec(0usize..6, 1..7).prop_map(|picks| picks
+            .into_iter()
+            .map(|i| MappingPolicy::table_i()[i])
+            .collect()),
+        prop::collection::vec(0usize..24, 1..5).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|i| MappingPolicy::all_permutations()[i])
+                .collect()
+        }),
+    ]
+}
+
+fn engine_strategy() -> impl Strategy<Value = DseEngine> {
+    (
+        (table_strategy(), accelerator_strategy()),
+        schemes_strategy(),
+        mappings_strategy(),
+        0usize..4,
+        prop::bool::ANY,
+    )
+        .prop_map(
+            |((table, acc), schemes, mappings, objective, keep_points)| {
+                DseEngine::new(
+                    EdpModel::new(Geometry::salp_2gb_x8(), table, acc),
+                    DseConfig {
+                        schemes,
+                        mappings,
+                        keep_points,
+                        objective: Objective::ALL[objective],
+                    },
+                )
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Winner, count, front points and labels match the reference, for
+    /// the whole sweep and for randomly cut ranges merged in order.
+    #[test]
+    fn sweep_matches_naive_reference_bit_for_bit(
+        e in engine_strategy(),
+        layer in layer_strategy(),
+        cuts in prop::collection::vec(0.0f64..1.0, 0..4),
+    ) {
+        let naive = naive_explore(&e, &layer);
+        let whole = e.explore_layer(&layer).unwrap();
+        assert_results_bit_identical(&whole, &naive);
+
+        let n = e.tiling_count(&layer).unwrap();
+        let mut cuts: Vec<usize> = cuts.iter().map(|f| (f * n as f64) as usize).collect();
+        cuts.sort_unstable();
+        let merged = explore_in_ranges(&e, &layer, &cuts);
+        prop_assert!(merged.pruned() <= merged.evaluations());
+        assert_results_bit_identical(&merged.into_result(layer.name.clone()), &naive);
+    }
+
+    /// The bound is a bound: whatever group the sweep may skip, the
+    /// floor row's estimate — and so its score under every objective —
+    /// never exceeds a member's.
+    #[test]
+    fn floor_estimate_never_exceeds_a_member(
+        e in engine_strategy(),
+        layer in layer_strategy(),
+    ) {
+        let acc = *e.model().traffic_model().accelerator();
+        let t_ck_ns = e.model().table().t_ck_ns;
+        let mappings = &e.config().mappings;
+        let mut rows = CostRows::new(e.model(), mappings);
+        for tiling in enumerate_tilings(&layer, &acc).unwrap().iter().step_by(7) {
+            let costs = TilingCosts::hoist(e.model(), &mut rows, &layer, tiling);
+            let Some(floor) = costs.floor() else { continue };
+            for (scheme, traffic) in ReuseScheme::CONCRETE.into_iter().zip(&costs.traffic) {
+                let bound = floor.estimate(traffic, t_ck_ns);
+                for mapping in mappings {
+                    let member = e.evaluate(&layer, tiling, scheme, mapping);
+                    prop_assert!(bound.cycles <= member.cycles && bound.energy <= member.energy);
+                    for objective in Objective::ALL {
+                        prop_assert!(objective.score(&bound) <= objective.score(&member));
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The gates of the bound
+// ---------------------------------------------------------------------
+
+fn conv3() -> Layer {
+    Layer::conv("CONV3", 13, 13, 384, 256, 3, 3, 1)
+}
+
+fn engine_on(table: AccessCostTable, config: DseConfig) -> DseEngine {
+    let model = EdpModel::new(
+        Geometry::salp_2gb_x8(),
+        table,
+        AcceleratorConfig::table_ii(),
+    );
+    DseEngine::new(model, config)
+}
+
+#[test]
+fn rows_the_bound_cannot_trust_disable_every_skip() {
+    // Every tile opens with one `dif_rows` access, so an unusable
+    // `dif_rows` read cost makes every row unusable; so does the clock.
+    let good = [
+        cost(4.0, 1.0),
+        cost(6.0, 2.0),
+        cost(40.0, 5.0),
+        cost(42.0, 6.0),
+    ];
+    for (dif_rows, t_ck_ns) in [
+        (cost(-1e9, 1.0), 1.25),
+        (cost(f64::INFINITY, 1.0), 1.25),
+        (cost(42.0, f64::NAN), 1.25),
+        (cost(42.0, 6.0), -1.25),
+        (cost(42.0, 6.0), f64::NAN),
+    ] {
+        let mut read = good;
+        read[3] = dif_rows;
+        let table = AccessCostTable::from_costs(DramArch::Ddr3, read, good, t_ck_ns);
+        let partial = engine_on(table, DseConfig::default())
+            .explore_layer_range(&conv3(), 0..usize::MAX)
+            .unwrap();
+        assert_eq!(partial.pruned(), 0, "{dif_rows:?} at t_ck {t_ck_ns}");
+        assert!(partial.evaluations() > 0);
+    }
+}
+
+#[test]
+fn duplicate_groups_and_bounded_groups_are_counted_but_not_scored() {
+    let table = AccessCostTable::from_costs(
+        DramArch::Ddr3,
+        [
+            cost(4.0, 1.0),
+            cost(6.0, 2.0),
+            cost(40.0, 5.0),
+            cost(42.0, 6.0),
+        ],
+        [
+            cost(4.0, 1.0),
+            cost(6.0, 2.0),
+            cost(40.0, 5.0),
+            cost(42.0, 6.0),
+        ],
+        1.25,
+    );
+    let layer = conv3();
+    let sweep = |schemes: Vec<ReuseScheme>, keep_points| {
+        let e = engine_on(
+            table.clone(),
+            DseConfig {
+                schemes,
+                keep_points,
+                ..DseConfig::default()
+            },
+        );
+        let n = e.tiling_count(&layer).unwrap();
+        (n, e.explore_layer_range(&layer, 0..n).unwrap())
+    };
+    // The default sweep skips at least every adaptive group (it follows
+    // the scheme it resolves to) and covers the whole product.
+    for keep_points in [false, true] {
+        let (n, partial) = sweep(ReuseScheme::ALL.to_vec(), keep_points);
+        assert_eq!(partial.evaluations(), n * 4 * 6);
+        assert!(partial.pruned() >= n * 6);
+        assert!(partial.pruned() < partial.evaluations());
+    }
+    // Adaptive-reuse alone duplicates nothing: its first group is
+    // scored, and it wins under its own label.
+    let (n, alone) = sweep(vec![ReuseScheme::AdaptiveReuse], false);
+    assert_eq!(alone.evaluations(), n * 6);
+    assert!(alone.pruned() <= (n - 1) * 6);
+    assert_eq!(alone.best().unwrap().scheme, ReuseScheme::AdaptiveReuse);
+}
+
+// ---------------------------------------------------------------------
+// The model zoo on the profiled tables
+// ---------------------------------------------------------------------
+
+/// Pipelined vs naive on every layer of `networks`, on all four
+/// profiled architectures, with and without the Pareto front.
+fn assert_zoo_identity(networks: &[Network]) {
+    let profiler = Profiler::table_ii().unwrap();
+    for arch in DramArch::ALL {
+        let table = profiler.cost_table(arch);
+        for keep_points in [false, true] {
+            let e = engine_on(
+                table.clone(),
+                DseConfig {
+                    keep_points,
+                    ..DseConfig::default()
+                },
+            );
+            for layer in networks.iter().flat_map(Network::layers) {
+                assert_results_bit_identical(
+                    &e.explore_layer(layer).unwrap(),
+                    &naive_explore(&e, layer),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn alexnet_and_tiny_match_naive_on_every_architecture() {
+    assert_zoo_identity(&[Network::alexnet(), Network::tiny()]);
+}
+
+/// The whole zoo: minutes in a debug build, so CI's `dse-hot` job runs
+/// it in release (`cargo test --release -p drmap-core -- --ignored`).
+#[test]
+#[ignore = "full zoo x 4 architectures x keep_points against the naive sweep; run in release"]
+fn full_zoo_matches_naive_on_every_architecture() {
+    let zoo: Vec<Network> = Network::zoo()
+        .into_iter()
+        .map(|(_, build)| build())
+        .collect();
+    assert_zoo_identity(&zoo);
+}

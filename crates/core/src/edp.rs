@@ -6,12 +6,12 @@ use core::fmt;
 use drmap_cnn::accelerator::AcceleratorConfig;
 use drmap_cnn::layer::{DataKind, Layer};
 use drmap_dram::geometry::Geometry;
-use drmap_dram::profiler::AccessCostTable;
+use drmap_dram::profiler::{AccessCost, AccessCostTable};
 use drmap_dram::request::RequestKind;
 
 use crate::access_model::{bytes_to_bursts, tile_cost};
 use crate::mapping::MappingPolicy;
-use crate::schedule::{ReuseScheme, TrafficModel};
+use crate::schedule::{ReuseScheme, TileTraffic, TrafficModel};
 use crate::tiling::Tiling;
 
 /// Estimated DRAM cost of processing one layer (or network) — latency,
@@ -138,38 +138,71 @@ impl EdpModel {
         let concrete = self.traffic.resolve_adaptive(layer, tiling, scheme);
         let traffic = self.traffic.traffic(layer, tiling, concrete);
 
-        let units =
-            |kind: DataKind| bytes_to_bursts(tiling.tile_bytes(layer, acc, kind), &self.geometry);
         let per_tile = |kind: DataKind, dir: RequestKind| {
-            tile_cost(mapping, &self.geometry, units(kind), &self.table, dir)
+            let units = bytes_to_bursts(tiling.tile_bytes(layer, acc, kind), &self.geometry);
+            tile_cost(mapping, &self.geometry, units, &self.table, dir)
         };
-        let component = |kind: DataKind, dir: RequestKind, tiles: u64| {
-            let c = per_tile(kind, dir);
-            CostComponent {
-                cycles: c.cycles * tiles as f64,
-                energy: c.energy * tiles as f64,
-                tiles,
-            }
-        };
-
-        let ifms = component(DataKind::Ifms, RequestKind::Read, traffic.ifms_loads);
-        let wghs = component(DataKind::Wghs, RequestKind::Read, traffic.wghs_loads);
-        let ofms_reads = component(DataKind::Ofms, RequestKind::Read, traffic.ofms_loads);
-        let ofms_writes = component(DataKind::Ofms, RequestKind::Write, traffic.ofms_stores);
-
-        let total = EdpEstimate {
-            cycles: ifms.cycles + wghs.cycles + ofms_reads.cycles + ofms_writes.cycles,
-            energy: ifms.energy + wghs.energy + ofms_reads.energy + ofms_writes.energy,
-            t_ck_ns: self.table.t_ck_ns,
-        };
+        let components = TileCosts {
+            ifms_read: per_tile(DataKind::Ifms, RequestKind::Read),
+            wghs_read: per_tile(DataKind::Wghs, RequestKind::Read),
+            ofms_read: per_tile(DataKind::Ofms, RequestKind::Read),
+            ofms_write: per_tile(DataKind::Ofms, RequestKind::Write),
+        }
+        .components(&traffic);
+        let [ifms, wghs, ofms_reads, ofms_writes] = components;
         LayerBreakdown {
             ifms,
             wghs,
             ofms_reads,
             ofms_writes,
             resolved_scheme: concrete,
-            total,
+            total: total(&components, self.table.t_ck_ns),
         }
+    }
+}
+
+/// What moving one tile of each traffic class costs under one mapping
+/// (or, for the sweep's bound, the cheapest any swept mapping charges).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileCosts {
+    pub(crate) ifms_read: AccessCost,
+    pub(crate) wghs_read: AccessCost,
+    pub(crate) ofms_read: AccessCost,
+    pub(crate) ofms_write: AccessCost,
+}
+
+impl TileCosts {
+    /// Per-tile costs weighted by the schedule's tile counts: ifms,
+    /// wghs, ofms reads, ofms writes.
+    pub(crate) fn components(&self, traffic: &TileTraffic) -> [CostComponent; 4] {
+        let weigh = |per_tile: AccessCost, tiles: u64| CostComponent {
+            cycles: per_tile.cycles * tiles as f64,
+            energy: per_tile.energy * tiles as f64,
+            tiles,
+        };
+        [
+            weigh(self.ifms_read, traffic.ifms_loads),
+            weigh(self.wghs_read, traffic.wghs_loads),
+            weigh(self.ofms_read, traffic.ofms_loads),
+            weigh(self.ofms_write, traffic.ofms_stores),
+        ]
+    }
+
+    /// The estimate of one design point. [`EdpModel::layer_breakdown`]
+    /// and every point and bound of the DSE sweep are assembled by
+    /// these same two steps, term for term, so they agree bit for bit.
+    pub(crate) fn estimate(&self, traffic: &TileTraffic, t_ck_ns: f64) -> EdpEstimate {
+        total(&self.components(traffic), t_ck_ns)
+    }
+}
+
+/// Sum the four traffic classes, in [`TileCosts::components`] order.
+fn total(components: &[CostComponent; 4], t_ck_ns: f64) -> EdpEstimate {
+    let [ifms, wghs, ofms_reads, ofms_writes] = components;
+    EdpEstimate {
+        cycles: ifms.cycles + wghs.cycles + ofms_reads.cycles + ofms_writes.cycles,
+        energy: ifms.energy + wghs.energy + ofms_reads.energy + ofms_writes.energy,
+        t_ck_ns,
     }
 }
 
@@ -222,7 +255,6 @@ impl LayerBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drmap_dram::profiler::AccessCost;
     use drmap_dram::timing::DramArch;
 
     fn flat_table(cycles: f64, energy: f64) -> AccessCostTable {

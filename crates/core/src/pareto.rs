@@ -133,17 +133,23 @@ impl<T> ParetoFront<T> {
     /// equal points survives. Otherwise the point joins the front and
     /// every existing point it weakly dominates is removed.
     pub fn insert(&mut self, estimate: EdpEstimate, tag: T) -> bool {
-        if self
-            .points
-            .iter()
-            .any(|(e, _)| e.energy <= estimate.energy && e.cycles <= estimate.cycles)
-        {
+        if self.covers(&estimate) {
             return false;
         }
         self.points
             .retain(|(e, _)| !(estimate.energy <= e.energy && estimate.cycles <= e.cycles));
         self.points.push((estimate, tag));
         true
+    }
+
+    /// True if a retained point is no worse than `estimate` in both
+    /// energy and cycles: [`ParetoFront::insert`] would discard it, and
+    /// — the relation being transitive — any point no better than it
+    /// in either coordinate.
+    pub fn covers(&self, estimate: &EdpEstimate) -> bool {
+        self.points
+            .iter()
+            .any(|(e, _)| e.energy <= estimate.energy && e.cycles <= estimate.cycles)
     }
 
     /// Fold a front built over a *later* subrange of the same sweep

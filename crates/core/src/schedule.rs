@@ -116,6 +116,13 @@ impl ReuseScheme {
         }
     }
 
+    /// Position of a concrete scheme in [`ReuseScheme::CONCRETE`] — the
+    /// index into [`TrafficModel::concrete_traffic`]'s output — or `None`
+    /// for [`ReuseScheme::AdaptiveReuse`].
+    pub(crate) fn concrete_index(self) -> Option<usize> {
+        ReuseScheme::CONCRETE.iter().position(|&s| s == self)
+    }
+
     /// Label used in figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -152,6 +159,14 @@ impl TileTraffic {
     /// Total tile movements.
     pub fn total_tiles(&self) -> u64 {
         self.ifms_loads + self.wghs_loads + self.ofms_loads + self.ofms_stores
+    }
+
+    /// Total bytes moved when one tile of each kind is `tile_bytes` long
+    /// ([`DataKind::ALL`] order: ifms, wghs, ofms).
+    pub(crate) fn bytes(&self, tile_bytes: [u64; 3]) -> u64 {
+        self.ifms_loads * tile_bytes[0]
+            + self.wghs_loads * tile_bytes[1]
+            + (self.ofms_loads + self.ofms_stores) * tile_bytes[2]
     }
 }
 
@@ -235,6 +250,57 @@ impl TrafficModel {
             .product()
     }
 
+    /// Tile traffic of the three concrete schemes, in
+    /// [`ReuseScheme::CONCRETE`] order, from one [`Tiling::steps`] call.
+    ///
+    /// These are the module docs' reuse rules worked out per loop order
+    /// ([`TrafficModel::distinct_tiles`] × [`TrafficModel::refetch_factor`]
+    /// derive the same numbers loop by loop and are the test oracle).
+    /// With `S = batch · n_h · n_w` spatial steps:
+    ///
+    /// | scheme | ifms loads | wghs loads | ofms passes |
+    /// |---|---|---|---|
+    /// | ifms-reuse `B H W I J` | `S·n_i` | `n_j·n_i · S` | `n_i` |
+    /// | wghs-reuse `J I B H W` | `S·n_i · n_j` | `n_j·n_i` | `n_i` |
+    /// | ofms-reuse `B H W J I` | `S·n_i · n_j` | `n_j·n_i · S` | `1` |
+    ///
+    /// Every pass stores the `S·n_j` ofms tiles and every pass but the
+    /// first re-loads them.
+    pub fn concrete_traffic(&self, layer: &Layer, tiling: &Tiling) -> [TileTraffic; 3] {
+        let (n_h, n_w, n_j, n_i) = tiling.steps(layer);
+        let (n_j, n_i) = (n_j as u64, n_i as u64);
+        let spatial = self.acc.batch as u64 * n_h as u64 * n_w as u64;
+        let ifms_tiles = spatial * n_i;
+        let wghs_tiles = n_j * n_i;
+        let ofms_tiles = spatial * n_j;
+        [
+            TileTraffic {
+                ifms_loads: ifms_tiles,
+                wghs_loads: wghs_tiles * spatial,
+                ofms_loads: ofms_tiles * (n_i - 1),
+                ofms_stores: ofms_tiles * n_i,
+            },
+            TileTraffic {
+                ifms_loads: ifms_tiles * n_j,
+                wghs_loads: wghs_tiles,
+                ofms_loads: ofms_tiles * (n_i - 1),
+                ofms_stores: ofms_tiles * n_i,
+            },
+            TileTraffic {
+                ifms_loads: ifms_tiles * n_j,
+                wghs_loads: wghs_tiles * spatial,
+                ofms_loads: 0,
+                ofms_stores: ofms_tiles,
+            },
+        ]
+    }
+
+    /// Bytes of one tile of each kind, in [`DataKind::ALL`] order — the
+    /// weights [`TileTraffic::bytes`] takes.
+    pub(crate) fn tile_bytes(&self, layer: &Layer, tiling: &Tiling) -> [u64; 3] {
+        DataKind::ALL.map(|kind| tiling.tile_bytes(layer, &self.acc, kind))
+    }
+
     /// Tile traffic for one concrete scheme.
     ///
     /// # Panics
@@ -242,47 +308,22 @@ impl TrafficModel {
     /// Panics if `scheme` is [`ReuseScheme::AdaptiveReuse`]; resolve it
     /// first with [`TrafficModel::resolve_adaptive`].
     pub fn traffic(&self, layer: &Layer, tiling: &Tiling, scheme: ReuseScheme) -> TileTraffic {
-        let ifms = self.distinct_tiles(layer, tiling, DataKind::Ifms)
-            * self.refetch_factor(layer, tiling, scheme, DataKind::Ifms);
-        let wghs = self.distinct_tiles(layer, tiling, DataKind::Wghs)
-            * self.refetch_factor(layer, tiling, scheme, DataKind::Wghs);
-        let ofms_distinct = self.distinct_tiles(layer, tiling, DataKind::Ofms);
-        let passes = self.refetch_factor(layer, tiling, scheme, DataKind::Ofms);
-        TileTraffic {
-            ifms_loads: ifms,
-            wghs_loads: wghs,
-            ofms_loads: ofms_distinct * (passes - 1),
-            ofms_stores: ofms_distinct * passes,
-        }
+        let index = scheme
+            .concrete_index()
+            .expect("adaptive-reuse must be resolved to a concrete scheme per layer");
+        self.concrete_traffic(layer, tiling)[index]
     }
 
     /// Total bytes moved for one concrete scheme.
     pub fn traffic_bytes(&self, layer: &Layer, tiling: &Tiling, scheme: ReuseScheme) -> u64 {
-        let t = self.traffic(layer, tiling, scheme);
-        t.ifms_loads * tiling.tile_bytes(layer, &self.acc, DataKind::Ifms)
-            + t.wghs_loads * tiling.tile_bytes(layer, &self.acc, DataKind::Wghs)
-            + (t.ofms_loads + t.ofms_stores) * tiling.tile_bytes(layer, &self.acc, DataKind::Ofms)
-    }
-
-    /// Resolve `scheme` for one `(layer, tiling)` and return the traffic
-    /// of the resolved scheme — the per-`(tiling, scheme)` quantity the
-    /// DSE hot loop hoists out of its mapping sweep (the traffic does
-    /// not depend on the mapping policy). Exactly equivalent to
-    /// [`TrafficModel::resolve_adaptive`] followed by
-    /// [`TrafficModel::traffic`].
-    pub fn resolved_traffic(
-        &self,
-        layer: &Layer,
-        tiling: &Tiling,
-        scheme: ReuseScheme,
-    ) -> (ReuseScheme, TileTraffic) {
-        let resolved = self.resolve_adaptive(layer, tiling, scheme);
-        (resolved, self.traffic(layer, tiling, resolved))
+        self.traffic(layer, tiling, scheme)
+            .bytes(self.tile_bytes(layer, tiling))
     }
 
     /// Resolve adaptive-reuse for one layer: the concrete scheme with the
-    /// minimum DRAM traffic (the paper: "minimum number of DRAM accesses").
-    /// Concrete schemes resolve to themselves.
+    /// minimum DRAM traffic (the paper: "minimum number of DRAM accesses"),
+    /// the first of [`ReuseScheme::CONCRETE`] on a tie. Concrete schemes
+    /// resolve to themselves.
     pub fn resolve_adaptive(
         &self,
         layer: &Layer,
@@ -290,14 +331,27 @@ impl TrafficModel {
         scheme: ReuseScheme,
     ) -> ReuseScheme {
         match scheme {
-            ReuseScheme::AdaptiveReuse => ReuseScheme::CONCRETE
-                .iter()
-                .copied()
-                .min_by_key(|&s| self.traffic_bytes(layer, tiling, s))
-                .expect("CONCRETE is non-empty"),
+            ReuseScheme::AdaptiveReuse => {
+                let traffic = self.concrete_traffic(layer, tiling);
+                ReuseScheme::CONCRETE[min_traffic_index(&traffic, self.tile_bytes(layer, tiling))]
+            }
             concrete => concrete,
         }
     }
+}
+
+/// What adaptive-reuse resolves to, as an index into
+/// [`ReuseScheme::CONCRETE`]: the scheme of `traffic` (one
+/// [`TrafficModel::concrete_traffic`] result) moving the fewest bytes at
+/// the given per-kind tile sizes; the first of equals.
+pub(crate) fn min_traffic_index(traffic: &[TileTraffic; 3], tile_bytes: [u64; 3]) -> usize {
+    let mut min = 0;
+    for (index, t) in traffic.iter().enumerate().skip(1) {
+        if t.bytes(tile_bytes) < traffic[min].bytes(tile_bytes) {
+            min = index;
+        }
+    }
+    min
 }
 
 #[cfg(test)]
@@ -436,15 +490,60 @@ mod tests {
     }
 
     #[test]
-    fn resolved_traffic_matches_two_step_path() {
+    fn concrete_traffic_matches_loop_nest_derivation() {
+        let mut acc = AcceleratorConfig::table_ii();
+        acc.batch = 3;
+        let batched = TrafficModel::new(acc);
+        let grouped = Layer::conv_grouped("g", 27, 27, 256, 96, 5, 5, 1, 2);
+        for (m, l, t) in [
+            (model(), conv3(), Tiling::new(13, 13, 16, 16)),
+            (model(), conv3(), Tiling::new(4, 7, 100, 5)),
+            (batched, grouped, Tiling::new(9, 14, 32, 24)),
+        ] {
+            let closed = m.concrete_traffic(&l, &t);
+            for (scheme, traffic) in ReuseScheme::CONCRETE.into_iter().zip(closed) {
+                let derived =
+                    |kind| m.distinct_tiles(&l, &t, kind) * m.refetch_factor(&l, &t, scheme, kind);
+                let passes = m.refetch_factor(&l, &t, scheme, DataKind::Ofms);
+                let ofms = m.distinct_tiles(&l, &t, DataKind::Ofms);
+                assert_eq!(traffic.ifms_loads, derived(DataKind::Ifms), "{scheme}");
+                assert_eq!(traffic.wghs_loads, derived(DataKind::Wghs), "{scheme}");
+                assert_eq!(traffic.ofms_stores, ofms * passes, "{scheme}");
+                assert_eq!(traffic.ofms_loads, ofms * (passes - 1), "{scheme}");
+                assert_eq!(traffic, m.traffic(&l, &t, scheme));
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_ties_resolve_to_the_first_concrete_scheme() {
+        // A whole-layer tiling has one step per loop: every scheme moves
+        // every tile exactly once, so all three tie.
         let m = model();
         let l = conv3();
-        let t = Tiling::new(13, 13, 16, 16);
-        for scheme in ReuseScheme::ALL {
-            let (resolved, traffic) = m.resolved_traffic(&l, &t, scheme);
-            assert_eq!(resolved, m.resolve_adaptive(&l, &t, scheme));
-            assert_eq!(traffic, m.traffic(&l, &t, resolved));
-        }
+        let t = Tiling::whole_layer(&l);
+        let traffic = m.concrete_traffic(&l, &t);
+        assert_eq!(traffic[0], traffic[1]);
+        assert_eq!(traffic[1], traffic[2]);
+        assert_eq!(
+            m.resolve_adaptive(&l, &t, ReuseScheme::AdaptiveReuse),
+            ReuseScheme::CONCRETE[0]
+        );
+        // A later strict minimum still wins; a later tie does not.
+        let tile = |ifms_loads| TileTraffic {
+            ifms_loads,
+            wghs_loads: 0,
+            ofms_loads: 0,
+            ofms_stores: 0,
+        };
+        assert_eq!(
+            min_traffic_index(&[tile(5), tile(3), tile(3)], [8, 8, 8]),
+            1
+        );
+        assert_eq!(
+            min_traffic_index(&[tile(5), tile(7), tile(4)], [8, 8, 8]),
+            2
+        );
     }
 
     #[test]

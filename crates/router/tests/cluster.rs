@@ -273,6 +273,16 @@ fn wait_for_backend(addr: &str) {
     }
 }
 
+/// Send `signal` (`-STOP`, …) to a child through kill(1); std itself
+/// can only SIGKILL.
+fn signal(child: &std::process::Child, signal: &str) {
+    let sent = std::process::Command::new("kill")
+        .args([signal, &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(sent.success(), "kill {signal} {} failed", child.id());
+}
+
 #[test]
 fn sigkilled_backend_fails_over_without_job_errors() {
     let bin = serve_bin();
@@ -344,31 +354,45 @@ fn sigkilled_backend_fails_over_without_job_errors() {
         );
     }
 
-    let killer_addrs = addrs.clone();
-    let victim_child = children.remove(victim);
-    let killer = std::thread::spawn(move || {
-        // Let the pipelined batch land on the victim, then kill it
-        // mid-flight.
-        std::thread::sleep(Duration::from_millis(50));
-        let mut child = victim_child;
-        let _ = child.kill();
-        let _ = child.wait();
-        killer_addrs
+    // Stop the victim before the batch is written: whatever the router
+    // sends it from here on stays unanswered, so "in flight when the
+    // SIGKILL lands" is a fact this test establishes, not a property of
+    // how long a sweep happens to take.
+    let mut victim_child = children.remove(victim);
+    signal(&victim_child, "-STOP");
+
+    let batch = specs.clone();
+    let client_addr = addr.clone();
+    let submitter = std::thread::spawn(move || {
+        let mut client = Client::connect(&client_addr).unwrap();
+        let results = client.submit_batch(&batch).unwrap();
+        (client, results)
     });
 
-    let mut client = Client::connect(&addr).unwrap();
-    let results = client.submit_batch(&specs).unwrap();
+    // Kill it once the router holds the whole batch in flight on it.
+    let inflight = format!("backend{victim}_inflight");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while core.metrics().snapshot().gauge(&inflight) != Some(specs.len() as i64) {
+        assert!(
+            Instant::now() < deadline,
+            "the router never had the whole batch in flight on the victim"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    victim_child.kill().unwrap();
+    victim_child.wait().unwrap();
+
+    let (mut client, results) = submitter.join().unwrap();
     for (spec, result) in specs.iter().zip(results) {
         let job = result.unwrap_or_else(|e| panic!("job {} failed after failover: {e}", spec.id));
         assert_eq!(job.id, spec.id);
         assert_eq!(job.layers.len(), 1);
     }
-    killer.join().unwrap();
 
     let snapshot = core.metrics().snapshot();
     assert!(
-        snapshot.counter("failover_total").unwrap() >= 1,
-        "killed mid-flight jobs must have failed over"
+        snapshot.counter("failover_total").unwrap() >= specs.len() as u64,
+        "every job was in flight on the killed node and must have failed over"
     );
     assert_eq!(snapshot.gauge("backends_up"), Some(2));
 

@@ -15,7 +15,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use drmap_cnn::accelerator::AcceleratorConfig;
 use drmap_cnn::layer::Layer;
-use drmap_core::dse::{layer_cache_key, DseConfig, DseEngine, LayerDseResult};
+use drmap_core::dse::{layer_cache_key, DseConfig, DseEngine, LayerDseResult, LayerPartial};
 use drmap_core::edp::EdpModel;
 use drmap_core::error::DseError;
 use drmap_dram::geometry::Geometry;
@@ -164,6 +164,12 @@ pub(crate) struct StageMetrics {
     /// Layer lookups that fell through the resident tier (computed
     /// here, coalesced onto another caller, or served by the store).
     pub(crate) cache_misses_total: Arc<Counter>,
+    /// Design points covered by finished layer sweeps (a layer's whole
+    /// count is added at once).
+    pub(crate) dse_evaluations_total: Arc<Counter>,
+    /// The part of `dse_evaluations_total` the sweeps' exact bound
+    /// skipped instead of scoring.
+    pub(crate) dse_pruned_total: Arc<Counter>,
     /// Store operations failed or delayed by an armed fault plan.
     pub(crate) fault_store_total: Arc<Counter>,
     /// Response frames dropped or stalled by an armed fault plan.
@@ -191,6 +197,8 @@ impl StageMetrics {
             layers_total: registry.counter("layers_total"),
             cache_hits_total: registry.counter("cache_hits_total"),
             cache_misses_total: registry.counter("cache_misses_total"),
+            dse_evaluations_total: registry.counter("dse_evaluations_total"),
+            dse_pruned_total: registry.counter("dse_pruned_total"),
             fault_store_total: registry.counter("fault_store_total"),
             fault_wire_total: registry.counter("fault_wire_total"),
             fault_pool_total: registry.counter("fault_pool_total"),
@@ -484,7 +492,7 @@ impl ServiceState {
         layer: &Layer,
     ) -> Result<(LayerDseResult, CacheOutcome), DseError> {
         self.explore_layer_cached_with(engine, tag, layer, CacheMode::Default, || {
-            engine.explore_layer(layer)
+            self.explore_layer_ranged(engine, layer, None)
         })
     }
 
@@ -593,6 +601,57 @@ impl ServiceState {
         Some(result)
     }
 
+    /// Finish one layer's sweep — whole, ranged, or merged from shards:
+    /// count what it covered and what it skipped
+    /// (`dse_evaluations_total`, `dse_pruned_total`), then name the
+    /// result. Every sweep the service runs ends here, so the two
+    /// counters cover exactly the layers that were computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty partial, as [`LayerPartial::into_result`] does.
+    pub(crate) fn finish_sweep(&self, partial: LayerPartial, layer: &Layer) -> LayerDseResult {
+        self.stages
+            .dse_evaluations_total
+            .add(partial.evaluations() as u64);
+        self.stages.dse_pruned_total.add(partial.pruned() as u64);
+        partial.into_result(layer.name.clone())
+    }
+
+    /// Explore a layer on the calling thread, restricted to `range` when
+    /// one is set. The whole layer is the `0..usize::MAX` range of the
+    /// same sweep, so a scattered sweep's merged partials are
+    /// bit-identical to one whole sweep by construction.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sweep failures, and rejects a range that is empty after
+    /// clamping to the layer's tiling count — `LayerPartial::into_result`
+    /// on an empty partial would panic, and a silently-empty partial would
+    /// corrupt a scatter merge.
+    pub(crate) fn explore_layer_ranged(
+        &self,
+        engine: &DseEngine,
+        layer: &Layer,
+        range: Option<(u64, u64)>,
+    ) -> Result<LayerDseResult, DseError> {
+        let tilings = match range {
+            None => 0..usize::MAX,
+            Some((start, end)) => {
+                let count = engine.tiling_count(layer)? as u64;
+                if start >= count.min(end) {
+                    return Err(DseError::new(format!(
+                        "tiling range {start}..{end} is empty for layer {:?} ({count} tilings)",
+                        layer.name
+                    )));
+                }
+                usize::try_from(start).unwrap_or(usize::MAX)
+                    ..usize::try_from(end.min(count)).unwrap_or(usize::MAX)
+            }
+        };
+        Ok(self.finish_sweep(engine.explore_layer_range(layer, tilings)?, layer))
+    }
+
     /// Run a whole job sequentially on the calling thread (the reference
     /// path; the worker pool produces bit-identical results in parallel).
     ///
@@ -611,7 +670,7 @@ impl ServiceState {
             let key = layer_key(&engine, &tag, layer, range);
             let (result, outcome) =
                 self.explore_keyed(&key, layer, spec.options.cache, None, || {
-                    explore_layer_ranged(&engine, layer, range)
+                    self.explore_layer_ranged(&engine, layer, range)
                 })?;
             total.accumulate(&result.best.estimate);
             outcomes.push(outcome_from_result(result, outcome));
@@ -644,39 +703,6 @@ pub(crate) fn layer_key(
         key.push_str(&format!("|range={start}..{end}"));
     }
     key
-}
-
-/// Explore a layer, restricted to `range` when one is set. The ranged
-/// path mirrors [`DseEngine::explore_layer`] (which is itself the full
-/// `0..usize::MAX` range), so a scattered sweep's merged partials are
-/// bit-identical to one whole sweep by construction.
-///
-/// # Errors
-///
-/// Propagates sweep failures, and rejects a range that is empty after
-/// clamping to the layer's tiling count — `LayerPartial::into_result`
-/// on an empty partial would panic, and a silently-empty partial would
-/// corrupt a scatter merge.
-pub fn explore_layer_ranged(
-    engine: &DseEngine,
-    layer: &Layer,
-    range: Option<(u64, u64)>,
-) -> Result<LayerDseResult, DseError> {
-    let Some((start, end)) = range else {
-        return engine.explore_layer(layer);
-    };
-    let count = engine.tiling_count(layer)? as u64;
-    if start >= count.min(end) {
-        return Err(DseError::new(format!(
-            "tiling range {start}..{end} is empty for layer {:?} ({count} tilings)",
-            layer.name
-        )));
-    }
-    let clamped = usize::try_from(start).unwrap_or(usize::MAX)
-        ..usize::try_from(end.min(count)).unwrap_or(usize::MAX);
-    Ok(engine
-        .explore_layer_range(layer, clamped)?
-        .into_result(layer.name.clone()))
 }
 
 /// The routing fingerprint for a job: the concatenated cache keys of

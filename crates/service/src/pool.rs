@@ -11,12 +11,12 @@
 //!
 //! ## Intra-layer sharding
 //!
-//! A single huge layer (AlexNet FC6, say) used to be one indivisible
-//! task — one worker ground through its whole tiling × scheme × mapping
-//! sweep while the rest of the pool idled. Now a worker that picks up a
-//! layer whose tiling enumeration crosses [`ShardPolicy::min_tilings`]
-//! splits the range into chunks, posts *help tokens* onto the shared
-//! queue, and claims chunks itself from a shared counter. Idle workers
+//! A worker that picks up a layer whose tiling enumeration crosses
+//! [`ShardPolicy::min_tilings`] — since the sweep learned to skip what
+//! cannot win, more tilings than any model-zoo layer has; see
+//! [`ShardPolicy::default`] — splits the range into chunks, posts *help
+//! tokens* onto the shared queue, and claims chunks itself from a
+//! shared counter. Idle workers
 //! that pick up a token join in; each chunk becomes a
 //! [`DseEngine::explore_layer_range`] partial, and the leader merges
 //! them in range order — an exact merge, so the assembled
@@ -213,7 +213,8 @@ enum Task {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPolicy {
     /// Only layers with at least this many feasible tilings shard;
-    /// below it, chunking overhead outweighs the parallelism.
+    /// below it, chunking overhead outweighs the parallelism. The
+    /// default is derived under [`ShardPolicy::default`].
     pub min_tilings: usize,
     /// Target chunks per pool worker. Over-decomposing (the default is
     /// 3) keeps the chunks short enough that late-joining helpers still
@@ -228,9 +229,19 @@ pub struct ShardPolicy {
 }
 
 impl Default for ShardPolicy {
+    /// `min_tilings` is set so that a layer shards only when its sweep
+    /// is worth many pool hops. Measured through the pool on the 2-vCPU
+    /// reference box (bypass-cache single-layer jobs, `shard_chunk_ns`):
+    /// a bound-and-skip sweep costs 100–180 ns per tiling inside a
+    /// worker, and one hop — posting a help token and being woken by the
+    /// chunk that finishes last — costs what a whole 60-tiling layer job
+    /// does, ≈ 60 µs. At the model zoo's largest layer (3 456 tilings,
+    /// ≈ 0.5 ms) two workers measured 0.88–1.3× one, and the pre-pruning
+    /// threshold of 64 halved `serve-cold` throughput. 8 192 tilings is
+    /// ≈ 1 ms of sweep, some twenty hops; no zoo layer reaches it.
     fn default() -> Self {
         ShardPolicy {
-            min_tilings: 64,
+            min_tilings: 8192,
             chunks_per_worker: 3,
             chunk_tilings: None,
         }
@@ -381,7 +392,7 @@ impl Shard {
     /// Leader-side completion: block until every chunk has reported
     /// (each is being actively computed by some worker, so this cannot
     /// deadlock), then merge the partials in range order.
-    fn wait_and_merge(&self) -> Result<LayerDseResult, DseError> {
+    fn wait_and_merge(&self) -> Result<LayerPartial, DseError> {
         let mut progress = lock_recovered(&self.progress);
         while progress.finished < self.chunks.len() {
             progress = self.done.wait(progress).unwrap_or_else(|e| e.into_inner());
@@ -398,9 +409,7 @@ impl Shard {
                 }
             });
         }
-        Ok(merged
-            .expect("a shard has at least two chunks")
-            .into_result(self.layer.name.clone()))
+        Ok(merged.expect("a shard has at least two chunks"))
     }
 }
 
@@ -417,7 +426,7 @@ fn explore_maybe_sharded(
     deadline: Option<Deadline>,
 ) -> Result<LayerDseResult, DseError> {
     if shared.workers <= 1 {
-        return engine.explore_layer(layer);
+        return state.explore_layer_ranged(engine, layer, None);
     }
     // One consistent snapshot of the live policy per layer: a
     // concurrent `set-shard-policy` affects the *next* layer, never a
@@ -430,9 +439,8 @@ fn explore_maybe_sharded(
     let tilings = enumerate_tilings(layer, &acc)?;
     let count = tilings.len();
     let whole = |engine: &SharedEngine| {
-        Ok(engine
-            .explore_tilings_range(layer, &tilings, 0..count)?
-            .into_result(layer.name.clone()))
+        let partial = engine.explore_tilings_range(layer, &tilings, 0..count)?;
+        Ok(state.finish_sweep(partial, layer))
     };
     if count < policy.min_tilings.max(2) {
         return whole(engine);
@@ -468,7 +476,7 @@ fn explore_maybe_sharded(
         }
     }
     shard.work();
-    shard.wait_and_merge()
+    Ok(state.finish_sweep(shard.wait_and_merge()?, layer))
 }
 
 /// A multi-threaded DSE job pool over shared [`ServiceState`].
@@ -756,7 +764,8 @@ fn explore_task(task: &LayerTask, shared: &PoolShared) -> LayerReply {
                     // A ranged job *is* a shard (the router's scatter
                     // unit); sharding it again would re-chunk someone
                     // else's chunk.
-                    crate::engine::explore_layer_ranged(&task.engine, &task.layer, range)
+                    task.state
+                        .explore_layer_ranged(&task.engine, &task.layer, range)
                 } else {
                     explore_maybe_sharded(
                         &task.engine,
@@ -902,6 +911,25 @@ mod tests {
     }
 
     #[test]
+    fn finished_sweeps_count_their_design_points_whole_and_sharded() {
+        for policy in [ShardPolicy::default(), always_shard()] {
+            let state = ServiceState::new().unwrap();
+            let pool = DsePool::with_shard_policy(Arc::clone(&state), 4, policy);
+            let spec = JobSpec::network(1, EngineSpec::default(), Network::tiny());
+            let result = pool.submit(&spec).wait().unwrap();
+            let covered: u64 = result.layers.iter().map(|l| l.evaluations).sum();
+            let counter = |name| state.metrics().snapshot().counter(name).unwrap_or(0);
+            assert_eq!(counter("dse_evaluations_total"), covered, "{policy:?}");
+            let pruned = counter("dse_pruned_total");
+            assert!(0 < pruned && pruned < covered, "{pruned} of {covered}");
+            // Resident layers are not swept again.
+            pool.submit(&spec).wait().unwrap();
+            assert_eq!(counter("dse_evaluations_total"), covered);
+            assert_eq!(counter("dse_pruned_total"), pruned);
+        }
+    }
+
+    #[test]
     fn sharded_single_layer_job_matches_direct_exploration() {
         // One layer on an otherwise idle multi-worker pool: exactly the
         // case intra-layer sharding exists for.
@@ -998,28 +1026,36 @@ mod tests {
     fn queued_jobs_past_their_deadline_answer_typed_errors() {
         let state = ServiceState::new().unwrap();
         let pool = DsePool::new(Arc::clone(&state), 1);
-        // Occupy the single worker so the deadlined job waits in queue
-        // past its (tiny) budget; the dequeue check then answers it
+        // Hold the single worker inside a completion so the deadlined
+        // job waits in the queue past its (tiny) budget by the clock,
+        // however fast a sweep is; the dequeue check then answers it
         // without computing anything.
-        let blocker = JobSpec::layer(
-            1,
-            EngineSpec::default(),
-            drmap_cnn::layer::Layer::conv("BIG", 13, 13, 64, 32, 3, 3, 1),
+        let (holding, held) = channel();
+        let (release, released) = channel::<()>();
+        let blocker = drmap_cnn::layer::Layer::conv("BLOCK", 8, 8, 16, 8, 3, 3, 1);
+        pool.submit_then(
+            &JobSpec::layer(1, EngineSpec::default(), blocker),
+            None,
+            move |result| {
+                holding.send(result.is_ok()).unwrap();
+                let _ = released.recv();
+            },
         );
+        // The blocker itself is unharmed.
+        assert!(held.recv().unwrap());
         let deadlined = JobSpec::network(2, EngineSpec::default(), Network::tiny()).with_options(
             crate::spec::JobOptions {
                 deadline_ms: Some(1),
                 ..Default::default()
             },
         );
-        let blocking = pool.submit(&blocker);
         let pending = pool.submit(&deadlined);
+        std::thread::sleep(Duration::from_millis(5));
+        release.send(()).unwrap();
         assert!(matches!(
             pending.wait(),
             Err(ServiceError::DeadlineExceeded { deadline_ms: 1 })
         ));
-        // The blocker itself is unharmed.
-        blocking.wait().unwrap();
         // And an undeadlined resubmission completes normally.
         let again = JobSpec::network(3, EngineSpec::default(), Network::tiny());
         assert_eq!(pool.submit(&again).wait().unwrap().layers.len(), 3);

@@ -1379,12 +1379,18 @@ mod tests {
             }),
             backends: Some(3),
         };
+        // Spelled out: the golden pins these bytes, not the default.
+        let shard = ShardPolicy {
+            min_tilings: 64,
+            chunks_per_worker: 3,
+            chunk_tilings: None,
+        };
         let bare_stats = StatsReport {
             cache: CacheStats::default(),
             policy: EvictionPolicy::Lru,
             max_entries: None,
             max_bytes: Some(1 << 20),
-            shard: ShardPolicy::default(),
+            shard,
             workers: 2,
             store: None,
             backends: None,
@@ -1421,10 +1427,10 @@ mod tests {
             },
             Response::ShardPolicySet {
                 id: None,
-                policy: ShardPolicy::default(),
+                policy: shard,
                 previous: ShardPolicy {
                     chunk_tilings: Some(4),
-                    ..ShardPolicy::default()
+                    ..shard
                 },
             },
             Response::CacheCleared { id: Some(5) },

@@ -6,6 +6,7 @@
 //! disturb.
 #![cfg(target_os = "linux")]
 
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use drmap_cnn::layer::Layer;
@@ -29,15 +30,30 @@ fn process_threads() -> usize {
 #[test]
 fn pipelined_jobs_do_not_grow_the_thread_count() {
     const JOBS: u64 = 64;
-    // One worker, so the whole pipeline sits queued behind its first job.
+    // One worker, held inside another job's completion until the count
+    // has been read: the whole pipeline sits queued behind it, however
+    // fast a sweep is.
     let pool = Arc::new(DsePool::new(ServiceState::new().unwrap(), 1));
-    let server = JobServer::with_pool("127.0.0.1:0", pool).unwrap();
+    let server = JobServer::with_pool("127.0.0.1:0", Arc::clone(&pool)).unwrap();
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
 
     let mut client = Client::connect(addr).unwrap();
     client.ping().unwrap();
     let idle = process_threads();
+
+    let (holding, held) = channel();
+    let (release, released) = channel::<()>();
+    let blocker = Layer::conv("BLOCK", 8, 8, 16, 8, 3, 3, 1);
+    pool.submit_then(
+        &JobSpec::layer(0, EngineSpec::default(), blocker),
+        None,
+        move |_| {
+            holding.send(()).unwrap();
+            let _ = released.recv();
+        },
+    );
+    held.recv().unwrap();
 
     // 64 distinct cold layers, pipelined without reading a response…
     for id in 1..=JOBS {
@@ -50,22 +66,16 @@ fn pipelined_jobs_do_not_grow_the_thread_count() {
     client
         .send(&Request::Ping { id: Some(0) }.to_json())
         .unwrap();
-    let mut answered = 0;
-    loop {
-        let response = client.recv().unwrap();
-        assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response:?}");
-        if response.get("type").and_then(Json::as_str) == Some("pong") {
-            break;
-        }
-        answered += 1;
-    }
-    assert!(
-        answered < JOBS / 2,
-        "most jobs must still be in flight for the count to mean anything"
+    let response = client.recv().unwrap();
+    assert_eq!(
+        response.get("type").and_then(Json::as_str),
+        Some("pong"),
+        "every job must still be in flight for the count to mean anything: {response:?}"
     );
-    assert_eq!(process_threads(), idle, "{answered} of {JOBS} answered");
+    assert_eq!(process_threads(), idle, "with {JOBS} jobs in flight");
+    release.send(()).unwrap();
 
-    for _ in answered..JOBS {
+    for _ in 0..JOBS {
         let response = client.recv().unwrap();
         assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response:?}");
     }

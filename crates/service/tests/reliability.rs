@@ -13,6 +13,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use drmap_cnn::layer::Layer;
 use drmap_cnn::network::Network;
 use drmap_service::cache::CacheConfig;
 use drmap_service::client::{Client, ClientConfig};
@@ -267,46 +268,59 @@ fn graceful_shutdown_loses_no_in_flight_job() {
 
 #[test]
 fn expired_deadline_answers_typed_over_the_wire() {
-    // One worker, so a long job in flight forces the deadline job to
-    // queue behind it past its 1 ms budget.
+    // One worker, and the test holds it inside another job's
+    // completion: the deadline job queues behind it until the test lets
+    // go, past its 1 ms budget by the clock rather than by how long a
+    // sweep happens to take.
     let state = ServiceState::new().unwrap();
     let pool = Arc::new(DsePool::new(state, 1));
     let server = JobServer::with_pool("127.0.0.1:0", Arc::clone(&pool)).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = thread::spawn(move || server.run().unwrap());
 
-    // Block the lone worker with a full AlexNet sweep on its own
-    // connection.
-    let mut blocker = Client::connect(addr).unwrap();
-    let slow = JobSpec::network(1, EngineSpec::default(), Network::alexnet());
-    let blocker_thread = thread::spawn(move || blocker.submit(&slow));
+    let (holding, held) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let blocker = Layer::conv("BLOCK", 8, 8, 16, 8, 3, 3, 1);
+    pool.submit_then(
+        &JobSpec::layer(1, EngineSpec::default(), blocker),
+        None,
+        move |result| {
+            holding.send(result.map(|r| r.id)).unwrap();
+            let _ = released.recv();
+        },
+    );
+    let blocked = held.recv().unwrap();
+    assert_eq!(blocked.expect("the blocking job itself must succeed"), 1);
 
-    // Wait until the server reports the blocker in flight, so the
-    // deadline job deterministically queues behind it.
+    let mut submitter = Client::connect(addr).unwrap();
+    let deadlined = thread::spawn(move || {
+        let quick = JobSpec::network(2, EngineSpec::default(), Network::tiny());
+        let options = JobOptions {
+            deadline_ms: Some(1),
+            ..JobOptions::default()
+        };
+        submitter.submit_with(&quick, options)
+    });
+
+    // Once the server reports the job admitted its budget is running;
+    // let it lapse before the worker is free to dequeue the job.
     let mut observer = Client::connect(addr).unwrap();
     let started = Instant::now();
     while gauge(&observer.metrics().unwrap(), "jobs_inflight") < 1 {
         assert!(
             started.elapsed() < Duration::from_secs(10),
-            "blocker job never became in-flight"
+            "the deadline job never became in-flight"
         );
         thread::sleep(Duration::from_millis(2));
     }
+    thread::sleep(Duration::from_millis(5));
+    release.send(()).unwrap();
 
-    let quick = JobSpec::network(2, EngineSpec::default(), Network::tiny());
-    let options = JobOptions {
-        deadline_ms: Some(1),
-        ..JobOptions::default()
-    };
-    match observer.submit_with(&quick, options) {
+    match deadlined.join().unwrap() {
         Err(ServiceError::DeadlineExceeded { deadline_ms }) => assert_eq!(deadline_ms, 1),
         other => panic!("expected a typed deadline_exceeded response, got {other:?}"),
     }
 
-    blocker_thread
-        .join()
-        .unwrap()
-        .expect("the blocking job itself must still succeed");
     let mut closer = Client::connect(addr).unwrap();
     closer.shutdown().unwrap();
     handle.join().unwrap();

@@ -199,3 +199,44 @@ fn headline_ddr3_improvement_over_90pct() {
         "max DDR3 improvement {max_improvement:.3} below the paper's ballpark"
     );
 }
+
+/// The observation underneath KO1, one level down and sharper than
+/// "DRMap wins every layer": on each profiled architecture, at every
+/// tile size the model zoo's tilings produce, moving one tile costs no
+/// more under Mapping-3 than under any other Table I mapping — in
+/// cycles and in energy, reading and writing. So the cheapest any
+/// mapping could be *is* DRMap, which is what makes the DSE's
+/// bound-and-skip tight (its floor row is DRMap's row).
+#[test]
+fn drmap_tile_cost_is_the_component_wise_minimum_at_every_zoo_burst_count() {
+    let geometry = Geometry::salp_2gb_x8();
+    let acc = AcceleratorConfig::table_ii();
+    let mut burst_counts = std::collections::BTreeSet::new();
+    for (_, build) in Network::zoo() {
+        for layer in build().layers() {
+            for tiling in enumerate_tilings(layer, &acc).expect("feasible tiling exists") {
+                for kind in DataKind::ALL {
+                    let bytes = tiling.tile_bytes(layer, &acc, kind);
+                    burst_counts.insert(bytes_to_bursts(bytes, &geometry));
+                }
+            }
+        }
+    }
+    assert!(burst_counts.len() > 500, "the zoo should be diverse");
+
+    for (arch, engine) in &fixture().engines {
+        let table = engine.model().table();
+        for &units in &burst_counts {
+            for kind in [RequestKind::Read, RequestKind::Write] {
+                let drmap = tile_cost(&MappingPolicy::drmap(), &geometry, units, table, kind);
+                for mapping in MappingPolicy::table_i() {
+                    let other = tile_cost(&mapping, &geometry, units, table, kind);
+                    assert!(
+                        drmap.cycles <= other.cycles && drmap.energy <= other.energy,
+                        "{arch} {kind:?} of {units} bursts: {mapping} costs {other:?}, DRMap {drmap:?}"
+                    );
+                }
+            }
+        }
+    }
+}
