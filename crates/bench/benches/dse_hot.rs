@@ -5,13 +5,14 @@
 //! `evaluate()` calls, a `format!`ed label per point, collect-then-
 //! filter Pareto extraction), on the full AlexNet layer set with
 //! `keep_points` enabled — the paper's Algorithm 1 at its most
-//! expensive. Also measures intra-layer tiling-range sharding (one
-//! oversized layer split across pool workers) and **verifies the
-//! sharded-vs-sequential bit-identity** before reporting anything: a
-//! mismatch fails the run with a non-zero exit, so CI catches identity
-//! regressions here as well as in the proptests. A second hard gate
-//! bounds the cost of the service's telemetry instrumentation at <3%
-//! of the sweep's wall clock (see `verify_telemetry_overhead`).
+//! expensive. **Verifies bit-identity** — pipelined against naive, and
+//! merged tiling-range partials (what the router's `--scatter`
+//! reassembles) against the sequential sweep — before reporting
+//! anything: a mismatch fails the run with a non-zero exit, so CI
+//! catches identity regressions here as well as in the proptests. A
+//! second hard gate bounds the cost of the service's telemetry
+//! instrumentation at <3% of the sweep's wall clock (see
+//! `verify_telemetry_overhead`).
 //!
 //! Writes `BENCH_dse.json` at the workspace root. Run with `--smoke`
 //! (as CI does) for a fast low-iteration pass.
@@ -29,7 +30,7 @@ use drmap_core::pareto::{pareto_front, DesignPoint};
 use drmap_core::tiling::enumerate_tilings;
 use drmap_service::engine::ServiceState;
 use drmap_service::json::Json;
-use drmap_service::pool::{DsePool, ShardPolicy};
+use drmap_service::pool::DsePool;
 use drmap_service::prelude::{Counter, Histogram, Span};
 use drmap_service::spec::{EngineSpec, JobSpec};
 
@@ -146,11 +147,11 @@ fn verify_identity(engine: &DseEngine, network: &Network) {
         ok &= assert_bit_identical(
             &merged,
             &pipelined,
-            &format!("{} sharded-vs-sequential", layer.name),
+            &format!("{} merged-vs-sequential", layer.name),
         );
     }
     if !ok {
-        eprintln!("dse_hot: sharded or pipelined results diverged from the sequential sweep");
+        eprintln!("dse_hot: merged or pipelined results diverged from the sequential sweep");
         std::process::exit(1);
     }
     println!("dse_hot: identity verified (pipelined == naive, merged ranges == sequential)");
@@ -293,49 +294,6 @@ fn emit_bench_json(smoke: bool) {
         pipelined.as_secs_f64(),
     );
 
-    // Intra-layer sharding: one oversized layer (the largest tiling
-    // enumeration in AlexNet) on a 1-worker vs a multi-worker pool.
-    // Every submission uses a fresh state so nothing is cached.
-    let big = network
-        .layers()
-        .iter()
-        .max_by_key(|l| engine.tiling_count(l).unwrap())
-        .unwrap()
-        .clone();
-    let tilings = engine.tiling_count(&big).unwrap();
-    let policy = ShardPolicy {
-        min_tilings: 8,
-        chunks_per_worker: 3,
-        chunk_tilings: None,
-    };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = cores.clamp(2, 4);
-    let shard_repeats = if smoke { 1 } else { 3 };
-    let time_pool = |n_workers: usize| {
-        best_of(shard_repeats, || {
-            let state = ServiceState::new().unwrap();
-            let pool = DsePool::with_shard_policy(state, n_workers, policy);
-            let spec = JobSpec::layer(1, EngineSpec::default(), big.clone());
-            pool.submit(&spec).wait().unwrap()
-        })
-    };
-    let one_worker = time_pool(1);
-    let many_workers = time_pool(workers);
-    let shard_speedup = one_worker.as_secs_f64() / many_workers.as_secs_f64().max(1e-9);
-    println!(
-        "dse_hot: intra-layer sharding of {} ({tilings} tilings): \
-         1 worker {:.3}s, {workers} workers {:.3}s -> {shard_speedup:.2}x \
-         ({cores} cores available{})",
-        big.name,
-        one_worker.as_secs_f64(),
-        many_workers.as_secs_f64(),
-        if cores == 1 {
-            "; scaling needs >1 core"
-        } else {
-            ""
-        },
-    );
-
     let telemetry = verify_telemetry_overhead();
 
     let secs = |d: Duration| Json::Num(d.as_secs_f64());
@@ -352,18 +310,6 @@ fn emit_bench_json(smoke: bool) {
                 ("naive_s", secs(baseline)),
                 ("pipelined_s", secs(pipelined)),
                 ("speedup", Json::Num(speedup)),
-            ]),
-        ),
-        (
-            "intra_layer_sharding",
-            Json::obj([
-                ("layer", Json::str(big.name.clone())),
-                ("tilings", Json::num_usize(tilings)),
-                ("workers", Json::num_usize(workers)),
-                ("cores_available", Json::num_usize(cores)),
-                ("one_worker_s", secs(one_worker)),
-                ("sharded_s", secs(many_workers)),
-                ("speedup", Json::Num(shard_speedup)),
             ]),
         ),
         ("telemetry_overhead", telemetry),

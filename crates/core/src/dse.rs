@@ -86,15 +86,15 @@
 //! bytes and golden digests that carry it are unaffected.
 //! [`LayerPartial::pruned`] says how many of them were skipped.
 //!
-//! ## Sharding
+//! ## Splitting a layer
 //!
-//! The tiling axis is *shardable*: [`DseEngine::explore_layer_range`]
+//! The tiling axis is *splittable*: [`DseEngine::explore_layer_range`]
 //! explores a contiguous subrange of the tiling enumeration and returns
 //! a [`LayerPartial`] whose [`LayerPartial::merge`] is exact, so
-//! several workers can split one huge layer and reassemble a result
-//! bit-identical to the sequential sweep. Each range prunes against its
-//! own incumbent only; what it skips could not have won its range, let
-//! alone the layer.
+//! several nodes can split one huge layer (the router's `--scatter`)
+//! and reassemble a result bit-identical to the sequential sweep. Each
+//! range prunes against its own incumbent only; what it skips could not
+//! have won its range, let alone the layer.
 
 use core::fmt;
 use std::collections::HashMap;
@@ -214,7 +214,7 @@ impl DseConfig {
 ///
 /// The engine is immutable after construction and `Send + Sync`, so one
 /// handle can serve any number of worker threads concurrently (the
-/// job-server crate shards a network's layers across workers this way).
+/// job-server crate spreads a network's layers across workers this way).
 pub type SharedEngine = std::sync::Arc<DseEngine>;
 
 /// Canonical memoization key for a single-layer exploration.
@@ -665,7 +665,7 @@ impl DseEngine {
     }
 
     /// Number of feasible tilings of `layer` under this engine's
-    /// accelerator — the size of the shardable axis of
+    /// accelerator — the size of the splittable axis of
     /// [`DseEngine::explore_layer_range`], counted without materializing
     /// the enumeration.
     ///
@@ -690,7 +690,7 @@ impl DseEngine {
 
     /// Algorithm 1 restricted to a contiguous subrange of the layer's
     /// tiling enumeration (clamped to the enumeration's length): the
-    /// unit of intra-layer sharding. Merging the partials of a disjoint
+    /// unit a layer is split into. Merging the partials of a disjoint
     /// cover of `0..tiling_count` in ascending range order and calling
     /// [`LayerPartial::into_result`] is bit-identical to
     /// [`DseEngine::explore_layer`].
@@ -706,27 +706,6 @@ impl DseEngine {
     ) -> Result<LayerPartial, DseError> {
         let acc = *self.model.traffic_model().accelerator();
         let tilings = enumerate_tilings(layer, &acc)?;
-        self.explore_tilings_range(layer, &tilings, tiling_range)
-    }
-
-    /// [`DseEngine::explore_layer_range`] over a caller-supplied tiling
-    /// enumeration, so workers sharding one layer can enumerate **once**
-    /// and share the slice instead of re-enumerating per chunk.
-    ///
-    /// `tilings` must be (a prefix-identical copy of) this engine's
-    /// [`enumerate_tilings`] output for the layer — merged partials
-    /// equal the sequential sweep only when every range sweeps the same
-    /// enumeration in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError`] if the sweep configuration is empty.
-    pub fn explore_tilings_range(
-        &self,
-        layer: &Layer,
-        tilings: &[Tiling],
-        tiling_range: Range<usize>,
-    ) -> Result<LayerPartial, DseError> {
         if self.config.schemes.is_empty() || self.config.mappings.is_empty() {
             return Err(DseError::new("empty scheme or mapping sweep"));
         }

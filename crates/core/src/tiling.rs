@@ -181,7 +181,7 @@ pub fn enumerate_tilings(layer: &Layer, acc: &AcceleratorConfig) -> Result<Vec<T
 
 /// Count the buffer-feasible tilings of a layer — the cheap probe a
 /// scheduler uses to decide whether a layer's tiling range is worth
-/// sharding across workers. Delegates to [`enumerate_tilings`], so it
+/// splitting across nodes. Delegates to [`enumerate_tilings`], so it
 /// can never drift from the enumeration that range exploration sweeps
 /// (a `Tiling` is four words; the transient `Vec` is a few KB even for
 /// the largest layers).

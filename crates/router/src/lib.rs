@@ -17,8 +17,7 @@
 //! probes gate the dead node's readmission. Admin verbs fan out —
 //! `stats`/`metrics` aggregate, configuration verbs broadcast — and
 //! `--scatter` splits one oversized layer's tiling enumeration into
-//! ranges swept on different backends and merged exactly (the
-//! node-level analogue of the pool's intra-layer sharding). See
+//! ranges swept on different backends and merged exactly. See
 //! `docs/CLUSTER.md` for the full semantics.
 
 #![forbid(unsafe_code)]

@@ -5,7 +5,6 @@
 //! drmap-batch [SPEC_FILE] [--models a,b,c] [--arch ARCH] [--objective OBJ]
 //!             [--workers N] [--repeat R] [--compare]
 //!             [--cache-entries N] [--cache-bytes BYTES] [--cache-policy lru|cost]
-//!             [--shard-min-tilings N] [--shard-chunk N]
 //!             [--store PATH]
 //!             [--connect HOST:PORT] [--binary]
 //!             [--connect HOST:PORT --admin CMD [CMD…] [--text]]
@@ -22,7 +21,6 @@
 //! By default jobs run on an in-process pool; `--cache-entries` /
 //! `--cache-bytes` bound its memo cache (`--cache-policy cost` evicts
 //! cheapest-to-recompute first instead of LRU),
-//! `--shard-min-tilings`/`--shard-chunk` tune its intra-layer sharding,
 //! and `--store PATH`
 //! backs it with a persistent result log — rerunning the same batch
 //! later serves every layer from disk without recomputation. With
@@ -38,7 +36,6 @@
 //!
 //! ```text
 //! drmap-batch --connect 127.0.0.1:7878 --admin hello set-policy=cost \
-//!     set-shard-policy=min_tilings:32,chunks_per_worker:4 \
 //!     set-bounds=entries:512 cache-warm store-compact stats
 //! ```
 //!
@@ -79,13 +76,13 @@ use std::time::{Duration, Instant};
 
 use drmap_service::cache::CacheConfig;
 use drmap_service::cli::{
-    apply_shard_flag, parse_admin_command, parse_cache_policy, parse_positive as positive, AdminCmd,
+    parse_admin_command, parse_cache_policy, parse_positive as positive, AdminCmd,
 };
 use drmap_service::client::Client;
 use drmap_service::engine::{default_workers, ServiceState};
 use drmap_service::error::ServiceError;
 use drmap_service::json::Json;
-use drmap_service::pool::{DsePool, ShardPolicy};
+use drmap_service::pool::DsePool;
 use drmap_service::prelude::Network;
 use drmap_service::spec::{EngineSpec, JobResult, JobSpec};
 
@@ -97,7 +94,6 @@ struct Args {
     repeat: usize,
     compare: bool,
     cache: CacheConfig,
-    shard: ShardPolicy,
     store: Option<String>,
     connect: Option<String>,
     binary: bool,
@@ -114,7 +110,6 @@ fn parse_args() -> Result<Args, String> {
         repeat: 1,
         compare: false,
         cache: CacheConfig::unbounded(),
-        shard: ShardPolicy::default(),
         store: None,
         connect: None,
         binary: false,
@@ -172,14 +167,6 @@ fn parse_args() -> Result<Args, String> {
                     parse_cache_policy("--cache-policy", &value("--cache-policy")?)?;
                 local_only.push("--cache-policy");
             }
-            f @ ("--shard-min-tilings" | "--shard-chunk") => {
-                apply_shard_flag(&mut args.shard, f, &value(f)?)?;
-                local_only.push(if f == "--shard-chunk" {
-                    "--shard-chunk"
-                } else {
-                    "--shard-min-tilings"
-                });
-            }
             "--store" => {
                 args.store = Some(value("--store")?);
                 local_only.push("--store");
@@ -197,8 +184,7 @@ fn parse_args() -> Result<Args, String> {
                     "usage: drmap-batch [SPEC_FILE] [--models a,b,c] [--arch ARCH] \
                      [--objective OBJ] [--workers N] [--repeat R] [--compare] \
                      [--cache-entries N] [--cache-bytes BYTES] \
-                     [--cache-policy lru|cost] \
-                     [--shard-min-tilings N] [--shard-chunk N] [--store PATH] \
+                     [--cache-policy lru|cost] [--store PATH] \
                      [--connect HOST:PORT] [--binary] \
                      [--admin CMD [CMD...] [--text]]"
                 );
@@ -301,16 +287,10 @@ fn run_admin(addr: &str, binary: bool, text: bool, commands: &[AdminCmd]) -> Res
                     report.workers,
                 );
                 println!(
-                    "config: policy {}, cache bounds {} entries / {} bytes, \
-                     shard min {} tilings, chunk {}",
+                    "config: policy {}, cache bounds {} entries / {} bytes",
                     report.policy.label(),
                     bound(report.max_entries),
                     bound(report.max_bytes),
-                    report.shard.min_tilings,
-                    match report.shard.chunk_tilings {
-                        Some(n) => n.to_string(),
-                        None => format!("auto ({}x/worker)", report.shard.chunks_per_worker),
-                    },
                 );
                 if let Some(store) = report.store {
                     println!(
@@ -324,20 +304,6 @@ fn run_admin(addr: &str, binary: bool, text: bool, commands: &[AdminCmd]) -> Res
                     .set_policy(*policy)
                     .map_err(|e| format!("set-policy: {e}"))?;
                 println!("set-policy: {} (was {})", policy.label(), previous.label());
-            }
-            AdminCmd::SetShardPolicy(update) => {
-                let policy = client
-                    .set_shard_policy(*update)
-                    .map_err(|e| format!("set-shard-policy: {e}"))?;
-                println!(
-                    "set-shard-policy: min_tilings {}, chunks_per_worker {}, chunk_tilings {}",
-                    policy.min_tilings,
-                    policy.chunks_per_worker,
-                    match policy.chunk_tilings {
-                        Some(n) => n.to_string(),
-                        None => "auto".to_owned(),
-                    },
-                );
             }
             AdminCmd::SetBounds(update) => {
                 let (entries, bytes, evicted) = client
@@ -585,12 +551,11 @@ fn batch_of(specs: &[JobSpec], repeat: usize) -> Vec<JobSpec> {
 fn run_timed(
     workers: usize,
     cache: CacheConfig,
-    shard: ShardPolicy,
     store: Option<Arc<drmap_store::store::Store>>,
     batch: &[JobSpec],
 ) -> Result<(Vec<JobResult>, Duration, Arc<ServiceState>), ServiceError> {
     let state = ServiceState::with_cache_and_store(cache, store)?;
-    let pool = DsePool::with_shard_policy(Arc::clone(&state), workers, shard);
+    let pool = DsePool::new(Arc::clone(&state), workers);
     let start = Instant::now();
     let results = pool
         .run_batch(batch)
@@ -713,8 +678,7 @@ fn run() -> Result<(), String> {
         None => None,
     };
     let (results, elapsed, state) =
-        run_timed(args.workers, args.cache, args.shard, store.clone(), &batch)
-            .map_err(|e| e.to_string())?;
+        run_timed(args.workers, args.cache, store.clone(), &batch).map_err(|e| e.to_string())?;
     print_results(&results);
 
     let layers: usize = results.iter().map(|r| r.layers.len()).sum();
@@ -754,7 +718,7 @@ fn run() -> Result<(), String> {
         // The comparison run gets no store: it measures raw
         // single-worker exploration, not disk reads.
         let (_, sequential, _) =
-            run_timed(1, args.cache, args.shard, None, &batch).map_err(|e| e.to_string())?;
+            run_timed(1, args.cache, None, &batch).map_err(|e| e.to_string())?;
         let seq_secs = sequential.as_secs_f64().max(1e-9);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         println!(
@@ -774,7 +738,7 @@ fn run() -> Result<(), String> {
 
         // Cache effect, independent of core count: resubmit the whole
         // batch on the already-warm pool state.
-        let warm_pool = DsePool::with_shard_policy(Arc::clone(&state), args.workers, args.shard);
+        let warm_pool = DsePool::new(Arc::clone(&state), args.workers);
         let start = Instant::now();
         let warm: Result<Vec<_>, _> = warm_pool.run_batch(&batch).into_iter().collect();
         let warm = warm.map_err(|e| e.to_string())?;

@@ -3,7 +3,6 @@
 //! ```text
 //! drmap-serve [--addr HOST:PORT] [--workers N]
 //!             [--cache-entries N] [--cache-bytes BYTES] [--cache-policy lru|cost]
-//!             [--shard-min-tilings N] [--shard-chunk N]
 //!             [--store PATH] [--warm N] [--auto-compact-ratio R]
 //!             [--max-inflight N] [--max-inflight-global N]
 //!             [--slow-ms N] [--slow-log-cap N] [--sample-secs N]
@@ -16,9 +15,7 @@
 //! the cheapest-to-recompute entry first (using each entry's recorded
 //! exploration duration) instead of the least recently used — and can
 //! be swapped at runtime with the `set-policy` admin verb.
-//! `--shard-min-tilings` sets the intra-layer sharding threshold and
-//! `--shard-chunk` pins an explicit chunk size (both retunable live via
-//! `set-shard-policy`). `--store PATH` opens (or creates) a
+//! `--store PATH` opens (or creates) a
 //! persistent result log beneath the cache — results survive restarts,
 //! and on boot the most recent stored results warm the cache (`--warm`
 //! caps how many; default: up to the cache's entry bound, or all of
@@ -56,12 +53,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use drmap_service::cache::CacheConfig;
-use drmap_service::cli::{
-    apply_shard_flag, parse_cache_policy, parse_overload_spec, parse_positive as positive,
-};
+use drmap_service::cli::{parse_cache_policy, parse_overload_spec, parse_positive as positive};
 use drmap_service::engine::{default_workers, ServiceState};
 use drmap_service::faults::FaultPlan;
-use drmap_service::pool::{DsePool, ShardPolicy};
+use drmap_service::pool::DsePool;
 use drmap_service::server::{JobServer, ServerConfig};
 use drmap_store::store::Store;
 
@@ -69,7 +64,6 @@ struct Args {
     addr: String,
     workers: usize,
     cache: CacheConfig,
-    shard: ShardPolicy,
     store: Option<String>,
     warm: Option<usize>,
     auto_compact_ratio: Option<f64>,
@@ -84,7 +78,6 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7878".to_owned(),
         workers: default_workers(),
         cache: CacheConfig::unbounded(),
-        shard: ShardPolicy::default(),
         store: None,
         warm: None,
         auto_compact_ratio: None,
@@ -105,9 +98,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
             "--workers" => args.workers = positive("--workers", &value("--workers")?)?,
-            f @ ("--shard-min-tilings" | "--shard-chunk") => {
-                apply_shard_flag(&mut args.shard, f, &value(f)?)?;
-            }
             "--cache-entries" => {
                 args.cache.max_entries =
                     Some(positive("--cache-entries", &value("--cache-entries")?)?);
@@ -186,7 +176,6 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: drmap-serve [--addr HOST:PORT] [--workers N] \
                      [--cache-entries N] [--cache-bytes BYTES] [--cache-policy lru|cost] \
-                     [--shard-min-tilings N] [--shard-chunk N] \
                      [--store PATH] [--warm N] [--auto-compact-ratio R] \
                      [--max-inflight N] [--max-inflight-global N] \
                      [--slow-ms N] [--slow-log-cap N] [--sample-secs N] \
@@ -245,7 +234,7 @@ fn main() -> ExitCode {
                 .overload()
                 .set_config(update.apply(state.overload().config()));
         }
-        let pool = Arc::new(DsePool::with_shard_policy(state, args.workers, args.shard));
+        let pool = Arc::new(DsePool::new(state, args.workers));
         JobServer::with_config(&args.addr, pool, args.server)
     });
     let server = match server {
@@ -263,18 +252,12 @@ fn main() -> ExitCode {
             };
             println!(
                 "drmap-serve: listening on {addr} with {} workers \
-                 (cache: {} entries, {} bytes, {} eviction; \
-                 shard: min {} tilings, chunk {}; store: {}; \
+                 (cache: {} entries, {} bytes, {} eviction; store: {}; \
                  in-flight: {}/conn, {} global; slow log: {} (cap {}); sampler: {})",
                 args.workers,
                 bound(args.cache.max_entries),
                 bound(args.cache.max_bytes),
                 args.cache.policy.label(),
-                args.shard.min_tilings,
-                match args.shard.chunk_tilings {
-                    Some(n) => n.to_string(),
-                    None => format!("auto ({}x/worker)", args.shard.chunks_per_worker),
-                },
                 args.store.as_deref().unwrap_or("none"),
                 args.server.max_inflight,
                 bound(args.server.max_inflight_global),

@@ -1,11 +1,10 @@
 //! Small argument-parsing helpers shared by the `drmap-serve` and
-//! `drmap-batch` binaries: flag values, shard-policy flags, and the
-//! `drmap-batch --admin` command language.
+//! `drmap-batch` binaries: flag values and the `drmap-batch --admin`
+//! command language.
 
 use crate::cache::EvictionPolicy;
 use crate::faults::FaultPlan;
-use crate::pool::ShardPolicy;
-use crate::proto::{BoundsUpdate, OverloadUpdate, ShardPolicyUpdate};
+use crate::proto::{BoundsUpdate, OverloadUpdate};
 
 /// Parse a `--cache-policy` value: `lru` or `cost`.
 ///
@@ -32,30 +31,6 @@ pub fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("invalid {flag} value {value:?}"))
 }
 
-/// Apply one shard-policy flag (`--shard-min-tilings N` or
-/// `--shard-chunk N`) to a [`ShardPolicy`] — the same struct the
-/// `set-shard-policy` admin verb retunes at runtime, so boot flags and
-/// live updates cannot drift apart.
-///
-/// # Errors
-///
-/// Returns `"invalid <flag> value …"` for non-positive values, and
-/// `Err(None)`-style pass-through is not used: unknown flags are the
-/// caller's business (it returns `Ok(false)` for them).
-pub fn apply_shard_flag(policy: &mut ShardPolicy, flag: &str, value: &str) -> Result<bool, String> {
-    match flag {
-        "--shard-min-tilings" => {
-            policy.min_tilings = parse_positive(flag, value)?;
-            Ok(true)
-        }
-        "--shard-chunk" => {
-            policy.chunk_tilings = Some(parse_positive(flag, value)?);
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
-}
-
 /// One `drmap-batch --admin` command, parsed from its token form.
 /// (`PartialEq` only: [`FaultPlan`] carries probability floats.)
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,10 +43,6 @@ pub enum AdminCmd {
     Stats,
     /// `set-policy=lru|cost` — swap the eviction policy.
     SetPolicy(EvictionPolicy),
-    /// `set-shard-policy=key:value[,key:value…]` — retune sharding
-    /// (keys: `min_tilings`, `chunks_per_worker`, `chunk_tilings`;
-    /// `chunk_tilings:0` clears the explicit chunk size).
-    SetShardPolicy(ShardPolicyUpdate),
     /// `set-bounds=entries:N|bytes:N[,…]` — retune the cache bounds
     /// (`0` clears a bound to unbounded).
     SetBounds(BoundsUpdate),
@@ -283,41 +254,6 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
                 value,
             )?))
         }
-        "set-shard-policy" => {
-            let value = value.ok_or(
-                "set-shard-policy needs a value, e.g. \
-                 set-shard-policy=min_tilings:64,chunks_per_worker:3",
-            )?;
-            let mut update = ShardPolicyUpdate::default();
-            for pair in value.split(',') {
-                let (key, n) = pair
-                    .split_once(':')
-                    .ok_or_else(|| format!("set-shard-policy field {pair:?} is not key:value"))?;
-                match key {
-                    "min_tilings" => update.min_tilings = Some(parse_positive(key, n)?),
-                    "chunks_per_worker" => {
-                        update.chunks_per_worker = Some(parse_positive(key, n)?);
-                    }
-                    // 0 is meaningful here: it clears the explicit
-                    // chunk-size override.
-                    "chunk_tilings" => {
-                        update.chunk_tilings = Some(n.parse().map_err(|_| {
-                            format!("invalid chunk_tilings value {n:?} (integer, 0 clears)")
-                        })?);
-                    }
-                    other => {
-                        return Err(format!(
-                            "unknown set-shard-policy field {other:?} (expected min_tilings, \
-                             chunks_per_worker, or chunk_tilings)"
-                        ))
-                    }
-                }
-            }
-            if update == ShardPolicyUpdate::default() {
-                return Err("set-shard-policy changed nothing".to_owned());
-            }
-            Ok(AdminCmd::SetShardPolicy(update))
-        }
         "set-bounds" => {
             let value = value.ok_or(
                 "set-bounds needs a value, e.g. set-bounds=entries:512,bytes:1048576 \
@@ -350,9 +286,8 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
         }
         other => Err(format!(
             "unknown admin command {other:?} (expected hello, ping, stats, set-policy, \
-             set-shard-policy, set-bounds, set-slow-log, set-faults, set-overload, \
-             cache-clear, cache-warm, store-compact, metrics, metrics-history, \
-             slow-traces, or shutdown)"
+             set-bounds, set-slow-log, set-faults, set-overload, cache-clear, cache-warm, \
+             store-compact, metrics, metrics-history, slow-traces, or shutdown)"
         )),
     }
 }
@@ -360,23 +295,6 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_flags_update_the_same_struct_the_admin_verb_uses() {
-        let mut policy = ShardPolicy::default();
-        assert_eq!(
-            apply_shard_flag(&mut policy, "--shard-min-tilings", "128"),
-            Ok(true)
-        );
-        assert_eq!(
-            apply_shard_flag(&mut policy, "--shard-chunk", "16"),
-            Ok(true)
-        );
-        assert_eq!(policy.min_tilings, 128);
-        assert_eq!(policy.chunk_tilings, Some(16));
-        assert_eq!(apply_shard_flag(&mut policy, "--workers", "4"), Ok(false));
-        assert!(apply_shard_flag(&mut policy, "--shard-chunk", "0").is_err());
-    }
 
     #[test]
     fn admin_commands_parse_and_reject_garbage() {
@@ -400,14 +318,6 @@ mod tests {
         assert_eq!(
             parse_admin_command("store-compact=auto:0.4"),
             Ok(AdminCmd::StoreCompact(Some(0.4)))
-        );
-        assert_eq!(
-            parse_admin_command("set-shard-policy=min_tilings:32,chunk_tilings:0"),
-            Ok(AdminCmd::SetShardPolicy(ShardPolicyUpdate {
-                min_tilings: Some(32),
-                chunks_per_worker: None,
-                chunk_tilings: Some(0),
-            }))
         );
         assert_eq!(parse_admin_command("metrics"), Ok(AdminCmd::Metrics));
         assert_eq!(
@@ -467,10 +377,6 @@ mod tests {
             "reboot",
             "set-policy",
             "set-policy=mru",
-            "set-shard-policy=min_tilings",
-            "set-shard-policy=min_tilings:0",
-            "set-shard-policy=chunk:4",
-            "set-shard-policy=",
             "ping=1",
             "cache-warm=zero",
             "metrics=all",

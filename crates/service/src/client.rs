@@ -15,12 +15,11 @@
 //! * **Admin** — [`Client::hello`] opens the handshake of
 //!   [`crate::proto`]'s versioned protocol, [`Client::submit_with`]
 //!   attaches per-job options, and [`Client::set_policy`],
-//!   [`Client::set_shard_policy`], [`Client::set_bounds`],
-//!   [`Client::cache_clear`], [`Client::cache_warm`],
-//!   [`Client::compact_store`], [`Client::stats_report`],
-//!   [`Client::metrics`], [`Client::metrics_history`],
-//!   [`Client::slow_traces`], and [`Client::set_slow_log`] drive a
-//!   live server's control plane.
+//!   [`Client::set_bounds`], [`Client::cache_clear`],
+//!   [`Client::cache_warm`], [`Client::compact_store`],
+//!   [`Client::stats_report`], [`Client::metrics`],
+//!   [`Client::metrics_history`], [`Client::slow_traces`], and
+//!   [`Client::set_slow_log`] drive a live server's control plane.
 //!
 //! [`Client::set_binary`] switches outgoing requests to the
 //! length-prefixed binary frame encoding (see [`crate::wire`]), which
@@ -39,10 +38,9 @@ use crate::error::ServiceError;
 use crate::json::Json;
 use crate::loadgen::SplitMix64;
 use crate::overload::OverloadConfig;
-use crate::pool::ShardPolicy;
 use crate::proto::{
     BoundsUpdate, MetricsReport, OverloadUpdate, PersistedSlowTrace, Request, Response,
-    ShardPolicyUpdate, StatsReport, PROTOCOL_VERSION,
+    StatsReport, PROTOCOL_VERSION,
 };
 use crate::spec::{JobOptions, JobResult, JobSpec};
 use crate::wire::{self, Encoding};
@@ -346,8 +344,8 @@ impl Client {
     }
 
     /// Submit a job with explicit per-job options (cache mode,
-    /// Pareto-point retention, shard-chunk hint), and wait for its
-    /// result.
+    /// Pareto-point retention, deadline, tiling range), and wait for
+    /// its result.
     ///
     /// # Errors
     ///
@@ -473,22 +471,6 @@ impl Client {
         }
     }
 
-    /// Retune the running pool's shard policy (absent fields keep their
-    /// current values). Returns the full policy now in force.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed responses or server-side errors.
-    pub fn set_shard_policy(
-        &mut self,
-        update: ShardPolicyUpdate,
-    ) -> Result<ShardPolicy, ServiceError> {
-        match self.typed_request(&Request::SetShardPolicy { id: None, update })? {
-            Response::ShardPolicySet { policy, .. } => Ok(policy),
-            other => Err(Self::unexpected("set-shard-policy", &other)),
-        }
-    }
-
     /// Drop every resident cache entry on the server (the persistent
     /// store tier is untouched).
     ///
@@ -550,8 +532,7 @@ impl Client {
     }
 
     /// Fetch the stats report: every counter plus the **active
-    /// configuration** (live eviction policy, cache bounds, shard
-    /// policy).
+    /// configuration** (live eviction policy, cache bounds).
     ///
     /// # Errors
     ///

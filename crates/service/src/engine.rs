@@ -15,7 +15,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use drmap_cnn::accelerator::AcceleratorConfig;
 use drmap_cnn::layer::Layer;
-use drmap_core::dse::{layer_cache_key, DseConfig, DseEngine, LayerDseResult, LayerPartial};
+use drmap_core::dse::{layer_cache_key, DseConfig, DseEngine, LayerDseResult};
 use drmap_core::edp::EdpModel;
 use drmap_core::error::DseError;
 use drmap_dram::geometry::Geometry;
@@ -150,11 +150,6 @@ pub(crate) struct StageMetrics {
     pub(crate) cache_lookup_ns: Arc<Histogram>,
     /// The DSE sweep itself (cache misses only).
     pub(crate) explore_ns: Arc<Histogram>,
-    /// One claimed chunk of a sharded layer sweep — the per-chunk
-    /// durations `ShardPolicy` auto-tuning will feed on.
-    pub(crate) shard_chunk_ns: Arc<Histogram>,
-    /// Folding shard partials (or per-layer outcomes) into a result.
-    pub(crate) merge_ns: Arc<Histogram>,
     /// Jobs submitted through the pool.
     pub(crate) jobs_total: Arc<Counter>,
     /// Per-layer tasks processed by workers.
@@ -191,8 +186,6 @@ impl StageMetrics {
             frame_encode_ns: registry.histogram("frame_encode_ns"),
             cache_lookup_ns: registry.histogram("cache_lookup_ns"),
             explore_ns: registry.histogram("explore_ns"),
-            shard_chunk_ns: registry.histogram("shard_chunk_ns"),
-            merge_ns: registry.histogram("merge_ns"),
             jobs_total: registry.counter("jobs_total"),
             layers_total: registry.counter("layers_total"),
             cache_hits_total: registry.counter("cache_hits_total"),
@@ -491,46 +484,19 @@ impl ServiceState {
         tag: &str,
         layer: &Layer,
     ) -> Result<(LayerDseResult, CacheOutcome), DseError> {
-        self.explore_layer_cached_with(engine, tag, layer, CacheMode::Default, || {
-            self.explore_layer_ranged(engine, layer, None)
-        })
-    }
-
-    /// [`ServiceState::explore_layer_cached`] with a caller-supplied
-    /// cache mode and exploration strategy: `explore` runs only when
-    /// `mode` says the lookup should fall through to computation (for
-    /// [`CacheMode::Default`], when both cache tiers miss and no
-    /// equivalent computation is in flight; always for
-    /// [`CacheMode::Bypass`]/[`CacheMode::Refresh`]). The worker pool
-    /// uses this to shard an oversized layer's tiling range across
-    /// workers and to honor per-job cache options; the strategy must
-    /// return exactly what [`DseEngine::explore_layer`] would (sharded
-    /// merges are exact, so this holds by construction), or cached and
-    /// computed results would diverge.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `explore` failures (shared by every caller coalesced
-    /// onto the failing computation). Failures are not cached.
-    pub fn explore_layer_cached_with<F>(
-        &self,
-        engine: &DseEngine,
-        tag: &str,
-        layer: &Layer,
-        mode: CacheMode,
-        explore: F,
-    ) -> Result<(LayerDseResult, CacheOutcome), DseError>
-    where
-        F: FnOnce() -> Result<LayerDseResult, DseError>,
-    {
         let key = layer_key(engine, tag, layer, None);
-        self.explore_keyed(&key, layer, mode, None, explore)
+        self.explore_keyed(&key, engine, layer, None, CacheMode::Default, None)
     }
 
     /// The full cached lookup of one layer under its precomputed
     /// [`layer_key`] — what [`ServiceState::run_job`] runs for every
     /// layer and a pool worker for each layer the submit-time
-    /// [`ServiceState::lookup_resident`] did not answer. The whole
+    /// [`ServiceState::lookup_resident`] did not answer. `key` must be
+    /// the [`layer_key`] of `engine`, `layer` and `range`; the sweep
+    /// runs only when `mode` says the lookup falls through to
+    /// computation (for [`CacheMode::Default`], when both cache tiers
+    /// miss and no equivalent computation is in flight; always for
+    /// [`CacheMode::Bypass`]/[`CacheMode::Refresh`]). The whole
     /// lookup is timed as a `cache_lookup` span and the computation
     /// (when the lookup falls through) as a nested `explore` span, both
     /// recorded in the stage histograms and — when a per-request
@@ -540,24 +506,22 @@ impl ServiceState {
     ///
     /// # Errors
     ///
-    /// Propagates `explore` failures; failures are not cached.
-    pub(crate) fn explore_keyed<F>(
+    /// Propagates sweep failures (shared by every caller coalesced onto
+    /// the failing computation); failures are not cached.
+    pub(crate) fn explore_keyed(
         &self,
         key: &str,
+        engine: &DseEngine,
         layer: &Layer,
+        range: Option<(u64, u64)>,
         mode: CacheMode,
         trace: Option<&Arc<Trace>>,
-        explore: F,
-    ) -> Result<(LayerDseResult, CacheOutcome), DseError>
-    where
-        F: FnOnce() -> Result<LayerDseResult, DseError>,
-    {
+    ) -> Result<(LayerDseResult, CacheOutcome), DseError> {
         let _lookup = Span::enter("cache_lookup", &self.stages.cache_lookup_ns).traced(trace);
         self.stages.layers_total.inc();
-        let stages = &self.stages;
         let (mut result, outcome) = self.cache.get_or_compute_with(key, mode, || {
-            let _explore = Span::enter("explore", &stages.explore_ns).traced(trace);
-            explore()
+            let _explore = Span::enter("explore", &self.stages.explore_ns).traced(trace);
+            self.explore_layer_ranged(engine, layer, range)
         })?;
         // Resident-tier semantics: only `Hit` was answered from memory
         // already resident; coalesced waits, store reads, and fresh
@@ -601,27 +565,13 @@ impl ServiceState {
         Some(result)
     }
 
-    /// Finish one layer's sweep — whole, ranged, or merged from shards:
-    /// count what it covered and what it skipped
-    /// (`dse_evaluations_total`, `dse_pruned_total`), then name the
-    /// result. Every sweep the service runs ends here, so the two
-    /// counters cover exactly the layers that were computed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty partial, as [`LayerPartial::into_result`] does.
-    pub(crate) fn finish_sweep(&self, partial: LayerPartial, layer: &Layer) -> LayerDseResult {
-        self.stages
-            .dse_evaluations_total
-            .add(partial.evaluations() as u64);
-        self.stages.dse_pruned_total.add(partial.pruned() as u64);
-        partial.into_result(layer.name.clone())
-    }
-
     /// Explore a layer on the calling thread, restricted to `range` when
     /// one is set. The whole layer is the `0..usize::MAX` range of the
     /// same sweep, so a scattered sweep's merged partials are
-    /// bit-identical to one whole sweep by construction.
+    /// bit-identical to one whole sweep by construction. Every sweep the
+    /// service runs goes through here, so `dse_evaluations_total` and
+    /// `dse_pruned_total` (what it covered, what it skipped) cover
+    /// exactly the layers that were computed.
     ///
     /// # Errors
     ///
@@ -629,7 +579,7 @@ impl ServiceState {
     /// clamping to the layer's tiling count — `LayerPartial::into_result`
     /// on an empty partial would panic, and a silently-empty partial would
     /// corrupt a scatter merge.
-    pub(crate) fn explore_layer_ranged(
+    fn explore_layer_ranged(
         &self,
         engine: &DseEngine,
         layer: &Layer,
@@ -649,7 +599,12 @@ impl ServiceState {
                     ..usize::try_from(end.min(count)).unwrap_or(usize::MAX)
             }
         };
-        Ok(self.finish_sweep(engine.explore_layer_range(layer, tilings)?, layer))
+        let partial = engine.explore_layer_range(layer, tilings)?;
+        self.stages
+            .dse_evaluations_total
+            .add(partial.evaluations() as u64);
+        self.stages.dse_pruned_total.add(partial.pruned() as u64);
+        Ok(partial.into_result(layer.name.clone()))
     }
 
     /// Run a whole job sequentially on the calling thread (the reference
@@ -669,9 +624,7 @@ impl ServiceState {
         for layer in spec.workload.layers() {
             let key = layer_key(&engine, &tag, layer, range);
             let (result, outcome) =
-                self.explore_keyed(&key, layer, spec.options.cache, None, || {
-                    self.explore_layer_ranged(&engine, layer, range)
-                })?;
+                self.explore_keyed(&key, &engine, layer, range, spec.options.cache, None)?;
             total.accumulate(&result.best.estimate);
             outcomes.push(outcome_from_result(result, outcome));
         }

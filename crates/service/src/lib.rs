@@ -26,7 +26,7 @@
 //!   covering network- and layer-level jobs across every
 //!   [`DramArch`](drmap_dram::timing::DramArch) and
 //!   [`Objective`](drmap_core::dse::Objective);
-//! * [`pool`] — the worker-pool engine: every job is sharded into
+//! * [`pool`] — the worker-pool engine: every job is split into
 //!   per-layer tasks on one queue, so batches saturate all workers; a
 //!   worker that panics surfaces a job error instead of hanging the
 //!   submitter;
@@ -45,13 +45,12 @@
 //!   declared once, as a field table both codec directions are
 //!   generated from; a `hello` handshake advertising
 //!   [`PROTOCOL_VERSION`](proto::PROTOCOL_VERSION) and capabilities,
-//!   admin verbs (`set-policy`, `set-shard-policy`, `set-bounds`,
-//!   `cache-clear`/`cache-warm`, `store-compact`, `metrics`), and
-//!   per-job options;
+//!   admin verbs (`set-policy`, `set-bounds`, `cache-clear`/`cache-warm`,
+//!   `store-compact`, `metrics`), and per-job options;
 //! * [`server`]/[`client`] — a hand-rolled, std-only, **pipelined**
 //!   TCP front-end: submit many jobs tagged by `id`, receive responses
 //!   out of order as they complete; the client grows typed admin
-//!   methods (`hello`, `set_policy`, `set_shard_policy`, …);
+//!   methods (`hello`, `set_policy`, `set_bounds`, …);
 //! * [`wire`] — the one codec over both encodings: newline-delimited
 //!   text plus a length-prefixed binary frame mode for large inline
 //!   networks;
@@ -72,11 +71,11 @@
 //!
 //! Every layer is threaded with [`drmap_telemetry`]: lock-free latency
 //! histograms and counters for each request stage (frame decode, cache
-//! lookup, store read, single-flight wait, explore, shard chunks,
-//! merge, frame encode), per-request traces keyed by the wire `id`,
-//! and a slow-request ring buffer — all dumped by the `metrics` admin
-//! verb, structured or as Prometheus-style text. See
-//! `docs/OBSERVABILITY.md` for the metric taxonomy.
+//! lookup, store read, single-flight wait, explore, frame encode),
+//! per-request traces keyed by the wire `id`, and a slow-request ring
+//! buffer — all dumped by the `metrics` admin verb, structured or as
+//! Prometheus-style text. See `docs/OBSERVABILITY.md` for the metric
+//! taxonomy.
 //!
 //! Results are **bit-identical** across every path — direct
 //! [`DseEngine`](drmap_core::dse::DseEngine) call, sequential
@@ -128,10 +127,10 @@ pub mod prelude {
     pub use crate::faults::{FaultPlan, FaultState};
     pub use crate::json::Json;
     pub use crate::overload::{OverloadConfig, OverloadController};
-    pub use crate::pool::{DsePool, PendingJob, ShardPolicy};
+    pub use crate::pool::{DsePool, PendingJob};
     pub use crate::proto::{
-        BoundsUpdate, MetricsReport, OverloadUpdate, Request, Response, ShardPolicyUpdate,
-        StatsReport, PROTOCOL_VERSION,
+        BoundsUpdate, MetricsReport, OverloadUpdate, Request, Response, StatsReport,
+        PROTOCOL_VERSION,
     };
     pub use crate::server::{JobServer, ServerConfig};
     pub use crate::spec::{

@@ -2,30 +2,19 @@
 //!
 //! Layer-wise DSE is embarrassingly parallel: a network job decomposes
 //! into independent per-layer explorations. The pool exploits that by
-//! sharding every submitted job into layer tasks on one shared queue,
+//! splitting every submitted job into layer tasks on one shared queue,
 //! so a batch of jobs keeps all workers busy end-to-end — small jobs
 //! don't wait for big ones and a single straggler layer cannot idle the
 //! rest of the pool (contrast with
 //! [`DseEngine::explore_network`](drmap_core::dse::DseEngine::explore_network),
 //! which runs a bounded worker crew inside one process-wide call).
 //!
-//! ## Intra-layer sharding
-//!
-//! A worker that picks up a layer whose tiling enumeration crosses
-//! [`ShardPolicy::min_tilings`] — since the sweep learned to skip what
-//! cannot win, more tilings than any model-zoo layer has; see
-//! [`ShardPolicy::default`] — splits the range into chunks, posts *help
-//! tokens* onto the shared queue, and claims chunks itself from a
-//! shared counter. Idle workers
-//! that pick up a token join in; each chunk becomes a
-//! [`DseEngine::explore_layer_range`] partial, and the leader merges
-//! them in range order — an exact merge, so the assembled
-//! [`LayerDseResult`](drmap_core::dse::LayerDseResult) is bit-identical
-//! to a sequential `explore_layer`. The scheme is deadlock-free by
-//! construction: the leader only ever *waits* for chunks that some
-//! worker has already claimed and is actively computing (unclaimed
-//! chunks it claims itself), and help tokens arriving after the shard
-//! drained are no-ops.
+//! The layer is the unit of work: a whole layer sweeps in 7–500 µs
+//! inside a worker (the model zoo's largest has 3 456 tilings) — about
+//! what waking a second worker costs — so a worker computes a missed
+//! layer with the very call [`ServiceState::run_job`] makes. Splitting
+//! *one* layer pays only where the parts can cross a node boundary:
+//! `drmap-router --scatter`, through [`JobOptions::tiling_range`].
 //!
 //! ## Submission and completion
 //!
@@ -42,26 +31,23 @@
 //! [`DsePool::submit`]`(..).`[`wait()`](PendingJob::wait) is that same
 //! path with a completion that parks the result for the waiter.
 //!
-//! Determinism: workers may *compute* layers (and chunks) in any order,
-//! but results are reassembled in layer (and range) order and totals
-//! are accumulated exactly as the direct engine does, so a job's
-//! [`JobResult`] is bit-identical to a sequential run — cached, pooled,
-//! sharded, or direct.
+//! Determinism: workers may *compute* layers in any order, but results
+//! are reassembled in layer order and totals are accumulated exactly as
+//! the direct engine does, so a job's [`JobResult`] is bit-identical to
+//! a sequential run — cached, pooled, or direct.
 
-use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use drmap_cnn::layer::Layer;
-use drmap_core::dse::{LayerDseResult, LayerPartial, SharedEngine};
+use drmap_core::dse::{LayerDseResult, SharedEngine};
 use drmap_core::edp::EdpEstimate;
 use drmap_core::error::DseError;
-use drmap_core::tiling::{enumerate_tilings, Tiling};
-use drmap_telemetry::{Histogram, Span, Trace};
+use drmap_telemetry::Trace;
 
 use crate::cache::CacheOutcome;
 use crate::engine::{layer_key, outcome_from_result, ServiceState};
@@ -147,10 +133,10 @@ impl QueuedJob {
 }
 
 /// A job's absolute latency budget, captured at submission. Workers
-/// check it at dequeue (a queued layer whose budget lapsed is never
-/// computed) and between claimed shard chunks; an expired check raises
-/// a [`DEADLINE_MARKER`]-tagged [`DseError`] that job assembly lifts
-/// back into the typed
+/// check it at dequeue: a queued layer whose budget lapsed is never
+/// computed (one that has started runs to completion), and the expired
+/// check raises a [`DEADLINE_MARKER`]-tagged [`DseError`] that job
+/// assembly lifts back into the typed
 /// [`ServiceError::DeadlineExceeded`](crate::error::ServiceError).
 #[derive(Debug, Clone, Copy)]
 struct Deadline {
@@ -195,370 +181,41 @@ struct LayerTask {
     job: Arc<QueuedJob>,
 }
 
-/// What travels on the pool's shared queue: a whole-layer exploration,
-/// or an invitation to help with another worker's sharded layer.
-// Boxing `LayerTask` would trade the size skew for a heap allocation on
-// every layer enqueue; tasks are short-lived and the queue shallow.
-#[allow(clippy::large_enum_variant)]
-enum Task {
-    Layer(LayerTask),
-    Help(Arc<Shard>),
-}
-
-/// When and how finely the pool shards one layer's tiling range.
-///
-/// The policy is **live**: [`DsePool::set_shard_policy`] retunes it on
-/// a running pool (the `set-shard-policy` admin verb), taking effect on
-/// the next layer a worker picks up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPolicy {
-    /// Only layers with at least this many feasible tilings shard;
-    /// below it, chunking overhead outweighs the parallelism. The
-    /// default is derived under [`ShardPolicy::default`].
-    pub min_tilings: usize,
-    /// Target chunks per pool worker. Over-decomposing (the default is
-    /// 3) keeps the chunks short enough that late-joining helpers still
-    /// find work and stragglers don't serialize the merge.
-    pub chunks_per_worker: usize,
-    /// Explicit chunk size (tilings per chunk), overriding the
-    /// `chunks_per_worker` derivation when set. `None` (the default)
-    /// derives the chunk size from the worker count; jobs can override
-    /// either with their own hint
-    /// ([`JobOptions::shard_chunk`](crate::spec::JobOptions)).
-    pub chunk_tilings: Option<usize>,
-}
-
-impl Default for ShardPolicy {
-    /// `min_tilings` is set so that a layer shards only when its sweep
-    /// is worth many pool hops. Measured through the pool on the 2-vCPU
-    /// reference box (bypass-cache single-layer jobs, `shard_chunk_ns`):
-    /// a bound-and-skip sweep costs 100–180 ns per tiling inside a
-    /// worker, and one hop — posting a help token and being woken by the
-    /// chunk that finishes last — costs what a whole 60-tiling layer job
-    /// does, ≈ 60 µs. At the model zoo's largest layer (3 456 tilings,
-    /// ≈ 0.5 ms) two workers measured 0.88–1.3× one, and the pre-pruning
-    /// threshold of 64 halved `serve-cold` throughput. 8 192 tilings is
-    /// ≈ 1 ms of sweep, some twenty hops; no zoo layer reaches it.
-    fn default() -> Self {
-        ShardPolicy {
-            min_tilings: 8192,
-            chunks_per_worker: 3,
-            chunk_tilings: None,
-        }
-    }
-}
-
-impl ShardPolicy {
-    /// The chunk size (in tilings) this policy yields for a layer with
-    /// `count` feasible tilings on a `workers`-worker pool, after
-    /// applying an optional per-job override: the job's hint wins, then
-    /// the policy's explicit [`ShardPolicy::chunk_tilings`], then the
-    /// `chunks_per_worker` derivation. Always at least 1.
-    pub fn chunk_size(&self, count: usize, workers: usize, job_hint: Option<usize>) -> usize {
-        job_hint
-            .or(self.chunk_tilings)
-            .unwrap_or_else(|| count.div_ceil(workers.max(1) * self.chunks_per_worker.max(1)))
-            .max(1)
-    }
-}
-
-/// State the pool shares with its workers: the sharding knobs and a
-/// re-entrant handle to the task queue for posting help tokens. The
-/// handle lives in an `Option` so [`DsePool::drop`] can sever it —
-/// workers holding permanent `Sender` clones would keep the channel
-/// open and the shutdown join would hang.
-struct PoolShared {
-    workers: usize,
-    /// The live sharding policy — a mutex, not a plain field, so
-    /// `set-shard-policy` can retune a running pool. Read once per
-    /// layer (never held across exploration work).
-    policy: Mutex<ShardPolicy>,
-    helper: Mutex<Option<Sender<Task>>>,
-}
-
-impl PoolShared {
-    fn policy(&self) -> ShardPolicy {
-        *lock_recovered(&self.policy)
-    }
-}
-
-/// One sharded layer exploration in flight: chunked tiling ranges
-/// claimed from a shared counter by the leader and any helpers. The
-/// leader enumerates the tilings **once**; every chunk sweeps a
-/// subrange of that shared enumeration.
-struct Shard {
-    engine: SharedEngine,
-    layer: Layer,
-    tilings: Vec<Tiling>,
-    chunks: Vec<Range<usize>>,
-    next: AtomicUsize,
-    progress: Mutex<ShardProgress>,
-    done: Condvar,
-    /// Per-claimed-chunk sweep durations — the signal `ShardPolicy`
-    /// auto-tuning will feed on.
-    chunk_ns: Arc<Histogram>,
-    /// Leader-side partial-merge duration.
-    merge_ns: Arc<Histogram>,
-    /// The submitting job's latency budget: checked before computing
-    /// each claimed chunk, so a lapsed job stops burning workers
-    /// between chunks (an in-progress sweep still runs to completion).
-    deadline: Option<Deadline>,
-}
-
-struct ShardProgress {
-    partials: Vec<Option<Result<LayerPartial, DseError>>>,
-    finished: usize,
-}
-
-impl Shard {
-    fn new(
-        engine: SharedEngine,
-        layer: Layer,
-        tilings: Vec<Tiling>,
-        chunks: Vec<Range<usize>>,
-        chunk_ns: Arc<Histogram>,
-        merge_ns: Arc<Histogram>,
-        deadline: Option<Deadline>,
-    ) -> Self {
-        let progress = ShardProgress {
-            partials: (0..chunks.len()).map(|_| None).collect(),
-            finished: 0,
-        };
-        Shard {
-            engine,
-            layer,
-            tilings,
-            chunks,
-            next: AtomicUsize::new(0),
-            progress: Mutex::new(progress),
-            done: Condvar::new(),
-            chunk_ns,
-            merge_ns,
-            deadline,
-        }
-    }
-
-    /// Claim and explore chunks until none remain. Run by the leader
-    /// and by every helper; returns immediately when the shard has
-    /// already drained. A chunk that panics records an error so the
-    /// leader never waits on a chunk nobody will finish.
-    fn work(&self) {
-        loop {
-            // ordering: Relaxed — `next` is a pure claim ticket; the
-            // chunk data it indexes is immutable, and result slots are
-            // published under the shard's mutex, not through this atomic.
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.chunks.len() {
-                return;
-            }
-            let range = self.chunks[i].clone();
-            // Between-chunk deadline check: the claim/publish protocol
-            // stays intact (the expired chunk still publishes a
-            // partial — an error one — so the leader never waits on a
-            // slot nobody will fill).
-            if let Some(deadline) = self.deadline.filter(Deadline::expired) {
-                let mut progress = lock_recovered(&self.progress);
-                progress.partials[i] = Some(Err(deadline.error()));
-                progress.finished += 1;
-                if progress.finished == self.chunks.len() {
-                    self.done.notify_all();
-                }
-                continue;
-            }
-            let chunk_span = Span::enter("shard_chunk", &self.chunk_ns);
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                self.engine
-                    .explore_tilings_range(&self.layer, &self.tilings, range)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(DseError::new(format!(
-                    "worker panicked exploring a tiling range of layer {:?}: {}",
-                    self.layer.name,
-                    panic_message(payload.as_ref())
-                )))
-            });
-            // Close the chunk span before publishing: contention on the
-            // progress lock is not sweep time.
-            drop(chunk_span);
-            let mut progress = lock_recovered(&self.progress);
-            progress.partials[i] = Some(result);
-            progress.finished += 1;
-            if progress.finished == self.chunks.len() {
-                self.done.notify_all();
-            }
-        }
-    }
-
-    /// Leader-side completion: block until every chunk has reported
-    /// (each is being actively computed by some worker, so this cannot
-    /// deadlock), then merge the partials in range order.
-    fn wait_and_merge(&self) -> Result<LayerPartial, DseError> {
-        let mut progress = lock_recovered(&self.progress);
-        while progress.finished < self.chunks.len() {
-            progress = self.done.wait(progress).unwrap_or_else(|e| e.into_inner());
-        }
-        let _merge = Span::enter("merge", &self.merge_ns);
-        let mut merged: Option<LayerPartial> = None;
-        for slot in progress.partials.iter_mut() {
-            let partial = slot.take().expect("a finished shard has every partial")?;
-            merged = Some(match merged {
-                None => partial,
-                Some(mut earlier) => {
-                    earlier.merge(partial);
-                    earlier
-                }
-            });
-        }
-        Ok(merged.expect("a shard has at least two chunks"))
-    }
-}
-
-/// Explore one layer, sharding its tiling range across the pool when
-/// the policy says it is big enough to be worth it. Falls back to the
-/// plain sequential sweep for small layers, single-worker pools, and
-/// enumerations too short to split.
-fn explore_maybe_sharded(
-    engine: &SharedEngine,
-    layer: &Layer,
-    shared: &PoolShared,
-    chunk_hint: Option<usize>,
-    state: &ServiceState,
-    deadline: Option<Deadline>,
-) -> Result<LayerDseResult, DseError> {
-    if shared.workers <= 1 {
-        return state.explore_layer_ranged(engine, layer, None);
-    }
-    // One consistent snapshot of the live policy per layer: a
-    // concurrent `set-shard-policy` affects the *next* layer, never a
-    // half-chunked one.
-    let policy = shared.policy();
-    // Enumerate once; sharded chunks sweep subranges of this one list,
-    // and the unsharded fallback sweeps it whole — either way the
-    // candidate domain is walked a single time.
-    let acc = *engine.model().traffic_model().accelerator();
-    let tilings = enumerate_tilings(layer, &acc)?;
-    let count = tilings.len();
-    let whole = |engine: &SharedEngine| {
-        let partial = engine.explore_tilings_range(layer, &tilings, 0..count)?;
-        Ok(state.finish_sweep(partial, layer))
-    };
-    if count < policy.min_tilings.max(2) {
-        return whole(engine);
-    }
-    let chunk = policy.chunk_size(count, shared.workers, chunk_hint);
-    let chunks: Vec<Range<usize>> = (0..count)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(count))
-        .collect();
-    if chunks.len() < 2 {
-        return whole(engine);
-    }
-    let invites = (shared.workers - 1).min(chunks.len() - 1);
-    let stages = state.stages();
-    let shard = Arc::new(Shard::new(
-        Arc::clone(engine),
-        layer.clone(),
-        tilings,
-        chunks,
-        Arc::clone(&stages.shard_chunk_ns),
-        Arc::clone(&stages.merge_ns),
-        deadline,
-    ));
-    // Invite idle workers. Tokens are requests, not assignments: one
-    // arriving after the shard drained is a no-op, and if the queue is
-    // already severed (pool shutting down) the leader simply does every
-    // chunk itself.
-    if let Some(helper) = lock_recovered(&shared.helper).clone() {
-        for _ in 0..invites {
-            if helper.send(Task::Help(Arc::clone(&shard))).is_err() {
-                break;
-            }
-        }
-    }
-    shard.work();
-    Ok(state.finish_sweep(shard.wait_and_merge()?, layer))
-}
-
 /// A multi-threaded DSE job pool over shared [`ServiceState`].
 #[derive(Debug)]
 pub struct DsePool {
     state: Arc<ServiceState>,
     workers: usize,
-    queue: Option<Sender<Task>>,
-    shared: Arc<PoolShared>,
+    queue: Option<Sender<LayerTask>>,
     handles: Vec<JoinHandle<()>>,
     /// Jobs submitted so far — the 1-based ordinal a fault plan's
     /// `panic-job` targets.
     submitted: AtomicU64,
 }
 
-impl std::fmt::Debug for PoolShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolShared")
-            .field("workers", &self.workers)
-            .field("policy", &self.policy)
-            .finish_non_exhaustive()
-    }
-}
-
 impl DsePool {
-    /// Spawn `workers` worker threads over the shared state, sharding
-    /// oversized layers per the default [`ShardPolicy`].
+    /// Spawn `workers` worker threads over the shared state.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
     pub fn new(state: Arc<ServiceState>, workers: usize) -> Self {
-        Self::with_shard_policy(state, workers, ShardPolicy::default())
-    }
-
-    /// Spawn `workers` worker threads with an explicit [`ShardPolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_shard_policy(
-        state: Arc<ServiceState>,
-        workers: usize,
-        policy: ShardPolicy,
-    ) -> Self {
         assert!(workers > 0, "a pool needs at least one worker");
-        let (queue, rx) = channel::<Task>();
+        let (queue, rx) = channel::<LayerTask>();
         let rx = Arc::new(Mutex::new(rx));
-        let shared = Arc::new(PoolShared {
-            workers,
-            policy: Mutex::new(policy),
-            helper: Mutex::new(Some(queue.clone())),
-        });
         let handles = (0..workers)
             .map(|_| {
                 let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&rx, &shared))
+                std::thread::spawn(move || worker_loop(&rx))
             })
             .collect();
         DsePool {
             state,
             workers,
             queue: Some(queue),
-            shared,
             handles,
             submitted: AtomicU64::new(0),
         }
-    }
-
-    /// The sharding policy currently in force.
-    pub fn shard_policy(&self) -> ShardPolicy {
-        self.shared.policy()
-    }
-
-    /// Retune the sharding policy on the running pool, effective for
-    /// the next layer any worker picks up — in-flight layers finish
-    /// under the snapshot they started with. Returns the policy that
-    /// was previously in force. This is the `set-shard-policy` admin
-    /// verb's backing operation.
-    pub fn set_shard_policy(&self, policy: ShardPolicy) -> ShardPolicy {
-        std::mem::replace(&mut lock_recovered(&self.shared.policy), policy)
     }
 
     /// The shared state this pool executes against.
@@ -594,8 +251,8 @@ impl DsePool {
     /// worker that serves it); only the rest are enqueued. A
     /// `refresh`/`bypass` job, and the layer an armed fault plan chose
     /// to panic in, always go to the workers. The job's [`JobOptions`]
-    /// travel with every layer task: the cache mode and shard-chunk
-    /// hint steer the worker's leader path, and `keep_points` selects a
+    /// travel with every layer task: the cache mode and tiling range
+    /// steer the worker's lookup, and `keep_points` selects a
     /// Pareto-retaining engine (cache-keyed separately from point-free
     /// sweeps). `trace` is the submitting request's [`Trace`] (the TCP
     /// front-end opens one per job, keyed by the wire `id`): lookup and
@@ -672,7 +329,7 @@ impl DsePool {
                 .queue
                 .as_ref()
                 .expect("queue lives as long as the pool");
-            if queue.send(Task::Layer(task)).is_err() {
+            if queue.send(task).is_err() {
                 job.deliver(
                     index,
                     Err(DseError::new(
@@ -694,12 +351,8 @@ impl DsePool {
 
 impl Drop for DsePool {
     fn drop(&mut self) {
-        // Sever the workers' helper handle first — otherwise their
-        // clones would keep the channel open forever — then close our
-        // own sender so every worker's recv loop ends once the queue
-        // drains. A leader mid-shard holds a transient clone; it
-        // finishes its layer, drops the clone, and exits normally.
-        lock_recovered(&self.shared.helper).take();
+        // Closing the only sender ends every worker's recv loop once
+        // the queue drains.
         self.queue.take();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -707,7 +360,7 @@ impl Drop for DsePool {
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<Task>>, shared: &PoolShared) {
+fn worker_loop(rx: &Mutex<Receiver<LayerTask>>) {
     loop {
         // Hold the lock only while waiting for the next task; execution
         // happens with the queue free for other workers.
@@ -715,22 +368,13 @@ fn worker_loop(rx: &Mutex<Receiver<Task>>, shared: &PoolShared) {
             Ok(task) => task,
             Err(_) => return, // pool dropped, queue closed
         };
-        let task = match task {
-            Task::Layer(task) => task,
-            Task::Help(shard) => {
-                // Chunk panics are converted inside `work`, and a stale
-                // token finds the shard drained and returns at once.
-                shard.work();
-                continue;
-            }
-        };
         // Dequeue-time deadline check: a layer that waited out its
         // job's whole budget in the queue is answered (with the typed
         // error) instead of computed — the submitter has given up.
         let reply = if let Some(deadline) = task.deadline.filter(Deadline::expired) {
             Err(deadline.error())
         } else {
-            explore_task(&task, shared)
+            explore_task(&task)
         };
         // The delivery that completes the job runs its completion right
         // here; a panic in that must cost one response, not a worker.
@@ -746,37 +390,20 @@ fn worker_loop(rx: &Mutex<Receiver<Task>>, shared: &PoolShared) {
 /// computing. (`explore_keyed` already converts panics inside the
 /// exploration itself; this guards everything else — and is exactly the
 /// mechanism an injected fault-plan panic probes.)
-fn explore_task(task: &LayerTask, shared: &PoolShared) -> LayerReply {
+fn explore_task(task: &LayerTask) -> LayerReply {
     std::panic::catch_unwind(AssertUnwindSafe(|| {
         if task.inject_panic {
             task.state.stages().fault_pool_total.inc();
             // check:allow(no-unwrap-hot-path): deliberate, counted fault injection
             panic!("injected fault-plan worker panic");
         }
-        let range = task.options.tiling_range;
         task.state.explore_keyed(
             &task.key,
+            &task.engine,
             &task.layer,
+            task.options.tiling_range,
             task.options.cache,
             task.trace.as_ref(),
-            || {
-                if range.is_some() {
-                    // A ranged job *is* a shard (the router's scatter
-                    // unit); sharding it again would re-chunk someone
-                    // else's chunk.
-                    task.state
-                        .explore_layer_ranged(&task.engine, &task.layer, range)
-                } else {
-                    explore_maybe_sharded(
-                        &task.engine,
-                        &task.layer,
-                        shared,
-                        task.options.shard_chunk,
-                        &task.state,
-                        task.deadline,
-                    )
-                }
-            },
         )
     }))
     .unwrap_or_else(|payload| {
@@ -827,6 +454,21 @@ mod tests {
         let sequential = fresh.run_job(&spec).unwrap();
         assert_eq!(pooled.id, 7);
         assert_bit_identical(&pooled, &sequential);
+
+        // The heaviest layer of the model zoo (3 456 tilings), alone on
+        // the same pool, against the engine called directly.
+        let vgg = Network::vgg16();
+        let heavy = vgg.layers().iter().find(|l| l.name == "CONV2_2").unwrap();
+        let spec = JobSpec::layer(8, EngineSpec::default(), heavy.clone());
+        let pooled = pool.submit(&spec).wait().unwrap();
+        let engine = state.factory().engine(&spec.engine);
+        assert_eq!(engine.tiling_count(heavy).unwrap(), 3456);
+        let direct = engine.explore_layer(heavy).unwrap();
+        assert_eq!(pooled.layers.len(), 1);
+        assert_layer_bit_identical(
+            &pooled.layers[0],
+            &outcome_from_result(direct, CacheOutcome::Miss),
+        );
     }
 
     /// Every total and every layer's winner agree to the bit.
@@ -835,14 +477,18 @@ mod tests {
         assert_eq!(a.total.energy.to_bits(), b.total.energy.to_bits());
         assert_eq!(a.total.cycles.to_bits(), b.total.cycles.to_bits());
         for (a, b) in a.layers.iter().zip(&b.layers) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.mapping, b.mapping);
-            assert_eq!(a.scheme, b.scheme);
-            assert_eq!(a.tiling, b.tiling);
-            assert_eq!(a.evaluations, b.evaluations);
-            assert_eq!(a.estimate.energy.to_bits(), b.estimate.energy.to_bits());
-            assert_eq!(a.estimate.cycles.to_bits(), b.estimate.cycles.to_bits());
+            assert_layer_bit_identical(a, b);
         }
+    }
+
+    fn assert_layer_bit_identical(a: &crate::spec::LayerOutcome, b: &crate::spec::LayerOutcome) {
+        assert_eq!(a.name, b.name);
+        assert_eq!(a.mapping, b.mapping);
+        assert_eq!(a.scheme, b.scheme);
+        assert_eq!(a.tiling, b.tiling);
+        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.estimate.energy.to_bits(), b.estimate.energy.to_bits());
+        assert_eq!(a.estimate.cycles.to_bits(), b.estimate.cycles.to_bits());
     }
 
     #[test]
@@ -889,137 +535,21 @@ mod tests {
         let _ = DsePool::new(state, 0);
     }
 
-    /// Shard every layer, however small, into 2-per-worker chunks.
-    fn always_shard() -> ShardPolicy {
-        ShardPolicy {
-            min_tilings: 2,
-            chunks_per_worker: 2,
-            chunk_tilings: None,
-        }
-    }
-
     #[test]
-    fn forced_sharding_is_bit_identical_to_sequential() {
-        let state = ServiceState::new().unwrap();
-        let pool = DsePool::with_shard_policy(Arc::clone(&state), 4, always_shard());
-        let spec = JobSpec::network(11, EngineSpec::default(), Network::tiny());
-        let sharded = pool.submit(&spec).wait().unwrap();
-
-        let fresh = ServiceState::new().unwrap();
-        let sequential = fresh.run_job(&spec).unwrap();
-        assert_bit_identical(&sharded, &sequential);
-    }
-
-    #[test]
-    fn finished_sweeps_count_their_design_points_whole_and_sharded() {
-        for policy in [ShardPolicy::default(), always_shard()] {
-            let state = ServiceState::new().unwrap();
-            let pool = DsePool::with_shard_policy(Arc::clone(&state), 4, policy);
-            let spec = JobSpec::network(1, EngineSpec::default(), Network::tiny());
-            let result = pool.submit(&spec).wait().unwrap();
-            let covered: u64 = result.layers.iter().map(|l| l.evaluations).sum();
-            let counter = |name| state.metrics().snapshot().counter(name).unwrap_or(0);
-            assert_eq!(counter("dse_evaluations_total"), covered, "{policy:?}");
-            let pruned = counter("dse_pruned_total");
-            assert!(0 < pruned && pruned < covered, "{pruned} of {covered}");
-            // Resident layers are not swept again.
-            pool.submit(&spec).wait().unwrap();
-            assert_eq!(counter("dse_evaluations_total"), covered);
-            assert_eq!(counter("dse_pruned_total"), pruned);
-        }
-    }
-
-    #[test]
-    fn sharded_single_layer_job_matches_direct_exploration() {
-        // One layer on an otherwise idle multi-worker pool: exactly the
-        // case intra-layer sharding exists for.
-        let state = ServiceState::new().unwrap();
-        let pool = DsePool::with_shard_policy(Arc::clone(&state), 4, always_shard());
-        let layer = drmap_cnn::layer::Layer::conv("BIG", 13, 13, 64, 32, 3, 3, 1);
-        let spec = JobSpec::layer(21, EngineSpec::default(), layer.clone());
-        let result = pool.submit(&spec).wait().unwrap();
-
-        let engine = state.factory().engine(&spec.engine);
-        assert!(
-            engine.tiling_count(&layer).unwrap() >= 2,
-            "the layer must actually shard"
-        );
-        let direct = engine.explore_layer(&layer).unwrap();
-        assert_eq!(result.layers.len(), 1);
-        assert_eq!(result.layers[0].evaluations as usize, direct.evaluations);
-        assert_eq!(result.layers[0].tiling, direct.best.tiling);
-        assert_eq!(
-            result.layers[0].estimate.energy.to_bits(),
-            direct.best.estimate.energy.to_bits()
-        );
-        assert_eq!(
-            result.layers[0].estimate.cycles.to_bits(),
-            direct.best.estimate.cycles.to_bits()
-        );
-    }
-
-    #[test]
-    fn chunk_size_prefers_job_hint_then_policy_override_then_derivation() {
-        let derived = ShardPolicy::default();
-        // 4 workers x 3 chunks/worker over 120 tilings -> chunks of 10.
-        assert_eq!(derived.chunk_size(120, 4, None), 10);
-        assert_eq!(derived.chunk_size(120, 4, Some(7)), 7, "job hint wins");
-        let pinned = ShardPolicy {
-            chunk_tilings: Some(25),
-            ..ShardPolicy::default()
-        };
-        assert_eq!(pinned.chunk_size(120, 4, None), 25);
-        assert_eq!(pinned.chunk_size(120, 4, Some(7)), 7, "hint beats override");
-        // Degenerate inputs still yield a workable chunk.
-        assert_eq!(derived.chunk_size(0, 0, None), 1);
-    }
-
-    #[test]
-    fn live_shard_policy_retune_applies_and_stays_bit_identical() {
+    fn finished_sweeps_count_their_design_points() {
         let state = ServiceState::new().unwrap();
         let pool = DsePool::new(Arc::clone(&state), 4);
-        let previous = pool.set_shard_policy(always_shard());
-        assert_eq!(previous, ShardPolicy::default());
-        assert_eq!(pool.shard_policy(), always_shard());
-
-        // A job sharded under the retuned policy still merges exactly.
-        let layer = drmap_cnn::layer::Layer::conv("BIG", 13, 13, 64, 32, 3, 3, 1);
-        let spec = JobSpec::layer(31, EngineSpec::default(), layer.clone());
-        let retuned = pool.submit(&spec).wait().unwrap();
-        let direct = state
-            .factory()
-            .engine(&spec.engine)
-            .explore_layer(&layer)
-            .unwrap();
-        assert_eq!(
-            retuned.layers[0].estimate.energy.to_bits(),
-            direct.best.estimate.energy.to_bits()
-        );
-        assert_eq!(retuned.layers[0].evaluations as usize, direct.evaluations);
-    }
-
-    #[test]
-    fn per_job_chunk_hint_is_bit_identical_to_sequential() {
-        let state = ServiceState::new().unwrap();
-        let pool = DsePool::with_shard_policy(Arc::clone(&state), 4, always_shard());
-        let layer = drmap_cnn::layer::Layer::conv("BIG", 13, 13, 64, 32, 3, 3, 1);
-        let spec = JobSpec::layer(41, EngineSpec::default(), layer.clone()).with_options(
-            crate::spec::JobOptions {
-                shard_chunk: Some(3),
-                ..Default::default()
-            },
-        );
-        let hinted = pool.submit(&spec).wait().unwrap();
-        let direct = state
-            .factory()
-            .engine(&spec.engine)
-            .explore_layer(&layer)
-            .unwrap();
-        assert_eq!(
-            hinted.layers[0].estimate.energy.to_bits(),
-            direct.best.estimate.energy.to_bits()
-        );
-        assert_eq!(hinted.layers[0].evaluations as usize, direct.evaluations);
+        let spec = JobSpec::network(1, EngineSpec::default(), Network::tiny());
+        let result = pool.submit(&spec).wait().unwrap();
+        let covered: u64 = result.layers.iter().map(|l| l.evaluations).sum();
+        let counter = |name| state.metrics().snapshot().counter(name).unwrap_or(0);
+        assert_eq!(counter("dse_evaluations_total"), covered);
+        let pruned = counter("dse_pruned_total");
+        assert!(0 < pruned && pruned < covered, "{pruned} of {covered}");
+        // Resident layers are not swept again.
+        pool.submit(&spec).wait().unwrap();
+        assert_eq!(counter("dse_evaluations_total"), covered);
+        assert_eq!(counter("dse_pruned_total"), pruned);
     }
 
     #[test]
@@ -1206,26 +736,5 @@ mod tests {
         );
         // The plan fires once: job 3 (same spec, warm cache) succeeds.
         pool.submit(&spec).wait().unwrap();
-    }
-
-    #[test]
-    fn sharding_failures_propagate_and_single_worker_pools_never_shard() {
-        let state = ServiceState::new().unwrap();
-        let pool = DsePool::with_shard_policy(Arc::clone(&state), 4, always_shard());
-        let huge = drmap_cnn::layer::Layer::conv("HUGE", 1, 1, 1, 1, 4096, 4096, 1);
-        assert!(matches!(
-            pool.submit(&JobSpec::layer(5, EngineSpec::default(), huge))
-                .wait(),
-            Err(ServiceError::Dse(_))
-        ));
-
-        // A single-worker pool takes the sequential path (and still
-        // agrees, of course).
-        let solo_state = ServiceState::new().unwrap();
-        let solo = DsePool::with_shard_policy(Arc::clone(&solo_state), 1, always_shard());
-        let spec = JobSpec::network(6, EngineSpec::default(), Network::tiny());
-        let a = solo.submit(&spec).wait().unwrap();
-        let b = state.run_job(&spec).unwrap();
-        assert_eq!(a.total.energy.to_bits(), b.total.energy.to_bits());
     }
 }

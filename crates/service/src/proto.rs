@@ -48,7 +48,6 @@ use crate::cache::{CacheStats, EvictionPolicy};
 use crate::error::ServiceError;
 use crate::json::Json;
 use crate::overload::OverloadConfig;
-use crate::pool::ShardPolicy;
 use crate::spec::{JobResult, JobSpec};
 
 /// The protocol version this build speaks. See the module docs for
@@ -123,41 +122,9 @@ pub fn router_capabilities(backend_caps: &[Vec<String>]) -> Vec<String> {
     caps
 }
 
-/// A partial [`ShardPolicy`] update: absent fields keep the running
-/// pool's current value, so an operator can retune one knob without
-/// restating the rest. `chunk_tilings` uses `0` on the wire to clear
-/// the explicit chunk-size override (returning to the
-/// `chunks_per_worker` derivation), since "absent" already means
-/// "keep".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardPolicyUpdate {
-    /// New sharding threshold, if given.
-    pub min_tilings: Option<usize>,
-    /// New chunks-per-worker target, if given.
-    pub chunks_per_worker: Option<usize>,
-    /// New explicit chunk size; `Some(0)` clears the override.
-    pub chunk_tilings: Option<usize>,
-}
-
-impl ShardPolicyUpdate {
-    /// The policy that results from applying this update to `current`.
-    pub fn apply(&self, current: ShardPolicy) -> ShardPolicy {
-        ShardPolicy {
-            min_tilings: self.min_tilings.unwrap_or(current.min_tilings),
-            chunks_per_worker: self.chunks_per_worker.unwrap_or(current.chunks_per_worker),
-            chunk_tilings: match self.chunk_tilings {
-                None => current.chunk_tilings,
-                Some(0) => None,
-                Some(n) => Some(n),
-            },
-        }
-    }
-}
-
 /// A partial cache-bounds update: absent fields keep the running
 /// cache's current bound. `0` on the wire clears a bound entirely
-/// (unbounded), since "absent" already means "keep" — the same
-/// convention [`ShardPolicyUpdate::chunk_tilings`] uses.
+/// (unbounded), since "absent" already means "keep".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BoundsUpdate {
     /// New resident-entry cap; `Some(0)` clears it (unbounded).
@@ -258,7 +225,7 @@ pub enum Request {
         id: Option<u64>,
     },
     /// Fetch counters plus the **active configuration** (live eviction
-    /// policy, cache bounds, shard policy, protocol version).
+    /// policy, cache bounds, protocol version).
     Stats {
         /// Optional correlation id, echoed in the response.
         id: Option<u64>,
@@ -274,13 +241,6 @@ pub enum Request {
         id: Option<u64>,
         /// The policy to switch to.
         policy: EvictionPolicy,
-    },
-    /// Retune the running pool's intra-layer sharding policy.
-    SetShardPolicy {
-        /// Optional correlation id, echoed in the response.
-        id: Option<u64>,
-        /// Partial update; absent fields keep their current values.
-        update: ShardPolicyUpdate,
     },
     /// Drop every resident cache entry and zero the counters (the
     /// persistent store tier is untouched).
@@ -385,8 +345,6 @@ pub struct StatsReport {
     pub max_entries: Option<usize>,
     /// Approximate-byte bound, if any.
     pub max_bytes: Option<usize>,
-    /// The sharding policy currently in force.
-    pub shard: ShardPolicy,
     /// Worker threads in the pool.
     pub workers: usize,
     /// Persistent-store counters, when a store is attached.
@@ -464,15 +422,6 @@ pub enum Response {
         policy: EvictionPolicy,
         /// The policy that was in force before.
         previous: EvictionPolicy,
-    },
-    /// `set-shard-policy` applied.
-    ShardPolicySet {
-        /// Echoed request id.
-        id: Option<u64>,
-        /// The full policy now in force (after merging the update).
-        policy: ShardPolicy,
-        /// The policy that was in force before.
-        previous: ShardPolicy,
     },
     /// `cache clear` done.
     CacheCleared {
@@ -932,14 +881,6 @@ macro_rules! wire_messages {
 // Nested objects
 // ---------------------------------------------------------------------
 
-wire_object! { "shard policy" ShardPolicy => {
-    req min_tilings, req chunks_per_worker, null chunk_tilings,
-}}
-
-wire_object! { "shard policy update" ShardPolicyUpdate => {
-    opt min_tilings, opt chunks_per_worker, opt chunk_tilings,
-}}
-
 wire_object! { "bounds update" BoundsUpdate => { opt max_entries, opt max_bytes }}
 
 wire_object! { "overload config" OverloadConfig => {
@@ -970,13 +911,13 @@ wire_object! { report: "stats" StatsReport {
         bytes, store_hits, store_misses, store_errors, compute_ns_min, compute_ns_max,
         compute_ns_total,
     },
-    policy, max_entries, max_bytes, shard, workers, store, backends,
+    policy, max_entries, max_bytes, workers, store, backends,
 } => {
     req hits, req misses, req coalesced, req evictions, req cost_evictions, req entries,
     req bytes, out "hit_rate" = report.cache.hit_rate(), req workers,
     req store_hits, req store_misses, req store_errors,
     req compute_ns_min, req compute_ns_max, req compute_ns_total,
-    req bypasses, req refreshes, req policy, null max_entries, null max_bytes, req shard,
+    req bypasses, req refreshes, req policy, null max_entries, null max_bytes,
     out "protocol_version" = PROTOCOL_VERSION,
     // Only router reports carry `backends`, only store-backed servers
     // `store`.
@@ -1013,7 +954,6 @@ wire_messages! { requests Request, "request";
     "stats"            [None]                     Stats { id }                    => { opt id }
     "shutdown"         [None]                     Shutdown { id }                 => { opt id }
     "set-policy"       [Some("admin")]            SetPolicy { id, policy }        => { opt id, req policy }
-    "set-shard-policy" [Some("admin")]            SetShardPolicy { id, update }   => { opt id, flat update }
     "cache-clear"      [Some("admin")]            CacheClear { id }               => { opt id }
     "cache-warm"       [Some("store")]            CacheWarm { id, limit }         => { opt id, opt limit }
     "store-compact"    [Some("store")]            StoreCompact { id, auto_ratio } => { opt id, opt auto_ratio }
@@ -1035,9 +975,6 @@ wire_messages! { Response, "response";
     "stats" Stats { id, report } => { out "ok" = true, opt id, req report as "stats" }
     "shutdown" Shutdown { id } => { out "ok" = true, opt id, out "shutdown" = true }
     "policy-set" PolicySet { id, policy, previous } => {
-        out "ok" = true, opt id, req policy, req previous,
-    }
-    "shard-policy-set" ShardPolicySet { id, policy, previous } => {
         out "ok" = true, opt id, req policy, req previous,
     }
     "cache-cleared" CacheCleared { id } => { out "ok" = true, opt id }
@@ -1094,11 +1031,6 @@ impl Request {
     /// The range rules a field table cannot express.
     fn validate(&self) -> Result<(), String> {
         let problem = match self {
-            Request::SetShardPolicy { update, .. }
-                if update.min_tilings == Some(0) || update.chunks_per_worker == Some(0) =>
-            {
-                "min_tilings and chunks_per_worker must be positive"
-            }
             Request::StoreCompact {
                 auto_ratio: Some(ratio),
                 ..
@@ -1166,7 +1098,6 @@ mod tests {
         .with_options(JobOptions {
             cache: CacheMode::Refresh,
             keep_points: true,
-            shard_chunk: Some(16),
             deadline_ms: Some(2_500),
             tiling_range: Some((4, 64)),
         });
@@ -1190,18 +1121,6 @@ mod tests {
             Request::SetPolicy {
                 id: None,
                 policy: EvictionPolicy::Lru,
-            },
-            Request::SetShardPolicy {
-                id: Some(4),
-                update: ShardPolicyUpdate {
-                    min_tilings: Some(32),
-                    chunks_per_worker: Some(4),
-                    chunk_tilings: Some(0),
-                },
-            },
-            Request::SetShardPolicy {
-                id: None,
-                update: ShardPolicyUpdate::default(),
             },
             Request::CacheClear { id: Some(9) },
             Request::CacheWarm {
@@ -1358,11 +1277,6 @@ mod tests {
             policy: EvictionPolicy::Cost,
             max_entries: Some(512),
             max_bytes: None,
-            shard: ShardPolicy {
-                min_tilings: 32,
-                chunks_per_worker: 4,
-                chunk_tilings: Some(8),
-            },
             workers: 8,
             store: Some(StoreStats {
                 live_entries: 5,
@@ -1379,18 +1293,11 @@ mod tests {
             }),
             backends: Some(3),
         };
-        // Spelled out: the golden pins these bytes, not the default.
-        let shard = ShardPolicy {
-            min_tilings: 64,
-            chunks_per_worker: 3,
-            chunk_tilings: None,
-        };
         let bare_stats = StatsReport {
             cache: CacheStats::default(),
             policy: EvictionPolicy::Lru,
             max_entries: None,
             max_bytes: Some(1 << 20),
-            shard,
             workers: 2,
             store: None,
             backends: None,
@@ -1424,14 +1331,6 @@ mod tests {
                 id: Some(4),
                 policy: EvictionPolicy::Cost,
                 previous: EvictionPolicy::Lru,
-            },
-            Response::ShardPolicySet {
-                id: None,
-                policy: shard,
-                previous: ShardPolicy {
-                    chunk_tilings: Some(4),
-                    ..shard
-                },
             },
             Response::CacheCleared { id: Some(5) },
             Response::CacheWarmed {
@@ -1629,30 +1528,6 @@ mod tests {
             let rendered = response.to_json();
             assert_eq!(response.id(), rendered.get("id").and_then(Json::as_u64));
         }
-    }
-
-    #[test]
-    fn shard_policy_updates_merge_field_by_field() {
-        let current = ShardPolicy {
-            min_tilings: 64,
-            chunks_per_worker: 3,
-            chunk_tilings: Some(16),
-        };
-        let keep_all = ShardPolicyUpdate::default();
-        assert_eq!(keep_all.apply(current), current);
-        let retune = ShardPolicyUpdate {
-            min_tilings: Some(128),
-            chunks_per_worker: None,
-            chunk_tilings: Some(0), // clears the override
-        };
-        assert_eq!(
-            retune.apply(current),
-            ShardPolicy {
-                min_tilings: 128,
-                chunks_per_worker: 3,
-                chunk_tilings: None,
-            }
-        );
     }
 
     #[test]

@@ -24,19 +24,18 @@
 //! adding a verb without handling it does not compile.
 //!
 //! Control and admin requests (`hello`, `ping`, `stats`, `set-policy`,
-//! `set-shard-policy`, `set-bounds`, `set-slow-log`, `cache-clear`,
-//! `cache-warm`, `store-compact`, `metrics`, `metrics-history`,
-//! `slow-traces`, `shutdown`) answer inline in arrival
-//! order, but they may overtake or be overtaken by in-flight *job*
-//! responses. See `docs/PROTOCOL.md` for every verb with example
-//! request/response pairs.
+//! `set-bounds`, `set-slow-log`, `cache-clear`, `cache-warm`,
+//! `store-compact`, `metrics`, `metrics-history`, `slow-traces`,
+//! `shutdown`) answer inline in arrival order, but they may overtake or
+//! be overtaken by in-flight *job* responses. See `docs/PROTOCOL.md` for
+//! every verb with example request/response pairs.
 //!
 //! Every layer of the request path is instrumented through the pool's
 //! [`drmap_telemetry::MetricsRegistry`]: frame decode/encode, cache
-//! lookup, explore, shard chunks, merge, and total request time all
-//! feed latency histograms, and each job carries a per-request trace
-//! (keyed by its wire `id`) whose stage breakdown lands in the
-//! slow-request log when the job crosses the configured threshold
+//! lookup, explore, and total request time all feed latency
+//! histograms, and each job carries a per-request trace (keyed by its
+//! wire `id`) whose stage breakdown lands in the slow-request log when
+//! the job crosses the configured threshold
 //! ([`ServerConfig::slow_ms`]). The `metrics` verb dumps all of it;
 //! see `docs/OBSERVABILITY.md`.
 
@@ -635,8 +634,8 @@ fn threshold_ms(threshold_ns: u64) -> Option<u64> {
 }
 
 /// A consistent snapshot of the server's counters and **active**
-/// configuration (live eviction policy, cache bounds, shard policy),
-/// as carried by the typed `stats` response.
+/// configuration (live eviction policy, cache bounds), as carried by
+/// the typed `stats` response.
 pub fn stats_report(pool: &DsePool) -> StatsReport {
     let cache = pool.state().cache();
     let (max_entries, max_bytes) = cache.bounds();
@@ -645,7 +644,6 @@ pub fn stats_report(pool: &DsePool) -> StatsReport {
         policy: cache.policy(),
         max_entries,
         max_bytes,
-        shard: pool.shard_policy(),
         workers: pool.workers(),
         store: cache.store().map(|s| s.stats()),
         backends: None,
@@ -687,15 +685,6 @@ fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
             Response::PolicySet {
                 id: *id,
                 policy: *policy,
-                previous,
-            }
-        }
-        Request::SetShardPolicy { id, update } => {
-            let merged = update.apply(pool.shard_policy());
-            let previous = pool.set_shard_policy(merged);
-            Response::ShardPolicySet {
-                id: *id,
-                policy: merged,
                 previous,
             }
         }

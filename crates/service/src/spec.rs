@@ -69,18 +69,14 @@ pub struct JobOptions {
     /// return it in the result (`pareto` on each layer outcome). Keyed
     /// into the cache separately from point-free sweeps.
     pub keep_points: bool,
-    /// Explicit tiling-chunk size for intra-layer sharding, overriding
-    /// the pool's [`ShardPolicy`](crate::pool::ShardPolicy) for this
-    /// job (clamped to at least 1; `None` defers to the pool).
-    pub shard_chunk: Option<usize>,
     /// Budget for the whole job, measured from the moment the server
-    /// accepts it. Work still queued or between shard chunks when the
-    /// budget lapses is abandoned and the job answers with a typed
+    /// accepts it. Layers still queued when the budget lapses are
+    /// never computed and the job answers with a typed
     /// `deadline_exceeded` error. `None` (the default) never expires.
     pub deadline_ms: Option<u64>,
     /// Restrict the sweep to a contiguous `[start, end)` subrange of
     /// each layer's tiling enumeration (clamped to the enumeration's
-    /// length). The unit of *cross-node* sharding: `drmap-router
+    /// length). The unit of *cross-node* splitting: `drmap-router
     /// --scatter` splits one oversized layer into disjoint ranges,
     /// sends each to a different backend, and merges the partial
     /// outcomes exactly. Ranged results are cache-keyed separately
@@ -102,9 +98,6 @@ impl JobOptions {
         }
         if self.keep_points {
             pairs.push(("keep_points".to_owned(), Json::Bool(true)));
-        }
-        if let Some(chunk) = self.shard_chunk {
-            pairs.push(("shard_chunk".to_owned(), Json::num_usize(chunk)));
         }
         if let Some(deadline) = self.deadline_ms {
             pairs.push(("deadline_ms".to_owned(), Json::num_u64(deadline)));
@@ -142,12 +135,6 @@ impl JobOptions {
             options.keep_points = field
                 .as_bool()
                 .ok_or_else(|| ServiceError::protocol("\"keep_points\" must be a boolean"))?;
-        }
-        if let Some(field) = v.get("shard_chunk") {
-            let chunk = field.as_usize().filter(|&n| n > 0).ok_or_else(|| {
-                ServiceError::protocol("\"shard_chunk\" must be a positive integer")
-            })?;
-            options.shard_chunk = Some(chunk);
         }
         if let Some(field) = v.get("deadline_ms") {
             let deadline = field.as_u64().filter(|&n| n > 0).ok_or_else(|| {
@@ -376,7 +363,8 @@ pub struct JobSpec {
     /// What to explore.
     pub workload: Workload,
     /// Per-job execution options (cache mode, Pareto retention,
-    /// shard-chunk hint); defaults reproduce the pre-options behavior.
+    /// deadline, tiling range); defaults reproduce the pre-options
+    /// behavior.
     pub options: JobOptions,
 }
 
@@ -811,7 +799,6 @@ mod tests {
             JobOptions {
                 cache: CacheMode::Refresh,
                 keep_points: true,
-                shard_chunk: Some(32),
                 deadline_ms: Some(1500),
                 tiling_range: Some((8, 72)),
             },
@@ -842,8 +829,6 @@ mod tests {
             r#"{"network": {"model": "tiny"}, "options": {"cache": "sometimes"}}"#,
             r#"{"network": {"model": "tiny"}, "options": {"cache": 1}}"#,
             r#"{"network": {"model": "tiny"}, "options": {"keep_points": "yes"}}"#,
-            r#"{"network": {"model": "tiny"}, "options": {"shard_chunk": 0}}"#,
-            r#"{"network": {"model": "tiny"}, "options": {"shard_chunk": -4}}"#,
             r#"{"network": {"model": "tiny"}, "options": {"deadline_ms": 0}}"#,
             r#"{"network": {"model": "tiny"}, "options": {"deadline_ms": "soon"}}"#,
             r#"{"network": {"model": "tiny"}, "options": {"tiling_range": [4]}}"#,
@@ -855,6 +840,11 @@ mod tests {
             let v = Json::parse(bad).unwrap();
             assert!(JobSpec::from_json(&v).is_err(), "accepted {bad}");
         }
+        // A key this build does not know (a retired option an older
+        // client may still send) is ignored and the job still runs.
+        let retired = r#"{"network": {"model": "tiny"}, "options": {"shard_chunk": 16}}"#;
+        let spec = JobSpec::from_json(&Json::parse(retired).unwrap()).unwrap();
+        assert_eq!(spec.options, JobOptions::default());
         for mode in [CacheMode::Default, CacheMode::Bypass, CacheMode::Refresh] {
             assert_eq!(CacheMode::from_label(mode.label()), Some(mode));
         }

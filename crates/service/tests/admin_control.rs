@@ -1,5 +1,5 @@
 //! Live control-plane integration tests: a running `JobServer` must
-//! accept `hello`, `set-policy`, `set-shard-policy`, `set-bounds`,
+//! accept `hello`, `set-policy`, `set-bounds`,
 //! `cache-clear`, `cache-warm`, `store-compact`, `metrics`,
 //! `metrics-history`, `slow-traces`, and `set-slow-log` over TCP,
 //! with every change observable through `stats` **without a
@@ -13,7 +13,7 @@ use drmap_service::cache::{CacheConfig, EvictionPolicy};
 use drmap_service::client::Client;
 use drmap_service::engine::ServiceState;
 use drmap_service::pool::DsePool;
-use drmap_service::proto::{BoundsUpdate, ShardPolicyUpdate, PROTOCOL_VERSION};
+use drmap_service::proto::{BoundsUpdate, PROTOCOL_VERSION};
 use drmap_service::server::{JobServer, ServerConfig};
 use drmap_service::spec::{CacheMode, EngineSpec, JobOptions, JobSpec};
 use drmap_store::store::Store;
@@ -107,70 +107,6 @@ fn set_policy_changes_eviction_on_a_live_server_observably() {
     let reverted = client.stats_report().unwrap();
     assert_eq!(reverted.policy, EvictionPolicy::Lru);
     assert_eq!(reverted.cache.cost_evictions, after.cache.cost_evictions);
-
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-}
-
-#[test]
-fn set_shard_policy_retunes_the_live_pool_and_results_stay_identical() {
-    let (addr, handle, pool) = boot("set-shard", CacheConfig::unbounded());
-    let mut client = Client::connect(addr).unwrap();
-
-    let reference = client
-        .submit(&JobSpec::network(1, EngineSpec::default(), Network::tiny()))
-        .unwrap();
-
-    // Retune: shard everything, tiny chunks, pinned chunk size.
-    let policy = client
-        .set_shard_policy(ShardPolicyUpdate {
-            min_tilings: Some(2),
-            chunks_per_worker: Some(2),
-            chunk_tilings: Some(3),
-        })
-        .unwrap();
-    assert_eq!(policy.min_tilings, 2);
-    assert_eq!(policy.chunk_tilings, Some(3));
-    assert_eq!(pool.shard_policy(), policy, "the live pool was retuned");
-    let report = client.stats_report().unwrap();
-    assert_eq!(report.shard, policy, "stats reflect the change");
-
-    // Clear the cache so resubmission actually re-explores under the
-    // new sharding — and still merges bit-identically.
-    client.cache_clear().unwrap();
-    assert_eq!(client.stats_report().unwrap().cache.entries, 0);
-    let resharded = client
-        .submit(&JobSpec::network(2, EngineSpec::default(), Network::tiny()))
-        .unwrap();
-    assert_eq!(
-        resharded.total.energy.to_bits(),
-        reference.total.energy.to_bits()
-    );
-    assert_eq!(
-        resharded.total.cycles.to_bits(),
-        reference.total.cycles.to_bits()
-    );
-
-    // Partial update: only the threshold moves, the rest stays.
-    let partial = client
-        .set_shard_policy(ShardPolicyUpdate {
-            min_tilings: Some(100),
-            chunks_per_worker: None,
-            chunk_tilings: None,
-        })
-        .unwrap();
-    assert_eq!(partial.min_tilings, 100);
-    assert_eq!(partial.chunks_per_worker, 2);
-    assert_eq!(partial.chunk_tilings, Some(3));
-    // chunk_tilings:0 clears the pin.
-    let cleared = client
-        .set_shard_policy(ShardPolicyUpdate {
-            min_tilings: None,
-            chunks_per_worker: None,
-            chunk_tilings: Some(0),
-        })
-        .unwrap();
-    assert_eq!(cleared.chunk_tilings, None);
 
     client.shutdown().unwrap();
     handle.join().unwrap();
@@ -531,7 +467,7 @@ fn set_slow_log_retunes_threshold_and_capacity_live() {
 
 #[test]
 fn per_job_options_thread_through_the_wire() {
-    let (addr, handle, pool) = boot("job-options", CacheConfig::unbounded());
+    let (addr, handle, _pool) = boot("job-options", CacheConfig::unbounded());
     let mut client = Client::connect(addr).unwrap();
 
     let spec = shaped_job(1, 16);
@@ -594,36 +530,6 @@ fn per_job_options_thread_through_the_wire() {
     let without = client.submit(&spec).unwrap();
     assert!(without.layers[0].pareto.is_empty());
     assert_eq!(without.cache_hits(), 1);
-
-    // shard_chunk hint: bit-identical results under forced chunking.
-    client
-        .set_shard_policy(ShardPolicyUpdate {
-            min_tilings: Some(2),
-            chunks_per_worker: None,
-            chunk_tilings: None,
-        })
-        .unwrap();
-    let hinted = client
-        .submit_with(
-            &shaped_job(9, 32),
-            JobOptions {
-                cache: CacheMode::Bypass,
-                shard_chunk: Some(2),
-                ..JobOptions::default()
-            },
-        )
-        .unwrap();
-    let direct = pool
-        .state()
-        .factory()
-        .engine(&EngineSpec::default())
-        .explore_layer(&Layer::conv("L32", 8, 8, 32, 8, 3, 3, 1))
-        .unwrap();
-    assert_eq!(
-        hinted.layers[0].estimate.energy.to_bits(),
-        direct.best.estimate.energy.to_bits()
-    );
-    assert_eq!(hinted.layers[0].evaluations as usize, direct.evaluations);
 
     client.shutdown().unwrap();
     handle.join().unwrap();

@@ -9,10 +9,8 @@ use std::io::BufReader;
 use drmap_service::cache::{CacheStats, EvictionPolicy};
 use drmap_service::engine::ServiceState;
 use drmap_service::json::Json;
-use drmap_service::pool::{DsePool, ShardPolicy};
-use drmap_service::proto::{
-    capabilities, Request, Response, ShardPolicyUpdate, StatsReport, PROTOCOL_VERSION,
-};
+use drmap_service::pool::DsePool;
+use drmap_service::proto::{capabilities, Request, Response, StatsReport, PROTOCOL_VERSION};
 use drmap_service::server::handle_request;
 use drmap_service::spec::{CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome};
 use drmap_service::wire::{self, Encoding};
@@ -50,7 +48,7 @@ fn round_trip_response(response: &Response, encoding: Encoding) -> (Response, En
 /// inputs.
 fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
     let id = flag.then_some(a);
-    match kind % 10 {
+    match kind % 9 {
         0 => Request::Hello {
             version: a,
             client: flag.then(|| format!("client-{b}")),
@@ -66,20 +64,12 @@ fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
                 EvictionPolicy::Cost
             },
         },
-        5 => Request::SetShardPolicy {
-            id,
-            update: ShardPolicyUpdate {
-                min_tilings: (b.is_multiple_of(3)).then_some(b as usize % 1000 + 1),
-                chunks_per_worker: (b % 3 == 1).then_some(b as usize % 16 + 1),
-                chunk_tilings: (b.is_multiple_of(2)).then_some(b as usize % 64),
-            },
-        },
-        6 => Request::CacheClear { id },
-        7 => Request::CacheWarm {
+        5 => Request::CacheClear { id },
+        6 => Request::CacheWarm {
             id,
             limit: (b.is_multiple_of(2)).then_some(b as usize % 10_000),
         },
-        8 => Request::StoreCompact {
+        7 => Request::StoreCompact {
             id,
             auto_ratio: (b.is_multiple_of(3)).then_some((b % 100) as f64 / 100.0),
         },
@@ -96,7 +86,6 @@ fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
                     _ => CacheMode::Refresh,
                 },
                 keep_points: flag,
-                shard_chunk: (b.is_multiple_of(2)).then_some(b as usize % 128 + 1),
                 deadline_ms: (b.is_multiple_of(5)).then_some(b % 60_000 + 1),
                 tiling_range: (b.is_multiple_of(7)).then_some((b % 64, b % 64 + b % 100 + 1)),
             };
@@ -109,12 +98,7 @@ fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
 /// inputs, exercising float bit-exactness through the job result.
 fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response {
     let id = flag.then_some(a);
-    let shard = ShardPolicy {
-        min_tilings: b as usize % 512 + 1,
-        chunks_per_worker: b as usize % 7 + 1,
-        chunk_tilings: (b.is_multiple_of(2)).then_some(b as usize % 32 + 1),
-    };
-    match kind % 10 {
+    match kind % 9 {
         0 => Response::Hello {
             version: a,
             server: format!("drmap-service/{b}"),
@@ -148,7 +132,6 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
                 },
                 max_entries: flag.then_some(a as usize % 10_000),
                 max_bytes: (b.is_multiple_of(2)).then_some(b as usize % (1 << 30)),
-                shard,
                 workers: b as usize % 64 + 1,
                 store: flag.then_some(StoreStats {
                     live_entries: a as usize % 100,
@@ -172,17 +155,12 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
             policy: EvictionPolicy::Cost,
             previous: EvictionPolicy::Lru,
         },
-        5 => Response::ShardPolicySet {
-            id,
-            policy: shard,
-            previous: ShardPolicy::default(),
-        },
-        6 => Response::CacheCleared { id },
-        7 => Response::CacheWarmed {
+        5 => Response::CacheCleared { id },
+        6 => Response::CacheWarmed {
             id,
             loaded: b as usize % 5000,
         },
-        8 => Response::StoreCompacted {
+        7 => Response::StoreCompacted {
             id,
             report: CompactReport {
                 live_records: a % 1000,
@@ -245,7 +223,7 @@ proptest! {
     /// auto-detected back.
     #[test]
     fn every_request_variant_round_trips_through_both_encodings(
-        kind in 0_usize..10,
+        kind in 0_usize..9,
         a in 0_u64..1_000_000,
         b in 0_u64..1_000_000,
         flag in proptest::bool::ANY,
@@ -262,7 +240,7 @@ proptest! {
     /// job result's floats, bit for bit.
     #[test]
     fn every_response_variant_round_trips_through_both_encodings(
-        kind in 0_usize..10,
+        kind in 0_usize..9,
         a in 0_u64..1_000_000,
         b in 0_u64..1_000_000,
         x in 0.0_f64..1.0e12,
@@ -345,7 +323,6 @@ fn typed_requests_through_handle_request_answer_typed() {
     };
     assert_eq!(report.workers, 2);
     assert_eq!(report.policy, EvictionPolicy::Lru);
-    assert_eq!(report.shard, ShardPolicy::default());
 }
 
 #[test]
@@ -439,7 +416,11 @@ fn mistyped_typed_requests_get_typed_errors() {
     for (bad, expect) in [
         (r#"{"type":"frobnicate","id":3}"#, "unknown request type"),
         (r#"{"type":"set-policy","policy":"mru"}"#, "eviction policy"),
-        (r#"{"type":"set-shard-policy","min_tilings":0}"#, "positive"),
+        // A verb this build has retired is just an unknown verb.
+        (
+            r#"{"type":"set-shard-policy","id":5,"min_tilings":32}"#,
+            "unknown request type",
+        ),
         (r#"{"type":"cache-warm","limit":"many"}"#, "limit"),
         (r#"{"type":"hello"}"#, "version"),
     ] {
@@ -452,6 +433,14 @@ fn mistyped_typed_requests_get_typed_errors() {
         );
         let message = response.get("error").and_then(Json::as_str).unwrap();
         assert!(message.contains(expect), "{bad} -> {message}");
+        let sent = Json::parse(bad).unwrap();
+        assert_eq!(response.get("id"), sent.get("id"), "{bad} echoes its id");
+        // ...and the next request is served as if nothing happened.
+        let (pong, _) = handle_request(&pool, r#"{"type":"ping","id":6}"#);
+        assert_eq!(
+            Response::decode(&pong).ok(),
+            Some(Response::Pong { id: Some(6) })
+        );
     }
     // Admin verbs without a store answer errors, not panics.
     let (response, _) = handle_request(&pool, r#"{"type":"store-compact"}"#);

@@ -3,8 +3,8 @@
 //! exploring each range separately, and merging the partials must be
 //! **bit-identical** to the sequential sweep — best candidate,
 //! evaluation count, and Pareto front alike. This is the contract the
-//! service pool's intra-layer sharding (and any future distribution of
-//! the sweep) rests on.
+//! router's `--scatter` (and any future distribution of the sweep)
+//! rests on.
 
 use drmap::prelude::*;
 use proptest::prelude::*;
