@@ -9,8 +9,8 @@
 //!
 //! * no lost updates: the quiescent histogram is exact, and the
 //!   associative merge of per-thread snapshots equals it bit for bit
-//!   (the property `LayerPartial::merge`-style divide-and-conquer
-//!   merging relies on);
+//!   (the property the router's fleet-wide `metrics` aggregation
+//!   relies on);
 //! * bounded tearing: a snapshot taken mid-flight is never *ahead* of
 //!   the writes that actually happened, field by field.
 

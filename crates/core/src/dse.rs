@@ -7,8 +7,8 @@
 //!
 //! ## The evaluation pipeline
 //!
-//! Every sweep — [`DseEngine::explore_layer`], its ranged forms, and
-//! the one-scheme, one-mapping [`DseEngine::best_over_tilings`] — is
+//! Both sweeps — [`DseEngine::explore_layer`] and the one-scheme,
+//! one-mapping [`DseEngine::best_over_tilings`] — are
 //! the same loop nest, tilings × schemes × mappings, with each piece of
 //! work done where it first becomes known:
 //!
@@ -73,7 +73,7 @@
 //! Nothing is skipped unless every cost of the three rows, and the
 //! clock, is finite and non-negative
 //! ([`AccessCostTable::from_costs`] accepts anything) — checked once
-//! when a row is built — and a range's first group always has no
+//! when a row is built — and the first group always has no
 //! incumbent, so it is always scored. On the four profiled
 //! architectures DRMap's row *is* the floor at every burst count the
 //! model zoo produces (`tests/drmap_optimality.rs` asserts it), so the
@@ -84,21 +84,11 @@
 //! *covered* — scored, or proven unable to win — so it is the size of
 //! the swept product whatever was skipped, and stored results, wire
 //! bytes and golden digests that carry it are unaffected.
-//! [`LayerPartial::pruned`] says how many of them were skipped.
-//!
-//! ## Splitting a layer
-//!
-//! The tiling axis is *splittable*: [`DseEngine::explore_layer_range`]
-//! explores a contiguous subrange of the tiling enumeration and returns
-//! a [`LayerPartial`] whose [`LayerPartial::merge`] is exact, so
-//! several nodes can split one huge layer (the router's `--scatter`)
-//! and reassemble a result bit-identical to the sequential sweep. Each
-//! range prunes against its own incumbent only; what it skips could not
-//! have won its range, let alone the layer.
+//! [`DseEngine::explore_layer_counted`] also says how many of them were
+//! skipped.
 
 use core::fmt;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use drmap_cnn::layer::Layer;
@@ -113,7 +103,7 @@ use crate::error::DseError;
 use crate::mapping::MappingPolicy;
 use crate::pareto::{DesignPoint, ParetoFront};
 use crate::schedule::{min_traffic_index, ReuseScheme, TileTraffic};
-use crate::tiling::{count_tilings, enumerate_tilings, Tiling};
+use crate::tiling::{enumerate_tilings, Tiling};
 
 /// Optimization objective for the exploration.
 ///
@@ -320,47 +310,21 @@ fn tag_label(tag: &CandidateTag) -> String {
     format!("{} | {} | {}", tag.mapping.name(), tag.scheme, tag.tiling)
 }
 
-/// Partial output of exploring a contiguous subrange of one layer's
-/// tiling enumeration (see [`DseEngine::explore_layer_range`]).
-///
-/// Partials over consecutive ranges combine with [`LayerPartial::merge`]
-/// into exactly the result a single sequential sweep produces — same
-/// best candidate (bit-identical estimate), same evaluation count, same
-/// Pareto front — because the per-range sweeps preserve evaluation
-/// order, the best-candidate fold is associative with a
-/// first-of-equals tie-break, and [`ParetoFront::merge`] is exact. Each
-/// range prunes against its own incumbent only, so
-/// [`LayerPartial::pruned`] depends on where the cuts fall while
-/// everything else does not.
-#[derive(Debug, Clone)]
-pub struct LayerPartial {
+/// What a sweep has found so far: the incumbent, the Pareto front under
+/// `keep_points`, and how many design points it covered and skipped.
+struct Accumulator {
     objective: Objective,
+    /// Design points covered, whether scored or proven unable to win
+    /// (see [`LayerDseResult::evaluations`]).
     evaluations: usize,
+    /// How many of `evaluations` the exact bound skipped instead of
+    /// scoring.
     pruned: usize,
     best: Option<DseCandidate>,
     front: ParetoFront<CandidateTag>,
 }
 
-impl LayerPartial {
-    /// Number of design points this partial covered: tilings in range ×
-    /// schemes × mappings, whether scored or proven unable to win (see
-    /// [`LayerDseResult::evaluations`]).
-    pub fn evaluations(&self) -> usize {
-        self.evaluations
-    }
-
-    /// How many of [`LayerPartial::evaluations`] were skipped by the
-    /// exact bound instead of scored. Never more than `evaluations()`.
-    pub fn pruned(&self) -> usize {
-        self.pruned
-    }
-
-    /// Best candidate found within this partial's range, if the range
-    /// was non-empty.
-    pub fn best(&self) -> Option<&DseCandidate> {
-        self.best.as_ref()
-    }
-
+impl Accumulator {
     /// Offer one scored design point, in sweep order: it replaces the
     /// incumbent only on a strict improvement.
     fn offer(&mut self, estimate: EdpEstimate, tag: CandidateTag, keep_points: bool) {
@@ -383,7 +347,7 @@ impl LayerPartial {
     }
 
     /// True when no design point whose cycles and energy are both `>=`
-    /// `floor`'s can change this partial if offered now (the module
+    /// `floor`'s can change this accumulator if offered now (the module
     /// docs give the argument). With a front to maintain that takes a
     /// retained point no worse than `floor` in both coordinates;
     /// without, an incumbent scoring no worse than `floor`.
@@ -394,47 +358,6 @@ impl LayerPartial {
             self.best
                 .as_ref()
                 .is_some_and(|b| self.objective.score(floor) >= self.objective.score(&b.estimate))
-        }
-    }
-
-    /// Fold the partial of the **next** tiling subrange into this one.
-    /// Exact provided ranges are merged in ascending order: ties on the
-    /// objective keep the lower-range candidate, exactly as the
-    /// sequential sweep's strict-improvement rule does.
-    pub fn merge(&mut self, later: LayerPartial) {
-        debug_assert_eq!(
-            self.objective, later.objective,
-            "merged partials of different objectives"
-        );
-        self.evaluations += later.evaluations;
-        self.pruned += later.pruned;
-        let objective = self.objective;
-        self.best = match (self.best.take(), later.best) {
-            (Some(a), Some(b)) => {
-                if objective.score(&b.estimate) < objective.score(&a.estimate) {
-                    Some(b)
-                } else {
-                    Some(a)
-                }
-            }
-            (a, b) => a.or(b),
-        };
-        self.front.merge(later.front);
-    }
-
-    /// Finish the exploration: materialize the Pareto front and name the
-    /// result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no candidate was evaluated (an empty merged range);
-    /// callers merge partials covering the whole enumeration first.
-    pub fn into_result(self, layer_name: impl Into<String>) -> LayerDseResult {
-        LayerDseResult {
-            layer_name: layer_name.into(),
-            best: self.best.expect("non-empty sweep produced no candidate"),
-            evaluations: self.evaluations,
-            pareto: self.front.into_design_points(tag_label),
         }
     }
 }
@@ -664,18 +587,6 @@ impl DseEngine {
         .ok_or_else(|| DseError::new("no feasible tiling"))
     }
 
-    /// Number of feasible tilings of `layer` under this engine's
-    /// accelerator — the size of the splittable axis of
-    /// [`DseEngine::explore_layer_range`], counted without materializing
-    /// the enumeration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError`] if no tiling fits the buffers.
-    pub fn tiling_count(&self, layer: &Layer) -> Result<usize, DseError> {
-        count_tilings(layer, self.model.traffic_model().accelerator())
-    }
-
     /// Algorithm 1 for one layer: sweep tilings × schemes × mappings.
     ///
     /// # Errors
@@ -683,41 +594,38 @@ impl DseEngine {
     /// Returns [`DseError`] if no tiling fits the buffers or the sweep
     /// configuration is empty.
     pub fn explore_layer(&self, layer: &Layer) -> Result<LayerDseResult, DseError> {
-        Ok(self
-            .explore_layer_range(layer, 0..usize::MAX)?
-            .into_result(layer.name.clone()))
+        self.explore_layer_counted(layer).map(|(result, _)| result)
     }
 
-    /// Algorithm 1 restricted to a contiguous subrange of the layer's
-    /// tiling enumeration (clamped to the enumeration's length): the
-    /// unit a layer is split into. Merging the partials of a disjoint
-    /// cover of `0..tiling_count` in ascending range order and calling
-    /// [`LayerPartial::into_result`] is bit-identical to
-    /// [`DseEngine::explore_layer`].
+    /// [`DseEngine::explore_layer`], plus how many of the result's
+    /// `evaluations` the exact bound skipped instead of scoring (never
+    /// more than `evaluations`).
     ///
     /// # Errors
     ///
-    /// Returns [`DseError`] if no tiling fits the buffers or the sweep
-    /// configuration is empty.
-    pub fn explore_layer_range(
+    /// As [`DseEngine::explore_layer`].
+    pub fn explore_layer_counted(
         &self,
         layer: &Layer,
-        tiling_range: Range<usize>,
-    ) -> Result<LayerPartial, DseError> {
-        let acc = *self.model.traffic_model().accelerator();
-        let tilings = enumerate_tilings(layer, &acc)?;
+    ) -> Result<(LayerDseResult, usize), DseError> {
+        let tilings = enumerate_tilings(layer, self.model.traffic_model().accelerator())?;
         if self.config.schemes.is_empty() || self.config.mappings.is_empty() {
             return Err(DseError::new("empty scheme or mapping sweep"));
         }
-        let start = tiling_range.start.min(tilings.len());
-        let end = tiling_range.end.min(tilings.len()).max(start);
-        Ok(self.sweep(
+        let swept = self.sweep(
             layer,
-            &tilings[start..end],
+            &tilings,
             &self.config.schemes,
             &self.config.mappings,
             self.config.keep_points,
-        ))
+        );
+        let result = LayerDseResult {
+            layer_name: layer.name.clone(),
+            best: swept.best.expect("non-empty sweep produced no candidate"),
+            evaluations: swept.evaluations,
+            pareto: swept.front.into_design_points(tag_label),
+        };
+        Ok((result, swept.pruned))
     }
 
     /// The evaluation pipeline of the module docs: `tilings` × `schemes`
@@ -730,12 +638,12 @@ impl DseEngine {
         schemes: &[ReuseScheme],
         mappings: &[MappingPolicy],
         keep_points: bool,
-    ) -> LayerPartial {
+    ) -> Accumulator {
         let t_ck_ns = self.model.table().t_ck_ns;
         // A negative or NaN clock would break the scores' monotonicity.
         let clock_bounded = t_ck_ns.is_finite() && t_ck_ns >= 0.0;
         let mut rows = CostRows::new(&self.model, mappings);
-        let mut partial = LayerPartial {
+        let mut partial = Accumulator {
             objective: self.config.objective,
             evaluations: 0,
             pruned: 0,
@@ -836,7 +744,7 @@ mod exactness;
 
 #[cfg(test)]
 mod tests {
-    use super::exactness::{assert_results_bit_identical, explore_in_ranges, naive_explore};
+    use super::exactness::{assert_results_bit_identical, naive_explore};
     use super::*;
     use drmap_cnn::accelerator::AcceleratorConfig;
     use drmap_dram::geometry::Geometry;
@@ -1076,54 +984,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn merged_range_partials_match_sequential_bit_exactly() {
-        let e = engine(DseConfig {
-            keep_points: true,
-            ..DseConfig::default()
-        });
-        let layer = conv3();
-        let whole = e.explore_layer(&layer).unwrap();
-        let n = e.tiling_count(&layer).unwrap();
-        assert!(n > 3, "need a non-trivial enumeration, got {n}");
-        for cuts in [vec![n / 2], vec![1, n - 1], vec![n / 3, 2 * n / 3], vec![]] {
-            let merged = explore_in_ranges(&e, &layer, &cuts).into_result(layer.name.clone());
-            assert_results_bit_identical(&merged, &whole);
-        }
-    }
-
-    #[test]
-    fn ranges_clamp_and_empty_partials_merge() {
-        let e = engine(DseConfig::default());
-        let layer = conv3();
-        let n = e.tiling_count(&layer).unwrap();
-        let empty = e.explore_layer_range(&layer, n..n + 10).unwrap();
-        assert_eq!(empty.evaluations(), 0);
-        assert!(empty.best().is_none());
-        let mut all = e.explore_layer_range(&layer, 0..n).unwrap();
-        let best_before = all.best().cloned().unwrap();
-        all.merge(empty);
-        assert_eq!(all.best().unwrap(), &best_before);
-        let mut from_empty = e.explore_layer_range(&layer, n..n).unwrap();
-        from_empty.merge(e.explore_layer_range(&layer, 0..n).unwrap());
-        assert_eq!(from_empty.best().unwrap().estimate, best_before.estimate);
-        // An inverted range clamps to empty rather than panicking.
-        #[allow(clippy::reversed_empty_ranges)]
-        let inverted = e.explore_layer_range(&layer, 5..2).unwrap();
-        assert_eq!(inverted.evaluations(), 0);
-    }
-
-    #[test]
-    fn tiling_count_matches_enumeration_len() {
-        let e = engine(DseConfig::default());
-        let layer = conv3();
-        let acc = *e.model().traffic_model().accelerator();
-        assert_eq!(
-            e.tiling_count(&layer).unwrap(),
-            enumerate_tilings(&layer, &acc).unwrap().len()
-        );
     }
 
     #[test]

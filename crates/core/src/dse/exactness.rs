@@ -11,6 +11,7 @@ use proptest::prelude::*;
 
 use super::*;
 use crate::pareto::pareto_front;
+use crate::tiling::count_tilings;
 
 /// The reference sweep: per-evaluation [`DseEngine::evaluate`] calls
 /// (schedule resolution and transition counting from scratch each
@@ -74,27 +75,6 @@ pub(super) fn assert_results_bit_identical(a: &LayerDseResult, b: &LayerDseResul
         assert_eq!(p.estimate.cycles.to_bits(), q.estimate.cycles.to_bits());
         assert_eq!(p.estimate.energy.to_bits(), q.estimate.energy.to_bits());
     }
-}
-
-/// Explore `0..n` in the ranges `cuts` delimits and merge in order.
-pub(super) fn explore_in_ranges(e: &DseEngine, layer: &Layer, cuts: &[usize]) -> LayerPartial {
-    let n = e.tiling_count(layer).unwrap();
-    let mut bounds = vec![0];
-    bounds.extend(cuts);
-    bounds.push(n);
-    let mut merged: Option<LayerPartial> = None;
-    for pair in bounds.windows(2) {
-        let partial = e.explore_layer_range(layer, pair[0]..pair[1]).unwrap();
-        assert!(partial.pruned() <= partial.evaluations());
-        merged = Some(match merged {
-            None => partial,
-            Some(mut earlier) => {
-                earlier.merge(partial);
-                earlier
-            }
-        });
-    }
-    merged.unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -257,24 +237,15 @@ fn engine_strategy() -> impl Strategy<Value = DseEngine> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// Winner, count, front points and labels match the reference, for
-    /// the whole sweep and for randomly cut ranges merged in order.
+    /// Winner, count, front points and labels match the reference.
     #[test]
     fn sweep_matches_naive_reference_bit_for_bit(
         e in engine_strategy(),
         layer in layer_strategy(),
-        cuts in prop::collection::vec(0.0f64..1.0, 0..4),
     ) {
-        let naive = naive_explore(&e, &layer);
-        let whole = e.explore_layer(&layer).unwrap();
-        assert_results_bit_identical(&whole, &naive);
-
-        let n = e.tiling_count(&layer).unwrap();
-        let mut cuts: Vec<usize> = cuts.iter().map(|f| (f * n as f64) as usize).collect();
-        cuts.sort_unstable();
-        let merged = explore_in_ranges(&e, &layer, &cuts);
-        prop_assert!(merged.pruned() <= merged.evaluations());
-        assert_results_bit_identical(&merged.into_result(layer.name.clone()), &naive);
+        let (swept, pruned) = e.explore_layer_counted(&layer).unwrap();
+        prop_assert!(pruned <= swept.evaluations);
+        assert_results_bit_identical(&swept, &naive_explore(&e, &layer));
     }
 
     /// The bound is a bound: whatever group the sweep may skip, the
@@ -343,11 +314,11 @@ fn rows_the_bound_cannot_trust_disable_every_skip() {
         let mut read = good;
         read[3] = dif_rows;
         let table = AccessCostTable::from_costs(DramArch::Ddr3, read, good, t_ck_ns);
-        let partial = engine_on(table, DseConfig::default())
-            .explore_layer_range(&conv3(), 0..usize::MAX)
+        let (swept, pruned) = engine_on(table, DseConfig::default())
+            .explore_layer_counted(&conv3())
             .unwrap();
-        assert_eq!(partial.pruned(), 0, "{dif_rows:?} at t_ck {t_ck_ns}");
-        assert!(partial.evaluations() > 0);
+        assert_eq!(pruned, 0, "{dif_rows:?} at t_ck {t_ck_ns}");
+        assert!(swept.evaluations > 0);
     }
 }
 
@@ -379,23 +350,23 @@ fn duplicate_groups_and_bounded_groups_are_counted_but_not_scored() {
                 ..DseConfig::default()
             },
         );
-        let n = e.tiling_count(&layer).unwrap();
-        (n, e.explore_layer_range(&layer, 0..n).unwrap())
+        e.explore_layer_counted(&layer).unwrap()
     };
+    let n = count_tilings(&layer, &AcceleratorConfig::table_ii()).unwrap();
     // The default sweep skips at least every adaptive group (it follows
     // the scheme it resolves to) and covers the whole product.
     for keep_points in [false, true] {
-        let (n, partial) = sweep(ReuseScheme::ALL.to_vec(), keep_points);
-        assert_eq!(partial.evaluations(), n * 4 * 6);
-        assert!(partial.pruned() >= n * 6);
-        assert!(partial.pruned() < partial.evaluations());
+        let (swept, pruned) = sweep(ReuseScheme::ALL.to_vec(), keep_points);
+        assert_eq!(swept.evaluations, n * 4 * 6);
+        assert!(pruned >= n * 6);
+        assert!(pruned < swept.evaluations);
     }
     // Adaptive-reuse alone duplicates nothing: its first group is
     // scored, and it wins under its own label.
-    let (n, alone) = sweep(vec![ReuseScheme::AdaptiveReuse], false);
-    assert_eq!(alone.evaluations(), n * 6);
-    assert!(alone.pruned() <= (n - 1) * 6);
-    assert_eq!(alone.best().unwrap().scheme, ReuseScheme::AdaptiveReuse);
+    let (alone, pruned) = sweep(vec![ReuseScheme::AdaptiveReuse], false);
+    assert_eq!(alone.evaluations, n * 6);
+    assert!(pruned <= (n - 1) * 6);
+    assert_eq!(alone.best.scheme, ReuseScheme::AdaptiveReuse);
 }
 
 // ---------------------------------------------------------------------

@@ -64,8 +64,8 @@ pub mod prelude {
         bytes_to_bursts, counts_cost, tile_cost, transition_counts, TransitionCounts,
     };
     pub use crate::dse::{
-        layer_cache_key, DseCandidate, DseConfig, DseEngine, LayerDseResult, LayerPartial,
-        NetworkDseResult, Objective, SharedEngine,
+        layer_cache_key, DseCandidate, DseConfig, DseEngine, LayerDseResult, NetworkDseResult,
+        Objective, SharedEngine,
     };
     pub use crate::edp::{CostComponent, EdpEstimate, EdpModel, LayerBreakdown};
     pub use crate::error::DseError;

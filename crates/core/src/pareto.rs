@@ -90,9 +90,7 @@ pub fn pareto_front(points: &[DesignPoint]) -> Vec<DesignPoint> {
 /// materializing produces the same `Vec<DesignPoint>` (same set, same
 /// order, same label strings) as `pareto_front` over the collected
 /// cloud. Ties on both coordinates keep the earliest-inserted point,
-/// matching the stable sort of the batch path. Fronts built over
-/// consecutive subranges of one sweep merge exactly with
-/// [`ParetoFront::merge`].
+/// matching the stable sort of the batch path.
 ///
 /// # Examples
 ///
@@ -150,16 +148,6 @@ impl<T> ParetoFront<T> {
         self.points
             .iter()
             .any(|(e, _)| e.energy <= estimate.energy && e.cycles <= estimate.cycles)
-    }
-
-    /// Fold a front built over a *later* subrange of the same sweep
-    /// into this one. Exact: provided `later`'s points were evaluated
-    /// after `self`'s, the merged front equals the front of the
-    /// combined point cloud, ties and all.
-    pub fn merge(&mut self, later: ParetoFront<T>) {
-        for (estimate, tag) in later.points {
-            self.insert(estimate, tag);
-        }
     }
 
     /// Number of points currently on the front.
@@ -307,46 +295,6 @@ mod tests {
                     assert_eq!(a.estimate.energy.to_bits(), b.estimate.energy.to_bits());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn split_fronts_merge_exactly() {
-        let coords = cloud(300, 99);
-        let mut whole = ParetoFront::new();
-        for (i, &(c, e)) in coords.iter().enumerate() {
-            whole.insert(
-                EdpEstimate {
-                    cycles: c,
-                    energy: e,
-                    t_ck_ns: 1.25,
-                },
-                i,
-            );
-        }
-        for split in [0usize, 1, 150, 299, 300] {
-            let mut merged = ParetoFront::new();
-            let mut later = ParetoFront::new();
-            for (i, &(c, e)) in coords.iter().enumerate() {
-                let est = EdpEstimate {
-                    cycles: c,
-                    energy: e,
-                    t_ck_ns: 1.25,
-                };
-                if i < split {
-                    merged.insert(est, i);
-                } else {
-                    later.insert(est, i);
-                }
-            }
-            merged.merge(later);
-            let a = merged.clone().into_design_points(|&i| format!("p{i}"));
-            let b = whole.clone().into_design_points(|&i| format!("p{i}"));
-            assert_eq!(
-                a.iter().map(|p| p.label.clone()).collect::<Vec<_>>(),
-                b.iter().map(|p| p.label.clone()).collect::<Vec<_>>(),
-                "split {split}"
-            );
         }
     }
 

@@ -179,12 +179,11 @@ pub fn enumerate_tilings(layer: &Layer, acc: &AcceleratorConfig) -> Result<Vec<T
     Ok(out)
 }
 
-/// Count the buffer-feasible tilings of a layer — the cheap probe a
-/// scheduler uses to decide whether a layer's tiling range is worth
-/// splitting across nodes. Delegates to [`enumerate_tilings`], so it
-/// can never drift from the enumeration that range exploration sweeps
-/// (a `Tiling` is four words; the transient `Vec` is a few KB even for
-/// the largest layers).
+/// Count the buffer-feasible tilings of a layer: the size of the
+/// outermost axis of the DSE sweep. Delegates to [`enumerate_tilings`],
+/// so it can never drift from the enumeration the sweep walks (a
+/// `Tiling` is four words; the transient `Vec` is a few KB even for the
+/// largest layers).
 ///
 /// # Errors
 ///

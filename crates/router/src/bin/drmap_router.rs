@@ -3,7 +3,6 @@
 //! ```text
 //! drmap-router --backend HOST:PORT [--backend HOST:PORT ...]
 //!              [--addr HOST:PORT] [--data-conns N]
-//!              [--scatter] [--scatter-threshold N] [--scatter-parts N]
 //!              [--retry-attempts N] [--retry-base-ms N] [--retry-cap-ms N]
 //!              [--probe-ms N] [--connect-timeout-ms N] [--admin-timeout-ms N]
 //! ```
@@ -14,9 +13,8 @@
 //! pipelines in-flight jobs over a small per-backend connection pool,
 //! and fails jobs on dead backends over to the next-ranked node (jobs
 //! are pure, so a resend is safe). `stats` and `metrics` aggregate
-//! across the fleet, configuration verbs broadcast, and `--scatter`
-//! splits one oversized layer's tiling sweep into ranges swept on
-//! different backends and merged exactly. See `docs/CLUSTER.md`.
+//! across the fleet and configuration verbs broadcast. A job is always
+//! forwarded whole. See `docs/CLUSTER.md`.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -34,15 +32,6 @@ fn parse_args() -> Result<(String, RouterConfig), String> {
             "--backend" => cfg.backends.push(value("--backend")?),
             "--data-conns" => {
                 cfg.data_conns = parse_positive("--data-conns", &value("--data-conns")?)?;
-            }
-            "--scatter" => cfg.scatter = true,
-            "--scatter-threshold" => {
-                cfg.scatter_threshold =
-                    parse_positive("--scatter-threshold", &value("--scatter-threshold")?)? as u64;
-            }
-            "--scatter-parts" => {
-                cfg.scatter_max_parts =
-                    parse_positive("--scatter-parts", &value("--scatter-parts")?)?;
             }
             "--retry-attempts" => {
                 cfg.retry.max_attempts =
@@ -78,7 +67,6 @@ fn parse_args() -> Result<(String, RouterConfig), String> {
                 println!(
                     "usage: drmap-router --backend HOST:PORT [--backend HOST:PORT ...] \
                      [--addr HOST:PORT] [--data-conns N] \
-                     [--scatter] [--scatter-threshold N] [--scatter-parts N] \
                      [--retry-attempts N] [--retry-base-ms N] [--retry-cap-ms N] \
                      [--probe-ms N] [--connect-timeout-ms N] [--admin-timeout-ms N]"
                 );

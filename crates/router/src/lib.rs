@@ -14,10 +14,9 @@
 //! dies mid-flight its jobs are retried on the next-ranked healthy
 //! node under the client tier's
 //! [`RetryPolicy`](drmap_service::client::RetryPolicy), and health
-//! probes gate the dead node's readmission. Admin verbs fan out —
-//! `stats`/`metrics` aggregate, configuration verbs broadcast — and
-//! `--scatter` splits one oversized layer's tiling enumeration into
-//! ranges swept on different backends and merged exactly. See
+//! probes gate the dead node's readmission. Admin verbs fan out:
+//! `stats`/`metrics` aggregate, configuration verbs broadcast. A job
+//! is always forwarded whole — one layer, one node. See
 //! `docs/CLUSTER.md` for the full semantics.
 
 #![forbid(unsafe_code)]

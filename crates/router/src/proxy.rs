@@ -1,5 +1,5 @@
 //! The proxy core: client sessions, the pending-job multiplexer,
-//! rendezvous routing, failover, scatter/merge, and admin fan-out.
+//! rendezvous routing, failover, and admin fan-out.
 //!
 //! # Correlation
 //!
@@ -8,8 +8,7 @@
 //! router-unique sequence number before forwarding, and rewrites it
 //! back on the way out. The pending map (`router id → Pending`) is the
 //! single correlation point: backend reader threads resolve responses
-//! through it, failover drains it, and scatter parts hang their merge
-//! state off it.
+//! through it and failover drains it.
 //!
 //! # Failover
 //!
@@ -22,16 +21,6 @@
 //! [`RetryPolicy`] (decorrelated-jitter backoff, bounded attempts). A
 //! background probe loop re-admits the backend once it handshakes
 //! again.
-//!
-//! # Scatter
-//!
-//! With `--scatter`, a single-layer job whose tiling enumeration
-//! crosses the threshold is split into contiguous `[start, end)`
-//! ranges, one ranged sub-job per healthy backend (up to a cap), and
-//! the partial outcomes are merged exactly like the pool's
-//! `LayerPartial::merge`: the winner is the part with the strictly
-//! smallest objective score (earlier range wins ties), evaluation
-//! counts sum.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -40,16 +29,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use drmap_cnn::accelerator::AcceleratorConfig;
-use drmap_core::dse::Objective;
-use drmap_core::edp::EdpEstimate;
-use drmap_core::tiling::count_tilings;
 use drmap_service::client::{ClientConfig, RetryPolicy};
 use drmap_service::engine::job_route_key;
 use drmap_service::error::ServiceError;
 use drmap_service::loadgen::SplitMix64;
 use drmap_service::proto::{router_capabilities, Request, Response, StatsReport, PROTOCOL_VERSION};
-use drmap_service::spec::{JobResult, JobSpec, LayerOutcome};
+use drmap_service::spec::JobSpec;
 use drmap_service::wire::{self, Encoding};
 use drmap_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -63,12 +48,6 @@ pub struct RouterConfig {
     /// tie-break order of the rendezvous ranking, so every router
     /// given the same list agrees on every pick.
     pub backends: Vec<String>,
-    /// Split oversized single-layer jobs across backends.
-    pub scatter: bool,
-    /// Minimum tiling-enumeration length before a layer scatters.
-    pub scatter_threshold: u64,
-    /// At most this many scatter parts per job.
-    pub scatter_max_parts: usize,
     /// Backoff/attempt budget for failing a job over between backends.
     pub retry: RetryPolicy,
     /// How often the probe loop re-checks unhealthy backends.
@@ -85,9 +64,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             backends: Vec::new(),
-            scatter: false,
-            scatter_threshold: 4096,
-            scatter_max_parts: 8,
             retry: RetryPolicy::default(),
             probe_interval: Duration::from_millis(500),
             data_conns: 2,
@@ -105,7 +81,6 @@ impl Default for RouterConfig {
 struct RouterMetrics {
     route_total: Arc<Counter>,
     failover_total: Arc<Counter>,
-    scatter_jobs_total: Arc<Counter>,
     probe_total: Arc<Counter>,
     backends_up: Arc<Gauge>,
     route_pick_ns: Arc<Histogram>,
@@ -140,7 +115,6 @@ impl RouterMetrics {
         RouterMetrics {
             route_total: registry.counter("route_total"),
             failover_total: registry.counter("failover_total"),
-            scatter_jobs_total: registry.counter("scatter_jobs_total"),
             probe_total: registry.counter("probe_total"),
             backends_up: registry.gauge("backends_up"),
             route_pick_ns: registry.histogram("route_pick_ns"),
@@ -170,29 +144,6 @@ struct Pending {
     attempts: u32,
     /// Previous backoff sleep, for the decorrelated-jitter draw.
     prev_backoff_ms: u64,
-    /// Set when this entry is one part of a scattered job.
-    scatter: Option<ScatterPart>,
-}
-
-/// Membership of one pending entry in a scattered job.
-#[derive(Debug)]
-struct ScatterPart {
-    job: Arc<ScatterJob>,
-    part: usize,
-}
-
-/// Merge state shared by a scattered job's parts.
-#[derive(Debug)]
-struct ScatterJob {
-    client_id: u64,
-    workload: String,
-    objective: Objective,
-    parts: Mutex<Vec<Option<LayerOutcome>>>,
-    /// Latched by the first part that fails terminally; exactly one
-    /// error reply reaches the client, later parts are dropped.
-    failed: AtomicBool,
-    reply: ReplyTx,
-    encoding: Encoding,
 }
 
 /// Shared state behind every router thread.
@@ -363,24 +314,9 @@ impl RouterCore {
     // Routing
     // -----------------------------------------------------------------
 
-    /// The rendezvous key of a pending entry: the job's cache
-    /// fingerprint, plus the range suffix for scatter parts so parts
-    /// of one job spread instead of piling onto one backend.
-    fn pending_key(pending: &Pending) -> String {
-        let mut key = job_route_key(&pending.spec);
-        if let Some((start, end)) = pending.spec.options.tiling_range {
-            key.push_str(&format!("|range={start}..{end}"));
-        }
-        key
-    }
-
     /// Route one client job: rewrite its id, register it pending, and
-    /// forward it to the rendezvous pick (or scatter it).
+    /// forward it to the rendezvous pick.
     fn submit(self: &Arc<Self>, mut spec: JobSpec, reply: &ReplyTx, encoding: Encoding) {
-        if let Some(ranges) = self.scatter_plan(&spec) {
-            self.submit_scatter(spec, ranges, reply, encoding);
-            return;
-        }
         let client_id = spec.id;
         let router_id = self.next_id();
         spec.id = router_id;
@@ -392,23 +328,17 @@ impl RouterCore {
             backend: usize::MAX,
             attempts: 0,
             prev_backoff_ms: 0,
-            scatter: None,
         };
-        self.dispatch(router_id, pending, None);
+        self.dispatch(router_id, pending);
     }
 
-    /// Send `pending` to `preferred` (when given and healthy) or to
-    /// its rendezvous pick; a dead pick fails over immediately.
-    fn dispatch(self: &Arc<Self>, router_id: u64, mut pending: Pending, preferred: Option<usize>) {
-        let key = Self::pending_key(&pending);
+    /// Send `pending` to the rendezvous pick of its job's cache
+    /// fingerprint; a dead pick fails over immediately.
+    fn dispatch(self: &Arc<Self>, router_id: u64, mut pending: Pending) {
+        let key = job_route_key(&pending.spec);
         let started = Instant::now();
-        let picked = match preferred.filter(|&i| self.backends[i].is_healthy()) {
-            Some(i) => Some(i),
-            None => {
-                let healthy: Vec<bool> = self.backends.iter().map(Backend::is_healthy).collect();
-                hash::pick(&key, &self.addrs, &healthy)
-            }
-        };
+        let healthy: Vec<bool> = self.backends.iter().map(Backend::is_healthy).collect();
+        let picked = hash::pick(&key, &self.addrs, &healthy);
         self.m
             .route_pick_ns
             .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -465,7 +395,7 @@ impl RouterCore {
             if pending.backend < self.m.per_backend.len() {
                 self.m.per_backend[pending.backend].failover_total.inc();
             }
-            self.dispatch(router_id, pending, None);
+            self.dispatch(router_id, pending);
         }
     }
 
@@ -477,15 +407,10 @@ impl RouterCore {
                     return; // stale: the job already failed over
                 };
                 self.m.per_backend[idx].inflight.dec();
-                match pending.scatter {
-                    None => {
-                        result.id = pending.client_id;
-                        let _ = pending
-                            .reply
-                            .send((Response::Job { result }, pending.encoding));
-                    }
-                    Some(part) => self.scatter_collect(&part, result),
-                }
+                result.id = pending.client_id;
+                let _ = pending
+                    .reply
+                    .send((Response::Job { result }, pending.encoding));
             }
             Response::Overloaded {
                 id: Some(id),
@@ -506,19 +431,13 @@ impl RouterCore {
                     return;
                 };
                 self.m.per_backend[idx].inflight.dec();
-                match &pending.scatter {
-                    None => {
-                        let _ = pending.reply.send((
-                            Response::DeadlineExceeded {
-                                id: Some(pending.client_id),
-                                deadline_ms,
-                            },
-                            pending.encoding,
-                        ));
-                    }
-                    Some(part) => self
-                        .scatter_fail(&part.job, &format!("deadline of {deadline_ms} ms exceeded")),
-                }
+                let _ = pending.reply.send((
+                    Response::DeadlineExceeded {
+                        id: Some(pending.client_id),
+                        deadline_ms,
+                    },
+                    pending.encoding,
+                ));
             }
             Response::Error {
                 id: Some(id),
@@ -536,192 +455,14 @@ impl RouterCore {
         }
     }
 
-    /// Deliver a terminal error for one pending entry (routed to the
-    /// scatter latch when the entry is a part).
+    /// Deliver a terminal error for one pending entry.
     fn reply_error(&self, pending: &Pending, message: &str) {
-        match &pending.scatter {
-            None => {
-                let _ = pending.reply.send((
-                    Response::Error {
-                        id: Some(pending.client_id),
-                        message: message.to_owned(),
-                    },
-                    pending.encoding,
-                ));
-            }
-            Some(part) => self.scatter_fail(&part.job, message),
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Scatter
-    // -----------------------------------------------------------------
-
-    /// The range split for `spec`, when it is scatter-eligible: ranged
-    /// sweeps cover exactly `0..count` in contiguous chunks.
-    fn scatter_plan(&self, spec: &JobSpec) -> Option<Vec<(u64, u64)>> {
-        if !self.cfg.scatter || spec.options.keep_points || spec.options.tiling_range.is_some() {
-            return None;
-        }
-        let [layer] = spec.workload.layers() else {
-            return None;
-        };
-        let healthy = self.healthy().len();
-        if healthy < 2 {
-            return None;
-        }
-        let count = count_tilings(layer, &AcceleratorConfig::table_ii()).ok()? as u64;
-        if count < self.cfg.scatter_threshold.max(2) {
-            return None;
-        }
-        let parts = (healthy.min(self.cfg.scatter_max_parts).max(2)) as u64;
-        let chunk = count.div_ceil(parts);
-        Some(
-            (0..parts)
-                .map(|i| (i * chunk, ((i + 1) * chunk).min(count)))
-                .filter(|(start, end)| start < end)
-                .collect(),
-        )
-    }
-
-    /// Split `spec` into ranged sub-jobs, one per range, spread over
-    /// the rendezvous ranking of the job's base key.
-    fn submit_scatter(
-        self: &Arc<Self>,
-        spec: JobSpec,
-        ranges: Vec<(u64, u64)>,
-        reply: &ReplyTx,
-        encoding: Encoding,
-    ) {
-        self.m.scatter_jobs_total.inc();
-        let job = Arc::new(ScatterJob {
-            client_id: spec.id,
-            workload: spec.workload.name().to_owned(),
-            objective: spec.engine.objective,
-            parts: Mutex::new(vec![None; ranges.len()]),
-            failed: AtomicBool::new(false),
-            reply: reply.clone(),
-            encoding,
-        });
-        // Spread the parts over the healthy slice of the base key's
-        // ranking: part i starts on the i-th ranked healthy backend
-        // (failover falls back to the per-part rendezvous pick).
-        let base_key = job_route_key(&spec);
-        let ranked: Vec<usize> = hash::rank(&base_key, &self.addrs)
-            .into_iter()
-            .filter(|&i| self.backends[i].is_healthy())
-            .collect();
-        for (part, &(start, end)) in ranges.iter().enumerate() {
-            let mut part_spec = spec.clone();
-            part_spec.options.tiling_range = Some((start, end));
-            let router_id = self.next_id();
-            part_spec.id = router_id;
-            let pending = Pending {
-                spec: part_spec,
-                client_id: job.client_id,
-                reply: reply.clone(),
-                encoding,
-                backend: usize::MAX,
-                attempts: 0,
-                prev_backoff_ms: 0,
-                scatter: Some(ScatterPart {
-                    job: Arc::clone(&job),
-                    part,
-                }),
-            };
-            let preferred = (!ranked.is_empty()).then(|| ranked[part % ranked.len()]);
-            self.dispatch(router_id, pending, preferred);
-        }
-    }
-
-    /// Record one scatter part's outcome; the last part in merges and
-    /// answers the client.
-    fn scatter_collect(&self, part: &ScatterPart, result: JobResult) {
-        let job = &part.job;
-        // ordering: Relaxed — the latch only suppresses duplicate
-        // replies; the parts mutex orders the merge itself.
-        if job.failed.load(Ordering::Relaxed) {
-            return;
-        }
-        let Some(outcome) = result.layers.into_iter().next() else {
-            self.scatter_fail(job, "backend answered a scatter part with no layer outcome");
-            return;
-        };
-        let merged = {
-            let mut parts = lock_recovered(&job.parts);
-            if part.part >= parts.len() {
-                return;
-            }
-            parts[part.part] = Some(outcome);
-            if !parts.iter().all(Option::is_some) {
-                return;
-            }
-            Self::merge_parts(job, &parts)
-        };
-        let Some(result) = merged else {
-            self.scatter_fail(job, "scatter merge found no feasible configuration");
-            return;
-        };
-        let _ = job.reply.send((Response::Job { result }, job.encoding));
-    }
-
-    /// Exact merge of the completed parts, mirroring the pool's
-    /// `LayerPartial::merge`: strictly-smaller objective score wins,
-    /// the earlier range keeps ties, evaluation counts sum.
-    fn merge_parts(job: &ScatterJob, parts: &[Option<LayerOutcome>]) -> Option<JobResult> {
-        let outcomes: Vec<&LayerOutcome> = parts.iter().filter_map(Option::as_ref).collect();
-        let mut winner: Option<&LayerOutcome> = None;
-        let mut evaluations = 0u64;
-        for outcome in &outcomes {
-            evaluations += outcome.evaluations;
-            let better = match winner {
-                None => true,
-                Some(best) => {
-                    job.objective.score(&outcome.estimate) < job.objective.score(&best.estimate)
-                }
-            };
-            if better {
-                winner = Some(outcome);
-            }
-        }
-        let winner = winner?;
-        let merged = LayerOutcome {
-            name: winner.name.clone(),
-            mapping: winner.mapping.clone(),
-            scheme: winner.scheme.clone(),
-            tiling: winner.tiling,
-            estimate: winner.estimate,
-            evaluations,
-            // The merged result was computed across nodes this time;
-            // per-part cache state is not meaningful for the whole.
-            cached: false,
-            coalesced: false,
-            store_hit: false,
-            pareto: Vec::new(),
-        };
-        let mut total = EdpEstimate::zero(winner.estimate.t_ck_ns);
-        total.accumulate(&winner.estimate);
-        Some(JobResult {
-            id: job.client_id,
-            workload: job.workload.clone(),
-            total,
-            layers: vec![merged],
-        })
-    }
-
-    /// Latch the scatter job failed and deliver the (single) error.
-    fn scatter_fail(&self, job: &ScatterJob, message: &str) {
-        // ordering: Relaxed — the swap's atomicity alone guarantees a
-        // single winner; no other data rides on the latch.
-        if job.failed.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        let _ = job.reply.send((
+        let _ = pending.reply.send((
             Response::Error {
-                id: Some(job.client_id),
-                message: format!("scatter failed: {message}"),
+                id: Some(pending.client_id),
+                message: message.to_owned(),
             },
-            job.encoding,
+            pending.encoding,
         ));
     }
 

@@ -344,8 +344,7 @@ impl Client {
     }
 
     /// Submit a job with explicit per-job options (cache mode,
-    /// Pareto-point retention, deadline, tiling range), and wait for
-    /// its result.
+    /// Pareto-point retention, deadline), and wait for its result.
     ///
     /// # Errors
     ///

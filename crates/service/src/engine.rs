@@ -484,15 +484,15 @@ impl ServiceState {
         tag: &str,
         layer: &Layer,
     ) -> Result<(LayerDseResult, CacheOutcome), DseError> {
-        let key = layer_key(engine, tag, layer, None);
-        self.explore_keyed(&key, engine, layer, None, CacheMode::Default, None)
+        let key = layer_key(engine, tag, layer);
+        self.explore_keyed(&key, engine, layer, CacheMode::Default, None)
     }
 
     /// The full cached lookup of one layer under its precomputed
     /// [`layer_key`] — what [`ServiceState::run_job`] runs for every
     /// layer and a pool worker for each layer the submit-time
     /// [`ServiceState::lookup_resident`] did not answer. `key` must be
-    /// the [`layer_key`] of `engine`, `layer` and `range`; the sweep
+    /// the [`layer_key`] of `engine` and `layer`; the sweep
     /// runs only when `mode` says the lookup falls through to
     /// computation (for [`CacheMode::Default`], when both cache tiers
     /// miss and no equivalent computation is in flight; always for
@@ -501,6 +501,9 @@ impl ServiceState {
     /// (when the lookup falls through) as a nested `explore` span, both
     /// recorded in the stage histograms and — when a per-request
     /// [`Trace`] is attached — in that request's stage breakdown.
+    /// Every sweep the service runs is this one, so
+    /// `dse_evaluations_total` and `dse_pruned_total` (what it covered,
+    /// what it skipped) cover exactly the layers that were computed.
     /// Instrumentation never touches the result, so bit-identity across
     /// paths is preserved.
     ///
@@ -513,7 +516,6 @@ impl ServiceState {
         key: &str,
         engine: &DseEngine,
         layer: &Layer,
-        range: Option<(u64, u64)>,
         mode: CacheMode,
         trace: Option<&Arc<Trace>>,
     ) -> Result<(LayerDseResult, CacheOutcome), DseError> {
@@ -521,7 +523,12 @@ impl ServiceState {
         self.stages.layers_total.inc();
         let (mut result, outcome) = self.cache.get_or_compute_with(key, mode, || {
             let _explore = Span::enter("explore", &self.stages.explore_ns).traced(trace);
-            self.explore_layer_ranged(engine, layer, range)
+            let (result, pruned) = engine.explore_layer_counted(layer)?;
+            self.stages
+                .dse_evaluations_total
+                .add(result.evaluations as u64);
+            self.stages.dse_pruned_total.add(pruned as u64);
+            Ok(result)
         })?;
         // Resident-tier semantics: only `Hit` was answered from memory
         // already resident; coalesced waits, store reads, and fresh
@@ -565,48 +572,6 @@ impl ServiceState {
         Some(result)
     }
 
-    /// Explore a layer on the calling thread, restricted to `range` when
-    /// one is set. The whole layer is the `0..usize::MAX` range of the
-    /// same sweep, so a scattered sweep's merged partials are
-    /// bit-identical to one whole sweep by construction. Every sweep the
-    /// service runs goes through here, so `dse_evaluations_total` and
-    /// `dse_pruned_total` (what it covered, what it skipped) cover
-    /// exactly the layers that were computed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sweep failures, and rejects a range that is empty after
-    /// clamping to the layer's tiling count — `LayerPartial::into_result`
-    /// on an empty partial would panic, and a silently-empty partial would
-    /// corrupt a scatter merge.
-    fn explore_layer_ranged(
-        &self,
-        engine: &DseEngine,
-        layer: &Layer,
-        range: Option<(u64, u64)>,
-    ) -> Result<LayerDseResult, DseError> {
-        let tilings = match range {
-            None => 0..usize::MAX,
-            Some((start, end)) => {
-                let count = engine.tiling_count(layer)? as u64;
-                if start >= count.min(end) {
-                    return Err(DseError::new(format!(
-                        "tiling range {start}..{end} is empty for layer {:?} ({count} tilings)",
-                        layer.name
-                    )));
-                }
-                usize::try_from(start).unwrap_or(usize::MAX)
-                    ..usize::try_from(end.min(count)).unwrap_or(usize::MAX)
-            }
-        };
-        let partial = engine.explore_layer_range(layer, tilings)?;
-        self.stages
-            .dse_evaluations_total
-            .add(partial.evaluations() as u64);
-        self.stages.dse_pruned_total.add(partial.pruned() as u64);
-        Ok(partial.into_result(layer.name.clone()))
-    }
-
     /// Run a whole job sequentially on the calling thread (the reference
     /// path; the worker pool produces bit-identical results in parallel).
     ///
@@ -618,13 +583,12 @@ impl ServiceState {
             .factory
             .engine_with(&spec.engine, spec.options.keep_points);
         let tag = self.factory.engine_tag(&spec.engine);
-        let range = spec.options.tiling_range;
         let mut outcomes = Vec::with_capacity(spec.workload.layers().len());
         let mut total = drmap_core::edp::EdpEstimate::zero(engine.model().table().t_ck_ns);
         for layer in spec.workload.layers() {
-            let key = layer_key(&engine, &tag, layer, range);
+            let key = layer_key(&engine, &tag, layer);
             let (result, outcome) =
-                self.explore_keyed(&key, &engine, layer, range, spec.options.cache, None)?;
+                self.explore_keyed(&key, &engine, layer, spec.options.cache, None)?;
             total.accumulate(&result.best.estimate);
             outcomes.push(outcome_from_result(result, outcome));
         }
@@ -639,23 +603,10 @@ impl ServiceState {
 
 /// The cache key of one layer's sweep on `engine`: the canonical
 /// [`layer_cache_key`] over shape, accelerator, sweep configuration and
-/// the substrate `tag`. A ranged sweep (`range`, from
-/// [`JobOptions::tiling_range`](crate::spec::JobOptions)) is keyed with
-/// a `|range=start..end` suffix so partial results — the unit the
-/// router's `--scatter` mode distributes — never alias the full layer's
-/// cache entry, in either the resident tier or the store.
-pub(crate) fn layer_key(
-    engine: &DseEngine,
-    tag: &str,
-    layer: &Layer,
-    range: Option<(u64, u64)>,
-) -> String {
+/// the substrate `tag`.
+pub(crate) fn layer_key(engine: &DseEngine, tag: &str, layer: &Layer) -> String {
     let acc = engine.model().traffic_model().accelerator();
-    let mut key = layer_cache_key(tag, layer, acc, engine.config());
-    if let Some((start, end)) = range {
-        key.push_str(&format!("|range={start}..{end}"));
-    }
-    key
+    layer_cache_key(tag, layer, acc, engine.config())
 }
 
 /// The routing fingerprint for a job: the concatenated cache keys of

@@ -12,9 +12,7 @@
 //! The layer is the unit of work: a whole layer sweeps in 7–500 µs
 //! inside a worker (the model zoo's largest has 3 456 tilings) — about
 //! what waking a second worker costs — so a worker computes a missed
-//! layer with the very call [`ServiceState::run_job`] makes. Splitting
-//! *one* layer pays only where the parts can cross a node boundary:
-//! `drmap-router --scatter`, through [`JobOptions::tiling_range`].
+//! layer with the very call [`ServiceState::run_job`] makes.
 //!
 //! ## Submission and completion
 //!
@@ -168,7 +166,7 @@ struct LayerTask {
     key: String,
     layer: Layer,
     index: usize,
-    options: JobOptions,
+    cache: CacheMode,
     deadline: Option<Deadline>,
     /// An armed fault plan chose this task's job as its panic victim:
     /// the worker panics instead of exploring, and the existing
@@ -251,10 +249,9 @@ impl DsePool {
     /// worker that serves it); only the rest are enqueued. A
     /// `refresh`/`bypass` job, and the layer an armed fault plan chose
     /// to panic in, always go to the workers. The job's [`JobOptions`]
-    /// travel with every layer task: the cache mode and tiling range
-    /// steer the worker's lookup, and `keep_points` selects a
-    /// Pareto-retaining engine (cache-keyed separately from point-free
-    /// sweeps). `trace` is the submitting request's [`Trace`] (the TCP
+    /// shape every layer task: the cache mode steers the worker's
+    /// lookup, and `keep_points` selects a Pareto-retaining engine
+    /// (cache-keyed separately from point-free sweeps). `trace` is the submitting request's [`Trace`] (the TCP
     /// front-end opens one per job, keyed by the wire `id`): lookup and
     /// explore spans land in its stage breakdown as well as the global
     /// histograms, whichever thread ran them.
@@ -285,7 +282,7 @@ impl DsePool {
         let mut replies = Vec::with_capacity(layers.len());
         let mut queued = Vec::new();
         for (index, layer) in layers.iter().enumerate() {
-            let key = layer_key(&engine, &tag, layer, spec.options.tiling_range);
+            let key = layer_key(&engine, &tag, layer);
             let resident = if spec.options.cache == CacheMode::Default && panic_at != Some(index) {
                 self.state.lookup_resident(&key, layer, trace.as_ref())
             } else {
@@ -315,7 +312,7 @@ impl DsePool {
                 key,
                 layer: layers[index].clone(),
                 index,
-                options: spec.options,
+                cache: spec.options.cache,
                 deadline,
                 inject_panic: panic_at == Some(index),
                 trace: trace.clone(),
@@ -401,8 +398,7 @@ fn explore_task(task: &LayerTask) -> LayerReply {
             &task.key,
             &task.engine,
             &task.layer,
-            task.options.tiling_range,
-            task.options.cache,
+            task.cache,
             task.trace.as_ref(),
         )
     }))
@@ -442,6 +438,7 @@ mod tests {
     use super::*;
     use crate::spec::EngineSpec;
     use drmap_cnn::network::Network;
+    use drmap_core::tiling::count_tilings;
 
     #[test]
     fn pool_matches_sequential_path_bit_exactly() {
@@ -462,7 +459,10 @@ mod tests {
         let spec = JobSpec::layer(8, EngineSpec::default(), heavy.clone());
         let pooled = pool.submit(&spec).wait().unwrap();
         let engine = state.factory().engine(&spec.engine);
-        assert_eq!(engine.tiling_count(heavy).unwrap(), 3456);
+        assert_eq!(
+            count_tilings(heavy, engine.model().traffic_model().accelerator()).unwrap(),
+            3456
+        );
         let direct = engine.explore_layer(heavy).unwrap();
         assert_eq!(pooled.layers.len(), 1);
         assert_layer_bit_identical(

@@ -84,7 +84,6 @@ pub fn capabilities(store_attached: bool) -> Vec<String> {
         "set-bounds".to_owned(),
         "deadlines".to_owned(),
         "overload-control".to_owned(),
-        "tiling-range".to_owned(),
     ];
     if crate::faults::FAULTS_COMPILED_IN {
         caps.push("faults".to_owned());
@@ -1087,7 +1086,7 @@ mod tests {
     const GOLDEN: &str = include_str!("../tests/golden/proto_v1.ndjson");
 
     fn requests() -> Vec<Request> {
-        let ranged_layer = JobSpec::layer(
+        let optioned_layer = JobSpec::layer(
             9,
             EngineSpec {
                 arch: DramArch::Ddr3,
@@ -1099,7 +1098,6 @@ mod tests {
             cache: CacheMode::Refresh,
             keep_points: true,
             deadline_ms: Some(2_500),
-            tiling_range: Some((4, 64)),
         });
         vec![
             Request::Hello {
@@ -1194,7 +1192,7 @@ mod tests {
                 update: OverloadUpdate::default(),
             },
             Request::Submit(JobSpec::network(5, EngineSpec::default(), Network::tiny())),
-            Request::Submit(ranged_layer),
+            Request::Submit(optioned_layer),
         ]
     }
 

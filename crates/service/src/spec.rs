@@ -74,15 +74,6 @@ pub struct JobOptions {
     /// never computed and the job answers with a typed
     /// `deadline_exceeded` error. `None` (the default) never expires.
     pub deadline_ms: Option<u64>,
-    /// Restrict the sweep to a contiguous `[start, end)` subrange of
-    /// each layer's tiling enumeration (clamped to the enumeration's
-    /// length). The unit of *cross-node* splitting: `drmap-router
-    /// --scatter` splits one oversized layer into disjoint ranges,
-    /// sends each to a different backend, and merges the partial
-    /// outcomes exactly. Ranged results are cache-keyed separately
-    /// from full sweeps, so a partial can never poison the full
-    /// layer's memo entry. `None` (the default) sweeps everything.
-    pub tiling_range: Option<(u64, u64)>,
 }
 
 impl JobOptions {
@@ -101,12 +92,6 @@ impl JobOptions {
         }
         if let Some(deadline) = self.deadline_ms {
             pairs.push(("deadline_ms".to_owned(), Json::num_u64(deadline)));
-        }
-        if let Some((start, end)) = self.tiling_range {
-            pairs.push((
-                "tiling_range".to_owned(),
-                Json::Arr(vec![Json::num_u64(start), Json::num_u64(end)]),
-            ));
         }
         Some(Json::Obj(pairs))
     }
@@ -142,20 +127,12 @@ impl JobOptions {
             })?;
             options.deadline_ms = Some(deadline);
         }
-        if let Some(field) = v.get("tiling_range") {
-            let err = || {
-                ServiceError::protocol(
-                    "\"tiling_range\" must be a two-element [start, end) integer array \
-                     with start < end",
-                )
-            };
-            let arr = field.as_array().filter(|a| a.len() == 2).ok_or_else(err)?;
-            let start = arr[0].as_u64().ok_or_else(err)?;
-            let end = arr[1].as_u64().ok_or_else(err)?;
-            if start >= end {
-                return Err(err());
-            }
-            options.tiling_range = Some((start, end));
+        // Retired, and unlike an ignorable hint it changed the answer:
+        // a slice request must not be served a whole-layer result.
+        if v.get("tiling_range").is_some() {
+            return Err(ServiceError::protocol(
+                "the \"tiling_range\" option was removed: a layer is always swept whole",
+            ));
         }
         Ok(options)
     }
@@ -363,8 +340,7 @@ pub struct JobSpec {
     /// What to explore.
     pub workload: Workload,
     /// Per-job execution options (cache mode, Pareto retention,
-    /// deadline, tiling range); defaults reproduce the pre-options
-    /// behavior.
+    /// deadline); defaults reproduce the pre-options behavior.
     pub options: JobOptions,
 }
 
@@ -800,7 +776,6 @@ mod tests {
                 cache: CacheMode::Refresh,
                 keep_points: true,
                 deadline_ms: Some(1500),
-                tiling_range: Some((8, 72)),
             },
             JobOptions {
                 keep_points: true,
@@ -808,10 +783,6 @@ mod tests {
             },
             JobOptions {
                 deadline_ms: Some(250),
-                ..JobOptions::default()
-            },
-            JobOptions {
-                tiling_range: Some((0, 64)),
                 ..JobOptions::default()
             },
         ] {
@@ -831,17 +802,19 @@ mod tests {
             r#"{"network": {"model": "tiny"}, "options": {"keep_points": "yes"}}"#,
             r#"{"network": {"model": "tiny"}, "options": {"deadline_ms": 0}}"#,
             r#"{"network": {"model": "tiny"}, "options": {"deadline_ms": "soon"}}"#,
-            r#"{"network": {"model": "tiny"}, "options": {"tiling_range": [4]}}"#,
-            r#"{"network": {"model": "tiny"}, "options": {"tiling_range": [8, 8]}}"#,
-            r#"{"network": {"model": "tiny"}, "options": {"tiling_range": [9, 4]}}"#,
-            r#"{"network": {"model": "tiny"}, "options": {"tiling_range": ["0", "9"]}}"#,
-            r#"{"network": {"model": "tiny"}, "options": {"tiling_range": 16}}"#,
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(JobSpec::from_json(&v).is_err(), "accepted {bad}");
         }
-        // A key this build does not know (a retired option an older
-        // client may still send) is ignored and the job still runs.
+        // A retired option that selected a different answer is refused
+        // by name, however well-formed...
+        let sliced = r#"{"network": {"model": "tiny"}, "options": {"tiling_range": [0, 64]}}"#;
+        let refused = JobSpec::from_json(&Json::parse(sliced).unwrap()).unwrap_err();
+        assert!(refused
+            .to_string()
+            .contains("\"tiling_range\" option was removed"));
+        // ...while a retired hint an older client may still send is
+        // ignored and the job still runs.
         let retired = r#"{"network": {"model": "tiny"}, "options": {"shard_chunk": 16}}"#;
         let spec = JobSpec::from_json(&Json::parse(retired).unwrap()).unwrap();
         assert_eq!(spec.options, JobOptions::default());

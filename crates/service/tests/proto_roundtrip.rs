@@ -87,7 +87,6 @@ fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
                 },
                 keep_points: flag,
                 deadline_ms: (b.is_multiple_of(5)).then_some(b % 60_000 + 1),
-                tiling_range: (b.is_multiple_of(7)).then_some((b % 64, b % 64 + b % 100 + 1)),
             };
             Request::Submit(spec)
         }

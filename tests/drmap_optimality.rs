@@ -240,3 +240,32 @@ fn drmap_tile_cost_is_the_component_wise_minimum_at_every_zoo_burst_count() {
         }
     }
 }
+
+/// KO1 past the zoo, on `tests/data/big_layers.spec` (VGG-16 up to
+/// 2048-pixel inputs, transformer-block GEMMs up to d = 8192 ×
+/// sequence 4096): DRMap is the EDP winner of every layer's full sweep
+/// on every profiled architecture. The catalogue also carries the
+/// premise a layer is never split on: `candidate_steps` halves each
+/// axis, so enumerations grow with the logarithm of a dimension, and
+/// none here passes 6,000 tilings (well under a millisecond to sweep).
+/// A tiling enumerator that breaks that shows up here first.
+#[test]
+fn drmap_wins_every_big_layer_and_none_enumerates_past_6000_tilings() {
+    let catalogue = drmap::cnn::spec::parse_network(include_str!("data/big_layers.spec"))
+        .expect("catalogue parses");
+    assert_eq!(catalogue.layers().len(), 96);
+    let acc = AcceleratorConfig::table_ii();
+    for layer in catalogue.layers() {
+        let tilings = count_tilings(layer, &acc).expect("feasible tiling exists");
+        assert!(tilings <= 6000, "{}: {tilings} tilings", layer.name);
+        for (arch, engine) in &fixture().engines {
+            let best = engine.explore_layer(layer).expect("sweep succeeds").best;
+            assert!(
+                best.mapping.is_drmap(),
+                "{arch} {}: {} wins",
+                layer.name,
+                best.mapping
+            );
+        }
+    }
+}
