@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use drmap_store::store::CompactReport;
@@ -47,8 +47,8 @@ use crate::wire::{self, Encoding};
 
 /// Socket-level tunables of a [`Client`] connection. The defaults keep
 /// the pre-timeout behavior: block indefinitely on connect, read, and
-/// write — explicit timeouts turn silent stalls into the typed
-/// [`ServiceError::Timeout`] that [`RetryPolicy`] treats as retryable.
+/// write — explicit timeouts turn silent stalls into the typed,
+/// [retryable](ServiceError::is_retryable) [`ServiceError::Timeout`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientConfig {
     /// Bound on establishing the TCP connection (`None`: OS default).
@@ -67,12 +67,11 @@ pub struct ClientConfig {
 /// the same policy replays the same schedule, which keeps chaos tests
 /// reproducible.
 ///
-/// Only [retryable](ServiceError::is_retryable) failures (socket
-/// timeouts, shed load, transport errors) are retried, and only for
-/// **idempotent** requests — job submissions are safe because results
-/// are deterministic and memoized server-side. A shed response's
-/// `retry_after_ms` hint is honored as a floor under the jittered
-/// sleep.
+/// The loop that spends this budget is `drmap-router`'s failover: a job
+/// (never an admin verb) is re-dispatched when its backend died or shed
+/// it, which is safe because results are deterministic and memoized
+/// server-side. A shed response's `retry_after_ms` hint is honored as a
+/// floor under the jittered sleep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Smallest sleep, and the lower bound of every jitter draw.
@@ -139,10 +138,6 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     encoding: Encoding,
-    /// Remembered for [`Client::reconnect`] after a retryable
-    /// transport failure mid-conversation.
-    peer: SocketAddr,
-    config: ClientConfig,
 }
 
 impl Client {
@@ -176,7 +171,7 @@ impl Client {
                 None => TcpStream::connect(candidate),
             };
             match connected {
-                Ok(stream) => return Self::from_stream(stream, candidate, config),
+                Ok(stream) => return Self::from_stream(stream, config),
                 Err(e) => last_err = Some(e),
             }
         }
@@ -185,38 +180,13 @@ impl Client {
             .unwrap_or_else(|| ServiceError::protocol("address resolved to nothing")))
     }
 
-    fn from_stream(
-        stream: TcpStream,
-        peer: SocketAddr,
-        config: ClientConfig,
-    ) -> Result<Self, ServiceError> {
+    fn from_stream(stream: TcpStream, config: ClientConfig) -> Result<Self, ServiceError> {
         wire::configure_socket(&stream, config.read_timeout, config.write_timeout)?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
             encoding: Encoding::Text,
-            peer,
-            config,
         })
-    }
-
-    /// Tear down and re-establish the connection (same peer, same
-    /// config, same encoding). Used between retry attempts after a
-    /// transport failure: a timed-out stream may hold a half-read
-    /// frame, so resynchronizing means starting over.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn reconnect(&mut self) -> Result<(), ServiceError> {
-        let connected = match self.config.connect_timeout {
-            Some(bound) => TcpStream::connect_timeout(&self.peer, bound),
-            None => TcpStream::connect(self.peer),
-        }?;
-        let encoding = self.encoding;
-        *self = Self::from_stream(connected, self.peer, self.config)?;
-        self.encoding = encoding;
-        Ok(())
     }
 
     /// Send subsequent requests as length-prefixed binary frames
@@ -281,8 +251,8 @@ impl Client {
     /// Send one typed request and decode its typed response, surfacing
     /// server-side failures as `Err` — generic error responses as
     /// [`ServiceError::Protocol`], shed load and missed deadlines as
-    /// their typed variants so callers (and [`RetryPolicy`]) can react
-    /// without string-matching.
+    /// their typed variants so callers can react without
+    /// string-matching.
     /// Public so layered tiers (`drmap-router`'s admin fan-out) can
     /// send verbs this client has no dedicated wrapper for.
     pub fn typed_request(&mut self, request: &Request) -> Result<Response, ServiceError> {
@@ -358,55 +328,6 @@ impl Client {
         match self.typed_request(&Request::Submit(spec))? {
             Response::Job { result } => Ok(result),
             other => Err(Self::unexpected("submit", &other)),
-        }
-    }
-
-    /// [`Client::submit_with`] wrapped in a [`RetryPolicy`]: retryable
-    /// failures (socket timeouts, transport errors, shed load) back
-    /// off with decorrelated jitter and try again until the attempt
-    /// budget runs out; a shed response's `retry_after_ms` is honored
-    /// as a floor under the jittered sleep. Transport failures
-    /// reconnect before retrying (a timed-out stream may hold a
-    /// half-read frame). Retrying a submission is safe — results are
-    /// deterministic and memoized server-side, so a duplicate attempt
-    /// answers from the cache.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error when the budget runs out;
-    /// non-retryable failures (protocol, exploration, missed
-    /// deadlines) immediately.
-    pub fn submit_retry(
-        &mut self,
-        spec: &JobSpec,
-        options: JobOptions,
-        policy: &RetryPolicy,
-    ) -> Result<JobResult, ServiceError> {
-        let mut rng = SplitMix64::new(policy.seed);
-        let mut prev_ms = policy.base_ms;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let outcome = self.submit_with(spec, options);
-            let err = match outcome {
-                Ok(result) => return Ok(result),
-                Err(e) => e,
-            };
-            // The attempt budget bounds this retry loop.
-            if !err.is_retryable() || attempt >= policy.max_attempts.max(1) {
-                return Err(err);
-            }
-            let backoff = policy.next_backoff_ms(&mut rng, &mut prev_ms);
-            let sleep_ms = match &err {
-                ServiceError::Overloaded { retry_after_ms } => backoff.max(*retry_after_ms),
-                _ => backoff,
-            };
-            std::thread::sleep(Duration::from_millis(sleep_ms));
-            // A stalled or broken stream cannot be trusted to be
-            // frame-aligned anymore; start over on a fresh socket.
-            if matches!(err, ServiceError::Timeout(_) | ServiceError::Io(_)) {
-                self.reconnect()?;
-            }
         }
     }
 

@@ -56,18 +56,17 @@
 //!   networks;
 //! * [`json`] — the dependency-free JSON layer (floats round-trip
 //!   bit-exactly);
-//! * [`loadgen`] — the seeded zipfian request mix behind the
-//!   `drmap-loadgen` bin: reproducible load plans, plus the schema
-//!   gate that refuses a `BENCH_load.json` missing its environment
-//!   block;
+//! * [`loadgen`] — what `benchmark/` builds its load plans from: the
+//!   seedable [`SplitMix64`](loadgen::SplitMix64) stream and the
+//!   cheap-to-expensive default job catalog;
 //! * [`faults`] — seeded, deterministic fault injection into the
 //!   store, the wire, and the pool (`--fault-plan` / `set-faults`),
 //!   compiled out of release builds unless the `faults` feature is on;
 //! * [`overload`] — the hysteretic admission controller behind the
 //!   `overloaded` shed response and the `set-overload` verb; paired
-//!   with per-job deadlines (`deadline_ms`) and the client's bounded,
-//!   jittered [`RetryPolicy`](client::RetryPolicy). See
-//!   `docs/RELIABILITY.md`.
+//!   with per-job deadlines (`deadline_ms`) and the bounded, jittered
+//!   [`RetryPolicy`](client::RetryPolicy) the router's failover spends.
+//!   See `docs/RELIABILITY.md`.
 //!
 //! Every layer is threaded with [`drmap_telemetry`]: lock-free latency
 //! histograms and counters for each request stage (frame decode, cache

@@ -1,28 +1,18 @@
-//! Seeded zipfian load generation for the job server.
+//! Seeded building blocks for reproducible load.
 //!
-//! The `drmap-loadgen` bin replays a *deterministic* request mix
-//! against a live `drmap-serve`; this module holds everything about
-//! that mix that can be unit-tested without a socket:
+//! `benchmark/` drives a live `drmap-serve` with a *deterministic*
+//! request plan; this module holds the parts of such a plan that the
+//! service itself also needs:
 //!
 //! * [`SplitMix64`] — a tiny, seedable PRNG (SplitMix64, the stream
 //!   used to seed xoshiro generators) so runs are reproducible without
-//!   pulling in a randomness dependency;
-//! * [`Zipf`] — a zipfian sampler over catalog ranks, because real
-//!   job traffic is skewed: a few popular workloads dominate while a
-//!   long tail keeps the cache honest;
-//! * [`JobMix`] — the seeded request plan: a catalog of network- and
-//!   layer-level jobs ordered cheap-to-expensive, sampled by rank so
-//!   the popular head stays cheap and the heavy tail is rare;
-//! * [`validate_bench`] — the schema gate for `BENCH_load.json`: a
-//!   result document without its environment block (or its latency
-//!   percentiles) is *refused*, never written, because a benchmark
-//!   number divorced from core count and concurrency is noise.
-//!
-//! Two [`JobMix`]es built with the same seed produce byte-identical
-//! request sequences — the property the loadgen determinism test and
-//! the CI smoke job pin.
+//!   pulling in a randomness dependency; fault plans and the router's
+//!   retry jitter draw from it too;
+//! * [`default_catalog`] — network- and layer-level jobs ordered
+//!   cheap-to-expensive, so a sampler skewed towards low ranks (at
+//!   [`DEFAULT_ZIPF_EXPONENT`], say) keeps the popular head cheap and
+//!   the heavy tail rare.
 
-use crate::json::Json;
 use crate::spec::{EngineSpec, JobSpec};
 use drmap_cnn::network::Network;
 
@@ -63,60 +53,6 @@ impl SplitMix64 {
     }
 }
 
-/// A zipfian sampler over ranks `0..n`: rank `r` is drawn with
-/// probability proportional to `1 / (r + 1)^exponent`.
-///
-/// Sampling walks a precomputed CDF with a binary search, so a draw is
-/// `O(log n)` with no floating-point accumulation during the run.
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// A sampler over `n` ranks with the given exponent. Exponent 0 is
-    /// uniform; larger exponents concentrate mass on low ranks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0 — there is nothing to sample.
-    pub fn new(n: usize, exponent: f64) -> Self {
-        assert!(n > 0, "a zipf sampler needs at least one rank");
-        let weights: Vec<f64> = (0..n)
-            .map(|r| 1.0 / ((r + 1) as f64).powf(exponent))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut acc = 0.0;
-        let mut cdf: Vec<f64> = weights
-            .iter()
-            .map(|w| {
-                acc += w / total;
-                acc
-            })
-            .collect();
-        // Pin the last step to exactly 1.0 so a draw of 0.999…9 can
-        // never fall off the end through rounding.
-        if let Some(last) = cdf.last_mut() {
-            *last = 1.0;
-        }
-        Zipf { cdf }
-    }
-
-    /// Ranks this sampler covers.
-    pub fn ranks(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Draw one rank in `0..ranks()`.
-    pub fn sample(&self, rng: &mut SplitMix64) -> usize {
-        let u = rng.next_f64();
-        // First rank whose CDF value exceeds the draw.
-        self.cdf
-            .partition_point(|&c| c <= u)
-            .min(self.cdf.len() - 1)
-    }
-}
-
 /// The default job catalog: every zoo network plus each individual
 /// layer of the two smallest ones, ordered cheap-to-expensive so that
 /// zipf rank 0 (the most popular) is also the cheapest request.
@@ -124,7 +60,7 @@ impl Zipf {
 /// Layer jobs lead (single-layer explorations, ideal cache-hit
 /// candidates), then whole networks by ascending layer count — the
 /// heavy nets sit in the zipf tail where they are sampled rarely.
-/// Every template has job id 0; [`JobMix`] stamps real ids.
+/// Every template has job id 0; the caller stamps real ids.
 pub fn default_catalog() -> Vec<JobSpec> {
     let engine = EngineSpec::default();
     let mut catalog = Vec::new();
@@ -139,119 +75,6 @@ pub fn default_catalog() -> Vec<JobSpec> {
         catalog.push(JobSpec::network(0, engine, network));
     }
     catalog
-}
-
-/// A deterministic, seeded request plan: draws catalog ranks from a
-/// [`Zipf`] distribution and stamps monotonically increasing job ids.
-///
-/// Two mixes built with the same seed (and catalog) yield identical
-/// request sequences; see the determinism test.
-#[derive(Debug, Clone)]
-pub struct JobMix {
-    catalog: Vec<JobSpec>,
-    zipf: Zipf,
-    rng: SplitMix64,
-    next_id: u64,
-}
-
-impl JobMix {
-    /// A mix over [`default_catalog`] with the given seed and
-    /// exponent. Ids start at 1.
-    pub fn new(seed: u64, exponent: f64) -> Self {
-        Self::with_catalog(default_catalog(), seed, exponent)
-            .expect("the default catalog is never empty")
-    }
-
-    /// A mix over an explicit catalog.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an empty catalog — there is nothing to replay.
-    pub fn with_catalog(catalog: Vec<JobSpec>, seed: u64, exponent: f64) -> Result<Self, String> {
-        if catalog.is_empty() {
-            return Err("the job catalog is empty".to_owned());
-        }
-        let zipf = Zipf::new(catalog.len(), exponent);
-        Ok(JobMix {
-            catalog,
-            zipf,
-            rng: SplitMix64::new(seed),
-            next_id: 1,
-        })
-    }
-
-    /// Entries in the catalog.
-    pub fn catalog_len(&self) -> usize {
-        self.catalog.len()
-    }
-
-    /// Override the next job id to stamp (so concurrent connections
-    /// can carve disjoint id ranges out of one shared plan).
-    pub fn set_next_id(&mut self, id: u64) {
-        self.next_id = id;
-    }
-
-    /// Draw the next request: a clone of the sampled catalog entry
-    /// with a fresh, monotonically increasing id.
-    pub fn next_spec(&mut self) -> JobSpec {
-        let rank = self.zipf.sample(&mut self.rng);
-        let mut spec = self.catalog[rank].clone();
-        spec.id = self.next_id;
-        self.next_id += 1;
-        spec
-    }
-}
-
-/// Fields every `BENCH_load.json` environment block must carry. A
-/// throughput or percentile number is meaningless without them.
-pub const REQUIRED_ENVIRONMENT_FIELDS: [&str; 7] = [
-    "cores_available",
-    "connections",
-    "workers",
-    "mode",
-    "target_rate_rps",
-    "backends",
-    "router",
-];
-
-/// Latency percentile fields every `BENCH_load.json` must carry.
-pub const REQUIRED_LATENCY_FIELDS: [&str; 4] = ["p50_ns", "p99_ns", "p999_ns", "count"];
-
-/// Validate a `BENCH_load.json` document before it is written.
-///
-/// The loadgen *refuses* to emit a result without its environment
-/// block (core count, connection count, worker count, mode, target
-/// rate — `null` is fine for the rate, absent is not) or without its
-/// latency percentiles: benchmark numbers that cannot be tied back to
-/// the machine and concurrency that produced them are noise, and the
-/// CI smoke job greps for exactly these fields.
-///
-/// # Errors
-///
-/// Returns a description of the first missing field.
-pub fn validate_bench(doc: &Json) -> Result<(), String> {
-    let env = doc
-        .get("environment")
-        .ok_or_else(|| "missing the \"environment\" block".to_owned())?;
-    for field in REQUIRED_ENVIRONMENT_FIELDS {
-        if env.get(field).is_none() {
-            return Err(format!("environment block is missing {field:?}"));
-        }
-    }
-    let latency = doc
-        .get("latency_ns")
-        .ok_or_else(|| "missing the \"latency_ns\" block".to_owned())?;
-    for field in REQUIRED_LATENCY_FIELDS {
-        if latency.get(field).is_none() {
-            return Err(format!("latency block is missing {field:?}"));
-        }
-    }
-    for field in ["throughput_rps", "requests_completed", "requests_failed"] {
-        if doc.get(field).is_none() {
-            return Err(format!("missing top-level field {field:?}"));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -275,37 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_prefers_low_ranks_and_stays_in_range() {
-        let zipf = Zipf::new(10, DEFAULT_ZIPF_EXPONENT);
-        let mut rng = SplitMix64::new(1);
-        let mut counts = [0usize; 10];
-        for _ in 0..5000 {
-            let rank = zipf.sample(&mut rng);
-            assert!(rank < 10);
-            counts[rank] += 1;
-        }
-        assert!(
-            counts[0] > counts[9] * 3,
-            "rank 0 should dominate the tail: {counts:?}"
-        );
-        // Every rank is reachable in a long enough run.
-        assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
-    }
-
-    #[test]
-    fn zipf_exponent_zero_is_roughly_uniform() {
-        let zipf = Zipf::new(4, 0.0);
-        let mut rng = SplitMix64::new(3);
-        let mut counts = [0usize; 4];
-        for _ in 0..8000 {
-            counts[zipf.sample(&mut rng)] += 1;
-        }
-        for &c in &counts {
-            assert!((1500..2500).contains(&c), "{counts:?}");
-        }
-    }
-
-    #[test]
     fn default_catalog_orders_cheap_to_expensive() {
         let catalog = default_catalog();
         assert!(catalog.len() >= 10, "catalog has {} entries", catalog.len());
@@ -322,110 +114,5 @@ mod tests {
         let mut sorted = net_sizes.clone();
         sorted.sort_unstable();
         assert_eq!(net_sizes, sorted);
-    }
-
-    #[test]
-    fn fixed_seed_mixes_replay_identical_request_sequences() {
-        let mut a = JobMix::new(42, DEFAULT_ZIPF_EXPONENT);
-        let mut b = JobMix::new(42, DEFAULT_ZIPF_EXPONENT);
-        let plan_a: Vec<JobSpec> = (0..200).map(|_| a.next_spec()).collect();
-        let plan_b: Vec<JobSpec> = (0..200).map(|_| b.next_spec()).collect();
-        assert_eq!(plan_a, plan_b);
-        // Ids are stamped monotonically from 1.
-        assert_eq!(plan_a[0].id, 1);
-        assert_eq!(plan_a[199].id, 200);
-        // The zipf head dominates: the most popular workload name
-        // accounts for a plurality of the plan.
-        let mut by_name = std::collections::HashMap::new();
-        for spec in &plan_a {
-            *by_name
-                .entry(spec.workload.name().to_owned())
-                .or_insert(0usize) += 1;
-        }
-        assert!(by_name.len() > 1, "the plan should mix workloads");
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        let mut a = JobMix::new(42, DEFAULT_ZIPF_EXPONENT);
-        let mut b = JobMix::new(43, DEFAULT_ZIPF_EXPONENT);
-        let names_a: Vec<String> = (0..100)
-            .map(|_| a.next_spec().workload.name().to_owned())
-            .collect();
-        let names_b: Vec<String> = (0..100)
-            .map(|_| b.next_spec().workload.name().to_owned())
-            .collect();
-        assert_ne!(names_a, names_b);
-    }
-
-    #[test]
-    fn empty_catalog_is_rejected() {
-        assert!(JobMix::with_catalog(Vec::new(), 1, 1.0).is_err());
-    }
-
-    fn complete_bench_doc() -> Json {
-        Json::obj([
-            (
-                "environment",
-                Json::obj([
-                    ("cores_available", Json::num_usize(1)),
-                    ("connections", Json::num_usize(4)),
-                    ("workers", Json::num_usize(2)),
-                    ("mode", Json::str("closed-loop")),
-                    ("target_rate_rps", Json::Null),
-                    ("backends", Json::num_usize(1)),
-                    ("router", Json::Bool(false)),
-                ]),
-            ),
-            (
-                "latency_ns",
-                Json::obj([
-                    ("p50_ns", Json::num_u64(1)),
-                    ("p99_ns", Json::num_u64(2)),
-                    ("p999_ns", Json::num_u64(3)),
-                    ("count", Json::num_u64(4)),
-                ]),
-            ),
-            ("throughput_rps", Json::Num(12.5)),
-            ("requests_completed", Json::num_u64(4)),
-            ("requests_failed", Json::num_u64(0)),
-        ])
-    }
-
-    #[test]
-    fn bench_validation_accepts_a_complete_document() {
-        assert_eq!(validate_bench(&complete_bench_doc()), Ok(()));
-    }
-
-    #[test]
-    fn bench_validation_refuses_missing_environment_and_percentiles() {
-        let strip = |doc: &Json, key: &str| match doc {
-            Json::Obj(pairs) => {
-                Json::Obj(pairs.iter().filter(|(k, _)| k != key).cloned().collect())
-            }
-            other => other.clone(),
-        };
-        let doc = complete_bench_doc();
-        assert!(validate_bench(&strip(&doc, "environment"))
-            .unwrap_err()
-            .contains("environment"));
-        // A null target rate is fine; a *missing* key is not.
-        let env = doc.get("environment").unwrap();
-        let mut gutted = strip(&doc, "environment");
-        if let Json::Obj(pairs) = &mut gutted {
-            pairs.push(("environment".to_owned(), strip(env, "target_rate_rps")));
-        }
-        assert!(validate_bench(&gutted)
-            .unwrap_err()
-            .contains("target_rate_rps"));
-        let latency = doc.get("latency_ns").unwrap();
-        let mut no_p999 = strip(&doc, "latency_ns");
-        if let Json::Obj(pairs) = &mut no_p999 {
-            pairs.push(("latency_ns".to_owned(), strip(latency, "p999_ns")));
-        }
-        assert!(validate_bench(&no_p999).unwrap_err().contains("p999_ns"));
-        assert!(validate_bench(&strip(&doc, "throughput_rps"))
-            .unwrap_err()
-            .contains("throughput_rps"));
     }
 }

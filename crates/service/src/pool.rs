@@ -552,6 +552,39 @@ mod tests {
         assert_eq!(counter("dse_pruned_total"), pruned);
     }
 
+    /// The telemetry overhead fence (`docs/OBSERVABILITY.md` §Overhead):
+    /// what a span or a counter increment costs is the benchmark's to
+    /// report; how many of them a cold layer records is deterministic,
+    /// and is the part a regression moves.
+    #[test]
+    fn cold_layers_record_a_bounded_number_of_telemetry_operations() {
+        let state = ServiceState::new().unwrap();
+        let pool = DsePool::new(Arc::clone(&state), 1);
+        let spec = JobSpec::network(1, EngineSpec::default(), Network::alexnet());
+        let layers = pool.submit(&spec).wait().unwrap().layers.len() as u64;
+        let snap = state.metrics().snapshot();
+        let samples: u64 = snap.histograms.iter().map(|(_, h)| h.count).sum();
+        // A counter's value is its operation count, except for the two a
+        // finished sweep advances by a whole layer's design points at once.
+        let per_sweep = ["dse_evaluations_total", "dse_pruned_total"];
+        let counter_ops: u64 = snap
+            .counters
+            .iter()
+            .map(|(name, v)| {
+                if per_sweep.contains(&name.as_str()) {
+                    layers
+                } else {
+                    *v
+                }
+            })
+            .sum();
+        assert!(samples <= 3 * layers, "{samples} histogram samples");
+        assert!(
+            counter_ops <= 6 * layers,
+            "{counter_ops} counter operations"
+        );
+    }
+
     #[test]
     fn queued_jobs_past_their_deadline_answer_typed_errors() {
         let state = ServiceState::new().unwrap();

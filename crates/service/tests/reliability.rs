@@ -1,5 +1,5 @@
 //! Reliability integration tests over live sockets: chaos (a seeded
-//! fault plan against a fixed-seed load mix), graceful-shutdown drain,
+//! fault plan against a fixed load plan), graceful-shutdown drain,
 //! and the wire-level `deadline_exceeded` response.
 //!
 //! The chaos test asserts the contract `docs/RELIABILITY.md` promises:
@@ -20,7 +20,7 @@ use drmap_service::client::{Client, ClientConfig};
 use drmap_service::engine::ServiceState;
 use drmap_service::error::ServiceError;
 use drmap_service::faults::FaultPlan;
-use drmap_service::loadgen::JobMix;
+use drmap_service::loadgen::default_catalog;
 use drmap_service::pool::DsePool;
 use drmap_service::proto::MetricsReport;
 use drmap_service::server::{JobServer, ServerConfig};
@@ -64,7 +64,7 @@ fn bits(result: &JobResult) -> (u64, u64) {
 }
 
 // ---------------------------------------------------------------------
-// Chaos: seeded fault plan vs fixed-seed load
+// Chaos: seeded fault plan vs fixed load
 // ---------------------------------------------------------------------
 
 /// The plan the chaos run arms. Probabilities are deliberately high
@@ -99,10 +99,14 @@ fn chaos_load_is_bit_identical_or_typed_error() {
 }
 
 fn run_chaos() {
-    // Fixed-seed load plan: the same specs drive the baseline and the
-    // chaos run, in the same order.
-    let mut mix = JobMix::new(42, 1.1);
-    let specs: Vec<JobSpec> = (0..CHAOS_JOBS).map(|_| mix.next_spec()).collect();
+    // Fixed load plan: the same specs drive the baseline and the chaos
+    // run, in the same order.
+    let specs: Vec<JobSpec> = default_catalog()
+        .into_iter()
+        .cycle()
+        .zip(1..=CHAOS_JOBS as u64)
+        .map(|(spec, id)| JobSpec { id, ..spec })
+        .collect();
 
     // Fault-free baseline, computed in-process on a clean state.
     let baseline: Vec<JobResult> = {
