@@ -1,24 +1,49 @@
 //! The sweep against its reference: [`naive_explore`] scores every
 //! design point through the public single-point evaluator, in sweep
-//! order, with no hoisting, memo or skipping. Whatever the pipeline
-//! hoists or skips, it must return the same result bit for bit.
+//! order, with no hoisting, memo or skipping — and finds the tilings by
+//! brute force, not through the axis walk the sweep is built on.
+//! Whatever the pipeline hoists or skips, it must return the same result
+//! bit for bit.
 
 use drmap_cnn::accelerator::AcceleratorConfig;
 use drmap_cnn::network::Network;
+use drmap_cnn::spec::parse_network;
 use drmap_dram::profiler::Profiler;
 use drmap_dram::timing::DramArch;
 use proptest::prelude::*;
 
 use super::*;
 use crate::pareto::pareto_front;
-use crate::tiling::count_tilings;
+use crate::tiling::{candidate_steps, enumerate_tilings};
 
-/// The reference sweep: per-evaluation [`DseEngine::evaluate`] calls
-/// (schedule resolution and transition counting from scratch each
-/// time), a label per point, batch Pareto extraction at the end.
+/// Every buffer-feasible tiling the slow way: the four candidate axes
+/// nested `th`, `tw`, `tj`, `ti`, each combination tested whole by
+/// [`Tiling::fits`]. Shares nothing with [`walk_tilings`] but
+/// [`candidate_steps`].
+pub(super) fn brute_force_tilings(layer: &Layer, acc: &AcceleratorConfig) -> Vec<Tiling> {
+    let mut out = Vec::new();
+    for &th in &candidate_steps(layer.h) {
+        for &tw in &candidate_steps(layer.w) {
+            for &tj in &candidate_steps(layer.j) {
+                for &ti in &candidate_steps(layer.i) {
+                    let tiling = Tiling::new(th, tw, tj, ti);
+                    if tiling.fits(layer, acc) {
+                        out.push(tiling);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The reference sweep: brute-force tilings, per-evaluation
+/// [`DseEngine::evaluate`] calls (schedule resolution and transition
+/// counting from scratch each time), a label per point, batch Pareto
+/// extraction at the end.
 pub(super) fn naive_explore(e: &DseEngine, layer: &Layer) -> LayerDseResult {
     let acc = *e.model().traffic_model().accelerator();
-    let tilings = enumerate_tilings(layer, &acc).unwrap();
+    let tilings = brute_force_tilings(layer, &acc);
     let objective = e.config().objective;
     let mut best: Option<DseCandidate> = None;
     let mut evaluations = 0usize;
@@ -248,31 +273,105 @@ proptest! {
         assert_results_bit_identical(&swept, &naive_explore(&e, &layer));
     }
 
-    /// The bound is a bound: whatever group the sweep may skip, the
-    /// floor row's estimate — and so its score under every objective —
-    /// never exceeds a member's.
+    /// The bounds are bounds: the floor row's estimate of a group — and
+    /// the tiling-level estimate at the least traffic of any scheme —
+    /// never exceeds a member's, in either coordinate or under any
+    /// objective.
     #[test]
     fn floor_estimate_never_exceeds_a_member(
         e in engine_strategy(),
         layer in layer_strategy(),
     ) {
         let acc = *e.model().traffic_model().accelerator();
-        let t_ck_ns = e.model().table().t_ck_ns;
-        let mappings = &e.config().mappings;
-        let mut rows = CostRows::new(e.model(), mappings);
-        for tiling in enumerate_tilings(&layer, &acc).unwrap().iter().step_by(7) {
-            let costs = TilingCosts::hoist(e.model(), &mut rows, &layer, tiling);
-            let Some(floor) = costs.floor() else { continue };
-            for (scheme, traffic) in ReuseScheme::CONCRETE.into_iter().zip(&costs.traffic) {
-                let bound = floor.estimate(traffic, t_ck_ns);
-                for mapping in mappings {
-                    let member = e.evaluate(&layer, tiling, scheme, mapping);
-                    prop_assert!(bound.cycles <= member.cycles && bound.energy <= member.energy);
+        let mut check = BoundCheck {
+            e: &e,
+            layer: &layer,
+            rows: CostRows::new(e.model(), &e.config().mappings),
+            visited: 0,
+        };
+        walk_tilings(&layer, &acc, &mut check).unwrap();
+    }
+
+    /// The axis walk visits exactly the brute-force sequence: the same
+    /// tilings in the same order, and counts them.
+    #[test]
+    fn axis_walk_visits_the_brute_force_sequence(
+        layer in layer_strategy(),
+        acc in accelerator_strategy(),
+    ) {
+        assert_walk_matches_brute_force(&layer, &acc);
+    }
+}
+
+/// Holds every seventh tiling's bounds, computed from the sweep's own
+/// hoists (the walk's trip counts and tiles, [`CostRows`],
+/// [`floor_costs`]), against each member of each of the tiling's groups.
+struct BoundCheck<'a> {
+    e: &'a DseEngine,
+    layer: &'a Layer,
+    rows: CostRows<'a>,
+    visited: usize,
+}
+
+impl TilingVisitor for BoundCheck<'_> {
+    type Tile = usize;
+
+    fn tile(&mut self, bytes: u64) -> usize {
+        self.rows.lookup(bytes)
+    }
+
+    fn tiling(&mut self, tiling: Tiling, [n_h, n_w, n_j, n_i]: [u64; 4], tiles: [usize; 3]) {
+        self.visited += 1;
+        if self.visited % 7 != 1 {
+            return;
+        }
+        let Some(floor) = floor_costs(tiles.map(|row| &self.rows.rows[row])) else {
+            return;
+        };
+        let t_ck_ns = self.e.model().table().t_ck_ns;
+        let spatial = self.e.model().traffic_model().accelerator().batch as u64 * n_h * n_w;
+        let tiling_bound = floor.estimate(&least_traffic(spatial, n_j, n_i), t_ck_ns);
+        let traffic = traffic_of_trips(spatial, n_j, n_i);
+        for (scheme, traffic) in ReuseScheme::CONCRETE.into_iter().zip(&traffic) {
+            let group_bound = floor.estimate(traffic, t_ck_ns);
+            for mapping in &self.e.config().mappings {
+                let member = self.e.evaluate(self.layer, &tiling, scheme, mapping);
+                for bound in [tiling_bound, group_bound] {
+                    assert!(bound.cycles <= member.cycles && bound.energy <= member.energy);
                     for objective in Objective::ALL {
-                        prop_assert!(objective.score(&bound) <= objective.score(&member));
+                        assert!(objective.score(&bound) <= objective.score(&member));
                     }
                 }
             }
+        }
+    }
+}
+
+fn assert_walk_matches_brute_force(layer: &Layer, acc: &AcceleratorConfig) {
+    let expected = brute_force_tilings(layer, acc);
+    assert!(!expected.is_empty(), "{}", layer.name);
+    assert_eq!(
+        enumerate_tilings(layer, acc).unwrap(),
+        expected,
+        "{}",
+        layer.name
+    );
+    assert_eq!(
+        count_tilings(layer, acc).unwrap(),
+        expected.len(),
+        "{}",
+        layer.name
+    );
+}
+
+#[test]
+fn axis_walk_visits_the_brute_force_sequence_on_the_zoo_and_the_big_layers() {
+    // Most prefixes of a big layer overflow a buffer; the zoo's mostly fit.
+    let big = parse_network(include_str!("../../../../tests/data/big_layers.spec")).unwrap();
+    let zoo = Network::zoo().into_iter().map(|(_, build)| build());
+    for network in zoo.chain([big]) {
+        for layer in network.layers() {
+            assert_walk_matches_brute_force(layer, &AcceleratorConfig::table_ii());
         }
     }
 }
@@ -395,6 +494,35 @@ fn assert_zoo_identity(networks: &[Network]) {
             }
         }
     }
+}
+
+/// Skipping whole tilings changes what is computed, never what is
+/// counted: `(evaluations, pruned)` of every zoo layer on every
+/// architecture equals the table taken before the tiling-level bound
+/// existed (`arch`, network, layer, evaluations, pruned per line).
+#[test]
+fn zoo_evaluation_and_pruned_counts_match_the_committed_table() {
+    let profiler = Profiler::table_ii().unwrap();
+    let mut table = include_str!("../../../../tests/data/zoo_counts.tsv").lines();
+    let mut salp2 = (0, 0);
+    for arch in DramArch::ALL {
+        let e = engine_on(profiler.cost_table(arch), DseConfig::default());
+        for (name, build) in Network::zoo() {
+            for layer in build().layers() {
+                let (swept, pruned) = e.explore_layer_counted(layer).unwrap();
+                let line = format!(
+                    "{arch}\t{name}\t{}\t{}\t{pruned}",
+                    layer.name, swept.evaluations
+                );
+                assert_eq!(Some(line.as_str()), table.next());
+                if arch == DramArch::Salp2 {
+                    salp2 = (salp2.0 + swept.evaluations, salp2.1 + pruned);
+                }
+            }
+        }
+    }
+    assert_eq!(table.next(), None);
+    assert_eq!(salp2, (4_787_064, 4_784_796));
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! **Mapping-3 is DRMap**: columns innermost (row-buffer hits first), then
 //! banks (bank-level parallelism), then subarrays, then rows.
 
-use core::fmt;
+use core::fmt::{self, Write as _};
 
 use drmap_dram::address::{AddressCodec, PhysicalAddress};
 use drmap_dram::geometry::{Geometry, Level};
@@ -229,11 +229,27 @@ impl MappingPolicy {
 
     /// Human-readable name: `Mapping-3 (DRMap)` or `custom`.
     pub fn name(&self) -> String {
+        let mut name = String::new();
         match self.index {
-            0 => "custom".to_owned(),
-            3 => "Mapping-3 (DRMap)".to_owned(),
-            n => format!("Mapping-{n}"),
+            0 => name.push_str("custom"),
+            _ => self.write_unique_name(&mut name),
         }
+        name
+    }
+
+    /// Append a name no other policy shares: [`MappingPolicy::name`] for
+    /// Table I's six, `custom[column>bank>row>subarray]` — the order,
+    /// innermost first — for the rest. What cache keys are built from.
+    pub(crate) fn write_unique_name(&self, out: &mut String) {
+        match self.index {
+            0 => {
+                let [a, b, c, d] = self.order;
+                write!(out, "custom[{a}>{b}>{c}>{d}]")
+            }
+            3 => write!(out, "Mapping-3 (DRMap)"),
+            n => write!(out, "Mapping-{n}"),
+        }
+        .expect("writing to a String cannot fail");
     }
 }
 

@@ -268,31 +268,8 @@ impl TrafficModel {
     /// first re-loads them.
     pub fn concrete_traffic(&self, layer: &Layer, tiling: &Tiling) -> [TileTraffic; 3] {
         let (n_h, n_w, n_j, n_i) = tiling.steps(layer);
-        let (n_j, n_i) = (n_j as u64, n_i as u64);
         let spatial = self.acc.batch as u64 * n_h as u64 * n_w as u64;
-        let ifms_tiles = spatial * n_i;
-        let wghs_tiles = n_j * n_i;
-        let ofms_tiles = spatial * n_j;
-        [
-            TileTraffic {
-                ifms_loads: ifms_tiles,
-                wghs_loads: wghs_tiles * spatial,
-                ofms_loads: ofms_tiles * (n_i - 1),
-                ofms_stores: ofms_tiles * n_i,
-            },
-            TileTraffic {
-                ifms_loads: ifms_tiles * n_j,
-                wghs_loads: wghs_tiles,
-                ofms_loads: ofms_tiles * (n_i - 1),
-                ofms_stores: ofms_tiles * n_i,
-            },
-            TileTraffic {
-                ifms_loads: ifms_tiles * n_j,
-                wghs_loads: wghs_tiles * spatial,
-                ofms_loads: 0,
-                ofms_stores: ofms_tiles,
-            },
-        ]
+        traffic_of_trips(spatial, n_j as u64, n_i as u64)
     }
 
     /// Bytes of one tile of each kind, in [`DataKind::ALL`] order — the
@@ -337,6 +314,47 @@ impl TrafficModel {
             }
             concrete => concrete,
         }
+    }
+}
+
+/// [`TrafficModel::concrete_traffic`]'s table at `spatial = batch · n_h ·
+/// n_w` spatial steps and `n_j`, `n_i` channel steps.
+pub(crate) fn traffic_of_trips(spatial: u64, n_j: u64, n_i: u64) -> [TileTraffic; 3] {
+    let ifms_tiles = spatial * n_i;
+    let wghs_tiles = n_j * n_i;
+    let ofms_tiles = spatial * n_j;
+    [
+        TileTraffic {
+            ifms_loads: ifms_tiles,
+            wghs_loads: wghs_tiles * spatial,
+            ofms_loads: ofms_tiles * (n_i - 1),
+            ofms_stores: ofms_tiles * n_i,
+        },
+        TileTraffic {
+            ifms_loads: ifms_tiles * n_j,
+            wghs_loads: wghs_tiles,
+            ofms_loads: ofms_tiles * (n_i - 1),
+            ofms_stores: ofms_tiles * n_i,
+        },
+        TileTraffic {
+            ifms_loads: ifms_tiles * n_j,
+            wghs_loads: wghs_tiles * spatial,
+            ofms_loads: 0,
+            ofms_stores: ofms_tiles,
+        },
+    ]
+}
+
+/// The component-wise least of [`traffic_of_trips`]' three rows — each
+/// column's smallest entry in [`TrafficModel::concrete_traffic`]'s table:
+/// no scheme moves fewer tiles of any class, though no scheme need reach
+/// all four at once.
+pub(crate) fn least_traffic(spatial: u64, n_j: u64, n_i: u64) -> TileTraffic {
+    TileTraffic {
+        ifms_loads: spatial * n_i,
+        wghs_loads: n_j * n_i,
+        ofms_loads: 0,
+        ofms_stores: spatial * n_j,
     }
 }
 
@@ -512,6 +530,19 @@ mod tests {
                 assert_eq!(traffic.ofms_loads, ofms * (passes - 1), "{scheme}");
                 assert_eq!(traffic, m.traffic(&l, &t, scheme));
             }
+        }
+    }
+
+    #[test]
+    fn least_traffic_is_the_column_minimum_of_the_concrete_table() {
+        for (spatial, n_j, n_i) in [(1, 1, 1), (1, 24, 16), (9, 1, 7), (12, 5, 1), (36, 8, 3)] {
+            let table = traffic_of_trips(spatial, n_j, n_i);
+            let column = |f: fn(&TileTraffic) -> u64| table.iter().map(f).min().unwrap();
+            let least = least_traffic(spatial, n_j, n_i);
+            assert_eq!(least.ifms_loads, column(|t| t.ifms_loads));
+            assert_eq!(least.wghs_loads, column(|t| t.wghs_loads));
+            assert_eq!(least.ofms_loads, column(|t| t.ofms_loads));
+            assert_eq!(least.ofms_stores, column(|t| t.ofms_stores));
         }
     }
 

@@ -133,6 +133,99 @@ pub fn candidate_steps(dim: usize) -> Vec<usize> {
     out
 }
 
+/// What [`walk_tilings`] hands its caller, each thing once, at the loop
+/// depth that determines it.
+pub(crate) trait TilingVisitor {
+    /// What the visitor keeps of a tile that fits its buffer.
+    type Tile: Copy;
+
+    /// A tile of `bytes` bytes that fits its buffer: a wghs tile once
+    /// per `(tj, ti)`, before the walk; an ifms tile once per
+    /// `(th, tw, ti)`, on entering `(th, tw)`; an ofms tile once per
+    /// `(th, tw, tj)`.
+    fn tile(&mut self, bytes: u64) -> Self::Tile;
+
+    /// One feasible tiling, in enumeration order, with its trip counts
+    /// `[n_h, n_w, n_j, n_i]` (what [`Tiling::steps`] would compute) and
+    /// what [`TilingVisitor::tile`] made of its three tiles, in
+    /// [`DataKind::ALL`] order.
+    fn tiling(&mut self, tiling: Tiling, trips: [u64; 4], tiles: [Self::Tile; 3]);
+}
+
+/// A visitor that only wants the tilings.
+impl<F: FnMut(Tiling)> TilingVisitor for F {
+    type Tile = ();
+
+    fn tile(&mut self, _bytes: u64) {}
+
+    fn tiling(&mut self, tiling: Tiling, _trips: [u64; 4], _tiles: [(); 3]) {
+        self(tiling);
+    }
+}
+
+/// Walk the buffer-feasible tilings of a layer and return how many there
+/// are. The four candidate axes nest `th`, `tw`, `tj`, `ti` (innermost)
+/// and a tiling is feasible when each tile fits its buffer
+/// ([`Tiling::fits`], one kind at a time): the one definition of order
+/// and feasibility behind [`enumerate_tilings`], [`count_tilings`] and
+/// the DSE sweep. Each tile is sized and tested once per combination of
+/// the steps it depends on, not once per tiling.
+///
+/// # Errors
+///
+/// Returns [`DseError`] if the inputs are invalid or no candidate fits.
+pub(crate) fn walk_tilings<V: TilingVisitor>(
+    layer: &Layer,
+    acc: &AcceleratorConfig,
+    visitor: &mut V,
+) -> Result<usize, DseError> {
+    acc.validate()?;
+    layer.validate()?;
+    // Each candidate step with its trip count: the walk's only divisions.
+    let axis = |dim: usize| -> Vec<(usize, u64)> {
+        let with_trips = |step: usize| (step, dim.div_ceil(step) as u64);
+        candidate_steps(dim).into_iter().map(with_trips).collect()
+    };
+    let [hs, ws, js, is] = [layer.h, layer.w, layer.j, layer.i].map(axis);
+    // `tile_bytes` ignores the steps `kind` does not depend on.
+    let fitting = |visitor: &mut V, kind, tiling: Tiling| {
+        let bytes = tiling.tile_bytes(layer, acc, kind);
+        (bytes <= acc.buffer_bytes(kind) as u64).then(|| visitor.tile(bytes))
+    };
+    let mut wghs = Vec::with_capacity(js.len() * is.len());
+    for &(tj, _) in &js {
+        let tile = |&(ti, _)| fitting(visitor, DataKind::Wghs, Tiling::new(1, 1, tj, ti));
+        wghs.extend(is.iter().map(tile));
+    }
+    let mut ifms = Vec::with_capacity(is.len());
+    let mut count = 0;
+    for &(th, n_h) in &hs {
+        for &(tw, n_w) in &ws {
+            ifms.clear();
+            let tile = |&(ti, _)| fitting(visitor, DataKind::Ifms, Tiling::new(th, tw, 1, ti));
+            ifms.extend(is.iter().map(tile));
+            for (&(tj, n_j), wghs) in js.iter().zip(wghs.chunks(is.len())) {
+                let ofms = fitting(visitor, DataKind::Ofms, Tiling::new(th, tw, tj, 1));
+                let Some(ofms) = ofms else { continue };
+                for ((&(ti, n_i), &ifms), &wghs) in is.iter().zip(&ifms).zip(wghs) {
+                    if let (Some(ifms), Some(wghs)) = (ifms, wghs) {
+                        count += 1;
+                        let tiling = Tiling::new(th, tw, tj, ti);
+                        visitor.tiling(tiling, [n_h, n_w, n_j, n_i], [ifms, wghs, ofms]);
+                    }
+                }
+            }
+        }
+    }
+    if count == 0 {
+        return Err(DseError::new(format!(
+            "no tiling of layer {} fits the buffers ({})",
+            layer.name, acc
+        )));
+    }
+    Ok(count)
+}
+
 /// Enumerate all buffer-feasible tilings of a layer from the geometric
 /// candidate steps of each dimension.
 ///
@@ -155,42 +248,22 @@ pub fn candidate_steps(dim: usize) -> Vec<usize> {
 /// # Ok::<(), drmap_core::error::DseError>(())
 /// ```
 pub fn enumerate_tilings(layer: &Layer, acc: &AcceleratorConfig) -> Result<Vec<Tiling>, DseError> {
-    acc.validate()?;
-    layer.validate()?;
     let mut out = Vec::new();
-    for &th in &candidate_steps(layer.h) {
-        for &tw in &candidate_steps(layer.w) {
-            for &tj in &candidate_steps(layer.j) {
-                for &ti in &candidate_steps(layer.i) {
-                    let t = Tiling::new(th, tw, tj, ti);
-                    if t.fits(layer, acc) {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-    }
-    if out.is_empty() {
-        return Err(DseError::new(format!(
-            "no tiling of layer {} fits the buffers ({})",
-            layer.name, acc
-        )));
-    }
+    walk_tilings(layer, acc, &mut |tiling| out.push(tiling))?;
     Ok(out)
 }
 
 /// Count the buffer-feasible tilings of a layer: the size of the
-/// outermost axis of the DSE sweep. Delegates to [`enumerate_tilings`],
-/// so it can never drift from the enumeration the sweep walks (a
-/// `Tiling` is four words; the transient `Vec` is a few KB even for the
-/// largest layers).
+/// outermost axis of the DSE sweep. The same axis walk the enumeration
+/// and the sweep are built on, so it can never drift from either, and
+/// it allocates nothing per tiling.
 ///
 /// # Errors
 ///
 /// Returns [`DseError`] under exactly the conditions
 /// [`enumerate_tilings`] does: invalid inputs or no feasible tiling.
 pub fn count_tilings(layer: &Layer, acc: &AcceleratorConfig) -> Result<usize, DseError> {
-    Ok(enumerate_tilings(layer, acc)?.len())
+    walk_tilings(layer, acc, &mut |_| {})
 }
 
 #[cfg(test)]

@@ -269,3 +269,59 @@ fn drmap_wins_every_big_layer_and_none_enumerates_past_6000_tilings() {
         }
     }
 }
+
+/// The sweep on big layers against brute force, through public calls
+/// only: every 8th layer of the catalogue, every candidate tiling
+/// tested whole by `Tiling::fits`, every design point scored by
+/// `DseEngine::evaluate` in sweep order, first of equals wins. Winner
+/// and count must match `explore_layer` bit for bit on all four
+/// architectures. Most `(th, tw)` prefixes of these layers overflow a
+/// buffer, which the zoo's identity gate never exercises.
+#[test]
+#[ignore = "12 big layers x 4 architectures scored point by point; run in release"]
+fn big_layer_sweeps_match_brute_force_bit_for_bit() {
+    let catalogue = drmap::cnn::spec::parse_network(include_str!("data/big_layers.spec"))
+        .expect("catalogue parses");
+    let acc = AcceleratorConfig::table_ii();
+    for layer in catalogue.layers().iter().step_by(8) {
+        for (arch, engine) in &fixture().engines {
+            let mut best: Option<(f64, DseCandidate)> = None;
+            let mut evaluations = 0;
+            for &th in &candidate_steps(layer.h) {
+                for &tw in &candidate_steps(layer.w) {
+                    for &tj in &candidate_steps(layer.j) {
+                        for &ti in &candidate_steps(layer.i) {
+                            let tiling = Tiling::new(th, tw, tj, ti);
+                            if !tiling.fits(layer, &acc) {
+                                continue;
+                            }
+                            for scheme in ReuseScheme::ALL {
+                                for mapping in MappingPolicy::table_i() {
+                                    let estimate =
+                                        engine.evaluate(layer, &tiling, scheme, &mapping);
+                                    evaluations += 1;
+                                    if best.as_ref().is_none_or(|(edp, _)| estimate.edp() < *edp) {
+                                        let candidate = DseCandidate {
+                                            mapping,
+                                            tiling,
+                                            scheme,
+                                            estimate,
+                                        };
+                                        best = Some((estimate.edp(), candidate));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let (_, best) = best.expect("feasible tiling exists");
+            let swept = engine.explore_layer(layer).expect("sweep succeeds");
+            let bits =
+                |c: &DseCandidate| (c.estimate.cycles.to_bits(), c.estimate.energy.to_bits());
+            assert_eq!(swept.evaluations, evaluations, "{arch} {}", layer.name);
+            assert_eq!(swept.best, best, "{arch} {}", layer.name);
+            assert_eq!(bits(&swept.best), bits(&best), "{arch} {}", layer.name);
+        }
+    }
+}
