@@ -357,8 +357,8 @@ pub fn decode_layer_result(bytes: &[u8]) -> Result<LayerDseResult, CodecError> {
 }
 
 /// Encode a stored result record: the compute duration (nanoseconds the
-/// original exploration took — the currency of cost-aware eviction)
-/// followed by the versioned result payload. This is the value format
+/// original exploration took, surfaced by the cache's `compute_ns_*`
+/// stats) followed by the versioned result payload. This is the value format
 /// the persistent store and the service's cache tier exchange.
 ///
 /// # Errors

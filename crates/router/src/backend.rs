@@ -14,7 +14,7 @@
 //! drained by one dedicated reader thread per connection (spawned by
 //! the proxy, which owns the correlation map). The admin channel is a
 //! plain synchronous [`Client`], lazily connected, used for the verbs
-//! that fan out rather than pipeline (`stats`, `set-policy`, …).
+//! that fan out rather than pipeline (`stats`, `set-bounds`, …).
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -25,7 +25,7 @@ use std::time::Duration;
 use drmap_service::client::{Client, ClientConfig};
 use drmap_service::error::ServiceError;
 use drmap_service::proto::{Request, Response, PROTOCOL_VERSION};
-use drmap_service::wire::{self, Encoding};
+use drmap_service::wire;
 
 /// Lock `mutex`, recovering the guard if a panicking thread poisoned
 /// it. Everything the router guards (writer buffers, connection sets,
@@ -58,7 +58,7 @@ impl DataConn {
     /// Serialize one request onto the connection as one whole frame
     /// (the lock keeps concurrent senders' frames from interleaving).
     pub fn send(&self, request: &Request) -> Result<(), ServiceError> {
-        wire::write_request(&mut *lock_recovered(&self.writer), request, Encoding::Text)
+        wire::write_request(&mut *lock_recovered(&self.writer), request)
     }
 
     /// Close both halves, unblocking the reader thread.
@@ -98,9 +98,8 @@ pub fn open_data_conn(
             version: PROTOCOL_VERSION,
             client: Some(identity()),
         },
-        Encoding::Text,
     )?;
-    let Some((response, _)) = wire::read_response(&mut reader)? else {
+    let Some(response) = wire::read_response(&mut reader)? else {
         return Err(ServiceError::protocol(format!(
             "backend {addr} closed the connection during the hello handshake"
         )));

@@ -35,7 +35,7 @@ use drmap_service::error::ServiceError;
 use drmap_service::loadgen::SplitMix64;
 use drmap_service::proto::{router_capabilities, Request, Response, StatsReport, PROTOCOL_VERSION};
 use drmap_service::spec::JobSpec;
-use drmap_service::wire::{self, Encoding};
+use drmap_service::wire;
 use drmap_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::backend::{self, lock_recovered, Backend};
@@ -123,10 +123,9 @@ impl RouterMetrics {
     }
 }
 
-/// What a client session's writer thread consumes.
-type Outbound = (Response, Encoding);
-/// Where a job's eventual response goes.
-type ReplyTx = mpsc::Sender<Outbound>;
+/// Where a job's eventual response goes: the client session's writer
+/// thread.
+type ReplyTx = mpsc::Sender<Response>;
 
 /// One in-flight job, keyed by its router-assigned id.
 #[derive(Debug)]
@@ -137,7 +136,6 @@ struct Pending {
     /// The id the client chose, restored on the way out.
     client_id: u64,
     reply: ReplyTx,
-    encoding: Encoding,
     /// Index of the backend currently running the job.
     backend: usize,
     /// Dispatches so far (bounded by [`RetryPolicy::max_attempts`]).
@@ -202,20 +200,10 @@ impl RouterCore {
         // ordering: Release pairs with the Acquire in the accept and
         // probe loops; nothing besides the flag is published.
         self.shutdown.store(true, Ordering::Release);
-        // Poke the listener so a blocked `accept` observes the flag
-        // (wildcard binds are not connectable everywhere; use
-        // loopback, mirroring the service tier).
+        // Wake the listener so a blocked `accept` observes the flag.
         let addr = *lock_recovered(&self.local_addr);
-        if let Some(mut addr) = addr {
-            if addr.ip().is_unspecified() {
-                let loopback: std::net::IpAddr = if addr.is_ipv4() {
-                    std::net::Ipv4Addr::LOCALHOST.into()
-                } else {
-                    std::net::Ipv6Addr::LOCALHOST.into()
-                };
-                addr.set_ip(loopback);
-            }
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
+        if let Some(addr) = addr {
+            wire::wake_listener(addr);
         }
     }
 
@@ -273,7 +261,7 @@ impl RouterCore {
     /// retire the backend (if the death is not stale) and fail its
     /// jobs over.
     fn backend_reader(self: Arc<Self>, idx: usize, epoch: u64, mut reader: BufReader<TcpStream>) {
-        while let Ok(Some((response, _))) = wire::read_response(&mut reader) {
+        while let Ok(Some(response)) = wire::read_response(&mut reader) {
             self.on_backend_response(idx, response);
         }
         self.on_backend_down(idx, epoch);
@@ -316,7 +304,7 @@ impl RouterCore {
 
     /// Route one client job: rewrite its id, register it pending, and
     /// forward it to the rendezvous pick.
-    fn submit(self: &Arc<Self>, mut spec: JobSpec, reply: &ReplyTx, encoding: Encoding) {
+    fn submit(self: &Arc<Self>, mut spec: JobSpec, reply: &ReplyTx) {
         let client_id = spec.id;
         let router_id = self.next_id();
         spec.id = router_id;
@@ -324,7 +312,6 @@ impl RouterCore {
             spec,
             client_id,
             reply: reply.clone(),
-            encoding,
             backend: usize::MAX,
             attempts: 0,
             prev_backoff_ms: 0,
@@ -408,9 +395,7 @@ impl RouterCore {
                 };
                 self.m.per_backend[idx].inflight.dec();
                 result.id = pending.client_id;
-                let _ = pending
-                    .reply
-                    .send((Response::Job { result }, pending.encoding));
+                let _ = pending.reply.send(Response::Job { result });
             }
             Response::Overloaded {
                 id: Some(id),
@@ -431,13 +416,10 @@ impl RouterCore {
                     return;
                 };
                 self.m.per_backend[idx].inflight.dec();
-                let _ = pending.reply.send((
-                    Response::DeadlineExceeded {
-                        id: Some(pending.client_id),
-                        deadline_ms,
-                    },
-                    pending.encoding,
-                ));
+                let _ = pending.reply.send(Response::DeadlineExceeded {
+                    id: Some(pending.client_id),
+                    deadline_ms,
+                });
             }
             Response::Error {
                 id: Some(id),
@@ -457,13 +439,10 @@ impl RouterCore {
 
     /// Deliver a terminal error for one pending entry.
     fn reply_error(&self, pending: &Pending, message: &str) {
-        let _ = pending.reply.send((
-            Response::Error {
-                id: Some(pending.client_id),
-                message: message.to_owned(),
-            },
-            pending.encoding,
-        ));
+        let _ = pending.reply.send(Response::Error {
+            id: Some(pending.client_id),
+            message: message.to_owned(),
+        });
     }
 
     // -----------------------------------------------------------------
@@ -634,12 +613,7 @@ impl RouterCore {
     }
 
     /// Answer one decoded client request; `true` ends the session.
-    fn handle_request(
-        self: &Arc<Self>,
-        request: Request,
-        encoding: Encoding,
-        reply: &ReplyTx,
-    ) -> bool {
+    fn handle_request(self: &Arc<Self>, request: Request, reply: &ReplyTx) -> bool {
         let response = match request {
             Request::Hello { version, .. } => {
                 if version == PROTOCOL_VERSION {
@@ -663,11 +637,11 @@ impl RouterCore {
                 // The session flushes this acknowledgement and *then*
                 // triggers the shutdown — the process may exit moments
                 // after the accept loop observes the flag.
-                let _ = reply.send((Response::Shutdown { id }, encoding));
+                let _ = reply.send(Response::Shutdown { id });
                 return true;
             }
             Request::Submit(spec) => {
-                self.submit(spec, reply, encoding);
+                self.submit(spec, reply);
                 return false;
             }
             Request::Stats { id } => self.aggregate_stats(id),
@@ -685,7 +659,7 @@ impl RouterCore {
             },
             other => self.broadcast(&other),
         };
-        let _ = reply.send((response, encoding));
+        let _ = reply.send(response);
         false
     }
 }
@@ -701,7 +675,6 @@ fn sum_stats(mut acc: StatsReport, other: &StatsReport) -> StatsReport {
     c.bypasses += o.bypasses;
     c.refreshes += o.refreshes;
     c.evictions += o.evictions;
-    c.cost_evictions += o.cost_evictions;
     c.entries += o.entries;
     c.bytes += o.bytes;
     c.store_hits += o.store_hits;
@@ -843,11 +816,11 @@ fn probe_loop(core: &Arc<RouterCore>) {
 fn client_session(core: &Arc<RouterCore>, stream: TcpStream) -> Result<(), ServiceError> {
     wire::configure_socket(&stream, None, None)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let (tx, rx) = mpsc::channel::<Outbound>();
+    let (tx, rx) = mpsc::channel::<Response>();
     let writer = std::thread::spawn(move || {
         let mut writer = stream;
-        while let Ok((response, encoding)) = rx.recv() {
-            if wire::write_response(&mut writer, &response, encoding).is_err() {
+        while let Ok(response) = rx.recv() {
+            if wire::write_response(&mut writer, &response).is_err() {
                 break;
             }
         }
@@ -855,15 +828,15 @@ fn client_session(core: &Arc<RouterCore>, stream: TcpStream) -> Result<(), Servi
     let mut stop = false;
     while let Ok(Some(message)) = wire::read_request(&mut reader) {
         match message {
-            (Err(decode), encoding) => {
+            Err(decode) => {
                 let response = Response::Error {
                     id: decode.id,
                     message: decode.message,
                 };
-                let _ = tx.send((response, encoding));
+                let _ = tx.send(response);
             }
-            (Ok(request), encoding) => {
-                if core.handle_request(request, encoding, &tx) {
+            Ok(request) => {
+                if core.handle_request(request, &tx) {
                     stop = true;
                     break;
                 }

@@ -4,9 +4,8 @@
 //! ```text
 //! drmap-batch [SPEC_FILE] [--models a,b,c] [--arch ARCH] [--objective OBJ]
 //!             [--workers N] [--repeat R] [--compare]
-//!             [--cache-entries N] [--cache-bytes BYTES] [--cache-policy lru|cost]
-//!             [--store PATH]
-//!             [--connect HOST:PORT] [--binary]
+//!             [--cache-entries N] [--cache-bytes BYTES] [--store PATH]
+//!             [--connect HOST:PORT]
 //!             [--connect HOST:PORT --admin CMD [CMD…] [--text]]
 //! ```
 //!
@@ -19,23 +18,19 @@
 //! a fresh single-worker pool and reports the multi-worker speedup.
 //!
 //! By default jobs run on an in-process pool; `--cache-entries` /
-//! `--cache-bytes` bound its memo cache (`--cache-policy cost` evicts
-//! cheapest-to-recompute first instead of LRU),
-//! and `--store PATH`
-//! backs it with a persistent result log — rerunning the same batch
-//! later serves every layer from disk without recomputation. With
-//! `--connect` the
+//! `--cache-bytes` bound its LRU memo cache, and `--store PATH` backs it
+//! with a persistent result log — rerunning the same batch later serves
+//! every layer from disk without recomputation. With `--connect` the
 //! batch is instead **pipelined over TCP** to a running `drmap-serve`:
-//! every job goes on the wire up front, responses return out of order
-//! as they complete, and `--binary` ships requests as length-prefixed
-//! binary frames (useful for large inline networks).
+//! every job goes on the wire up front and responses return out of
+//! order as they complete.
 //!
 //! `--admin` (with `--connect`) switches to **control-plane mode**: the
 //! remaining arguments are admin commands driven over the typed
 //! protocol, in order, failing on the first non-ok response:
 //!
 //! ```text
-//! drmap-batch --connect 127.0.0.1:7878 --admin hello set-policy=cost \
+//! drmap-batch --connect 127.0.0.1:7878 --admin hello \
 //!     set-bounds=entries:512 cache-warm store-compact stats
 //! ```
 //!
@@ -75,9 +70,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drmap_service::cache::CacheConfig;
-use drmap_service::cli::{
-    parse_admin_command, parse_cache_policy, parse_positive as positive, AdminCmd,
-};
+use drmap_service::cli::{parse_admin_command, parse_positive as positive, AdminCmd};
 use drmap_service::client::Client;
 use drmap_service::engine::{default_workers, ServiceState};
 use drmap_service::error::ServiceError;
@@ -96,7 +89,6 @@ struct Args {
     cache: CacheConfig,
     store: Option<String>,
     connect: Option<String>,
-    binary: bool,
     admin: Option<Vec<AdminCmd>>,
     text: bool,
 }
@@ -112,7 +104,6 @@ fn parse_args() -> Result<Args, String> {
         cache: CacheConfig::unbounded(),
         store: None,
         connect: None,
-        binary: false,
         admin: None,
         text: false,
     };
@@ -162,17 +153,11 @@ fn parse_args() -> Result<Args, String> {
                 args.cache.max_bytes = Some(positive("--cache-bytes", &value("--cache-bytes")?)?);
                 local_only.push("--cache-bytes");
             }
-            "--cache-policy" => {
-                args.cache.policy =
-                    parse_cache_policy("--cache-policy", &value("--cache-policy")?)?;
-                local_only.push("--cache-policy");
-            }
             "--store" => {
                 args.store = Some(value("--store")?);
                 local_only.push("--store");
             }
             "--connect" => args.connect = Some(value("--connect")?),
-            "--binary" => args.binary = true,
             // A repeated --admin is a no-op, not a reset: commands
             // already collected must survive.
             "--admin" => {
@@ -183,9 +168,8 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: drmap-batch [SPEC_FILE] [--models a,b,c] [--arch ARCH] \
                      [--objective OBJ] [--workers N] [--repeat R] [--compare] \
-                     [--cache-entries N] [--cache-bytes BYTES] \
-                     [--cache-policy lru|cost] [--store PATH] \
-                     [--connect HOST:PORT] [--binary] \
+                     [--cache-entries N] [--cache-bytes BYTES] [--store PATH] \
+                     [--connect HOST:PORT] \
                      [--admin CMD [CMD...] [--text]]"
                 );
                 std::process::exit(0);
@@ -201,9 +185,6 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
-    }
-    if args.binary && args.connect.is_none() {
-        return Err("--binary only applies with --connect".to_owned());
     }
     if let Some(commands) = &args.admin {
         if args.connect.is_none() {
@@ -248,9 +229,8 @@ fn bound_label(b: Option<usize>) -> String {
 /// each response; the first non-ok response aborts with its error.
 /// `text` makes the `metrics` command print Prometheus-style
 /// exposition instead of the human summary.
-fn run_admin(addr: &str, binary: bool, text: bool, commands: &[AdminCmd]) -> Result<(), String> {
+fn run_admin(addr: &str, text: bool, commands: &[AdminCmd]) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
-    client.set_binary(binary);
     for command in commands {
         match command {
             AdminCmd::Hello => {
@@ -268,13 +248,9 @@ fn run_admin(addr: &str, binary: bool, text: bool, commands: &[AdminCmd]) -> Res
             }
             AdminCmd::Stats => {
                 let report = client.stats_report().map_err(|e| format!("stats: {e}"))?;
-                let bound = |b: Option<usize>| match b {
-                    Some(n) => n.to_string(),
-                    None => "unbounded".to_owned(),
-                };
                 println!(
                     "stats: {} hits / {} misses / {} coalesced ({} bypassed, {} refreshed), \
-                     {} entries, {} bytes, {} evictions ({} cost-chosen), {} workers",
+                     {} entries, {} bytes, {} evictions, {} workers",
                     report.cache.hits,
                     report.cache.misses,
                     report.cache.coalesced,
@@ -283,14 +259,12 @@ fn run_admin(addr: &str, binary: bool, text: bool, commands: &[AdminCmd]) -> Res
                     report.cache.entries,
                     report.cache.bytes,
                     report.cache.evictions,
-                    report.cache.cost_evictions,
                     report.workers,
                 );
                 println!(
-                    "config: policy {}, cache bounds {} entries / {} bytes",
-                    report.policy.label(),
-                    bound(report.max_entries),
-                    bound(report.max_bytes),
+                    "config: cache bounds {} entries / {} bytes",
+                    bound_label(report.max_entries),
+                    bound_label(report.max_bytes),
                 );
                 if let Some(store) = report.store {
                     println!(
@@ -298,12 +272,6 @@ fn run_admin(addr: &str, binary: bool, text: bool, commands: &[AdminCmd]) -> Res
                         store.live_entries, store.file_bytes, store.dead_records,
                     );
                 }
-            }
-            AdminCmd::SetPolicy(policy) => {
-                let previous = client
-                    .set_policy(*policy)
-                    .map_err(|e| format!("set-policy: {e}"))?;
-                println!("set-policy: {} (was {})", policy.label(), previous.label());
             }
             AdminCmd::SetBounds(update) => {
                 let (entries, bytes, evicted) = client
@@ -595,7 +563,6 @@ fn print_results(results: &[JobResult]) {
 fn run_connected(args: &Args, batch: &[JobSpec]) -> Result<(), String> {
     let addr = args.connect.as_deref().expect("caller checked --connect");
     let mut client = Client::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
-    client.set_binary(args.binary);
     let start = Instant::now();
     let outcomes = client.submit_batch(batch).map_err(|e| e.to_string())?;
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
@@ -615,13 +582,12 @@ fn run_connected(args: &Args, batch: &[JobSpec]) -> Result<(), String> {
     let layers: usize = results.iter().map(|r| r.layers.len()).sum();
     println!();
     println!(
-        "{} jobs ({} layers, {} failed) pipelined to {} ({}) in {:.3}s  ->  \
+        "{} jobs ({} layers, {} failed) pipelined to {} in {:.3}s  ->  \
          {:.2} jobs/s, {:.1} layers/s",
         results.len(),
         layers,
         failures,
         addr,
-        if args.binary { "binary frames" } else { "text" },
         elapsed,
         results.len() as f64 / elapsed,
         layers as f64 / elapsed,
@@ -662,7 +628,7 @@ fn run() -> Result<(), String> {
             .connect
             .as_deref()
             .expect("parse_args checked --connect");
-        return run_admin(addr, args.binary, args.text, commands);
+        return run_admin(addr, args.text, commands);
     }
     let specs = load_specs(&args)?;
     let batch = batch_of(&specs, args.repeat);
@@ -696,7 +662,7 @@ fn run() -> Result<(), String> {
     );
     println!(
         "cache: {} hits / {} misses / {} coalesced ({:.1}% hit rate), \
-         {} entries, {} bytes, {} evictions ({} cost-chosen)",
+         {} entries, {} bytes, {} evictions",
         stats.hits,
         stats.misses,
         stats.coalesced,
@@ -704,7 +670,6 @@ fn run() -> Result<(), String> {
         stats.entries,
         stats.bytes,
         stats.evictions,
-        stats.cost_evictions,
     );
     if let Some(store) = &store {
         let s = store.stats();

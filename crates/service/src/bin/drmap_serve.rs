@@ -2,19 +2,18 @@
 //!
 //! ```text
 //! drmap-serve [--addr HOST:PORT] [--workers N]
-//!             [--cache-entries N] [--cache-bytes BYTES] [--cache-policy lru|cost]
+//!             [--cache-entries N] [--cache-bytes BYTES]
 //!             [--store PATH] [--warm N] [--auto-compact-ratio R]
 //!             [--max-inflight N] [--max-inflight-global N]
 //!             [--slow-ms N] [--slow-log-cap N] [--sample-secs N]
 //!             [--drain-secs N] [--fault-plan SPEC] [--overload SPEC]
 //! ```
 //!
-//! Speaks the typed, versioned protocol over pipelined TCP —
-//! newline-delimited text or binary frames; see `docs/PROTOCOL.md`. The cache flags bound the layer memo cache;
-//! without them the cache is unbounded. `--cache-policy cost` evicts
-//! the cheapest-to-recompute entry first (using each entry's recorded
-//! exploration duration) instead of the least recently used — and can
-//! be swapped at runtime with the `set-policy` admin verb.
+//! Speaks the typed, versioned protocol over pipelined TCP as
+//! newline-delimited JSON text; see `docs/PROTOCOL.md`. The cache flags
+//! bound the layer memo cache, which evicts the least recently used
+//! entry; without them the cache is unbounded (both bounds are
+//! retunable live with the `set-bounds` admin verb).
 //! `--store PATH` opens (or creates) a
 //! persistent result log beneath the cache — results survive restarts,
 //! and on boot the most recent stored results warm the cache (`--warm`
@@ -53,7 +52,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use drmap_service::cache::CacheConfig;
-use drmap_service::cli::{parse_cache_policy, parse_overload_spec, parse_positive as positive};
+use drmap_service::cli::{parse_overload_spec, parse_positive as positive};
 use drmap_service::engine::{default_workers, ServiceState};
 use drmap_service::faults::FaultPlan;
 use drmap_service::pool::DsePool;
@@ -104,10 +103,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--cache-bytes" => {
                 args.cache.max_bytes = Some(positive("--cache-bytes", &value("--cache-bytes")?)?);
-            }
-            "--cache-policy" => {
-                args.cache.policy =
-                    parse_cache_policy("--cache-policy", &value("--cache-policy")?)?;
             }
             "--store" => args.store = Some(value("--store")?),
             "--warm" => args.warm = Some(positive("--warm", &value("--warm")?)?),
@@ -175,7 +170,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: drmap-serve [--addr HOST:PORT] [--workers N] \
-                     [--cache-entries N] [--cache-bytes BYTES] [--cache-policy lru|cost] \
+                     [--cache-entries N] [--cache-bytes BYTES] \
                      [--store PATH] [--warm N] [--auto-compact-ratio R] \
                      [--max-inflight N] [--max-inflight-global N] \
                      [--slow-ms N] [--slow-log-cap N] [--sample-secs N] \
@@ -252,12 +247,11 @@ fn main() -> ExitCode {
             };
             println!(
                 "drmap-serve: listening on {addr} with {} workers \
-                 (cache: {} entries, {} bytes, {} eviction; store: {}; \
+                 (cache: {} entries, {} bytes; store: {}; \
                  in-flight: {}/conn, {} global; slow log: {} (cap {}); sampler: {})",
                 args.workers,
                 bound(args.cache.max_entries),
                 bound(args.cache.max_bytes),
-                args.cache.policy.label(),
                 args.store.as_deref().unwrap_or("none"),
                 args.server.max_inflight,
                 bound(args.server.max_inflight_global),

@@ -13,11 +13,9 @@
 //!
 //! * **Bounded.** [`CacheConfig`] caps the entry count and/or the
 //!   approximate resident bytes; when a bound is exceeded the
-//!   [`EvictionPolicy`] picks the victim — least-recently-used by
-//!   default, or cheapest-to-recompute first under
-//!   [`EvictionPolicy::Cost`] — and every eviction is counted in
-//!   [`CacheStats::evictions`]. An unbounded cache (the default) never
-//!   evicts.
+//!   least-recently-used entry is evicted, and every eviction is
+//!   counted in [`CacheStats::evictions`]. An unbounded cache (the
+//!   default) never evicts.
 //! * **Single-flight.** [`DseCache::get_or_compute`] coalesces
 //!   concurrent lookups of the same key: one caller (the *leader*)
 //!   computes while the rest block on its result instead of missing and
@@ -36,10 +34,9 @@
 //!   are recovered (the guarded state is a memo cache plus counters,
 //!   which every code path leaves structurally valid).
 //!
-//! Entries additionally remember how long their original exploration
-//! took ([`CacheStats`] exposes min/max/total over every recorded
-//! measurement), persisted alongside each result — the signal
-//! [`EvictionPolicy::Cost`] uses to keep expensive results resident.
+//! Each fresh exploration is timed and the duration persisted alongside
+//! its result; [`CacheStats`] exposes min/max/total over every recorded
+//! measurement.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -61,53 +58,17 @@ fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Which resident entry a full cache sacrifices.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict the least-recently-used entry (the default).
-    #[default]
-    Lru,
-    /// Evict the entry that was *cheapest to compute* first (by the
-    /// exploration duration each entry carries; ties and unmeasured
-    /// entries fall back to least-recently-used). Keeps the results
-    /// that would hurt most to recompute resident, at the price of an
-    /// O(entries) victim scan per eviction.
-    Cost,
-}
-
-impl EvictionPolicy {
-    /// Stable textual label (used by the `--cache-policy` CLI flag).
-    pub fn label(self) -> &'static str {
-        match self {
-            EvictionPolicy::Lru => "lru",
-            EvictionPolicy::Cost => "cost",
-        }
-    }
-
-    /// Parse a [`EvictionPolicy::label`] string.
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "lru" => Some(EvictionPolicy::Lru),
-            "cost" => Some(EvictionPolicy::Cost),
-            _ => None,
-        }
-    }
-}
-
 /// Capacity bounds for a [`DseCache`]. `None` means unbounded.
 ///
-/// `policy` is only the *initial* eviction policy: a live cache can be
-/// retuned at runtime via [`DseCache::set_policy`] (the `set-policy`
-/// admin verb); [`DseCache::policy`] reports the one currently in
-/// force.
+/// These are only the *initial* bounds: a live cache can be retuned at
+/// runtime via [`DseCache::set_bounds`] (the `set-bounds` admin verb);
+/// [`DseCache::bounds`] reports the ones currently in force.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Maximum number of resident entries.
     pub max_entries: Option<usize>,
     /// Maximum approximate resident bytes (keys + values).
     pub max_bytes: Option<usize>,
-    /// Which entry to sacrifice when a bound is exceeded.
-    pub policy: EvictionPolicy,
 }
 
 impl CacheConfig {
@@ -125,12 +86,6 @@ impl CacheConfig {
     /// Bound the approximate resident bytes.
     pub fn with_max_bytes(mut self, n: usize) -> Self {
         self.max_bytes = Some(n);
-        self
-    }
-
-    /// Choose the eviction policy.
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
         self
     }
 }
@@ -168,10 +123,6 @@ pub struct CacheStats {
     pub refreshes: u64,
     /// Entries evicted to satisfy the capacity bounds.
     pub evictions: u64,
-    /// Evictions whose victim was chosen by the cost-aware policy
-    /// (cheapest recorded exploration first) rather than pure recency.
-    /// A subset of `evictions`; always 0 under [`EvictionPolicy::Lru`].
-    pub cost_evictions: u64,
     /// Distinct entries currently stored.
     pub entries: usize,
     /// Approximate bytes currently resident (keys + values).
@@ -212,16 +163,12 @@ impl CacheStats {
 /// Sentinel index for "no node" in the intrusive LRU list.
 const NIL: usize = usize::MAX;
 
-/// One resident entry: the value plus its LRU-list links and the
-/// duration of the exploration that originally produced it.
+/// One resident entry: the value plus its LRU-list links.
 #[derive(Debug)]
 struct Entry {
     key: String,
     value: LayerDseResult,
     bytes: usize,
-    /// Nanoseconds the original exploration took (0 = never measured,
-    /// e.g. direct [`DseCache::insert`]). Survives store round trips.
-    compute_ns: u64,
     prev: usize,
     next: usize,
 }
@@ -260,10 +207,6 @@ struct Inner {
     bytes: usize,
     /// key → in-flight computation for single-flight coalescing.
     inflight: HashMap<String, Arc<Flight>>,
-    /// The eviction policy currently in force (initialized from
-    /// [`CacheConfig::policy`], swappable at runtime via
-    /// [`DseCache::set_policy`]).
-    policy: EvictionPolicy,
     /// The entry cap currently in force (initialized from
     /// [`CacheConfig::max_entries`], retunable at runtime via
     /// [`DseCache::set_bounds`]).
@@ -278,7 +221,6 @@ struct Inner {
     bypasses: u64,
     refreshes: u64,
     evictions: u64,
-    cost_evictions: u64,
     store_hits: u64,
     store_misses: u64,
     store_errors: u64,
@@ -293,7 +235,6 @@ impl Inner {
             head: NIL,
             tail: NIL,
             free: NIL,
-            policy: config.policy,
             max_entries: config.max_entries,
             max_bytes: config.max_bytes,
             ..Inner::default()
@@ -407,9 +348,6 @@ impl Inner {
             let old_bytes = e.bytes;
             e.value = value;
             e.bytes = bytes;
-            if compute_ns > 0 {
-                e.compute_ns = compute_ns;
-            }
             self.bytes = self.bytes - old_bytes + bytes;
             self.touch(index);
         } else {
@@ -418,7 +356,6 @@ impl Inner {
                 key: key.clone(),
                 value,
                 bytes,
-                compute_ns,
                 prev: NIL,
                 next: NIL,
             };
@@ -446,42 +383,12 @@ impl Inner {
             || self.max_bytes.is_some_and(|n| self.bytes > n)
     }
 
-    /// The victim under the cost-aware policy: the entry with the
-    /// smallest recorded exploration duration (unmeasured entries count
-    /// as free), ties broken toward the least recently used. Walks the
-    /// intrusive list tail-to-head so the tie-break falls out of the
-    /// strict `<`.
-    fn cost_victim(&self) -> usize {
-        let mut victim = self.tail;
-        let mut victim_cost = self.entry(victim).compute_ns;
-        let mut cursor = self.entry(victim).prev;
-        while cursor != NIL {
-            let e = self.entry(cursor);
-            if e.compute_ns < victim_cost {
-                victim = cursor;
-                victim_cost = e.compute_ns;
-            }
-            cursor = e.prev;
-        }
-        victim
-    }
-
-    /// Evict until the **live** bounds hold — the construction-time
-    /// config is consulted only at [`Inner::new`]; `set-bounds` retunes
-    /// the copies kept here.
+    /// Evict least-recently-used entries until the **live** bounds
+    /// hold — the construction-time config is consulted only at
+    /// [`Inner::new`]; `set-bounds` retunes the copies kept here.
     fn enforce_bounds(&mut self) {
         while self.over_bounds() && self.tail != NIL {
-            // The *live* policy, not the construction-time one: an
-            // operator's `set-policy` takes effect on the very next
-            // eviction.
-            let victim = match self.policy {
-                EvictionPolicy::Lru => self.tail,
-                EvictionPolicy::Cost => {
-                    self.cost_evictions += 1;
-                    self.cost_victim()
-                }
-            };
-            self.remove(victim);
+            self.remove(self.tail);
             self.evictions += 1;
         }
     }
@@ -551,9 +458,8 @@ impl DseCache {
         let _ = self.metrics.set(metrics);
     }
 
-    /// The capacity bounds the cache was *constructed* with (and its
-    /// initial policy). Runtime retunes are visible through
-    /// [`DseCache::bounds`] and [`DseCache::policy`] instead.
+    /// The capacity bounds the cache was *constructed* with. Runtime
+    /// retunes are visible through [`DseCache::bounds`] instead.
     pub fn config(&self) -> CacheConfig {
         self.config
     }
@@ -565,8 +471,8 @@ impl DseCache {
     }
 
     /// Retune the live capacity bounds, effective immediately: if the
-    /// resident set exceeds a shrunk cap, entries are evicted (under
-    /// the live eviction policy) until the new bounds hold — no
+    /// resident set exceeds a shrunk cap, least-recently-used entries
+    /// are evicted until the new bounds hold — no
     /// restart, no flush of what still fits. For each bound, `None`
     /// keeps the current value, `Some(None)` removes the cap, and
     /// `Some(Some(n))` sets it. Returns the previous
@@ -589,19 +495,6 @@ impl DseCache {
         let evictions_before = inner.evictions;
         inner.enforce_bounds();
         (previous, inner.evictions - evictions_before)
-    }
-
-    /// The eviction policy currently in force.
-    pub fn policy(&self) -> EvictionPolicy {
-        lock_recovered(&self.inner).policy
-    }
-
-    /// Swap the eviction policy on the live cache, effective on the
-    /// next eviction — no restart, no flush; resident entries and every
-    /// counter survive. Returns the policy that was previously in
-    /// force. This is the `set-policy` admin verb's backing operation.
-    pub fn set_policy(&self, policy: EvictionPolicy) -> EvictionPolicy {
-        std::mem::replace(&mut lock_recovered(&self.inner).policy, policy)
     }
 
     /// The persistent store tier, if one is attached.
@@ -662,9 +555,9 @@ impl DseCache {
     /// consults the persistent store tier (when attached): a store hit
     /// is decoded, promoted into the resident tier, and shared with
     /// waiters without any exploration. Otherwise the leader runs
-    /// `compute` with no cache lock held — timing it, so the entry
-    /// carries its exploration cost — and writes the result through to
-    /// the store; callers that arrive while the computation is in
+    /// `compute` with no cache lock held — timing it, so the stats and
+    /// the stored record carry its exploration cost — and writes the
+    /// result through to the store; callers that arrive while the computation is in
     /// flight block until it finishes and share its result (or its
     /// error). A leader that *panics* wakes every waiter with an error
     /// — waiters never hang — and the panic is converted into a
@@ -870,7 +763,6 @@ impl DseCache {
             bypasses: inner.bypasses,
             refreshes: inner.refreshes,
             evictions: inner.evictions,
-            cost_evictions: inner.cost_evictions,
             entries: inner.map.len(),
             bytes: inner.bytes,
             store_hits: inner.store_hits,
@@ -946,7 +838,6 @@ impl DseCache {
         inner.bypasses = 0;
         inner.refreshes = 0;
         inner.evictions = 0;
-        inner.cost_evictions = 0;
         inner.store_hits = 0;
         inner.store_misses = 0;
         inner.store_errors = 0;
@@ -1152,104 +1043,6 @@ mod tests {
         assert_eq!(cache.stats().misses, 2);
     }
 
-    /// Populate `key` through get_or_compute with an artificially slow
-    /// (or instant) exploration, so the entry carries a controlled
-    /// compute duration.
-    fn compute_with_cost(cache: &DseCache, key: &str, slow: bool) {
-        cache
-            .get_or_compute(key, || {
-                if slow {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                Ok(result(key))
-            })
-            .unwrap();
-    }
-
-    #[test]
-    fn cost_policy_evicts_cheapest_entry_first() {
-        let cache = DseCache::with_config(
-            CacheConfig::unbounded()
-                .with_max_entries(2)
-                .with_policy(EvictionPolicy::Cost),
-        );
-        compute_with_cost(&cache, "expensive-old", true);
-        compute_with_cost(&cache, "expensive-new", true);
-        // The third entry computes in microseconds — it is the cheapest
-        // of the three and is sacrificed, even though it is the most
-        // recently used; an LRU cache would have kept it and dropped
-        // "expensive-old" instead.
-        compute_with_cost(&cache, "cheap", false);
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.cost_evictions, 1);
-        assert!(cache.get("cheap").is_none(), "cheapest entry was evicted");
-        assert!(cache.get("expensive-old").is_some());
-        assert!(cache.get("expensive-new").is_some());
-    }
-
-    #[test]
-    fn cost_policy_breaks_ties_toward_least_recently_used() {
-        // Direct inserts carry no measurement: every entry costs 0, so
-        // the cost policy degenerates to LRU — and counts its choices.
-        let cache = DseCache::with_config(
-            CacheConfig::unbounded()
-                .with_max_entries(2)
-                .with_policy(EvictionPolicy::Cost),
-        );
-        cache.insert("k1".into(), result("a"));
-        cache.insert("k2".into(), result("b"));
-        assert!(cache.get("k1").is_some(), "refresh k1's recency");
-        cache.insert("k3".into(), result("c"));
-        assert!(cache.get("k2").is_none(), "tie fell back to LRU order");
-        assert!(cache.get("k1").is_some());
-        assert!(cache.get("k3").is_some());
-        assert_eq!(cache.stats().cost_evictions, 1);
-        cache.clear();
-        assert_eq!(cache.stats().cost_evictions, 0);
-    }
-
-    #[test]
-    fn lru_policy_never_counts_cost_evictions() {
-        let cache = DseCache::with_config(CacheConfig::unbounded().with_max_entries(1));
-        cache.insert("k1".into(), result("a"));
-        cache.insert("k2".into(), result("b"));
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.cost_evictions, 0);
-    }
-
-    #[test]
-    fn set_policy_takes_effect_on_the_next_eviction_without_a_restart() {
-        let cache = DseCache::with_config(CacheConfig::unbounded().with_max_entries(2));
-        assert_eq!(cache.policy(), EvictionPolicy::Lru);
-        compute_with_cost(&cache, "expensive-a", true);
-        compute_with_cost(&cache, "expensive-b", true);
-        compute_with_cost(&cache, "cheap-1", false);
-        // Under LRU the cheap entry (most recent) survives.
-        assert!(cache.get("cheap-1").is_some());
-        assert_eq!(cache.stats().cost_evictions, 0);
-
-        // Flip the live cache to cost-aware eviction: entries, counters
-        // and recency all survive the swap.
-        assert_eq!(cache.set_policy(EvictionPolicy::Cost), EvictionPolicy::Lru);
-        assert_eq!(cache.policy(), EvictionPolicy::Cost);
-        let before = cache.stats();
-        compute_with_cost(&cache, "cheap-2", false);
-        let after = cache.stats();
-        assert_eq!(after.cost_evictions, before.cost_evictions + 1);
-        assert!(
-            cache.get("expensive-b").is_some(),
-            "cost policy keeps the expensive entry an LRU would have dropped"
-        );
-
-        // And back again: evictions return to pure recency.
-        cache.set_policy(EvictionPolicy::Lru);
-        compute_with_cost(&cache, "cheap-3", false);
-        assert_eq!(cache.stats().cost_evictions, after.cost_evictions);
-    }
-
     #[test]
     fn bypass_mode_neither_reads_nor_writes_the_cache() {
         let store = temp_store();
@@ -1352,15 +1145,6 @@ mod tests {
         // Longer keys cost more: both resident copies are charged.
         let longer = approx_entry_bytes("0123456789abcdef", &result("x"));
         assert_eq!(longer - bytes, 12);
-    }
-
-    #[test]
-    fn eviction_policy_labels_round_trip() {
-        for policy in [EvictionPolicy::Lru, EvictionPolicy::Cost] {
-            assert_eq!(EvictionPolicy::from_label(policy.label()), Some(policy));
-        }
-        assert_eq!(EvictionPolicy::from_label("mru"), None);
-        assert_eq!(CacheConfig::default().policy, EvictionPolicy::Lru);
     }
 
     fn temp_store() -> Arc<Store> {

@@ -2,19 +2,8 @@
 //! `drmap-batch` binaries: flag values and the `drmap-batch --admin`
 //! command language.
 
-use crate::cache::EvictionPolicy;
 use crate::faults::FaultPlan;
 use crate::proto::{BoundsUpdate, OverloadUpdate};
-
-/// Parse a `--cache-policy` value: `lru` or `cost`.
-///
-/// # Errors
-///
-/// Returns `"invalid <flag> value <value> …"` for anything else.
-pub fn parse_cache_policy(flag: &str, value: &str) -> Result<EvictionPolicy, String> {
-    EvictionPolicy::from_label(value)
-        .ok_or_else(|| format!("invalid {flag} value {value:?} (expected \"lru\" or \"cost\")"))
-}
 
 /// Parse a flag value as a positive integer, rejecting zero, negatives,
 /// and garbage with a uniform error message.
@@ -41,8 +30,6 @@ pub enum AdminCmd {
     Ping,
     /// `stats` — extended stats with the active configuration.
     Stats,
-    /// `set-policy=lru|cost` — swap the eviction policy.
-    SetPolicy(EvictionPolicy),
     /// `set-bounds=entries:N|bytes:N[,…]` — retune the cache bounds
     /// (`0` clears a bound to unbounded).
     SetBounds(BoundsUpdate),
@@ -247,13 +234,6 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
             None => Ok(AdminCmd::CacheWarm(None)),
             Some(v) => Ok(AdminCmd::CacheWarm(Some(parse_positive("cache-warm", v)?))),
         },
-        "set-policy" => {
-            let value = value.ok_or("set-policy needs a value (set-policy=lru|cost)")?;
-            Ok(AdminCmd::SetPolicy(parse_cache_policy(
-                "set-policy",
-                value,
-            )?))
-        }
         "set-bounds" => {
             let value = value.ok_or(
                 "set-bounds needs a value, e.g. set-bounds=entries:512,bytes:1048576 \
@@ -285,9 +265,9 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
             Ok(AdminCmd::SetBounds(update))
         }
         other => Err(format!(
-            "unknown admin command {other:?} (expected hello, ping, stats, set-policy, \
-             set-bounds, set-slow-log, set-faults, set-overload, cache-clear, cache-warm, \
-             store-compact, metrics, metrics-history, slow-traces, or shutdown)"
+            "unknown admin command {other:?} (expected hello, ping, stats, set-bounds, \
+             set-slow-log, set-faults, set-overload, cache-clear, cache-warm, store-compact, \
+             metrics, metrics-history, slow-traces, or shutdown)"
         )),
     }
 }
@@ -306,10 +286,6 @@ mod tests {
         assert_eq!(
             parse_admin_command("cache-warm=50"),
             Ok(AdminCmd::CacheWarm(Some(50)))
-        );
-        assert_eq!(
-            parse_admin_command("set-policy=cost"),
-            Ok(AdminCmd::SetPolicy(EvictionPolicy::Cost))
         );
         assert_eq!(
             parse_admin_command("store-compact"),
@@ -375,8 +351,6 @@ mod tests {
         );
         for bad in [
             "reboot",
-            "set-policy",
-            "set-policy=mru",
             "ping=1",
             "cache-warm=zero",
             "metrics=all",
@@ -406,20 +380,6 @@ mod tests {
         ] {
             assert!(parse_admin_command(bad).is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn cache_policy_parses_both_labels() {
-        assert_eq!(
-            parse_cache_policy("--cache-policy", "lru"),
-            Ok(EvictionPolicy::Lru)
-        );
-        assert_eq!(
-            parse_cache_policy("--cache-policy", "cost"),
-            Ok(EvictionPolicy::Cost)
-        );
-        let err = parse_cache_policy("--cache-policy", "mru").unwrap_err();
-        assert!(err.contains("--cache-policy"), "{err}");
     }
 
     #[test]

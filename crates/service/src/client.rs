@@ -14,17 +14,13 @@
 //!   sum of all of them.
 //! * **Admin** — [`Client::hello`] opens the handshake of
 //!   [`crate::proto`]'s versioned protocol, [`Client::submit_with`]
-//!   attaches per-job options, and [`Client::set_policy`],
-//!   [`Client::set_bounds`], [`Client::cache_clear`],
-//!   [`Client::cache_warm`], [`Client::compact_store`],
+//!   attaches per-job options, and [`Client::set_bounds`],
+//!   [`Client::cache_clear`], [`Client::cache_warm`], [`Client::compact_store`],
 //!   [`Client::stats_report`], [`Client::metrics`],
 //!   [`Client::metrics_history`], [`Client::slow_traces`], and
 //!   [`Client::set_slow_log`] drive a live server's control plane.
 //!
-//! [`Client::set_binary`] switches outgoing requests to the
-//! length-prefixed binary frame encoding (see [`crate::wire`]), which
-//! avoids line-scanning for jobs carrying large inline networks;
-//! responses self-describe, so both encodings are always accepted.
+//! Every message travels as one line of JSON text (see [`crate::wire`]).
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -43,12 +39,12 @@ use crate::proto::{
     StatsReport, PROTOCOL_VERSION,
 };
 use crate::spec::{JobOptions, JobResult, JobSpec};
-use crate::wire::{self, Encoding};
+use crate::wire;
 
 /// Socket-level tunables of a [`Client`] connection. The defaults keep
 /// the pre-timeout behavior: block indefinitely on connect, read, and
-/// write — explicit timeouts turn silent stalls into the typed,
-/// [retryable](ServiceError::is_retryable) [`ServiceError::Timeout`].
+/// write — explicit timeouts turn silent stalls into the typed
+/// [`ServiceError::Timeout`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientConfig {
     /// Bound on establishing the TCP connection (`None`: OS default).
@@ -137,7 +133,6 @@ impl HelloInfo {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    encoding: Encoding,
 }
 
 impl Client {
@@ -185,30 +180,17 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
-            encoding: Encoding::Text,
         })
     }
 
-    /// Send subsequent requests as length-prefixed binary frames
-    /// (`true`) or newline-delimited text (`false`, the default).
-    /// Incoming responses self-describe and are always accepted in
-    /// either encoding.
-    pub fn set_binary(&mut self, binary: bool) {
-        self.encoding = if binary {
-            Encoding::Binary
-        } else {
-            Encoding::Text
-        };
-    }
-
-    /// Write one request to the wire (in the current encoding) without
-    /// waiting for any response — the pipelining primitive.
+    /// Write one request to the wire without waiting for any response
+    /// — the pipelining primitive.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn send(&mut self, payload: &Json) -> Result<(), ServiceError> {
-        wire::write_message(&mut self.writer, &payload.render(), self.encoding)
+        wire::write_message_reusing(&mut self.writer, &mut Vec::new(), &payload.render())
     }
 
     /// Read the next response from the wire, whichever request it
@@ -256,14 +238,14 @@ impl Client {
     /// Public so layered tiers (`drmap-router`'s admin fan-out) can
     /// send verbs this client has no dedicated wrapper for.
     pub fn typed_request(&mut self, request: &Request) -> Result<Response, ServiceError> {
-        wire::write_request(&mut self.writer, request, self.encoding)?;
+        wire::write_request(&mut self.writer, request)?;
         Self::lift_failure(self.recv_response()?)
     }
 
     /// Read and decode the next response, whichever request it answers.
     fn recv_response(&mut self) -> Result<Response, ServiceError> {
         match wire::read_response(&mut self.reader)? {
-            Some((response, _)) => Ok(response),
+            Some(response) => Ok(response),
             None => Err(ServiceError::protocol("server closed the connection")),
         }
     }
@@ -375,22 +357,6 @@ impl Client {
         }
     }
 
-    /// Swap the live server's cache eviction policy. Returns the policy
-    /// that was previously in force.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed responses or server-side errors.
-    pub fn set_policy(
-        &mut self,
-        policy: crate::cache::EvictionPolicy,
-    ) -> Result<crate::cache::EvictionPolicy, ServiceError> {
-        match self.typed_request(&Request::SetPolicy { id: None, policy })? {
-            Response::PolicySet { previous, .. } => Ok(previous),
-            other => Err(Self::unexpected("set-policy", &other)),
-        }
-    }
-
     /// Drop every resident cache entry on the server (the persistent
     /// store tier is untouched).
     ///
@@ -452,7 +418,7 @@ impl Client {
     }
 
     /// Fetch the stats report: every counter plus the **active
-    /// configuration** (live eviction policy, cache bounds).
+    /// configuration** (live cache bounds).
     ///
     /// # Errors
     ///
@@ -616,7 +582,7 @@ impl Client {
         while received < specs.len() {
             while sent < specs.len() && sent - received < Self::PIPELINE_WINDOW {
                 let request = Request::Submit(specs[sent].clone());
-                wire::write_request(&mut self.writer, &request, self.encoding)?;
+                wire::write_request(&mut self.writer, &request)?;
                 sent += 1;
             }
             let response = self.recv_response()?;

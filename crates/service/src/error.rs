@@ -17,8 +17,8 @@ pub enum ServiceError {
     Io(std::io::Error),
     /// A socket read/write exceeded its configured timeout — the
     /// peer stalled, not necessarily died. Distinct from [`Io`]
-    /// (ServiceError::Io) so retry policies can treat a stall as
-    /// retryable without pattern-matching error strings.
+    /// (ServiceError::Io) so a caller can tell a stall from a dead peer
+    /// without pattern-matching error strings.
     Timeout(String),
     /// The job's `deadline_ms` elapsed before the result was computed;
     /// the server abandoned the remaining work instead of computing a
@@ -50,16 +50,6 @@ impl ServiceError {
     /// A socket-timeout error with the given context.
     pub fn timeout(message: impl Into<String>) -> Self {
         ServiceError::Timeout(message.into())
-    }
-
-    /// Whether retrying this error can help: stalls and shed load are
-    /// transient; protocol and exploration failures are deterministic
-    /// (the same request fails the same way again).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ServiceError::Timeout(_) | ServiceError::Overloaded { .. } | ServiceError::Io(_)
-        )
     }
 }
 
@@ -174,10 +164,6 @@ mod tests {
         // A message that merely mentions deadlines is not lifted.
         let plain = DseError::new("deadline exceeded after lunch");
         assert!(matches!(ServiceError::from(plain), ServiceError::Dse(_)));
-        assert!(ServiceError::timeout("read").is_retryable());
-        assert!(ServiceError::Overloaded { retry_after_ms: 5 }.is_retryable());
-        assert!(!ServiceError::DeadlineExceeded { deadline_ms: 1 }.is_retryable());
-        assert!(!ServiceError::protocol("bad").is_retryable());
     }
 
     #[test]

@@ -45,15 +45,14 @@
 //!   declared once, as a field table both codec directions are
 //!   generated from; a `hello` handshake advertising
 //!   [`PROTOCOL_VERSION`](proto::PROTOCOL_VERSION) and capabilities,
-//!   admin verbs (`set-policy`, `set-bounds`, `cache-clear`/`cache-warm`,
+//!   admin verbs (`set-bounds`, `cache-clear`/`cache-warm`,
 //!   `store-compact`, `metrics`), and per-job options;
 //! * [`server`]/[`client`] — a hand-rolled, std-only, **pipelined**
 //!   TCP front-end: submit many jobs tagged by `id`, receive responses
 //!   out of order as they complete; the client grows typed admin
-//!   methods (`hello`, `set_policy`, `set_bounds`, …);
-//! * [`wire`] — the one codec over both encodings: newline-delimited
-//!   text plus a length-prefixed binary frame mode for large inline
-//!   networks;
+//!   methods (`hello`, `set_bounds`, `metrics`, …);
+//! * [`wire`] — the one codec: newline-delimited JSON text, one message
+//!   per line;
 //! * [`json`] — the dependency-free JSON layer (floats round-trip
 //!   bit-exactly);
 //! * [`loadgen`] — what `benchmark/` builds its load plans from: the
@@ -119,7 +118,7 @@ pub mod wire;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::cache::{CacheConfig, CacheOutcome, CacheStats, DseCache, EvictionPolicy};
+    pub use crate::cache::{CacheConfig, CacheOutcome, CacheStats, DseCache};
     pub use crate::client::{Client, ClientConfig, RetryPolicy};
     pub use crate::engine::{default_workers, EngineFactory, ServiceState};
     pub use crate::error::ServiceError;
@@ -135,7 +134,6 @@ pub mod prelude {
     pub use crate::spec::{
         CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome, Workload,
     };
-    pub use crate::wire::Encoding;
     pub use drmap_cnn::network::Network;
     pub use drmap_store::store::Store;
     pub use drmap_telemetry::{

@@ -33,9 +33,8 @@
 //! the `id` accessors are all generated from the same rows, so a field
 //! cannot be written under one name and read under another.
 //!
-//! Messages travel in either encoding of [`crate::wire`]
-//! (newline-delimited JSON text or length-prefixed binary frames); a
-//! response always uses the encoding of its request.
+//! Messages travel as newline-delimited JSON text (see
+//! [`crate::wire`]).
 //!
 //! See `docs/PROTOCOL.md` for the full verb-by-verb reference.
 
@@ -44,7 +43,7 @@ use drmap_telemetry::{
     HistogramSnapshot, MetricsSnapshot, SlowEntry, SnapshotHistory, SnapshotSample,
 };
 
-use crate::cache::{CacheStats, EvictionPolicy};
+use crate::cache::CacheStats;
 use crate::error::ServiceError;
 use crate::json::Json;
 use crate::overload::OverloadConfig;
@@ -76,7 +75,6 @@ pub fn capabilities(store_attached: bool) -> Vec<String> {
     let mut caps = vec![
         "jobs".to_owned(),
         "pipelining".to_owned(),
-        "binary-frames".to_owned(),
         "per-job-options".to_owned(),
         "admin".to_owned(),
         "metrics".to_owned(),
@@ -96,8 +94,8 @@ pub fn capabilities(store_attached: bool) -> Vec<String> {
 }
 
 /// The capability string `drmap-router` adds to the backend
-/// intersection it advertises, so clients (and the loadgen's
-/// environment block) can tell a cluster tier from a single node.
+/// intersection it advertises, so clients can tell a cluster tier from
+/// a single node.
 /// Backends never advertise it.
 pub const ROUTER_CAPABILITY: &str = "router";
 
@@ -223,8 +221,8 @@ pub enum Request {
         /// Optional correlation id, echoed in the response.
         id: Option<u64>,
     },
-    /// Fetch counters plus the **active configuration** (live eviction
-    /// policy, cache bounds, protocol version).
+    /// Fetch counters plus the **active configuration** (live cache
+    /// bounds, protocol version).
     Stats {
         /// Optional correlation id, echoed in the response.
         id: Option<u64>,
@@ -233,13 +231,6 @@ pub enum Request {
     Shutdown {
         /// Optional correlation id, echoed in the response.
         id: Option<u64>,
-    },
-    /// Swap the cache's eviction policy on the live server.
-    SetPolicy {
-        /// Optional correlation id, echoed in the response.
-        id: Option<u64>,
-        /// The policy to switch to.
-        policy: EvictionPolicy,
     },
     /// Drop every resident cache entry and zero the counters (the
     /// persistent store tier is untouched).
@@ -337,9 +328,6 @@ pub enum Request {
 pub struct StatsReport {
     /// Cache counters and sizes.
     pub cache: CacheStats,
-    /// The eviction policy currently in force (live, not the boot
-    /// value).
-    pub policy: EvictionPolicy,
     /// Resident-entry bound, if any.
     pub max_entries: Option<usize>,
     /// Approximate-byte bound, if any.
@@ -412,15 +400,6 @@ pub enum Response {
     Shutdown {
         /// Echoed request id.
         id: Option<u64>,
-    },
-    /// `set-policy` applied.
-    PolicySet {
-        /// Echoed request id.
-        id: Option<u64>,
-        /// The policy now in force.
-        policy: EvictionPolicy,
-        /// The policy that was in force before.
-        previous: EvictionPolicy,
     },
     /// `cache clear` done.
     CacheCleared {
@@ -597,18 +576,6 @@ wire_scalars! {
     bool: "a boolean", |b: &bool| Json::Bool(*b), Json::as_bool;
     String: "a string", |s: &String| Json::str(s.as_str()),
         |v: &Json| v.as_str().map(str::to_owned);
-}
-
-impl Wire for EvictionPolicy {
-    fn to_json(&self) -> Json {
-        Json::str(self.label())
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let label = v.as_str().ok_or("expected a string")?;
-        EvictionPolicy::from_label(label).ok_or_else(|| {
-            format!("unknown eviction policy {label:?} (expected \"lru\" or \"cost\")")
-        })
-    }
 }
 
 impl<T: Wire> Wire for Vec<T> {
@@ -906,17 +873,16 @@ wire_object! { "compaction report" CompactReport => {
 // spelled-out shape.
 wire_object! { report: "stats" StatsReport {
     cache: CacheStats {
-        hits, misses, coalesced, bypasses, refreshes, evictions, cost_evictions, entries,
-        bytes, store_hits, store_misses, store_errors, compute_ns_min, compute_ns_max,
-        compute_ns_total,
+        hits, misses, coalesced, bypasses, refreshes, evictions, entries, bytes, store_hits,
+        store_misses, store_errors, compute_ns_min, compute_ns_max, compute_ns_total,
     },
-    policy, max_entries, max_bytes, workers, store, backends,
+    max_entries, max_bytes, workers, store, backends,
 } => {
-    req hits, req misses, req coalesced, req evictions, req cost_evictions, req entries,
+    req hits, req misses, req coalesced, req evictions, req entries,
     req bytes, out "hit_rate" = report.cache.hit_rate(), req workers,
     req store_hits, req store_misses, req store_errors,
     req compute_ns_min, req compute_ns_max, req compute_ns_total,
-    req bypasses, req refreshes, req policy, null max_entries, null max_bytes,
+    req bypasses, req refreshes, null max_entries, null max_bytes,
     out "protocol_version" = PROTOCOL_VERSION,
     // Only router reports carry `backends`, only store-backed servers
     // `store`.
@@ -952,7 +918,6 @@ wire_messages! { requests Request, "request";
     "ping"             [None]                     Ping { id }                     => { opt id }
     "stats"            [None]                     Stats { id }                    => { opt id }
     "shutdown"         [None]                     Shutdown { id }                 => { opt id }
-    "set-policy"       [Some("admin")]            SetPolicy { id, policy }        => { opt id, req policy }
     "cache-clear"      [Some("admin")]            CacheClear { id }               => { opt id }
     "cache-warm"       [Some("store")]            CacheWarm { id, limit }         => { opt id, opt limit }
     "store-compact"    [Some("store")]            StoreCompact { id, auto_ratio } => { opt id, opt auto_ratio }
@@ -973,9 +938,6 @@ wire_messages! { Response, "response";
     "pong" Pong { id } => { out "ok" = true, opt id }
     "stats" Stats { id, report } => { out "ok" = true, opt id, req report as "stats" }
     "shutdown" Shutdown { id } => { out "ok" = true, opt id, out "shutdown" = true }
-    "policy-set" PolicySet { id, policy, previous } => {
-        out "ok" = true, opt id, req policy, req previous,
-    }
     "cache-cleared" CacheCleared { id } => { out "ok" = true, opt id }
     "cache-warmed" CacheWarmed { id, loaded } => { out "ok" = true, opt id, req loaded }
     "store-compacted" StoreCompacted { id, report } => { out "ok" = true, opt id, flat report }
@@ -1112,14 +1074,6 @@ mod tests {
             Request::Ping { id: None },
             Request::Stats { id: Some(8) },
             Request::Shutdown { id: None },
-            Request::SetPolicy {
-                id: Some(3),
-                policy: EvictionPolicy::Cost,
-            },
-            Request::SetPolicy {
-                id: None,
-                policy: EvictionPolicy::Lru,
-            },
             Request::CacheClear { id: Some(9) },
             Request::CacheWarm {
                 id: Some(10),
@@ -1262,7 +1216,6 @@ mod tests {
                 bypasses: 1,
                 refreshes: 1,
                 evictions: 3,
-                cost_evictions: 2,
                 entries: 5,
                 bytes: 4096,
                 store_hits: 1,
@@ -1272,7 +1225,6 @@ mod tests {
                 compute_ns_max: 9_000,
                 compute_ns_total: 20_000,
             },
-            policy: EvictionPolicy::Cost,
             max_entries: Some(512),
             max_bytes: None,
             workers: 8,
@@ -1293,7 +1245,6 @@ mod tests {
         };
         let bare_stats = StatsReport {
             cache: CacheStats::default(),
-            policy: EvictionPolicy::Lru,
             max_entries: None,
             max_bytes: Some(1 << 20),
             workers: 2,
@@ -1325,11 +1276,6 @@ mod tests {
                 report: bare_stats,
             },
             Response::Shutdown { id: None },
-            Response::PolicySet {
-                id: Some(4),
-                policy: EvictionPolicy::Cost,
-                previous: EvictionPolicy::Lru,
-            },
             Response::CacheCleared { id: Some(5) },
             Response::CacheWarmed {
                 id: None,

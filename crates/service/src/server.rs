@@ -16,19 +16,19 @@
 //! `id`. In particular a fully resident job is answered at submission
 //! and overtakes cold jobs queued ahead of it.
 //!
-//! Requests are typed `{"type": …}` messages in either encoding of
-//! [`crate::wire`]; a response always uses the encoding of its request,
-//! and anything that does not decode — unparsable JSON, no `"type"`, an
-//! unknown verb — is answered with a typed error on a connection that
-//! stays open. Dispatch is an exhaustive `match` over [`Request`] —
-//! adding a verb without handling it does not compile.
+//! Requests are typed `{"type": …}` messages, one per line (see
+//! [`crate::wire`]); anything that does not decode — unparsable JSON,
+//! no `"type"`, an unknown verb — is answered with a typed error on a
+//! connection that stays open. Dispatch is an exhaustive `match` over
+//! [`Request`] — adding a verb without handling it does not compile.
 //!
-//! Control and admin requests (`hello`, `ping`, `stats`, `set-policy`,
-//! `set-bounds`, `set-slow-log`, `cache-clear`, `cache-warm`,
-//! `store-compact`, `metrics`, `metrics-history`, `slow-traces`,
-//! `shutdown`) answer inline in arrival order, but they may overtake or
-//! be overtaken by in-flight *job* responses. See `docs/PROTOCOL.md` for
-//! every verb with example request/response pairs.
+//! Control and admin requests (`hello`, `ping`, `stats`, `set-bounds`,
+//! `set-slow-log`, `set-faults`, `set-overload`, `cache-clear`,
+//! `cache-warm`, `store-compact`, `metrics`, `metrics-history`,
+//! `slow-traces`, `shutdown`) answer inline in arrival order, but they
+//! may overtake or be overtaken by in-flight *job* responses. See
+//! `docs/PROTOCOL.md` for every verb with example request/response
+//! pairs.
 //!
 //! Every layer of the request path is instrumented through the pool's
 //! [`drmap_telemetry::MetricsRegistry`]: frame decode/encode, cache
@@ -58,7 +58,7 @@ use crate::proto::{
     PROTOCOL_VERSION,
 };
 use crate::spec::{JobResult, JobSpec};
-use crate::wire::{self, Encoding};
+use crate::wire;
 
 fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -287,7 +287,7 @@ impl JobServer {
 }
 
 /// Lets a connection handler stop the accept loop: sets the flag, then
-/// pokes the listener with a throwaway connection to unblock `accept`.
+/// wakes the listener ([`wire::wake_listener`]) to unblock `accept`.
 #[derive(Debug)]
 struct ConnectionShutdown {
     flag: Arc<AtomicBool>,
@@ -299,18 +299,7 @@ impl ConnectionShutdown {
         // ordering: Release pairs with the Acquire load in the accept
         // loop; nothing is published besides the flag itself.
         self.flag.store(true, Ordering::Release);
-        // A wildcard bind address (0.0.0.0 / ::) is not connectable on
-        // every platform; poke the listener via loopback instead.
-        let mut addr = self.addr;
-        if addr.ip().is_unspecified() {
-            let loopback: std::net::IpAddr = if addr.is_ipv4() {
-                std::net::Ipv4Addr::LOCALHOST.into()
-            } else {
-                std::net::Ipv6Addr::LOCALHOST.into()
-            };
-            addr.set_ip(loopback);
-        }
-        let _ = TcpStream::connect(addr);
+        wire::wake_listener(self.addr);
     }
 }
 
@@ -403,14 +392,8 @@ fn serve_connection(
 ) -> Result<(), ServiceError> {
     wire::configure_socket(&stream, None, None)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let (tx, rx) = channel::<(Json, Encoding)>();
-    let metrics = pool.state().metrics();
-    // Literal metric names (not `format!` over `Encoding::label`) so the
-    // `metrics-doc-drift` lint can see every registered name statically.
-    let frames_in = [
-        metrics.counter("frames_text_total"),
-        metrics.counter("frames_binary_total"),
-    ];
+    let (tx, rx) = channel::<Json>();
+    let frames_in = pool.state().metrics().counter("frames_text_total");
     let writer = {
         let slots = slots.clone();
         let state = Arc::clone(pool.state());
@@ -423,7 +406,7 @@ fn serve_connection(
             // the reader (possibly blocked in `acquire`) can run its
             // loop to the connection error and exit.
             let mut dead = false;
-            while let Ok((response, encoding)) = rx.recv() {
+            while let Ok(response) = rx.recv() {
                 if !dead {
                     // Wire-layer fault injection: an armed plan may
                     // drop this frame outright (the client sees a
@@ -441,12 +424,8 @@ fn serve_connection(
                         // connection; the response is simply lost.
                     } else {
                         let _encode = Span::enter("frame_encode", &frame_encode_ns);
-                        let written = wire::write_message_reusing(
-                            &mut out,
-                            &mut frame,
-                            &response.render(),
-                            encoding,
-                        );
+                        let written =
+                            wire::write_message_reusing(&mut out, &mut frame, &response.render());
                         if written.is_err() {
                             dead = true;
                         }
@@ -459,13 +438,9 @@ fn serve_connection(
     let mut stop = false;
     let result = loop {
         match wire::read_message(&mut reader) {
-            Ok(Some((payload, encoding))) => {
-                frames_in[match encoding {
-                    Encoding::Text => 0,
-                    Encoding::Binary => 1,
-                }]
-                .inc();
-                if dispatch_message(pool, &payload, encoding, &tx, &slots) {
+            Ok(Some((payload, _))) => {
+                frames_in.inc();
+                if dispatch_message(pool, &payload, &tx, &slots) {
                     stop = true;
                     break Ok(());
                 }
@@ -497,14 +472,13 @@ fn serve_connection(
 fn dispatch_message(
     pool: &Arc<DsePool>,
     payload: &str,
-    encoding: Encoding,
-    tx: &Sender<(Json, Encoding)>,
+    tx: &Sender<Json>,
     slots: &InflightSlots,
 ) -> bool {
     match route(pool, payload) {
         Routed::Answer(response, stop) => {
             slots.acquire();
-            let _ = tx.send((response.to_json(), encoding));
+            let _ = tx.send(response.to_json());
             slots.release_global();
             stop
         }
@@ -513,7 +487,7 @@ fn dispatch_message(
             let tx = tx.clone();
             let slots = slots.clone();
             start_job(pool, &job, decode_ns, move |response| {
-                let _ = tx.send((response.to_json(), encoding));
+                let _ = tx.send(response.to_json());
                 slots.release_global();
             });
             false
@@ -634,14 +608,13 @@ fn threshold_ms(threshold_ns: u64) -> Option<u64> {
 }
 
 /// A consistent snapshot of the server's counters and **active**
-/// configuration (live eviction policy, cache bounds), as carried by
-/// the typed `stats` response.
+/// configuration (live cache bounds), as carried by the typed `stats`
+/// response.
 pub fn stats_report(pool: &DsePool) -> StatsReport {
     let cache = pool.state().cache();
     let (max_entries, max_bytes) = cache.bounds();
     StatsReport {
         cache: cache.stats(),
-        policy: cache.policy(),
         max_entries,
         max_bytes,
         workers: pool.workers(),
@@ -680,14 +653,6 @@ fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
             report: stats_report(pool),
         },
         Request::Shutdown { id } => return (Response::Shutdown { id: *id }, true),
-        Request::SetPolicy { id, policy } => {
-            let previous = pool.state().cache().set_policy(*policy);
-            Response::PolicySet {
-                id: *id,
-                policy: *policy,
-                previous,
-            }
-        }
         Request::CacheClear { id } => {
             pool.state().cache().clear();
             Response::CacheCleared { id: *id }
@@ -899,14 +864,7 @@ mod tests {
         let (stats, _) = handle_request(&pool, r#"{"type": "stats"}"#);
         let stats = stats.get("stats").unwrap();
         assert_eq!(stats.get("workers").unwrap().as_usize(), Some(2));
-        for counter in [
-            "hits",
-            "misses",
-            "coalesced",
-            "evictions",
-            "cost_evictions",
-            "bytes",
-        ] {
+        for counter in ["hits", "misses", "coalesced", "evictions", "bytes"] {
             assert!(stats.get(counter).is_some(), "stats missing {counter}");
         }
 

@@ -1,64 +1,42 @@
-//! The wire codec shared by the server and client: one serializer for
-//! the typed protocol of [`crate::proto`], writing either
-//! newline-delimited JSON text or length-prefixed binary frames.
+//! The wire codec shared by the server, client and router: one
+//! serializer for the typed protocol of [`crate::proto`], writing
+//! newline-delimited JSON text.
 //!
-//! Every protocol message is a JSON document moving over TCP in one of
-//! two [`Encoding`]s, distinguishable by the first byte:
+//! Every protocol message is one JSON document on one line, terminated
+//! by `\n` — easy to drive from `nc`. Lines are capped at
+//! [`MAX_FRAME_BYTES`] so a newline-free stream cannot force an
+//! unbounded allocation. A message whose first byte is `0x00` — the
+//! marker of the length-prefixed binary frames this protocol once also
+//! spoke — is refused as a transport error that closes the connection:
+//! scanned as text, the frame's length bytes would become part of the
+//! document.
 //!
-//! * [`Encoding::Text`]: the document on one line, terminated by `\n`
-//!   — easy to drive from `nc`. A JSON document can never start with
-//!   byte `0x00`, so text messages never collide with the frame marker.
-//! * [`Encoding::Binary`]: marker byte `0x00`, a big-endian `u32`
-//!   payload length, then exactly that many bytes of JSON. Frames carry
-//!   large inline networks without line-scanning overhead and are
-//!   capped at [`MAX_FRAME_BYTES`] so an untrusted length header cannot
-//!   force an unbounded allocation.
-//!
-//! Either side may switch encodings per message; a response uses the
-//! encoding of the request it answers. The typed layer sits directly on
-//! top: [`write_request`]/[`read_request`] and
-//! [`write_response`]/[`read_response`] move [`Request`]s and
-//! [`Response`]s through **one codec** — the payload bytes are
-//! identical in both encodings, only the framing differs.
+//! The typed layer sits directly on top: [`write_request`]/
+//! [`read_request`] and [`write_response`]/[`read_response`] move
+//! [`Request`]s and [`Response`]s through **one codec**.
 
 use std::io::{BufRead, Write};
-use std::net::TcpStream;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::error::ServiceError;
 use crate::json::Json;
 use crate::proto::{DecodeError, Request, Response};
 
-/// How a message is framed on the wire. The JSON payload is the same in
-/// both; auto-detected per message on read from the first byte.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// How a message is framed on the wire. There is exactly one framing —
+/// newline-delimited JSON text — and nothing branches on it; the type
+/// survives only because [`write_message`] and [`read_message`] are
+/// pinned, with it in their signatures, by the frozen `benchmark/`
+/// harness (as [`crate::proto::Dialect`] is).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
-    /// Newline-delimited JSON text (the default).
-    #[default]
+    /// Newline-delimited JSON text.
     Text,
-    /// `0x00`-marked, length-prefixed binary frames.
-    Binary,
 }
-
-impl Encoding {
-    /// A stable lowercase name, used to label per-encoding metrics
-    /// (e.g. the server's `frames_text_total` / `frames_binary_total`
-    /// counters).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Encoding::Text => "text",
-            Encoding::Binary => "binary",
-        }
-    }
-}
-
-/// First byte of a binary frame. `0x00` can never begin a JSON text
-/// message.
-pub const FRAME_MARKER: u8 = 0x00;
 
 /// Lift socket-deadline failures into the typed
-/// [`ServiceError::Timeout`], so retry policies can tell a stalled
-/// peer from a dead one without string-matching. With
+/// [`ServiceError::Timeout`], so callers can tell a stalled peer from a
+/// dead one without string-matching. With
 /// `SO_RCVTIMEO`/`SO_SNDTIMEO` armed, the OS reports an expired
 /// deadline as `WouldBlock` (Unix) or `TimedOut` (Windows) — either
 /// may surface mid-message, including after a partial write that
@@ -72,31 +50,29 @@ fn timeout_aware(e: std::io::Error, context: &'static str) -> ServiceError {
     }
 }
 
-/// Upper bound on a binary frame's payload, defending against hostile
-/// length headers.
+/// Upper bound on one text message, defending against a peer that
+/// never sends a newline.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
-/// Write one message in the chosen encoding and flush: the whole frame
-/// — marker, length, payload, terminator — reaches `writer` as **one**
-/// `write_all`. On a socket that is one segment train per frame; split
-/// writes would park the tail behind Nagle's algorithm and the peer's
-/// delayed ACK (≈ 40 ms on Linux).
+/// Write one message and flush: payload and terminator reach `writer`
+/// as **one** `write_all`. On a socket that is one segment train per
+/// message; split writes would park the tail behind Nagle's algorithm
+/// and the peer's delayed ACK (≈ 40 ms on Linux).
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; rejects payloads beyond [`MAX_FRAME_BYTES`]
-/// in binary mode.
+/// Propagates I/O failures.
 pub fn write_message(
     writer: &mut impl Write,
     payload: &str,
-    encoding: Encoding,
+    _encoding: Encoding,
 ) -> Result<(), ServiceError> {
-    write_message_reusing(writer, &mut Vec::new(), payload, encoding)
+    write_message_reusing(writer, &mut Vec::new(), payload)
 }
 
-/// [`write_message`] assembling the frame in a caller-owned buffer, so
+/// [`write_message`] assembling the line in a caller-owned buffer, so
 /// a long-lived writer (the server's per-connection writer thread) pays
-/// for the frame allocation once, not per response.
+/// for the allocation once, not per response.
 ///
 /// # Errors
 ///
@@ -105,28 +81,11 @@ pub fn write_message_reusing(
     writer: &mut impl Write,
     frame: &mut Vec<u8>,
     payload: &str,
-    encoding: Encoding,
 ) -> Result<(), ServiceError> {
     frame.clear();
-    match encoding {
-        Encoding::Binary => {
-            if payload.len() > MAX_FRAME_BYTES {
-                return Err(ServiceError::protocol(format!(
-                    "frame payload of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
-                    payload.len()
-                )));
-            }
-            frame.reserve(payload.len() + 5);
-            frame.push(FRAME_MARKER);
-            frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            frame.extend_from_slice(payload.as_bytes());
-        }
-        Encoding::Text => {
-            frame.reserve(payload.len() + 1);
-            frame.extend_from_slice(payload.as_bytes());
-            frame.push(b'\n');
-        }
-    }
+    frame.reserve(payload.len() + 1);
+    frame.extend_from_slice(payload.as_bytes());
+    frame.push(b'\n');
     writer
         .write_all(frame)
         .and_then(|()| writer.flush())
@@ -135,8 +94,8 @@ pub fn write_message_reusing(
 
 /// Set a protocol socket's options — the only place they are set, for
 /// every socket either side accepts or dials: Nagle's algorithm off
-/// (frames are written whole, so coalescing could only delay them) and
-/// the caller's read/write deadlines (`None`: block forever), which
+/// (messages are written whole, so coalescing could only delay them)
+/// and the caller's read/write deadlines (`None`: block forever), which
 /// [`read_message`]/[`write_message`] surface as the typed
 /// [`ServiceError::Timeout`] when they expire.
 ///
@@ -154,15 +113,36 @@ pub fn configure_socket(
     Ok(())
 }
 
-/// Read one message, auto-detecting its encoding from the first byte.
-/// Returns `None` on a clean end-of-stream; blank lines are skipped.
-/// The returned [`Encoding`] lets the caller answer in kind.
+/// Unblock a listener's `accept` after its shutdown flag is set, by
+/// connecting to it once and hanging up. A wildcard bind address
+/// (`0.0.0.0` / `::`) is not connectable on every platform, so it is
+/// poked via loopback instead; the attempt gives up after 200 ms and
+/// its outcome is ignored.
+pub fn wake_listener(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        let loopback: IpAddr = if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        };
+        addr.set_ip(loopback);
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
+}
+
+/// Read one message. Returns `None` on a clean end-of-stream; blank
+/// lines are skipped. The [`Encoding`] is always [`Encoding::Text`].
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; rejects oversized frames and non-UTF-8
-/// frame payloads.
+/// Propagates I/O failures; rejects oversized and non-UTF-8 lines and
+/// a leading `0x00` (a binary frame).
 pub fn read_message(reader: &mut impl BufRead) -> Result<Option<(String, Encoding)>, ServiceError> {
+    Ok(read_line(reader)?.map(|text| (text, Encoding::Text)))
+}
+
+/// [`read_message`] without the vestigial [`Encoding`].
+fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, ServiceError> {
     loop {
         let first = {
             let buf = reader.fill_buf().map_err(|e| timeout_aware(e, "read"))?;
@@ -172,33 +152,19 @@ pub fn read_message(reader: &mut impl BufRead) -> Result<Option<(String, Encodin
             }
         };
         match first {
-            FRAME_MARKER => {
-                reader.consume(1);
-                let mut len_bytes = [0u8; 4];
-                reader
-                    .read_exact(&mut len_bytes)
-                    .map_err(|e| timeout_aware(e, "read"))?;
-                let len = u32::from_be_bytes(len_bytes) as usize;
-                if len > MAX_FRAME_BYTES {
-                    return Err(ServiceError::protocol(format!(
-                        "frame header claims {len} bytes, above the {MAX_FRAME_BYTES}-byte cap"
-                    )));
-                }
-                let mut payload = vec![0u8; len];
-                reader
-                    .read_exact(&mut payload)
-                    .map_err(|e| timeout_aware(e, "read"))?;
-                let text = String::from_utf8(payload)
-                    .map_err(|_| ServiceError::protocol("frame payload is not UTF-8"))?;
-                return Ok(Some((text, Encoding::Binary)));
+            0x00 => {
+                return Err(ServiceError::protocol(
+                    "binary frames (a leading 0x00 byte) were removed from the protocol; \
+                     send newline-delimited JSON text",
+                ))
             }
             b'\n' | b'\r' => {
                 reader.consume(1);
             }
             _ => {
-                // Accumulate one text line with the same size cap as
-                // binary frames: without it, a newline-free stream
-                // would grow the buffer without bound.
+                // Accumulate one line under the size cap: without it, a
+                // newline-free stream would grow the buffer without
+                // bound.
                 let mut line: Vec<u8> = Vec::new();
                 loop {
                     let buf = reader.fill_buf().map_err(|e| timeout_aware(e, "read"))?;
@@ -230,9 +196,14 @@ pub fn read_message(reader: &mut impl BufRead) -> Result<Option<(String, Encodin
                 }
                 let text = String::from_utf8(line)
                     .map_err(|_| ServiceError::protocol("text message is not UTF-8"))?;
+                // The line is handed over as is unless there is
+                // whitespace to strip — the common case copies nothing.
                 let trimmed = text.trim();
+                if trimmed.len() == text.len() {
+                    return Ok(Some(text));
+                }
                 if !trimmed.is_empty() {
-                    return Ok(Some((trimmed.to_owned(), Encoding::Text)));
+                    return Ok(Some(trimmed.to_owned()));
                 }
             }
         }
@@ -243,17 +214,13 @@ pub fn read_message(reader: &mut impl BufRead) -> Result<Option<(String, Encodin
 // Typed layer: proto messages through the one codec
 // ---------------------------------------------------------------------
 
-/// Write one typed [`Request`] in the chosen encoding.
+/// Write one typed [`Request`].
 ///
 /// # Errors
 ///
-/// Propagates I/O failures and the binary-frame size cap.
-pub fn write_request(
-    writer: &mut impl Write,
-    request: &Request,
-    encoding: Encoding,
-) -> Result<(), ServiceError> {
-    write_message(writer, &request.to_json().render(), encoding)
+/// Propagates I/O failures.
+pub fn write_request(writer: &mut impl Write, request: &Request) -> Result<(), ServiceError> {
+    write_message_reusing(writer, &mut Vec::new(), &request.to_json().render())
 }
 
 /// Read and decode one request. Returns `None` on a clean
@@ -264,14 +231,10 @@ pub fn write_request(
 /// # Errors
 ///
 /// The outer `Err` is transport-level only (I/O, framing, non-UTF-8).
-#[allow(clippy::type_complexity)]
 pub fn read_request(
     reader: &mut impl BufRead,
-) -> Result<Option<(Result<Request, DecodeError>, Encoding)>, ServiceError> {
-    let Some((payload, encoding)) = read_message(reader)? else {
-        return Ok(None);
-    };
-    Ok(Some((decode_request(&payload), encoding)))
+) -> Result<Option<Result<Request, DecodeError>>, ServiceError> {
+    Ok(read_line(reader)?.map(|payload| decode_request(&payload)))
 }
 
 /// Parse and decode one request payload.
@@ -288,17 +251,13 @@ pub fn decode_request(payload: &str) -> Result<Request, DecodeError> {
     Request::decode(&parsed).map(|(request, _)| request)
 }
 
-/// Write one [`Response`] in the given encoding.
+/// Write one [`Response`].
 ///
 /// # Errors
 ///
-/// Propagates I/O failures and the binary-frame size cap.
-pub fn write_response(
-    writer: &mut impl Write,
-    response: &Response,
-    encoding: Encoding,
-) -> Result<(), ServiceError> {
-    write_message(writer, &response.to_json().render(), encoding)
+/// Propagates I/O failures.
+pub fn write_response(writer: &mut impl Write, response: &Response) -> Result<(), ServiceError> {
+    write_message_reusing(writer, &mut Vec::new(), &response.to_json().render())
 }
 
 /// Read and decode one response. Returns `None` on a clean
@@ -308,13 +267,9 @@ pub fn write_response(
 ///
 /// Fails on I/O errors, framing errors, or responses that do not parse
 /// as the typed protocol.
-pub fn read_response(
-    reader: &mut impl BufRead,
-) -> Result<Option<(Response, Encoding)>, ServiceError> {
-    match read_message(reader)? {
-        Some((payload, encoding)) => {
-            Ok(Some((Response::decode(&Json::parse(&payload)?)?, encoding)))
-        }
+pub fn read_response(reader: &mut impl BufRead) -> Result<Option<Response>, ServiceError> {
+    match read_line(reader)? {
+        Some(payload) => Ok(Some(Response::decode(&Json::parse(&payload)?)?)),
         None => Ok(None),
     }
 }
@@ -330,54 +285,15 @@ mod tests {
         write_message(&mut out, r#"{"id":1}"#, Encoding::Text).unwrap();
         out.extend_from_slice(b"\r\n\n");
         write_message(&mut out, r#"{"id":2}"#, Encoding::Text).unwrap();
+        out.extend_from_slice(b" {\"id\":3}\r\n");
         let mut reader = BufReader::new(&out[..]);
-        assert_eq!(
-            read_message(&mut reader).unwrap(),
-            Some((r#"{"id":1}"#.to_owned(), Encoding::Text))
-        );
-        assert_eq!(
-            read_message(&mut reader).unwrap(),
-            Some((r#"{"id":2}"#.to_owned(), Encoding::Text))
-        );
+        for id in 1..=3 {
+            assert_eq!(
+                read_message(&mut reader).unwrap(),
+                Some((format!(r#"{{"id":{id}}}"#), Encoding::Text))
+            );
+        }
         assert_eq!(read_message(&mut reader).unwrap(), None);
-    }
-
-    #[test]
-    fn binary_frames_round_trip_and_interleave_with_text() {
-        let mut out = Vec::new();
-        write_message(&mut out, r#"{"id":1}"#, Encoding::Binary).unwrap();
-        write_message(&mut out, r#"{"id":2}"#, Encoding::Text).unwrap();
-        write_message(&mut out, "{\"s\":\"line\\nbreak\"}", Encoding::Binary).unwrap();
-        let mut reader = BufReader::new(&out[..]);
-        assert_eq!(
-            read_message(&mut reader).unwrap(),
-            Some((r#"{"id":1}"#.to_owned(), Encoding::Binary))
-        );
-        assert_eq!(
-            read_message(&mut reader).unwrap(),
-            Some((r#"{"id":2}"#.to_owned(), Encoding::Text))
-        );
-        assert_eq!(
-            read_message(&mut reader).unwrap(),
-            Some(("{\"s\":\"line\\nbreak\"}".to_owned(), Encoding::Binary))
-        );
-        assert_eq!(read_message(&mut reader).unwrap(), None);
-    }
-
-    #[test]
-    fn hostile_frame_lengths_are_rejected_without_allocation() {
-        let mut out = vec![FRAME_MARKER];
-        out.extend_from_slice(&u32::MAX.to_be_bytes());
-        let err = read_message(&mut BufReader::new(&out[..])).unwrap_err();
-        assert!(err.to_string().contains("cap"), "{err}");
-    }
-
-    #[test]
-    fn truncated_frames_are_io_errors_not_hangs() {
-        let mut out = vec![FRAME_MARKER];
-        out.extend_from_slice(&8u32.to_be_bytes());
-        out.extend_from_slice(b"only4");
-        assert!(read_message(&mut BufReader::new(&out[..])).is_err());
     }
 
     #[test]
@@ -408,7 +324,6 @@ mod tests {
         }
         let err = read_message(&mut BufReader::new(Stalled)).unwrap_err();
         assert!(matches!(err, ServiceError::Timeout(_)), "{err}");
-        assert!(err.is_retryable());
 
         // Same for a writer that times out after a partial write.
         struct PartialThenStall {
@@ -456,24 +371,27 @@ mod tests {
         for len in [10, 8191, 8192, 8193, 1 << 20] {
             let payload = format!("\"{}\"", "x".repeat(len - 2));
             assert_eq!(payload.len(), len);
-            for encoding in [Encoding::Text, Encoding::Binary] {
-                let mut out = Counting::default();
-                write_message(&mut out, &payload, encoding).unwrap();
-                assert_eq!(out.writes, 1, "{len} B, {encoding:?}");
-                assert_eq!(
-                    read_message(&mut BufReader::new(&out.bytes[..])).unwrap(),
-                    Some((payload.clone(), encoding))
-                );
-            }
+            let mut out = Counting::default();
+            write_message(&mut out, &payload, Encoding::Text).unwrap();
+            assert_eq!(out.writes, 1, "{len} B");
+            assert_eq!(
+                read_message(&mut BufReader::new(&out.bytes[..])).unwrap(),
+                Some((payload, Encoding::Text))
+            );
         }
     }
 
     #[test]
+    fn a_leading_nul_byte_is_refused_naming_the_removal() {
+        let frame = [0x00, 0, 0, 0, 2, b'{', b'}'];
+        let err = read_message(&mut BufReader::new(&frame[..])).unwrap_err();
+        assert!(err.to_string().contains("binary frames"), "{err}");
+    }
+
+    #[test]
     fn non_utf8_frame_payloads_are_rejected() {
-        let mut out = vec![FRAME_MARKER];
-        out.extend_from_slice(&2u32.to_be_bytes());
-        out.extend_from_slice(&[0xff, 0xfe]);
-        let err = read_message(&mut BufReader::new(&out[..])).unwrap_err();
+        let line = b"{\"s\":\"\xff\xfe\"}\n";
+        let err = read_message(&mut BufReader::new(&line[..])).unwrap_err();
         assert!(err.to_string().contains("UTF-8"), "{err}");
     }
 }

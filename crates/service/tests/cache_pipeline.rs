@@ -312,7 +312,7 @@ fn pipelined_client_gets_all_eight_inflight_responses_by_id() {
 }
 
 #[test]
-fn binary_frames_round_trip_jobs_and_interleave_with_text() {
+fn inline_networks_round_trip_over_the_wire() {
     let server = JobServer::bind("127.0.0.1:0", 2).unwrap();
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
@@ -320,8 +320,7 @@ fn binary_frames_round_trip_jobs_and_interleave_with_text() {
     let mut client = Client::connect(addr).unwrap();
     client.ping().unwrap();
 
-    // A custom network serializes as a full inline layer list — the
-    // case binary framing exists for.
+    // A custom network serializes as a full inline layer list.
     let custom = Network::new(
         "inline-net",
         vec![
@@ -330,27 +329,23 @@ fn binary_frames_round_trip_jobs_and_interleave_with_text() {
         ],
     )
     .unwrap();
-    let framed_spec = JobSpec::network(7, EngineSpec::default(), custom);
+    let inline_spec = JobSpec::network(7, EngineSpec::default(), custom);
+    let inline = client.submit(&inline_spec).unwrap();
+    assert_eq!(inline.id, 7);
+    assert_eq!(inline.layers.len(), 2);
 
-    client.set_binary(true);
-    let framed = client.submit(&framed_spec).unwrap();
-    assert_eq!(framed.id, 7);
-    assert_eq!(framed.layers.len(), 2);
-
-    // Text and binary requests interleave freely on one connection.
-    client.set_binary(false);
-    let text = client
+    // A zoo job in between on the same connection.
+    let zoo = client
         .submit(&JobSpec::network(8, EngineSpec::default(), Network::tiny()))
         .unwrap();
-    assert_eq!(text.id, 8);
+    assert_eq!(zoo.id, 8);
 
-    client.set_binary(true);
-    let again = client.submit(&framed_spec).unwrap();
+    let again = client.submit(&inline_spec).unwrap();
     assert_eq!(again.cache_hits(), again.layers.len(), "warm resubmission");
     assert_eq!(
         again.total.energy.to_bits(),
-        framed.total.energy.to_bits(),
-        "binary frames preserve float bits"
+        inline.total.energy.to_bits(),
+        "the wire preserves float bits"
     );
 
     client.shutdown().unwrap();

@@ -1,19 +1,18 @@
 //! Protocol-level integration tests: every `Request`/`Response`
-//! variant must survive a round trip through **both** wire encodings
-//! (NDJSON lines and length-prefixed binary frames), and everything a
-//! server says — its answers to malformed and untyped messages included
-//! — must decode as a typed response.
+//! variant must survive a round trip through the wire codec (one NDJSON
+//! line each), and everything a server says — its answers to malformed
+//! and untyped messages included — must decode as a typed response.
 
 use std::io::BufReader;
 
-use drmap_service::cache::{CacheStats, EvictionPolicy};
+use drmap_service::cache::CacheStats;
 use drmap_service::engine::ServiceState;
 use drmap_service::json::Json;
 use drmap_service::pool::DsePool;
 use drmap_service::proto::{capabilities, Request, Response, StatsReport, PROTOCOL_VERSION};
 use drmap_service::server::handle_request;
 use drmap_service::spec::{CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome};
-use drmap_service::wire::{self, Encoding};
+use drmap_service::wire;
 use drmap_store::store::{CompactReport, StoreStats};
 use proptest::{proptest, ProptestConfig};
 
@@ -22,23 +21,20 @@ use drmap_core::edp::EdpEstimate;
 use drmap_core::pareto::DesignPoint;
 use drmap_core::tiling::Tiling;
 
-/// Push a request through one encoding and decode it back.
-fn round_trip_request(request: &Request, encoding: Encoding) -> (Request, Encoding) {
+/// Push a request through the wire and decode it back.
+fn round_trip_request(request: &Request) -> Request {
     let mut bytes = Vec::new();
-    wire::write_request(&mut bytes, request, encoding).unwrap();
-    let (decoded, got_encoding) = wire::read_request(&mut BufReader::new(&bytes[..]))
+    wire::write_request(&mut bytes, request).unwrap();
+    wire::read_request(&mut BufReader::new(&bytes[..]))
         .unwrap()
-        .expect("one message was written");
-    (
-        decoded.expect("a well-formed request decodes"),
-        got_encoding,
-    )
+        .expect("one message was written")
+        .expect("a well-formed request decodes")
 }
 
-/// Push a response through one encoding and decode it back.
-fn round_trip_response(response: &Response, encoding: Encoding) -> (Response, Encoding) {
+/// Push a response through the wire and decode it back.
+fn round_trip_response(response: &Response) -> Response {
     let mut bytes = Vec::new();
-    wire::write_response(&mut bytes, response, encoding).unwrap();
+    wire::write_response(&mut bytes, response).unwrap();
     wire::read_response(&mut BufReader::new(&bytes[..]))
         .unwrap()
         .expect("one message was written")
@@ -48,7 +44,7 @@ fn round_trip_response(response: &Response, encoding: Encoding) -> (Response, En
 /// inputs.
 fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
     let id = flag.then_some(a);
-    match kind % 9 {
+    match kind % 8 {
         0 => Request::Hello {
             version: a,
             client: flag.then(|| format!("client-{b}")),
@@ -56,20 +52,12 @@ fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
         1 => Request::Ping { id },
         2 => Request::Stats { id },
         3 => Request::Shutdown { id },
-        4 => Request::SetPolicy {
-            id,
-            policy: if b.is_multiple_of(2) {
-                EvictionPolicy::Lru
-            } else {
-                EvictionPolicy::Cost
-            },
-        },
-        5 => Request::CacheClear { id },
-        6 => Request::CacheWarm {
+        4 => Request::CacheClear { id },
+        5 => Request::CacheWarm {
             id,
             limit: (b.is_multiple_of(2)).then_some(b as usize % 10_000),
         },
-        7 => Request::StoreCompact {
+        6 => Request::StoreCompact {
             id,
             auto_ratio: (b.is_multiple_of(3)).then_some((b % 100) as f64 / 100.0),
         },
@@ -97,7 +85,7 @@ fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
 /// inputs, exercising float bit-exactness through the job result.
 fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response {
     let id = flag.then_some(a);
-    match kind % 9 {
+    match kind % 8 {
         0 => Response::Hello {
             version: a,
             server: format!("drmap-service/{b}"),
@@ -114,7 +102,6 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
                     bypasses: b % 13,
                     refreshes: a % 7,
                     evictions: b % 29,
-                    cost_evictions: b % 5,
                     entries: a as usize % 1000,
                     bytes: b as usize % 1_000_000,
                     store_hits: a % 17,
@@ -123,11 +110,6 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
                     compute_ns_min: a % 1_000_000,
                     compute_ns_max: b % 1_000_000_000,
                     compute_ns_total: a.min(1 << 50),
-                },
-                policy: if a.is_multiple_of(2) {
-                    EvictionPolicy::Lru
-                } else {
-                    EvictionPolicy::Cost
                 },
                 max_entries: flag.then_some(a as usize % 10_000),
                 max_bytes: (b.is_multiple_of(2)).then_some(b as usize % (1 << 30)),
@@ -149,17 +131,12 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
             },
         },
         3 => Response::Shutdown { id },
-        4 => Response::PolicySet {
-            id,
-            policy: EvictionPolicy::Cost,
-            previous: EvictionPolicy::Lru,
-        },
-        5 => Response::CacheCleared { id },
-        6 => Response::CacheWarmed {
+        4 => Response::CacheCleared { id },
+        5 => Response::CacheWarmed {
             id,
             loaded: b as usize % 5000,
         },
-        7 => Response::StoreCompacted {
+        6 => Response::StoreCompacted {
             id,
             report: CompactReport {
                 live_records: a % 1000,
@@ -217,44 +194,34 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every request variant survives NDJSON and binary framing with
-    /// nothing lost: same variant, same fields, and the encoding
-    /// auto-detected back.
+    /// Every request variant survives the wire with nothing lost: same
+    /// variant, same fields.
     #[test]
-    fn every_request_variant_round_trips_through_both_encodings(
-        kind in 0_usize..9,
+    fn every_request_variant_round_trips_through_the_wire(
+        kind in 0_usize..8,
         a in 0_u64..1_000_000,
         b in 0_u64..1_000_000,
         flag in proptest::bool::ANY,
     ) {
         let request = request_variant(kind, a, b, flag);
-        for encoding in [Encoding::Text, Encoding::Binary] {
-            let (decoded, got) = round_trip_request(&request, encoding);
-            assert_eq!(decoded, request);
-            assert_eq!(got, encoding);
-        }
+        assert_eq!(round_trip_request(&request), request);
     }
 
-    /// Every response variant survives both encodings — including the
-    /// job result's floats, bit for bit.
+    /// Every response variant survives the wire — including the job
+    /// result's floats, bit for bit.
     #[test]
-    fn every_response_variant_round_trips_through_both_encodings(
-        kind in 0_usize..9,
+    fn every_response_variant_round_trips_through_the_wire(
+        kind in 0_usize..8,
         a in 0_u64..1_000_000,
         b in 0_u64..1_000_000,
         x in 0.0_f64..1.0e12,
         flag in proptest::bool::ANY,
     ) {
         let response = response_variant(kind, a, b, x, flag);
-        for encoding in [Encoding::Text, Encoding::Binary] {
-            let (decoded, got) = round_trip_response(&response, encoding);
-            assert_eq!(decoded, response);
-            assert_eq!(got, encoding);
-        }
+        let decoded = round_trip_response(&response);
+        assert_eq!(decoded, response);
         if let Response::Job { result } = &response {
-            let (Response::Job { result: decoded }, _) =
-                round_trip_response(&response, Encoding::Binary)
-            else {
+            let Response::Job { result: decoded } = decoded else {
                 panic!("job response decoded as a different variant");
             };
             assert_eq!(
@@ -321,45 +288,46 @@ fn typed_requests_through_handle_request_answer_typed() {
         panic!("stats must decode as a typed response: {stats}");
     };
     assert_eq!(report.workers, 2);
-    assert_eq!(report.policy, EvictionPolicy::Lru);
 }
 
 #[test]
-fn old_binary_frames_still_work_over_a_live_socket() {
+fn binary_frames_are_refused_and_close_only_their_connection() {
+    use drmap_service::error::ServiceError;
     use drmap_service::server::JobServer;
-    use std::io::{BufReader as IoBufReader, BufWriter};
+    use std::io::Write;
     use std::net::TcpStream;
+    use std::time::Duration;
 
-    let pool = std::sync::Arc::new(DsePool::new(ServiceState::new().unwrap(), 2));
-    let server = JobServer::with_pool("127.0.0.1:0", std::sync::Arc::clone(&pool)).unwrap();
+    let server = JobServer::bind("127.0.0.1:0", 1).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run().unwrap());
 
-    // The frame layout predates the typed protocol and carries it
-    // unchanged: raw payloads in binary frames, answered in kind.
+    // A `0x00`-marked, length-prefixed ping — the retired binary frame
+    // layout — is a transport error: no answer, the connection closes.
+    let ping = br#"{"type":"ping"}"#;
+    let mut frame = vec![0x00];
+    frame.extend_from_slice(&(ping.len() as u32).to_be_bytes());
+    frame.extend_from_slice(ping);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&frame).unwrap();
+    match wire::read_message(&mut BufReader::new(&stream)) {
+        // A clean close, or a reset if the frame's tail was unread.
+        Ok(None) | Err(ServiceError::Io(_)) => {}
+        other => panic!("a binary frame must close the connection unanswered: {other:?}"),
+    }
+
+    // The server itself is untouched: a fresh connection is served.
     let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = IoBufReader::new(stream.try_clone().unwrap());
-    let mut writer = BufWriter::new(stream);
-    wire::write_message(&mut writer, r#"{"type":"ping"}"#, Encoding::Binary).unwrap();
-    let (payload, encoding) = wire::read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(encoding, Encoding::Binary, "responses answer in kind");
-    assert_eq!(payload, r#"{"type":"pong","ok":true}"#);
-
-    wire::write_message(
-        &mut writer,
-        r#"{"type":"submit","id":1,"network":{"model":"tiny"}}"#,
-        Encoding::Binary,
-    )
-    .unwrap();
-    let (payload, encoding) = wire::read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(encoding, Encoding::Binary);
-    let parsed = Json::parse(&payload).unwrap();
-    assert_eq!(parsed.get("ok"), Some(&Json::Bool(true)));
-    assert_eq!(parsed.get("type").and_then(Json::as_str), Some("job"));
-
-    wire::write_message(&mut writer, r#"{"type":"shutdown"}"#, Encoding::Binary).unwrap();
-    let (payload, _) = wire::read_message(&mut reader).unwrap().unwrap();
-    assert_eq!(payload, r#"{"type":"shutdown","ok":true,"shutdown":true}"#);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    wire::write_request(&mut writer, &Request::Ping { id: Some(3) }).unwrap();
+    let response = wire::read_response(&mut reader).unwrap().unwrap();
+    assert_eq!(response, Response::Pong { id: Some(3) });
+    wire::write_request(&mut writer, &Request::Shutdown { id: None }).unwrap();
+    assert!(wire::read_response(&mut reader).unwrap().is_some());
     handle.join().unwrap();
 }
 
@@ -388,8 +356,8 @@ fn every_error_a_live_server_emits_decodes_as_a_typed_response() {
             "carries no \"type\"",
         ),
     ] {
-        wire::write_message(&mut writer, malformed, Encoding::Text).unwrap();
-        let (response, _) = wire::read_response(&mut reader)
+        wire::write_message_reusing(&mut writer, &mut Vec::new(), malformed).unwrap();
+        let response = wire::read_response(&mut reader)
             .unwrap_or_else(|e| panic!("{malformed} was answered undecodably: {e}"))
             .expect("the connection stays open");
         let Response::Error { message, .. } = response else {
@@ -398,13 +366,8 @@ fn every_error_a_live_server_emits_decodes_as_a_typed_response() {
         assert!(message.contains(expect), "{malformed} -> {message}");
     }
     // The same connection still serves well-formed requests.
-    wire::write_request(
-        &mut writer,
-        &Request::Shutdown { id: Some(9) },
-        Encoding::Text,
-    )
-    .unwrap();
-    let (response, _) = wire::read_response(&mut reader).unwrap().unwrap();
+    wire::write_request(&mut writer, &Request::Shutdown { id: Some(9) }).unwrap();
+    let response = wire::read_response(&mut reader).unwrap().unwrap();
     assert_eq!(response, Response::Shutdown { id: Some(9) });
     handle.join().unwrap();
 }
@@ -414,8 +377,11 @@ fn mistyped_typed_requests_get_typed_errors() {
     let pool = DsePool::new(ServiceState::new().unwrap(), 2);
     for (bad, expect) in [
         (r#"{"type":"frobnicate","id":3}"#, "unknown request type"),
-        (r#"{"type":"set-policy","policy":"mru"}"#, "eviction policy"),
         // A verb this build has retired is just an unknown verb.
+        (
+            r#"{"type":"set-policy","id":4,"policy":"cost"}"#,
+            "unknown request type",
+        ),
         (
             r#"{"type":"set-shard-policy","id":5,"min_tilings":32}"#,
             "unknown request type",
