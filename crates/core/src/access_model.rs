@@ -47,6 +47,7 @@ pub struct TransitionCounts {
 
 impl TransitionCounts {
     /// Count for one class.
+    #[inline]
     pub fn count(&self, class: TransitionClass) -> u64 {
         self.counts[Self::idx(class)]
     }
@@ -57,10 +58,12 @@ impl TransitionCounts {
     }
 
     /// Add `n` accesses of `class`.
+    #[inline]
     pub fn add(&mut self, class: TransitionClass, n: u64) {
         self.counts[Self::idx(class)] += n;
     }
 
+    #[inline]
     fn idx(class: TransitionClass) -> usize {
         TransitionClass::ALL
             .iter()
@@ -77,27 +80,56 @@ pub fn transition_counts(
     geometry: &Geometry,
     units: u64,
 ) -> TransitionCounts {
-    let mut out = TransitionCounts::default();
-    if units == 0 {
-        return out;
+    CountingPlan::new(policy, geometry).counts(units)
+}
+
+/// [`transition_counts`] for one `(policy, geometry)`, with the per-level
+/// work done once: each level of the order as its transition class and
+/// the product of its and every inner level's radix (saturating), kept as
+/// a shift when that product is a power of two.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CountingPlan {
+    /// `(prefix product, shift if it is a power of two, class index)`,
+    /// innermost level first.
+    levels: [(u64, Option<u32>, usize); 6],
+}
+
+impl CountingPlan {
+    pub(crate) fn new(policy: &MappingPolicy, geometry: &Geometry) -> Self {
+        let mut prefix: u64 = 1;
+        let levels = policy.full_order().map(|level| {
+            prefix = prefix.saturating_mul(geometry.level_size(level) as u64);
+            let shift = prefix.is_power_of_two().then(|| prefix.trailing_zeros());
+            (
+                prefix,
+                shift,
+                TransitionCounts::idx(TransitionClass::from_level(level)),
+            )
+        });
+        CountingPlan { levels }
     }
-    // First access of the tile: fresh activation.
-    out.add(TransitionClass::DifRow, 1);
-    let order = policy.full_order();
-    let n = units - 1;
-    let mut inner_product: u64 = 1;
-    for level in order {
-        let radix = geometry.level_size(level) as u64;
-        let below = n / inner_product;
-        inner_product = inner_product.saturating_mul(radix);
-        let at_or_above = n / inner_product;
-        let transitions = below - at_or_above;
-        out.add(TransitionClass::from_level(level), transitions);
-        if at_or_above == 0 {
-            break;
+
+    /// The closed form of the module docs for a tile of `units` bursts.
+    #[inline]
+    pub(crate) fn counts(&self, units: u64) -> TransitionCounts {
+        let mut out = TransitionCounts::default();
+        if units == 0 {
+            return out;
         }
+        // First access of the tile: fresh activation.
+        out.add(TransitionClass::DifRow, 1);
+        let n = units - 1;
+        let mut below = n;
+        for &(prefix, shift, class) in &self.levels {
+            let at_or_above = shift.map_or_else(|| n / prefix, |shift| n >> shift);
+            out.counts[class] += below - at_or_above;
+            if at_or_above == 0 {
+                break;
+            }
+            below = at_or_above;
+        }
+        out
     }
-    out
 }
 
 /// Cost of one tile fetch: Eq. 2 (cycles) and Eq. 3 (energy) evaluated
@@ -134,6 +166,7 @@ pub fn tile_cost(
 /// counts by `(mapping, burst count)` reproduce `tile_cost`'s exact
 /// arithmetic (same class order, same accumulation) and therefore
 /// bit-identical estimates.
+#[inline]
 pub fn counts_cost(
     counts: &TransitionCounts,
     table: &AccessCostTable,

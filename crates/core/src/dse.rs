@@ -18,11 +18,13 @@
 //! * per **axis**: every candidate step with its trip count (the walk's
 //!   only divisions);
 //! * per **layer**: the wghs tile of every `(tj, ti)` — its bytes,
-//!   whether it fits, and its cost row;
-//! * per **`(th, tw)`**: the ifms patch, and for every `ti` the ifms
-//!   tile's bytes, fit and cost row;
+//!   whether it fits, and its cost row — and, per `tj`, the wghs term of
+//!   the loop bound below;
+//! * per **`(th, tw)`**: the ifms patch, for every `ti` the ifms tile's
+//!   bytes, fit and cost row, and the loop bound's ifms term;
 //! * per **`(th, tw, tj)`**: the ofms tile's bytes, fit and cost row —
-//!   a tile that overflows its buffer skips the whole `ti` loop;
+//!   a tile that overflows its buffer skips the whole `ti` loop — and
+//!   one *loop bound* that usually skips it too;
 //! * per **burst count**: a *cost row*, looked up once per tile above
 //!   and never per tiling — every swept mapping's per-tile `(read,
 //!   write)` cost (the closed-form transition counting of
@@ -30,7 +32,9 @@
 //!   table) plus their component-wise minimum, the *floor*. A row
 //!   depends on neither the data kind nor the scheme, and a layer's
 //!   tiles produce only a handful of distinct burst counts, so rows are
-//!   memoized for the length of the sweep;
+//!   memoized for the sweep: in one flat cost arena under a dense index
+//!   by burst count, counted from per-mapping plans built once, with no
+//!   allocation or search per row;
 //! * per **tiling**: three table reads, `S = batch · n_h · n_w`, and
 //!   one bound — the floor row weighted by the least traffic any scheme
 //!   could cause — that usually ends the tiling there. Otherwise the
@@ -95,17 +99,28 @@
 //! bound. Being implied by the group bounds, the tiling-level bound
 //! changes what is computed and never what is counted — `evaluations`
 //! and the skipped count are what the group bounds alone produce, layer
-//! for layer. It fires on 84 % of the zoo's tilings.
+//! for layer.
 //!
-//! Nothing is skipped unless every cost of the three rows, and the
+//! A whole **`ti` loop** — the tilings of one `(th, tw, tj)` — is
+//! skipped one level further up. Its tiling-level bounds differ only in
+//! the ifms (`floor × S·n_i`) and wghs (`floor × n_j·n_i`) columns, so
+//! each column's least value over the loop's fitting tiles (taken once
+//! per `(th, tw)` and once per `tj`), summed with the ofms columns in
+//! `TileCosts::estimate`'s order, is `<=` all of them (`+` is monotone
+//! too): it fires only where every one of them would. On the zoo it
+//! skips 155,950 of the 199,461 tilings; the tiling-level bound 11,210.
+//!
+//! Nothing is skipped unless every cost of the rows involved, and the
 //! clock, is finite and non-negative
 //! ([`AccessCostTable::from_costs`] accepts anything) — checked once
-//! when a row is built — and the first group always has no
-//! incumbent, so it is always scored. On the four profiled
-//! architectures DRMap's row *is* the floor at every burst count the
-//! model zoo produces (`tests/drmap_optimality.rs` asserts it), so the
-//! bound is the exact score of the group's best member and about
-//! 99.95 % of the zoo's 4.79 M design points are skipped.
+//! when a row is built; for a loop, every fitting row of both minima (a
+//! minimum over the trusted rows alone bounds nothing about the others'
+//! tilings). The first group has no incumbent, so it is always scored.
+//! On the four profiled architectures DRMap's row *is* the floor at
+//! every burst count the model zoo produces (`tests/drmap_optimality.rs`
+//! asserts it), so the bound is the exact score of the group's best
+//! member and about 99.95 % of the zoo's 4.79 M design points are
+//! skipped.
 //!
 //! [`LayerDseResult::evaluations`] counts the design points a sweep
 //! *covered* — scored, or proven unable to win — so it is the size of
@@ -123,13 +138,15 @@ use drmap_dram::geometry::Geometry;
 use drmap_dram::profiler::{AccessCost, AccessCostTable};
 use drmap_dram::request::RequestKind;
 
-use crate::access_model::{bytes_to_bursts, counts_cost, transition_counts};
+use crate::access_model::{bytes_to_bursts, counts_cost, CountingPlan};
 use crate::edp::{EdpEstimate, EdpModel, TileCosts};
 use crate::error::DseError;
 use crate::mapping::MappingPolicy;
 use crate::pareto::{DesignPoint, ParetoFront};
-use crate::schedule::{least_traffic, min_traffic_index, traffic_of_trips, ReuseScheme};
-use crate::tiling::{count_tilings, walk_tilings, Tiling, TilingVisitor};
+use crate::schedule::{
+    least_traffic, min_traffic_index, traffic_of_trips, ReuseScheme, TileTraffic,
+};
+use crate::tiling::{count_tilings, loop_tilings, walk_tilings, Tiling, TilingVisitor};
 
 /// Optimization objective for the exploration.
 ///
@@ -410,13 +427,20 @@ impl Accumulator {
     }
 }
 
+/// Where a minimum over costs starts.
+const INFINITE: AccessCost = AccessCost {
+    cycles: f64::INFINITY,
+    energy: f64::INFINITY,
+};
+
 /// Every swept mapping's per-tile cost at one burst count.
 struct CostRow {
-    /// `(read, write)` cost per mapping, in sweep order.
-    costs: Vec<(AccessCost, AccessCost)>,
-    /// The component-wise minimum of `costs`: what the cheapest mapping
-    /// would charge if one mapping were cheapest in every component (on
-    /// the profiled tables DRMap is, so the floor is DRMap's own cost).
+    /// Where the row's `(read, write)` cost per mapping, in sweep order,
+    /// starts in [`CostRows::costs`].
+    at: usize,
+    /// The component-wise minimum of the row's costs: what the cheapest
+    /// mapping would charge if one mapping were cheapest in every component
+    /// (on the profiled tables DRMap is, so the floor is DRMap's own cost).
     floor: (AccessCost, AccessCost),
     /// Every cost in the row is finite and non-negative — the
     /// precondition of the bound ([`AccessCostTable::from_costs`]
@@ -430,82 +454,79 @@ struct CostRow {
 /// counting runs once per (mapping, burst count) and the sweep does one
 /// lookup per tile the walk hands it — not per tiling.
 struct CostRows<'a> {
-    mappings: &'a [MappingPolicy],
     geometry: &'a Geometry,
     table: &'a AccessCostTable,
-    /// `(burst count, index into rows)`, sorted by burst count.
-    by_units: Vec<(u64, usize)>,
+    /// Each swept mapping's counting plan, in sweep order.
+    plans: Vec<CountingPlan>,
+    /// One more than the index into `rows` of each burst count's row; 0
+    /// while it is not built. A fitting tile is no larger than its
+    /// buffer, so this is at most the largest buffer's burst count long.
+    by_units: Vec<u32>,
     rows: Vec<CostRow>,
+    /// Every row's costs, `plans.len()` per row.
+    costs: Vec<(AccessCost, AccessCost)>,
 }
 
 impl<'a> CostRows<'a> {
-    fn new(model: &'a EdpModel, mappings: &'a [MappingPolicy]) -> Self {
+    fn new(model: &'a EdpModel, mappings: &[MappingPolicy]) -> Self {
+        let geometry = model.geometry();
         CostRows {
-            mappings,
-            geometry: model.geometry(),
+            geometry,
             table: model.table(),
+            plans: mappings
+                .iter()
+                .map(|mapping| CountingPlan::new(mapping, geometry))
+                .collect(),
             by_units: Vec::new(),
             rows: Vec::new(),
+            costs: Vec::new(),
         }
     }
 
     /// Index into `rows` of the row for a tile of `bytes` bytes.
     fn lookup(&mut self, bytes: u64) -> usize {
         let units = bytes_to_bursts(bytes, self.geometry);
-        match self
-            .by_units
-            .binary_search_by_key(&units, |&(units, _)| units)
-        {
-            Ok(at) => self.by_units[at].1,
-            Err(at) => {
-                self.rows.push(self.build(units));
-                self.by_units.insert(at, (units, self.rows.len() - 1));
-                self.rows.len() - 1
-            }
+        let slot = usize::try_from(units).expect("a fitting tile's bursts fit in memory");
+        if slot >= self.by_units.len() {
+            self.by_units.resize(slot + 1, 0);
         }
+        if self.by_units[slot] == 0 {
+            self.build(units);
+            self.by_units[slot] = u32::try_from(self.rows.len()).expect("few rows");
+        }
+        self.by_units[slot] as usize - 1
     }
 
-    fn build(&self, units: u64) -> CostRow {
-        let costs: Vec<(AccessCost, AccessCost)> = self
-            .mappings
-            .iter()
-            .map(|mapping| {
-                let counts = transition_counts(mapping, self.geometry, units);
-                (
-                    counts_cost(&counts, self.table, RequestKind::Read),
-                    counts_cost(&counts, self.table, RequestKind::Write),
-                )
-            })
-            .collect();
+    fn build(&mut self, units: u64) {
+        let at = self.costs.len();
         let min = |a: AccessCost, b: AccessCost| AccessCost {
             cycles: a.cycles.min(b.cycles),
             energy: a.energy.min(b.energy),
         };
-        let floor = costs[1..]
-            .iter()
-            .fold(costs[0], |f, c| (min(f.0, c.0), min(f.1, c.1)));
-        // `f64::min` ignores a NaN operand, so look at every cost, not
-        // at the floor.
-        let bounded = costs
-            .iter()
-            .flat_map(|(r, w)| [r.cycles, r.energy, w.cycles, w.energy])
-            .all(|x| x.is_finite() && x >= 0.0);
-        CostRow {
-            costs,
-            floor,
-            bounded,
+        let (mut floor, mut bounded) = ((INFINITE, INFINITE), true);
+        for plan in &self.plans {
+            let counts = plan.counts(units);
+            let read = counts_cost(&counts, self.table, RequestKind::Read);
+            let write = counts_cost(&counts, self.table, RequestKind::Write);
+            floor = (min(floor.0, read), min(floor.1, write));
+            // `f64::min` ignores a NaN operand, so look at every cost, not
+            // at the floor (which is read from bounded rows only).
+            let costs = [read.cycles, read.energy, write.cycles, write.energy];
+            bounded &= costs.iter().all(|x| x.is_finite() && *x >= 0.0);
+            self.costs.push((read, write));
         }
+        self.rows.push(CostRow { at, floor, bounded });
     }
-}
 
-/// Per-tile costs under the mapping in sweep position `slot`, from the
-/// cost rows of the ifms, wghs and ofms tile.
-fn mapping_costs([ifms, wghs, ofms]: [&CostRow; 3], slot: usize) -> TileCosts {
-    TileCosts {
-        ifms_read: ifms.costs[slot].0,
-        wghs_read: wghs.costs[slot].0,
-        ofms_read: ofms.costs[slot].0,
-        ofms_write: ofms.costs[slot].1,
+    /// Per-tile costs under the mapping in sweep position `slot`, from the
+    /// cost rows of the ifms, wghs and ofms tile.
+    fn mapping_costs(&self, [ifms, wghs, ofms]: [&CostRow; 3], slot: usize) -> TileCosts {
+        TileCosts {
+            ifms_read: self.costs[ifms.at + slot].0,
+            wghs_read: self.costs[wghs.at + slot].0,
+            ofms_read: self.costs[ofms.at + slot].0,
+            ofms_write: self.costs[ofms.at + slot].1,
+        }
     }
 }
 
@@ -520,6 +541,56 @@ fn floor_costs([ifms, wghs, ofms]: [&CostRow; 3]) -> Option<TileCosts> {
     })
 }
 
+/// One term of a `ti` loop's bound: the component-wise least `floor read
+/// cost × per_trip · n_i` over the loop's fitting `tiles` (aligned with
+/// the axis `is`), i.e. the tiling-level bound's ifms (`per_trip = S`)
+/// or wghs (`per_trip = n_j`) column at its least. `None` when a fitting
+/// row cannot serve as a bound (see the module docs).
+fn least_weighed(
+    rows: &[CostRow],
+    tiles: &[Option<(u64, usize)>],
+    is: &[(usize, u64)],
+    per_trip: u64,
+) -> Option<AccessCost> {
+    let mut least = INFINITE;
+    for (&(_, n_i), tile) in is.iter().zip(tiles) {
+        let Some((_, row)) = *tile else { continue };
+        let row = &rows[row];
+        if !row.bounded {
+            return None;
+        }
+        // `TileCosts::components`' product, operand for operand.
+        let tiles = (per_trip * n_i) as f64;
+        least.cycles = least.cycles.min(row.floor.0.cycles * tiles);
+        least.energy = least.energy.min(row.floor.0.energy * tiles);
+    }
+    Some(least)
+}
+
+/// The `(th, tw, tj)` loop's bound from its two [`least_weighed`] terms
+/// and its ofms row: the tiling-level bound's sum, term for term, with
+/// each of the first two columns already at its least over the loop.
+fn loop_bound(
+    [ifms, wghs]: [AccessCost; 2],
+    ofms: &CostRow,
+    ofms_stores: u64,
+    t_ck_ns: f64,
+) -> EdpEstimate {
+    let weighed = TileTraffic {
+        ifms_loads: 1,
+        wghs_loads: 1,
+        ofms_loads: 0,
+        ofms_stores,
+    };
+    TileCosts {
+        ifms_read: ifms,
+        wghs_read: wghs,
+        ofms_read: ofms.floor.0,
+        ofms_write: ofms.floor.1,
+    }
+    .estimate(&weighed, t_ck_ns)
+}
+
 /// One sweep in progress: what [`walk_tilings`] drives through the
 /// pipeline of the module docs.
 struct Sweep<'a> {
@@ -531,6 +602,11 @@ struct Sweep<'a> {
     /// A negative or NaN clock would break the scores' monotonicity.
     clock_bounded: bool,
     rows: CostRows<'a>,
+    /// The ifms term of the loop bound for the last `(th, tw)` seen
+    /// (steps are at least 1, so `(0, 0)` before the first).
+    ifms_term: ((usize, usize), Option<AccessCost>),
+    /// The wghs term of the loop bound by `tj`, for the layer.
+    wghs_terms: Vec<(usize, Option<AccessCost>)>,
     found: Accumulator,
 }
 
@@ -540,6 +616,43 @@ impl TilingVisitor for Sweep<'_> {
 
     fn tile(&mut self, bytes: u64) -> (u64, usize) {
         (bytes, self.rows.lookup(bytes))
+    }
+
+    /// The loop-level bound: implied by every tiling-level bound of the
+    /// loop, so it too changes what is computed, never what is counted.
+    fn ti_loop(
+        &mut self,
+        [(th, n_h), (tw, n_w), (tj, n_j)]: [(usize, u64); 3],
+        is: &[(usize, u64)],
+        ifms: &[Option<Self::Tile>],
+        wghs: &[Option<Self::Tile>],
+        (_, ofms): Self::Tile,
+    ) -> bool {
+        let rows = &self.rows.rows;
+        let ofms = &rows[ofms];
+        if !(self.clock_bounded && ofms.bounded) {
+            return true;
+        }
+        let spatial = self.batch * n_h * n_w;
+        if self.ifms_term.0 != (th, tw) {
+            self.ifms_term = ((th, tw), least_weighed(rows, ifms, is, spatial));
+        }
+        let cached = self.wghs_terms.iter().find(|&&(step, _)| step == tj);
+        let wghs_term = cached.map_or_else(|| least_weighed(rows, wghs, is, n_j), |&(_, t)| t);
+        if cached.is_none() {
+            self.wghs_terms.push((tj, wghs_term));
+        }
+        let (Some(ifms_term), Some(wghs_term)) = (self.ifms_term.1, wghs_term) else {
+            return true;
+        };
+        let bound = loop_bound([ifms_term, wghs_term], ofms, spatial * n_j, self.t_ck_ns);
+        if !self.found.shuts_out(&bound, self.keep_points) {
+            return true;
+        }
+        let points = loop_tilings(ifms, wghs) * self.schemes.len() * self.mappings.len();
+        self.found.evaluations += points;
+        self.found.pruned += points;
+        false
     }
 
     fn tiling(&mut self, tiling: Tiling, [n_h, n_w, n_j, n_i]: [u64; 4], tiles: [Self::Tile; 3]) {
@@ -577,7 +690,10 @@ impl TilingVisitor for Sweep<'_> {
                     scheme,
                     tiling,
                 };
-                let estimate = mapping_costs(rows, slot).estimate(traffic, t_ck_ns);
+                let estimate = self
+                    .rows
+                    .mapping_costs(rows, slot)
+                    .estimate(traffic, t_ck_ns);
                 found.offer(estimate, tag, keep_points);
             }
         }
@@ -715,6 +831,8 @@ impl DseEngine {
             t_ck_ns,
             clock_bounded: t_ck_ns.is_finite() && t_ck_ns >= 0.0,
             rows: CostRows::new(&self.model, mappings),
+            ifms_term: ((0, 0), None),
+            wghs_terms: Vec::new(),
             found: Accumulator {
                 objective: self.config.objective,
                 evaluations: 0,

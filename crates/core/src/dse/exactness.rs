@@ -6,6 +6,7 @@
 //! bit for bit.
 
 use drmap_cnn::accelerator::AcceleratorConfig;
+use drmap_cnn::layer::DataKind;
 use drmap_cnn::network::Network;
 use drmap_cnn::spec::parse_network;
 use drmap_dram::profiler::Profiler;
@@ -13,6 +14,7 @@ use drmap_dram::timing::DramArch;
 use proptest::prelude::*;
 
 use super::*;
+use crate::access_model::tile_cost;
 use crate::pareto::pareto_front;
 use crate::tiling::{candidate_steps, enumerate_tilings};
 
@@ -79,6 +81,83 @@ pub(super) fn naive_explore(e: &DseEngine, layer: &Layer) -> LayerDseResult {
         evaluations,
         pareto: pareto_front(&points),
     }
+}
+
+/// What the sweep must count: `(evaluations, pruned)` of a sweep over
+/// [`brute_force_tilings`] that skips a `(tiling, scheme)` group only as
+/// a duplicate or by its own bound — no tiling- or loop-level bound —
+/// with every cost from [`tile_cost`] and every point from
+/// [`DseEngine::evaluate`]. The bounds above the group bound are implied
+/// by it, so they may change what is computed but never these counts.
+fn group_bound_reference(e: &DseEngine, layer: &Layer) -> (usize, usize) {
+    let (model, config) = (e.model(), e.config());
+    let traffic_model = model.traffic_model();
+    let acc = *traffic_model.accelerator();
+    let t_ck_ns = model.table().t_ck_ns;
+    let mut found = Accumulator {
+        objective: config.objective,
+        evaluations: 0,
+        pruned: 0,
+        best: None,
+        best_score: 0.0,
+        front: ParetoFront::new(),
+    };
+    let usable = |x: f64| x.is_finite() && x >= 0.0;
+    // A tile's `(read, write)` floor over the swept mappings, if every
+    // one of their costs is usable.
+    let floor_of = |tiling: &Tiling, kind| {
+        let units = bytes_to_bursts(tiling.tile_bytes(layer, &acc, kind), model.geometry());
+        let (mut floor, mut bounded) = ([INFINITE; 2], true);
+        for mapping in &config.mappings {
+            for (floor, dir) in floor
+                .iter_mut()
+                .zip([RequestKind::Read, RequestKind::Write])
+            {
+                let c = tile_cost(mapping, model.geometry(), units, model.table(), dir);
+                bounded &= usable(c.cycles) && usable(c.energy);
+                floor.cycles = floor.cycles.min(c.cycles);
+                floor.energy = floor.energy.min(c.energy);
+            }
+        }
+        bounded.then_some((floor[0], floor[1]))
+    };
+    for tiling in brute_force_tilings(layer, &acc) {
+        let floor = match DataKind::ALL.map(|kind| floor_of(&tiling, kind)) {
+            [Some(ifms), Some(wghs), Some(ofms)] if usable(t_ck_ns) => Some(TileCosts {
+                ifms_read: ifms.0,
+                wghs_read: wghs.0,
+                ofms_read: ofms.0,
+                ofms_write: ofms.1,
+            }),
+            _ => None,
+        };
+        let mut covered = [false; 3];
+        for &scheme in &config.schemes {
+            let concrete = traffic_model.resolve_adaptive(layer, &tiling, scheme);
+            let traffic = traffic_model.traffic(layer, &tiling, concrete);
+            let index = concrete
+                .concrete_index()
+                .expect("resolved schemes are concrete");
+            let duplicate = std::mem::replace(&mut covered[index], true);
+            found.evaluations += config.mappings.len();
+            if floor.is_some_and(|floor| {
+                duplicate || found.shuts_out(&floor.estimate(&traffic, t_ck_ns), config.keep_points)
+            }) {
+                found.pruned += config.mappings.len();
+                continue;
+            }
+            for &mapping in &config.mappings {
+                let estimate = e.evaluate(layer, &tiling, scheme, &mapping);
+                let tag = CandidateTag {
+                    mapping,
+                    scheme,
+                    tiling,
+                };
+                found.offer(estimate, tag, config.keep_points);
+            }
+        }
+    }
+    (found.evaluations, found.pruned)
 }
 
 pub(super) fn assert_results_bit_identical(a: &LayerDseResult, b: &LayerDseResult) {
@@ -262,20 +341,22 @@ fn engine_strategy() -> impl Strategy<Value = DseEngine> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// Winner, count, front points and labels match the reference.
+    /// Winner, count, front points and labels match the reference, and
+    /// the skipped count is what the group bounds alone skip.
     #[test]
     fn sweep_matches_naive_reference_bit_for_bit(
         e in engine_strategy(),
         layer in layer_strategy(),
     ) {
         let (swept, pruned) = e.explore_layer_counted(&layer).unwrap();
-        prop_assert!(pruned <= swept.evaluations);
+        prop_assert_eq!((swept.evaluations, pruned), group_bound_reference(&e, &layer));
         assert_results_bit_identical(&swept, &naive_explore(&e, &layer));
     }
 
     /// The bounds are bounds: the floor row's estimate of a group — and
     /// the tiling-level estimate at the least traffic of any scheme —
-    /// never exceeds a member's, in either coordinate or under any
+    /// never exceeds a member's, and a `ti` loop's bound never exceeds
+    /// any of its tiling-level bounds, in either coordinate or under any
     /// objective.
     #[test]
     fn floor_estimate_never_exceeds_a_member(
@@ -305,7 +386,9 @@ proptest! {
 
 /// Holds every seventh tiling's bounds, computed from the sweep's own
 /// hoists (the walk's trip counts and tiles, [`CostRows`],
-/// [`floor_costs`]), against each member of each of the tiling's groups.
+/// [`floor_costs`]), against each member of each of the tiling's groups,
+/// and every `ti` loop's bound ([`least_weighed`], [`loop_bound`])
+/// against each of its tilings' tiling-level bounds.
 struct BoundCheck<'a> {
     e: &'a DseEngine,
     layer: &'a Layer,
@@ -314,18 +397,51 @@ struct BoundCheck<'a> {
 }
 
 impl TilingVisitor for BoundCheck<'_> {
-    type Tile = usize;
+    type Tile = (u64, usize);
 
-    fn tile(&mut self, bytes: u64) -> usize {
-        self.rows.lookup(bytes)
+    fn tile(&mut self, bytes: u64) -> (u64, usize) {
+        (bytes, self.rows.lookup(bytes))
     }
 
-    fn tiling(&mut self, tiling: Tiling, [n_h, n_w, n_j, n_i]: [u64; 4], tiles: [usize; 3]) {
+    /// Every loop's bound against each of its tilings' tiling-level
+    /// bounds.
+    fn ti_loop(
+        &mut self,
+        [(_, n_h), (_, n_w), (_, n_j)]: [(usize, u64); 3],
+        is: &[(usize, u64)],
+        ifms: &[Option<Self::Tile>],
+        wghs: &[Option<Self::Tile>],
+        (_, ofms): Self::Tile,
+    ) -> bool {
+        let rows = &self.rows.rows;
+        let spatial = self.e.model().traffic_model().accelerator().batch as u64 * n_h * n_w;
+        let terms = [
+            least_weighed(rows, ifms, is, spatial),
+            least_weighed(rows, wghs, is, n_j),
+        ];
+        let ([Some(ifms_term), Some(wghs_term)], true) = (terms, rows[ofms].bounded) else {
+            return true;
+        };
+        let t_ck_ns = self.e.model().table().t_ck_ns;
+        let bound = loop_bound([ifms_term, wghs_term], &rows[ofms], spatial * n_j, t_ck_ns);
+        for ((&(_, n_i), ifms), wghs) in is.iter().zip(ifms).zip(wghs) {
+            let (Some((_, ifms)), Some((_, wghs))) = (ifms, wghs) else {
+                continue;
+            };
+            let floor = floor_costs([*ifms, *wghs, ofms].map(|row| &rows[row]))
+                .expect("a loop with a bound has only bounded rows");
+            let tiling_bound = floor.estimate(&least_traffic(spatial, n_j, n_i), t_ck_ns);
+            assert_no_worse(&bound, &tiling_bound);
+        }
+        true
+    }
+
+    fn tiling(&mut self, tiling: Tiling, [n_h, n_w, n_j, n_i]: [u64; 4], tiles: [Self::Tile; 3]) {
         self.visited += 1;
         if self.visited % 7 != 1 {
             return;
         }
-        let Some(floor) = floor_costs(tiles.map(|row| &self.rows.rows[row])) else {
+        let Some(floor) = floor_costs(tiles.map(|(_, row)| &self.rows.rows[row])) else {
             return;
         };
         let t_ck_ns = self.e.model().table().t_ck_ns;
@@ -337,13 +453,19 @@ impl TilingVisitor for BoundCheck<'_> {
             for mapping in &self.e.config().mappings {
                 let member = self.e.evaluate(self.layer, &tiling, scheme, mapping);
                 for bound in [tiling_bound, group_bound] {
-                    assert!(bound.cycles <= member.cycles && bound.energy <= member.energy);
-                    for objective in Objective::ALL {
-                        assert!(objective.score(&bound) <= objective.score(&member));
-                    }
+                    assert_no_worse(&bound, &member);
                 }
             }
         }
+    }
+}
+
+/// `bound` is `<=` `estimate` in both coordinates and under every
+/// objective.
+fn assert_no_worse(bound: &EdpEstimate, estimate: &EdpEstimate) {
+    assert!(bound.cycles <= estimate.cycles && bound.energy <= estimate.energy);
+    for objective in Objective::ALL {
+        assert!(objective.score(bound) <= objective.score(estimate));
     }
 }
 
@@ -419,6 +541,49 @@ fn rows_the_bound_cannot_trust_disable_every_skip() {
         assert_eq!(pruned, 0, "{dif_rows:?} at t_ck {t_ck_ns}");
         assert!(swept.evaluations > 0);
     }
+}
+
+#[test]
+fn a_loop_mixing_trusted_and_untrusted_rows_is_walked_tiling_by_tiling() {
+    // A negative `dif_banks` read cost drives every row with a bank
+    // transition below zero. Under Mapping-6 (bank innermost) that is
+    // every row past one burst: 1-burst rows are bounded, longer ones are
+    // not. With `h = w = 1` and 1×1 kernels an ifms tile is `ti` bytes
+    // and a wghs tile `tj · ti`: the first layer's loops mix the two in
+    // the ifms term, the second's at `tj = 2` in the wghs term, and its
+    // `tj = 1` loop is all 1-burst rows. The untrusted tilings score
+    // below zero, so skipping one would change the winner.
+    let good = [
+        cost(4.0, 1.0),
+        cost(6.0, 2.0),
+        cost(40.0, 5.0),
+        cost(42.0, 6.0),
+    ];
+    let mut read = good;
+    read[1] = cost(-1e6, 1.0);
+    let table = AccessCostTable::from_costs(DramArch::Ddr3, read, good, 1.25);
+    let mut pruned_somewhere = false;
+    for layer in [
+        Layer::conv("mixed", 1, 1, 2, 16, 1, 1, 1),
+        Layer::conv("mixed-wghs", 1, 1, 16, 8, 1, 1, 1),
+    ] {
+        for objective in Objective::ALL {
+            for keep_points in [false, true] {
+                let config = DseConfig {
+                    objective,
+                    keep_points,
+                    ..DseConfig::default()
+                };
+                let e = engine_on(table.clone(), config);
+                let (swept, pruned) = e.explore_layer_counted(&layer).unwrap();
+                assert_results_bit_identical(&swept, &naive_explore(&e, &layer));
+                let counts = (swept.evaluations, pruned);
+                assert_eq!(counts, group_bound_reference(&e, &layer), "{objective:?}");
+                pruned_somewhere |= pruned > 0;
+            }
+        }
+    }
+    assert!(pruned_somewhere);
 }
 
 #[test]

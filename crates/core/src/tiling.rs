@@ -145,6 +145,22 @@ pub(crate) trait TilingVisitor {
     /// `(th, tw, tj)`.
     fn tile(&mut self, bytes: u64) -> Self::Tile;
 
+    /// Before the `ti` loop of a `(th, tw, tj)` whose ofms tile fits: the
+    /// three steps and the `ti` axis, each step with its trip count, and
+    /// the loop's ifms and wghs tiles (aligned with the axis, `None` where
+    /// one overflows) and ofms tile. Returns whether to walk the loop; a
+    /// skipped loop's [`loop_tilings`] are still counted.
+    fn ti_loop(
+        &mut self,
+        _outer: [(usize, u64); 3],
+        _is: &[(usize, u64)],
+        _ifms: &[Option<Self::Tile>],
+        _wghs: &[Option<Self::Tile>],
+        _ofms: Self::Tile,
+    ) -> bool {
+        true
+    }
+
     /// One feasible tiling, in enumeration order, with its trip counts
     /// `[n_h, n_w, n_j, n_i]` (what [`Tiling::steps`] would compute) and
     /// what [`TilingVisitor::tile`] made of its three tiles, in
@@ -207,6 +223,10 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
             for (&(tj, n_j), wghs) in js.iter().zip(wghs.chunks(is.len())) {
                 let ofms = fitting(visitor, DataKind::Ofms, Tiling::new(th, tw, tj, 1));
                 let Some(ofms) = ofms else { continue };
+                if !visitor.ti_loop([(th, n_h), (tw, n_w), (tj, n_j)], &is, &ifms, wghs, ofms) {
+                    count += loop_tilings(&ifms, wghs);
+                    continue;
+                }
                 for ((&(ti, n_i), &ifms), &wghs) in is.iter().zip(&ifms).zip(wghs) {
                     if let (Some(ifms), Some(wghs)) = (ifms, wghs) {
                         count += 1;
@@ -224,6 +244,15 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
         )));
     }
     Ok(count)
+}
+
+/// The feasible tilings of a `ti` loop: the steps at which both its
+/// ifms and its wghs tile fit.
+pub(crate) fn loop_tilings<T>(ifms: &[Option<T>], wghs: &[Option<T>]) -> usize {
+    ifms.iter()
+        .zip(wghs)
+        .filter(|(i, w)| i.is_some() && w.is_some())
+        .count()
 }
 
 /// Enumerate all buffer-feasible tilings of a layer from the geometric

@@ -114,6 +114,7 @@ impl TransitionClass {
         }
     }
 
+    #[inline]
     fn index(self) -> usize {
         match self {
             TransitionClass::DifColumn => 0,
@@ -163,6 +164,7 @@ pub struct AccessCostTable {
 
 impl AccessCostTable {
     /// Cost of one access of the given class and direction.
+    #[inline]
     pub fn cost(&self, class: TransitionClass, kind: RequestKind) -> AccessCost {
         match kind {
             RequestKind::Read => self.read[class.index()],

@@ -9,7 +9,7 @@
 //! [`DseEngine::explore_network`](drmap_core::dse::DseEngine::explore_network),
 //! which runs a bounded worker crew inside one process-wide call).
 //!
-//! The layer is the unit of work: a whole layer sweeps in 7–170 µs
+//! The layer is the unit of work: a whole zoo layer sweeps in 6–124 µs
 //! inside a worker (the model zoo's largest has 3 456 tilings) — about
 //! what waking a second worker costs — so a worker computes a missed
 //! layer with the very call [`ServiceState::run_job`] makes.

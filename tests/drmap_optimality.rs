@@ -271,20 +271,32 @@ fn drmap_wins_every_big_layer_and_none_enumerates_past_6000_tilings() {
 }
 
 /// The sweep on big layers against brute force, through public calls
-/// only: every 8th layer of the catalogue, every candidate tiling
-/// tested whole by `Tiling::fits`, every design point scored by
+/// only: every layer of the catalogue, every candidate tiling tested
+/// whole by `Tiling::fits`, every design point scored by
 /// `DseEngine::evaluate` in sweep order, first of equals wins. Winner
 /// and count must match `explore_layer` bit for bit on all four
-/// architectures. Most `(th, tw)` prefixes of these layers overflow a
-/// buffer, which the zoo's identity gate never exercises.
+/// architectures, and `(evaluations, pruned)` must match
+/// `data/big_counts.tsv` (architecture, network, layer, evaluations,
+/// pruned per line, taken before the `ti`-loop bound existed). Most
+/// `(th, tw)` prefixes of these layers overflow a buffer, which the
+/// zoo's identity gate never exercises.
 #[test]
-#[ignore = "12 big layers x 4 architectures scored point by point; run in release"]
+#[ignore = "96 big layers x 4 architectures scored point by point; run in release"]
 fn big_layer_sweeps_match_brute_force_bit_for_bit() {
     let catalogue = drmap::cnn::spec::parse_network(include_str!("data/big_layers.spec"))
         .expect("catalogue parses");
     let acc = AcceleratorConfig::table_ii();
-    for layer in catalogue.layers().iter().step_by(8) {
-        for (arch, engine) in &fixture().engines {
+    let mut counts = include_str!("data/big_counts.tsv").lines();
+    for (arch, engine) in &fixture().engines {
+        for layer in catalogue.layers() {
+            let (swept, pruned) = engine.explore_layer_counted(layer).expect("sweep succeeds");
+            let line = format!(
+                "{arch}\t{}\t{}\t{}\t{pruned}",
+                catalogue.name(),
+                layer.name,
+                swept.evaluations
+            );
+            assert_eq!(Some(line.as_str()), counts.next());
             let mut best: Option<(f64, DseCandidate)> = None;
             let mut evaluations = 0;
             for &th in &candidate_steps(layer.h) {
@@ -316,7 +328,6 @@ fn big_layer_sweeps_match_brute_force_bit_for_bit() {
                 }
             }
             let (_, best) = best.expect("feasible tiling exists");
-            let swept = engine.explore_layer(layer).expect("sweep succeeds");
             let bits =
                 |c: &DseCandidate| (c.estimate.cycles.to_bits(), c.estimate.energy.to_bits());
             assert_eq!(swept.evaluations, evaluations, "{arch} {}", layer.name);
@@ -324,4 +335,5 @@ fn big_layer_sweeps_match_brute_force_bit_for_bit() {
             assert_eq!(bits(&swept.best), bits(&best), "{arch} {}", layer.name);
         }
     }
+    assert_eq!(counts.next(), None);
 }
