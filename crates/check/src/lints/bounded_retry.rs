@@ -10,10 +10,6 @@
 //! identifier containing `attempt`, `budget`, or `deadline`. The
 //! bound lives in the code, not a comment, so it cannot rot silently;
 //! a justified exception uses `// check:allow(bounded-retry)`.
-//!
-//! The exact identifier `retry_after_ms` does not count as retrying:
-//! it is the protocol's backoff-advice *field*, plumbed through
-//! encode/decode/display loops that never resend anything.
 
 use crate::diag::{Diagnostic, Lint};
 use crate::engine::Workspace;
@@ -49,7 +45,7 @@ pub fn run(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
                     continue;
                 }
                 let name = t.text.to_ascii_lowercase();
-                if (name.contains("retry") || name.contains("retrie")) && name != "retry_after_ms" {
+                if name.contains("retry") || name.contains("retrie") {
                     retries = true;
                 }
                 if name.contains("attempt") || name.contains("budget") || name.contains("deadline")

@@ -295,7 +295,7 @@ impl RouterCore {
         // Backoff sleeps must not stall the thread that detected the
         // death (it may be a reader with more connections to report).
         let core = Arc::clone(self);
-        std::thread::spawn(move || core.redispatch(orphans, 0));
+        std::thread::spawn(move || core.redispatch(orphans));
     }
 
     // -----------------------------------------------------------------
@@ -348,15 +348,14 @@ impl RouterCore {
             if let Some(p) = lock_recovered(&self.pending).remove(&router_id) {
                 self.m.per_backend[idx].inflight.dec();
                 let core = Arc::clone(self);
-                std::thread::spawn(move || core.redispatch(vec![(router_id, p)], 0));
+                std::thread::spawn(move || core.redispatch(vec![(router_id, p)]));
             }
         }
     }
 
     /// Re-dispatch drained jobs after a failure: bounded attempts,
-    /// decorrelated-jitter backoff, `floor_ms` honoring a server's
-    /// `retry_after_ms` hint.
-    fn redispatch(self: &Arc<Self>, orphans: Vec<(u64, Pending)>, floor_ms: u64) {
+    /// decorrelated-jitter backoff.
+    fn redispatch(self: &Arc<Self>, orphans: Vec<(u64, Pending)>) {
         let seed = self.cfg.retry.seed ^ orphans.first().map_or(0, |(id, _)| *id);
         let mut rng = SplitMix64::new(seed);
         for (router_id, mut pending) in orphans {
@@ -371,11 +370,7 @@ impl RouterCore {
                 continue;
             }
             let mut prev = pending.prev_backoff_ms;
-            let sleep_ms = self
-                .cfg
-                .retry
-                .next_backoff_ms(&mut rng, &mut prev)
-                .max(floor_ms);
+            let sleep_ms = self.cfg.retry.next_backoff_ms(&mut rng, &mut prev);
             pending.prev_backoff_ms = prev;
             std::thread::sleep(Duration::from_millis(sleep_ms));
             self.m.failover_total.inc();
@@ -396,17 +391,6 @@ impl RouterCore {
                 self.m.per_backend[idx].inflight.dec();
                 result.id = pending.client_id;
                 let _ = pending.reply.send(Response::Job { result });
-            }
-            Response::Overloaded {
-                id: Some(id),
-                retry_after_ms,
-            } => {
-                let Some(pending) = lock_recovered(&self.pending).remove(&id) else {
-                    return;
-                };
-                self.m.per_backend[idx].inflight.dec();
-                let core = Arc::clone(self);
-                std::thread::spawn(move || core.redispatch(vec![(id, pending)], retry_after_ms));
             }
             Response::DeadlineExceeded {
                 id: Some(id),
@@ -646,17 +630,6 @@ impl RouterCore {
             }
             Request::Stats { id } => self.aggregate_stats(id),
             Request::Metrics { id } => self.aggregate_metrics(id),
-            // Per-node diagnostics do not aggregate meaningfully (the
-            // ring windows and persisted traces are node-local); the
-            // router does not advertise these capabilities.
-            Request::MetricsHistory { id } => Response::Error {
-                id,
-                message: "metrics-history is per-node; query the backend directly".to_owned(),
-            },
-            Request::SlowTraces { id, .. } => Response::Error {
-                id,
-                message: "slow-traces is per-node; query the backend directly".to_owned(),
-            },
             other => self.broadcast(&other),
         };
         let _ = reply.send(response);

@@ -112,10 +112,12 @@ fn routed_results_are_bit_identical_to_direct() {
     assert!(hello.has("router"), "router capability missing: {hello:?}");
     assert!(hello.has("jobs"));
     assert!(hello.has("pipelining"));
-    assert!(
-        !hello.has("metrics-history"),
-        "per-node diagnostics must not be advertised by the router"
-    );
+    // The router promises exactly what its (identical) backends speak,
+    // plus its own tier marker.
+    let node = Client::connect(&addrs[0]).unwrap().hello().unwrap();
+    let mut expected = node.capabilities;
+    expected.push("router".to_owned());
+    assert_eq!(hello.capabilities, expected);
 
     let reference = ServiceState::new().unwrap();
     for (i, network) in [Network::tiny(), Network::alexnet()]

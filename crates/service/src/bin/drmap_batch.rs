@@ -43,25 +43,14 @@
 //! drmap-batch --connect 127.0.0.1:7878 --admin metrics --text
 //! ```
 //!
-//! The time-series plane rides the same switch: `metrics-history`
-//! prints the server's windowed metrics samples (rates and windowed
-//! percentiles, not since-boot aggregates), `slow-traces[=N]` lists
-//! the slow-request post-mortems persisted through the store tier, and
-//! `set-slow-log=slow_ms:N,cap:N` retunes the slow log live:
-//!
-//! ```text
-//! drmap-batch --connect 127.0.0.1:7878 --admin metrics-history \
-//!     slow-traces=10 set-slow-log=slow_ms:250,cap:64
-//! ```
-//!
-//! The reliability plane too: `set-faults=SPEC|off` arms or disarms a
-//! deterministic fault-injection plan (builds with faults compiled in
-//! only) and `set-overload=key:value[,…]` retunes the adaptive
-//! admission controller live (see `docs/RELIABILITY.md`):
+//! `set-slow-log=slow_ms:N,cap:N` retunes the slow log live, and
+//! `set-faults=SPEC|off` arms or disarms a deterministic
+//! fault-injection plan (builds with faults compiled in only; see
+//! `docs/RELIABILITY.md`):
 //!
 //! ```text
 //! drmap-batch --connect 127.0.0.1:7878 --admin \
-//!     set-overload=enabled:on,high_ms:500,low_ms:250 \
+//!     set-slow-log=slow_ms:250,cap:64 \
 //!     set-faults=seed=42,store-fail=0.1 set-faults=off
 //! ```
 
@@ -327,66 +316,6 @@ fn run_admin(addr: &str, text: bool, commands: &[AdminCmd]) -> Result<(), String
                     }
                 }
             }
-            AdminCmd::MetricsHistory => {
-                let history = client
-                    .metrics_history()
-                    .map_err(|e| format!("metrics-history: {e}"))?;
-                if history.samples.is_empty() {
-                    println!(
-                        "metrics-history: no windowed samples yet \
-                         (is the server running with --sample-secs?)"
-                    );
-                } else {
-                    println!(
-                        "metrics-history: {} windowed sample(s), base at uptime 0",
-                        history.samples.len(),
-                    );
-                    for sample in &history.samples {
-                        let jobs = sample.delta.counter("jobs_total").unwrap_or(0);
-                        let request = sample.delta.histogram("request_ns");
-                        println!(
-                            "  window ending {:.1}s ({:.1}s wide): {} job(s){}",
-                            sample.uptime_ms as f64 / 1e3,
-                            sample.window_ms as f64 / 1e3,
-                            jobs,
-                            match request.filter(|h| h.count > 0) {
-                                Some(h) => format!(
-                                    ", request p50 {:.2}ms p99 {:.2}ms",
-                                    h.p50() as f64 / 1e6,
-                                    h.p99() as f64 / 1e6,
-                                ),
-                                None => String::new(),
-                            },
-                        );
-                    }
-                    let jobs = history.cumulative.counter("jobs_total").unwrap_or(0);
-                    println!("  cumulative: {jobs} job(s) since boot");
-                }
-            }
-            AdminCmd::SlowTraces(limit) => {
-                let traces = client
-                    .slow_traces(*limit)
-                    .map_err(|e| format!("slow-traces: {e}"))?;
-                if traces.is_empty() {
-                    println!("slow-traces: none persisted");
-                }
-                for trace in &traces {
-                    let stages = trace
-                        .entry
-                        .stages
-                        .iter()
-                        .map(|(name, ns)| format!("{name} {:.2}ms", *ns as f64 / 1e6))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    println!(
-                        "slow-trace #{} (job {}, unix_ms {}): {:.2}ms total ({stages})",
-                        trace.seq,
-                        trace.entry.trace_id,
-                        trace.unix_ms,
-                        trace.entry.total_ns as f64 / 1e6,
-                    );
-                }
-            }
             AdminCmd::SetSlowLog { slow_ms, cap } => {
                 let (slow_ms, cap) = client
                     .set_slow_log(*slow_ms, *cap)
@@ -408,33 +337,6 @@ fn run_admin(addr: &str, text: bool, commands: &[AdminCmd]) -> Result<(), String
                     Some(spec) => println!("set-faults: armed {spec}"),
                     None => println!("set-faults: disarmed"),
                 }
-            }
-            AdminCmd::SetOverload(update) => {
-                let (config, previous) = client
-                    .set_overload(*update)
-                    .map_err(|e| format!("set-overload: {e}"))?;
-                println!(
-                    "set-overload: {} (was {}), high {} ms / low {} ms, \
-                     recover after {} windows, retry-after {} ms, in-flight cap {}",
-                    if config.enabled {
-                        "enabled"
-                    } else {
-                        "disabled"
-                    },
-                    if previous.enabled {
-                        "enabled"
-                    } else {
-                        "disabled"
-                    },
-                    config.high_ms,
-                    config.low_ms,
-                    config.recover_windows,
-                    config.retry_after_ms,
-                    match config.max_inflight {
-                        Some(n) => n.to_string(),
-                        None => "none".to_owned(),
-                    },
-                );
             }
             AdminCmd::CacheClear => {
                 client

@@ -6,7 +6,7 @@
 //!             [--store PATH] [--warm N] [--auto-compact-ratio R]
 //!             [--max-inflight N] [--max-inflight-global N]
 //!             [--slow-ms N] [--slow-log-cap N] [--sample-secs N]
-//!             [--drain-secs N] [--fault-plan SPEC] [--overload SPEC]
+//!             [--drain-secs N] [--fault-plan SPEC]
 //! ```
 //!
 //! Speaks the typed, versioned protocol over pipelined TCP as
@@ -19,28 +19,23 @@
 //! and on boot the most recent stored results warm the cache (`--warm`
 //! caps how many; default: up to the cache's entry bound, or all of
 //! them). `--auto-compact-ratio R` arms background store compaction:
-//! each sampler tick compacts the log when its dead-bytes ratio
+//! each background tick compacts the log when its dead-bytes ratio
 //! reaches R (retunable live via `store-compact=auto:R`; counted in
-//! `drmap_wal_autocompact_total`). `--max-inflight` bounds in-flight
-//! requests per connection;
+//! `drmap_wal_autocompact_total`). `--sample-secs N` sets that tick's
+//! cadence (default 10; `--sample-secs 0` disables it); the tick runs
+//! only with `--store`, since compaction is its one job.
+//! `--max-inflight` bounds in-flight requests per connection;
 //! `--max-inflight-global` additionally bounds them across all
 //! connections. `--slow-ms N` turns on the slow-request log: any job
-//! taking at least N ms is captured with its per-stage span breakdown,
-//! dumped by the `metrics` admin verb, and — when a store is attached
-//! — persisted through the WAL for the `slow-traces` verb, so
-//! post-mortems survive restarts (`--slow-ms 0` logs every job).
-//! `--slow-log-cap N` sizes the in-memory slow ring (default 32;
-//! retunable live via `set-slow-log`). `--sample-secs N` sets the
-//! cadence of the background metrics sampler feeding the
-//! `metrics-history` verb (default 10; `--sample-secs 0` disables
-//! sampling; see `docs/OBSERVABILITY.md`). `--drain-secs N` bounds the
+//! taking at least N ms is captured with its per-stage span breakdown
+//! and dumped by the `metrics` admin verb (`--slow-ms 0` logs every
+//! job). `--slow-log-cap N` sizes the slow ring (default 32; retunable
+//! live via `set-slow-log`). `--drain-secs N` bounds the
 //! graceful-shutdown drain of in-flight jobs (default 5).
 //! `--fault-plan SPEC` arms a seeded deterministic fault plan at boot
 //! (debug builds or the `faults` cargo feature only; same spec grammar
-//! as the `set-faults` admin verb — see `docs/RELIABILITY.md`), and
-//! `--overload SPEC` arms the adaptive admission controller (same
-//! key:value fields as the `set-overload` verb; `enabled:on` is implied
-//! when the spec omits it). Try it with netcat:
+//! as the `set-faults` admin verb — see `docs/RELIABILITY.md`). Try it
+//! with netcat:
 //!
 //! ```text
 //! $ drmap-serve --addr 127.0.0.1:7878 --cache-entries 4096 --store results.wal &
@@ -52,7 +47,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use drmap_service::cache::CacheConfig;
-use drmap_service::cli::{parse_overload_spec, parse_positive as positive};
+use drmap_service::cli::parse_positive as positive;
 use drmap_service::engine::{default_workers, ServiceState};
 use drmap_service::faults::FaultPlan;
 use drmap_service::pool::DsePool;
@@ -68,7 +63,6 @@ struct Args {
     auto_compact_ratio: Option<f64>,
     slow_log_cap: Option<usize>,
     fault_plan: Option<FaultPlan>,
-    overload: Option<drmap_service::proto::OverloadUpdate>,
     server: ServerConfig,
 }
 
@@ -82,10 +76,9 @@ fn parse_args() -> Result<Args, String> {
         auto_compact_ratio: None,
         slow_log_cap: None,
         fault_plan: None,
-        overload: None,
         server: ServerConfig {
-            // The serve bin samples every 10 s by default so
-            // `metrics-history` works out of the box; --sample-secs 0
+            // The serve bin ticks every 10 s by default so
+            // --auto-compact-ratio works out of the box; --sample-secs 0
             // opts out. Library users opt *in* via ServerConfig.
             sample_interval: Some(Duration::from_secs(10)),
             ..ServerConfig::default()
@@ -138,7 +131,7 @@ fn parse_args() -> Result<Args, String> {
                 args.slow_log_cap = Some(positive("--slow-log-cap", &value("--slow-log-cap")?)?);
             }
             "--sample-secs" => {
-                // 0 is meaningful: it disables the sampler thread.
+                // 0 is meaningful: it disables the background tick.
                 let v = value("--sample-secs")?;
                 let secs: u64 = v
                     .parse()
@@ -159,14 +152,6 @@ fn parse_args() -> Result<Args, String> {
                 args.fault_plan =
                     Some(FaultPlan::parse(&v).map_err(|e| format!("invalid --fault-plan: {e}"))?);
             }
-            "--overload" => {
-                let v = value("--overload")?;
-                let mut update = parse_overload_spec(&v).map_err(|e| format!("--overload: {e}"))?;
-                // Passing the flag means "turn it on" unless the spec
-                // says otherwise.
-                update.enabled.get_or_insert(true);
-                args.overload = Some(update);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: drmap-serve [--addr HOST:PORT] [--workers N] \
@@ -174,7 +159,7 @@ fn parse_args() -> Result<Args, String> {
                      [--store PATH] [--warm N] [--auto-compact-ratio R] \
                      [--max-inflight N] [--max-inflight-global N] \
                      [--slow-ms N] [--slow-log-cap N] [--sample-secs N] \
-                     [--drain-secs N] [--fault-plan SPEC] [--overload SPEC]"
+                     [--drain-secs N] [--fault-plan SPEC]"
                 );
                 std::process::exit(0);
             }
@@ -224,11 +209,6 @@ fn main() -> ExitCode {
         if let Some(plan) = args.fault_plan {
             state.faults().set_plan(Some(plan))?;
         }
-        if let Some(update) = args.overload {
-            state
-                .overload()
-                .set_config(update.apply(state.overload().config()));
-        }
         let pool = Arc::new(DsePool::new(state, args.workers));
         JobServer::with_config(&args.addr, pool, args.server)
     });
@@ -248,7 +228,7 @@ fn main() -> ExitCode {
             println!(
                 "drmap-serve: listening on {addr} with {} workers \
                  (cache: {} entries, {} bytes; store: {}; \
-                 in-flight: {}/conn, {} global; slow log: {} (cap {}); sampler: {})",
+                 in-flight: {}/conn, {} global; slow log: {} (cap {}); tick: {})",
                 args.workers,
                 bound(args.cache.max_entries),
                 bound(args.cache.max_bytes),
@@ -260,19 +240,13 @@ fn main() -> ExitCode {
                     None => "off".to_owned(),
                 },
                 args.slow_log_cap.unwrap_or(32),
-                match args.server.sample_interval {
+                match args.server.sample_interval.filter(|_| args.store.is_some()) {
                     Some(interval) => format!("every {}s", interval.as_secs()),
                     None => "off".to_owned(),
                 },
             );
             if let Some(plan) = &args.fault_plan {
                 println!("drmap-serve: fault plan armed: {}", plan.render());
-            }
-            if args.overload.is_some() {
-                println!(
-                    "drmap-serve: overload control armed \
-                     (retune live with the set-overload admin verb)"
-                );
             }
         }
         Err(e) => eprintln!("drmap-serve: {e}"),

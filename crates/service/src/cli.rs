@@ -3,7 +3,7 @@
 //! command language.
 
 use crate::faults::FaultPlan;
-use crate::proto::{BoundsUpdate, OverloadUpdate};
+use crate::proto::BoundsUpdate;
 
 /// Parse a flag value as a positive integer, rejecting zero, negatives,
 /// and garbage with a uniform error message.
@@ -36,12 +36,6 @@ pub enum AdminCmd {
     /// `metrics` — dump the telemetry snapshot and slow-request log
     /// (`--text` renders Prometheus-style exposition instead).
     Metrics,
-    /// `metrics-history` — dump the windowed metrics history ring
-    /// (base snapshot, per-window deltas, cumulative snapshot).
-    MetricsHistory,
-    /// `slow-traces[=N]` — list up to N persisted slow-request traces,
-    /// newest first (requires a server-side store).
-    SlowTraces(Option<usize>),
     /// `set-slow-log=slow_ms:N|cap:N[,…]` — retune the slow-request
     /// log threshold (`slow_ms:0` logs every job) and/or ring capacity.
     SetSlowLog {
@@ -54,11 +48,6 @@ pub enum AdminCmd {
     /// grammar in `docs/RELIABILITY.md`, e.g.
     /// `set-faults=seed=42,store-fail=0.1`) or disarm with `off`.
     SetFaults(Option<FaultPlan>),
-    /// `set-overload=key:value[,…]` — retune the admission controller
-    /// (keys: `enabled:on|off`, `high_ms`, `low_ms`, `recover_windows`,
-    /// `retry_after_ms`, `max_inflight`; `max_inflight:0` clears the
-    /// in-flight cap).
-    SetOverload(OverloadUpdate),
     /// `cache-clear` — drop the resident cache tier.
     CacheClear,
     /// `cache-warm[=N]` — promote stored results into the cache.
@@ -69,70 +58,6 @@ pub enum AdminCmd {
     StoreCompact(Option<f64>),
     /// `shutdown` — stop the server accepting connections.
     Shutdown,
-}
-
-/// Parse a `set-overload` / `--overload` spec:
-/// `key:value[,key:value…]` with keys `enabled` (`on`/`off`/`true`/
-/// `false`), `high_ms`, `low_ms`, `recover_windows`, `retry_after_ms`,
-/// and `max_inflight` (`0` clears the cap). Shared by the admin verb
-/// and the `drmap-serve --overload` boot flag so the two spec languages
-/// cannot drift apart.
-///
-/// # Errors
-///
-/// Returns a usage message for unknown keys, malformed values, or a
-/// spec that changes nothing.
-pub fn parse_overload_spec(value: &str) -> Result<OverloadUpdate, String> {
-    let mut update = OverloadUpdate::default();
-    for pair in value.split(',') {
-        let (key, v) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("set-overload field {pair:?} is not key:value"))?;
-        let ms = |v: &str| -> Result<u64, String> {
-            v.parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("invalid {key} value {v:?} (positive milliseconds)"))
-        };
-        match key {
-            "enabled" => {
-                update.enabled = Some(match v {
-                    "on" | "true" => true,
-                    "off" | "false" => false,
-                    other => {
-                        return Err(format!("invalid enabled value {other:?} (expected on|off)"))
-                    }
-                });
-            }
-            "high_ms" => update.high_ms = Some(ms(v)?),
-            "low_ms" => update.low_ms = Some(ms(v)?),
-            "retry_after_ms" => update.retry_after_ms = Some(ms(v)?),
-            "recover_windows" => {
-                update.recover_windows = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &u32| n > 0)
-                        .ok_or_else(|| format!("invalid recover_windows value {v:?}"))?,
-                );
-            }
-            // 0 is meaningful here: it clears the in-flight cap.
-            "max_inflight" => {
-                update.max_inflight = Some(v.parse().map_err(|_| {
-                    format!("invalid max_inflight value {v:?} (integer, 0 clears)")
-                })?);
-            }
-            other => {
-                return Err(format!(
-                    "unknown set-overload field {other:?} (expected enabled, high_ms, \
-                     low_ms, recover_windows, retry_after_ms, or max_inflight)"
-                ))
-            }
-        }
-    }
-    if update.is_empty() {
-        return Err("set-overload changed nothing".to_owned());
-    }
-    Ok(update)
 }
 
 /// Parse one `--admin` command token (see [`AdminCmd`] for the
@@ -155,14 +80,6 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
         "ping" => no_value(AdminCmd::Ping),
         "stats" => no_value(AdminCmd::Stats),
         "metrics" => no_value(AdminCmd::Metrics),
-        "metrics-history" => no_value(AdminCmd::MetricsHistory),
-        "slow-traces" => match value {
-            None => Ok(AdminCmd::SlowTraces(None)),
-            Some(v) => Ok(AdminCmd::SlowTraces(Some(parse_positive(
-                "slow-traces",
-                v,
-            )?))),
-        },
         "set-slow-log" => {
             let value = value.ok_or(
                 "set-slow-log needs a value, e.g. set-slow-log=slow_ms:250,cap:64 \
@@ -204,13 +121,6 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
             }
             let plan = FaultPlan::parse(value).map_err(|e| e.to_string())?;
             Ok(AdminCmd::SetFaults(Some(plan)))
-        }
-        "set-overload" => {
-            let value = value.ok_or(
-                "set-overload needs a value, e.g. \
-                 set-overload=enabled:on,high_ms:500,low_ms:250",
-            )?;
-            Ok(AdminCmd::SetOverload(parse_overload_spec(value)?))
         }
         "cache-clear" => no_value(AdminCmd::CacheClear),
         "store-compact" => match value {
@@ -266,8 +176,8 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
         }
         other => Err(format!(
             "unknown admin command {other:?} (expected hello, ping, stats, set-bounds, \
-             set-slow-log, set-faults, set-overload, cache-clear, cache-warm, store-compact, \
-             metrics, metrics-history, slow-traces, or shutdown)"
+             set-slow-log, set-faults, cache-clear, cache-warm, store-compact, metrics, \
+             or shutdown)"
         )),
     }
 }
@@ -296,18 +206,6 @@ mod tests {
             Ok(AdminCmd::StoreCompact(Some(0.4)))
         );
         assert_eq!(parse_admin_command("metrics"), Ok(AdminCmd::Metrics));
-        assert_eq!(
-            parse_admin_command("metrics-history"),
-            Ok(AdminCmd::MetricsHistory)
-        );
-        assert_eq!(
-            parse_admin_command("slow-traces"),
-            Ok(AdminCmd::SlowTraces(None))
-        );
-        assert_eq!(
-            parse_admin_command("slow-traces=5"),
-            Ok(AdminCmd::SlowTraces(Some(5)))
-        );
         assert_eq!(
             parse_admin_command("set-slow-log=slow_ms:0,cap:64"),
             Ok(AdminCmd::SetSlowLog {
@@ -340,15 +238,6 @@ mod tests {
             }
             other => panic!("unexpected parse: {other:?}"),
         }
-        assert_eq!(
-            parse_admin_command("set-overload=enabled:on,high_ms:500,max_inflight:0"),
-            Ok(AdminCmd::SetOverload(OverloadUpdate {
-                enabled: Some(true),
-                high_ms: Some(500),
-                max_inflight: Some(0),
-                ..OverloadUpdate::default()
-            }))
-        );
         for bad in [
             "reboot",
             "ping=1",
@@ -358,9 +247,10 @@ mod tests {
             "set-bounds=",
             "set-bounds=rows:4",
             "set-bounds=entries:x",
-            "metrics-history=1",
-            "slow-traces=0",
-            "slow-traces=many",
+            // Verbs that no longer exist.
+            "metrics-history",
+            "slow-traces=5",
+            "set-overload=enabled:on",
             "set-slow-log",
             "set-slow-log=",
             "set-slow-log=cap:0",
@@ -369,11 +259,6 @@ mod tests {
             "set-faults",
             "set-faults=seed=nope",
             "set-faults=store-fail=2.0",
-            "set-overload",
-            "set-overload=",
-            "set-overload=enabled:maybe",
-            "set-overload=high_ms:0",
-            "set-overload=shed:yes",
             "store-compact=0.4",
             "store-compact=auto:1.5",
             "store-compact=auto:now",

@@ -16,8 +16,7 @@
 //!   [`crate::proto`]'s versioned protocol, [`Client::submit_with`]
 //!   attaches per-job options, and [`Client::set_bounds`],
 //!   [`Client::cache_clear`], [`Client::cache_warm`], [`Client::compact_store`],
-//!   [`Client::stats_report`], [`Client::metrics`],
-//!   [`Client::metrics_history`], [`Client::slow_traces`], and
+//!   [`Client::stats_report`], [`Client::metrics`], and
 //!   [`Client::set_slow_log`] drive a live server's control plane.
 //!
 //! Every message travels as one line of JSON text (see [`crate::wire`]).
@@ -28,16 +27,11 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use drmap_store::store::CompactReport;
-use drmap_telemetry::SnapshotHistory;
 
 use crate::error::ServiceError;
 use crate::json::Json;
 use crate::loadgen::SplitMix64;
-use crate::overload::OverloadConfig;
-use crate::proto::{
-    BoundsUpdate, MetricsReport, OverloadUpdate, PersistedSlowTrace, Request, Response,
-    StatsReport, PROTOCOL_VERSION,
-};
+use crate::proto::{BoundsUpdate, MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION};
 use crate::spec::{JobOptions, JobResult, JobSpec};
 use crate::wire;
 
@@ -64,10 +58,8 @@ pub struct ClientConfig {
 /// reproducible.
 ///
 /// The loop that spends this budget is `drmap-router`'s failover: a job
-/// (never an admin verb) is re-dispatched when its backend died or shed
-/// it, which is safe because results are deterministic and memoized
-/// server-side. A shed response's `retry_after_ms` hint is honored as a
-/// floor under the jittered sleep.
+/// (never an admin verb) is re-dispatched when its backend died, which
+/// is safe because results are deterministic and memoized server-side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Smallest sleep, and the lower bound of every jitter draw.
@@ -232,9 +224,8 @@ impl Client {
 
     /// Send one typed request and decode its typed response, surfacing
     /// server-side failures as `Err` — generic error responses as
-    /// [`ServiceError::Protocol`], shed load and missed deadlines as
-    /// their typed variants so callers can react without
-    /// string-matching.
+    /// [`ServiceError::Protocol`], missed deadlines as their typed
+    /// variant so callers can react without string-matching.
     /// Public so layered tiers (`drmap-router`'s admin fan-out) can
     /// send verbs this client has no dedicated wrapper for.
     pub fn typed_request(&mut self, request: &Request) -> Result<Response, ServiceError> {
@@ -250,13 +241,10 @@ impl Client {
         }
     }
 
-    /// Turn the three failure responses into their `Err` forms.
+    /// Turn the two failure responses into their `Err` forms.
     fn lift_failure(response: Response) -> Result<Response, ServiceError> {
         match response {
             Response::Error { message, .. } => Err(ServiceError::protocol(message)),
-            Response::Overloaded { retry_after_ms, .. } => {
-                Err(ServiceError::Overloaded { retry_after_ms })
-            }
             Response::DeadlineExceeded { deadline_ms, .. } => {
                 Err(ServiceError::DeadlineExceeded { deadline_ms })
             }
@@ -329,31 +317,6 @@ impl Client {
         })? {
             Response::FaultsSet { spec, .. } => Ok(spec),
             other => Err(Self::unexpected("set-faults", &other)),
-        }
-    }
-
-    /// Retune the live server's overload controller (absent fields
-    /// keep their current values; `max_inflight: Some(0)` clears the
-    /// cap). Returns `(now_in_force, previous)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on empty updates (rejected client-side), malformed
-    /// responses, or server-side errors.
-    pub fn set_overload(
-        &mut self,
-        update: OverloadUpdate,
-    ) -> Result<(OverloadConfig, OverloadConfig), ServiceError> {
-        if update.is_empty() {
-            return Err(ServiceError::protocol(
-                "set-overload needs at least one field to change",
-            ));
-        }
-        match self.typed_request(&Request::SetOverload { id: None, update })? {
-            Response::OverloadSet {
-                config, previous, ..
-            } => Ok((config, previous)),
-            other => Err(Self::unexpected("set-overload", &other)),
         }
     }
 
@@ -471,40 +434,6 @@ impl Client {
         match self.typed_request(&Request::Metrics { id: None })? {
             Response::Metrics { report, .. } => Ok(report),
             other => Err(Self::unexpected("metrics", &other)),
-        }
-    }
-
-    /// Fetch the server's windowed metrics history: the base snapshot,
-    /// every retained windowed delta, and the cumulative snapshot the
-    /// samples reconstruct to (see
-    /// [`drmap_telemetry::SnapshotHistory::reconstructed`]). Empty
-    /// until the server's sampler has ticked (`--sample-secs`).
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed responses.
-    pub fn metrics_history(&mut self) -> Result<SnapshotHistory, ServiceError> {
-        match self.typed_request(&Request::MetricsHistory { id: None })? {
-            Response::MetricsHistory { history, .. } => Ok(history),
-            other => Err(Self::unexpected("metrics-history", &other)),
-        }
-    }
-
-    /// List up to `limit` slow-request traces persisted through the
-    /// server's store tier, newest first — post-mortems that survive
-    /// restarts, unlike the in-memory ring the `metrics` verb dumps.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the server has no store attached, or on malformed
-    /// responses.
-    pub fn slow_traces(
-        &mut self,
-        limit: Option<usize>,
-    ) -> Result<Vec<PersistedSlowTrace>, ServiceError> {
-        match self.typed_request(&Request::SlowTraces { id: None, limit })? {
-            Response::SlowTraces { traces, .. } => Ok(traces),
-            other => Err(Self::unexpected("slow-traces", &other)),
         }
     }
 

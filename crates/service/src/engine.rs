@@ -9,9 +9,7 @@
 //! state, handed to every worker, connection handler, and front-end.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use drmap_cnn::accelerator::AcceleratorConfig;
 use drmap_cnn::layer::Layer;
@@ -21,32 +19,18 @@ use drmap_core::error::DseError;
 use drmap_dram::geometry::Geometry;
 use drmap_dram::profiler::{AccessCostTable, Profiler};
 use drmap_dram::timing::DramArch;
-use drmap_store::store::{FaultDirective, SLOW_TRACE_KEY_PREFIX};
-use drmap_telemetry::{
-    Counter, Gauge, Histogram, HistogramWindow, MetricsRegistry, SlowEntry, SlowLog, SnapshotRing,
-    Span, Trace,
-};
+use drmap_store::store::FaultDirective;
+use drmap_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, SlowLog, Span, Trace};
 
 use crate::cache::{CacheConfig, CacheMetrics, CacheOutcome, DseCache};
 use crate::error::ServiceError;
 use crate::faults::{FaultAction, FaultState, FAULTS_COMPILED_IN};
-use crate::overload::OverloadController;
 use crate::spec::{CacheMode, EngineSpec, JobResult, JobSpec, LayerOutcome};
 
 /// How many slow requests the [`SlowLog`] ring buffer retains by
 /// default (retunable live: `--slow-log-cap` at boot, the
 /// `set-slow-log` admin verb afterwards).
 const SLOW_LOG_CAPACITY: usize = 32;
-
-/// How many windowed metrics samples the [`SnapshotRing`] retains —
-/// at the default 10 s cadence, ten minutes of history.
-const SNAPSHOT_RING_CAPACITY: usize = 60;
-
-/// How many persisted slow-trace slots the store tier keeps. Traces
-/// write under `seq % SLOW_TRACE_SLOTS`, so the newest records
-/// supersede the oldest in place and the WAL's last-record-per-key
-/// replay garbage-collects the ring on compaction.
-const SLOW_TRACE_SLOTS: u64 = 256;
 
 /// The profiled substrate every served engine runs on: Table II
 /// geometry and accelerator, DDR3-1600K timing, Micron 2Gb x8 energy
@@ -171,10 +155,8 @@ pub(crate) struct StageMetrics {
     pub(crate) fault_wire_total: Arc<Counter>,
     /// Worker panics injected by an armed fault plan.
     pub(crate) fault_pool_total: Arc<Counter>,
-    /// Jobs refused by the overload controller's admission check.
-    pub(crate) shed_total: Arc<Counter>,
-    /// Jobs admitted but not yet answered — the admission controller's
-    /// second input besides windowed latency.
+    /// Jobs accepted but not yet answered — what the graceful drain
+    /// waits on.
     pub(crate) jobs_inflight: Arc<Gauge>,
 }
 
@@ -195,15 +177,13 @@ impl StageMetrics {
             fault_store_total: registry.counter("fault_store_total"),
             fault_wire_total: registry.counter("fault_wire_total"),
             fault_pool_total: registry.counter("fault_pool_total"),
-            shed_total: registry.counter("shed_total"),
             jobs_inflight: registry.gauge("jobs_inflight"),
         }
     }
 }
 
 /// The service's shared state: engine factory, layer memo cache, and
-/// the telemetry plane (metrics registry, windowed snapshot history,
-/// slow-request log, and the persisted slow-trace tier).
+/// the telemetry plane (metrics registry and slow-request log).
 #[derive(Debug)]
 pub struct ServiceState {
     factory: EngineFactory,
@@ -211,19 +191,9 @@ pub struct ServiceState {
     metrics: Arc<MetricsRegistry>,
     stages: StageMetrics,
     slow_log: SlowLog,
-    history: SnapshotRing,
-    /// Next persisted slow-trace sequence number; resumed past the
-    /// highest sequence found in the store at boot so restarts keep
-    /// appending instead of overwriting the freshest post-mortems.
-    slow_seq: AtomicU64,
     /// Armed fault plan (if any) shared by every injection site.
     faults: Arc<FaultState>,
-    /// Admission controller fed by windowed request latency.
-    overload: OverloadController,
-    /// Successive-difference window over `request_ns`, closed once per
-    /// sampler tick to feed the overload controller.
-    request_window: HistogramWindow,
-    /// Dead-bytes ratio above which the sampler tick compacts the
+    /// Dead-bytes ratio above which the background tick compacts the
     /// attached store (`--auto-compact-ratio` at boot; live-tunable via
     /// the `store-compact` verb's `auto_ratio` extension). `None`
     /// disables the background check.
@@ -299,8 +269,6 @@ impl ServiceState {
             store_write_ns: metrics.histogram("store_write_ns"),
             singleflight_wait_ns: metrics.histogram("singleflight_wait_ns"),
         });
-        let slow_seq = cache.store().map(|store| next_slow_seq(store)).unwrap_or(0);
-        let request_window = HistogramWindow::new(Arc::clone(&stages.request_ns));
         let wal_autocompact_total = metrics.counter("wal_autocompact_total");
         Ok(Arc::new(ServiceState {
             factory: EngineFactory::table_ii()?,
@@ -308,11 +276,7 @@ impl ServiceState {
             metrics,
             stages,
             slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
-            history: SnapshotRing::new(SNAPSHOT_RING_CAPACITY),
-            slow_seq: AtomicU64::new(slow_seq),
             faults,
-            overload: OverloadController::default(),
-            request_window,
             auto_compact_ratio: Mutex::new(None),
             wal_autocompact_total,
         }))
@@ -335,10 +299,12 @@ impl ServiceState {
         )
     }
 
-    /// One background auto-compaction check (the server runs this on
-    /// the sampler cadence): when a threshold is armed, a store is
-    /// attached, and the store's dead-bytes ratio has reached the
-    /// threshold, compact and count it in `wal_autocompact_total`.
+    /// One background auto-compaction check (the server's background
+    /// tick runs this every
+    /// [`sample_interval`](crate::server::ServerConfig::sample_interval)):
+    /// when a threshold is armed, a store is attached, and the store's
+    /// dead-bytes ratio has reached the threshold, compact and count it
+    /// in `wal_autocompact_total`.
     /// Returns whether a compaction ran. A compaction failure is
     /// swallowed — the check is opportunistic hygiene and the explicit
     /// `store-compact` verb still reports errors to the caller.
@@ -371,76 +337,10 @@ impl ServiceState {
         &self.slow_log
     }
 
-    /// The windowed metrics history ring the server's sampler thread
-    /// records into; dumped by the `metrics-history` admin verb.
-    pub fn history(&self) -> &SnapshotRing {
-        &self.history
-    }
-
-    /// Take one cumulative metrics snapshot and fold it into the
-    /// history ring as a windowed delta (the sampler thread's tick).
-    /// The same tick closes one `request_ns` latency window and feeds
-    /// its p99 to the overload controller, so shedding decisions track
-    /// the sampler cadence.
-    pub fn sample_metrics(&self) {
-        self.history
-            .record(self.metrics.snapshot(), self.metrics.uptime_ms());
-        let window = self.request_window.tick();
-        self.overload.observe_window(window.p99() / 1_000_000);
-    }
-
     /// The live fault-injection state (armed by `--fault-plan` or the
     /// `set-faults` admin verb; empty by default).
     pub fn faults(&self) -> &FaultState {
         &self.faults
-    }
-
-    /// The admission controller (armed by `--overload` or the
-    /// `set-overload` admin verb; disabled by default).
-    pub fn overload(&self) -> &OverloadController {
-        &self.overload
-    }
-
-    /// Write one slow-request trace through the store tier (under
-    /// [`SLOW_TRACE_KEY_PREFIX`], in a ring of [`SLOW_TRACE_SLOTS`]
-    /// slots) so the post-mortem survives a restart. A no-op without
-    /// an attached store; a write failure is swallowed — persistence
-    /// is telemetry, and telemetry must never fail a request.
-    pub fn persist_slow_trace(&self, entry: &SlowEntry) {
-        let Some(store) = self.cache.store() else {
-            return;
-        };
-        // ordering: Relaxed — the sequence only needs to hand out
-        // unique, roughly-monotonic numbers; the store's own write
-        // lock orders the actual record appends.
-        let seq = self.slow_seq.fetch_add(1, Ordering::Relaxed);
-        let unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-            .unwrap_or(0);
-        let key = format!("{SLOW_TRACE_KEY_PREFIX}{:08}", seq % SLOW_TRACE_SLOTS);
-        if store.put(&key, &entry.encode_record(seq, unix_ms)).is_ok() {
-            self.metrics.counter("slow_traces_persisted_total").inc();
-        }
-    }
-
-    /// Decode up to `limit` persisted slow traces, newest first, as
-    /// `(seq, unix_ms, entry)` triples. Empty without an attached
-    /// store; records that fail to decode (foreign writers, version
-    /// skew) are skipped, never an error.
-    pub fn persisted_slow_traces(&self, limit: Option<usize>) -> Vec<(u64, u64, SlowEntry)> {
-        let Some(store) = self.cache.store() else {
-            return Vec::new();
-        };
-        let mut traces: Vec<(u64, u64, SlowEntry)> = store
-            .keys_with_prefix(SLOW_TRACE_KEY_PREFIX)
-            .into_iter()
-            .filter_map(|key| store.get(&key).ok().flatten())
-            .filter_map(|bytes| SlowEntry::decode_record(&bytes))
-            .collect();
-        traces.sort_by_key(|&(seq, _, _)| std::cmp::Reverse(seq));
-        traces.truncate(limit.unwrap_or(usize::MAX));
-        traces
     }
 
     /// The pre-resolved request-path stage handles.
@@ -629,21 +529,6 @@ pub fn job_route_key(spec: &JobSpec) -> String {
         key.push('\n');
     }
     key
-}
-
-/// The next slow-trace sequence number to hand out: one past the
-/// highest sequence among the store's persisted traces (0 for a fresh
-/// or trace-free log), so a restarted server appends after its
-/// predecessor instead of overwriting the freshest slots.
-fn next_slow_seq(store: &drmap_store::store::Store) -> u64 {
-    store
-        .keys_with_prefix(SLOW_TRACE_KEY_PREFIX)
-        .into_iter()
-        .filter_map(|key| store.get(&key).ok().flatten())
-        .filter_map(|bytes| SlowEntry::decode_record(&bytes))
-        .map(|(seq, _, _)| seq.saturating_add(1))
-        .max()
-        .unwrap_or(0)
 }
 
 /// Convert a core-layer result into the service's wire outcome.

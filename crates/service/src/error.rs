@@ -27,12 +27,6 @@ pub enum ServiceError {
         /// The deadline the job carried, in milliseconds.
         deadline_ms: u64,
     },
-    /// The server's admission controller is shedding load; retry after
-    /// the hinted delay.
-    Overloaded {
-        /// Server-suggested backoff before retrying, in milliseconds.
-        retry_after_ms: u64,
-    },
 }
 
 /// Marker prefix the pool embeds in a [`DseError`] raised by a missed
@@ -77,9 +71,6 @@ impl fmt::Display for ServiceError {
             ServiceError::DeadlineExceeded { deadline_ms } => {
                 write!(f, "{DEADLINE_MARKER}{deadline_ms} ms")
             }
-            ServiceError::Overloaded { retry_after_ms } => {
-                write!(f, "server overloaded; retry after {retry_after_ms} ms")
-            }
         }
     }
 }
@@ -91,8 +82,7 @@ impl std::error::Error for ServiceError {
             ServiceError::Io(e) => Some(e),
             ServiceError::Protocol(_)
             | ServiceError::Timeout(_)
-            | ServiceError::DeadlineExceeded { .. }
-            | ServiceError::Overloaded { .. } => None,
+            | ServiceError::DeadlineExceeded { .. } => None,
         }
     }
 }

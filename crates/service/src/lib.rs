@@ -61,11 +61,9 @@
 //! * [`faults`] — seeded, deterministic fault injection into the
 //!   store, the wire, and the pool (`--fault-plan` / `set-faults`),
 //!   compiled out of release builds unless the `faults` feature is on;
-//! * [`overload`] — the hysteretic admission controller behind the
-//!   `overloaded` shed response and the `set-overload` verb; paired
-//!   with per-job deadlines (`deadline_ms`) and the bounded, jittered
-//!   [`RetryPolicy`](client::RetryPolicy) the router's failover spends.
-//!   See `docs/RELIABILITY.md`.
+//!   paired with per-job deadlines (`deadline_ms`) and the bounded,
+//!   jittered [`RetryPolicy`](client::RetryPolicy) the router's failover
+//!   spends. See `docs/RELIABILITY.md`.
 //!
 //! Every layer is threaded with [`drmap_telemetry`]: lock-free latency
 //! histograms and counters for each request stage (frame decode, cache
@@ -108,7 +106,6 @@ pub mod error;
 pub mod faults;
 pub mod json;
 pub mod loadgen;
-pub mod overload;
 pub mod pool;
 pub mod proto;
 pub mod server;
@@ -124,11 +121,9 @@ pub mod prelude {
     pub use crate::error::ServiceError;
     pub use crate::faults::{FaultPlan, FaultState};
     pub use crate::json::Json;
-    pub use crate::overload::{OverloadConfig, OverloadController};
     pub use crate::pool::{DsePool, PendingJob};
     pub use crate::proto::{
-        BoundsUpdate, MetricsReport, OverloadUpdate, Request, Response, StatsReport,
-        PROTOCOL_VERSION,
+        BoundsUpdate, MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION,
     };
     pub use crate::server::{JobServer, ServerConfig};
     pub use crate::spec::{

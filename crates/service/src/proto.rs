@@ -39,14 +39,11 @@
 //! See `docs/PROTOCOL.md` for the full verb-by-verb reference.
 
 use drmap_store::store::{CompactReport, StoreStats};
-use drmap_telemetry::{
-    HistogramSnapshot, MetricsSnapshot, SlowEntry, SnapshotHistory, SnapshotSample,
-};
+use drmap_telemetry::{HistogramSnapshot, MetricsSnapshot, SlowEntry};
 
 use crate::cache::CacheStats;
 use crate::error::ServiceError;
 use crate::json::Json;
-use crate::overload::OverloadConfig;
 use crate::spec::{JobResult, JobSpec};
 
 /// The protocol version this build speaks. See the module docs for
@@ -65,10 +62,9 @@ pub enum Dialect {
 }
 
 /// The capability strings a server advertises in its hello response.
-/// `store` and `slow-traces` appear only when a persistent result
-/// store is attached (without it, `cache-warm`, `store-compact`, and
-/// `slow-traces` answer with errors — persisted post-mortems need
-/// somewhere to live). `faults` appears only in builds with fault
+/// `store` appears only when a persistent result store is attached
+/// (without it, `cache-warm` and `store-compact` answer with errors).
+/// `faults` appears only in builds with fault
 /// injection compiled in (debug, or the `faults` cargo feature) —
 /// release servers without it refuse `set-faults` outright.
 pub fn capabilities(store_attached: bool) -> Vec<String> {
@@ -78,17 +74,14 @@ pub fn capabilities(store_attached: bool) -> Vec<String> {
         "per-job-options".to_owned(),
         "admin".to_owned(),
         "metrics".to_owned(),
-        "metrics-history".to_owned(),
         "set-bounds".to_owned(),
         "deadlines".to_owned(),
-        "overload-control".to_owned(),
     ];
     if crate::faults::FAULTS_COMPILED_IN {
         caps.push("faults".to_owned());
     }
     if store_attached {
         caps.push("store".to_owned());
-        caps.push("slow-traces".to_owned());
     }
     caps
 }
@@ -101,17 +94,13 @@ pub const ROUTER_CAPABILITY: &str = "router";
 
 /// The capability set a router advertises: the intersection of its
 /// healthy backends' capabilities — a verb is only promised when every
-/// node that might serve it understands it — minus the verbs the
-/// router cannot aggregate meaningfully (`metrics-history`,
-/// `slow-traces` are per-node rings; ask a backend directly), plus
-/// [`ROUTER_CAPABILITY`].
+/// node that might serve it understands it — plus [`ROUTER_CAPABILITY`].
 pub fn router_capabilities(backend_caps: &[Vec<String>]) -> Vec<String> {
     let mut caps: Vec<String> = match backend_caps.split_first() {
         None => Vec::new(),
         Some((first, rest)) => first
             .iter()
             .filter(|cap| rest.iter().all(|other| other.contains(cap)))
-            .filter(|cap| cap.as_str() != "metrics-history" && cap.as_str() != "slow-traces")
             .cloned()
             .collect(),
     };
@@ -155,53 +144,6 @@ impl BoundsUpdate {
             Some(0) => Some(None),
             Some(n) => Some(Some(n)),
         }
-    }
-}
-
-/// A partial overload-controller update: absent fields keep the
-/// running controller's current value, so an operator can retune one
-/// watermark without restating the rest. `max_inflight` uses `0` on
-/// the wire to clear the cap (returning admission to purely
-/// latency-driven), the same convention [`BoundsUpdate`] uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverloadUpdate {
-    /// Arm or disarm the controller, if given.
-    pub enabled: Option<bool>,
-    /// New high (shed-entry) watermark in milliseconds, if given.
-    pub high_ms: Option<u64>,
-    /// New low (recovery) watermark in milliseconds, if given.
-    pub low_ms: Option<u64>,
-    /// New consecutive-healthy-window requirement, if given.
-    pub recover_windows: Option<u32>,
-    /// New backoff advice for shed responses, if given.
-    pub retry_after_ms: Option<u64>,
-    /// New in-flight cap; `Some(0)` clears it.
-    pub max_inflight: Option<u64>,
-}
-
-impl OverloadUpdate {
-    /// True when the update changes nothing. Clients reject empty
-    /// updates as usage errors rather than sending silent no-ops.
-    pub fn is_empty(&self) -> bool {
-        *self == OverloadUpdate::default()
-    }
-
-    /// The (sanitized) configuration that results from applying this
-    /// update to `current`.
-    pub fn apply(&self, current: OverloadConfig) -> OverloadConfig {
-        OverloadConfig {
-            enabled: self.enabled.unwrap_or(current.enabled),
-            high_ms: self.high_ms.unwrap_or(current.high_ms),
-            low_ms: self.low_ms.unwrap_or(current.low_ms),
-            recover_windows: self.recover_windows.unwrap_or(current.recover_windows),
-            retry_after_ms: self.retry_after_ms.unwrap_or(current.retry_after_ms),
-            max_inflight: match self.max_inflight {
-                None => current.max_inflight,
-                Some(0) => None,
-                Some(n) => Some(n),
-            },
-        }
-        .sanitized()
     }
 }
 
@@ -273,22 +215,6 @@ pub enum Request {
         /// Partial update; absent fields keep their current values.
         update: BoundsUpdate,
     },
-    /// Fetch the windowed metrics time series: the sampler ring's base
-    /// snapshot, its per-window deltas, and the cumulative snapshot
-    /// they reconstruct.
-    MetricsHistory {
-        /// Optional correlation id, echoed in the response.
-        id: Option<u64>,
-    },
-    /// Fetch the slow traces persisted through the store (post-mortems
-    /// that survive restarts). Requires an attached store.
-    SlowTraces {
-        /// Optional correlation id, echoed in the response.
-        id: Option<u64>,
-        /// At most this many traces, newest last (`None`: all
-        /// retained).
-        limit: Option<usize>,
-    },
     /// Retune the slow-request log live: its threshold and/or its ring
     /// capacity. Absent fields keep their current values.
     SetSlowLog {
@@ -310,13 +236,6 @@ pub enum Request {
         /// [`FaultPlan::parse`](crate::faults::FaultPlan::parse));
         /// absent disarms fault injection.
         spec: Option<String>,
-    },
-    /// Retune the adaptive overload controller on the live server.
-    SetOverload {
-        /// Optional correlation id, echoed in the response.
-        id: Option<u64>,
-        /// Partial update; absent fields keep their current values.
-        update: OverloadUpdate,
     },
     /// Run a DSE job (the job's own `id` is the correlation key).
     Submit(JobSpec),
@@ -353,19 +272,6 @@ pub struct MetricsReport {
     pub snapshot: MetricsSnapshot,
     /// The most recent slow requests, oldest first.
     pub slow: Vec<SlowEntry>,
-}
-
-/// One slow trace read back from the persistent store: the entry plus
-/// the monotonic sequence number and wall-clock stamp it was persisted
-/// under — enough to order post-mortems across restarts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PersistedSlowTrace {
-    /// Monotonic persistence sequence number (survives restarts).
-    pub seq: u64,
-    /// Milliseconds since the Unix epoch when the trace was captured.
-    pub unix_ms: u64,
-    /// The slow request itself.
-    pub entry: SlowEntry,
 }
 
 /// Everything the server can answer.
@@ -442,20 +348,6 @@ pub enum Response {
         /// Entries evicted immediately to honor a shrunk bound.
         evicted: u64,
     },
-    /// `metrics-history` answer.
-    MetricsHistory {
-        /// Echoed request id.
-        id: Option<u64>,
-        /// The sampler ring's base, windowed deltas, and cumulative.
-        history: SnapshotHistory,
-    },
-    /// `slow-traces` answer.
-    SlowTraces {
-        /// Echoed request id.
-        id: Option<u64>,
-        /// Persisted slow traces, oldest first.
-        traces: Vec<PersistedSlowTrace>,
-    },
     /// `set-slow-log` applied.
     SlowLogSet {
         /// Echoed request id.
@@ -477,24 +369,6 @@ pub enum Response {
         /// The canonical rendering of the plan now armed (`None`:
         /// fault injection disarmed).
         spec: Option<String>,
-    },
-    /// `set-overload` applied.
-    OverloadSet {
-        /// Echoed request id.
-        id: Option<u64>,
-        /// The configuration now in force (after merging the update
-        /// and sanitizing).
-        config: OverloadConfig,
-        /// The configuration that was in force before.
-        previous: OverloadConfig,
-    },
-    /// The admission controller refused the job: the server is
-    /// shedding load. Retry after the hinted delay.
-    Overloaded {
-        /// Echoed job id.
-        id: Option<u64>,
-        /// Server-suggested backoff before retrying, in milliseconds.
-        retry_after_ms: u64,
     },
     /// The job's `deadline_ms` elapsed before its result was ready;
     /// the server abandoned the remaining work.
@@ -849,16 +723,6 @@ macro_rules! wire_messages {
 
 wire_object! { "bounds update" BoundsUpdate => { opt max_entries, opt max_bytes }}
 
-wire_object! { "overload config" OverloadConfig => {
-    req enabled, req high_ms, req low_ms, req recover_windows, req retry_after_ms,
-    null max_inflight,
-}}
-
-wire_object! { "overload update" OverloadUpdate => {
-    opt enabled, opt high_ms, opt low_ms, opt recover_windows, opt retry_after_ms,
-    opt max_inflight,
-}}
-
 wire_object! { "store stats" StoreStats => {
     req live_entries, req records, req dead_records, req file_bytes, req live_value_bytes,
     req dead_bytes, req appends, req gets, req hits, req compactions, req recovered_bytes,
@@ -899,15 +763,9 @@ wire_object! { h: "histogram" HistogramSnapshot { count, sum, min, max, buckets 
 
 wire_object! { "slow entry" SlowEntry => { req trace_id, req total_ns, req stages }}
 
-wire_object! { "slow trace" PersistedSlowTrace => { req seq, req unix_ms, flat entry }}
-
 wire_object! { "metrics" MetricsSnapshot => { map counters, map gauges, map histograms }}
 
 wire_object! { "metrics" MetricsReport => { flat snapshot, req slow }}
-
-wire_object! { "sample" SnapshotSample => { req uptime_ms, req window_ms, req delta }}
-
-wire_object! { "history" SnapshotHistory => { req base, req samples, req cumulative }}
 
 // ---------------------------------------------------------------------
 // Messages
@@ -923,11 +781,8 @@ wire_messages! { requests Request, "request";
     "store-compact"    [Some("store")]            StoreCompact { id, auto_ratio } => { opt id, opt auto_ratio }
     "metrics"          [Some("metrics")]          Metrics { id }                  => { opt id }
     "set-bounds"       [Some("set-bounds")]       SetBounds { id, update }        => { opt id, flat update }
-    "metrics-history"  [Some("metrics-history")]  MetricsHistory { id }           => { opt id }
-    "slow-traces"      [Some("slow-traces")]      SlowTraces { id, limit }        => { opt id, opt limit }
     "set-slow-log"     [Some("admin")]            SetSlowLog { id, slow_ms, cap } => { opt id, opt slow_ms, opt cap }
     "set-faults"       [Some("faults")]           SetFaults { id, spec }          => { opt id, opt spec }
-    "set-overload"     [Some("overload-control")] SetOverload { id, update }      => { opt id, flat update }
     "submit"           [Some("jobs")]             Submit(spec)                    => { flat spec }
 }
 
@@ -946,21 +801,12 @@ wire_messages! { Response, "response";
         out "ok" = true, opt id, null max_entries, null max_bytes, null previous_entries,
         null previous_bytes, req evicted,
     }
-    "metrics-history" MetricsHistory { id, history } => { out "ok" = true, opt id, flat history }
-    "slow-traces" SlowTraces { id, traces } => { out "ok" = true, opt id, req traces }
     "slow-log-set" SlowLogSet { id, slow_ms, cap, previous_ms, previous_cap } => {
         out "ok" = true, opt id, null slow_ms, req cap, null previous_ms, req previous_cap,
     }
     "faults-set" FaultsSet { id, spec } => { out "ok" = true, opt id, null spec }
-    "overload-set" OverloadSet { id, config, previous } => {
-        out "ok" = true, opt id, req config, req previous,
-    }
-    // The two typed failures carry their payload and, for readers that
-    // only look at `error`, the same text a generic error would.
-    "overloaded" Overloaded { id, retry_after_ms } => {
-        out "ok" = false, opt id, req retry_after_ms,
-        out "error" = ServiceError::Overloaded { retry_after_ms: *retry_after_ms }.to_string(),
-    }
+    // The typed failure carries its payload and, for readers that only
+    // look at `error`, the same text a generic error would.
     "deadline_exceeded" DeadlineExceeded { id, deadline_ms } => {
         out "ok" = false, opt id, req deadline_ms,
         out "error" = ServiceError::DeadlineExceeded { deadline_ms: *deadline_ms }.to_string(),
@@ -999,11 +845,6 @@ impl Request {
                 "\"auto_ratio\" must be a number in [0, 1] (0 disarms)"
             }
             Request::SetSlowLog { cap: Some(0), .. } => "\"cap\" must be positive",
-            Request::SetOverload { update, .. }
-                if update.high_ms == Some(0) || update.recover_windows == Some(0) =>
-            {
-                "high_ms and recover_windows must be positive"
-            }
             _ => return Ok(()),
         };
         Err(problem.to_owned())
@@ -1103,15 +944,6 @@ mod tests {
                 id: None,
                 update: BoundsUpdate::default(),
             },
-            Request::MetricsHistory { id: Some(13) },
-            Request::SlowTraces {
-                id: Some(14),
-                limit: Some(5),
-            },
-            Request::SlowTraces {
-                id: None,
-                limit: None,
-            },
             Request::SetSlowLog {
                 id: Some(15),
                 slow_ms: Some(0),
@@ -1129,21 +961,6 @@ mod tests {
             Request::SetFaults {
                 id: None,
                 spec: None,
-            },
-            Request::SetOverload {
-                id: Some(17),
-                update: OverloadUpdate {
-                    enabled: Some(true),
-                    high_ms: Some(800),
-                    low_ms: Some(400),
-                    recover_windows: Some(4),
-                    retry_after_ms: Some(250),
-                    max_inflight: Some(0),
-                },
-            },
-            Request::SetOverload {
-                id: None,
-                update: OverloadUpdate::default(),
             },
             Request::Submit(JobSpec::network(5, EngineSpec::default(), Network::tiny())),
             Request::Submit(optioned_layer),
@@ -1251,14 +1068,6 @@ mod tests {
             store: None,
             backends: None,
         };
-        let armed = OverloadConfig {
-            enabled: true,
-            high_ms: 800,
-            low_ms: 400,
-            recover_windows: 4,
-            retry_after_ms: 250,
-            max_inflight: Some(32),
-        };
         vec![
             Response::Hello {
                 version: 1,
@@ -1309,34 +1118,6 @@ mod tests {
                 previous_bytes: Some(1 << 20),
                 evicted: 17,
             },
-            Response::MetricsHistory {
-                id: Some(10),
-                history: SnapshotHistory {
-                    base: metrics_snapshot(1),
-                    samples: vec![SnapshotSample {
-                        uptime_ms: 20_000,
-                        window_ms: 10_000,
-                        delta: metrics_snapshot(2),
-                    }],
-                    cumulative: metrics_snapshot(3),
-                },
-            },
-            Response::MetricsHistory {
-                id: None,
-                history: SnapshotHistory::default(),
-            },
-            Response::SlowTraces {
-                id: Some(11),
-                traces: vec![PersistedSlowTrace {
-                    seq: 3,
-                    unix_ms: 1_700_000_000_000,
-                    entry: slow_entry(42),
-                }],
-            },
-            Response::SlowTraces {
-                id: None,
-                traces: vec![],
-            },
             Response::SlowLogSet {
                 id: Some(12),
                 slow_ms: Some(25),
@@ -1358,19 +1139,6 @@ mod tests {
             Response::FaultsSet {
                 id: None,
                 spec: None,
-            },
-            Response::OverloadSet {
-                id: Some(14),
-                config: armed,
-                previous: OverloadConfig::default(),
-            },
-            Response::Overloaded {
-                id: Some(15),
-                retry_after_ms: 1_000,
-            },
-            Response::Overloaded {
-                id: None,
-                retry_after_ms: 250,
             },
             Response::DeadlineExceeded {
                 id: Some(16),
@@ -1481,47 +1249,10 @@ mod tests {
         assert!(capabilities(false).contains(&"admin".to_owned()));
         assert!(capabilities(false).contains(&"metrics".to_owned()));
         assert!(capabilities(false).contains(&"set-bounds".to_owned()));
-        assert!(capabilities(false).contains(&"metrics-history".to_owned()));
-        // Persisted post-mortems need a store to live in.
-        assert!(!capabilities(false).contains(&"slow-traces".to_owned()));
-        assert!(capabilities(true).contains(&"slow-traces".to_owned()));
-    }
-
-    #[test]
-    fn overload_updates_merge_and_sanitize_field_by_field() {
-        let current = crate::overload::OverloadConfig::default();
-        assert!(OverloadUpdate::default().is_empty());
-        assert_eq!(OverloadUpdate::default().apply(current), current);
-        let update = OverloadUpdate {
-            enabled: Some(true),
-            high_ms: Some(200),
-            low_ms: None,
-            recover_windows: None,
-            retry_after_ms: Some(100),
-            max_inflight: Some(16),
-        };
-        assert!(!update.is_empty());
-        let applied = update.apply(current);
-        assert!(applied.enabled);
-        assert_eq!(applied.high_ms, 200);
-        // low_ms kept its default 500 but sanitization clamps it down
-        // to the new high watermark.
-        assert_eq!(applied.low_ms, 200);
-        assert_eq!(applied.recover_windows, current.recover_windows);
-        assert_eq!(applied.retry_after_ms, 100);
-        assert_eq!(applied.max_inflight, Some(16));
-        // 0 clears the cap.
-        let cleared = OverloadUpdate {
-            max_inflight: Some(0),
-            ..OverloadUpdate::default()
-        }
-        .apply(applied);
-        assert_eq!(cleared.max_inflight, None);
+        assert!(capabilities(false).contains(&"deadlines".to_owned()));
         // This build runs tests with debug assertions, so fault
         // injection is compiled in and advertised.
         assert!(capabilities(false).contains(&"faults".to_owned()));
-        assert!(capabilities(false).contains(&"overload-control".to_owned()));
-        assert!(capabilities(false).contains(&"deadlines".to_owned()));
     }
 
     #[test]

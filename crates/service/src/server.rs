@@ -23,12 +23,11 @@
 //! [`Request`] — adding a verb without handling it does not compile.
 //!
 //! Control and admin requests (`hello`, `ping`, `stats`, `set-bounds`,
-//! `set-slow-log`, `set-faults`, `set-overload`, `cache-clear`,
-//! `cache-warm`, `store-compact`, `metrics`, `metrics-history`,
-//! `slow-traces`, `shutdown`) answer inline in arrival order, but they
-//! may overtake or be overtaken by in-flight *job* responses. See
-//! `docs/PROTOCOL.md` for every verb with example request/response
-//! pairs.
+//! `set-slow-log`, `set-faults`, `cache-clear`, `cache-warm`,
+//! `store-compact`, `metrics`, `shutdown`) answer inline in arrival
+//! order, but they may overtake or be overtaken by in-flight *job*
+//! responses. See `docs/PROTOCOL.md` for every verb with example
+//! request/response pairs.
 //!
 //! Every layer of the request path is instrumented through the pool's
 //! [`drmap_telemetry::MetricsRegistry`]: frame decode/encode, cache
@@ -53,10 +52,7 @@ use crate::error::ServiceError;
 use crate::faults::{FaultAction, FaultPlan};
 use crate::json::Json;
 use crate::pool::DsePool;
-use crate::proto::{
-    capabilities, MetricsReport, PersistedSlowTrace, Request, Response, StatsReport,
-    PROTOCOL_VERSION,
-};
+use crate::proto::{capabilities, MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION};
 use crate::spec::{JobResult, JobSpec};
 use crate::wire;
 
@@ -90,15 +86,13 @@ pub struct ServerConfig {
     /// Slow-request threshold in milliseconds: any job whose total
     /// request time reaches it is captured — with its per-stage span
     /// breakdown — in the slow-request ring buffer the `metrics` verb
-    /// dumps, and (when a store is attached) persisted through the WAL
-    /// for the `slow-traces` verb. `Some(0)` logs every job; `None`
-    /// (the default) disables the log.
+    /// dumps. `Some(0)` logs every job; `None` (the default) disables
+    /// the log.
     pub slow_ms: Option<u64>,
-    /// Cadence of the background metrics sampler: every interval, one
-    /// cumulative snapshot is folded into the [`SnapshotRing`]
-    /// (drmap_telemetry::SnapshotRing) as a windowed delta, feeding
-    /// the `metrics-history` verb. `None` (the default) disables the
-    /// sampler thread entirely.
+    /// Cadence of the background tick, whose one job is the store's
+    /// auto-compaction check ([`ServiceState::maybe_auto_compact`]).
+    /// The tick thread is spawned only when a store is attached;
+    /// `None` (the default) never spawns it.
     pub sample_interval: Option<Duration>,
     /// Bound on the graceful-shutdown drain: after the accept loop
     /// stops, [`JobServer::run`] waits up to this long for in-flight
@@ -171,7 +165,7 @@ impl JobServer {
         }
         if config.sample_interval == Some(Duration::ZERO) {
             return Err(ServiceError::protocol(
-                "the metrics sample interval must be nonzero (use None to disable sampling)",
+                "the background tick interval must be nonzero (use None to disable it)",
             ));
         }
         if let Some(ms) = config.slow_ms {
@@ -217,7 +211,8 @@ impl JobServer {
     /// that connection).
     pub fn run(self) -> Result<(), ServiceError> {
         let local_addr = self.local_addr()?;
-        if let Some(interval) = self.config.sample_interval {
+        let has_store = self.pool.state().cache().store().is_some();
+        if let Some(interval) = self.config.sample_interval.filter(|_| has_store) {
             let state = Arc::clone(self.pool.state());
             let shutdown = Arc::clone(&self.shutdown);
             std::thread::spawn(move || loop {
@@ -228,9 +223,8 @@ impl JobServer {
                 if shutdown.load(Ordering::Acquire) {
                     break;
                 }
-                state.sample_metrics();
-                // Store hygiene rides the sampler cadence: cheap
-                // (one stats read) when disarmed or under threshold.
+                // Cheap (one stats read) when disarmed or under
+                // threshold.
                 state.maybe_auto_compact();
             });
         }
@@ -496,9 +490,9 @@ fn dispatch_message(
 }
 
 /// A request after the steps every front-end shares — parse, decode,
-/// control dispatch, overload admission: either answered already (the
-/// boolean asks the caller to shut the server down after responding),
-/// or a job cleared to run, with the time its decode took.
+/// control dispatch: either answered already (the boolean asks the
+/// caller to shut the server down after responding), or a job cleared
+/// to run, with the time its decode took.
 enum Routed {
     Answer(Response, bool),
     Job(JobSpec, u64),
@@ -521,26 +515,14 @@ fn route(pool: &DsePool, payload: &str) -> Routed {
     let decode_ns = elapsed_ns(decode_start);
     state.stages().frame_decode_ns.record(decode_ns);
     // Everything but a job answers inline through the exhaustive
-    // control match. Admin verbs skip the admission check on purpose:
-    // an operator must always be able to reach (and retune) a shedding
-    // server.
-    let job = match request {
-        Request::Submit(job) => job,
+    // control match.
+    match request {
+        Request::Submit(job) => Routed::Job(job, decode_ns),
         control => {
             let (response, stop) = control_response(pool, &control);
-            return Routed::Answer(response, stop);
+            Routed::Answer(response, stop)
         }
-    };
-    let inflight = state.stages().jobs_inflight.get().max(0) as u64;
-    if let Some(retry_after_ms) = state.overload().admission(inflight) {
-        state.stages().shed_total.inc();
-        let response = Response::Overloaded {
-            id: Some(job.id),
-            retry_after_ms,
-        };
-        return Routed::Answer(response, false);
     }
-    Routed::Job(job, decode_ns)
 }
 
 /// Count the job in flight, open its trace, and submit it to the pool;
@@ -568,10 +550,9 @@ fn start_job(
     });
 }
 
-/// Account for a completed job (request histogram, slow log, persisted
-/// slow trace) and build its response: results and typed failures
-/// (`deadline_exceeded`, `overloaded`) map to their structured
-/// responses, everything else to a generic error.
+/// Account for a completed job (request histogram, slow log) and build
+/// its response: results and the typed `deadline_exceeded` failure map
+/// to their structured responses, everything else to a generic error.
 fn finish_job(
     state: &ServiceState,
     id: u64,
@@ -584,10 +565,6 @@ fn finish_job(
             id: Some(id),
             deadline_ms,
         },
-        Err(ServiceError::Overloaded { retry_after_ms }) => Response::Overloaded {
-            id: Some(id),
-            retry_after_ms,
-        },
         Err(e) => Response::Error {
             id: Some(id),
             message: e.to_string(),
@@ -595,9 +572,6 @@ fn finish_job(
     };
     let total_ns = state.slow_log().observe(trace);
     state.stages().request_ns.record(total_ns);
-    if let Some(entry) = state.slow_log().capture(trace, total_ns) {
-        state.persist_slow_trace(&entry);
-    }
     response
 }
 
@@ -710,29 +684,6 @@ fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
                 },
             }
         }
-        Request::MetricsHistory { id } => Response::MetricsHistory {
-            id: *id,
-            history: pool.state().history().history(),
-        },
-        Request::SlowTraces { id, limit } => match pool.state().cache().store() {
-            Some(_) => Response::SlowTraces {
-                id: *id,
-                traces: pool
-                    .state()
-                    .persisted_slow_traces(*limit)
-                    .into_iter()
-                    .map(|(seq, unix_ms, entry)| PersistedSlowTrace {
-                        seq,
-                        unix_ms,
-                        entry,
-                    })
-                    .collect(),
-            },
-            None => Response::Error {
-                id: *id,
-                message: "slow-traces needs a persistent store (start with --store)".to_owned(),
-            },
-        },
         Request::SetSlowLog { id, slow_ms, cap } => {
             if slow_ms.is_none() && cap.is_none() {
                 Response::Error {
@@ -796,23 +747,6 @@ fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
                     id: *id,
                     message: e.to_string(),
                 },
-            }
-        }
-        Request::SetOverload { id, update } => {
-            if update.is_empty() {
-                Response::Error {
-                    id: *id,
-                    message: "set-overload needs at least one field to change".to_owned(),
-                }
-            } else {
-                let overload = pool.state().overload();
-                let merged = update.apply(overload.config());
-                let previous = overload.set_config(merged);
-                Response::OverloadSet {
-                    id: *id,
-                    config: merged,
-                    previous,
-                }
             }
         }
         Request::Submit(_) => unreachable!("job submissions are dispatched before control verbs"),

@@ -1,12 +1,13 @@
 //! Live control-plane integration tests: a running `JobServer` must
-//! accept `hello`, `set-bounds`, `cache-clear`, `cache-warm`, `store-compact`, `metrics`,
-//! `metrics-history`, `slow-traces`, and `set-slow-log` over TCP,
-//! with every change observable through `stats` **without a
-//! restart** — and per-job options (cache bypass/refresh, Pareto
-//! retention) must behave over the wire exactly as they do in-process.
+//! accept `hello`, `set-bounds`, `cache-clear`, `cache-warm`,
+//! `store-compact`, `metrics`, and `set-slow-log` over TCP — from the
+//! typed client and from `drmap-batch --connect … --admin` — with every
+//! change observable through `stats` **without a restart**, and per-job
+//! options (cache bypass/refresh, Pareto retention) must behave over the
+//! wire exactly as they do in-process.
 
+use std::process::{Command, Output};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use drmap_service::cache::CacheConfig;
 use drmap_service::client::Client;
@@ -225,8 +226,13 @@ fn trace_stage_spans_cover_most_of_the_request_wall_clock() {
         ))
         .unwrap();
 
+    // `ServerConfig::slow_ms` on a live server: threshold 0 lists every
+    // job in `metrics`'s `slow` array, under its wire id.
+    client.submit(&shaped_job(7, 16)).unwrap();
     let report = client.metrics().unwrap();
-    assert_eq!(report.slow.len(), 1, "threshold 0 logs every job");
+    assert_eq!(report.slow.len(), 2, "threshold 0 logs every job");
+    assert_eq!(report.slow[1].trace_id, 7);
+    assert!(report.slow[1].total_ns > 0);
     let entry = &report.slow[0];
     assert_eq!(entry.trace_id, 1, "traces carry the wire job id");
     let stage = |name: &str| {
@@ -251,122 +257,6 @@ fn trace_stage_spans_cover_most_of_the_request_wall_clock() {
         entry.total_ns,
         entry.stages,
     );
-
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-}
-
-#[test]
-fn metrics_history_samples_reconstruct_the_cumulative_snapshot_exactly() {
-    // A fast sampler so the test sees several windows in well under a
-    // second of wall clock.
-    let store = Arc::new(Store::open(temp_store_path("history")).unwrap());
-    let state = ServiceState::with_cache_and_store(CacheConfig::unbounded(), Some(store)).unwrap();
-    let pool = Arc::new(DsePool::new(state, 2));
-    let config = ServerConfig {
-        sample_interval: Some(Duration::from_millis(25)),
-        ..ServerConfig::default()
-    };
-    let server = JobServer::with_config("127.0.0.1:0", Arc::clone(&pool), config).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.run().unwrap());
-    let mut client = Client::connect(addr).unwrap();
-    assert!(client.hello().unwrap().has("metrics-history"));
-
-    // Spread work across several sampler windows so the deltas are
-    // non-trivial (not all concentrated in one sample).
-    for (id, j) in [(1, 8), (2, 16), (3, 24)] {
-        client.submit(&shaped_job(id, j)).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let history = loop {
-        let history = client.metrics_history().unwrap();
-        if history.samples.len() >= 3 {
-            break history;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "sampler produced only {} windows",
-            history.samples.len()
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    };
-
-    // The ring's contract, verified over the wire: base plus every
-    // retained windowed delta reproduces the cumulative snapshot
-    // *exactly* — counters, gauges, and full histogram bucket vectors.
-    assert_eq!(history.reconstructed(), history.cumulative);
-    // The summed per-window job deltas match the cumulative counter.
-    let summed: u64 = history
-        .samples
-        .iter()
-        .map(|s| s.delta.counter("jobs_total").unwrap_or(0))
-        .sum();
-    assert_eq!(
-        history.base.counter("jobs_total").unwrap_or(0) + summed,
-        history.cumulative.counter("jobs_total").unwrap_or(0),
-    );
-    assert_eq!(history.cumulative.counter("jobs_total"), Some(3));
-    // Windows carry their width and are strictly ordered by uptime.
-    for pair in history.samples.windows(2) {
-        assert!(pair[0].uptime_ms < pair[1].uptime_ms, "{pair:?}");
-    }
-    assert!(history.samples.iter().all(|s| s.window_ms > 0));
-
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-}
-
-#[test]
-fn slow_traces_persist_through_the_wal_and_survive_a_restart() {
-    let path = temp_store_path("slow-restart");
-    let boot_slow = |path: &std::path::Path| {
-        let store = Arc::new(Store::open(path).unwrap());
-        let state =
-            ServiceState::with_cache_and_store(CacheConfig::unbounded(), Some(store)).unwrap();
-        let pool = Arc::new(DsePool::new(state, 2));
-        let config = ServerConfig {
-            slow_ms: Some(0), // every request is a "slow" request
-            ..ServerConfig::default()
-        };
-        let server = JobServer::with_config("127.0.0.1:0", pool, config).unwrap();
-        let addr = server.local_addr().unwrap();
-        let handle = std::thread::spawn(move || server.run().unwrap());
-        (addr, handle)
-    };
-
-    // First life: run a job, see its trace in the persistent log.
-    let (addr, handle) = boot_slow(&path);
-    let mut client = Client::connect(addr).unwrap();
-    assert!(client.hello().unwrap().has("slow-traces"));
-    client.submit(&shaped_job(7, 16)).unwrap();
-    let traces = client.slow_traces(None).unwrap();
-    assert_eq!(traces.len(), 1, "{traces:?}");
-    assert_eq!(traces[0].entry.trace_id, 7, "traces carry the wire id");
-    assert!(traces[0].entry.total_ns > 0);
-    assert!(traces[0].unix_ms > 0);
-    let first_seq = traces[0].seq;
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-
-    // Second life, same WAL: the pre-restart post-mortem is still
-    // there, and new traces sequence *after* it instead of clobbering.
-    let (addr, handle) = boot_slow(&path);
-    let mut client = Client::connect(addr).unwrap();
-    let survived = client.slow_traces(None).unwrap();
-    assert_eq!(survived.len(), 1, "the old trace survived the restart");
-    assert_eq!(survived[0].seq, first_seq);
-    assert_eq!(survived[0].entry.trace_id, 7);
-    client.submit(&shaped_job(8, 24)).unwrap();
-    let both = client.slow_traces(None).unwrap();
-    assert_eq!(both.len(), 2, "{both:?}");
-    assert_eq!(both[0].entry.trace_id, 8, "newest first");
-    assert!(both[0].seq > first_seq, "sequence resumes past the old max");
-    // A limit keeps only the newest.
-    let latest = client.slow_traces(Some(1)).unwrap();
-    assert_eq!(latest.len(), 1);
-    assert_eq!(latest[0].entry.trace_id, 8);
 
     client.shutdown().unwrap();
     handle.join().unwrap();
@@ -406,9 +296,6 @@ fn set_slow_log_retunes_threshold_and_capacity_live() {
 
     // An empty update is a usage error, rejected client-side.
     assert!(client.set_slow_log(None, None).is_err());
-
-    // Without a store, slow-traces is a capability-gated error.
-    assert!(client.slow_traces(None).is_ok(), "store-backed boot has it");
 
     client.shutdown().unwrap();
     handle.join().unwrap();
@@ -481,5 +368,65 @@ fn per_job_options_thread_through_the_wire() {
     assert_eq!(without.cache_hits(), 1);
 
     client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// Run the `drmap-batch` binary built alongside these tests.
+fn drmap_batch(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_drmap-batch"))
+        .args(args)
+        .output()
+        .expect("drmap-batch runs")
+}
+
+#[test]
+fn drmap_batch_drives_a_live_server_over_connect_and_admin() {
+    let (addr, handle, pool) = boot("batch-cli", CacheConfig::unbounded());
+    let addr = addr.to_string();
+
+    let batch = drmap_batch(&["--connect", &addr, "--models", "tiny"]);
+    assert!(batch.status.success(), "{batch:?}");
+    let stdout = String::from_utf8_lossy(&batch.stdout);
+    assert!(stdout.contains("1 jobs (3 layers, 0 failed)"), "{stdout}");
+
+    let admin = drmap_batch(&[
+        "--connect",
+        &addr,
+        "--admin",
+        "hello",
+        "ping",
+        "set-bounds=entries:32",
+        "cache-warm",
+        "store-compact",
+        "stats",
+        "metrics",
+    ]);
+    assert!(admin.status.success(), "{admin:?}");
+    let stdout = String::from_utf8_lossy(&admin.stdout);
+    for line in [
+        "hello: ",
+        "ping: pong",
+        "set-bounds: 32 entries",
+        "cache-warm: ",
+    ] {
+        assert!(stdout.contains(line), "missing {line:?} in {stdout}");
+    }
+    assert_eq!(pool.state().cache().bounds(), (Some(32), None));
+
+    // A store-less server refuses a store verb, and the CLI says so
+    // with a failing exit status.
+    let bare = JobServer::bind("127.0.0.1:0", 1).unwrap();
+    let bare_addr = bare.local_addr().unwrap().to_string();
+    let bare_handle = std::thread::spawn(move || bare.run().unwrap());
+    let refused = drmap_batch(&["--connect", &bare_addr, "--admin", "cache-warm"]);
+    assert!(!refused.status.success(), "{refused:?}");
+    assert!(
+        String::from_utf8_lossy(&refused.stderr).contains("cache-warm"),
+        "{refused:?}"
+    );
+
+    Client::connect(&bare_addr).unwrap().shutdown().unwrap();
+    bare_handle.join().unwrap();
+    Client::connect(&addr).unwrap().shutdown().unwrap();
     handle.join().unwrap();
 }

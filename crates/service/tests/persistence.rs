@@ -9,6 +9,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use drmap_cnn::layer::Layer;
 use drmap_cnn::network::Network;
@@ -16,7 +17,7 @@ use drmap_service::cache::CacheConfig;
 use drmap_service::client::Client;
 use drmap_service::engine::ServiceState;
 use drmap_service::pool::DsePool;
-use drmap_service::server::JobServer;
+use drmap_service::server::{JobServer, ServerConfig};
 use drmap_service::spec::{CacheMode, EngineSpec, JobSpec};
 use drmap_store::store::Store;
 use drmap_store::verify::verify;
@@ -221,4 +222,52 @@ fn auto_compaction_triggers_on_the_dead_bytes_ratio() {
     );
     // And it does not retrigger on a clean log.
     assert!(!state.maybe_auto_compact());
+}
+
+#[test]
+fn a_live_server_tick_auto_compacts_without_any_verb() {
+    // The background tick's one job, run by the server's own thread:
+    // only jobs cross the wire, and the counter is read in-process.
+    let path = smoke_path("tick.wal");
+    let store = Arc::new(Store::open(&path).unwrap());
+    let state = ServiceState::with_cache_and_store(CacheConfig::unbounded(), Some(store)).unwrap();
+    state.set_auto_compact_ratio(Some(0.25));
+    let pool = Arc::new(DsePool::new(Arc::clone(&state), 2));
+    let config = ServerConfig {
+        sample_interval: Some(Duration::from_millis(25)),
+        ..ServerConfig::default()
+    };
+    let server = JobServer::with_config("127.0.0.1:0", pool, config).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+    let mut client = Client::connect(addr).unwrap();
+
+    // Refreshes re-append every layer, stranding the earlier records.
+    let mut spec = JobSpec::network(1, EngineSpec::default(), Network::tiny());
+    client.submit(&spec).unwrap();
+    spec.options.cache = CacheMode::Refresh;
+    for id in 2..=4 {
+        spec.id = id;
+        client.submit(&spec).unwrap();
+    }
+    let autocompacted = || {
+        state
+            .metrics()
+            .snapshot()
+            .counter("wal_autocompact_total")
+            .unwrap_or(0)
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while autocompacted() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the tick never compacted: {:?}",
+            state.cache().store().unwrap().stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(state.cache().store().unwrap().stats().compactions >= 1);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
 }

@@ -386,6 +386,18 @@ fn mistyped_typed_requests_get_typed_errors() {
             r#"{"type":"set-shard-policy","id":5,"min_tilings":32}"#,
             "unknown request type",
         ),
+        (
+            r#"{"type":"set-overload","id":7,"enabled":true}"#,
+            "unknown request type",
+        ),
+        (
+            r#"{"type":"metrics-history","id":8}"#,
+            "unknown request type",
+        ),
+        (
+            r#"{"type":"slow-traces","id":10,"limit":5}"#,
+            "unknown request type",
+        ),
         (r#"{"type":"cache-warm","limit":"many"}"#, "limit"),
         (r#"{"type":"hello"}"#, "version"),
     ] {

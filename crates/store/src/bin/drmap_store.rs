@@ -4,8 +4,6 @@
 //! drmap-store stats   FILE            sizes, record counts, dead space
 //! drmap-store ls      FILE            live keys and value sizes
 //! drmap-store get     FILE KEY        decode and print one stored result
-//! drmap-store slow    FILE [N]        decode persisted slow traces,
-//!                                     newest first (all by default)
 //! drmap-store compact FILE            rewrite the log without dead records
 //! drmap-store verify  FILE [--decode] checksum-scan (exit 1 if damaged);
 //!                                     --decode also decodes every value
@@ -13,19 +11,15 @@
 //!
 //! All subcommands other than `compact` open the file strictly
 //! read-only — they never create a missing file, never truncate a torn
-//! tail, and are safe to run against a live server's log. `slow` reads
-//! the reserved `~slow/` records the server persists for requests over
-//! its `--slow-ms` threshold — the offline view of the `slow-traces`
-//! admin verb, usable for a post-mortem even when the server is down.
+//! tail, and are safe to run against a live server's log.
 
 use std::process::ExitCode;
 
 use drmap_core::bytes::decode_stored_result;
-use drmap_store::store::{Store, SLOW_TRACE_KEY_PREFIX};
+use drmap_store::store::Store;
 use drmap_store::verify::verify;
-use drmap_telemetry::SlowEntry;
 
-const USAGE: &str = "usage: drmap-store <stats|ls|get|slow|compact|verify> FILE [KEY|N] [--decode]";
+const USAGE: &str = "usage: drmap-store <stats|ls|get|compact|verify> FILE [KEY] [--decode]";
 
 fn main() -> ExitCode {
     match run() {
@@ -61,18 +55,6 @@ fn run() -> Result<bool, String> {
                 .split_first()
                 .ok_or(format!("get needs FILE KEY\n{USAGE}"))?;
             cmd_get(file, key)
-        }
-        "slow" => {
-            let limit = match rest.first() {
-                Some(n) => Some(
-                    n.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or(format!("slow takes a positive count, got {n:?}"))?,
-                ),
-                None => None,
-            };
-            cmd_slow(file, limit)
         }
         "compact" => cmd_compact(file),
         "verify" => {
@@ -140,47 +122,6 @@ fn cmd_get(file: &str, key: &str) -> Result<bool, String> {
         }
     }
     Ok(true)
-}
-
-fn cmd_slow(file: &str, limit: Option<usize>) -> Result<bool, String> {
-    let store = Store::open_read_only(file).map_err(|e| e.to_string())?;
-    let mut traces: Vec<(u64, u64, SlowEntry)> = Vec::new();
-    let mut undecodable = 0usize;
-    for key in store.keys_with_prefix(SLOW_TRACE_KEY_PREFIX) {
-        let Some(value) = store.get(&key).map_err(|e| e.to_string())? else {
-            continue;
-        };
-        match SlowEntry::decode_record(&value) {
-            Some(decoded) => traces.push(decoded),
-            None => undecodable += 1,
-        }
-    }
-    // Newest persisted trace first, regardless of slot order.
-    traces.sort_by_key(|t| std::cmp::Reverse(t.0));
-    if let Some(limit) = limit {
-        traces.truncate(limit);
-    }
-    if traces.is_empty() && undecodable == 0 {
-        println!("no persisted slow traces (server runs with --slow-ms to capture them)");
-        return Ok(true);
-    }
-    for (seq, unix_ms, entry) in &traces {
-        let stages: Vec<String> = entry
-            .stages
-            .iter()
-            .map(|(stage, ns)| format!("{stage} {:.2}ms", *ns as f64 / 1e6))
-            .collect();
-        println!(
-            "#{seq} job {} at unix_ms {unix_ms}: {:.2}ms total ({})",
-            entry.trace_id,
-            entry.total_ns as f64 / 1e6,
-            stages.join(", "),
-        );
-    }
-    if undecodable > 0 {
-        println!("{undecodable} slow-trace record(s) were undecodable");
-    }
-    Ok(undecodable == 0)
 }
 
 fn cmd_compact(file: &str) -> Result<bool, String> {

@@ -36,19 +36,14 @@ use crate::record::{
     MAX_KEY_BYTES, MAX_VALUE_BYTES,
 };
 
-/// Key prefix reserved for system records (slow traces, future
-/// metadata). Reserved keys live in the same log and index as data
-/// keys, but the warm-start surfaces — [`Store::keys_by_recency`] and
-/// [`Store::bulk_load`] — skip them, so a cache warming from the store
-/// never tries to decode a system record as a cached result. List them
-/// explicitly with [`Store::keys_with_prefix`].
+/// Key prefix reserved for system records. Nothing writes one today,
+/// but logs from older servers hold `~slow/` slow-trace records, so
+/// every reader treats the prefix as outside input: reserved keys live
+/// in the same log and index as data keys, but the warm-start surfaces
+/// — [`Store::keys_by_recency`] and [`Store::bulk_load`] — skip them,
+/// so a cache warming from the store never tries to decode a system
+/// record as a cached result.
 pub const RESERVED_KEY_PREFIX: &str = "~";
-
-/// Reserved prefix under which slow-request traces persist (see
-/// `drmap-serve --slow-ms` and the `slow-traces` admin verb). Values
-/// are `SlowEntry` binary records
-/// ([`drmap_telemetry::SlowEntry::encode_record`]).
-pub const SLOW_TRACE_KEY_PREFIX: &str = "~slow/";
 
 /// Where a live key's value lives in the log.
 #[derive(Debug, Clone, Copy)]
@@ -547,21 +542,6 @@ impl Store {
         keys.into_iter().map(|(k, _)| k.clone()).collect()
     }
 
-    /// Live keys beginning with `prefix`, most-recently-written first.
-    /// This is the listing surface for reserved system records (e.g.
-    /// every persisted slow trace under [`SLOW_TRACE_KEY_PREFIX`]).
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        let state = read_locked(&self.state);
-        let mut keys: Vec<(&String, u64)> = state
-            .index
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, e)| (k, e.seq))
-            .collect();
-        keys.sort_by_key(|&(_, seq)| std::cmp::Reverse(seq));
-        keys.into_iter().map(|(k, _)| k.clone()).collect()
-    }
-
     /// Bulk-load up to `limit` of the most recently written live
     /// entries as `(key, value)` pairs, newest first, under **one read
     /// lock** and **one forward pass** over the log instead of one
@@ -1018,14 +998,15 @@ mod tests {
         let path = temp_store_path("reserved");
         let _ = std::fs::remove_file(&path);
         let store = Store::open(&path).unwrap();
+        // Slow-trace records as older servers persisted them.
+        let (trace_0, trace_1) = (
+            format!("{RESERVED_KEY_PREFIX}slow/0"),
+            format!("{RESERVED_KEY_PREFIX}slow/1"),
+        );
         store.put("data-a", b"alpha").unwrap();
-        store
-            .put(&format!("{SLOW_TRACE_KEY_PREFIX}0"), b"trace-0")
-            .unwrap();
+        store.put(&trace_0, b"trace-0").unwrap();
         store.put("data-b", b"beta").unwrap();
-        store
-            .put(&format!("{SLOW_TRACE_KEY_PREFIX}1"), b"trace-1")
-            .unwrap();
+        store.put(&trace_1, b"trace-1").unwrap();
 
         // Warm-start surfaces see only data keys.
         assert_eq!(
@@ -1038,24 +1019,21 @@ mod tests {
         // A limit counts data entries, never silently spent on traces.
         assert_eq!(store.bulk_load(Some(2)).unwrap().entries.len(), 2);
 
-        // The prefix listing sees exactly the reserved records.
-        assert_eq!(
-            store.keys_with_prefix(SLOW_TRACE_KEY_PREFIX),
-            vec![
-                format!("{SLOW_TRACE_KEY_PREFIX}1"),
-                format!("{SLOW_TRACE_KEY_PREFIX}0"),
-            ]
-        );
-        // They remain ordinary records: readable, compactable, durable.
-        assert_eq!(
+        // The full listing (`drmap-store ls`) still shows them under
+        // their prefix.
+        let reserved = |store: &Store| -> Vec<String> {
             store
-                .get(&format!("{SLOW_TRACE_KEY_PREFIX}0"))
-                .unwrap()
-                .unwrap(),
-            b"trace-0"
-        );
+                .entries()
+                .into_iter()
+                .map(|(k, _)| k)
+                .filter(|k| k.starts_with(RESERVED_KEY_PREFIX))
+                .collect()
+        };
+        assert_eq!(reserved(&store), vec![trace_0.clone(), trace_1.clone()]);
+        // They remain ordinary records: readable, compactable, durable.
+        assert_eq!(store.get(&trace_0).unwrap().unwrap(), b"trace-0");
         store.compact().unwrap();
-        assert_eq!(store.keys_with_prefix(SLOW_TRACE_KEY_PREFIX).len(), 2);
+        assert_eq!(reserved(&store).len(), 2);
         assert_eq!(store.keys_by_recency().len(), 2);
     }
 

@@ -8,6 +8,7 @@ use std::path::Path;
 
 use crate::error::StoreError;
 use crate::record::{check_header, read_record, RecordRead, HEADER_LEN};
+use crate::store::RESERVED_KEY_PREFIX;
 
 /// What a verification scan found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -27,7 +28,9 @@ pub struct VerifyReport {
     pub tail_error: Option<String>,
     /// Values that decoded as stored DSE results (decode mode only).
     pub decoded: u64,
-    /// Values that failed to decode (decode mode only).
+    /// Data values that failed to decode (decode mode only). Records
+    /// under [`RESERVED_KEY_PREFIX`] are system records, not results,
+    /// and are never decoded.
     pub undecodable: u64,
 }
 
@@ -41,7 +44,8 @@ impl VerifyReport {
 
 /// Scan the log at `path` without modifying it, validating the header
 /// and every record checksum. With `decode_values`, additionally decode
-/// each value as a stored DSE result (duration + versioned payload).
+/// each data value (every key outside [`RESERVED_KEY_PREFIX`]) as a
+/// stored DSE result (duration + versioned payload).
 ///
 /// # Errors
 ///
@@ -68,10 +72,11 @@ pub fn verify(path: impl AsRef<Path>, decode_values: bool) -> Result<VerifyRepor
             RecordRead::Record { key, value } => {
                 report.records += 1;
                 report.valid_bytes += crate::record::record_len(key.len(), value.len());
+                let reserved = key.starts_with(RESERVED_KEY_PREFIX);
                 if !seen.insert(key) {
                     report.dead_records += 1;
                 }
-                if decode_values {
+                if decode_values && !reserved {
                     match drmap_core::bytes::decode_stored_result(&value) {
                         Ok(_) => report.decoded += 1,
                         Err(_) => report.undecodable += 1,
@@ -155,5 +160,43 @@ mod tests {
         let report = verify(&path, true).unwrap();
         assert_eq!(report.undecodable, 1);
         assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn decode_mode_skips_reserved_records() {
+        use drmap_core::dse::{DseCandidate, LayerDseResult};
+        use drmap_core::edp::EdpEstimate;
+        use drmap_core::mapping::MappingPolicy;
+        use drmap_core::schedule::ReuseScheme;
+        use drmap_core::tiling::Tiling;
+
+        let result = LayerDseResult {
+            layer_name: "CONV1".to_owned(),
+            best: DseCandidate {
+                mapping: MappingPolicy::drmap(),
+                tiling: Tiling::new(13, 13, 16, 16),
+                scheme: ReuseScheme::AdaptiveReuse,
+                estimate: EdpEstimate {
+                    cycles: 1.0e6,
+                    energy: 3.3e-3,
+                    t_ck_ns: 1.25,
+                },
+            },
+            evaluations: 42,
+            pareto: Vec::new(),
+        };
+        let path = temp_store_path("reserved");
+        let _ = std::fs::remove_file(&path);
+        let store = Store::open(&path).unwrap();
+        let data = drmap_core::bytes::encode_stored_result(&result, 1_000).unwrap();
+        store.put("layer-key", &data).unwrap();
+        // A slow-trace record as servers with `--store --slow-ms` wrote
+        // them: a system record, not a stored result.
+        store.put("~slow/0", b"\x01slow-trace bytes").unwrap();
+        drop(store);
+        let report = verify(&path, true).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!((report.decoded, report.undecodable), (1, 0));
+        assert_eq!(report.records, 2);
     }
 }

@@ -19,11 +19,7 @@
 //!   optionally into a per-request [`Trace`] stage breakdown;
 //! * [`SlowLog`] — a bounded ring buffer of the slowest requests
 //!   (those whose [`Trace`] total exceeded a runtime threshold), each
-//!   with its per-stage span breakdown;
-//! * [`SnapshotRing`] — a bounded ring of **windowed** metric deltas
-//!   fed by a sampler, giving the metrics plane a memory: rates and
-//!   windowed percentiles, with evicted windows folded into a base so
-//!   `base ∪ deltas == cumulative` holds exactly.
+//!   with its per-stage span breakdown.
 //!
 //! Snapshots are plain vectors of `(name, value)` pairs so any codec
 //! can serialize them; [`MetricsSnapshot::to_prometheus`] renders the
@@ -361,78 +357,6 @@ impl HistogramSnapshot {
             _ => self.min.min(other.min),
         };
     }
-
-    /// The windowed delta `self − earlier` for two cumulative snapshots
-    /// of the **same** histogram (so buckets only grow). Designed to be
-    /// the exact inverse of [`HistogramSnapshot::merge`]:
-    /// `earlier.merge(&later.diff(&earlier)) == later`, because the
-    /// delta carries the later cumulative `min`/`max` (min only falls,
-    /// max only rises) and an empty delta leaves both untouched.
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets: Vec<(u32, u64)> = Vec::new();
-        let mut e = earlier.buckets.iter().peekable();
-        for &(index, n) in &self.buckets {
-            let mut n = n;
-            while let Some(&&(ie, ne)) = e.peek() {
-                if ie < index {
-                    e.next();
-                } else {
-                    if ie == index {
-                        n = n.saturating_sub(ne);
-                        e.next();
-                    }
-                    break;
-                }
-            }
-            if n > 0 {
-                buckets.push((index, n));
-            }
-        }
-        let count: u64 = buckets.iter().map(|&(_, n)| n).sum();
-        HistogramSnapshot {
-            count,
-            sum: if count == 0 {
-                0
-            } else {
-                self.sum.wrapping_sub(earlier.sum)
-            },
-            min: if count == 0 { 0 } else { self.min },
-            max: if count == 0 { 0 } else { self.max },
-            buckets,
-        }
-    }
-}
-
-/// Successive-difference windowing over one [`Histogram`]: each
-/// [`HistogramWindow::tick`] snapshots the histogram and returns the
-/// delta since the previous tick — the distribution of samples
-/// recorded *during* the window, not since boot. Control loops (e.g.
-/// an overload controller watching request latency) feed on windowed
-/// percentiles so they react to current behavior instead of the
-/// all-time aggregate.
-#[derive(Debug)]
-pub struct HistogramWindow {
-    hist: Arc<Histogram>,
-    last: Mutex<HistogramSnapshot>,
-}
-
-impl HistogramWindow {
-    /// A window over `hist`, starting from its current contents (the
-    /// first tick covers only samples recorded after construction).
-    pub fn new(hist: Arc<Histogram>) -> Self {
-        let last = Mutex::new(hist.snapshot());
-        HistogramWindow { hist, last }
-    }
-
-    /// Close the current window: returns the delta distribution since
-    /// the previous tick and starts the next window.
-    pub fn tick(&self) -> HistogramSnapshot {
-        let cumulative = self.hist.snapshot();
-        let mut last = lock_recovered(&self.last);
-        let delta = cumulative.diff(&last);
-        *last = cumulative;
-        delta
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -582,48 +506,6 @@ impl MetricsSnapshot {
         fold(&mut self.histograms, &other.histograms, |a, b| a.merge(b));
     }
 
-    /// The windowed delta `self − earlier` for two cumulative snapshots
-    /// of the **same** registry: counters subtract, gauges subtract
-    /// (deltas may be negative), histograms take their bucket-wise
-    /// [`HistogramSnapshot::diff`]. Every name in `self` is kept even
-    /// at zero delta, so `earlier.merge(&delta)` reconstructs `self`
-    /// exactly — the invariant [`SnapshotRing`] is built on.
-    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(name, v)| {
-                    (
-                        name.clone(),
-                        // check:allow(metrics-doc-drift): name lookup, not a registration
-                        v.saturating_sub(earlier.counter(name).unwrap_or(0)),
-                    )
-                })
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(name, v)| {
-                    // check:allow(metrics-doc-drift): name lookup, not a registration
-                    (name.clone(), v - earlier.gauge(name).unwrap_or(0))
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(name, h)| {
-                    // check:allow(metrics-doc-drift): name lookup, not a registration
-                    let delta = match earlier.histogram(name) {
-                        Some(e) => h.diff(e),
-                        None => h.clone(),
-                    };
-                    (name.clone(), delta)
-                })
-                .collect(),
-        }
-    }
-
     /// Render the snapshot as a Prometheus-style text exposition: each
     /// metric prefixed `drmap_`, counters and gauges as single samples,
     /// histograms as summaries (`quantile` labels plus `_sum`/`_count`).
@@ -672,135 +554,6 @@ impl MetricsSnapshot {
             out.push_str(&format!("drmap_{name}_count {}\n", h.count));
         }
         out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot ring (metrics time series)
-// ---------------------------------------------------------------------------
-
-/// One windowed sample in a [`SnapshotRing`]: the delta of every
-/// metric over `(previous sample, this sample]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotSample {
-    /// Registry uptime in milliseconds when the sample was taken.
-    pub uptime_ms: u64,
-    /// Length of the window this delta covers, in milliseconds.
-    pub window_ms: u64,
-    /// Per-metric deltas over the window (see [`MetricsSnapshot::diff`]).
-    pub delta: MetricsSnapshot,
-}
-
-/// A bounded ring of windowed metric deltas — the memory of the
-/// metrics plane. A sampler thread feeds it cumulative snapshots at a
-/// fixed cadence; the ring stores per-window deltas so rates and
-/// *windowed* percentiles (p99 over the last window, not since boot)
-/// stay queryable.
-///
-/// Invariant (held exactly, including across wraparound): the `base`
-/// snapshot merged with every retained sample delta equals the last
-/// recorded cumulative snapshot. Evicted samples are folded into
-/// `base`, so nothing is ever lost — only its time resolution.
-#[derive(Debug)]
-pub struct SnapshotRing {
-    inner: Mutex<RingInner>,
-}
-
-#[derive(Debug)]
-struct RingInner {
-    capacity: usize,
-    base: MetricsSnapshot,
-    last: MetricsSnapshot,
-    last_uptime_ms: u64,
-    samples: VecDeque<SnapshotSample>,
-}
-
-/// A copy of a [`SnapshotRing`]'s state: the pre-window `base`, the
-/// retained windowed samples (oldest first), and the cumulative
-/// snapshot at the latest sample.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SnapshotHistory {
-    /// Everything recorded before the oldest retained window.
-    pub base: MetricsSnapshot,
-    /// Retained windowed deltas, oldest first.
-    pub samples: Vec<SnapshotSample>,
-    /// The cumulative snapshot as of the newest sample — always equal
-    /// to `base` merged with every sample delta.
-    pub cumulative: MetricsSnapshot,
-}
-
-impl SnapshotHistory {
-    /// Fold `base` and every sample delta back into one cumulative
-    /// snapshot. Equals [`SnapshotHistory::cumulative`] by the ring
-    /// invariant — callers (and tests) can verify reconstruction.
-    pub fn reconstructed(&self) -> MetricsSnapshot {
-        let mut out = self.base.clone();
-        for sample in &self.samples {
-            out.merge(&sample.delta);
-        }
-        out
-    }
-}
-
-impl SnapshotRing {
-    /// A ring retaining at most `capacity` windowed samples.
-    pub fn new(capacity: usize) -> SnapshotRing {
-        SnapshotRing {
-            inner: Mutex::new(RingInner {
-                capacity: capacity.max(1),
-                base: MetricsSnapshot::default(),
-                last: MetricsSnapshot::default(),
-                last_uptime_ms: 0,
-                samples: VecDeque::new(),
-            }),
-        }
-    }
-
-    /// Record one cumulative snapshot taken at `uptime_ms`, storing
-    /// its delta against the previous sample. When full, the oldest
-    /// window is folded into the base rather than dropped.
-    ///
-    /// The ring's own cumulative advances by merging the delta in
-    /// (rather than adopting `cumulative` verbatim), so the invariant
-    /// is exact even when a concurrent recorder straddles the snapshot
-    /// copy — the two only differ on a torn read of a histogram
-    /// min/sum whose bucket increment was not yet visible.
-    pub fn record(&self, cumulative: MetricsSnapshot, uptime_ms: u64) {
-        let mut inner = lock_recovered(&self.inner);
-        let delta = cumulative.diff(&inner.last);
-        let sample = SnapshotSample {
-            uptime_ms,
-            window_ms: uptime_ms.saturating_sub(inner.last_uptime_ms),
-            delta,
-        };
-        if inner.samples.len() == inner.capacity {
-            if let Some(evicted) = inner.samples.pop_front() {
-                inner.base.merge(&evicted.delta);
-            }
-        }
-        inner.last.merge(&sample.delta);
-        inner.samples.push_back(sample);
-        inner.last_uptime_ms = uptime_ms;
-    }
-
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        lock_recovered(&self.inner).samples.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A copy of the ring's state for serialization or inspection.
-    pub fn history(&self) -> SnapshotHistory {
-        let inner = lock_recovered(&self.inner);
-        SnapshotHistory {
-            base: inner.base.clone(),
-            samples: inner.samples.iter().cloned().collect(),
-            cumulative: inner.last.clone(),
-        }
     }
 }
 
@@ -910,82 +663,6 @@ pub struct SlowEntry {
     pub stages: Vec<(String, u64)>,
 }
 
-/// Version tag for the persisted slow-trace record format.
-const SLOW_RECORD_VERSION: u8 = 1;
-
-impl SlowEntry {
-    /// Encode the entry as a self-describing binary record carrying a
-    /// monotonic sequence number and a wall-clock timestamp, suitable
-    /// for writing through the persistent store so post-mortems
-    /// survive restarts. Format (all integers little-endian):
-    /// `version:u8 seq:u64 unix_ms:u64 trace_id:u64 total_ns:u64
-    /// stage_count:u32 (name_len:u32 name_bytes ns:u64)*`.
-    pub fn encode_record(&self, seq: u64, unix_ms: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(37 + self.stages.len() * 24);
-        out.push(SLOW_RECORD_VERSION);
-        out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&unix_ms.to_le_bytes());
-        out.extend_from_slice(&self.trace_id.to_le_bytes());
-        out.extend_from_slice(&self.total_ns.to_le_bytes());
-        out.extend_from_slice(
-            &u32::try_from(self.stages.len())
-                .unwrap_or(u32::MAX)
-                .to_le_bytes(),
-        );
-        for (name, ns) in &self.stages {
-            let bytes = name.as_bytes();
-            out.extend_from_slice(&u32::try_from(bytes.len()).unwrap_or(u32::MAX).to_le_bytes());
-            out.extend_from_slice(bytes);
-            out.extend_from_slice(&ns.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decode a record produced by [`SlowEntry::encode_record`],
-    /// returning `(seq, unix_ms, entry)`. `None` for truncated bytes
-    /// or an unknown version.
-    pub fn decode_record(bytes: &[u8]) -> Option<(u64, u64, SlowEntry)> {
-        fn take_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
-            let chunk = bytes.get(*at..*at + 8)?;
-            *at += 8;
-            Some(u64::from_le_bytes(chunk.try_into().ok()?))
-        }
-        fn take_u32(bytes: &[u8], at: &mut usize) -> Option<u32> {
-            let chunk = bytes.get(*at..*at + 4)?;
-            *at += 4;
-            Some(u32::from_le_bytes(chunk.try_into().ok()?))
-        }
-        if *bytes.first()? != SLOW_RECORD_VERSION {
-            return None;
-        }
-        let mut at = 1usize;
-        let seq = take_u64(bytes, &mut at)?;
-        let unix_ms = take_u64(bytes, &mut at)?;
-        let trace_id = take_u64(bytes, &mut at)?;
-        let total_ns = take_u64(bytes, &mut at)?;
-        let stage_count = take_u32(bytes, &mut at)? as usize;
-        // Cap pre-allocation by what the payload could actually hold.
-        let mut stages = Vec::with_capacity(stage_count.min(bytes.len() / 12));
-        for _ in 0..stage_count {
-            let len = take_u32(bytes, &mut at)? as usize;
-            let name = bytes.get(at..at + len)?;
-            at += len;
-            let name = String::from_utf8(name.to_vec()).ok()?;
-            let ns = take_u64(bytes, &mut at)?;
-            stages.push((name, ns));
-        }
-        Some((
-            seq,
-            unix_ms,
-            SlowEntry {
-                trace_id,
-                total_ns,
-                stages,
-            },
-        ))
-    }
-}
-
 /// A bounded ring buffer of the most recent slow requests. The
 /// threshold **and** the ring capacity are runtime-tunable;
 /// `u64::MAX` (the default threshold) disables logging entirely, `0`
@@ -1041,34 +718,23 @@ impl SlowLog {
     pub fn observe(&self, trace: &Trace) -> u64 {
         let total_ns = trace.elapsed_ns();
         if total_ns >= self.threshold_ns.load(Ordering::Relaxed) {
-            if let Some(entry) = self.capture(trace, total_ns) {
-                let capacity = self.capacity.load(Ordering::Relaxed);
-                let mut entries = lock_recovered(&self.entries);
-                while entries.len() >= capacity {
-                    entries.pop_front();
-                }
-                entries.push_back(entry);
+            let entry = SlowEntry {
+                trace_id: trace.id(),
+                total_ns,
+                stages: trace
+                    .stages()
+                    .into_iter()
+                    .map(|(name, ns)| (name.to_owned(), ns))
+                    .collect(),
+            };
+            let capacity = self.capacity.load(Ordering::Relaxed);
+            let mut entries = lock_recovered(&self.entries);
+            while entries.len() >= capacity {
+                entries.pop_front();
             }
+            entries.push_back(entry);
         }
         total_ns
-    }
-
-    /// Build the [`SlowEntry`] for a trace that crossed the threshold;
-    /// `None` when it did not. Lets callers persist the same entry the
-    /// ring keeps without re-walking the trace.
-    pub fn capture(&self, trace: &Trace, total_ns: u64) -> Option<SlowEntry> {
-        if total_ns < self.threshold_ns.load(Ordering::Relaxed) {
-            return None;
-        }
-        Some(SlowEntry {
-            trace_id: trace.id(),
-            total_ns,
-            stages: trace
-                .stages()
-                .into_iter()
-                .map(|(name, ns)| (name.to_owned(), ns))
-                .collect(),
-        })
     }
 
     /// The logged entries, oldest first.
@@ -1232,51 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn slow_entry_record_round_trips() {
-        let entry = SlowEntry {
-            trace_id: 77,
-            total_ns: 123_456_789,
-            stages: vec![
-                ("frame_decode".to_owned(), 1_000),
-                ("explore".to_owned(), 120_000_000),
-            ],
-        };
-        let bytes = entry.encode_record(9, 1_700_000_000_000);
-        let (seq, unix_ms, decoded) = SlowEntry::decode_record(&bytes).expect("decodes");
-        assert_eq!(seq, 9);
-        assert_eq!(unix_ms, 1_700_000_000_000);
-        assert_eq!(decoded, entry);
-        // Truncations and version skew fail cleanly, never panic.
-        for cut in 0..bytes.len() {
-            assert!(
-                SlowEntry::decode_record(&bytes[..cut]).is_none(),
-                "cut {cut}"
-            );
-        }
-        let mut wrong = bytes.clone();
-        wrong[0] = 0xFF;
-        assert!(SlowEntry::decode_record(&wrong).is_none());
-    }
-
-    #[test]
-    fn histogram_window_yields_per_window_deltas() {
-        let hist = Arc::new(Histogram::new());
-        hist.record(1_000);
-        let window = HistogramWindow::new(Arc::clone(&hist));
-        // Samples recorded before construction belong to no window.
-        assert_eq!(window.tick().count, 0);
-        hist.record(5_000);
-        hist.record(7_000);
-        let first = window.tick();
-        assert_eq!(first.count, 2);
-        assert!(first.p99() >= 5_000);
-        // An idle window is empty, not a replay of the last one.
-        assert_eq!(window.tick().count, 0);
-        hist.record(100);
-        assert_eq!(window.tick().count, 1);
-    }
-
-    #[test]
     fn uptime_gauge_appears_on_every_snapshot() {
         let registry = MetricsRegistry::new();
         let snap = registry.snapshot();
@@ -1297,49 +918,6 @@ mod tests {
         empty.counter("cache_hits_total");
         empty.counter("cache_misses_total");
         assert!(!empty.snapshot().to_prometheus().contains("cache_hit_ratio"));
-    }
-
-    #[test]
-    fn snapshot_ring_reconstructs_under_concurrent_recording() {
-        // Writers hammer the registry while a sampler records into the
-        // ring; after the writers stop, one final sample makes the
-        // ring's cumulative match a quiesced snapshot exactly.
-        let registry = Arc::new(MetricsRegistry::new());
-        let ring = Arc::new(SnapshotRing::new(4));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writers: Vec<_> = (0..3)
-            .map(|w| {
-                let registry = Arc::clone(&registry);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let c = registry.counter("ops_total");
-                    let h = registry.histogram("op_ns");
-                    for i in 0..2_000u64 {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        c.inc();
-                        h.record(i * (w + 1));
-                    }
-                })
-            })
-            .collect();
-        for _ in 0..8 {
-            ring.record(registry.snapshot(), registry.uptime_ms());
-            std::thread::yield_now();
-        }
-        stop.store(true, Ordering::Relaxed);
-        for w in writers {
-            w.join().expect("writer");
-        }
-        ring.record(registry.snapshot(), registry.uptime_ms());
-        let history = ring.history();
-        assert!(history.samples.len() <= 4, "ring respects capacity");
-        assert_eq!(
-            history.reconstructed(),
-            history.cumulative,
-            "base + deltas must equal the cumulative snapshot"
-        );
     }
 
     #[test]
@@ -1396,62 +974,6 @@ mod tests {
                 estimate <= exact + exact / 8 + 1,
                 "estimate {} overshoots exact {}", estimate, exact
             );
-        }
-
-        /// `diff` is the exact inverse of `merge` for cumulative
-        /// snapshots of one histogram: earlier ∪ (later − earlier)
-        /// reconstructs later bit-for-bit.
-        #[test]
-        fn histogram_diff_inverts_merge(
-            first in proptest::collection::vec(0u64..1_000_000, 0..100),
-            second in proptest::collection::vec(0u64..1_000_000, 0..100),
-        ) {
-            let h = Histogram::new();
-            for &v in &first {
-                h.record(v);
-            }
-            let earlier = h.snapshot();
-            for &v in &second {
-                h.record(v);
-            }
-            let later = h.snapshot();
-            let delta = later.diff(&earlier);
-            prop_assert_eq!(delta.count, second.len() as u64);
-            let mut rebuilt = earlier.clone();
-            rebuilt.merge(&delta);
-            prop_assert_eq!(&rebuilt, &later);
-        }
-
-        /// SnapshotRing reconstruction is exact under wraparound: the
-        /// base merged with the retained deltas always equals the
-        /// cumulative snapshot, no matter how many windows the ring
-        /// evicted along the way.
-        #[test]
-        fn snapshot_ring_wraparound_is_exact(
-            batches in proptest::collection::vec(
-                proptest::collection::vec(0u64..1_000_000, 0..20), 1..12),
-            capacity in 1usize..5,
-        ) {
-            let registry = MetricsRegistry::new();
-            let ring = SnapshotRing::new(capacity);
-            let counter = registry.counter("ops_total");
-            let hist = registry.histogram("op_ns");
-            let gauge = registry.gauge("depth");
-            let mut last = MetricsSnapshot::default();
-            for (i, batch) in batches.iter().enumerate() {
-                for &v in batch {
-                    counter.inc();
-                    hist.record(v);
-                }
-                // Gauges move both directions between windows.
-                gauge.set(i as i64 * 7 - 3);
-                last = registry.snapshot();
-                ring.record(last.clone(), registry.uptime_ms());
-            }
-            let history = ring.history();
-            prop_assert!(history.samples.len() <= capacity);
-            prop_assert_eq!(&history.cumulative, &last);
-            prop_assert_eq!(&history.reconstructed(), &history.cumulative);
         }
 
         /// Snapshot merge is associative: (a ∪ b) ∪ c == a ∪ (b ∪ c),
