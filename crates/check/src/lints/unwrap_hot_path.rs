@@ -13,7 +13,8 @@ use crate::lexer::TokKind::{Ident, Punct};
 use crate::lints::seq_at;
 
 /// The modules every request flows through.
-const HOT_PATH: [&str; 7] = [
+const HOT_PATH: [&str; 8] = [
+    "crates/service/src/conn.rs",
     "crates/service/src/server.rs",
     "crates/service/src/cache.rs",
     "crates/service/src/pool.rs",

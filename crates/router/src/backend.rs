@@ -17,27 +17,24 @@
 //! that fan out rather than pipeline (`stats`, `set-bounds`, …).
 
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use drmap_service::client::{Client, ClientConfig};
 use drmap_service::error::ServiceError;
 use drmap_service::proto::{Request, Response, PROTOCOL_VERSION};
+use drmap_service::sync::lock_recovered;
 use drmap_service::wire;
 
-/// Lock `mutex`, recovering the guard if a panicking thread poisoned
-/// it. Everything the router guards (writer buffers, connection sets,
-/// the pending map) is left structurally valid on unwind, so poison
-/// must not cascade — same policy as the service tier's
-/// `sync::lock_recovered`.
-pub(crate) fn lock_recovered<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
-}
+/// Bound on establishing any backend connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// The identification string the router sends in hellos and answers
-/// hellos with.
+/// Socket timeouts of the synchronous admin channel.
+const ADMIN_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The identification string the router answers hellos with.
 pub fn identity() -> String {
     format!("drmap-router/{}", env!("CARGO_PKG_VERSION"))
 }
@@ -55,6 +52,43 @@ pub struct DataConn {
 }
 
 impl DataConn {
+    /// Connect to `addr`, run the hello handshake, and verify the
+    /// backend speaks our protocol version with the capabilities the
+    /// data path relies on. Returns the connection, its read half (for
+    /// the caller to hand to a reader thread), and the backend's
+    /// advertised capabilities.
+    ///
+    /// # Errors
+    ///
+    /// Connection and socket errors; a protocol error when the backend
+    /// refuses the hello, answers with a different version, or lacks a
+    /// required capability.
+    pub fn open(addr: &str) -> Result<(DataConn, BufReader<TcpStream>, Vec<String>), ServiceError> {
+        let config = ClientConfig {
+            connect_timeout: Some(CONNECT_TIMEOUT),
+            ..ClientConfig::default()
+        };
+        let mut client = Client::connect_with(addr, config)?;
+        let hello = client.hello()?;
+        if hello.version != PROTOCOL_VERSION {
+            return Err(ServiceError::protocol(format!(
+                "backend {addr} speaks protocol version {}, router requires {PROTOCOL_VERSION}",
+                hello.version
+            )));
+        }
+        if let Some(missing) = REQUIRED_CAPABILITIES.iter().find(|c| !hello.has(c)) {
+            return Err(ServiceError::protocol(format!(
+                "backend {addr} does not advertise the {missing:?} capability"
+            )));
+        }
+        let (writer, reader) = client.into_split();
+        let conn = DataConn {
+            stream: writer.try_clone()?,
+            writer: Mutex::new(writer),
+        };
+        Ok((conn, reader, hello.capabilities))
+    }
+
     /// Serialize one request onto the connection as one whole frame
     /// (the lock keeps concurrent senders' frames from interleaving).
     pub fn send(&self, request: &Request) -> Result<(), ServiceError> {
@@ -65,80 +99,6 @@ impl DataConn {
     pub fn close(&self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
-}
-
-fn resolve(addr: &str) -> Result<SocketAddr, ServiceError> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| ServiceError::protocol(format!("backend address {addr:?} did not resolve")))
-}
-
-/// Connect to `addr`, perform the hello handshake, and verify the
-/// backend speaks our protocol version with the capabilities the data
-/// path relies on. Returns the write half, the read half (for the
-/// caller to hand to a reader thread), and the backend's advertised
-/// capabilities.
-///
-/// # Errors
-///
-/// Connection and socket errors; a protocol error when the backend
-/// answers with a different version, refuses the hello, or lacks a
-/// required capability.
-pub fn open_data_conn(
-    addr: &str,
-    connect_timeout: Duration,
-) -> Result<(DataConn, BufReader<TcpStream>, Vec<String>), ServiceError> {
-    let stream = TcpStream::connect_timeout(&resolve(addr)?, connect_timeout)?;
-    wire::configure_socket(&stream, None, None)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream.try_clone()?;
-    wire::write_request(
-        &mut writer,
-        &Request::Hello {
-            version: PROTOCOL_VERSION,
-            client: Some(identity()),
-        },
-    )?;
-    let Some(response) = wire::read_response(&mut reader)? else {
-        return Err(ServiceError::protocol(format!(
-            "backend {addr} closed the connection during the hello handshake"
-        )));
-    };
-    let capabilities = match response {
-        Response::Hello {
-            version,
-            capabilities,
-            ..
-        } if version == PROTOCOL_VERSION => capabilities,
-        Response::Hello { version, .. } => {
-            return Err(ServiceError::protocol(format!(
-                "backend {addr} speaks protocol version {version}, router requires \
-                 {PROTOCOL_VERSION}"
-            )));
-        }
-        Response::Error { message, .. } => {
-            return Err(ServiceError::protocol(format!(
-                "backend {addr} refused the hello: {message}"
-            )));
-        }
-        other => {
-            return Err(ServiceError::protocol(format!(
-                "backend {addr} answered the hello with {other:?}"
-            )));
-        }
-    };
-    for required in REQUIRED_CAPABILITIES {
-        if !capabilities.iter().any(|c| c == required) {
-            return Err(ServiceError::protocol(format!(
-                "backend {addr} does not advertise the {required:?} capability"
-            )));
-        }
-    }
-    let conn = DataConn {
-        stream,
-        writer: Mutex::new(writer),
-    };
-    Ok((conn, reader, capabilities))
 }
 
 /// One configured backend's live state.
@@ -266,14 +226,15 @@ impl Backend {
     /// # Errors
     ///
     /// Connection, socket, and protocol errors from the exchange.
-    pub fn admin_request(
-        &self,
-        request: &Request,
-        config: &ClientConfig,
-    ) -> Result<Response, ServiceError> {
+    pub fn admin_request(&self, request: &Request) -> Result<Response, ServiceError> {
         let mut slot = lock_recovered(&self.admin);
         if slot.is_none() {
-            let mut client = Client::connect_with(&self.addr, *config)?;
+            let config = ClientConfig {
+                connect_timeout: Some(CONNECT_TIMEOUT),
+                read_timeout: Some(ADMIN_TIMEOUT),
+                write_timeout: Some(ADMIN_TIMEOUT),
+            };
+            let mut client = Client::connect_with(&self.addr, config)?;
             client.hello()?;
             *slot = Some(client);
         }

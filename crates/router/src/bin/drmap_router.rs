@@ -4,7 +4,6 @@
 //! drmap-router --backend HOST:PORT [--backend HOST:PORT ...]
 //!              [--addr HOST:PORT] [--data-conns N]
 //!              [--retry-attempts N] [--retry-base-ms N] [--retry-cap-ms N]
-//!              [--probe-ms N] [--connect-timeout-ms N] [--admin-timeout-ms N]
 //! ```
 //!
 //! Clients connect to the router exactly as they would to a single
@@ -14,12 +13,15 @@
 //! and fails jobs on dead backends over to the next-ranked node (jobs
 //! are pure, so a resend is safe). `stats` and `metrics` aggregate
 //! across the fleet and configuration verbs broadcast. A job is always
-//! forwarded whole. See `docs/CLUSTER.md`.
+//! forwarded whole. Each client connection has the same in-flight cap
+//! as a direct `drmap-serve` connection (128). Dead backends are probed
+//! every 500 ms; backend connections must connect within 2 s, and admin
+//! fan-out exchanges time out after 10 s. See `docs/CLUSTER.md`.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use drmap_router::proxy::{Router, RouterConfig};
+use drmap_service::cli::parse_positive;
 
 fn parse_args() -> Result<(String, RouterConfig), String> {
     let mut addr = "127.0.0.1:7879".to_owned();
@@ -45,30 +47,11 @@ fn parse_args() -> Result<(String, RouterConfig), String> {
                 cfg.retry.cap_ms =
                     parse_positive("--retry-cap-ms", &value("--retry-cap-ms")?)? as u64;
             }
-            "--probe-ms" => {
-                cfg.probe_interval = Duration::from_millis(parse_positive(
-                    "--probe-ms",
-                    &value("--probe-ms")?,
-                )? as u64);
-            }
-            "--connect-timeout-ms" => {
-                cfg.connect_timeout = Duration::from_millis(parse_positive(
-                    "--connect-timeout-ms",
-                    &value("--connect-timeout-ms")?,
-                )? as u64);
-            }
-            "--admin-timeout-ms" => {
-                cfg.admin_timeout = Duration::from_millis(parse_positive(
-                    "--admin-timeout-ms",
-                    &value("--admin-timeout-ms")?,
-                )? as u64);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: drmap-router --backend HOST:PORT [--backend HOST:PORT ...] \
                      [--addr HOST:PORT] [--data-conns N] \
-                     [--retry-attempts N] [--retry-base-ms N] [--retry-cap-ms N] \
-                     [--probe-ms N] [--connect-timeout-ms N] [--admin-timeout-ms N]"
+                     [--retry-attempts N] [--retry-base-ms N] [--retry-cap-ms N]"
                 );
                 std::process::exit(0);
             }
@@ -79,13 +62,6 @@ fn parse_args() -> Result<(String, RouterConfig), String> {
         return Err("at least one --backend is required".to_owned());
     }
     Ok((addr, cfg))
-}
-
-fn parse_positive(name: &str, v: &str) -> Result<usize, String> {
-    v.parse()
-        .ok()
-        .filter(|n: &usize| *n > 0)
-        .ok_or_else(|| format!("invalid {name} value {v:?} (expected a positive integer)"))
 }
 
 fn main() -> ExitCode {

@@ -1,5 +1,8 @@
-//! The proxy core: client sessions, the pending-job multiplexer,
-//! rendezvous routing, failover, and admin fan-out.
+//! The proxy core: the pending-job multiplexer, rendezvous routing,
+//! failover, and admin fan-out. Client connections are the service
+//! tier's [`drmap_service::conn`] sessions, this module's
+//! [`Service`] impl their dispatch — so a routed client gets the same
+//! per-connection in-flight cap as a direct one.
 //!
 //! # Correlation
 //!
@@ -24,22 +27,30 @@
 
 use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use drmap_service::client::{ClientConfig, RetryPolicy};
+use drmap_service::client::RetryPolicy;
+use drmap_service::conn::{Listener, Reply, Service, Ticket};
 use drmap_service::engine::job_route_key;
 use drmap_service::error::ServiceError;
 use drmap_service::loadgen::SplitMix64;
-use drmap_service::proto::{router_capabilities, Request, Response, StatsReport, PROTOCOL_VERSION};
+use drmap_service::proto::{
+    router_capabilities, MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION,
+};
+use drmap_service::server::DEFAULT_MAX_INFLIGHT;
 use drmap_service::spec::JobSpec;
+use drmap_service::sync::lock_recovered;
 use drmap_service::wire;
 use drmap_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
-use crate::backend::{self, lock_recovered, Backend};
+use crate::backend::{self, Backend, DataConn};
 use crate::hash;
+
+/// How often the probe loop re-handshakes unhealthy backends.
+const PROBE_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Everything tunable about the router tier.
 #[derive(Debug, Clone)]
@@ -50,14 +61,8 @@ pub struct RouterConfig {
     pub backends: Vec<String>,
     /// Backoff/attempt budget for failing a job over between backends.
     pub retry: RetryPolicy,
-    /// How often the probe loop re-checks unhealthy backends.
-    pub probe_interval: Duration,
     /// Pipelined data connections per backend.
     pub data_conns: usize,
-    /// Bound on establishing any backend connection.
-    pub connect_timeout: Duration,
-    /// Socket timeouts for the synchronous admin fan-out channels.
-    pub admin_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -65,10 +70,7 @@ impl Default for RouterConfig {
         RouterConfig {
             backends: Vec::new(),
             retry: RetryPolicy::default(),
-            probe_interval: Duration::from_millis(500),
             data_conns: 2,
-            connect_timeout: Duration::from_secs(2),
-            admin_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -123,10 +125,6 @@ impl RouterMetrics {
     }
 }
 
-/// Where a job's eventual response goes: the client session's writer
-/// thread.
-type ReplyTx = mpsc::Sender<Response>;
-
 /// One in-flight job, keyed by its router-assigned id.
 #[derive(Debug)]
 struct Pending {
@@ -135,7 +133,9 @@ struct Pending {
     spec: JobSpec,
     /// The id the client chose, restored on the way out.
     client_id: u64,
-    reply: ReplyTx,
+    /// The client connection's in-flight slot, carrying the response
+    /// to its writer.
+    reply: Ticket,
     /// Index of the backend currently running the job.
     backend: usize,
     /// Dispatches so far (bounded by [`RetryPolicy::max_attempts`]).
@@ -152,8 +152,6 @@ pub struct RouterCore {
     addrs: Vec<String>,
     pending: Mutex<HashMap<u64, Pending>>,
     seq: AtomicU64,
-    shutdown: AtomicBool,
-    local_addr: Mutex<Option<SocketAddr>>,
     metrics: MetricsRegistry,
     m: RouterMetrics,
 }
@@ -170,8 +168,6 @@ impl RouterCore {
             addrs,
             pending: Mutex::new(HashMap::new()),
             seq: AtomicU64::new(1),
-            shutdown: AtomicBool::new(false),
-            local_addr: Mutex::new(None),
             metrics,
             m,
         })
@@ -190,35 +186,10 @@ impl RouterCore {
             .collect()
     }
 
-    fn is_shutting_down(&self) -> bool {
-        // ordering: Acquire pairs with the Release in
-        // `trigger_shutdown`; the flag guards no other data.
-        self.shutdown.load(Ordering::Acquire)
-    }
-
-    fn trigger_shutdown(&self) {
-        // ordering: Release pairs with the Acquire in the accept and
-        // probe loops; nothing besides the flag is published.
-        self.shutdown.store(true, Ordering::Release);
-        // Wake the listener so a blocked `accept` observes the flag.
-        let addr = *lock_recovered(&self.local_addr);
-        if let Some(addr) = addr {
-            wire::wake_listener(addr);
-        }
-    }
-
     fn next_id(&self) -> u64 {
         // ordering: Relaxed — the sequence only needs uniqueness, and
         // fetch_add is atomic under any ordering.
         self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn admin_config(&self) -> ClientConfig {
-        ClientConfig {
-            connect_timeout: Some(self.cfg.connect_timeout),
-            read_timeout: Some(self.cfg.admin_timeout),
-            write_timeout: Some(self.cfg.admin_timeout),
-        }
     }
 
     fn refresh_up_gauge(&self) {
@@ -242,7 +213,7 @@ impl RouterCore {
         let mut readers = Vec::new();
         let mut capabilities = Vec::new();
         for _ in 0..self.cfg.data_conns.max(1) {
-            let (conn, reader, caps) = backend::open_data_conn(addr, self.cfg.connect_timeout)?;
+            let (conn, reader, caps) = DataConn::open(addr)?;
             conns.push(Arc::new(conn));
             readers.push(reader);
             capabilities = caps;
@@ -255,6 +226,17 @@ impl RouterCore {
             std::thread::spawn(move || core.backend_reader(idx, epoch, reader));
         }
         Ok(())
+    }
+
+    /// Probe every unhealthy backend once; a handshake that succeeds
+    /// re-admits the node into the rendezvous ranking.
+    fn probe(self: &Arc<Self>) {
+        for idx in 0..self.backends.len() {
+            if !self.backends[idx].is_healthy() {
+                self.m.probe_total.inc();
+                let _ = self.admit_backend(idx);
+            }
+        }
     }
 
     /// Drain one data connection's responses until it dies, then
@@ -304,14 +286,14 @@ impl RouterCore {
 
     /// Route one client job: rewrite its id, register it pending, and
     /// forward it to the rendezvous pick.
-    fn submit(self: &Arc<Self>, mut spec: JobSpec, reply: &ReplyTx) {
+    fn submit(self: &Arc<Self>, mut spec: JobSpec, reply: Ticket) {
         let client_id = spec.id;
         let router_id = self.next_id();
         spec.id = router_id;
         let pending = Pending {
             spec,
             client_id,
-            reply: reply.clone(),
+            reply,
             backend: usize::MAX,
             attempts: 0,
             prev_backoff_ms: 0,
@@ -330,7 +312,7 @@ impl RouterCore {
             .route_pick_ns
             .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         let Some(idx) = picked else {
-            self.reply_error(&pending, "no healthy backend available");
+            reply_error(pending, "no healthy backend available");
             return;
         };
         pending.backend = idx;
@@ -360,13 +342,11 @@ impl RouterCore {
         let mut rng = SplitMix64::new(seed);
         for (router_id, mut pending) in orphans {
             if pending.attempts >= self.cfg.retry.max_attempts {
-                self.reply_error(
-                    &pending,
-                    &format!(
-                        "job gave up after {} attempts across backends",
-                        pending.attempts
-                    ),
+                let message = format!(
+                    "job gave up after {} attempts across backends",
+                    pending.attempts
                 );
+                reply_error(pending, &message);
                 continue;
             }
             let mut prev = pending.prev_backoff_ms;
@@ -390,7 +370,7 @@ impl RouterCore {
                 };
                 self.m.per_backend[idx].inflight.dec();
                 result.id = pending.client_id;
-                let _ = pending.reply.send(Response::Job { result });
+                pending.reply.send(Response::Job { result });
             }
             Response::DeadlineExceeded {
                 id: Some(id),
@@ -400,7 +380,7 @@ impl RouterCore {
                     return;
                 };
                 self.m.per_backend[idx].inflight.dec();
-                let _ = pending.reply.send(Response::DeadlineExceeded {
+                pending.reply.send(Response::DeadlineExceeded {
                     id: Some(pending.client_id),
                     deadline_ms,
                 });
@@ -413,20 +393,12 @@ impl RouterCore {
                     return;
                 };
                 self.m.per_backend[idx].inflight.dec();
-                self.reply_error(&pending, &message);
+                reply_error(pending, &message);
             }
             // Handshake echoes, pongs, and uncorrelatable errors carry
             // no router id to resolve; drop them.
             _ => {}
         }
-    }
-
-    /// Deliver a terminal error for one pending entry.
-    fn reply_error(&self, pending: &Pending, message: &str) {
-        let _ = pending.reply.send(Response::Error {
-            id: Some(pending.client_id),
-            message: message.to_owned(),
-        });
     }
 
     // -----------------------------------------------------------------
@@ -446,194 +418,171 @@ impl RouterCore {
         router_capabilities(&backend_caps)
     }
 
-    /// Aggregate `stats` across healthy backends: counters sum,
-    /// configuration comes from the first, `backends` is the cluster
-    /// size.
-    fn aggregate_stats(&self, id: Option<u64>) -> Response {
-        let mut merged: Option<StatsReport> = None;
-        let mut reached = 0usize;
-        for backend in self.backends.iter().filter(|b| b.is_healthy()) {
-            let report = match backend
-                .admin_request(&Request::Stats { id: None }, &self.admin_config())
-            {
-                Ok(Response::Stats { report, .. }) => report,
-                Ok(Response::Error { message, .. }) => {
-                    return Response::Error {
-                        id,
-                        message: format!("backend {}: {message}", backend.addr),
-                    }
-                }
-                Ok(other) => {
-                    return Response::Error {
-                        id,
-                        message: format!("backend {} answered stats with {other:?}", backend.addr),
-                    }
-                }
-                Err(e) => {
-                    return Response::Error {
-                        id,
-                        message: format!("backend {} unreachable: {e}", backend.addr),
-                    }
-                }
-            };
-            reached += 1;
-            merged = Some(match merged {
-                None => report,
-                Some(acc) => sum_stats(acc, &report),
-            });
-        }
-        match merged {
-            Some(mut report) => {
-                report.backends = Some(reached);
-                Response::Stats { id, report }
-            }
-            None => Response::Error {
-                id,
-                message: "no healthy backend available".to_owned(),
-            },
-        }
+    /// Send `request` to every healthy backend over its admin channel
+    /// and collect the answers `expect` accepts. The first backend that
+    /// fails, refuses, or answers with anything else fails the whole
+    /// verb with a message naming it, so the fleet never drifts into
+    /// split configuration.
+    fn fan_out<T>(
+        &self,
+        request: &Request,
+        expect: impl Fn(Response) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.backends
+            .iter()
+            .filter(|b| b.is_healthy())
+            .map(|backend| {
+                backend
+                    .admin_request(request)
+                    .map_err(|e| e.to_string())
+                    .and_then(&expect)
+                    .map_err(|why| format!("backend {}: {why}", backend.addr))
+            })
+            .collect()
     }
 
-    /// Aggregate `metrics` across healthy backends plus the router's
-    /// own registry; slow logs concatenate.
-    fn aggregate_metrics(&self, id: Option<u64>) -> Response {
-        let mut snapshot = self.metrics.snapshot();
-        let mut slow = Vec::new();
-        for backend in self.backends.iter().filter(|b| b.is_healthy()) {
-            match backend.admin_request(&Request::Metrics { id: None }, &self.admin_config()) {
-                Ok(Response::Metrics { report, .. }) => {
-                    snapshot.merge(&report.snapshot);
-                    slow.extend(report.slow);
-                }
-                Ok(Response::Error { message, .. }) => {
-                    return Response::Error {
-                        id,
-                        message: format!("backend {}: {message}", backend.addr),
-                    }
-                }
-                Ok(other) => {
-                    return Response::Error {
-                        id,
-                        message: format!(
-                            "backend {} answered metrics with {other:?}",
-                            backend.addr
-                        ),
-                    }
-                }
-                Err(e) => {
-                    return Response::Error {
-                        id,
-                        message: format!("backend {} unreachable: {e}", backend.addr),
-                    }
-                }
-            }
-        }
-        Response::Metrics {
-            id,
-            report: drmap_service::proto::MetricsReport { snapshot, slow },
-        }
-    }
-
-    /// Broadcast a configuration verb to every healthy backend; any
-    /// failure fails the verb. Countable acknowledgements (`loaded`
-    /// entries warmed, compaction reports) aggregate; the rest answer
-    /// with the first backend's response.
-    fn broadcast(&self, request: &Request) -> Response {
+    /// Answer one decoded client request; `true` stops the router.
+    /// `stats` and `metrics` aggregate across the healthy backends,
+    /// configuration verbs broadcast, jobs are routed.
+    fn respond(self: &Arc<Self>, request: Request, reply: &Reply) -> bool {
         let id = request.id();
-        let mut first: Option<Response> = None;
-        let mut warmed = 0usize;
-        let mut compact: Option<drmap_store::store::CompactReport> = None;
-        for backend in self.backends.iter().filter(|b| b.is_healthy()) {
-            match backend.admin_request(request, &self.admin_config()) {
-                Ok(Response::Error { message, .. }) => {
-                    return Response::Error {
-                        id,
-                        message: format!("backend {}: {message}", backend.addr),
-                    }
+        let unexpected = |other: Response| format!("answered {other:?}");
+        let fanned = match request {
+            Request::Hello { version, .. } => Ok(if version == PROTOCOL_VERSION {
+                Response::Hello {
+                    version: PROTOCOL_VERSION,
+                    server: backend::identity(),
+                    capabilities: self.capabilities(),
                 }
-                Ok(response) => {
-                    if let Response::CacheWarmed { loaded, .. } = &response {
-                        warmed += loaded;
-                    }
-                    if let Response::StoreCompacted { report, .. } = &response {
-                        let acc = compact.get_or_insert(drmap_store::store::CompactReport {
-                            live_records: 0,
-                            dropped_records: 0,
-                            bytes_before: 0,
-                            bytes_after: 0,
-                        });
-                        acc.live_records += report.live_records;
-                        acc.dropped_records += report.dropped_records;
-                        acc.bytes_before += report.bytes_before;
-                        acc.bytes_after += report.bytes_after;
-                    }
-                    if first.is_none() {
-                        first = Some(response);
-                    }
+            } else {
+                Response::Error {
+                    id: None,
+                    message: format!(
+                        "unsupported protocol version {version} (this router speaks \
+                         {PROTOCOL_VERSION})"
+                    ),
                 }
-                Err(e) => {
-                    return Response::Error {
-                        id,
-                        message: format!("backend {} unreachable: {e}", backend.addr),
-                    }
-                }
-            }
-        }
-        match first {
-            None => Response::Error {
-                id,
-                message: "no healthy backend available".to_owned(),
-            },
-            Some(Response::CacheWarmed { id, .. }) => Response::CacheWarmed { id, loaded: warmed },
-            Some(Response::StoreCompacted { id, report: _ }) => match compact {
-                Some(report) => Response::StoreCompacted { id, report },
-                None => Response::Error {
-                    id,
-                    message: "store compaction lost its report".to_owned(),
-                },
-            },
-            Some(response) => response,
-        }
-    }
-
-    /// Answer one decoded client request; `true` ends the session.
-    fn handle_request(self: &Arc<Self>, request: Request, reply: &ReplyTx) -> bool {
-        let response = match request {
-            Request::Hello { version, .. } => {
-                if version == PROTOCOL_VERSION {
-                    Response::Hello {
-                        version: PROTOCOL_VERSION,
-                        server: backend::identity(),
-                        capabilities: self.capabilities(),
-                    }
-                } else {
-                    Response::Error {
-                        id: None,
-                        message: format!(
-                            "unsupported protocol version {version} (this router speaks \
-                             {PROTOCOL_VERSION})"
-                        ),
-                    }
-                }
-            }
-            Request::Ping { id } => Response::Pong { id },
+            }),
+            Request::Ping { id } => Ok(Response::Pong { id }),
             Request::Shutdown { id } => {
-                // The session flushes this acknowledgement and *then*
-                // triggers the shutdown — the process may exit moments
-                // after the accept loop observes the flag.
-                let _ = reply.send(Response::Shutdown { id });
+                reply.send(Response::Shutdown { id });
                 return true;
             }
             Request::Submit(spec) => {
-                self.submit(spec, reply);
+                self.submit(spec, reply.reserve());
                 return false;
             }
-            Request::Stats { id } => self.aggregate_stats(id),
-            Request::Metrics { id } => self.aggregate_metrics(id),
-            other => self.broadcast(&other),
+            Request::Stats { .. } => self
+                .fan_out(&request, |answer| match answer {
+                    Response::Stats { report, .. } => Ok(report),
+                    other => Err(unexpected(other)),
+                })
+                .map(|reports| fold_stats(id, reports)),
+            Request::Metrics { .. } => self
+                .fan_out(&request, |answer| match answer {
+                    Response::Metrics { report, .. } => Ok(report),
+                    other => Err(unexpected(other)),
+                })
+                .map(|reports| self.fold_metrics(id, reports)),
+            other => self
+                .fan_out(&other, Ok)
+                .map(|answers| fold_broadcast(id, answers)),
         };
-        let _ = reply.send(response);
+        reply.send(fanned.unwrap_or_else(|message| Response::Error { id, message }));
         false
+    }
+
+    /// The router's own registry merged with every backend's; slow
+    /// logs concatenate.
+    fn fold_metrics(&self, id: Option<u64>, reports: Vec<MetricsReport>) -> Response {
+        let mut snapshot = self.metrics.snapshot();
+        let mut slow = Vec::new();
+        for report in reports {
+            snapshot.merge(&report.snapshot);
+            slow.extend(report.slow);
+        }
+        Response::Metrics {
+            id,
+            report: MetricsReport { snapshot, slow },
+        }
+    }
+}
+
+impl Service for RouterCore {
+    fn dispatch(self: &Arc<Self>, line: &str, reply: &Reply) -> bool {
+        match wire::decode_request(line) {
+            Ok(request) => self.respond(request, reply),
+            Err(e) => {
+                reply.send(Response::Error {
+                    id: e.id,
+                    message: e.message,
+                });
+                false
+            }
+        }
+    }
+}
+
+/// Deliver a terminal error for one pending entry.
+fn reply_error(pending: Pending, message: &str) {
+    pending.reply.send(Response::Error {
+        id: Some(pending.client_id),
+        message: message.to_owned(),
+    });
+}
+
+fn no_healthy_backend(id: Option<u64>) -> Response {
+    Response::Error {
+        id,
+        message: "no healthy backend available".to_owned(),
+    }
+}
+
+/// Stats across the fleet: counters sum, configuration comes from the
+/// first backend, `backends` is the cluster size.
+fn fold_stats(id: Option<u64>, reports: Vec<StatsReport>) -> Response {
+    let backends = reports.len();
+    match reports
+        .into_iter()
+        .reduce(|acc, report| sum_stats(acc, &report))
+    {
+        Some(mut report) => {
+            report.backends = Some(backends);
+            Response::Stats { id, report }
+        }
+        None => no_healthy_backend(id),
+    }
+}
+
+/// A broadcast verb's answer: the first backend's, with the countable
+/// acknowledgements (`loaded` entries warmed, compaction reports)
+/// summed over the fleet.
+fn fold_broadcast(id: Option<u64>, answers: Vec<Response>) -> Response {
+    let mut rest = answers.into_iter();
+    let Some(first) = rest.next() else {
+        return no_healthy_backend(id);
+    };
+    match first {
+        Response::CacheWarmed { id, mut loaded } => {
+            for answer in rest {
+                if let Response::CacheWarmed { loaded: more, .. } = answer {
+                    loaded += more;
+                }
+            }
+            Response::CacheWarmed { id, loaded }
+        }
+        Response::StoreCompacted { id, mut report } => {
+            for answer in rest {
+                if let Response::StoreCompacted { report: more, .. } = answer {
+                    report.live_records += more.live_records;
+                    report.dropped_records += more.dropped_records;
+                    report.bytes_before += more.bytes_before;
+                    report.bytes_after += more.bytes_after;
+                }
+            }
+            Response::StoreCompacted { id, report }
+        }
+        first => first,
     }
 }
 
@@ -691,7 +640,7 @@ fn sum_stats(mut acc: StatsReport, other: &StatsReport) -> StatsReport {
 /// A bound router, ready to serve.
 pub struct Router {
     core: Arc<RouterCore>,
-    listener: TcpListener,
+    listener: Listener,
 }
 
 impl Router {
@@ -706,10 +655,9 @@ impl Router {
                 "router needs at least one --backend",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
         Ok(Router {
+            listener: Listener::bind(addr)?,
             core: RouterCore::new(cfg),
-            listener,
         })
     }
 
@@ -717,9 +665,9 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Propagates the socket query failure.
+    /// Never fails; the address was resolved at bind time.
     pub fn local_addr(&self) -> Result<SocketAddr, ServiceError> {
-        Ok(self.listener.local_addr()?)
+        Ok(self.listener.local_addr())
     }
 
     /// The shared core (tests use it to reach the registry and the
@@ -729,7 +677,7 @@ impl Router {
     }
 
     /// Connect the backends, start the probe loop, and serve client
-    /// sessions until a `shutdown` verb arrives. Backends that are
+    /// connections until a `shutdown` verb arrives. Backends that are
     /// down at boot stay unhealthy until a probe readmits them; at
     /// least one must handshake for startup to succeed.
     ///
@@ -738,7 +686,6 @@ impl Router {
     /// Accept failures, and a startup error when no backend at all is
     /// reachable.
     pub fn run(self) -> Result<(), ServiceError> {
-        *lock_recovered(&self.core.local_addr) = Some(self.listener.local_addr()?);
         let mut last_err = None;
         for idx in 0..self.core.backends.len() {
             if let Err(e) = self.core.admit_backend(idx) {
@@ -749,81 +696,8 @@ impl Router {
             return Err(last_err
                 .unwrap_or_else(|| ServiceError::protocol("no backend reachable at startup")));
         }
-        let probe_core = Arc::clone(&self.core);
-        std::thread::spawn(move || probe_loop(&probe_core));
-        for stream in self.listener.incoming() {
-            if self.core.is_shutting_down() {
-                break;
-            }
-            let stream = stream?;
-            let core = Arc::clone(&self.core);
-            std::thread::spawn(move || {
-                let _ = client_session(&core, stream);
-            });
-        }
-        Ok(())
+        let core = Arc::clone(&self.core);
+        self.listener.every(PROBE_INTERVAL, move || core.probe());
+        self.listener.serve(&self.core, DEFAULT_MAX_INFLIGHT)
     }
-}
-
-/// Periodically re-handshake unhealthy backends; a success re-admits
-/// the node into the rendezvous ranking.
-fn probe_loop(core: &Arc<RouterCore>) {
-    loop {
-        std::thread::sleep(core.cfg.probe_interval);
-        if core.is_shutting_down() {
-            break;
-        }
-        for idx in 0..core.backends.len() {
-            if core.backends[idx].is_healthy() {
-                continue;
-            }
-            core.m.probe_total.inc();
-            let _ = core.admit_backend(idx);
-        }
-    }
-}
-
-/// Serve one client connection: a reader loop on this thread, a writer
-/// thread draining the outbound channel (backend reader threads feed
-/// job responses into the same channel, preserving one-writer framing).
-fn client_session(core: &Arc<RouterCore>, stream: TcpStream) -> Result<(), ServiceError> {
-    wire::configure_socket(&stream, None, None)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let (tx, rx) = mpsc::channel::<Response>();
-    let writer = std::thread::spawn(move || {
-        let mut writer = stream;
-        while let Ok(response) = rx.recv() {
-            if wire::write_response(&mut writer, &response).is_err() {
-                break;
-            }
-        }
-    });
-    let mut stop = false;
-    while let Ok(Some(message)) = wire::read_request(&mut reader) {
-        match message {
-            Err(decode) => {
-                let response = Response::Error {
-                    id: decode.id,
-                    message: decode.message,
-                };
-                let _ = tx.send(response);
-            }
-            Ok(request) => {
-                if core.handle_request(request, &tx) {
-                    stop = true;
-                    break;
-                }
-            }
-        }
-    }
-    // Drop our sender so the writer drains and exits once the pending
-    // map's clones are gone too, then join it: a shutdown request must
-    // have its acknowledgement on the wire before the accept loop is
-    // told to stop, because the process may exit right after.
-    drop(tx);
-    let _ = writer.join();
-    if stop {
-        core.trigger_shutdown();
-    }
-    Ok(())
 }

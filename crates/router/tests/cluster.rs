@@ -1,10 +1,13 @@
 //! Live cluster tests: a 3-backend fleet behind `drmap-router` must be
 //! observationally identical to a single `drmap-serve` — results
-//! bit-identical to direct engine calls, admin verbs aggregating — and
-//! a SIGKILLed backend's jobs must fail over with zero client-visible
-//! errors.
+//! bit-identical to direct engine calls, admin verbs aggregating, the
+//! same per-connection in-flight cap — and a SIGKILLed backend's jobs
+//! must fail over with zero client-visible errors.
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use drmap_cnn::layer::Layer;
@@ -13,9 +16,11 @@ use drmap_router::hash;
 use drmap_router::proxy::{Router, RouterConfig, RouterCore};
 use drmap_service::client::Client;
 use drmap_service::engine::{job_route_key, ServiceState};
+use drmap_service::json::Json;
 use drmap_service::pool::DsePool;
-use drmap_service::server::JobServer;
-use drmap_service::spec::{EngineSpec, JobResult, JobSpec};
+use drmap_service::proto::Request;
+use drmap_service::server::{JobServer, DEFAULT_MAX_INFLIGHT};
+use drmap_service::spec::{CacheMode, EngineSpec, JobOptions, JobResult, JobSpec};
 
 /// One in-process backend: a live `JobServer` plus its state handle so
 /// tests can inspect the node directly.
@@ -45,7 +50,6 @@ fn boot_router(
 ) -> (String, Arc<RouterCore>) {
     let mut cfg = RouterConfig {
         backends: backends.to_vec(),
-        probe_interval: Duration::from_millis(100),
         ..RouterConfig::default()
     };
     tune(&mut cfg);
@@ -214,6 +218,98 @@ fn routed_large_responses_do_not_wait_out_a_delayed_ack() {
         upper_quartile < Duration::from_millis(20),
         "routed round trips, sorted: {samples:?}"
     );
+}
+
+/// A routed client that pipelines without reading is held to the same
+/// per-connection cap as a direct one: the router stops reading its
+/// socket at the cap instead of growing its pending map without limit.
+#[test]
+fn a_routed_pipelining_client_is_held_to_the_per_connection_cap() {
+    const EXTRA: u64 = 8;
+    // One backend with one worker, held inside another job's completion
+    // so nothing the router forwards can finish until the test lets go.
+    let state = ServiceState::new().unwrap();
+    let pool = Arc::new(DsePool::new(state, 1));
+    let server = JobServer::with_pool("127.0.0.1:0", Arc::clone(&pool)).unwrap();
+    let backend = server.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let _ = server.run();
+    });
+    let (holding, held) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let blocker = Layer::conv("BLOCK", 8, 8, 16, 8, 3, 3, 1);
+    pool.submit_then(
+        &JobSpec::layer(0, EngineSpec::default(), blocker),
+        None,
+        move |_| {
+            holding.send(()).unwrap();
+            let _ = released.recv();
+        },
+    );
+    held.recv().unwrap();
+
+    let (addr, core) = boot_router(&[backend], |_| {});
+    wait_healthy(&core, 1);
+
+    // cap + 8 jobs that must all reach a worker, on one raw socket
+    // that reads nothing until the worker is released.
+    let jobs = DEFAULT_MAX_INFLIGHT as u64 + EXTRA;
+    let bypass = JobOptions {
+        cache: CacheMode::Bypass,
+        ..JobOptions::default()
+    };
+    let mut socket = TcpStream::connect(&addr).unwrap();
+    let mut burst = String::new();
+    for id in 1..=jobs {
+        let layer = Layer::conv("L", 13, 13, 16, 32, 3, 3, 1);
+        let job = JobSpec::layer(id, EngineSpec::default(), layer).with_options(bypass);
+        burst.push_str(&Request::Submit(job).to_json().render());
+        burst.push('\n');
+    }
+    socket.write_all(burst.as_bytes()).unwrap();
+
+    let inflight = || core.metrics().snapshot().gauge("backend0_inflight");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while inflight() < Some(DEFAULT_MAX_INFLIGHT as i64) {
+        assert!(
+            Instant::now() < deadline,
+            "the router forwarded only {:?} jobs",
+            inflight()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // It stays there: the reader holds the other 8 back.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(inflight(), Some(DEFAULT_MAX_INFLIGHT as i64));
+    release.send(()).unwrap();
+
+    let mut reader = BufReader::new(socket);
+    let mut answered = BTreeSet::new();
+    for _ in 0..jobs {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let response = Json::parse(&line).unwrap();
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{line}");
+        let id = response.get("id").and_then(Json::as_u64).unwrap();
+        assert!(answered.insert(id), "job {id} answered twice");
+    }
+    assert_eq!(answered, (1..=jobs).collect());
+    assert_eq!(inflight(), Some(0));
+}
+
+/// The probe interval and the two backend timeouts are constants now;
+/// their flags are gone.
+#[test]
+fn deleted_router_flags_are_unknown() {
+    for flag in ["--probe-ms", "--connect-timeout-ms", "--admin-timeout-ms"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_drmap-router"))
+            .args([flag, "100", "--backend", "127.0.0.1:1"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -4,9 +4,9 @@
 //! drmap-serve [--addr HOST:PORT] [--workers N]
 //!             [--cache-entries N] [--cache-bytes BYTES]
 //!             [--store PATH] [--warm N] [--auto-compact-ratio R]
-//!             [--max-inflight N] [--max-inflight-global N]
+//!             [--max-inflight N]
 //!             [--slow-ms N] [--slow-log-cap N] [--sample-secs N]
-//!             [--drain-secs N] [--fault-plan SPEC]
+//!             [--fault-plan SPEC]
 //! ```
 //!
 //! Speaks the typed, versioned protocol over pipelined TCP as
@@ -24,14 +24,13 @@
 //! `drmap_wal_autocompact_total`). `--sample-secs N` sets that tick's
 //! cadence (default 10; `--sample-secs 0` disables it); the tick runs
 //! only with `--store`, since compaction is its one job.
-//! `--max-inflight` bounds in-flight requests per connection;
-//! `--max-inflight-global` additionally bounds them across all
-//! connections. `--slow-ms N` turns on the slow-request log: any job
+//! `--max-inflight` bounds in-flight requests per connection
+//! (default 128). `--slow-ms N` turns on the slow-request log: any job
 //! taking at least N ms is captured with its per-stage span breakdown
 //! and dumped by the `metrics` admin verb (`--slow-ms 0` logs every
 //! job). `--slow-log-cap N` sizes the slow ring (default 32; retunable
-//! live via `set-slow-log`). `--drain-secs N` bounds the
-//! graceful-shutdown drain of in-flight jobs (default 5).
+//! live via `set-slow-log`). On `shutdown` the server drains in-flight
+//! jobs for at most 5 s.
 //! `--fault-plan SPEC` arms a seeded deterministic fault plan at boot
 //! (debug builds or the `faults` cargo feature only; same spec grammar
 //! as the `set-faults` admin verb — see `docs/RELIABILITY.md`). Try it
@@ -113,12 +112,6 @@ fn parse_args() -> Result<Args, String> {
             "--max-inflight" => {
                 args.server.max_inflight = positive("--max-inflight", &value("--max-inflight")?)?;
             }
-            "--max-inflight-global" => {
-                args.server.max_inflight_global = Some(positive(
-                    "--max-inflight-global",
-                    &value("--max-inflight-global")?,
-                )?);
-            }
             "--slow-ms" => {
                 // 0 is meaningful: it logs every request.
                 let v = value("--slow-ms")?;
@@ -138,15 +131,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| format!("invalid --sample-secs value {v:?}"))?;
                 args.server.sample_interval = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--drain-secs" => {
-                // 0 is meaningful: shutdown does not wait for in-flight
-                // jobs (the store is still synced).
-                let v = value("--drain-secs")?;
-                let secs: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --drain-secs value {v:?}"))?;
-                args.server.drain_timeout = Duration::from_secs(secs);
-            }
             "--fault-plan" => {
                 let v = value("--fault-plan")?;
                 args.fault_plan =
@@ -157,9 +141,9 @@ fn parse_args() -> Result<Args, String> {
                     "usage: drmap-serve [--addr HOST:PORT] [--workers N] \
                      [--cache-entries N] [--cache-bytes BYTES] \
                      [--store PATH] [--warm N] [--auto-compact-ratio R] \
-                     [--max-inflight N] [--max-inflight-global N] \
+                     [--max-inflight N] \
                      [--slow-ms N] [--slow-log-cap N] [--sample-secs N] \
-                     [--drain-secs N] [--fault-plan SPEC]"
+                     [--fault-plan SPEC]"
                 );
                 std::process::exit(0);
             }
@@ -228,13 +212,12 @@ fn main() -> ExitCode {
             println!(
                 "drmap-serve: listening on {addr} with {} workers \
                  (cache: {} entries, {} bytes; store: {}; \
-                 in-flight: {}/conn, {} global; slow log: {} (cap {}); tick: {})",
+                 in-flight: {}/conn; slow log: {} (cap {}); tick: {})",
                 args.workers,
                 bound(args.cache.max_entries),
                 bound(args.cache.max_bytes),
                 args.store.as_deref().unwrap_or("none"),
                 args.server.max_inflight,
-                bound(args.server.max_inflight_global),
                 match args.server.slow_ms {
                     Some(ms) => format!(">= {ms} ms"),
                     None => "off".to_owned(),

@@ -175,6 +175,13 @@ impl Client {
         })
     }
 
+    /// Split the connection into its write half and its buffered read
+    /// half, for a caller that writes from some threads and reads on
+    /// another (the router's backend data connections).
+    pub fn into_split(self) -> (TcpStream, BufReader<TcpStream>) {
+        (self.writer, self.reader)
+    }
+
     /// Write one request to the wire without waiting for any response
     /// — the pipelining primitive.
     ///

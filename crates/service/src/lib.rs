@@ -51,8 +51,13 @@
 //!   TCP front-end: submit many jobs tagged by `id`, receive responses
 //!   out of order as they complete; the client grows typed admin
 //!   methods (`hello`, `set_bounds`, `metrics`, …);
+//! * [`conn`] — the connection layer the server and `drmap-router`
+//!   share: one accept loop, one reader/writer session per connection,
+//!   and one per-connection in-flight gate whose slot travels with each
+//!   queued response;
 //! * [`wire`] — the one codec: newline-delimited JSON text, one message
 //!   per line;
+//! * [`sync`] — the poison-recovering lock helper every tier uses;
 //! * [`json`] — the dependency-free JSON layer (floats round-trip
 //!   bit-exactly);
 //! * [`loadgen`] — what `benchmark/` builds its load plans from: the
@@ -101,6 +106,7 @@
 pub mod cache;
 pub mod cli;
 pub mod client;
+pub mod conn;
 pub mod engine;
 pub mod error;
 pub mod faults;
@@ -110,7 +116,7 @@ pub mod pool;
 pub mod proto;
 pub mod server;
 pub mod spec;
-mod sync;
+pub mod sync;
 pub mod wire;
 
 /// Convenient re-exports of the most commonly used types.

@@ -1,20 +1,19 @@
-//! The pipelined TCP front-end, dispatching the typed protocol of
-//! [`crate::proto`].
+//! The job server: the typed protocol of [`crate::proto`] over the
+//! pipelined connection layer of [`crate::conn`].
 //!
-//! Each accepted connection gets two threads — a reader that
-//! dispatches requests and a writer that owns the socket's write half —
-//! and no more, however many jobs it has in flight. Job execution
-//! happens on the shared [`DsePool`], so many light connections share
-//! the same workers and memo cache, and it is **completion-driven**:
-//! the reader hands the pool a completion and moves on; whichever
-//! thread supplies the job's last layer (a pool worker, or the reader
-//! itself for a job whose layers are all resident in the cache) builds
-//! the response and queues it for the writer. The protocol is
-//! **pipelined**: a client may submit many requests without waiting,
-//! and job responses are delivered **as jobs complete — possibly out of
-//! submission order** — matched back to requests by their client-chosen
-//! `id`. In particular a fully resident job is answered at submission
-//! and overtakes cold jobs queued ahead of it.
+//! A connection costs two threads — its reader and its writer — however
+//! many jobs it has in flight. Job execution happens on the shared
+//! [`DsePool`], so many light connections share the same workers and
+//! memo cache, and it is **completion-driven**: the reader hands the
+//! pool a completion and moves on; whichever thread supplies the job's
+//! last layer (a pool worker, or the reader itself for a job whose
+//! layers are all resident in the cache) builds the response and queues
+//! it for the writer. The protocol is **pipelined**: a client may submit
+//! many requests without waiting, and job responses are delivered **as
+//! jobs complete — possibly out of submission order** — matched back to
+//! requests by their client-chosen `id`. In particular a fully resident
+//! job is answered at submission and overtakes cold jobs queued ahead of
+//! it.
 //!
 //! Requests are typed `{"type": …}` messages, one per line (see
 //! [`crate::wire`]); anything that does not decode — unparsable JSON,
@@ -38,15 +37,14 @@
 //! ([`ServerConfig::slow_ms`]). The `metrics` verb dumps all of it;
 //! see `docs/OBSERVABILITY.md`.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::mpsc::channel;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use drmap_telemetry::{Span, Trace};
+use drmap_telemetry::{Counter, Gauge, Span, Trace};
 
+use crate::conn::{Listener, Reply, Service};
 use crate::engine::ServiceState;
 use crate::error::ServiceError;
 use crate::faults::{FaultAction, FaultPlan};
@@ -61,8 +59,16 @@ fn elapsed_ns(start: Instant) -> u64 {
 }
 
 /// Default cap on in-flight requests per connection (see
-/// [`ServerConfig::max_inflight`]).
+/// [`ServerConfig::max_inflight`]); `drmap-router` applies it to its
+/// client connections too.
 pub const DEFAULT_MAX_INFLIGHT: usize = 128;
+
+/// Bound on the graceful-shutdown drain: after the accept loop stops,
+/// [`JobServer::run`] waits up to this long for in-flight jobs to finish
+/// and their responses to be queued before syncing the store and
+/// returning. Jobs still running at the bound are abandoned (their
+/// connections die with the process).
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tunable limits of a [`JobServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,14 +81,6 @@ pub struct ServerConfig {
     /// pool nor, by refusing to read responses, queue unbounded
     /// response memory server-side.
     pub max_inflight: usize,
-    /// Additional cap on in-flight requests summed over *all*
-    /// connections, so many clients cannot jointly oversubscribe the
-    /// pool queue the way one client alone cannot. A global slot is
-    /// held from request acceptance until the response is *queued*
-    /// (not written): a client that is slow to read its own socket
-    /// back-pressures only itself, never other connections. `None`
-    /// (the default) leaves only the per-connection cap.
-    pub max_inflight_global: Option<usize>,
     /// Slow-request threshold in milliseconds: any job whose total
     /// request time reaches it is captured — with its per-stage span
     /// breakdown — in the slow-request ring buffer the `metrics` verb
@@ -94,22 +92,14 @@ pub struct ServerConfig {
     /// The tick thread is spawned only when a store is attached;
     /// `None` (the default) never spawns it.
     pub sample_interval: Option<Duration>,
-    /// Bound on the graceful-shutdown drain: after the accept loop
-    /// stops, [`JobServer::run`] waits up to this long for in-flight
-    /// jobs to finish and their responses to be queued before syncing
-    /// the store and returning. Jobs still running at the bound are
-    /// abandoned (their connections die with the process).
-    pub drain_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_inflight: DEFAULT_MAX_INFLIGHT,
-            max_inflight_global: None,
             slow_ms: None,
             sample_interval: None,
-            drain_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -117,11 +107,9 @@ impl Default for ServerConfig {
 /// A running job server bound to a TCP address.
 #[derive(Debug)]
 pub struct JobServer {
-    listener: TcpListener,
+    listener: Listener,
     pool: Arc<DsePool>,
     config: ServerConfig,
-    global_gate: Option<Arc<InflightGate>>,
-    shutdown: Arc<AtomicBool>,
 }
 
 impl JobServer {
@@ -158,9 +146,9 @@ impl JobServer {
         pool: Arc<DsePool>,
         config: ServerConfig,
     ) -> Result<Self, ServiceError> {
-        if config.max_inflight == 0 || config.max_inflight_global == Some(0) {
+        if config.max_inflight == 0 {
             return Err(ServiceError::protocol(
-                "in-flight caps must be at least 1 (a zero cap would deadlock every request)",
+                "the in-flight cap must be at least 1 (a zero cap would deadlock every request)",
             ));
         }
         if config.sample_interval == Some(Duration::ZERO) {
@@ -172,11 +160,9 @@ impl JobServer {
             pool.state().slow_log().set_threshold_ms(ms);
         }
         Ok(JobServer {
-            listener: TcpListener::bind(addr)?,
+            listener: Listener::bind(addr)?,
             pool,
             config,
-            global_gate: config.max_inflight_global.map(InflightGate::new),
-            shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -189,9 +175,9 @@ impl JobServer {
     ///
     /// # Errors
     ///
-    /// Propagates the OS query failure.
+    /// Never fails; the address was resolved at bind time.
     pub fn local_addr(&self) -> Result<SocketAddr, ServiceError> {
-        Ok(self.listener.local_addr()?)
+        Ok(self.listener.local_addr())
     }
 
     /// The pool serving this server's jobs.
@@ -199,74 +185,40 @@ impl JobServer {
         &self.pool
     }
 
-    /// Accept and serve connections until a `shutdown` request arrives.
-    /// Each connection is handled on its own detached thread: an idle
-    /// client that never disconnects must not be able to stall shutdown,
-    /// so `run` returns as soon as the accept loop stops; in-flight
-    /// handlers finish (or die with the process) in the background.
+    /// Accept and serve connections until a `shutdown` request arrives,
+    /// then drain: wait (at most 5 s) for every in-flight job to
+    /// answer, and make the store durable before returning.
     ///
     /// # Errors
     ///
     /// Propagates accept failures (per-connection I/O errors only end
     /// that connection).
     pub fn run(self) -> Result<(), ServiceError> {
-        let local_addr = self.local_addr()?;
-        let has_store = self.pool.state().cache().store().is_some();
-        if let Some(interval) = self.config.sample_interval.filter(|_| has_store) {
-            let state = Arc::clone(self.pool.state());
-            let shutdown = Arc::clone(&self.shutdown);
-            std::thread::spawn(move || loop {
-                std::thread::sleep(interval);
-                // ordering: Acquire pairs with the Release store in
-                // `ConnectionShutdown::trigger`, exactly as in the
-                // accept loop; the flag guards no other data.
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
+        let state = self.pool.state();
+        if let Some(interval) = self.config.sample_interval {
+            if state.cache().store().is_some() {
+                let state = Arc::clone(state);
                 // Cheap (one stats read) when disarmed or under
                 // threshold.
-                state.maybe_auto_compact();
-            });
-        }
-        let metrics = self.pool.state().metrics();
-        let connections_total = metrics.counter("connections_total");
-        let connections_open = metrics.gauge("connections_open");
-        for stream in self.listener.incoming() {
-            // ordering: Acquire pairs with the Release store in
-            // `ConnectionShutdown::trigger`; the flag guards no other
-            // data, and the loopback poke that follows the store already
-            // forces this iteration, so Acquire/Release suffices —
-            // SeqCst bought nothing here.
-            if self.shutdown.load(Ordering::Acquire) {
-                break;
+                self.listener.every(interval, move || {
+                    state.maybe_auto_compact();
+                });
             }
-            let stream = stream?;
-            let pool = Arc::clone(&self.pool);
-            let slots = InflightSlots {
-                local: InflightGate::new(self.config.max_inflight),
-                global: self.global_gate.clone(),
-            };
-            let shutdown = Arc::new(ConnectionShutdown {
-                flag: Arc::clone(&self.shutdown),
-                addr: local_addr,
-            });
-            connections_total.inc();
-            connections_open.inc();
-            let open = Arc::clone(&connections_open);
-            std::thread::spawn(move || {
-                // Connection errors (client hung up mid-line) are not
-                // server errors.
-                let _ = serve_connection(stream, &pool, slots, &shutdown);
-                open.dec();
-            });
         }
+        let metrics = state.metrics();
+        let jobs = Arc::new(Jobs {
+            pool: Arc::clone(&self.pool),
+            frames_in: metrics.counter("frames_text_total"),
+            connections_total: metrics.counter("connections_total"),
+            connections_open: metrics.gauge("connections_open"),
+        });
+        self.listener.serve(&jobs, self.config.max_inflight)?;
         // Graceful drain: the accept loop has stopped, so no new work
         // arrives; wait (bounded) for every in-flight job to answer,
         // give the per-connection writer threads a moment to flush
         // those queued responses onto their sockets, then make the
         // store durable before the process goes away.
-        let state = self.pool.state();
-        let drain_deadline = Instant::now() + self.config.drain_timeout;
+        let drain_deadline = Instant::now() + DRAIN_TIMEOUT;
         while state.stages().jobs_inflight.get() > 0 && Instant::now() < drain_deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -280,211 +232,58 @@ impl JobServer {
     }
 }
 
-/// Lets a connection handler stop the accept loop: sets the flag, then
-/// wakes the listener ([`wire::wake_listener`]) to unblock `accept`.
+/// The job server's side of a connection: decode each request, answer
+/// control verbs inline, hand jobs to the pool with a completion that
+/// queues the response — run by the worker that finishes the job, or
+/// right here when every layer is resident.
 #[derive(Debug)]
-struct ConnectionShutdown {
-    flag: Arc<AtomicBool>,
-    addr: SocketAddr,
+struct Jobs {
+    pool: Arc<DsePool>,
+    frames_in: Arc<Counter>,
+    connections_total: Arc<Counter>,
+    connections_open: Arc<Gauge>,
 }
 
-impl ConnectionShutdown {
-    fn trigger(&self) {
-        // ordering: Release pairs with the Acquire load in the accept
-        // loop; nothing is published besides the flag itself.
-        self.flag.store(true, Ordering::Release);
-        wire::wake_listener(self.addr);
-    }
-}
-
-/// A counting semaphore bounding in-flight jobs (per connection, and
-/// optionally shared across all of them).
-#[derive(Debug)]
-struct InflightGate {
-    limit: usize,
-    count: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl InflightGate {
-    fn new(limit: usize) -> Arc<Self> {
-        Arc::new(InflightGate {
-            limit,
-            count: Mutex::new(0),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Block until an in-flight slot is free, then take it.
-    fn acquire(&self) {
-        let mut count = crate::sync::lock_recovered(&self.count);
-        while *count >= self.limit {
-            count = self.cv.wait(count).unwrap_or_else(|e| e.into_inner());
-        }
-        *count += 1;
-    }
-
-    fn release(&self) {
-        let mut count = crate::sync::lock_recovered(&self.count);
-        *count -= 1;
-        self.cv.notify_one();
-    }
-}
-
-/// One connection's pair of in-flight bounds: its private gate plus the
-/// server-wide gate (when configured). Both are taken before a request
-/// is accepted; acquisition order is always local-then-global, so
-/// connections cannot deadlock against each other. They are released
-/// at different moments, on purpose:
-///
-/// * the **global** slot frees as soon as the response is *queued* —
-///   it bounds work the pool can be asked to do, and must not stay
-///   pinned by a client that is slow to read its socket (that would
-///   let one stalled connection starve every other one);
-/// * the **local** slot frees only once the response is *written*, so
-///   a client that refuses to read still cannot queue unbounded
-///   response memory on the server (back-pressure on its own reader).
-#[derive(Debug, Clone)]
-struct InflightSlots {
-    local: Arc<InflightGate>,
-    global: Option<Arc<InflightGate>>,
-}
-
-impl InflightSlots {
-    fn acquire(&self) {
-        self.local.acquire();
-        if let Some(global) = &self.global {
-            global.acquire();
-        }
-    }
-
-    /// Release the cross-connection slot (response queued).
-    fn release_global(&self) {
-        if let Some(global) = &self.global {
-            global.release();
-        }
-    }
-
-    /// Release the per-connection slot (response written).
-    fn release_local(&self) {
-        self.local.release();
-    }
-}
-
-/// One connection: a reader loop (this thread) that dispatches
-/// requests, and one writer thread that serializes all responses onto
-/// the socket, one `write` per frame. In-flight jobs hold no thread:
-/// each job's completion queues its response for the writer from
-/// whichever thread finished it, so responses reach the writer in
-/// completion order, giving out-of-order pipelining; the per-connection
-/// [`InflightGate`] bounds how many may be outstanding.
-fn serve_connection(
-    stream: TcpStream,
-    pool: &Arc<DsePool>,
-    slots: InflightSlots,
-    shutdown: &ConnectionShutdown,
-) -> Result<(), ServiceError> {
-    wire::configure_socket(&stream, None, None)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let (tx, rx) = channel::<Json>();
-    let frames_in = pool.state().metrics().counter("frames_text_total");
-    let writer = {
-        let slots = slots.clone();
-        let state = Arc::clone(pool.state());
-        let frame_encode_ns = Arc::clone(&state.stages().frame_encode_ns);
-        std::thread::spawn(move || {
-            let mut out = stream;
-            let mut frame = Vec::new();
-            // A write failure means the client is gone: stop writing,
-            // but keep draining the channel and releasing gate slots so
-            // the reader (possibly blocked in `acquire`) can run its
-            // loop to the connection error and exit.
-            let mut dead = false;
-            while let Ok(response) = rx.recv() {
-                if !dead {
-                    // Wire-layer fault injection: an armed plan may
-                    // drop this frame outright (the client sees a
-                    // stall, then a timeout) or delay it by the plan's
-                    // jitter before writing.
-                    let action = state.faults().wire_action();
-                    if let Some(action) = &action {
-                        state.stages().fault_wire_total.inc();
-                        if let FaultAction::Delay(stall) = action {
-                            std::thread::sleep(*stall);
-                        }
-                    }
-                    if matches!(action, Some(FaultAction::Fail)) {
-                        // Dropped frame: skip the write, keep the
-                        // connection; the response is simply lost.
-                    } else {
-                        let _encode = Span::enter("frame_encode", &frame_encode_ns);
-                        let written =
-                            wire::write_message_reusing(&mut out, &mut frame, &response.render());
-                        if written.is_err() {
-                            dead = true;
-                        }
-                    }
-                }
-                slots.release_local();
+impl Service for Jobs {
+    fn dispatch(self: &Arc<Self>, line: &str, reply: &Reply) -> bool {
+        self.frames_in.inc();
+        match route(&self.pool, line) {
+            Routed::Answer(response, stop) => {
+                reply.send(response);
+                stop
             }
-        })
-    };
-    let mut stop = false;
-    let result = loop {
-        match wire::read_message(&mut reader) {
-            Ok(Some((payload, _))) => {
-                frames_in.inc();
-                if dispatch_message(pool, &payload, &tx, &slots) {
-                    stop = true;
-                    break Ok(());
-                }
+            Routed::Job(job, decode_ns) => {
+                let ticket = reply.reserve();
+                start_job(&self.pool, &job, decode_ns, move |response| {
+                    ticket.send(response);
+                });
+                false
             }
-            Ok(None) => break Ok(()),
-            Err(e) => break Err(e),
         }
-    };
-
-    // Close our sender so the writer exits once every in-flight job has
-    // responded, then stop the accept loop if asked. In-flight jobs
-    // submitted before a shutdown command still get their responses.
-    drop(tx);
-    let _ = writer.join();
-    if stop {
-        shutdown.trigger();
     }
-    result
-}
 
-/// Dispatch one request: control and admin verbs answer inline, job
-/// submissions are handed to the pool with a completion that queues the
-/// response — run by the worker that finishes the job, or right here
-/// when every layer is resident. Every response path takes both gate
-/// slots *before* queueing; the global slot frees when the response is
-/// queued, the local slot only after the writer thread has put it on
-/// the socket (see [`InflightSlots`]). Returns `true` if the server
-/// should shut down.
-fn dispatch_message(
-    pool: &Arc<DsePool>,
-    payload: &str,
-    tx: &Sender<Json>,
-    slots: &InflightSlots,
-) -> bool {
-    match route(pool, payload) {
-        Routed::Answer(response, stop) => {
-            slots.acquire();
-            let _ = tx.send(response.to_json());
-            slots.release_global();
-            stop
+    /// The wire fault site: an armed plan may drop the frame outright
+    /// (the client sees a stall, then its read timeout) or delay it by
+    /// the plan's jitter before writing.
+    fn write_frame(&self, write: &mut dyn FnMut()) {
+        let state = self.pool.state();
+        if let Some(action) = state.faults().wire_action() {
+            state.stages().fault_wire_total.inc();
+            match action {
+                FaultAction::Fail => return,
+                FaultAction::Delay(stall) => std::thread::sleep(stall),
+            }
         }
-        Routed::Job(job, decode_ns) => {
-            slots.acquire();
-            let tx = tx.clone();
-            let slots = slots.clone();
-            start_job(pool, &job, decode_ns, move |response| {
-                let _ = tx.send(response.to_json());
-                slots.release_global();
-            });
-            false
+        let _encode = Span::enter("frame_encode", &state.stages().frame_encode_ns);
+        write();
+    }
+
+    fn connection(&self, open: bool) {
+        if open {
+            self.connections_total.inc();
+            self.connections_open.inc();
+        } else {
+            self.connections_open.dec();
         }
     }
 }

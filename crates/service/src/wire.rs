@@ -12,8 +12,9 @@
 //! document.
 //!
 //! The typed layer sits directly on top: [`write_request`]/
-//! [`read_request`] and [`write_response`]/[`read_response`] move
-//! [`Request`]s and [`Response`]s through **one codec**.
+//! [`decode_request`] and [`read_response`] move [`Request`]s and
+//! [`Response`]s through **one codec**; responses are written by the
+//! connection layer ([`crate::conn`]).
 
 use std::io::{BufRead, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
@@ -71,8 +72,8 @@ pub fn write_message(
 }
 
 /// [`write_message`] assembling the line in a caller-owned buffer, so
-/// a long-lived writer (the server's per-connection writer thread) pays
-/// for the allocation once, not per response.
+/// a long-lived writer (each connection's writer thread in
+/// [`crate::conn`]) pays for the allocation once, not per response.
 ///
 /// # Errors
 ///
@@ -223,41 +224,20 @@ pub fn write_request(writer: &mut impl Write, request: &Request) -> Result<(), S
     write_message_reusing(writer, &mut Vec::new(), &request.to_json().render())
 }
 
-/// Read and decode one request. Returns `None` on a clean
-/// end-of-stream. Decode failures (unparsable JSON included) come back
-/// as `Some(Err(…))` inside a successful read, so a server can answer
-/// them with a typed error instead of dropping the connection.
-///
-/// # Errors
-///
-/// The outer `Err` is transport-level only (I/O, framing, non-UTF-8).
-pub fn read_request(
-    reader: &mut impl BufRead,
-) -> Result<Option<Result<Request, DecodeError>>, ServiceError> {
-    Ok(read_line(reader)?.map(|payload| decode_request(&payload)))
-}
-
-/// Parse and decode one request payload.
+/// Parse and decode one request payload (a line [`read_message`]
+/// returned).
 ///
 /// # Errors
 ///
 /// A payload that is not even JSON is a [`DecodeError`] like any other
-/// malformed request, so every failure can be answered the same way.
+/// malformed request, so a server can answer every failure with a
+/// typed error instead of dropping the connection.
 pub fn decode_request(payload: &str) -> Result<Request, DecodeError> {
     let parsed = Json::parse(payload).map_err(|e| DecodeError {
         id: None,
         message: e.to_string(),
     })?;
     Request::decode(&parsed).map(|(request, _)| request)
-}
-
-/// Write one [`Response`].
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_response(writer: &mut impl Write, response: &Response) -> Result<(), ServiceError> {
-    write_message_reusing(writer, &mut Vec::new(), &response.to_json().render())
 }
 
 /// Read and decode one response. Returns `None` on a clean

@@ -25,16 +25,17 @@ use drmap_core::tiling::Tiling;
 fn round_trip_request(request: &Request) -> Request {
     let mut bytes = Vec::new();
     wire::write_request(&mut bytes, request).unwrap();
-    wire::read_request(&mut BufReader::new(&bytes[..]))
+    let (line, _) = wire::read_message(&mut BufReader::new(&bytes[..]))
         .unwrap()
-        .expect("one message was written")
-        .expect("a well-formed request decodes")
+        .expect("one message was written");
+    wire::decode_request(&line).expect("a well-formed request decodes")
 }
 
 /// Push a response through the wire and decode it back.
 fn round_trip_response(response: &Response) -> Response {
     let mut bytes = Vec::new();
-    wire::write_response(&mut bytes, response).unwrap();
+    let line = response.to_json().render();
+    wire::write_message(&mut bytes, &line, wire::Encoding::Text).unwrap();
     wire::read_response(&mut BufReader::new(&bytes[..]))
         .unwrap()
         .expect("one message was written")

@@ -1,6 +1,7 @@
 //! Reliability integration tests over live sockets: chaos (a seeded
-//! fault plan against a fixed load plan), graceful-shutdown drain,
-//! and the wire-level `deadline_exceeded` response.
+//! fault plan against a fixed load plan), a dropped frame against the
+//! client's read timeout, graceful-shutdown drain, and the wire-level
+//! `deadline_exceeded` response.
 //!
 //! The chaos test asserts the contract `docs/RELIABILITY.md` promises:
 //! under injected store failures, wire stalls, and a worker panic,
@@ -19,11 +20,11 @@ use drmap_service::cache::CacheConfig;
 use drmap_service::client::{Client, ClientConfig};
 use drmap_service::engine::ServiceState;
 use drmap_service::error::ServiceError;
-use drmap_service::faults::FaultPlan;
+use drmap_service::faults::{FaultPlan, FAULTS_COMPILED_IN};
 use drmap_service::loadgen::default_catalog;
 use drmap_service::pool::DsePool;
 use drmap_service::proto::MetricsReport;
-use drmap_service::server::{JobServer, ServerConfig};
+use drmap_service::server::JobServer;
 use drmap_service::spec::{EngineSpec, JobOptions, JobResult, JobSpec};
 use drmap_store::store::Store;
 
@@ -212,6 +213,45 @@ fn run_chaos() {
 }
 
 // ---------------------------------------------------------------------
+// Client read timeout against a dropped frame
+// ---------------------------------------------------------------------
+
+/// With every response frame dropped on the server's writer, a client
+/// whose read timeout is set gets the typed `Timeout` instead of
+/// blocking forever.
+#[test]
+fn a_dropped_frame_surfaces_as_a_typed_client_timeout() {
+    if !FAULTS_COMPILED_IN {
+        return; // release build without the `faults` feature
+    }
+    let state = ServiceState::new().unwrap();
+    state
+        .faults()
+        .set_plan(Some(FaultPlan::parse("seed=1,wire-drop=1").unwrap()))
+        .unwrap();
+    let pool = Arc::new(DsePool::new(state, 1));
+    let server = JobServer::with_pool("127.0.0.1:0", Arc::clone(&pool)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = thread::spawn(move || server.run().unwrap());
+
+    let config = ClientConfig {
+        read_timeout: Some(Duration::from_millis(200)),
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(addr, config).unwrap();
+    let started = Instant::now();
+    match client.ping() {
+        Err(ServiceError::Timeout(_)) => {}
+        other => panic!("expected a typed timeout, got {other:?}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(5));
+
+    pool.state().faults().set_plan(None).unwrap();
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+// ---------------------------------------------------------------------
 // Graceful shutdown: no in-flight job lost
 // ---------------------------------------------------------------------
 
@@ -220,15 +260,7 @@ fn graceful_shutdown_loses_no_in_flight_job() {
     let store = Arc::new(Store::open(scratch_path("drain.wal")).unwrap());
     let state = ServiceState::with_cache_and_store(CacheConfig::unbounded(), Some(store)).unwrap();
     let pool = Arc::new(DsePool::new(state, 2));
-    let server = JobServer::with_config(
-        "127.0.0.1:0",
-        Arc::clone(&pool),
-        ServerConfig {
-            drain_timeout: Duration::from_secs(30),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = JobServer::with_pool("127.0.0.1:0", Arc::clone(&pool)).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = thread::spawn(move || server.run().unwrap());
 

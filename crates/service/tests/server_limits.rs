@@ -1,26 +1,101 @@
-//! In-flight limit tests: the per-connection cap and the global
-//! cross-connection cap must bound concurrency without ever deadlocking
-//! or dropping responses.
+//! In-flight limit tests: the per-connection cap must bound
+//! concurrency without ever deadlocking or dropping responses.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
+use drmap_cnn::layer::Layer;
 use drmap_cnn::network::Network;
 use drmap_service::client::Client;
 use drmap_service::engine::ServiceState;
+use drmap_service::json::Json;
 use drmap_service::pool::DsePool;
+use drmap_service::proto::Request;
 use drmap_service::server::{JobServer, ServerConfig};
-use drmap_service::spec::{EngineSpec, JobSpec};
+use drmap_service::spec::{CacheMode, EngineSpec, JobOptions, JobSpec};
 
 fn batch(ids: std::ops::Range<u64>) -> Vec<JobSpec> {
     ids.map(|id| JobSpec::network(id, EngineSpec::default(), Network::tiny()))
         .collect()
 }
 
-/// A tiny global cap shared by several pipelining connections: every
-/// job still completes, in spite of constant cross-connection
-/// contention for the two global slots.
+/// Jobs pipelined past the cap wait in the connection's reader: with
+/// the only worker held, exactly `max_inflight` of them are ever in
+/// flight, and every one still answers under its own id once the worker
+/// is free.
 #[test]
-fn a_small_global_cap_never_deadlocks_concurrent_connections() {
+fn the_per_connection_cap_bounds_jobs_in_flight() {
+    const CAP: usize = 4;
+    const JOBS: u64 = 12;
+    let state = ServiceState::new().unwrap();
+    let pool = Arc::new(DsePool::new(state, 1));
+    let server = JobServer::with_config(
+        "127.0.0.1:0",
+        Arc::clone(&pool),
+        ServerConfig {
+            max_inflight: CAP,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(server.config().max_inflight, CAP);
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+
+    let (holding, held) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let blocker = Layer::conv("BLOCK", 8, 8, 16, 8, 3, 3, 1);
+    pool.submit_then(
+        &JobSpec::layer(0, EngineSpec::default(), blocker),
+        None,
+        move |_| {
+            holding.send(()).unwrap();
+            let _ = released.recv();
+        },
+    );
+    held.recv().unwrap();
+
+    let bypass = JobOptions {
+        cache: CacheMode::Bypass,
+        ..JobOptions::default()
+    };
+    let mut client = Client::connect(addr).unwrap();
+    for id in 1..=JOBS {
+        let job = JobSpec::network(id, EngineSpec::default(), Network::tiny()).with_options(bypass);
+        client.send(&Request::Submit(job).to_json()).unwrap();
+    }
+
+    let inflight = || pool.state().metrics().snapshot().gauge("jobs_inflight");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while inflight() < Some(CAP as i64) {
+        assert!(
+            Instant::now() < deadline,
+            "only {:?} jobs became in-flight",
+            inflight()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(inflight(), Some(CAP as i64), "the cap did not hold");
+    release.send(()).unwrap();
+
+    let mut answered: Vec<u64> = (0..JOBS)
+        .map(|_| {
+            let response = client.recv().unwrap();
+            assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{response:?}");
+            response.get("id").and_then(Json::as_u64).unwrap()
+        })
+        .collect();
+    answered.sort_unstable();
+    assert_eq!(answered, (1..=JOBS).collect::<Vec<_>>());
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A small cap under several concurrently pipelining connections: every
+/// job still completes, and each connection's gate is its own.
+#[test]
+fn a_small_cap_never_deadlocks_concurrent_connections() {
     let state = ServiceState::new().unwrap();
     let pool = Arc::new(DsePool::new(state, 2));
     let server = JobServer::with_config(
@@ -28,12 +103,10 @@ fn a_small_global_cap_never_deadlocks_concurrent_connections() {
         pool,
         ServerConfig {
             max_inflight: 2,
-            max_inflight_global: Some(2),
             ..ServerConfig::default()
         },
     )
     .unwrap();
-    assert_eq!(server.config().max_inflight, 2);
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run().unwrap());
 
@@ -71,7 +144,6 @@ fn a_per_connection_cap_of_one_still_serves_a_pipelined_burst() {
         pool,
         ServerConfig {
             max_inflight: 1,
-            max_inflight_global: None,
             ..ServerConfig::default()
         },
     )
@@ -90,29 +162,33 @@ fn a_per_connection_cap_of_one_still_serves_a_pipelined_burst() {
     handle.join().unwrap();
 }
 
-/// Zero caps are configuration errors, not latent deadlocks.
+/// A zero cap is a configuration error, not a latent deadlock.
 #[test]
 fn zero_caps_are_rejected_at_construction() {
     let state = ServiceState::new().unwrap();
     let pool = Arc::new(DsePool::new(state, 1));
     assert!(JobServer::with_config(
         "127.0.0.1:0",
-        Arc::clone(&pool),
-        ServerConfig {
-            max_inflight: 0,
-            max_inflight_global: None,
-            ..ServerConfig::default()
-        },
-    )
-    .is_err());
-    assert!(JobServer::with_config(
-        "127.0.0.1:0",
         pool,
         ServerConfig {
-            max_inflight: 4,
-            max_inflight_global: Some(0),
+            max_inflight: 0,
             ..ServerConfig::default()
         },
     )
     .is_err());
+}
+
+/// The global in-flight cap and the drain bound are gone; their flags
+/// are unknown.
+#[test]
+fn deleted_serve_flags_are_unknown() {
+    for flag in ["--max-inflight-global", "--drain-secs"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_drmap-serve"))
+            .args([flag, "2"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+    }
 }
