@@ -338,7 +338,7 @@ fn scan_quote(rest: &str) -> (TokKind, String, usize) {
 /// `#[cfg(not(test))]` still counts as production code). The marked
 /// region runs from the attribute through the end of the following
 /// item: its matching `}` if a brace opens before a top-level `;`,
-/// otherwise the `;`.
+/// otherwise the `;`, or the enclosing `}` if that comes first.
 fn mark_test_regions(toks: &mut [Tok]) {
     let mut i = 0usize;
     while i < toks.len() {
@@ -403,6 +403,12 @@ fn mark_test_regions(toks: &mut [Tok]) {
             if is_punct(&toks[end], "{") {
                 braces += 1;
             } else if is_punct(&toks[end], "}") {
+                if braces == 0 {
+                    // A gated struct field or struct-literal member: the
+                    // region runs to the enclosing `}` (so it may take the
+                    // members after it along).
+                    break;
+                }
                 braces -= 1;
                 if braces == 0 {
                     break;

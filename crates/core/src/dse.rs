@@ -15,30 +15,34 @@
 //! so no `Vec<Tiling>` is ever materialized — then schemes × mappings.
 //! Each piece of work is done at the depth that determines it:
 //!
+//! * per **sweep**: the burst size, and from the cost table alone a
+//!   *tile lower bound* — what any mapping's per-tile cost is at least
+//!   at a given burst count — with the check that it may be trusted;
 //! * per **axis**: every candidate step with its trip count (the walk's
 //!   only divisions);
-//! * per **layer**: the wghs tile of every `(tj, ti)` — its bytes,
-//!   whether it fits, and its cost row — and, per `tj`, the wghs term of
-//!   the loop bound below;
+//! * per **layer**: the wghs tile of every `(tj, ti)` — its bytes, burst
+//!   count, whether it fits, and its lower bound — and, per `tj`, the
+//!   wghs column of the loop prefilter below;
 //! * per **`(th, tw)`**: the ifms patch, for every `ti` the ifms tile's
-//!   bytes, fit and cost row, and the loop bound's ifms term;
-//! * per **`(th, tw, tj)`**: the ofms tile's bytes, fit and cost row —
-//!   a tile that overflows its buffer skips the whole `ti` loop — and
-//!   one *loop bound* that usually skips it too;
-//! * per **burst count**: a *cost row*, looked up once per tile above
-//!   and never per tiling — every swept mapping's per-tile `(read,
-//!   write)` cost (the closed-form transition counting of
+//!   bytes, burst count, fit and lower bound, and the prefilter's ifms
+//!   column;
+//! * per **`(th, tw, tj)`**: the ofms tile's bytes, burst count, fit and
+//!   lower bound — a tile that overflows its buffer skips the whole `ti`
+//!   loop — and two *loop bounds*, a prefilter and, where it fails, one
+//!   per scheme, that end all but 516 of the zoo's 27,578 loops;
+//! * per **burst count**: a *cost row*, built the first time a visited
+//!   tiling needs it — every swept mapping's per-tile `(read, write)`
+//!   cost (the closed-form transition counting of
 //!   [`access_model`](crate::access_model), weighted by the profiled
 //!   table) plus their component-wise minimum, the *floor*. A row
-//!   depends on neither the data kind nor the scheme, and a layer's
-//!   tiles produce only a handful of distinct burst counts, so rows are
+//!   depends on neither the data kind nor the scheme, so rows are
 //!   memoized for the sweep: in one flat cost arena under a dense index
 //!   by burst count, counted from per-mapping plans built once, with no
-//!   allocation or search per row;
-//! * per **tiling**: three table reads, `S = batch · n_h · n_w`, and
+//!   allocation or search per row. The zoo's sweep on SALP-2 builds 2,502;
+//! * per **tiling**: three row lookups, `S = batch · n_h · n_w`, and
 //!   one bound — the floor row weighted by the least traffic any scheme
-//!   could cause — that usually ends the tiling there. Otherwise the
-//!   tile traffic of all three concrete schemes in closed form
+//!   could cause — that often ends the tiling there. Otherwise the tile
+//!   traffic of all three concrete schemes in closed form
 //!   ([`TrafficModel::concrete_traffic`](crate::schedule::TrafficModel::concrete_traffic)'s
 //!   table), which makes adaptive-reuse an index (the first minimum of
 //!   the three);
@@ -102,24 +106,72 @@
 //! for layer.
 //!
 //! A whole **`ti` loop** — the tilings of one `(th, tw, tj)` — is
-//! skipped one level further up. Its tiling-level bounds differ only in
-//! the ifms (`floor × S·n_i`) and wghs (`floor × n_j·n_i`) columns, so
-//! each column's least value over the loop's fitting tiles (taken once
-//! per `(th, tw)` and once per `tj`), summed with the ofms columns in
-//! `TileCosts::estimate`'s order, is `<=` all of them (`+` is monotone
-//! too): it fires only where every one of them would. On the zoo it
-//! skips 155,950 of the 199,461 tilings; the tiling-level bound 11,210.
+//! skipped one level further up, before any of its rows exists. Its
+//! bounds take *tile lower bounds* where the levels below take floor
+//! rows. The closed form charges a tile's first burst as `dif_rows` and
+//! each of its other `u − 1` transitions to one class, so in exact
+//! arithmetic every mapping's cost of a `u`-burst tile is at least
+//! `cost(dif_rows) + (u − 1) · min_class_cost`, per component and per
+//! direction, custom mappings included. The computed value of that
+//! expression is scaled by `1 − 2⁻⁴⁰` so that it stays `<=` every
+//! *computed* row. Every class cost is `0` or in `[2⁻¹⁰²², 2⁵¹²]` and
+//! every count below `2⁶⁴`, so no intermediate overflows (none exceeds
+//! `2⁵⁷⁷`) and none but the final scaling's result can be subnormal
+//! (products of a count and a cost, and sums of them, are `0` or at
+//! least `2⁻¹⁰²²`); a non-zero scaled value is at least `2⁻¹⁰²² (1 − 2⁻⁴⁰)`.
+//! So every rounding is a relative error of at most `2⁻⁵²`. A row is a
+//! sum of four non-negative products, so its computed value is at least
+//! its exact one times `(1 − 2⁻⁵²)⁵` (two roundings in each term: the
+//! count's conversion and the product; three in the sum); the bound is
+//! at most its exact value times `(1 + 2⁻⁵²)⁴ (1 − 2⁻⁴⁰)` (the
+//! conversion, the product, the sum and the scaling). Since
+//! `9 · 2⁻⁵² < 2⁻⁴⁰`, the second is below the first. The loop then has
+//! two bounds:
 //!
-//! Nothing is skipped unless every cost of the rows involved, and the
-//! clock, is finite and non-negative
-//! ([`AccessCostTable::from_costs`] accepts anything) — checked once
-//! when a row is built; for a loop, every fitting row of both minima (a
-//! minimum over the trusted rows alone bounds nothing about the others'
-//! tilings). The first group has no incumbent, so it is always scored.
+//! * the **prefilter**: the tiling-level bound with lower bounds for
+//!   floors and its ifms (`lb × S·n_i`) and wghs (`lb × n_j·n_i`)
+//!   columns each at its least over the loop's fitting tiles (taken once
+//!   per `(th, tw)` and once per `tj`), summed with the ofms columns in
+//!   `TileCosts::estimate`'s order. It is `<=` every tiling-level bound
+//!   of the loop (`+` is monotone too), so it fires only where every one
+//!   of them would;
+//! * where it does not, one bound **per concrete scheme**: that
+//!   scheme's row of `concrete_traffic`'s table weighted by the lower
+//!   bounds, each of the four columns at its least over the loop's
+//!   feasible tilings, summed in the same order. It is `<=` that
+//!   scheme's group bound at every tiling of the loop. The loop is
+//!   skipped only when all three shut out: adaptive-reuse resolves to one
+//!   of them, and a duplicate is skipped anyway, so every group of the
+//!   loop would have been skipped.
+//!
+//! The prefilter is `<=` each per-scheme bound, so it only saves their
+//! cost where it already fires. It weighs each column by the least
+//! traffic of *any* scheme, a combination no single scheme reaches, and
+//! that, not the incumbent, is what limits it: with a prefilter over
+//! floor rows as the only loop bound, seeding the incumbent with each
+//! layer's final winner moved the zoo's tilings that reach the group
+//! bounds only from 32,301 to 30,955. On the zoo on SALP-2 the prefilter
+//! ends 21,189 loops
+//! (151,930 tilings), the per-scheme bounds 5,873 more (43,994 tilings),
+//! and of the 3,537 tilings the 516 walked loops visit the tiling-level
+//! bound ends 2,602, so 935 reach the group bounds. On the 96 layers of
+//! `tests/data/big_layers.spec` the two loop bounds end 6,121 and
+//! 25,254 of 32,003 loops, and 3,403 of 239,519 tilings reach the
+//! groups.
+//!
+//! Nothing is skipped unless it is trusted. The tile lower bound, and
+//! with it both loop bounds, is trusted when every class cost of the
+//! table is `0` or a normal number in `(0, 2⁵¹²]` and the clock is
+//! finite and non-negative ([`AccessCostTable::from_costs`] accepts
+//! anything); such a table also makes every row finite and
+//! non-negative. Otherwise every loop is walked, and the tiling and
+//! group bounds still skip where every cost of the rows involved, and
+//! the clock, is finite and non-negative — checked once when a row is
+//! built. The first group has no incumbent, so it is always scored.
 //! On the four profiled architectures DRMap's row *is* the floor at
 //! every burst count the model zoo produces (`tests/drmap_optimality.rs`
-//! asserts it), so the bound is the exact score of the group's best
-//! member and about 99.95 % of the zoo's 4.79 M design points are
+//! asserts it), so the group bound is the exact score of the group's
+//! best member and about 99.95 % of the zoo's 4.79 M design points are
 //! skipped.
 //!
 //! [`LayerDseResult::evaluations`] counts the design points a sweep
@@ -135,10 +187,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use drmap_cnn::layer::Layer;
 use drmap_cnn::network::Network;
 use drmap_dram::geometry::Geometry;
-use drmap_dram::profiler::{AccessCost, AccessCostTable};
+use drmap_dram::profiler::{AccessCost, AccessCostTable, TransitionClass};
 use drmap_dram::request::RequestKind;
 
-use crate::access_model::{bytes_to_bursts, counts_cost, CountingPlan};
+use crate::access_model::{counts_cost, CountingPlan};
 use crate::edp::{EdpEstimate, EdpModel, TileCosts};
 use crate::error::DseError;
 use crate::mapping::MappingPolicy;
@@ -433,6 +485,95 @@ const INFINITE: AccessCost = AccessCost {
     energy: f64::INFINITY,
 };
 
+/// `1 − 2⁻⁴⁰`: what a tile's closed-form lower bound is scaled by, so that
+/// its computed value stays `<=` every computed row (see the module docs).
+const SHRINK: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
+
+/// `2^512`, the largest class cost the closed-form bound trusts.
+const TRUSTED_MAX: f64 = f64::from_bits((1023 + 512) << 52);
+
+fn min_cost(a: AccessCost, b: AccessCost) -> AccessCost {
+    AccessCost {
+        cycles: a.cycles.min(b.cycles),
+        energy: a.energy.min(b.energy),
+    }
+}
+
+/// A fitting tile as the sweep keeps it.
+#[derive(Debug, Clone, Copy)]
+struct Tile {
+    bytes: u64,
+    /// Its burst count: the key of its cost row.
+    units: u64,
+    /// What every mapping's `(read, write)` cost of the tile is at least
+    /// ([`TileBound::at`]).
+    lb: (AccessCost, AccessCost),
+}
+
+/// What any mapping's per-tile cost is at least, known from the table
+/// before any row exists. The closed form charges a tile's first burst as
+/// `dif_rows` and each of its other `units − 1` transitions to one class,
+/// so every mapping's cost is at least `first + (units − 1) · step`, with
+/// `step` the cheapest class — component by component and per direction,
+/// for any mapping, custom ones included.
+#[derive(Debug, Clone, Copy)]
+struct TileBound {
+    /// Bytes per burst, taken once per sweep.
+    burst_bytes: u64,
+    /// The `(read, write)` `dif_rows` cost.
+    first: (AccessCost, AccessCost),
+    /// The component-wise least `(read, write)` class cost.
+    step: (AccessCost, AccessCost),
+    /// Every class cost is `0` or a normal number in `(0, 2^512]`, and
+    /// the clock is finite and non-negative: the bound may be trusted, and
+    /// so is every row (see the module docs).
+    trusted: bool,
+}
+
+impl TileBound {
+    fn new(geometry: &Geometry, table: &AccessCostTable) -> Self {
+        let usable = |x: f64| x == 0.0 || (x.is_normal() && x > 0.0 && x <= TRUSTED_MAX);
+        let mut trusted = table.t_ck_ns.is_finite() && table.t_ck_ns >= 0.0;
+        let mut step = [INFINITE; 2];
+        for (step, kind) in step.iter_mut().zip([RequestKind::Read, RequestKind::Write]) {
+            for class in TransitionClass::ALL {
+                let cost = table.cost(class, kind);
+                trusted &= usable(cost.cycles) && usable(cost.energy);
+                *step = min_cost(*step, cost);
+            }
+        }
+        let first = |kind| table.cost(TransitionClass::DifRow, kind);
+        TileBound {
+            burst_bytes: geometry.burst_bytes() as u64,
+            first: (first(RequestKind::Read), first(RequestKind::Write)),
+            step: (step[0], step[1]),
+            trusted,
+        }
+    }
+
+    /// The `(read, write)` bound for a tile of `units` bursts, at least
+    /// one (the walk validates the layer, so every tile holds an element).
+    #[inline]
+    fn at(&self, units: u64) -> (AccessCost, AccessCost) {
+        let transitions = (units - 1) as f64;
+        let at = |first: AccessCost, step: AccessCost| AccessCost {
+            cycles: (first.cycles + transitions * step.cycles) * SHRINK,
+            energy: (first.energy + transitions * step.energy) * SHRINK,
+        };
+        (at(self.first.0, self.step.0), at(self.first.1, self.step.1))
+    }
+
+    #[inline]
+    fn tile(&self, bytes: u64) -> Tile {
+        let units = bytes.div_ceil(self.burst_bytes);
+        Tile {
+            bytes,
+            units,
+            lb: self.at(units),
+        }
+    }
+}
+
 /// Every swept mapping's per-tile cost at one burst count.
 struct CostRow {
     /// Where the row's `(read, write)` cost per mapping, in sweep order,
@@ -443,18 +584,17 @@ struct CostRow {
     /// (on the profiled tables DRMap is, so the floor is DRMap's own cost).
     floor: (AccessCost, AccessCost),
     /// Every cost in the row is finite and non-negative — the
-    /// precondition of the bound ([`AccessCostTable::from_costs`]
-    /// accepts anything).
+    /// precondition of the tiling and group bounds
+    /// ([`AccessCostTable::from_costs`] accepts anything).
     bounded: bool,
 }
 
-/// Per-sweep memo of [`CostRow`]s by burst count. A layer's tiles
-/// produce only a handful of distinct burst counts, and a row does not
-/// depend on the data kind or the scheme, so the closed-form transition
-/// counting runs once per (mapping, burst count) and the sweep does one
-/// lookup per tile the walk hands it — not per tiling.
+/// Per-sweep memo of [`CostRow`]s by burst count, built on demand. A
+/// layer's tiles produce only a handful of distinct burst counts, and a
+/// row does not depend on the data kind or the scheme, so the closed-form
+/// transition counting runs once per (mapping, burst count), and only for
+/// the tiles of tilings the loop bounds do not end.
 struct CostRows<'a> {
-    geometry: &'a Geometry,
     table: &'a AccessCostTable,
     /// Each swept mapping's counting plan, in sweep order.
     plans: Vec<CountingPlan>,
@@ -469,13 +609,11 @@ struct CostRows<'a> {
 
 impl<'a> CostRows<'a> {
     fn new(model: &'a EdpModel, mappings: &[MappingPolicy]) -> Self {
-        let geometry = model.geometry();
         CostRows {
-            geometry,
             table: model.table(),
             plans: mappings
                 .iter()
-                .map(|mapping| CountingPlan::new(mapping, geometry))
+                .map(|mapping| CountingPlan::new(mapping, model.geometry()))
                 .collect(),
             by_units: Vec::new(),
             rows: Vec::new(),
@@ -483,9 +621,8 @@ impl<'a> CostRows<'a> {
         }
     }
 
-    /// Index into `rows` of the row for a tile of `bytes` bytes.
-    fn lookup(&mut self, bytes: u64) -> usize {
-        let units = bytes_to_bursts(bytes, self.geometry);
+    /// Index into `rows` of the row for a tile of `units` bursts.
+    fn lookup(&mut self, units: u64) -> usize {
         let slot = usize::try_from(units).expect("a fitting tile's bursts fit in memory");
         if slot >= self.by_units.len() {
             self.by_units.resize(slot + 1, 0);
@@ -499,16 +636,12 @@ impl<'a> CostRows<'a> {
 
     fn build(&mut self, units: u64) {
         let at = self.costs.len();
-        let min = |a: AccessCost, b: AccessCost| AccessCost {
-            cycles: a.cycles.min(b.cycles),
-            energy: a.energy.min(b.energy),
-        };
         let (mut floor, mut bounded) = ((INFINITE, INFINITE), true);
         for plan in &self.plans {
             let counts = plan.counts(units);
             let read = counts_cost(&counts, self.table, RequestKind::Read);
             let write = counts_cost(&counts, self.table, RequestKind::Write);
-            floor = (min(floor.0, read), min(floor.1, write));
+            floor = (min_cost(floor.0, read), min_cost(floor.1, write));
             // `f64::min` ignores a NaN operand, so look at every cost, not
             // at the floor (which is read from bounded rows only).
             let costs = [read.cycles, read.energy, write.cycles, write.energy];
@@ -541,38 +674,29 @@ fn floor_costs([ifms, wghs, ofms]: [&CostRow; 3]) -> Option<TileCosts> {
     })
 }
 
-/// One term of a `ti` loop's bound: the component-wise least `floor read
+/// The least-traffic prefilter's ifms (`per_trip = S`) or wghs
+/// (`per_trip = n_j`) column: the component-wise least `lower-bound read
 /// cost × per_trip · n_i` over the loop's fitting `tiles` (aligned with
-/// the axis `is`), i.e. the tiling-level bound's ifms (`per_trip = S`)
-/// or wghs (`per_trip = n_j`) column at its least. `None` when a fitting
-/// row cannot serve as a bound (see the module docs).
-fn least_weighed(
-    rows: &[CostRow],
-    tiles: &[Option<(u64, usize)>],
-    is: &[(usize, u64)],
-    per_trip: u64,
-) -> Option<AccessCost> {
+/// the axis `is`).
+fn least_weighed(tiles: &[Option<Tile>], is: &[(usize, u64)], per_trip: u64) -> AccessCost {
     let mut least = INFINITE;
     for (&(_, n_i), tile) in is.iter().zip(tiles) {
-        let Some((_, row)) = *tile else { continue };
-        let row = &rows[row];
-        if !row.bounded {
-            return None;
-        }
+        let Some(tile) = tile else { continue };
         // `TileCosts::components`' product, operand for operand.
         let tiles = (per_trip * n_i) as f64;
-        least.cycles = least.cycles.min(row.floor.0.cycles * tiles);
-        least.energy = least.energy.min(row.floor.0.energy * tiles);
+        least.cycles = least.cycles.min(tile.lb.0.cycles * tiles);
+        least.energy = least.energy.min(tile.lb.0.energy * tiles);
     }
-    Some(least)
+    least
 }
 
-/// The `(th, tw, tj)` loop's bound from its two [`least_weighed`] terms
-/// and its ofms row: the tiling-level bound's sum, term for term, with
-/// each of the first two columns already at its least over the loop.
+/// The `(th, tw, tj)` loop's least-traffic prefilter from its two
+/// [`least_weighed`] columns and its ofms tile: the tiling-level bound's
+/// sum, term for term, with lower bounds for floors and each of the first
+/// two columns already at its least over the loop.
 fn loop_bound(
     [ifms, wghs]: [AccessCost; 2],
-    ofms: &CostRow,
+    ofms: &Tile,
     ofms_stores: u64,
     t_ck_ns: f64,
 ) -> EdpEstimate {
@@ -585,10 +709,70 @@ fn loop_bound(
     TileCosts {
         ifms_read: ifms,
         wghs_read: wghs,
-        ofms_read: ofms.floor.0,
-        ofms_write: ofms.floor.1,
+        ofms_read: ofms.lb.0,
+        ofms_write: ofms.lb.1,
     }
     .estimate(&weighed, t_ck_ns)
+}
+
+/// Weighs each per-tile cost once, exactly (`x · 1.0 == x`).
+const EACH_ONCE: TileTraffic = TileTraffic {
+    ifms_loads: 1,
+    wghs_loads: 1,
+    ofms_loads: 1,
+    ofms_stores: 1,
+};
+
+/// The `(th, tw, tj)` loop's bound per concrete scheme, in
+/// [`ReuseScheme::CONCRETE`] order: the scheme's row of
+/// [`traffic_of_trips`] weighted by the tiles' lower bounds, each column
+/// at its least over the loop's feasible tilings, summed in
+/// `TileCosts::estimate`'s order.
+fn scheme_bounds(
+    [spatial, n_j]: [u64; 2],
+    is: &[(usize, u64)],
+    ifms: &[Option<Tile>],
+    wghs: &[Option<Tile>],
+    ofms: &Tile,
+    t_ck_ns: f64,
+) -> [EdpEstimate; 3] {
+    let mut least = [[INFINITE; 4]; 3];
+    for ((&(_, n_i), ifms), wghs) in is.iter().zip(ifms).zip(wghs) {
+        let (Some(ifms), Some(wghs)) = (ifms, wghs) else {
+            continue;
+        };
+        let lb = TileCosts {
+            ifms_read: ifms.lb.0,
+            wghs_read: wghs.lb.0,
+            ofms_read: ofms.lb.0,
+            ofms_write: ofms.lb.1,
+        };
+        for (least, traffic) in least.iter_mut().zip(&traffic_of_trips(spatial, n_j, n_i)) {
+            for (least, column) in least.iter_mut().zip(lb.components(traffic)) {
+                least.cycles = least.cycles.min(column.cycles);
+                least.energy = least.energy.min(column.energy);
+            }
+        }
+    }
+    least.map(|[ifms_read, wghs_read, ofms_read, ofms_write]| {
+        TileCosts {
+            ifms_read,
+            wghs_read,
+            ofms_read,
+            ofms_write,
+        }
+        .estimate(&EACH_ONCE, t_ck_ns)
+    })
+}
+
+/// The work a sweep did, pinned by a test so that a weaker bound fails
+/// whatever the machine's timing noise.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Tally {
+    rows: usize,
+    tilings: usize,
+    loops: usize,
 }
 
 /// One sweep in progress: what [`walk_tilings`] drives through the
@@ -601,64 +785,132 @@ struct Sweep<'a> {
     t_ck_ns: f64,
     /// A negative or NaN clock would break the scores' monotonicity.
     clock_bounded: bool,
+    bound: TileBound,
     rows: CostRows<'a>,
-    /// The ifms term of the loop bound for the last `(th, tw)` seen
-    /// (steps are at least 1, so `(0, 0)` before the first).
-    ifms_term: ((usize, usize), Option<AccessCost>),
-    /// The wghs term of the loop bound by `tj`, for the layer.
-    wghs_terms: Vec<(usize, Option<AccessCost>)>,
+    /// The prefilter's ifms column for the last `(th, tw)` seen (steps
+    /// are at least 1, so `(0, 0)` before the first).
+    ifms_term: ((usize, usize), AccessCost),
+    /// The prefilter's wghs column by `tj`, for the layer.
+    wghs_terms: Vec<(usize, AccessCost)>,
     found: Accumulator,
+    /// Tilings visited and `ti` loops walked (rows built are `rows`').
+    #[cfg(test)]
+    tally: Tally,
 }
 
-impl TilingVisitor for Sweep<'_> {
-    /// A fitting tile's bytes and the index of its cost row.
-    type Tile = (u64, usize);
-
-    fn tile(&mut self, bytes: u64) -> (u64, usize) {
-        (bytes, self.rows.lookup(bytes))
+impl<'a> Sweep<'a> {
+    fn new(
+        engine: &'a DseEngine,
+        schemes: &'a [ReuseScheme],
+        mappings: &'a [MappingPolicy],
+        keep_points: bool,
+    ) -> Self {
+        let model = &engine.model;
+        let t_ck_ns = model.table().t_ck_ns;
+        Sweep {
+            schemes,
+            mappings,
+            keep_points,
+            batch: model.traffic_model().accelerator().batch as u64,
+            t_ck_ns,
+            clock_bounded: t_ck_ns.is_finite() && t_ck_ns >= 0.0,
+            bound: TileBound::new(model.geometry(), model.table()),
+            rows: CostRows::new(model, mappings),
+            ifms_term: ((0, 0), INFINITE),
+            wghs_terms: Vec::new(),
+            found: Accumulator {
+                objective: engine.config.objective,
+                evaluations: 0,
+                pruned: 0,
+                best: None,
+                best_score: 0.0,
+                front: ParetoFront::new(),
+            },
+            #[cfg(test)]
+            tally: Tally::default(),
+        }
     }
 
-    /// The loop-level bound: implied by every tiling-level bound of the
-    /// loop, so it too changes what is computed, never what is counted.
-    fn ti_loop(
+    #[cfg(test)]
+    fn tally(&self) -> Tally {
+        Tally {
+            rows: self.rows.rows.len(),
+            ..self.tally
+        }
+    }
+
+    /// The two loop-level bounds of the module docs: the least-traffic
+    /// prefilter, then, where it fails, one bound per concrete scheme.
+    /// True when they prove that no tiling of the loop can change
+    /// `found`. Needs a trusted [`TileBound`].
+    fn shuts_out_loop(
         &mut self,
         [(th, n_h), (tw, n_w), (tj, n_j)]: [(usize, u64); 3],
         is: &[(usize, u64)],
-        ifms: &[Option<Self::Tile>],
-        wghs: &[Option<Self::Tile>],
-        (_, ofms): Self::Tile,
+        ifms: &[Option<Tile>],
+        wghs: &[Option<Tile>],
+        ofms: &Tile,
     ) -> bool {
-        let rows = &self.rows.rows;
-        let ofms = &rows[ofms];
-        if !(self.clock_bounded && ofms.bounded) {
-            return true;
-        }
         let spatial = self.batch * n_h * n_w;
         if self.ifms_term.0 != (th, tw) {
-            self.ifms_term = ((th, tw), least_weighed(rows, ifms, is, spatial));
+            self.ifms_term = ((th, tw), least_weighed(ifms, is, spatial));
         }
-        let cached = self.wghs_terms.iter().find(|&&(step, _)| step == tj);
-        let wghs_term = cached.map_or_else(|| least_weighed(rows, wghs, is, n_j), |&(_, t)| t);
-        if cached.is_none() {
-            self.wghs_terms.push((tj, wghs_term));
-        }
-        let (Some(ifms_term), Some(wghs_term)) = (self.ifms_term.1, wghs_term) else {
-            return true;
+        let wghs_term = match self.wghs_terms.iter().find(|&&(step, _)| step == tj) {
+            Some(&(_, term)) => term,
+            None => {
+                let term = least_weighed(wghs, is, n_j);
+                self.wghs_terms.push((tj, term));
+                term
+            }
         };
-        let bound = loop_bound([ifms_term, wghs_term], ofms, spatial * n_j, self.t_ck_ns);
-        if !self.found.shuts_out(&bound, self.keep_points) {
-            return true;
-        }
-        let points = loop_tilings(ifms, wghs) * self.schemes.len() * self.mappings.len();
-        self.found.evaluations += points;
-        self.found.pruned += points;
-        false
+        let (found, keep_points, t_ck_ns) = (&self.found, self.keep_points, self.t_ck_ns);
+        let least = loop_bound([self.ifms_term.1, wghs_term], ofms, spatial * n_j, t_ck_ns);
+        found.shuts_out(&least, keep_points)
+            || scheme_bounds([spatial, n_j], is, ifms, wghs, ofms, t_ck_ns)
+                .iter()
+                .all(|bound| found.shuts_out(bound, keep_points))
+    }
+}
+
+impl TilingVisitor for Sweep<'_> {
+    type Tile = Tile;
+
+    fn tile(&mut self, bytes: u64) -> Tile {
+        self.bound.tile(bytes)
     }
 
-    fn tiling(&mut self, tiling: Tiling, [n_h, n_w, n_j, n_i]: [u64; 4], tiles: [Self::Tile; 3]) {
+    /// The loop-level bounds: implied by every group bound of the loop, so
+    /// they too change what is computed, never what is counted.
+    fn ti_loop(
+        &mut self,
+        outer: [(usize, u64); 3],
+        is: &[(usize, u64)],
+        ifms: &[Option<Tile>],
+        wghs: &[Option<Tile>],
+        ofms: Tile,
+    ) -> bool {
+        if self.bound.trusted && self.shuts_out_loop(outer, is, ifms, wghs, &ofms) {
+            let points = loop_tilings(ifms, wghs) * self.schemes.len() * self.mappings.len();
+            self.found.evaluations += points;
+            self.found.pruned += points;
+            return false;
+        }
+        #[cfg(test)]
+        {
+            self.tally.loops += 1;
+        }
+        true
+    }
+
+    fn tiling(&mut self, tiling: Tiling, [n_h, n_w, n_j, n_i]: [u64; 4], tiles: [Tile; 3]) {
+        #[cfg(test)]
+        {
+            self.tally.tilings += 1;
+        }
         let (t_ck_ns, keep_points) = (self.t_ck_ns, self.keep_points);
         let spatial = self.batch * n_h * n_w;
-        let rows = tiles.map(|(_, row)| &self.rows.rows[row]);
+        let at = tiles.map(|tile| self.rows.lookup(tile.units));
+        let rows = at.map(|row| &self.rows.rows[row]);
         let floor = floor_costs(rows).filter(|_| self.clock_bounded);
         let found = &mut self.found;
         let points = self.schemes.len() * self.mappings.len();
@@ -671,7 +923,7 @@ impl TilingVisitor for Sweep<'_> {
             return;
         }
         let traffic = traffic_of_trips(spatial, n_j, n_i);
-        let adaptive = min_traffic_index(&traffic, tiles.map(|(bytes, _)| bytes));
+        let adaptive = min_traffic_index(&traffic, tiles.map(|tile| tile.bytes));
         // Concrete schemes this tiling's earlier groups covered.
         let mut covered = [false; 3];
         for &scheme in self.schemes {
@@ -770,6 +1022,7 @@ impl DseEngine {
         mapping: &MappingPolicy,
     ) -> Result<DseCandidate, DseError> {
         self.sweep(layer, &[scheme], std::slice::from_ref(mapping), false)?
+            .found
             .best
             .ok_or_else(|| DseError::new("no feasible tiling"))
     }
@@ -801,7 +1054,9 @@ impl DseEngine {
             count_tilings(layer, self.model.traffic_model().accelerator())?;
             return Err(DseError::new("empty scheme or mapping sweep"));
         }
-        let swept = self.sweep(layer, &config.schemes, &config.mappings, config.keep_points)?;
+        let swept = self
+            .sweep(layer, &config.schemes, &config.mappings, config.keep_points)?
+            .found;
         let result = LayerDseResult {
             layer_name: layer.name.clone(),
             best: swept.best.expect("non-empty sweep produced no candidate"),
@@ -813,37 +1068,18 @@ impl DseEngine {
 
     /// The evaluation pipeline of the module docs: the layer's feasible
     /// tilings × `schemes` × `mappings` (`mappings` non-empty) in that
-    /// nesting order, under this engine's objective.
-    fn sweep(
-        &self,
+    /// nesting order, under this engine's objective; what it found is the
+    /// finished sweep's `found`.
+    fn sweep<'a>(
+        &'a self,
         layer: &Layer,
-        schemes: &[ReuseScheme],
-        mappings: &[MappingPolicy],
+        schemes: &'a [ReuseScheme],
+        mappings: &'a [MappingPolicy],
         keep_points: bool,
-    ) -> Result<Accumulator, DseError> {
-        let acc = self.model.traffic_model().accelerator();
-        let t_ck_ns = self.model.table().t_ck_ns;
-        let mut sweep = Sweep {
-            schemes,
-            mappings,
-            keep_points,
-            batch: acc.batch as u64,
-            t_ck_ns,
-            clock_bounded: t_ck_ns.is_finite() && t_ck_ns >= 0.0,
-            rows: CostRows::new(&self.model, mappings),
-            ifms_term: ((0, 0), None),
-            wghs_terms: Vec::new(),
-            found: Accumulator {
-                objective: self.config.objective,
-                evaluations: 0,
-                pruned: 0,
-                best: None,
-                best_score: 0.0,
-                front: ParetoFront::new(),
-            },
-        };
-        walk_tilings(layer, acc, &mut sweep)?;
-        Ok(sweep.found)
+    ) -> Result<Sweep<'a>, DseError> {
+        let mut sweep = Sweep::new(self, schemes, mappings, keep_points);
+        walk_tilings(layer, self.model.traffic_model().accelerator(), &mut sweep)?;
+        Ok(sweep)
     }
 
     /// Algorithm 1 for a whole network: layers are claimed from a shared

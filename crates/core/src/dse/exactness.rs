@@ -14,7 +14,7 @@ use drmap_dram::timing::DramArch;
 use proptest::prelude::*;
 
 use super::*;
-use crate::access_model::tile_cost;
+use crate::access_model::{bytes_to_bursts, tile_cost};
 use crate::pareto::pareto_front;
 use crate::tiling::{candidate_steps, enumerate_tilings};
 
@@ -353,21 +353,24 @@ proptest! {
         assert_results_bit_identical(&swept, &naive_explore(&e, &layer));
     }
 
-    /// The bounds are bounds: the floor row's estimate of a group — and
+    /// The bounds are bounds: a tile's closed-form lower bound never
+    /// exceeds its row's floor; the floor row's estimate of a group — and
     /// the tiling-level estimate at the least traffic of any scheme —
-    /// never exceeds a member's, and a `ti` loop's bound never exceeds
-    /// any of its tiling-level bounds, in either coordinate or under any
-    /// objective.
+    /// never exceeds a member's; and a `ti` loop's prefilter never exceeds
+    /// any of its tiling-level bounds, nor its bound per scheme that
+    /// scheme's group bound at any of its tilings — in either coordinate
+    /// and under any objective.
     #[test]
     fn floor_estimate_never_exceeds_a_member(
         e in engine_strategy(),
         layer in layer_strategy(),
     ) {
         let acc = *e.model().traffic_model().accelerator();
+        let config = e.config();
         let mut check = BoundCheck {
             e: &e,
             layer: &layer,
-            rows: CostRows::new(e.model(), &e.config().mappings),
+            sweep: Sweep::new(&e, &config.schemes, &config.mappings, config.keep_points),
             visited: 0,
         };
         walk_tilings(&layer, &acc, &mut check).unwrap();
@@ -384,64 +387,91 @@ proptest! {
     }
 }
 
-/// Holds every seventh tiling's bounds, computed from the sweep's own
-/// hoists (the walk's trip counts and tiles, [`CostRows`],
-/// [`floor_costs`]), against each member of each of the tiling's groups,
-/// and every `ti` loop's bound ([`least_weighed`], [`loop_bound`])
-/// against each of its tilings' tiling-level bounds.
+/// Holds every fitting tile's lower bound against its row's floor, every
+/// seventh tiling's bounds, computed from the sweep's own hoists (the
+/// walk's trip counts and tiles, [`CostRows`], [`floor_costs`]), against
+/// each member of each of the tiling's groups, and every `ti` loop's
+/// bounds ([`least_weighed`] and [`loop_bound`], [`scheme_bounds`])
+/// against each of its tilings' tiling-level and group bounds.
 struct BoundCheck<'a> {
     e: &'a DseEngine,
     layer: &'a Layer,
-    rows: CostRows<'a>,
+    sweep: Sweep<'a>,
     visited: usize,
 }
 
-impl TilingVisitor for BoundCheck<'_> {
-    type Tile = (u64, usize);
+impl BoundCheck<'_> {
+    /// The exact floor of each of `tiles`, building its row if need be.
+    fn floor(&mut self, tiles: [Tile; 3]) -> Option<TileCosts> {
+        let rows = &mut self.sweep.rows;
+        let at = tiles.map(|tile| rows.lookup(tile.units));
+        floor_costs(at.map(|row| &rows.rows[row]))
+    }
+}
 
-    fn tile(&mut self, bytes: u64) -> (u64, usize) {
-        (bytes, self.rows.lookup(bytes))
+impl TilingVisitor for BoundCheck<'_> {
+    type Tile = Tile;
+
+    /// Every fitting tile's lower bound against its row's floor, read and
+    /// write — so against every swept mapping's cost.
+    fn tile(&mut self, bytes: u64) -> Tile {
+        let tile = self.sweep.tile(bytes);
+        if self.sweep.bound.trusted {
+            let rows = &mut self.sweep.rows;
+            let at = rows.lookup(tile.units);
+            let row = &rows.rows[at];
+            assert!(row.bounded, "a trusted table makes every row bounded");
+            for (lb, floor) in [(tile.lb.0, row.floor.0), (tile.lb.1, row.floor.1)] {
+                assert!(lb.cycles <= floor.cycles && lb.energy <= floor.energy);
+            }
+        }
+        tile
     }
 
-    /// Every loop's bound against each of its tilings' tiling-level
-    /// bounds.
+    /// Every loop's prefilter against each of its tilings' tiling-level
+    /// bounds, and its bound per scheme against that scheme's group bound
+    /// at each of its tilings.
     fn ti_loop(
         &mut self,
         [(_, n_h), (_, n_w), (_, n_j)]: [(usize, u64); 3],
         is: &[(usize, u64)],
-        ifms: &[Option<Self::Tile>],
-        wghs: &[Option<Self::Tile>],
-        (_, ofms): Self::Tile,
+        ifms: &[Option<Tile>],
+        wghs: &[Option<Tile>],
+        ofms: Tile,
     ) -> bool {
-        let rows = &self.rows.rows;
-        let spatial = self.e.model().traffic_model().accelerator().batch as u64 * n_h * n_w;
-        let terms = [
-            least_weighed(rows, ifms, is, spatial),
-            least_weighed(rows, wghs, is, n_j),
-        ];
-        let ([Some(ifms_term), Some(wghs_term)], true) = (terms, rows[ofms].bounded) else {
+        if !self.sweep.bound.trusted {
             return true;
-        };
-        let t_ck_ns = self.e.model().table().t_ck_ns;
-        let bound = loop_bound([ifms_term, wghs_term], &rows[ofms], spatial * n_j, t_ck_ns);
+        }
+        let spatial = self.sweep.batch * n_h * n_w;
+        let t_ck_ns = self.sweep.t_ck_ns;
+        let terms = [
+            least_weighed(ifms, is, spatial),
+            least_weighed(wghs, is, n_j),
+        ];
+        let prefilter = loop_bound(terms, &ofms, spatial * n_j, t_ck_ns);
+        let per_scheme = scheme_bounds([spatial, n_j], is, ifms, wghs, &ofms, t_ck_ns);
         for ((&(_, n_i), ifms), wghs) in is.iter().zip(ifms).zip(wghs) {
-            let (Some((_, ifms)), Some((_, wghs))) = (ifms, wghs) else {
+            let (Some(ifms), Some(wghs)) = (*ifms, *wghs) else {
                 continue;
             };
-            let floor = floor_costs([*ifms, *wghs, ofms].map(|row| &rows[row]))
-                .expect("a loop with a bound has only bounded rows");
+            let floor = self
+                .floor([ifms, wghs, ofms])
+                .expect("a trusted table makes every row bounded");
             let tiling_bound = floor.estimate(&least_traffic(spatial, n_j, n_i), t_ck_ns);
-            assert_no_worse(&bound, &tiling_bound);
+            assert_no_worse(&prefilter, &tiling_bound);
+            for (bound, traffic) in per_scheme.iter().zip(&traffic_of_trips(spatial, n_j, n_i)) {
+                assert_no_worse(bound, &floor.estimate(traffic, t_ck_ns));
+            }
         }
         true
     }
 
-    fn tiling(&mut self, tiling: Tiling, [n_h, n_w, n_j, n_i]: [u64; 4], tiles: [Self::Tile; 3]) {
+    fn tiling(&mut self, tiling: Tiling, [n_h, n_w, n_j, n_i]: [u64; 4], tiles: [Tile; 3]) {
         self.visited += 1;
         if self.visited % 7 != 1 {
             return;
         }
-        let Some(floor) = floor_costs(tiles.map(|(_, row)| &self.rows.rows[row])) else {
+        let Some(floor) = self.floor(tiles) else {
             return;
         };
         let t_ck_ns = self.e.model().table().t_ck_ns;
@@ -549,9 +579,11 @@ fn a_loop_mixing_trusted_and_untrusted_rows_is_walked_tiling_by_tiling() {
     // transition below zero. Under Mapping-6 (bank innermost) that is
     // every row past one burst: 1-burst rows are bounded, longer ones are
     // not. With `h = w = 1` and 1×1 kernels an ifms tile is `ti` bytes
-    // and a wghs tile `tj · ti`: the first layer's loops mix the two in
-    // the ifms term, the second's at `tj = 2` in the wghs term, and its
-    // `tj = 1` loop is all 1-burst rows. The untrusted tilings score
+    // and a wghs tile `tj · ti`: the first layer's loops mix the two among
+    // their ifms tiles, the second's at `tj = 2` among their wghs tiles,
+    // and its `tj = 1` loop is all 1-burst rows. The table fails the
+    // trust rule, so every loop is walked and only the tiling and group
+    // bounds of bounded rows skip anything. The untrusted tilings score
     // below zero, so skipping one would change the winner.
     let good = [
         cost(4.0, 1.0),
@@ -584,6 +616,93 @@ fn a_loop_mixing_trusted_and_untrusted_rows_is_walked_tiling_by_tiling() {
         }
     }
     assert!(pruned_somewhere);
+}
+
+/// A table of uniformly drawn class costs, `[0, 50)` cycles and
+/// `[0, 10)` nJ, from a fixed seed.
+fn seeded_table(seed: u64) -> AccessCostTable {
+    let mut state = seed;
+    let mut draw = |scale: f64| {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) as f64 / u64::MAX as f64 * scale
+    };
+    let mut costs = || [(); 4].map(|()| cost(draw(50.0), draw(10.0)));
+    let read = costs();
+    AccessCostTable::from_costs(DramArch::Ddr3, read, costs(), 1.25)
+}
+
+#[test]
+fn the_tile_bound_never_exceeds_any_mappings_tile_cost() {
+    let geometry = Geometry::salp_2gb_x8();
+    let profiler = Profiler::table_ii().unwrap();
+    let tables = DramArch::ALL
+        .map(|arch| profiler.cost_table(arch))
+        .into_iter()
+        .chain([seeded_table(29), seeded_table(4_242)]);
+    let units = (1..=1100).chain([8191, 8192, 8193, 65536]);
+    for table in tables {
+        let bound = TileBound::new(&geometry, &table);
+        assert!(bound.trusted, "{:?}", table.arch);
+        for units in units.clone() {
+            let (read, write) = bound.at(units);
+            for mapping in MappingPolicy::all_permutations() {
+                for (lb, kind) in [(read, RequestKind::Read), (write, RequestKind::Write)] {
+                    let exact = tile_cost(&mapping, &geometry, units, &table, kind);
+                    assert!(
+                        lb.cycles <= exact.cycles && lb.energy <= exact.energy,
+                        "{mapping} at {units} bursts, {kind:?}: {lb:?} > {exact:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tables_outside_the_trust_rule_are_refused() {
+    let geometry = Geometry::salp_2gb_x8();
+    let good = [
+        cost(4.0, 1.0),
+        cost(6.0, 2.0),
+        cost(40.0, 5.0),
+        cost(42.0, 6.0),
+    ];
+    let trusted = |read, write, t_ck_ns| {
+        let table = AccessCostTable::from_costs(DramArch::Ddr3, read, write, t_ck_ns);
+        TileBound::new(&geometry, &table).trusted
+    };
+    assert!(trusted(good, good, 1.25));
+    assert!(trusted([cost(0.0, 0.0); 4], good, 0.0));
+    let edge = AccessCost {
+        cycles: TRUSTED_MAX,
+        energy: f64::MIN_POSITIVE,
+    };
+    assert!(trusted(good, [edge; 4], 1.25));
+    let bad = [
+        AccessCost {
+            cycles: 1e-310, // subnormal
+            energy: 1e-9,
+        },
+        cost(-1.0, 1.0),
+        cost(1e300, 1.0),
+        cost(f64::INFINITY, 1.0),
+        cost(42.0, f64::NAN),
+    ];
+    for bad in bad {
+        for class in 0..4 {
+            let mut costs = good;
+            costs[class] = bad;
+            assert!(!trusted(costs, good, 1.25), "read {bad:?}");
+            assert!(!trusted(good, costs, 1.25), "write {bad:?}");
+        }
+    }
+    for t_ck_ns in [-1.25, f64::NAN, f64::INFINITY] {
+        assert!(!trusted(good, good, t_ck_ns), "clock {t_ck_ns}");
+    }
 }
 
 #[test]
@@ -688,6 +807,32 @@ fn zoo_evaluation_and_pruned_counts_match_the_committed_table() {
     }
     assert_eq!(table.next(), None);
     assert_eq!(salp2, (4_787_064, 4_784_796));
+}
+
+/// The work the zoo's sweep does on SALP-2 — rows built, tilings visited,
+/// `ti` loops walked — at its measured totals, so a weaker bound fails
+/// here whatever the machine's timing noise.
+#[test]
+fn the_zoo_sweep_on_salp2_does_the_measured_work() {
+    let profiler = Profiler::table_ii().unwrap();
+    let e = engine_on(profiler.cost_table(DramArch::Salp2), DseConfig::default());
+    let config = e.config();
+    let mut total = Tally::default();
+    for (_, build) in Network::zoo() {
+        for layer in build().layers() {
+            let sweep = e.sweep(layer, &config.schemes, &config.mappings, false);
+            let tally = sweep.unwrap().tally();
+            total.rows += tally.rows;
+            total.tilings += tally.tilings;
+            total.loops += tally.loops;
+        }
+    }
+    let measured = Tally {
+        rows: 2_502,
+        tilings: 3_537,
+        loops: 516,
+    };
+    assert_eq!(total, measured);
 }
 
 #[test]
