@@ -21,15 +21,18 @@
 //! * per **axis**: every candidate step with its trip count (the walk's
 //!   only divisions);
 //! * per **layer**: the wghs tile of every `(tj, ti)` — its bytes, burst
-//!   count, whether it fits, and its lower bound — and, per `tj`, the
-//!   wghs column of the loop prefilter below;
+//!   count, whether it fits, and its lower bound — and, per `tj`, its
+//!   first fitting `ti` step and the suffix minima of the loop bounds'
+//!   wghs column below;
 //! * per **`(th, tw)`**: the ifms patch, for every `ti` the ifms tile's
-//!   bytes, burst count, fit and lower bound, and the prefilter's ifms
-//!   column;
-//! * per **`(th, tw, tj)`**: the ofms tile's bytes, burst count, fit and
-//!   lower bound — a tile that overflows its buffer skips the whole `ti`
-//!   loop — and two *loop bounds*, a prefilter and, where it fails, one
-//!   per scheme, that end all but 516 of the zoo's 27,578 loops;
+//!   bytes, burst count, fit and lower bound, its first fitting step and
+//!   the suffix minima of the loop bounds' ifms column;
+//! * per **`(th, tw, tj)`**: the loop's tilings, counted without a scan
+//!   (the `ti` steps from the later of the two first fits on; a loop
+//!   with none is passed over), the ofms tile's bytes, burst count, fit
+//!   and lower bound — a tile that overflows its buffer skips the whole
+//!   `ti` loop — and one *loop bound* per scheme, each read in O(1),
+//!   that end all but 516 of the zoo's 27,578 loops;
 //! * per **burst count**: a *cost row*, built the first time a visited
 //!   tiling needs it — every swept mapping's per-tile `(read, write)`
 //!   cost (the closed-form transition counting of
@@ -125,42 +128,46 @@
 //! count's conversion and the product; three in the sum); the bound is
 //! at most its exact value times `(1 + 2⁻⁵²)⁴ (1 − 2⁻⁴⁰)` (the
 //! conversion, the product, the sum and the scaling). Since
-//! `9 · 2⁻⁵² < 2⁻⁴⁰`, the second is below the first. The loop then has
-//! two bounds:
+//! `9 · 2⁻⁵² < 2⁻⁴⁰`, the second is below the first.
 //!
-//! * the **prefilter**: the tiling-level bound with lower bounds for
-//!   floors and its ifms (`lb × S·n_i`) and wghs (`lb × n_j·n_i`)
-//!   columns each at its least over the loop's fitting tiles (taken once
-//!   per `(th, tw)` and once per `tj`), summed with the ofms columns in
-//!   `TileCosts::estimate`'s order. It is `<=` every tiling-level bound
-//!   of the loop (`+` is monotone too), so it fires only where every one
-//!   of them would;
-//! * where it does not, one bound **per concrete scheme**: that
-//!   scheme's row of `concrete_traffic`'s table weighted by the lower
-//!   bounds, each of the four columns at its least over the loop's
-//!   feasible tilings, summed in the same order. It is `<=` that
-//!   scheme's group bound at every tiling of the loop. The loop is
-//!   skipped only when all three shut out: adaptive-reuse resolves to one
-//!   of them, and a duplicate is skipped anyway, so every group of the
-//!   loop would have been skipped.
+//! The loop then has one bound **per concrete scheme**: that scheme's
+//! row of `concrete_traffic`'s table weighted by the lower bounds, each
+//! of the four columns at its least over the loop's tilings, summed in
+//! `TileCosts::estimate`'s order. Each least is found in O(1), because
+//! the tilings of a loop are a **suffix** of the descending `ti` axis:
+//! an ifms or wghs tile's bytes never shrink as `ti` grows, so a step
+//! fits wherever a larger one does, and the loop's tilings are its steps
+//! from `start = max(ifms_first, wghs_first)` on. Taken once per
+//! `(th, tw)`, the suffix minima of the ifms column `lb × S·n_i`, and
+//! once per `tj` those of the wghs column `lb × n_j·n_i`, are read at
+//! `start`; where a scheme loads more (`n_j` times the ifms tiles under
+//! wghs- and ofms-reuse, `S` times the wghs tiles under ifms- and
+//! ofms-reuse) the least is scaled. The ofms tile does not depend on
+//! `ti`, and `lb × count` is monotone in the count, so the ofms columns
+//! are least at the smallest trip count, `n_i` at `start`. A scaled
+//! column weighs a tile's bound as `(lb × S·n_i) × n_j` where the group
+//! bound has `floor × (S·n_i·n_j)`: one more conversion and one more
+//! product, so that term is at most its exact value times
+//! `(1 + 2⁻⁵²)⁸ (1 − 2⁻⁴⁰)` and the group's at least its own times
+//! `(1 − 2⁻⁵²)⁷` (the row's five, the conversion and the product), and
+//! `15 · 2⁻⁵² < 2⁻⁴⁰` still; the extra product by a count below `2⁶⁴`
+//! overflows nothing, and is exact where it could be subnormal (a count
+//! of one). So each bound is
+//! `<=` that scheme's group bound at every tiling of the loop. The loop
+//! is skipped only when all three shut out: adaptive-reuse resolves to
+//! one of them, and a duplicate is skipped anyway, so every group of the
+//! loop would have been skipped. Its tilings, `is.len() − start`, are
+//! counted without a scan.
 //!
-//! The prefilter is `<=` each per-scheme bound, so it only saves their
-//! cost where it already fires. It weighs each column by the least
-//! traffic of *any* scheme, a combination no single scheme reaches, and
-//! that, not the incumbent, is what limits it: with a prefilter over
-//! floor rows as the only loop bound, seeding the incumbent with each
-//! layer's final winner moved the zoo's tilings that reach the group
-//! bounds only from 32,301 to 30,955. On the zoo on SALP-2 the prefilter
-//! ends 21,189 loops
-//! (151,930 tilings), the per-scheme bounds 5,873 more (43,994 tilings),
-//! and of the 3,537 tilings the 516 walked loops visit the tiling-level
-//! bound ends 2,602, so 935 reach the group bounds. On the 96 layers of
-//! `tests/data/big_layers.spec` the two loop bounds end 6,121 and
-//! 25,254 of 32,003 loops, and 3,403 of 239,519 tilings reach the
+//! On the zoo on SALP-2 the loop bounds end 27,062 of 27,578 loops
+//! (195,924 tilings), and of the 3,537 tilings the 516 walked loops
+//! visit the tiling-level bound ends 2,602, so 935 reach the group
+//! bounds. On the 96 layers of `tests/data/big_layers.spec` they end
+//! 31,335 of 31,945 loops, and 3,403 of 239,519 tilings reach the
 //! groups.
 //!
 //! Nothing is skipped unless it is trusted. The tile lower bound, and
-//! with it both loop bounds, is trusted when every class cost of the
+//! with it the loop bounds, is trusted when every class cost of the
 //! table is `0` or a normal number in `(0, 2⁵¹²]` and the clock is
 //! finite and non-negative ([`AccessCostTable::from_costs`] accepts
 //! anything); such a table also makes every row finite and
@@ -198,7 +205,7 @@ use crate::pareto::{DesignPoint, ParetoFront};
 use crate::schedule::{
     least_traffic, min_traffic_index, traffic_of_trips, ReuseScheme, TileTraffic,
 };
-use crate::tiling::{count_tilings, loop_tilings, walk_tilings, Tiling, TilingVisitor};
+use crate::tiling::{count_tilings, walk_tilings, Tiling, TilingVisitor};
 
 /// Optimization objective for the exploration.
 ///
@@ -674,95 +681,28 @@ fn floor_costs([ifms, wghs, ofms]: [&CostRow; 3]) -> Option<TileCosts> {
     })
 }
 
-/// The least-traffic prefilter's ifms (`per_trip = S`) or wghs
-/// (`per_trip = n_j`) column: the component-wise least `lower-bound read
-/// cost × per_trip · n_i` over the loop's fitting `tiles` (aligned with
-/// the axis `is`).
-fn least_weighed(tiles: &[Option<Tile>], is: &[(usize, u64)], per_trip: u64) -> AccessCost {
-    let mut least = INFINITE;
-    for (&(_, n_i), tile) in is.iter().zip(tiles) {
-        let Some(tile) = tile else { continue };
-        // `TileCosts::components`' product, operand for operand.
-        let tiles = (per_trip * n_i) as f64;
-        least.cycles = least.cycles.min(tile.lb.0.cycles * tiles);
-        least.energy = least.energy.min(tile.lb.0.energy * tiles);
-    }
-    least
-}
-
-/// The `(th, tw, tj)` loop's least-traffic prefilter from its two
-/// [`least_weighed`] columns and its ofms tile: the tiling-level bound's
-/// sum, term for term, with lower bounds for floors and each of the first
-/// two columns already at its least over the loop.
-fn loop_bound(
-    [ifms, wghs]: [AccessCost; 2],
-    ofms: &Tile,
-    ofms_stores: u64,
-    t_ck_ns: f64,
-) -> EdpEstimate {
-    let weighed = TileTraffic {
-        ifms_loads: 1,
-        wghs_loads: 1,
-        ofms_loads: 0,
-        ofms_stores,
-    };
-    TileCosts {
-        ifms_read: ifms,
-        wghs_read: wghs,
-        ofms_read: ofms.lb.0,
-        ofms_write: ofms.lb.1,
-    }
-    .estimate(&weighed, t_ck_ns)
-}
-
-/// Weighs each per-tile cost once, exactly (`x · 1.0 == x`).
-const EACH_ONCE: TileTraffic = TileTraffic {
-    ifms_loads: 1,
-    wghs_loads: 1,
-    ofms_loads: 1,
-    ofms_stores: 1,
-};
-
-/// The `(th, tw, tj)` loop's bound per concrete scheme, in
-/// [`ReuseScheme::CONCRETE`] order: the scheme's row of
-/// [`traffic_of_trips`] weighted by the tiles' lower bounds, each column
-/// at its least over the loop's feasible tilings, summed in
-/// `TileCosts::estimate`'s order.
-fn scheme_bounds(
-    [spatial, n_j]: [u64; 2],
+/// Appends to `out`, one per step of the `ti` axis `is`, the suffix minima
+/// of `lower-bound read cost × per_trip · n_i` over the fitting `tiles`
+/// (aligned with `is`): entry `k` is the component-wise least over steps
+/// `k..`, so read at a loop's first tiling it is the least over the loop.
+fn push_suffix_minima(
+    out: &mut Vec<AccessCost>,
     is: &[(usize, u64)],
-    ifms: &[Option<Tile>],
-    wghs: &[Option<Tile>],
-    ofms: &Tile,
-    t_ck_ns: f64,
-) -> [EdpEstimate; 3] {
-    let mut least = [[INFINITE; 4]; 3];
-    for ((&(_, n_i), ifms), wghs) in is.iter().zip(ifms).zip(wghs) {
-        let (Some(ifms), Some(wghs)) = (ifms, wghs) else {
-            continue;
-        };
-        let lb = TileCosts {
-            ifms_read: ifms.lb.0,
-            wghs_read: wghs.lb.0,
-            ofms_read: ofms.lb.0,
-            ofms_write: ofms.lb.1,
-        };
-        for (least, traffic) in least.iter_mut().zip(&traffic_of_trips(spatial, n_j, n_i)) {
-            for (least, column) in least.iter_mut().zip(lb.components(traffic)) {
-                least.cycles = least.cycles.min(column.cycles);
-                least.energy = least.energy.min(column.energy);
-            }
+    tiles: &[Option<Tile>],
+    per_trip: u64,
+) {
+    let at = out.len();
+    out.resize(at + is.len(), INFINITE);
+    let mut least = INFINITE;
+    for ((&(_, n_i), tile), out) in is.iter().zip(tiles).zip(&mut out[at..]).rev() {
+        if let Some(tile) = tile {
+            // `TileCosts::components`' product, operand for operand.
+            let tiles = (per_trip * n_i) as f64;
+            least.cycles = least.cycles.min(tile.lb.0.cycles * tiles);
+            least.energy = least.energy.min(tile.lb.0.energy * tiles);
         }
+        *out = least;
     }
-    least.map(|[ifms_read, wghs_read, ofms_read, ofms_write]| {
-        TileCosts {
-            ifms_read,
-            wghs_read,
-            ofms_read,
-            ofms_write,
-        }
-        .estimate(&EACH_ONCE, t_ck_ns)
-    })
 }
 
 /// The work a sweep did, pinned by a test so that a weaker bound fails
@@ -787,11 +727,13 @@ struct Sweep<'a> {
     clock_bounded: bool,
     bound: TileBound,
     rows: CostRows<'a>,
-    /// The prefilter's ifms column for the last `(th, tw)` seen (steps
-    /// are at least 1, so `(0, 0)` before the first).
-    ifms_term: ((usize, usize), AccessCost),
-    /// The prefilter's wghs column by `tj`, for the layer.
-    wghs_terms: Vec<(usize, AccessCost)>,
+    /// The ifms column's suffix minima (`per_trip = S`) for the last
+    /// `(th, tw)` seen (steps are at least 1, so `(0, 0)` before the
+    /// first).
+    ifms_least: ((usize, usize), Vec<AccessCost>),
+    /// The wghs column's (`per_trip = n_j`) for the layer: each `tj` in
+    /// the order first seen, and its minima in that order.
+    wghs_least: (Vec<usize>, Vec<AccessCost>),
     found: Accumulator,
     /// Tilings visited and `ti` loops walked (rows built are `rows`').
     #[cfg(test)]
@@ -816,8 +758,8 @@ impl<'a> Sweep<'a> {
             clock_bounded: t_ck_ns.is_finite() && t_ck_ns >= 0.0,
             bound: TileBound::new(model.geometry(), model.table()),
             rows: CostRows::new(model, mappings),
-            ifms_term: ((0, 0), INFINITE),
-            wghs_terms: Vec::new(),
+            ifms_least: ((0, 0), Vec::new()),
+            wghs_least: (Vec::new(), Vec::new()),
             found: Accumulator {
                 objective: engine.config.objective,
                 evaluations: 0,
@@ -839,36 +781,65 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// The two loop-level bounds of the module docs: the least-traffic
-    /// prefilter, then, where it fails, one bound per concrete scheme.
-    /// True when they prove that no tiling of the loop can change
-    /// `found`. Needs a trusted [`TileBound`].
-    fn shuts_out_loop(
+    /// The `(th, tw, tj)` loop's bound per concrete scheme, in
+    /// [`ReuseScheme::CONCRETE`] order (see the module docs): each column
+    /// of the scheme's [`traffic_of_trips`] row weighted by the tiles'
+    /// lower bounds at its least over the loop's `tilings`, read at the
+    /// loop's first, and summed in `TileCosts::estimate`'s order. Needs a
+    /// trusted [`TileBound`].
+    fn loop_bounds(
         &mut self,
         [(th, n_h), (tw, n_w), (tj, n_j)]: [(usize, u64); 3],
         is: &[(usize, u64)],
-        ifms: &[Option<Tile>],
-        wghs: &[Option<Tile>],
+        [ifms, wghs]: [&[Option<Tile>]; 2],
         ofms: &Tile,
-    ) -> bool {
+        tilings: usize,
+    ) -> [EdpEstimate; 3] {
         let spatial = self.batch * n_h * n_w;
-        if self.ifms_term.0 != (th, tw) {
-            self.ifms_term = ((th, tw), least_weighed(ifms, is, spatial));
+        if self.ifms_least.0 != (th, tw) {
+            self.ifms_least.0 = (th, tw);
+            self.ifms_least.1.clear();
+            push_suffix_minima(&mut self.ifms_least.1, is, ifms, spatial);
         }
-        let wghs_term = match self.wghs_terms.iter().find(|&&(step, _)| step == tj) {
-            Some(&(_, term)) => term,
-            None => {
-                let term = least_weighed(wghs, is, n_j);
-                self.wghs_terms.push((tj, term));
-                term
-            }
+        let (steps, least) = &mut self.wghs_least;
+        let at = steps
+            .iter()
+            .position(|&step| step == tj)
+            .unwrap_or_else(|| {
+                steps.push(tj);
+                push_suffix_minima(least, is, wghs, n_j);
+                steps.len() - 1
+            });
+        let start = is.len() - tilings;
+        let lb = TileCosts {
+            ifms_read: self.ifms_least.1[start],
+            wghs_read: least[at * is.len() + start],
+            ofms_read: ofms.lb.0,
+            ofms_write: ofms.lb.1,
         };
-        let (found, keep_points, t_ck_ns) = (&self.found, self.keep_points, self.t_ck_ns);
-        let least = loop_bound([self.ifms_term.1, wghs_term], ofms, spatial * n_j, t_ck_ns);
-        found.shuts_out(&least, keep_points)
-            || scheme_bounds([spatial, n_j], is, ifms, wghs, ofms, t_ck_ns)
-                .iter()
-                .all(|bound| found.shuts_out(bound, keep_points))
+        // The ofms columns are least at the least `n_i`, the loop's first.
+        // The ifms and wghs columns already weigh `S·n_i` and `n_j·n_i`
+        // loads; where a scheme loads more, by `n_j` or `S`, scale them.
+        let [ifms_reuse, wghs_reuse, ofms_reuse] = traffic_of_trips(spatial, n_j, is[start].1);
+        let (ifms_loads, wghs_loads) = (n_j, spatial);
+        [
+            TileTraffic {
+                ifms_loads: 1,
+                wghs_loads,
+                ..ifms_reuse
+            },
+            TileTraffic {
+                ifms_loads,
+                wghs_loads: 1,
+                ..wghs_reuse
+            },
+            TileTraffic {
+                ifms_loads,
+                wghs_loads,
+                ..ofms_reuse
+            },
+        ]
+        .map(|weights| lb.estimate(&weights, self.t_ck_ns))
     }
 }
 
@@ -879,8 +850,9 @@ impl TilingVisitor for Sweep<'_> {
         self.bound.tile(bytes)
     }
 
-    /// The loop-level bounds: implied by every group bound of the loop, so
-    /// they too change what is computed, never what is counted.
+    /// The loop bounds: implied by every group bound of the loop, so they
+    /// too change what is computed, never what is counted. The loop is
+    /// skipped only when all three shut out.
     fn ti_loop(
         &mut self,
         outer: [(usize, u64); 3],
@@ -888,12 +860,20 @@ impl TilingVisitor for Sweep<'_> {
         ifms: &[Option<Tile>],
         wghs: &[Option<Tile>],
         ofms: Tile,
+        tilings: usize,
     ) -> bool {
-        if self.bound.trusted && self.shuts_out_loop(outer, is, ifms, wghs, &ofms) {
-            let points = loop_tilings(ifms, wghs) * self.schemes.len() * self.mappings.len();
-            self.found.evaluations += points;
-            self.found.pruned += points;
-            return false;
+        if self.bound.trusted {
+            let bounds = self.loop_bounds(outer, is, [ifms, wghs], &ofms, tilings);
+            let found = &mut self.found;
+            if bounds
+                .iter()
+                .all(|bound| found.shuts_out(bound, self.keep_points))
+            {
+                let points = tilings * self.schemes.len() * self.mappings.len();
+                found.evaluations += points;
+                found.pruned += points;
+                return false;
+            }
         }
         #[cfg(test)]
         {

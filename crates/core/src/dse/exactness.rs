@@ -356,10 +356,10 @@ proptest! {
     /// The bounds are bounds: a tile's closed-form lower bound never
     /// exceeds its row's floor; the floor row's estimate of a group — and
     /// the tiling-level estimate at the least traffic of any scheme —
-    /// never exceeds a member's; and a `ti` loop's prefilter never exceeds
-    /// any of its tiling-level bounds, nor its bound per scheme that
-    /// scheme's group bound at any of its tilings — in either coordinate
-    /// and under any objective.
+    /// never exceeds a member's; and a `ti` loop's bound per scheme never
+    /// exceeds that scheme's group bound at any of its tilings — in either
+    /// coordinate and under any objective. The walk hands each loop its
+    /// tiling count.
     #[test]
     fn floor_estimate_never_exceeds_a_member(
         e in engine_strategy(),
@@ -387,12 +387,75 @@ proptest! {
     }
 }
 
+/// The feasible tilings of a `ti` loop by a scan: the steps at which both
+/// its ifms and its wghs tile fit.
+fn loop_tilings<T>(ifms: &[Option<T>], wghs: &[Option<T>]) -> usize {
+    ifms.iter()
+        .zip(wghs)
+        .filter(|(i, w)| i.is_some() && w.is_some())
+        .count()
+}
+
+/// Weighs each per-tile cost once, exactly (`x · 1.0 == x`).
+const EACH_ONCE: TileTraffic = TileTraffic {
+    ifms_loads: 1,
+    wghs_loads: 1,
+    ofms_loads: 1,
+    ofms_stores: 1,
+};
+
+/// The `(th, tw, tj)` loop's bound per concrete scheme by a scan, in
+/// [`ReuseScheme::CONCRETE`] order: the scheme's row of
+/// [`traffic_of_trips`] weighted by the tiles' lower bounds, each column
+/// at its least over the loop's feasible tilings, summed in
+/// `TileCosts::estimate`'s order.
+fn scheme_bounds(
+    [spatial, n_j]: [u64; 2],
+    is: &[(usize, u64)],
+    ifms: &[Option<Tile>],
+    wghs: &[Option<Tile>],
+    ofms: &Tile,
+    t_ck_ns: f64,
+) -> [EdpEstimate; 3] {
+    let mut least = [[INFINITE; 4]; 3];
+    for ((&(_, n_i), ifms), wghs) in is.iter().zip(ifms).zip(wghs) {
+        let (Some(ifms), Some(wghs)) = (ifms, wghs) else {
+            continue;
+        };
+        let lb = TileCosts {
+            ifms_read: ifms.lb.0,
+            wghs_read: wghs.lb.0,
+            ofms_read: ofms.lb.0,
+            ofms_write: ofms.lb.1,
+        };
+        for (least, traffic) in least.iter_mut().zip(&traffic_of_trips(spatial, n_j, n_i)) {
+            for (least, column) in least.iter_mut().zip(lb.components(traffic)) {
+                least.cycles = least.cycles.min(column.cycles);
+                least.energy = least.energy.min(column.energy);
+            }
+        }
+    }
+    least.map(|[ifms_read, wghs_read, ofms_read, ofms_write]| {
+        TileCosts {
+            ifms_read,
+            wghs_read,
+            ofms_read,
+            ofms_write,
+        }
+        .estimate(&EACH_ONCE, t_ck_ns)
+    })
+}
+
 /// Holds every fitting tile's lower bound against its row's floor, every
 /// seventh tiling's bounds, computed from the sweep's own hoists (the
 /// walk's trip counts and tiles, [`CostRows`], [`floor_costs`]), against
 /// each member of each of the tiling's groups, and every `ti` loop's
-/// bounds ([`least_weighed`] and [`loop_bound`], [`scheme_bounds`])
-/// against each of its tilings' tiling-level and group bounds.
+/// tiling count against [`loop_tilings`] and its bounds per scheme
+/// ([`Sweep::loop_bounds`], read in O(1) at the loop's first tiling)
+/// against that scheme's group bound at each of its tilings, and, up to
+/// rounding, against [`scheme_bounds`]' scan. Each of these breaks it:
+/// suffix minima taken as prefix minima, a loop started at its first ifms
+/// fit alone, ofms columns taken at the largest `n_i`.
 struct BoundCheck<'a> {
     e: &'a DseEngine,
     layer: &'a Layer,
@@ -428,28 +491,39 @@ impl TilingVisitor for BoundCheck<'_> {
         tile
     }
 
-    /// Every loop's prefilter against each of its tilings' tiling-level
-    /// bounds, and its bound per scheme against that scheme's group bound
-    /// at each of its tilings.
+    /// Every loop's tiling count against a scan, and its bound per scheme
+    /// against that scheme's group bound at each of its tilings and
+    /// against the scan's bound.
     fn ti_loop(
         &mut self,
-        [(_, n_h), (_, n_w), (_, n_j)]: [(usize, u64); 3],
+        outer: [(usize, u64); 3],
         is: &[(usize, u64)],
         ifms: &[Option<Tile>],
         wghs: &[Option<Tile>],
         ofms: Tile,
+        tilings: usize,
     ) -> bool {
+        assert_eq!(tilings, loop_tilings(ifms, wghs));
         if !self.sweep.bound.trusted {
             return true;
         }
+        let [(_, n_h), (_, n_w), (_, n_j)] = outer;
         let spatial = self.sweep.batch * n_h * n_w;
         let t_ck_ns = self.sweep.t_ck_ns;
-        let terms = [
-            least_weighed(ifms, is, spatial),
-            least_weighed(wghs, is, n_j),
-        ];
-        let prefilter = loop_bound(terms, &ofms, spatial * n_j, t_ck_ns);
-        let per_scheme = scheme_bounds([spatial, n_j], is, ifms, wghs, &ofms, t_ck_ns);
+        let per_scheme = self
+            .sweep
+            .loop_bounds(outer, is, [ifms, wghs], &ofms, tilings);
+        let scanned = scheme_bounds([spatial, n_j], is, ifms, wghs, &ofms, t_ck_ns);
+        for (bound, scanned) in per_scheme.iter().zip(&scanned) {
+            // Scaling a least column by `n_j` or `S` rounds once more than
+            // weighing each tile by the product: a few ulps apart at most.
+            for (x, y) in [
+                (bound.cycles, scanned.cycles),
+                (bound.energy, scanned.energy),
+            ] {
+                assert!((x - y).abs() <= y * 16.0 * f64::EPSILON, "{x} vs {y}");
+            }
+        }
         for ((&(_, n_i), ifms), wghs) in is.iter().zip(ifms).zip(wghs) {
             let (Some(ifms), Some(wghs)) = (*ifms, *wghs) else {
                 continue;
@@ -457,8 +531,6 @@ impl TilingVisitor for BoundCheck<'_> {
             let floor = self
                 .floor([ifms, wghs, ofms])
                 .expect("a trusted table makes every row bounded");
-            let tiling_bound = floor.estimate(&least_traffic(spatial, n_j, n_i), t_ck_ns);
-            assert_no_worse(&prefilter, &tiling_bound);
             for (bound, traffic) in per_scheme.iter().zip(&traffic_of_trips(spatial, n_j, n_i)) {
                 assert_no_worse(bound, &floor.estimate(traffic, t_ck_ns));
             }
@@ -516,12 +588,16 @@ fn assert_walk_matches_brute_force(layer: &Layer, acc: &AcceleratorConfig) {
     );
 }
 
+/// The 96 layers of `tests/data/big_layers.spec`.
+fn big_layers() -> Network {
+    parse_network(include_str!("../../../../tests/data/big_layers.spec")).unwrap()
+}
+
 #[test]
 fn axis_walk_visits_the_brute_force_sequence_on_the_zoo_and_the_big_layers() {
     // Most prefixes of a big layer overflow a buffer; the zoo's mostly fit.
-    let big = parse_network(include_str!("../../../../tests/data/big_layers.spec")).unwrap();
     let zoo = Network::zoo().into_iter().map(|(_, build)| build());
-    for network in zoo.chain([big]) {
+    for network in zoo.chain([big_layers()]) {
         for layer in network.layers() {
             assert_walk_matches_brute_force(layer, &AcceleratorConfig::table_ii());
         }
@@ -809,30 +885,49 @@ fn zoo_evaluation_and_pruned_counts_match_the_committed_table() {
     assert_eq!(salp2, (4_787_064, 4_784_796));
 }
 
-/// The work the zoo's sweep does on SALP-2 — rows built, tilings visited,
-/// `ti` loops walked — at its measured totals, so a weaker bound fails
-/// here whatever the machine's timing noise.
-#[test]
-fn the_zoo_sweep_on_salp2_does_the_measured_work() {
+/// The work the default sweep does on SALP-2 over `networks`: rows built,
+/// tilings visited, `ti` loops walked.
+fn salp2_work(networks: &[Network]) -> Tally {
     let profiler = Profiler::table_ii().unwrap();
     let e = engine_on(profiler.cost_table(DramArch::Salp2), DseConfig::default());
     let config = e.config();
     let mut total = Tally::default();
-    for (_, build) in Network::zoo() {
-        for layer in build().layers() {
-            let sweep = e.sweep(layer, &config.schemes, &config.mappings, false);
-            let tally = sweep.unwrap().tally();
-            total.rows += tally.rows;
-            total.tilings += tally.tilings;
-            total.loops += tally.loops;
-        }
+    for layer in networks.iter().flat_map(Network::layers) {
+        let sweep = e.sweep(layer, &config.schemes, &config.mappings, false);
+        let tally = sweep.unwrap().tally();
+        total.rows += tally.rows;
+        total.tilings += tally.tilings;
+        total.loops += tally.loops;
     }
+    total
+}
+
+/// The zoo sweep's work on SALP-2 at its measured totals, so a weaker
+/// bound fails here whatever the machine's timing noise.
+#[test]
+fn the_zoo_sweep_on_salp2_does_the_measured_work() {
+    let zoo: Vec<Network> = Network::zoo()
+        .into_iter()
+        .map(|(_, build)| build())
+        .collect();
     let measured = Tally {
         rows: 2_502,
         tilings: 3_537,
         loops: 516,
     };
-    assert_eq!(total, measured);
+    assert_eq!(salp2_work(&zoo), measured);
+}
+
+/// The same for the 96 big layers, most of whose `ti` loops are short
+/// suffixes of the axis: a weaker loop bound shows here first.
+#[test]
+fn the_big_layers_sweep_on_salp2_does_the_measured_work() {
+    let measured = Tally {
+        rows: 2_547,
+        tilings: 3_595,
+        loops: 610,
+    };
+    assert_eq!(salp2_work(&[big_layers()]), measured);
 }
 
 #[test]
@@ -840,8 +935,9 @@ fn alexnet_and_tiny_match_naive_on_every_architecture() {
     assert_zoo_identity(&[Network::alexnet(), Network::tiny()]);
 }
 
-/// The whole zoo: minutes in a debug build, so CI's `dse-hot` job runs
-/// it in release (`cargo test --release -p drmap-core -- --ignored`).
+/// The whole zoo: minutes in a debug build, so CI's `test` job (`tier-1
+/// verify`) runs it in release (`cargo test --release -p drmap-core --
+/// --ignored`).
 #[test]
 #[ignore = "full zoo x 4 architectures x keep_points against the naive sweep; run in release"]
 fn full_zoo_matches_naive_on_every_architecture() {

@@ -142,14 +142,15 @@ pub(crate) trait TilingVisitor {
     /// A tile of `bytes` bytes that fits its buffer: a wghs tile once
     /// per `(tj, ti)`, before the walk; an ifms tile once per
     /// `(th, tw, ti)`, on entering `(th, tw)`; an ofms tile once per
-    /// `(th, tw, tj)`.
+    /// `(th, tw, tj)` whose `ti` loop has a feasible tiling.
     fn tile(&mut self, bytes: u64) -> Self::Tile;
 
     /// Before the `ti` loop of a `(th, tw, tj)` whose ofms tile fits: the
-    /// three steps and the `ti` axis, each step with its trip count, and
-    /// the loop's ifms and wghs tiles (aligned with the axis, `None` where
-    /// one overflows) and ofms tile. Returns whether to walk the loop; a
-    /// skipped loop's [`loop_tilings`] are still counted.
+    /// three steps and the `ti` axis, each step with its trip count, the
+    /// loop's ifms and wghs tiles (aligned with the axis, `None` where one
+    /// overflows) and ofms tile, and how many tilings the loop has — at
+    /// least one, the last that many steps of the axis. Returns whether
+    /// to walk the loop; a skipped loop's tilings are still counted.
     fn ti_loop(
         &mut self,
         _outer: [(usize, u64); 3],
@@ -157,6 +158,7 @@ pub(crate) trait TilingVisitor {
         _ifms: &[Option<Self::Tile>],
         _wghs: &[Option<Self::Tile>],
         _ofms: Self::Tile,
+        _tilings: usize,
     ) -> bool {
         true
     }
@@ -185,7 +187,10 @@ impl<F: FnMut(Tiling)> TilingVisitor for F {
 /// ([`Tiling::fits`], one kind at a time): the one definition of order
 /// and feasibility behind [`enumerate_tilings`], [`count_tilings`] and
 /// the DSE sweep. Each tile is sized and tested once per combination of
-/// the steps it depends on, not once per tiling.
+/// the steps it depends on, not once per tiling. A tile never shrinks as
+/// `ti` grows and the axis descends, so the steps at which one fits are a
+/// suffix of the axis: a loop's tilings start at the later of its two
+/// first fits, and are counted without a scan.
 ///
 /// # Errors
 ///
@@ -213,6 +218,8 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
         let tile = |&(ti, _)| fitting(visitor, DataKind::Wghs, Tiling::new(1, 1, tj, ti));
         wghs.extend(is.iter().map(tile));
     }
+    let first_fit = |tiles: &[Option<V::Tile>]| tiles.iter().take_while(|t| t.is_none()).count();
+    let wghs: Vec<_> = wghs.chunks(is.len()).map(|c| (first_fit(c), c)).collect();
     let mut ifms = Vec::with_capacity(is.len());
     let mut count = 0;
     for &(th, n_h) in &hs {
@@ -220,19 +227,26 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
             ifms.clear();
             let tile = |&(ti, _)| fitting(visitor, DataKind::Ifms, Tiling::new(th, tw, 1, ti));
             ifms.extend(is.iter().map(tile));
-            for (&(tj, n_j), wghs) in js.iter().zip(wghs.chunks(is.len())) {
-                let ofms = fitting(visitor, DataKind::Ofms, Tiling::new(th, tw, tj, 1));
-                let Some(ofms) = ofms else { continue };
-                if !visitor.ti_loop([(th, n_h), (tw, n_w), (tj, n_j)], &is, &ifms, wghs, ofms) {
-                    count += loop_tilings(&ifms, wghs);
+            let ifms_first = first_fit(&ifms);
+            for (&(tj, n_j), &(wghs_first, wghs)) in js.iter().zip(&wghs) {
+                let start = ifms_first.max(wghs_first);
+                if start == is.len() {
                     continue;
                 }
-                for ((&(ti, n_i), &ifms), &wghs) in is.iter().zip(&ifms).zip(wghs) {
-                    if let (Some(ifms), Some(wghs)) = (ifms, wghs) {
-                        count += 1;
-                        let tiling = Tiling::new(th, tw, tj, ti);
-                        visitor.tiling(tiling, [n_h, n_w, n_j, n_i], [ifms, wghs, ofms]);
-                    }
+                let ofms = fitting(visitor, DataKind::Ofms, Tiling::new(th, tw, tj, 1));
+                let Some(ofms) = ofms else { continue };
+                let (outer, tilings) = ([(th, n_h), (tw, n_w), (tj, n_j)], is.len() - start);
+                count += tilings;
+                if !visitor.ti_loop(outer, &is, &ifms, wghs, ofms, tilings) {
+                    continue;
+                }
+                let tiles = ifms[start..].iter().zip(&wghs[start..]);
+                for (&(ti, n_i), (&ifms, &wghs)) in is[start..].iter().zip(tiles) {
+                    let (Some(ifms), Some(wghs)) = (ifms, wghs) else {
+                        unreachable!("a tile that fits at one step fits at every smaller one");
+                    };
+                    let tiling = Tiling::new(th, tw, tj, ti);
+                    visitor.tiling(tiling, [n_h, n_w, n_j, n_i], [ifms, wghs, ofms]);
                 }
             }
         }
@@ -244,15 +258,6 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
         )));
     }
     Ok(count)
-}
-
-/// The feasible tilings of a `ti` loop: the steps at which both its
-/// ifms and its wghs tile fit.
-pub(crate) fn loop_tilings<T>(ifms: &[Option<T>], wghs: &[Option<T>]) -> usize {
-    ifms.iter()
-        .zip(wghs)
-        .filter(|(i, w)| i.is_some() && w.is_some())
-        .count()
 }
 
 /// Enumerate all buffer-feasible tilings of a layer from the geometric

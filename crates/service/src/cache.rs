@@ -58,6 +58,21 @@ fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Run `compute`, timed, with a panic converted into a [`DseError`].
+fn run_timed<F>(compute: F) -> (Result<LayerDseResult, DseError>, u64)
+where
+    F: FnOnce() -> Result<LayerDseResult, DseError>,
+{
+    let started = Instant::now();
+    let result = std::panic::catch_unwind(AssertUnwindSafe(compute)).unwrap_or_else(|payload| {
+        Err(DseError::new(format!(
+            "layer exploration panicked: {}",
+            panic_message(payload.as_ref())
+        )))
+    });
+    (result, elapsed_ns(started))
+}
+
 /// Capacity bounds for a [`DseCache`]. `None` means unbounded.
 ///
 /// These are only the *initial* bounds: a live cache can be retuned at
@@ -581,7 +596,7 @@ impl DseCache {
     where
         F: FnOnce() -> Result<LayerDseResult, DseError>,
     {
-        self.get_or_compute_with(key, CacheMode::Default, compute)
+        self.get_or_compute_with(key, CacheMode::Default, compute).0
     }
 
     /// [`DseCache::get_or_compute`] with an explicit [`CacheMode`] —
@@ -607,36 +622,37 @@ impl DseCache {
     ///   computation. Counted in [`CacheStats::refreshes`] (and
     ///   `misses`).
     ///
-    /// # Errors
-    ///
-    /// Propagates `compute` failures (to the leader and every waiter
-    /// coalesced onto it).
+    /// Alongside the lookup's result comes how many nanoseconds
+    /// `compute` ran for, when this call ran it: the one measurement
+    /// behind the compute-duration stats, the stored record and the
+    /// service's `explore` stage. The result carries `compute`'s
+    /// failures, to the leader and every waiter coalesced onto it.
     pub fn get_or_compute_with<F>(
         &self,
         key: &str,
         mode: CacheMode,
         compute: F,
-    ) -> Result<(LayerDseResult, CacheOutcome), DseError>
+    ) -> (
+        Result<(LayerDseResult, CacheOutcome), DseError>,
+        Option<u64>,
+    )
     where
         F: FnOnce() -> Result<LayerDseResult, DseError>,
     {
         if mode == CacheMode::Bypass {
             lock_recovered(&self.inner).bypasses += 1;
-            let result = match std::panic::catch_unwind(AssertUnwindSafe(compute)) {
-                Ok(result) => result,
-                Err(payload) => Err(DseError::new(format!(
-                    "layer exploration panicked: {}",
-                    panic_message(payload.as_ref())
-                ))),
-            };
-            return result.map(|value| (value, CacheOutcome::Miss));
+            let (result, compute_ns) = run_timed(compute);
+            return (
+                result.map(|value| (value, CacheOutcome::Miss)),
+                Some(compute_ns),
+            );
         }
         let (flight, is_leader) = loop {
             let existing = {
                 let mut inner = lock_recovered(&self.inner);
                 if mode == CacheMode::Default {
                     if let Some(value) = inner.hit(key) {
-                        return Ok((value, CacheOutcome::Hit));
+                        return (Ok((value, CacheOutcome::Hit)), None);
                     }
                 }
                 match inner.inflight.get(key).map(Arc::clone) {
@@ -670,9 +686,8 @@ impl DseCache {
         };
 
         if !is_leader {
-            return self
-                .await_flight(&flight)
-                .map(|value| (value, CacheOutcome::Coalesced));
+            let shared = self.await_flight(&flight);
+            return (shared.map(|value| (value, CacheOutcome::Coalesced)), None);
         }
 
         // Leader: consult the store tier, then compute if needed — all
@@ -705,15 +720,8 @@ impl DseCache {
                     (Err(_), _) => lock_recovered(&self.inner).store_errors += 1,
                 }
             }
-            let started = Instant::now();
-            let result = match std::panic::catch_unwind(AssertUnwindSafe(compute)) {
-                Ok(result) => result,
-                Err(payload) => Err(DseError::new(format!(
-                    "layer exploration panicked: {}",
-                    panic_message(payload.as_ref())
-                ))),
-            };
-            compute_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let (result, ns) = run_timed(compute);
+            compute_ns = ns;
             result
         };
         {
@@ -747,7 +755,8 @@ impl DseCache {
                 }
             }
         }
-        computed.map(|value| (value, outcome))
+        let ran = (outcome == CacheOutcome::Miss).then_some(compute_ns);
+        (computed.map(|value| (value, outcome)), ran)
     }
 
     /// Current counters and size, captured atomically under one lock.
@@ -1053,6 +1062,7 @@ mod tests {
         // Bypass computes fresh even though a resident entry exists…
         let (value, outcome) = cache
             .get_or_compute_with("k", CacheMode::Bypass, || Ok(result("fresh")))
+            .0
             .unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
         assert_eq!(value.layer_name, "fresh");
@@ -1068,6 +1078,7 @@ mod tests {
         // A bypass panic is converted, not propagated.
         let err = cache
             .get_or_compute_with("k", CacheMode::Bypass, || panic!("bug"))
+            .0
             .unwrap_err();
         assert!(err.to_string().contains("panicked"), "{err}");
     }
@@ -1080,6 +1091,7 @@ mod tests {
 
         let (value, outcome) = cache
             .get_or_compute_with("k", CacheMode::Refresh, || Ok(result("fresh")))
+            .0
             .unwrap();
         assert_eq!(outcome, CacheOutcome::Miss, "refresh recomputes");
         assert_eq!(value.layer_name, "fresh");
@@ -1119,6 +1131,7 @@ mod tests {
         barrier.wait();
         let (value, outcome) = cache
             .get_or_compute_with("k", CacheMode::Refresh, || Ok(result("fresh")))
+            .0
             .unwrap();
         leader.join().unwrap().unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);

@@ -398,7 +398,8 @@ impl ServiceState {
     /// miss and no equivalent computation is in flight; always for
     /// [`CacheMode::Bypass`]/[`CacheMode::Refresh`]). The whole
     /// lookup is timed as a `cache_lookup` span and the computation
-    /// (when the lookup falls through) as a nested `explore` span, both
+    /// (when the lookup falls through) as a nested `explore` stage, read
+    /// off the cache's own timing of it; both are
     /// recorded in the stage histograms and — when a per-request
     /// [`Trace`] is attached — in that request's stage breakdown.
     /// Every sweep the service runs is this one, so
@@ -421,15 +422,23 @@ impl ServiceState {
     ) -> Result<(LayerDseResult, CacheOutcome), DseError> {
         let _lookup = Span::enter("cache_lookup", &self.stages.cache_lookup_ns).traced(trace);
         self.stages.layers_total.inc();
-        let (mut result, outcome) = self.cache.get_or_compute_with(key, mode, || {
-            let _explore = Span::enter("explore", &self.stages.explore_ns).traced(trace);
+        let (looked_up, explore_ns) = self.cache.get_or_compute_with(key, mode, || {
             let (result, pruned) = engine.explore_layer_counted(layer)?;
             self.stages
                 .dse_evaluations_total
                 .add(result.evaluations as u64);
             self.stages.dse_pruned_total.add(pruned as u64);
             Ok(result)
-        })?;
+        });
+        // The cache already times the sweep; its clock reads serve the
+        // `explore` stage too.
+        if let Some(ns) = explore_ns {
+            self.stages.explore_ns.record(ns);
+            if let Some(trace) = trace {
+                trace.add("explore", ns);
+            }
+        }
+        let (mut result, outcome) = looked_up?;
         // Resident-tier semantics: only `Hit` was answered from memory
         // already resident; coalesced waits, store reads, and fresh
         // computations all count against the resident hit ratio.

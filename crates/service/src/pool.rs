@@ -9,7 +9,7 @@
 //! [`DseEngine::explore_network`](drmap_core::dse::DseEngine::explore_network),
 //! which runs a bounded worker crew inside one process-wide call).
 //!
-//! The layer is the unit of work: a whole zoo layer sweeps in 5–65 µs
+//! The layer is the unit of work: a whole zoo layer sweeps in 5–27 µs
 //! inside a worker (the model zoo's largest has 3 456 tilings) — about
 //! what waking a second worker costs — so a worker computes a missed
 //! layer with the very call [`ServiceState::run_job`] makes.
@@ -173,8 +173,8 @@ struct LayerTask {
     /// catch-everything reply path must surface a typed job error.
     inject_panic: bool,
     /// The submitting request's trace, when the front-end attached one:
-    /// the worker's cache-lookup/explore spans add themselves to its
-    /// per-stage breakdown.
+    /// the worker's cache-lookup and explore stages add themselves to
+    /// its per-stage breakdown.
     trace: Option<Arc<Trace>>,
     job: Arc<QueuedJob>,
 }
@@ -253,7 +253,7 @@ impl DsePool {
     /// lookup, and `keep_points` selects a Pareto-retaining engine
     /// (cache-keyed separately from point-free sweeps). `trace` is the submitting request's [`Trace`] (the TCP
     /// front-end opens one per job, keyed by the wire `id`): lookup and
-    /// explore spans land in its stage breakdown as well as the global
+    /// explore stages land in its stage breakdown as well as the global
     /// histograms, whichever thread ran them.
     ///
     /// `on_complete` must not own the pool (an `Arc<DsePool>` dropped

@@ -166,8 +166,9 @@ fn bucket_upper_bound(index: usize) -> u64 {
 
 /// A fixed-bucket log-linear histogram over `u64` samples
 /// (nanoseconds, by convention). [`Histogram::record`] is lock-free —
-/// one relaxed `fetch_add` per bucket/count/sum plus `fetch_min`/
-/// `fetch_max` — so it is safe on the DSE hot path.
+/// one relaxed `fetch_add` per bucket/count/sum, plus `fetch_min`/
+/// `fetch_max` for a sample past a value already read — so it is safe
+/// on the DSE hot path.
 pub struct Histogram {
     buckets: Box<[AtomicU64; BUCKETS]>,
     count: AtomicU64,
@@ -213,8 +214,15 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // `min` only falls and `max` only rises, so a sample no more
+        // extreme than a value already read cannot move them: skip the
+        // read-modify-write (a locked compare-exchange loop) then.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Total recorded samples.
@@ -564,21 +572,22 @@ impl MetricsSnapshot {
 /// An RAII timer: created with [`Span::enter`], it records its elapsed
 /// nanoseconds into the given [`Histogram`] when dropped — and, if
 /// attached to a [`Trace`] via [`Span::traced`], adds the duration to
-/// that request's per-stage breakdown under the span's name.
+/// that request's per-stage breakdown under the span's name. It borrows
+/// both, so it costs two clock reads and a record, no reference counting.
 #[must_use = "a span records on drop; binding it to _ discards the timing immediately"]
-pub struct Span {
+pub struct Span<'a> {
     name: &'static str,
-    hist: Arc<Histogram>,
-    trace: Option<Arc<Trace>>,
+    hist: &'a Histogram,
+    trace: Option<&'a Trace>,
     start: Instant,
 }
 
-impl Span {
+impl<'a> Span<'a> {
     /// Start a named span recording into `hist` on drop.
-    pub fn enter(name: &'static str, hist: &Arc<Histogram>) -> Span {
+    pub fn enter(name: &'static str, hist: &'a Histogram) -> Span<'a> {
         Span {
             name,
-            hist: Arc::clone(hist),
+            hist,
             trace: None,
             start: Instant::now(),
         }
@@ -586,13 +595,13 @@ impl Span {
 
     /// Attach the span to a per-request trace (no-op when `None`, so
     /// untraced paths pay nothing extra).
-    pub fn traced(mut self, trace: Option<&Arc<Trace>>) -> Span {
-        self.trace = trace.map(Arc::clone);
+    pub fn traced(mut self, trace: Option<&'a Arc<Trace>>) -> Span<'a> {
+        self.trace = trace.map(|trace| &**trace);
         self
     }
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
         let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.hist.record(ns);
