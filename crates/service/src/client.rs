@@ -189,7 +189,7 @@ impl Client {
     ///
     /// Propagates I/O failures.
     pub fn send(&mut self, payload: &Json) -> Result<(), ServiceError> {
-        wire::write_message_reusing(&mut self.writer, &mut Vec::new(), &payload.render())
+        wire::write_encoded(&mut self.writer, &mut String::new(), |t| payload.encode(t))
     }
 
     /// Read the next response from the wire, whichever request it

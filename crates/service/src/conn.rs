@@ -9,11 +9,11 @@
 //!   ([`wire::wake_listener`]) that unblocks `accept`.
 //! * **One session** per connection: a reader loop that hands each
 //!   request line to [`Service::dispatch`], and one writer thread that
-//!   owns the write half, rendering each queued [`Response`] into a
-//!   reused buffer and writing it as one `write`. Responses reach the
-//!   writer in the order they are queued — a job's completion queues
-//!   from whichever thread finished it — which is what makes pipelining
-//!   out of order. A request that asks to stop ends its session: the
+//!   owns the write half, encoding each queued [`Response`] as text
+//!   straight into a reused frame buffer (no tree) and writing it as
+//!   one `write`. Responses reach the writer in the order they are
+//!   queued — a job's completion queues from whichever thread finished
+//!   it — which is what makes pipelining out of order. A request that asks to stop ends its session: the
 //!   writer flushes every response still owed on that connection, and
 //!   only then does the accept loop stop, since the process may exit
 //!   right after.
@@ -178,7 +178,7 @@ fn session<S: Service>(
         let service = Arc::clone(service);
         std::thread::spawn(move || {
             let mut out = stream;
-            let mut frame = Vec::new();
+            let mut frame = String::new();
             // A write failure means the client is gone: stop writing,
             // but keep draining the channel — each response's slot
             // drops with it — so a reader blocked in `reserve` can run
@@ -189,8 +189,8 @@ fn session<S: Service>(
                     continue;
                 }
                 service.write_frame(&mut || {
-                    let line = response.to_json().render();
-                    dead = wire::write_message_reusing(&mut out, &mut frame, &line).is_err();
+                    let written = wire::write_encoded(&mut out, &mut frame, |t| response.encode(t));
+                    dead = written.is_err();
                 });
             }
         })

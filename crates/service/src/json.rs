@@ -1,4 +1,5 @@
-//! A minimal JSON value type with a hand-rolled parser and writer.
+//! A minimal JSON value type with a hand-rolled parser, and the two
+//! sinks every encoder writes into.
 //!
 //! The job server speaks newline-delimited JSON over TCP and must build
 //! **fully offline**, so the wire format cannot depend on serde. This
@@ -9,18 +10,32 @@
 //! — the property the service's "cached results are bit-identical"
 //! contract rests on.
 //!
+//! Every wire type has one encoder, generic over a [`JsonSink`], and two
+//! sinks take its tokens: [`JsonText`] appends compact text to a
+//! `String` — the connection writer's reused frame buffer, so a response
+//! reaches the wire without a tree — and [`JsonTree`] builds the [`Json`]
+//! value `to_json` returns. A tree renders through its own encoder
+//! ([`Json::encode`]) into a text sink, so both paths end in the same
+//! number and string writers and agree byte for byte.
+//!
 //! # Examples
 //!
 //! ```
-//! use drmap_service::json::Json;
+//! use drmap_service::json::{Json, JsonSink, JsonText, JsonTree};
 //!
 //! let v = Json::parse(r#"{"id": 7, "nets": ["alexnet", "vgg16"]}"#)?;
 //! assert_eq!(v.get("id").and_then(Json::as_u64), Some(7));
 //! assert_eq!(v.get("nets").unwrap().as_array().unwrap().len(), 2);
+//! let mut text = String::new();
+//! JsonText::new(&mut text).object(|o| o.key("id").num(7.0));
+//! let tree = JsonTree::build(|t| t.object(|o| o.key("id").num(7.0)));
+//! assert_eq!(text, r#"{"id":7}"#);
+//! assert_eq!(tree.render(), text);
 //! # Ok::<(), drmap_service::json::JsonError>(())
 //! ```
 
 use core::fmt;
+use core::fmt::Write as _;
 
 /// A JSON parse error with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,38 +176,19 @@ impl Json {
     /// Render to compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.encode(&mut JsonText::new(&mut out));
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// The tree's own encoder: write this value into `out`.
+    pub fn encode<S: JsonSink>(&self, out: &mut S) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_number(*n, out),
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
+            Json::Null => out.null(),
+            Json::Bool(b) => out.bool(*b),
+            Json::Num(n) => out.num(*n),
+            Json::Str(s) => out.str(s),
+            Json::Arr(items) => out.array(|a| items.iter().for_each(|item| item.encode(a))),
+            Json::Obj(pairs) => out.object(|o| pairs.iter().for_each(|(k, v)| v.encode(o.key(k)))),
         }
     }
 }
@@ -203,33 +199,192 @@ impl fmt::Display for Json {
     }
 }
 
+/// Where an encoder writes a JSON value, token by token. Inside
+/// [`JsonSink::object`] each member is a [`JsonSink::key`] and a value.
+pub trait JsonSink {
+    /// `null`.
+    fn null(&mut self);
+    /// `true` / `false`.
+    fn bool(&mut self, b: bool);
+    /// A number (integers pass as `n as f64`; non-finite renders `null`).
+    fn num(&mut self, n: f64);
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// Name the open object's next member; its value follows.
+    fn key(&mut self, k: &str) -> &mut Self;
+    /// An object whose members `members` writes.
+    fn object(&mut self, members: impl FnOnce(&mut Self));
+    /// An array whose elements `items` writes.
+    fn array(&mut self, items: impl FnOnce(&mut Self));
+}
+
+/// The text sink: appends compact JSON to a `String`.
+#[derive(Debug)]
+pub struct JsonText<'a> {
+    out: &'a mut String,
+    /// Whether the next key or value follows a sibling.
+    comma: bool,
+}
+
+impl<'a> JsonText<'a> {
+    /// A sink appending one value to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        JsonText { out, comma: false }
+    }
+
+    /// The buffer, after a comma if a sibling precedes: whatever is
+    /// written next completes a value.
+    fn next(&mut self) -> &mut String {
+        if std::mem::replace(&mut self.comma, true) {
+            self.out.push(',');
+        }
+        self.out
+    }
+
+    fn container(&mut self, open: char, inner: impl FnOnce(&mut Self), close: char) {
+        self.next().push(open);
+        self.comma = false;
+        inner(self);
+        self.out.push(close);
+        self.comma = true;
+    }
+}
+
+impl JsonSink for JsonText<'_> {
+    fn null(&mut self) {
+        self.next().push_str("null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.next().push_str(if b { "true" } else { "false" });
+    }
+
+    fn num(&mut self, n: f64) {
+        write_number(n, self.next());
+    }
+
+    fn str(&mut self, s: &str) {
+        write_string(s, self.next());
+    }
+
+    fn key(&mut self, k: &str) -> &mut Self {
+        self.str(k);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    fn object(&mut self, members: impl FnOnce(&mut Self)) {
+        self.container('{', members, '}');
+    }
+
+    fn array(&mut self, items: impl FnOnce(&mut Self)) {
+        self.container('[', items, ']');
+    }
+}
+
+/// The tree sink: builds the [`Json`] value an encoder writes, each
+/// container in a fresh sink of its own.
+#[derive(Debug, Default)]
+pub struct JsonTree {
+    /// Values written under no key: array elements, or the top level.
+    items: Vec<Json>,
+    /// Object members, each written after its [`JsonSink::key`].
+    members: Vec<(String, Json)>,
+    key: Option<String>,
+}
+
+impl JsonTree {
+    /// The value `encode` writes (`null` if it writes none).
+    pub fn build(encode: impl FnOnce(&mut JsonTree)) -> Json {
+        let mut tree = JsonTree::default();
+        encode(&mut tree);
+        tree.items.pop().unwrap_or(Json::Null)
+    }
+
+    fn put(&mut self, value: Json) {
+        match self.key.take() {
+            Some(key) => self.members.push((key, value)),
+            None => self.items.push(value),
+        }
+    }
+}
+
+impl JsonSink for JsonTree {
+    fn null(&mut self) {
+        self.put(Json::Null);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.put(Json::Bool(b));
+    }
+
+    fn num(&mut self, n: f64) {
+        self.put(Json::Num(n));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.put(Json::str(s));
+    }
+
+    fn key(&mut self, k: &str) -> &mut Self {
+        self.key = Some(k.to_owned());
+        self
+    }
+
+    fn object(&mut self, members: impl FnOnce(&mut Self)) {
+        let mut object = JsonTree::default();
+        members(&mut object);
+        self.put(Json::Obj(object.members));
+    }
+
+    fn array(&mut self, items: impl FnOnce(&mut Self)) {
+        let mut array = JsonTree::default();
+        items(&mut array);
+        self.put(Json::Arr(array.items));
+    }
+}
+
+// Writing into a `String` cannot fail, so the `write!` results below
+// are always `Ok`.
 fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no Inf/NaN; the protocol never produces them, but a
         // defensive null beats emitting an unparsable token.
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9.0e15 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
         // `{:?}` is Rust's shortest representation that round-trips the
         // exact bit pattern through `str::parse::<f64>()`.
-        out.push_str(&format!("{n:?}"));
+        let _ = write!(out, "{n:?}");
     }
 }
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy each run of bytes that need no escape whole. Every escaped
+    // byte is ASCII, so a run always ends on a char boundary.
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escaped = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escaped);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -370,13 +525,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or backslash
+                    // whole. Both are ASCII, so the run ends on a char
+                    // boundary of the `&str` being parsed.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| JsonError::new(self.pos, "invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }

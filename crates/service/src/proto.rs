@@ -28,11 +28,13 @@
 //! `"type"` field names its verb. A message without one is answered
 //! with a typed error (`{"type":"error", …}`); nothing else is spoken
 //! on the wire. Each message's shape is declared **once**, as a field
-//! table (see "The codec" below): [`Request::to_json`],
-//! [`Request::decode`], [`Response::render`], [`Response::decode`] and
+//! table (see "The codec" below): [`Request::encode`],
+//! [`Request::decode`], [`Response::encode`], [`Response::decode`] and
 //! the `id` accessors are all generated from the same rows, so a field
 //! cannot be written under one name and read under another.
 //!
+//! The one encoder writes into any [`JsonSink`]: text straight into the
+//! connection writer's frame buffer, or the tree `to_json` returns.
 //! Messages travel as newline-delimited JSON text (see
 //! [`crate::wire`]).
 //!
@@ -43,7 +45,7 @@ use drmap_telemetry::{HistogramSnapshot, MetricsSnapshot, SlowEntry};
 
 use crate::cache::CacheStats;
 use crate::error::ServiceError;
-use crate::json::Json;
+use crate::json::{Json, JsonSink, JsonTree};
 use crate::spec::{JobResult, JobSpec};
 
 /// The protocol version this build speaks. See the module docs for
@@ -412,7 +414,7 @@ pub struct DecodeError {
 //   req   required field
 //   opt   `Option` field, left out when `None`
 //   null  `Option` field, rendered as `null` when `None`
-//   flat  nested object whose fields are spliced into this one
+//   flat  nested object whose members are spliced into this one
 //   map   name/value pairs rendered as one `{name: value}` object
 //   out   write-only field computed from the others: `out "name" = expr`
 //
@@ -422,15 +424,22 @@ pub struct DecodeError {
 /// messages; [`Request::decode`] and [`Response::decode`] wrap them in
 /// their error types.
 trait Wire: Sized {
-    fn to_json(&self) -> Json;
+    fn encode<S: JsonSink>(&self, out: &mut S);
     fn from_json(v: &Json) -> Result<Self, String>;
 }
 
+/// A [`Wire`] value whose form is an object, so a `flat` row can splice
+/// its members into the object being written.
+trait Members: Wire {
+    fn members<S: JsonSink>(&self, out: &mut S);
+}
+
 macro_rules! wire_scalars {
-    ($($ty:ty: $expected:literal, $to:expr, $from:expr;)*) => {$(
+    ($($ty:ty: $expected:literal, |$v:ident, $out:ident| $to:expr, $from:expr;)*) => {$(
         impl Wire for $ty {
-            fn to_json(&self) -> Json {
-                ($to)(self)
+            fn encode<S: JsonSink>(&self, $out: &mut S) {
+                let $v = self;
+                $to
             }
             fn from_json(v: &Json) -> Result<Self, String> {
                 ($from)(v).ok_or_else(|| concat!("expected ", $expected).to_owned())
@@ -440,21 +449,20 @@ macro_rules! wire_scalars {
 }
 
 wire_scalars! {
-    u64: "a non-negative integer", |n: &u64| Json::num_u64(*n), Json::as_u64;
-    usize: "a non-negative integer", |n: &usize| Json::num_usize(*n), Json::as_usize;
-    u32: "a non-negative integer below 2^32", |n: &u32| Json::num_u64(u64::from(*n)),
+    u64: "a non-negative integer", |n, out| out.num(*n as f64), Json::as_u64;
+    usize: "a non-negative integer", |n, out| out.num(*n as f64), Json::as_usize;
+    u32: "a non-negative integer below 2^32", |n, out| out.num(f64::from(*n)),
         |v: &Json| v.as_u64().and_then(|n| u32::try_from(n).ok());
-    i64: "an integer", |n: &i64| Json::Num(*n as f64),
+    i64: "an integer", |n, out| out.num(*n as f64),
         |v: &Json| v.as_f64().filter(|n| n.fract() == 0.0).map(|n| n as i64);
-    f64: "a number", |n: &f64| Json::Num(*n), Json::as_f64;
-    bool: "a boolean", |b: &bool| Json::Bool(*b), Json::as_bool;
-    String: "a string", |s: &String| Json::str(s.as_str()),
-        |v: &Json| v.as_str().map(str::to_owned);
+    f64: "a number", |n, out| out.num(*n), Json::as_f64;
+    bool: "a boolean", |b, out| out.bool(*b), Json::as_bool;
+    String: "a string", |s, out| out.str(s), |v: &Json| v.as_str().map(str::to_owned);
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(Wire::to_json).collect())
+    fn encode<S: JsonSink>(&self, out: &mut S) {
+        out.array(|a| self.iter().for_each(|item| item.encode(a)));
     }
     fn from_json(v: &Json) -> Result<Self, String> {
         let items = v.as_array().ok_or("expected an array")?;
@@ -464,8 +472,11 @@ impl<T: Wire> Wire for Vec<T> {
 
 /// Pairs travel as two-element arrays (histogram buckets, trace stages).
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    fn encode<S: JsonSink>(&self, out: &mut S) {
+        out.array(|a| {
+            self.0.encode(a);
+            self.1.encode(a);
+        });
     }
     fn from_json(v: &Json) -> Result<Self, String> {
         match v.as_array() {
@@ -478,38 +489,36 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 // Job specs and results keep their own codec in `crate::spec` (the
 // spec form doubles as `drmap-batch`'s NDJSON job-file format).
 impl Wire for JobSpec {
-    fn to_json(&self) -> Json {
-        JobSpec::to_json(self)
+    fn encode<S: JsonSink>(&self, out: &mut S) {
+        JobSpec::encode(self, out);
     }
     fn from_json(v: &Json) -> Result<Self, String> {
         JobSpec::from_json(v).map_err(|e| e.to_string())
     }
 }
 
+impl Members for JobSpec {
+    fn members<S: JsonSink>(&self, out: &mut S) {
+        JobSpec::members(self, out);
+    }
+}
+
 impl Wire for JobResult {
-    fn to_json(&self) -> Json {
-        JobResult::to_json(self)
+    fn encode<S: JsonSink>(&self, out: &mut S) {
+        JobResult::encode(self, out);
     }
     fn from_json(v: &Json) -> Result<Self, String> {
         JobResult::from_json(v).map_err(|e| e.to_string())
     }
 }
 
-/// The write half of a field table: one method per mode.
-#[derive(Default)]
-struct Writer(Vec<(String, Json)>);
+/// The write half of a field table: one method per mode, each writing
+/// members into the object its sink has open.
+struct Writer<'a, S>(&'a mut S);
 
-impl Writer {
-    /// A typed message: `"type"` always leads.
-    fn message(kind: &str) -> Self {
-        // Most messages have at most eight top-level fields.
-        let mut fields = Vec::with_capacity(8);
-        fields.push(("type".to_owned(), Json::str(kind)));
-        Writer(fields)
-    }
-
+impl<S: JsonSink> Writer<'_, S> {
     fn req<T: Wire>(&mut self, name: &str, value: &T) {
-        self.0.push((name.to_owned(), value.to_json()));
+        value.encode(self.0.key(name));
     }
 
     fn opt<T: Wire>(&mut self, name: &str, value: &Option<T>) {
@@ -519,19 +528,20 @@ impl Writer {
     }
 
     fn null<T: Wire>(&mut self, name: &str, value: &Option<T>) {
-        let value = value.as_ref().map_or(Json::Null, Wire::to_json);
-        self.0.push((name.to_owned(), value));
-    }
-
-    fn flat<T: Wire>(&mut self, _name: &str, value: &T) {
-        if let Json::Obj(fields) = value.to_json() {
-            self.0.extend(fields);
+        match value {
+            Some(value) => self.req(name, value),
+            None => self.0.key(name).null(),
         }
     }
 
+    fn flat<T: Members>(&mut self, _name: &str, value: &T) {
+        value.members(self.0);
+    }
+
     fn map<T: Wire>(&mut self, name: &str, entries: &[(String, T)]) {
-        let entries = entries.iter().map(|(k, v)| (k.clone(), v.to_json()));
-        self.0.push((name.to_owned(), Json::Obj(entries.collect())));
+        self.0
+            .key(name)
+            .object(|o| entries.iter().for_each(|(k, v)| v.encode(o.key(k))));
     }
 }
 
@@ -632,13 +642,18 @@ macro_rules! wire_object {
     ($this:ident: $what:literal $Ty:ident $shape:tt => {
         $($mode:ident $field:tt $(as $name:literal)? $(= $value:expr)?),* $(,)?
     }) => {
-        impl Wire for $Ty {
-            fn to_json(&self) -> Json {
+        impl Members for $Ty {
+            fn members<S: JsonSink>(&self, out: &mut S) {
                 let $this = self;
                 let $Ty $shape = $this;
-                let mut w = Writer::default();
+                let mut w = Writer(out);
                 $( put!(w, $mode $field $(as $name)? $(= $value)?); )*
-                Json::Obj(w.0)
+            }
+        }
+
+        impl Wire for $Ty {
+            fn encode<S: JsonSink>(&self, out: &mut S) {
+                out.object(|o| self.members(o));
             }
             fn from_json(v: &Json) -> Result<Self, String> {
                 let r = Reader { v, what: $what };
@@ -650,8 +665,8 @@ macro_rules! wire_object {
 }
 
 /// Declare a message enum's wire shapes, one row per verb:
-/// `"verb" Variant shape => { rows }`. Generates `to_json`, the
-/// `from_json` behind `decode`, and `id`. The `requests` form also
+/// `"verb" Variant shape => { rows }`. Generates `encode` (and
+/// `to_json`, its tree), the `from_json` behind `decode`, and `id`. The `requests` form also
 /// takes, beside each verb, the `hello` capability that advertises it
 /// (`[None]` for the baseline verbs every server speaks) and generates
 /// `capability` — `drmap-check`'s `proto-doc-drift` lint reads those
@@ -663,16 +678,22 @@ macro_rules! wire_messages {
         }
     )*) => {
         impl $Enum {
-            /// The message's wire form: `"type"` first, then the
-            /// verb's fields.
-            pub fn to_json(&self) -> Json {
-                match self {$(
+            /// Write the message's wire form into `out`: `"type"`
+            /// first, then the verb's fields.
+            pub fn encode<S: JsonSink>(&self, out: &mut S) {
+                out.object(|o| match self {$(
                     $Enum::$Variant $shape => {
-                        let mut w = Writer::message($verb);
+                        let mut w = Writer(o);
+                        w.0.key("type").str($verb);
                         $( put!(w, $mode $field $(as $name)? $(= $value)?); )*
-                        Json::Obj(w.0)
                     }
-                )*}
+                )*});
+            }
+
+            /// The message's wire form as a tree: [`Self::encode`]
+            /// into a [`JsonTree`].
+            pub fn to_json(&self) -> Json {
+                JsonTree::build(|t| self.encode(t))
             }
 
             fn from_json(v: &Json) -> Result<Self, String> {
@@ -872,6 +893,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonText;
     use crate::spec::{CacheMode, EngineSpec, JobOptions, LayerOutcome};
     use drmap_cnn::layer::Layer;
     use drmap_cnn::network::Network;
@@ -1022,6 +1044,13 @@ mod tests {
             store_hit: cached,
             pareto,
         }
+    }
+
+    /// What the text sink writes: the bytes a connection sends.
+    fn text(encode: impl FnOnce(&mut JsonText<'_>)) -> String {
+        let mut out = String::new();
+        encode(&mut JsonText::new(&mut out));
+        out
     }
 
     fn responses() -> Vec<Response> {
@@ -1179,6 +1208,7 @@ mod tests {
         let requests = requests();
         for (request, line) in requests.iter().zip(GOLDEN.lines()) {
             assert_eq!(request.to_json().render(), line, "{request:?}");
+            assert_eq!(text(|t| request.encode(t)), line, "{request:?}");
             let (decoded, _) = Request::decode(&Json::parse(line).unwrap())
                 .unwrap_or_else(|e| panic!("failed to decode {line}: {e:?}"));
             assert_eq!(&decoded, request, "{line}");
@@ -1192,6 +1222,7 @@ mod tests {
         assert_eq!(lines.len(), responses.len(), "one golden line per message");
         for (response, line) in responses.iter().zip(lines) {
             assert_eq!(response.render(Dialect::V1).render(), line, "{response:?}");
+            assert_eq!(text(|t| response.encode(t)), line, "{response:?}");
             let decoded = Response::decode(&Json::parse(line).unwrap())
                 .unwrap_or_else(|e| panic!("failed to decode {line}: {e}"));
             assert_eq!(&decoded, response, "{line}");

@@ -17,7 +17,7 @@ use drmap_core::tiling::Tiling;
 use drmap_dram::timing::DramArch;
 
 use crate::error::ServiceError;
-use crate::json::Json;
+use crate::json::{Json, JsonSink};
 
 /// How a job interacts with the shared layer memo cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,23 +77,18 @@ pub struct JobOptions {
 }
 
 impl JobOptions {
-    /// Wire representation; `None` when every field is the default (so
-    /// default-option jobs serialize exactly as before options existed).
-    pub fn to_json(&self) -> Option<Json> {
-        if *self == JobOptions::default() {
-            return None;
-        }
-        let mut pairs = Vec::new();
+    /// Write the non-default fields (default options leave the whole
+    /// object out, byte-identical to a pre-options job).
+    fn members<S: JsonSink>(&self, out: &mut S) {
         if self.cache != CacheMode::Default {
-            pairs.push(("cache".to_owned(), Json::str(self.cache.label())));
+            out.key("cache").str(self.cache.label());
         }
         if self.keep_points {
-            pairs.push(("keep_points".to_owned(), Json::Bool(true)));
+            out.key("keep_points").bool(true);
         }
         if let Some(deadline) = self.deadline_ms {
-            pairs.push(("deadline_ms".to_owned(), Json::num_u64(deadline)));
+            out.key("deadline_ms").num(deadline as f64);
         }
-        Some(Json::Obj(pairs))
     }
 
     /// Parse the wire representation. Every field is optional; a field
@@ -165,12 +160,12 @@ impl EngineSpec {
         }
     }
 
-    /// Wire representation: `{"arch": "SALP-2", "objective": "edp"}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("arch", Json::str(self.arch.label())),
-            ("objective", Json::str(self.objective.label())),
-        ])
+    /// Write the wire representation: `{"arch":"SALP-2","objective":"edp"}`.
+    pub fn encode<S: JsonSink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.key("arch").str(self.arch.label());
+            o.key("objective").str(self.objective.label());
+        });
     }
 
     /// Parse the wire representation; both fields are optional and
@@ -239,25 +234,26 @@ impl Workload {
     }
 }
 
-fn layer_to_json(layer: &Layer) -> Json {
-    Json::obj([
-        ("name", Json::str(&layer.name)),
-        (
-            "kind",
-            Json::str(match layer.kind {
-                LayerKind::Conv => "conv",
-                LayerKind::FullyConnected => "fc",
-            }),
-        ),
-        ("h", Json::num_usize(layer.h)),
-        ("w", Json::num_usize(layer.w)),
-        ("j", Json::num_usize(layer.j)),
-        ("i", Json::num_usize(layer.i)),
-        ("p", Json::num_usize(layer.p)),
-        ("q", Json::num_usize(layer.q)),
-        ("stride", Json::num_usize(layer.stride)),
-        ("groups", Json::num_usize(layer.groups)),
-    ])
+fn encode_layer<S: JsonSink>(layer: &Layer, out: &mut S) {
+    out.object(|o| {
+        o.key("name").str(&layer.name);
+        o.key("kind").str(match layer.kind {
+            LayerKind::Conv => "conv",
+            LayerKind::FullyConnected => "fc",
+        });
+        for (key, n) in [
+            ("h", layer.h),
+            ("w", layer.w),
+            ("j", layer.j),
+            ("i", layer.i),
+            ("p", layer.p),
+            ("q", layer.q),
+            ("stride", layer.stride),
+            ("groups", layer.groups),
+        ] {
+            o.key(key).num(n as f64);
+        }
+    });
 }
 
 fn dim(v: &Json, field: &str, default: Option<usize>) -> Result<usize, ServiceError> {
@@ -371,12 +367,15 @@ impl JobSpec {
         self
     }
 
-    /// Wire representation (see crate docs for the schema).
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("id".to_owned(), Json::num_u64(self.id)),
-            ("engine".to_owned(), self.engine.to_json()),
-        ];
+    /// Write the wire representation (see crate docs for the schema).
+    pub fn encode<S: JsonSink>(&self, out: &mut S) {
+        out.object(|o| self.members(o));
+    }
+
+    /// Write the members alone (`submit` splices them beside `"type"`).
+    pub(crate) fn members<S: JsonSink>(&self, out: &mut S) {
+        out.key("id").num(self.id as f64);
+        self.engine.encode(out.key("engine"));
         match &self.workload {
             Workload::Network(n) => {
                 // Prefer the compact zoo reference when the network is a
@@ -385,24 +384,20 @@ impl JobSpec {
                     .into_iter()
                     .find(|(_, build)| &build() == n)
                     .map(|(name, _)| name);
-                let net_json = match zoo_name {
-                    Some(name) => Json::obj([("model", Json::str(name))]),
-                    None => Json::obj([
-                        ("name", Json::str(n.name())),
-                        (
-                            "layers",
-                            Json::Arr(n.layers().iter().map(layer_to_json).collect()),
-                        ),
-                    ]),
-                };
-                pairs.push(("network".to_owned(), net_json));
+                out.key("network").object(|o| match zoo_name {
+                    Some(name) => o.key("model").str(name),
+                    None => {
+                        o.key("name").str(n.name());
+                        o.key("layers")
+                            .array(|a| n.layers().iter().for_each(|l| encode_layer(l, a)));
+                    }
+                });
             }
-            Workload::Layer(l) => pairs.push(("layer".to_owned(), layer_to_json(l))),
+            Workload::Layer(l) => encode_layer(l, out.key("layer")),
         }
-        if let Some(options) = self.options.to_json() {
-            pairs.push(("options".to_owned(), options));
+        if self.options != JobOptions::default() {
+            out.key("options").object(|o| self.options.members(o));
         }
-        Json::Obj(pairs)
     }
 
     /// Parse the wire representation.
@@ -450,14 +445,14 @@ impl JobSpec {
     }
 }
 
-fn estimate_to_json(e: &EdpEstimate) -> Json {
-    Json::obj([
-        ("cycles", Json::Num(e.cycles)),
-        ("energy", Json::Num(e.energy)),
-        ("t_ck_ns", Json::Num(e.t_ck_ns)),
+fn encode_estimate<S: JsonSink>(e: &EdpEstimate, out: &mut S) {
+    out.object(|o| {
+        o.key("cycles").num(e.cycles);
+        o.key("energy").num(e.energy);
+        o.key("t_ck_ns").num(e.t_ck_ns);
         // Derived, for human readers; ignored when parsing.
-        ("edp", Json::Num(e.edp())),
-    ])
+        o.key("edp").num(e.edp());
+    });
 }
 
 fn estimate_from_json(v: &Json) -> Result<EdpEstimate, ServiceError> {
@@ -505,43 +500,33 @@ pub struct LayerOutcome {
 }
 
 impl LayerOutcome {
-    fn to_json(&self) -> Json {
-        let mut json = Json::obj([
-            ("name", Json::str(&self.name)),
-            ("mapping", Json::str(&self.mapping)),
-            ("scheme", Json::str(&self.scheme)),
-            (
-                "tiling",
-                Json::obj([
-                    ("th", Json::num_usize(self.tiling.th)),
-                    ("tw", Json::num_usize(self.tiling.tw)),
-                    ("tj", Json::num_usize(self.tiling.tj)),
-                    ("ti", Json::num_usize(self.tiling.ti)),
-                ]),
-            ),
-            ("estimate", estimate_to_json(&self.estimate)),
-            ("evaluations", Json::num_u64(self.evaluations)),
-            ("cached", Json::Bool(self.cached)),
-            ("coalesced", Json::Bool(self.coalesced)),
-            ("store", Json::Bool(self.store_hit)),
-        ]);
-        if !self.pareto.is_empty() {
-            let points = self
-                .pareto
-                .iter()
-                .map(|p| {
-                    Json::obj([
-                        ("label", Json::str(&p.label)),
-                        ("estimate", estimate_to_json(&p.estimate)),
-                    ])
-                })
-                .collect();
-            match &mut json {
-                Json::Obj(pairs) => pairs.push(("pareto".to_owned(), Json::Arr(points))),
-                _ => unreachable!("LayerOutcome::to_json builds an object"),
+    fn encode<S: JsonSink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.key("name").str(&self.name);
+            o.key("mapping").str(&self.mapping);
+            o.key("scheme").str(&self.scheme);
+            let t = &self.tiling;
+            o.key("tiling").object(|o| {
+                for (key, n) in [("th", t.th), ("tw", t.tw), ("tj", t.tj), ("ti", t.ti)] {
+                    o.key(key).num(n as f64);
+                }
+            });
+            encode_estimate(&self.estimate, o.key("estimate"));
+            o.key("evaluations").num(self.evaluations as f64);
+            o.key("cached").bool(self.cached);
+            o.key("coalesced").bool(self.coalesced);
+            o.key("store").bool(self.store_hit);
+            if !self.pareto.is_empty() {
+                o.key("pareto").array(|a| {
+                    for p in &self.pareto {
+                        a.object(|o| {
+                            o.key("label").str(&p.label);
+                            encode_estimate(&p.estimate, o.key("estimate"));
+                        });
+                    }
+                });
             }
-        }
-        json
+        });
     }
 
     fn from_json(v: &Json) -> Result<Self, ServiceError> {
@@ -620,17 +605,15 @@ impl JobResult {
         self.layers.iter().filter(|l| l.store_hit).count()
     }
 
-    /// Wire representation.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", Json::num_u64(self.id)),
-            ("workload", Json::str(&self.workload)),
-            ("total", estimate_to_json(&self.total)),
-            (
-                "layers",
-                Json::Arr(self.layers.iter().map(LayerOutcome::to_json).collect()),
-            ),
-        ])
+    /// Write the wire representation.
+    pub fn encode<S: JsonSink>(&self, out: &mut S) {
+        out.object(|o| {
+            o.key("id").num(self.id as f64);
+            o.key("workload").str(&self.workload);
+            encode_estimate(&self.total, o.key("total"));
+            o.key("layers")
+                .array(|a| self.layers.iter().for_each(|l| l.encode(a)));
+        });
     }
 
     /// Parse the wire representation.
@@ -664,13 +647,14 @@ impl JobResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonTree;
 
     #[test]
     fn engine_spec_round_trips_every_arch_and_objective() {
         for arch in DramArch::ALL {
             for objective in Objective::ALL {
                 let spec = EngineSpec { arch, objective };
-                let parsed = EngineSpec::from_json(&spec.to_json()).unwrap();
+                let parsed = EngineSpec::from_json(&JsonTree::build(|t| spec.encode(t))).unwrap();
                 assert_eq!(parsed, spec);
             }
         }
@@ -706,9 +690,12 @@ mod tests {
     #[test]
     fn job_spec_round_trips_zoo_and_custom_networks() {
         let zoo = JobSpec::network(3, EngineSpec::default(), Network::alexnet());
-        let rendered = zoo.to_json().render();
+        let rendered = JsonTree::build(|t| zoo.encode(t)).render();
         assert!(rendered.contains("\"model\":\"alexnet\""), "{rendered}");
-        assert_eq!(JobSpec::from_json(&zoo.to_json()).unwrap(), zoo);
+        assert_eq!(
+            JobSpec::from_json(&JsonTree::build(|t| zoo.encode(t))).unwrap(),
+            zoo
+        );
 
         let custom = JobSpec::network(
             4,
@@ -723,7 +710,10 @@ mod tests {
             )
             .unwrap(),
         );
-        assert_eq!(JobSpec::from_json(&custom.to_json()).unwrap(), custom);
+        assert_eq!(
+            JobSpec::from_json(&JsonTree::build(|t| custom.encode(t))).unwrap(),
+            custom
+        );
     }
 
     #[test]
@@ -740,7 +730,10 @@ mod tests {
             EngineSpec::default(),
             Layer::conv("CONV3", 13, 13, 384, 256, 3, 3, 1),
         );
-        assert_eq!(JobSpec::from_json(&layer.to_json()).unwrap(), layer);
+        assert_eq!(
+            JobSpec::from_json(&JsonTree::build(|t| layer.encode(t))).unwrap(),
+            layer
+        );
     }
 
     #[test]
@@ -764,8 +757,9 @@ mod tests {
         // Default options must not appear in the rendered job at all —
         // the byte-compatibility contract with pre-options clients.
         let plain = JobSpec::network(3, EngineSpec::default(), Network::tiny());
-        assert!(!plain.to_json().render().contains("options"));
-        assert_eq!(JobSpec::from_json(&plain.to_json()).unwrap(), plain);
+        let rendered = JsonTree::build(|t| plain.encode(t));
+        assert!(!rendered.render().contains("options"));
+        assert_eq!(JobSpec::from_json(&rendered).unwrap(), plain);
 
         for options in [
             JobOptions {
@@ -788,7 +782,7 @@ mod tests {
         ] {
             let spec =
                 JobSpec::network(4, EngineSpec::default(), Network::tiny()).with_options(options);
-            let reparsed = JobSpec::from_json(&spec.to_json()).unwrap();
+            let reparsed = JobSpec::from_json(&JsonTree::build(|t| spec.encode(t))).unwrap();
             assert_eq!(reparsed, spec);
             assert_eq!(reparsed.options, options);
         }
@@ -858,7 +852,7 @@ mod tests {
                 )],
             }],
         };
-        let rendered = result.to_json().render();
+        let rendered = JsonTree::build(|t| result.encode(t)).render();
         let reparsed = JobResult::from_json(&Json::parse(&rendered).unwrap()).unwrap();
         assert_eq!(reparsed, result);
         assert_eq!(

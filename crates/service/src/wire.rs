@@ -21,7 +21,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::error::ServiceError;
-use crate::json::Json;
+use crate::json::{Json, JsonText};
 use crate::proto::{DecodeError, Request, Response};
 
 /// How a message is framed on the wire. There is exactly one framing —
@@ -68,27 +68,35 @@ pub fn write_message(
     payload: &str,
     _encoding: Encoding,
 ) -> Result<(), ServiceError> {
-    write_message_reusing(writer, &mut Vec::new(), payload)
+    let mut frame = String::with_capacity(payload.len() + 1);
+    frame.push_str(payload);
+    write_line(writer, &mut frame)
 }
 
-/// [`write_message`] assembling the line in a caller-owned buffer, so
-/// a long-lived writer (each connection's writer thread in
-/// [`crate::conn`]) pays for the allocation once, not per response.
+/// [`write_message`] for a message `encode` writes into a text sink:
+/// the line is encoded straight into `frame` (cleared first), so a
+/// long-lived writer — each connection's writer thread in
+/// [`crate::conn`] — builds no tree and pays for the buffer once, not
+/// per message.
 ///
 /// # Errors
 ///
 /// As [`write_message`].
-pub fn write_message_reusing(
+pub fn write_encoded(
     writer: &mut impl Write,
-    frame: &mut Vec<u8>,
-    payload: &str,
+    frame: &mut String,
+    encode: impl FnOnce(&mut JsonText<'_>),
 ) -> Result<(), ServiceError> {
     frame.clear();
-    frame.reserve(payload.len() + 1);
-    frame.extend_from_slice(payload.as_bytes());
-    frame.push(b'\n');
+    encode(&mut JsonText::new(frame));
+    write_line(writer, frame)
+}
+
+/// Terminate `frame` and write it as one `write_all`, then flush.
+fn write_line(writer: &mut impl Write, frame: &mut String) -> Result<(), ServiceError> {
+    frame.push('\n');
     writer
-        .write_all(frame)
+        .write_all(frame.as_bytes())
         .and_then(|()| writer.flush())
         .map_err(|e| timeout_aware(e, "write"))
 }
@@ -221,7 +229,7 @@ fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, ServiceError> 
 ///
 /// Propagates I/O failures.
 pub fn write_request(writer: &mut impl Write, request: &Request) -> Result<(), ServiceError> {
-    write_message_reusing(writer, &mut Vec::new(), &request.to_json().render())
+    write_encoded(writer, &mut String::new(), |t| request.encode(t))
 }
 
 /// Parse and decode one request payload (a line [`read_message`]

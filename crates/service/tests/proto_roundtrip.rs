@@ -2,12 +2,14 @@
 //! variant must survive a round trip through the wire codec (one NDJSON
 //! line each), and everything a server says — its answers to malformed
 //! and untyped messages included — must decode as a typed response.
+//! The JSON layer underneath must parse in linear time, and its text
+//! sink must write exactly what its tree sink renders.
 
 use std::io::BufReader;
 
 use drmap_service::cache::CacheStats;
 use drmap_service::engine::ServiceState;
-use drmap_service::json::Json;
+use drmap_service::json::{Json, JsonSink, JsonText, JsonTree};
 use drmap_service::pool::DsePool;
 use drmap_service::proto::{capabilities, Request, Response, StatsReport, PROTOCOL_VERSION};
 use drmap_service::server::handle_request;
@@ -31,11 +33,11 @@ fn round_trip_request(request: &Request) -> Request {
     wire::decode_request(&line).expect("a well-formed request decodes")
 }
 
-/// Push a response through the wire and decode it back.
+/// Push a response through the wire, encoded as the connection writer
+/// encodes it, and decode it back.
 fn round_trip_response(response: &Response) -> Response {
     let mut bytes = Vec::new();
-    let line = response.to_json().render();
-    wire::write_message(&mut bytes, &line, wire::Encoding::Text).unwrap();
+    wire::write_encoded(&mut bytes, &mut String::new(), |t| response.encode(t)).unwrap();
     wire::read_response(&mut BufReader::new(&bytes[..]))
         .unwrap()
         .expect("one message was written")
@@ -192,8 +194,98 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
     }
 }
 
+/// What the text sink writes for `response`: the bytes the connection
+/// writer sends.
+fn text(response: &Response) -> String {
+    let mut out = String::new();
+    response.encode(&mut JsonText::new(&mut out));
+    out
+}
+
+/// Names that need every kind of escape, and none.
+const NAMES: [&str; 6] = [
+    "CONV1",
+    "say \"hi\"",
+    "back\\slash",
+    "ctl\u{1}\n\t\r\u{1f}",
+    "ünï😀漢",
+    "",
+];
+
+/// Numbers at the edges of the renderer: subnormal, integral at and
+/// above 9e15 (where integers switch to `{:?}`), negative zero, NaN.
+const NUMBERS: [f64; 9] = [
+    5e-324,
+    2.225e-309,
+    9.0e15,
+    9.007_199_254_740_992e15,
+    1.8e19,
+    -0.0,
+    f64::NAN,
+    0.1 + 0.2,
+    -8_999_999_999_999_999.0,
+];
+
+/// A job result whose names and estimates come from [`NAMES`] and
+/// [`NUMBERS`] (or `x`), picked by the bits of `pick`.
+fn tricky_result(pick: u64, x: f64, layers: usize, with_points: bool) -> JobResult {
+    let mut bits = pick;
+    let mut next = |n: usize| {
+        let i = (bits % n as u64) as usize;
+        bits = bits.rotate_right(7) ^ 0x9E37_79B9_7F4A_7C15;
+        i
+    };
+    let mut number = || match next(NUMBERS.len() + 1) {
+        i if i < NUMBERS.len() => NUMBERS[i],
+        _ => x,
+    };
+    let mut estimate = || EdpEstimate {
+        cycles: number(),
+        energy: number(),
+        t_ck_ns: number(),
+    };
+    let total = estimate();
+    let layers = (0..layers)
+        .map(|l| LayerOutcome {
+            name: NAMES[(pick as usize + l) % NAMES.len()].to_owned(),
+            mapping: "Mapping-3 (DRMap)".into(),
+            scheme: NAMES[(pick as usize / 7 + l) % NAMES.len()].to_owned(),
+            tiling: Tiling::new(l + 1, 13, 16, 8),
+            estimate: estimate(),
+            evaluations: pick >> (l * 9),
+            cached: l % 2 == 0,
+            coalesced: false,
+            store_hit: l % 3 == 0,
+            pareto: if with_points {
+                vec![DesignPoint::new(NAMES[l % NAMES.len()], estimate())]
+            } else {
+                vec![]
+            },
+        })
+        .collect();
+    JobResult {
+        id: pick,
+        workload: NAMES[pick as usize % NAMES.len()].to_owned(),
+        total,
+        layers,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The connection writer's text sink and the tree `to_json` builds
+    /// render the same bytes, whatever the names and numbers.
+    #[test]
+    fn the_text_sink_equals_the_rendered_tree_on_any_job_result(
+        pick in 0_u64..u64::MAX,
+        x in -1.0e12_f64..1.0e12,
+        layers in 0_usize..4,
+        with_points in proptest::bool::ANY,
+    ) {
+        let response = Response::Job { result: tricky_result(pick, x, layers, with_points) };
+        assert_eq!(text(&response), response.to_json().render());
+    }
 
     /// Every request variant survives the wire with nothing lost: same
     /// variant, same fields.
@@ -232,6 +324,63 @@ proptest! {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The JSON layer under the codec
+// ---------------------------------------------------------------------
+
+#[test]
+fn multi_byte_characters_next_to_escapes_parse_and_render() {
+    let text = r#""é\"ü\\😀\né€\t漢""#;
+    let expected = "é\"ü\\😀\né€\t漢";
+    assert_eq!(Json::parse(text).unwrap(), Json::str(expected));
+    let rendered = Json::str(expected).render();
+    assert_eq!(rendered, r#""é\"ü\\😀\né€\t漢""#);
+    assert_eq!(Json::parse(&rendered).unwrap(), Json::str(expected));
+    // Unescaped control characters are accepted, as they always were.
+    assert_eq!(Json::parse("\"a\u{1}b\"").unwrap(), Json::str("a\u{1}b"));
+}
+
+#[test]
+fn a_one_mebibyte_string_parses_in_linear_time() {
+    // The parser once re-validated the whole rest of the input for
+    // every character: minutes for this document, even in release.
+    let body = "ab\\\"ü".repeat(1 << 18);
+    let doc = format!(r#"{{"s":"{body}","n":1}}"#);
+    assert!(doc.len() > 1 << 20);
+    let start = std::time::Instant::now();
+    let v = Json::parse(&doc).unwrap();
+    let elapsed = start.elapsed();
+    assert_eq!(
+        v.get("s").and_then(Json::as_str).map(str::len),
+        Some(5 << 18)
+    );
+    assert!(elapsed.as_secs_f64() < 2.0, "{elapsed:?}");
+}
+
+#[test]
+fn the_text_sink_writes_what_the_tree_renders() {
+    fn sample<S: JsonSink>(t: &mut S) {
+        t.object(|o| {
+            o.key("a").array(|a| {
+                a.num(1.0);
+                a.object(|_| {});
+                a.array(|_| {});
+                a.null();
+            });
+            o.key("b\n").bool(false);
+            o.key("c").object(|c| c.key("d").str("é\u{7}"));
+            o.key("e").num(f64::NAN);
+        });
+    }
+    let mut text = String::new();
+    sample(&mut JsonText::new(&mut text));
+    assert_eq!(
+        text,
+        r#"{"a":[1,{},[],null],"b\n":false,"c":{"d":"é\u0007"},"e":null}"#
+    );
+    assert_eq!(JsonTree::build(sample).render(), text);
 }
 
 // ---------------------------------------------------------------------
@@ -357,7 +506,7 @@ fn every_error_a_live_server_emits_decodes_as_a_typed_response() {
             "carries no \"type\"",
         ),
     ] {
-        wire::write_message_reusing(&mut writer, &mut Vec::new(), malformed).unwrap();
+        wire::write_message(&mut writer, malformed, wire::Encoding::Text).unwrap();
         let response = wire::read_response(&mut reader)
             .unwrap_or_else(|e| panic!("{malformed} was answered undecodably: {e}"))
             .expect("the connection stays open");

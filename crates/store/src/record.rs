@@ -38,10 +38,13 @@ pub const MAX_KEY_BYTES: usize = 64 * 1024;
 /// Cap on a record's value, defending recovery against garbage lengths.
 pub const MAX_VALUE_BYTES: usize = 256 * 1024 * 1024;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
-/// built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup tables
+/// for slicing-by-8, built at compile time. `CRC_TABLES[0]` is the
+/// classic bytewise table; `CRC_TABLES[k][b]` is the CRC register after
+/// byte `b` and then `k` zero bytes, so eight lookups advance the
+/// register over eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -54,21 +57,49 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// Advance the CRC register over `bytes`: eight bytes a step, then the
+/// tail a byte at a time.
+fn crc_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+    }
+    crc
+}
 
 /// CRC-32 (IEEE) over a sequence of byte chunks, as if concatenated.
 pub fn crc32(chunks: &[&[u8]]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for chunk in chunks {
-        for &byte in *chunk {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
-        }
-    }
-    !crc
+    !chunks
+        .iter()
+        .fold(0xFFFF_FFFF, |crc, chunk| crc_update(crc, chunk))
 }
 
 /// The file header bytes (magic + version).
@@ -229,6 +260,51 @@ mod tests {
         assert_eq!(crc32(&[b"", b""]), 0);
         // Chunking must not change the digest.
         assert_eq!(crc32(&[b"1234", b"56789"]), crc32(&[b"123456789"]));
+    }
+
+    /// The byte-at-a-time loop the sliced one replaced: the oracle.
+    fn crc32_bytewise(chunks: &[&[u8]]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for chunk in chunks {
+            for &byte in *chunk {
+                crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        // xorshift64: deterministic bytes and split points.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let data: Vec<u8> = (0..108).map(|_| next() as u8).collect();
+        for len in 0..=100 {
+            for align in 0..8 {
+                let bytes = &data[align..align + len];
+                assert_eq!(
+                    crc32(&[bytes]),
+                    crc32_bytewise(&[bytes]),
+                    "{len} B at +{align}"
+                );
+            }
+            let whole = &data[..len];
+            for _ in 0..16 {
+                let a = next() as usize % (len + 1);
+                let b = a + next() as usize % (len - a + 1);
+                let (x, y, z) = (&whole[..a], &whole[a..b], &whole[b..]);
+                assert_eq!(
+                    crc32(&[x, y, z]),
+                    crc32_bytewise(&[whole]),
+                    "{len} B at {a}/{b}"
+                );
+            }
+        }
     }
 
     #[test]
