@@ -1,6 +1,7 @@
 //! Seeded drift: `metrics` is advertised by the `metrics` capability
-//! but `capabilities()` below does not list it, and
-//! `docs/PROTOCOL.md` documents neither it nor `frobnicate`.
+//! but `capabilities()` below does not list it,
+//! `docs/PROTOCOL.md` documents neither it nor `frobnicate`, and the
+//! `explain` job option has no row in the doc's options table.
 
 /// The protocol surface, with drift seeded in.
 pub enum Request {
@@ -27,6 +28,9 @@ wire_messages! { requests Request, "request";
     "frobnicate" [Some("jobs")]    Frobnicate { intensity } => { req intensity }
     "metrics"    [Some("metrics")] Metrics { id }           => { opt id }
 }
+
+/// proto-doc-drift: `cache` is documented, `explain` is not.
+wire_object! { "options" JobOptions => { skip cache, skip explain as "explain" } validate }
 
 /// The advertised capability list — `metrics` is missing, and
 /// `sideband` is advertised but never documented.

@@ -1,13 +1,15 @@
-//! `proto-doc-drift`: the request table, the `hello` capability
-//! list, and `docs/PROTOCOL.md` must agree.
+//! `proto-doc-drift`: the request table, the job-options table, the
+//! `hello` capability list, and `docs/PROTOCOL.md` must agree.
 //!
-//! Three artifacts describe the protocol surface: the request rows of
+//! Four artifacts describe the protocol surface: the request rows of
 //! `wire_messages! { requests Request, … }` in
 //! `crates/service/src/proto.rs` (the one place a verb, the capability
-//! that advertises it, and its wire fields are declared), the string
-//! list returned by `capabilities()` (what `hello` advertises), and
-//! `docs/PROTOCOL.md` (what operators read). This lint parses the
-//! first two out of the token stream and cross-checks all three:
+//! that advertises it, and its wire fields are declared), the rows of
+//! `wire_object! { "options" JobOptions … }` in the same file (the
+//! per-job options), the string list returned by `capabilities()`
+//! (what `hello` advertises), and `docs/PROTOCOL.md` (what operators
+//! read). This lint parses the first three out of the token stream and
+//! cross-checks them against the doc:
 //!
 //! 1. a row's capability (`[Some("…")]` beside the verb; `[None]`
 //!    marks a baseline verb every server speaks) must actually be in
@@ -16,10 +18,14 @@
 //!    `Request` variant has a row;
 //! 2. the row's verb must appear (backticked) in `docs/PROTOCOL.md`;
 //! 3. every capability string must itself be documented in
-//!    `docs/PROTOCOL.md`.
+//!    `docs/PROTOCOL.md`;
+//! 4. every option's wire name must head a row of the doc's options
+//!    table (the first table after "The `options` object"), and every
+//!    row there must name an option.
 
 use crate::diag::{Diagnostic, Lint};
 use crate::engine::Workspace;
+use crate::lexer::Tok;
 use crate::lexer::TokKind::{Ident, Punct, Str};
 use crate::lints::seq_at;
 
@@ -99,6 +105,7 @@ pub fn run(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
         return;
     }
     let doc = doc.unwrap_or_default();
+    check_options(&option_rows(toks), doc, diags);
     for (cap, line) in &caps {
         if !doc.contains(&format!("`{cap}`")) {
             diags.push(Diagnostic {
@@ -115,7 +122,7 @@ pub fn run(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
 
 /// Every `"verb" [capability] Variant …` row of the
 /// `wire_messages! { requests Request, "request"; … }` table.
-fn request_rows(toks: &[crate::lexer::Tok]) -> Vec<Row> {
+fn request_rows(toks: &[Tok]) -> Vec<Row> {
     let mut out = Vec::new();
     let start = (0..toks.len()).find(|&i| {
         seq_at(
@@ -174,7 +181,7 @@ fn request_rows(toks: &[crate::lexer::Tok]) -> Vec<Row> {
 }
 
 /// Every string literal inside `pub fn capabilities(…) { … }`.
-fn capability_strings(toks: &[crate::lexer::Tok]) -> Vec<(String, u32)> {
+fn capability_strings(toks: &[Tok]) -> Vec<(String, u32)> {
     let mut out = Vec::new();
     let Some(start) =
         (0..toks.len()).find(|&i| seq_at(toks, i, &[(Ident, "fn"), (Ident, "capabilities")]))
@@ -200,4 +207,109 @@ fn capability_strings(toks: &[crate::lexer::Tok]) -> Vec<(String, u32)> {
         }
     }
     out
+}
+
+/// Rule 4: the option rows and the doc's options table name the same
+/// options.
+fn check_options(rows: &[(String, u32)], doc: &str, diags: &mut Vec<Diagnostic>) {
+    let mut drift = |line: u32, message: String| {
+        diags.push(Diagnostic {
+            lint: Lint::ProtoDocDrift,
+            file: PROTO.to_owned(),
+            line,
+            message,
+        });
+    };
+    if rows.is_empty() {
+        drift(
+            1,
+            "could not find any rows of the `wire_object! { \"options\" JobOptions … }` table \
+             to check"
+                .to_owned(),
+        );
+    }
+    let Some(documented) = documented_options(doc) else {
+        drift(
+            1,
+            format!("{DOC} has no options table after \"The `options` object\""),
+        );
+        return;
+    };
+    for (name, line) in rows {
+        if !documented.contains(name) {
+            drift(
+                *line,
+                format!("job option `{name}` has no row in {DOC}'s options table"),
+            );
+        }
+    }
+    for name in documented {
+        if !rows.iter().any(|(row, _)| *row == name) {
+            drift(
+                1,
+                format!(
+                    "{DOC}'s options table documents `{name}`, which JobOptions has no row for"
+                ),
+            );
+        }
+    }
+}
+
+/// The wire name of every row of `wire_object! { "options" JobOptions
+/// => { mode field [as "name"], … } }`, with its line.
+fn option_rows(toks: &[Tok]) -> Vec<(String, u32)> {
+    let header = [
+        (Ident, "wire_object"),
+        (Punct, "!"),
+        (Punct, "{"),
+        (Str, "options"),
+        (Ident, "JobOptions"),
+    ];
+    let mut out = Vec::new();
+    let Some(start) = (0..toks.len()).find(|&i| seq_at(toks, i, &header)) else {
+        return out;
+    };
+    // The rows are the comma-separated runs inside the first `{ … }`
+    // after the type name.
+    let mut depth = 0usize;
+    let mut row: Vec<&Tok> = Vec::new();
+    for t in &toks[start + header.len()..] {
+        match (t.kind, t.text.as_str()) {
+            (Punct, "{") => depth += 1,
+            (Punct, "," | "}") if depth == 1 => {
+                let name = row.iter().find(|t| t.kind == Str).or(row.get(1));
+                if let Some(name) = name {
+                    out.push((name.text.clone(), name.line));
+                }
+                row.clear();
+                if t.text == "}" {
+                    break;
+                }
+            }
+            _ if depth == 1 => row.push(t),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The first-column names of the doc's options table, backticks
+/// stripped; `None` when there is no such table.
+fn documented_options(doc: &str) -> Option<Vec<String>> {
+    let after = &doc[doc.find("The `options` object")?..];
+    let table: Vec<&str> = after
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    if table.len() < 2 {
+        return None;
+    }
+    // Skip the header and the `|---|` separator.
+    let names = table[2..]
+        .iter()
+        .filter_map(|row| row.split('|').nth(1))
+        .map(|cell| cell.trim().trim_matches('`').to_owned())
+        .collect();
+    Some(names)
 }

@@ -108,6 +108,36 @@ fn seeded_tree_trips_every_lint() {
     }
 }
 
+/// `proto-doc-drift` reads the job-options rows (under their wire
+/// names) against PROTOCOL.md's options table, both ways.
+#[test]
+fn job_options_and_their_doc_table_must_agree() {
+    let proto = r#"
+wire_messages! { requests Request, "request"; "hello" [None] Hello { version } => { req version } }
+pub fn capabilities() -> Vec<String> { vec![] }
+wire_object! { "options" JobOptions => { skip cache, skip keep_points as "keep", skip explain } }
+"#;
+    let doc = "Speaks `hello`.\n\nThe `options` object:\n\n| field | effect |\n|---|---|\n\
+               | `cache` | a |\n| `keep` | b |\n| `deadline_ms` | c |\n";
+    let ws = Workspace::from_sources(&[
+        ("crates/service/src/proto.rs", proto),
+        ("docs/PROTOCOL.md", doc),
+    ]);
+    let drift: Vec<String> = engine::run_all(&ws)
+        .into_iter()
+        .filter(|d| d.lint == Lint::ProtoDocDrift)
+        .map(|d| d.message)
+        .collect();
+    assert_eq!(
+        drift,
+        [
+            "docs/PROTOCOL.md's options table documents `deadline_ms`, which JobOptions has no \
+             row for",
+            "job option `explain` has no row in docs/PROTOCOL.md's options table",
+        ]
+    );
+}
+
 /// The real workspace must lint clean — the same gate CI applies via
 /// `drmap-check --deny-all`, run here so `cargo test` alone catches a
 /// violation introduced alongside a code change.

@@ -25,13 +25,15 @@ use crate::error::ConfigError;
 /// assert!(!DramArch::Ddr3.exploits_subarrays());
 /// assert_eq!(DramArch::ALL.len(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DramArch {
     /// Commodity DDR3: one row buffer per bank; subarrays invisible.
     Ddr3,
     /// SALP-1: overlaps precharge of one subarray with activation of another.
     Salp1,
-    /// SALP-2: SALP-1 plus write-recovery overlap across subarrays.
+    /// SALP-2: SALP-1 plus write-recovery overlap across subarrays (the
+    /// default).
+    #[default]
     Salp2,
     /// SALP-MASA: multiple subarrays activated simultaneously.
     SalpMasa,

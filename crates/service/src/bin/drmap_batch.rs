@@ -66,6 +66,7 @@ use drmap_service::error::ServiceError;
 use drmap_service::json::Json;
 use drmap_service::pool::DsePool;
 use drmap_service::prelude::Network;
+use drmap_service::proto::Label;
 use drmap_service::spec::{EngineSpec, JobResult, JobSpec};
 
 struct Args {
@@ -110,20 +111,8 @@ fn parse_args() -> Result<Args, String> {
                     .filter(|s| !s.is_empty())
                     .collect();
             }
-            "--arch" => {
-                let label = value("--arch")?;
-                let engine_json = Json::obj([("arch", Json::str(label))]);
-                args.engine.arch = EngineSpec::from_json(&engine_json)
-                    .map_err(|e| e.to_string())?
-                    .arch;
-            }
-            "--objective" => {
-                let label = value("--objective")?;
-                let engine_json = Json::obj([("objective", Json::str(label))]);
-                args.engine.objective = EngineSpec::from_json(&engine_json)
-                    .map_err(|e| e.to_string())?
-                    .objective;
-            }
+            "--arch" => args.engine.arch = label(&value("--arch")?)?,
+            "--objective" => args.engine.objective = label(&value("--objective")?)?,
             "--workers" => {
                 args.workers = positive("--workers", &value("--workers")?)?;
                 local_only.push("--workers");
@@ -205,6 +194,12 @@ fn parse_args() -> Result<Args, String> {
         ));
     }
     Ok(args)
+}
+
+/// An `--arch`/`--objective` value, read as the job codec reads the
+/// wire label.
+fn label<T: Label>(value: &str) -> Result<T, String> {
+    T::parse_label(value).map_err(|e| ServiceError::protocol(e).to_string())
 }
 
 fn bound_label(b: Option<usize>) -> String {

@@ -27,8 +27,9 @@
 //! Every message — request or response — is a JSON object whose
 //! `"type"` field names its verb. A message without one is answered
 //! with a typed error (`{"type":"error", …}`); nothing else is spoken
-//! on the wire. Each message's shape is declared **once**, as a field
-//! table (see "The codec" below): [`Request::encode`],
+//! on the wire. Each message's shape, and each object it carries — the
+//! job spec and the job result included — is declared **once**, as a
+//! field table (see "The codec" below): [`Request::encode`],
 //! [`Request::decode`], [`Response::encode`], [`Response::decode`] and
 //! the `id` accessors are all generated from the same rows, so a field
 //! cannot be written under one name and read under another.
@@ -40,13 +41,20 @@
 //!
 //! See `docs/PROTOCOL.md` for the full verb-by-verb reference.
 
+use drmap_cnn::layer::{Layer, LayerKind};
+use drmap_cnn::network::Network;
+use drmap_core::dse::Objective;
+use drmap_core::edp::EdpEstimate;
+use drmap_core::pareto::DesignPoint;
+use drmap_core::tiling::Tiling;
+use drmap_dram::timing::DramArch;
 use drmap_store::store::{CompactReport, StoreStats};
 use drmap_telemetry::{HistogramSnapshot, MetricsSnapshot, SlowEntry};
 
 use crate::cache::CacheStats;
 use crate::error::ServiceError;
 use crate::json::{Json, JsonSink, JsonTree};
-use crate::spec::{JobResult, JobSpec};
+use crate::spec::{CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome, Workload};
 
 /// The protocol version this build speaks. See the module docs for
 /// when it bumps.
@@ -414,16 +422,25 @@ pub struct DecodeError {
 //   req   required field
 //   opt   `Option` field, left out when `None`
 //   null  `Option` field, rendered as `null` when `None`
+//   def   always written; absent reads as the default, while a present
+//         value — `null` included — must decode
+//   skip  left out when equal to the default; read as `def` reads
 //   flat  nested object whose members are spliced into this one
 //   map   name/value pairs rendered as one `{name: value}` object
 //   out   write-only field computed from the others: `out "name" = expr`
 //
-// Field order in a table is field order on the wire.
+// Field order in a table is field order on the wire. A nested object
+// must be an object; range rules no row can state live in one
+// `validate` per type. Labels (`"SALP-2"`, `"refresh"`) are
+// `wire_labels!` rows. Two shapes are not rows, and keep one
+// hand-written `Wire` impl each below: a job's `Workload` (a `network`
+// or a `layer`, a network by zoo name, text spec or layer list) and a
+// `Layer` (its kind decides which dimensions it reads).
 
 /// A value with exactly one JSON form. Decode failures are plain
-/// messages; [`Request::decode`] and [`Response::decode`] wrap them in
-/// their error types.
-trait Wire: Sized {
+/// messages; [`Request::decode`], [`Response::decode`] and
+/// [`JobSpec::from_json`] wrap them in their error types.
+pub(crate) trait Wire: Sized {
     fn encode<S: JsonSink>(&self, out: &mut S);
     fn from_json(v: &Json) -> Result<Self, String>;
 }
@@ -460,6 +477,52 @@ wire_scalars! {
     String: "a string", |s, out| out.str(s), |v: &Json| v.as_str().map(str::to_owned);
 }
 
+/// An enum that travels as one label of a fixed set.
+pub trait Label: Sized {
+    /// The value `label` names.
+    ///
+    /// # Errors
+    ///
+    /// An unknown label; the message lists the expected ones.
+    fn parse_label(label: &str) -> Result<Self, String>;
+}
+
+/// Declare each label enum's wire form: every value, its label, how a
+/// received label is compared, and the error for an unknown one.
+macro_rules! wire_labels {
+    ($($Ty:ty: $all:expr, $label:expr, $eq:expr, $unknown:literal;)*) => {$(
+        impl Label for $Ty {
+            fn parse_label(label: &str) -> Result<Self, String> {
+                let eq: fn(&str, &str) -> bool = $eq;
+                $all.into_iter()
+                    .find(|&value| eq(($label)(value), label))
+                    .ok_or_else(|| format!($unknown, label))
+            }
+        }
+
+        impl Wire for $Ty {
+            fn encode<S: JsonSink>(&self, out: &mut S) {
+                out.str(($label)(*self));
+            }
+            fn from_json(v: &Json) -> Result<Self, String> {
+                Self::parse_label(v.as_str().ok_or("expected a string")?)
+            }
+        }
+    )*};
+}
+
+wire_labels! {
+    CacheMode: CacheMode::ALL, CacheMode::label, str::eq,
+        "unknown cache mode {:?} (expected default/bypass/refresh)";
+    DramArch: DramArch::ALL, DramArch::label, str::eq_ignore_ascii_case,
+        "unknown arch {:?} (expected one of DDR3/SALP-1/SALP-2/SALP-MASA)";
+    Objective: Objective::ALL, Objective::label, str::eq_ignore_ascii_case,
+        "unknown objective {:?} (expected edp/energy/delay/ed2p)";
+    LayerKind: [LayerKind::Conv, LayerKind::FullyConnected],
+        |kind| match kind { LayerKind::Conv => "conv", LayerKind::FullyConnected => "fc" },
+        str::eq, "unknown layer kind {:?} (expected conv/fc)";
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode<S: JsonSink>(&self, out: &mut S) {
         out.array(|a| self.iter().for_each(|item| item.encode(a)));
@@ -486,29 +549,17 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
-// Job specs and results keep their own codec in `crate::spec` (the
-// spec form doubles as `drmap-batch`'s NDJSON job-file format).
-impl Wire for JobSpec {
+/// An `Option` under a `skip` row travels as its value: `None` is the
+/// default, so it is never written, and `null` does not read as it.
+impl<T: Wire> Wire for Option<T> {
     fn encode<S: JsonSink>(&self, out: &mut S) {
-        JobSpec::encode(self, out);
+        match self {
+            Some(value) => value.encode(out),
+            None => out.null(),
+        }
     }
     fn from_json(v: &Json) -> Result<Self, String> {
-        JobSpec::from_json(v).map_err(|e| e.to_string())
-    }
-}
-
-impl Members for JobSpec {
-    fn members<S: JsonSink>(&self, out: &mut S) {
-        JobSpec::members(self, out);
-    }
-}
-
-impl Wire for JobResult {
-    fn encode<S: JsonSink>(&self, out: &mut S) {
-        JobResult::encode(self, out);
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        JobResult::from_json(v).map_err(|e| e.to_string())
+        T::from_json(v).map(Some)
     }
 }
 
@@ -534,6 +585,16 @@ impl<S: JsonSink> Writer<'_, S> {
         }
     }
 
+    fn def<T: Wire>(&mut self, name: &str, value: &T) {
+        self.req(name, value);
+    }
+
+    fn skip<T: Wire + Default + PartialEq>(&mut self, name: &str, value: &T) {
+        if *value != T::default() {
+            self.req(name, value);
+        }
+    }
+
     fn flat<T: Members>(&mut self, _name: &str, value: &T) {
         value.members(self.0);
     }
@@ -552,7 +613,15 @@ struct Reader<'a> {
     what: &'a str,
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
+    /// A reader over `v`, which must be an object.
+    fn object(v: &'a Json, what: &'a str) -> Result<Self, String> {
+        match v {
+            Json::Obj(_) => Ok(Reader { v, what }),
+            _ => Err("expected an object".to_owned()),
+        }
+    }
+
     fn req<T: Wire>(&self, name: &str) -> Result<T, String> {
         self.opt(name)?
             .ok_or_else(|| format!("{} missing {name:?}", self.what))
@@ -562,15 +631,31 @@ impl Reader<'_> {
     /// whichever of the two the writer's mode produces.
     fn opt<T: Wire>(&self, name: &str) -> Result<Option<T>, String> {
         match self.v.get(name) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => T::from_json(v)
-                .map(Some)
-                .map_err(|e| format!("{name:?}: {e}")),
+            Some(Json::Null) => Ok(None),
+            field => Self::decode(name, field),
         }
     }
 
     fn null<T: Wire>(&self, name: &str) -> Result<Option<T>, String> {
         self.opt(name)
+    }
+
+    fn def<T: Wire + Default>(&self, name: &str) -> Result<T, String> {
+        Ok(self.present(name)?.unwrap_or_default())
+    }
+
+    fn skip<T: Wire + Default>(&self, name: &str) -> Result<T, String> {
+        self.def(name)
+    }
+
+    /// The field decoded if present — `null` included — else `None`.
+    fn present<T: Wire>(&self, name: &str) -> Result<Option<T>, String> {
+        Self::decode(name, self.v.get(name))
+    }
+
+    fn decode<T: Wire>(name: &str, field: Option<&Json>) -> Result<Option<T>, String> {
+        let decode = |v| T::from_json(v).map_err(|e| format!("{name:?}: {e}"));
+        field.map(decode).transpose()
     }
 
     fn flat<T: Wire>(&self, _name: &str) -> Result<T, String> {
@@ -634,14 +719,19 @@ macro_rules! id_of {
 /// literal that both destructures a value (write) and rebuilds it from
 /// the fields read (read); the short form derives it from the rows,
 /// the long form spells it out — for nested destructuring — and names
-/// the value so `out` rows can call its methods.
+/// the value so `out` rows can call its methods. A trailing `validate`
+/// checks the decoded value with the type's `validate(&self, &Json)`.
 macro_rules! wire_object {
-    ($what:literal $Ty:ident => { $($mode:ident $field:ident),* $(,)? }) => {
-        wire_object!(_this: $what $Ty { $($field),* } => { $($mode $field),* });
+    ($what:literal $Ty:ident => {
+        $($mode:ident $field:ident $(as $name:literal)?),* $(,)?
+    } $($validate:ident)?) => {
+        wire_object!(_this: $what $Ty { $($field),* } => {
+            $($mode $field $(as $name)?),*
+        } $($validate)?);
     };
     ($this:ident: $what:literal $Ty:ident $shape:tt => {
         $($mode:ident $field:tt $(as $name:literal)? $(= $value:expr)?),* $(,)?
-    }) => {
+    } $($validate:ident)?) => {
         impl Members for $Ty {
             fn members<S: JsonSink>(&self, out: &mut S) {
                 let $this = self;
@@ -656,9 +746,11 @@ macro_rules! wire_object {
                 out.object(|o| self.members(o));
             }
             fn from_json(v: &Json) -> Result<Self, String> {
-                let r = Reader { v, what: $what };
+                let r = Reader::object(v, $what)?;
                 $( get!(r, $mode $field $(as $name)? $(= $value)?); )*
-                Ok($Ty $shape)
+                let value = $Ty $shape;
+                $( value.$validate(v)?; )?
+                Ok(value)
             }
         }
     };
@@ -787,6 +879,148 @@ wire_object! { "slow entry" SlowEntry => { req trace_id, req total_ns, req stage
 wire_object! { "metrics" MetricsSnapshot => { map counters, map gauges, map histograms }}
 
 wire_object! { "metrics" MetricsReport => { flat snapshot, req slow }}
+
+// ---------------------------------------------------------------------
+// Jobs: the spec a client submits, the result it gets back
+// ---------------------------------------------------------------------
+
+wire_object! { "engine" EngineSpec => { def arch, def objective }}
+
+wire_object! { "options" JobOptions => {
+    skip cache, skip keep_points, skip deadline_ms,
+} validate }
+
+impl JobOptions {
+    /// The rules the option rows cannot state.
+    fn validate(&self, v: &Json) -> Result<(), String> {
+        if self.deadline_ms == Some(0) {
+            return Err("\"deadline_ms\" must be a positive integer".to_owned());
+        }
+        // Retired, and unlike an ignorable hint it changed the answer:
+        // a slice request must not be served a whole-layer result.
+        if v.get("tiling_range").is_some() {
+            return Err(
+                "the \"tiling_range\" option was removed: a layer is always swept whole".to_owned(),
+            );
+        }
+        Ok(())
+    }
+}
+
+wire_object! { "job" JobSpec => { def id, def engine, flat workload, skip options }}
+
+impl Members for Workload {
+    fn members<S: JsonSink>(&self, out: &mut S) {
+        match self {
+            Workload::Network(n) => {
+                // Prefer the compact zoo reference when the network is a
+                // preset; otherwise ship the full layer list.
+                let zoo_name = Network::zoo()
+                    .into_iter()
+                    .find(|(_, build)| &build() == n)
+                    .map(|(name, _)| name);
+                out.key("network").object(|o| match zoo_name {
+                    Some(name) => o.key("model").str(name),
+                    None => {
+                        o.key("name").str(n.name());
+                        o.key("layers")
+                            .array(|a| n.layers().iter().for_each(|l| l.encode(a)));
+                    }
+                });
+            }
+            Workload::Layer(l) => l.encode(out.key("layer")),
+        }
+    }
+}
+
+/// Read from the job object itself (`flat`): exactly one of `network`
+/// and `layer`; a network is its zoo `model`, else its `spec` text,
+/// else its `layers` under its `name` (`"custom"` when unnamed).
+impl Wire for Workload {
+    fn encode<S: JsonSink>(&self, out: &mut S) {
+        out.object(|o| self.members(o));
+    }
+    fn from_json(job: &Json) -> Result<Self, String> {
+        let v = match (job.get("network"), job.get("layer")) {
+            (Some(v), None) => v,
+            (None, Some(layer)) => return Layer::from_json(layer).map(Workload::Layer),
+            (Some(_), Some(_)) => return Err("job has both \"network\" and \"layer\"".to_owned()),
+            (None, None) => return Err("job needs a \"network\" or \"layer\" workload".to_owned()),
+        };
+        let r = Reader::object(v, "network")?;
+        let network = if let Some(model) = r.opt::<String>("model")? {
+            Network::by_name(&model).ok_or_else(|| {
+                let known: Vec<&str> = Network::zoo().into_iter().map(|(n, _)| n).collect();
+                format!("unknown model {model:?} (known: {})", known.join(", "))
+            })?
+        } else if let Some(text) = r.opt::<String>("spec")? {
+            drmap_cnn::spec::parse_network(&text).map_err(|e| e.to_string())?
+        } else {
+            let layers = r
+                .opt("layers")?
+                .ok_or("network needs \"model\", \"spec\", or \"layers\"")?;
+            let name = r.opt::<String>("name")?;
+            Network::new(name.as_deref().unwrap_or("custom"), layers).map_err(|e| e.to_string())?
+        };
+        Ok(Workload::Network(network))
+    }
+}
+
+/// Every dimension is written; an `fc` layer reads only `i` and `j`, a
+/// `conv` layer (the default kind) six more, with `stride` and `groups`
+/// defaulting to 1.
+impl Wire for Layer {
+    fn encode<S: JsonSink>(&self, out: &mut S) {
+        out.object(|o| {
+            let mut w = Writer(o);
+            w.req("name", &self.name);
+            w.req("kind", &self.kind);
+            for (key, n) in [
+                ("h", self.h),
+                ("w", self.w),
+                ("j", self.j),
+                ("i", self.i),
+                ("p", self.p),
+                ("q", self.q),
+                ("stride", self.stride),
+                ("groups", self.groups),
+            ] {
+                w.req(key, &n);
+            }
+        });
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let r = Reader::object(v, "layer")?;
+        let name: String = r.req("name")?;
+        let layer = match r.opt("kind")?.unwrap_or(LayerKind::Conv) {
+            LayerKind::FullyConnected => Layer::fully_connected(&name, r.req("i")?, r.req("j")?),
+            LayerKind::Conv => {
+                let [h, w, j, i, p, q] = ["h", "w", "j", "i", "p", "q"].map(|dim| r.req(dim));
+                let stride = r.present("stride")?.unwrap_or(1);
+                let mut layer = Layer::conv(&name, h?, w?, j?, i?, p?, q?, stride);
+                layer.groups = r.present("groups")?.unwrap_or(1);
+                layer
+            }
+        };
+        layer.validate().map_err(|e| e.to_string())?;
+        Ok(layer)
+    }
+}
+
+wire_object! { e: "estimate" EdpEstimate { cycles, energy, t_ck_ns } => {
+    req cycles, req energy, req t_ck_ns, out "edp" = e.edp(),
+}}
+
+wire_object! { "tiling" Tiling => { req th, req tw, req tj, req ti }}
+
+wire_object! { "pareto point" DesignPoint => { req label, req estimate }}
+
+wire_object! { "layer outcome" LayerOutcome => {
+    req name, req mapping, req scheme, req tiling, req estimate, def evaluations, def cached,
+    def coalesced, def store_hit as "store", skip pareto,
+}}
+
+wire_object! { "result" JobResult => { def id, def workload, req total, req layers }}
 
 // ---------------------------------------------------------------------
 // Messages
@@ -1249,6 +1483,61 @@ mod tests {
             Request::decode(&Json::parse(r#"{"type":"reboot","id":6}"#).unwrap()).unwrap_err();
         assert_eq!(err.message, "unknown request type \"reboot\"");
         assert!(Response::decode(&Json::parse(r#"{"ok":true,"pong":true}"#).unwrap()).is_err());
+    }
+
+    /// The value of object `v`'s member `key`.
+    fn member<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(members) = v else {
+            panic!("not an object: {v}")
+        };
+        &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    #[test]
+    fn job_results_read_absent_fields_as_defaults_but_never_mistyped_ones() {
+        let golden = GOLDEN
+            .lines()
+            .find(|l| l.contains(r#""type":"job""#))
+            .unwrap();
+        // (a layer outcome's field or the result's own, a mistyped value)
+        let cases = [
+            (false, "id", Json::str("21")),
+            (false, "id", Json::Null),
+            (false, "workload", Json::num_u64(5)),
+            (true, "evaluations", Json::str("x")),
+            (true, "cached", Json::num_u64(1)),
+            (true, "coalesced", Json::str("true")),
+            (true, "store", Json::Null),
+            (true, "pareto", Json::str("x")),
+            (true, "pareto", Json::obj([])),
+        ];
+        for (in_layer, field, bad) in cases {
+            for value in [Some(bad.clone()), None] {
+                let mut line = Json::parse(golden).unwrap();
+                let mut target = member(&mut line, "result");
+                if in_layer {
+                    let Json::Arr(layers) = member(target, "layers") else {
+                        panic!("layers are an array")
+                    };
+                    target = &mut layers[1];
+                }
+                let Json::Obj(members) = target else {
+                    panic!("{field}'s object")
+                };
+                members.retain(|(k, _)| k != field);
+                match value {
+                    Some(value) => {
+                        members.push((field.to_owned(), value));
+                        let err = Response::decode(&line).unwrap_err().to_string();
+                        assert!(err.contains(&format!("{field:?}")), "{field}={bad}: {err}");
+                    }
+                    None => {
+                        let decoded = Response::decode(&line);
+                        assert!(decoded.is_ok(), "without {field}: {decoded:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Typed job requests and results, with their JSON wire representation.
+//! Typed job requests and results.
 //!
 //! A [`JobSpec`] names a workload (a zoo network, an inline layer list, a
 //! `drmap-cnn` text spec, or a single layer) and the engine to explore it
@@ -7,8 +7,12 @@
 //! accumulated totals — bit-identical to what a direct
 //! [`DseEngine::explore_network`](drmap_core::dse::DseEngine::explore_network)
 //! call returns, whether the layers were computed or served from cache.
+//!
+//! Their JSON form is declared with every other wire shape, as field
+//! tables in [`crate::proto`]; the spec form without `"type"` doubles as
+//! `drmap-batch`'s NDJSON job-file line, read by [`JobSpec::from_json`].
 
-use drmap_cnn::layer::{Layer, LayerKind};
+use drmap_cnn::layer::Layer;
 use drmap_cnn::network::Network;
 use drmap_core::dse::Objective;
 use drmap_core::edp::EdpEstimate;
@@ -17,7 +21,8 @@ use drmap_core::tiling::Tiling;
 use drmap_dram::timing::DramArch;
 
 use crate::error::ServiceError;
-use crate::json::{Json, JsonSink};
+use crate::json::Json;
+use crate::proto::Wire;
 
 /// How a job interacts with the shared layer memo cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,6 +42,9 @@ pub enum CacheMode {
 }
 
 impl CacheMode {
+    /// Every mode.
+    pub const ALL: [CacheMode; 3] = [CacheMode::Default, CacheMode::Bypass, CacheMode::Refresh];
+
     /// Stable wire label.
     pub fn label(self) -> &'static str {
         match self {
@@ -45,22 +53,14 @@ impl CacheMode {
             CacheMode::Refresh => "refresh",
         }
     }
-
-    /// Parse a [`CacheMode::label`] string.
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "default" => Some(CacheMode::Default),
-            "bypass" => Some(CacheMode::Bypass),
-            "refresh" => Some(CacheMode::Refresh),
-            _ => None,
-        }
-    }
 }
 
 /// Per-job execution options, carried in a job request's `options`
 /// object. Everything defaults to the pre-options behavior, and the
 /// wire representation omits default fields — a job with default
-/// options serializes byte-identically to a pre-options job.
+/// options serializes byte-identically to a pre-options job. A field
+/// that is *present* must be well-formed: a malformed cache mode must
+/// not silently run with the default and pollute the cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobOptions {
     /// How this job's layers interact with the memo cache.
@@ -76,79 +76,16 @@ pub struct JobOptions {
     pub deadline_ms: Option<u64>,
 }
 
-impl JobOptions {
-    /// Write the non-default fields (default options leave the whole
-    /// object out, byte-identical to a pre-options job).
-    fn members<S: JsonSink>(&self, out: &mut S) {
-        if self.cache != CacheMode::Default {
-            out.key("cache").str(self.cache.label());
-        }
-        if self.keep_points {
-            out.key("keep_points").bool(true);
-        }
-        if let Some(deadline) = self.deadline_ms {
-            out.key("deadline_ms").num(deadline as f64);
-        }
-    }
-
-    /// Parse the wire representation. Every field is optional; a field
-    /// that is *present* must be well-formed (a malformed cache mode
-    /// must not silently run with the default and pollute the cache).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::Protocol`] for mistyped fields or
-    /// unknown cache-mode labels.
-    pub fn from_json(v: &Json) -> Result<Self, ServiceError> {
-        let mut options = JobOptions::default();
-        if let Some(field) = v.get("cache") {
-            let label = field
-                .as_str()
-                .ok_or_else(|| ServiceError::protocol("\"cache\" must be a string"))?;
-            options.cache = CacheMode::from_label(label).ok_or_else(|| {
-                ServiceError::protocol(format!(
-                    "unknown cache mode {label:?} (expected default/bypass/refresh)"
-                ))
-            })?;
-        }
-        if let Some(field) = v.get("keep_points") {
-            options.keep_points = field
-                .as_bool()
-                .ok_or_else(|| ServiceError::protocol("\"keep_points\" must be a boolean"))?;
-        }
-        if let Some(field) = v.get("deadline_ms") {
-            let deadline = field.as_u64().filter(|&n| n > 0).ok_or_else(|| {
-                ServiceError::protocol("\"deadline_ms\" must be a positive integer")
-            })?;
-            options.deadline_ms = Some(deadline);
-        }
-        // Retired, and unlike an ignorable hint it changed the answer:
-        // a slice request must not be served a whole-layer result.
-        if v.get("tiling_range").is_some() {
-            return Err(ServiceError::protocol(
-                "the \"tiling_range\" option was removed: a layer is always swept whole",
-            ));
-        }
-        Ok(options)
-    }
-}
-
-/// Which profiled engine a job runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which profiled engine a job runs on. Both fields default (SALP-2,
+/// EDP) when absent from the wire, but a field that is *present* must
+/// be a known label — silently substituting a default for a malformed
+/// field would return results for the wrong engine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineSpec {
     /// DRAM architecture to profile against.
     pub arch: DramArch,
     /// Optimization objective (Algorithm 1 minimizes this).
     pub objective: Objective,
-}
-
-impl Default for EngineSpec {
-    fn default() -> Self {
-        EngineSpec {
-            arch: DramArch::Salp2,
-            objective: Objective::Edp,
-        }
-    }
 }
 
 impl EngineSpec {
@@ -158,52 +95,6 @@ impl EngineSpec {
             arch,
             ..EngineSpec::default()
         }
-    }
-
-    /// Write the wire representation: `{"arch":"SALP-2","objective":"edp"}`.
-    pub fn encode<S: JsonSink>(&self, out: &mut S) {
-        out.object(|o| {
-            o.key("arch").str(self.arch.label());
-            o.key("objective").str(self.objective.label());
-        });
-    }
-
-    /// Parse the wire representation; both fields are optional and
-    /// default to SALP-2 / EDP. A field that is *present* must be a
-    /// string with a known label — silently substituting a default for
-    /// a malformed field would return results for the wrong engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::Protocol`] for non-string fields or
-    /// unknown labels.
-    pub fn from_json(v: &Json) -> Result<Self, ServiceError> {
-        let mut spec = EngineSpec::default();
-        if let Some(field) = v.get("arch") {
-            let label = field
-                .as_str()
-                .ok_or_else(|| ServiceError::protocol("\"arch\" must be a string"))?;
-            spec.arch = DramArch::ALL
-                .into_iter()
-                .find(|a| a.label().eq_ignore_ascii_case(label))
-                .ok_or_else(|| {
-                    ServiceError::protocol(format!(
-                        "unknown arch {label:?} (expected one of DDR3/SALP-1/SALP-2/SALP-MASA)"
-                    ))
-                })?;
-        }
-        if let Some(field) = v.get("objective") {
-            let label = field
-                .as_str()
-                .ok_or_else(|| ServiceError::protocol("\"objective\" must be a string"))?;
-            spec.objective =
-                Objective::from_label(&label.to_ascii_lowercase()).ok_or_else(|| {
-                    ServiceError::protocol(format!(
-                        "unknown objective {label:?} (expected edp/energy/delay/ed2p)"
-                    ))
-                })?;
-        }
-        Ok(spec)
     }
 }
 
@@ -232,98 +123,6 @@ impl Workload {
             Workload::Layer(l) => std::slice::from_ref(l),
         }
     }
-}
-
-fn encode_layer<S: JsonSink>(layer: &Layer, out: &mut S) {
-    out.object(|o| {
-        o.key("name").str(&layer.name);
-        o.key("kind").str(match layer.kind {
-            LayerKind::Conv => "conv",
-            LayerKind::FullyConnected => "fc",
-        });
-        for (key, n) in [
-            ("h", layer.h),
-            ("w", layer.w),
-            ("j", layer.j),
-            ("i", layer.i),
-            ("p", layer.p),
-            ("q", layer.q),
-            ("stride", layer.stride),
-            ("groups", layer.groups),
-        ] {
-            o.key(key).num(n as f64);
-        }
-    });
-}
-
-fn dim(v: &Json, field: &str, default: Option<usize>) -> Result<usize, ServiceError> {
-    match v.get(field) {
-        Some(n) => n.as_usize().ok_or_else(|| {
-            ServiceError::protocol(format!(
-                "layer field {field:?} must be a non-negative integer"
-            ))
-        }),
-        None => default
-            .ok_or_else(|| ServiceError::protocol(format!("layer is missing field {field:?}"))),
-    }
-}
-
-fn layer_from_json(v: &Json) -> Result<Layer, ServiceError> {
-    let name = v
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ServiceError::protocol("layer is missing \"name\""))?;
-    let kind = v.get("kind").and_then(Json::as_str).unwrap_or("conv");
-    let layer = match kind {
-        "fc" => Layer::fully_connected(name, dim(v, "i", None)?, dim(v, "j", None)?),
-        "conv" => {
-            let mut layer = Layer::conv(
-                name,
-                dim(v, "h", None)?,
-                dim(v, "w", None)?,
-                dim(v, "j", None)?,
-                dim(v, "i", None)?,
-                dim(v, "p", None)?,
-                dim(v, "q", None)?,
-                dim(v, "stride", Some(1))?,
-            );
-            layer.groups = dim(v, "groups", Some(1))?;
-            layer
-        }
-        other => {
-            return Err(ServiceError::protocol(format!(
-                "unknown layer kind {other:?} (expected conv/fc)"
-            )))
-        }
-    };
-    layer.validate()?;
-    Ok(layer)
-}
-
-fn network_from_json(v: &Json) -> Result<Network, ServiceError> {
-    if let Some(model) = v.get("model").and_then(Json::as_str) {
-        return Network::by_name(model).ok_or_else(|| {
-            let known: Vec<&str> = Network::zoo().into_iter().map(|(n, _)| n).collect();
-            ServiceError::protocol(format!(
-                "unknown model {model:?} (known: {})",
-                known.join(", ")
-            ))
-        });
-    }
-    if let Some(text) = v.get("spec").and_then(Json::as_str) {
-        return Ok(drmap_cnn::spec::parse_network(text)?);
-    }
-    if let Some(layers) = v.get("layers").and_then(Json::as_array) {
-        let name = v.get("name").and_then(Json::as_str).unwrap_or("custom");
-        let layers = layers
-            .iter()
-            .map(layer_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        return Ok(Network::new(name, layers)?);
-    }
-    Err(ServiceError::protocol(
-        "network needs \"model\", \"spec\", or \"layers\"",
-    ))
 }
 
 /// One job: a workload plus the engine to run it on.
@@ -367,105 +166,17 @@ impl JobSpec {
         self
     }
 
-    /// Write the wire representation (see crate docs for the schema).
-    pub fn encode<S: JsonSink>(&self, out: &mut S) {
-        out.object(|o| self.members(o));
-    }
-
-    /// Write the members alone (`submit` splices them beside `"type"`).
-    pub(crate) fn members<S: JsonSink>(&self, out: &mut S) {
-        out.key("id").num(self.id as f64);
-        self.engine.encode(out.key("engine"));
-        match &self.workload {
-            Workload::Network(n) => {
-                // Prefer the compact zoo reference when the network is a
-                // preset; otherwise ship the full layer list.
-                let zoo_name = Network::zoo()
-                    .into_iter()
-                    .find(|(_, build)| &build() == n)
-                    .map(|(name, _)| name);
-                out.key("network").object(|o| match zoo_name {
-                    Some(name) => o.key("model").str(name),
-                    None => {
-                        o.key("name").str(n.name());
-                        o.key("layers")
-                            .array(|a| n.layers().iter().for_each(|l| encode_layer(l, a)));
-                    }
-                });
-            }
-            Workload::Layer(l) => encode_layer(l, out.key("layer")),
-        }
-        if self.options != JobOptions::default() {
-            out.key("options").object(|o| self.options.members(o));
-        }
-    }
-
-    /// Parse the wire representation.
+    /// Parse one job: a `submit` message's members, or a job-file line.
+    /// An absent `id` reads as 0, but a present one must be an integer:
+    /// it is the client's request/response correlation key.
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::Protocol`] for missing/unknown fields.
+    /// Returns [`ServiceError::Protocol`] for missing, mistyped or
+    /// unknown fields.
     pub fn from_json(v: &Json) -> Result<Self, ServiceError> {
-        // A present-but-malformed id must not silently become 0: the id
-        // is the client's request/response correlation key.
-        let id = match v.get("id") {
-            Some(field) => field
-                .as_u64()
-                .ok_or_else(|| ServiceError::protocol("\"id\" must be a non-negative integer"))?,
-            None => 0,
-        };
-        let engine = match v.get("engine") {
-            Some(e) => EngineSpec::from_json(e)?,
-            None => EngineSpec::default(),
-        };
-        let workload = match (v.get("network"), v.get("layer")) {
-            (Some(n), None) => Workload::Network(network_from_json(n)?),
-            (None, Some(l)) => Workload::Layer(layer_from_json(l)?),
-            (Some(_), Some(_)) => {
-                return Err(ServiceError::protocol(
-                    "job has both \"network\" and \"layer\"",
-                ))
-            }
-            (None, None) => {
-                return Err(ServiceError::protocol(
-                    "job needs a \"network\" or \"layer\" workload",
-                ))
-            }
-        };
-        let options = match v.get("options") {
-            Some(o) => JobOptions::from_json(o)?,
-            None => JobOptions::default(),
-        };
-        Ok(JobSpec {
-            id,
-            engine,
-            workload,
-            options,
-        })
+        <Self as Wire>::from_json(v).map_err(ServiceError::protocol)
     }
-}
-
-fn encode_estimate<S: JsonSink>(e: &EdpEstimate, out: &mut S) {
-    out.object(|o| {
-        o.key("cycles").num(e.cycles);
-        o.key("energy").num(e.energy);
-        o.key("t_ck_ns").num(e.t_ck_ns);
-        // Derived, for human readers; ignored when parsing.
-        o.key("edp").num(e.edp());
-    });
-}
-
-fn estimate_from_json(v: &Json) -> Result<EdpEstimate, ServiceError> {
-    let field = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| ServiceError::protocol(format!("estimate is missing {name:?}")))
-    };
-    Ok(EdpEstimate {
-        cycles: field("cycles")?,
-        energy: field("energy")?,
-        t_ck_ns: field("t_ck_ns")?,
-    })
 }
 
 /// The winning configuration for one layer of a job.
@@ -499,83 +210,6 @@ pub struct LayerOutcome {
     pub pareto: Vec<DesignPoint>,
 }
 
-impl LayerOutcome {
-    fn encode<S: JsonSink>(&self, out: &mut S) {
-        out.object(|o| {
-            o.key("name").str(&self.name);
-            o.key("mapping").str(&self.mapping);
-            o.key("scheme").str(&self.scheme);
-            let t = &self.tiling;
-            o.key("tiling").object(|o| {
-                for (key, n) in [("th", t.th), ("tw", t.tw), ("tj", t.tj), ("ti", t.ti)] {
-                    o.key(key).num(n as f64);
-                }
-            });
-            encode_estimate(&self.estimate, o.key("estimate"));
-            o.key("evaluations").num(self.evaluations as f64);
-            o.key("cached").bool(self.cached);
-            o.key("coalesced").bool(self.coalesced);
-            o.key("store").bool(self.store_hit);
-            if !self.pareto.is_empty() {
-                o.key("pareto").array(|a| {
-                    for p in &self.pareto {
-                        a.object(|o| {
-                            o.key("label").str(&p.label);
-                            encode_estimate(&p.estimate, o.key("estimate"));
-                        });
-                    }
-                });
-            }
-        });
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ServiceError> {
-        let text = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| ServiceError::protocol(format!("layer outcome missing {name:?}")))
-        };
-        let t = v
-            .get("tiling")
-            .ok_or_else(|| ServiceError::protocol("layer outcome missing \"tiling\""))?;
-        let step = |name: &str| {
-            t.get(name)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| ServiceError::protocol(format!("tiling missing {name:?}")))
-        };
-        Ok(LayerOutcome {
-            name: text("name")?,
-            mapping: text("mapping")?,
-            scheme: text("scheme")?,
-            tiling: Tiling::new(step("th")?, step("tw")?, step("tj")?, step("ti")?),
-            estimate: estimate_from_json(
-                v.get("estimate")
-                    .ok_or_else(|| ServiceError::protocol("layer outcome missing \"estimate\""))?,
-            )?,
-            evaluations: v.get("evaluations").and_then(Json::as_u64).unwrap_or(0),
-            cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
-            coalesced: v.get("coalesced").and_then(Json::as_bool).unwrap_or(false),
-            store_hit: v.get("store").and_then(Json::as_bool).unwrap_or(false),
-            pareto: match v.get("pareto").and_then(Json::as_array) {
-                Some(points) => points
-                    .iter()
-                    .map(|p| {
-                        let label = p.get("label").and_then(Json::as_str).ok_or_else(|| {
-                            ServiceError::protocol("pareto point missing \"label\"")
-                        })?;
-                        let estimate = estimate_from_json(p.get("estimate").ok_or_else(|| {
-                            ServiceError::protocol("pareto point missing \"estimate\"")
-                        })?)?;
-                        Ok(DesignPoint::new(label, estimate))
-                    })
-                    .collect::<Result<Vec<_>, ServiceError>>()?,
-                None => Vec::new(),
-            },
-        })
-    }
-}
-
 /// The result of one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobResult {
@@ -604,98 +238,70 @@ impl JobResult {
     pub fn store_hits(&self) -> usize {
         self.layers.iter().filter(|l| l.store_hit).count()
     }
-
-    /// Write the wire representation.
-    pub fn encode<S: JsonSink>(&self, out: &mut S) {
-        out.object(|o| {
-            o.key("id").num(self.id as f64);
-            o.key("workload").str(&self.workload);
-            encode_estimate(&self.total, o.key("total"));
-            o.key("layers")
-                .array(|a| self.layers.iter().for_each(|l| l.encode(a)));
-        });
-    }
-
-    /// Parse the wire representation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::Protocol`] for missing fields.
-    pub fn from_json(v: &Json) -> Result<Self, ServiceError> {
-        Ok(JobResult {
-            id: v.get("id").and_then(Json::as_u64).unwrap_or(0),
-            workload: v
-                .get("workload")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_owned(),
-            total: estimate_from_json(
-                v.get("total")
-                    .ok_or_else(|| ServiceError::protocol("result missing \"total\""))?,
-            )?,
-            layers: v
-                .get("layers")
-                .and_then(Json::as_array)
-                .ok_or_else(|| ServiceError::protocol("result missing \"layers\""))?
-                .iter()
-                .map(LayerOutcome::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::JsonTree;
+    use crate::proto::{Label, Request, Response};
+
+    /// A job line, read through the one spec entry point.
+    fn job(line: &str) -> Result<JobSpec, ServiceError> {
+        JobSpec::from_json(&Json::parse(line).unwrap())
+    }
+
+    /// `spec` as it travels in a `submit` message.
+    fn wire(spec: &JobSpec) -> Json {
+        Request::Submit(spec.clone()).to_json()
+    }
+
+    /// `spec` written as a `submit` message and read back as a job.
+    fn reparse(spec: &JobSpec) -> JobSpec {
+        JobSpec::from_json(&wire(spec)).unwrap()
+    }
 
     #[test]
     fn engine_spec_round_trips_every_arch_and_objective() {
         for arch in DramArch::ALL {
             for objective in Objective::ALL {
                 let spec = EngineSpec { arch, objective };
-                let parsed = EngineSpec::from_json(&JsonTree::build(|t| spec.encode(t))).unwrap();
-                assert_eq!(parsed, spec);
+                let job = JobSpec::network(1, spec, Network::tiny());
+                assert_eq!(reparse(&job).engine, spec);
             }
         }
     }
 
     #[test]
     fn engine_spec_defaults_and_rejects_unknowns() {
-        let spec = EngineSpec::from_json(&Json::obj([])).unwrap();
-        assert_eq!(spec, EngineSpec::default());
-        let bad = Json::obj([("arch", Json::str("HBM3"))]);
-        assert!(EngineSpec::from_json(&bad).is_err());
-        let bad = Json::obj([("objective", Json::str("speed"))]);
-        assert!(EngineSpec::from_json(&bad).is_err());
+        let spec = job(r#"{"engine": {}, "network": {"model": "tiny"}}"#).unwrap();
+        assert_eq!(spec.engine, EngineSpec::default());
+        let bad = r#"{"engine": {"arch": "HBM3"}, "network": {"model": "tiny"}}"#;
+        assert!(job(bad).is_err());
+        let bad = r#"{"engine": {"objective": "speed"}, "network": {"model": "tiny"}}"#;
+        assert!(job(bad).is_err());
     }
 
     #[test]
     fn present_but_mistyped_fields_are_errors_not_defaults() {
         // A numeric arch must not silently fall back to SALP-2.
-        let bad = Json::obj([("arch", Json::num_u64(5))]);
-        assert!(EngineSpec::from_json(&bad).is_err());
-        let bad = Json::obj([("objective", Json::Bool(true))]);
-        assert!(EngineSpec::from_json(&bad).is_err());
+        let bad = r#"{"engine": {"arch": 5}, "network": {"model": "tiny"}}"#;
+        assert!(job(bad).is_err());
+        let bad = r#"{"engine": {"objective": true}, "network": {"model": "tiny"}}"#;
+        assert!(job(bad).is_err());
         // A string id must not silently become 0 (it is the client's
         // request/response correlation key).
-        let v = Json::parse(r#"{"id": "42", "network": {"model": "tiny"}}"#).unwrap();
-        let err = JobSpec::from_json(&v).unwrap_err();
+        let err = job(r#"{"id": "42", "network": {"model": "tiny"}}"#).unwrap_err();
         assert!(err.to_string().contains("id"), "{err}");
         // An absent id still defaults to 0.
-        let v = Json::parse(r#"{"network": {"model": "tiny"}}"#).unwrap();
-        assert_eq!(JobSpec::from_json(&v).unwrap().id, 0);
+        assert_eq!(job(r#"{"network": {"model": "tiny"}}"#).unwrap().id, 0);
     }
 
     #[test]
     fn job_spec_round_trips_zoo_and_custom_networks() {
         let zoo = JobSpec::network(3, EngineSpec::default(), Network::alexnet());
-        let rendered = JsonTree::build(|t| zoo.encode(t)).render();
+        let rendered = wire(&zoo).render();
         assert!(rendered.contains("\"model\":\"alexnet\""), "{rendered}");
-        assert_eq!(
-            JobSpec::from_json(&JsonTree::build(|t| zoo.encode(t))).unwrap(),
-            zoo
-        );
+        assert_eq!(reparse(&zoo), zoo);
 
         let custom = JobSpec::network(
             4,
@@ -710,18 +316,13 @@ mod tests {
             )
             .unwrap(),
         );
-        assert_eq!(
-            JobSpec::from_json(&JsonTree::build(|t| custom.encode(t))).unwrap(),
-            custom
-        );
+        assert_eq!(reparse(&custom), custom);
     }
 
     #[test]
     fn job_spec_accepts_text_specs_and_single_layers() {
-        let v =
-            Json::parse(r#"{"id": 9, "network": {"spec": "network t\nconv C 8 8 16 3 3 3 1\n"}}"#)
-                .unwrap();
-        let job = JobSpec::from_json(&v).unwrap();
+        let job =
+            job(r#"{"id": 9, "network": {"spec": "network t\nconv C 8 8 16 3 3 3 1\n"}}"#).unwrap();
         assert_eq!(job.workload.name(), "t");
         assert_eq!(job.workload.layers().len(), 1);
 
@@ -730,10 +331,7 @@ mod tests {
             EngineSpec::default(),
             Layer::conv("CONV3", 13, 13, 384, 256, 3, 3, 1),
         );
-        assert_eq!(
-            JobSpec::from_json(&JsonTree::build(|t| layer.encode(t))).unwrap(),
-            layer
-        );
+        assert_eq!(reparse(&layer), layer);
     }
 
     #[test]
@@ -747,8 +345,7 @@ mod tests {
             r#"{"layer": {"name": "x", "kind": "fc", "i": 0, "j": 2}}"#,
             r#"{"network": {"model": "tiny"}, "layer": {"name": "x", "kind": "fc", "i": 1, "j": 1}}"#,
         ] {
-            let v = Json::parse(bad).unwrap();
-            assert!(JobSpec::from_json(&v).is_err(), "accepted {bad}");
+            assert!(job(bad).is_err(), "accepted {bad}");
         }
     }
 
@@ -757,9 +354,8 @@ mod tests {
         // Default options must not appear in the rendered job at all —
         // the byte-compatibility contract with pre-options clients.
         let plain = JobSpec::network(3, EngineSpec::default(), Network::tiny());
-        let rendered = JsonTree::build(|t| plain.encode(t));
-        assert!(!rendered.render().contains("options"));
-        assert_eq!(JobSpec::from_json(&rendered).unwrap(), plain);
+        assert!(!wire(&plain).render().contains("options"));
+        assert_eq!(reparse(&plain), plain);
 
         for options in [
             JobOptions {
@@ -782,7 +378,7 @@ mod tests {
         ] {
             let spec =
                 JobSpec::network(4, EngineSpec::default(), Network::tiny()).with_options(options);
-            let reparsed = JobSpec::from_json(&JsonTree::build(|t| spec.encode(t))).unwrap();
+            let reparsed = reparse(&spec);
             assert_eq!(reparsed, spec);
             assert_eq!(reparsed.options, options);
         }
@@ -797,25 +393,80 @@ mod tests {
             r#"{"network": {"model": "tiny"}, "options": {"deadline_ms": 0}}"#,
             r#"{"network": {"model": "tiny"}, "options": {"deadline_ms": "soon"}}"#,
         ] {
-            let v = Json::parse(bad).unwrap();
-            assert!(JobSpec::from_json(&v).is_err(), "accepted {bad}");
+            assert!(job(bad).is_err(), "accepted {bad}");
         }
         // A retired option that selected a different answer is refused
         // by name, however well-formed...
         let sliced = r#"{"network": {"model": "tiny"}, "options": {"tiling_range": [0, 64]}}"#;
-        let refused = JobSpec::from_json(&Json::parse(sliced).unwrap()).unwrap_err();
+        let refused = job(sliced).unwrap_err();
         assert!(refused
             .to_string()
             .contains("\"tiling_range\" option was removed"));
         // ...while a retired hint an older client may still send is
         // ignored and the job still runs.
         let retired = r#"{"network": {"model": "tiny"}, "options": {"shard_chunk": 16}}"#;
-        let spec = JobSpec::from_json(&Json::parse(retired).unwrap()).unwrap();
-        assert_eq!(spec.options, JobOptions::default());
-        for mode in [CacheMode::Default, CacheMode::Bypass, CacheMode::Refresh] {
-            assert_eq!(CacheMode::from_label(mode.label()), Some(mode));
+        assert_eq!(job(retired).unwrap().options, JobOptions::default());
+        for mode in CacheMode::ALL {
+            assert_eq!(CacheMode::parse_label(mode.label()), Ok(mode));
         }
-        assert_eq!(CacheMode::from_label("write-around"), None);
+        assert!(CacheMode::parse_label("write-around").is_err());
+    }
+
+    /// The request rules the field tables keep from the hand-written
+    /// decoder they replaced, and (last) where they are stricter.
+    #[test]
+    fn the_tables_keep_the_lenient_request_rules() {
+        let fc = || Layer::fully_connected("F", 1024, 10);
+        let net = |engine, network| Ok(JobSpec::network(0, engine, network));
+        let tiny = || net(EngineSpec::default(), Network::tiny());
+        let custom = |name| {
+            net(
+                EngineSpec::default(),
+                Network::new(name, vec![fc()]).unwrap(),
+            )
+        };
+        let layer = |layer| Ok(JobSpec::layer(0, EngineSpec::default(), layer));
+        // (job line, the job it reads as, or a piece of its error)
+        #[rustfmt::skip]
+        let cases: Vec<(&str, Result<JobSpec, &str>)> = vec![
+            // Labels: `arch` in any case, `objective` lower-cased, zoo names in any case.
+            (r#"{"engine": {"arch": "salp-2", "objective": "EDP"}, "network": {"model": "tiny"}}"#, tiny()),
+            (r#"{"engine": {"arch": "ddr3"}, "network": {"model": "TINY"}}"#, net(EngineSpec::for_arch(DramArch::Ddr3), Network::tiny())),
+            // An fc layer reads only `i` and `j`; a conv layer (the default
+            // kind) defaults `stride` and `groups` to 1, but not to `null`.
+            (r#"{"layer": {"name": "F", "kind": "fc", "i": 1024, "j": 10}}"#, layer(fc())),
+            (r#"{"layer": {"name": "C", "h": 8, "w": 8, "j": 16, "i": 8, "p": 3, "q": 3}}"#, layer(Layer::conv("C", 8, 8, 16, 8, 3, 3, 1))),
+            (r#"{"layer": {"name": "C", "h": 8, "w": 8, "j": 16, "i": 8, "p": 3, "q": 3, "stride": null}}"#, Err("\"stride\"")),
+            // `model` wins over `spec` and `layers`, `spec` over `layers`,
+            // and an unnamed layer list is called "custom".
+            (r#"{"network": {"model": "tiny", "spec": "network t\nfc X 1 1\n", "layers": [{"name": "X", "kind": "fc", "i": 1, "j": 1}]}}"#, tiny()),
+            (r#"{"network": {"spec": "network t\nfc F 1024 10\n", "layers": [{"name": "X", "kind": "fc", "i": 1, "j": 1}]}}"#, custom("t")),
+            (r#"{"network": {"layers": [{"name": "F", "kind": "fc", "i": 1024, "j": 10}]}}"#, custom("custom")),
+            (r#"{"network": {"name": null, "layers": [{"name": "F", "kind": "fc", "i": 1024, "j": 10}]}}"#, custom("custom")),
+            // A retired hint is ignored; a retired slice is refused.
+            (r#"{"network": {"model": "tiny"}, "options": {"shard_chunk": 16}}"#, tiny()),
+            (r#"{"network": {"model": "tiny"}, "options": {"tiling_range": [0, 64]}}"#, Err("\"tiling_range\" option was removed")),
+            // A present field must decode, `null` included.
+            (r#"{"id": null, "network": {"model": "tiny"}}"#, Err("\"id\"")),
+            (r#"{"id": "42", "network": {"model": "tiny"}}"#, Err("\"id\"")),
+            (r#"{"network": {"model": "tiny"}, "options": {"deadline_ms": null}}"#, Err("\"deadline_ms\"")),
+            // Stricter than the hand-written decoder, which read each of
+            // these as its default, or (`model`, `spec`) skipped it.
+            (r#"{"engine": null, "network": {"model": "tiny"}}"#, Err("\"engine\": expected an object")),
+            (r#"{"engine": "DDR3", "network": {"model": "tiny"}}"#, Err("\"engine\": expected an object")),
+            (r#"{"network": {"model": "tiny"}, "options": null}"#, Err("\"options\": expected an object")),
+            (r#"{"layer": {"name": "F", "kind": 2, "i": 1024, "j": 10}}"#, Err("\"kind\": expected a string")),
+            (r#"{"network": {"model": 7, "spec": "network t\nfc F 1024 10\n"}}"#, Err("\"model\": expected a string")),
+            (r#"{"network": {"spec": 7, "layers": [{"name": "F", "kind": "fc", "i": 1024, "j": 10}]}}"#, Err("\"spec\": expected a string")),
+            (r#"{"network": {"name": 7, "layers": [{"name": "F", "kind": "fc", "i": 1024, "j": 10}]}}"#, Err("\"name\": expected a string")),
+        ];
+        for (line, expected) in cases {
+            match (job(line), expected) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{line}"),
+                (Err(err), Err(piece)) => assert!(err.to_string().contains(piece), "{line}: {err}"),
+                (got, expected) => panic!("{line}: got {got:?}, expected {expected:?}"),
+            }
+        }
     }
 
     #[test]
@@ -852,8 +503,16 @@ mod tests {
                 )],
             }],
         };
-        let rendered = JsonTree::build(|t| result.encode(t)).render();
-        let reparsed = JobResult::from_json(&Json::parse(&rendered).unwrap()).unwrap();
+        let rendered = Response::Job {
+            result: result.clone(),
+        }
+        .to_json()
+        .render();
+        let Ok(Response::Job { result: reparsed }) =
+            Response::decode(&Json::parse(&rendered).unwrap())
+        else {
+            panic!("a job response decodes as one: {rendered}");
+        };
         assert_eq!(reparsed, result);
         assert_eq!(
             reparsed.layers[0].estimate.cycles.to_bits(),

@@ -11,17 +11,25 @@ use drmap_service::cache::CacheStats;
 use drmap_service::engine::ServiceState;
 use drmap_service::json::{Json, JsonSink, JsonText, JsonTree};
 use drmap_service::pool::DsePool;
-use drmap_service::proto::{capabilities, Request, Response, StatsReport, PROTOCOL_VERSION};
+use drmap_service::proto::{
+    capabilities, BoundsUpdate, MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION,
+};
 use drmap_service::server::handle_request;
-use drmap_service::spec::{CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome};
+use drmap_service::spec::{
+    CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome, Workload,
+};
 use drmap_service::wire;
 use drmap_store::store::{CompactReport, StoreStats};
+use drmap_telemetry::{HistogramSnapshot, MetricsSnapshot, SlowEntry};
 use proptest::{proptest, ProptestConfig};
 
 use drmap_cnn::layer::Layer;
+use drmap_cnn::network::Network;
+use drmap_core::dse::Objective;
 use drmap_core::edp::EdpEstimate;
 use drmap_core::pareto::DesignPoint;
 use drmap_core::tiling::Tiling;
+use drmap_dram::timing::DramArch;
 
 /// Push a request through the wire and decode it back.
 fn round_trip_request(request: &Request) -> Request {
@@ -43,11 +51,17 @@ fn round_trip_response(response: &Response) -> Response {
         .expect("one message was written")
 }
 
+/// The number of `Request` variants: [`request_variant`] builds each.
+const REQUESTS: usize = 12;
+
+/// The number of `Response` variants: [`response_variant`] builds each.
+const RESPONSES: usize = 14;
+
 /// Deterministically build one of every `Request` variant from fuzz
 /// inputs.
 fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
     let id = flag.then_some(a);
-    match kind % 8 {
+    match kind {
         0 => Request::Hello {
             version: a,
             client: flag.then(|| format!("client-{b}")),
@@ -64,23 +78,58 @@ fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
             id,
             auto_ratio: (b.is_multiple_of(3)).then_some((b % 100) as f64 / 100.0),
         },
-        _ => {
-            let mut spec = JobSpec::layer(
-                a,
-                EngineSpec::default(),
-                Layer::conv("P", 8, 8, 16, 8, 3, 3, 1),
-            );
-            spec.options = JobOptions {
-                cache: match b % 3 {
-                    0 => CacheMode::Default,
-                    1 => CacheMode::Bypass,
-                    _ => CacheMode::Refresh,
-                },
-                keep_points: flag,
-                deadline_ms: (b.is_multiple_of(5)).then_some(b % 60_000 + 1),
-            };
-            Request::Submit(spec)
-        }
+        7 => Request::Metrics { id },
+        8 => Request::SetBounds {
+            id,
+            update: BoundsUpdate {
+                max_entries: (!a.is_multiple_of(3)).then_some(a as usize % 5_000),
+                max_bytes: (b.is_multiple_of(2)).then_some(b as usize),
+            },
+        },
+        9 => Request::SetSlowLog {
+            id,
+            slow_ms: (!b.is_multiple_of(3)).then_some(b % 10_000),
+            cap: (!a.is_multiple_of(2)).then_some(a as usize % 512 + 1),
+        },
+        10 => Request::SetFaults {
+            id,
+            spec: (!b.is_multiple_of(2)).then(|| format!("seed={a},store-fail=0.{}", b % 10)),
+        },
+        _ => Request::Submit(job_spec(a, b)),
+    }
+}
+
+/// A job drawn from every arch × objective; a zoo network, a custom
+/// one (conv, grouped and fc layers) or a single layer, under names
+/// from [`NAMES`]; and every subset of the options.
+fn job_spec(a: u64, b: u64) -> JobSpec {
+    let pick = |n: u64, len: usize| n as usize % len;
+    let name = |n: u64| NAMES[pick(n, NAMES.len())];
+    let engine = EngineSpec {
+        arch: DramArch::ALL[pick(b, 4)],
+        objective: Objective::ALL[pick(b / 4, 4)],
+    };
+    let layers = [
+        Layer::conv(name(a), 8, 8, 16, 8, 3, 3, 1),
+        Layer::conv_grouped(name(a + 1), 8, 8, 16, 16, 3, 3, 2, 4),
+        Layer::fully_connected(name(a + 2), 1024, 10),
+    ];
+    let zoo = Network::zoo();
+    let workload = match a % 3 {
+        0 => Workload::Network(zoo[pick(a / 3, zoo.len())].1()),
+        1 => Workload::Network(Network::new(name(a + 3), layers.to_vec()).unwrap()),
+        _ => Workload::Layer(layers[pick(a / 3, 3)].clone()),
+    };
+    let options = JobOptions {
+        cache: CacheMode::ALL[pick(b / 16, 3)],
+        keep_points: b / 48 % 2 == 1,
+        deadline_ms: (b / 96 % 2 == 1).then_some(b % 60_000 + 1),
+    };
+    JobSpec {
+        id: a,
+        engine,
+        workload,
+        options,
     }
 }
 
@@ -88,7 +137,7 @@ fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
 /// inputs, exercising float bit-exactness through the job result.
 fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response {
     let id = flag.then_some(a);
-    match kind % 8 {
+    match kind {
         0 => Response::Hello {
             version: a,
             server: format!("drmap-service/{b}"),
@@ -148,6 +197,60 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
                 bytes_after: b % (1 << 40),
             },
         },
+        7 => Response::Metrics {
+            id,
+            report: MetricsReport {
+                snapshot: MetricsSnapshot {
+                    counters: vec![(NAMES[a as usize % NAMES.len()].to_owned(), b)],
+                    gauges: vec![("jobs_inflight".to_owned(), a as i64 - b as i64)],
+                    histograms: vec![(
+                        "request_ns".to_owned(),
+                        HistogramSnapshot {
+                            count: b % 1000 + 1,
+                            sum: a * b,
+                            min: a % 1000,
+                            max: a % 1000 + b,
+                            buckets: vec![(a as u32 % 300, b % 1000 + 1)],
+                        },
+                    )],
+                },
+                slow: flag
+                    .then(|| SlowEntry {
+                        trace_id: a,
+                        total_ns: b,
+                        stages: vec![("explore".to_owned(), b / 2)],
+                    })
+                    .into_iter()
+                    .collect(),
+            },
+        },
+        8 => Response::BoundsSet {
+            id,
+            max_entries: flag.then_some(a as usize),
+            max_bytes: (b.is_multiple_of(2)).then_some(b as usize),
+            previous_entries: (a.is_multiple_of(3)).then_some(b as usize),
+            previous_bytes: (!b.is_multiple_of(3)).then_some(a as usize),
+            evicted: b,
+        },
+        9 => Response::SlowLogSet {
+            id,
+            slow_ms: flag.then_some(b),
+            cap: a as usize % 512 + 1,
+            previous_ms: (b.is_multiple_of(3)).then_some(a),
+            previous_cap: b as usize % 512,
+        },
+        10 => Response::FaultsSet {
+            id,
+            spec: (!b.is_multiple_of(2)).then(|| format!("seed={a}")),
+        },
+        11 => Response::DeadlineExceeded {
+            id,
+            deadline_ms: b + 1,
+        },
+        12 => Response::Error {
+            id,
+            message: format!("{}: {b}", NAMES[a as usize % NAMES.len()]),
+        },
         _ => Response::Job {
             result: JobResult {
                 id: a,
@@ -194,11 +297,10 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
     }
 }
 
-/// What the text sink writes for `response`: the bytes the connection
-/// writer sends.
-fn text(response: &Response) -> String {
+/// What the text sink writes: the bytes a connection sends.
+fn text(encode: impl FnOnce(&mut JsonText<'_>)) -> String {
     let mut out = String::new();
-    response.encode(&mut JsonText::new(&mut out));
+    encode(&mut JsonText::new(&mut out));
     out
 }
 
@@ -284,44 +386,49 @@ proptest! {
         with_points in proptest::bool::ANY,
     ) {
         let response = Response::Job { result: tricky_result(pick, x, layers, with_points) };
-        assert_eq!(text(&response), response.to_json().render());
+        assert_eq!(text(|t| response.encode(t)), response.to_json().render());
     }
 
     /// Every request variant survives the wire with nothing lost: same
-    /// variant, same fields.
+    /// variant, same fields; and the text sink writes the tree's bytes.
     #[test]
     fn every_request_variant_round_trips_through_the_wire(
-        kind in 0_usize..8,
         a in 0_u64..1_000_000,
         b in 0_u64..1_000_000,
         flag in proptest::bool::ANY,
     ) {
-        let request = request_variant(kind, a, b, flag);
-        assert_eq!(round_trip_request(&request), request);
+        for kind in 0..REQUESTS {
+            let request = request_variant(kind, a, b, flag);
+            assert_eq!(text(|t| request.encode(t)), request.to_json().render());
+            assert_eq!(round_trip_request(&request), request);
+        }
     }
 
     /// Every response variant survives the wire — including the job
-    /// result's floats, bit for bit.
+    /// result's floats, bit for bit — and the text sink writes the
+    /// tree's bytes.
     #[test]
     fn every_response_variant_round_trips_through_the_wire(
-        kind in 0_usize..8,
         a in 0_u64..1_000_000,
         b in 0_u64..1_000_000,
         x in 0.0_f64..1.0e12,
         flag in proptest::bool::ANY,
     ) {
-        let response = response_variant(kind, a, b, x, flag);
-        let decoded = round_trip_response(&response);
-        assert_eq!(decoded, response);
-        if let Response::Job { result } = &response {
-            let Response::Job { result: decoded } = decoded else {
-                panic!("job response decoded as a different variant");
-            };
-            assert_eq!(
-                decoded.total.energy.to_bits(),
-                result.total.energy.to_bits(),
-                "floats must survive bit-exactly"
-            );
+        for kind in 0..RESPONSES {
+            let response = response_variant(kind, a, b, x, flag);
+            assert_eq!(text(|t| response.encode(t)), response.to_json().render());
+            let decoded = round_trip_response(&response);
+            assert_eq!(decoded, response);
+            if let Response::Job { result } = &response {
+                let Response::Job { result: decoded } = decoded else {
+                    panic!("job response decoded as a different variant");
+                };
+                assert_eq!(
+                    decoded.total.energy.to_bits(),
+                    result.total.energy.to_bits(),
+                    "floats must survive bit-exactly"
+                );
+            }
         }
     }
 }
@@ -549,6 +656,11 @@ fn mistyped_typed_requests_get_typed_errors() {
             "unknown request type",
         ),
         (r#"{"type":"cache-warm","limit":"many"}"#, "limit"),
+        // A job's nested field names its whole path.
+        (
+            r#"{"type":"submit","id":2,"engine":{"arch":"HBM3"},"network":{"model":"tiny"}}"#,
+            r#""engine": "arch": unknown arch "HBM3" (expected one of DDR3/SALP-1/SALP-2/SALP-MASA)"#,
+        ),
         (r#"{"type":"hello"}"#, "version"),
     ] {
         let (response, stop) = handle_request(&pool, bad);
