@@ -12,7 +12,7 @@ use core::fmt::{self, Write as _};
 
 use drmap_dram::address::{AddressCodec, PhysicalAddress};
 use drmap_dram::geometry::{Geometry, Level};
-use drmap_dram::request::{Request, RequestKind};
+use drmap_dram::request::{Request, RequestKind, RowRun};
 
 use crate::error::DseError;
 
@@ -185,7 +185,8 @@ impl MappingPolicy {
     }
 
     /// Generate the physical address stream of a tile of `units` bursts,
-    /// mapped from flat index `start` onward.
+    /// mapped from flat index `start` onward: the tile's row runs
+    /// ([`AddressCodec::runs`]), expanded.
     ///
     /// # Errors
     ///
@@ -197,18 +198,12 @@ impl MappingPolicy {
         units: u64,
     ) -> Result<Vec<PhysicalAddress>, DseError> {
         let codec = self.codec(geometry)?;
-        if start + units > codec.slots() {
-            return Err(DseError::new(format!(
-                "tile of {units} bursts at offset {start} exceeds device capacity {}",
-                codec.slots()
-            )));
-        }
-        (start..start + units)
-            .map(|i| codec.decode(i).map_err(|e| DseError::new(e.to_string())))
-            .collect()
+        let runs = tile_runs(&codec, start, units, RequestKind::Read)?;
+        Ok(runs.flat_map(RowRun::requests).map(|r| r.address).collect())
     }
 
-    /// Generate the request stream of a tile (all reads or all writes).
+    /// Generate the request stream of a tile (all reads or all writes):
+    /// the tile's row runs ([`AddressCodec::runs`]), expanded.
     ///
     /// # Errors
     ///
@@ -220,11 +215,9 @@ impl MappingPolicy {
         units: u64,
         kind: RequestKind,
     ) -> Result<Vec<Request>, DseError> {
-        Ok(self
-            .address_stream(geometry, start, units)?
-            .into_iter()
-            .map(|address| Request { address, kind })
-            .collect())
+        let codec = self.codec(geometry)?;
+        let runs = tile_runs(&codec, start, units, kind)?;
+        Ok(runs.flat_map(RowRun::requests).collect())
     }
 
     /// Human-readable name: `Mapping-3 (DRMap)` or `custom`.
@@ -251,6 +244,33 @@ impl MappingPolicy {
         }
         .expect("writing to a String cannot fail");
     }
+}
+
+/// The row runs of a tile of `units` bursts of `kind`, mapped by `codec` (a
+/// [`MappingPolicy::codec`]) from flat index `start` onward: what
+/// [`DramSimulator::run_runs`](drmap_dram::sim::DramSimulator::run_runs)
+/// replays, one run per row the tile touches when `Column` is innermost
+/// ([`AddressCodec::runs`]).
+///
+/// # Errors
+///
+/// Returns [`DseError`] if the tile exceeds the device capacity.
+pub(crate) fn tile_runs(
+    codec: &AddressCodec,
+    start: u64,
+    units: u64,
+    kind: RequestKind,
+) -> Result<impl Iterator<Item = RowRun> + '_, DseError> {
+    let runs = codec.runs(start, units).map_err(|_| {
+        DseError::new(format!(
+            "tile of {units} bursts at offset {start} exceeds device capacity {}",
+            codec.slots()
+        ))
+    })?;
+    Ok(runs.map(move |(address, len)| RowRun {
+        head: Request { address, kind },
+        len,
+    }))
 }
 
 impl fmt::Display for MappingPolicy {
@@ -360,6 +380,37 @@ mod tests {
             .address_stream(g, codec.slots() - 1, 2)
             .unwrap_err();
         assert!(err.to_string().contains("capacity"));
+    }
+
+    #[test]
+    fn capacity_check_does_not_overflow() {
+        let g = Geometry::salp_2gb_x8();
+        let policy = MappingPolicy::drmap();
+        let codec = policy.codec(g).unwrap();
+        for (start, units) in [(u64::MAX, 2), (2, u64::MAX), (codec.slots(), 1)] {
+            let err = policy.address_stream(g, start, units).unwrap_err();
+            assert!(err.to_string().contains("capacity"), "{err}");
+            let err = tile_runs(&codec, start, units, RequestKind::Read)
+                .err()
+                .expect("a tile past the device is refused");
+            assert!(err.to_string().contains("capacity"), "{err}");
+        }
+        assert_eq!(policy.address_stream(g, codec.slots(), 0).unwrap(), []);
+    }
+
+    #[test]
+    fn tile_runs_cover_whole_rows_under_drmap_and_single_bursts_otherwise() {
+        let g = Geometry::salp_2gb_x8();
+        let drmap = MappingPolicy::drmap().codec(g).unwrap();
+        let lens: Vec<usize> = tile_runs(&drmap, 100, 300, RequestKind::Write)
+            .unwrap()
+            .map(|r| r.len)
+            .collect();
+        assert_eq!(lens, [28, 128, 128, 16]);
+        let m2 = MappingPolicy::table_i_policy(2).codec(g).unwrap();
+        assert!(tile_runs(&m2, 0, 20, RequestKind::Read)
+            .unwrap()
+            .all(|r| r.len == 1));
     }
 
     #[test]

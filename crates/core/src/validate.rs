@@ -5,6 +5,10 @@
 //! through the cycle-level DRAM simulator and reports how far the
 //! analytical estimate is from the simulated ground truth — the check a
 //! user should run before trusting an exploration result.
+//!
+//! A tile is replayed as its row runs (`mapping::tile_runs`), so
+//! a DRMap tile costs the simulator one closed-form run per row it
+//! touches, not one step per burst.
 
 use core::fmt;
 
@@ -12,7 +16,7 @@ use drmap_cnn::layer::{DataKind, Layer};
 use drmap_dram::controller::ControllerConfig;
 use drmap_dram::energy::EnergyParams;
 use drmap_dram::geometry::Geometry;
-use drmap_dram::request::{DriveMode, RequestKind};
+use drmap_dram::request::{DriveMode, RequestKind, RowRun};
 use drmap_dram::sim::DramSimulator;
 use drmap_dram::timing::{DramArch, TimingParams};
 
@@ -20,6 +24,22 @@ use crate::access_model::bytes_to_bursts;
 use crate::dse::DseCandidate;
 use crate::edp::{EdpEstimate, EdpModel};
 use crate::error::DseError;
+use crate::mapping::tile_runs;
+
+/// Requests and row runs replayed on this thread, pinned by a test so that
+/// a fall-back to per-request replay, or a walk that splits runs, fails
+/// whatever the machine's timing noise.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Tally {
+    requests: u64,
+    runs: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    static REPLAYED: core::cell::Cell<Tally> = core::cell::Cell::default();
+}
 
 /// Outcome of validating one configuration against the simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,6 +198,8 @@ impl Validator {
             self.energy,
         )
         .map_err(DseError::from)?;
+        let codec = candidate.mapping.codec(self.geometry)?;
+        let mut runs: Vec<RowRun> = Vec::new();
 
         let mut sim_cycles = 0.0;
         let mut sim_energy = 0.0;
@@ -197,11 +219,17 @@ impl Validator {
                 // Place consecutive tiles in distinct regions, as the
                 // analytical model assumes fresh rows per tile.
                 let start = (region + t) * tile_units;
-                let stream =
-                    candidate
-                        .mapping
-                        .request_stream(self.geometry, start, tile_units, kind)?;
-                let stats = sim.run(&stream, DriveMode::Streamed);
+                runs.clear();
+                runs.extend(tile_runs(&codec, start, tile_units, kind)?);
+                let stats = sim.run_runs(&runs, DriveMode::Streamed);
+                #[cfg(test)]
+                REPLAYED.with(|tally| {
+                    let Tally { requests, runs: n } = tally.get();
+                    tally.set(Tally {
+                        requests: requests + stats.requests,
+                        runs: n + runs.len() as u64,
+                    });
+                });
                 measured_cycles += stats.makespan_cycles as f64;
                 measured_energy += stats.energy.total();
                 hits += stats.hit_rate() * stats.requests as f64;
@@ -320,6 +348,30 @@ mod tests {
         assert!(
             report.agrees_within(2.5),
             "winner failed validation: {report}"
+        );
+    }
+
+    /// The replay's work on the `sim-validate` benchmark's cases: every
+    /// AlexNet layer's DSE winner on every architecture.
+    #[test]
+    fn alexnet_winners_replay_as_row_runs() {
+        let network = drmap_cnn::network::Network::alexnet();
+        REPLAYED.with(|tally| tally.set(Tally::default()));
+        for arch in DramArch::ALL {
+            let (model, validator) = setup(arch);
+            let engine = DseEngine::new(model.clone(), DseConfig::default());
+            for layer in network.layers() {
+                let best = engine.explore_layer(layer).unwrap().best;
+                validator.validate(&model, layer, &best).unwrap();
+            }
+        }
+        let tally = REPLAYED.with(|tally| tally.get());
+        assert_eq!(
+            tally,
+            Tally {
+                requests: 2_009_284,
+                runs: 16_048
+            }
         );
     }
 

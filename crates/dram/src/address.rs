@@ -6,7 +6,8 @@
 //! not part of the address tuple.
 //!
 //! [`AddressCodec`] converts between a flat burst index (what a mapping
-//! policy produces) and a physical address, for any interleaving order.
+//! policy produces) and a physical address, for any interleaving order,
+//! and walks a range of indices as row runs ([`AddressCodec::runs`]).
 
 use core::fmt;
 
@@ -64,6 +65,19 @@ impl PhysicalAddress {
             Level::Subarray => self.subarray,
             Level::Row => self.row,
             Level::Column => self.column,
+        }
+    }
+
+    /// Mutable coordinate at an addressable `level` (any but the chip).
+    fn coordinate_mut(&mut self, level: Level) -> &mut usize {
+        match level {
+            Level::Channel => &mut self.channel,
+            Level::Rank => &mut self.rank,
+            Level::Bank => &mut self.bank,
+            Level::Subarray => &mut self.subarray,
+            Level::Row => &mut self.row,
+            Level::Column => &mut self.column,
+            Level::Chip => unreachable!("chips share addresses; no codec orders them"),
         }
     }
 
@@ -223,6 +237,50 @@ impl AddressCodec {
         Ok(addr)
     }
 
+    /// The flat indices `start..start + units` as row runs, in index
+    /// order: each item is an address and how many consecutive indices from
+    /// it step only the column — `bursts_per_row − column`, capped by what
+    /// is left of the range, when `Column` is innermost, and 1 otherwise.
+    /// `start` is decoded once; each run then advances the digits without
+    /// a division.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AddressError`] if the range runs past [`Self::slots`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use drmap_dram::address::AddressCodec;
+    /// use drmap_dram::geometry::{Geometry, Level};
+    ///
+    /// let codec = AddressCodec::new(
+    ///     Geometry::salp_2gb_x8(),
+    ///     vec![Level::Column, Level::Bank, Level::Subarray, Level::Row, Level::Rank, Level::Channel],
+    /// )?;
+    /// // 100 columns from column 120 of bank 0: 8 there, then 92 in bank 1.
+    /// let runs: Vec<_> = codec.runs(120, 100)?.map(|(a, len)| (a.bank, a.column, len)).collect();
+    /// assert_eq!(runs, [(0, 120, 8), (1, 0, 92)]);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn runs(&self, start: u64, units: u64) -> Result<AddressRuns<'_>, AddressError> {
+        let slots = self.slots();
+        if start.checked_add(units).is_none_or(|end| end > slots) {
+            return Err(AddressError::new(format!(
+                "{units} bursts at burst index {start} exceed capacity {slots}"
+            )));
+        }
+        let next = match units {
+            0 => PhysicalAddress::default(),
+            _ => self.decode(start)?,
+        };
+        Ok(AddressRuns {
+            codec: self,
+            next,
+            left: units,
+        })
+    }
+
     /// Encode a physical address back into its flat burst index.
     ///
     /// # Errors
@@ -269,6 +327,48 @@ impl AddressCodec {
             let _ = pos;
         }
         Err(AddressError::new("burst index at end of device"))
+    }
+}
+
+/// The row runs of a range of flat indices; see [`AddressCodec::runs`].
+#[derive(Debug, Clone)]
+pub struct AddressRuns<'a> {
+    codec: &'a AddressCodec,
+    /// Address of the next run's first index.
+    next: PhysicalAddress,
+    /// Indices not yet handed out.
+    left: u64,
+}
+
+impl Iterator for AddressRuns<'_> {
+    type Item = (PhysicalAddress, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        let head = self.next;
+        let (order, radices) = (&self.codec.order, &self.codec.radices);
+        let len = match order[0] {
+            Level::Column => ((radices[0] - head.column) as u64).min(self.left),
+            _ => 1,
+        };
+        self.left -= len;
+        if self.left > 0 {
+            // Add `len` to the innermost digit. A run that does not end
+            // the range fills that digit exactly, so it carries 1 on.
+            let mut carry = len as usize;
+            for (&level, &radix) in order.iter().zip(radices) {
+                let digit = self.next.coordinate_mut(level);
+                *digit += carry;
+                if *digit < radix {
+                    break;
+                }
+                *digit = 0;
+                carry = 1;
+            }
+        }
+        Some((head, len as usize))
     }
 }
 
@@ -357,6 +457,59 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("missing"));
+    }
+
+    #[test]
+    fn runs_expand_to_the_decoded_indices_for_every_order() {
+        // A small device, so ranges cross every level's carry.
+        let geometry = Geometry {
+            channels: 2,
+            ranks: 2,
+            banks: 2,
+            subarrays: 2,
+            rows: 4,
+            columns: 32,
+            ..Geometry::salp_2gb_x8()
+        };
+        let levels = Level::ALL;
+        let mut orders = vec![levels.to_vec()];
+        for i in 0..levels.len() {
+            let mut order = levels.to_vec();
+            order.rotate_left(i);
+            orders.push(order.clone());
+            order.reverse();
+            orders.push(order);
+        }
+        for order in orders {
+            let codec = AddressCodec::new(geometry, order).unwrap();
+            let slots = codec.slots();
+            for (start, units) in [(0, slots), (3, 70), (slots - 5, 5), (17, 0), (slots, 0)] {
+                let mut expanded = Vec::new();
+                for (head, len) in codec.runs(start, units).unwrap() {
+                    assert!(len >= 1);
+                    if codec.order()[0] != Level::Column {
+                        assert_eq!(len, 1);
+                    }
+                    expanded.extend((0..len).map(|i| PhysicalAddress {
+                        column: head.column + i,
+                        ..head
+                    }));
+                }
+                let decoded: Vec<_> = (start..start + units)
+                    .map(|i| codec.decode(i).unwrap())
+                    .collect();
+                assert_eq!(expanded, decoded, "{:?} {start}+{units}", codec.order());
+            }
+        }
+    }
+
+    #[test]
+    fn runs_refuse_ranges_past_the_device_without_overflow() {
+        let codec = fig6_codec();
+        assert!(codec.runs(codec.slots() - 1, 2).is_err());
+        let err = codec.runs(u64::MAX, 2).unwrap_err();
+        assert!(err.to_string().contains("capacity"));
+        assert!(codec.runs(2, u64::MAX).is_err());
     }
 
     #[test]

@@ -46,6 +46,13 @@ impl CommandKind {
         CommandKind::SubarraySelect,
     ];
 
+    /// Position in [`CommandKind::ALL`], which is the order of
+    /// [`ActivityCounters::commands`](crate::controller::ActivityCounters::commands).
+    #[inline]
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// True for commands that operate on rows (ACT/PRE).
     pub fn is_row_command(self) -> bool {
         matches!(self, CommandKind::Activate | CommandKind::Precharge)
@@ -108,6 +115,13 @@ mod tests {
         assert!(CommandKind::Write.is_column_command());
         assert!(!CommandKind::Refresh.is_column_command());
         assert!(!CommandKind::SubarraySelect.is_column_command());
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, kind) in CommandKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
     }
 
     #[test]

@@ -17,6 +17,46 @@
 //!   different subarrays are spaced only by `t_rrd_sa`.
 //! * **SALP-MASA** — multiple subarrays stay activated; re-accessing an
 //!   already-open subarray costs one `SASEL` cycle instead of a reactivation.
+//!
+//! # Row runs
+//!
+//! `MemoryController::serve_run` serves a [`RowRun`] — `L + 1` requests
+//! of one kind to consecutive columns of one row — with the arrivals a
+//! [`DriveMode`] gives them. The head goes through
+//! [`MemoryController::serve`] (miss, conflict, SASEL and every SALP rule).
+//! Under the open-row policy with refresh off, the `L` tail requests are
+//! then served in closed form, in O(1) however long the run:
+//!
+//! * After the head its row is open and designated, and nothing closes
+//!   it before the run ends (no refresh, no timeout, no closing
+//!   precharge), so every tail request is a `Hit` and issues only its
+//!   column command, at `max(arrival, col_ready, gate, bus_free)` where
+//!   `gate` is the rank's read (or write) gate.
+//! * `col_ready` moves only at an ACT, and the head's column command
+//!   waited for it, so it is `<= t₀`, the head's column issue. The head
+//!   also waited for `gate`, so its own update leaves `gate = t₀ + tCCD`
+//!   (a run of one kind moves only the other kind's gate besides), and
+//!   it leaves `bus_free = t₀ + 1`. As `tCCD >= 1`, tail request `i`
+//!   issues at `tᵢ = max(aᵢ, tᵢ₋₁ + tCCD)`.
+//! * **Streamed:** `aᵢ` is the run's arrival, which is `<= t₀`, so
+//!   `tᵢ = t₀ + i·tCCD`.
+//! * **Dependent / Spaced(gap):** `aᵢ = cᵢ₋₁ + gap` (`gap = 0` for
+//!   Dependent), where `cᵢ = tᵢ + D` with `D = CL + tBURST` for reads and
+//!   `CWL + tBURST` for writes. So `tᵢ = tᵢ₋₁ + max(D + gap, tCCD)`, and
+//!   each tail latency is `cᵢ − aᵢ = step − gap`.
+//! * So the issues form `tᵢ = t₀ + i·step`. Every state update of a
+//!   column command is `x = max(x, t + c)` for a constant `c` (the rank's
+//!   gates, the subarray's `next_pre`, the bank's `new_sa_gate` and
+//!   `last_use`, the makespan) or `bus_free = t + 1`: monotone in `t`, so
+//!   applying the last issue's alone leaves the state all `L` leave. The
+//!   command, outcome and read/write counters grow by `L`, and the latency
+//!   sum is `L·(c₀ − a)` plus `step·L(L+1)/2` (streamed, arrival `a`) or
+//!   `L·(step − gap)` (serialized).
+//!
+//! Per-request [`ServiceRecord`]s and [`ScheduledCommand`]s of the tail
+//! are expanded only when asked for. Under the closed or timeout row
+//! policy, or with refresh on, each tail request goes through `serve`
+//! instead: there is one kernel, not a second simulator.
 
 use std::collections::VecDeque;
 
@@ -24,7 +64,7 @@ use crate::address::PhysicalAddress;
 use crate::command::{CommandKind, ScheduledCommand};
 use crate::error::ConfigError;
 use crate::geometry::Geometry;
-use crate::request::{Request, RequestKind};
+use crate::request::{DriveMode, Request, RequestKind, RowRun};
 use crate::state::{BankState, RowBufferOutcome};
 use crate::timing::{DramArch, TimingParams};
 
@@ -119,6 +159,15 @@ impl ServiceRecord {
     }
 }
 
+/// What serving one [`RowRun`] came to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RunService {
+    /// Sum of the run's per-request latencies in cycles.
+    pub(crate) latency_cycles: u64,
+    /// Arrival of the request after the run under the drive mode.
+    pub(crate) next_arrival: u64,
+}
+
 /// Raw activity counters the energy model consumes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActivityCounters {
@@ -143,17 +192,12 @@ pub struct ActivityCounters {
 impl ActivityCounters {
     /// Count of the given command kind.
     pub fn command_count(&self, kind: CommandKind) -> u64 {
-        let idx = CommandKind::ALL.iter().position(|&k| k == kind).unwrap();
-        self.commands[idx]
+        self.commands[kind.index()]
     }
 
     /// Count of the given outcome.
     pub fn outcome_count(&self, outcome: RowBufferOutcome) -> u64 {
-        let idx = RowBufferOutcome::ALL
-            .iter()
-            .position(|&o| o == outcome)
-            .unwrap();
-        self.outcomes[idx]
+        self.outcomes[outcome.index()]
     }
 
     /// Counter-wise difference `self - earlier` (saturating), used to
@@ -372,11 +416,7 @@ impl MemoryController {
             self.close_stale_rows(bi, &addr, arrival, timeout);
         }
         let outcome = self.banks[bi].classify(self.config.arch, addr.subarray, addr.row);
-        let outcome_idx = RowBufferOutcome::ALL
-            .iter()
-            .position(|&o| o == outcome)
-            .unwrap();
-        self.counters.outcomes[outcome_idx] += 1;
+        self.counters.outcomes[outcome.index()] += 1;
         match request.kind {
             RequestKind::Read => self.counters.reads += 1,
             RequestKind::Write => self.counters.writes += 1,
@@ -449,6 +489,113 @@ impl MemoryController {
         }
     }
 
+    /// Serve a row run whose head becomes visible at cycle `arrival`; each
+    /// later request arrives as `mode` drives it. Pushes one
+    /// [`ServiceRecord`] per request to `records` when given. See the
+    /// module docs for when the tail is served in closed form and why that
+    /// is exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an address of the run lies outside the configured
+    /// geometry.
+    pub(crate) fn serve_run(
+        &mut self,
+        run: RowRun,
+        mode: DriveMode,
+        arrival: u64,
+        mut records: Option<&mut Vec<ServiceRecord>>,
+    ) -> RunService {
+        let mut done = RunService {
+            latency_cycles: 0,
+            next_arrival: arrival,
+        };
+        let Some(tail) = run.len.checked_sub(1) else {
+            return done;
+        };
+        // `serve` checks the head; every other address lies between it and
+        // the last.
+        let last_valid = run.head.address.column.checked_add(tail).is_some()
+            && run.request(tail).address.validate(&self.geometry).is_ok();
+        assert!(last_valid, "request address outside geometry");
+        let closed_form = self.config.row_policy == RowPolicy::Open && !self.config.refresh_enabled;
+        let served = if closed_form { 1 } else { run.len };
+        let mut completion = 0;
+        for i in 0..served {
+            let rec = self.serve(run.request(i), done.next_arrival);
+            completion = rec.completion;
+            done.latency_cycles += rec.latency();
+            done.next_arrival = mode.next_arrival(done.next_arrival, rec.completion);
+            if let Some(records) = records.as_deref_mut() {
+                records.push(rec);
+            }
+        }
+        if served == run.len {
+            return done;
+        }
+
+        let addr = run.head.address;
+        let kind = run.head.kind;
+        let bi = self.bank_index(&addr);
+        debug_assert_eq!(
+            self.banks[bi].classify(self.config.arch, addr.subarray, addr.row),
+            RowBufferOutcome::Hit
+        );
+        let timing = self.timing;
+        let (cmd, data) = match kind {
+            RequestKind::Read => (CommandKind::Read, timing.cl + timing.t_burst),
+            RequestKind::Write => (CommandKind::Write, timing.cwl + timing.t_burst),
+        };
+        let (step, gap) = match mode {
+            DriveMode::Streamed => (timing.t_ccd, 0),
+            DriveMode::Dependent => (data.max(timing.t_ccd), 0),
+            DriveMode::Spaced(gap) => ((data + gap).max(timing.t_ccd), gap),
+        };
+        let tail = tail as u64;
+        // Only the head was served: `completion` is its completion.
+        let first = completion - data;
+        let issued = |i: u64| first + i * step;
+        let last = issued(tail);
+
+        if self.config.record_commands {
+            self.commands.extend((1..=tail).map(|i| ScheduledCommand {
+                cycle: issued(i),
+                kind: cmd,
+                address: run.request(i as usize).address,
+            }));
+        }
+        if let Some(records) = records {
+            let mut arrival = done.next_arrival;
+            for i in 1..=tail {
+                let completion = issued(i) + data;
+                records.push(ServiceRecord {
+                    arrival,
+                    completion,
+                    outcome: RowBufferOutcome::Hit,
+                    kind,
+                });
+                arrival = mode.next_arrival(arrival, completion);
+            }
+        }
+        done.latency_cycles += if mode.is_serialized() {
+            tail * (step - gap)
+        } else {
+            tail * (completion - done.next_arrival) + step * (tail * (tail + 1) / 2)
+        };
+        done.next_arrival = mode.next_arrival(done.next_arrival, last + data);
+
+        self.bus_free[addr.channel] = last + 1;
+        self.counters.commands[cmd.index()] += tail;
+        self.counters.outcomes[RowBufferOutcome::Hit.index()] += tail;
+        match kind {
+            RequestKind::Read => self.counters.reads += tail,
+            RequestKind::Write => self.counters.writes += tail,
+        }
+        let last_completion = self.column_issued(bi, &addr, kind, last);
+        self.last_completion = self.last_completion.max(last_completion);
+        done
+    }
+
     fn bank_index(&self, addr: &PhysicalAddress) -> usize {
         (addr.channel * self.geometry.ranks + addr.rank) * self.geometry.banks + addr.bank
     }
@@ -465,8 +612,7 @@ impl MemoryController {
         let ch = address.channel;
         let t = earliest.max(self.bus_free[ch]);
         self.bus_free[ch] = t + 1;
-        let idx = CommandKind::ALL.iter().position(|&k| k == kind).unwrap();
-        self.counters.commands[idx] += 1;
+        self.counters.commands[kind.index()] += 1;
         if self.config.record_commands {
             self.commands.push(ScheduledCommand {
                 cycle: t,
@@ -582,7 +728,6 @@ impl MemoryController {
     ) -> u64 {
         let si = self.sa_index(bi, addr.subarray);
         let ri = self.rank_index(addr);
-        let timing = self.timing;
         let bus_gate = match kind {
             RequestKind::Read => self.rank_timing[ri].next_rd,
             RequestKind::Write => self.rank_timing[ri].next_wr,
@@ -593,7 +738,22 @@ impl MemoryController {
             RequestKind::Write => CommandKind::Write,
         };
         let t = self.issue(cmd, *addr, e);
+        self.column_issued(bi, addr, kind, t)
+    }
 
+    /// The state updates of a `kind` column command to `addr` issued at
+    /// `t`; returns its completion. Each is a `max` with `t` plus a
+    /// constant (see the module docs on row runs).
+    fn column_issued(
+        &mut self,
+        bi: usize,
+        addr: &PhysicalAddress,
+        kind: RequestKind,
+        t: u64,
+    ) -> u64 {
+        let si = self.sa_index(bi, addr.subarray);
+        let ri = self.rank_index(addr);
+        let timing = self.timing;
         let rt = &mut self.rank_timing[ri];
         let completion;
         let quiesce;
@@ -708,6 +868,17 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("subarrays"));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside geometry")]
+    fn a_run_whose_columns_wrap_is_refused() {
+        let mut c = mc(DramArch::Ddr3);
+        let run = RowRun {
+            head: Request::read(addr(0, 0, 0, 5)),
+            len: usize::MAX - 2, // column 5 + len - 1 wraps to 1
+        };
+        c.serve_run(run, DriveMode::Streamed, 0, None);
     }
 
     #[test]

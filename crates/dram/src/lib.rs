@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::profiler::{
         AccessCondition, AccessCost, AccessCostTable, Profiler, TransitionClass,
     };
-    pub use crate::request::{DriveMode, Request, RequestKind};
+    pub use crate::request::{DriveMode, Request, RequestKind, RowRun};
     pub use crate::sim::{DramSimulator, SimStats};
     pub use crate::state::{BankState, RowBufferOutcome};
     pub use crate::timing::{DramArch, TimingParams};

@@ -3,12 +3,27 @@
 //!
 //! This is the substitute for the paper's Ramulator + VAMPIRE tool flow
 //! (Fig. 8): requests in, `{cycles, energy}` statistics out.
+//!
+//! The unit of work is the [`RowRun`]: requests of one kind to
+//! consecutive columns of one row. Under the paper's configuration (open
+//! row, refresh off) the controller serves a run's head like any request
+//! and the rest in closed form, in O(1) (the controller's module docs
+//! derive it per drive mode; under any other configuration each request
+//! is served on its own). A DRMap tile is almost all runs of a whole row,
+//! so replaying it costs per run, not per burst.
+//!
+//! [`DramSimulator::run`] coalesces a request trace into maximal runs and
+//! [`DramSimulator::run_runs`] takes runs directly; both feed one engine.
+//! FR-FCFS reorders requests within a window counted in requests, so under
+//! it the engine is fed runs of length 1.
+
+use std::collections::VecDeque;
 
 use crate::controller::{ControllerConfig, MemoryController, SchedulerKind, ServiceRecord};
 use crate::energy::{EnergyBreakdown, EnergyModel, EnergyParams};
 use crate::error::ConfigError;
 use crate::geometry::Geometry;
-use crate::request::{DriveMode, Request};
+use crate::request::{DriveMode, Request, RowRun};
 use crate::state::RowBufferOutcome;
 use crate::timing::TimingParams;
 
@@ -58,11 +73,7 @@ impl SimStats {
 
     /// Count for one outcome.
     pub fn outcome_count(&self, outcome: RowBufferOutcome) -> u64 {
-        let idx = RowBufferOutcome::ALL
-            .iter()
-            .position(|&o| o == outcome)
-            .unwrap();
-        self.outcome_counts[idx]
+        self.outcome_counts[outcome.index()]
     }
 
     /// Row-buffer hit rate (hits + hit-other-subarray over all requests).
@@ -162,84 +173,81 @@ impl DramSimulator {
     /// The simulator is stateful: a second run continues from the DRAM
     /// state the first one left behind, but the returned statistics
     /// (cycles, outcomes, energy) cover only the new run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request address lies outside the geometry.
     pub fn run(&mut self, trace: &[Request], mode: DriveMode) -> SimStats {
+        match self.controller.config().scheduler {
+            SchedulerKind::Fcfs => {
+                let mut runs = RowRun::coalesce(trace);
+                self.replay(mode, |_| runs.next())
+            }
+            SchedulerKind::FrFcfs => self.replay_frfcfs(trace.iter().copied().collect(), mode),
+        }
+    }
+
+    /// [`DramSimulator::run`] over a trace given as row runs: the same
+    /// statistics, records and state as running their requests in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request address lies outside the geometry.
+    pub fn run_runs(&mut self, runs: &[RowRun], mode: DriveMode) -> SimStats {
+        match self.controller.config().scheduler {
+            SchedulerKind::Fcfs => {
+                let mut runs = runs.iter().copied();
+                self.replay(mode, |_| runs.next())
+            }
+            SchedulerKind::FrFcfs => {
+                let trace = runs.iter().flat_map(|r| r.requests()).collect();
+                self.replay_frfcfs(trace, mode)
+            }
+        }
+    }
+
+    /// FR-FCFS: the first row hit within the reorder window goes next,
+    /// else the oldest request.
+    fn replay_frfcfs(&mut self, mut pending: VecDeque<Request>, mode: DriveMode) -> SimStats {
+        let window = self.controller.config().reorder_window.max(1);
+        self.replay(mode, |controller| {
+            let pick = pending
+                .iter()
+                .take(window)
+                .position(|r| controller.peek_outcome(&r.address).is_hit())
+                .unwrap_or(0);
+            let head = pending.remove(pick)?;
+            Some(RowRun { head, len: 1 })
+        })
+    }
+
+    /// The one run engine: serve the runs `next` hands out, in order,
+    /// until it returns `None`.
+    fn replay(
+        &mut self,
+        mode: DriveMode,
+        mut next: impl FnMut(&MemoryController) -> Option<RowRun>,
+    ) -> SimStats {
         self.records.clear();
         let start_makespan = self.controller.makespan();
         let start_counters = self.controller.finalized_counters();
         let mut total_latency = 0u64;
-        let mut outcome_counts = [0u64; 5];
         let mut arrival = start_makespan;
-        let scheduler = self.controller.config().scheduler;
-        let window = self.controller.config().reorder_window.max(1);
-
-        let mut serve_one = |controller: &mut MemoryController,
-                             req: Request,
-                             arrival: &mut u64,
-                             records: &mut Vec<ServiceRecord>,
-                             keep: bool| {
-            let rec = controller.serve(req, *arrival);
-            total_latency += rec.latency();
-            let idx = RowBufferOutcome::ALL
-                .iter()
-                .position(|&o| o == rec.outcome)
-                .unwrap();
-            outcome_counts[idx] += 1;
-            match mode {
-                DriveMode::Dependent => *arrival = rec.completion,
-                DriveMode::Spaced(gap) => *arrival = rec.completion + gap,
-                DriveMode::Streamed => {}
-            }
-            if keep {
-                records.push(rec);
-            }
-        };
-
-        let mut served = 0u64;
-        match scheduler {
-            SchedulerKind::Fcfs => {
-                for &req in trace {
-                    serve_one(
-                        &mut self.controller,
-                        req,
-                        &mut arrival,
-                        &mut self.records,
-                        self.keep_records,
-                    );
-                    served += 1;
-                }
-            }
-            SchedulerKind::FrFcfs => {
-                let mut pending: std::collections::VecDeque<Request> =
-                    trace.iter().copied().collect();
-                while !pending.is_empty() {
-                    let lim = window.min(pending.len());
-                    let pick = pending
-                        .iter()
-                        .take(lim)
-                        .position(|r| self.controller.peek_outcome(&r.address).is_hit())
-                        .unwrap_or(0);
-                    let req = pending.remove(pick).unwrap();
-                    serve_one(
-                        &mut self.controller,
-                        req,
-                        &mut arrival,
-                        &mut self.records,
-                        self.keep_records,
-                    );
-                    served += 1;
-                }
-            }
+        while let Some(run) = next(&self.controller) {
+            let records = self.keep_records.then_some(&mut self.records);
+            let served = self.controller.serve_run(run, mode, arrival, records);
+            total_latency += served.latency_cycles;
+            arrival = served.next_arrival;
         }
-        let _ = &serve_one;
 
         let makespan = self.controller.makespan() - start_makespan;
         let counters = self.controller.finalized_counters().since(&start_counters);
         let energy = self.energy.breakdown(&counters, makespan);
         SimStats {
-            requests: served,
+            requests: counters.reads + counters.writes,
             makespan_cycles: makespan,
             total_latency_cycles: total_latency,
-            outcome_counts,
+            outcome_counts: counters.outcomes,
             energy,
         }
     }

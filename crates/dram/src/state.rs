@@ -45,6 +45,13 @@ impl RowBufferOutcome {
         RowBufferOutcome::ConflictOtherSubarray,
     ];
 
+    /// Position in [`RowBufferOutcome::ALL`], which is the order of every
+    /// per-outcome counter array.
+    #[inline]
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// True for outcomes that need no activation.
     pub fn is_hit(self) -> bool {
         matches!(
@@ -325,6 +332,13 @@ mod tests {
         assert_eq!(b.open_count(), 1);
         b.precharge_all();
         assert_eq!(b.open_count(), 0);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, outcome) in RowBufferOutcome::ALL.into_iter().enumerate() {
+            assert_eq!(outcome.index(), i);
+        }
     }
 
     #[test]

@@ -2,6 +2,9 @@
 //! invariants must hold for arbitrary request streams on arbitrary
 //! architectures, not just the structured patterns the profiler uses.
 
+use std::collections::VecDeque;
+
+use drmap_dram::controller::ServiceRecord;
 use drmap_dram::prelude::*;
 use proptest::prelude::*;
 
@@ -47,11 +50,7 @@ fn mode_strategy() -> impl Strategy<Value = DriveMode> {
     ]
 }
 
-fn run(
-    arch: DramArch,
-    requests: &[Request],
-    mode: DriveMode,
-) -> (SimStats, Vec<drmap_dram::controller::ServiceRecord>) {
+fn run(arch: DramArch, requests: &[Request], mode: DriveMode) -> (SimStats, Vec<ServiceRecord>) {
     let mut sim = DramSimulator::new(
         Geometry::salp_2gb_x8(),
         TimingParams::ddr3_1600k(),
@@ -193,5 +192,253 @@ proptest! {
         let k = sim.controller().counters();
         let reads = requests.iter().filter(|r| r.kind == RequestKind::Read).count() as u64;
         prop_assert_eq!(k.reads, reads);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle for the run engine.
+//
+// `DramSimulator::run` coalesces a trace into row runs and serves each
+// run's tail in closed form where it can. The oracle below is the
+// per-request driver it replaced: every request through
+// `MemoryController::serve`, with the drive-mode and FR-FCFS loops
+// written out. Both must agree bit for bit on every configuration.
+// ---------------------------------------------------------------------------
+
+/// The per-request driver: what `DramSimulator::run` computed request by
+/// request before it served row runs.
+struct Oracle {
+    mc: MemoryController,
+    energy: EnergyModel,
+    records: Vec<ServiceRecord>,
+}
+
+impl Oracle {
+    fn run(&mut self, trace: &[Request], mode: DriveMode, keep: bool) -> SimStats {
+        self.records.clear();
+        let start_makespan = self.mc.makespan();
+        let start_counters = self.mc.finalized_counters();
+        let mut total_latency = 0u64;
+        let mut outcome_counts = [0u64; 5];
+        let mut arrival = start_makespan;
+        let mut pending: VecDeque<Request> = trace.iter().copied().collect();
+        let window = self.mc.config().reorder_window.max(1);
+        while !pending.is_empty() {
+            let pick = match self.mc.config().scheduler {
+                SchedulerKind::Fcfs => 0,
+                SchedulerKind::FrFcfs => pending
+                    .iter()
+                    .take(window.min(pending.len()))
+                    .position(|r| self.mc.peek_outcome(&r.address).is_hit())
+                    .unwrap_or(0),
+            };
+            let req = pending.remove(pick).unwrap();
+            let rec = self.mc.serve(req, arrival);
+            total_latency += rec.latency();
+            let idx = RowBufferOutcome::ALL
+                .iter()
+                .position(|&o| o == rec.outcome)
+                .unwrap();
+            outcome_counts[idx] += 1;
+            match mode {
+                DriveMode::Dependent => arrival = rec.completion,
+                DriveMode::Spaced(gap) => arrival = rec.completion + gap,
+                DriveMode::Streamed => {}
+            }
+            if keep {
+                self.records.push(rec);
+            }
+        }
+        let makespan = self.mc.makespan() - start_makespan;
+        let counters = self.mc.finalized_counters().since(&start_counters);
+        SimStats {
+            requests: trace.len() as u64,
+            makespan_cycles: makespan,
+            total_latency_cycles: total_latency,
+            outcome_counts,
+            energy: self.energy.breakdown(&counters, makespan),
+        }
+    }
+}
+
+/// One stretch of a trace: a run of 1–128 consecutive columns of one row
+/// (cut at the row's end), or a single request anywhere. A run may be given
+/// as two pieces split at a random column, the second of either kind, so
+/// that runs meet mid-row and a kind change must end one. Runs draw from
+/// eight rows, so that a later stretch often finds its row still open and
+/// is gated by nothing but what earlier runs left behind.
+fn segment_strategy() -> impl Strategy<Value = Vec<RowRun>> {
+    let run = (
+        (0usize..2, 0usize..2, 0usize..2),  // bank, subarray, row
+        0usize..128,                        // first column
+        1usize..129,                        // length before the cut
+        0usize..128,                        // split point (none if 0)
+        (prop::bool::ANY, prop::bool::ANY), // write?, second piece writes?
+    )
+        .prop_map(|((bank, subarray, row), column, len, split, writes)| {
+            let address = PhysicalAddress {
+                channel: 0,
+                rank: 0,
+                bank,
+                subarray,
+                row,
+                column,
+            };
+            let kind = |write| match write {
+                true => RequestKind::Write,
+                false => RequestKind::Read,
+            };
+            let whole = RowRun {
+                head: Request {
+                    address,
+                    kind: kind(writes.0),
+                },
+                len: len.min(128 - column),
+            };
+            match split % whole.len {
+                0 => vec![whole],
+                split => vec![
+                    RowRun {
+                        len: split,
+                        ..whole
+                    },
+                    RowRun {
+                        head: Request {
+                            kind: kind(writes.1),
+                            ..whole.request(split)
+                        },
+                        len: whole.len - split,
+                    },
+                ],
+            }
+        });
+    let single = request_strategy().prop_map(|head| vec![RowRun { head, len: 1 }]);
+    prop_oneof![run, single]
+}
+
+/// Two traces, replayed one after the other on one simulator.
+fn trace_pair_strategy() -> impl Strategy<Value = [Vec<RowRun>; 2]> {
+    let trace = || prop::collection::vec(segment_strategy(), 1..12).prop_map(|s| s.concat());
+    (trace(), trace()).prop_map(|(first, second)| [first, second])
+}
+
+fn expand(segments: &[RowRun]) -> Vec<Request> {
+    segments.iter().flat_map(|r| r.requests()).collect()
+}
+
+/// Cells of the configuration matrix below.
+const CELLS: usize = 4 * 3 * 3 * 2 * 2 * 2 * 2;
+
+/// Every cell of the configuration matrix: architecture × drive mode ×
+/// row policy × refresh × scheduler × `keep_records` × `record_commands`.
+fn matrix(gap: u64, timeout: u64) -> Vec<(ControllerConfig, DriveMode, bool)> {
+    let mut cells = Vec::new();
+    for arch in DramArch::ALL {
+        for mode in [
+            DriveMode::Streamed,
+            DriveMode::Dependent,
+            DriveMode::Spaced(gap),
+        ] {
+            for row_policy in [
+                RowPolicy::Open,
+                RowPolicy::Closed,
+                RowPolicy::Timeout(timeout),
+            ] {
+                for refresh_enabled in [false, true] {
+                    for scheduler in [SchedulerKind::Fcfs, SchedulerKind::FrFcfs] {
+                        for keep in [false, true] {
+                            for record_commands in [false, true] {
+                                let cfg = ControllerConfig {
+                                    row_policy,
+                                    scheduler,
+                                    refresh_enabled,
+                                    record_commands,
+                                    ..ControllerConfig::new(arch)
+                                };
+                                cells.push((cfg, mode, keep));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cells.len(), CELLS);
+    cells
+}
+
+/// On each cell of the matrix, with a trace pair of its own: replay the
+/// pair's traces one after the other on one simulator through `run`, on
+/// another through `run_runs` (the segments as given, not coalesced), and
+/// on the oracle; all three must agree bit for bit after each call.
+fn assert_run_engine_matches_oracle(traces: &[[Vec<RowRun>; 2]], gap: u64, timeout: u64) {
+    let geometry = Geometry::salp_2gb_x8();
+    // A short refresh interval, so that refresh-on cells do refresh.
+    let timing = TimingParams {
+        t_refi: 700,
+        ..TimingParams::ddr3_1600k()
+    };
+    let energy = EnergyParams::micron_2gb_x8();
+    for ((cfg, mode, keep), pair) in matrix(gap, timeout).into_iter().zip(traces) {
+        let new_sim = || {
+            let mut sim = DramSimulator::new(geometry, timing, cfg, energy).unwrap();
+            sim.set_keep_records(keep);
+            sim
+        };
+        let (mut by_requests, mut by_runs) = (new_sim(), new_sim());
+        let mut oracle = Oracle {
+            mc: MemoryController::new(geometry, timing, cfg).unwrap(),
+            energy: EnergyModel::new(geometry, timing, energy).unwrap(),
+            records: Vec::new(),
+        };
+        for segments in pair {
+            let trace = expand(segments);
+            let want = oracle.run(&trace, mode, keep);
+            let got = [
+                (by_requests.run(&trace, mode), &by_requests),
+                (by_runs.run_runs(segments, mode), &by_runs),
+            ];
+            for (stats, sim) in got {
+                let cell = format!("{cfg:?} {mode:?} keep={keep}");
+                assert_eq!(format!("{stats:?}"), format!("{want:?}"), "{cell}");
+                assert_eq!(sim.records(), &oracle.records[..], "{cell}");
+                assert_eq!(sim.controller().commands(), oracle.mc.commands(), "{cell}");
+                assert_eq!(
+                    sim.controller().finalized_counters(),
+                    oracle.mc.finalized_counters(),
+                    "{cell}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The run engine is the per-request driver, bit for bit, on every
+    /// cell of the configuration matrix and across two consecutive runs.
+    #[test]
+    fn run_engine_matches_the_per_request_oracle(
+        traces in prop::collection::vec(trace_pair_strategy(), CELLS..CELLS + 1),
+        gap in 1u64..64,
+        timeout in 1u64..200,
+    ) {
+        assert_run_engine_matches_oracle(&traces, gap, timeout);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The same identity at 24× the tier-1 case budget (run in release).
+    #[test]
+    #[ignore = "the run-engine oracle at a larger case budget; run in release"]
+    fn run_engine_matches_the_per_request_oracle_at_scale(
+        traces in prop::collection::vec(trace_pair_strategy(), CELLS..CELLS + 1),
+        gap in 1u64..64,
+        timeout in 1u64..200,
+    ) {
+        assert_run_engine_matches_oracle(&traces, gap, timeout);
     }
 }
