@@ -3,7 +3,6 @@
 //! ```text
 //! drmap-router --backend HOST:PORT [--backend HOST:PORT ...]
 //!              [--addr HOST:PORT] [--data-conns N]
-//!              [--retry-attempts N] [--retry-base-ms N] [--retry-cap-ms N]
 //! ```
 //!
 //! Clients connect to the router exactly as they would to a single
@@ -11,9 +10,10 @@
 //! each job by rendezvous-hashing its cache fingerprint onto a backend,
 //! pipelines in-flight jobs over a small per-backend connection pool,
 //! and fails jobs on dead backends over to the next-ranked node (jobs
-//! are pure, so a resend is safe). `stats` and `metrics` aggregate
-//! across the fleet and configuration verbs broadcast. A job is always
-//! forwarded whole. Each client connection has the same in-flight cap
+//! are pure, so a resend is safe; a job gets at most 4 dispatches,
+//! with a jittered 50 ms – 2 s backoff before each resend). `stats` and
+//! `metrics` aggregate across the fleet and configuration verbs
+//! broadcast. A job is always forwarded whole. Each client connection has the same in-flight cap
 //! as a direct `drmap-serve` connection (128). Dead backends are probed
 //! every 500 ms; backend connections must connect within 2 s, and admin
 //! fan-out exchanges time out after 10 s. See `docs/CLUSTER.md`.
@@ -35,23 +35,10 @@ fn parse_args() -> Result<(String, RouterConfig), String> {
             "--data-conns" => {
                 cfg.data_conns = parse_positive("--data-conns", &value("--data-conns")?)?;
             }
-            "--retry-attempts" => {
-                cfg.retry.max_attempts =
-                    parse_positive("--retry-attempts", &value("--retry-attempts")?)? as u32;
-            }
-            "--retry-base-ms" => {
-                cfg.retry.base_ms =
-                    parse_positive("--retry-base-ms", &value("--retry-base-ms")?)? as u64;
-            }
-            "--retry-cap-ms" => {
-                cfg.retry.cap_ms =
-                    parse_positive("--retry-cap-ms", &value("--retry-cap-ms")?)? as u64;
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: drmap-router --backend HOST:PORT [--backend HOST:PORT ...] \
-                     [--addr HOST:PORT] [--data-conns N] \
-                     [--retry-attempts N] [--retry-base-ms N] [--retry-cap-ms N]"
+                     [--addr HOST:PORT] [--data-conns N]"
                 );
                 std::process::exit(0);
             }

@@ -12,9 +12,9 @@
 //!
 //! Jobs are pure computations, so failover is safe: when a backend
 //! dies mid-flight its jobs are retried on the next-ranked healthy
-//! node under the client tier's
-//! [`RetryPolicy`](drmap_service::client::RetryPolicy), and health
-//! probes gate the dead node's readmission. Admin verbs fan out:
+//! node under a fixed attempt budget with decorrelated-jitter backoff
+//! (see [`proxy`]), and health probes gate the dead node's
+//! readmission. Admin verbs fan out:
 //! `stats`/`metrics` aggregate, configuration verbs broadcast. A job
 //! is always forwarded whole — one layer, one node. See
 //! `docs/CLUSTER.md` for the full semantics.

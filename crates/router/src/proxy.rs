@@ -20,8 +20,8 @@
 //! without observable effect. Death is detected at the data path (a
 //! reader thread's connection drops, a write fails); the backend is
 //! retired, its pending jobs drained, and each is re-dispatched to the
-//! next-ranked healthy backend under the client tier's
-//! [`RetryPolicy`] (decorrelated-jitter backoff, bounded attempts). A
+//! next-ranked healthy backend, at most `RETRY_ATTEMPTS` dispatches in
+//! all, sleeping a decorrelated-jitter backoff before each resend. A
 //! background probe loop re-admits the backend once it handshakes
 //! again.
 
@@ -32,7 +32,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use drmap_service::client::RetryPolicy;
 use drmap_service::conn::{Listener, Reply, Service, Ticket};
 use drmap_service::engine::job_route_key;
 use drmap_service::error::ServiceError;
@@ -52,6 +51,33 @@ use crate::hash;
 /// How often the probe loop re-handshakes unhealthy backends.
 const PROBE_INTERVAL: Duration = Duration::from_millis(500);
 
+/// A failed-over job's total dispatch budget, counting the first try.
+const RETRY_ATTEMPTS: u32 = 4;
+/// Smallest failover sleep, and the lower bound of every jitter draw.
+const RETRY_BASE_MS: u64 = 50;
+/// Largest failover sleep; every draw is clamped here.
+const RETRY_CAP_MS: u64 = 2_000;
+/// Seed of the deterministic jitter stream (mixed with the first
+/// orphan's router id).
+const RETRY_SEED: u64 = 0x5eed;
+
+/// The next failover sleep in milliseconds, by **decorrelated
+/// jitter**: uniform in `[RETRY_BASE_MS, 3 × prev_ms]`, clamped to
+/// [`RETRY_CAP_MS`], so jobs orphaned together spread out instead of
+/// resending in lockstep. Updates `prev_ms` to the drawn value. The
+/// draw is seeded, so a seed replays the same schedule.
+fn next_backoff_ms(rng: &mut SplitMix64, prev_ms: &mut u64) -> u64 {
+    let ceiling = prev_ms.saturating_mul(3).max(RETRY_BASE_MS);
+    let span = ceiling - RETRY_BASE_MS;
+    let drawn = if span == 0 {
+        RETRY_BASE_MS
+    } else {
+        RETRY_BASE_MS + rng.next_u64() % (span + 1)
+    };
+    *prev_ms = drawn.min(RETRY_CAP_MS);
+    *prev_ms
+}
+
 /// Everything tunable about the router tier.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -59,8 +85,6 @@ pub struct RouterConfig {
     /// tie-break order of the rendezvous ranking, so every router
     /// given the same list agrees on every pick.
     pub backends: Vec<String>,
-    /// Backoff/attempt budget for failing a job over between backends.
-    pub retry: RetryPolicy,
     /// Pipelined data connections per backend.
     pub data_conns: usize,
 }
@@ -69,7 +93,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             backends: Vec::new(),
-            retry: RetryPolicy::default(),
             data_conns: 2,
         }
     }
@@ -138,7 +161,7 @@ struct Pending {
     reply: Ticket,
     /// Index of the backend currently running the job.
     backend: usize,
-    /// Dispatches so far (bounded by [`RetryPolicy::max_attempts`]).
+    /// Dispatches so far (bounded by [`RETRY_ATTEMPTS`]).
     attempts: u32,
     /// Previous backoff sleep, for the decorrelated-jitter draw.
     prev_backoff_ms: u64,
@@ -338,10 +361,10 @@ impl RouterCore {
     /// Re-dispatch drained jobs after a failure: bounded attempts,
     /// decorrelated-jitter backoff.
     fn redispatch(self: &Arc<Self>, orphans: Vec<(u64, Pending)>) {
-        let seed = self.cfg.retry.seed ^ orphans.first().map_or(0, |(id, _)| *id);
+        let seed = RETRY_SEED ^ orphans.first().map_or(0, |(id, _)| *id);
         let mut rng = SplitMix64::new(seed);
         for (router_id, mut pending) in orphans {
-            if pending.attempts >= self.cfg.retry.max_attempts {
+            if pending.attempts >= RETRY_ATTEMPTS {
                 let message = format!(
                     "job gave up after {} attempts across backends",
                     pending.attempts
@@ -350,7 +373,7 @@ impl RouterCore {
                 continue;
             }
             let mut prev = pending.prev_backoff_ms;
-            let sleep_ms = self.cfg.retry.next_backoff_ms(&mut rng, &mut prev);
+            let sleep_ms = next_backoff_ms(&mut rng, &mut prev);
             pending.prev_backoff_ms = prev;
             std::thread::sleep(Duration::from_millis(sleep_ms));
             self.m.failover_total.inc();
@@ -699,5 +722,41 @@ impl Router {
         let core = Arc::clone(&self.core);
         self.listener.every(PROBE_INTERVAL, move || core.probe());
         self.listener.serve(&self.core, DEFAULT_MAX_INFLIGHT)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn schedule(seed: u64, draws: usize) -> Vec<u64> {
+        let mut rng = SplitMix64::new(seed);
+        let mut prev = RETRY_BASE_MS;
+        (0..draws)
+            .map(|_| next_backoff_ms(&mut rng, &mut prev))
+            .collect()
+    }
+
+    #[test]
+    fn decorrelated_jitter_stays_within_bounds_and_replays_by_seed() {
+        let mut rng = SplitMix64::new(RETRY_SEED);
+        let mut prev = RETRY_BASE_MS;
+        let mut sleeps = Vec::new();
+        for _ in 0..256 {
+            let before = prev;
+            let sleep = next_backoff_ms(&mut rng, &mut prev);
+            assert!(sleep >= RETRY_BASE_MS, "below base: {sleep}");
+            assert!(sleep <= RETRY_CAP_MS, "above cap: {sleep}");
+            assert!(
+                sleep <= before.saturating_mul(3).max(RETRY_BASE_MS),
+                "exceeded the decorrelated ceiling: {sleep} after {before}"
+            );
+            assert_eq!(sleep, prev, "the recurrence feeds the drawn value back");
+            sleeps.push(sleep);
+        }
+        // Same seed → byte-identical schedule; different seeds → two
+        // orphan batches do not resend in lockstep.
+        assert_eq!(sleeps, schedule(RETRY_SEED, 256));
+        assert_ne!(sleeps, schedule(RETRY_SEED + 1, 256));
     }
 }

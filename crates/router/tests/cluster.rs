@@ -176,7 +176,9 @@ fn admin_verbs_aggregate_and_broadcast() {
     assert!(metrics.snapshot.counter("connections_total").is_some());
 
     // A broadcast verb reaches every node.
-    client.cache_clear().unwrap();
+    client
+        .typed_request(&Request::CacheClear { id: None })
+        .unwrap();
     for backend in &backends {
         assert_eq!(backend.state.cache().stats().entries, 0);
     }
@@ -297,11 +299,18 @@ fn a_routed_pipelining_client_is_held_to_the_per_connection_cap() {
     assert_eq!(inflight(), Some(0));
 }
 
-/// The probe interval and the two backend timeouts are constants now;
-/// their flags are gone.
+/// The probe interval, the two backend timeouts and the failover
+/// budget are constants now; their flags are gone.
 #[test]
 fn deleted_router_flags_are_unknown() {
-    for flag in ["--probe-ms", "--connect-timeout-ms", "--admin-timeout-ms"] {
+    for flag in [
+        "--probe-ms",
+        "--connect-timeout-ms",
+        "--admin-timeout-ms",
+        "--retry-attempts",
+        "--retry-base-ms",
+        "--retry-cap-ms",
+    ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_drmap-router"))
             .args([flag, "100", "--backend", "127.0.0.1:1"])
             .output()
@@ -389,10 +398,7 @@ fn sigkilled_backend_fails_over_without_job_errors() {
         wait_for_backend(addr);
     }
 
-    let (addr, core) = boot_router(&addrs, |cfg| {
-        cfg.retry.base_ms = 10;
-        cfg.retry.cap_ms = 100;
-    });
+    let (addr, core) = boot_router(&addrs, |_| {});
     wait_healthy(&core, 3);
 
     // Jobs whose rendezvous pick is the victim: every one of them is

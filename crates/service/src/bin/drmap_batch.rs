@@ -1,33 +1,24 @@
-//! `drmap-batch` — run a batch of DSE jobs and print a throughput and
-//! cache report.
+//! `drmap-batch` — pipeline a batch of DSE jobs to a running
+//! `drmap-serve` (or `drmap-router`) and print a throughput and cache
+//! report, or drive its control plane.
 //!
 //! ```text
-//! drmap-batch [SPEC_FILE] [--models a,b,c] [--arch ARCH] [--objective OBJ]
-//!             [--workers N] [--repeat R] [--compare]
-//!             [--cache-entries N] [--cache-bytes BYTES] [--store PATH]
-//!             [--connect HOST:PORT]
-//!             [--connect HOST:PORT --admin CMD [CMD…] [--text]]
+//! drmap-batch --connect HOST:PORT [SPEC_FILE] [--models a,b,c] [--arch ARCH]
+//!             [--objective OBJ] [--repeat R]
+//! drmap-batch --connect HOST:PORT --admin CMD [CMD…] [--text]
 //! ```
 //!
 //! `SPEC_FILE` holds one JSON job per line (the server's request
 //! format; blank lines and `#` comments ignored). Without a file,
 //! `--models` (default `alexnet,squeezenet,tiny`) builds one job per
 //! zoo network. `--repeat R` submits the whole batch `R` times —
-//! repeats hit the memo cache (and concurrent duplicates coalesce onto
-//! one in-flight computation). `--compare` also times the same batch on
-//! a fresh single-worker pool and reports the multi-worker speedup.
+//! repeats hit the server's memo cache (and concurrent duplicates
+//! coalesce onto one in-flight computation). Every job goes on the wire
+//! up front and responses return out of order as they complete.
 //!
-//! By default jobs run on an in-process pool; `--cache-entries` /
-//! `--cache-bytes` bound its LRU memo cache, and `--store PATH` backs it
-//! with a persistent result log — rerunning the same batch later serves
-//! every layer from disk without recomputation. With `--connect` the
-//! batch is instead **pipelined over TCP** to a running `drmap-serve`:
-//! every job goes on the wire up front and responses return out of
-//! order as they complete.
-//!
-//! `--admin` (with `--connect`) switches to **control-plane mode**: the
-//! remaining arguments are admin commands driven over the typed
-//! protocol, in order, failing on the first non-ok response:
+//! `--admin` switches to **control-plane mode**: the remaining
+//! arguments are admin commands, each parsed into its protocol request
+//! and sent in order, failing on the first non-ok response:
 //!
 //! ```text
 //! drmap-batch --connect 127.0.0.1:7878 --admin hello \
@@ -43,7 +34,8 @@
 //! drmap-batch --connect 127.0.0.1:7878 --admin metrics --text
 //! ```
 //!
-//! `set-slow-log=slow_ms:N,cap:N` retunes the slow log live, and
+//! `set-slow-log=slow_ms:N,cap:N` retunes the slow log live,
+//! `store-compact=auto:R` arms background store compaction, and
 //! `set-faults=SPEC|off` arms or disarms a deterministic
 //! fault-injection plan (builds with faults compiled in only; see
 //! `docs/RELIABILITY.md`):
@@ -55,31 +47,24 @@
 //! ```
 
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use drmap_service::cache::CacheConfig;
-use drmap_service::cli::{parse_admin_command, parse_positive as positive, AdminCmd};
+use drmap_service::cli::{parse_admin_command, parse_positive as positive};
 use drmap_service::client::Client;
-use drmap_service::engine::{default_workers, ServiceState};
 use drmap_service::error::ServiceError;
-use drmap_service::json::Json;
-use drmap_service::pool::DsePool;
+use drmap_service::json::{Json, MAX_EXACT_INT};
 use drmap_service::prelude::Network;
-use drmap_service::proto::Label;
+use drmap_service::proto::{Label, MetricsReport, Request, Response};
 use drmap_service::spec::{EngineSpec, JobResult, JobSpec};
 
 struct Args {
     spec_file: Option<String>,
     models: Vec<String>,
     engine: EngineSpec,
-    workers: usize,
     repeat: usize,
-    compare: bool,
-    cache: CacheConfig,
-    store: Option<String>,
-    connect: Option<String>,
-    admin: Option<Vec<AdminCmd>>,
+    connect: String,
+    /// Each admin command's verb (for error messages) and its request.
+    admin: Option<Vec<(String, Request)>>,
     text: bool,
 }
 
@@ -88,18 +73,12 @@ fn parse_args() -> Result<Args, String> {
         spec_file: None,
         models: vec!["alexnet".into(), "squeezenet".into(), "tiny".into()],
         engine: EngineSpec::default(),
-        workers: default_workers(),
         repeat: 1,
-        compare: false,
-        cache: CacheConfig::unbounded(),
-        store: None,
-        connect: None,
+        connect: String::new(),
         admin: None,
         text: false,
     };
-    // Flags that only apply to the in-process pool; rejected with
-    // --connect rather than silently ignored.
-    let mut local_only: Vec<&'static str> = Vec::new();
+    let mut connect = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
@@ -113,29 +92,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--arch" => args.engine.arch = label(&value("--arch")?)?,
             "--objective" => args.engine.objective = label(&value("--objective")?)?,
-            "--workers" => {
-                args.workers = positive("--workers", &value("--workers")?)?;
-                local_only.push("--workers");
-            }
             "--repeat" => args.repeat = positive("--repeat", &value("--repeat")?)?,
-            "--compare" => {
-                args.compare = true;
-                local_only.push("--compare");
-            }
-            "--cache-entries" => {
-                args.cache.max_entries =
-                    Some(positive("--cache-entries", &value("--cache-entries")?)?);
-                local_only.push("--cache-entries");
-            }
-            "--cache-bytes" => {
-                args.cache.max_bytes = Some(positive("--cache-bytes", &value("--cache-bytes")?)?);
-                local_only.push("--cache-bytes");
-            }
-            "--store" => {
-                args.store = Some(value("--store")?);
-                local_only.push("--store");
-            }
-            "--connect" => args.connect = Some(value("--connect")?),
+            "--connect" => connect = Some(value("--connect")?),
             // A repeated --admin is a no-op, not a reset: commands
             // already collected must survive.
             "--admin" => {
@@ -144,19 +102,18 @@ fn parse_args() -> Result<Args, String> {
             "--text" => args.text = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: drmap-batch [SPEC_FILE] [--models a,b,c] [--arch ARCH] \
-                     [--objective OBJ] [--workers N] [--repeat R] [--compare] \
-                     [--cache-entries N] [--cache-bytes BYTES] [--store PATH] \
-                     [--connect HOST:PORT] \
+                    "usage: drmap-batch --connect HOST:PORT [SPEC_FILE] [--models a,b,c] \
+                     [--arch ARCH] [--objective OBJ] [--repeat R] \
                      [--admin CMD [CMD...] [--text]]"
                 );
                 std::process::exit(0);
             }
             other if !other.starts_with('-') && args.admin.is_some() => {
+                let verb = other.split_once('=').map_or(other, |(verb, _)| verb);
                 args.admin
                     .as_mut()
                     .expect("checked is_some")
-                    .push(parse_admin_command(other)?);
+                    .push((verb.to_owned(), parse_admin_command(other)?));
             }
             other if !other.starts_with('-') && args.spec_file.is_none() => {
                 args.spec_file = Some(other.to_owned());
@@ -164,15 +121,12 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
+    args.connect = connect.ok_or("--connect HOST:PORT is required: jobs run on a live server")?;
     if let Some(commands) = &args.admin {
-        if args.connect.is_none() {
-            return Err("--admin drives a live server; it needs --connect".to_owned());
-        }
         if commands.is_empty() {
             return Err("--admin needs at least one command (try --help)".to_owned());
         }
-        // Batch-only arguments are rejected, not silently ignored —
-        // the same policy the --connect/local-flag check applies below.
+        // Batch-only arguments are rejected, not silently ignored.
         if let Some(path) = &args.spec_file {
             return Err(format!(
                 "a spec file ({path:?}) does not apply in --admin mode"
@@ -184,14 +138,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.text && args.admin.is_none() {
         return Err("--text only applies in --admin mode (with the metrics command)".to_owned());
-    }
-    if args.connect.is_some() && !local_only.is_empty() {
-        return Err(format!(
-            "{} appl{} only to the in-process pool; with --connect the server's \
-             workers and cache settings are in charge",
-            local_only.join(", "),
-            if local_only.len() == 1 { "ies" } else { "y" },
-        ));
     }
     Ok(args)
 }
@@ -209,29 +155,27 @@ fn bound_label(b: Option<usize>) -> String {
     }
 }
 
-/// Drive a sequence of admin commands over the typed protocol, printing
-/// each response; the first non-ok response aborts with its error.
-/// `text` makes the `metrics` command print Prometheus-style
-/// exposition instead of the human summary.
-fn run_admin(addr: &str, text: bool, commands: &[AdminCmd]) -> Result<(), String> {
+/// Send each admin request in order, printing its response; the first
+/// non-ok response aborts with its error. `text` makes the `metrics`
+/// command print Prometheus-style exposition instead of the human
+/// summary.
+fn run_admin(addr: &str, text: bool, commands: &[(String, Request)]) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
-    for command in commands {
-        match command {
-            AdminCmd::Hello => {
-                let info = client.hello().map_err(|e| format!("hello: {e}"))?;
-                println!(
-                    "hello: {} speaks protocol v{} (capabilities: {})",
-                    info.server,
-                    info.version,
-                    info.capabilities.join(", "),
-                );
-            }
-            AdminCmd::Ping => {
-                client.ping().map_err(|e| format!("ping: {e}"))?;
-                println!("ping: pong");
-            }
-            AdminCmd::Stats => {
-                let report = client.stats_report().map_err(|e| format!("stats: {e}"))?;
+    for (verb, request) in commands {
+        match client
+            .typed_request(request)
+            .map_err(|e| format!("{verb}: {e}"))?
+        {
+            Response::Hello {
+                version,
+                server,
+                capabilities,
+            } => println!(
+                "hello: {server} speaks protocol v{version} (capabilities: {})",
+                capabilities.join(", "),
+            ),
+            Response::Pong { .. } => println!("ping: pong"),
+            Response::Stats { report, .. } => {
                 println!(
                     "stats: {} hits / {} misses / {} coalesced ({} bypassed, {} refreshed), \
                      {} entries, {} bytes, {} evictions, {} workers",
@@ -257,113 +201,88 @@ fn run_admin(addr: &str, text: bool, commands: &[AdminCmd]) -> Result<(), String
                     );
                 }
             }
-            AdminCmd::SetBounds(update) => {
-                let (entries, bytes, evicted) = client
-                    .set_bounds(*update)
-                    .map_err(|e| format!("set-bounds: {e}"))?;
-                println!(
-                    "set-bounds: {} entries / {} bytes ({evicted} evicted)",
-                    bound_label(entries),
-                    bound_label(bytes),
-                );
+            Response::BoundsSet {
+                max_entries,
+                max_bytes,
+                evicted,
+                ..
+            } => println!(
+                "set-bounds: {} entries / {} bytes ({evicted} evicted)",
+                bound_label(max_entries),
+                bound_label(max_bytes),
+            ),
+            Response::Metrics { report, .. } if text => {
+                print!("{}", report.snapshot.to_prometheus());
             }
-            AdminCmd::Metrics => {
-                let report = client.metrics().map_err(|e| format!("metrics: {e}"))?;
-                if text {
-                    print!("{}", report.snapshot.to_prometheus());
-                } else {
-                    for (name, v) in &report.snapshot.counters {
-                        println!("counter  {name} = {v}");
-                    }
-                    for (name, v) in &report.snapshot.gauges {
-                        println!("gauge    {name} = {v}");
-                    }
-                    for (name, h) in &report.snapshot.histograms {
-                        if h.count == 0 {
-                            println!("hist     {name}: empty");
-                            continue;
-                        }
-                        println!(
-                            "hist     {name}: count {} p50 {} p95 {} p99 {} p999 {} max {} (ns)",
-                            h.count,
-                            h.p50(),
-                            h.p95(),
-                            h.p99(),
-                            h.p999(),
-                            h.max,
-                        );
-                    }
-                    if report.slow.is_empty() {
-                        println!("slow log: empty");
-                    }
-                    for entry in &report.slow {
-                        let stages = entry
-                            .stages
-                            .iter()
-                            .map(|(name, ns)| format!("{name} {:.2}ms", *ns as f64 / 1e6))
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        println!(
-                            "slow job {}: {:.2}ms total ({stages})",
-                            entry.trace_id,
-                            entry.total_ns as f64 / 1e6,
-                        );
-                    }
-                }
-            }
-            AdminCmd::SetSlowLog { slow_ms, cap } => {
-                let (slow_ms, cap) = client
-                    .set_slow_log(*slow_ms, *cap)
-                    .map_err(|e| format!("set-slow-log: {e}"))?;
-                println!(
-                    "set-slow-log: threshold {}, ring capacity {cap}",
-                    match slow_ms {
-                        Some(ms) => format!(">= {ms} ms"),
-                        None => "off".to_owned(),
-                    },
-                );
-            }
-            AdminCmd::SetFaults(plan) => {
-                let spec = plan.map(|p| p.render());
-                let armed = client
-                    .set_faults(spec.as_deref())
-                    .map_err(|e| format!("set-faults: {e}"))?;
-                match armed {
-                    Some(spec) => println!("set-faults: armed {spec}"),
-                    None => println!("set-faults: disarmed"),
-                }
-            }
-            AdminCmd::CacheClear => {
-                client
-                    .cache_clear()
-                    .map_err(|e| format!("cache-clear: {e}"))?;
-                println!("cache-clear: done");
-            }
-            AdminCmd::CacheWarm(limit) => {
-                let loaded = client
-                    .cache_warm(*limit)
-                    .map_err(|e| format!("cache-warm: {e}"))?;
+            Response::Metrics { report, .. } => print_metrics(&report),
+            Response::SlowLogSet { slow_ms, cap, .. } => println!(
+                "set-slow-log: threshold {}, ring capacity {cap}",
+                match slow_ms {
+                    Some(ms) => format!(">= {ms} ms"),
+                    None => "off".to_owned(),
+                },
+            ),
+            Response::FaultsSet {
+                spec: Some(spec), ..
+            } => println!("set-faults: armed {spec}"),
+            Response::FaultsSet { spec: None, .. } => println!("set-faults: disarmed"),
+            Response::CacheCleared { .. } => println!("cache-clear: done"),
+            Response::CacheWarmed { loaded, .. } => {
                 println!("cache-warm: {loaded} entries promoted");
             }
-            AdminCmd::StoreCompact(auto_ratio) => {
-                let report = client
-                    .compact_store_with(*auto_ratio)
-                    .map_err(|e| format!("store-compact: {e}"))?;
-                println!(
-                    "store-compact: {} -> {} bytes ({} records dropped, {} live)",
-                    report.bytes_before,
-                    report.bytes_after,
-                    report.dropped_records,
-                    report.live_records,
-                );
-            }
-            AdminCmd::Shutdown => {
-                client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-                println!("shutdown: acknowledged");
-            }
+            Response::StoreCompacted { report, .. } => println!(
+                "store-compact: {} -> {} bytes ({} records dropped, {} live)",
+                report.bytes_before,
+                report.bytes_after,
+                report.dropped_records,
+                report.live_records,
+            ),
+            Response::Shutdown { .. } => println!("shutdown: acknowledged"),
+            other => return Err(format!("{verb} got an unexpected response: {other:?}")),
         }
     }
     Ok(())
+}
+
+/// The human summary of a `metrics` response.
+fn print_metrics(report: &MetricsReport) {
+    for (name, v) in &report.snapshot.counters {
+        println!("counter  {name} = {v}");
+    }
+    for (name, v) in &report.snapshot.gauges {
+        println!("gauge    {name} = {v}");
+    }
+    for (name, h) in &report.snapshot.histograms {
+        if h.count == 0 {
+            println!("hist     {name}: empty");
+            continue;
+        }
+        println!(
+            "hist     {name}: count {} p50 {} p95 {} p99 {} p999 {} max {} (ns)",
+            h.count,
+            h.p50(),
+            h.p95(),
+            h.p99(),
+            h.p999(),
+            h.max,
+        );
+    }
+    if report.slow.is_empty() {
+        println!("slow log: empty");
+    }
+    for entry in &report.slow {
+        let stages = entry
+            .stages
+            .iter()
+            .map(|(name, ns)| format!("{name} {:.2}ms", *ns as f64 / 1e6))
+            .collect::<Vec<_>>()
+            .join(", ");
+        println!(
+            "slow job {}: {:.2}ms total ({stages})",
+            entry.trace_id,
+            entry.total_ns as f64 / 1e6,
+        );
+    }
 }
 
 fn load_specs(args: &Args) -> Result<Vec<JobSpec>, String> {
@@ -399,34 +318,29 @@ fn load_specs(args: &Args) -> Result<Vec<JobSpec>, String> {
 /// by the batch's maximum id plus one (not its length — spec files may
 /// use sparse ids, and an id of 0 must still move), so repeats of
 /// distinct-id specs stay distinct: the pipelined path needs unique
-/// ids as its correlation keys.
-fn batch_of(specs: &[JobSpec], repeat: usize) -> Vec<JobSpec> {
-    let stride = specs.iter().map(|s| s.id).max().unwrap_or(0) + 1;
+/// ids as its correlation keys. A batch whose offset ids would pass
+/// [`MAX_EXACT_INT`], the largest id the wire carries, is refused
+/// whole rather than sent for the server to reject.
+fn batch_of(specs: &[JobSpec], repeat: usize) -> Result<Vec<JobSpec>, String> {
+    let stride = u128::from(specs.iter().map(|s| s.id).max().unwrap_or(0)) + 1;
     let mut batch = Vec::with_capacity(specs.len() * repeat);
-    for round in 0..repeat {
+    for round in 0..repeat as u128 {
         for spec in specs {
-            let mut spec = spec.clone();
-            spec.id += round as u64 * stride;
-            batch.push(spec);
+            let id = u128::from(spec.id) + round * stride;
+            let id = u64::try_from(id)
+                .ok()
+                .filter(|&id| id <= MAX_EXACT_INT)
+                .ok_or_else(|| {
+                    format!(
+                        "job id {} repeated {repeat} times needs id {id}, past the wire's \
+                         largest id 2^53 ({MAX_EXACT_INT})",
+                        spec.id
+                    )
+                })?;
+            batch.push(JobSpec { id, ..spec.clone() });
         }
     }
-    batch
-}
-
-fn run_timed(
-    workers: usize,
-    cache: CacheConfig,
-    store: Option<Arc<drmap_store::store::Store>>,
-    batch: &[JobSpec],
-) -> Result<(Vec<JobResult>, Duration, Arc<ServiceState>), ServiceError> {
-    let state = ServiceState::with_cache_and_store(cache, store)?;
-    let pool = DsePool::new(Arc::clone(&state), workers);
-    let start = Instant::now();
-    let results = pool
-        .run_batch(batch)
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((results, start.elapsed(), state))
+    Ok(batch)
 }
 
 fn main() -> ExitCode {
@@ -439,9 +353,27 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_results(results: &[JobResult]) {
+/// Pipeline the batch to a running server: every job on the wire up
+/// front, responses collected as they complete.
+fn run_connected(addr: &str, batch: &[JobSpec]) -> Result<(), String> {
+    let mut client = Client::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
+    let start = Instant::now();
+    let outcomes = client.submit_batch(batch).map_err(|e| e.to_string())?;
+    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+
+    let mut results: Vec<JobResult> = Vec::with_capacity(outcomes.len());
+    let mut failures = 0usize;
+    for (spec, outcome) in batch.iter().zip(outcomes) {
+        match outcome {
+            Ok(result) => results.push(result),
+            Err(e) => {
+                failures += 1;
+                eprintln!("drmap-batch: job {} failed: {e}", spec.id);
+            }
+        }
+    }
     println!("job  workload            layers  cached  coalesced  stored  total-EDP (J*s)");
-    for result in results {
+    for result in &results {
         println!(
             "{:<4} {:<20} {:>5} {:>7} {:>9} {:>7}  {:.4e}",
             result.id,
@@ -453,29 +385,6 @@ fn print_results(results: &[JobResult]) {
             result.total.edp(),
         );
     }
-}
-
-/// Pipeline the batch to a running server: every job on the wire up
-/// front, responses collected as they complete.
-fn run_connected(args: &Args, batch: &[JobSpec]) -> Result<(), String> {
-    let addr = args.connect.as_deref().expect("caller checked --connect");
-    let mut client = Client::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
-    let start = Instant::now();
-    let outcomes = client.submit_batch(batch).map_err(|e| e.to_string())?;
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut failures = 0usize;
-    for (spec, outcome) in batch.iter().zip(outcomes) {
-        match outcome {
-            Ok(result) => results.push(result),
-            Err(e) => {
-                failures += 1;
-                eprintln!("drmap-batch: job {} failed: {e}", spec.id);
-            }
-        }
-    }
-    print_results(&results);
     let layers: usize = results.iter().map(|r| r.layers.len()).sum();
     println!();
     println!(
@@ -521,98 +430,34 @@ fn run_connected(args: &Args, batch: &[JobSpec]) -> Result<(), String> {
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     if let Some(commands) = &args.admin {
-        let addr = args
-            .connect
-            .as_deref()
-            .expect("parse_args checked --connect");
-        return run_admin(addr, args.text, commands);
+        return run_admin(&args.connect, args.text, commands);
     }
-    let specs = load_specs(&args)?;
-    let batch = batch_of(&specs, args.repeat);
-    if args.connect.is_some() {
-        return run_connected(&args, &batch);
-    }
+    let batch = batch_of(&load_specs(&args)?, args.repeat)?;
+    run_connected(&args.connect, &batch)
+}
 
-    let store = match &args.store {
-        Some(path) => Some(Arc::new(
-            drmap_store::store::Store::open(path)
-                .map_err(|e| format!("cannot open store {path:?}: {e}"))?,
-        )),
-        None => None,
-    };
-    let (results, elapsed, state) =
-        run_timed(args.workers, args.cache, store.clone(), &batch).map_err(|e| e.to_string())?;
-    print_results(&results);
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let layers: usize = results.iter().map(|r| r.layers.len()).sum();
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    let stats = state.cache().stats();
-    println!();
-    println!(
-        "{} jobs ({} layers) on {} workers in {:.3}s  ->  {:.2} jobs/s, {:.1} layers/s",
-        results.len(),
-        layers,
-        args.workers,
-        secs,
-        results.len() as f64 / secs,
-        layers as f64 / secs,
-    );
-    println!(
-        "cache: {} hits / {} misses / {} coalesced ({:.1}% hit rate), \
-         {} entries, {} bytes, {} evictions",
-        stats.hits,
-        stats.misses,
-        stats.coalesced,
-        stats.hit_rate() * 100.0,
-        stats.entries,
-        stats.bytes,
-        stats.evictions,
-    );
-    if let Some(store) = &store {
-        let s = store.stats();
-        println!(
-            "store: {} hits / {} misses ({} errors); log holds {} live entries in {} bytes",
-            stats.store_hits, stats.store_misses, stats.store_errors, s.live_entries, s.file_bytes,
+    #[test]
+    fn repeats_stay_distinct_and_never_pass_the_wire_id_limit() {
+        let spec = |id| JobSpec {
+            id,
+            ..JobSpec::network(0, EngineSpec::default(), Network::tiny())
+        };
+        let ids = |batch: Vec<JobSpec>| batch.iter().map(|s| s.id).collect::<Vec<_>>();
+        // Sparse ids and an id of 0: rounds step by the maximum id + 1.
+        let batch = batch_of(&[spec(0), spec(5)], 3).unwrap();
+        assert_eq!(ids(batch), [0, 5, 6, 11, 12, 17]);
+        // The wire's largest id goes out once; a repeat would pass it.
+        assert_eq!(
+            ids(batch_of(&[spec(MAX_EXACT_INT)], 1).unwrap()),
+            [MAX_EXACT_INT]
         );
+        let err = batch_of(&[spec(MAX_EXACT_INT)], 2).unwrap_err();
+        assert!(err.contains("job id 9007199254740992"), "{err}");
+        assert!(err.contains("needs id 18014398509481985"), "{err}");
+        assert!(err.contains("2^53"), "{err}");
     }
-
-    if args.compare {
-        // The comparison run gets no store: it measures raw
-        // single-worker exploration, not disk reads.
-        let (_, sequential, _) =
-            run_timed(1, args.cache, None, &batch).map_err(|e| e.to_string())?;
-        let seq_secs = sequential.as_secs_f64().max(1e-9);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        println!(
-            "compare: 1 worker {:.3}s vs {} workers {:.3}s  ->  {:.2}x speedup \
-             ({} cores available{})",
-            seq_secs,
-            args.workers,
-            secs,
-            seq_secs / secs,
-            cores,
-            if cores == 1 {
-                "; multi-worker speedup needs >1 core"
-            } else {
-                ""
-            },
-        );
-
-        // Cache effect, independent of core count: resubmit the whole
-        // batch on the already-warm pool state.
-        let warm_pool = DsePool::new(Arc::clone(&state), args.workers);
-        let start = Instant::now();
-        let warm: Result<Vec<_>, _> = warm_pool.run_batch(&batch).into_iter().collect();
-        let warm = warm.map_err(|e| e.to_string())?;
-        let warm_secs = start.elapsed().as_secs_f64().max(1e-9);
-        let warm_hits: usize = warm.iter().map(JobResult::cache_hits).sum();
-        println!(
-            "warm resubmission: {:.3}s ({:.1} layers/s, {warm_hits}/{layers} layers cached) \
-             ->  {:.2}x vs cold",
-            warm_secs,
-            layers as f64 / warm_secs,
-            secs / warm_secs,
-        );
-    }
-    Ok(())
 }

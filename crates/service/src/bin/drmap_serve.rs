@@ -2,11 +2,8 @@
 //!
 //! ```text
 //! drmap-serve [--addr HOST:PORT] [--workers N]
-//!             [--cache-entries N] [--cache-bytes BYTES]
-//!             [--store PATH] [--warm N] [--auto-compact-ratio R]
-//!             [--max-inflight N]
-//!             [--slow-ms N] [--slow-log-cap N] [--sample-secs N]
-//!             [--fault-plan SPEC]
+//!             [--cache-entries N] [--cache-bytes BYTES] [--store PATH]
+//!             [--max-inflight N] [--slow-ms N] [--sample-secs N]
 //! ```
 //!
 //! Speaks the typed, versioned protocol over pipelined TCP as
@@ -16,11 +13,10 @@
 //! retunable live with the `set-bounds` admin verb).
 //! `--store PATH` opens (or creates) a
 //! persistent result log beneath the cache — results survive restarts,
-//! and on boot the most recent stored results warm the cache (`--warm`
-//! caps how many; default: up to the cache's entry bound, or all of
-//! them). `--auto-compact-ratio R` arms background store compaction:
-//! each background tick compacts the log when its dead-bytes ratio
-//! reaches R (retunable live via `store-compact=auto:R`; counted in
+//! and on boot the most recent stored results warm the cache (up to the
+//! cache's entry bound, or all of them). The `store-compact=auto:R`
+//! admin verb arms background store compaction: each background tick
+//! compacts the log when its dead-bytes ratio reaches R (counted in
 //! `drmap_wal_autocompact_total`). `--sample-secs N` sets that tick's
 //! cadence (default 10; `--sample-secs 0` disables it); the tick runs
 //! only with `--store`, since compaction is its one job.
@@ -28,13 +24,10 @@
 //! (default 128). `--slow-ms N` turns on the slow-request log: any job
 //! taking at least N ms is captured with its per-stage span breakdown
 //! and dumped by the `metrics` admin verb (`--slow-ms 0` logs every
-//! job). `--slow-log-cap N` sizes the slow ring (default 32; retunable
-//! live via `set-slow-log`). On `shutdown` the server drains in-flight
-//! jobs for at most 5 s.
-//! `--fault-plan SPEC` arms a seeded deterministic fault plan at boot
-//! (debug builds or the `faults` cargo feature only; same spec grammar
-//! as the `set-faults` admin verb — see `docs/RELIABILITY.md`). Try it
-//! with netcat:
+//! job); its ring holds 32 entries, retunable live via `set-slow-log`.
+//! A fault plan is armed live with `set-faults` (see
+//! `docs/RELIABILITY.md`). On `shutdown` the server drains in-flight
+//! jobs for at most 5 s. Try it with netcat:
 //!
 //! ```text
 //! $ drmap-serve --addr 127.0.0.1:7878 --cache-entries 4096 --store results.wal &
@@ -48,7 +41,6 @@ use std::time::Duration;
 use drmap_service::cache::CacheConfig;
 use drmap_service::cli::parse_positive as positive;
 use drmap_service::engine::{default_workers, ServiceState};
-use drmap_service::faults::FaultPlan;
 use drmap_service::pool::DsePool;
 use drmap_service::server::{JobServer, ServerConfig};
 use drmap_store::store::Store;
@@ -58,10 +50,6 @@ struct Args {
     workers: usize,
     cache: CacheConfig,
     store: Option<String>,
-    warm: Option<usize>,
-    auto_compact_ratio: Option<f64>,
-    slow_log_cap: Option<usize>,
-    fault_plan: Option<FaultPlan>,
     server: ServerConfig,
 }
 
@@ -71,13 +59,9 @@ fn parse_args() -> Result<Args, String> {
         workers: default_workers(),
         cache: CacheConfig::unbounded(),
         store: None,
-        warm: None,
-        auto_compact_ratio: None,
-        slow_log_cap: None,
-        fault_plan: None,
         server: ServerConfig {
             // The serve bin ticks every 10 s by default so
-            // --auto-compact-ratio works out of the box; --sample-secs 0
+            // store-compact=auto:R works out of the box; --sample-secs 0
             // opts out. Library users opt *in* via ServerConfig.
             sample_interval: Some(Duration::from_secs(10)),
             ..ServerConfig::default()
@@ -97,18 +81,6 @@ fn parse_args() -> Result<Args, String> {
                 args.cache.max_bytes = Some(positive("--cache-bytes", &value("--cache-bytes")?)?);
             }
             "--store" => args.store = Some(value("--store")?),
-            "--warm" => args.warm = Some(positive("--warm", &value("--warm")?)?),
-            "--auto-compact-ratio" => {
-                let v = value("--auto-compact-ratio")?;
-                let ratio: f64 = v
-                    .parse()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r) && *r > 0.0)
-                    .ok_or_else(|| {
-                        format!("invalid --auto-compact-ratio value {v:?} (expected (0, 1])")
-                    })?;
-                args.auto_compact_ratio = Some(ratio);
-            }
             "--max-inflight" => {
                 args.server.max_inflight = positive("--max-inflight", &value("--max-inflight")?)?;
             }
@@ -120,9 +92,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| format!("invalid --slow-ms value {v:?}"))?,
                 );
             }
-            "--slow-log-cap" => {
-                args.slow_log_cap = Some(positive("--slow-log-cap", &value("--slow-log-cap")?)?);
-            }
             "--sample-secs" => {
                 // 0 is meaningful: it disables the background tick.
                 let v = value("--sample-secs")?;
@@ -131,30 +100,16 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| format!("invalid --sample-secs value {v:?}"))?;
                 args.server.sample_interval = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--fault-plan" => {
-                let v = value("--fault-plan")?;
-                args.fault_plan =
-                    Some(FaultPlan::parse(&v).map_err(|e| format!("invalid --fault-plan: {e}"))?);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: drmap-serve [--addr HOST:PORT] [--workers N] \
-                     [--cache-entries N] [--cache-bytes BYTES] \
-                     [--store PATH] [--warm N] [--auto-compact-ratio R] \
-                     [--max-inflight N] \
-                     [--slow-ms N] [--slow-log-cap N] [--sample-secs N] \
-                     [--fault-plan SPEC]"
+                     [--cache-entries N] [--cache-bytes BYTES] [--store PATH] \
+                     [--max-inflight N] [--slow-ms N] [--sample-secs N]"
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
-    }
-    if args.warm.is_some() && args.store.is_none() {
-        return Err("--warm only applies with --store".to_owned());
-    }
-    if args.auto_compact_ratio.is_some() && args.store.is_none() {
-        return Err("--auto-compact-ratio only applies with --store".to_owned());
     }
     Ok(args)
 }
@@ -177,21 +132,10 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let server = ServiceState::with_cache_and_store(args.cache, store.clone()).and_then(|state| {
-        if store.is_some() {
-            let warmed = state.warm_start(args.warm);
-            if warmed > 0 {
-                println!("drmap-serve: warm-started {warmed} cached results from the store");
-            }
-        }
-        if let Some(ratio) = args.auto_compact_ratio {
-            state.set_auto_compact_ratio(Some(ratio));
-        }
-        if let Some(cap) = args.slow_log_cap {
-            state.slow_log().set_capacity(cap);
-        }
-        if let Some(plan) = args.fault_plan {
-            state.faults().set_plan(Some(plan))?;
+    let server = ServiceState::with_cache_and_store(args.cache, store).and_then(|state| {
+        let warmed = state.cache().warm_from_store(None);
+        if warmed > 0 {
+            println!("drmap-serve: warm-started {warmed} cached results from the store");
         }
         let pool = Arc::new(DsePool::new(state, args.workers));
         JobServer::with_config(&args.addr, pool, args.server)
@@ -212,7 +156,7 @@ fn main() -> ExitCode {
             println!(
                 "drmap-serve: listening on {addr} with {} workers \
                  (cache: {} entries, {} bytes; store: {}; \
-                 in-flight: {}/conn; slow log: {} (cap {}); tick: {})",
+                 in-flight: {}/conn; slow log: {}; tick: {})",
                 args.workers,
                 bound(args.cache.max_entries),
                 bound(args.cache.max_bytes),
@@ -222,15 +166,11 @@ fn main() -> ExitCode {
                     Some(ms) => format!(">= {ms} ms"),
                     None => "off".to_owned(),
                 },
-                args.slow_log_cap.unwrap_or(32),
                 match args.server.sample_interval.filter(|_| args.store.is_some()) {
                     Some(interval) => format!("every {}s", interval.as_secs()),
                     None => "off".to_owned(),
                 },
             );
-            if let Some(plan) = &args.fault_plan {
-                println!("drmap-serve: fault plan armed: {}", plan.render());
-            }
         }
         Err(e) => eprintln!("drmap-serve: {e}"),
     }

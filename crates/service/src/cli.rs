@@ -1,9 +1,10 @@
-//! Small argument-parsing helpers shared by the `drmap-serve` and
-//! `drmap-batch` binaries: flag values and the `drmap-batch --admin`
-//! command language.
+//! Small argument-parsing helpers shared by the `drmap-serve`,
+//! `drmap-batch` and `drmap-router` binaries: flag values and the
+//! `drmap-batch --admin` command language.
 
+use crate::client::hello_request;
 use crate::faults::FaultPlan;
-use crate::proto::BoundsUpdate;
+use crate::proto::{BoundsUpdate, Request};
 
 /// Parse a flag value as a positive integer, rejecting zero, negatives,
 /// and garbage with a uniform error message.
@@ -20,66 +21,35 @@ pub fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("invalid {flag} value {value:?}"))
 }
 
-/// One `drmap-batch --admin` command, parsed from its token form.
-/// (`PartialEq` only: [`FaultPlan`] carries probability floats.)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdminCmd {
-    /// `hello` — handshake; print version + capabilities.
-    Hello,
-    /// `ping` — liveness.
-    Ping,
-    /// `stats` — extended stats with the active configuration.
-    Stats,
-    /// `set-bounds=entries:N|bytes:N[,…]` — retune the cache bounds
-    /// (`0` clears a bound to unbounded).
-    SetBounds(BoundsUpdate),
-    /// `metrics` — dump the telemetry snapshot and slow-request log
-    /// (`--text` renders Prometheus-style exposition instead).
-    Metrics,
-    /// `set-slow-log=slow_ms:N|cap:N[,…]` — retune the slow-request
-    /// log threshold (`slow_ms:0` logs every job) and/or ring capacity.
-    SetSlowLog {
-        /// New threshold in milliseconds, when given.
-        slow_ms: Option<u64>,
-        /// New ring capacity, when given.
-        cap: Option<usize>,
-    },
-    /// `set-faults=SPEC|off` — arm a deterministic fault plan (spec
-    /// grammar in `docs/RELIABILITY.md`, e.g.
-    /// `set-faults=seed=42,store-fail=0.1`) or disarm with `off`.
-    SetFaults(Option<FaultPlan>),
-    /// `cache-clear` — drop the resident cache tier.
-    CacheClear,
-    /// `cache-warm[=N]` — promote stored results into the cache.
-    CacheWarm(Option<usize>),
-    /// `store-compact[=auto:RATIO]` — rewrite the store log now, or
-    /// arm the background auto-compaction check at the given
-    /// dead-bytes ratio (`auto:0` disarms).
-    StoreCompact(Option<f64>),
-    /// `shutdown` — stop the server accepting connections.
-    Shutdown,
-}
-
-/// Parse one `--admin` command token (see [`AdminCmd`] for the
-/// language).
+/// Parse one `--admin` command token straight into the [`Request`] it
+/// sends. The language is the verb's wire name, with its fields after
+/// an `=`:
+///
+/// * `hello`, `ping`, `stats`, `metrics`, `cache-clear`, `shutdown`;
+/// * `cache-warm[=N]` — promote at most `N` stored results;
+/// * `store-compact[=auto:RATIO]` — rewrite the log now, or arm the
+///   background check at that dead-bytes ratio (`auto:0` disarms);
+/// * `set-bounds=entries:N|bytes:N[,…]` — `0` clears a bound;
+/// * `set-slow-log=slow_ms:N|cap:N[,…]` — `slow_ms:0` logs every job;
+/// * `set-faults=SPEC|off` — spec grammar in `docs/RELIABILITY.md`.
 ///
 /// # Errors
 ///
 /// Returns a usage message for unknown commands or malformed values.
-pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
+pub fn parse_admin_command(token: &str) -> Result<Request, String> {
     let (name, value) = match token.split_once('=') {
         Some((name, value)) => (name, Some(value)),
         None => (token, None),
     };
-    let no_value = |cmd: AdminCmd| match value {
-        None => Ok(cmd),
+    let no_value = |request: Request| match value {
+        None => Ok(request),
         Some(_) => Err(format!("admin command {name:?} takes no value")),
     };
     match name {
-        "hello" => no_value(AdminCmd::Hello),
-        "ping" => no_value(AdminCmd::Ping),
-        "stats" => no_value(AdminCmd::Stats),
-        "metrics" => no_value(AdminCmd::Metrics),
+        "hello" => no_value(hello_request()),
+        "ping" => no_value(Request::Ping { id: None }),
+        "stats" => no_value(Request::Stats { id: None }),
+        "metrics" => no_value(Request::Metrics { id: None }),
         "set-slow-log" => {
             let value = value.ok_or(
                 "set-slow-log needs a value, e.g. set-slow-log=slow_ms:250,cap:64 \
@@ -109,25 +79,28 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
             if slow_ms.is_none() && cap.is_none() {
                 return Err("set-slow-log changed nothing".to_owned());
             }
-            Ok(AdminCmd::SetSlowLog { slow_ms, cap })
+            Ok(Request::SetSlowLog {
+                id: None,
+                slow_ms,
+                cap,
+            })
         }
         "set-faults" => {
             let value = value.ok_or(
                 "set-faults needs a value: a fault-plan spec \
                  (e.g. set-faults=seed=42,store-fail=0.1) or \"off\" to disarm",
             )?;
-            if value == "off" {
-                return Ok(AdminCmd::SetFaults(None));
-            }
-            let plan = FaultPlan::parse(value).map_err(|e| e.to_string())?;
-            Ok(AdminCmd::SetFaults(Some(plan)))
+            // Parsed here to fail fast; sent in canonical form.
+            let spec = match value {
+                "off" => None,
+                spec => Some(FaultPlan::parse(spec).map_err(|e| e.to_string())?.render()),
+            };
+            Ok(Request::SetFaults { id: None, spec })
         }
-        "cache-clear" => no_value(AdminCmd::CacheClear),
-        "store-compact" => match value {
-            None => Ok(AdminCmd::StoreCompact(None)),
-            Some(v) => {
-                let ratio = v
-                    .strip_prefix("auto:")
+        "cache-clear" => no_value(Request::CacheClear { id: None }),
+        "store-compact" => {
+            let auto_ratio = value.map(|v| {
+                v.strip_prefix("auto:")
                     .and_then(|r| r.parse::<f64>().ok())
                     .filter(|r| (0.0..=1.0).contains(r))
                     .ok_or_else(|| {
@@ -135,15 +108,18 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
                             "invalid store-compact value {v:?} \
                              (expected auto:RATIO with RATIO in [0, 1]; 0 disarms)"
                         )
-                    })?;
-                Ok(AdminCmd::StoreCompact(Some(ratio)))
-            }
-        },
-        "shutdown" => no_value(AdminCmd::Shutdown),
-        "cache-warm" => match value {
-            None => Ok(AdminCmd::CacheWarm(None)),
-            Some(v) => Ok(AdminCmd::CacheWarm(Some(parse_positive("cache-warm", v)?))),
-        },
+                    })
+            });
+            Ok(Request::StoreCompact {
+                id: None,
+                auto_ratio: auto_ratio.transpose()?,
+            })
+        }
+        "shutdown" => no_value(Request::Shutdown { id: None }),
+        "cache-warm" => Ok(Request::CacheWarm {
+            id: None,
+            limit: value.map(|v| parse_positive("cache-warm", v)).transpose()?,
+        }),
         "set-bounds" => {
             let value = value.ok_or(
                 "set-bounds needs a value, e.g. set-bounds=entries:512,bytes:1048576 \
@@ -172,7 +148,7 @@ pub fn parse_admin_command(token: &str) -> Result<AdminCmd, String> {
             if update.is_empty() {
                 return Err("set-bounds changed nothing".to_owned());
             }
-            Ok(AdminCmd::SetBounds(update))
+            Ok(Request::SetBounds { id: None, update })
         }
         other => Err(format!(
             "unknown admin command {other:?} (expected hello, ping, stats, set-bounds, \
@@ -188,56 +164,81 @@ mod tests {
 
     #[test]
     fn admin_commands_parse_and_reject_garbage() {
-        assert_eq!(parse_admin_command("hello"), Ok(AdminCmd::Hello));
+        let parsed = |token: &str| parse_admin_command(token).unwrap();
+        assert_eq!(parsed("hello"), hello_request());
         assert_eq!(
-            parse_admin_command("cache-warm"),
-            Ok(AdminCmd::CacheWarm(None))
+            parsed("cache-warm"),
+            Request::CacheWarm {
+                id: None,
+                limit: None
+            }
         );
         assert_eq!(
-            parse_admin_command("cache-warm=50"),
-            Ok(AdminCmd::CacheWarm(Some(50)))
+            parsed("cache-warm=50"),
+            Request::CacheWarm {
+                id: None,
+                limit: Some(50)
+            }
         );
         assert_eq!(
-            parse_admin_command("store-compact"),
-            Ok(AdminCmd::StoreCompact(None))
+            parsed("store-compact"),
+            Request::StoreCompact {
+                id: None,
+                auto_ratio: None
+            }
         );
         assert_eq!(
-            parse_admin_command("store-compact=auto:0.4"),
-            Ok(AdminCmd::StoreCompact(Some(0.4)))
+            parsed("store-compact=auto:0.4"),
+            Request::StoreCompact {
+                id: None,
+                auto_ratio: Some(0.4)
+            }
         );
-        assert_eq!(parse_admin_command("metrics"), Ok(AdminCmd::Metrics));
+        assert_eq!(parsed("metrics"), Request::Metrics { id: None });
         assert_eq!(
-            parse_admin_command("set-slow-log=slow_ms:0,cap:64"),
-            Ok(AdminCmd::SetSlowLog {
+            parsed("set-slow-log=slow_ms:0,cap:64"),
+            Request::SetSlowLog {
+                id: None,
                 slow_ms: Some(0),
                 cap: Some(64),
-            })
+            }
         );
         assert_eq!(
-            parse_admin_command("set-slow-log=cap:8"),
-            Ok(AdminCmd::SetSlowLog {
+            parsed("set-slow-log=cap:8"),
+            Request::SetSlowLog {
+                id: None,
                 slow_ms: None,
                 cap: Some(8),
-            })
-        );
-        assert_eq!(
-            parse_admin_command("set-bounds=entries:64,bytes:0"),
-            Ok(AdminCmd::SetBounds(BoundsUpdate {
-                max_entries: Some(64),
-                max_bytes: Some(0),
-            }))
-        );
-        assert_eq!(
-            parse_admin_command("set-faults=off"),
-            Ok(AdminCmd::SetFaults(None))
-        );
-        match parse_admin_command("set-faults=seed=42,store-fail=0.1") {
-            Ok(AdminCmd::SetFaults(Some(plan))) => {
-                assert_eq!(plan.seed, 42);
-                assert!((plan.store_fail - 0.1).abs() < 1e-12);
             }
-            other => panic!("unexpected parse: {other:?}"),
-        }
+        );
+        assert_eq!(
+            parsed("set-bounds=entries:64,bytes:0"),
+            Request::SetBounds {
+                id: None,
+                update: BoundsUpdate {
+                    max_entries: Some(64),
+                    max_bytes: Some(0),
+                }
+            }
+        );
+        assert_eq!(
+            parsed("set-faults=off"),
+            Request::SetFaults {
+                id: None,
+                spec: None
+            }
+        );
+        // A fault spec goes out in its canonical rendering.
+        let plan = FaultPlan::parse("seed=42,store-fail=0.1").unwrap();
+        assert_eq!(plan.seed, 42);
+        assert!((plan.store_fail - 0.1).abs() < 1e-12);
+        assert_eq!(
+            parsed("set-faults=seed=42,store-fail=0.1"),
+            Request::SetFaults {
+                id: None,
+                spec: Some(plan.render())
+            }
+        );
         for bad in [
             "reboot",
             "ping=1",

@@ -13,11 +13,11 @@
 //!   finishes in roughly the time of its slowest job rather than the
 //!   sum of all of them.
 //! * **Admin** — [`Client::hello`] opens the handshake of
-//!   [`crate::proto`]'s versioned protocol, [`Client::submit_with`]
-//!   attaches per-job options, and [`Client::set_bounds`],
-//!   [`Client::cache_clear`], [`Client::cache_warm`], [`Client::compact_store`],
-//!   [`Client::stats_report`], [`Client::metrics`], and
-//!   [`Client::set_slow_log`] drive a live server's control plane.
+//!   [`crate::proto`]'s versioned protocol; [`Client::stats_report`],
+//!   [`Client::metrics`] and [`Client::shutdown`] wrap the verbs with
+//!   many callers, and [`Client::typed_request`] sends any other
+//!   [`Request`] (`drmap-batch --admin` drives a live server's control
+//!   plane that way).
 //!
 //! Every message travels as one line of JSON text (see [`crate::wire`]).
 
@@ -26,13 +26,10 @@ use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use drmap_store::store::CompactReport;
-
 use crate::error::ServiceError;
 use crate::json::Json;
-use crate::loadgen::SplitMix64;
-use crate::proto::{BoundsUpdate, MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION};
-use crate::spec::{JobOptions, JobResult, JobSpec};
+use crate::proto::{MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION};
+use crate::spec::{JobResult, JobSpec};
 use crate::wire;
 
 /// Socket-level tunables of a [`Client`] connection. The defaults keep
@@ -50,57 +47,6 @@ pub struct ClientConfig {
     pub write_timeout: Option<Duration>,
 }
 
-/// A budget-capped exponential backoff with **decorrelated jitter**:
-/// each sleep is drawn uniformly from `[base_ms, 3 × previous_sleep]`
-/// and clamped to `cap_ms`, so synchronized clients spread out instead
-/// of retrying in lockstep. The draw is seeded and deterministic —
-/// the same policy replays the same schedule, which keeps chaos tests
-/// reproducible.
-///
-/// The loop that spends this budget is `drmap-router`'s failover: a job
-/// (never an admin verb) is re-dispatched when its backend died, which
-/// is safe because results are deterministic and memoized server-side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Smallest sleep, and the lower bound of every jitter draw.
-    pub base_ms: u64,
-    /// Largest sleep; every draw is clamped here.
-    pub cap_ms: u64,
-    /// Total attempt budget, counting the first try. `1` disables
-    /// retries entirely.
-    pub max_attempts: u32,
-    /// Seed of the deterministic jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base_ms: 50,
-            cap_ms: 2_000,
-            max_attempts: 4,
-            seed: 0x5eed,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The next sleep in milliseconds: uniform in
-    /// `[base_ms, 3 × prev_ms]`, clamped to `cap_ms`. Updates `prev_ms`
-    /// to the drawn value (the decorrelated-jitter recurrence).
-    pub fn next_backoff_ms(&self, rng: &mut SplitMix64, prev_ms: &mut u64) -> u64 {
-        let ceiling = prev_ms.saturating_mul(3).max(self.base_ms);
-        let span = ceiling - self.base_ms;
-        let drawn = if span == 0 {
-            self.base_ms
-        } else {
-            self.base_ms + rng.next_u64() % (span + 1)
-        };
-        *prev_ms = drawn.min(self.cap_ms);
-        *prev_ms
-    }
-}
-
 /// What a server said hello back with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HelloInfo {
@@ -116,6 +62,15 @@ impl HelloInfo {
     /// Whether the server advertised a capability.
     pub fn has(&self, capability: &str) -> bool {
         self.capabilities.iter().any(|c| c == capability)
+    }
+}
+
+/// The `hello` this crate's clients open with: [`PROTOCOL_VERSION`]
+/// and this crate's identity.
+pub fn hello_request() -> Request {
+    Request::Hello {
+        version: PROTOCOL_VERSION,
+        client: Some(concat!("drmap-service/", env!("CARGO_PKG_VERSION")).to_owned()),
     }
 }
 
@@ -222,7 +177,10 @@ impl Client {
     ///
     /// Surfaces server-side job failures as protocol errors.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<JobResult, ServiceError> {
-        self.submit_with(spec, spec.options)
+        match self.typed_request(&Request::Submit(spec.clone()))? {
+            Response::Job { result } => Ok(result),
+            other => Err(Self::unexpected("submit", &other)),
+        }
     }
 
     // -----------------------------------------------------------------
@@ -272,11 +230,7 @@ impl Client {
     /// Fails if the server rejects the version (the connection remains
     /// usable) or answers malformed.
     pub fn hello(&mut self) -> Result<HelloInfo, ServiceError> {
-        let request = Request::Hello {
-            version: PROTOCOL_VERSION,
-            client: Some(concat!("drmap-service/", env!("CARGO_PKG_VERSION")).to_owned()),
-        };
-        match self.typed_request(&request)? {
+        match self.typed_request(&hello_request())? {
             Response::Hello {
                 version,
                 server,
@@ -287,103 +241,6 @@ impl Client {
                 capabilities,
             }),
             other => Err(Self::unexpected("hello", &other)),
-        }
-    }
-
-    /// Submit a job with explicit per-job options (cache mode,
-    /// Pareto-point retention, deadline), and wait for its result.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces server-side job failures as protocol errors.
-    pub fn submit_with(
-        &mut self,
-        spec: &JobSpec,
-        options: JobOptions,
-    ) -> Result<JobResult, ServiceError> {
-        let spec = spec.clone().with_options(options);
-        match self.typed_request(&Request::Submit(spec))? {
-            Response::Job { result } => Ok(result),
-            other => Err(Self::unexpected("submit", &other)),
-        }
-    }
-
-    /// Arm (or, with `None`, disarm) a deterministic fault plan on the
-    /// live server — see [`FaultPlan::parse`](crate::faults::FaultPlan::parse)
-    /// for the spec grammar. Returns the canonical rendering of the
-    /// plan now armed, `None` when disarmed.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed specs, on servers without fault injection
-    /// compiled in (no `faults` capability), or malformed responses.
-    pub fn set_faults(&mut self, spec: Option<&str>) -> Result<Option<String>, ServiceError> {
-        match self.typed_request(&Request::SetFaults {
-            id: None,
-            spec: spec.map(str::to_owned),
-        })? {
-            Response::FaultsSet { spec, .. } => Ok(spec),
-            other => Err(Self::unexpected("set-faults", &other)),
-        }
-    }
-
-    /// Drop every resident cache entry on the server (the persistent
-    /// store tier is untouched).
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed responses or server-side errors.
-    pub fn cache_clear(&mut self) -> Result<(), ServiceError> {
-        match self.typed_request(&Request::CacheClear { id: None })? {
-            Response::CacheCleared { .. } => Ok(()),
-            other => Err(Self::unexpected("cache-clear", &other)),
-        }
-    }
-
-    /// Promote up to `limit` stored results into the server's resident
-    /// cache tier; returns how many were loaded.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the server has no store attached, or on malformed
-    /// responses.
-    pub fn cache_warm(&mut self, limit: Option<usize>) -> Result<usize, ServiceError> {
-        match self.typed_request(&Request::CacheWarm { id: None, limit })? {
-            Response::CacheWarmed { loaded, .. } => Ok(loaded),
-            other => Err(Self::unexpected("cache-warm", &other)),
-        }
-    }
-
-    /// Compact the server's persistent result store, returning what the
-    /// rewrite accomplished.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the server has no store attached, or on malformed
-    /// responses.
-    pub fn compact_store(&mut self) -> Result<CompactReport, ServiceError> {
-        self.compact_store_with(None)
-    }
-
-    /// [`Client::compact_store`] with an optional auto-compaction
-    /// threshold: `Some(ratio)` arms the server's background
-    /// dead-bytes check (0 disarms) instead of forcing an immediate
-    /// rewrite — see [`Request::StoreCompact`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the server has no store attached, or on malformed
-    /// responses.
-    pub fn compact_store_with(
-        &mut self,
-        auto_ratio: Option<f64>,
-    ) -> Result<CompactReport, ServiceError> {
-        match self.typed_request(&Request::StoreCompact {
-            id: None,
-            auto_ratio,
-        })? {
-            Response::StoreCompacted { report, .. } => Ok(report),
-            other => Err(Self::unexpected("store-compact", &other)),
         }
     }
 
@@ -400,35 +257,6 @@ impl Client {
         }
     }
 
-    /// Retune the live server's cache bounds (absent fields keep their
-    /// current values; `0` clears a bound to unbounded). Returns the
-    /// bounds now in force plus how many entries were evicted
-    /// immediately to honor a shrunk cap.
-    ///
-    /// # Errors
-    ///
-    /// Fails on empty updates (rejected client-side), malformed
-    /// responses, or server-side errors.
-    pub fn set_bounds(
-        &mut self,
-        update: BoundsUpdate,
-    ) -> Result<(Option<usize>, Option<usize>, u64), ServiceError> {
-        if update.is_empty() {
-            return Err(ServiceError::protocol(
-                "set-bounds needs at least one of max_entries or max_bytes",
-            ));
-        }
-        match self.typed_request(&Request::SetBounds { id: None, update })? {
-            Response::BoundsSet {
-                max_entries,
-                max_bytes,
-                evicted,
-                ..
-            } => Ok((max_entries, max_bytes, evicted)),
-            other => Err(Self::unexpected("set-bounds", &other)),
-        }
-    }
-
     /// Fetch the server's telemetry: every counter, gauge, and latency
     /// histogram, plus the slow-request log. Render the snapshot as
     /// Prometheus-style text with
@@ -441,36 +269,6 @@ impl Client {
         match self.typed_request(&Request::Metrics { id: None })? {
             Response::Metrics { report, .. } => Ok(report),
             other => Err(Self::unexpected("metrics", &other)),
-        }
-    }
-
-    /// Retune the live server's slow-request log: the threshold in
-    /// milliseconds (`0` logs every job) and/or the ring capacity
-    /// (clamped to at least 1; shrinking evicts the oldest entries).
-    /// Returns the `(slow_ms, cap)` now in force, `slow_ms == None`
-    /// meaning the log is disabled.
-    ///
-    /// # Errors
-    ///
-    /// Fails on empty updates (rejected client-side), malformed
-    /// responses, or server-side errors.
-    pub fn set_slow_log(
-        &mut self,
-        slow_ms: Option<u64>,
-        cap: Option<usize>,
-    ) -> Result<(Option<u64>, usize), ServiceError> {
-        if slow_ms.is_none() && cap.is_none() {
-            return Err(ServiceError::protocol(
-                "set-slow-log needs at least one of slow_ms or cap",
-            ));
-        }
-        match self.typed_request(&Request::SetSlowLog {
-            id: None,
-            slow_ms,
-            cap,
-        })? {
-            Response::SlowLogSet { slow_ms, cap, .. } => Ok((slow_ms, cap)),
-            other => Err(Self::unexpected("set-slow-log", &other)),
         }
     }
 
@@ -569,49 +367,5 @@ impl Client {
             Response::Shutdown { .. } => Ok(()),
             other => Err(Self::unexpected("shutdown", &other)),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn schedule(policy: &RetryPolicy, seed: u64, draws: usize) -> Vec<u64> {
-        let mut rng = SplitMix64::new(seed);
-        let mut prev = policy.base_ms;
-        (0..draws)
-            .map(|_| policy.next_backoff_ms(&mut rng, &mut prev))
-            .collect()
-    }
-
-    #[test]
-    fn decorrelated_jitter_stays_within_bounds_and_replays_by_seed() {
-        let policy = RetryPolicy::default();
-        let mut rng = SplitMix64::new(policy.seed);
-        let mut prev = policy.base_ms;
-        let mut sleeps = Vec::new();
-        for _ in 0..256 {
-            let before = prev;
-            let sleep = policy.next_backoff_ms(&mut rng, &mut prev);
-            assert!(sleep >= policy.base_ms, "below base: {sleep}");
-            assert!(sleep <= policy.cap_ms, "above cap: {sleep}");
-            assert!(
-                sleep <= before.saturating_mul(3).max(policy.base_ms),
-                "exceeded the decorrelated ceiling: {sleep} after {before}"
-            );
-            assert_eq!(sleep, prev, "the recurrence feeds the drawn value back");
-            sleeps.push(sleep);
-        }
-        // Same seed → byte-identical schedule; different seeds → two
-        // clients do not retry in lockstep.
-        assert_eq!(sleeps, schedule(&policy, policy.seed, 256));
-        assert_ne!(sleeps, schedule(&policy, policy.seed + 1, 256));
-        // Degenerate policy: base == cap pins every sleep.
-        let flat = RetryPolicy {
-            base_ms: 100,
-            cap_ms: 100,
-            ..policy
-        };
-        assert!(schedule(&flat, 3, 32).iter().all(|&ms| ms == 100));
     }
 }

@@ -28,8 +28,7 @@ use crate::faults::{FaultAction, FaultState, FAULTS_COMPILED_IN};
 use crate::spec::{CacheMode, EngineSpec, JobResult, JobSpec, LayerOutcome};
 
 /// How many slow requests the [`SlowLog`] ring buffer retains by
-/// default (retunable live: `--slow-log-cap` at boot, the
-/// `set-slow-log` admin verb afterwards).
+/// default (retunable live with the `set-slow-log` admin verb).
 const SLOW_LOG_CAPACITY: usize = 32;
 
 /// The profiled substrate every served engine runs on: Table II
@@ -194,9 +193,8 @@ pub struct ServiceState {
     /// Armed fault plan (if any) shared by every injection site.
     faults: Arc<FaultState>,
     /// Dead-bytes ratio above which the background tick compacts the
-    /// attached store (`--auto-compact-ratio` at boot; live-tunable via
-    /// the `store-compact` verb's `auto_ratio` extension). `None`
-    /// disables the background check.
+    /// attached store (armed by the `store-compact` verb's
+    /// `auto_ratio` extension). `None` disables the background check.
     auto_compact_ratio: Mutex<Option<f64>>,
     /// Store compactions triggered by the background ratio check (as
     /// opposed to explicit `store-compact` requests).
@@ -227,7 +225,7 @@ impl ServiceState {
     /// Shared state whose cache is optionally backed by a persistent
     /// result store: resident misses consult the store before
     /// computing, completed explorations write through, and
-    /// [`ServiceState::warm_start`] can pre-populate the resident tier.
+    /// [`DseCache::warm_from_store`] can pre-populate the resident tier.
     ///
     /// # Errors
     ///
@@ -337,8 +335,8 @@ impl ServiceState {
         &self.slow_log
     }
 
-    /// The live fault-injection state (armed by `--fault-plan` or the
-    /// `set-faults` admin verb; empty by default).
+    /// The live fault-injection state (armed by the `set-faults` admin
+    /// verb; empty by default).
     pub fn faults(&self) -> &FaultState {
         &self.faults
     }
@@ -346,14 +344,6 @@ impl ServiceState {
     /// The pre-resolved request-path stage handles.
     pub(crate) fn stages(&self) -> &StageMetrics {
         &self.stages
-    }
-
-    /// Promote up to `limit` of the store tier's most recent results
-    /// into the resident cache (see
-    /// [`DseCache::warm_from_store`]). Returns how many entries were
-    /// loaded; 0 without an attached store.
-    pub fn warm_start(&self, limit: Option<usize>) -> usize {
-        self.cache.warm_from_store(limit)
     }
 
     /// The engine factory.

@@ -9,8 +9,8 @@
 //! same fault sequence at each site on every run: chaos tests are
 //! reproducible, not flaky.
 //!
-//! Plans are armed at boot (`drmap-serve --fault-plan SPEC`) or live
-//! (the `set-faults` admin verb) and live in the [`FaultState`] hanging
+//! Plans are armed on a live server by the `set-faults` admin verb
+//! and live in the [`FaultState`] hanging
 //! off [`ServiceState`](crate::engine::ServiceState). Injection sites
 //! consult the state on their hot paths; with no plan armed the check
 //! is one relaxed atomic-free `Mutex` lock of an `Option` clone — and
@@ -33,9 +33,8 @@ use crate::sync::lock_recovered;
 
 /// Whether this build can arm fault plans at all: always in debug
 /// builds, and in release builds only with the `faults` cargo feature.
-/// A release binary built without the feature refuses `--fault-plan`
-/// and the `set-faults` verb, and does not advertise the `faults`
-/// capability.
+/// A release binary built without the feature refuses the
+/// `set-faults` verb, and does not advertise the `faults` capability.
 pub const FAULTS_COMPILED_IN: bool = cfg!(any(debug_assertions, feature = "faults"));
 
 /// Distinct draw streams per injection site, salted into the seed so

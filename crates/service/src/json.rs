@@ -62,6 +62,10 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The largest integer a number carries exactly (2^53): numbers are
+/// `f64`, so [`Json::as_u64`] — and with it every wire id — stops here.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
+
 /// A JSON value. Objects preserve insertion order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -124,10 +128,13 @@ impl Json {
         }
     }
 
-    /// The numeric payload as an exact non-negative integer.
+    /// The numeric payload as an exact non-negative integer, at most
+    /// [`MAX_EXACT_INT`].
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }

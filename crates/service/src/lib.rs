@@ -10,9 +10,9 @@
 //! ## Architecture
 //!
 //! ```text
-//!  drmap-serve (TCP, NDJSON)      drmap-batch (CLI)
-//!            \                      /
-//!             v                    v
+//!  drmap-batch (CLI) ── TCP ──► drmap-serve (NDJSON)
+//!                                    │
+//!                                    v
 //!        JobSpec ──► DsePool (N workers, one shared layer queue)
 //!                        │ per-layer tasks
 //!                        v
@@ -49,8 +49,11 @@
 //!   `store-compact`, `metrics`), and per-job options;
 //! * [`server`]/[`client`] — a hand-rolled, std-only, **pipelined**
 //!   TCP front-end: submit many jobs tagged by `id`, receive responses
-//!   out of order as they complete; the client grows typed admin
-//!   methods (`hello`, `set_bounds`, `metrics`, …);
+//!   out of order as they complete; the client sends any typed
+//!   [`Request`](proto::Request) and wraps the common ones (`hello`,
+//!   `stats`, `metrics`, …);
+//! * [`cli`] — the binaries' flag helpers and the `drmap-batch --admin`
+//!   command language, parsed straight into requests;
 //! * [`conn`] — the connection layer the server and `drmap-router`
 //!   share: one accept loop, one reader/writer session per connection,
 //!   and one per-connection in-flight gate whose slot travels with each
@@ -64,11 +67,10 @@
 //!   seedable [`SplitMix64`](loadgen::SplitMix64) stream and the
 //!   cheap-to-expensive default job catalog;
 //! * [`faults`] — seeded, deterministic fault injection into the
-//!   store, the wire, and the pool (`--fault-plan` / `set-faults`),
+//!   store, the wire, and the pool (armed live by `set-faults`),
 //!   compiled out of release builds unless the `faults` feature is on;
-//!   paired with per-job deadlines (`deadline_ms`) and the bounded,
-//!   jittered [`RetryPolicy`](client::RetryPolicy) the router's failover
-//!   spends. See `docs/RELIABILITY.md`.
+//!   paired with per-job deadlines (`deadline_ms`). See
+//!   `docs/RELIABILITY.md`.
 //!
 //! Every layer is threaded with [`drmap_telemetry`]: lock-free latency
 //! histograms and counters for each request stage (frame decode, cache
@@ -122,7 +124,7 @@ pub mod wire;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::cache::{CacheConfig, CacheOutcome, CacheStats, DseCache};
-    pub use crate::client::{Client, ClientConfig, RetryPolicy};
+    pub use crate::client::{Client, ClientConfig};
     pub use crate::engine::{default_workers, EngineFactory, ServiceState};
     pub use crate::error::ServiceError;
     pub use crate::faults::{FaultPlan, FaultState};

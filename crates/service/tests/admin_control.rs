@@ -1,7 +1,7 @@
 //! Live control-plane integration tests: a running `JobServer` must
 //! accept `hello`, `set-bounds`, `cache-clear`, `cache-warm`,
-//! `store-compact`, `metrics`, and `set-slow-log` over TCP — from the
-//! typed client and from `drmap-batch --connect … --admin` — with every
+//! `store-compact`, `metrics`, and `set-slow-log` over TCP — as typed
+//! requests and from `drmap-batch --connect … --admin` — with every
 //! change observable through `stats` **without a restart**, and per-job
 //! options (cache bypass/refresh, Pareto retention) must behave over the
 //! wire exactly as they do in-process.
@@ -12,8 +12,9 @@ use std::sync::Arc;
 use drmap_service::cache::CacheConfig;
 use drmap_service::client::Client;
 use drmap_service::engine::ServiceState;
+use drmap_service::error::ServiceError;
 use drmap_service::pool::DsePool;
-use drmap_service::proto::{BoundsUpdate, PROTOCOL_VERSION};
+use drmap_service::proto::{BoundsUpdate, Request, Response, PROTOCOL_VERSION};
 use drmap_service::server::{JobServer, ServerConfig};
 use drmap_service::spec::{CacheMode, EngineSpec, JobOptions, JobSpec};
 use drmap_store::store::Store;
@@ -71,13 +72,10 @@ fn cache_warm_and_store_compact_work_over_the_wire() {
     client.submit(&job).unwrap();
     client.submit(&shaped_job(2, 26)).unwrap();
     client
-        .submit_with(
-            &shaped_job(3, 26),
-            JobOptions {
-                cache: CacheMode::Refresh,
-                ..JobOptions::default()
-            },
-        )
+        .submit(&shaped_job(3, 26).with_options(JobOptions {
+            cache: CacheMode::Refresh,
+            ..JobOptions::default()
+        }))
         .unwrap();
     let stats = client.stats_report().unwrap();
     let live = stats.store.expect("server has a store").live_entries;
@@ -85,17 +83,27 @@ fn cache_warm_and_store_compact_work_over_the_wire() {
 
     // Clear memory, warm back from disk, and the resubmission is all
     // resident hits — no exploration.
-    client.cache_clear().unwrap();
+    client
+        .typed_request(&Request::CacheClear { id: None })
+        .unwrap();
     assert_eq!(client.stats_report().unwrap().cache.entries, 0);
-    let loaded = client.cache_warm(Some(2)).unwrap();
-    assert_eq!(loaded, 2, "warm honors its limit");
-    let loaded = client.cache_warm(None).unwrap();
-    assert_eq!(loaded, live, "a full warm promotes every stored result");
+    let mut warm = |limit| match client.typed_request(&Request::CacheWarm { id: None, limit }) {
+        Ok(Response::CacheWarmed { loaded, .. }) => loaded,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(warm(Some(2)), 2, "warm honors its limit");
+    assert_eq!(warm(None), live, "a full warm promotes every stored result");
     let warmed = client.submit(&job).unwrap();
     assert_eq!(warmed.cache_hits(), warmed.layers.len());
 
     // Compact drops the refreshed entry's superseded record.
-    let report = client.compact_store().unwrap();
+    let compact = Request::StoreCompact {
+        id: None,
+        auto_ratio: None,
+    };
+    let Ok(Response::StoreCompacted { report, .. }) = client.typed_request(&compact) else {
+        panic!("store-compact failed");
+    };
     assert!(report.dropped_records >= 1, "{report:?}");
     assert!(report.bytes_after <= report.bytes_before);
     let after = client.stats_report().unwrap().store.unwrap();
@@ -151,6 +159,45 @@ fn metrics_verb_reports_live_telemetry_over_the_wire() {
     handle.join().unwrap();
 }
 
+/// `set-bounds` over the wire: the bounds now in force and how many
+/// entries the change evicted, or the server's refusal.
+fn set_bounds(
+    client: &mut Client,
+    max_entries: Option<usize>,
+    max_bytes: Option<usize>,
+) -> Result<(Option<usize>, Option<usize>, u64), ServiceError> {
+    let update = BoundsUpdate {
+        max_entries,
+        max_bytes,
+    };
+    match client.typed_request(&Request::SetBounds { id: None, update })? {
+        Response::BoundsSet {
+            max_entries,
+            max_bytes,
+            evicted,
+            ..
+        } => Ok((max_entries, max_bytes, evicted)),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// `set-slow-log` over the wire: the `(slow_ms, cap)` now in force, or
+/// the server's refusal.
+fn set_slow_log(
+    client: &mut Client,
+    slow_ms: Option<u64>,
+    cap: Option<usize>,
+) -> Result<(Option<u64>, usize), ServiceError> {
+    match client.typed_request(&Request::SetSlowLog {
+        id: None,
+        slow_ms,
+        cap,
+    })? {
+        Response::SlowLogSet { slow_ms, cap, .. } => Ok((slow_ms, cap)),
+        other => panic!("{other:?}"),
+    }
+}
+
 #[test]
 fn set_bounds_retunes_cache_caps_on_a_live_server() {
     let (addr, handle, pool) = boot("set-bounds", CacheConfig::unbounded());
@@ -165,15 +212,10 @@ fn set_bounds_retunes_cache_caps_on_a_live_server() {
     assert_eq!(before.max_entries, None);
 
     // Shrinking evicts down to the new cap immediately.
-    let (entries, bytes, evicted) = client
-        .set_bounds(BoundsUpdate {
-            max_entries: Some(2),
-            max_bytes: None,
-        })
-        .unwrap();
-    assert_eq!(entries, Some(2));
-    assert_eq!(bytes, None);
-    assert_eq!(evicted, 4);
+    assert_eq!(
+        set_bounds(&mut client, Some(2), None).unwrap(),
+        (Some(2), None, 4)
+    );
     assert_eq!(pool.state().cache().bounds(), (Some(2), None));
     let after = client.stats_report().unwrap();
     assert_eq!(after.cache.entries, 2);
@@ -181,21 +223,16 @@ fn set_bounds_retunes_cache_caps_on_a_live_server() {
     assert_eq!(after.cache.evictions, before.cache.evictions + 4);
 
     // 0 clears a bound back to unbounded; absent fields keep.
-    let (entries, bytes, evicted) = client
-        .set_bounds(BoundsUpdate {
-            max_entries: Some(0),
-            max_bytes: Some(1 << 20),
-        })
-        .unwrap();
-    assert_eq!(entries, None);
-    assert_eq!(bytes, Some(1 << 20));
-    assert_eq!(evicted, 0);
+    assert_eq!(
+        set_bounds(&mut client, Some(0), Some(1 << 20)).unwrap(),
+        (None, Some(1 << 20), 0)
+    );
     let cleared = client.stats_report().unwrap();
     assert_eq!(cleared.max_entries, None);
     assert_eq!(cleared.max_bytes, Some(1 << 20));
 
-    // An empty update is rejected client-side as a usage error.
-    assert!(client.set_bounds(BoundsUpdate::default()).is_err());
+    // An empty update is refused as a usage error.
+    assert!(set_bounds(&mut client, None, None).is_err());
 
     client.shutdown().unwrap();
     handle.join().unwrap();
@@ -278,7 +315,7 @@ fn set_slow_log_retunes_threshold_and_capacity_live() {
     assert!(client.metrics().unwrap().slow.is_empty());
 
     // Turn it on (threshold 0 = log everything) and shrink the ring.
-    let (slow_ms, cap) = client.set_slow_log(Some(0), Some(2)).unwrap();
+    let (slow_ms, cap) = set_slow_log(&mut client, Some(0), Some(2)).unwrap();
     assert_eq!(slow_ms, Some(0));
     assert_eq!(cap, 2);
     assert_eq!(pool.state().slow_log().capacity(), 2);
@@ -290,7 +327,7 @@ fn set_slow_log_retunes_threshold_and_capacity_live() {
     assert_eq!(slow[1].trace_id, 4, "newest entries win");
 
     // Partial update: only the threshold moves.
-    let (slow_ms, cap) = client.set_slow_log(Some(60_000), None).unwrap();
+    let (slow_ms, cap) = set_slow_log(&mut client, Some(60_000), None).unwrap();
     assert_eq!(slow_ms, Some(60_000));
     assert_eq!(cap, 2);
     client.submit(&shaped_job(5, 40)).unwrap();
@@ -300,8 +337,8 @@ fn set_slow_log_retunes_threshold_and_capacity_live() {
         "a fast job no longer logs under the raised threshold"
     );
 
-    // An empty update is a usage error, rejected client-side.
-    assert!(client.set_slow_log(None, None).is_err());
+    // An empty update is refused as a usage error.
+    assert!(set_slow_log(&mut client, None, None).is_err());
 
     client.shutdown().unwrap();
     handle.join().unwrap();
@@ -319,13 +356,10 @@ fn per_job_options_thread_through_the_wire() {
     // Bypass: recomputes despite the resident entry, touches nothing.
     let stats_before = client.stats_report().unwrap();
     let bypassed = client
-        .submit_with(
-            &spec,
-            JobOptions {
-                cache: CacheMode::Bypass,
-                ..JobOptions::default()
-            },
-        )
+        .submit(&spec.clone().with_options(JobOptions {
+            cache: CacheMode::Bypass,
+            ..JobOptions::default()
+        }))
         .unwrap();
     assert_eq!(bypassed.cache_hits(), 0, "bypass never reads the cache");
     assert_eq!(
@@ -339,13 +373,10 @@ fn per_job_options_thread_through_the_wire() {
 
     // Refresh: recomputes and replaces; counted distinctly.
     let refreshed = client
-        .submit_with(
-            &spec,
-            JobOptions {
-                cache: CacheMode::Refresh,
-                ..JobOptions::default()
-            },
-        )
+        .submit(&spec.clone().with_options(JobOptions {
+            cache: CacheMode::Refresh,
+            ..JobOptions::default()
+        }))
         .unwrap();
     assert_eq!(refreshed.cache_hits(), 0);
     assert_eq!(client.stats_report().unwrap().cache.refreshes, 1);
@@ -356,13 +387,10 @@ fn per_job_options_thread_through_the_wire() {
     // keep_points: the result carries the Pareto front, and is cached
     // under its own key (the point-free entry still hits).
     let with_points = client
-        .submit_with(
-            &spec,
-            JobOptions {
-                keep_points: true,
-                ..JobOptions::default()
-            },
-        )
+        .submit(&spec.clone().with_options(JobOptions {
+            keep_points: true,
+            ..JobOptions::default()
+        }))
         .unwrap();
     assert!(
         !with_points.layers[0].pareto.is_empty(),
@@ -435,4 +463,73 @@ fn drmap_batch_drives_a_live_server_over_connect_and_admin() {
     bare_handle.join().unwrap();
     Client::connect(&addr).unwrap().shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// The three `drmap-batch` paths the test above leaves out: a spec
+/// file, `--repeat`, and `metrics --text`.
+#[test]
+fn drmap_batch_repeats_a_spec_file_and_prints_metrics_as_text() {
+    // One worker: the two rounds' layers are looked up one after the
+    // other, so the second finds the first's result resident instead
+    // of coalescing onto it in flight.
+    let server = JobServer::bind("127.0.0.1:0", 1).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+    let spec_file = temp_store_path("spec-file").with_file_name("jobs.ndjson");
+    std::fs::write(
+        &spec_file,
+        "# one inline layer job\n\
+         {\"id\":1,\"layer\":{\"name\":\"L\",\"h\":8,\"w\":8,\"j\":16,\"i\":8,\"p\":3,\"q\":3}}\n",
+    )
+    .unwrap();
+
+    let spec_file = spec_file.to_str().unwrap();
+    let batch = drmap_batch(&["--connect", &addr, spec_file, "--repeat", "2"]);
+    assert!(batch.status.success(), "{batch:?}");
+    let stdout = String::from_utf8_lossy(&batch.stdout);
+    assert!(stdout.contains("2 jobs (2 layers, 0 failed)"), "{stdout}");
+    // Columns from the right: layers, cached, coalesced, stored, EDP.
+    let row = |id: &str| -> Vec<&str> {
+        let line = stdout
+            .lines()
+            .find(|line| line.split_whitespace().next() == Some(id))
+            .unwrap_or_else(|| panic!("no row for job {id} in {stdout}"));
+        line.split_whitespace().rev().skip(1).take(4).collect()
+    };
+    // The repeat of job 1 goes out as job 3 (ids step by the maximum
+    // id + 1): cold first, every layer cached second.
+    assert_eq!(row("1"), ["0", "0", "0", "1"], "{stdout}");
+    assert_eq!(row("3"), ["0", "0", "1", "1"], "{stdout}");
+
+    let text = drmap_batch(&["--connect", &addr, "--admin", "metrics", "--text"]);
+    assert!(text.status.success(), "{text:?}");
+    let stdout = String::from_utf8_lossy(&text.stdout);
+    let jobs: u64 = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("drmap_jobs_total "))
+        .unwrap_or_else(|| panic!("no drmap_jobs_total sample in {stdout}"))
+        .parse()
+        .unwrap();
+    assert_eq!(jobs, 2, "{stdout}");
+
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// `drmap-batch`'s in-process pool mode is gone: its five flags are
+/// unknown.
+#[test]
+fn deleted_batch_flags_are_unknown() {
+    for flag in [
+        "--workers",
+        "--compare",
+        "--cache-entries",
+        "--cache-bytes",
+        "--store",
+    ] {
+        let out = drmap_batch(&["--connect", "127.0.0.1:1", flag, "2"]);
+        assert!(!out.status.success(), "{flag} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+    }
 }

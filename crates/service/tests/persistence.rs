@@ -109,7 +109,7 @@ fn a_restarted_pool_serves_previous_results_from_disk() {
     // first request, so every layer is a plain memory hit.
     let store = Arc::new(Store::open(&path).unwrap());
     let state = ServiceState::with_cache_and_store(CacheConfig::unbounded(), Some(store)).unwrap();
-    assert_eq!(state.warm_start(None), persisted);
+    assert_eq!(state.cache().warm_from_store(None), persisted);
     let pool = DsePool::new(Arc::clone(&state), 2);
     let third: Vec<_> = pool
         .run_batch(&specs)
@@ -137,7 +137,7 @@ fn a_restarted_tcp_server_serves_store_hits_over_the_wire() {
         let state =
             ServiceState::with_cache_and_store(CacheConfig::unbounded(), Some(store)).unwrap();
         if warm {
-            state.warm_start(None);
+            state.cache().warm_from_store(None);
         }
         let pool = Arc::new(DsePool::new(state, 2));
         let server = JobServer::with_pool("127.0.0.1:0", pool).unwrap();

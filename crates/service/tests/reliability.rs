@@ -23,7 +23,7 @@ use drmap_service::error::ServiceError;
 use drmap_service::faults::{FaultPlan, FAULTS_COMPILED_IN};
 use drmap_service::loadgen::default_catalog;
 use drmap_service::pool::DsePool;
-use drmap_service::proto::MetricsReport;
+use drmap_service::proto::{MetricsReport, Request};
 use drmap_service::server::JobServer;
 use drmap_service::spec::{EngineSpec, JobOptions, JobResult, JobSpec};
 use drmap_store::store::Store;
@@ -193,7 +193,12 @@ fn run_chaos() {
     // Disarm and resubmit: the server recovered — the panicked
     // worker's replacement and the fault-free store now answer every
     // job, bit-identically.
-    client.set_faults(None).unwrap();
+    client
+        .typed_request(&Request::SetFaults {
+            id: None,
+            spec: None,
+        })
+        .unwrap();
     let healed = client.submit_batch(&specs).unwrap();
     for (slot, outcome) in healed.iter().enumerate() {
         let result = outcome
@@ -335,7 +340,7 @@ fn expired_deadline_answers_typed_over_the_wire() {
             deadline_ms: Some(1),
             ..JobOptions::default()
         };
-        submitter.submit_with(&quick, options)
+        submitter.submit(&quick.with_options(options))
     });
 
     // Once the server reports the job admitted its budget is running;

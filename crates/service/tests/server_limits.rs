@@ -178,11 +178,18 @@ fn zero_caps_are_rejected_at_construction() {
     .is_err());
 }
 
-/// The global in-flight cap and the drain bound are gone; their flags
-/// are unknown.
+/// The global in-flight cap, the drain bound and the boot-time twins
+/// of live verbs are gone; their flags are unknown.
 #[test]
 fn deleted_serve_flags_are_unknown() {
-    for flag in ["--max-inflight-global", "--drain-secs"] {
+    for flag in [
+        "--max-inflight-global",
+        "--drain-secs",
+        "--warm",
+        "--auto-compact-ratio",
+        "--slow-log-cap",
+        "--fault-plan",
+    ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_drmap-serve"))
             .args([flag, "2"])
             .output()
