@@ -33,15 +33,21 @@
 //!   and lower bound — a tile that overflows its buffer skips the whole
 //!   `ti` loop — and one *loop bound* per scheme, each read in O(1),
 //!   that end all but 516 of the zoo's 27,578 loops;
-//! * per **burst count**: a *cost row*, built the first time a visited
-//!   tiling needs it — every swept mapping's per-tile `(read, write)`
-//!   cost (the closed-form transition counting of
+//! * per **burst count**, per **engine**: a *cost row*, built the first
+//!   time a visited tiling of any sweep needs it — the per-tile
+//!   `(read, write)` cost under every mapping the engine sweeps (the
+//!   closed-form transition counting of
 //!   [`access_model`](crate::access_model), weighted by the profiled
-//!   table) plus their component-wise minimum, the *floor*. A row
-//!   depends on neither the data kind nor the scheme, so rows are
-//!   memoized for the sweep: in one flat cost arena under a dense index
-//!   by burst count, counted from per-mapping plans built once, with no
-//!   allocation or search per row. The zoo's sweep on SALP-2 builds 2,502;
+//!   table) plus their component-wise minimum, the *floor*. A row depends
+//!   on neither the layer, the data kind nor the scheme, so the engine
+//!   keeps each for its lifetime, in a slot per burst count that is
+//!   initialized once and read without a lock, shared by every sweep,
+//!   thread and clone; rows are counted from per-mapping plans built
+//!   once per engine. One pass over the zoo on SALP-2 reads 2,502 rows
+//!   (the distinct burst counts of each sweep, summed), only 326 of them
+//!   distinct: a fresh engine builds those 326 and a warm one none.
+//!   [`DseEngine::best_over_tilings`] reads its mapping's column of the
+//!   same rows, whose floor is that mapping's own cost;
 //! * per **tiling**: three row lookups, `S = batch · n_h · n_w`, and
 //!   one bound — the floor row weighted by the least traffic any scheme
 //!   could cause — that often ends the tiling there. Otherwise the tile
@@ -190,8 +196,10 @@
 
 use core::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use drmap_cnn::layer::Layer;
+use drmap_cnn::accelerator::AcceleratorConfig;
+use drmap_cnn::layer::{DataKind, Layer};
 use drmap_cnn::network::Network;
 use drmap_dram::geometry::Geometry;
 use drmap_dram::profiler::{AccessCost, AccessCostTable, TransitionClass};
@@ -323,9 +331,11 @@ impl DseConfig {
 
 /// A thread-safe, shareable handle to a [`DseEngine`].
 ///
-/// The engine is immutable after construction and `Send + Sync`, so one
-/// handle can serve any number of worker threads concurrently (the
-/// job-server crate spreads a network's layers across workers this way).
+/// The engine's configuration is fixed at construction and it is
+/// `Send + Sync`; its cost rows fill in behind `&self`, each built once
+/// whichever thread needs it first. So one handle can serve any number of
+/// worker threads concurrently (the job-server crate spreads a network's
+/// layers across workers this way).
 pub type SharedEngine = std::sync::Arc<DseEngine>;
 
 /// Canonical memoization key for a single-layer exploration.
@@ -337,25 +347,38 @@ pub type SharedEngine = std::sync::Arc<DseEngine>;
 /// profiled substrate (DRAM architecture, geometry, timing/energy
 /// parameters). Identically shaped layers — e.g. VGG-16's repeated conv
 /// blocks — therefore share one cache entry.
+///
+/// [`DseEngine::layer_key`] returns the same bytes with the part after
+/// the shape written once per engine.
 pub fn layer_cache_key(
     engine_tag: &str,
     layer: &Layer,
-    acc: &drmap_cnn::accelerator::AcceleratorConfig,
+    acc: &AcceleratorConfig,
     config: &DseConfig,
 ) -> String {
     // One allocation: the default sweep's key is ≈ 210 bytes past the tag.
     let mut key = String::with_capacity(engine_tag.len() + 256);
+    write_key_head(&mut key, engine_tag, layer);
+    write_key_suffix(&mut key, acc, config);
+    key
+}
+
+/// A [`layer_cache_key`]'s per-layer part: the tag and the shape.
+fn write_key_head(key: &mut String, engine_tag: &str, layer: &Layer) {
     write!(
         key,
-        "{engine_tag}|h{}w{}j{}i{}p{}q{}s{}g{}|ib{}wb{}ob{}px{}b{}|",
-        layer.h,
-        layer.w,
-        layer.j,
-        layer.i,
-        layer.p,
-        layer.q,
-        layer.stride,
-        layer.groups,
+        "{engine_tag}|h{}w{}j{}i{}p{}q{}s{}g{}",
+        layer.h, layer.w, layer.j, layer.i, layer.p, layer.q, layer.stride, layer.groups,
+    )
+    .expect("writing to a String cannot fail");
+}
+
+/// A [`layer_cache_key`]'s part after the shape — the accelerator and the
+/// sweep fingerprint — the same for every layer on one engine.
+fn write_key_suffix(key: &mut String, acc: &AcceleratorConfig, config: &DseConfig) {
+    write!(
+        key,
+        "|ib{}wb{}ob{}px{}b{}|",
         acc.ifms_buffer,
         acc.wghs_buffer,
         acc.ofms_buffer,
@@ -363,8 +386,7 @@ pub fn layer_cache_key(
         acc.batch,
     )
     .expect("writing to a String cannot fail");
-    config.write_fingerprint(&mut key);
-    key
+    config.write_fingerprint(key);
 }
 
 /// One evaluated configuration.
@@ -581,14 +603,14 @@ impl TileBound {
     }
 }
 
-/// Every swept mapping's per-tile cost at one burst count.
+/// Every mapping's per-tile cost at one burst count.
 struct CostRow {
-    /// Where the row's `(read, write)` cost per mapping, in sweep order,
-    /// starts in [`CostRows::costs`].
-    at: usize,
-    /// The component-wise minimum of the row's costs: what the cheapest
-    /// mapping would charge if one mapping were cheapest in every component
-    /// (on the profiled tables DRMap is, so the floor is DRMap's own cost).
+    /// The `(read, write)` cost under each of the memo's mappings, in
+    /// sweep order.
+    costs: Box<[(AccessCost, AccessCost)]>,
+    /// The component-wise minimum of `costs`: what the cheapest mapping
+    /// would charge if one mapping were cheapest in every component (on
+    /// the profiled tables DRMap is, so the floor is DRMap's own cost).
     floor: (AccessCost, AccessCost),
     /// Every cost in the row is finite and non-negative — the
     /// precondition of the tiling and group bounds
@@ -596,89 +618,177 @@ struct CostRow {
     bounded: bool,
 }
 
-/// Per-sweep memo of [`CostRow`]s by burst count, built on demand. A
-/// layer's tiles produce only a handful of distinct burst counts, and a
-/// row does not depend on the data kind or the scheme, so the closed-form
-/// transition counting runs once per (mapping, burst count), and only for
-/// the tiles of tilings the loop bounds do not end.
-struct CostRows<'a> {
-    table: &'a AccessCostTable,
-    /// Each swept mapping's counting plan, in sweep order.
-    plans: Vec<CountingPlan>,
-    /// One more than the index into `rows` of each burst count's row; 0
-    /// while it is not built. A fitting tile is no larger than its
-    /// buffer, so this is at most the largest buffer's burst count long.
-    by_units: Vec<u32>,
-    rows: Vec<CostRow>,
-    /// Every row's costs, `plans.len()` per row.
-    costs: Vec<(AccessCost, AccessCost)>,
+/// Both directions' costs are finite and non-negative.
+fn finite_non_negative((read, write): &(AccessCost, AccessCost)) -> bool {
+    [read.cycles, read.energy, write.cycles, write.energy]
+        .iter()
+        .all(|x| x.is_finite() && *x >= 0.0)
 }
 
-impl<'a> CostRows<'a> {
-    fn new(model: &'a EdpModel, mappings: &[MappingPolicy]) -> Self {
-        CostRows {
-            table: model.table(),
+/// One cost-row slot per burst count, initialised once (boxed, so that an
+/// empty slot costs 16 bytes).
+type RowChunk = Box<[OnceLock<Box<CostRow>>]>;
+
+/// An engine's [`CostRow`]s by burst count, each built the first time a
+/// sweep needs it and kept for the engine's lifetime. A row depends only
+/// on the cost table, the geometry, the mappings and the burst count —
+/// not on the layer, the data kind or the scheme — so every sweep, thread
+/// and clone of the engine shares one. Reading a built row takes no lock.
+///
+/// A fitting tile is no larger than its buffer, so burst counts run from
+/// one to the largest buffer's. Their slots come in about `√slots`
+/// chunks of about `√slots` (at least 64), each allocated the first time
+/// one of its rows is built: memory follows the rows built, not the
+/// buffer size, and construction allocates only the chunk directory.
+/// Table II's 64 KiB buffers of 8-byte bursts take 8,192 slots in 64
+/// chunks of 128; a 1 GiB buffer's 2²⁷ take 8,192 chunks of 16,384.
+struct RowMemo {
+    /// Each mapping's counting plan, in sweep order.
+    plans: Box<[CountingPlan]>,
+    /// `log2` of the slots per chunk.
+    chunk_bits: u32,
+    /// Chunk `c` holds the rows of burst counts `(c << chunk_bits) + 1`
+    /// on.
+    chunks: Box<[OnceLock<RowChunk>]>,
+    /// Rows built so far.
+    built: AtomicUsize,
+}
+
+impl RowMemo {
+    fn new(model: &EdpModel, mappings: &[MappingPolicy]) -> Self {
+        let acc = model.traffic_model().accelerator();
+        let largest = DataKind::ALL.map(|kind| acc.buffer_bytes(kind) as u64);
+        let slots = largest
+            .into_iter()
+            .max()
+            .unwrap_or(0)
+            .div_ceil(model.geometry().burst_bytes() as u64);
+        // `⌈log2 slots⌉`, halved and rounded up: about `√slots` per chunk.
+        let chunk_bits = (u64::BITS - slots.saturating_sub(1).leading_zeros())
+            .div_ceil(2)
+            .max(6);
+        let chunks = usize::try_from(slots.div_ceil(1 << chunk_bits))
+            .expect("a buffer's chunk count fits in memory");
+        RowMemo {
             plans: mappings
                 .iter()
                 .map(|mapping| CountingPlan::new(mapping, model.geometry()))
                 .collect(),
-            by_units: Vec::new(),
-            rows: Vec::new(),
-            costs: Vec::new(),
+            chunk_bits,
+            chunks: (0..chunks).map(|_| OnceLock::new()).collect(),
+            built: AtomicUsize::new(0),
         }
     }
 
-    /// Index into `rows` of the row for a tile of `units` bursts.
-    fn lookup(&mut self, units: u64) -> usize {
-        let slot = usize::try_from(units).expect("a fitting tile's bursts fit in memory");
-        if slot >= self.by_units.len() {
-            self.by_units.resize(slot + 1, 0);
-        }
-        if self.by_units[slot] == 0 {
-            self.build(units);
-            self.by_units[slot] = u32::try_from(self.rows.len()).expect("few rows");
-        }
-        self.by_units[slot] as usize - 1
+    /// The row of a tile of `units` bursts (at least one, at most the
+    /// largest buffer's), priced by `table`, the engine's.
+    #[inline]
+    fn row(&self, units: u64, table: &AccessCostTable) -> &CostRow {
+        let slot = usize::try_from(units - 1).expect("a fitting tile's bursts fit in memory");
+        let chunk = self.chunks[slot >> self.chunk_bits]
+            .get_or_init(|| (0..1 << self.chunk_bits).map(|_| OnceLock::new()).collect());
+        chunk[slot & ((1 << self.chunk_bits) - 1)]
+            .get_or_init(|| Box::new(self.build(units, table)))
     }
 
-    fn build(&mut self, units: u64) {
-        let at = self.costs.len();
-        let (mut floor, mut bounded) = ((INFINITE, INFINITE), true);
-        for plan in &self.plans {
-            let counts = plan.counts(units);
-            let read = counts_cost(&counts, self.table, RequestKind::Read);
-            let write = counts_cost(&counts, self.table, RequestKind::Write);
-            floor = (min_cost(floor.0, read), min_cost(floor.1, write));
-            // `f64::min` ignores a NaN operand, so look at every cost, not
-            // at the floor (which is read from bounded rows only).
-            let costs = [read.cycles, read.energy, write.cycles, write.energy];
-            bounded &= costs.iter().all(|x| x.is_finite() && *x >= 0.0);
-            self.costs.push((read, write));
+    fn build(&self, units: u64, table: &AccessCostTable) -> CostRow {
+        // ordering: Relaxed — a statistic; the row itself is published by
+        // its `OnceLock`.
+        self.built.fetch_add(1, Ordering::Relaxed);
+        let costs: Box<[_]> = self
+            .plans
+            .iter()
+            .map(|plan| {
+                let counts = plan.counts(units);
+                (
+                    counts_cost(&counts, table, RequestKind::Read),
+                    counts_cost(&counts, table, RequestKind::Write),
+                )
+            })
+            .collect();
+        let floor = costs.iter().fold((INFINITE, INFINITE), |floor, cost| {
+            (min_cost(floor.0, cost.0), min_cost(floor.1, cost.1))
+        });
+        // `f64::min` ignores a NaN operand, so look at every cost, not at
+        // the floor (which is read from bounded rows only).
+        let bounded = costs.iter().all(finite_non_negative);
+        CostRow {
+            costs,
+            floor,
+            bounded,
         }
-        self.rows.push(CostRow { at, floor, bounded });
+    }
+
+    /// How many rows have been built.
+    fn built(&self) -> usize {
+        // ordering: Relaxed — a statistic, read for reports and tests.
+        self.built.load(Ordering::Relaxed)
+    }
+}
+
+impl fmt::Debug for RowMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RowMemo")
+            .field("mappings", &self.plans.len())
+            .field("rows_built", &self.built())
+            .finish()
+    }
+}
+
+/// The part of an engine's [`RowMemo`] a sweep reads: every column, or
+/// the one column of the single mapping it sweeps.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    memo: &'a RowMemo,
+    table: &'a AccessCostTable,
+    /// The one column swept, or `None` for all of them in order.
+    column: Option<usize>,
+}
+
+impl<'a> Rows<'a> {
+    #[inline]
+    fn row(&self, units: u64) -> &'a CostRow {
+        self.memo.row(units, self.table)
+    }
+
+    /// The row's floor over the swept columns, or `None` when they cannot
+    /// serve as a bound. One column is its own floor, and bounded where
+    /// the whole row is.
+    #[inline]
+    fn floor(&self, row: &CostRow) -> Option<(AccessCost, AccessCost)> {
+        match self.column {
+            None => row.bounded.then_some(row.floor),
+            Some(column) => {
+                let cost = row.costs[column];
+                (row.bounded || finite_non_negative(&cost)).then_some(cost)
+            }
+        }
+    }
+
+    /// Per-tile costs no swept mapping undercuts in any component, from
+    /// the cost rows of the ifms, wghs and ofms tile, or `None` when a
+    /// row cannot serve as a bound.
+    fn floor_costs(&self, [ifms, wghs, ofms]: [&CostRow; 3]) -> Option<TileCosts> {
+        let [ifms, wghs, ofms] = [self.floor(ifms)?, self.floor(wghs)?, self.floor(ofms)?];
+        Some(TileCosts {
+            ifms_read: ifms.0,
+            wghs_read: wghs.0,
+            ofms_read: ofms.0,
+            ofms_write: ofms.1,
+        })
     }
 
     /// Per-tile costs under the mapping in sweep position `slot`, from the
     /// cost rows of the ifms, wghs and ofms tile.
     fn mapping_costs(&self, [ifms, wghs, ofms]: [&CostRow; 3], slot: usize) -> TileCosts {
+        let at = self.column.unwrap_or(slot);
         TileCosts {
-            ifms_read: self.costs[ifms.at + slot].0,
-            wghs_read: self.costs[wghs.at + slot].0,
-            ofms_read: self.costs[ofms.at + slot].0,
-            ofms_write: self.costs[ofms.at + slot].1,
+            ifms_read: ifms.costs[at].0,
+            wghs_read: wghs.costs[at].0,
+            ofms_read: ofms.costs[at].0,
+            ofms_write: ofms.costs[at].1,
         }
     }
-}
-
-/// Per-tile costs no swept mapping undercuts in any component, or `None`
-/// when a row cannot serve as a bound.
-fn floor_costs([ifms, wghs, ofms]: [&CostRow; 3]) -> Option<TileCosts> {
-    (ifms.bounded && wghs.bounded && ofms.bounded).then_some(TileCosts {
-        ifms_read: ifms.floor.0,
-        wghs_read: wghs.floor.0,
-        ofms_read: ofms.floor.0,
-        ofms_write: ofms.floor.1,
-    })
 }
 
 /// Appends to `out`, one per step of the `ti` axis `is`, the suffix minima
@@ -705,12 +815,15 @@ fn push_suffix_minima(
     }
 }
 
-/// The work a sweep did, pinned by a test so that a weaker bound fails
+/// The work sweeps did, pinned by a test so that a weaker bound fails
 /// whatever the machine's timing noise.
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Tally {
+    /// Rows the engine built.
     rows: usize,
+    /// Distinct rows each sweep read, summed over the sweeps.
+    touched: usize,
     tilings: usize,
     loops: usize,
 }
@@ -726,7 +839,7 @@ struct Sweep<'a> {
     /// A negative or NaN clock would break the scores' monotonicity.
     clock_bounded: bool,
     bound: TileBound,
-    rows: CostRows<'a>,
+    rows: Rows<'a>,
     /// The ifms column's suffix minima (`per_trip = S`) for the last
     /// `(th, tw)` seen (steps are at least 1, so `(0, 0)` before the
     /// first).
@@ -735,9 +848,12 @@ struct Sweep<'a> {
     /// the order first seen, and its minima in that order.
     wghs_least: (Vec<usize>, Vec<AccessCost>),
     found: Accumulator,
-    /// Tilings visited and `ti` loops walked (rows built are `rows`').
+    /// Tilings visited and `ti` loops walked.
     #[cfg(test)]
     tally: Tally,
+    /// The burst counts whose rows this sweep read.
+    #[cfg(test)]
+    touched: std::collections::HashSet<u64>,
 }
 
 impl<'a> Sweep<'a> {
@@ -745,6 +861,7 @@ impl<'a> Sweep<'a> {
         engine: &'a DseEngine,
         schemes: &'a [ReuseScheme],
         mappings: &'a [MappingPolicy],
+        rows: Rows<'a>,
         keep_points: bool,
     ) -> Self {
         let model = &engine.model;
@@ -757,7 +874,7 @@ impl<'a> Sweep<'a> {
             t_ck_ns,
             clock_bounded: t_ck_ns.is_finite() && t_ck_ns >= 0.0,
             bound: TileBound::new(model.geometry(), model.table()),
-            rows: CostRows::new(model, mappings),
+            rows,
             ifms_least: ((0, 0), Vec::new()),
             wghs_least: (Vec::new(), Vec::new()),
             found: Accumulator {
@@ -770,15 +887,26 @@ impl<'a> Sweep<'a> {
             },
             #[cfg(test)]
             tally: Tally::default(),
+            #[cfg(test)]
+            touched: std::collections::HashSet::new(),
         }
     }
 
+    /// What this sweep did (`rows` is the engine's to count).
     #[cfg(test)]
     fn tally(&self) -> Tally {
         Tally {
-            rows: self.rows.rows.len(),
+            touched: self.touched.len(),
             ..self.tally
         }
+    }
+
+    /// The row of a tile of `units` bursts.
+    #[inline]
+    fn row(&mut self, units: u64) -> &'a CostRow {
+        #[cfg(test)]
+        self.touched.insert(units);
+        self.rows.row(units)
     }
 
     /// The `(th, tw, tj)` loop's bound per concrete scheme, in
@@ -889,9 +1017,8 @@ impl TilingVisitor for Sweep<'_> {
         }
         let (t_ck_ns, keep_points) = (self.t_ck_ns, self.keep_points);
         let spatial = self.batch * n_h * n_w;
-        let at = tiles.map(|tile| self.rows.lookup(tile.units));
-        let rows = at.map(|row| &self.rows.rows[row]);
-        let floor = floor_costs(rows).filter(|_| self.clock_bounded);
+        let rows = tiles.map(|tile| self.row(tile.units));
+        let floor = self.rows.floor_costs(rows).filter(|_| self.clock_bounded);
         let found = &mut self.found;
         let points = self.schemes.len() * self.mappings.len();
         found.evaluations += points;
@@ -950,16 +1077,55 @@ impl TilingVisitor for Sweep<'_> {
 /// assert!(result.layers[0].best.mapping.is_drmap());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// A clone shares the original's cost rows: each is built once, by
+/// whichever sweep first needs it.
 #[derive(Debug, Clone)]
 pub struct DseEngine {
     model: EdpModel,
     config: DseConfig,
+    /// The cost rows of `config.mappings`, built on demand.
+    memo: Arc<RowMemo>,
+    /// Every layer's cache key after its shape (see
+    /// [`DseEngine::layer_key`]).
+    key_suffix: Arc<str>,
 }
 
 impl DseEngine {
-    /// Create an engine.
+    /// Create an engine. No cost row is built until a sweep needs it.
     pub fn new(model: EdpModel, config: DseConfig) -> Self {
-        DseEngine { model, config }
+        let memo = Arc::new(RowMemo::new(&model, &config.mappings));
+        let mut key_suffix = String::new();
+        write_key_suffix(
+            &mut key_suffix,
+            model.traffic_model().accelerator(),
+            &config,
+        );
+        DseEngine {
+            model,
+            config,
+            memo,
+            key_suffix: key_suffix.into(),
+        }
+    }
+
+    /// [`layer_cache_key`] of `layer` on this engine's accelerator and
+    /// sweep configuration, byte for byte, writing only the tag and the
+    /// shape per call.
+    pub fn layer_key(&self, engine_tag: &str, layer: &Layer) -> String {
+        let mut key = String::with_capacity(engine_tag.len() + 48 + self.key_suffix.len());
+        write_key_head(&mut key, engine_tag, layer);
+        key.push_str(&self.key_suffix);
+        key
+    }
+
+    /// The rows a sweep reads: all of the engine's columns, or `column`.
+    fn rows(&self, column: Option<usize>) -> Rows<'_> {
+        Rows {
+            memo: &self.memo,
+            table: self.model.table(),
+            column,
+        }
     }
 
     /// The underlying analytical model.
@@ -1001,8 +1167,24 @@ impl DseEngine {
         scheme: ReuseScheme,
         mapping: &MappingPolicy,
     ) -> Result<DseCandidate, DseError> {
-        self.sweep(layer, &[scheme], std::slice::from_ref(mapping), false)?
-            .found
+        let (schemes, mappings) = ([scheme], std::slice::from_ref(mapping));
+        let found = match self.config.mappings.iter().position(|m| m == mapping) {
+            Some(column) => {
+                self.sweep(layer, &schemes, mappings, self.rows(Some(column)), false)?
+                    .found
+            }
+            None => {
+                // A mapping outside the engine's set: its rows, for this
+                // call only.
+                let own = RowMemo::new(&self.model, mappings);
+                let rows = Rows {
+                    memo: &own,
+                    ..self.rows(None)
+                };
+                self.sweep(layer, &schemes, mappings, rows, false)?.found
+            }
+        };
+        found
             .best
             .ok_or_else(|| DseError::new("no feasible tiling"))
     }
@@ -1034,8 +1216,15 @@ impl DseEngine {
             count_tilings(layer, self.model.traffic_model().accelerator())?;
             return Err(DseError::new("empty scheme or mapping sweep"));
         }
+        let rows = self.rows(None);
         let swept = self
-            .sweep(layer, &config.schemes, &config.mappings, config.keep_points)?
+            .sweep(
+                layer,
+                &config.schemes,
+                &config.mappings,
+                rows,
+                config.keep_points,
+            )?
             .found;
         let result = LayerDseResult {
             layer_name: layer.name.clone(),
@@ -1047,17 +1236,18 @@ impl DseEngine {
     }
 
     /// The evaluation pipeline of the module docs: the layer's feasible
-    /// tilings × `schemes` × `mappings` (`mappings` non-empty) in that
-    /// nesting order, under this engine's objective; what it found is the
-    /// finished sweep's `found`.
+    /// tilings × `schemes` × `mappings` (`mappings` non-empty, priced by
+    /// `rows`) in that nesting order, under this engine's objective; what
+    /// it found is the finished sweep's `found`.
     fn sweep<'a>(
         &'a self,
         layer: &Layer,
         schemes: &'a [ReuseScheme],
         mappings: &'a [MappingPolicy],
+        rows: Rows<'a>,
         keep_points: bool,
     ) -> Result<Sweep<'a>, DseError> {
-        let mut sweep = Sweep::new(self, schemes, mappings, keep_points);
+        let mut sweep = Sweep::new(self, schemes, mappings, rows, keep_points);
         walk_tilings(layer, self.model.traffic_model().accelerator(), &mut sweep)?;
         Ok(sweep)
     }

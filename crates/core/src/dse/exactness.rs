@@ -370,7 +370,7 @@ proptest! {
         let mut check = BoundCheck {
             e: &e,
             layer: &layer,
-            sweep: Sweep::new(&e, &config.schemes, &config.mappings, config.keep_points),
+            sweep: Sweep::new(&e, &config.schemes, &config.mappings, e.rows(None), config.keep_points),
             visited: 0,
         };
         walk_tilings(&layer, &acc, &mut check).unwrap();
@@ -448,7 +448,7 @@ fn scheme_bounds(
 
 /// Holds every fitting tile's lower bound against its row's floor, every
 /// seventh tiling's bounds, computed from the sweep's own hoists (the
-/// walk's trip counts and tiles, [`CostRows`], [`floor_costs`]), against
+/// walk's trip counts and tiles, [`RowMemo`], [`Rows::floor_costs`]), against
 /// each member of each of the tiling's groups, and every `ti` loop's
 /// tiling count against [`loop_tilings`] and its bounds per scheme
 /// ([`Sweep::loop_bounds`], read in O(1) at the loop's first tiling)
@@ -466,9 +466,8 @@ struct BoundCheck<'a> {
 impl BoundCheck<'_> {
     /// The exact floor of each of `tiles`, building its row if need be.
     fn floor(&mut self, tiles: [Tile; 3]) -> Option<TileCosts> {
-        let rows = &mut self.sweep.rows;
-        let at = tiles.map(|tile| rows.lookup(tile.units));
-        floor_costs(at.map(|row| &rows.rows[row]))
+        let rows = tiles.map(|tile| self.sweep.row(tile.units));
+        self.sweep.rows.floor_costs(rows)
     }
 }
 
@@ -480,9 +479,7 @@ impl TilingVisitor for BoundCheck<'_> {
     fn tile(&mut self, bytes: u64) -> Tile {
         let tile = self.sweep.tile(bytes);
         if self.sweep.bound.trusted {
-            let rows = &mut self.sweep.rows;
-            let at = rows.lookup(tile.units);
-            let row = &rows.rows[at];
+            let row = self.sweep.row(tile.units);
             assert!(row.bounded, "a trusted table makes every row bounded");
             for (lb, floor) in [(tile.lb.0, row.floor.0), (tile.lb.1, row.floor.1)] {
                 assert!(lb.cycles <= floor.cycles && lb.energy <= floor.energy);
@@ -885,20 +882,27 @@ fn zoo_evaluation_and_pruned_counts_match_the_committed_table() {
     assert_eq!(salp2, (4_787_064, 4_784_796));
 }
 
-/// The work the default sweep does on SALP-2 over `networks`: rows built,
-/// tilings visited, `ti` loops walked.
+/// The work the default sweep does on SALP-2 over `networks`, on one
+/// fresh engine: rows it built, rows each sweep read (summed), tilings
+/// visited, `ti` loops walked.
 fn salp2_work(networks: &[Network]) -> Tally {
-    let profiler = Profiler::table_ii().unwrap();
-    let e = engine_on(profiler.cost_table(DramArch::Salp2), DseConfig::default());
+    let e = engine_on(salp2_table(), DseConfig::default());
     let config = e.config();
     let mut total = Tally::default();
     for layer in networks.iter().flat_map(Network::layers) {
-        let sweep = e.sweep(layer, &config.schemes, &config.mappings, false);
+        let sweep = e.sweep(
+            layer,
+            &config.schemes,
+            &config.mappings,
+            e.rows(None),
+            false,
+        );
         let tally = sweep.unwrap().tally();
-        total.rows += tally.rows;
+        total.touched += tally.touched;
         total.tilings += tally.tilings;
         total.loops += tally.loops;
     }
+    total.rows = e.memo.built();
     total
 }
 
@@ -911,7 +915,8 @@ fn the_zoo_sweep_on_salp2_does_the_measured_work() {
         .map(|(_, build)| build())
         .collect();
     let measured = Tally {
-        rows: 2_502,
+        rows: 326,
+        touched: 2_502,
         tilings: 3_537,
         loops: 516,
     };
@@ -923,11 +928,161 @@ fn the_zoo_sweep_on_salp2_does_the_measured_work() {
 #[test]
 fn the_big_layers_sweep_on_salp2_does_the_measured_work() {
     let measured = Tally {
-        rows: 2_547,
+        rows: 274,
+        touched: 2_547,
         tilings: 3_595,
         loops: 610,
     };
     assert_eq!(salp2_work(&[big_layers()]), measured);
+}
+
+fn salp2_table() -> AccessCostTable {
+    Profiler::table_ii().unwrap().cost_table(DramArch::Salp2)
+}
+
+/// Four threads sweep `networks` at once through one fresh shared
+/// engine, racing on the first build of every row, and each gets what a
+/// fresh engine sweeping alone gets, bit for bit and count for count; and
+/// every row was built once.
+fn assert_racing_sweeps_match_a_lone_engine(
+    arch: DramArch,
+    keep_points: bool,
+    networks: &[Network],
+) {
+    let table = Profiler::table_ii().unwrap().cost_table(arch);
+    let config = DseConfig {
+        keep_points,
+        ..DseConfig::default()
+    };
+    let layers: Vec<&Layer> = networks.iter().flat_map(Network::layers).collect();
+    let lone = engine_on(table.clone(), config.clone());
+    let expected: Vec<_> = layers
+        .iter()
+        .map(|layer| lone.explore_layer_counted(layer).unwrap())
+        .collect();
+    let shared = engine_on(table, config).into_shared();
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    layers
+                        .iter()
+                        .map(|layer| shared.explore_layer_counted(layer).unwrap())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for thread in threads {
+            for ((swept, pruned), (alone, alone_pruned)) in
+                thread.join().unwrap().iter().zip(&expected)
+            {
+                assert_results_bit_identical(swept, alone);
+                assert_eq!(pruned, alone_pruned, "{}", alone.layer_name);
+            }
+        }
+    });
+    assert_eq!(shared.memo.built(), lone.memo.built(), "{arch:?}");
+}
+
+#[test]
+fn racing_sweeps_on_one_fresh_engine_match_a_lone_engine() {
+    let zoo: Vec<Network> = Network::zoo()
+        .into_iter()
+        .map(|(_, build)| build())
+        .collect();
+    assert_racing_sweeps_match_a_lone_engine(DramArch::Salp2, false, &zoo);
+}
+
+/// The same on every architecture, with and without the Pareto front.
+#[test]
+#[ignore = "zoo x 4 architectures x keep_points, four threads each; run in release"]
+fn racing_sweeps_match_a_lone_engine_on_every_architecture() {
+    let zoo: Vec<Network> = Network::zoo()
+        .into_iter()
+        .map(|(_, build)| build())
+        .collect();
+    for arch in DramArch::ALL {
+        for keep_points in [false, true] {
+            assert_racing_sweeps_match_a_lone_engine(arch, keep_points, &zoo);
+        }
+    }
+}
+
+/// A clone shares its engine's rows: what one sweep built, the other's
+/// sweep reads.
+#[test]
+fn clones_share_their_engines_rows() {
+    let e = engine_on(salp2_table(), DseConfig::default());
+    let clone = e.clone();
+    assert_eq!(e.memo.built(), 0, "construction builds no row");
+    let first = clone.explore_layer(&conv3()).unwrap();
+    let built = e.memo.built();
+    assert!(built > 0);
+    assert_results_bit_identical(&e.explore_layer(&conv3()).unwrap(), &first);
+    assert_eq!(e.memo.built(), built, "the second sweep built nothing");
+    assert!(format!("{e:?}").contains(&format!("rows_built: {built}")));
+}
+
+/// A 1 GiB buffer's burst counts run to 2²⁷, yet its engine constructs
+/// in well under a millisecond, allocating no chunk of rows until a sweep
+/// needs one, and then only the chunks its rows are in.
+#[test]
+fn an_engine_on_a_huge_buffer_constructs_fast_and_sweeps_exactly() {
+    let acc = AcceleratorConfig {
+        ifms_buffer: 1 << 30,
+        wghs_buffer: 1 << 30,
+        ofms_buffer: 1 << 30,
+        ..AcceleratorConfig::table_ii()
+    };
+    let model = EdpModel::new(Geometry::salp_2gb_x8(), salp2_table(), acc);
+    let build = || {
+        let at = std::time::Instant::now();
+        let e = DseEngine::new(model.clone(), DseConfig::default());
+        (at.elapsed(), e)
+    };
+    let fastest = (0..5).map(|_| build().0).min().unwrap();
+    assert!(fastest < std::time::Duration::from_millis(1), "{fastest:?}");
+    let e = build().1;
+    let allocated = |e: &DseEngine| e.memo.chunks.iter().filter(|c| c.get().is_some()).count();
+    assert_eq!((e.memo.built(), allocated(&e)), (0, 0));
+    assert_eq!(e.memo.chunks.len(), 1 << 13, "2¹³ chunks of 2¹⁴ rows");
+    for layer in Network::tiny().layers() {
+        assert_results_bit_identical(&e.explore_layer(layer).unwrap(), &naive_explore(&e, layer));
+    }
+    assert!(allocated(&e) <= e.memo.built());
+}
+
+/// `best_over_tilings` reads an in-set mapping's column of the engine's
+/// rows, and prices a mapping outside the set for the call only; either
+/// way the result is a one-mapping engine's, bit for bit.
+#[test]
+fn best_over_tilings_matches_a_one_mapping_engine() {
+    let e = engine_on(salp2_table(), DseConfig::default());
+    let layer = conv3();
+    for mapping in MappingPolicy::all_permutations() {
+        let alone = engine_on(
+            salp2_table(),
+            DseConfig {
+                mappings: vec![mapping],
+                ..DseConfig::default()
+            },
+        );
+        let built = e.memo.built();
+        for scheme in ReuseScheme::ALL {
+            let got = e.best_over_tilings(&layer, scheme, &mapping).unwrap();
+            let want = alone.best_over_tilings(&layer, scheme, &mapping).unwrap();
+            assert_eq!(got, want, "{mapping} {scheme}");
+            assert_eq!(got.estimate.edp().to_bits(), want.estimate.edp().to_bits());
+        }
+        let in_set = e.config().mappings.contains(&mapping);
+        assert_eq!(in_set, mapping.index() != 0);
+        if !in_set {
+            assert_eq!(e.memo.built(), built, "{mapping} built into the engine");
+        }
+    }
+    assert!(e.memo.built() > 0);
 }
 
 #[test]

@@ -2,18 +2,20 @@
 //!
 //! Profiling an architecture's access-cost table is the expensive part
 //! of engine construction (it runs the cycle-level simulator), so
-//! [`EngineFactory`] profiles once per [`DramArch`] and memoizes the
-//! table; building a [`DseEngine`] from a memoized table is cheap enough
-//! to do per job. [`ServiceState`] bundles the factory with the shared
-//! layer cache — one `Arc<ServiceState>` is the whole service's shared
-//! state, handed to every worker, connection handler, and front-end.
+//! [`EngineFactory`] profiles once per [`DramArch`], and keeps one shared
+//! [`DseEngine`] per (architecture, objective, `keep_points`): every job
+//! on it reuses the cost rows earlier sweeps built. [`ServiceState`]
+//! bundles the factory with the shared layer cache — one
+//! `Arc<ServiceState>` is the whole service's shared state, handed to
+//! every worker, connection handler, and front-end.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use drmap_cnn::accelerator::AcceleratorConfig;
 use drmap_cnn::layer::Layer;
-use drmap_core::dse::{layer_cache_key, DseConfig, DseEngine, LayerDseResult};
+use drmap_core::dse::{
+    layer_cache_key, DseConfig, DseEngine, LayerDseResult, Objective, SharedEngine,
+};
 use drmap_core::edp::EdpModel;
 use drmap_core::error::DseError;
 use drmap_dram::geometry::Geometry;
@@ -38,14 +40,30 @@ const SLOW_LOG_CAPACITY: usize = 32;
 /// building an engine.
 pub const SUBSTRATE: &str = "salp_2gb_x8/ddr3_1600k/micron_2gb_x8/table_ii";
 
-/// Builds [`DseEngine`]s on demand, memoizing the profiled cost tables.
+/// Builds [`DseEngine`]s on demand: one per (architecture, objective,
+/// `keep_points`), shared by every caller.
 #[derive(Debug)]
 pub struct EngineFactory {
     geometry: Geometry,
     acc: AcceleratorConfig,
     profiler: Profiler,
-    substrate: &'static str,
-    tables: Mutex<HashMap<DramArch, AccessCostTable>>,
+    /// Each architecture's [`EngineFactory::engine_tag`], in
+    /// [`DramArch::ALL`] order.
+    tags: [String; DramArch::ALL.len()],
+    /// Each architecture's profiled cost table, in [`DramArch::ALL`]
+    /// order, profiled on first use.
+    tables: [OnceLock<AccessCostTable>; DramArch::ALL.len()],
+    /// The engines, by architecture, objective (in [`Objective::ALL`]
+    /// order) and `keep_points`, built on first use.
+    engines: [[[OnceLock<SharedEngine>; 2]; Objective::ALL.len()]; DramArch::ALL.len()],
+}
+
+/// Where `arch` is in [`DramArch::ALL`].
+fn arch_slot(arch: DramArch) -> usize {
+    DramArch::ALL
+        .iter()
+        .position(|&a| a == arch)
+        .expect("every architecture is in DramArch::ALL")
 }
 
 impl EngineFactory {
@@ -61,8 +79,9 @@ impl EngineFactory {
             geometry: Geometry::salp_2gb_x8(),
             acc: AcceleratorConfig::table_ii(),
             profiler: Profiler::table_ii()?,
-            substrate: SUBSTRATE,
-            tables: Mutex::new(HashMap::new()),
+            tags: DramArch::ALL.map(|arch| format!("{}@{SUBSTRATE}", arch.label())),
+            tables: Default::default(),
+            engines: Default::default(),
         })
     }
 
@@ -75,11 +94,16 @@ impl EngineFactory {
     /// everything that determines an engine's model besides the sweep
     /// configuration (which [`layer_cache_key`] covers separately).
     pub fn engine_tag(&self, spec: &EngineSpec) -> String {
-        format!("{}@{}", spec.arch.label(), self.substrate)
+        self.tag(spec.arch).to_owned()
     }
 
-    /// Build an engine for `spec`, profiling the architecture on first
-    /// use and reusing the memoized cost table afterwards.
+    /// [`EngineFactory::engine_tag`], borrowed.
+    pub(crate) fn tag(&self, arch: DramArch) -> &str {
+        &self.tags[arch_slot(arch)]
+    }
+
+    /// The engine for `spec`: a clone of the one the factory keeps for
+    /// it, sharing its cost rows.
     pub fn engine(&self, spec: &EngineSpec) -> DseEngine {
         self.engine_with(spec, false)
     }
@@ -90,29 +114,29 @@ impl EngineFactory {
     /// fingerprint, so point-keeping and point-free results never share
     /// a cache entry.
     pub fn engine_with(&self, spec: &EngineSpec, keep_points: bool) -> DseEngine {
-        // Profile *outside* the lock: the cycle-level profiler is the
-        // expensive part, and holding the map mutex across it would
-        // stall every concurrent engine construction — including ones
-        // whose tables are already memoized. Two threads racing on a
-        // cold architecture may both profile; the results are
-        // identical, so last-write-wins is deterministic.
-        let memoized = crate::sync::lock_recovered(&self.tables)
-            .get(&spec.arch)
-            .cloned();
-        let table = match memoized {
-            Some(table) => table,
-            None => {
-                let table = self.profiler.cost_table(spec.arch);
-                crate::sync::lock_recovered(&self.tables).insert(spec.arch, table.clone());
-                table
-            }
-        };
-        let config = DseConfig {
-            objective: spec.objective,
-            keep_points,
-            ..DseConfig::default()
-        };
-        DseEngine::new(EdpModel::new(self.geometry, table, self.acc), config)
+        DseEngine::clone(&self.shared(spec, keep_points))
+    }
+
+    /// The one engine for `spec` and `keep_points`, built on first use
+    /// (profiling the architecture on its first); racing callers wait for
+    /// it and all get the same engine.
+    pub(crate) fn shared(&self, spec: &EngineSpec, keep_points: bool) -> SharedEngine {
+        let arch = arch_slot(spec.arch);
+        let objective = Objective::ALL
+            .iter()
+            .position(|&o| o == spec.objective)
+            .expect("every objective is in Objective::ALL");
+        let engine = self.engines[arch][objective][usize::from(keep_points)].get_or_init(|| {
+            let table = self.tables[arch].get_or_init(|| self.profiler.cost_table(spec.arch));
+            let config = DseConfig {
+                objective: spec.objective,
+                keep_points,
+                ..DseConfig::default()
+            };
+            let model = EdpModel::new(self.geometry, table.clone(), self.acc);
+            DseEngine::new(model, config).into_shared()
+        });
+        Arc::clone(engine)
     }
 }
 
@@ -374,15 +398,15 @@ impl ServiceState {
         tag: &str,
         layer: &Layer,
     ) -> Result<(LayerDseResult, CacheOutcome), DseError> {
-        let key = layer_key(engine, tag, layer);
+        let key = engine.layer_key(tag, layer);
         self.explore_keyed(&key, engine, layer, CacheMode::Default, None)
     }
 
     /// The full cached lookup of one layer under its precomputed
-    /// [`layer_key`] — what [`ServiceState::run_job`] runs for every
+    /// [`DseEngine::layer_key`] — what [`ServiceState::run_job`] runs for every
     /// layer and a pool worker for each layer the submit-time
     /// [`ServiceState::lookup_resident`] did not answer. `key` must be
-    /// the [`layer_key`] of `engine` and `layer`; the sweep
+    /// `engine.layer_key(tag, layer)`; the sweep
     /// runs only when `mode` says the lookup falls through to
     /// computation (for [`CacheMode::Default`], when both cache tiers
     /// miss and no equivalent computation is in flight; always for
@@ -478,14 +502,12 @@ impl ServiceState {
     ///
     /// Propagates the first per-layer failure.
     pub fn run_job(&self, spec: &JobSpec) -> Result<JobResult, ServiceError> {
-        let engine = self
-            .factory
-            .engine_with(&spec.engine, spec.options.keep_points);
-        let tag = self.factory.engine_tag(&spec.engine);
+        let engine = self.factory.shared(&spec.engine, spec.options.keep_points);
+        let tag = self.factory.tag(spec.engine.arch);
         let mut outcomes = Vec::with_capacity(spec.workload.layers().len());
         let mut total = drmap_core::edp::EdpEstimate::zero(engine.model().table().t_ck_ns);
         for layer in spec.workload.layers() {
-            let key = layer_key(&engine, &tag, layer);
+            let key = engine.layer_key(tag, layer);
             let (result, outcome) =
                 self.explore_keyed(&key, &engine, layer, spec.options.cache, None)?;
             total.accumulate(&result.best.estimate);
@@ -498,14 +520,6 @@ impl ServiceState {
             layers: outcomes,
         })
     }
-}
-
-/// The cache key of one layer's sweep on `engine`: the canonical
-/// [`layer_cache_key`] over shape, accelerator, sweep configuration and
-/// the substrate `tag`.
-pub(crate) fn layer_key(engine: &DseEngine, tag: &str, layer: &Layer) -> String {
-    let acc = engine.model().traffic_model().accelerator();
-    layer_cache_key(tag, layer, acc, engine.config())
 }
 
 /// The routing fingerprint for a job: the concatenated cache keys of
@@ -629,5 +643,79 @@ mod tests {
         }
         assert_eq!(served.total.energy.to_bits(), direct.total.energy.to_bits());
         assert_eq!(served.total.cycles.to_bits(), direct.total.cycles.to_bits());
+    }
+
+    /// Racing callers on a cold architecture all get the one engine; a
+    /// different architecture, objective or `keep_points` gets another.
+    #[test]
+    fn racing_callers_share_one_engine_per_arch_objective_and_points() {
+        let factory = EngineFactory::table_ii().unwrap();
+        let spec = EngineSpec::for_arch(DramArch::SalpMasa);
+        let start = std::sync::Barrier::new(4);
+        let engines: Vec<SharedEngine> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        factory.shared(&spec, false)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(engines.iter().all(|e| Arc::ptr_eq(e, &engines[0])));
+        let others = [
+            factory.shared(&EngineSpec::for_arch(DramArch::Salp2), false),
+            factory.shared(
+                &EngineSpec {
+                    objective: Objective::Delay,
+                    ..spec
+                },
+                false,
+            ),
+            factory.shared(&spec, true),
+        ];
+        for other in &others {
+            assert!(!Arc::ptr_eq(other, &engines[0]));
+        }
+        assert!(others[2].config().keep_points);
+        assert_eq!(others[1].config().objective, Objective::Delay);
+    }
+
+    /// The served key of every zoo layer on every architecture, objective
+    /// and `keep_points` is `layer_cache_key`'s, and their bytes are
+    /// pinned: a WAL or cache written before stays addressable.
+    #[test]
+    fn served_layer_keys_are_byte_identical_to_layer_cache_key() {
+        let factory = EngineFactory::table_ii().unwrap();
+        let acc = AcceleratorConfig::table_ii();
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut keys = 0;
+        for arch in DramArch::ALL {
+            let tag = format!("{}@{SUBSTRATE}", arch.label());
+            for objective in Objective::ALL {
+                for keep_points in [false, true] {
+                    let spec = EngineSpec { arch, objective };
+                    let engine = factory.shared(&spec, keep_points);
+                    let config = DseConfig {
+                        objective,
+                        keep_points,
+                        ..DseConfig::default()
+                    };
+                    for (_, build) in Network::zoo() {
+                        for layer in build().layers() {
+                            let key = engine.layer_key(factory.tag(arch), layer);
+                            assert_eq!(key, layer_cache_key(&tag, layer, &acc, &config));
+                            // FNV-1a over every key and a newline.
+                            for byte in key.bytes().chain([b'\n']) {
+                                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                            }
+                            keys += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!((keys, hash), (3_520, 0xa2d3_5ea9_3bcf_1f01));
     }
 }

@@ -48,7 +48,7 @@ use drmap_core::error::DseError;
 use drmap_telemetry::Trace;
 
 use crate::cache::CacheOutcome;
-use crate::engine::{layer_key, outcome_from_result, ServiceState};
+use crate::engine::{outcome_from_result, ServiceState};
 use crate::error::{panic_message, ServiceError, DEADLINE_MARKER};
 use crate::spec::{CacheMode, JobOptions, JobResult, JobSpec};
 use crate::sync::lock_recovered;
@@ -272,17 +272,14 @@ impl DsePool {
         // the job still exercises the full reply path for the rest.
         let panic_at = self.state.faults().job_panics(ordinal).then_some(0);
         let deadline = Deadline::of(&spec.options);
-        let engine = self
-            .state
-            .factory()
-            .engine_with(&spec.engine, spec.options.keep_points)
-            .into_shared();
-        let tag = self.state.factory().engine_tag(&spec.engine);
+        let factory = self.state.factory();
+        let engine = factory.shared(&spec.engine, spec.options.keep_points);
+        let tag = factory.tag(spec.engine.arch);
         let layers = spec.workload.layers();
         let mut replies = Vec::with_capacity(layers.len());
         let mut queued = Vec::new();
         for (index, layer) in layers.iter().enumerate() {
-            let key = layer_key(&engine, &tag, layer);
+            let key = engine.layer_key(tag, layer);
             let resident = if spec.options.cache == CacheMode::Default && panic_at != Some(index) {
                 self.state.lookup_resident(&key, layer, trace.as_ref())
             } else {
