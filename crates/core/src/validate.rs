@@ -103,10 +103,11 @@ pub struct Validator {
     timing: TimingParams,
     energy: EnergyParams,
     arch: DramArch,
-    /// Cap on tile replays per traffic class so validation of huge layers
-    /// stays fast; the analytical estimate is scaled to the same count.
-    max_tiles_per_kind: u64,
 }
+
+/// Cap on tile replays per traffic class, so that validating a huge layer
+/// stays fast; the analytical estimate is scaled to the same count.
+const MAX_TILES_PER_KIND: u64 = 8;
 
 impl Validator {
     /// Create a validator for `arch` on the Table II device.
@@ -142,13 +143,7 @@ impl Validator {
             timing,
             energy,
             arch,
-            max_tiles_per_kind: 8,
         })
-    }
-
-    /// Override the tile-replay cap (default 8 per traffic class).
-    pub fn set_max_tiles_per_kind(&mut self, n: u64) {
-        self.max_tiles_per_kind = n.max(1);
     }
 
     /// Replay `candidate`'s tile streams for `layer` and compare against
@@ -208,7 +203,7 @@ impl Validator {
         let mut replayed = [0u64; 4];
         let mut region = 0u64;
         for (ci, &(tile_units, kind, tiles)) in classes.iter().enumerate() {
-            let replay = tiles.min(self.max_tiles_per_kind);
+            let replay = tiles.min(MAX_TILES_PER_KIND);
             replayed[ci] = replay;
             if replay == 0 || tile_units == 0 {
                 continue;
@@ -396,11 +391,15 @@ mod tests {
 
     #[test]
     fn replay_cap_is_respected() {
-        let (model, mut validator) = setup(DramArch::Ddr3);
-        validator.set_max_tiles_per_kind(2);
+        let (model, validator) = setup(DramArch::Ddr3);
         let layer = Layer::conv("CONV3", 13, 13, 384, 256, 3, 3, 1);
         let cand = candidate(&model, &layer, MappingPolicy::drmap());
         let report = validator.validate(&model, &layer, &cand).unwrap();
-        assert!(report.tiles_replayed.iter().all(|&t| t <= 2));
+        let replayed = report.tiles_replayed;
+        assert!(
+            replayed.iter().all(|&t| t <= MAX_TILES_PER_KIND),
+            "{replayed:?}"
+        );
+        assert!(replayed.contains(&MAX_TILES_PER_KIND), "{replayed:?}");
     }
 }

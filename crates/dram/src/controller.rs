@@ -88,9 +88,13 @@ pub enum SchedulerKind {
     /// First-come first-served (Table II: the paper's configuration).
     #[default]
     Fcfs,
-    /// First-ready FCFS: row hits within the reorder window go first.
+    /// First-ready FCFS: row hits within the [`REORDER_WINDOW`] oldest
+    /// pending requests go first.
     FrFcfs,
 }
+
+/// How many of the oldest pending requests FR-FCFS scans for a row hit.
+pub const REORDER_WINDOW: usize = 8;
 
 /// Controller configuration.
 ///
@@ -111,8 +115,6 @@ pub struct ControllerConfig {
     pub row_policy: RowPolicy,
     /// Scheduling discipline (applied by the simulator driver).
     pub scheduler: SchedulerKind,
-    /// Reorder window for FR-FCFS.
-    pub reorder_window: usize,
     /// Model periodic refresh.
     pub refresh_enabled: bool,
     /// Record every issued command for trace export.
@@ -126,7 +128,6 @@ impl ControllerConfig {
             arch,
             row_policy: RowPolicy::Open,
             scheduler: SchedulerKind::Fcfs,
-            reorder_window: 8,
             refresh_enabled: false,
             record_commands: false,
         }

@@ -19,7 +19,9 @@
 
 use std::collections::VecDeque;
 
-use crate::controller::{ControllerConfig, MemoryController, SchedulerKind, ServiceRecord};
+use crate::controller::{
+    ControllerConfig, MemoryController, SchedulerKind, ServiceRecord, REORDER_WINDOW,
+};
 use crate::energy::{EnergyBreakdown, EnergyModel, EnergyParams};
 use crate::error::ConfigError;
 use crate::geometry::Geometry;
@@ -206,14 +208,13 @@ impl DramSimulator {
         }
     }
 
-    /// FR-FCFS: the first row hit within the reorder window goes next,
-    /// else the oldest request.
+    /// FR-FCFS: the first row hit among the [`REORDER_WINDOW`] oldest
+    /// pending requests goes next, else the oldest request.
     fn replay_frfcfs(&mut self, mut pending: VecDeque<Request>, mode: DriveMode) -> SimStats {
-        let window = self.controller.config().reorder_window.max(1);
         self.replay(mode, |controller| {
             let pick = pending
                 .iter()
-                .take(window)
+                .take(REORDER_WINDOW)
                 .position(|r| controller.peek_outcome(&r.address).is_hit())
                 .unwrap_or(0);
             let head = pending.remove(pick)?;

@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use drmap_dram::controller::ServiceRecord;
+use drmap_dram::controller::{ServiceRecord, REORDER_WINDOW};
 use drmap_dram::prelude::*;
 use proptest::prelude::*;
 
@@ -222,13 +222,12 @@ impl Oracle {
         let mut outcome_counts = [0u64; 5];
         let mut arrival = start_makespan;
         let mut pending: VecDeque<Request> = trace.iter().copied().collect();
-        let window = self.mc.config().reorder_window.max(1);
         while !pending.is_empty() {
             let pick = match self.mc.config().scheduler {
                 SchedulerKind::Fcfs => 0,
                 SchedulerKind::FrFcfs => pending
                     .iter()
-                    .take(window.min(pending.len()))
+                    .take(REORDER_WINDOW)
                     .position(|r| self.mc.peek_outcome(&r.address).is_hit())
                     .unwrap_or(0),
             };

@@ -18,9 +18,9 @@
 //! ## Quickstart
 //!
 //! Profile an architecture, build the analytical model, and explore one
-//! AlexNet layer:
+//! AlexNet layer (`cargo test --doc -p drmap` runs this):
 //!
-//! ```no_run
+//! ```
 //! use drmap::prelude::*;
 //!
 //! let profiler = Profiler::table_ii()?;
@@ -34,8 +34,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench` for the
-//! harness that regenerates every figure and table of the paper.
+//! Every figure and table of the paper, the ablations and four worked
+//! scenarios are rendered by `tests/figures.rs` and compared byte for byte
+//! with the files in `tests/golden/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
