@@ -118,11 +118,6 @@ impl AcceleratorConfig {
         }
     }
 
-    /// Buffer capacity in elements for the given data kind.
-    pub fn buffer_elems(&self, kind: DataKind) -> usize {
-        self.buffer_bytes(kind) / self.precision.bytes()
-    }
-
     /// Bytes occupied by `elems` elements at this precision.
     pub fn bytes_for(&self, elems: u64) -> u64 {
         elems * self.precision.bytes() as u64
@@ -164,16 +159,6 @@ mod tests {
         assert_eq!(acc.mac_rows, 8);
         assert_eq!(acc.mac_cols, 8);
         assert_eq!(acc.batch, 1);
-    }
-
-    #[test]
-    fn buffer_elems_respect_precision() {
-        let mut acc = AcceleratorConfig::table_ii();
-        assert_eq!(acc.buffer_elems(DataKind::Ifms), 65536);
-        acc.precision = Precision::Int16;
-        assert_eq!(acc.buffer_elems(DataKind::Ifms), 32768);
-        acc.precision = Precision::Fp32;
-        assert_eq!(acc.buffer_elems(DataKind::Ifms), 16384);
     }
 
     #[test]

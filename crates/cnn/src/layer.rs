@@ -25,7 +25,7 @@ impl DataKind {
     pub const ALL: [DataKind; 3] = [DataKind::Ifms, DataKind::Wghs, DataKind::Ofms];
 
     /// Paper-style label (`ifms`, `wghs`, `ofms`).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DataKind::Ifms => "ifms",
             DataKind::Wghs => "wghs",
@@ -61,7 +61,7 @@ pub enum LayerKind {
 /// use drmap_cnn::layer::Layer;
 ///
 /// let conv1 = Layer::conv("CONV1", 55, 55, 96, 3, 11, 11, 4);
-/// assert_eq!(conv1.macs(), 55 * 55 * 96 * 3 * 11 * 11);
+/// assert_eq!(conv1.wghs_elems(), 11 * 11 * 3 * 96);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Layer {
@@ -206,12 +206,12 @@ impl Layer {
     }
 
     /// Input feature-map height consumed by the full layer.
-    pub fn ifm_h(&self) -> usize {
+    pub(crate) fn ifm_h(&self) -> usize {
         self.ifm_patch_h(self.h)
     }
 
     /// Input feature-map width consumed by the full layer.
-    pub fn ifm_w(&self) -> usize {
+    pub(crate) fn ifm_w(&self) -> usize {
         self.ifm_patch_w(self.w)
     }
 
@@ -229,20 +229,6 @@ impl Layer {
     /// Elements in the full ofms volume (per image).
     pub fn ofms_elems(&self) -> u64 {
         self.h as u64 * self.w as u64 * self.j as u64
-    }
-
-    /// Elements of the given data kind.
-    pub fn elems(&self, kind: DataKind) -> u64 {
-        match kind {
-            DataKind::Ifms => self.ifms_elems(),
-            DataKind::Wghs => self.wghs_elems(),
-            DataKind::Ofms => self.ofms_elems(),
-        }
-    }
-
-    /// Multiply-accumulate operations for the layer (per image).
-    pub fn macs(&self) -> u64 {
-        self.ofms_elems() * self.p as u64 * self.q as u64 * (self.i / self.groups) as u64
     }
 }
 
@@ -277,7 +263,6 @@ mod tests {
         assert_eq!(l.wghs_elems(), 9216 * 4096);
         assert_eq!(l.ofms_elems(), 4096);
         assert_eq!(l.ifms_elems(), 9216);
-        assert_eq!(l.macs(), 9216 * 4096);
     }
 
     #[test]
@@ -304,14 +289,6 @@ mod tests {
         l.j = 0;
         let err = l.validate().unwrap_err();
         assert!(err.to_string().contains("j"));
-    }
-
-    #[test]
-    fn elems_dispatch() {
-        let l = Layer::conv("c", 4, 4, 8, 2, 3, 3, 1);
-        assert_eq!(l.elems(DataKind::Ifms), l.ifms_elems());
-        assert_eq!(l.elems(DataKind::Wghs), l.wghs_elems());
-        assert_eq!(l.elems(DataKind::Ofms), l.ofms_elems());
     }
 
     #[test]

@@ -32,8 +32,6 @@ pub mod spec;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::accelerator::{AcceleratorConfig, Precision};
-    pub use crate::error::ModelError;
-    pub use crate::layer::{DataKind, Layer, LayerKind};
+    pub use crate::layer::{DataKind, Layer};
     pub use crate::network::Network;
-    pub use crate::spec::{parse_network, render_network};
 }

@@ -154,7 +154,6 @@ pub fn render_network(network: &Network) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::DataKind;
 
     #[test]
     fn parses_all_three_directives() {
@@ -169,7 +168,7 @@ mod tests {
         assert_eq!(net.name(), "mixed");
         assert_eq!(net.layers().len(), 3);
         assert_eq!(net.layers()[1].groups, 384);
-        assert_eq!(net.layers()[2].elems(DataKind::Ofms), 1000);
+        assert_eq!(net.layers()[2].ofms_elems(), 1000);
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl TransitionCounts {
 
     /// Add `n` accesses of `class`.
     #[inline]
-    pub fn add(&mut self, class: TransitionClass, n: u64) {
+    pub(crate) fn add(&mut self, class: TransitionClass, n: u64) {
         self.counts[Self::idx(class)] += n;
     }
 
@@ -167,7 +167,7 @@ pub fn tile_cost(
 /// arithmetic (same class order, same accumulation) and therefore
 /// bit-identical estimates.
 #[inline]
-pub fn counts_cost(
+pub(crate) fn counts_cost(
     counts: &TransitionCounts,
     table: &AccessCostTable,
     kind: RequestKind,

@@ -28,7 +28,7 @@ use crate::schedule::ReuseScheme;
 use crate::tiling::Tiling;
 
 /// Version byte leading every encoded [`LayerDseResult`].
-pub const RESULT_FORMAT_VERSION: u8 = 1;
+pub(crate) const RESULT_FORMAT_VERSION: u8 = 1;
 
 /// A malformed or truncated byte payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,43 +55,43 @@ impl std::error::Error for CodecError {}
 
 /// Append-only builder for an encoded payload.
 #[derive(Debug, Default)]
-pub struct ByteWriter {
+pub(crate) struct ByteWriter {
     buf: Vec<u8>,
 }
 
 impl ByteWriter {
     /// An empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ByteWriter::default()
     }
 
     /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Append a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
+    pub(crate) fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append an `f64` as its IEEE-754 bit pattern (exact round trip).
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Append a UTF-8 string with a `u32` length prefix.
-    pub fn put_str(&mut self, s: &str) {
+    pub(crate) fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
@@ -99,19 +99,19 @@ impl ByteWriter {
 
 /// Cursor over an encoded payload.
 #[derive(Debug)]
-pub struct ByteReader<'a> {
+pub(crate) struct ByteReader<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> ByteReader<'a> {
     /// A reader over `data`, positioned at the start.
-    pub fn new(data: &'a [u8]) -> Self {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
         ByteReader { data, pos: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
@@ -132,7 +132,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// Fails on a truncated payload.
-    pub fn get_u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn get_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
@@ -141,7 +141,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// Fails on a truncated payload.
-    pub fn get_u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn get_u32(&mut self) -> Result<u32, CodecError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
@@ -151,7 +151,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// Fails on a truncated payload.
-    pub fn get_u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn get_u64(&mut self) -> Result<u64, CodecError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
@@ -163,7 +163,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// Fails on a truncated payload.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
+    pub(crate) fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
@@ -172,7 +172,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// Fails on truncation or invalid UTF-8.
-    pub fn get_str(&mut self) -> Result<String, CodecError> {
+    pub(crate) fn get_str(&mut self) -> Result<String, CodecError> {
         let len = self.get_u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
@@ -302,7 +302,7 @@ fn get_candidate(r: &mut ByteReader<'_>) -> Result<DseCandidate, CodecError> {
 ///
 /// Fails only for results holding a mapping with non-in-chip levels,
 /// which no engine produces.
-pub fn encode_layer_result(result: &LayerDseResult) -> Result<Vec<u8>, CodecError> {
+pub(crate) fn encode_layer_result(result: &LayerDseResult) -> Result<Vec<u8>, CodecError> {
     let mut w = ByteWriter::new();
     w.put_u8(RESULT_FORMAT_VERSION);
     w.put_str(&result.layer_name);
@@ -323,7 +323,7 @@ pub fn encode_layer_result(result: &LayerDseResult) -> Result<Vec<u8>, CodecErro
 ///
 /// Fails on truncated payloads, unknown versions/tags, or trailing
 /// garbage.
-pub fn decode_layer_result(bytes: &[u8]) -> Result<LayerDseResult, CodecError> {
+pub(crate) fn decode_layer_result(bytes: &[u8]) -> Result<LayerDseResult, CodecError> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u8()?;
     if version != RESULT_FORMAT_VERSION {
@@ -363,7 +363,7 @@ pub fn decode_layer_result(bytes: &[u8]) -> Result<LayerDseResult, CodecError> {
 ///
 /// # Errors
 ///
-/// Propagates [`encode_layer_result`] failures.
+/// Propagates `encode_layer_result` failures.
 pub fn encode_stored_result(
     result: &LayerDseResult,
     compute_ns: u64,
@@ -380,7 +380,7 @@ pub fn encode_stored_result(
 ///
 /// # Errors
 ///
-/// Propagates [`decode_layer_result`] failures.
+/// Propagates `decode_layer_result` failures.
 pub fn decode_stored_result(bytes: &[u8]) -> Result<(LayerDseResult, u64), CodecError> {
     let mut r = ByteReader::new(bytes);
     let compute_ns = r.get_u64()?;

@@ -52,7 +52,7 @@
 //!   one bound — the floor row weighted by the least traffic any scheme
 //!   could cause — that often ends the tiling there. Otherwise the tile
 //!   traffic of all three concrete schemes in closed form
-//!   ([`TrafficModel::concrete_traffic`](crate::schedule::TrafficModel::concrete_traffic)'s
+//!   (`TrafficModel::concrete_traffic`'s
 //!   table), which makes adaptive-reuse an index (the first minimum of
 //!   the three);
 //! * per **(tiling, scheme) group**: one bound — the floor row weighted
@@ -85,7 +85,7 @@
 //!   component, hence the floor's estimate has `cycles` and `energy`
 //!   `<=` those of every candidate in the group — computed value for
 //!   computed value, not merely in exact arithmetic. All four
-//!   [`Objective::score`]s are products of those two and non-negative
+//!   `Objective::score`s are products of those two and non-negative
 //!   constants, so they are monotone in both. And every candidate of
 //!   the group follows the incumbent in sweep order, so merely tying it
 //!   is not enough under the first-of-equals rule. Therefore, when the
@@ -251,13 +251,8 @@ impl Objective {
         }
     }
 
-    /// Parse a [`Objective::label`] string.
-    pub fn from_label(label: &str) -> Option<Self> {
-        Objective::ALL.into_iter().find(|o| o.label() == label)
-    }
-
     /// Scalar score of an estimate under this objective (lower is better).
-    pub fn score(self, estimate: &EdpEstimate) -> f64 {
+    pub(crate) fn score(self, estimate: &EdpEstimate) -> f64 {
         match self {
             Objective::Edp => estimate.edp(),
             Objective::Energy => estimate.energy,
@@ -292,18 +287,12 @@ impl Default for DseConfig {
 }
 
 impl DseConfig {
-    /// Canonical, order-sensitive fingerprint of the sweep configuration.
+    /// Append the canonical, order-sensitive fingerprint of the sweep
+    /// configuration to `out`, allocating nothing else.
     ///
     /// Two engines with equal fingerprints (and equal models) perform the
     /// same sweep in the same order, so their results are bit-identical —
     /// the property memoization caches rely on.
-    pub fn fingerprint(&self) -> String {
-        let mut out = String::with_capacity(192);
-        self.write_fingerprint(&mut out);
-        out
-    }
-
-    /// Append [`DseConfig::fingerprint`] to `out`, allocating nothing else.
     fn write_fingerprint(&self, out: &mut String) {
         out.push_str("obj=");
         out.push_str(self.objective.label());
@@ -1349,6 +1338,12 @@ mod tests {
         )
     }
 
+    fn fingerprint(config: &DseConfig) -> String {
+        let mut out = String::new();
+        config.write_fingerprint(&mut out);
+        out
+    }
+
     fn conv3() -> Layer {
         Layer::conv("CONV3", 13, 13, 384, 256, 3, 3, 1)
     }
@@ -1522,14 +1517,14 @@ mod tests {
     #[test]
     fn fingerprint_tracks_sweep_contents() {
         let d = DseConfig::default();
-        let fp = d.fingerprint();
+        let fp = fingerprint(&d);
         assert!(fp.contains("obj=edp"));
         assert!(fp.contains("adaptive-reuse"));
         let reduced = DseConfig {
             schemes: vec![ReuseScheme::OfmsReuse],
             ..DseConfig::default()
         };
-        assert_ne!(fp, reduced.fingerprint());
+        assert_ne!(fp, fingerprint(&reduced));
     }
 
     #[test]
@@ -1542,25 +1537,22 @@ mod tests {
         let a = sweep_of([Column, Bank, Row, Subarray]);
         let b = sweep_of([Row, Bank, Column, Subarray]);
         assert_eq!(a.mappings[0].name(), b.mappings[0].name());
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(fingerprint(&a), fingerprint(&b));
         let acc = AcceleratorConfig::table_ii();
         assert_ne!(
             layer_cache_key("SALP-2", &conv3(), &acc, &a),
             layer_cache_key("SALP-2", &conv3(), &acc, &b)
         );
-        assert!(a
-            .fingerprint()
-            .contains("mappings=custom[column>bank>row>subarray];"));
+        assert!(fingerprint(&a).contains("mappings=custom[column>bank>row>subarray];"));
         // All 24 permutations are told apart, Table I's six by name.
         let all = MappingPolicy::all_permutations();
         let prints: std::collections::HashSet<String> = all
             .iter()
             .map(|&m| {
-                DseConfig {
+                fingerprint(&DseConfig {
                     mappings: vec![m],
                     ..DseConfig::default()
-                }
-                .fingerprint()
+                })
             })
             .collect();
         assert_eq!(prints.len(), all.len());
@@ -1572,14 +1564,6 @@ mod tests {
              mappings=Mapping-1+Mapping-2+Mapping-3 (DRMap)+Mapping-4+Mapping-5+Mapping-6;\
              points=false"
         );
-    }
-
-    #[test]
-    fn objective_labels_round_trip() {
-        for o in Objective::ALL {
-            assert_eq!(Objective::from_label(o.label()), Some(o));
-        }
-        assert_eq!(Objective::from_label("bogus"), None);
     }
 
     #[test]

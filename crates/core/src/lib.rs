@@ -53,26 +53,18 @@ pub mod edp;
 pub mod error;
 pub mod mapping;
 pub mod pareto;
-pub mod report;
 pub mod schedule;
 pub mod tiling;
 pub mod validate;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::access_model::{
-        bytes_to_bursts, counts_cost, tile_cost, transition_counts, TransitionCounts,
-    };
-    pub use crate::dse::{
-        layer_cache_key, DseCandidate, DseConfig, DseEngine, LayerDseResult, NetworkDseResult,
-        Objective, SharedEngine,
-    };
-    pub use crate::edp::{CostComponent, EdpEstimate, EdpModel, LayerBreakdown};
-    pub use crate::error::DseError;
+    pub use crate::access_model::{bytes_to_bursts, tile_cost, transition_counts};
+    pub use crate::dse::{DseCandidate, DseConfig, DseEngine};
+    pub use crate::edp::{EdpEstimate, EdpModel};
     pub use crate::mapping::MappingPolicy;
     pub use crate::pareto::{pareto_front, DesignPoint, ParetoFront};
-    pub use crate::report::{LayerReport, NetworkReport};
-    pub use crate::schedule::{OuterLoop, ReuseScheme, TileTraffic, TrafficModel};
+    pub use crate::schedule::{ReuseScheme, TrafficModel};
     pub use crate::tiling::{candidate_steps, count_tilings, enumerate_tilings, Tiling};
-    pub use crate::validate::{ValidationReport, Validator};
+    pub use crate::validate::Validator;
 }

@@ -10,7 +10,7 @@
 
 use core::fmt::{self, Write as _};
 
-use drmap_dram::address::{AddressCodec, PhysicalAddress};
+use drmap_dram::address::AddressCodec;
 use drmap_dram::geometry::{Geometry, Level};
 use drmap_dram::request::{Request, RequestKind, RowRun};
 
@@ -107,7 +107,7 @@ impl MappingPolicy {
     ///
     /// Returns [`DseError`] if `order` is not a permutation of
     /// `{Column, Bank, Subarray, Row}`.
-    pub fn custom(order: [Level; 4]) -> Result<MappingPolicy, DseError> {
+    pub(crate) fn custom(order: [Level; 4]) -> Result<MappingPolicy, DseError> {
         for required in [Level::Column, Level::Bank, Level::Subarray, Level::Row] {
             if !order.contains(&required) {
                 return Err(DseError::new(format!(
@@ -163,7 +163,7 @@ impl MappingPolicy {
     }
 
     /// Full six-level order (in-chip levels then rank, then channel).
-    pub fn full_order(&self) -> [Level; 6] {
+    pub(crate) fn full_order(&self) -> [Level; 6] {
         [
             self.order[0],
             self.order[1],
@@ -184,30 +184,13 @@ impl MappingPolicy {
             .map_err(|e| DseError::new(e.to_string()))
     }
 
-    /// Generate the physical address stream of a tile of `units` bursts,
-    /// mapped from flat index `start` onward: the tile's row runs
-    /// ([`AddressCodec::runs`]), expanded.
+    /// Generate the request stream of a tile of `units` bursts (all reads
+    /// or all writes), mapped from flat index `start` onward: the tile's
+    /// row runs ([`AddressCodec::runs`]), expanded.
     ///
     /// # Errors
     ///
     /// Returns [`DseError`] if the stream exceeds the device capacity.
-    pub fn address_stream(
-        &self,
-        geometry: Geometry,
-        start: u64,
-        units: u64,
-    ) -> Result<Vec<PhysicalAddress>, DseError> {
-        let codec = self.codec(geometry)?;
-        let runs = tile_runs(&codec, start, units, RequestKind::Read)?;
-        Ok(runs.flat_map(RowRun::requests).map(|r| r.address).collect())
-    }
-
-    /// Generate the request stream of a tile (all reads or all writes):
-    /// the tile's row runs ([`AddressCodec::runs`]), expanded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MappingPolicy::address_stream`] errors.
     pub fn request_stream(
         &self,
         geometry: Geometry,
@@ -290,6 +273,18 @@ impl fmt::Display for MappingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drmap_dram::address::PhysicalAddress;
+
+    /// The physical addresses of a tile's read stream, in request order.
+    fn addresses(
+        policy: MappingPolicy,
+        geometry: Geometry,
+        start: u64,
+        units: u64,
+    ) -> Result<Vec<PhysicalAddress>, DseError> {
+        let reqs = policy.request_stream(geometry, start, units, RequestKind::Read)?;
+        Ok(reqs.into_iter().map(|r| r.address).collect())
+    }
 
     #[test]
     fn table_i_matches_paper() {
@@ -350,7 +345,7 @@ mod tests {
     #[test]
     fn drmap_stream_walks_columns_then_banks() {
         let g = Geometry::salp_2gb_x8();
-        let stream = MappingPolicy::drmap().address_stream(g, 0, 130).unwrap();
+        let stream = addresses(MappingPolicy::drmap(), g, 0, 130).unwrap();
         assert_eq!(stream[0].column, 0);
         assert_eq!(stream[127].column, 127);
         assert_eq!(stream[127].bank, 0);
@@ -362,9 +357,7 @@ mod tests {
     #[test]
     fn mapping_2_walks_subarrays_first() {
         let g = Geometry::salp_2gb_x8();
-        let stream = MappingPolicy::table_i_policy(2)
-            .address_stream(g, 0, 10)
-            .unwrap();
+        let stream = addresses(MappingPolicy::table_i_policy(2), g, 0, 10).unwrap();
         assert_eq!(stream[0].subarray, 0);
         assert_eq!(stream[1].subarray, 1);
         assert_eq!(stream[7].subarray, 7);
@@ -376,9 +369,7 @@ mod tests {
     fn stream_rejects_overflow() {
         let g = Geometry::salp_2gb_x8();
         let codec = MappingPolicy::drmap().codec(g).unwrap();
-        let err = MappingPolicy::drmap()
-            .address_stream(g, codec.slots() - 1, 2)
-            .unwrap_err();
+        let err = addresses(MappingPolicy::drmap(), g, codec.slots() - 1, 2).unwrap_err();
         assert!(err.to_string().contains("capacity"));
     }
 
@@ -388,14 +379,14 @@ mod tests {
         let policy = MappingPolicy::drmap();
         let codec = policy.codec(g).unwrap();
         for (start, units) in [(u64::MAX, 2), (2, u64::MAX), (codec.slots(), 1)] {
-            let err = policy.address_stream(g, start, units).unwrap_err();
+            let err = addresses(policy, g, start, units).unwrap_err();
             assert!(err.to_string().contains("capacity"), "{err}");
             let err = tile_runs(&codec, start, units, RequestKind::Read)
                 .err()
                 .expect("a tile past the device is refused");
             assert!(err.to_string().contains("capacity"), "{err}");
         }
-        assert_eq!(policy.address_stream(g, codec.slots(), 0).unwrap(), []);
+        assert_eq!(addresses(policy, g, codec.slots(), 0).unwrap(), []);
     }
 
     #[test]

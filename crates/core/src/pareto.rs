@@ -144,20 +144,10 @@ impl<T> ParetoFront<T> {
     /// energy and cycles: [`ParetoFront::insert`] would discard it, and
     /// — the relation being transitive — any point no better than it
     /// in either coordinate.
-    pub fn covers(&self, estimate: &EdpEstimate) -> bool {
+    pub(crate) fn covers(&self, estimate: &EdpEstimate) -> bool {
         self.points
             .iter()
             .any(|(e, _)| e.energy <= estimate.energy && e.cycles <= estimate.cycles)
-    }
-
-    /// Number of points currently on the front.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no point has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Materialize the front as labelled [`DesignPoint`]s, sorted by
@@ -301,8 +291,6 @@ mod tests {
     #[test]
     fn empty_builder_reports_empty() {
         let front: ParetoFront<u32> = ParetoFront::default();
-        assert!(front.is_empty());
-        assert_eq!(front.len(), 0);
         assert!(front.into_design_points(|_| unreachable!()).is_empty());
     }
 

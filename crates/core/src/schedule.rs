@@ -22,7 +22,7 @@ use crate::tiling::Tiling;
 /// The outer loops of Fig. 3 (batch, output rows, output cols, output
 /// channels, input channels).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OuterLoop {
+pub(crate) enum OuterLoop {
     /// Batch loop `b`.
     B,
     /// Output-row loop `h`.
@@ -37,7 +37,7 @@ pub enum OuterLoop {
 
 impl OuterLoop {
     /// Does `kind` depend on this loop (does its tile index change)?
-    pub fn feeds(self, kind: DataKind) -> bool {
+    pub(crate) fn feeds(self, kind: DataKind) -> bool {
         match kind {
             DataKind::Ifms => matches!(
                 self,
@@ -87,7 +87,7 @@ impl ReuseScheme {
     ///
     /// Panics for [`ReuseScheme::AdaptiveReuse`], which has no fixed order;
     /// resolve it per layer first (see [`TrafficModel::resolve_adaptive`]).
-    pub fn loop_order(self) -> [OuterLoop; 5] {
+    pub(crate) fn loop_order(self) -> [OuterLoop; 5] {
         match self {
             ReuseScheme::IfmsReuse => [
                 OuterLoop::B,
@@ -156,11 +156,6 @@ pub struct TileTraffic {
 }
 
 impl TileTraffic {
-    /// Total tile movements.
-    pub fn total_tiles(&self) -> u64 {
-        self.ifms_loads + self.wghs_loads + self.ofms_loads + self.ofms_stores
-    }
-
     /// Total bytes moved when one tile of each kind is `tile_bytes` long
     /// ([`DataKind::ALL`] order: ifms, wghs, ofms).
     pub(crate) fn bytes(&self, tile_bytes: [u64; 3]) -> u64 {
@@ -214,7 +209,8 @@ impl TrafficModel {
     }
 
     /// Number of distinct tiles of `kind` (product of dependent trips).
-    pub fn distinct_tiles(&self, layer: &Layer, tiling: &Tiling, kind: DataKind) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn distinct_tiles(&self, layer: &Layer, tiling: &Tiling, kind: DataKind) -> u64 {
         [
             OuterLoop::B,
             OuterLoop::H,
@@ -254,7 +250,7 @@ impl TrafficModel {
     /// [`ReuseScheme::CONCRETE`] order, from one [`Tiling::steps`] call.
     ///
     /// These are the module docs' reuse rules worked out per loop order
-    /// ([`TrafficModel::distinct_tiles`] × [`TrafficModel::refetch_factor`]
+    /// (`TrafficModel::distinct_tiles` × [`TrafficModel::refetch_factor`]
     /// derive the same numbers loop by loop and are the test oracle).
     /// With `S = batch · n_h · n_w` spatial steps:
     ///
@@ -266,7 +262,7 @@ impl TrafficModel {
     ///
     /// Every pass stores the `S·n_j` ofms tiles and every pass but the
     /// first re-loads them.
-    pub fn concrete_traffic(&self, layer: &Layer, tiling: &Tiling) -> [TileTraffic; 3] {
+    pub(crate) fn concrete_traffic(&self, layer: &Layer, tiling: &Tiling) -> [TileTraffic; 3] {
         let (n_h, n_w, n_j, n_i) = tiling.steps(layer);
         let spatial = self.acc.batch as u64 * n_h as u64 * n_w as u64;
         traffic_of_trips(spatial, n_j as u64, n_i as u64)

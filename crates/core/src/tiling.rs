@@ -43,7 +43,8 @@ impl Tiling {
     }
 
     /// The degenerate tiling that covers the whole layer in one tile.
-    pub fn whole_layer(layer: &Layer) -> Self {
+    #[cfg(test)]
+    pub(crate) fn whole_layer(layer: &Layer) -> Self {
         Tiling::new(layer.h, layer.w, layer.j, layer.i)
     }
 
@@ -59,7 +60,7 @@ impl Tiling {
 
     /// Number of tile steps along each loop: `(n_h, n_w, n_j, n_i)`,
     /// each `ceil(dim / step)`.
-    pub fn steps(&self, layer: &Layer) -> (usize, usize, usize, usize) {
+    pub(crate) fn steps(&self, layer: &Layer) -> (usize, usize, usize, usize) {
         (
             layer.h.div_ceil(self.th),
             layer.w.div_ceil(self.tw),

@@ -72,14 +72,6 @@ impl ValidationReport {
             self.analytical.energy / self.simulated.energy
         }
     }
-
-    /// True if both ratios lie within `[1/tolerance, tolerance]`.
-    pub fn agrees_within(&self, tolerance: f64) -> bool {
-        let inv = 1.0 / tolerance;
-        let c = self.cycle_ratio();
-        let e = self.energy_ratio();
-        (inv..=tolerance).contains(&c) && (inv..=tolerance).contains(&e)
-    }
 }
 
 impl fmt::Display for ValidationReport {
@@ -129,7 +121,7 @@ impl Validator {
     /// # Errors
     ///
     /// Returns [`DseError`] on invalid configuration.
-    pub fn new(
+    pub(crate) fn new(
         geometry: Geometry,
         timing: TimingParams,
         energy: EnergyParams,
@@ -264,6 +256,12 @@ mod tests {
     use drmap_cnn::accelerator::AcceleratorConfig;
     use drmap_dram::profiler::Profiler;
 
+    /// True if both of `r`'s ratios lie within `[1/tolerance, tolerance]`.
+    fn agrees_within(r: &ValidationReport, tolerance: f64) -> bool {
+        let band = 1.0 / tolerance..=tolerance;
+        band.contains(&r.cycle_ratio()) && band.contains(&r.energy_ratio())
+    }
+
     fn setup(arch: DramArch) -> (EdpModel, Validator) {
         let geometry = Geometry::salp_2gb_x8();
         let profiler = Profiler::table_ii().unwrap();
@@ -304,8 +302,8 @@ mod tests {
         };
         assert_eq!(r.cycle_ratio(), 2.0);
         assert_eq!(r.energy_ratio(), 2.0);
-        assert!(r.agrees_within(2.0));
-        assert!(!r.agrees_within(1.5));
+        assert!(agrees_within(&r, 2.0));
+        assert!(!agrees_within(&r, 1.5));
         assert!(r.to_string().contains("hit rate"));
     }
 
@@ -316,7 +314,7 @@ mod tests {
         let cand = candidate(&model, &layer, MappingPolicy::drmap());
         let report = validator.validate(&model, &layer, &cand).unwrap();
         assert!(
-            report.agrees_within(2.0),
+            agrees_within(&report, 2.0),
             "analytical and simulated disagree: {report}"
         );
         assert!(report.hit_rate > 0.8, "DRMap stream should be hit-heavy");
@@ -341,7 +339,7 @@ mod tests {
         let result = engine.explore_layer(&layer).unwrap();
         let report = validator.validate(&model, &layer, &result.best).unwrap();
         assert!(
-            report.agrees_within(2.5),
+            agrees_within(&report, 2.5),
             "winner failed validation: {report}"
         );
     }

@@ -81,11 +81,6 @@ impl PhysicalAddress {
         }
     }
 
-    /// Absolute row within the bank (folds the subarray in).
-    pub fn absolute_row(&self, geometry: &Geometry) -> usize {
-        self.subarray * geometry.rows_per_subarray() + self.row
-    }
-
     /// Check that every coordinate is within `geometry`.
     ///
     /// # Errors
@@ -103,18 +98,6 @@ impl PhysicalAddress {
             }
         }
         Ok(())
-    }
-
-    /// True if `self` and `other` target the same bank of the same rank and
-    /// channel (the granularity at which row-buffer state is shared on
-    /// commodity DDR3).
-    pub fn same_bank(&self, other: &PhysicalAddress) -> bool {
-        self.channel == other.channel && self.rank == other.rank && self.bank == other.bank
-    }
-
-    /// True if `self` and `other` target the same subarray of the same bank.
-    pub fn same_subarray(&self, other: &PhysicalAddress) -> bool {
-        self.same_bank(other) && self.subarray == other.subarray
     }
 }
 
@@ -189,16 +172,6 @@ impl AddressCodec {
             order,
             radices,
         })
-    }
-
-    /// The device geometry this codec addresses.
-    pub fn geometry(&self) -> &Geometry {
-        &self.geometry
-    }
-
-    /// The innermost-to-outermost level order.
-    pub fn order(&self) -> &[Level] {
-        &self.order
     }
 
     /// Total number of addressable burst slots.
@@ -481,13 +454,13 @@ mod tests {
             orders.push(order);
         }
         for order in orders {
-            let codec = AddressCodec::new(geometry, order).unwrap();
+            let codec = AddressCodec::new(geometry, order.clone()).unwrap();
             let slots = codec.slots();
             for (start, units) in [(0, slots), (3, 70), (slots - 5, 5), (17, 0), (slots, 0)] {
                 let mut expanded = Vec::new();
                 for (head, len) in codec.runs(start, units).unwrap() {
                     assert!(len >= 1);
-                    if codec.order()[0] != Level::Column {
+                    if order[0] != Level::Column {
                         assert_eq!(len, 1);
                     }
                     expanded.extend((0..len).map(|i| PhysicalAddress {
@@ -498,7 +471,7 @@ mod tests {
                 let decoded: Vec<_> = (start..start + units)
                     .map(|i| codec.decode(i).unwrap())
                     .collect();
-                assert_eq!(expanded, decoded, "{:?} {start}+{units}", codec.order());
+                assert_eq!(expanded, decoded, "{order:?} {start}+{units}");
             }
         }
     }
@@ -539,34 +512,6 @@ mod tests {
         let codec = fig6_codec();
         // 128 * 8 * 8 = 8192 slots fill row 0 of every subarray of every bank.
         assert_eq!(codec.divergence_level(8191).unwrap(), Level::Row);
-    }
-
-    #[test]
-    fn absolute_row_folds_subarray() {
-        let g = Geometry::salp_2gb_x8();
-        let a = PhysicalAddress {
-            subarray: 2,
-            row: 5,
-            ..PhysicalAddress::default()
-        };
-        assert_eq!(a.absolute_row(&g), 2 * 4096 + 5);
-    }
-
-    #[test]
-    fn same_bank_and_subarray_predicates() {
-        let a = PhysicalAddress {
-            bank: 1,
-            subarray: 2,
-            ..PhysicalAddress::default()
-        };
-        let b = PhysicalAddress {
-            bank: 1,
-            subarray: 3,
-            row: 9,
-            ..PhysicalAddress::default()
-        };
-        assert!(a.same_bank(&b));
-        assert!(!a.same_subarray(&b));
     }
 
     #[test]

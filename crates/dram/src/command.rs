@@ -15,8 +15,8 @@ use crate::address::PhysicalAddress;
 /// ```
 /// use drmap_dram::command::CommandKind;
 ///
-/// assert!(CommandKind::Activate.is_row_command());
-/// assert!(CommandKind::Read.is_column_command());
+/// assert_eq!(CommandKind::Activate.to_string(), "ACT");
+/// assert_eq!(CommandKind::SubarraySelect.to_string(), "SASEL");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandKind {
@@ -36,8 +36,9 @@ pub enum CommandKind {
 }
 
 impl CommandKind {
-    /// All command kinds.
-    pub const ALL: [CommandKind; 6] = [
+    /// All command kinds, in declaration order.
+    #[cfg(test)]
+    pub(crate) const ALL: [CommandKind; 6] = [
         CommandKind::Activate,
         CommandKind::Precharge,
         CommandKind::Read,
@@ -46,25 +47,15 @@ impl CommandKind {
         CommandKind::SubarraySelect,
     ];
 
-    /// Position in [`CommandKind::ALL`], which is the order of
+    /// Position in declaration order, which is the order of
     /// [`ActivityCounters::commands`](crate::controller::ActivityCounters::commands).
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 
-    /// True for commands that operate on rows (ACT/PRE).
-    pub fn is_row_command(self) -> bool {
-        matches!(self, CommandKind::Activate | CommandKind::Precharge)
-    }
-
-    /// True for commands that transfer data (RD/WR).
-    pub fn is_column_command(self) -> bool {
-        matches!(self, CommandKind::Read | CommandKind::Write)
-    }
-
     /// Mnemonic used in exported command traces.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CommandKind::Activate => "ACT",
             CommandKind::Precharge => "PRE",
@@ -105,17 +96,6 @@ impl fmt::Display for ScheduledCommand {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn row_vs_column_commands() {
-        assert!(CommandKind::Activate.is_row_command());
-        assert!(CommandKind::Precharge.is_row_command());
-        assert!(!CommandKind::Read.is_row_command());
-        assert!(CommandKind::Read.is_column_command());
-        assert!(CommandKind::Write.is_column_command());
-        assert!(!CommandKind::Refresh.is_column_command());
-        assert!(!CommandKind::SubarraySelect.is_column_command());
-    }
 
     #[test]
     fn index_is_the_position_in_all() {

@@ -172,7 +172,8 @@ pub(crate) struct RunService {
 /// Raw activity counters the energy model consumes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActivityCounters {
-    /// Issued commands per kind, indexed by [`CommandKind::ALL`] order.
+    /// Issued commands per kind, indexed by [`CommandKind`] declaration
+    /// order (ACT, PRE, RD, WR, REF, SASEL).
     pub commands: [u64; 6],
     /// Requests per row-buffer outcome, indexed by [`RowBufferOutcome::ALL`].
     pub outcomes: [u64; 5],
@@ -343,16 +344,6 @@ impl MemoryController {
     /// The controller configuration.
     pub fn config(&self) -> &ControllerConfig {
         &self.config
-    }
-
-    /// The device geometry.
-    pub fn geometry(&self) -> &Geometry {
-        &self.geometry
-    }
-
-    /// The timing parameter set.
-    pub fn timing(&self) -> &TimingParams {
-        &self.timing
     }
 
     /// Activity counters accumulated so far (open intervals not yet closed

@@ -191,11 +191,6 @@ impl EnergyModel {
         })
     }
 
-    /// The energy parameter set.
-    pub fn params(&self) -> &EnergyParams {
-        &self.params
-    }
-
     fn ns(&self, cycles: u64) -> f64 {
         self.timing.cycles_to_ns(cycles) * 1e-9
     }
@@ -227,30 +222,30 @@ impl EnergyModel {
     }
 
     /// Energy of one read burst in one chip (J), including I/O.
-    pub fn read_energy(&self) -> f64 {
+    pub(crate) fn read_energy(&self) -> f64 {
         self.burst_array_energy(self.params.idd4r)
             + self.params.read_io_pj_per_bit * self.burst_bits_per_chip()
     }
 
     /// Energy of one write burst in one chip (J), including termination.
-    pub fn write_energy(&self) -> f64 {
+    pub(crate) fn write_energy(&self) -> f64 {
         self.burst_array_energy(self.params.idd4w)
             + self.params.write_term_pj_per_bit * self.burst_bits_per_chip()
     }
 
     /// Energy of one refresh in one chip (J).
-    pub fn refresh_energy(&self) -> f64 {
+    pub(crate) fn refresh_energy(&self) -> f64 {
         let p = &self.params;
         (p.idd5b - p.idd3n) * p.vdd * self.ns(self.timing.t_rfc)
     }
 
     /// Active-standby power per chip (W).
-    pub fn active_standby_power(&self) -> f64 {
+    pub(crate) fn active_standby_power(&self) -> f64 {
         self.params.idd3n * self.params.vdd
     }
 
     /// Precharged-standby power per chip (W).
-    pub fn precharged_standby_power(&self) -> f64 {
+    pub(crate) fn precharged_standby_power(&self) -> f64 {
         self.params.idd2n * self.params.vdd
     }
 
@@ -405,7 +400,10 @@ mod tests {
 
     #[test]
     fn chips_scale_every_component() {
-        let g8 = Geometry::builder().chips(8).build().unwrap();
+        let g8 = Geometry {
+            chips: 8,
+            ..Geometry::ddr3_2gb_x8()
+        };
         let m1 = model();
         let m8 = EnergyModel::new(
             g8,

@@ -48,7 +48,7 @@ pub struct AddressError {
 
 impl AddressError {
     /// Create an address error with the given message.
-    pub fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         AddressError {
             message: message.into(),
         }

@@ -203,18 +203,8 @@ impl Geometry {
     }
 
     /// Rows in each subarray (`rows / subarrays`).
-    pub fn rows_per_subarray(&self) -> usize {
+    pub(crate) fn rows_per_subarray(&self) -> usize {
         self.rows / self.subarrays
-    }
-
-    /// Bytes one row stores in one chip (`columns * device_width / 8`).
-    pub fn row_bytes_per_chip(&self) -> usize {
-        self.columns * self.device_width / 8
-    }
-
-    /// Bytes one row stores across all chips of a rank.
-    pub fn row_bytes(&self) -> usize {
-        self.row_bytes_per_chip() * self.chips
     }
 
     /// Bytes transferred by one burst across all chips of a rank
@@ -224,7 +214,7 @@ impl Geometry {
     }
 
     /// Number of burst-sized slots in one row of one bank (per rank).
-    pub fn bursts_per_row(&self) -> usize {
+    pub(crate) fn bursts_per_row(&self) -> usize {
         self.columns / self.burst_length
     }
 
@@ -312,8 +302,6 @@ impl GeometryBuilder {
         channels,
         /// Set ranks per channel.
         ranks,
-        /// Set chips per rank.
-        chips,
         /// Set banks per chip.
         banks,
         /// Set subarrays per bank.
@@ -322,10 +310,6 @@ impl GeometryBuilder {
         rows,
         /// Set columns per row per chip.
         columns,
-        /// Set data pins per chip.
-        device_width,
-        /// Set the burst length.
-        burst_length,
     );
 
     /// Validate and produce the [`Geometry`].
@@ -363,8 +347,6 @@ mod tests {
     #[test]
     fn row_and_burst_arithmetic() {
         let g = Geometry::ddr3_2gb_x8();
-        assert_eq!(g.row_bytes_per_chip(), 1024);
-        assert_eq!(g.row_bytes(), 1024);
         assert_eq!(g.burst_bytes(), 8);
         assert_eq!(g.bursts_per_row(), 128);
     }

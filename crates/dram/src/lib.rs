@@ -55,18 +55,15 @@ pub mod trace;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::address::{AddressCodec, PhysicalAddress};
-    pub use crate::command::{CommandKind, ScheduledCommand};
+    pub use crate::address::PhysicalAddress;
+    pub use crate::command::CommandKind;
     pub use crate::controller::{ControllerConfig, MemoryController, RowPolicy, SchedulerKind};
-    pub use crate::energy::{EnergyBreakdown, EnergyModel, EnergyParams};
-    pub use crate::error::{AddressError, ConfigError};
-    pub use crate::geometry::{Geometry, Level};
-    pub use crate::profiler::{
-        AccessCondition, AccessCost, AccessCostTable, Profiler, TransitionClass,
-    };
+    pub use crate::energy::{EnergyModel, EnergyParams};
+    pub use crate::geometry::Geometry;
+    pub use crate::profiler::{AccessCondition, AccessCost, AccessCostTable, Profiler};
     pub use crate::request::{DriveMode, Request, RequestKind, RowRun};
     pub use crate::sim::{DramSimulator, SimStats};
-    pub use crate::state::{BankState, RowBufferOutcome};
+    pub use crate::state::RowBufferOutcome;
     pub use crate::timing::{DramArch, TimingParams};
     pub use crate::trace::TraceBuilder;
 }

@@ -4,10 +4,10 @@
 //!
 //! Two views are provided:
 //!
-//! * [`Profiler::fig1_profile`] measures the paper's five access conditions
-//!   with the paper's semantics: isolated (dependent) accesses for
-//!   hit/miss/conflict, and streamed sweeps for subarray- and bank-level
-//!   parallelism.
+//! * [`Profiler::fig1_condition`] measures each of the paper's five
+//!   access conditions with the paper's semantics: isolated (dependent)
+//!   accesses for hit/miss/conflict, and streamed sweeps for subarray- and
+//!   bank-level parallelism.
 //! * [`Profiler::cost_table`] measures the four *transition classes* of
 //!   Eq. 2/3 (`dif_column`, `dif_banks`, `dif_subarrays`, `dif_rows`) under
 //!   streamed access — the way a CNN accelerator's DMA engine actually
@@ -105,7 +105,7 @@ impl TransitionClass {
     }
 
     /// Short name used in tables (`dif_column`, ...).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TransitionClass::DifColumn => "dif_column",
             TransitionClass::DifBank => "dif_banks",
@@ -138,14 +138,6 @@ pub struct AccessCost {
     pub cycles: f64,
     /// Average energy per access in joules.
     pub energy: f64,
-}
-
-impl AccessCost {
-    /// Energy-delay product contribution of one access at this cost
-    /// (J·cycles; callers convert cycles to seconds).
-    pub fn edp_weight(&self) -> f64 {
-        self.cycles * self.energy
-    }
 }
 
 /// Per-architecture cost table for the four transition classes, split by
@@ -261,11 +253,6 @@ impl Profiler {
             energy,
             rounds: 16,
         })
-    }
-
-    /// Override the number of sweep rounds (default 16).
-    pub fn set_rounds(&mut self, rounds: usize) {
-        self.rounds = rounds.max(2);
     }
 
     fn simulator(&self, arch: DramArch) -> DramSimulator {
@@ -385,16 +372,8 @@ impl Profiler {
         }
     }
 
-    /// Full Fig. 1 profile: every condition for one architecture (reads).
-    pub fn fig1_profile(&self, arch: DramArch) -> Vec<(AccessCondition, AccessCost)> {
-        AccessCondition::ALL
-            .iter()
-            .map(|&c| (c, self.fig1_condition(arch, c, RequestKind::Read)))
-            .collect()
-    }
-
     /// Measure the streamed per-access cost of one transition class.
-    pub fn transition_cost(
+    pub(crate) fn transition_cost(
         &self,
         arch: DramArch,
         class: TransitionClass,
@@ -430,11 +409,6 @@ impl Profiler {
             t_ck_ns: self.timing.t_ck_ns,
         }
     }
-
-    /// Cost tables for all four architectures.
-    pub fn all_cost_tables(&self) -> Vec<AccessCostTable> {
-        DramArch::ALL.iter().map(|&a| self.cost_table(a)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -442,9 +416,10 @@ mod tests {
     use super::*;
 
     fn profiler() -> Profiler {
-        let mut p = Profiler::table_ii().unwrap();
-        p.set_rounds(4);
-        p
+        Profiler {
+            rounds: 4,
+            ..Profiler::table_ii().unwrap()
+        }
     }
 
     #[test]

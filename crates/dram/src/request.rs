@@ -20,11 +20,8 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// Both request kinds.
-    pub const ALL: [RequestKind; 2] = [RequestKind::Read, RequestKind::Write];
-
     /// Lowercase label ("read" / "write").
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RequestKind::Read => "read",
             RequestKind::Write => "write",
@@ -164,7 +161,7 @@ pub enum DriveMode {
 
 impl DriveMode {
     /// True for modes where each request waits for the previous completion.
-    pub fn is_serialized(self) -> bool {
+    pub(crate) fn is_serialized(self) -> bool {
         matches!(self, DriveMode::Dependent | DriveMode::Spaced(_))
     }
 

@@ -46,7 +46,7 @@ pub struct SimStats {
 
 impl SimStats {
     /// Mean per-request latency in cycles.
-    pub fn mean_latency_cycles(&self) -> f64 {
+    pub(crate) fn mean_latency_cycles(&self) -> f64 {
         if self.requests == 0 {
             0.0
         } else {
@@ -74,7 +74,7 @@ impl SimStats {
     }
 
     /// Count for one outcome.
-    pub fn outcome_count(&self, outcome: RowBufferOutcome) -> u64 {
+    pub(crate) fn outcome_count(&self, outcome: RowBufferOutcome) -> u64 {
         self.outcome_counts[outcome.index()]
     }
 
@@ -86,16 +86,6 @@ impl SimStats {
         let hits = self.outcome_count(RowBufferOutcome::Hit)
             + self.outcome_count(RowBufferOutcome::HitOtherSubarray);
         hits as f64 / self.requests as f64
-    }
-
-    /// Data-bus utilization: burst-transfer cycles over the makespan.
-    /// 1.0 means the bus streamed data back-to-back (the tCCD limit).
-    pub fn bus_utilization(&self, t_burst: u64) -> f64 {
-        if self.makespan_cycles == 0 {
-            0.0
-        } else {
-            (self.requests * t_burst) as f64 / self.makespan_cycles as f64
-        }
     }
 }
 
@@ -403,18 +393,24 @@ mod tests {
         assert_eq!(stats.hit_rate(), 0.0);
     }
 
+    /// Data-bus utilization: burst-transfer cycles over the makespan.
+    /// 1.0 means the bus streamed data back-to-back (the tCCD limit).
+    fn bus_utilization(stats: &SimStats, t_burst: u64) -> f64 {
+        (stats.requests * t_burst) as f64 / stats.makespan_cycles as f64
+    }
+
     #[test]
     fn bus_utilization_peaks_on_hit_streams() {
         let mut s = sim(DramArch::Ddr3);
         let trace: Vec<Request> = (0..128).map(|c| Request::read(addr(0, 0, 0, c))).collect();
         let stats = s.run(&trace, DriveMode::Streamed);
         let t = TimingParams::ddr3_1600k();
-        let util = stats.bus_utilization(t.t_burst);
+        let util = bus_utilization(&stats, t.t_burst);
         assert!(util > 0.85, "hit stream should saturate the bus: {util}");
         let mut s2 = sim(DramArch::Ddr3);
         let conflicts: Vec<Request> = (0..32).map(|r| Request::read(addr(0, 0, r, 0))).collect();
         let cstats = s2.run(&conflicts, DriveMode::Streamed);
-        assert!(cstats.bus_utilization(t.t_burst) < 0.2);
+        assert!(bus_utilization(&cstats, t.t_burst) < 0.2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Commodity DDR3 logically has one row buffer per bank; physically each
 //! subarray has a local row buffer (Fig. 4(b) of the paper), and the SALP
-//! architectures expose them. [`BankState`] models the superset: per-subarray
+//! architectures expose them. `BankState` models the superset: per-subarray
 //! open rows plus a *designated* subarray whose buffer drives the global
 //! bitlines (relevant for SALP-MASA).
 
@@ -48,7 +48,7 @@ impl RowBufferOutcome {
     /// Position in [`RowBufferOutcome::ALL`], which is the order of every
     /// per-outcome counter array.
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 
@@ -64,22 +64,11 @@ impl RowBufferOutcome {
     pub fn needs_activate(self) -> bool {
         !self.is_hit()
     }
-
-    /// Short label for statistics output.
-    pub fn label(self) -> &'static str {
-        match self {
-            RowBufferOutcome::Hit => "hit",
-            RowBufferOutcome::HitOtherSubarray => "hit-other-sa",
-            RowBufferOutcome::Miss => "miss",
-            RowBufferOutcome::Conflict => "conflict",
-            RowBufferOutcome::ConflictOtherSubarray => "conflict-other-sa",
-        }
-    }
 }
 
 /// State of one subarray's local row buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SubarrayState {
+pub(crate) enum SubarrayState {
     /// No row latched.
     #[default]
     Closed,
@@ -89,7 +78,7 @@ pub enum SubarrayState {
 
 impl SubarrayState {
     /// The open row, if any.
-    pub fn open_row(self) -> Option<usize> {
+    pub(crate) fn open_row(self) -> Option<usize> {
         match self {
             SubarrayState::Closed => None,
             SubarrayState::Open(r) => Some(r),
@@ -104,7 +93,7 @@ impl SubarrayState {
 /// changes *how many* subarrays may be open at once and how an access is
 /// classified (see [`BankState::classify`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BankState {
+pub(crate) struct BankState {
     subarrays: Vec<SubarrayState>,
     designated: usize,
 }
@@ -115,7 +104,7 @@ impl BankState {
     /// # Panics
     ///
     /// Panics if `subarrays == 0`.
-    pub fn new(subarrays: usize) -> Self {
+    pub(crate) fn new(subarrays: usize) -> Self {
         assert!(subarrays > 0, "a bank needs at least one subarray");
         BankState {
             subarrays: vec![SubarrayState::Closed; subarrays],
@@ -123,27 +112,24 @@ impl BankState {
         }
     }
 
-    /// Number of subarrays.
-    pub fn subarray_count(&self) -> usize {
-        self.subarrays.len()
-    }
-
     /// State of subarray `sa`.
     ///
     /// # Panics
     ///
     /// Panics if `sa` is out of range.
-    pub fn subarray(&self, sa: usize) -> SubarrayState {
+    pub(crate) fn subarray(&self, sa: usize) -> SubarrayState {
         self.subarrays[sa]
     }
 
     /// The subarray currently connected to the global bitlines.
-    pub fn designated(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn designated(&self) -> usize {
         self.designated
     }
 
     /// Number of subarrays with an open row.
-    pub fn open_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn open_count(&self) -> usize {
         self.subarrays
             .iter()
             .filter(|s| s.open_row().is_some())
@@ -151,7 +137,7 @@ impl BankState {
     }
 
     /// The single open `(subarray, row)` if exactly one is open.
-    pub fn single_open(&self) -> Option<(usize, usize)> {
+    pub(crate) fn single_open(&self) -> Option<(usize, usize)> {
         let mut found = None;
         for (sa, s) in self.subarrays.iter().enumerate() {
             if let Some(row) = s.open_row() {
@@ -169,7 +155,7 @@ impl BankState {
     ///
     /// On DDR3 the subarray level is invisible: any open row anywhere in the
     /// bank conflicts unless it is exactly the requested `(sa, row)`.
-    pub fn classify(&self, arch: DramArch, sa: usize, row: usize) -> RowBufferOutcome {
+    pub(crate) fn classify(&self, arch: DramArch, sa: usize, row: usize) -> RowBufferOutcome {
         let target = self.subarrays[sa];
         match arch {
             DramArch::Ddr3 => match self.single_open() {
@@ -213,21 +199,14 @@ impl BankState {
     /// Never closes other subarrays: the controller issues precharges
     /// explicitly (on non-MASA architectures it does so before — or, for
     /// SALP-2's overlapped activation, immediately after — the activation).
-    pub fn activate(&mut self, sa: usize, row: usize) {
+    pub(crate) fn activate(&mut self, sa: usize, row: usize) {
         self.subarrays[sa] = SubarrayState::Open(row);
         self.designated = sa;
     }
 
     /// Record a precharge of subarray `sa`.
-    pub fn precharge(&mut self, sa: usize) {
+    pub(crate) fn precharge(&mut self, sa: usize) {
         self.subarrays[sa] = SubarrayState::Closed;
-    }
-
-    /// Record a precharge of every subarray.
-    pub fn precharge_all(&mut self) {
-        for s in &mut self.subarrays {
-            *s = SubarrayState::Closed;
-        }
     }
 
     /// Record a designated-subarray switch (MASA SASEL).
@@ -235,7 +214,7 @@ impl BankState {
     /// # Panics
     ///
     /// Panics if `sa` is out of range.
-    pub fn select(&mut self, sa: usize) {
+    pub(crate) fn select(&mut self, sa: usize) {
         assert!(sa < self.subarrays.len(), "subarray out of range");
         self.designated = sa;
     }
@@ -330,7 +309,7 @@ mod tests {
         b.activate(1, 6);
         b.precharge(0);
         assert_eq!(b.open_count(), 1);
-        b.precharge_all();
+        b.precharge(1);
         assert_eq!(b.open_count(), 0);
     }
 

@@ -53,11 +53,6 @@ impl DramArch {
         !matches!(self, DramArch::Ddr3)
     }
 
-    /// True if multiple subarrays of a bank may hold activated rows at once.
-    pub fn multiple_activated_subarrays(self) -> bool {
-        matches!(self, DramArch::SalpMasa)
-    }
-
     /// Display label used in figures (matches the paper's axis labels).
     pub fn label(self) -> &'static str {
         match self {
@@ -243,31 +238,8 @@ impl TimingParams {
     }
 
     /// Convert a cycle count to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
+    pub(crate) fn cycles_to_ns(&self, cycles: u64) -> f64 {
         cycles as f64 * self.t_ck_ns
-    }
-
-    /// Convert a cycle count to seconds.
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        self.cycles_to_ns(cycles) * 1e-9
-    }
-
-    /// Latency in cycles of an isolated row-buffer **hit** read:
-    /// `CL + t_burst`.
-    pub fn hit_read_cycles(&self) -> u64 {
-        self.cl + self.t_burst
-    }
-
-    /// Latency in cycles of an isolated row-buffer **miss** read (closed
-    /// row): `t_rcd + CL + t_burst`.
-    pub fn miss_read_cycles(&self) -> u64 {
-        self.t_rcd + self.hit_read_cycles()
-    }
-
-    /// Latency in cycles of an isolated row-buffer **conflict** read (wrong
-    /// row open): `t_rp + t_rcd + CL + t_burst`.
-    pub fn conflict_read_cycles(&self) -> u64 {
-        self.t_rp + self.miss_read_cycles()
     }
 }
 
@@ -280,6 +252,14 @@ impl Default for TimingParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Isolated row-buffer hit, miss (closed row) and conflict (wrong row
+    /// open) read latencies in cycles: `CL + t_burst`, plus `t_rcd`, plus
+    /// `t_rp`.
+    fn isolated_reads(t: &TimingParams) -> [u64; 3] {
+        let hit = t.cl + t.t_burst;
+        [hit, t.t_rcd + hit, t.t_rp + t.t_rcd + hit]
+    }
 
     #[test]
     fn ddr3_1600k_is_11_11_11() {
@@ -316,11 +296,7 @@ mod tests {
     #[test]
     fn isolated_latencies_are_ordered() {
         let t = TimingParams::ddr3_1600k();
-        assert!(t.hit_read_cycles() < t.miss_read_cycles());
-        assert!(t.miss_read_cycles() < t.conflict_read_cycles());
-        assert_eq!(t.hit_read_cycles(), 15);
-        assert_eq!(t.miss_read_cycles(), 26);
-        assert_eq!(t.conflict_read_cycles(), 37);
+        assert_eq!(isolated_reads(&t), [15, 26, 37]);
     }
 
     #[test]
@@ -333,8 +309,8 @@ mod tests {
     fn ddr4_keeps_hit_miss_conflict_structure() {
         // The paper's premise: commodity generations share the structure.
         for t in [TimingParams::ddr4_2400r(), TimingParams::lpddr3_1600()] {
-            assert!(t.hit_read_cycles() < t.miss_read_cycles());
-            assert!(t.miss_read_cycles() < t.conflict_read_cycles());
+            let [hit, miss, conflict] = isolated_reads(&t);
+            assert!(hit < miss && miss < conflict);
         }
     }
 
@@ -343,8 +319,8 @@ mod tests {
         let d3 = TimingParams::ddr3_1600k();
         let d4 = TimingParams::ddr4_2400r();
         assert!(d4.t_ck_ns < d3.t_ck_ns);
-        let d3_ns = d3.cycles_to_ns(d3.conflict_read_cycles());
-        let d4_ns = d4.cycles_to_ns(d4.conflict_read_cycles());
+        let d3_ns = d3.cycles_to_ns(isolated_reads(&d3)[2]);
+        let d4_ns = d4.cycles_to_ns(isolated_reads(&d4)[2]);
         // Core latencies barely move across generations (both ~45 ns).
         assert!((d3_ns - d4_ns).abs() < 10.0, "{d3_ns} vs {d4_ns}");
     }
@@ -353,7 +329,6 @@ mod tests {
     fn cycle_conversion() {
         let t = TimingParams::ddr3_1600k();
         assert!((t.cycles_to_ns(4) - 5.0).abs() < 1e-12);
-        assert!((t.cycles_to_seconds(800_000_000) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -367,7 +342,5 @@ mod tests {
         assert!(!DramArch::Ddr3.exploits_subarrays());
         assert!(DramArch::Salp1.exploits_subarrays());
         assert!(DramArch::Salp2.exploits_subarrays());
-        assert!(!DramArch::Salp2.multiple_activated_subarrays());
-        assert!(DramArch::SalpMasa.multiple_activated_subarrays());
     }
 }

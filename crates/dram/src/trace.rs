@@ -7,7 +7,7 @@
 
 use crate::address::PhysicalAddress;
 use crate::command::ScheduledCommand;
-use crate::request::{Request, RequestKind};
+use crate::request::Request;
 
 /// Builder for structured request traces used by the profiler and tests.
 ///
@@ -22,7 +22,6 @@ use crate::request::{Request, RequestKind};
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuilder {
     requests: Vec<Request>,
-    kind: Option<RequestKind>,
 }
 
 impl TraceBuilder {
@@ -30,19 +29,11 @@ impl TraceBuilder {
     pub fn new() -> Self {
         TraceBuilder {
             requests: Vec::new(),
-            kind: None,
         }
     }
 
-    /// Emit writes instead of reads for subsequently added patterns.
-    pub fn writes(mut self) -> Self {
-        self.kind = Some(RequestKind::Write);
-        self
-    }
-
     fn push(&mut self, address: PhysicalAddress) {
-        let kind = self.kind.unwrap_or(RequestKind::Read);
-        self.requests.push(Request { address, kind });
+        self.requests.push(Request::read(address));
     }
 
     /// `n` accesses to consecutive columns of one row (row-buffer hits
@@ -68,7 +59,7 @@ impl TraceBuilder {
 
     /// `n` accesses to distinct rows of one subarray (row-buffer conflicts
     /// after the first access).
-    pub fn row_conflicts(mut self, bank: usize, subarray: usize, n: usize) -> Self {
+    pub(crate) fn row_conflicts(mut self, bank: usize, subarray: usize, n: usize) -> Self {
         for r in 0..n {
             self.push(PhysicalAddress {
                 bank,
@@ -83,7 +74,7 @@ impl TraceBuilder {
     /// `rounds` sweeps over `subarrays` subarrays of one bank, each access
     /// touching that subarray's fixed row (the subarray-level-parallelism
     /// pattern of Fig. 1).
-    pub fn subarray_sweep(mut self, bank: usize, subarrays: usize, rounds: usize) -> Self {
+    pub(crate) fn subarray_sweep(mut self, bank: usize, subarrays: usize, rounds: usize) -> Self {
         for round in 0..rounds {
             for sa in 0..subarrays {
                 self.push(PhysicalAddress {
@@ -100,7 +91,7 @@ impl TraceBuilder {
 
     /// `rounds` sweeps over `banks` banks, each access touching that bank's
     /// fixed row (the bank-level-parallelism pattern of Fig. 1).
-    pub fn bank_sweep(mut self, banks: usize, rounds: usize) -> Self {
+    pub(crate) fn bank_sweep(mut self, banks: usize, rounds: usize) -> Self {
         for round in 0..rounds {
             for b in 0..banks {
                 self.push(PhysicalAddress {
@@ -111,26 +102,6 @@ impl TraceBuilder {
                 });
             }
         }
-        self
-    }
-
-    /// `n` accesses to distinct rows, each in a fresh precharged bank/row
-    /// position so every access is a pure row-buffer miss under a closed
-    /// starting state (used with one access per subarray/bank).
-    pub fn isolated_misses(mut self, banks: usize, n: usize) -> Self {
-        for i in 0..n {
-            self.push(PhysicalAddress {
-                bank: i % banks,
-                row: i,
-                ..PhysicalAddress::default()
-            });
-        }
-        self
-    }
-
-    /// Append one explicit request.
-    pub fn request(mut self, request: Request) -> Self {
-        self.requests.push(request);
         self
     }
 
@@ -167,6 +138,7 @@ pub fn format_command_trace(commands: &[ScheduledCommand]) -> String {
 mod tests {
     use super::*;
     use crate::command::CommandKind;
+    use crate::request::RequestKind;
 
     #[test]
     fn sequential_columns_walk_columns() {
@@ -179,12 +151,6 @@ mod tests {
             assert_eq!(r.address.row, 5);
             assert_eq!(r.kind, RequestKind::Read);
         }
-    }
-
-    #[test]
-    fn writes_switch_kind() {
-        let t = TraceBuilder::new().writes().row_conflicts(0, 0, 3).build();
-        assert!(t.iter().all(|r| r.kind == RequestKind::Write));
     }
 
     #[test]
@@ -206,14 +172,6 @@ mod tests {
         assert_eq!(t.len(), 24);
         assert_eq!(t[0].address.bank, 0);
         assert_eq!(t[15].address.bank, 7);
-    }
-
-    #[test]
-    fn isolated_misses_spread_rows() {
-        let t = TraceBuilder::new().isolated_misses(8, 16).build();
-        assert_eq!(t.len(), 16);
-        assert_eq!(t[0].address.bank, t[8].address.bank);
-        assert_ne!(t[0].address.row, t[8].address.row);
     }
 
     #[test]

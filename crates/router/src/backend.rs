@@ -35,7 +35,7 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const ADMIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The identification string the router answers hellos with.
-pub fn identity() -> String {
+pub(crate) fn identity() -> String {
     format!("drmap-router/{}", env!("CARGO_PKG_VERSION"))
 }
 
@@ -46,7 +46,7 @@ const REQUIRED_CAPABILITIES: [&str; 2] = ["jobs", "pipelining"];
 /// One pipelined data connection: the write half, plus the raw stream
 /// handle so retirement can force the (blocked) reader side to wake.
 #[derive(Debug)]
-pub struct DataConn {
+pub(crate) struct DataConn {
     stream: TcpStream,
     writer: Mutex<TcpStream>,
 }
@@ -63,7 +63,9 @@ impl DataConn {
     /// Connection and socket errors; a protocol error when the backend
     /// refuses the hello, answers with a different version, or lacks a
     /// required capability.
-    pub fn open(addr: &str) -> Result<(DataConn, BufReader<TcpStream>, Vec<String>), ServiceError> {
+    pub(crate) fn open(
+        addr: &str,
+    ) -> Result<(DataConn, BufReader<TcpStream>, Vec<String>), ServiceError> {
         let config = ClientConfig {
             connect_timeout: Some(CONNECT_TIMEOUT),
             ..ClientConfig::default()
@@ -91,19 +93,19 @@ impl DataConn {
 
     /// Serialize one request onto the connection as one whole frame
     /// (the lock keeps concurrent senders' frames from interleaving).
-    pub fn send(&self, request: &Request) -> Result<(), ServiceError> {
+    pub(crate) fn send(&self, request: &Request) -> Result<(), ServiceError> {
         wire::write_request(&mut *lock_recovered(&self.writer), request)
     }
 
     /// Close both halves, unblocking the reader thread.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
 /// One configured backend's live state.
 #[derive(Debug)]
-pub struct Backend {
+pub(crate) struct Backend {
     /// `host:port` — also the backend's rendezvous-hash identity, so
     /// restarts keep their slice of the key space.
     pub addr: String,
@@ -118,7 +120,7 @@ pub struct Backend {
 impl Backend {
     /// A backend that has never been connected (unhealthy until the
     /// first admission).
-    pub fn new(addr: String) -> Self {
+    pub(crate) fn new(addr: String) -> Self {
         Backend {
             addr,
             healthy: AtomicBool::new(false),
@@ -131,7 +133,7 @@ impl Backend {
     }
 
     /// Whether the router currently routes jobs here.
-    pub fn is_healthy(&self) -> bool {
+    pub(crate) fn is_healthy(&self) -> bool {
         // ordering: Acquire pairs with the Release store in
         // `admit`/`retire`; the connection set itself is published by
         // the `conns` mutex, the flag is only the routing hint.
@@ -140,7 +142,7 @@ impl Backend {
 
     /// The current connection-set epoch (captured at dispatch so a
     /// later failure report can be recognized as stale).
-    pub fn current_epoch(&self) -> u64 {
+    pub(crate) fn current_epoch(&self) -> u64 {
         // ordering: Acquire pairs with the epoch bump under the conns
         // lock in `admit`/`retire`; a stale read only widens the
         // stale-notification window, never corrupts state.
@@ -148,14 +150,14 @@ impl Backend {
     }
 
     /// The capabilities advertised at the last admission.
-    pub fn capabilities(&self) -> Vec<String> {
+    pub(crate) fn capabilities(&self) -> Vec<String> {
         lock_recovered(&self.capabilities).clone()
     }
 
     /// Install a fresh connection set, record `capabilities`, and mark
     /// the backend healthy. Returns the new epoch, which the caller
     /// threads through to the reader threads it spawns.
-    pub fn admit(&self, conns: Vec<Arc<DataConn>>, capabilities: Vec<String>) -> u64 {
+    pub(crate) fn admit(&self, conns: Vec<Arc<DataConn>>, capabilities: Vec<String>) -> u64 {
         let mut guard = lock_recovered(&self.conns);
         for conn in guard.drain(..) {
             conn.close();
@@ -177,7 +179,7 @@ impl Backend {
     /// but only if `epoch` is still current. Returns whether this call
     /// performed the demotion (a `false` means some other transition
     /// already replaced the set the caller saw die).
-    pub fn retire(&self, epoch: u64) -> bool {
+    pub(crate) fn retire(&self, epoch: u64) -> bool {
         let mut guard = lock_recovered(&self.conns);
         // ordering: Acquire under the conns lock that every transition
         // holds; see `admit`.
@@ -202,7 +204,7 @@ impl Backend {
     ///
     /// Socket errors, or a protocol error when no connection set is
     /// installed (the backend raced into retirement).
-    pub fn send(&self, request: &Request) -> Result<(), ServiceError> {
+    pub(crate) fn send(&self, request: &Request) -> Result<(), ServiceError> {
         let conn = {
             let guard = lock_recovered(&self.conns);
             if guard.is_empty() {
@@ -226,7 +228,7 @@ impl Backend {
     /// # Errors
     ///
     /// Connection, socket, and protocol errors from the exchange.
-    pub fn admin_request(&self, request: &Request) -> Result<Response, ServiceError> {
+    pub(crate) fn admin_request(&self, request: &Request) -> Result<Response, ServiceError> {
         let mut slot = lock_recovered(&self.admin);
         if slot.is_none() {
             let config = ClientConfig {

@@ -21,7 +21,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The deterministic weight of `backend` for `key`.
-pub fn weight(key: &str, backend: &str) -> u64 {
+pub(crate) fn weight(key: &str, backend: &str) -> u64 {
     let mut h = FNV_OFFSET;
     for b in key.bytes() {
         h ^= u64::from(b);
@@ -49,7 +49,7 @@ fn finish(mut h: u64) -> u64 {
 /// Indices of `backends`, ranked best-first for `key` (highest weight
 /// wins; ties — astronomically unlikely with 64-bit weights — break
 /// toward the lower index so every router ranks identically).
-pub fn rank(key: &str, backends: &[String]) -> Vec<usize> {
+pub(crate) fn rank(key: &str, backends: &[String]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..backends.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(weight(key, &backends[i])), i));
     order

@@ -21,6 +21,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod backend;
+mod backend;
 pub mod hash;
 pub mod proxy;

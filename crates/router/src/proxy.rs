@@ -230,7 +230,7 @@ impl RouterCore {
     /// # Errors
     ///
     /// Whatever the handshake raised; the backend stays unhealthy.
-    pub fn admit_backend(self: &Arc<Self>, idx: usize) -> Result<(), ServiceError> {
+    pub(crate) fn admit_backend(self: &Arc<Self>, idx: usize) -> Result<(), ServiceError> {
         let addr = &self.addrs[idx];
         let mut conns = Vec::new();
         let mut readers = Vec::new();

@@ -21,7 +21,7 @@
 //!   computes while the rest block on its result instead of missing and
 //!   recomputing. Coalesced lookups are counted separately from plain
 //!   hits.
-//! * **Tiered.** A cache built with [`DseCache::with_store`] backs the
+//! * **Tiered.** A cache built with `DseCache::with_store` backs the
 //!   resident LRU tier with a persistent [`Store`]: a leader that
 //!   misses memory consults the store before computing (a *store hit*
 //!   repopulates the LRU without any exploration), and every fresh
@@ -76,7 +76,7 @@ where
 /// Capacity bounds for a [`DseCache`]. `None` means unbounded.
 ///
 /// These are only the *initial* bounds: a live cache can be retuned at
-/// runtime via [`DseCache::set_bounds`] (the `set-bounds` admin verb);
+/// runtime via `DseCache::set_bounds` (the `set-bounds` admin verb);
 /// [`DseCache::bounds`] reports the ones currently in force.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -95,12 +95,6 @@ impl CacheConfig {
     /// Bound the entry count.
     pub fn with_max_entries(mut self, n: usize) -> Self {
         self.max_entries = Some(n);
-        self
-    }
-
-    /// Bound the approximate resident bytes.
-    pub fn with_max_bytes(mut self, n: usize) -> Self {
-        self.max_bytes = Some(n);
         self
     }
 }
@@ -414,7 +408,7 @@ impl Inner {
 /// durations (as the cache sees them, decode/encode included) and time
 /// spent blocked on another caller's in-flight computation.
 #[derive(Debug)]
-pub struct CacheMetrics {
+pub(crate) struct CacheMetrics {
     /// Store-tier consultation on a resident miss (`store.get` +
     /// decode), nanoseconds.
     pub store_read_ns: Arc<Histogram>,
@@ -432,7 +426,6 @@ pub struct CacheMetrics {
 #[derive(Debug, Default)]
 pub struct DseCache {
     inner: Mutex<Inner>,
-    config: CacheConfig,
     store: Option<Arc<Store>>,
     metrics: OnceLock<CacheMetrics>,
 }
@@ -447,7 +440,6 @@ impl DseCache {
     pub fn with_config(config: CacheConfig) -> Self {
         DseCache {
             inner: Mutex::new(Inner::new(&config)),
-            config,
             store: None,
             metrics: OnceLock::new(),
         }
@@ -458,10 +450,9 @@ impl DseCache {
     /// fresh computations write through. The resident tier stays empty
     /// until lookups (or [`DseCache::warm_from_store`]) promote stored
     /// results.
-    pub fn with_store(config: CacheConfig, store: Arc<Store>) -> Self {
+    pub(crate) fn with_store(config: CacheConfig, store: Arc<Store>) -> Self {
         DseCache {
             inner: Mutex::new(Inner::new(&config)),
-            config,
             store: Some(store),
             metrics: OnceLock::new(),
         }
@@ -469,14 +460,8 @@ impl DseCache {
 
     /// Attach latency histograms. Until this is called the cache runs
     /// unobserved at zero cost; a second attachment is ignored.
-    pub fn attach_metrics(&self, metrics: CacheMetrics) {
+    pub(crate) fn attach_metrics(&self, metrics: CacheMetrics) {
         let _ = self.metrics.set(metrics);
-    }
-
-    /// The capacity bounds the cache was *constructed* with. Runtime
-    /// retunes are visible through [`DseCache::bounds`] instead.
-    pub fn config(&self) -> CacheConfig {
-        self.config
     }
 
     /// The `(max_entries, max_bytes)` bounds currently in force.
@@ -494,7 +479,7 @@ impl DseCache {
     /// `(max_entries, max_bytes)` and how many entries the shrink
     /// evicted. This is the `set-bounds` admin verb's backing
     /// operation.
-    pub fn set_bounds(
+    pub(crate) fn set_bounds(
         &self,
         max_entries: Option<Option<usize>>,
         max_bytes: Option<Option<usize>>,
@@ -536,7 +521,7 @@ impl DseCache {
     /// path — a layer that misses here goes on to the full
     /// [`DseCache::get_or_compute_with`] lookup on a worker, which
     /// counts it once, there.
-    pub fn get_resident(&self, key: &str) -> Option<LayerDseResult> {
+    pub(crate) fn get_resident(&self, key: &str) -> Option<LayerDseResult> {
         lock_recovered(&self.inner).hit(key)
     }
 
@@ -627,7 +612,7 @@ impl DseCache {
     /// behind the compute-duration stats, the stored record and the
     /// service's `explore` stage. The result carries `compute`'s
     /// failures, to the leader and every waiter coalesced onto it.
-    pub fn get_or_compute_with<F>(
+    pub(crate) fn get_or_compute_with<F>(
         &self,
         key: &str,
         mode: CacheMode,
@@ -833,7 +818,7 @@ impl DseCache {
     /// computations are unaffected: they complete, wake their waiters,
     /// and repopulate the (now empty) cache. The persistent store tier
     /// is untouched — clearing memory does not forget durable results.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         let mut inner = lock_recovered(&self.inner);
         inner.map.clear();
         inner.slab.clear();
@@ -993,8 +978,10 @@ mod tests {
     fn byte_bound_is_never_exceeded() {
         let one_entry = approx_entry_bytes("k00", &result("x"));
         // Room for two entries but not three.
-        let cache =
-            DseCache::with_config(CacheConfig::unbounded().with_max_bytes(one_entry * 2 + 1));
+        let cache = DseCache::with_config(CacheConfig {
+            max_entries: None,
+            max_bytes: Some(one_entry * 2 + 1),
+        });
         for i in 0..16 {
             cache.insert(format!("k{i:02}"), result("x"));
             let stats = cache.stats();
@@ -1010,7 +997,10 @@ mod tests {
 
     #[test]
     fn an_oversized_entry_is_evicted_rather_than_kept() {
-        let cache = DseCache::with_config(CacheConfig::unbounded().with_max_bytes(8));
+        let cache = DseCache::with_config(CacheConfig {
+            max_entries: None,
+            max_bytes: Some(8),
+        });
         cache.insert("way-too-big".into(), result("x"));
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);

@@ -67,7 +67,7 @@ impl HelloInfo {
 
 /// The `hello` this crate's clients open with: [`PROTOCOL_VERSION`]
 /// and this crate's identity.
-pub fn hello_request() -> Request {
+pub(crate) fn hello_request() -> Request {
     Request::Hello {
         version: PROTOCOL_VERSION,
         client: Some(concat!("drmap-service/", env!("CARGO_PKG_VERSION")).to_owned()),
@@ -279,10 +279,10 @@ impl Client {
     /// than the cap without reading could fill both sockets' buffers
     /// and deadlock — sender blocked on a full socket, server blocked
     /// waiting for the client to read.
-    pub const PIPELINE_WINDOW: usize = 64;
+    pub(crate) const PIPELINE_WINDOW: usize = 64;
 
     /// Submit jobs without waiting for responses — up to
-    /// [`Client::PIPELINE_WINDOW`] on the wire at a time — collecting
+    /// `Client::PIPELINE_WINDOW` on the wire at a time — collecting
     /// responses as they complete (possibly out of submission order)
     /// and returning them matched back into `specs` order. Per-job
     /// failures occupy their job's slot without aborting the rest of

@@ -6,7 +6,7 @@
 //! * **One accept loop** ([`Listener::serve`]): every accepted
 //!   connection runs on its own detached threads until a request asks
 //!   the server to stop. The stop is a flag plus one loopback poke
-//!   ([`wire::wake_listener`]) that unblocks `accept`.
+//!   (`wire::wake_listener`) that unblocks `accept`.
 //! * **One session** per connection: a reader loop that hands each
 //!   request line to [`Service::dispatch`], and one writer thread that
 //!   owns the write half, encoding each queued [`Response`] as text

@@ -38,7 +38,7 @@ const SLOW_LOG_CAPACITY: usize = 32;
 /// parameters. Part of every cache fingerprint — and therefore of
 /// [`job_route_key`], which must agree with the backends' keys without
 /// building an engine.
-pub const SUBSTRATE: &str = "salp_2gb_x8/ddr3_1600k/micron_2gb_x8/table_ii";
+pub(crate) const SUBSTRATE: &str = "salp_2gb_x8/ddr3_1600k/micron_2gb_x8/table_ii";
 
 /// Builds [`DseEngine`]s on demand: one per (architecture, objective,
 /// `keep_points`), shared by every caller.
@@ -109,11 +109,12 @@ impl EngineFactory {
     }
 
     /// [`EngineFactory::engine`] with the sweep's Pareto-point
-    /// retention selected per job ([`JobOptions::keep_points`]
-    /// (crate::spec::JobOptions)). The setting is part of the sweep
+    /// retention selected per job
+    /// ([`JobOptions::keep_points`](crate::spec::JobOptions::keep_points)).
+    /// The setting is part of the sweep
     /// fingerprint, so point-keeping and point-free results never share
     /// a cache entry.
-    pub fn engine_with(&self, spec: &EngineSpec, keep_points: bool) -> DseEngine {
+    pub(crate) fn engine_with(&self, spec: &EngineSpec, keep_points: bool) -> DseEngine {
         DseEngine::clone(&self.shared(spec, keep_points))
     }
 

@@ -16,8 +16,8 @@ pub enum ServiceError {
     /// Socket or file I/O failed.
     Io(std::io::Error),
     /// A socket read/write exceeded its configured timeout — the
-    /// peer stalled, not necessarily died. Distinct from [`Io`]
-    /// (ServiceError::Io) so a caller can tell a stall from a dead peer
+    /// peer stalled, not necessarily died. Distinct from
+    /// [`Io`](ServiceError::Io) so a caller can tell a stall from a dead peer
     /// without pattern-matching error strings.
     Timeout(String),
     /// The job's `deadline_ms` elapsed before the result was computed;
@@ -42,7 +42,7 @@ impl ServiceError {
     }
 
     /// A socket-timeout error with the given context.
-    pub fn timeout(message: impl Into<String>) -> Self {
+    pub(crate) fn timeout(message: impl Into<String>) -> Self {
         ServiceError::Timeout(message.into())
     }
 }
@@ -51,7 +51,7 @@ impl ServiceError {
 /// surfacing a caught worker/computation panic as an error message.
 /// Payloads that are neither `&str` nor `String` — rare in practice —
 /// render as a placeholder.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -89,7 +89,7 @@ impl std::error::Error for ServiceError {
 
 impl From<DseError> for ServiceError {
     /// Lifts a pool-raised deadline error (recognized by
-    /// [`DEADLINE_MARKER`]) back into the typed
+    /// `DEADLINE_MARKER`) back into the typed
     /// [`ServiceError::DeadlineExceeded`]; everything else stays a
     /// plain exploration failure.
     fn from(e: DseError) -> Self {

@@ -170,7 +170,7 @@ impl FaultPlan {
 
     /// The canonical spec string this plan re-parses from (non-default
     /// fields only, seed always included).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut parts = vec![format!("seed={}", self.seed)];
         let defaults = FaultPlan::default();
         if self.store_fail != 0.0 {
@@ -200,7 +200,7 @@ impl FaultPlan {
 
 /// What an injection site should do to the operation it guards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// Fail the operation with an injected error.
     Fail,
     /// Delay the operation by the sampled jitter, then proceed.
@@ -266,11 +266,6 @@ impl FaultState {
         Ok(previous.map(|p| p.plan))
     }
 
-    /// The currently armed plan, if any.
-    pub fn plan(&self) -> Option<FaultPlan> {
-        lock_recovered(&self.active).as_ref().map(|p| p.plan)
-    }
-
     fn active(&self) -> Option<Arc<ActivePlan>> {
         lock_recovered(&self.active).clone()
     }
@@ -278,7 +273,7 @@ impl FaultState {
     /// Decide the fate of one store operation. Probability mass is
     /// split: a draw under `store_fail` fails, one under
     /// `store_fail + store_delay` stalls by sampled jitter.
-    pub fn store_action(&self) -> Option<FaultAction> {
+    pub(crate) fn store_action(&self) -> Option<FaultAction> {
         let active = self.active()?;
         let plan = &active.plan;
         if plan.store_fail == 0.0 && plan.store_delay == 0.0 {
@@ -301,7 +296,7 @@ impl FaultState {
 
     /// Decide the fate of one outgoing response frame: `Fail` means
     /// drop it (never write), `Delay` means stall before writing.
-    pub fn wire_action(&self) -> Option<FaultAction> {
+    pub(crate) fn wire_action(&self) -> Option<FaultAction> {
         let active = self.active()?;
         let plan = &active.plan;
         if plan.wire_drop == 0.0 && plan.wire_stall == 0.0 {
@@ -324,7 +319,7 @@ impl FaultState {
     /// Whether the worker computing the job with this submission
     /// ordinal (1-based, as counted by the pool) should panic. Fires at
     /// most once per armed plan.
-    pub fn job_panics(&self, job_ordinal: u64) -> bool {
+    pub(crate) fn job_panics(&self, job_ordinal: u64) -> bool {
         let Some(active) = self.active() else {
             return false;
         };
@@ -418,13 +413,12 @@ mod tests {
     #[test]
     fn disarming_returns_the_previous_plan() {
         let state = FaultState::default();
-        assert_eq!(state.plan(), None);
         assert!(state.store_action().is_none());
         assert!(state.wire_action().is_none());
         let plan = FaultPlan::parse("seed=5,store-fail=1").unwrap();
         state.set_plan(Some(plan)).unwrap();
         assert_eq!(state.store_action(), Some(FaultAction::Fail));
         assert_eq!(state.set_plan(None).unwrap(), Some(plan));
-        assert_eq!(state.plan(), None);
+        assert_eq!(state.set_plan(None).unwrap(), None);
     }
 }

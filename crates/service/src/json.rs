@@ -15,7 +15,7 @@
 //! `String` — the connection writer's reused frame buffer, so a response
 //! reaches the wire without a tree — and [`JsonTree`] builds the [`Json`]
 //! value `to_json` returns. A tree renders through its own encoder
-//! ([`Json::encode`]) into a text sink, so both paths end in the same
+//! (`Json::encode`) into a text sink, so both paths end in the same
 //! number and string writers and agree byte for byte.
 //!
 //! # Examples
@@ -140,7 +140,7 @@ impl Json {
     }
 
     /// The numeric payload as an exact `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
+    pub(crate) fn as_usize(&self) -> Option<usize> {
         self.as_u64().map(|n| n as usize)
     }
 
@@ -188,7 +188,7 @@ impl Json {
     }
 
     /// The tree's own encoder: write this value into `out`.
-    pub fn encode<S: JsonSink>(&self, out: &mut S) {
+    pub(crate) fn encode<S: JsonSink>(&self, out: &mut S) {
         match self {
             Json::Null => out.null(),
             Json::Bool(b) => out.bool(*b),

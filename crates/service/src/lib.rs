@@ -36,7 +36,7 @@
 //!   (entry and approximate-byte caps) with single-flight coalescing of
 //!   concurrent identical lookups, hit/miss/coalesced/eviction
 //!   counters, per-entry compute-duration tracking, and an optional
-//!   persistent second tier (a [`drmap_store`](drmap_store) WAL):
+//!   persistent second tier (a [`drmap_store`] WAL):
 //!   resident misses consult the store before computing, fresh results
 //!   write through, and restarts warm-start from disk — each
 //!   fingerprint is explored once, *ever*;
@@ -123,24 +123,9 @@ pub mod wire;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::cache::{CacheConfig, CacheOutcome, CacheStats, DseCache};
-    pub use crate::client::{Client, ClientConfig};
-    pub use crate::engine::{default_workers, EngineFactory, ServiceState};
-    pub use crate::error::ServiceError;
-    pub use crate::faults::{FaultPlan, FaultState};
-    pub use crate::json::Json;
-    pub use crate::pool::{DsePool, PendingJob};
-    pub use crate::proto::{
-        BoundsUpdate, MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION,
-    };
-    pub use crate::server::{JobServer, ServerConfig};
-    pub use crate::spec::{
-        CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome, Workload,
-    };
+    pub use crate::engine::ServiceState;
+    pub use crate::pool::DsePool;
+    pub use crate::proto::Request;
+    pub use crate::spec::{EngineSpec, JobSpec};
     pub use drmap_cnn::network::Network;
-    pub use drmap_store::store::Store;
-    pub use drmap_telemetry::{
-        Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SlowEntry,
-        SlowLog, Span, Trace,
-    };
 }

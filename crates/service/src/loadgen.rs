@@ -48,7 +48,7 @@ impl SplitMix64 {
     }
 
     /// A uniform draw from `[0, 1)` using the top 53 bits.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }

@@ -222,7 +222,7 @@ impl DsePool {
     }
 
     /// Number of worker threads.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 
@@ -332,14 +332,6 @@ impl DsePool {
                 );
             }
         }
-    }
-
-    /// Submit every job, then await every result: jobs and their layers
-    /// execute concurrently across the pool, results come back in
-    /// submission order.
-    pub fn run_batch(&self, specs: &[JobSpec]) -> Vec<Result<JobResult, ServiceError>> {
-        let pending: Vec<PendingJob> = specs.iter().map(|s| self.submit(s)).collect();
-        pending.into_iter().map(PendingJob::wait).collect()
     }
 }
 

@@ -100,11 +100,11 @@ pub fn capabilities(store_attached: bool) -> Vec<String> {
 /// intersection it advertises, so clients can tell a cluster tier from
 /// a single node.
 /// Backends never advertise it.
-pub const ROUTER_CAPABILITY: &str = "router";
+pub(crate) const ROUTER_CAPABILITY: &str = "router";
 
 /// The capability set a router advertises: the intersection of its
 /// healthy backends' capabilities — a verb is only promised when every
-/// node that might serve it understands it — plus [`ROUTER_CAPABILITY`].
+/// node that might serve it understands it — plus `ROUTER_CAPABILITY`.
 pub fn router_capabilities(backend_caps: &[Vec<String>]) -> Vec<String> {
     let mut caps: Vec<String> = match backend_caps.split_first() {
         None => Vec::new(),
@@ -132,19 +132,19 @@ pub struct BoundsUpdate {
 impl BoundsUpdate {
     /// True when the update changes nothing. Clients reject empty
     /// updates as usage errors rather than sending silent no-ops.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.max_entries.is_none() && self.max_bytes.is_none()
     }
 
     /// The entry-bound field in the cache's nested-option form:
     /// `None` keeps, `Some(None)` clears to unbounded, `Some(Some(n))`
     /// sets.
-    pub fn entries_action(&self) -> Option<Option<usize>> {
+    pub(crate) fn entries_action(&self) -> Option<Option<usize>> {
         Self::action(self.max_entries)
     }
 
     /// As [`BoundsUpdate::entries_action`], for the byte bound.
-    pub fn bytes_action(&self) -> Option<Option<usize>> {
+    pub(crate) fn bytes_action(&self) -> Option<Option<usize>> {
         Self::action(self.max_bytes)
     }
 
@@ -821,7 +821,8 @@ macro_rules! wire_messages {
         impl $Enum {
             /// The `hello` capability that advertises this verb
             /// (`None`: a baseline verb every server speaks).
-            pub fn capability(&self) -> Option<&'static str> {
+            #[cfg(test)]
+            pub(crate) fn capability(&self) -> Option<&'static str> {
                 match self {$(
                     $Enum::$Variant { .. } => $capability,
                 )*}

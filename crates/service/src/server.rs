@@ -383,7 +383,7 @@ fn threshold_ms(threshold_ns: u64) -> Option<u64> {
 /// A consistent snapshot of the server's counters and **active**
 /// configuration (live cache bounds), as carried by the typed `stats`
 /// response.
-pub fn stats_report(pool: &DsePool) -> StatsReport {
+pub(crate) fn stats_report(pool: &DsePool) -> StatsReport {
     let cache = pool.state().cache();
     let (max_entries, max_bytes) = cache.bounds();
     StatsReport {

@@ -46,7 +46,7 @@ impl CacheMode {
     pub const ALL: [CacheMode; 3] = [CacheMode::Default, CacheMode::Bypass, CacheMode::Refresh];
 
     /// Stable wire label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             CacheMode::Default => "default",
             CacheMode::Bypass => "bypass",

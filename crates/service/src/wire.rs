@@ -4,7 +4,7 @@
 //!
 //! Every protocol message is one JSON document on one line, terminated
 //! by `\n` — easy to drive from `nc`. Lines are capped at
-//! [`MAX_FRAME_BYTES`] so a newline-free stream cannot force an
+//! `MAX_FRAME_BYTES` so a newline-free stream cannot force an
 //! unbounded allocation. A message whose first byte is `0x00` — the
 //! marker of the length-prefixed binary frames this protocol once also
 //! spoke — is refused as a transport error that closes the connection:
@@ -53,7 +53,7 @@ fn timeout_aware(e: std::io::Error, context: &'static str) -> ServiceError {
 
 /// Upper bound on one text message, defending against a peer that
 /// never sends a newline.
-pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
 /// Write one message and flush: payload and terminator reach `writer`
 /// as **one** `write_all`. On a socket that is one segment train per
@@ -111,7 +111,7 @@ fn write_line(writer: &mut impl Write, frame: &mut String) -> Result<(), Service
 /// # Errors
 ///
 /// Propagates the OS's refusal of an option.
-pub fn configure_socket(
+pub(crate) fn configure_socket(
     stream: &TcpStream,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
@@ -127,7 +127,7 @@ pub fn configure_socket(
 /// (`0.0.0.0` / `::`) is not connectable on every platform, so it is
 /// poked via loopback instead; the attempt gives up after 200 ms and
 /// its outcome is ignored.
-pub fn wake_listener(mut addr: SocketAddr) {
+pub(crate) fn wake_listener(mut addr: SocketAddr) {
     if addr.ip().is_unspecified() {
         let loopback: IpAddr = if addr.is_ipv4() {
             Ipv4Addr::LOCALHOST.into()

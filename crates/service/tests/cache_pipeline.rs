@@ -156,9 +156,12 @@ fn concurrent_duplicate_shape_batch_computes_each_key_once() {
             JobSpec::layer(i + 1, EngineSpec::default(), layer)
         })
         .collect();
-    let results: Vec<_> = pool
-        .run_batch(&specs)
+    let results: Vec<_> = specs
+        .iter()
+        .map(|s| pool.submit(s))
+        .collect::<Vec<_>>()
         .into_iter()
+        .map(|job| job.wait())
         .collect::<Result<Vec<_>, _>>()
         .unwrap();
 

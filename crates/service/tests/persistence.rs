@@ -55,9 +55,12 @@ fn a_restarted_pool_serves_previous_results_from_disk() {
     let store = Arc::new(Store::open(&path).unwrap());
     let state = ServiceState::with_cache_and_store(CacheConfig::unbounded(), Some(store)).unwrap();
     let pool = DsePool::new(Arc::clone(&state), 2);
-    let first: Vec<_> = pool
-        .run_batch(&specs)
+    let first: Vec<_> = specs
+        .iter()
+        .map(|s| pool.submit(s))
+        .collect::<Vec<_>>()
         .into_iter()
+        .map(|job| job.wait())
         .map(|r| r.unwrap())
         .collect();
     assert_eq!(first.iter().map(|r| r.store_hits()).sum::<usize>(), 0);
@@ -76,9 +79,12 @@ fn a_restarted_pool_serves_previous_results_from_disk() {
     assert_eq!(store.len(), persisted, "the log survived the restart");
     let state = ServiceState::with_cache_and_store(CacheConfig::unbounded(), Some(store)).unwrap();
     let pool = DsePool::new(Arc::clone(&state), 2);
-    let second: Vec<_> = pool
-        .run_batch(&specs)
+    let second: Vec<_> = specs
+        .iter()
+        .map(|s| pool.submit(s))
+        .collect::<Vec<_>>()
         .into_iter()
+        .map(|job| job.wait())
         .map(|r| r.unwrap())
         .collect();
 
@@ -111,9 +117,12 @@ fn a_restarted_pool_serves_previous_results_from_disk() {
     let state = ServiceState::with_cache_and_store(CacheConfig::unbounded(), Some(store)).unwrap();
     assert_eq!(state.cache().warm_from_store(None), persisted);
     let pool = DsePool::new(Arc::clone(&state), 2);
-    let third: Vec<_> = pool
-        .run_batch(&specs)
+    let third: Vec<_> = specs
+        .iter()
+        .map(|s| pool.submit(s))
+        .collect::<Vec<_>>()
         .into_iter()
+        .map(|job| job.wait())
         .map(|r| r.unwrap())
         .collect();
     assert_eq!(

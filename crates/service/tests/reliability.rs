@@ -113,8 +113,12 @@ fn run_chaos() {
     let baseline: Vec<JobResult> = {
         let state = ServiceState::new().unwrap();
         let pool = DsePool::new(state, 2);
-        pool.run_batch(&specs)
+        specs
+            .iter()
+            .map(|s| pool.submit(s))
+            .collect::<Vec<_>>()
             .into_iter()
+            .map(|job| job.wait())
             .map(|r| r.expect("baseline job failed"))
             .collect()
     };

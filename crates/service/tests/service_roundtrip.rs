@@ -59,9 +59,12 @@ fn pooled_batch_matches_direct_engine_calls() {
         .map(|(i, net)| JobSpec::network(i as u64 + 1, engine_spec, net))
         .collect();
 
-    let results: Vec<JobResult> = pool
-        .run_batch(&specs)
+    let results: Vec<JobResult> = specs
+        .iter()
+        .map(|s| pool.submit(s))
+        .collect::<Vec<_>>()
         .into_iter()
+        .map(|job| job.wait())
         .map(Result::unwrap)
         .collect();
 

@@ -25,17 +25,17 @@ pub enum StoreError {
 
 impl StoreError {
     /// A corruption error with the given message.
-    pub fn corrupt(message: impl Into<String>) -> Self {
+    pub(crate) fn corrupt(message: impl Into<String>) -> Self {
         StoreError::Corrupt(message.into())
     }
 
     /// An invalid-input error with the given message.
-    pub fn invalid(message: impl Into<String>) -> Self {
+    pub(crate) fn invalid(message: impl Into<String>) -> Self {
         StoreError::InvalidInput(message.into())
     }
 
     /// An injected-fault error with the given message.
-    pub fn injected(message: impl Into<String>) -> Self {
+    pub(crate) fn injected(message: impl Into<String>) -> Self {
         StoreError::Injected(message.into())
     }
 }

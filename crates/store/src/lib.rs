@@ -45,10 +45,3 @@ pub mod error;
 pub mod record;
 pub mod store;
 pub mod verify;
-
-/// Convenient re-exports of the most commonly used types.
-pub mod prelude {
-    pub use crate::error::StoreError;
-    pub use crate::store::{CompactReport, Store, StoreStats};
-    pub use crate::verify::{verify, VerifyReport};
-}

@@ -24,19 +24,19 @@
 use std::io::{BufRead, Read};
 
 /// File magic: the first eight bytes of every store log.
-pub const MAGIC: [u8; 8] = *b"DRMAPWAL";
+pub(crate) const MAGIC: [u8; 8] = *b"DRMAPWAL";
 
 /// On-disk format version written into the header.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Total header length in bytes (magic + version).
 pub const HEADER_LEN: u64 = 12;
 
 /// Cap on a record's key, defending recovery against garbage lengths.
-pub const MAX_KEY_BYTES: usize = 64 * 1024;
+pub(crate) const MAX_KEY_BYTES: usize = 64 * 1024;
 
 /// Cap on a record's value, defending recovery against garbage lengths.
-pub const MAX_VALUE_BYTES: usize = 256 * 1024 * 1024;
+pub(crate) const MAX_VALUE_BYTES: usize = 256 * 1024 * 1024;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup tables
 /// for slicing-by-8, built at compile time. `CRC_TABLES[0]` is the
@@ -115,7 +115,7 @@ pub fn header() -> [u8; HEADER_LEN as usize] {
 /// # Errors
 ///
 /// Returns a description of the mismatch (wrong magic or version).
-pub fn check_header(bytes: &[u8]) -> Result<(), String> {
+pub(crate) fn check_header(bytes: &[u8]) -> Result<(), String> {
     if bytes.len() < HEADER_LEN as usize {
         return Err(format!(
             "file too short for a header: {} bytes",

@@ -39,8 +39,8 @@ use crate::record::{
 /// Key prefix reserved for system records. Nothing writes one today,
 /// but logs from older servers hold `~slow/` slow-trace records, so
 /// every reader treats the prefix as outside input: reserved keys live
-/// in the same log and index as data keys, but the warm-start surfaces
-/// — [`Store::keys_by_recency`] and [`Store::bulk_load`] — skip them,
+/// in the same log and index as data keys, but the warm-start surface,
+/// [`Store::bulk_load`], skips them,
 /// so a cache warming from the store never tries to decode a system
 /// record as a cached result.
 pub const RESERVED_KEY_PREFIX: &str = "~";
@@ -135,7 +135,7 @@ struct StoreMetrics {
     compact_ns: Arc<Histogram>,
 }
 
-/// Which public store operation a [`FaultHook`] is being consulted for.
+/// Which public store operation a `FaultHook` is being consulted for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreOp {
     /// [`Store::get`].
@@ -148,7 +148,7 @@ pub enum StoreOp {
 
 impl StoreOp {
     /// Stable lowercase name, for error messages and metrics labels.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             StoreOp::Get => "get",
             StoreOp::Put => "put",
@@ -157,7 +157,7 @@ impl StoreOp {
     }
 }
 
-/// What an attached [`FaultHook`] asks an operation to do: fail with an
+/// What an attached `FaultHook` asks an operation to do: fail with an
 /// [`StoreError::Injected`] error, or stall by the given jitter before
 /// proceeding. `None` from the hook means proceed untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,7 +172,7 @@ pub enum FaultDirective {
 /// [`Store::put`], and [`Store::compact`]. The store itself holds no
 /// fault policy — the hook decides (deterministically seeded, in the
 /// service layer), the store only obeys.
-pub type FaultHook = Box<dyn Fn(StoreOp) -> Option<FaultDirective> + Send + Sync>;
+pub(crate) type FaultHook = Box<dyn Fn(StoreOp) -> Option<FaultDirective> + Send + Sync>;
 
 /// A WAL-backed, content-addressed, crash-recovering key→bytes store.
 pub struct Store {
@@ -388,11 +388,6 @@ impl Store {
         }
     }
 
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Number of live keys.
     pub fn len(&self) -> usize {
         read_locked(&self.state).index.len()
@@ -401,11 +396,6 @@ impl Store {
     /// True when no live keys exist.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// True when `key` is live.
-    pub fn contains(&self, key: &str) -> bool {
-        read_locked(&self.state).index.contains_key(key)
     }
 
     /// Fetch the value last stored under `key`. Concurrent callers
@@ -524,22 +514,6 @@ impl Store {
             )));
         }
         Ok(())
-    }
-
-    /// Live keys ordered most-recently-written first — the "hot set"
-    /// a warm start loads front to back. Keys under
-    /// [`RESERVED_KEY_PREFIX`] are system records, not data, and are
-    /// skipped.
-    pub fn keys_by_recency(&self) -> Vec<String> {
-        let state = read_locked(&self.state);
-        let mut keys: Vec<(&String, u64)> = state
-            .index
-            .iter()
-            .filter(|(k, _)| !k.starts_with(RESERVED_KEY_PREFIX))
-            .map(|(k, e)| (k, e.seq))
-            .collect();
-        keys.sort_by_key(|&(_, seq)| std::cmp::Reverse(seq));
-        keys.into_iter().map(|(k, _)| k.clone()).collect()
     }
 
     /// Bulk-load up to `limit` of the most recently written live
@@ -744,6 +718,13 @@ impl Store {
 mod tests {
     use super::*;
 
+    /// Live data keys, most recently written first: the order a warm
+    /// start loads them in.
+    fn keys_by_recency(store: &Store) -> Vec<String> {
+        let loaded = store.bulk_load(None).unwrap();
+        loaded.entries.into_iter().map(|(k, _)| k).collect()
+    }
+
     fn temp_store_path(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("drmap-store-unit-{}-{tag}", std::process::id()));
@@ -806,7 +787,7 @@ mod tests {
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.recovered_bytes, 0);
         assert_eq!(
-            store.keys_by_recency(),
+            keys_by_recency(&store),
             vec!["a".to_owned(), "b".to_owned()]
         );
     }
@@ -1008,14 +989,8 @@ mod tests {
         store.put("data-b", b"beta").unwrap();
         store.put(&trace_1, b"trace-1").unwrap();
 
-        // Warm-start surfaces see only data keys.
-        assert_eq!(
-            store.keys_by_recency(),
-            vec!["data-b".to_owned(), "data-a".to_owned()]
-        );
-        let loaded = store.bulk_load(None).unwrap();
-        let keys: Vec<&str> = loaded.entries.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, vec!["data-b", "data-a"]);
+        // The warm-start surface sees only data keys.
+        assert_eq!(keys_by_recency(&store), ["data-b", "data-a"]);
         // A limit counts data entries, never silently spent on traces.
         assert_eq!(store.bulk_load(Some(2)).unwrap().entries.len(), 2);
 
@@ -1034,7 +1009,7 @@ mod tests {
         assert_eq!(store.get(&trace_0).unwrap().unwrap(), b"trace-0");
         store.compact().unwrap();
         assert_eq!(reserved(&store).len(), 2);
-        assert_eq!(store.keys_by_recency().len(), 2);
+        assert_eq!(keys_by_recency(&store).len(), 2);
     }
 
     #[test]
@@ -1066,10 +1041,10 @@ mod tests {
             );
         }
         // Recency order survives the rewrite and the next reopen.
-        assert_eq!(store.keys_by_recency()[0], "k7");
+        assert_eq!(keys_by_recency(&store)[0], "k7");
         drop(store);
         let reopened = Store::open(&path).unwrap();
-        assert_eq!(reopened.keys_by_recency()[0], "k7");
+        assert_eq!(keys_by_recency(&reopened)[0], "k7");
         assert_eq!(reopened.stats().records, 8);
     }
 }

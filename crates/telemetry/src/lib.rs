@@ -11,7 +11,7 @@
 //! * [`Counter`] / [`Gauge`] — monotonic and up/down atomics;
 //! * [`Histogram`] — a fixed-bucket **log-linear** latency histogram
 //!   (64 octaves × 8 sub-buckets over `u64` nanoseconds, ≤12.5%
-//!   relative bucket error). `record` is lock-free; [`Histogram::snapshot`]
+//!   relative bucket error). `record` is lock-free; `Histogram::snapshot`
 //!   yields a mergeable [`HistogramSnapshot`] exposing
 //!   p50/p95/p99/p999;
 //! * [`Span`] — an RAII timer (`Span::enter("explore", &hist)`) that
@@ -66,11 +66,6 @@ fn lock_recovered<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A fresh counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Add one.
     pub fn inc(&self) {
         self.add(1);
@@ -82,7 +77,7 @@ impl Counter {
     }
 
     /// The current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -93,18 +88,13 @@ impl Counter {
 pub struct Gauge(AtomicI64);
 
 impl Gauge {
-    /// A fresh gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Set the gauge to an absolute value.
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
     }
 
     /// Add `n` (may be negative).
-    pub fn add(&self, n: i64) {
+    pub(crate) fn add(&self, n: i64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -225,16 +215,11 @@ impl Histogram {
         }
     }
 
-    /// Total recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time copy of the distribution. Concurrent `record`
     /// calls may straddle the copy (a sample visible in `count` but not
     /// yet its bucket, or vice versa); the snapshot normalizes `count`
     /// to the bucket total so quantile walks are always consistent.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
         for (index, bucket) in self.buckets.iter().enumerate() {
             let n = bucket.load(Ordering::Relaxed);
@@ -274,17 +259,11 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The largest value that maps to bucket `index` — exposed so
-    /// codecs and expositions can label sparse buckets.
-    pub fn upper_bound(index: u32) -> u64 {
-        bucket_upper_bound(index as usize)
-    }
-
     /// The quantile `q` in `[0, 1]`, as the upper bound of the bucket
     /// containing that rank, clamped to the observed `[min, max]`. The
     /// log-linear layout bounds the relative error at 12.5%. Returns 0
     /// for an empty snapshot.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -299,7 +278,7 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Median (see [`HistogramSnapshot::quantile`]).
+    /// Median (see `HistogramSnapshot::quantile`).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
@@ -323,7 +302,7 @@ impl HistogramSnapshot {
     /// min/max/count/sum combine the obvious way). Merging is
     /// commutative and associative, so per-shard snapshots can be
     /// folded in any order.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
         let mut merged: Vec<(u32, u64)> = Vec::with_capacity(self.buckets.len());
         let (mut a, mut b) = (
             self.buckets.iter().peekable(),
@@ -404,7 +383,7 @@ impl MetricsRegistry {
 
     /// Milliseconds since the registry was created — the process uptime
     /// for a registry built at boot.
-    pub fn uptime_ms(&self) -> u64 {
+    pub(crate) fn uptime_ms(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
@@ -631,12 +610,12 @@ impl Trace {
     }
 
     /// The request id this trace belongs to.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
     /// Nanoseconds since the trace started.
-    pub fn elapsed_ns(&self) -> u64 {
+    pub(crate) fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
@@ -651,7 +630,7 @@ impl Trace {
     }
 
     /// The aggregated per-stage breakdown, in first-recorded order.
-    pub fn stages(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn stages(&self) -> Vec<(&'static str, u64)> {
         lock_recovered(&self.stages).clone()
     }
 }
@@ -854,7 +833,7 @@ mod tests {
         {
             let _span = Span::enter("stage", &hist).traced(Some(&trace));
         }
-        assert_eq!(hist.count(), 2);
+        assert_eq!(hist.snapshot().count, 2);
         let stages = trace.stages();
         assert_eq!(stages.len(), 1, "same-name stages aggregate");
         assert_eq!(stages[0].0, "stage");

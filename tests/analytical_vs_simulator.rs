@@ -154,3 +154,47 @@ fn drmap_stream_maximizes_hit_rate() {
         }
     }
 }
+
+/// Every DSE winner the repo ships — each layer of each zoo network on
+/// each architecture, 440 cases — replayed through the command-level
+/// simulator. On DDR3, SALP-1 and SALP-2 the analytical model that ranks
+/// the sweep must agree with the replay to 3 % in energy and 6 % in
+/// cycles.
+#[test]
+fn every_zoo_winner_agrees_with_the_simulator() {
+    let mut cases = 0;
+    for arch in DramArch::ALL {
+        let model = EdpModel::new(
+            Geometry::salp_2gb_x8(),
+            profiler().cost_table(arch),
+            AcceleratorConfig::table_ii(),
+        );
+        let engine = DseEngine::new(model, DseConfig::default());
+        let validator = Validator::table_ii(arch).expect("the Table II device is valid");
+        for (name, build) in Network::zoo() {
+            for layer in build().layers() {
+                let best = engine.explore_layer(layer).expect("layer explores").best;
+                let report = validator
+                    .validate(engine.model(), layer, &best)
+                    .expect("the winner replays");
+                let (energy, cycles) = (report.energy_ratio(), report.cycle_ratio());
+                let case = format!(
+                    "{arch} {name} {}: energy ratio {energy:.3}, cycle ratio {cycles:.3}",
+                    layer.name
+                );
+                if arch == DramArch::SalpMasa {
+                    // ROADMAP direction 1: the analytical model prices
+                    // SALP-MASA's open subarrays below what the simulator
+                    // charges. This pins today's band, so a fix has to
+                    // move it on purpose.
+                    assert!((0.42..=1.02).contains(&energy), "{case}");
+                } else {
+                    assert!((energy - 1.0).abs() <= 0.03, "{case}");
+                    assert!((cycles - 1.0).abs() <= 0.06, "{case}");
+                }
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 440);
+}
