@@ -15,18 +15,17 @@
 //! so no `Vec<Tiling>` is ever materialized — then schemes × mappings.
 //! Each piece of work is done at the depth that determines it:
 //!
-//! * per **sweep**: the burst size, and from the cost table alone a
-//!   *tile lower bound* — what any mapping's per-tile cost is at least
-//!   at a given burst count — with the check that it may be trusted;
+//! * per **engine**: from the cost table alone, a *tile lower bound* —
+//!   what any mapping's per-tile cost is at least at a given burst
+//!   count — and the one *trust rule* that decides whether any sweep may
+//!   skip anything;
 //! * per **axis**: every candidate step with its trip count (the walk's
 //!   only divisions);
 //! * per **layer**: the wghs tile of every `(tj, ti)` — its bytes, burst
-//!   count, whether it fits, and its lower bound — and, per `tj`, its
-//!   first fitting `ti` step and the suffix minima of the loop bounds'
-//!   wghs column below;
-//! * per **`(th, tw)`**: the ifms patch, for every `ti` the ifms tile's
-//!   bytes, burst count, fit and lower bound, its first fitting step and
-//!   the suffix minima of the loop bounds' ifms column;
+//!   count, whether it fits, and its lower bound — and, as each `tj`'s
+//!   row is built, its first fitting `ti` step and the suffix minima of
+//!   the loop bounds' wghs column;
+//! * per **`(th, tw)`**: the same for the ifms tiles of every `ti`;
 //! * per **`(th, tw, tj)`**: the loop's tilings, counted without a scan
 //!   (the `ti` steps from the later of the two first fits on; a loop
 //!   with none is passed over), the ofms tile's bytes, burst count, fit
@@ -42,22 +41,18 @@
 //!   on neither the layer, the data kind nor the scheme, so the engine
 //!   keeps each for its lifetime, in a slot per burst count that is
 //!   initialized once and read without a lock, shared by every sweep,
-//!   thread and clone; rows are counted from per-mapping plans built
-//!   once per engine. One pass over the zoo on SALP-2 reads 2,502 rows
+//!   thread and clone. One pass over the zoo on SALP-2 reads 2,502 rows
 //!   (the distinct burst counts of each sweep, summed), only 326 of them
 //!   distinct: a fresh engine builds those 326 and a warm one none.
 //!   [`DseEngine::best_over_tilings`] reads its mapping's column of the
 //!   same rows, whose floor is that mapping's own cost;
 //! * per **tiling**: three row lookups, `S = batch · n_h · n_w`, and
-//!   one bound — the floor row weighted by the least traffic any scheme
-//!   could cause — that often ends the tiling there. Otherwise the tile
-//!   traffic of all three concrete schemes in closed form
-//!   (`TrafficModel::concrete_traffic`'s
-//!   table), which makes adaptive-reuse an index (the first minimum of
-//!   the three);
-//! * per **(tiling, scheme) group**: one bound — the floor row weighted
-//!   by the group's traffic, the same expression as a real candidate —
-//!   that decides whether the group's mappings are scored at all;
+//!   one *tiling bound* that often ends the tiling there. Otherwise the
+//!   tile traffic of all three concrete schemes in closed form
+//!   (`TrafficModel::concrete_traffic`'s table), which makes
+//!   adaptive-reuse an index (the first minimum of the three);
+//! * per **(tiling, scheme) group**: one *group bound* that decides
+//!   whether the group's mappings are scored at all;
 //! * per **scored point**: four multiply-adds per coordinate
 //!   (`TileCosts::estimate`, the one place an estimate is assembled;
 //!   [`EdpModel::layer_breakdown`] goes through it too, so the sweep
@@ -69,123 +64,98 @@
 //!
 //! The sweep returns what scoring every point in order would return —
 //! same winner, same front, same labels — while scoring almost none of
-//! them. A `(tiling, scheme)` group is skipped in two cases:
+//! them. It skips in two ways, and only on a table the trust rule
+//! accepts.
 //!
-//! * **Duplicates.** Adaptive-reuse resolves, per tiling, to one of the
-//!   concrete schemes. When that scheme (or adaptive-reuse itself) was
-//!   already swept for this tiling — it comes earlier in
-//!   [`DseConfig::schemes`] — the group's candidates repeat earlier
-//!   estimates bit for bit, and a later equal never displaces an
-//!   earlier one: the incumbent changes on strict improvement only, and
-//!   [`ParetoFront::insert`] discards a point that an existing point
-//!   ties.
-//! * **The bound.** IEEE-754 `*` and `+` round monotonically, so over
-//!   finite non-negative operands they are non-decreasing in each
-//!   operand. The floor row is `<=` every mapping's row component by
-//!   component, hence the floor's estimate has `cycles` and `energy`
-//!   `<=` those of every candidate in the group — computed value for
-//!   computed value, not merely in exact arithmetic. All four
-//!   `Objective::score`s are products of those two and non-negative
-//!   constants, so they are monotone in both. And every candidate of
-//!   the group follows the incumbent in sweep order, so merely tying it
-//!   is not enough under the first-of-equals rule. Therefore, when the
-//!   floor scores `>=` the incumbent, no member can become the
-//!   incumbent, and the first global minimum is never skipped. Under
-//!   `keep_points` every point would also be offered to the front, so
-//!   the test is instead that a retained front point is no worse than
-//!   the floor in both coordinates: `insert` would then discard every
-//!   member (the relation is transitive), and no member can beat the
-//!   incumbent either, which scores no worse than any scored point,
-//!   that front point included.
+//! **Duplicates.** Adaptive-reuse resolves, per tiling, to one of the
+//! concrete schemes. When that scheme (or adaptive-reuse itself) was
+//! already swept for the tiling — it comes earlier in
+//! [`DseConfig::schemes`] — the group repeats earlier estimates bit for
+//! bit, and a later equal never displaces an earlier one: the incumbent
+//! changes on strict improvement only, and [`ParetoFront::insert`]
+//! discards a point that an existing point ties.
 //!
-//! A whole **tiling** is skipped by the same argument one loop level
-//! up. The floor row weighted by the component-wise *least* traffic of
-//! the three concrete schemes (`S·n_i` ifms loads, `n_j·n_i` wghs loads,
-//! no ofms loads, `S·n_j` ofms stores — each column's minimum in
-//! `concrete_traffic`'s table) is, by the monotonicity above, `<=` the
-//! bound of every group of the tiling in both coordinates. So when it
-//! already shuts the incumbent (or the front) out, every group's own
-//! bound would too, nothing of the tiling would have been scored and
-//! the incumbent would not have moved in between: all `schemes ×
-//! mappings` points are counted as covered and skipped without building
-//! the three traffics, resolving adaptive-reuse or evaluating a group
-//! bound. Being implied by the group bounds, the tiling-level bound
-//! changes what is computed and never what is counted — `evaluations`
-//! and the skipped count are what the group bounds alone produce, layer
-//! for layer.
+//! **Bounds.** A bound at a walk depth is one expression: a *lower-bound
+//! cost row* weighted by the *least traffic over the depth's subtree*,
+//! column by column, summed in `TileCosts::estimate`'s order.
 //!
-//! A whole **`ti` loop** — the tilings of one `(th, tw, tj)` — is
-//! skipped one level further up, before any of its rows exists. Its
-//! bounds take *tile lower bounds* where the levels below take floor
-//! rows. The closed form charges a tile's first burst as `dif_rows` and
-//! each of its other `u − 1` transitions to one class, so in exact
-//! arithmetic every mapping's cost of a `u`-burst tile is at least
+//! | depth | cost row | traffic, each column at its least over |
+//! |---|---|---|
+//! | group | the floor | the group (its own traffic) |
+//! | tiling | the floor | the three concrete schemes: `S·n_i` ifms and `n_j·n_i` wghs loads, no ofms loads, `S·n_j` stores |
+//! | `ti` loop, per concrete scheme | the tile lower bounds | the loop's tilings |
+//!
+//! The subtree is skipped when the bound *shuts out* what the sweep has
+//! found: it scores `>=` the incumbent (every member follows the
+//! incumbent in sweep order, so a tie cannot displace it), or, under
+//! `keep_points`, a retained front point is no worse in both coordinates
+//! (`insert` would discard every member, the relation being transitive,
+//! and the incumbent scores no worse than that point). A loop is
+//! skipped only when all three of its bounds shut out: adaptive-reuse
+//! resolves to one of them, and a duplicate is skipped anyway.
+//!
+//! Each bound is `<=` every member of its subtree in `cycles` and
+//! `energy` — computed value for computed value — and so under all four
+//! `Objective::score`s, which are products of the two and a non-negative
+//! clock. IEEE-754 `*` and `+` round monotonically, so over finite
+//! non-negative operands they are non-decreasing in each operand. The
+//! floor is `<=` every mapping's row component by component, and a
+//! group's traffic is its members' own, so the group bound is `<=` each
+//! member; the tiling's least traffic is `<=` every scheme's, so the
+//! tiling bound is `<=` each group bound. The closed form charges a
+//! tile's first burst as `dif_rows` and each of its other `u − 1`
+//! transitions to one class, so in exact arithmetic any mapping's cost
+//! of a `u`-burst tile, custom ones included, is at least
 //! `cost(dif_rows) + (u − 1) · min_class_cost`, per component and per
-//! direction, custom mappings included. The computed value of that
-//! expression is scaled by `1 − 2⁻⁴⁰` so that it stays `<=` every
-//! *computed* row. Every class cost is `0` or in `[2⁻¹⁰²², 2⁵¹²]` and
-//! every count below `2⁶⁴`, so no intermediate overflows (none exceeds
-//! `2⁵⁷⁷`) and none but the final scaling's result can be subnormal
-//! (products of a count and a cost, and sums of them, are `0` or at
-//! least `2⁻¹⁰²²`); a non-zero scaled value is at least `2⁻¹⁰²² (1 − 2⁻⁴⁰)`.
-//! So every rounding is a relative error of at most `2⁻⁵²`. A row is a
-//! sum of four non-negative products, so its computed value is at least
-//! its exact one times `(1 − 2⁻⁵²)⁵` (two roundings in each term: the
-//! count's conversion and the product; three in the sum); the bound is
-//! at most its exact value times `(1 + 2⁻⁵²)⁴ (1 − 2⁻⁴⁰)` (the
-//! conversion, the product, the sum and the scaling). Since
-//! `9 · 2⁻⁵² < 2⁻⁴⁰`, the second is below the first.
+//! direction; the tile lower bound is that value computed and scaled by
+//! `1 − 2⁻⁴⁰`. Each bound is implied by the ones below it, so the tiling
+//! and loop bounds change what is computed, never what is counted.
 //!
-//! The loop then has one bound **per concrete scheme**: that scheme's
-//! row of `concrete_traffic`'s table weighted by the lower bounds, each
-//! of the four columns at its least over the loop's tilings, summed in
-//! `TileCosts::estimate`'s order. Each least is found in O(1), because
-//! the tilings of a loop are a **suffix** of the descending `ti` axis:
-//! an ifms or wghs tile's bytes never shrink as `ti` grows, so a step
-//! fits wherever a larger one does, and the loop's tilings are its steps
-//! from `start = max(ifms_first, wghs_first)` on. Taken once per
-//! `(th, tw)`, the suffix minima of the ifms column `lb × S·n_i`, and
-//! once per `tj` those of the wghs column `lb × n_j·n_i`, are read at
-//! `start`; where a scheme loads more (`n_j` times the ifms tiles under
-//! wghs- and ofms-reuse, `S` times the wghs tiles under ifms- and
-//! ofms-reuse) the least is scaled. The ofms tile does not depend on
-//! `ti`, and `lb × count` is monotone in the count, so the ofms columns
-//! are least at the smallest trip count, `n_i` at `start`. A scaled
-//! column weighs a tile's bound as `(lb × S·n_i) × n_j` where the group
-//! bound has `floor × (S·n_i·n_j)`: one more conversion and one more
-//! product, so that term is at most its exact value times
-//! `(1 + 2⁻⁵²)⁸ (1 − 2⁻⁴⁰)` and the group's at least its own times
-//! `(1 − 2⁻⁵²)⁷` (the row's five, the conversion and the product), and
-//! `15 · 2⁻⁵² < 2⁻⁴⁰` still; the extra product by a count below `2⁶⁴`
-//! overflows nothing, and is exact where it could be subnormal (a count
-//! of one). So each bound is
-//! `<=` that scheme's group bound at every tiling of the loop. The loop
-//! is skipped only when all three shut out: adaptive-reuse resolves to
-//! one of them, and a duplicate is skipped anyway, so every group of the
-//! loop would have been skipped. Its tilings, `is.len() − start`, are
-//! counted without a scan.
+//! A loop's least columns cost O(1) because its tilings are a **suffix**
+//! of the descending `ti` axis: an ifms or wghs tile never shrinks as
+//! `ti` grows, so the loop's tilings are its steps from `start =
+//! max(ifms_first, wghs_first)` on. As the walk builds a row of tiles
+//! along the axis — each `tj`'s wghs row with `trips = n_j`, each `(th,
+//! tw)`'s ifms row with `trips = S` — every tile stores the suffix
+//! minimum of `lb × trips·n_i`, and the loop reads it at `start`. Where
+//! a scheme loads more (`n_j` times the ifms tiles under wghs- and
+//! ofms-reuse, `S` times the wghs tiles under ifms- and ofms-reuse) the
+//! least is scaled by that count. The ofms tile does not depend on `ti`,
+//! so its columns are least at the least trip count, `n_i` at `start`.
+//!
+//! **One rounding budget.** The tile lower bound is the one bound that
+//! is not the candidates' own expression, so it alone needs room for
+//! rounding. Under the trust rule every class cost is `0` or in
+//! `[2⁻¹⁰²², 2⁵¹²]` and every count below `2⁶⁴`, so nothing overflows
+//! (no sum reaches `2⁷⁰⁶`) and none but a scaled lower bound can be
+//! subnormal; every rounding is then a relative error of at most
+//! `ε = 2⁻⁵²`. A loop-bound term — the lower bound's conversion,
+//! product, sum and scaling, then up to two conversions and two products
+//! by trip counts — is at most its exact value times `(1 + ε)⁸ (1 −
+//! 2⁻⁴⁰)`. The group bound's term — a row's four products of a count and
+//! a cost (two roundings each, three in their sum), then one conversion
+//! and one product — is at least its exact value times `(1 − ε)⁷`. Since
+//! `15 ε < 2⁻⁴⁰`, the first is below the second, and sums taken in the
+//! same order keep the order. The unscaled columns and the tile-against-
+//! row check (`(1 + ε)⁴` against `(1 − ε)⁵`) take fewer roundings.
+//!
+//! **One trust rule**, decided once, in [`DseEngine::new`]: every class
+//! cost is `0` or a normal number in `(0, 2⁵¹²]`, and the clock is
+//! finite and non-negative ([`AccessCostTable::from_costs`] accepts
+//! anything). Such a table makes every row finite and non-negative —
+//! the precondition of the monotonicity argument. On any other table
+//! every point is scored, duplicates included, and nothing is skipped.
+//! The first group has no incumbent, so it is always scored.
 //!
 //! On the zoo on SALP-2 the loop bounds end 27,062 of 27,578 loops
 //! (195,924 tilings), and of the 3,537 tilings the 516 walked loops
-//! visit the tiling-level bound ends 2,602, so 935 reach the group
-//! bounds. On the 96 layers of `tests/data/big_layers.spec` they end
-//! 31,335 of 31,945 loops, and 3,403 of 239,519 tilings reach the
-//! groups.
-//!
-//! Nothing is skipped unless it is trusted. The tile lower bound, and
-//! with it the loop bounds, is trusted when every class cost of the
-//! table is `0` or a normal number in `(0, 2⁵¹²]` and the clock is
-//! finite and non-negative ([`AccessCostTable::from_costs`] accepts
-//! anything); such a table also makes every row finite and
-//! non-negative. Otherwise every loop is walked, and the tiling and
-//! group bounds still skip where every cost of the rows involved, and
-//! the clock, is finite and non-negative — checked once when a row is
-//! built. The first group has no incumbent, so it is always scored.
-//! On the four profiled architectures DRMap's row *is* the floor at
-//! every burst count the model zoo produces (`tests/drmap_optimality.rs`
-//! asserts it), so the group bound is the exact score of the group's
-//! best member and about 99.95 % of the zoo's 4.79 M design points are
-//! skipped.
+//! visit the tiling bound ends 2,602, so 935 reach the group bounds. On
+//! the 96 layers of `tests/data/big_layers.spec` they end 31,335 of
+//! 31,945 loops, and 3,403 of 239,519 tilings reach the groups. On the
+//! four profiled architectures DRMap's row *is* the floor at every burst
+//! count the model zoo produces (`tests/drmap_optimality.rs` asserts
+//! it), so the group bound is the exact score of the group's best member
+//! and about 99.95 % of the zoo's 4.79 M design points are skipped.
 //!
 //! [`LayerDseResult::evaluations`] counts the design points a sweep
 //! *covered* — scored, or proven unable to win — so it is the size of
@@ -526,6 +496,10 @@ struct Tile {
     /// What every mapping's `(read, write)` cost of the tile is at least
     /// ([`TileBound::at`]).
     lb: (AccessCost, AccessCost),
+    /// For an ifms or wghs tile, the component-wise least of the loop
+    /// bounds' column `lb.0 × trips·n_i` over its `ti` step and every
+    /// later one of its row ([`Sweep::ti_row`]); unused for ofms.
+    least: AccessCost,
 }
 
 /// What any mapping's per-tile cost is at least, known from the table
@@ -536,15 +510,15 @@ struct Tile {
 /// for any mapping, custom ones included.
 #[derive(Debug, Clone, Copy)]
 struct TileBound {
-    /// Bytes per burst, taken once per sweep.
+    /// Bytes per burst.
     burst_bytes: u64,
     /// The `(read, write)` `dif_rows` cost.
     first: (AccessCost, AccessCost),
     /// The component-wise least `(read, write)` class cost.
     step: (AccessCost, AccessCost),
     /// Every class cost is `0` or a normal number in `(0, 2^512]`, and
-    /// the clock is finite and non-negative: the bound may be trusted, and
-    /// so is every row (see the module docs).
+    /// the clock is finite and non-negative: the one rule under which a
+    /// sweep skips anything (see the module docs).
     trusted: bool,
 }
 
@@ -588,6 +562,7 @@ impl TileBound {
             bytes,
             units,
             lb: self.at(units),
+            least: INFINITE,
         }
     }
 }
@@ -601,17 +576,6 @@ struct CostRow {
     /// would charge if one mapping were cheapest in every component (on
     /// the profiled tables DRMap is, so the floor is DRMap's own cost).
     floor: (AccessCost, AccessCost),
-    /// Every cost in the row is finite and non-negative — the
-    /// precondition of the tiling and group bounds
-    /// ([`AccessCostTable::from_costs`] accepts anything).
-    bounded: bool,
-}
-
-/// Both directions' costs are finite and non-negative.
-fn finite_non_negative((read, write): &(AccessCost, AccessCost)) -> bool {
-    [read.cycles, read.energy, write.cycles, write.energy]
-        .iter()
-        .all(|x| x.is_finite() && *x >= 0.0)
 }
 
 /// One cost-row slot per burst count, initialised once (boxed, so that an
@@ -698,14 +662,7 @@ impl RowMemo {
         let floor = costs.iter().fold((INFINITE, INFINITE), |floor, cost| {
             (min_cost(floor.0, cost.0), min_cost(floor.1, cost.1))
         });
-        // `f64::min` ignores a NaN operand, so look at every cost, not at
-        // the floor (which is read from bounded rows only).
-        let bounded = costs.iter().all(finite_non_negative);
-        CostRow {
-            costs,
-            floor,
-            bounded,
-        }
+        CostRow { costs, floor }
     }
 
     /// How many rows have been built.
@@ -740,31 +697,22 @@ impl<'a> Rows<'a> {
         self.memo.row(units, self.table)
     }
 
-    /// The row's floor over the swept columns, or `None` when they cannot
-    /// serve as a bound. One column is its own floor, and bounded where
-    /// the whole row is.
+    /// The row's floor over the swept columns; one column is its own.
     #[inline]
-    fn floor(&self, row: &CostRow) -> Option<(AccessCost, AccessCost)> {
-        match self.column {
-            None => row.bounded.then_some(row.floor),
-            Some(column) => {
-                let cost = row.costs[column];
-                (row.bounded || finite_non_negative(&cost)).then_some(cost)
-            }
-        }
+    fn floor(&self, row: &CostRow) -> (AccessCost, AccessCost) {
+        self.column.map_or(row.floor, |column| row.costs[column])
     }
 
     /// Per-tile costs no swept mapping undercuts in any component, from
-    /// the cost rows of the ifms, wghs and ofms tile, or `None` when a
-    /// row cannot serve as a bound.
-    fn floor_costs(&self, [ifms, wghs, ofms]: [&CostRow; 3]) -> Option<TileCosts> {
-        let [ifms, wghs, ofms] = [self.floor(ifms)?, self.floor(wghs)?, self.floor(ofms)?];
-        Some(TileCosts {
+    /// the cost rows of the ifms, wghs and ofms tile.
+    fn floor_costs(&self, [ifms, wghs, ofms]: [&CostRow; 3]) -> TileCosts {
+        let [ifms, wghs, ofms] = [ifms, wghs, ofms].map(|row| self.floor(row));
+        TileCosts {
             ifms_read: ifms.0,
             wghs_read: wghs.0,
             ofms_read: ofms.0,
             ofms_write: ofms.1,
-        })
+        }
     }
 
     /// Per-tile costs under the mapping in sweep position `slot`, from the
@@ -777,30 +725,6 @@ impl<'a> Rows<'a> {
             ofms_read: ofms.costs[at].0,
             ofms_write: ofms.costs[at].1,
         }
-    }
-}
-
-/// Appends to `out`, one per step of the `ti` axis `is`, the suffix minima
-/// of `lower-bound read cost × per_trip · n_i` over the fitting `tiles`
-/// (aligned with `is`): entry `k` is the component-wise least over steps
-/// `k..`, so read at a loop's first tiling it is the least over the loop.
-fn push_suffix_minima(
-    out: &mut Vec<AccessCost>,
-    is: &[(usize, u64)],
-    tiles: &[Option<Tile>],
-    per_trip: u64,
-) {
-    let at = out.len();
-    out.resize(at + is.len(), INFINITE);
-    let mut least = INFINITE;
-    for ((&(_, n_i), tile), out) in is.iter().zip(tiles).zip(&mut out[at..]).rev() {
-        if let Some(tile) = tile {
-            // `TileCosts::components`' product, operand for operand.
-            let tiles = (per_trip * n_i) as f64;
-            least.cycles = least.cycles.min(tile.lb.0.cycles * tiles);
-            least.energy = least.energy.min(tile.lb.0.energy * tiles);
-        }
-        *out = least;
     }
 }
 
@@ -825,17 +749,9 @@ struct Sweep<'a> {
     keep_points: bool,
     batch: u64,
     t_ck_ns: f64,
-    /// A negative or NaN clock would break the scores' monotonicity.
-    clock_bounded: bool,
+    /// The engine's tile lower bound and trust rule.
     bound: TileBound,
     rows: Rows<'a>,
-    /// The ifms column's suffix minima (`per_trip = S`) for the last
-    /// `(th, tw)` seen (steps are at least 1, so `(0, 0)` before the
-    /// first).
-    ifms_least: ((usize, usize), Vec<AccessCost>),
-    /// The wghs column's (`per_trip = n_j`) for the layer: each `tj` in
-    /// the order first seen, and its minima in that order.
-    wghs_least: (Vec<usize>, Vec<AccessCost>),
     found: Accumulator,
     /// Tilings visited and `ti` loops walked.
     #[cfg(test)]
@@ -854,18 +770,14 @@ impl<'a> Sweep<'a> {
         keep_points: bool,
     ) -> Self {
         let model = &engine.model;
-        let t_ck_ns = model.table().t_ck_ns;
         Sweep {
             schemes,
             mappings,
             keep_points,
             batch: model.traffic_model().accelerator().batch as u64,
-            t_ck_ns,
-            clock_bounded: t_ck_ns.is_finite() && t_ck_ns >= 0.0,
-            bound: TileBound::new(model.geometry(), model.table()),
+            t_ck_ns: model.table().t_ck_ns,
+            bound: engine.bound,
             rows,
-            ifms_least: ((0, 0), Vec::new()),
-            wghs_least: (Vec::new(), Vec::new()),
             found: Accumulator {
                 objective: engine.config.objective,
                 evaluations: 0,
@@ -905,32 +817,21 @@ impl<'a> Sweep<'a> {
     /// loop's first, and summed in `TileCosts::estimate`'s order. Needs a
     /// trusted [`TileBound`].
     fn loop_bounds(
-        &mut self,
-        [(th, n_h), (tw, n_w), (tj, n_j)]: [(usize, u64); 3],
+        &self,
+        [(_, n_h), (_, n_w), (_, n_j)]: [(usize, u64); 3],
         is: &[(usize, u64)],
         [ifms, wghs]: [&[Option<Tile>]; 2],
         ofms: &Tile,
         tilings: usize,
     ) -> [EdpEstimate; 3] {
         let spatial = self.batch * n_h * n_w;
-        if self.ifms_least.0 != (th, tw) {
-            self.ifms_least.0 = (th, tw);
-            self.ifms_least.1.clear();
-            push_suffix_minima(&mut self.ifms_least.1, is, ifms, spatial);
-        }
-        let (steps, least) = &mut self.wghs_least;
-        let at = steps
-            .iter()
-            .position(|&step| step == tj)
-            .unwrap_or_else(|| {
-                steps.push(tj);
-                push_suffix_minima(least, is, wghs, n_j);
-                steps.len() - 1
-            });
         let start = is.len() - tilings;
+        let (Some(ifms), Some(wghs)) = (ifms[start], wghs[start]) else {
+            unreachable!("both tiles fit at a loop's first tiling");
+        };
         let lb = TileCosts {
-            ifms_read: self.ifms_least.1[start],
-            wghs_read: least[at * is.len() + start],
+            ifms_read: ifms.least,
+            wghs_read: wghs.least,
             ofms_read: ofms.lb.0,
             ofms_write: ofms.lb.1,
         };
@@ -965,6 +866,21 @@ impl TilingVisitor for Sweep<'_> {
 
     fn tile(&mut self, bytes: u64) -> Tile {
         self.bound.tile(bytes)
+    }
+
+    /// Each tile's suffix minimum of the loop bounds' column
+    /// `lb × trips·n_i`, so that a loop reads its least at its first step.
+    fn ti_row(&mut self, is: &[(usize, u64)], tiles: &mut [Option<Tile>], trips: u64) {
+        let mut least = INFINITE;
+        for (&(_, n_i), tile) in is.iter().zip(tiles).rev() {
+            if let Some(tile) = tile {
+                // `TileCosts::components`' product, operand for operand.
+                let loads = (trips * n_i) as f64;
+                least.cycles = least.cycles.min(tile.lb.0.cycles * loads);
+                least.energy = least.energy.min(tile.lb.0.energy * loads);
+                tile.least = least;
+            }
+        }
     }
 
     /// The loop bounds: implied by every group bound of the loop, so they
@@ -1007,7 +923,7 @@ impl TilingVisitor for Sweep<'_> {
         let (t_ck_ns, keep_points) = (self.t_ck_ns, self.keep_points);
         let spatial = self.batch * n_h * n_w;
         let rows = tiles.map(|tile| self.row(tile.units));
-        let floor = self.rows.floor_costs(rows).filter(|_| self.clock_bounded);
+        let floor = self.bound.trusted.then(|| self.rows.floor_costs(rows));
         let found = &mut self.found;
         let points = self.schemes.len() * self.mappings.len();
         found.evaluations += points;
@@ -1075,6 +991,8 @@ pub struct DseEngine {
     config: DseConfig,
     /// The cost rows of `config.mappings`, built on demand.
     memo: Arc<RowMemo>,
+    /// The tile lower bound, and whether the sweep may skip anything.
+    bound: TileBound,
     /// Every layer's cache key after its shape (see
     /// [`DseEngine::layer_key`]).
     key_suffix: Arc<str>,
@@ -1084,6 +1002,7 @@ impl DseEngine {
     /// Create an engine. No cost row is built until a sweep needs it.
     pub fn new(model: EdpModel, config: DseConfig) -> Self {
         let memo = Arc::new(RowMemo::new(&model, &config.mappings));
+        let bound = TileBound::new(model.geometry(), model.table());
         let mut key_suffix = String::new();
         write_key_suffix(
             &mut key_suffix,
@@ -1094,6 +1013,7 @@ impl DseEngine {
             model,
             config,
             memo,
+            bound,
             key_suffix: key_suffix.into(),
         }
     }

@@ -85,10 +85,11 @@ pub(super) fn naive_explore(e: &DseEngine, layer: &Layer) -> LayerDseResult {
 
 /// What the sweep must count: `(evaluations, pruned)` of a sweep over
 /// [`brute_force_tilings`] that skips a `(tiling, scheme)` group only as
-/// a duplicate or by its own bound — no tiling- or loop-level bound —
-/// with every cost from [`tile_cost`] and every point from
-/// [`DseEngine::evaluate`]. The bounds above the group bound are implied
-/// by it, so they may change what is computed but never these counts.
+/// a duplicate or by its own bound — no tiling- or loop-level bound — and
+/// only on a table the trust rule accepts, with every cost from
+/// [`tile_cost`] and every point from [`DseEngine::evaluate`]. The bounds
+/// above the group bound are implied by it, so they may change what is
+/// computed but never these counts.
 fn group_bound_reference(e: &DseEngine, layer: &Layer) -> (usize, usize) {
     let (model, config) = (e.model(), e.config());
     let traffic_model = model.traffic_model();
@@ -102,35 +103,32 @@ fn group_bound_reference(e: &DseEngine, layer: &Layer) -> (usize, usize) {
         best_score: 0.0,
         front: ParetoFront::new(),
     };
-    let usable = |x: f64| x.is_finite() && x >= 0.0;
-    // A tile's `(read, write)` floor over the swept mappings, if every
-    // one of their costs is usable.
+    // A tile's `(read, write)` floor over the swept mappings.
     let floor_of = |tiling: &Tiling, kind| {
         let units = bytes_to_bursts(tiling.tile_bytes(layer, &acc, kind), model.geometry());
-        let (mut floor, mut bounded) = ([INFINITE; 2], true);
+        let mut floor = [INFINITE; 2];
         for mapping in &config.mappings {
             for (floor, dir) in floor
                 .iter_mut()
                 .zip([RequestKind::Read, RequestKind::Write])
             {
                 let c = tile_cost(mapping, model.geometry(), units, model.table(), dir);
-                bounded &= usable(c.cycles) && usable(c.energy);
                 floor.cycles = floor.cycles.min(c.cycles);
                 floor.energy = floor.energy.min(c.energy);
             }
         }
-        bounded.then_some((floor[0], floor[1]))
+        (floor[0], floor[1])
     };
     for tiling in brute_force_tilings(layer, &acc) {
-        let floor = match DataKind::ALL.map(|kind| floor_of(&tiling, kind)) {
-            [Some(ifms), Some(wghs), Some(ofms)] if usable(t_ck_ns) => Some(TileCosts {
+        let floor = e.bound.trusted.then(|| {
+            let [ifms, wghs, ofms] = DataKind::ALL.map(|kind| floor_of(&tiling, kind));
+            TileCosts {
                 ifms_read: ifms.0,
                 wghs_read: wghs.0,
                 ofms_read: ofms.0,
                 ofms_write: ofms.1,
-            }),
-            _ => None,
-        };
+            }
+        });
         let mut covered = [false; 3];
         for &scheme in &config.schemes {
             let concrete = traffic_model.resolve_adaptive(layer, &tiling, scheme);
@@ -279,6 +277,27 @@ fn table_strategy() -> impl Strategy<Value = AccessCostTable> {
         random_costs().prop_map(move |(mut read, write)| {
             read[1] = cost(-3.0, 1.0);
             table(read, write)
+        }),
+        // One class cost the trust rule refuses — NaN, ±∞, a subnormal,
+        // a value above 2⁵¹² — or −0.0, which it accepts (`x == 0.0`).
+        (random_costs(), 0usize..16, 0usize..6).prop_map(move |((mut read, mut write), at, x)| {
+            let x = [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1e-310,
+                1e200,
+                -0.0,
+            ][x];
+            let costs = if at < 8 { &mut read } else { &mut write };
+            let cost = &mut costs[at / 2 % 4];
+            *[&mut cost.cycles, &mut cost.energy][at % 2] = x;
+            table(read, write)
+        }),
+        // A clock the trust rule refuses.
+        (random_costs(), 0usize..3).prop_map(|((read, write), clock)| {
+            let t_ck_ns = [f64::NAN, -1.0, f64::INFINITY][clock];
+            AccessCostTable::from_costs(DramArch::Ddr3, read, write, t_ck_ns)
         }),
     ]
 }
@@ -446,14 +465,15 @@ fn scheme_bounds(
     })
 }
 
-/// Holds every fitting tile's lower bound against its row's floor, every
-/// seventh tiling's bounds, computed from the sweep's own hoists (the
-/// walk's trip counts and tiles, [`RowMemo`], [`Rows::floor_costs`]), against
-/// each member of each of the tiling's groups, and every `ti` loop's
-/// tiling count against [`loop_tilings`] and its bounds per scheme
-/// ([`Sweep::loop_bounds`], read in O(1) at the loop's first tiling)
-/// against that scheme's group bound at each of its tilings, and, up to
-/// rounding, against [`scheme_bounds`]' scan. Each of these breaks it:
+/// On a trusted table, holds every row finite and non-negative and every
+/// fitting tile's lower bound against its row's floor, every seventh
+/// tiling's bounds, computed from the sweep's own hoists (the walk's trip
+/// counts and tiles, [`RowMemo`], [`Rows::floor_costs`]), against each
+/// member of each of the tiling's groups, and every `ti` loop's bounds per
+/// scheme ([`Sweep::loop_bounds`], read in O(1) at the loop's first
+/// tiling) against that scheme's group bound at each of its tilings, and,
+/// up to rounding, against [`scheme_bounds`]' scan; on any table, every
+/// loop's tiling count against [`loop_tilings`]. Each of these breaks it:
 /// suffix minima taken as prefix minima, a loop started at its first ifms
 /// fit alone, ofms columns taken at the largest `n_i`.
 struct BoundCheck<'a> {
@@ -465,7 +485,7 @@ struct BoundCheck<'a> {
 
 impl BoundCheck<'_> {
     /// The exact floor of each of `tiles`, building its row if need be.
-    fn floor(&mut self, tiles: [Tile; 3]) -> Option<TileCosts> {
+    fn floor(&mut self, tiles: [Tile; 3]) -> TileCosts {
         let rows = tiles.map(|tile| self.sweep.row(tile.units));
         self.sweep.rows.floor_costs(rows)
     }
@@ -474,18 +494,27 @@ impl BoundCheck<'_> {
 impl TilingVisitor for BoundCheck<'_> {
     type Tile = Tile;
 
-    /// Every fitting tile's lower bound against its row's floor, read and
-    /// write — so against every swept mapping's cost.
+    /// Every fitting tile's row finite and non-negative, and its lower
+    /// bound against the row's floor, read and write — so against every
+    /// swept mapping's cost.
     fn tile(&mut self, bytes: u64) -> Tile {
         let tile = self.sweep.tile(bytes);
         if self.sweep.bound.trusted {
             let row = self.sweep.row(tile.units);
-            assert!(row.bounded, "a trusted table makes every row bounded");
+            for (read, write) in &row.costs {
+                for x in [read.cycles, read.energy, write.cycles, write.energy] {
+                    assert!(x.is_finite() && x >= 0.0, "a trusted table's row holds {x}");
+                }
+            }
             for (lb, floor) in [(tile.lb.0, row.floor.0), (tile.lb.1, row.floor.1)] {
                 assert!(lb.cycles <= floor.cycles && lb.energy <= floor.energy);
             }
         }
         tile
+    }
+
+    fn ti_row(&mut self, is: &[(usize, u64)], tiles: &mut [Option<Tile>], trips: u64) {
+        self.sweep.ti_row(is, tiles, trips);
     }
 
     /// Every loop's tiling count against a scan, and its bound per scheme
@@ -525,9 +554,7 @@ impl TilingVisitor for BoundCheck<'_> {
             let (Some(ifms), Some(wghs)) = (*ifms, *wghs) else {
                 continue;
             };
-            let floor = self
-                .floor([ifms, wghs, ofms])
-                .expect("a trusted table makes every row bounded");
+            let floor = self.floor([ifms, wghs, ofms]);
             for (bound, traffic) in per_scheme.iter().zip(&traffic_of_trips(spatial, n_j, n_i)) {
                 assert_no_worse(bound, &floor.estimate(traffic, t_ck_ns));
             }
@@ -537,12 +564,10 @@ impl TilingVisitor for BoundCheck<'_> {
 
     fn tiling(&mut self, tiling: Tiling, [n_h, n_w, n_j, n_i]: [u64; 4], tiles: [Tile; 3]) {
         self.visited += 1;
-        if self.visited % 7 != 1 {
+        if self.visited % 7 != 1 || !self.sweep.bound.trusted {
             return;
         }
-        let Some(floor) = self.floor(tiles) else {
-            return;
-        };
+        let floor = self.floor(tiles);
         let t_ck_ns = self.e.model().table().t_ck_ns;
         let spatial = self.e.model().traffic_model().accelerator().batch as u64 * n_h * n_w;
         let tiling_bound = floor.estimate(&least_traffic(spatial, n_j, n_i), t_ck_ns);
@@ -620,14 +645,21 @@ fn engine_on(table: AccessCostTable, config: DseConfig) -> DseEngine {
 
 #[test]
 fn rows_the_bound_cannot_trust_disable_every_skip() {
-    // Every tile opens with one `dif_rows` access, so an unusable
-    // `dif_rows` read cost makes every row unusable; so does the clock.
+    // A table outside the trust rule is swept point by point, duplicates
+    // included, whatever its rows: an unusable `dif_rows` read cost makes
+    // every row unusable (every tile opens with one), and so does the
+    // clock.
     let good = [
         cost(4.0, 1.0),
         cost(6.0, 2.0),
         cost(40.0, 5.0),
         cost(42.0, 6.0),
     ];
+    let table = |class: usize, bad, t_ck_ns| {
+        let mut read = good;
+        read[class] = bad;
+        AccessCostTable::from_costs(DramArch::Ddr3, read, good, t_ck_ns)
+    };
     for (dif_rows, t_ck_ns) in [
         (cost(-1e9, 1.0), 1.25),
         (cost(f64::INFINITY, 1.0), 1.25),
@@ -635,39 +667,20 @@ fn rows_the_bound_cannot_trust_disable_every_skip() {
         (cost(42.0, 6.0), -1.25),
         (cost(42.0, 6.0), f64::NAN),
     ] {
-        let mut read = good;
-        read[3] = dif_rows;
-        let table = AccessCostTable::from_costs(DramArch::Ddr3, read, good, t_ck_ns);
-        let (swept, pruned) = engine_on(table, DseConfig::default())
+        let (swept, pruned) = engine_on(table(3, dif_rows, t_ck_ns), DseConfig::default())
             .explore_layer_counted(&conv3())
             .unwrap();
         assert_eq!(pruned, 0, "{dif_rows:?} at t_ck {t_ck_ns}");
         assert!(swept.evaluations > 0);
     }
-}
-
-#[test]
-fn a_loop_mixing_trusted_and_untrusted_rows_is_walked_tiling_by_tiling() {
     // A negative `dif_banks` read cost drives every row with a bank
     // transition below zero. Under Mapping-6 (bank innermost) that is
-    // every row past one burst: 1-burst rows are bounded, longer ones are
-    // not. With `h = w = 1` and 1×1 kernels an ifms tile is `ti` bytes
-    // and a wghs tile `tj · ti`: the first layer's loops mix the two among
-    // their ifms tiles, the second's at `tj = 2` among their wghs tiles,
-    // and its `tj = 1` loop is all 1-burst rows. The table fails the
-    // trust rule, so every loop is walked and only the tiling and group
-    // bounds of bounded rows skip anything. The untrusted tilings score
-    // below zero, so skipping one would change the winner.
-    let good = [
-        cost(4.0, 1.0),
-        cost(6.0, 2.0),
-        cost(40.0, 5.0),
-        cost(42.0, 6.0),
-    ];
-    let mut read = good;
-    read[1] = cost(-1e6, 1.0);
-    let table = AccessCostTable::from_costs(DramArch::Ddr3, read, good, 1.25);
-    let mut pruned_somewhere = false;
+    // every row past one burst, so these layers' `ti` loops mix rows that
+    // are finite and non-negative with rows that are not: with
+    // `h = w = 1` and 1×1 kernels an ifms tile is `ti` bytes and a wghs
+    // tile `tj · ti`. The negative tilings score below zero, so skipping
+    // one would change the winner; nothing is skipped at all.
+    let mixed = table(1, cost(-1e6, 1.0), 1.25);
     for layer in [
         Layer::conv("mixed", 1, 1, 2, 16, 1, 1, 1),
         Layer::conv("mixed-wghs", 1, 1, 16, 8, 1, 1, 1),
@@ -679,16 +692,13 @@ fn a_loop_mixing_trusted_and_untrusted_rows_is_walked_tiling_by_tiling() {
                     keep_points,
                     ..DseConfig::default()
                 };
-                let e = engine_on(table.clone(), config);
+                let e = engine_on(mixed.clone(), config);
                 let (swept, pruned) = e.explore_layer_counted(&layer).unwrap();
+                assert_eq!(pruned, 0, "{} {objective:?}", layer.name);
                 assert_results_bit_identical(&swept, &naive_explore(&e, &layer));
-                let counts = (swept.evaluations, pruned);
-                assert_eq!(counts, group_bound_reference(&e, &layer), "{objective:?}");
-                pruned_somewhere |= pruned > 0;
             }
         }
     }
-    assert!(pruned_somewhere);
 }
 
 /// A table of uniformly drawn class costs, `[0, 50)` cycles and
@@ -776,6 +786,15 @@ fn tables_outside_the_trust_rule_are_refused() {
     for t_ck_ns in [-1.25, f64::NAN, f64::INFINITY] {
         assert!(!trusted(good, good, t_ck_ns), "clock {t_ck_ns}");
     }
+    // −0.0 is `0`: the rule accepts it, and the sweep still skips.
+    let mut signed_zero = good;
+    signed_zero[0] = cost(-0.0, -0.0);
+    assert!(trusted(signed_zero, good, 1.25));
+    let table = AccessCostTable::from_costs(DramArch::Ddr3, signed_zero, good, 1.25);
+    let e = engine_on(table, DseConfig::default());
+    let (swept, pruned) = e.explore_layer_counted(&conv3()).unwrap();
+    assert!(pruned > 0);
+    assert_results_bit_identical(&swept, &naive_explore(&e, &conv3()));
 }
 
 #[test]

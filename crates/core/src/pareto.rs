@@ -32,7 +32,8 @@ impl DesignPoint {
 }
 
 /// Extract the Pareto-optimal subset (minimizing energy and latency),
-/// sorted by ascending latency.
+/// sorted by ascending latency. A point with a NaN coordinate is
+/// comparable to none and never kept.
 ///
 /// # Examples
 ///
@@ -53,7 +54,7 @@ impl DesignPoint {
 /// assert_eq!(front[0].label, "fast-hungry");
 /// ```
 pub fn pareto_front(points: &[DesignPoint]) -> Vec<DesignPoint> {
-    let mut sorted: Vec<&DesignPoint> = points.iter().collect();
+    let mut sorted: Vec<&DesignPoint> = points.iter().filter(|p| !is_nan(&p.estimate)).collect();
     sorted.sort_by(|a, b| {
         a.estimate
             .cycles
@@ -69,12 +70,16 @@ pub fn pareto_front(points: &[DesignPoint]) -> Vec<DesignPoint> {
     let mut front: Vec<DesignPoint> = Vec::new();
     let mut best_energy = f64::INFINITY;
     for p in sorted {
-        if p.estimate.energy < best_energy {
+        if front.is_empty() || p.estimate.energy < best_energy {
             best_energy = p.estimate.energy;
             front.push(p.clone());
         }
     }
     front
+}
+
+fn is_nan(estimate: &EdpEstimate) -> bool {
+    estimate.cycles.is_nan() || estimate.energy.is_nan()
 }
 
 /// An incremental Pareto-front builder over (energy, cycles).
@@ -128,10 +133,11 @@ impl<T> ParetoFront<T> {
     /// Offer a point to the front. Returns `false` (discarding the
     /// point) if an existing point is no worse in both energy and
     /// cycles — including an exact tie, so the earliest-inserted of
-    /// equal points survives. Otherwise the point joins the front and
-    /// every existing point it weakly dominates is removed.
+    /// equal points survives — or a coordinate is NaN. Otherwise the
+    /// point joins the front and every existing point it weakly dominates
+    /// is removed.
     pub fn insert(&mut self, estimate: EdpEstimate, tag: T) -> bool {
-        if self.covers(&estimate) {
+        if is_nan(&estimate) || self.covers(&estimate) {
             return false;
         }
         self.points
@@ -286,6 +292,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// NaN and infinite coordinates: both paths drop a NaN point and keep
+    /// an infinite one that nothing covers.
+    #[test]
+    fn incremental_front_matches_batch_off_the_finite_numbers() {
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 3.0];
+        for seed in [5u64, 41, 2026] {
+            let mut coords = cloud(60, seed);
+            for (k, (c, e)) in coords.iter_mut().enumerate().step_by(3) {
+                *[c, e][k % 2] = specials[k % 4];
+            }
+            let points: Vec<DesignPoint> = coords
+                .iter()
+                .enumerate()
+                .map(|(i, &(c, e))| mk(&format!("p{i}"), c, e))
+                .collect();
+            let mut builder = ParetoFront::new();
+            for (i, point) in points.iter().enumerate() {
+                builder.insert(point.estimate, i);
+            }
+            let incremental = builder.into_design_points(|&i| format!("p{i}"));
+            assert_eq!(incremental, pareto_front(&points), "seed {seed}");
+            assert!(incremental.iter().all(|p| !is_nan(&p.estimate)));
+        }
+        let all_infinite = [mk("a", 1.0, f64::INFINITY), mk("b", 2.0, f64::INFINITY)];
+        assert_eq!(pareto_front(&all_infinite), all_infinite[..1]);
+        assert!(pareto_front(&[mk("nan", f64::NAN, 1.0)]).is_empty());
     }
 
     #[test]

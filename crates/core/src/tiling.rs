@@ -146,6 +146,13 @@ pub(crate) trait TilingVisitor {
     /// `(th, tw, tj)` whose `ti` loop has a feasible tiling.
     fn tile(&mut self, bytes: u64) -> Self::Tile;
 
+    /// Once per row of tiles along the `ti` axis `is`, as soon as
+    /// [`TilingVisitor::tile`] has made it (aligned with the axis, `None`
+    /// where one overflows): each `tj`'s wghs row before the walk, with
+    /// `trips = n_j`, and each `(th, tw)`'s ifms row on entering it, with
+    /// `trips = batch · n_h · n_w` — the row's loads per `ti` trip.
+    fn ti_row(&mut self, _is: &[(usize, u64)], _tiles: &mut [Option<Self::Tile>], _trips: u64) {}
+
     /// Before the `ti` loop of a `(th, tw, tj)` whose ofms tile fits: the
     /// three steps and the `ti` axis, each step with its trip count, the
     /// loop's ifms and wghs tiles (aligned with the axis, `None` where one
@@ -215,9 +222,11 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
         (bytes <= acc.buffer_bytes(kind) as u64).then(|| visitor.tile(bytes))
     };
     let mut wghs = Vec::with_capacity(js.len() * is.len());
-    for &(tj, _) in &js {
+    for &(tj, n_j) in &js {
+        let at = wghs.len();
         let tile = |&(ti, _)| fitting(visitor, DataKind::Wghs, Tiling::new(1, 1, tj, ti));
         wghs.extend(is.iter().map(tile));
+        visitor.ti_row(&is, &mut wghs[at..], n_j);
     }
     let first_fit = |tiles: &[Option<V::Tile>]| tiles.iter().take_while(|t| t.is_none()).count();
     let wghs: Vec<_> = wghs.chunks(is.len()).map(|c| (first_fit(c), c)).collect();
@@ -228,6 +237,7 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
             ifms.clear();
             let tile = |&(ti, _)| fitting(visitor, DataKind::Ifms, Tiling::new(th, tw, 1, ti));
             ifms.extend(is.iter().map(tile));
+            visitor.ti_row(&is, &mut ifms, acc.batch as u64 * n_h * n_w);
             let ifms_first = first_fit(&ifms);
             for (&(tj, n_j), &(wghs_first, wghs)) in js.iter().zip(&wghs) {
                 let start = ifms_first.max(wghs_first);

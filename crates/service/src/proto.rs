@@ -719,19 +719,19 @@ macro_rules! id_of {
 /// literal that both destructures a value (write) and rebuilds it from
 /// the fields read (read); the short form derives it from the rows,
 /// the long form spells it out — for nested destructuring — and names
-/// the value so `out` rows can call its methods. A trailing `validate`
-/// checks the decoded value with the type's `validate(&self, &Json)`.
+/// the value so `out` rows can call its methods. A trailing path names
+/// a `fn(&Ty, &Json) -> Result<(), String>` that checks the decoded value.
 macro_rules! wire_object {
     ($what:literal $Ty:ident => {
         $($mode:ident $field:ident $(as $name:literal)?),* $(,)?
-    } $($validate:ident)?) => {
+    } $($validate:path)?) => {
         wire_object!(_this: $what $Ty { $($field),* } => {
             $($mode $field $(as $name)?),*
         } $($validate)?);
     };
     ($this:ident: $what:literal $Ty:ident $shape:tt => {
         $($mode:ident $field:tt $(as $name:literal)? $(= $value:expr)?),* $(,)?
-    } $($validate:ident)?) => {
+    } $($validate:path)?) => {
         impl Members for $Ty {
             fn members<S: JsonSink>(&self, out: &mut S) {
                 let $this = self;
@@ -749,7 +749,7 @@ macro_rules! wire_object {
                 let r = Reader::object(v, $what)?;
                 $( get!(r, $mode $field $(as $name)? $(= $value)?); )*
                 let value = $Ty $shape;
-                $( value.$validate(v)?; )?
+                $( $validate(&value, v)?; )?
                 Ok(value)
             }
         }
@@ -873,7 +873,13 @@ wire_object! { h: "histogram" HistogramSnapshot { count, sum, min, max, buckets 
     req count, req sum, req min, req max,
     out "p50" = h.p50(), out "p95" = h.p95(), out "p99" = h.p99(), out "p999" = h.p999(),
     req buckets,
-}}
+} histogram_buckets }
+
+/// The rule the histogram's rows cannot state: its buckets are ones a
+/// histogram has, in the order it keeps them.
+fn histogram_buckets(h: &HistogramSnapshot, _: &Json) -> Result<(), String> {
+    h.check_buckets()
+}
 
 wire_object! { "slow entry" SlowEntry => { req trace_id, req total_ns, req stages }}
 
@@ -889,7 +895,7 @@ wire_object! { "engine" EngineSpec => { def arch, def objective }}
 
 wire_object! { "options" JobOptions => {
     skip cache, skip keep_points, skip deadline_ms,
-} validate }
+} JobOptions::validate }
 
 impl JobOptions {
     /// The rules the option rows cannot state.
@@ -1539,6 +1545,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn histogram_buckets_a_histogram_cannot_have_are_refused() {
+        let golden = GOLDEN
+            .lines()
+            .find(|l| l.contains(r#""type":"metrics","ok":true"#))
+            .unwrap();
+        let with = |buckets: &str| golden.replace(r#""buckets":[[79,1],[167,1]]"#, buckets);
+        assert_ne!(with(""), golden, "the golden metrics line has the buckets");
+        for bad in [
+            "[[4000000000,1]]",
+            "[[496,1]]",
+            "[[167,1],[79,1]]",
+            "[[79,1],[79,1]]",
+        ] {
+            let line = with(&format!(r#""buckets":{bad}"#));
+            let err = Response::decode(&Json::parse(&line).unwrap()).unwrap_err();
+            assert!(err.to_string().contains(r#""buckets""#), "{bad}: {err}");
+        }
+        let top = with(r#""buckets":[[0,1],[495,1]]"#);
+        assert!(Response::decode(&Json::parse(&top).unwrap()).is_ok());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Reliability integration tests over live sockets: chaos (a seeded
 //! fault plan against a fixed load plan), a dropped frame against the
-//! client's read timeout, graceful-shutdown drain, and the wire-level
+//! client's read timeout, a peer that never reads against its write
+//! timeout, graceful-shutdown drain, and the wire-level
 //! `deadline_exceeded` response.
 //!
 //! The chaos test asserts the contract `docs/RELIABILITY.md` promises:
@@ -21,6 +22,7 @@ use drmap_service::client::{Client, ClientConfig};
 use drmap_service::engine::ServiceState;
 use drmap_service::error::ServiceError;
 use drmap_service::faults::{FaultPlan, FAULTS_COMPILED_IN};
+use drmap_service::json::Json;
 use drmap_service::loadgen::default_catalog;
 use drmap_service::pool::DsePool;
 use drmap_service::proto::{MetricsReport, Request};
@@ -258,6 +260,35 @@ fn a_dropped_frame_surfaces_as_a_typed_client_timeout() {
     pool.state().faults().set_plan(None).unwrap();
     Client::connect(addr).unwrap().shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// A peer that accepts but never reads: once the socket buffers fill,
+/// a client whose write timeout is set gets the typed `Timeout` instead
+/// of blocking forever in a write.
+#[test]
+fn a_peer_that_never_reads_surfaces_as_a_typed_write_timeout() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let config = ClientConfig {
+        write_timeout: Some(Duration::from_millis(100)),
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(listener.local_addr().unwrap(), config).unwrap();
+    let (_never_read, _) = listener.accept().unwrap();
+    // 256 KiB a frame: the kernel's buffers hold a few MiB at most.
+    let frame = Json::str("x".repeat(1 << 18));
+    let started = Instant::now();
+    for written in 0..1024 {
+        match client.send(&frame) {
+            Ok(()) => {}
+            Err(ServiceError::Timeout(_)) => {
+                assert!(written > 0, "the first frame fits the buffers");
+                assert!(started.elapsed() < Duration::from_secs(30));
+                return;
+            }
+            Err(other) => panic!("expected a typed timeout, got {other:?}"),
+        }
+    }
+    panic!("1024 frames (256 MiB) written to a peer that never reads");
 }
 
 // ---------------------------------------------------------------------

@@ -278,6 +278,30 @@ impl HistogramSnapshot {
         self.max
     }
 
+    /// Checks what a decoded snapshot cannot be trusted with: every
+    /// bucket index is below the layout's bucket count, and the indices
+    /// ascend strictly, as `quantile` and `merge` assume.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `"buckets"` and the first index that breaks
+    /// either rule.
+    pub fn check_buckets(&self) -> Result<(), String> {
+        let mut last = None;
+        for &(index, _) in &self.buckets {
+            if index as usize >= BUCKETS {
+                return Err(format!("\"buckets\" index {index} is not below {BUCKETS}"));
+            }
+            if let Some(last) = last.filter(|&last| index <= last) {
+                return Err(format!(
+                    "\"buckets\" indices must ascend strictly: {index} follows {last}"
+                ));
+            }
+            last = Some(index);
+        }
+        Ok(())
+    }
+
     /// Median (see `HistogramSnapshot::quantile`).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)

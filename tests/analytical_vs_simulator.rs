@@ -198,3 +198,61 @@ fn every_zoo_winner_agrees_with_the_simulator() {
     }
     assert_eq!(cases, 440);
 }
+
+/// The paper's central claim, judged by the reference model on every
+/// layer the repo ships: for each of the 440 zoo × architecture cases,
+/// each Table I mapping's analytical best over tilings × schemes is
+/// replayed through the command-level simulator, and DRMap's simulated
+/// EDP is within 1e-3 of the best of the six.
+#[test]
+#[ignore = "2,640 per-mapping sweeps and replays; seconds in release"]
+fn drmap_is_the_best_simulated_mapping_on_every_zoo_case() {
+    let mut cases = 0;
+    let mut worst: (f64, String) = (0.0, String::new());
+    for arch in DramArch::ALL {
+        let model = EdpModel::new(
+            Geometry::salp_2gb_x8(),
+            profiler().cost_table(arch),
+            AcceleratorConfig::table_ii(),
+        );
+        let engines = MappingPolicy::table_i().map(|mapping| {
+            let config = DseConfig {
+                mappings: vec![mapping],
+                ..DseConfig::default()
+            };
+            DseEngine::new(model.clone(), config)
+        });
+        let validator = Validator::table_ii(arch).expect("the Table II device is valid");
+        for (name, build) in Network::zoo() {
+            for layer in build().layers() {
+                let simulated = engines.each_ref().map(|engine| {
+                    let best = engine.explore_layer(layer).expect("layer explores").best;
+                    let report = validator
+                        .validate(engine.model(), layer, &best)
+                        .expect("the best replays");
+                    (best.mapping, report.simulated.edp())
+                });
+                let least = simulated
+                    .iter()
+                    .map(|&(_, edp)| edp)
+                    .fold(f64::INFINITY, f64::min);
+                let (_, drmap) = simulated
+                    .iter()
+                    .find(|(mapping, _)| mapping.is_drmap())
+                    .expect("Table I holds DRMap");
+                let gap = drmap / least - 1.0;
+                let case = format!(
+                    "{arch} {name} {}: DRMap {gap:.2e} above the best",
+                    layer.name
+                );
+                assert!(gap <= 1e-3, "{case}: {simulated:?}");
+                if gap >= worst.0 {
+                    worst = (gap, case);
+                }
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 440);
+    println!("worst case: {}", worst.1);
+}
