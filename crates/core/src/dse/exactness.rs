@@ -649,17 +649,6 @@ fn rows_the_bound_cannot_trust_disable_every_skip() {
     // included, whatever its rows: an unusable `dif_rows` read cost makes
     // every row unusable (every tile opens with one), and so does the
     // clock.
-    let good = [
-        cost(4.0, 1.0),
-        cost(6.0, 2.0),
-        cost(40.0, 5.0),
-        cost(42.0, 6.0),
-    ];
-    let table = |class: usize, bad, t_ck_ns| {
-        let mut read = good;
-        read[class] = bad;
-        AccessCostTable::from_costs(DramArch::Ddr3, read, good, t_ck_ns)
-    };
     for (dif_rows, t_ck_ns) in [
         (cost(-1e9, 1.0), 1.25),
         (cost(f64::INFINITY, 1.0), 1.25),
@@ -667,12 +656,31 @@ fn rows_the_bound_cannot_trust_disable_every_skip() {
         (cost(42.0, 6.0), -1.25),
         (cost(42.0, 6.0), f64::NAN),
     ] {
-        let (swept, pruned) = engine_on(table(3, dif_rows, t_ck_ns), DseConfig::default())
+        let table = read_class_replaced(3, dif_rows, t_ck_ns);
+        let (swept, pruned) = engine_on(table, DseConfig::default())
             .explore_layer_counted(&conv3())
             .unwrap();
         assert_eq!(pruned, 0, "{dif_rows:?} at t_ck {t_ck_ns}");
         assert!(swept.evaluations > 0);
     }
+}
+
+/// A table of fixed class costs, read and write, but for read class
+/// `class`, which costs `bad`, on a clock of `t_ck_ns`.
+fn read_class_replaced(class: usize, bad: AccessCost, t_ck_ns: f64) -> AccessCostTable {
+    let good = [
+        cost(4.0, 1.0),
+        cost(6.0, 2.0),
+        cost(40.0, 5.0),
+        cost(42.0, 6.0),
+    ];
+    let mut read = good;
+    read[class] = bad;
+    AccessCostTable::from_costs(DramArch::Ddr3, read, good, t_ck_ns)
+}
+
+#[test]
+fn a_loop_mixing_trusted_and_untrusted_rows_is_walked_tiling_by_tiling() {
     // A negative `dif_banks` read cost drives every row with a bank
     // transition below zero. Under Mapping-6 (bank innermost) that is
     // every row past one burst, so these layers' `ti` loops mix rows that
@@ -680,7 +688,7 @@ fn rows_the_bound_cannot_trust_disable_every_skip() {
     // `h = w = 1` and 1×1 kernels an ifms tile is `ti` bytes and a wghs
     // tile `tj · ti`. The negative tilings score below zero, so skipping
     // one would change the winner; nothing is skipped at all.
-    let mixed = table(1, cost(-1e6, 1.0), 1.25);
+    let mixed = read_class_replaced(1, cost(-1e6, 1.0), 1.25);
     for layer in [
         Layer::conv("mixed", 1, 1, 2, 16, 1, 1, 1),
         Layer::conv("mixed-wghs", 1, 1, 16, 8, 1, 1, 1),
@@ -696,6 +704,8 @@ fn rows_the_bound_cannot_trust_disable_every_skip() {
                 let (swept, pruned) = e.explore_layer_counted(&layer).unwrap();
                 assert_eq!(pruned, 0, "{} {objective:?}", layer.name);
                 assert_results_bit_identical(&swept, &naive_explore(&e, &layer));
+                let counts = (swept.evaluations, pruned);
+                assert_eq!(counts, group_bound_reference(&e, &layer), "{objective:?}");
             }
         }
     }
