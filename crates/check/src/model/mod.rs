@@ -17,6 +17,7 @@
 //! truncated run covers) but never the set of schedules — a property
 //! the tests assert.
 
+pub mod conn;
 pub mod counter;
 pub mod histogram;
 pub mod singleflight;
@@ -209,5 +210,8 @@ pub fn standard_suite(seed: u64) -> Vec<Report> {
         explore(&histogram::SnapshotTearModel, &cfg),
         explore(&singleflight::SingleFlightModel::default(), &cfg),
         explore(&singleflight::SingleFlightModel::leader_panics(), &cfg),
+        explore(&conn::ConnModel::default(), &cfg),
+        explore(&conn::ConnModel::client_dies(), &cfg),
+        explore(&conn::ConnModel::window(), &cfg),
     ]
 }

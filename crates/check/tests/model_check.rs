@@ -3,6 +3,7 @@
 //! (proving the explorer explores), and the seed changes choice order
 //! without changing the set of schedules.
 
+use drmap_check::model::conn::ConnModel;
 use drmap_check::model::counter::{BrokenCounterModel, CounterModel};
 use drmap_check::model::histogram::{HistogramMergeModel, SnapshotTearModel};
 use drmap_check::model::singleflight::SingleFlightModel;
@@ -83,6 +84,54 @@ fn single_flight_verifies_including_leader_failure() {
     }
 }
 
+/// The connection gate verifies with a client that reads at once, one
+/// that dies mid-session, and one that pipelines its whole script
+/// before reading through one-frame buffers: every response is written
+/// exactly once or dropped on a dead connection, no frame interleaves
+/// with an unfinished one, the gate drains, nothing deadlocks, and a
+/// stop loses nothing owed. The counts pin the models' size.
+#[test]
+fn connection_gate_verifies_inline_queued_windowed_and_dying_clients() {
+    for (model, schedules) in [
+        (ConnModel::default(), 1_182_687),
+        (ConnModel::client_dies(), 200_128),
+        (ConnModel::window(), 186_787),
+    ] {
+        let report = explore(&model, &Config::default());
+        assert!(
+            report.verified(),
+            "{} violated: {:?}",
+            report.model,
+            report.violations
+        );
+        assert_eq!(report.schedules, schedules, "{}", report.model);
+    }
+}
+
+/// Negative controls for the connection gate: an inline write that
+/// waits on the client deadlocks a pipelining one, an inline write past
+/// an unfinished frame interleaves two frames, and a session that drops
+/// the queue before the writer drains it loses a response.
+#[test]
+fn connection_gate_negative_controls_are_caught() {
+    for (model, symptom) in [
+        (ConnModel::blocking_inline(), "deadlock"),
+        (ConnModel::skip_unfinished(), "while another was unfinished"),
+        (ConnModel::dropped_queue(), "dropped on a live connection"),
+    ] {
+        let report = explore(&model, &Config::default());
+        assert!(
+            report
+                .violations
+                .first()
+                .is_some_and(|v| v.message.contains(symptom)),
+            "{}: expected a violation mentioning {symptom:?}, got {:?}",
+            report.model,
+            report.violations
+        );
+    }
+}
+
 /// The snapshot-tear model: a reader interleaved with writers never
 /// observes counts ahead of the shared state and converges exactly.
 #[test]
@@ -122,7 +171,7 @@ fn seed_rotates_order_but_not_the_schedule_set() {
 #[test]
 fn standard_suite_verifies() {
     let reports = standard_suite(0);
-    assert_eq!(reports.len(), 5);
+    assert_eq!(reports.len(), 8);
     let mut total = 0;
     for report in &reports {
         assert!(

@@ -157,7 +157,7 @@ struct Pending {
     /// The id the client chose, restored on the way out.
     client_id: u64,
     /// The client connection's in-flight slot, carrying the response
-    /// to its writer.
+    /// to its writer (a backend reader's send is always queued).
     reply: Ticket,
     /// Index of the backend currently running the job.
     backend: usize,

@@ -38,7 +38,8 @@ use crate::wire;
 /// [`ServiceError::Timeout`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientConfig {
-    /// Bound on establishing the TCP connection (`None`: OS default).
+    /// Bound on establishing the TCP connection; an expired bound
+    /// surfaces as [`ServiceError::Timeout`] (`None`: OS default).
     pub connect_timeout: Option<Duration>,
     /// Bound on each socket read; an expired deadline surfaces as
     /// [`ServiceError::Timeout`] (`None`: block forever).
@@ -93,8 +94,8 @@ impl Client {
         Self::connect_with(addr, ClientConfig::default())
     }
 
-    /// Connect with explicit socket timeouts. Reads and writes that
-    /// exceed their bound fail with the typed
+    /// Connect with explicit socket timeouts. A connect, read or write
+    /// that exceeds its bound fails with the typed
     /// [`ServiceError::Timeout`] instead of blocking forever on a
     /// stalled or fault-injected server.
     ///
@@ -118,8 +119,15 @@ impl Client {
             }
         }
         Err(last_err
-            .map(ServiceError::Io)
+            .map(|e| wire::timeout_aware(e, "connect"))
             .unwrap_or_else(|| ServiceError::protocol("address resolved to nothing")))
+    }
+
+    /// This end's address, which the server's tests key their frame
+    /// tally by.
+    #[cfg(test)]
+    pub(crate) fn local_addr(&self) -> std::net::SocketAddr {
+        self.writer.local_addr().unwrap()
     }
 
     fn from_stream(stream: TcpStream, config: ClientConfig) -> Result<Self, ServiceError> {
@@ -278,7 +286,10 @@ impl Client {
     /// only once a response is *written*, so a client that sent more
     /// than the cap without reading could fill both sockets' buffers
     /// and deadlock — sender blocked on a full socket, server blocked
-    /// waiting for the client to read.
+    /// waiting for the client to read. Below the cap the server keeps
+    /// reading whatever the responses' size: its reader writes only
+    /// what the socket takes at once and leaves the rest to the
+    /// connection's writer thread.
     pub(crate) const PIPELINE_WINDOW: usize = 64;
 
     /// Submit jobs without waiting for responses — up to

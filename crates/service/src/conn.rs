@@ -8,27 +8,40 @@
 //!   the server to stop. The stop is a flag plus one loopback poke
 //!   (`wire::wake_listener`) that unblocks `accept`.
 //! * **One session** per connection: a reader loop that hands each
-//!   request line to [`Service::dispatch`], and one writer thread that
-//!   owns the write half, encoding each queued [`Response`] as text
-//!   straight into a reused frame buffer (no tree) and writing it as
-//!   one `write`. Responses reach the writer in the order they are
-//!   queued — a job's completion queues from whichever thread finished
-//!   it — which is what makes pipelining out of order. A request that asks to stop ends its session: the
-//!   writer flushes every response still owed on that connection, and
+//!   request line to [`Service::dispatch`], and one write half — the
+//!   stream and a reused frame buffer behind a mutex — into which each
+//!   [`Response`] is encoded as text (no tree) and written with one
+//!   `write` while the socket has room. A response produced on the
+//!   reader thread — a control answer, or a job whose layers are all
+//!   resident at submit — is written right there, **but only as far as
+//!   the socket takes it without blocking**: if the writer holds the
+//!   write half, or the socket fills mid-frame, the rest goes to the
+//!   session's writer thread. Everything produced on another thread — a
+//!   pool worker's job completion, a router backend's reader — is
+//!   queued for that writer. So **only the writer ever blocks on its
+//!   client's socket**: a client that stops reading stalls neither a
+//!   worker nor its own reader, which keeps reading requests up to the
+//!   in-flight cap, so a client may always finish sending a window
+//!   below the cap before it reads. Responses go out as their jobs
+//!   complete, which is what makes pipelining out of order. A request
+//!   that asks to stop ends its session: its own answer is written
+//!   inline, so it may precede job responses still queued; the writer
+//!   then flushes every response still owed on that connection, and
 //!   only then does the accept loop stop, since the process may exit
 //!   right after.
 //! * **One in-flight gate** per connection: a request takes a slot when
 //!   it is accepted ([`Reply::reserve`]); the slot travels with its
-//!   queued response and frees once the writer has written it. At the
-//!   cap the reader blocks — back-pressure, not an error — so one
-//!   client can queue neither unbounded work nor, by refusing to read,
-//!   unbounded response memory.
+//!   response and frees once that has been written. At the cap the
+//!   reader blocks — back-pressure, not an error — so one client can
+//!   queue neither unbounded work nor, by refusing to read, unbounded
+//!   response memory.
 
-use std::io::BufReader;
+use std::io::{self, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, TryLockError};
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 use crate::error::ServiceError;
@@ -45,9 +58,12 @@ pub trait Service: Send + Sync + 'static {
     /// asks the server to stop.
     fn dispatch(self: &Arc<Self>, line: &str, reply: &Reply) -> bool;
 
-    /// Put one frame on the wire by calling `write`, on the
-    /// connection's writer thread. A tier may time the write, delay it,
-    /// or skip it — a skipped frame is lost, and its slot still frees.
+    /// Put one frame on the wire by calling `write`, on the thread that
+    /// writes it: the reader for a response answered inline, the writer
+    /// for a queued one. The reader's `write` never blocks on the
+    /// socket; it leaves what the socket would not take to the writer.
+    /// A tier may time the write, delay it, or skip it — a skipped
+    /// frame is lost, and its slot still frees.
     fn write_frame(&self, write: &mut dyn FnMut()) {
         write();
     }
@@ -165,36 +181,43 @@ fn session<S: Service>(
 ) -> Result<bool, ServiceError> {
     wire::configure_socket(&stream, None, None)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let (tx, rx) = channel::<(Response, Slot)>();
-    let reply = Reply {
-        tx,
-        gate: Arc::new(Gate {
+    let link = Arc::new(Link {
+        reader: thread::current().id(),
+        #[cfg(test)]
+        peer: stream.peer_addr().ok(),
+        gate: Gate {
             limit: max_inflight,
             count: Mutex::new(0),
             cv: Condvar::new(),
+        },
+        out: Mutex::new(Out {
+            stream,
+            frame: String::new(),
+            backlog: None,
+            dead: false,
         }),
-    };
-    let writer = {
-        let service = Arc::clone(service);
-        std::thread::spawn(move || {
-            let mut out = stream;
-            let mut frame = String::new();
-            // A write failure means the client is gone: stop writing,
-            // but keep draining the channel — each response's slot
-            // drops with it — so a reader blocked in `reserve` can run
-            // on to its connection error and exit.
-            let mut dead = false;
-            while let Ok((response, _slot)) = rx.recv() {
-                if dead {
-                    continue;
+        // Weak: a ticket a pool job holds must not own the service (and
+        // through it the pool). Every write happens while this session
+        // still holds the service, so the upgrade cannot fail.
+        write_frame: {
+            let service = Arc::downgrade(service);
+            Box::new(move |write| {
+                if let Some(service) = service.upgrade() {
+                    service.write_frame(write);
                 }
-                service.write_frame(&mut || {
-                    let written = wire::write_encoded(&mut out, &mut frame, |t| response.encode(t));
-                    dead = written.is_err();
-                });
+            })
+        },
+    });
+    let (tx, rx) = channel::<(Option<Response>, Slot)>();
+    let writer = {
+        let link = Arc::clone(&link);
+        thread::spawn(move || {
+            while let Ok((response, _slot)) = rx.recv() {
+                link.write_queued(response.as_ref());
             }
         })
     };
+    let reply = Reply { tx, link };
     let result = loop {
         match wire::read_message(&mut reader) {
             Ok(Some((line, _))) => {
@@ -206,12 +229,159 @@ fn session<S: Service>(
             Err(e) => break Err(e),
         }
     };
-    // Close this end of the channel: the writer exits once every
+    // Close this end of the queue: the writer exits once every
     // response still owed on the connection — queued, or held by a job
     // in flight — has been written.
     drop(reply);
     let _ = writer.join();
     result
+}
+
+/// What a connection's reader, its writer and every ticket share: the
+/// in-flight gate and the write half.
+struct Link {
+    /// The reader's thread: a ticket sent from it writes inline.
+    reader: ThreadId,
+    /// The client's address, which the tests' frame tally is keyed by.
+    #[cfg(test)]
+    peer: Option<SocketAddr>,
+    gate: Gate,
+    out: Mutex<Out>,
+    write_frame: WriteFrame,
+}
+
+/// The tier's [`Service::write_frame`], behind a pointer the
+/// non-generic [`Link`] can hold.
+type WriteFrame = Box<dyn Fn(&mut dyn FnMut()) + Send + Sync>;
+
+impl std::fmt::Debug for Link {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Link")
+            .field("reader", &self.reader)
+            .field("gate", &self.gate)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A connection's write half.
+struct Out {
+    stream: TcpStream,
+    frame: String,
+    /// How much of `frame` the reader got onto the wire before the
+    /// socket would have blocked: the writer writes the rest before
+    /// anything else, and the reader writes nothing inline meanwhile.
+    backlog: Option<usize>,
+    /// A write failed: the client is gone, so nothing more is written
+    /// (responses still drain, and their slots free, so a reader
+    /// blocked at the cap runs on to its connection error and exits).
+    dead: bool,
+}
+
+/// What became of a response the reader tried to write itself.
+enum Inline {
+    /// Written whole, or dropped on a dead connection.
+    Done,
+    /// Begun: the writer owes the rest of its frame.
+    Unfinished,
+    /// Not begun: the writer holds the write half or owes a frame, so
+    /// the response goes to its queue.
+    Busy,
+}
+
+impl Link {
+    /// The writer's write: the rest of a frame the reader left
+    /// unfinished, then `response` encoded into the reused frame buffer
+    /// and written as one frame through the tier's
+    /// [`Service::write_frame`], each blocking until the socket takes it.
+    fn write_queued(&self, response: Option<&Response>) {
+        let mut out = lock_recovered(&self.out);
+        let Out {
+            stream,
+            frame,
+            backlog,
+            dead,
+        } = &mut *out;
+        if let Some(sent) = backlog.take() {
+            if !*dead {
+                *dead = stream.write_all(&frame.as_bytes()[sent..]).is_err();
+            }
+        }
+        let Some(response) = response else { return };
+        if *dead {
+            return;
+        }
+        #[cfg(test)]
+        tests::tally(self, false);
+        (self.write_frame)(&mut || {
+            *dead = wire::write_encoded(stream, frame, |t| response.encode(t)).is_err();
+        });
+    }
+
+    /// The reader's write of `response`: the same frame through the
+    /// same [`Service::write_frame`], but only as much of it as the
+    /// socket takes without blocking, and only if the write half is
+    /// free and owes no earlier frame — the reader never waits on the
+    /// writer, which may itself be waiting on the client.
+    fn write_inline(&self, response: &Response) -> Inline {
+        let mut out = match self.out.try_lock() {
+            Ok(out) => out,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return Inline::Busy,
+        };
+        if out.backlog.is_some() {
+            return Inline::Busy;
+        }
+        if out.dead {
+            return Inline::Done;
+        }
+        #[cfg(test)]
+        tests::tally(self, true);
+        let Out {
+            stream,
+            frame,
+            backlog,
+            dead,
+        } = &mut *out;
+        (self.write_frame)(&mut || {
+            wire::encode_line(frame, |t| response.encode(t));
+            match write_nonblocking(stream, frame.as_bytes()) {
+                Ok(sent) if sent < frame.len() => *backlog = Some(sent),
+                Ok(_) => {}
+                Err(_) => *dead = true,
+            }
+        });
+        if backlog.is_some() {
+            #[cfg(test)]
+            tests::tally_unfinished(self);
+            Inline::Unfinished
+        } else {
+            Inline::Done
+        }
+    }
+}
+
+/// Write as much of `bytes` as `stream` takes without blocking, and
+/// return how much that was. Only the reader calls this, holding the
+/// write half, so no other thread uses the socket while it is
+/// non-blocking.
+fn write_nonblocking(mut stream: &TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    stream.set_nonblocking(true)?;
+    let mut sent = 0;
+    let written = loop {
+        match stream.write(&bytes[sent..]) {
+            Ok(0) => break Err(ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                sent += n;
+                if sent == bytes.len() {
+                    break Ok(sent);
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break Ok(sent),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+    };
+    stream.set_nonblocking(false).and(written)
 }
 
 /// A connection's counting semaphore of in-flight slots.
@@ -224,27 +394,28 @@ struct Gate {
 
 /// One held in-flight slot; dropping it frees the slot.
 #[derive(Debug)]
-struct Slot(Arc<Gate>);
+struct Slot(Arc<Link>);
 
 impl Drop for Slot {
     fn drop(&mut self) {
-        *lock_recovered(&self.0.count) -= 1;
-        self.0.cv.notify_one();
+        let gate = &self.0.gate;
+        *lock_recovered(&gate.count) -= 1;
+        gate.cv.notify_one();
     }
 }
 
 /// A connection's outbound half, as [`Service::dispatch`] sees it.
 #[derive(Debug)]
 pub struct Reply {
-    tx: Sender<(Response, Slot)>,
-    gate: Arc<Gate>,
+    tx: Sender<(Option<Response>, Slot)>,
+    link: Arc<Link>,
 }
 
 impl Reply {
     /// Take an in-flight slot, blocking while the connection is at its
-    /// cap, as the right to queue one response later.
+    /// cap, as the right to send one response later.
     pub fn reserve(&self) -> Ticket {
-        let gate = &self.gate;
+        let gate = &self.link.gate;
         let mut count = lock_recovered(&gate.count);
         while *count >= gate.limit {
             count = gate.cv.wait(count).unwrap_or_else(|e| e.into_inner());
@@ -252,31 +423,338 @@ impl Reply {
         *count += 1;
         Ticket {
             tx: self.tx.clone(),
-            slot: Slot(Arc::clone(gate)),
+            slot: Slot(Arc::clone(&self.link)),
         }
     }
 
-    /// Queue a response answered inline (it takes a slot like any
+    /// Write a response answered inline (it takes a slot like any
     /// other).
     pub fn send(&self, response: Response) {
         self.reserve().send(response);
     }
 }
 
-/// The right to queue one response on a connection, holding its
-/// in-flight slot until the writer has written it. Dropped unsent, it
-/// frees the slot.
+/// The right to send one response on a connection, holding its
+/// in-flight slot until the response has been written. Dropped unsent,
+/// it frees the slot.
 #[derive(Debug)]
 pub struct Ticket {
-    tx: Sender<(Response, Slot)>,
+    tx: Sender<(Option<Response>, Slot)>,
     slot: Slot,
 }
 
 impl Ticket {
-    /// Queue `response` for the connection's writer. On a closed
-    /// connection the response is dropped, and its slot with it.
+    /// Send `response`: written right here on the connection's reader
+    /// thread as far as the socket takes it at once, queued for its
+    /// writer from any other thread and for whatever the reader could
+    /// not write. On a closed connection the response is dropped, and
+    /// its slot with it.
     pub fn send(self, response: Response) {
         let Ticket { tx, slot } = self;
-        let _ = tx.send((response, slot));
+        let link = &slot.0;
+        let queued = if thread::current().id() != link.reader {
+            Some(response)
+        } else {
+            match link.write_inline(&response) {
+                Inline::Done => return,
+                Inline::Unfinished => None,
+                Inline::Busy => Some(response),
+            }
+        };
+        let _ = tx.send((queued, slot));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+    use std::io::BufReader;
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::{Arc, Mutex};
+    use std::thread;
+    use std::time::{Duration, Instant};
+
+    use drmap_cnn::layer::Layer;
+    use drmap_cnn::network::Network;
+
+    use super::Link;
+    use crate::client::{Client, ClientConfig};
+    use crate::engine::ServiceState;
+    use crate::pool::DsePool;
+    use crate::proto::{Request, Response};
+    use crate::server::JobServer;
+    use crate::spec::{CacheMode, EngineSpec, JobOptions, JobSpec};
+    use crate::sync::lock_recovered;
+    use crate::wire;
+
+    /// The frames each connection has written, by its client's address.
+    static FRAMES: Mutex<BTreeMap<SocketAddr, Frames>> = Mutex::new(BTreeMap::new());
+
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct Frames {
+        /// Begun on the reader thread.
+        inline: usize,
+        /// Of those, left for the writer to finish: the socket would
+        /// not take the whole frame at once.
+        unfinished: usize,
+        /// Queued, and written by the writer thread.
+        queued: usize,
+    }
+
+    /// Count one frame of `link`'s, before it is written: a client that
+    /// has read a response sees it counted.
+    pub(super) fn tally(link: &Link, inline: bool) {
+        let Some(peer) = link.peer else { return };
+        let mut frames = lock_recovered(&FRAMES);
+        let frames = frames.entry(peer).or_default();
+        if inline {
+            frames.inline += 1;
+        } else {
+            frames.queued += 1;
+        }
+    }
+
+    /// Count an inline frame of `link`'s the writer must finish.
+    pub(super) fn tally_unfinished(link: &Link) {
+        let Some(peer) = link.peer else { return };
+        lock_recovered(&FRAMES).entry(peer).or_default().unfinished += 1;
+    }
+
+    fn frames_of(client: SocketAddr) -> Frames {
+        lock_recovered(&FRAMES)
+            .get(&client)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    fn boot(workers: usize) -> (Arc<DsePool>, SocketAddr, thread::JoinHandle<()>) {
+        let pool = Arc::new(DsePool::new(ServiceState::new().unwrap(), workers));
+        let server = JobServer::with_pool("127.0.0.1:0", Arc::clone(&pool)).unwrap();
+        let addr = server.local_addr().unwrap();
+        (pool, addr, thread::spawn(move || server.run().unwrap()))
+    }
+
+    fn job(id: u64, cache: CacheMode) -> Request {
+        let options = JobOptions {
+            cache,
+            ..JobOptions::default()
+        };
+        Request::Submit(
+            JobSpec::network(id, EngineSpec::default(), Network::tiny()).with_options(options),
+        )
+    }
+
+    /// The write rule on one connection: resident hits and control
+    /// replies are written by the reader that answered them, and what a
+    /// worker completes goes through the writer's queue.
+    #[test]
+    fn the_reader_writes_what_it_answers_and_the_writer_what_workers_complete() {
+        let (_pool, addr, handle) = boot(2);
+        let mut client = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut exchange = |requests: &[Request]| {
+            let before = frames_of(client.local_addr().unwrap());
+            for request in requests {
+                wire::write_request(&mut client, request).unwrap();
+            }
+            for _ in requests {
+                let response = wire::read_response(&mut reader).unwrap().unwrap();
+                assert!(!matches!(response, Response::Error { .. }), "{response:?}");
+            }
+            let after = frames_of(client.local_addr().unwrap());
+            Frames {
+                inline: after.inline - before.inline,
+                unfinished: after.unfinished - before.unfinished,
+                queued: after.queued - before.queued,
+            }
+        };
+
+        // The first job computes every layer on a worker.
+        let first = exchange(&[job(1, CacheMode::Default)]);
+        assert_eq!(
+            first,
+            Frames {
+                inline: 0,
+                unfinished: 0,
+                queued: 1
+            }
+        );
+        // The writer may still hold the write half for a moment after
+        // its frame reached the client, and a reply that finds it held
+        // is queued. Ping until one is written inline: the writer has
+        // let go and, with nothing queued, takes the write half no more.
+        let mut pings = 0;
+        while exchange(&[Request::Ping { id: None }]).inline == 0 {
+            pings += 1;
+            assert!(pings < 1000, "the writer never let go of the write half");
+        }
+        // Now every layer is resident: eight hits, a ping and a stats.
+        let mut hot: Vec<Request> = (2..10).map(|id| job(id, CacheMode::Default)).collect();
+        hot.extend([Request::Ping { id: None }, Request::Stats { id: None }]);
+        assert_eq!(
+            exchange(&hot),
+            Frames {
+                inline: 10,
+                unfinished: 0,
+                queued: 0
+            }
+        );
+        // `cache: refresh` recomputes every layer on a worker.
+        let cold: Vec<Request> = (10..16).map(|id| job(id, CacheMode::Refresh)).collect();
+        assert_eq!(
+            exchange(&cold),
+            Frames {
+                inline: 0,
+                unfinished: 0,
+                queued: 6
+            }
+        );
+
+        wire::write_request(&mut client, &Request::Shutdown { id: None }).unwrap();
+        assert!(matches!(
+            wire::read_response(&mut reader).unwrap(),
+            Some(Response::Shutdown { .. })
+        ));
+        handle.join().unwrap();
+    }
+
+    /// A one-layer job whose 256 KiB layer name makes a 256 KiB
+    /// response: a window of 64 is 16 MiB each way, where a socket's
+    /// kernel buffers hold a few MiB at most.
+    fn big_job(id: u64, cache: CacheMode) -> JobSpec {
+        let options = JobOptions {
+            cache,
+            ..JobOptions::default()
+        };
+        let layer = Layer::conv(&"x".repeat(1 << 18), 8, 8, 16, 8, 3, 3, 1);
+        JobSpec::layer(id, EngineSpec::default(), layer).with_options(options)
+    }
+
+    /// Bounds that turn a stall into a failure instead of a hang.
+    fn bounded() -> ClientConfig {
+        ClientConfig {
+            read_timeout: Some(Duration::from_secs(10)),
+            write_timeout: Some(Duration::from_secs(10)),
+            ..ClientConfig::default()
+        }
+    }
+
+    /// Write `jobs` on a fresh connection that never reads, and wait
+    /// until the server has read `frames` request lines in all.
+    fn stall(addr: SocketAddr, pool: &DsePool, jobs: &[JobSpec], frames: u64) -> TcpStream {
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled
+            .set_write_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        for job in jobs {
+            wire::write_request(&mut stalled, &Request::Submit(job.clone())).unwrap();
+        }
+        let frames_in = || {
+            let metrics = pool.state().metrics().snapshot();
+            metrics.counter("frames_text_total").unwrap_or(0)
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while frames_in() < frames {
+            assert!(
+                Instant::now() < deadline,
+                "the server read {} of {frames} request lines",
+                frames_in()
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        stalled
+    }
+
+    /// The reader never blocks on its client's socket. A client writes
+    /// a whole window of resident hits before it reads any response:
+    /// the reader writes what the socket takes at once, leaves the rest
+    /// of a frame to the writer and keeps reading, so the batch
+    /// completes instead of both sides waiting on full buffers.
+    #[test]
+    fn a_window_of_large_resident_hits_completes_before_the_client_reads() {
+        let (_pool, addr, handle) = boot(1);
+        let mut client = Client::connect_with(addr, bounded()).unwrap();
+        client.submit(&big_job(0, CacheMode::Default)).unwrap();
+        let window: Vec<JobSpec> = (1..=Client::PIPELINE_WINDOW as u64)
+            .map(|id| big_job(id, CacheMode::Default))
+            .collect();
+        let before = frames_of(client.local_addr());
+        for result in client.submit_batch(&window).unwrap() {
+            result.unwrap();
+        }
+        let after = frames_of(client.local_addr());
+        // Each hit is written once, inline or queued, and the full
+        // socket left some frames to the writer — the path this test
+        // exists for.
+        let frames = after.inline + after.queued - before.inline - before.queued;
+        assert_eq!(frames, window.len());
+        assert!(after.unfinished > before.unfinished, "{after:?}");
+
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    /// A resident hit's response is handed off at once, however full
+    /// its client's socket: a client that never reads holds
+    /// `jobs_inflight` at nothing, so another connection's `shutdown`
+    /// is not kept waiting by the graceful drain (up to 5 s).
+    #[test]
+    fn a_stalled_clients_resident_hits_do_not_delay_a_shutdown() {
+        const JOBS: u64 = 64;
+        let (pool, addr, handle) = boot(1);
+        let mut other = Client::connect_with(addr, bounded()).unwrap();
+        other.submit(&big_job(0, CacheMode::Default)).unwrap();
+        let hits: Vec<JobSpec> = (1..=JOBS)
+            .map(|id| big_job(id, CacheMode::Default))
+            .collect();
+        let _stalled = stall(addr, &pool, &hits, 1 + JOBS);
+        // The last hit read may still be encoding; none may stay in
+        // flight on the full socket.
+        let inflight = || pool.state().stages().jobs_inflight.get();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while inflight() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "{} jobs stay in flight",
+                inflight()
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+
+        let started = Instant::now();
+        other.shutdown().unwrap();
+        handle.join().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "the drain waited {:?}",
+            started.elapsed()
+        );
+    }
+
+    /// Workers never write to a client's socket. One client pipelines
+    /// cold jobs whose responses overfill its socket buffers many times
+    /// over and never reads; a second connection's cold job is still
+    /// answered at once by the pool's only worker.
+    #[test]
+    fn a_client_that_never_reads_cannot_stall_the_workers() {
+        const JOBS: u64 = 64;
+        let (pool, addr, handle) = boot(1);
+        let cold: Vec<JobSpec> = (0..JOBS)
+            .map(|id| big_job(id, CacheMode::Refresh))
+            .collect();
+        let stalled = stall(addr, &pool, &cold, JOBS);
+
+        let mut other = Client::connect_with(addr, bounded()).unwrap();
+        let started = Instant::now();
+        let result = other.submit(&big_job(JOBS, CacheMode::Refresh));
+        assert!(
+            result.is_ok(),
+            "a stalled client stalled the pool: {result:?}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(10));
+
+        drop(stalled);
+        other.shutdown().unwrap();
+        handle.join().unwrap();
     }
 }

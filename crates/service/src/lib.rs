@@ -55,9 +55,11 @@
 //! * [`cli`] — the binaries' flag helpers and the `drmap-batch --admin`
 //!   command language, parsed straight into requests;
 //! * [`conn`] — the connection layer the server and `drmap-router`
-//!   share: one accept loop, one reader/writer session per connection,
-//!   and one per-connection in-flight gate whose slot travels with each
-//!   queued response;
+//!   share: one accept loop, one reader/writer session per connection
+//!   (the reader writes what it answers itself, as far as the socket
+//!   takes it at once; the writer the rest and what other threads
+//!   queue), and one per-connection in-flight gate whose slot travels
+//!   with each response;
 //! * [`wire`] — the one codec: newline-delimited JSON text, one message
 //!   per line;
 //! * [`sync`] — the poison-recovering lock helper every tier uses;

@@ -6,12 +6,13 @@
 //! [`DsePool`], so many light connections share the same workers and
 //! memo cache, and it is **completion-driven**: the reader hands the
 //! pool a completion and moves on; whichever thread supplies the job's
-//! last layer (a pool worker, or the reader itself for a job whose
-//! layers are all resident in the cache) builds the response and queues
-//! it for the writer. The protocol is **pipelined**: a client may submit
-//! many requests without waiting, and job responses are delivered **as
-//! jobs complete — possibly out of submission order** — matched back to
-//! requests by their client-chosen `id`. In particular a fully resident
+//! last layer builds the response: a pool worker queues it for the
+//! writer, and the reader itself — for a job whose layers are all
+//! resident in the cache — writes it on the spot. The protocol is
+//! **pipelined**: a client may submit many requests without waiting,
+//! and job responses are delivered **as jobs complete — possibly out of
+//! submission order** — matched back to requests by their client-chosen
+//! `id`. In particular a fully resident
 //! job is answered at submission and overtakes cold jobs queued ahead of
 //! it.
 //!
@@ -234,8 +235,8 @@ impl JobServer {
 
 /// The job server's side of a connection: decode each request, answer
 /// control verbs inline, hand jobs to the pool with a completion that
-/// queues the response — run by the worker that finishes the job, or
-/// right here when every layer is resident.
+/// sends the response — queued by the worker that finishes the job, or
+/// written right here when every layer is resident.
 #[derive(Debug)]
 struct Jobs {
     pool: Arc<DsePool>,
@@ -329,7 +330,9 @@ fn route(pool: &DsePool, payload: &str) -> Routed {
 /// returning if every layer was resident — `respond` is handed the
 /// finished response, and only then does `jobs_inflight` fall: the
 /// graceful drain waits on that gauge, so it must not drop before the
-/// response is delivered.
+/// response is handed to its connection. `respond` never waits on the
+/// client: a worker queues the response, and the reader writes only
+/// what the socket takes at once.
 fn start_job(
     pool: &DsePool,
     job: &JobSpec,
@@ -558,7 +561,7 @@ fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
 /// after responding. This is the sequential form of the pipelined
 /// connection handler — the same `route → start_job → finish_job` path,
 /// with a completion that hands the response back to the caller instead
-/// of to a writer thread; it is exposed for direct testing and
+/// of to the connection; it is exposed for direct testing and
 /// embedding.
 pub fn handle_request(pool: &DsePool, line: &str) -> (Json, bool) {
     match route(pool, line) {

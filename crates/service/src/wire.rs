@@ -42,7 +42,7 @@ pub enum Encoding {
 /// deadline as `WouldBlock` (Unix) or `TimedOut` (Windows) — either
 /// may surface mid-message, including after a partial write that
 /// `write_all` had already begun.
-fn timeout_aware(e: std::io::Error, context: &'static str) -> ServiceError {
+pub(crate) fn timeout_aware(e: std::io::Error, context: &'static str) -> ServiceError {
     match e.kind() {
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
             ServiceError::timeout(format!("socket {context} exceeded its configured timeout"))
@@ -70,12 +70,13 @@ pub fn write_message(
 ) -> Result<(), ServiceError> {
     let mut frame = String::with_capacity(payload.len() + 1);
     frame.push_str(payload);
-    write_line(writer, &mut frame)
+    frame.push('\n');
+    write_line(writer, &frame)
 }
 
 /// [`write_message`] for a message `encode` writes into a text sink:
 /// the line is encoded straight into `frame` (cleared first), so a
-/// long-lived writer — each connection's writer thread in
+/// long-lived writer — each connection's write half in
 /// [`crate::conn`] — builds no tree and pays for the buffer once, not
 /// per message.
 ///
@@ -87,14 +88,20 @@ pub fn write_encoded(
     frame: &mut String,
     encode: impl FnOnce(&mut JsonText<'_>),
 ) -> Result<(), ServiceError> {
-    frame.clear();
-    encode(&mut JsonText::new(frame));
+    encode_line(frame, encode);
     write_line(writer, frame)
 }
 
-/// Terminate `frame` and write it as one `write_all`, then flush.
-fn write_line(writer: &mut impl Write, frame: &mut String) -> Result<(), ServiceError> {
+/// Encode a message into `frame` (cleared first) as one
+/// newline-terminated line: what [`write_encoded`] writes.
+pub(crate) fn encode_line(frame: &mut String, encode: impl FnOnce(&mut JsonText<'_>)) {
+    frame.clear();
+    encode(&mut JsonText::new(frame));
     frame.push('\n');
+}
+
+/// Write one terminated `frame` as one `write_all`, then flush.
+fn write_line(writer: &mut impl Write, frame: &str) -> Result<(), ServiceError> {
     writer
         .write_all(frame.as_bytes())
         .and_then(|()| writer.flush())

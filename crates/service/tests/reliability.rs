@@ -291,6 +291,42 @@ fn a_peer_that_never_reads_surfaces_as_a_typed_write_timeout() {
     panic!("1024 frames (256 MiB) written to a peer that never reads");
 }
 
+/// A peer that never accepts: once a listener's accept queue is full,
+/// the kernel drops further handshakes unanswered, and a client whose
+/// connect timeout is set gets the typed `Timeout` at its bound instead
+/// of waiting out the OS's SYN retries.
+#[test]
+fn a_peer_that_never_accepts_surfaces_as_a_typed_connect_timeout() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let bound = Duration::from_millis(100);
+    // Fill the accept queue: the first handshake that times out shows
+    // it is full.
+    let mut queued = Vec::new();
+    loop {
+        match std::net::TcpStream::connect_timeout(&addr, bound) {
+            Ok(stream) => queued.push(stream),
+            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => break,
+            Err(e) => panic!("filling the accept queue: {e}"),
+        }
+        assert!(queued.len() < 65_536, "the accept queue never filled");
+    }
+    let config = ClientConfig {
+        connect_timeout: Some(bound),
+        ..ClientConfig::default()
+    };
+    let started = Instant::now();
+    match Client::connect_with(addr, config) {
+        Err(ServiceError::Timeout(_)) => {}
+        other => panic!("expected a typed timeout, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        started.elapsed()
+    );
+}
+
 // ---------------------------------------------------------------------
 // Graceful shutdown: no in-flight job lost
 // ---------------------------------------------------------------------
