@@ -40,10 +40,10 @@
 //!   issues at `tᵢ = max(aᵢ, tᵢ₋₁ + tCCD)`.
 //! * **Streamed:** `aᵢ` is the run's arrival, which is `<= t₀`, so
 //!   `tᵢ = t₀ + i·tCCD`.
-//! * **Dependent / Spaced(gap):** `aᵢ = cᵢ₋₁ + gap` (`gap = 0` for
-//!   Dependent), where `cᵢ = tᵢ + D` with `D = CL + tBURST` for reads and
-//!   `CWL + tBURST` for writes. So `tᵢ = tᵢ₋₁ + max(D + gap, tCCD)`, and
-//!   each tail latency is `cᵢ − aᵢ = step − gap`.
+//! * **Spaced(gap):** `aᵢ = cᵢ₋₁ + gap`, where `cᵢ = tᵢ + D` with
+//!   `D = CL + tBURST` for reads and `CWL + tBURST` for writes. So
+//!   `tᵢ = tᵢ₋₁ + max(D + gap, tCCD)`, and each tail latency is
+//!   `cᵢ − aᵢ = step − gap`.
 //! * So the issues form `tᵢ = t₀ + i·step`. Every state update of a
 //!   column command is `x = max(x, t + c)` for a constant `c` (the rank's
 //!   gates, the subarray's `next_pre`, the bank's `new_sa_gate` and
@@ -540,7 +540,6 @@ impl MemoryController {
         };
         let (step, gap) = match mode {
             DriveMode::Streamed => (timing.t_ccd, 0),
-            DriveMode::Dependent => (data.max(timing.t_ccd), 0),
             DriveMode::Spaced(gap) => ((data + gap).max(timing.t_ccd), gap),
         };
         let tail = tail as u64;

@@ -140,18 +140,16 @@ impl RowRun {
 
 /// How requests arrive at the controller.
 ///
-/// The access-condition profiler uses [`DriveMode::Dependent`] for the
-/// isolated hit/miss/conflict latencies of Fig. 1 and
-/// [`DriveMode::Streamed`] for the parallelism conditions, matching how a
-/// CNN accelerator's DMA engine streams tile data.
+/// The access-condition profiler uses `Spaced(tRC)` for the isolated
+/// hit/miss/conflict latencies of Fig. 1 and [`DriveMode::Streamed`] for
+/// the parallelism conditions, matching how a CNN accelerator's DMA
+/// engine streams tile data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DriveMode {
-    /// Each request is issued only after the previous one completed
-    /// (isolated per-access latency).
-    Dependent,
     /// Each request arrives the given number of cycles after the previous
-    /// completion — fully isolated accesses with all bank timings (tRAS,
-    /// tRC) quiesced. Used for the Fig. 1 hit/miss/conflict measurements.
+    /// completion. `Spaced(0)` issues each request as soon as the
+    /// previous one completed (isolated per-access latency); `Spaced(tRC)`
+    /// also quiesces every bank timing (tRAS, tRC).
     Spaced(u64),
     /// All requests are available immediately and served back-to-back
     /// (steady-state streaming, overlap allowed).
@@ -162,14 +160,13 @@ pub enum DriveMode {
 impl DriveMode {
     /// True for modes where each request waits for the previous completion.
     pub(crate) fn is_serialized(self) -> bool {
-        matches!(self, DriveMode::Dependent | DriveMode::Spaced(_))
+        matches!(self, DriveMode::Spaced(_))
     }
 
     /// Arrival of the request after one that arrived at `arrival` and
     /// completed at `completion`.
     pub(crate) fn next_arrival(self, arrival: u64, completion: u64) -> u64 {
         match self {
-            DriveMode::Dependent => completion,
             DriveMode::Spaced(gap) => completion + gap,
             DriveMode::Streamed => arrival,
         }

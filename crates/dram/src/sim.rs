@@ -306,7 +306,7 @@ mod tests {
             Request::read(addr(0, 0, 0, 0)),
             Request::read(addr(0, 0, 0, 1)),
         ];
-        let stats = s.run(&trace, DriveMode::Dependent);
+        let stats = s.run(&trace, DriveMode::Spaced(0));
         let t = TimingParams::ddr3_1600k();
         let expect = (t.t_rcd + t.cl + t.t_burst) + (t.cl + t.t_burst);
         assert_eq!(stats.total_latency_cycles, expect);

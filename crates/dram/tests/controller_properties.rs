@@ -45,8 +45,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 fn mode_strategy() -> impl Strategy<Value = DriveMode> {
     prop_oneof![
         Just(DriveMode::Streamed),
-        Just(DriveMode::Dependent),
-        (1u64..64).prop_map(DriveMode::Spaced),
+        (0u64..64).prop_map(DriveMode::Spaced),
     ]
 }
 
@@ -130,8 +129,8 @@ proptest! {
         );
     }
 
-    /// Dependent mode is never faster than streamed mode (overlap can
-    /// only help), and spaced mode only adds idle time.
+    /// Serialized arrival (`Spaced(0)`) is never faster than streamed
+    /// mode (overlap can only help), and a gap only adds idle time.
     #[test]
     fn mode_ordering(
         arch in arch_strategy(),
@@ -139,7 +138,7 @@ proptest! {
         gap in 1u64..32,
     ) {
         let (streamed, _) = run(arch, &requests, DriveMode::Streamed);
-        let (dependent, _) = run(arch, &requests, DriveMode::Dependent);
+        let (dependent, _) = run(arch, &requests, DriveMode::Spaced(0));
         let (spaced, _) = run(arch, &requests, DriveMode::Spaced(gap));
         prop_assert!(streamed.makespan_cycles <= dependent.makespan_cycles);
         prop_assert!(dependent.makespan_cycles <= spaced.makespan_cycles);
@@ -165,7 +164,7 @@ proptest! {
     #[test]
     fn repeat_access_hits(arch in arch_strategy(), req in request_strategy()) {
         let requests = vec![req, req];
-        let (stats, records) = run(arch, &requests, DriveMode::Dependent);
+        let (stats, records) = run(arch, &requests, DriveMode::Spaced(0));
         prop_assert!(records[1].outcome.is_hit(), "second identical access must hit");
         prop_assert_eq!(stats.requests, 2);
     }
@@ -240,7 +239,6 @@ impl Oracle {
                 .unwrap();
             outcome_counts[idx] += 1;
             match mode {
-                DriveMode::Dependent => arrival = rec.completion,
                 DriveMode::Spaced(gap) => arrival = rec.completion + gap,
                 DriveMode::Streamed => {}
             }
@@ -335,7 +333,7 @@ fn matrix(gap: u64, timeout: u64) -> Vec<(ControllerConfig, DriveMode, bool)> {
     for arch in DramArch::ALL {
         for mode in [
             DriveMode::Streamed,
-            DriveMode::Dependent,
+            DriveMode::Spaced(0),
             DriveMode::Spaced(gap),
         ] {
             for row_policy in [

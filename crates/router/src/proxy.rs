@@ -37,7 +37,7 @@ use drmap_service::engine::job_route_key;
 use drmap_service::error::ServiceError;
 use drmap_service::loadgen::SplitMix64;
 use drmap_service::proto::{
-    router_capabilities, MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION,
+    answer_hello, router_capabilities, MetricsReport, Request, Response, StatsReport,
 };
 use drmap_service::server::DEFAULT_MAX_INFLIGHT;
 use drmap_service::spec::JobSpec;
@@ -471,21 +471,11 @@ impl RouterCore {
         let id = request.id();
         let unexpected = |other: Response| format!("answered {other:?}");
         let fanned = match request {
-            Request::Hello { version, .. } => Ok(if version == PROTOCOL_VERSION {
-                Response::Hello {
-                    version: PROTOCOL_VERSION,
-                    server: backend::identity(),
-                    capabilities: self.capabilities(),
-                }
-            } else {
-                Response::Error {
-                    id: None,
-                    message: format!(
-                        "unsupported protocol version {version} (this router speaks \
-                         {PROTOCOL_VERSION})"
-                    ),
-                }
-            }),
+            Request::Hello { version, .. } => Ok(answer_hello(
+                version,
+                backend::identity(),
+                self.capabilities(),
+            )),
             Request::Ping { id } => Ok(Response::Pong { id }),
             Request::Shutdown { id } => {
                 reply.send(Response::Shutdown { id });
@@ -561,99 +551,53 @@ fn no_healthy_backend(id: Option<u64>) -> Response {
     }
 }
 
-/// Stats across the fleet: counters sum, configuration comes from the
-/// first backend, `backends` is the cluster size.
+/// Stats across the fleet: the cache and store snapshots fold with
+/// their own `merge` rules, `workers` sums, the configured bounds come
+/// from the first backend, and `backends` is the cluster size.
 fn fold_stats(id: Option<u64>, reports: Vec<StatsReport>) -> Response {
     let backends = reports.len();
-    match reports
-        .into_iter()
-        .reduce(|acc, report| sum_stats(acc, &report))
-    {
-        Some(mut report) => {
-            report.backends = Some(backends);
-            Response::Stats { id, report }
+    let mut rest = reports.into_iter();
+    let Some(mut report) = rest.next() else {
+        return no_healthy_backend(id);
+    };
+    for other in rest {
+        report.cache.merge(&other.cache);
+        report.workers += other.workers;
+        if let Some(store) = &other.store {
+            report
+                .store
+                .get_or_insert_with(Default::default)
+                .merge(store);
         }
-        None => no_healthy_backend(id),
     }
+    report.backends = Some(backends);
+    Response::Stats { id, report }
 }
 
 /// A broadcast verb's answer: the first backend's, with the countable
-/// acknowledgements (`loaded` entries warmed, compaction reports)
-/// summed over the fleet.
+/// acknowledgements summed over the fleet: entries `loaded` by a warm,
+/// the compaction reports, and the entries `evicted` by `set-bounds`.
 fn fold_broadcast(id: Option<u64>, answers: Vec<Response>) -> Response {
     let mut rest = answers.into_iter();
-    let Some(first) = rest.next() else {
+    let Some(mut first) = rest.next() else {
         return no_healthy_backend(id);
     };
-    match first {
-        Response::CacheWarmed { id, mut loaded } => {
-            for answer in rest {
-                if let Response::CacheWarmed { loaded: more, .. } = answer {
-                    loaded += more;
-                }
+    for answer in rest {
+        match (&mut first, answer) {
+            (Response::CacheWarmed { loaded, .. }, Response::CacheWarmed { loaded: more, .. }) => {
+                *loaded += more;
             }
-            Response::CacheWarmed { id, loaded }
-        }
-        Response::StoreCompacted { id, mut report } => {
-            for answer in rest {
-                if let Response::StoreCompacted { report: more, .. } = answer {
-                    report.live_records += more.live_records;
-                    report.dropped_records += more.dropped_records;
-                    report.bytes_before += more.bytes_before;
-                    report.bytes_after += more.bytes_after;
-                }
+            (
+                Response::StoreCompacted { report, .. },
+                Response::StoreCompacted { report: more, .. },
+            ) => report.merge(&more),
+            (Response::BoundsSet { evicted, .. }, Response::BoundsSet { evicted: more, .. }) => {
+                *evicted += more;
             }
-            Response::StoreCompacted { id, report }
+            _ => {}
         }
-        first => first,
     }
-}
-
-/// Field-wise sum of two stats reports (configuration fields keep the
-/// accumulator's — i.e. the first healthy backend's — values).
-fn sum_stats(mut acc: StatsReport, other: &StatsReport) -> StatsReport {
-    let c = &mut acc.cache;
-    let o = &other.cache;
-    c.hits += o.hits;
-    c.misses += o.misses;
-    c.coalesced += o.coalesced;
-    c.bypasses += o.bypasses;
-    c.refreshes += o.refreshes;
-    c.evictions += o.evictions;
-    c.entries += o.entries;
-    c.bytes += o.bytes;
-    c.store_hits += o.store_hits;
-    c.store_misses += o.store_misses;
-    c.store_errors += o.store_errors;
-    c.compute_ns_min = if c.compute_ns_min == 0 {
-        o.compute_ns_min
-    } else if o.compute_ns_min == 0 {
-        c.compute_ns_min
-    } else {
-        c.compute_ns_min.min(o.compute_ns_min)
-    };
-    c.compute_ns_max = c.compute_ns_max.max(o.compute_ns_max);
-    c.compute_ns_total += o.compute_ns_total;
-    acc.workers += other.workers;
-    acc.store = match (acc.store, &other.store) {
-        (Some(mut a), Some(b)) => {
-            a.live_entries += b.live_entries;
-            a.records += b.records;
-            a.dead_records += b.dead_records;
-            a.file_bytes += b.file_bytes;
-            a.live_value_bytes += b.live_value_bytes;
-            a.dead_bytes += b.dead_bytes;
-            a.appends += b.appends;
-            a.gets += b.gets;
-            a.hits += b.hits;
-            a.compactions += b.compactions;
-            a.recovered_bytes += b.recovered_bytes;
-            Some(a)
-        }
-        (None, Some(b)) => Some(*b),
-        (a, None) => a,
-    };
-    acc
+    first
 }
 
 // ---------------------------------------------------------------------
@@ -728,6 +672,174 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drmap_service::cache::CacheStats;
+    use drmap_store::store::{CompactReport, StoreStats};
+
+    /// A cache snapshot whose fields are `base` plus distinct offsets,
+    /// so a field folded from the wrong source shows.
+    fn cache_stats(base: u64, compute_ns_min: u64) -> CacheStats {
+        CacheStats {
+            hits: base + 1,
+            misses: base + 2,
+            coalesced: base + 3,
+            bypasses: base + 4,
+            refreshes: base + 5,
+            evictions: base + 6,
+            entries: base as usize + 7,
+            bytes: base as usize + 8,
+            store_hits: base + 9,
+            store_misses: base + 10,
+            store_errors: base + 11,
+            compute_ns_min,
+            compute_ns_max: base + 12,
+            compute_ns_total: base + 13,
+        }
+    }
+
+    fn store_stats(base: u64) -> StoreStats {
+        StoreStats {
+            live_entries: base as usize + 1,
+            records: base + 2,
+            dead_records: base + 3,
+            file_bytes: base + 4,
+            live_value_bytes: base + 5,
+            dead_bytes: base + 6,
+            appends: base + 7,
+            gets: base + 8,
+            hits: base + 9,
+            compactions: base + 10,
+            recovered_bytes: base + 11,
+        }
+    }
+
+    fn compact_report(base: u64) -> CompactReport {
+        CompactReport {
+            live_records: base + 1,
+            dropped_records: base + 2,
+            bytes_before: base + 3,
+            bytes_after: base + 4,
+        }
+    }
+
+    /// Three backends' stats reports: every count, size and total sums,
+    /// `compute_ns_max` is the largest, the first backend's
+    /// `compute_ns_min = 0` (no measurement yet) never wins the
+    /// minimum, a store-less first backend still gets the other two
+    /// stores' sum, and the bounds come from the first backend.
+    #[test]
+    fn stats_fold_sums_every_counter_over_the_fleet() {
+        let report = |base: u64, compute_ns_min, store| StatsReport {
+            cache: cache_stats(base, compute_ns_min),
+            max_entries: Some(base as usize),
+            max_bytes: None,
+            workers: 2,
+            store,
+            backends: None,
+        };
+        let reports = vec![
+            report(100, 0, None),
+            report(200, 70, Some(store_stats(200))),
+            report(300, 40, Some(store_stats(300))),
+        ];
+        let Response::Stats { id, report } = fold_stats(Some(9), reports) else {
+            panic!("the stats fold answered something else");
+        };
+        assert_eq!(id, Some(9));
+        let cache = CacheStats {
+            hits: 603,
+            misses: 606,
+            coalesced: 609,
+            bypasses: 612,
+            refreshes: 615,
+            evictions: 618,
+            entries: 621,
+            bytes: 624,
+            store_hits: 627,
+            store_misses: 630,
+            store_errors: 633,
+            compute_ns_min: 40,
+            compute_ns_max: 312,
+            compute_ns_total: 639,
+        };
+        assert_eq!(report.cache, cache);
+        let store = StoreStats {
+            live_entries: 502,
+            records: 504,
+            dead_records: 506,
+            file_bytes: 508,
+            live_value_bytes: 510,
+            dead_bytes: 512,
+            appends: 514,
+            gets: 516,
+            hits: 518,
+            compactions: 520,
+            recovered_bytes: 522,
+        };
+        assert_eq!(report.store, Some(store));
+        assert_eq!(report.workers, 6);
+        assert_eq!(report.backends, Some(3));
+        assert_eq!((report.max_entries, report.max_bytes), (Some(100), None));
+    }
+
+    /// Three backends' acknowledgements of each broadcast verb: the
+    /// counts sum, everything else is the first backend's.
+    #[test]
+    fn broadcast_fold_sums_loaded_compaction_and_evicted_counts() {
+        let warmed = (1..=3)
+            .map(|loaded| Response::CacheWarmed {
+                id: Some(1),
+                loaded,
+            })
+            .collect();
+        assert_eq!(
+            fold_broadcast(Some(1), warmed),
+            Response::CacheWarmed {
+                id: Some(1),
+                loaded: 6
+            }
+        );
+
+        let compacted = [10, 20, 30]
+            .map(|base| Response::StoreCompacted {
+                id: Some(2),
+                report: compact_report(base),
+            })
+            .into();
+        assert_eq!(
+            fold_broadcast(Some(2), compacted),
+            Response::StoreCompacted {
+                id: Some(2),
+                report: CompactReport {
+                    live_records: 63,
+                    dropped_records: 66,
+                    bytes_before: 69,
+                    bytes_after: 72,
+                },
+            }
+        );
+
+        let bounds_set = [(8, 4), (16, 5), (32, 6)]
+            .map(|(previous, evicted)| Response::BoundsSet {
+                id: Some(3),
+                max_entries: Some(2),
+                max_bytes: None,
+                previous_entries: Some(previous),
+                previous_bytes: None,
+                evicted,
+            })
+            .into();
+        assert_eq!(
+            fold_broadcast(Some(3), bounds_set),
+            Response::BoundsSet {
+                id: Some(3),
+                max_entries: Some(2),
+                max_bytes: None,
+                previous_entries: Some(8),
+                previous_bytes: None,
+                evicted: 15,
+            }
+        );
+    }
 
     fn schedule(seed: u64, draws: usize) -> Vec<u64> {
         let mut rng = SplitMix64::new(seed);

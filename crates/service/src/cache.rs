@@ -155,7 +155,52 @@ pub struct CacheStats {
     pub compute_ns_total: u64,
 }
 
+/// The smaller of two recorded durations, where 0 means "no
+/// measurement yet" and so never wins.
+fn min_measured(a: u64, b: u64) -> u64 {
+    match (a, b) {
+        (0, x) | (x, 0) => x,
+        (a, b) => a.min(b),
+    }
+}
+
 impl CacheStats {
+    /// Fold `other` (another cache's snapshot) into `self`: every
+    /// count, size and duration total sums, `compute_ns_max` takes the
+    /// larger and `compute_ns_min` the smaller measured duration.
+    pub fn merge(&mut self, other: &CacheStats) {
+        let CacheStats {
+            hits,
+            misses,
+            coalesced,
+            bypasses,
+            refreshes,
+            evictions,
+            entries,
+            bytes,
+            store_hits,
+            store_misses,
+            store_errors,
+            compute_ns_min,
+            compute_ns_max,
+            compute_ns_total,
+        } = *other;
+        self.hits += hits;
+        self.misses += misses;
+        self.coalesced += coalesced;
+        self.bypasses += bypasses;
+        self.refreshes += refreshes;
+        self.evictions += evictions;
+        self.entries += entries;
+        self.bytes += bytes;
+        self.store_hits += store_hits;
+        self.store_misses += store_misses;
+        self.store_errors += store_errors;
+        self.compute_ns_min = min_measured(self.compute_ns_min, compute_ns_min);
+        self.compute_ns_max = self.compute_ns_max.max(compute_ns_max);
+        self.compute_ns_total += compute_ns_total;
+    }
+
     /// Fraction of lookups served without a fresh computation
     /// (0 when no lookups yet). Coalesced and store-served lookups
     /// count as served.
@@ -212,8 +257,6 @@ struct Inner {
     tail: usize,
     /// Head of the slab free list.
     free: usize,
-    /// Approximate resident bytes.
-    bytes: usize,
     /// key → in-flight computation for single-flight coalescing.
     inflight: HashMap<String, Arc<Flight>>,
     /// The entry cap currently in force (initialized from
@@ -224,18 +267,9 @@ struct Inner {
     /// [`CacheConfig::max_bytes`], retunable at runtime via
     /// [`DseCache::set_bounds`]).
     max_bytes: Option<usize>,
-    hits: u64,
-    misses: u64,
-    coalesced: u64,
-    bypasses: u64,
-    refreshes: u64,
-    evictions: u64,
-    store_hits: u64,
-    store_misses: u64,
-    store_errors: u64,
-    compute_ns_min: u64,
-    compute_ns_max: u64,
-    compute_ns_total: u64,
+    /// The counters, and in `bytes` the approximate resident bytes;
+    /// `entries` is filled in by [`DseCache::stats`].
+    stats: CacheStats,
 }
 
 impl Inner {
@@ -312,7 +346,7 @@ impl Inner {
     /// changes nothing — the caller decides what a miss counts as.
     fn hit(&mut self, key: &str) -> Option<LayerDseResult> {
         let index = self.map.get(key).copied()?;
-        self.hits += 1;
+        self.stats.hits += 1;
         self.touch(index);
         Some(self.entry(index).value.clone())
     }
@@ -326,7 +360,7 @@ impl Inner {
         self.free = index;
         match slot {
             Slot::Occupied(e) => {
-                self.bytes -= e.bytes;
+                self.stats.bytes -= e.bytes;
                 self.map.remove(&e.key);
             }
             Slot::Free { .. } => unreachable!("removed a free slot"),
@@ -343,13 +377,9 @@ impl Inner {
         // O(1) here so `stats()` never has to walk the slab under the
         // cache's one mutex.
         if compute_ns > 0 {
-            self.compute_ns_total += compute_ns;
-            self.compute_ns_max = self.compute_ns_max.max(compute_ns);
-            self.compute_ns_min = if self.compute_ns_min == 0 {
-                compute_ns
-            } else {
-                self.compute_ns_min.min(compute_ns)
-            };
+            self.stats.compute_ns_total += compute_ns;
+            self.stats.compute_ns_max = self.stats.compute_ns_max.max(compute_ns);
+            self.stats.compute_ns_min = min_measured(self.stats.compute_ns_min, compute_ns);
         }
         if let Some(&index) = self.map.get(&key) {
             let bytes = approx_entry_bytes(&key, &value);
@@ -357,7 +387,7 @@ impl Inner {
             let old_bytes = e.bytes;
             e.value = value;
             e.bytes = bytes;
-            self.bytes = self.bytes - old_bytes + bytes;
+            self.stats.bytes = self.stats.bytes - old_bytes + bytes;
             self.touch(index);
         } else {
             let bytes = approx_entry_bytes(&key, &value);
@@ -381,7 +411,7 @@ impl Inner {
                 self.slab.len() - 1
             };
             self.map.insert(key, index);
-            self.bytes += bytes;
+            self.stats.bytes += bytes;
             self.push_front(index);
         }
         self.enforce_bounds();
@@ -389,7 +419,7 @@ impl Inner {
 
     fn over_bounds(&self) -> bool {
         self.max_entries.is_some_and(|n| self.map.len() > n)
-            || self.max_bytes.is_some_and(|n| self.bytes > n)
+            || self.max_bytes.is_some_and(|n| self.stats.bytes > n)
     }
 
     /// Evict least-recently-used entries until the **live** bounds
@@ -398,7 +428,7 @@ impl Inner {
     fn enforce_bounds(&mut self) {
         while self.over_bounds() && self.tail != NIL {
             self.remove(self.tail);
-            self.evictions += 1;
+            self.stats.evictions += 1;
         }
     }
 }
@@ -492,9 +522,9 @@ impl DseCache {
         if let Some(bytes) = max_bytes {
             inner.max_bytes = bytes;
         }
-        let evictions_before = inner.evictions;
+        let evictions_before = inner.stats.evictions;
         inner.enforce_bounds();
-        (previous, inner.evictions - evictions_before)
+        (previous, inner.stats.evictions - evictions_before)
     }
 
     /// The persistent store tier, if one is attached.
@@ -510,7 +540,7 @@ impl DseCache {
         let mut inner = lock_recovered(&self.inner);
         let hit = inner.hit(key);
         if hit.is_none() {
-            inner.misses += 1;
+            inner.stats.misses += 1;
         }
         hit
     }
@@ -625,7 +655,7 @@ impl DseCache {
         F: FnOnce() -> Result<LayerDseResult, DseError>,
     {
         if mode == CacheMode::Bypass {
-            lock_recovered(&self.inner).bypasses += 1;
+            lock_recovered(&self.inner).stats.bypasses += 1;
             let (result, compute_ns) = run_timed(compute);
             return (
                 result.map(|value| (value, CacheOutcome::Miss)),
@@ -642,14 +672,14 @@ impl DseCache {
                 }
                 match inner.inflight.get(key).map(Arc::clone) {
                     Some(flight) if mode != CacheMode::Refresh => {
-                        inner.coalesced += 1;
+                        inner.stats.coalesced += 1;
                         break (flight, false);
                     }
                     Some(flight) => Some(flight),
                     None => {
-                        inner.misses += 1;
+                        inner.stats.misses += 1;
                         if mode == CacheMode::Refresh {
-                            inner.refreshes += 1;
+                            inner.stats.refreshes += 1;
                         }
                         let flight = Arc::new(Flight {
                             done: Mutex::new(None),
@@ -695,14 +725,14 @@ impl DseCache {
                 }
                 match (fetched, decoded) {
                     (Ok(Some(_)), Some(Ok((value, stored_ns)))) => {
-                        lock_recovered(&self.inner).store_hits += 1;
+                        lock_recovered(&self.inner).stats.store_hits += 1;
                         outcome = CacheOutcome::StoreHit;
                         compute_ns = stored_ns;
                         break 'produce Ok(value);
                     }
-                    (Ok(Some(_)), _) => lock_recovered(&self.inner).store_errors += 1,
-                    (Ok(None), _) => lock_recovered(&self.inner).store_misses += 1,
-                    (Err(_), _) => lock_recovered(&self.inner).store_errors += 1,
+                    (Ok(Some(_)), _) => lock_recovered(&self.inner).stats.store_errors += 1,
+                    (Ok(None), _) => lock_recovered(&self.inner).stats.store_misses += 1,
+                    (Err(_), _) => lock_recovered(&self.inner).stats.store_errors += 1,
                 }
             }
             let (result, ns) = run_timed(compute);
@@ -736,7 +766,7 @@ impl DseCache {
                     metrics.store_write_ns.record(elapsed_ns(write_start));
                 }
                 if wrote.is_err() {
-                    lock_recovered(&self.inner).store_errors += 1;
+                    lock_recovered(&self.inner).stats.store_errors += 1;
                 }
             }
         }
@@ -751,20 +781,8 @@ impl DseCache {
     pub fn stats(&self) -> CacheStats {
         let inner = lock_recovered(&self.inner);
         CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            coalesced: inner.coalesced,
-            bypasses: inner.bypasses,
-            refreshes: inner.refreshes,
-            evictions: inner.evictions,
             entries: inner.map.len(),
-            bytes: inner.bytes,
-            store_hits: inner.store_hits,
-            store_misses: inner.store_misses,
-            store_errors: inner.store_errors,
-            compute_ns_min: inner.compute_ns_min,
-            compute_ns_max: inner.compute_ns_max,
-            compute_ns_total: inner.compute_ns_total,
+            ..inner.stats
         }
     }
 
@@ -790,12 +808,12 @@ impl DseCache {
         let entries = match store.bulk_load(Some(budget)) {
             Ok(loaded) => {
                 if loaded.damaged > 0 {
-                    lock_recovered(&self.inner).store_errors += loaded.damaged;
+                    lock_recovered(&self.inner).stats.store_errors += loaded.damaged;
                 }
                 loaded.entries
             }
             Err(_) => {
-                lock_recovered(&self.inner).store_errors += 1;
+                lock_recovered(&self.inner).stats.store_errors += 1;
                 return 0;
             }
         };
@@ -808,7 +826,7 @@ impl DseCache {
                     lock_recovered(&self.inner).insert(key, value, compute_ns);
                     loaded += 1;
                 }
-                Err(_) => lock_recovered(&self.inner).store_errors += 1,
+                Err(_) => lock_recovered(&self.inner).stats.store_errors += 1,
             }
         }
         loaded
@@ -825,19 +843,7 @@ impl DseCache {
         inner.head = NIL;
         inner.tail = NIL;
         inner.free = NIL;
-        inner.bytes = 0;
-        inner.hits = 0;
-        inner.misses = 0;
-        inner.coalesced = 0;
-        inner.bypasses = 0;
-        inner.refreshes = 0;
-        inner.evictions = 0;
-        inner.store_hits = 0;
-        inner.store_misses = 0;
-        inner.store_errors = 0;
-        inner.compute_ns_min = 0;
-        inner.compute_ns_max = 0;
-        inner.compute_ns_total = 0;
+        inner.stats = CacheStats::default();
     }
 }
 

@@ -38,7 +38,7 @@ const SLOW_LOG_CAPACITY: usize = 32;
 /// parameters. Part of every cache fingerprint — and therefore of
 /// [`job_route_key`], which must agree with the backends' keys without
 /// building an engine.
-pub(crate) const SUBSTRATE: &str = "salp_2gb_x8/ddr3_1600k/micron_2gb_x8/table_ii";
+const SUBSTRATE: &str = "salp_2gb_x8/ddr3_1600k/micron_2gb_x8/table_ii";
 
 /// Builds [`DseEngine`]s on demand: one per (architecture, objective,
 /// `keep_points`), shared by every caller.
@@ -56,6 +56,25 @@ pub struct EngineFactory {
     /// The engines, by architecture, objective (in [`Objective::ALL`]
     /// order) and `keep_points`, built on first use.
     engines: [[[OnceLock<SharedEngine>; 2]; Objective::ALL.len()]; DramArch::ALL.len()],
+}
+
+/// The cache-key tag of `arch` on the served substrate.
+fn arch_tag(arch: DramArch) -> String {
+    format!("{}@{SUBSTRATE}", arch.label())
+}
+
+/// The sweep configuration of a served engine.
+fn sweep_config(objective: Objective, keep_points: bool) -> DseConfig {
+    DseConfig {
+        objective,
+        keep_points,
+        ..DseConfig::default()
+    }
+}
+
+/// The accelerator every served engine models: Table II's.
+fn served_accelerator() -> AcceleratorConfig {
+    AcceleratorConfig::table_ii()
 }
 
 /// Where `arch` is in [`DramArch::ALL`].
@@ -77,9 +96,9 @@ impl EngineFactory {
     pub fn table_ii() -> Result<Self, ServiceError> {
         Ok(EngineFactory {
             geometry: Geometry::salp_2gb_x8(),
-            acc: AcceleratorConfig::table_ii(),
+            acc: served_accelerator(),
             profiler: Profiler::table_ii()?,
-            tags: DramArch::ALL.map(|arch| format!("{}@{SUBSTRATE}", arch.label())),
+            tags: DramArch::ALL.map(arch_tag),
             tables: Default::default(),
             engines: Default::default(),
         })
@@ -129,13 +148,8 @@ impl EngineFactory {
             .expect("every objective is in Objective::ALL");
         let engine = self.engines[arch][objective][usize::from(keep_points)].get_or_init(|| {
             let table = self.tables[arch].get_or_init(|| self.profiler.cost_table(spec.arch));
-            let config = DseConfig {
-                objective: spec.objective,
-                keep_points,
-                ..DseConfig::default()
-            };
             let model = EdpModel::new(self.geometry, table.clone(), self.acc);
-            DseEngine::new(model, config).into_shared()
+            DseEngine::new(model, sweep_config(spec.objective, keep_points)).into_shared()
         });
         Arc::clone(engine)
     }
@@ -530,13 +544,9 @@ impl ServiceState {
 /// hashing on it keeps each backend's memo cache and WAL store hot for
 /// a stable key slice.
 pub fn job_route_key(spec: &JobSpec) -> String {
-    let acc = AcceleratorConfig::table_ii();
-    let config = DseConfig {
-        objective: spec.engine.objective,
-        keep_points: spec.options.keep_points,
-        ..DseConfig::default()
-    };
-    let tag = format!("{}@{}", spec.engine.arch.label(), SUBSTRATE);
+    let acc = served_accelerator();
+    let config = sweep_config(spec.engine.objective, spec.options.keep_points);
+    let tag = arch_tag(spec.engine.arch);
     let mut key = String::new();
     for layer in spec.workload.layers() {
         key.push_str(&layer_cache_key(&tag, layer, &acc, &config));
@@ -684,34 +694,38 @@ mod tests {
     }
 
     /// The served key of every zoo layer on every architecture, objective
-    /// and `keep_points` is `layer_cache_key`'s, and their bytes are
-    /// pinned: a WAL or cache written before stays addressable.
+    /// and `keep_points` is `layer_cache_key`'s, the router's
+    /// [`job_route_key`] of each network is exactly its served layer
+    /// keys, and their bytes are pinned: a WAL or cache written before
+    /// stays addressable.
     #[test]
     fn served_layer_keys_are_byte_identical_to_layer_cache_key() {
         let factory = EngineFactory::table_ii().unwrap();
-        let acc = AcceleratorConfig::table_ii();
+        let acc = served_accelerator();
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut keys = 0;
         for arch in DramArch::ALL {
-            let tag = format!("{}@{SUBSTRATE}", arch.label());
+            let tag = arch_tag(arch);
             for objective in Objective::ALL {
                 for keep_points in [false, true] {
                     let spec = EngineSpec { arch, objective };
                     let engine = factory.shared(&spec, keep_points);
-                    let config = DseConfig {
-                        objective,
-                        keep_points,
-                        ..DseConfig::default()
-                    };
+                    let config = sweep_config(objective, keep_points);
                     for (_, build) in Network::zoo() {
-                        for layer in build().layers() {
+                        let mut job = JobSpec::network(0, spec, build());
+                        job.options.keep_points = keep_points;
+                        let mut served = String::new();
+                        for layer in job.workload.layers() {
                             let key = engine.layer_key(factory.tag(arch), layer);
                             assert_eq!(key, layer_cache_key(&tag, layer, &acc, &config));
-                            // FNV-1a over every key and a newline.
-                            for byte in key.bytes().chain([b'\n']) {
-                                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-                            }
+                            served.push_str(&key);
+                            served.push('\n');
                             keys += 1;
+                        }
+                        assert_eq!(job_route_key(&job), served);
+                        // FNV-1a over every key and a newline.
+                        for byte in served.bytes() {
+                            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
                         }
                     }
                 }

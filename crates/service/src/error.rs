@@ -29,12 +29,6 @@ pub enum ServiceError {
     },
 }
 
-/// Marker prefix the pool embeds in a [`DseError`] raised by a missed
-/// deadline, so [`PendingJob::wait`](crate::pool::PendingJob::wait) can
-/// lift it back into the typed [`ServiceError::DeadlineExceeded`]
-/// without threading a new error type through every layer reply.
-pub(crate) const DEADLINE_MARKER: &str = "deadline exceeded after ";
-
 impl ServiceError {
     /// A protocol error with the given message.
     pub fn protocol(message: impl Into<String>) -> Self {
@@ -69,7 +63,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Io(e) => write!(f, "i/o error: {e}"),
             ServiceError::Timeout(m) => write!(f, "timed out: {m}"),
             ServiceError::DeadlineExceeded { deadline_ms } => {
-                write!(f, "{DEADLINE_MARKER}{deadline_ms} ms")
+                write!(f, "deadline exceeded after {deadline_ms} ms")
             }
         }
     }
@@ -88,18 +82,7 @@ impl std::error::Error for ServiceError {
 }
 
 impl From<DseError> for ServiceError {
-    /// Lifts a pool-raised deadline error (recognized by
-    /// `DEADLINE_MARKER`) back into the typed
-    /// [`ServiceError::DeadlineExceeded`]; everything else stays a
-    /// plain exploration failure.
     fn from(e: DseError) -> Self {
-        let message = e.to_string();
-        if let Some(at) = message.find(DEADLINE_MARKER) {
-            let rest = &message[at + DEADLINE_MARKER.len()..];
-            if let Some(ms) = rest.strip_suffix(" ms").and_then(|n| n.parse().ok()) {
-                return ServiceError::DeadlineExceeded { deadline_ms: ms };
-            }
-        }
         ServiceError::Dse(e)
     }
 }
@@ -145,15 +128,13 @@ mod tests {
     }
 
     #[test]
-    fn marked_dse_errors_lift_into_the_typed_deadline_variant() {
-        let marked = DseError::new(format!("{DEADLINE_MARKER}250 ms"));
-        assert!(matches!(
-            ServiceError::from(marked),
-            ServiceError::DeadlineExceeded { deadline_ms: 250 }
-        ));
-        // A message that merely mentions deadlines is not lifted.
-        let plain = DseError::new("deadline exceeded after lunch");
-        assert!(matches!(ServiceError::from(plain), ServiceError::Dse(_)));
+    fn an_exploration_error_cannot_pose_as_a_missed_deadline() {
+        let posing = DseError::new("layer x: deadline exceeded after 5 ms");
+        assert!(matches!(ServiceError::from(posing), ServiceError::Dse(_)));
+        assert_eq!(
+            ServiceError::DeadlineExceeded { deadline_ms: 5 }.to_string(),
+            "deadline exceeded after 5 ms"
+        );
     }
 
     #[test]

@@ -49,11 +49,11 @@ use drmap_telemetry::Trace;
 
 use crate::cache::CacheOutcome;
 use crate::engine::{outcome_from_result, ServiceState};
-use crate::error::{panic_message, ServiceError, DEADLINE_MARKER};
+use crate::error::{panic_message, ServiceError};
 use crate::spec::{CacheMode, JobOptions, JobResult, JobSpec};
 use crate::sync::lock_recovered;
 
-type LayerReply = Result<(LayerDseResult, CacheOutcome), DseError>;
+type LayerReply = Result<(LayerDseResult, CacheOutcome), ServiceError>;
 
 /// What a finished job is handed to: runs exactly once, on whichever
 /// thread supplied the job's last layer.
@@ -133,9 +133,7 @@ impl QueuedJob {
 /// A job's absolute latency budget, captured at submission. Workers
 /// check it at dequeue: a queued layer whose budget lapsed is never
 /// computed (one that has started runs to completion), and the expired
-/// check raises a [`DEADLINE_MARKER`]-tagged [`DseError`] that job
-/// assembly lifts back into the typed
-/// [`ServiceError::DeadlineExceeded`](crate::error::ServiceError).
+/// layer is answered [`ServiceError::DeadlineExceeded`].
 #[derive(Debug, Clone, Copy)]
 struct Deadline {
     at: Instant,
@@ -152,10 +150,6 @@ impl Deadline {
 
     fn expired(&self) -> bool {
         Instant::now() >= self.at
-    }
-
-    fn error(&self) -> DseError {
-        DseError::new(format!("{DEADLINE_MARKER}{} ms", self.ms))
     }
 }
 
@@ -326,9 +320,9 @@ impl DsePool {
             if queue.send(task).is_err() {
                 job.deliver(
                     index,
-                    Err(DseError::new(
+                    Err(ServiceError::Dse(DseError::new(
                         "worker pool is shut down; layer not scheduled",
-                    )),
+                    ))),
                 );
             }
         }
@@ -358,7 +352,9 @@ fn worker_loop(rx: &Mutex<Receiver<LayerTask>>) {
         // job's whole budget in the queue is answered (with the typed
         // error) instead of computed — the submitter has given up.
         let reply = if let Some(deadline) = task.deadline.filter(Deadline::expired) {
-            Err(deadline.error())
+            Err(ServiceError::DeadlineExceeded {
+                deadline_ms: deadline.ms,
+            })
         } else {
             explore_task(&task)
         };
@@ -383,20 +379,22 @@ fn explore_task(task: &LayerTask) -> LayerReply {
             // check:allow(no-unwrap-hot-path): deliberate, counted fault injection
             panic!("injected fault-plan worker panic");
         }
-        task.state.explore_keyed(
-            &task.key,
-            &task.engine,
-            &task.layer,
-            task.cache,
-            task.trace.as_ref(),
-        )
+        task.state
+            .explore_keyed(
+                &task.key,
+                &task.engine,
+                &task.layer,
+                task.cache,
+                task.trace.as_ref(),
+            )
+            .map_err(ServiceError::Dse)
     }))
     .unwrap_or_else(|payload| {
-        Err(DseError::new(format!(
+        Err(ServiceError::Dse(DseError::new(format!(
             "worker panicked exploring layer {:?}: {}",
             task.layer.name,
             panic_message(payload.as_ref())
-        )))
+        ))))
     })
 }
 

@@ -96,6 +96,28 @@ pub fn capabilities(store_attached: bool) -> Vec<String> {
     caps
 }
 
+/// The answer to a `hello` advertising `version`, from a tier that
+/// identifies itself as `server` with `capabilities`: accepted iff
+/// `version` is [`PROTOCOL_VERSION`], otherwise a typed error naming
+/// ours. Either way the connection stays open, so a multi-version
+/// client can downgrade and continue.
+pub fn answer_hello(version: u64, server: String, capabilities: Vec<String>) -> Response {
+    if version == PROTOCOL_VERSION {
+        Response::Hello {
+            version,
+            server,
+            capabilities,
+        }
+    } else {
+        Response::Error {
+            id: None,
+            message: format!(
+                "unsupported protocol version {version} (server speaks {PROTOCOL_VERSION})"
+            ),
+        }
+    }
+}
+
 /// The capability string `drmap-router` adds to the backend
 /// intersection it advertises, so clients can tell a cluster tier from
 /// a single node.

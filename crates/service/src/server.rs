@@ -51,7 +51,7 @@ use crate::error::ServiceError;
 use crate::faults::{FaultAction, FaultPlan};
 use crate::json::Json;
 use crate::pool::DsePool;
-use crate::proto::{capabilities, MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION};
+use crate::proto::{answer_hello, capabilities, MetricsReport, Request, Response, StatsReport};
 use crate::spec::{JobResult, JobSpec};
 use crate::wire;
 
@@ -405,24 +405,11 @@ pub(crate) fn stats_report(pool: &DsePool) -> StatsReport {
 /// down after responding.
 fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
     let response = match request {
-        Request::Hello { version, client: _ } => {
-            if *version == PROTOCOL_VERSION {
-                Response::Hello {
-                    version: PROTOCOL_VERSION,
-                    server: concat!("drmap-service/", env!("CARGO_PKG_VERSION")).to_owned(),
-                    capabilities: capabilities(pool.state().cache().store().is_some()),
-                }
-            } else {
-                // Graceful reject: name the version we do speak and
-                // keep the connection open so the client can downgrade.
-                Response::Error {
-                    id: None,
-                    message: format!(
-                        "unsupported protocol version {version} (server speaks {PROTOCOL_VERSION})"
-                    ),
-                }
-            }
-        }
+        Request::Hello { version, client: _ } => answer_hello(
+            *version,
+            concat!("drmap-service/", env!("CARGO_PKG_VERSION")).to_owned(),
+            capabilities(pool.state().cache().store().is_some()),
+        ),
         Request::Ping { id } => Response::Pong { id: *id },
         Request::Stats { id } => Response::Stats {
             id: *id,

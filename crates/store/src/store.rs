@@ -102,6 +102,37 @@ pub struct StoreStats {
     pub recovered_bytes: u64,
 }
 
+impl StoreStats {
+    /// Fold `other` (another store's snapshot) into `self`: every
+    /// field sums.
+    pub fn merge(&mut self, other: &StoreStats) {
+        let StoreStats {
+            live_entries,
+            records,
+            dead_records,
+            file_bytes,
+            live_value_bytes,
+            dead_bytes,
+            appends,
+            gets,
+            hits,
+            compactions,
+            recovered_bytes,
+        } = *other;
+        self.live_entries += live_entries;
+        self.records += records;
+        self.dead_records += dead_records;
+        self.file_bytes += file_bytes;
+        self.live_value_bytes += live_value_bytes;
+        self.dead_bytes += dead_bytes;
+        self.appends += appends;
+        self.gets += gets;
+        self.hits += hits;
+        self.compactions += compactions;
+        self.recovered_bytes += recovered_bytes;
+    }
+}
+
 /// What [`Store::bulk_load`] recovered.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BulkLoad {
@@ -124,6 +155,23 @@ pub struct CompactReport {
     pub bytes_before: u64,
     /// Log size after, in bytes.
     pub bytes_after: u64,
+}
+
+impl CompactReport {
+    /// Fold `other` (another store's compaction) into `self`: every
+    /// field sums.
+    pub fn merge(&mut self, other: &CompactReport) {
+        let CompactReport {
+            live_records,
+            dropped_records,
+            bytes_before,
+            bytes_after,
+        } = *other;
+        self.live_records += live_records;
+        self.dropped_records += dropped_records;
+        self.bytes_before += bytes_before;
+        self.bytes_after += bytes_after;
+    }
 }
 
 /// WAL latency histograms attached by [`Store::attach_metrics`]:
