@@ -16,7 +16,7 @@ use drmap_cnn::layer::{DataKind, Layer};
 use drmap_dram::controller::ControllerConfig;
 use drmap_dram::energy::EnergyParams;
 use drmap_dram::geometry::Geometry;
-use drmap_dram::request::{DriveMode, RequestKind, RowRun};
+use drmap_dram::request::{DriveMode, RequestKind};
 use drmap_dram::sim::DramSimulator;
 use drmap_dram::timing::{DramArch, TimingParams};
 
@@ -39,6 +39,10 @@ struct Tally {
 #[cfg(test)]
 thread_local! {
     static REPLAYED: core::cell::Cell<Tally> = core::cell::Cell::default();
+    /// One line per traffic class replayed on this thread: the case, the
+    /// mapping's level order, the bursts per tile, the request kind, the
+    /// first tile's region and the tiles replayed.
+    static REPLAYED_CLASSES: core::cell::RefCell<String> = const { core::cell::RefCell::new(String::new()) };
 }
 
 /// Outcome of validating one configuration against the simulator.
@@ -186,7 +190,6 @@ impl Validator {
         )
         .map_err(DseError::from)?;
         let codec = candidate.mapping.codec(self.geometry)?;
-        let mut runs: Vec<RowRun> = Vec::new();
 
         let mut sim_cycles = 0.0;
         let mut sim_energy = 0.0;
@@ -200,22 +203,43 @@ impl Validator {
             if replay == 0 || tile_units == 0 {
                 continue;
             }
+            #[cfg(test)]
+            REPLAYED_CLASSES.with(|classes| {
+                let order = candidate
+                    .mapping
+                    .full_order()
+                    .map(|level| level.to_string());
+                classes.borrow_mut().push_str(&format!(
+                    "{}\t{}\t{}\t{tile_units}\t{kind}\t{region}\t{replay}\n",
+                    self.arch,
+                    layer.name,
+                    order.join(">"),
+                ));
+            });
             let mut measured_cycles = 0.0;
             let mut measured_energy = 0.0;
             for t in 0..replay {
                 // Place consecutive tiles in distinct regions, as the
                 // analytical model assumes fresh rows per tile.
                 let start = (region + t) * tile_units;
-                runs.clear();
-                runs.extend(tile_runs(&codec, start, tile_units, kind)?);
-                let stats = sim.run_runs(&runs, DriveMode::Streamed);
+                let runs = tile_runs(&codec, start, tile_units, kind)?;
                 #[cfg(test)]
-                REPLAYED.with(|tally| {
-                    let Tally { requests, runs: n } = tally.get();
-                    tally.set(Tally {
-                        requests: requests + stats.requests,
-                        runs: n + runs.len() as u64,
-                    });
+                let runs = runs.inspect(|_| {
+                    REPLAYED.with(|t| {
+                        t.set(Tally {
+                            runs: t.get().runs + 1,
+                            ..t.get()
+                        })
+                    })
+                });
+                let stats = sim.run_runs(runs, DriveMode::Streamed);
+                #[cfg(test)]
+                REPLAYED.with(|t| {
+                    let requests = t.get().requests + stats.requests;
+                    t.set(Tally {
+                        requests,
+                        ..t.get()
+                    })
                 });
                 measured_cycles += stats.makespan_cycles as f64;
                 measured_energy += stats.energy.total();
@@ -255,6 +279,7 @@ mod tests {
     use crate::tiling::Tiling;
     use drmap_cnn::accelerator::AcceleratorConfig;
     use drmap_dram::profiler::Profiler;
+    use std::path::Path;
 
     /// True if both of `r`'s ratios lie within `[1/tolerance, tolerance]`.
     fn agrees_within(r: &ValidationReport, tolerance: f64) -> bool {
@@ -351,6 +376,7 @@ mod tests {
     fn alexnet_winners_replay_as_row_runs() {
         let network = drmap_cnn::network::Network::alexnet();
         REPLAYED.with(|tally| tally.set(Tally::default()));
+        REPLAYED_CLASSES.with(|classes| classes.take());
         for arch in DramArch::ALL {
             let (model, validator) = setup(arch);
             let engine = DseEngine::new(model.clone(), DseConfig::default());
@@ -385,6 +411,25 @@ mod tests {
                 runs: 16_048
             }
         );
+        // The same replay, class by class, is what drmap-dram's kernel
+        // tally test replays with refresh off and on.
+        let classes = REPLAYED_CLASSES.with(|classes| classes.take());
+        let fixture = include_str!("../../../tests/data/alexnet_replay.tsv");
+        let fixture: String = fixture
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        if classes != fixture {
+            let fresh =
+                Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp/alexnet_replay.tsv");
+            std::fs::create_dir_all(fresh.parent().unwrap()).unwrap();
+            std::fs::write(&fresh, &classes).unwrap();
+            panic!(
+                "tests/data/alexnet_replay.tsv is stale: the replay's classes are in {}",
+                fresh.display()
+            );
+        }
     }
 
     #[test]

@@ -23,12 +23,13 @@
 //! `MemoryController::serve_run` serves a [`RowRun`] — `L + 1` requests
 //! of one kind to consecutive columns of one row — with the arrivals a
 //! [`DriveMode`] gives them. The head goes through
-//! [`MemoryController::serve`] (miss, conflict, SASEL and every SALP rule).
-//! Under the open-row policy with refresh off, the `L` tail requests are
-//! then served in closed form, in O(1) however long the run:
+//! [`MemoryController::serve`] (refresh, miss, conflict, SASEL and every
+//! SALP rule). Under the open-row policy the tail requests are then served
+//! in closed form, in O(1) however long the run, up to the first one a
+//! refresh interrupts (see [Refresh](#refresh)):
 //!
-//! * After the head its row is open and designated, and nothing closes
-//!   it before the run ends (no refresh, no timeout, no closing
+//! * After the head its row is open and designated, and nothing but a
+//!   refresh closes it before the run ends (no timeout, no closing
 //!   precharge), so every tail request is a `Hit` and issues only its
 //!   column command, at `max(arrival, col_ready, gate, bus_free)` where
 //!   `gate` is the rank's read (or write) gate.
@@ -55,17 +56,42 @@
 //!
 //! Per-request [`ServiceRecord`]s and [`ScheduledCommand`]s of the tail
 //! are expanded only when asked for. Under the closed or timeout row
-//! policy, or with refresh on, each tail request goes through `serve`
-//! instead: there is one kernel, not a second simulator.
-
-use std::collections::VecDeque;
+//! policy each tail request goes through `serve` instead: there is one
+//! kernel, not a second simulator.
+//!
+//! # Refresh
+//!
+//! With refresh on, refresh fires at a request's *arrival*: `serve`
+//! first runs every refresh whose deadline (each multiple of `tREFI`) the
+//! arrival has reached. Each one precharges every open subarray, issues
+//! REF `tRP` after the last of those precharges, and holds every ACT for
+//! `tRFC`. Nothing refreshes between two arrivals, so:
+//!
+//! * **Streamed:** every tail request arrives when the head did, and the
+//!   head's `serve` already ran every refresh due by then. No tail
+//!   request can refresh: the whole tail is closed form.
+//! * **Spaced(gap):** tail request `i` arrives at
+//!   `aᵢ = t₀ + (i − 1)·step + D + gap`, which grows with `i`. The first
+//!   `i` with `aᵢ >= next_refresh` is `1 + ⌈(next_refresh − a₁) / step⌉`
+//!   (or 1 if `a₁` is already due). The requests before it are closed
+//!   form. It goes through `serve`, which refreshes and so finds its row
+//!   closed (a miss), and the rest of the run continues from it as a new
+//!   head.
+//!
+//! So the closed form has one gate, the row policy: `Open`.
+//!
+//! A consequence the reference model has to decide on (it is kept as it
+//! is): a `Streamed` call to the simulator gives every request the
+//! arrival of its first one, so it refreshes only there. A 64-row tile
+//! streams for ≈ 32.8k cycles, ≈ 5.3 `tREFI`, and its refreshes wait for
+//! the next call's first request, where they all run back to back.
 
 use crate::address::PhysicalAddress;
 use crate::command::{CommandKind, ScheduledCommand};
 use crate::error::ConfigError;
 use crate::geometry::Geometry;
 use crate::request::{DriveMode, Request, RequestKind, RowRun};
-use crate::state::{BankState, RowBufferOutcome};
+use crate::state::{self, RowBufferOutcome};
 use crate::timing::{DramArch, TimingParams};
 
 /// Row-buffer management policy.
@@ -227,16 +253,27 @@ impl ActivityCounters {
     }
 }
 
+/// The row a subarray's local buffer latches, and the cycle its ACT
+/// issued.
+#[derive(Debug, Clone, Copy)]
+struct OpenRow {
+    row: usize,
+    since: u64,
+}
+
+/// One subarray: its timing gates and its local row buffer, the one
+/// record of whether it is open.
 #[derive(Debug, Clone, Copy, Default)]
-struct SubarrayTiming {
+struct Subarray {
     next_act: u64,
     next_pre: u64,
     col_ready: u64,
-    open_since: Option<u64>,
+    open: Option<OpenRow>,
 }
 
+/// One bank: its timing gates and its row-buffer summary.
 #[derive(Debug, Clone, Copy, Default)]
-struct BankTiming {
+struct Bank {
     /// Gate on the next ACT anywhere in the bank (DDR3: tRC; SALP: t_rrd_sa).
     next_act: u64,
     /// SALP-1 only: earliest ACT to a *different* subarray (column quiesce).
@@ -248,14 +285,23 @@ struct BankTiming {
     /// Issue time of the most recent command touching this bank (for the
     /// timeout row policy).
     last_use: u64,
+    /// Subarrays whose row is open, and the sum of their ACT cycles.
     open_count: usize,
+    open_since_sum: u64,
+    /// The subarray driving the global bitlines: the last one activated
+    /// or selected (see [`state::classify`]).
+    designated: usize,
     active_since: u64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct RankTiming {
+#[derive(Debug, Clone, Copy, Default)]
+struct Rank {
     next_act: u64,
-    act_window: VecDeque<u64>,
+    /// When each of the last four ACTs stops counting against the
+    /// four-activate window (its issue + tFAW); `faw[faw_next]` is the
+    /// oldest, the one the next ACT waits for.
+    faw: [u64; 4],
+    faw_next: usize,
     next_rd: u64,
     next_wr: u64,
     open_banks: usize,
@@ -289,12 +335,13 @@ struct RankTiming {
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     geometry: Geometry,
+    /// Each coordinate's exclusive upper bound in `geometry`.
+    bounds: PhysicalAddress,
     timing: TimingParams,
     config: ControllerConfig,
-    banks: Vec<BankState>,
-    bank_timing: Vec<BankTiming>,
-    sa_timing: Vec<SubarrayTiming>,
-    rank_timing: Vec<RankTiming>,
+    banks: Vec<Bank>,
+    subarrays: Vec<Subarray>,
+    ranks: Vec<Rank>,
     bus_free: Vec<u64>,
     next_refresh: u64,
     counters: ActivityCounters,
@@ -326,10 +373,17 @@ impl MemoryController {
         let total_banks = geometry.channels * geometry.ranks * geometry.banks;
         let total_ranks = geometry.channels * geometry.ranks;
         Ok(MemoryController {
-            banks: vec![BankState::new(geometry.subarrays); total_banks],
-            bank_timing: vec![BankTiming::default(); total_banks],
-            sa_timing: vec![SubarrayTiming::default(); total_banks * geometry.subarrays],
-            rank_timing: vec![RankTiming::default(); total_ranks],
+            bounds: PhysicalAddress {
+                channel: geometry.channels,
+                rank: geometry.ranks,
+                bank: geometry.banks,
+                subarray: geometry.subarrays,
+                row: geometry.rows_per_subarray(),
+                column: geometry.bursts_per_row(),
+            },
+            banks: vec![Bank::default(); total_banks],
+            subarrays: vec![Subarray::default(); total_banks * geometry.subarrays],
+            ranks: vec![Rank::default(); total_ranks],
             bus_free: vec![0; geometry.channels],
             next_refresh: timing.t_refi,
             counters: ActivityCounters::default(),
@@ -356,19 +410,18 @@ impl MemoryController {
     pub fn finalized_counters(&self) -> ActivityCounters {
         let mut c = self.counters.clone();
         let end = self.makespan();
-        for (bi, bt) in self.bank_timing.iter().enumerate() {
-            if bt.open_count > 0 {
-                c.bank_active_cycles += end.saturating_sub(bt.active_since);
+        for bank in &self.banks {
+            if bank.open_count == 0 {
+                continue;
             }
-            for sa in 0..self.geometry.subarrays {
-                if let Some(since) = self.sa_timing[bi * self.geometry.subarrays + sa].open_since {
-                    c.subarray_open_cycles += end.saturating_sub(since);
-                }
-            }
+            // Every ACT precedes its request's completion, so `end` is
+            // past each open interval's start.
+            c.bank_active_cycles += end - bank.active_since;
+            c.subarray_open_cycles += bank.open_count as u64 * end - bank.open_since_sum;
         }
-        for rt in &self.rank_timing {
-            if rt.open_banks > 0 {
-                c.rank_active_cycles += end.saturating_sub(rt.active_since);
+        for rank in &self.ranks {
+            if rank.open_banks > 0 {
+                c.rank_active_cycles += end.saturating_sub(rank.active_since);
             }
         }
         c
@@ -387,8 +440,7 @@ impl MemoryController {
     /// Classify what outcome an access would see right now, without
     /// serving it. Used by the FR-FCFS driver.
     pub fn peek_outcome(&self, address: &PhysicalAddress) -> RowBufferOutcome {
-        let bi = self.bank_index(address);
-        self.banks[bi].classify(self.config.arch, address.subarray, address.row)
+        self.classify(self.bank_index(address), address)
     }
 
     /// Serve one request that becomes visible at cycle `arrival`.
@@ -397,9 +449,31 @@ impl MemoryController {
     ///
     /// Panics if the address lies outside the configured geometry.
     pub fn serve(&mut self, request: Request, arrival: u64) -> ServiceRecord {
+        assert!(
+            self.fits(&request.address, 0),
+            "request address outside geometry"
+        );
+        self.serve_valid(request, arrival)
+    }
+
+    /// Whether `addr` and the `more` columns after it lie in the geometry.
+    fn fits(&self, addr: &PhysicalAddress, more: usize) -> bool {
+        let b = &self.bounds;
+        addr.channel < b.channel
+            && addr.rank < b.rank
+            && addr.bank < b.bank
+            && addr.subarray < b.subarray
+            && addr.row < b.row
+            && addr
+                .column
+                .checked_add(more)
+                .is_some_and(|last| last < b.column)
+    }
+
+    /// [`MemoryController::serve`] of a request whose address lies in
+    /// the geometry.
+    fn serve_valid(&mut self, request: Request, arrival: u64) -> ServiceRecord {
         let addr = request.address;
-        addr.validate(&self.geometry)
-            .expect("request address outside geometry");
         if self.config.refresh_enabled {
             self.maybe_refresh(arrival);
         }
@@ -407,58 +481,54 @@ impl MemoryController {
         if let RowPolicy::Timeout(timeout) = self.config.row_policy {
             self.close_stale_rows(bi, &addr, arrival, timeout);
         }
-        let outcome = self.banks[bi].classify(self.config.arch, addr.subarray, addr.row);
+        let outcome = self.classify(bi, &addr);
         self.counters.outcomes[outcome.index()] += 1;
         match request.kind {
             RequestKind::Read => self.counters.reads += 1,
             RequestKind::Write => self.counters.writes += 1,
         }
 
+        // The victim of a conflict is the open subarray: the target one,
+        // except on DDR3 where the bank's single logical row buffer may
+        // hold a row of another subarray, and on a SALP-1/2 conflict in
+        // another subarray. Both are the designated one.
+        let designated = self.banks[bi].designated;
         let mut earliest = arrival;
         match outcome {
             RowBufferOutcome::Hit => {}
             RowBufferOutcome::HitOtherSubarray => {
                 let t = self.issue(CommandKind::SubarraySelect, addr, earliest);
-                self.banks[bi].select(addr.subarray);
+                self.banks[bi].designated = addr.subarray;
                 earliest = t + self.timing.t_sa_sel;
             }
-            RowBufferOutcome::Miss => {
-                let t_act = self.do_activate(bi, &addr, earliest);
-                earliest = t_act;
-            }
+            RowBufferOutcome::Miss => earliest = self.do_activate(bi, &addr, earliest),
             RowBufferOutcome::Conflict => {
-                // The victim is the open subarray: the target one, except on
-                // DDR3 where the bank's single logical row buffer may hold a
-                // row of another subarray.
                 let victim = match self.config.arch {
-                    DramArch::Ddr3 => self.banks[bi].single_open().expect("conflict w/o open").0,
+                    DramArch::Ddr3 => designated,
                     _ => addr.subarray,
                 };
                 let t_pre = self.do_precharge(bi, victim, &addr, earliest);
-                let t_act = self.do_activate(bi, &addr, t_pre + self.timing.t_rp);
-                earliest = t_act;
+                earliest = self.do_activate(bi, &addr, t_pre + self.timing.t_rp);
             }
             RowBufferOutcome::ConflictOtherSubarray => {
-                let victim = self.banks[bi].single_open().expect("conflict w/o open").0;
                 match self.config.arch {
                     DramArch::Salp1 => {
                         // SALP-1: the PRE must still be issued first (one
                         // activated subarray at a time), but the new ACT
                         // does not wait tRP — only the command-bus slot.
-                        let t_pre = self.do_precharge(bi, victim, &addr, earliest);
-                        let t_act = self.do_activate(bi, &addr, t_pre + 1);
-                        earliest = t_act;
+                        let t_pre = self.do_precharge(bi, designated, &addr, earliest);
+                        earliest = self.do_activate(bi, &addr, t_pre + 1);
                     }
                     DramArch::Salp2 => {
                         // SALP-2: the ACT may be issued *before* the victim
                         // finishes (write-recovery overlap; two subarrays
                         // transiently activated). A third activation must
                         // wait for the previous deferred precharge.
-                        let gate = self.bank_timing[bi].last_deferred_pre;
+                        let gate = self.banks[bi].last_deferred_pre;
                         let t_act =
                             self.do_activate(bi, &addr, earliest.max(gate.saturating_add(1)));
-                        let t_pre = self.do_precharge(bi, victim, &addr, t_act + 1);
-                        self.bank_timing[bi].last_deferred_pre = t_pre;
+                        let t_pre = self.do_precharge(bi, designated, &addr, t_act + 1);
+                        self.banks[bi].last_deferred_pre = t_pre;
                         earliest = t_act;
                     }
                     DramArch::Ddr3 | DramArch::SalpMasa => {
@@ -484,8 +554,8 @@ impl MemoryController {
     /// Serve a row run whose head becomes visible at cycle `arrival`; each
     /// later request arrives as `mode` drives it. Pushes one
     /// [`ServiceRecord`] per request to `records` when given. See the
-    /// module docs for when the tail is served in closed form and why that
-    /// is exact.
+    /// module docs for which requests are served in closed form and why
+    /// that is exact.
     ///
     /// # Panics
     ///
@@ -502,37 +572,19 @@ impl MemoryController {
             latency_cycles: 0,
             next_arrival: arrival,
         };
-        let Some(tail) = run.len.checked_sub(1) else {
-            return done;
-        };
-        // `serve` checks the head; every other address lies between it and
-        // the last.
-        let last_valid = run.head.address.column.checked_add(tail).is_some()
-            && run.request(tail).address.validate(&self.geometry).is_ok();
-        assert!(last_valid, "request address outside geometry");
-        let closed_form = self.config.row_policy == RowPolicy::Open && !self.config.refresh_enabled;
-        let served = if closed_form { 1 } else { run.len };
-        let mut completion = 0;
-        for i in 0..served {
-            let rec = self.serve(run.request(i), done.next_arrival);
-            completion = rec.completion;
-            done.latency_cycles += rec.latency();
-            done.next_arrival = mode.next_arrival(done.next_arrival, rec.completion);
-            if let Some(records) = records.as_deref_mut() {
-                records.push(rec);
-            }
-        }
-        if served == run.len {
+        if run.len == 0 {
             return done;
         }
-
+        // Every address of the run is the head's but for the column.
         let addr = run.head.address;
-        let kind = run.head.kind;
-        let bi = self.bank_index(&addr);
-        debug_assert_eq!(
-            self.banks[bi].classify(self.config.arch, addr.subarray, addr.row),
-            RowBufferOutcome::Hit
+        assert!(
+            self.fits(&addr, run.len - 1),
+            "request address outside geometry"
         );
+        #[cfg(test)]
+        tests::tally(|t| t.runs += 1);
+
+        let kind = run.head.kind;
         let timing = self.timing;
         let (cmd, data) = match kind {
             RequestKind::Read => (CommandKind::Read, timing.cl + timing.t_burst),
@@ -542,48 +594,82 @@ impl MemoryController {
             DriveMode::Streamed => (timing.t_ccd, 0),
             DriveMode::Spaced(gap) => ((data + gap).max(timing.t_ccd), gap),
         };
-        let tail = tail as u64;
-        // Only the head was served: `completion` is its completion.
-        let first = completion - data;
-        let issued = |i: u64| first + i * step;
-        let last = issued(tail);
-
-        if self.config.record_commands {
-            self.commands.extend((1..=tail).map(|i| ScheduledCommand {
-                cycle: issued(i),
-                kind: cmd,
-                address: run.request(i as usize).address,
-            }));
-        }
-        if let Some(records) = records {
-            let mut arrival = done.next_arrival;
-            for i in 1..=tail {
-                let completion = issued(i) + data;
-                records.push(ServiceRecord {
-                    arrival,
-                    completion,
-                    outcome: RowBufferOutcome::Hit,
-                    kind,
-                });
-                arrival = mode.next_arrival(arrival, completion);
+        let bi = self.bank_index(&addr);
+        let mut head = 0;
+        while head < run.len {
+            let rec = self.serve_valid(run.request(head), done.next_arrival);
+            done.latency_cycles += rec.latency();
+            done.next_arrival = mode.next_arrival(done.next_arrival, rec.completion);
+            if let Some(records) = records.as_deref_mut() {
+                records.push(rec);
             }
-        }
-        done.latency_cycles += if mode.is_serialized() {
-            tail * (step - gap)
-        } else {
-            tail * (completion - done.next_arrival) + step * (tail * (tail + 1) / 2)
-        };
-        done.next_arrival = mode.next_arrival(done.next_arrival, last + data);
+            let mut hits = (run.len - 1 - head) as u64;
+            if self.config.row_policy != RowPolicy::Open {
+                hits = 0;
+            } else if self.config.refresh_enabled && mode.is_serialized() {
+                // The tail arrives at `completion + gap + (i − 1)·step`:
+                // the first to reach the refresh deadline goes through
+                // `serve`.
+                hits = hits.min(
+                    self.next_refresh
+                        .saturating_sub(done.next_arrival)
+                        .div_ceil(step),
+                );
+            }
+            #[cfg(test)]
+            tests::tally(|t| {
+                t.closed_form_tails += hits;
+                t.served_tails += u64::from(head > 0);
+            });
+            head += 1 + hits as usize;
+            if hits == 0 {
+                continue;
+            }
 
-        self.bus_free[addr.channel] = last + 1;
-        self.counters.commands[cmd.index()] += tail;
-        self.counters.outcomes[RowBufferOutcome::Hit.index()] += tail;
-        match kind {
-            RequestKind::Read => self.counters.reads += tail,
-            RequestKind::Write => self.counters.writes += tail,
+            // Requests `head − hits ..= head − 1` are row hits after the one
+            // just served, which completed at `rec.completion`.
+            debug_assert_eq!(self.classify(bi, &addr), RowBufferOutcome::Hit);
+            let first = rec.completion - data;
+            let issued = |i: u64| first + i * step;
+            let last = issued(hits);
+            let from = head - hits as usize - 1;
+            if self.config.record_commands {
+                self.commands.extend((1..=hits).map(|i| ScheduledCommand {
+                    cycle: issued(i),
+                    kind: cmd,
+                    address: run.request(from + i as usize).address,
+                }));
+            }
+            if let Some(records) = records.as_deref_mut() {
+                let mut arrival = done.next_arrival;
+                for i in 1..=hits {
+                    let completion = issued(i) + data;
+                    records.push(ServiceRecord {
+                        arrival,
+                        completion,
+                        outcome: RowBufferOutcome::Hit,
+                        kind,
+                    });
+                    arrival = mode.next_arrival(arrival, completion);
+                }
+            }
+            done.latency_cycles += if mode.is_serialized() {
+                hits * (step - gap)
+            } else {
+                hits * (rec.completion - done.next_arrival) + step * (hits * (hits + 1) / 2)
+            };
+            done.next_arrival = mode.next_arrival(done.next_arrival, last + data);
+
+            self.bus_free[addr.channel] = last + 1;
+            self.counters.commands[cmd.index()] += hits;
+            self.counters.outcomes[RowBufferOutcome::Hit.index()] += hits;
+            match kind {
+                RequestKind::Read => self.counters.reads += hits,
+                RequestKind::Write => self.counters.writes += hits,
+            }
+            let last_completion = self.column_issued(bi, &addr, kind, last);
+            self.last_completion = self.last_completion.max(last_completion);
         }
-        let last_completion = self.column_issued(bi, &addr, kind, last);
-        self.last_completion = self.last_completion.max(last_completion);
         done
     }
 
@@ -597,6 +683,19 @@ impl MemoryController {
 
     fn sa_index(&self, bi: usize, sa: usize) -> usize {
         bi * self.geometry.subarrays + sa
+    }
+
+    /// What an access to `addr` in bank `bi` would see right now.
+    fn classify(&self, bi: usize, addr: &PhysicalAddress) -> RowBufferOutcome {
+        let bank = &self.banks[bi];
+        let open = self.subarrays[self.sa_index(bi, addr.subarray)].open;
+        state::classify(
+            self.config.arch,
+            open.map(|o| o.row),
+            addr.row,
+            bank.designated == addr.subarray,
+            bank.open_count,
+        )
     }
 
     fn issue(&mut self, kind: CommandKind, address: PhysicalAddress, earliest: u64) -> u64 {
@@ -622,33 +721,29 @@ impl MemoryController {
         earliest: u64,
     ) -> u64 {
         let si = self.sa_index(bi, victim_sa);
-        let e = earliest.max(self.sa_timing[si].next_pre);
+        let ri = self.rank_index(addr);
+        let e = earliest.max(self.subarrays[si].next_pre);
         let cmd_addr = PhysicalAddress {
             subarray: victim_sa,
             ..*addr
         };
         let t = self.issue(CommandKind::Precharge, cmd_addr, e);
-        self.bank_timing[bi].last_use = self.bank_timing[bi].last_use.max(t);
-        let timing = self.timing;
-        let sa_t = &mut self.sa_timing[si];
-        sa_t.next_act = sa_t.next_act.max(t + timing.t_rp);
-        if let Some(since) = sa_t.open_since.take() {
-            self.counters.subarray_open_cycles += t.saturating_sub(since);
-        }
-        self.banks[bi].precharge(victim_sa);
-        let ri = self.rank_index(addr);
-        let bt = &mut self.bank_timing[bi];
-        if bt.open_count > 0 {
-            bt.open_count -= 1;
-            if bt.open_count == 0 {
-                let bank_since = bt.active_since;
-                self.counters.bank_active_cycles += t.saturating_sub(bank_since);
-                let rt = &mut self.rank_timing[ri];
-                rt.open_banks -= 1;
-                if rt.open_banks == 0 {
-                    let rank_since = rt.active_since;
-                    self.counters.rank_active_cycles += t.saturating_sub(rank_since);
-                }
+        self.banks[bi].last_use = self.banks[bi].last_use.max(t);
+        let sa = &mut self.subarrays[si];
+        sa.next_act = sa.next_act.max(t + self.timing.t_rp);
+        let Some(open) = sa.open.take() else {
+            return t;
+        };
+        self.counters.subarray_open_cycles += t.saturating_sub(open.since);
+        let bank = &mut self.banks[bi];
+        bank.open_count -= 1;
+        bank.open_since_sum -= open.since;
+        if bank.open_count == 0 {
+            self.counters.bank_active_cycles += t.saturating_sub(bank.active_since);
+            let rank = &mut self.ranks[ri];
+            rank.open_banks -= 1;
+            if rank.open_banks == 0 {
+                self.counters.rank_active_cycles += t.saturating_sub(rank.active_since);
             }
         }
         t
@@ -659,54 +754,52 @@ impl MemoryController {
         let ri = self.rank_index(addr);
         let timing = self.timing;
         let arch = self.config.arch;
+        let rank = &self.ranks[ri];
         let mut e = earliest
-            .max(self.sa_timing[si].next_act)
-            .max(self.bank_timing[bi].next_act)
-            .max(self.rank_timing[ri].next_act);
+            .max(self.subarrays[si].next_act)
+            .max(self.banks[bi].next_act)
+            .max(rank.next_act)
+            .max(rank.faw[rank.faw_next]);
         if arch == DramArch::Salp1 {
-            e = e.max(self.bank_timing[bi].new_sa_gate);
-        }
-        // Four-activate window.
-        if self.rank_timing[ri].act_window.len() >= 4 {
-            let oldest = self.rank_timing[ri].act_window[self.rank_timing[ri].act_window.len() - 4];
-            e = e.max(oldest + timing.t_faw);
+            e = e.max(self.banks[bi].new_sa_gate);
         }
         let t = self.issue(CommandKind::Activate, *addr, e);
 
-        let sa_t = &mut self.sa_timing[si];
-        sa_t.next_act = t + timing.t_rc;
-        sa_t.next_pre = sa_t.next_pre.max(t + timing.t_ras);
-        sa_t.col_ready = t + timing.t_rcd;
-        debug_assert!(sa_t.open_since.is_none(), "activating an open subarray");
-        sa_t.open_since = Some(t);
+        let sa = &mut self.subarrays[si];
+        sa.next_act = t + timing.t_rc;
+        sa.next_pre = sa.next_pre.max(t + timing.t_ras);
+        sa.col_ready = t + timing.t_rcd;
+        debug_assert!(sa.open.is_none(), "activating an open subarray");
+        sa.open = Some(OpenRow {
+            row: addr.row,
+            since: t,
+        });
 
         let bank_gate = match arch {
             DramArch::Ddr3 => timing.t_rc,
             _ => timing.t_rrd_sa,
         };
-        let bt = &mut self.bank_timing[bi];
-        bt.next_act = bt.next_act.max(t + bank_gate);
-        bt.last_use = bt.last_use.max(t);
-        let bank_was_idle = bt.open_count == 0;
+        let bank = &mut self.banks[bi];
+        bank.next_act = bank.next_act.max(t + bank_gate);
+        bank.last_use = bank.last_use.max(t);
+        bank.designated = addr.subarray;
+        let bank_was_idle = bank.open_count == 0;
         if bank_was_idle {
-            bt.active_since = t;
+            bank.active_since = t;
         }
-        bt.open_count += 1;
+        bank.open_count += 1;
+        bank.open_since_sum += t;
 
-        let rt = &mut self.rank_timing[ri];
+        let rank = &mut self.ranks[ri];
         if bank_was_idle {
-            if rt.open_banks == 0 {
-                rt.active_since = t;
+            if rank.open_banks == 0 {
+                rank.active_since = t;
             }
-            rt.open_banks += 1;
+            rank.open_banks += 1;
         }
-        rt.next_act = rt.next_act.max(t + timing.t_rrd);
-        rt.act_window.push_back(t);
-        if rt.act_window.len() > 8 {
-            rt.act_window.pop_front();
-        }
-
-        self.banks[bi].activate(addr.subarray, addr.row);
+        rank.next_act = rank.next_act.max(t + timing.t_rrd);
+        rank.faw[rank.faw_next] = t + timing.t_faw;
+        rank.faw_next = (rank.faw_next + 1) % rank.faw.len();
         t
     }
 
@@ -718,16 +811,12 @@ impl MemoryController {
         earliest: u64,
     ) -> u64 {
         let si = self.sa_index(bi, addr.subarray);
-        let ri = self.rank_index(addr);
-        let bus_gate = match kind {
-            RequestKind::Read => self.rank_timing[ri].next_rd,
-            RequestKind::Write => self.rank_timing[ri].next_wr,
+        let rank = &self.ranks[self.rank_index(addr)];
+        let (cmd, bus_gate) = match kind {
+            RequestKind::Read => (CommandKind::Read, rank.next_rd),
+            RequestKind::Write => (CommandKind::Write, rank.next_wr),
         };
-        let e = earliest.max(self.sa_timing[si].col_ready).max(bus_gate);
-        let cmd = match kind {
-            RequestKind::Read => CommandKind::Read,
-            RequestKind::Write => CommandKind::Write,
-        };
+        let e = earliest.max(self.subarrays[si].col_ready).max(bus_gate);
         let t = self.issue(cmd, *addr, e);
         self.column_issued(bi, addr, kind, t)
     }
@@ -745,63 +834,71 @@ impl MemoryController {
         let si = self.sa_index(bi, addr.subarray);
         let ri = self.rank_index(addr);
         let timing = self.timing;
-        let rt = &mut self.rank_timing[ri];
+        let rank = &mut self.ranks[ri];
         let completion;
         let quiesce;
         match kind {
             RequestKind::Read => {
-                rt.next_rd = rt.next_rd.max(t + timing.t_ccd);
+                rank.next_rd = rank.next_rd.max(t + timing.t_ccd);
                 let rtw = (timing.cl + timing.t_burst + 2).saturating_sub(timing.cwl);
-                rt.next_wr = rt.next_wr.max(t + rtw);
+                rank.next_wr = rank.next_wr.max(t + rtw);
                 quiesce = t + timing.t_rtp;
                 completion = t + timing.cl + timing.t_burst;
             }
             RequestKind::Write => {
-                rt.next_wr = rt.next_wr.max(t + timing.t_ccd);
-                rt.next_rd = rt
+                rank.next_wr = rank.next_wr.max(t + timing.t_ccd);
+                rank.next_rd = rank
                     .next_rd
                     .max(t + timing.cwl + timing.t_burst + timing.t_wtr);
                 quiesce = t + timing.cwl + timing.t_burst + timing.t_wr;
                 completion = t + timing.cwl + timing.t_burst;
             }
         }
-        let sa_t = &mut self.sa_timing[si];
-        sa_t.next_pre = sa_t.next_pre.max(quiesce);
-        let bt = &mut self.bank_timing[bi];
-        bt.new_sa_gate = bt.new_sa_gate.max(quiesce);
-        bt.last_use = bt.last_use.max(completion);
+        let sa = &mut self.subarrays[si];
+        sa.next_pre = sa.next_pre.max(quiesce);
+        let bank = &mut self.banks[bi];
+        bank.new_sa_gate = bank.new_sa_gate.max(quiesce);
+        bank.last_use = bank.last_use.max(completion);
         completion
+    }
+
+    /// Precharge every open subarray of bank `bi` at `earliest` or later;
+    /// returns the last precharge's issue cycle (`earliest` if none).
+    fn close_bank(&mut self, bi: usize, addr: &PhysicalAddress, earliest: u64) -> u64 {
+        let mut last = earliest;
+        for sa in 0..self.geometry.subarrays {
+            if self.subarrays[self.sa_index(bi, sa)].open.is_some() {
+                last = self.do_precharge(bi, sa, addr, earliest);
+            }
+        }
+        last
     }
 
     /// Timeout row policy: if the bank has sat idle past the deadline,
     /// precharge its open rows (at the deadline, not at `now`).
     fn close_stale_rows(&mut self, bi: usize, addr: &PhysicalAddress, now: u64, timeout: u64) {
-        let deadline = self.bank_timing[bi].last_use.saturating_add(timeout);
-        if now <= deadline || self.bank_timing[bi].open_count == 0 {
-            return;
-        }
-        for sa in 0..self.geometry.subarrays {
-            if self.banks[bi].subarray(sa).open_row().is_some() {
-                self.do_precharge(bi, sa, addr, deadline);
-            }
+        let deadline = self.banks[bi].last_use.saturating_add(timeout);
+        if now > deadline && self.banks[bi].open_count > 0 {
+            self.close_bank(bi, addr, deadline);
         }
     }
 
+    /// Run every refresh due by `now`: precharge every open subarray, issue
+    /// REF once the last precharge has had tRP, and hold every activation
+    /// for tRFC.
     fn maybe_refresh(&mut self, now: u64) {
         while now >= self.next_refresh {
             let start = self.next_refresh;
-            // Close every bank, then hold all activations for tRFC.
+            let mut ready = start;
             for bi in 0..self.banks.len() {
-                for sa in 0..self.geometry.subarrays {
-                    if self.banks[bi].subarray(sa).open_row().is_some() {
-                        self.do_precharge(bi, sa, &self.addr_of_bank(bi), start);
-                    }
+                if self.banks[bi].open_count > 0 {
+                    let last_pre = self.close_bank(bi, &self.addr_of_bank(bi), start);
+                    ready = last_pre + self.timing.t_rp;
                 }
             }
-            let ref_addr = PhysicalAddress::default();
-            let t = self.issue(CommandKind::Refresh, ref_addr, start);
-            for sa_t in &mut self.sa_timing {
-                sa_t.next_act = sa_t.next_act.max(t + self.timing.t_rfc);
+            let t = self.issue(CommandKind::Refresh, PhysicalAddress::default(), ready);
+            for sa in &mut self.subarrays {
+                sa.next_act = sa.next_act.max(t + self.timing.t_rfc);
             }
             self.next_refresh += self.timing.t_refi;
         }
@@ -823,8 +920,33 @@ impl MemoryController {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::state::tests::BankState;
+    use proptest::prelude::*;
+
+    /// Runs served, and tail requests served in closed form or through
+    /// `serve`, on this thread: pinned by tests so that a fall-back to
+    /// per-request service fails whatever the machine's timing noise.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct KernelTally {
+        pub(crate) runs: u64,
+        pub(crate) closed_form_tails: u64,
+        pub(crate) served_tails: u64,
+    }
+
+    thread_local! {
+        pub(crate) static KERNEL: core::cell::Cell<KernelTally> = core::cell::Cell::default();
+    }
+
+    /// Apply `count` to this thread's tally.
+    pub(super) fn tally(count: impl FnOnce(&mut KernelTally)) {
+        KERNEL.with(|k| {
+            let mut tally = k.get();
+            count(&mut tally);
+            k.set(tally);
+        });
+    }
 
     fn mc(arch: DramArch) -> MemoryController {
         let geometry = match arch {
@@ -1101,6 +1223,33 @@ mod tests {
     }
 
     #[test]
+    fn faw_window_gates_each_fifth_activation_exactly() {
+        // A tRCD short enough that four ACTs fit in one tFAW: each ACT
+        // after the fourth waits for the one four before it.
+        let timing = TimingParams {
+            t_rcd: 2,
+            t_faw: 60,
+            ..TimingParams::ddr3_1600k()
+        };
+        let config = ControllerConfig {
+            record_commands: true,
+            ..ControllerConfig::new(DramArch::Ddr3)
+        };
+        let mut c = MemoryController::new(Geometry::ddr3_2gb_x8(), timing, config).unwrap();
+        for b in 0..8 {
+            let _ = c.serve(Request::read(addr(b, 0, 0, 0)), 0);
+        }
+        let acts: Vec<u64> = c
+            .commands()
+            .iter()
+            .filter(|sc| sc.kind == CommandKind::Activate)
+            .map(|sc| sc.cycle)
+            .collect();
+        // tRRD = 5 apart, then tFAW = 60 after the ACT four before.
+        assert_eq!(acts, [0, 5, 10, 15, 60, 65, 70, 75]);
+    }
+
+    #[test]
     fn timeout_policy_closes_idle_banks() {
         let config = ControllerConfig {
             row_policy: RowPolicy::Timeout(100),
@@ -1245,6 +1394,241 @@ mod tests {
                     let bi = c.bank_index(&a);
                     let back = c.addr_of_bank(bi);
                     assert_eq!((back.channel, back.rank, back.bank), (ch, ra, ba));
+                }
+            }
+        }
+    }
+
+    /// A controller with a short refresh interval, so that a run of a
+    /// whole row crosses several refresh deadlines.
+    fn refreshing(config: ControllerConfig) -> MemoryController {
+        let timing = TimingParams {
+            t_refi: 700,
+            ..TimingParams::ddr3_1600k()
+        };
+        let config = ControllerConfig {
+            refresh_enabled: true,
+            ..config
+        };
+        MemoryController::new(Geometry::ddr3_2gb_x8(), timing, config).unwrap()
+    }
+
+    /// Serve `run` request by request, as `serve_run` must.
+    fn serve_each(c: &mut MemoryController, run: RowRun, mode: DriveMode) -> Vec<ServiceRecord> {
+        let mut arrival = 0;
+        let records = run.requests().map(|r| {
+            let rec = c.serve(r, arrival);
+            arrival = mode.next_arrival(arrival, rec.completion);
+            rec
+        });
+        records.collect()
+    }
+
+    #[test]
+    fn a_spaced_run_splits_at_each_refresh_deadline() {
+        let run = RowRun {
+            head: Request::write(addr(0, 0, 0, 0)),
+            len: 128,
+        };
+        let mode = DriveMode::Spaced(4);
+        let config = ControllerConfig {
+            record_commands: true,
+            ..ControllerConfig::new(DramArch::Ddr3)
+        };
+        let mut by_run = refreshing(config);
+        let mut records = Vec::new();
+        KERNEL.with(|k| k.set(KernelTally::default()));
+        by_run.serve_run(run, mode, 0, Some(&mut records));
+        let tally = KERNEL.with(|k| k.get());
+
+        let mut by_request = refreshing(config);
+        assert_eq!(records, serve_each(&mut by_request, run, mode));
+        assert_eq!(by_run.commands(), by_request.commands());
+        assert_eq!(by_run.finalized_counters(), by_request.finalized_counters());
+        // Each refresh lands on one tail request's arrival, which goes
+        // through `serve` as a miss and heads the rest of the run.
+        let refreshes = by_run.counters().command_count(CommandKind::Refresh);
+        assert!(refreshes >= 3, "{refreshes}");
+        assert_eq!(
+            by_run.counters().outcome_count(RowBufferOutcome::Miss),
+            1 + refreshes
+        );
+        let want = KernelTally {
+            runs: 1,
+            closed_form_tails: 127 - refreshes,
+            served_tails: refreshes,
+        };
+        assert_eq!(tally, want);
+    }
+
+    #[test]
+    fn a_streamed_run_refreshes_only_at_its_head() {
+        let run = RowRun {
+            head: Request::read(addr(0, 0, 0, 0)),
+            len: 128,
+        };
+        let mut c = refreshing(ControllerConfig::new(DramArch::Ddr3));
+        KERNEL.with(|k| k.set(KernelTally::default()));
+        c.serve_run(run, DriveMode::Streamed, 1650, None);
+        // Deadlines 700 and 1400 are due at the head's arrival; the run's
+        // 128 · tCCD cycles cross more, which wait for the next arrival.
+        assert_eq!(c.counters().command_count(CommandKind::Refresh), 2);
+        assert!(c.makespan() > 2100);
+        let want = KernelTally {
+            runs: 1,
+            closed_form_tails: 127,
+            served_tails: 0,
+        };
+        assert_eq!(KERNEL.with(|k| k.get()), want);
+    }
+
+    #[test]
+    fn the_closed_row_policy_serves_every_tail_through_serve() {
+        let config = ControllerConfig {
+            row_policy: RowPolicy::Closed,
+            ..ControllerConfig::new(DramArch::Ddr3)
+        };
+        let mut c =
+            MemoryController::new(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config)
+                .unwrap();
+        let run = RowRun {
+            head: Request::read(addr(0, 0, 0, 0)),
+            len: 16,
+        };
+        KERNEL.with(|k| k.set(KernelTally::default()));
+        c.serve_run(run, DriveMode::Streamed, 0, None);
+        let want = KernelTally {
+            runs: 1,
+            closed_form_tails: 0,
+            served_tails: 15,
+        };
+        assert_eq!(KERNEL.with(|k| k.get()), want);
+    }
+
+    #[test]
+    fn refresh_waits_trp_after_the_precharge_all() {
+        let config = ControllerConfig {
+            record_commands: true,
+            ..ControllerConfig::new(DramArch::Ddr3)
+        };
+        let mut c = refreshing(config);
+        let _ = c.serve(Request::read(addr(0, 0, 0, 0)), 0);
+        let _ = c.serve(Request::read(addr(1, 0, 0, 0)), 0);
+        let _ = c.serve(Request::read(addr(2, 0, 0, 0)), 700);
+        let cycle = |kind| {
+            let mut cycles = c.commands().iter().filter(|sc| sc.kind == kind);
+            cycles.next_back().unwrap().cycle
+        };
+        let t = TimingParams::ddr3_1600k();
+        assert_eq!(
+            cycle(CommandKind::Refresh),
+            cycle(CommandKind::Precharge) + t.t_rp
+        );
+        // With nothing open, REF issues at the deadline.
+        let mut idle = refreshing(config);
+        let _ = idle.serve(Request::read(addr(0, 0, 0, 0)), 5000);
+        let refs: Vec<u64> = idle
+            .commands()
+            .iter()
+            .filter(|sc| sc.kind == CommandKind::Refresh)
+            .map(|sc| sc.cycle)
+            .collect();
+        assert_eq!(refs[..2], [700, 1400]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside geometry")]
+    fn a_run_that_ends_past_its_row_is_refused() {
+        let mut c = mc(DramArch::Ddr3);
+        let run = RowRun {
+            head: Request::read(addr(0, 0, 0, 120)),
+            len: 9, // columns 120..=128 of a 128-burst row
+        };
+        c.serve_run(run, DriveMode::Streamed, 0, None);
+    }
+
+    /// A request to one of the first two banks, a quarter of the
+    /// subarrays and three rows, so that streams collide, and the gap
+    /// after its completion to the next arrival (`None`: the next one
+    /// streams in at once).
+    fn colliding_request() -> impl Strategy<Value = (Request, Option<u64>)> {
+        let place = (0usize..2, 0usize..4, 0usize..3, 0usize..128);
+        (place, prop::bool::ANY, 0u64..80).prop_map(|((bank, quarter, row, column), write, gap)| {
+            let a = addr(bank, quarter, row, column);
+            let request = if write {
+                Request::write(a)
+            } else {
+                Request::read(a)
+            };
+            (request, (gap < 60).then_some(gap))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every request, on every architecture, row policy and
+        /// refresh setting, with 1 (DDR3 only), 8 or 16 subarrays: each
+        /// bank's open count is the number of its open subarrays, a single
+        /// open subarray is designated on DDR3 and SALP-1/2, and the O(1)
+        /// outcome of every probe agrees with the scan reference built
+        /// from the subarray records.
+        #[test]
+        fn row_buffer_records_agree_with_the_scan_reference(
+            arch in prop_oneof![
+                Just(DramArch::Ddr3),
+                Just(DramArch::Salp1),
+                Just(DramArch::Salp2),
+                Just(DramArch::SalpMasa),
+            ],
+            subarrays in prop_oneof![Just(1usize), Just(8), Just(16)],
+            policy in prop_oneof![
+                Just(RowPolicy::Open),
+                Just(RowPolicy::Closed),
+                Just(RowPolicy::Timeout(40)),
+            ],
+            refresh_enabled in prop::bool::ANY,
+            requests in prop::collection::vec(colliding_request(), 1..48),
+        ) {
+            let subarrays = if arch.exploits_subarrays() { subarrays.max(8) } else { subarrays };
+            let geometry = Geometry::builder().subarrays(subarrays).build().unwrap();
+            let timing = TimingParams { t_refi: 700, ..TimingParams::ddr3_1600k() };
+            let config = ControllerConfig {
+                row_policy: policy,
+                refresh_enabled,
+                ..ControllerConfig::new(arch)
+            };
+            let mut c = MemoryController::new(geometry, timing, config).unwrap();
+            let mut arrival = 0;
+            for (request, gap) in requests {
+                let address = PhysicalAddress {
+                    subarray: request.address.subarray * subarrays / 4,
+                    ..request.address
+                };
+                let rec = c.serve(Request { address, ..request }, arrival);
+                arrival = gap.map_or(arrival, |gap| rec.completion + gap);
+                for bi in 0..2 {
+                    let bank = c.banks[bi];
+                    let mut reference = BankState::new(subarrays);
+                    for (sa, s) in c.subarrays[bi * subarrays..][..subarrays].iter().enumerate() {
+                        if let Some(open) = s.open {
+                            reference.activate(sa, open.row);
+                        }
+                    }
+                    reference.select(bank.designated);
+                    prop_assert_eq!(bank.open_count, reference.open_count());
+                    if arch != DramArch::SalpMasa {
+                        prop_assert!(bank.open_count <= 1);
+                        if let Some((open, _)) = reference.single_open() {
+                            prop_assert_eq!(bank.designated, open);
+                        }
+                    }
+                    for sa in 0..subarrays {
+                        for row in 0..4 {
+                            let probe = addr(bi, sa, row, 0);
+                            prop_assert_eq!(c.peek_outcome(&probe), reference.classify(arch, sa, row));
+                        }
+                    }
                 }
             }
         }

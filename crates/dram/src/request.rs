@@ -81,9 +81,9 @@ impl fmt::Display for Request {
 /// A row run: `len` requests of one kind to consecutive columns of one
 /// `(channel, rank, bank, subarray, row)`, from `head`'s column on.
 ///
-/// Under the open-row policy with refresh off, every request after the
-/// head is a row-buffer hit, which is what lets the controller serve a
-/// run in closed form (see [`crate::controller`]).
+/// Under the open-row policy every request after the head is a
+/// row-buffer hit until a refresh closes the row, which is what lets the
+/// controller serve a run in closed form (see [`crate::controller`]).
 ///
 /// # Examples
 ///

@@ -5,15 +5,17 @@
 //! (Fig. 8): requests in, `{cycles, energy}` statistics out.
 //!
 //! The unit of work is the [`RowRun`]: requests of one kind to
-//! consecutive columns of one row. Under the paper's configuration (open
-//! row, refresh off) the controller serves a run's head like any request
-//! and the rest in closed form, in O(1) (the controller's module docs
-//! derive it per drive mode; under any other configuration each request
-//! is served on its own). A DRMap tile is almost all runs of a whole row,
-//! so replaying it costs per run, not per burst.
+//! consecutive columns of one row. Under the open-row policy (the
+//! paper's), refresh on or off, the controller serves a run's head like
+//! any request and the rest in closed form, in O(1), splitting the run
+//! where a refresh lands on a spaced arrival (the controller's module
+//! docs derive it per drive mode; under the closed or timeout row policy
+//! each request is served on its own). A DRMap tile is almost all runs of
+//! a whole row, so replaying it costs per run, not per burst.
 //!
 //! [`DramSimulator::run`] coalesces a request trace into maximal runs and
-//! [`DramSimulator::run_runs`] takes runs directly; both feed one engine.
+//! [`DramSimulator::run_runs`] takes runs directly, from any iterator;
+//! both feed one engine.
 //! FR-FCFS reorders requests within a window counted in requests, so under
 //! it the engine is fed runs of length 1.
 
@@ -185,14 +187,16 @@ impl DramSimulator {
     /// # Panics
     ///
     /// Panics if a request address lies outside the geometry.
-    pub fn run_runs(&mut self, runs: &[RowRun], mode: DriveMode) -> SimStats {
+    pub fn run_runs(
+        &mut self,
+        runs: impl IntoIterator<Item = RowRun>,
+        mode: DriveMode,
+    ) -> SimStats {
+        let mut runs = runs.into_iter();
         match self.controller.config().scheduler {
-            SchedulerKind::Fcfs => {
-                let mut runs = runs.iter().copied();
-                self.replay(mode, |_| runs.next())
-            }
+            SchedulerKind::Fcfs => self.replay(mode, |_| runs.next()),
             SchedulerKind::FrFcfs => {
-                let trace = runs.iter().flat_map(|r| r.requests()).collect();
+                let trace = runs.flat_map(RowRun::requests).collect();
                 self.replay_frfcfs(trace, mode)
             }
         }
@@ -247,7 +251,10 @@ impl DramSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::address::PhysicalAddress;
+    use crate::address::{AddressCodec, PhysicalAddress};
+    use crate::controller::tests::{KernelTally, KERNEL};
+    use crate::geometry::Level;
+    use crate::request::RequestKind;
     use crate::timing::DramArch;
 
     fn addr(bank: usize, subarray: usize, row: usize, column: usize) -> PhysicalAddress {
@@ -273,6 +280,74 @@ mod tests {
             EnergyParams::default(),
         )
         .unwrap()
+    }
+
+    /// Replay `tests/data/alexnet_replay.tsv` — the row runs
+    /// `Validator::validate` replays for every AlexNet layer's DSE winner
+    /// on every architecture — with refresh on or off; returns the
+    /// requests served.
+    fn replay_alexnet_winners(refresh_enabled: bool) -> u64 {
+        let fixture = include_str!("../../../tests/data/alexnet_replay.tsv");
+        let geometry = Geometry::salp_2gb_x8();
+        let (mut requests, mut case, mut sim) = (0, None, None);
+        for line in fixture.lines().filter(|l| !l.starts_with('#')) {
+            let fields: Vec<&str> = line.split('\t').collect();
+            let [arch, layer, order, bursts, kind, region, tiles] = fields[..] else {
+                panic!("malformed fixture line {line:?}");
+            };
+            let arch = DramArch::ALL
+                .into_iter()
+                .find(|a| a.to_string() == arch)
+                .unwrap();
+            if case != Some((arch, layer)) {
+                case = Some((arch, layer));
+                let config = ControllerConfig {
+                    refresh_enabled,
+                    ..ControllerConfig::new(arch)
+                };
+                let energy = EnergyParams::micron_2gb_x8();
+                sim = DramSimulator::new(geometry, TimingParams::ddr3_1600k(), config, energy).ok();
+            }
+            let sim = sim.as_mut().unwrap();
+            let level = |name| {
+                Level::ALL
+                    .into_iter()
+                    .find(|l| l.to_string() == name)
+                    .unwrap()
+            };
+            let codec = AddressCodec::new(geometry, order.split('>').map(level).collect()).unwrap();
+            let kind = [RequestKind::Read, RequestKind::Write]
+                .into_iter()
+                .find(|k| k.label() == kind)
+                .unwrap();
+            let [bursts, region, tiles] =
+                [bursts, region, tiles].map(|n| n.parse::<u64>().unwrap());
+            for t in 0..tiles {
+                let runs = codec.runs((region + t) * bursts, bursts).unwrap();
+                let runs = runs.map(|(address, len)| RowRun {
+                    head: Request { address, kind },
+                    len,
+                });
+                requests += sim.run_runs(runs, DriveMode::Streamed).requests;
+            }
+        }
+        requests
+    }
+
+    /// The replay's kernel work, with refresh off and on: every run's
+    /// tail in closed form, none request by request.
+    #[test]
+    fn alexnet_winners_replay_serves_every_tail_in_closed_form() {
+        for refresh_enabled in [false, true] {
+            KERNEL.with(|k| k.set(KernelTally::default()));
+            assert_eq!(replay_alexnet_winners(refresh_enabled), 2_009_284);
+            let want = KernelTally {
+                runs: 16_048,
+                closed_form_tails: 2_009_284 - 16_048,
+                served_tails: 0,
+            };
+            assert_eq!(KERNEL.with(|k| k.get()), want, "refresh {refresh_enabled}");
+        }
     }
 
     #[test]

@@ -393,7 +393,7 @@ fn assert_run_engine_matches_oracle(traces: &[[Vec<RowRun>; 2]], gap: u64, timeo
             let want = oracle.run(&trace, mode, keep);
             let got = [
                 (by_requests.run(&trace, mode), &by_requests),
-                (by_runs.run_runs(segments, mode), &by_runs),
+                (by_runs.run_runs(segments.iter().copied(), mode), &by_runs),
             ];
             for (stats, sim) in got {
                 let cell = format!("{cfg:?} {mode:?} keep={keep}");
