@@ -24,14 +24,19 @@
 //! * per **layer**: the wghs tile of every `(tj, ti)` — its bytes, burst
 //!   count, whether it fits, and its lower bound — and, as each `tj`'s
 //!   row is built, its first fitting `ti` step and the suffix minima of
-//!   the loop bounds' wghs column;
-//! * per **`(th, tw)`**: the same for the ifms tiles of every `ti`;
+//!   the loop bounds' wghs column, whose least over the layer is the
+//!   block bound's;
+//! * per **`(th, tw)`**: one *block bound*, in O(1) from the block's
+//!   whole ifms and ofms bytes and the layer's least wghs column, before
+//!   anything in the block is built — it skips 2,341 of the zoo's 3,433
+//!   blocks, whose tilings the walk counts from bytes alone — and, in a
+//!   walked block, the same as per layer for the ifms tiles of every `ti`;
 //! * per **`(th, tw, tj)`**: the loop's tilings, counted without a scan
 //!   (the `ti` steps from the later of the two first fits on; a loop
 //!   with none is passed over), the ofms tile's bytes, burst count, fit
 //!   and lower bound — a tile that overflows its buffer skips the whole
-//!   `ti` loop — and one *loop bound* per scheme, each read in O(1),
-//!   that end all but 516 of the zoo's 27,578 loops;
+//!   `ti` loop — and one *loop bound* per scheme, each read in O(1): with
+//!   the block bound they end all but 516 of the zoo's 27,578 loops;
 //! * per **burst count**, per **engine**: a *cost row*, built the first
 //!   time a visited tiling of any sweep needs it — the per-tile
 //!   `(read, write)` cost under every mapping the engine sweeps (the
@@ -84,6 +89,7 @@
 //! | group | the floor | the group (its own traffic) |
 //! | tiling | the floor | the three concrete schemes: `S·n_i` ifms and `n_j·n_i` wghs loads, no ofms loads, `S·n_j` stores |
 //! | `ti` loop, per concrete scheme | the tile lower bounds | the loop's tilings |
+//! | `(th, tw)` block | the tile lower bounds of the block's whole ifms and ofms | the block: `S` ifms loads and `S` stores of those, no ofms loads, and the wghs column at its least over the layer |
 //!
 //! The subtree is skipped when the bound *shuts out* what the sweep has
 //! found: it scores `>=` the incumbent (every member follows the
@@ -123,6 +129,24 @@
 //! least is scaled by that count. The ofms tile does not depend on `ti`,
 //! so its columns are least at the least trip count, `n_i` at `start`.
 //!
+//! A **block**'s bound prices its whole ifms and whole ofms as one tile
+//! each, so it needs no tile of the block. With `lb(u) = first + (u −
+//! 1)·step`, `n · lb(u) = lb(n·u) + (n − 1)·(first − step) ≥ lb(n·u)`
+//! when `first ≥ step`, and `lb` never falls as `u` grows when `step ≥
+//! 0`; so `n · lb(u) ≥ lb(⌈n·bytes/burst⌉)` for a tile of `bytes` bytes
+//! in `u` bursts. Both hold component-wise on a trusted table: `step` is
+//! the least class cost, `dif_rows` among them, and none is negative.
+//! Every member loads `S·n_i` ifms tiles, `n_i` of them per spatial trip,
+//! and `n_i·ti ≥ i`, so those `n_i` hold at least the block's whole ifms
+//! bytes: its ifms column is at least `S · lb(⌈ifms_total/burst⌉)`. Its
+//! `S·n_j` ofms stores, with `n_j·tj ≥ j`, are at least `S ·
+//! lb(⌈ofms_total/burst⌉)`; its ofms loads at least nothing. Its wghs
+//! column is at least the least of the loop bounds' `lb × n_j·n_i` over
+//! every fitting wghs tile of the layer, `W*`, which each wghs row's
+//! suffix minimum at its first fit already holds. A skipped block's
+//! tilings are still counted: its ifms first fit comes from bytes, the
+//! wghs first fits are known, and each `tj`'s ofms fit is checked.
+//!
 //! **One rounding budget.** The tile lower bound is the one bound that
 //! is not the candidates' own expression, so it alone needs room for
 //! rounding. Under the trust rule every class cost is `0` or in
@@ -136,8 +160,13 @@
 //! a cost (two roundings each, three in their sum), then one conversion
 //! and one product — is at least its exact value times `(1 − ε)⁷`. Since
 //! `15 ε < 2⁻⁴⁰`, the first is below the second, and sums taken in the
-//! same order keep the order. The unscaled columns and the tile-against-
-//! row check (`(1 + ε)⁴` against `(1 − ε)⁵`) take fewer roundings.
+//! same order keep the order. A block-bound term — the lower bound's
+//! four roundings, then the conversion of `S` and one product — is at
+//! most its exact value times `(1 + ε)⁶ (1 − 2⁻⁴⁰)`, and its wghs column
+//! is a loop-bound column times one, which is exact: six roundings,
+//! inside the loop bound's eight, so the block bound needs no scaling of
+//! its own. The unscaled columns and the tile-against-row check (`(1 +
+//! ε)⁴` against `(1 − ε)⁵`) take fewer roundings.
 //!
 //! **One trust rule**, decided once, in [`DseEngine::new`]: every class
 //! cost is `0` or a normal number in `(0, 2⁵¹²]`, and the clock is
@@ -147,15 +176,19 @@
 //! every point is scored, duplicates included, and nothing is skipped.
 //! The first group has no incumbent, so it is always scored.
 //!
-//! On the zoo on SALP-2 the loop bounds end 27,062 of 27,578 loops
-//! (195,924 tilings), and of the 3,537 tilings the 516 walked loops
-//! visit the tiling bound ends 2,602, so 935 reach the group bounds. On
-//! the 96 layers of `tests/data/big_layers.spec` they end 31,335 of
-//! 31,945 loops, and 3,403 of 239,519 tilings reach the groups. On the
-//! four profiled architectures DRMap's row *is* the floor at every burst
-//! count the model zoo produces (`tests/drmap_optimality.rs` asserts
-//! it), so the group bound is the exact score of the group's best member
-//! and about 99.95 % of the zoo's 4.79 M design points are skipped.
+//! On the zoo on SALP-2 the block bound skips 2,341 of 3,433 blocks, and
+//! in the other 1,092 the loop bounds, read for 8,944 loops, end all
+//! but 516: together they end 27,062 of 27,578 loops (195,924 tilings).
+//! Of the 3,537 tilings the 516 walked loops visit the tiling bound
+//! ends 2,602, so 935 reach the group bounds. On the 96 layers of
+//! `tests/data/big_layers.spec` the block bound skips 667 of 3,986
+//! blocks, the loop bounds are read for 27,189 of the 31,945 loops and
+//! together they end 31,335, and 3,403 of 239,519 tilings reach the
+//! groups. On the four profiled architectures DRMap's row *is* the floor
+//! at every burst count the model zoo produces
+//! (`tests/drmap_optimality.rs` asserts it), so the group bound is the
+//! exact score of the group's best member and about 99.95 % of the zoo's
+//! 4.79 M design points are skipped.
 //!
 //! [`LayerDseResult::evaluations`] counts the design points a sweep
 //! *covered* — scored, or proven unable to win — so it is the size of
@@ -418,15 +451,15 @@ fn tag_label(tag: &CandidateTag) -> String {
 }
 
 /// What a sweep has found so far: the incumbent, the Pareto front under
-/// `keep_points`, and how many design points it covered and skipped.
+/// `keep_points`, and how many design points it covered and scored.
 struct Accumulator {
     objective: Objective,
     /// Design points covered, whether scored or proven unable to win
     /// (see [`LayerDseResult::evaluations`]).
     evaluations: usize,
-    /// How many of `evaluations` the exact bound skipped instead of
-    /// scoring.
-    pruned: usize,
+    /// How many of `evaluations` were scored: the rest the exact bound
+    /// skipped.
+    scored: usize,
     best: Option<DseCandidate>,
     /// The incumbent's score under `objective` (meaningless while there
     /// is no incumbent).
@@ -438,6 +471,7 @@ impl Accumulator {
     /// Offer one scored design point, in sweep order: it replaces the
     /// incumbent only on a strict improvement.
     fn offer(&mut self, estimate: EdpEstimate, tag: CandidateTag, keep_points: bool) {
+        self.scored += 1;
         if keep_points {
             self.front.insert(estimate, tag);
         }
@@ -464,6 +498,12 @@ impl Accumulator {
         } else {
             self.best.is_some() && self.objective.score(floor) >= self.best_score
         }
+    }
+
+    /// How many of `evaluations` the exact bound skipped instead of
+    /// scoring.
+    fn pruned(&self) -> usize {
+        self.evaluations - self.scored
     }
 }
 
@@ -498,7 +538,8 @@ struct Tile {
     lb: (AccessCost, AccessCost),
     /// For an ifms or wghs tile, the component-wise least of the loop
     /// bounds' column `lb.0 × trips·n_i` over its `ti` step and every
-    /// later one of its row ([`Sweep::ti_row`]); unused for ofms.
+    /// later one of its row ([`Sweep::ti_row`]); unused for ofms and for
+    /// a block's whole tiles.
     least: AccessCost,
 }
 
@@ -739,6 +780,10 @@ struct Tally {
     touched: usize,
     tilings: usize,
     loops: usize,
+    /// `(th, tw)` blocks whose ifms row was built.
+    blocks: usize,
+    /// `ti` loops whose loop bounds were read.
+    bounded: usize,
 }
 
 /// One sweep in progress: what [`walk_tilings`] drives through the
@@ -753,7 +798,10 @@ struct Sweep<'a> {
     bound: TileBound,
     rows: Rows<'a>,
     found: Accumulator,
-    /// Tilings visited and `ti` loops walked.
+    /// The least over the layer's wghs rows of the loop bounds' column
+    /// `lb.0 × n_j·n_i`: each row's suffix minimum at its first fit.
+    wghs_least: AccessCost,
+    /// Tilings visited, `ti` loops walked and bounded, blocks walked.
     #[cfg(test)]
     tally: Tally,
     /// The burst counts whose rows this sweep read.
@@ -781,11 +829,12 @@ impl<'a> Sweep<'a> {
             found: Accumulator {
                 objective: engine.config.objective,
                 evaluations: 0,
-                pruned: 0,
+                scored: 0,
                 best: None,
                 best_score: 0.0,
                 front: ParetoFront::new(),
             },
+            wghs_least: INFINITE,
             #[cfg(test)]
             tally: Tally::default(),
             #[cfg(test)]
@@ -859,6 +908,21 @@ impl<'a> Sweep<'a> {
         ]
         .map(|weights| lb.estimate(&weights, self.t_ck_ns))
     }
+
+    /// The `(th, tw)` block's bound (see the module docs): the tiling
+    /// bound's least traffic at `n_j = n_i = 1`, weighted by the tile
+    /// lower bounds of the block's whole ifms and ofms and by the layer's
+    /// least wghs column. Needs a trusted [`TileBound`] and the wghs rows.
+    fn block_bound(&self, spatial: u64, ifms_bytes: u64, ofms_bytes: u64) -> EdpEstimate {
+        let [ifms, ofms] = [ifms_bytes, ofms_bytes].map(|bytes| self.bound.tile(bytes).lb);
+        let lb = TileCosts {
+            ifms_read: ifms.0,
+            wghs_read: self.wghs_least,
+            ofms_read: ofms.0,
+            ofms_write: ofms.1,
+        };
+        lb.estimate(&least_traffic(spatial, 1, 1), self.t_ck_ns)
+    }
 }
 
 impl TilingVisitor for Sweep<'_> {
@@ -869,8 +933,15 @@ impl TilingVisitor for Sweep<'_> {
     }
 
     /// Each tile's suffix minimum of the loop bounds' column
-    /// `lb × trips·n_i`, so that a loop reads its least at its first step.
-    fn ti_row(&mut self, is: &[(usize, u64)], tiles: &mut [Option<Tile>], trips: u64) {
+    /// `lb × trips·n_i`, so that a loop reads its least at its first step;
+    /// a wghs row's least at its first fit also lowers `wghs_least`.
+    fn ti_row(
+        &mut self,
+        kind: DataKind,
+        is: &[(usize, u64)],
+        tiles: &mut [Option<Tile>],
+        trips: u64,
+    ) {
         let mut least = INFINITE;
         for (&(_, n_i), tile) in is.iter().zip(tiles).rev() {
             if let Some(tile) = tile {
@@ -881,6 +952,25 @@ impl TilingVisitor for Sweep<'_> {
                 tile.least = least;
             }
         }
+        if kind == DataKind::Wghs {
+            self.wghs_least = min_cost(self.wghs_least, least);
+        }
+    }
+
+    /// The block bound: implied by every group bound of the block, so it
+    /// too changes what is computed, never what is counted.
+    fn block(&mut self, spatial: u64, ifms_bytes: u64, ofms_bytes: u64) -> bool {
+        if self.bound.trusted {
+            let bound = self.block_bound(spatial, ifms_bytes, ofms_bytes);
+            if self.found.shuts_out(&bound, self.keep_points) {
+                return false;
+            }
+        }
+        #[cfg(test)]
+        {
+            self.tally.blocks += 1;
+        }
+        true
     }
 
     /// The loop bounds: implied by every group bound of the loop, so they
@@ -896,15 +986,15 @@ impl TilingVisitor for Sweep<'_> {
         tilings: usize,
     ) -> bool {
         if self.bound.trusted {
+            #[cfg(test)]
+            {
+                self.tally.bounded += 1;
+            }
             let bounds = self.loop_bounds(outer, is, [ifms, wghs], &ofms, tilings);
-            let found = &mut self.found;
             if bounds
                 .iter()
-                .all(|bound| found.shuts_out(bound, self.keep_points))
+                .all(|bound| self.found.shuts_out(bound, self.keep_points))
             {
-                let points = tilings * self.schemes.len() * self.mappings.len();
-                found.evaluations += points;
-                found.pruned += points;
                 return false;
             }
         }
@@ -925,13 +1015,10 @@ impl TilingVisitor for Sweep<'_> {
         let rows = tiles.map(|tile| self.row(tile.units));
         let floor = self.bound.trusted.then(|| self.rows.floor_costs(rows));
         let found = &mut self.found;
-        let points = self.schemes.len() * self.mappings.len();
-        found.evaluations += points;
         // The tiling-level bound: implied by every group's bound below,
         // so it changes what is computed, never what is counted.
         let least = least_traffic(spatial, n_j, n_i);
         if floor.is_some_and(|f| found.shuts_out(&f.estimate(&least, t_ck_ns), keep_points)) {
-            found.pruned += points;
             return;
         }
         let traffic = traffic_of_trips(spatial, n_j, n_i);
@@ -945,7 +1032,6 @@ impl TilingVisitor for Sweep<'_> {
             if floor.is_some_and(|floor| {
                 duplicate || found.shuts_out(&floor.estimate(traffic, t_ck_ns), keep_points)
             }) {
-                found.pruned += self.mappings.len();
                 continue;
             }
             for (slot, &mapping) in self.mappings.iter().enumerate() {
@@ -1135,19 +1221,21 @@ impl DseEngine {
                 config.keep_points,
             )?
             .found;
+        let pruned = swept.pruned();
         let result = LayerDseResult {
             layer_name: layer.name.clone(),
             best: swept.best.expect("non-empty sweep produced no candidate"),
             evaluations: swept.evaluations,
             pareto: swept.front.into_design_points(tag_label),
         };
-        Ok((result, swept.pruned))
+        Ok((result, pruned))
     }
 
     /// The evaluation pipeline of the module docs: the layer's feasible
     /// tilings × `schemes` × `mappings` (`mappings` non-empty, priced by
     /// `rows`) in that nesting order, under this engine's objective; what
-    /// it found is the finished sweep's `found`.
+    /// it found is the finished sweep's `found`, which covers every
+    /// feasible tiling's `schemes.len() · mappings.len()` points.
     fn sweep<'a>(
         &'a self,
         layer: &Layer,
@@ -1157,7 +1245,8 @@ impl DseEngine {
         keep_points: bool,
     ) -> Result<Sweep<'a>, DseError> {
         let mut sweep = Sweep::new(self, schemes, mappings, rows, keep_points);
-        walk_tilings(layer, self.model.traffic_model().accelerator(), &mut sweep)?;
+        let tilings = walk_tilings(layer, self.model.traffic_model().accelerator(), &mut sweep)?;
+        sweep.found.evaluations = tilings * schemes.len() * mappings.len();
         Ok(sweep)
     }
 

@@ -98,7 +98,7 @@ fn group_bound_reference(e: &DseEngine, layer: &Layer) -> (usize, usize) {
     let mut found = Accumulator {
         objective: config.objective,
         evaluations: 0,
-        pruned: 0,
+        scored: 0,
         best: None,
         best_score: 0.0,
         front: ParetoFront::new(),
@@ -141,7 +141,6 @@ fn group_bound_reference(e: &DseEngine, layer: &Layer) -> (usize, usize) {
             if floor.is_some_and(|floor| {
                 duplicate || found.shuts_out(&floor.estimate(&traffic, t_ck_ns), config.keep_points)
             }) {
-                found.pruned += config.mappings.len();
                 continue;
             }
             for &mapping in &config.mappings {
@@ -155,7 +154,7 @@ fn group_bound_reference(e: &DseEngine, layer: &Layer) -> (usize, usize) {
             }
         }
     }
-    (found.evaluations, found.pruned)
+    (found.evaluations, found.pruned())
 }
 
 pub(super) fn assert_results_bit_identical(a: &LayerDseResult, b: &LayerDseResult) {
@@ -513,8 +512,14 @@ impl TilingVisitor for BoundCheck<'_> {
         tile
     }
 
-    fn ti_row(&mut self, is: &[(usize, u64)], tiles: &mut [Option<Tile>], trips: u64) {
-        self.sweep.ti_row(is, tiles, trips);
+    fn ti_row(
+        &mut self,
+        kind: DataKind,
+        is: &[(usize, u64)],
+        tiles: &mut [Option<Tile>],
+        trips: u64,
+    ) {
+        self.sweep.ti_row(kind, is, tiles, trips);
     }
 
     /// Every loop's tiling count against a scan, and its bound per scheme
@@ -590,6 +595,125 @@ fn assert_no_worse(bound: &EdpEstimate, estimate: &EdpEstimate) {
     assert!(bound.cycles <= estimate.cycles && bound.energy <= estimate.energy);
     for objective in Objective::ALL {
         assert!(objective.score(bound) <= objective.score(estimate));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The block bound is a bound: on a trusted table it never exceeds a
+    /// member of its `(th, tw)` block — any of the block's tilings under
+    /// any concrete scheme and swept mapping — in either coordinate and
+    /// under any objective. And, on any table, a skipped block is counted
+    /// exactly: with one drawn block skipped, the walk visits every other
+    /// block's tilings in brute-force order and counts the skipped
+    /// block's brute-force tilings on top.
+    #[test]
+    fn block_bound_never_exceeds_a_member(
+        table in table_strategy(),
+        acc in accelerator_strategy(),
+        mappings in mappings_strategy(),
+        layer in layer_strategy(),
+        skip in 0usize..64,
+    ) {
+        let config = DseConfig {
+            mappings,
+            ..DseConfig::default()
+        };
+        let e = DseEngine::new(EdpModel::new(Geometry::salp_2gb_x8(), table, acc), config);
+        let tilings = brute_force_tilings(&layer, &acc);
+        let mut blocks = Vec::new();
+        for &th in &candidate_steps(layer.h) {
+            for &tw in &candidate_steps(layer.w) {
+                let members = tilings.iter().filter(|t| (t.th, t.tw) == (th, tw));
+                blocks.push(((th, tw), members.copied().collect::<Vec<_>>()));
+            }
+        }
+        let skip = skip % blocks.len();
+        let skipped = blocks[skip].1.len();
+        let walked: Vec<Tiling> = blocks
+            .iter()
+            .enumerate()
+            .filter(|&(at, _)| at != skip)
+            .flat_map(|(_, (_, members))| members.iter().copied())
+            .collect();
+        let config = e.config();
+        let mut check = BlockCheck {
+            e: &e,
+            layer: &layer,
+            sweep: Sweep::new(&e, &config.schemes, &config.mappings, e.rows(None), false),
+            blocks: blocks.into_iter(),
+            skip,
+            entered: 0,
+            visited: Vec::new(),
+        };
+        let count = walk_tilings(&layer, &acc, &mut check).unwrap();
+        prop_assert_eq!(count, tilings.len());
+        prop_assert_eq!(count - check.visited.len(), skipped);
+        prop_assert_eq!(check.visited, walked);
+    }
+}
+
+/// On a trusted table, holds each `(th, tw)` block's bound
+/// ([`Sweep::block_bound`]) against every member of the block; on any
+/// table, skips one block.
+struct BlockCheck<'a> {
+    e: &'a DseEngine,
+    layer: &'a Layer,
+    sweep: Sweep<'a>,
+    /// Each `(th, tw)` with its brute-force tilings, in walk order.
+    blocks: std::vec::IntoIter<((usize, usize), Vec<Tiling>)>,
+    /// The index of the block to skip.
+    skip: usize,
+    /// Blocks entered so far.
+    entered: usize,
+    visited: Vec<Tiling>,
+}
+
+impl TilingVisitor for BlockCheck<'_> {
+    type Tile = Tile;
+
+    fn tile(&mut self, bytes: u64) -> Tile {
+        self.sweep.tile(bytes)
+    }
+
+    fn ti_row(
+        &mut self,
+        kind: DataKind,
+        is: &[(usize, u64)],
+        tiles: &mut [Option<Tile>],
+        trips: u64,
+    ) {
+        self.sweep.ti_row(kind, is, tiles, trips);
+    }
+
+    /// The block's arguments against its steps, and its bound against
+    /// every member.
+    fn block(&mut self, spatial: u64, ifms_bytes: u64, ofms_bytes: u64) -> bool {
+        let ((th, tw), members) = self.blocks.next().expect("the walk enters each block once");
+        let (layer, acc) = (self.layer, self.e.model().traffic_model().accelerator());
+        let whole = Tiling::new(th, tw, layer.j, layer.i);
+        let (n_h, n_w, _, _) = whole.steps(layer);
+        assert_eq!(spatial, (acc.batch * n_h * n_w) as u64);
+        assert_eq!(ifms_bytes, whole.tile_bytes(layer, acc, DataKind::Ifms));
+        assert_eq!(ofms_bytes, whole.tile_bytes(layer, acc, DataKind::Ofms));
+        if self.sweep.bound.trusted {
+            let bound = self.sweep.block_bound(spatial, ifms_bytes, ofms_bytes);
+            for tiling in &members {
+                for scheme in ReuseScheme::CONCRETE {
+                    for mapping in &self.e.config().mappings {
+                        let member = self.e.evaluate(layer, tiling, scheme, mapping);
+                        assert_no_worse(&bound, &member);
+                    }
+                }
+            }
+        }
+        self.entered += 1;
+        self.entered - 1 != self.skip
+    }
+
+    fn tiling(&mut self, tiling: Tiling, _trips: [u64; 4], _tiles: [Tile; 3]) {
+        self.visited.push(tiling);
     }
 }
 
@@ -913,7 +1037,7 @@ fn zoo_evaluation_and_pruned_counts_match_the_committed_table() {
 
 /// The work the default sweep does on SALP-2 over `networks`, on one
 /// fresh engine: rows it built, rows each sweep read (summed), tilings
-/// visited, `ti` loops walked.
+/// visited, `ti` loops walked, blocks walked, loop bounds read.
 fn salp2_work(networks: &[Network]) -> Tally {
     let e = engine_on(salp2_table(), DseConfig::default());
     let config = e.config();
@@ -930,6 +1054,8 @@ fn salp2_work(networks: &[Network]) -> Tally {
         total.touched += tally.touched;
         total.tilings += tally.tilings;
         total.loops += tally.loops;
+        total.blocks += tally.blocks;
+        total.bounded += tally.bounded;
     }
     total.rows = e.memo.built();
     total
@@ -948,6 +1074,8 @@ fn the_zoo_sweep_on_salp2_does_the_measured_work() {
         touched: 2_502,
         tilings: 3_537,
         loops: 516,
+        blocks: 1_092,
+        bounded: 8_944,
     };
     assert_eq!(salp2_work(&zoo), measured);
 }
@@ -961,6 +1089,8 @@ fn the_big_layers_sweep_on_salp2_does_the_measured_work() {
         touched: 2_547,
         tilings: 3_595,
         loops: 610,
+        blocks: 3_319,
+        bounded: 27_189,
     };
     assert_eq!(salp2_work(&[big_layers()]), measured);
 }

@@ -142,23 +142,41 @@ pub(crate) trait TilingVisitor {
 
     /// A tile of `bytes` bytes that fits its buffer: a wghs tile once
     /// per `(tj, ti)`, before the walk; an ifms tile once per
-    /// `(th, tw, ti)`, on entering `(th, tw)`; an ofms tile once per
-    /// `(th, tw, tj)` whose `ti` loop has a feasible tiling.
+    /// `(th, tw, ti)`, on entering a walked `(th, tw)`; an ofms tile once
+    /// per `(th, tw, tj)` of a walked block whose `ti` loop has a
+    /// feasible tiling.
     fn tile(&mut self, bytes: u64) -> Self::Tile;
 
-    /// Once per row of tiles along the `ti` axis `is`, as soon as
-    /// [`TilingVisitor::tile`] has made it (aligned with the axis, `None`
-    /// where one overflows): each `tj`'s wghs row before the walk, with
-    /// `trips = n_j`, and each `(th, tw)`'s ifms row on entering it, with
-    /// `trips = batch · n_h · n_w` — the row's loads per `ti` trip.
-    fn ti_row(&mut self, _is: &[(usize, u64)], _tiles: &mut [Option<Self::Tile>], _trips: u64) {}
+    /// Once per row of tiles of `kind` along the `ti` axis `is`, as soon
+    /// as [`TilingVisitor::tile`] has made it (aligned with the axis,
+    /// `None` where one overflows): each `tj`'s wghs row before the walk,
+    /// with `trips = n_j`, and each walked `(th, tw)`'s ifms row on
+    /// entering it, with `trips = batch · n_h · n_w` — the row's loads per
+    /// `ti` trip.
+    fn ti_row(
+        &mut self,
+        _kind: DataKind,
+        _is: &[(usize, u64)],
+        _tiles: &mut [Option<Self::Tile>],
+        _trips: u64,
+    ) {
+    }
 
-    /// Before the `ti` loop of a `(th, tw, tj)` whose ofms tile fits: the
-    /// three steps and the `ti` axis, each step with its trip count, the
-    /// loop's ifms and wghs tiles (aligned with the axis, `None` where one
-    /// overflows) and ofms tile, and how many tilings the loop has — at
-    /// least one, the last that many steps of the axis. Returns whether
-    /// to walk the loop; a skipped loop's tilings are still counted.
+    /// On entering a `(th, tw)` block, before any of its tiles is made:
+    /// its `spatial = batch · n_h · n_w` and the bytes of its whole ifms
+    /// (`ti = i`) and whole ofms (`tj = j`). Returns whether to walk the
+    /// block; a skipped block's tilings are still counted.
+    fn block(&mut self, _spatial: u64, _ifms_bytes: u64, _ofms_bytes: u64) -> bool {
+        true
+    }
+
+    /// Before the `ti` loop of a walked block's `(th, tw, tj)` whose ofms
+    /// tile fits: the three steps and the `ti` axis, each step with its
+    /// trip count, the loop's ifms and wghs tiles (aligned with the axis,
+    /// `None` where one overflows) and ofms tile, and how many tilings the
+    /// loop has — at least one, the last that many steps of the axis.
+    /// Returns whether to walk the loop; a skipped loop's tilings are
+    /// still counted.
     fn ti_loop(
         &mut self,
         _outer: [(usize, u64); 3],
@@ -198,7 +216,9 @@ impl<F: FnMut(Tiling)> TilingVisitor for F {
 /// the steps it depends on, not once per tiling. A tile never shrinks as
 /// `ti` grows and the axis descends, so the steps at which one fits are a
 /// suffix of the axis: a loop's tilings start at the later of its two
-/// first fits, and are counted without a scan.
+/// first fits, and are counted without a scan. A `(th, tw)` block the
+/// visitor declines ([`TilingVisitor::block`]) is counted the same way
+/// from bytes alone, without making a tile.
 ///
 /// # Errors
 ///
@@ -217,16 +237,17 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
     };
     let [hs, ws, js, is] = [layer.h, layer.w, layer.j, layer.i].map(axis);
     // `tile_bytes` ignores the steps `kind` does not depend on.
-    let fitting = |visitor: &mut V, kind, tiling: Tiling| {
+    let fits = |kind, tiling: Tiling| {
         let bytes = tiling.tile_bytes(layer, acc, kind);
-        (bytes <= acc.buffer_bytes(kind) as u64).then(|| visitor.tile(bytes))
+        (bytes <= acc.buffer_bytes(kind) as u64).then_some(bytes)
     };
+    let fitting = |visitor: &mut V, kind, tiling| fits(kind, tiling).map(|b| visitor.tile(b));
     let mut wghs = Vec::with_capacity(js.len() * is.len());
     for &(tj, n_j) in &js {
         let at = wghs.len();
         let tile = |&(ti, _)| fitting(visitor, DataKind::Wghs, Tiling::new(1, 1, tj, ti));
         wghs.extend(is.iter().map(tile));
-        visitor.ti_row(&is, &mut wghs[at..], n_j);
+        visitor.ti_row(DataKind::Wghs, &is, &mut wghs[at..], n_j);
     }
     let first_fit = |tiles: &[Option<V::Tile>]| tiles.iter().take_while(|t| t.is_none()).count();
     let wghs: Vec<_> = wghs.chunks(is.len()).map(|c| (first_fit(c), c)).collect();
@@ -234,10 +255,29 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
     let mut count = 0;
     for &(th, n_h) in &hs {
         for &(tw, n_w) in &ws {
+            let spatial = acc.batch as u64 * n_h * n_w;
+            let whole = Tiling::new(th, tw, layer.j, layer.i);
+            let [ifms_bytes, ofms_bytes] =
+                [DataKind::Ifms, DataKind::Ofms].map(|kind| whole.tile_bytes(layer, acc, kind));
+            if !visitor.block(spatial, ifms_bytes, ofms_bytes) {
+                // The loops' tilings, as the walk below counts them, from
+                // bytes alone. Overflowing steps are a prefix of the axis,
+                // so their count is the first fit; a loop without a fitting
+                // ofms tile or a fitting step adds nothing.
+                let ifms_steps = is.iter().map(|&(ti, _)| Tiling::new(th, tw, 1, ti));
+                let ifms_first = ifms_steps
+                    .filter(|&t| fits(DataKind::Ifms, t).is_none())
+                    .count();
+                for (&(tj, _), &(wghs_first, _)) in js.iter().zip(&wghs) {
+                    let ofms_fits = fits(DataKind::Ofms, Tiling::new(th, tw, tj, 1)).is_some();
+                    count += usize::from(ofms_fits) * (is.len() - ifms_first.max(wghs_first));
+                }
+                continue;
+            }
             ifms.clear();
             let tile = |&(ti, _)| fitting(visitor, DataKind::Ifms, Tiling::new(th, tw, 1, ti));
             ifms.extend(is.iter().map(tile));
-            visitor.ti_row(&is, &mut ifms, acc.batch as u64 * n_h * n_w);
+            visitor.ti_row(DataKind::Ifms, &is, &mut ifms, spatial);
             let ifms_first = first_fit(&ifms);
             for (&(tj, n_j), &(wghs_first, wghs)) in js.iter().zip(&wghs) {
                 let start = ifms_first.max(wghs_first);

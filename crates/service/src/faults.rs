@@ -332,6 +332,25 @@ impl FaultState {
     }
 }
 
+/// Arm the plan `spec` on `state` and say whether it took: in a build
+/// that compiles fault injection in it must, and in one that does not
+/// it must be refused with the documented error, leaving nothing armed.
+#[cfg(test)]
+pub(crate) fn arm_where_compiled_in(state: &FaultState, spec: &str) -> bool {
+    let armed = state.set_plan(Some(FaultPlan::parse(spec).unwrap()));
+    assert_eq!(armed.is_ok(), FAULTS_COMPILED_IN, "{armed:?}");
+    if let Err(err) = armed {
+        let text = err.to_string();
+        assert!(
+            text.contains("fault injection is not compiled into this build"),
+            "{text}"
+        );
+        assert_eq!((state.store_action(), state.wire_action()), (None, None));
+        assert!(!state.job_panics(1));
+    }
+    FAULTS_COMPILED_IN
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,8 +386,11 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_per_seed_and_site() {
         let state = FaultState::default();
-        let plan = FaultPlan::parse("seed=7,store-fail=0.3,wire-stall=0.3").unwrap();
-        state.set_plan(Some(plan)).unwrap();
+        let spec = "seed=7,store-fail=0.3,wire-stall=0.3";
+        if !arm_where_compiled_in(&state, spec) {
+            return;
+        }
+        let plan = FaultPlan::parse(spec).unwrap();
         let first: Vec<_> = (0..64).map(|_| state.store_action()).collect();
         let wire_first: Vec<_> = (0..64).map(|_| state.wire_action()).collect();
         // Re-arming resets the ordinals: the sequence replays exactly.
@@ -388,9 +410,9 @@ mod tests {
     #[test]
     fn injection_rate_tracks_the_configured_probability() {
         let state = FaultState::default();
-        state
-            .set_plan(Some(FaultPlan::parse("seed=11,store-fail=0.1").unwrap()))
-            .unwrap();
+        if !arm_where_compiled_in(&state, "seed=11,store-fail=0.1") {
+            return;
+        }
         let fired = (0..2000).filter(|_| state.store_action().is_some()).count();
         assert!(
             (100..=320).contains(&fired),
@@ -401,9 +423,9 @@ mod tests {
     #[test]
     fn worker_panic_fires_exactly_once_at_its_ordinal() {
         let state = FaultState::default();
-        state
-            .set_plan(Some(FaultPlan::parse("seed=1,panic-job=2").unwrap()))
-            .unwrap();
+        if !arm_where_compiled_in(&state, "seed=1,panic-job=2") {
+            return;
+        }
         assert!(!state.job_panics(1));
         assert!(state.job_panics(2), "fires at the chosen ordinal");
         assert!(!state.job_panics(2), "but only once");
@@ -415,10 +437,13 @@ mod tests {
         let state = FaultState::default();
         assert!(state.store_action().is_none());
         assert!(state.wire_action().is_none());
-        let plan = FaultPlan::parse("seed=5,store-fail=1").unwrap();
-        state.set_plan(Some(plan)).unwrap();
-        assert_eq!(state.store_action(), Some(FaultAction::Fail));
-        assert_eq!(state.set_plan(None).unwrap(), Some(plan));
+        let spec = "seed=5,store-fail=1";
+        if arm_where_compiled_in(&state, spec) {
+            assert_eq!(state.store_action(), Some(FaultAction::Fail));
+            let plan = FaultPlan::parse(spec).unwrap();
+            assert_eq!(state.set_plan(None).unwrap(), Some(plan));
+        }
+        // Disarming always works, whatever the build.
         assert_eq!(state.set_plan(None).unwrap(), None);
     }
 }

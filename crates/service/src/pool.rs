@@ -738,16 +738,18 @@ mod tests {
     #[test]
     fn armed_panic_job_surfaces_a_typed_error_and_is_counted() {
         let state = ServiceState::new().unwrap();
-        state
-            .faults()
-            .set_plan(Some(
-                crate::faults::FaultPlan::parse("seed=1,panic-job=2").unwrap(),
-            ))
-            .unwrap();
+        let armed = crate::faults::arm_where_compiled_in(state.faults(), "seed=1,panic-job=2");
         let pool = DsePool::new(Arc::clone(&state), 2);
         let spec = JobSpec::network(9, EngineSpec::default(), Network::tiny());
         // Job 1 is not the chosen ordinal.
         pool.submit(&spec).wait().unwrap();
+        if !armed {
+            // The refused plan injects nothing: job 2 succeeds uncounted.
+            pool.submit(&spec).wait().unwrap();
+            let pool_faults = state.metrics().snapshot().counter("fault_pool_total");
+            assert_eq!(pool_faults.unwrap_or(0), 0);
+            return;
+        }
         // Job 2 panics a worker; the reply path converts it to a typed
         // job error instead of hanging the submitter.
         let err = pool.submit(&spec).wait().unwrap_err();

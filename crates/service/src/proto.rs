@@ -1621,9 +1621,12 @@ mod tests {
         assert!(capabilities(false).contains(&"metrics".to_owned()));
         assert!(capabilities(false).contains(&"set-bounds".to_owned()));
         assert!(capabilities(false).contains(&"deadlines".to_owned()));
-        // This build runs tests with debug assertions, so fault
-        // injection is compiled in and advertised.
-        assert!(capabilities(false).contains(&"faults".to_owned()));
+        // Fault injection is advertised exactly where it is compiled in:
+        // debug builds, and release builds with the `faults` feature.
+        assert_eq!(
+            capabilities(false).contains(&"faults".to_owned()),
+            crate::faults::FAULTS_COMPILED_IN
+        );
     }
 
     #[test]
