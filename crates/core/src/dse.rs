@@ -20,7 +20,7 @@
 //!   count — and the one *trust rule* that decides whether any sweep may
 //!   skip anything;
 //! * per **axis**: every candidate step with its trip count (the walk's
-//!   only divisions);
+//!   only divisions), all four axes in one buffer of exact size;
 //! * per **layer**: the wghs tile of every `(tj, ti)` — its bytes, burst
 //!   count, whether it fits, and its lower bound — and, as each `tj`'s
 //!   row is built, its first fitting `ti` step and the suffix minima of
@@ -196,6 +196,24 @@
 //! bytes and golden digests that carry it are unaffected.
 //! [`DseEngine::explore_layer_counted`] also says how many of them were
 //! skipped.
+//!
+//! ## Code shape
+//!
+//! The walk's and the sweep's hot steps — `walk_tilings`' per-block and
+//! per-loop work and the visitor's `tiling`, `ti_loop` and `block` — are
+//! written element by element: no `[T; N]::map`, no `extend(iter.map(..))`
+//! and no `filter(..).count()`. Under the default release profile (16
+//! codegen units, no LTO), which the servers, the benchmark and any
+//! downstream build use, those adapters are compiled as out-of-line calls
+//! (`try_trait::Wrapped::call_mut`, `Map::fold`, `array::try_map`,
+//! `array::Drain`) on every tile, loop and tiling, which slowed the zoo
+//! sweep by about ×1.3. Only the once-per-layer work (the
+//! axes, the wghs rows' index) uses adapters. To check, disassemble a
+//! release binary that runs the sweep (`objdump -d -C`) and count the
+//! calls to `Wrapped`, `Map<I,F>`, `try_map` and `Drain` inside
+//! `walk_tilings` and `<Sweep as TilingVisitor>::{tiling, ti_loop,
+//! block}`: there are none (the one `from_iter` left is the per-layer
+//! index).
 
 use core::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -747,10 +765,10 @@ impl<'a> Rows<'a> {
     /// Per-tile costs no swept mapping undercuts in any component, from
     /// the cost rows of the ifms, wghs and ofms tile.
     fn floor_costs(&self, [ifms, wghs, ofms]: [&CostRow; 3]) -> TileCosts {
-        let [ifms, wghs, ofms] = [ifms, wghs, ofms].map(|row| self.floor(row));
+        let ofms = self.floor(ofms);
         TileCosts {
-            ifms_read: ifms.0,
-            wghs_read: wghs.0,
+            ifms_read: self.floor(ifms).0,
+            wghs_read: self.floor(wghs).0,
             ofms_read: ofms.0,
             ofms_write: ofms.1,
         }
@@ -889,24 +907,27 @@ impl<'a> Sweep<'a> {
         // loads; where a scheme loads more, by `n_j` or `S`, scale them.
         let [ifms_reuse, wghs_reuse, ofms_reuse] = traffic_of_trips(spatial, n_j, is[start].1);
         let (ifms_loads, wghs_loads) = (n_j, spatial);
+        let ifms_reuse = TileTraffic {
+            ifms_loads: 1,
+            wghs_loads,
+            ..ifms_reuse
+        };
+        let wghs_reuse = TileTraffic {
+            ifms_loads,
+            wghs_loads: 1,
+            ..wghs_reuse
+        };
+        let ofms_reuse = TileTraffic {
+            ifms_loads,
+            wghs_loads,
+            ..ofms_reuse
+        };
+        let t_ck_ns = self.t_ck_ns;
         [
-            TileTraffic {
-                ifms_loads: 1,
-                wghs_loads,
-                ..ifms_reuse
-            },
-            TileTraffic {
-                ifms_loads,
-                wghs_loads: 1,
-                ..wghs_reuse
-            },
-            TileTraffic {
-                ifms_loads,
-                wghs_loads,
-                ..ofms_reuse
-            },
+            lb.estimate(&ifms_reuse, t_ck_ns),
+            lb.estimate(&wghs_reuse, t_ck_ns),
+            lb.estimate(&ofms_reuse, t_ck_ns),
         ]
-        .map(|weights| lb.estimate(&weights, self.t_ck_ns))
     }
 
     /// The `(th, tw)` block's bound (see the module docs): the tiling
@@ -914,7 +935,8 @@ impl<'a> Sweep<'a> {
     /// lower bounds of the block's whole ifms and ofms and by the layer's
     /// least wghs column. Needs a trusted [`TileBound`] and the wghs rows.
     fn block_bound(&self, spatial: u64, ifms_bytes: u64, ofms_bytes: u64) -> EdpEstimate {
-        let [ifms, ofms] = [ifms_bytes, ofms_bytes].map(|bytes| self.bound.tile(bytes).lb);
+        let ifms = self.bound.tile(ifms_bytes).lb;
+        let ofms = self.bound.tile(ofms_bytes).lb;
         let lb = TileCosts {
             ifms_read: ifms.0,
             wghs_read: self.wghs_least,
@@ -1012,7 +1034,12 @@ impl TilingVisitor for Sweep<'_> {
         }
         let (t_ck_ns, keep_points) = (self.t_ck_ns, self.keep_points);
         let spatial = self.batch * n_h * n_w;
-        let rows = tiles.map(|tile| self.row(tile.units));
+        let [ifms, wghs, ofms] = tiles;
+        let rows = [
+            self.row(ifms.units),
+            self.row(wghs.units),
+            self.row(ofms.units),
+        ];
         let floor = self.bound.trusted.then(|| self.rows.floor_costs(rows));
         let found = &mut self.found;
         // The tiling-level bound: implied by every group's bound below,
@@ -1022,7 +1049,7 @@ impl TilingVisitor for Sweep<'_> {
             return;
         }
         let traffic = traffic_of_trips(spatial, n_j, n_i);
-        let adaptive = min_traffic_index(&traffic, tiles.map(|tile| tile.bytes));
+        let adaptive = min_traffic_index(&traffic, [ifms.bytes, wghs.bytes, ofms.bytes]);
         // Concrete schemes this tiling's earlier groups covered.
         let mut covered = [false; 3];
         for &scheme in self.schemes {

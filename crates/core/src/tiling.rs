@@ -122,16 +122,43 @@ impl fmt::Display for Tiling {
 /// assert_eq!(candidate_steps(1), vec![1]);
 /// ```
 pub fn candidate_steps(dim: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut v = dim.max(1);
-    loop {
-        out.push(v);
-        if v == 1 {
-            break;
+    steps(dim).collect()
+}
+
+/// The steps of [`candidate_steps`], in order, without a `Vec`: the one
+/// statement of the halving rule.
+fn steps(dim: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(dim.max(1)), |&v| (v > 1).then(|| v.div_ceil(2)))
+}
+
+/// The walk's four candidate axes `th`, `tw`, `tj`, `ti`, each step with
+/// its trip count (the walk's only divisions), back to back in one buffer
+/// of exact size: one allocation per layer, however long the axes are.
+struct Axes {
+    steps: Vec<(usize, u64)>,
+    /// Each axis's length.
+    lens: [usize; 4],
+}
+
+impl Axes {
+    fn new(dims: [usize; 4]) -> Self {
+        let lens = dims.map(|dim| steps(dim).count());
+        let mut all = Vec::with_capacity(lens.iter().sum());
+        for dim in dims {
+            for step in steps(dim) {
+                all.push((step, dim.div_ceil(step) as u64));
+            }
         }
-        v = v.div_ceil(2);
+        Axes { steps: all, lens }
     }
-    out
+
+    /// The four axes, in `th`, `tw`, `tj`, `ti` order.
+    fn split(&self) -> [&[(usize, u64)]; 4] {
+        let (hs, rest) = self.steps.split_at(self.lens[0]);
+        let (ws, rest) = rest.split_at(self.lens[1]);
+        let (js, is) = rest.split_at(self.lens[2]);
+        [hs, ws, js, is]
+    }
 }
 
 /// What [`walk_tilings`] hands its caller, each thing once, at the loop
@@ -220,6 +247,12 @@ impl<F: FnMut(Tiling)> TilingVisitor for F {
 /// visitor declines ([`TilingVisitor::block`]) is counted the same way
 /// from bytes alone, without making a tile.
 ///
+/// The four axes, each step with its trip count, sit back to back in one
+/// buffer of exact size, counted from the halving rule before it is
+/// filled, so a layer's axes cost one allocation and no regrowth however
+/// long they are. The tiles sit in one more: every `tj`'s wghs row, then
+/// the one ifms row each walked block overwrites in place.
+///
 /// # Errors
 ///
 /// Returns [`DseError`] if the inputs are invalid or no candidate fits.
@@ -230,55 +263,60 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
 ) -> Result<usize, DseError> {
     acc.validate()?;
     layer.validate()?;
-    // Each candidate step with its trip count: the walk's only divisions.
-    let axis = |dim: usize| -> Vec<(usize, u64)> {
-        let with_trips = |step: usize| (step, dim.div_ceil(step) as u64);
-        candidate_steps(dim).into_iter().map(with_trips).collect()
-    };
-    let [hs, ws, js, is] = [layer.h, layer.w, layer.j, layer.i].map(axis);
+    let axes = Axes::new([layer.h, layer.w, layer.j, layer.i]);
+    let [hs, ws, js, is] = axes.split();
     // `tile_bytes` ignores the steps `kind` does not depend on.
     let fits = |kind, tiling: Tiling| {
         let bytes = tiling.tile_bytes(layer, acc, kind);
         (bytes <= acc.buffer_bytes(kind) as u64).then_some(bytes)
     };
     let fitting = |visitor: &mut V, kind, tiling| fits(kind, tiling).map(|b| visitor.tile(b));
-    let mut wghs = Vec::with_capacity(js.len() * is.len());
-    for &(tj, n_j) in &js {
-        let at = wghs.len();
-        let tile = |&(ti, _)| fitting(visitor, DataKind::Wghs, Tiling::new(1, 1, tj, ti));
-        wghs.extend(is.iter().map(tile));
-        visitor.ti_row(DataKind::Wghs, &is, &mut wghs[at..], n_j);
+    // Overflowing steps are a prefix of the axis: their count is the
+    // first fit.
+    let first_fit = |tiles: &[Option<V::Tile>]| {
+        let fitting = tiles.iter().position(Option::is_some);
+        fitting.unwrap_or(tiles.len())
+    };
+    // Every `tj`'s wghs row, then the one ifms row each walked block
+    // rebuilds in place.
+    let mut tiles = vec![None; (js.len() + 1) * is.len()];
+    let (wghs, ifms) = tiles.split_at_mut(js.len() * is.len());
+    for (&(tj, n_j), row) in js.iter().zip(wghs.chunks_exact_mut(is.len())) {
+        for (tile, &(ti, _)) in row.iter_mut().zip(is) {
+            *tile = fitting(visitor, DataKind::Wghs, Tiling::new(1, 1, tj, ti));
+        }
+        visitor.ti_row(DataKind::Wghs, is, row, n_j);
     }
-    let first_fit = |tiles: &[Option<V::Tile>]| tiles.iter().take_while(|t| t.is_none()).count();
     let wghs: Vec<_> = wghs.chunks(is.len()).map(|c| (first_fit(c), c)).collect();
-    let mut ifms = Vec::with_capacity(is.len());
     let mut count = 0;
-    for &(th, n_h) in &hs {
-        for &(tw, n_w) in &ws {
+    for &(th, n_h) in hs {
+        for &(tw, n_w) in ws {
             let spatial = acc.batch as u64 * n_h * n_w;
             let whole = Tiling::new(th, tw, layer.j, layer.i);
-            let [ifms_bytes, ofms_bytes] =
-                [DataKind::Ifms, DataKind::Ofms].map(|kind| whole.tile_bytes(layer, acc, kind));
+            let ifms_bytes = whole.tile_bytes(layer, acc, DataKind::Ifms);
+            let ofms_bytes = whole.tile_bytes(layer, acc, DataKind::Ofms);
             if !visitor.block(spatial, ifms_bytes, ofms_bytes) {
                 // The loops' tilings, as the walk below counts them, from
-                // bytes alone. Overflowing steps are a prefix of the axis,
-                // so their count is the first fit; a loop without a fitting
-                // ofms tile or a fitting step adds nothing.
-                let ifms_steps = is.iter().map(|&(ti, _)| Tiling::new(th, tw, 1, ti));
-                let ifms_first = ifms_steps
-                    .filter(|&t| fits(DataKind::Ifms, t).is_none())
-                    .count();
+                // bytes alone; a loop without a fitting ofms tile or a
+                // fitting step adds nothing.
+                let mut ifms_first = 0;
+                for &(ti, _) in is {
+                    if fits(DataKind::Ifms, Tiling::new(th, tw, 1, ti)).is_some() {
+                        break;
+                    }
+                    ifms_first += 1;
+                }
                 for (&(tj, _), &(wghs_first, _)) in js.iter().zip(&wghs) {
                     let ofms_fits = fits(DataKind::Ofms, Tiling::new(th, tw, tj, 1)).is_some();
                     count += usize::from(ofms_fits) * (is.len() - ifms_first.max(wghs_first));
                 }
                 continue;
             }
-            ifms.clear();
-            let tile = |&(ti, _)| fitting(visitor, DataKind::Ifms, Tiling::new(th, tw, 1, ti));
-            ifms.extend(is.iter().map(tile));
-            visitor.ti_row(DataKind::Ifms, &is, &mut ifms, spatial);
-            let ifms_first = first_fit(&ifms);
+            for (tile, &(ti, _)) in ifms.iter_mut().zip(is) {
+                *tile = fitting(visitor, DataKind::Ifms, Tiling::new(th, tw, 1, ti));
+            }
+            visitor.ti_row(DataKind::Ifms, is, ifms, spatial);
+            let ifms_first = first_fit(ifms);
             for (&(tj, n_j), &(wghs_first, wghs)) in js.iter().zip(&wghs) {
                 let start = ifms_first.max(wghs_first);
                 if start == is.len() {
@@ -288,7 +326,7 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
                 let Some(ofms) = ofms else { continue };
                 let (outer, tilings) = ([(th, n_h), (tw, n_w), (tj, n_j)], is.len() - start);
                 count += tilings;
-                if !visitor.ti_loop(outer, &is, &ifms, wghs, ofms, tilings) {
+                if !visitor.ti_loop(outer, is, ifms, wghs, ofms, tilings) {
                     continue;
                 }
                 let tiles = ifms[start..].iter().zip(&wghs[start..]);
@@ -409,6 +447,25 @@ mod tests {
         assert_eq!(candidate_steps(8), vec![8, 4, 2, 1]);
         assert_eq!(candidate_steps(55), vec![55, 28, 14, 7, 4, 2, 1]);
         assert_eq!(candidate_steps(0), vec![1]);
+    }
+
+    #[test]
+    fn the_walks_axes_are_the_candidate_steps_with_their_trips() {
+        let dims = [0, 1, 2, 13, 55, 4096, 9216, (1 << 32) + 1, usize::MAX];
+        let expected = |dim: usize| -> Vec<(usize, u64)> {
+            let trips = |step: usize| (step, dim.div_ceil(step) as u64);
+            candidate_steps(dim).into_iter().map(trips).collect()
+        };
+        // Each window of four, cyclically: every dim at every position,
+        // next to axes of other lengths.
+        for n in 0..dims.len() {
+            let four = [0, 1, 2, 3].map(|k| dims[(n + k) % dims.len()]);
+            let axes = Axes::new(four);
+            assert_eq!(axes.steps.capacity(), axes.steps.len(), "dims {four:?}");
+            for (axis, &dim) in axes.split().iter().zip(&four) {
+                assert_eq!(axis.to_vec(), expected(dim), "dim {dim} in {four:?}");
+            }
+        }
     }
 
     #[test]

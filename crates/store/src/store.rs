@@ -272,6 +272,20 @@ fn read_exact_at(_file: &File, path: &Path, buf: &mut [u8], offset: u64) -> std:
     file.read_exact(buf)
 }
 
+/// Write all of `buf` at `offset` in one positioned write, without
+/// moving the handle's cursor: every write names its offset.
+#[cfg(unix)]
+fn write_all_at(file: &mut File, buf: &[u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, buf, offset)
+}
+
+/// Portable fallback: seek the handle, then write.
+#[cfg(not(unix))]
+fn write_all_at(file: &mut File, buf: &[u8], offset: u64) -> std::io::Result<()> {
+    file.seek(SeekFrom::Start(offset))?;
+    file.write_all(buf)
+}
+
 impl Store {
     /// Open (or create) the log at `path`, replaying it into an
     /// in-memory index. A torn or corrupt tail is truncated away —
@@ -371,7 +385,6 @@ impl Store {
                 }
             }
         }
-        file.seek(SeekFrom::Start(offset))?;
         Ok(Store {
             path,
             read_only,
@@ -521,8 +534,7 @@ impl Store {
         let record = encode_record(key, value);
         let mut state = write_locked(&self.state);
         let offset = state.end_offset;
-        state.file.seek(SeekFrom::Start(offset))?;
-        state.file.write_all(&record)?;
+        write_all_at(&mut state.file, &record, offset)?;
         state.end_offset += record.len() as u64;
         let entry = IndexEntry {
             value_offset: offset + 12 + key.len() as u64,
@@ -728,9 +740,7 @@ impl Store {
         if let Err(rename_error) = std::fs::rename(&tmp_path, &self.path) {
             // The original log on disk is intact; point the handle
             // back at it and surface the failure.
-            let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-            file.seek(SeekFrom::Start(state.end_offset))?;
-            state.file = file;
+            state.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
             return Err(rename_error.into());
         }
         // Make the rename itself durable where the platform allows.
