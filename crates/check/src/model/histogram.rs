@@ -1,11 +1,13 @@
 //! Models of the telemetry `Histogram` record / snapshot / merge
 //! path.
 //!
-//! `Histogram::record` is three relaxed atomic RMWs in a fixed order —
-//! `buckets[b].fetch_add(1)`, `count.fetch_add(1)`,
-//! `sum.fetch_add(v)` — and `snapshot` reads the same fields without
-//! any lock. These models mirror that structure step for step and let
-//! the explorer prove, over **every** interleaving:
+//! `Histogram::record` is two relaxed atomic RMWs in a fixed order —
+//! `buckets[b].fetch_add(1)`, then `sum.fetch_add(v)` — and `snapshot`
+//! reads the same fields without any lock, buckets first, and derives
+//! the count from the buckets. (The `fetch_min`/`fetch_max` that follow
+//! touch only the extremes, which no merge sums.) These models mirror
+//! that structure step for step and let the explorer prove, over
+//! **every** interleaving:
 //!
 //! * no lost updates: the quiescent histogram is exact, and the
 //!   associative merge of per-thread snapshots equals it bit for bit
@@ -20,13 +22,12 @@ const MAX_THREADS: usize = 4;
 const BUCKETS: usize = 2;
 
 /// A per-thread or merged snapshot: the mergeable fields of
-/// `telemetry::HistogramSnapshot` (bucket counts, count, sum).
+/// `telemetry::HistogramSnapshot` (bucket counts and sum; its count is
+/// the bucket total).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snap {
     /// Per-bucket counts.
     pub buckets: [u64; BUCKETS],
-    /// Total samples.
-    pub count: u64,
     /// Sum of samples.
     pub sum: u64,
 }
@@ -34,9 +35,13 @@ pub struct Snap {
 impl Snap {
     const ZERO: Snap = Snap {
         buckets: [0; BUCKETS],
-        count: 0,
         sum: 0,
     };
+
+    /// Total samples, as `snapshot` derives it: the bucket total.
+    fn count(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
 
     /// Bucket-wise addition — the exact merge `HistogramSnapshot::merge`
     /// performs.
@@ -46,14 +51,13 @@ impl Snap {
                 self.buckets[0] + other.buckets[0],
                 self.buckets[1] + other.buckets[1],
             ],
-            count: self.count + other.count,
             sum: self.sum + other.sum,
         }
     }
 }
 
-/// Three recorder threads record one value each into a **shared**
-/// histogram; each record is the three atomic sub-steps of
+/// Four recorder threads record one value each into a **shared**
+/// histogram; each record is the two atomic sub-steps of
 /// `Histogram::record`, freely interleaved. At quiescence the model
 /// checks the shared state is exact and equals every association
 /// order of merging the per-thread contributions.
@@ -67,11 +71,11 @@ pub struct HistogramMergeModel {
 
 impl Default for HistogramMergeModel {
     fn default() -> Self {
-        // 3 threads × 3 sub-steps: 9!/(3!·3!·3!) = 1680 schedules,
+        // 4 threads × 2 sub-steps: 8!/(2!·2!·2!·2!) = 2520 schedules,
         // ≥ the 1000 the CI gate demands.
         HistogramMergeModel {
-            threads: 3,
-            values: [5, 9, 12, 0],
+            threads: 4,
+            values: [5, 9, 12, 3],
         }
     }
 }
@@ -108,7 +112,7 @@ impl Model for HistogramMergeModel {
         }
     }
     fn done(&self, s: &HistState, tid: usize) -> bool {
-        s.pcs[tid] >= 3
+        s.pcs[tid] >= 2
     }
     fn enabled(&self, _s: &HistState, _tid: usize) -> bool {
         true // lock-free record: always runnable.
@@ -117,7 +121,6 @@ impl Model for HistogramMergeModel {
         let v = self.values[tid];
         match s.pcs[tid] {
             0 => s.shared.buckets[bucket_of(v)] += 1, // buckets[b].fetch_add(1)
-            1 => s.shared.count += 1,                 // count.fetch_add(1)
             _ => s.shared.sum += v,                   // sum.fetch_add(v)
         }
         s.pcs[tid] += 1;
@@ -130,7 +133,6 @@ impl Model for HistogramMergeModel {
                 let v = self.values[t];
                 let mut one = Snap::ZERO;
                 one.buckets[bucket_of(v)] = 1;
-                one.count = 1;
                 one.sum = v;
                 one
             })
@@ -161,11 +163,11 @@ impl Model for HistogramMergeModel {
 }
 
 /// Two recorders interleave with one snapshotting thread that reads
-/// the fields in `snapshot`'s order (buckets, then count, then sum).
-/// The snapshot may legitimately *tear* — the fields need not be
-/// mutually consistent — but no field may ever exceed what the
-/// recorders have actually completed, and the final state must still
-/// be exact.
+/// the fields in `snapshot`'s order (buckets, then sum) and derives the
+/// count from the buckets it read. The snapshot may legitimately
+/// *tear* — the sum need not match the buckets — but no field may ever
+/// exceed what the recorders have actually written, and the final
+/// state must still be exact.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SnapshotTearModel;
 
@@ -197,7 +199,7 @@ impl Model for SnapshotTearModel {
         }
     }
     fn done(&self, s: &TearState, tid: usize) -> bool {
-        s.pcs[tid] >= 3
+        s.pcs[tid] >= 2
     }
     fn enabled(&self, _s: &TearState, _tid: usize) -> bool {
         true
@@ -207,13 +209,11 @@ impl Model for SnapshotTearModel {
             let v = TEAR_VALUES[tid];
             match s.pcs[tid] {
                 0 => s.shared.buckets[bucket_of(v)] += 1,
-                1 => s.shared.count += 1,
                 _ => s.shared.sum += v,
             }
         } else {
             match s.pcs[tid] {
                 0 => s.observed.buckets = s.shared.buckets,
-                1 => s.observed.count = s.shared.count,
                 _ => s.observed.sum = s.shared.sum,
             }
         }
@@ -232,7 +232,7 @@ impl Model for SnapshotTearModel {
                 ));
             }
         }
-        if s.observed.count > s.shared.count || s.observed.sum > s.shared.sum {
+        if s.observed.count() > s.shared.count() || s.observed.sum > s.shared.sum {
             return Err(format!(
                 "snapshot ahead of writes: observed {:?}, shared {:?}",
                 s.observed, s.shared
@@ -244,7 +244,6 @@ impl Model for SnapshotTearModel {
         let mut expect = Snap::ZERO;
         for v in TEAR_VALUES {
             expect.buckets[bucket_of(v)] += 1;
-            expect.count += 1;
             expect.sum += v;
         }
         if s.shared != expect {

@@ -11,7 +11,8 @@ use drmap_check::model::{explore, standard_suite, Config};
 
 /// The CI acceptance gate: the record-vs-snapshot-merge model must
 /// enumerate at least 1000 distinct interleavings with zero
-/// violations.
+/// violations. Four recorders of two steps each have exactly
+/// 8!/(2!·2!·2!·2!) = 2520; the count pins the model's size.
 #[test]
 fn histogram_merge_verifies_over_at_least_1000_interleavings() {
     let report = explore(&HistogramMergeModel::default(), &Config::default());
@@ -25,6 +26,7 @@ fn histogram_merge_verifies_over_at_least_1000_interleavings() {
         "only {} schedules enumerated — the model shrank below the CI gate",
         report.schedules
     );
+    assert_eq!(report.schedules, 2520);
 }
 
 /// 3 threads × 3 single-step increments has exactly 9!/(3!·3!·3!) =

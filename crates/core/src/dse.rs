@@ -1277,62 +1277,28 @@ impl DseEngine {
         Ok(sweep)
     }
 
-    /// Algorithm 1 for a whole network: layers are claimed from a shared
-    /// counter by a bounded crew of worker threads (at most the machine's
-    /// available parallelism), so a thousand-layer network no longer
-    /// spawns a thousand threads. Results are reassembled in layer order
-    /// and are bit-identical to a sequential run.
+    /// Algorithm 1 for a whole network: [`DseEngine::explore_layer`]
+    /// on each layer in order, with the per-layer winners' estimates
+    /// summed into the network total. Each layer's result is
+    /// bit-identical to a lone `explore_layer` call on it. The service's
+    /// worker pool spreads the layers of many jobs over threads; this
+    /// call runs on the caller's.
     ///
     /// # Errors
     ///
     /// Propagates the first per-layer failure (in layer order).
     pub fn explore_network(&self, network: &Network) -> Result<NetworkDseResult, DseError> {
-        let layers = network.layers();
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(layers.len())
-            .max(1);
-        let next = AtomicUsize::new(0);
-        let mut gathered: Vec<Option<Result<LayerDseResult, DseError>>> =
-            (0..layers.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let next = &next;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut claimed = Vec::new();
-                        loop {
-                            // ordering: Relaxed — a work-claim ticket
-                            // over the immutable `layers` slice; results
-                            // are returned via join, which synchronizes.
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= layers.len() {
-                                return claimed;
-                            }
-                            claimed.push((i, self.explore_layer(&layers[i])));
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("DSE worker panicked") {
-                    gathered[i] = Some(result);
-                }
-            }
-        });
-
-        let mut layers_out = Vec::with_capacity(layers.len());
         let mut total = EdpEstimate::zero(self.model.table().t_ck_ns);
-        for slot in gathered {
-            let r = slot.expect("every claimed layer reports a result")?;
-            total.accumulate(&r.best.estimate);
-            layers_out.push(r);
-        }
-        Ok(NetworkDseResult {
-            layers: layers_out,
-            total,
-        })
+        let layers = network
+            .layers()
+            .iter()
+            .map(|layer| {
+                let result = self.explore_layer(layer)?;
+                total.accumulate(&result.best.estimate);
+                Ok(result)
+            })
+            .collect::<Result<_, DseError>>()?;
+        Ok(NetworkDseResult { layers, total })
     }
 }
 

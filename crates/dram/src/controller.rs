@@ -1298,7 +1298,10 @@ pub(crate) mod tests {
 
     #[test]
     fn channels_are_independent() {
-        let geometry = Geometry::builder().channels(2).build().unwrap();
+        let geometry = Geometry {
+            channels: 2,
+            ..Geometry::ddr3_2gb_x8()
+        };
         let mut c = MemoryController::new(
             geometry,
             TimingParams::ddr3_1600k(),
@@ -1319,7 +1322,10 @@ pub(crate) mod tests {
 
     #[test]
     fn ranks_share_channel_but_not_row_state() {
-        let geometry = Geometry::builder().ranks(2).build().unwrap();
+        let geometry = Geometry {
+            ranks: 2,
+            ..Geometry::ddr3_2gb_x8()
+        };
         let mut c = MemoryController::new(
             geometry,
             TimingParams::ddr3_1600k(),
@@ -1343,7 +1349,11 @@ pub(crate) mod tests {
 
     #[test]
     fn multi_channel_refresh_targets_every_bank() {
-        let geometry = Geometry::builder().channels(2).ranks(2).build().unwrap();
+        let geometry = Geometry {
+            channels: 2,
+            ranks: 2,
+            ..Geometry::ddr3_2gb_x8()
+        };
         let config = ControllerConfig {
             refresh_enabled: true,
             record_commands: true,
@@ -1375,7 +1385,11 @@ pub(crate) mod tests {
 
     #[test]
     fn addr_of_bank_roundtrips_flat_index() {
-        let geometry = Geometry::builder().channels(2).ranks(2).build().unwrap();
+        let geometry = Geometry {
+            channels: 2,
+            ranks: 2,
+            ..Geometry::ddr3_2gb_x8()
+        };
         let c = MemoryController::new(
             geometry,
             TimingParams::ddr3_1600k(),
@@ -1591,7 +1605,10 @@ pub(crate) mod tests {
             requests in prop::collection::vec(colliding_request(), 1..48),
         ) {
             let subarrays = if arch.exploits_subarrays() { subarrays.max(8) } else { subarrays };
-            let geometry = Geometry::builder().subarrays(subarrays).build().unwrap();
+            let geometry = Geometry {
+                subarrays,
+                ..Geometry::ddr3_2gb_x8()
+            };
             let timing = TimingParams { t_refi: 700, ..TimingParams::ddr3_1600k() };
             let config = ControllerConfig {
                 row_policy: policy,

@@ -9,7 +9,8 @@ use core::fmt;
 /// ```
 /// use drmap_dram::geometry::Geometry;
 ///
-/// let err = Geometry::builder().rows(0).build().unwrap_err();
+/// let g = Geometry { rows: 0, ..Geometry::ddr3_2gb_x8() };
+/// let err = g.validate().unwrap_err();
 /// assert!(err.to_string().contains("rows"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]

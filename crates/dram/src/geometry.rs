@@ -86,7 +86,8 @@ impl fmt::Display for Level {
 ///
 /// The default constructors provide the configurations of Table II of the
 /// paper (DDR3-1600 2 Gb x8 and the SALP equivalent with 8 subarrays per
-/// bank). Arbitrary geometries can be built with [`Geometry::builder`].
+/// bank). The fields are public, so any other geometry is one of them
+/// with fields overridden, checked by [`Geometry::validate`].
 ///
 /// # Examples
 ///
@@ -96,6 +97,11 @@ impl fmt::Display for Level {
 /// let g = Geometry::ddr3_2gb_x8();
 /// assert_eq!(g.banks, 8);
 /// assert_eq!(g.capacity_bytes(), 2 * 1024 * 1024 * 1024 / 8); // 2 Gb chip
+///
+/// let g = Geometry { channels: 2, subarrays: 16, ..Geometry::ddr3_2gb_x8() };
+/// g.validate()?;
+/// assert_eq!(g.capacity_bytes(), 2 * 2 * 1024 * 1024 * 1024 / 8); // two channels
+/// # Ok::<(), drmap_dram::error::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
@@ -143,23 +149,6 @@ impl Geometry {
         Geometry {
             subarrays: 8,
             ..Self::ddr3_2gb_x8()
-        }
-    }
-
-    /// Start building a custom geometry from the DDR3 2 Gb x8 baseline.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use drmap_dram::geometry::Geometry;
-    ///
-    /// let g = Geometry::builder().channels(2).subarrays(16).build()?;
-    /// assert_eq!(g.channels, 2);
-    /// # Ok::<(), drmap_dram::error::ConfigError>(())
-    /// ```
-    pub fn builder() -> GeometryBuilder {
-        GeometryBuilder {
-            inner: Self::ddr3_2gb_x8(),
         }
     }
 
@@ -276,53 +265,6 @@ impl fmt::Display for Geometry {
     }
 }
 
-/// Builder for [`Geometry`], starting from the DDR3 2 Gb x8 baseline.
-///
-/// Terminal method [`GeometryBuilder::build`] validates the result.
-#[derive(Debug, Clone)]
-pub struct GeometryBuilder {
-    inner: Geometry,
-}
-
-macro_rules! builder_setter {
-    ($(#[$doc:meta] $name:ident),+ $(,)?) => {
-        $(
-            #[$doc]
-            pub fn $name(mut self, v: usize) -> Self {
-                self.inner.$name = v;
-                self
-            }
-        )+
-    };
-}
-
-impl GeometryBuilder {
-    builder_setter!(
-        /// Set the number of channels.
-        channels,
-        /// Set ranks per channel.
-        ranks,
-        /// Set banks per chip.
-        banks,
-        /// Set subarrays per bank.
-        subarrays,
-        /// Set rows per bank.
-        rows,
-        /// Set columns per row per chip.
-        columns,
-    );
-
-    /// Validate and produce the [`Geometry`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Geometry::validate`] failures.
-    pub fn build(self) -> Result<Geometry, ConfigError> {
-        self.inner.validate()?;
-        Ok(self.inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,11 +302,12 @@ mod tests {
 
     #[test]
     fn builder_overrides_and_validates() {
-        let g = Geometry::builder()
-            .channels(2)
-            .subarrays(16)
-            .build()
-            .unwrap();
+        let g = Geometry {
+            channels: 2,
+            subarrays: 16,
+            ..Geometry::ddr3_2gb_x8()
+        };
+        g.validate().unwrap();
         assert_eq!(g.channels, 2);
         assert_eq!(g.subarrays, 16);
         assert_eq!(g.rows_per_subarray(), 2048);
@@ -372,13 +315,21 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_banks() {
-        let err = Geometry::builder().banks(0).build().unwrap_err();
+        let g = Geometry {
+            banks: 0,
+            ..Geometry::ddr3_2gb_x8()
+        };
+        let err = g.validate().unwrap_err();
         assert!(err.to_string().contains("banks"));
     }
 
     #[test]
     fn builder_rejects_indivisible_rows() {
-        let err = Geometry::builder().subarrays(7).build().unwrap_err();
+        let g = Geometry {
+            subarrays: 7,
+            ..Geometry::ddr3_2gb_x8()
+        };
+        let err = g.validate().unwrap_err();
         assert!(err.to_string().contains("divisible"));
     }
 

@@ -573,7 +573,12 @@ mod tests {
 
     #[test]
     fn profiler_rejects_single_bank() {
-        let g = Geometry::builder().banks(1).rows(32768).build().unwrap();
+        let g = Geometry {
+            banks: 1,
+            rows: 32768,
+            ..Geometry::ddr3_2gb_x8()
+        };
+        g.validate().unwrap();
         assert!(Profiler::new(g, TimingParams::ddr3_1600k(), EnergyParams::default()).is_err());
     }
 

@@ -34,11 +34,17 @@
 //!   are recovered (the guarded state is a memo cache plus counters,
 //!   which every code path leaves structurally valid).
 //!
+//! The resident tier is two `std` maps under the cache's one mutex:
+//! key → entry (the value, the bytes it is charged, the stamp of its
+//! last use) and stamp → key, oldest first. A hit or an insert moves
+//! its key to a fresh stamp, and eviction pops the oldest, each in
+//! O(log n).
+//!
 //! Each fresh exploration is timed and the duration persisted alongside
 //! its result; [`CacheStats`] exposes min/max/total over every recorded
 //! measurement.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
@@ -214,24 +220,13 @@ impl CacheStats {
     }
 }
 
-/// Sentinel index for "no node" in the intrusive LRU list.
-const NIL: usize = usize::MAX;
-
-/// One resident entry: the value plus its LRU-list links.
+/// One resident entry: the value, the bytes it is charged, and the
+/// stamp of its last use (its key in [`Inner::recency`]).
 #[derive(Debug)]
 struct Entry {
-    key: String,
     value: LayerDseResult,
     bytes: usize,
-    prev: usize,
-    next: usize,
-}
-
-/// A slab slot: occupied by an entry or a link in the free list.
-#[derive(Debug)]
-enum Slot {
-    Occupied(Entry),
-    Free { next_free: usize },
+    stamp: u64,
 }
 
 /// The state a leader publishes to its waiters.
@@ -241,22 +236,21 @@ struct Flight {
     cv: Condvar,
 }
 
-/// Everything guarded by the cache's one mutex. Keeping the counters
-/// here (not in separate atomics) makes [`DseCache::stats`] a single
-/// consistent snapshot: it can never report, say, resident entries with
-/// zero recorded misses.
+/// Everything guarded by the cache's one mutex: the resident tier
+/// (`map` and its recency order), the in-flight table, the live bounds
+/// and the counters. Keeping the counters here (not in separate
+/// atomics) makes [`DseCache::stats`] a single consistent snapshot: it
+/// can never report, say, resident entries with zero recorded misses.
 #[derive(Debug, Default)]
 struct Inner {
-    /// key → slab index of the resident entry.
-    map: HashMap<String, usize>,
-    /// Entry storage; freed slots are chained into a free list.
-    slab: Vec<Slot>,
-    /// Most-recently-used entry (head of the intrusive list).
-    head: usize,
-    /// Least-recently-used entry (tail of the intrusive list).
-    tail: usize,
-    /// Head of the slab free list.
-    free: usize,
+    /// key → resident entry.
+    map: HashMap<String, Entry>,
+    /// Last-use stamp → key, oldest first: the LRU order. Each resident
+    /// key appears once, under its entry's `stamp`.
+    recency: BTreeMap<u64, String>,
+    /// The last stamp handed out; every use takes the next one, so
+    /// stamps order uses.
+    clock: u64,
     /// key → in-flight computation for single-flight coalescing.
     inflight: HashMap<String, Arc<Flight>>,
     /// The entry cap currently in force (initialized from
@@ -272,72 +266,21 @@ struct Inner {
     stats: CacheStats,
 }
 
+/// Make `entry` the most recently used: move its key in `recency` from
+/// its old stamp to `stamp`.
+fn restamp(recency: &mut BTreeMap<u64, String>, entry: &mut Entry, stamp: u64) {
+    let old = std::mem::replace(&mut entry.stamp, stamp);
+    if let Some(key) = recency.remove(&old) {
+        recency.insert(stamp, key);
+    }
+}
+
 impl Inner {
     fn new(config: &CacheConfig) -> Self {
         Inner {
-            head: NIL,
-            tail: NIL,
-            free: NIL,
             max_entries: config.max_entries,
             max_bytes: config.max_bytes,
             ..Inner::default()
-        }
-    }
-
-    fn entry(&self, index: usize) -> &Entry {
-        match &self.slab[index] {
-            Slot::Occupied(e) => e,
-            Slot::Free { .. } => unreachable!("LRU list points at a free slot"),
-        }
-    }
-
-    fn entry_mut(&mut self, index: usize) -> &mut Entry {
-        match &mut self.slab[index] {
-            Slot::Occupied(e) => e,
-            Slot::Free { .. } => unreachable!("LRU list points at a free slot"),
-        }
-    }
-
-    /// Detach `index` from the LRU list (it must be linked).
-    fn unlink(&mut self, index: usize) {
-        let (prev, next) = {
-            let e = self.entry(index);
-            (e.prev, e.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.entry_mut(prev).next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.entry_mut(next).prev = prev;
-        }
-    }
-
-    /// Link `index` at the head (most recently used).
-    fn push_front(&mut self, index: usize) {
-        let old_head = self.head;
-        {
-            let e = self.entry_mut(index);
-            e.prev = NIL;
-            e.next = old_head;
-        }
-        if old_head != NIL {
-            self.entry_mut(old_head).prev = index;
-        }
-        self.head = index;
-        if self.tail == NIL {
-            self.tail = index;
-        }
-    }
-
-    /// Move an already-resident entry to the head.
-    fn touch(&mut self, index: usize) {
-        if self.head != index {
-            self.unlink(index);
-            self.push_front(index);
         }
     }
 
@@ -345,26 +288,11 @@ impl Inner {
     /// hit, refresh the entry's recency, clone the value out. A miss
     /// changes nothing — the caller decides what a miss counts as.
     fn hit(&mut self, key: &str) -> Option<LayerDseResult> {
-        let index = self.map.get(key).copied()?;
+        let entry = self.map.get_mut(key)?;
         self.stats.hits += 1;
-        self.touch(index);
-        Some(self.entry(index).value.clone())
-    }
-
-    /// Remove the entry at `index` entirely, returning its slot to the
-    /// free list and its bytes to the budget.
-    fn remove(&mut self, index: usize) {
-        self.unlink(index);
-        let free = self.free;
-        let slot = std::mem::replace(&mut self.slab[index], Slot::Free { next_free: free });
-        self.free = index;
-        match slot {
-            Slot::Occupied(e) => {
-                self.stats.bytes -= e.bytes;
-                self.map.remove(&e.key);
-            }
-            Slot::Free { .. } => unreachable!("removed a free slot"),
-        }
+        self.clock += 1;
+        restamp(&mut self.recency, entry, self.clock);
+        Some(entry.value.clone())
     }
 
     /// Store `value` under `key` as the most-recently-used entry, then
@@ -374,45 +302,32 @@ impl Inner {
     fn insert(&mut self, key: String, value: LayerDseResult, compute_ns: u64) {
         // A nonzero duration is a measurement (fresh computation or
         // store revival): fold it into the monotonic aggregates. Kept
-        // O(1) here so `stats()` never has to walk the slab under the
-        // cache's one mutex.
+        // O(1) here so `stats()` never has to walk the entries under
+        // the cache's one mutex.
         if compute_ns > 0 {
             self.stats.compute_ns_total += compute_ns;
             self.stats.compute_ns_max = self.stats.compute_ns_max.max(compute_ns);
             self.stats.compute_ns_min = min_measured(self.stats.compute_ns_min, compute_ns);
         }
-        if let Some(&index) = self.map.get(&key) {
-            let bytes = approx_entry_bytes(&key, &value);
-            let e = self.entry_mut(index);
-            let old_bytes = e.bytes;
-            e.value = value;
-            e.bytes = bytes;
-            self.stats.bytes = self.stats.bytes - old_bytes + bytes;
-            self.touch(index);
+        let bytes = approx_entry_bytes(&key, &value);
+        self.clock += 1;
+        if let Some(entry) = self.map.get_mut(&key) {
+            self.stats.bytes = self.stats.bytes - entry.bytes + bytes;
+            entry.value = value;
+            entry.bytes = bytes;
+            restamp(&mut self.recency, entry, self.clock);
         } else {
-            let bytes = approx_entry_bytes(&key, &value);
-            let entry = Entry {
-                key: key.clone(),
-                value,
-                bytes,
-                prev: NIL,
-                next: NIL,
-            };
-            let index = if self.free != NIL {
-                let index = self.free;
-                match self.slab[index] {
-                    Slot::Free { next_free } => self.free = next_free,
-                    Slot::Occupied(_) => unreachable!("free list points at an occupied slot"),
-                }
-                self.slab[index] = Slot::Occupied(entry);
-                index
-            } else {
-                self.slab.push(Slot::Occupied(entry));
-                self.slab.len() - 1
-            };
-            self.map.insert(key, index);
+            let stamp = self.clock;
             self.stats.bytes += bytes;
-            self.push_front(index);
+            self.recency.insert(stamp, key.clone());
+            self.map.insert(
+                key,
+                Entry {
+                    value,
+                    bytes,
+                    stamp,
+                },
+            );
         }
         self.enforce_bounds();
     }
@@ -426,8 +341,13 @@ impl Inner {
     /// hold — the construction-time config is consulted only at
     /// [`Inner::new`]; `set-bounds` retunes the copies kept here.
     fn enforce_bounds(&mut self) {
-        while self.over_bounds() && self.tail != NIL {
-            self.remove(self.tail);
+        while self.over_bounds() {
+            let Some((_, key)) = self.recency.pop_first() else {
+                break;
+            };
+            if let Some(entry) = self.map.remove(&key) {
+                self.stats.bytes -= entry.bytes;
+            }
             self.stats.evictions += 1;
         }
     }
@@ -482,9 +402,8 @@ impl DseCache {
     /// results.
     pub(crate) fn with_store(config: CacheConfig, store: Arc<Store>) -> Self {
         DseCache {
-            inner: Mutex::new(Inner::new(&config)),
             store: Some(store),
-            metrics: OnceLock::new(),
+            ..Self::with_config(config)
         }
     }
 
@@ -839,34 +758,31 @@ impl DseCache {
     pub(crate) fn clear(&self) {
         let mut inner = lock_recovered(&self.inner);
         inner.map.clear();
-        inner.slab.clear();
-        inner.head = NIL;
-        inner.tail = NIL;
-        inner.free = NIL;
+        inner.recency.clear();
         inner.stats = CacheStats::default();
     }
 }
 
 /// Fixed per-entry overhead the byte accounting charges on top of the
-/// structures it can measure directly: the `HashMap`'s load-factor
-/// slack (hashbrown keeps at most 7/8 of its slots occupied, so every
-/// resident entry drags ~1/7 of a spare `(String, usize)` slot plus
-/// control bytes), and malloc rounding on the entry's three heap
-/// allocations (two key `String`s and the value's `Vec`s, each rounded
-/// up to an allocator size class — typically up to 16 bytes each).
-/// A single constant keeps the accounting O(1) and honest on average;
-/// see `byte_bound_is_never_exceeded` for the invariant it protects.
-const PER_ENTRY_OVERHEAD_BYTES: usize = 56;
+/// structures it can measure directly: the `HashMap`'s slack (a
+/// power-of-two bucket count, grown further by eviction's tombstones),
+/// the `BTreeMap`'s (nodes about half full), and malloc's header and
+/// rounding on the entry's three heap allocations (two key `String`s
+/// and the value's `Vec`s). A counting allocator over tiers of
+/// 16–2,000 entries churned by eviction measured 249–511 bytes beyond
+/// the sized parts, 340 on average. A single constant keeps the
+/// accounting O(1) and honest on average; see
+/// `byte_bound_is_never_exceeded` for the invariant it protects.
+const PER_ENTRY_OVERHEAD_BYTES: usize = 340;
 
 /// Approximate resident footprint of one entry: both copies of the key
-/// (map key + reverse-lookup copy in the entry), the map slot that
-/// holds the key copy and slab index, the fixed-size parts, every heap
-/// allocation hanging off the value, and the fixed
-/// [`PER_ENTRY_OVERHEAD_BYTES`] for what the allocator and `HashMap`
-/// add beyond them.
+/// (the map's key and the recency copy), the map's `(key, Entry)` slot
+/// and the recency map's `(stamp, key)` slot, every heap allocation
+/// hanging off the value, and the fixed [`PER_ENTRY_OVERHEAD_BYTES`]
+/// for what the allocator and the two maps add beyond them.
 fn approx_entry_bytes(key: &str, value: &LayerDseResult) -> usize {
-    let fixed = std::mem::size_of::<Entry>()
-        + std::mem::size_of::<(String, usize)>() // the map's (key, index) slot
+    let fixed = std::mem::size_of::<(String, Entry)>()
+        + std::mem::size_of::<(u64, String)>()
         + key.len() * 2
         + PER_ENTRY_OVERHEAD_BYTES;
     let pareto: usize = value
@@ -1297,6 +1213,125 @@ mod tests {
             .get_or_compute("k", || panic!("resident entry recomputed"))
             .unwrap();
         assert_eq!(outcome, CacheOutcome::Hit);
+    }
+
+    /// The resident keys, least recently used first.
+    fn resident_keys(cache: &DseCache) -> Vec<String> {
+        lock_recovered(&cache.inner)
+            .recency
+            .values()
+            .cloned()
+            .collect()
+    }
+
+    /// A naive reference LRU, least recently used first: each resident
+    /// key with its value and the bytes [`approx_entry_bytes`] charges.
+    type Reference = Vec<(String, LayerDseResult, usize)>;
+
+    /// Evict the reference's oldest entries until `bounds` hold,
+    /// counting them in `stats`; returns how many went.
+    fn evict(
+        lru: &mut Reference,
+        stats: &mut CacheStats,
+        bounds: (Option<usize>, Option<usize>),
+    ) -> u64 {
+        let mut evicted = 0;
+        while !lru.is_empty()
+            && (bounds.0.is_some_and(|n| lru.len() > n)
+                || bounds.1.is_some_and(|n| stats.bytes > n))
+        {
+            stats.bytes -= lru.remove(0).2;
+            evicted += 1;
+        }
+        stats.evictions += evicted;
+        evicted
+    }
+
+    /// Random sequences of `get`, `get_resident`, `insert`, `set_bounds`
+    /// (entry and byte caps set, lifted or kept) and `clear` against the
+    /// cache and a [`Reference`]: after every step the returned values,
+    /// the resident keys in recency order and the counters agree.
+    #[test]
+    fn the_resident_tier_matches_a_reference_lru() {
+        use crate::loadgen::SplitMix64;
+        use drmap_core::pareto::DesignPoint;
+        let typical = approx_entry_bytes("k0", &result("v0")) as u64;
+        for seed in 0..24 {
+            let mut rng = SplitMix64::new(seed);
+            let cache = DseCache::new();
+            let (mut lru, mut stats, mut bounds) =
+                (Reference::new(), CacheStats::default(), (None, None));
+            for step in 0..600u64 {
+                let i = rng.next_u64() % 12;
+                let key = format!("k{i}{}", "-".repeat(i as usize));
+                let at = lru.iter().position(|(k, ..)| *k == key);
+                match rng.next_u64() % 20 {
+                    op @ 0..=9 => {
+                        let got = if op < 7 {
+                            cache.get(&key)
+                        } else {
+                            cache.get_resident(&key)
+                        };
+                        let want = at.map(|at| {
+                            let entry = lru.remove(at);
+                            let value = entry.1.clone();
+                            lru.push(entry);
+                            value
+                        });
+                        stats.hits += u64::from(want.is_some());
+                        stats.misses += u64::from(op < 7 && want.is_none());
+                        assert_eq!(
+                            format!("{got:?}"),
+                            format!("{want:?}"),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                    10..=16 => {
+                        let mut value = result(&format!("v{step}"));
+                        let estimate = value.best.estimate;
+                        value.pareto = (0..rng.next_u64() % 4)
+                            .map(|p| DesignPoint::new(format!("p{p}"), estimate))
+                            .collect();
+                        cache.insert(key.clone(), value.clone());
+                        if let Some(at) = at {
+                            stats.bytes -= lru.remove(at).2;
+                        }
+                        let bytes = approx_entry_bytes(&key, &value);
+                        stats.bytes += bytes;
+                        lru.push((key, value, bytes));
+                        evict(&mut lru, &mut stats, bounds);
+                    }
+                    17..=18 => {
+                        let mut draw = |cap: u64| match rng.next_u64() % 3 {
+                            0 => None,
+                            1 => Some(None),
+                            _ => Some(Some((rng.next_u64() % cap) as usize)),
+                        };
+                        let (entries, bytes) = (draw(12), draw(typical * 8));
+                        let (previous, evicted) = cache.set_bounds(entries, bytes);
+                        assert_eq!(previous, bounds, "seed {seed} step {step}");
+                        bounds = (entries.unwrap_or(bounds.0), bytes.unwrap_or(bounds.1));
+                        assert_eq!(
+                            evicted,
+                            evict(&mut lru, &mut stats, bounds),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                    _ => {
+                        cache.clear();
+                        (lru, stats) = (Reference::new(), CacheStats::default());
+                    }
+                }
+                let keys: Vec<String> = lru.iter().map(|(k, ..)| k.clone()).collect();
+                assert_eq!(resident_keys(&cache), keys, "seed {seed} step {step}");
+                let entries = lru.len();
+                assert_eq!(
+                    cache.stats(),
+                    CacheStats { entries, ..stats },
+                    "seed {seed} step {step}"
+                );
+            }
+        }
     }
 
     #[test]

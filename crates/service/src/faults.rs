@@ -405,6 +405,10 @@ mod tests {
         );
         // Store and wire streams are salted apart.
         assert_ne!(first, wire_first);
+        // Another seed draws another sequence.
+        state.set_plan(Some(FaultPlan { seed: 8, ..plan })).unwrap();
+        let reseeded: Vec<_> = (0..64).map(|_| state.store_action()).collect();
+        assert_ne!(first, reseeded);
     }
 
     #[test]
@@ -418,6 +422,39 @@ mod tests {
             (100..=320).contains(&fired),
             "10% of 2000 draws fired {fired} times"
         );
+    }
+
+    /// `store-delay=1` delays every store call and `wire-stall=1` every
+    /// frame, each by jitter below its `-ms` bound. A small bound holds
+    /// every draw under it; a large one lets each site's draws pass both
+    /// defaults (5 and 20 ms), so neither site ignores its bound.
+    #[test]
+    fn delays_are_drawn_below_their_configured_bounds() {
+        for bound in [3u64, 200] {
+            let state = FaultState::default();
+            let spec = format!(
+                "seed=9,store-delay=1,store-delay-ms={bound},wire-stall=1,wire-stall-ms={bound}"
+            );
+            if !arm_where_compiled_in(&state, &spec) {
+                return;
+            }
+            for site in [FaultState::store_action, FaultState::wire_action] {
+                let longest = (0..256)
+                    .map(|_| match site(&state) {
+                        Some(FaultAction::Delay(d)) => d,
+                        other => panic!("{spec}: expected a delay, got {other:?}"),
+                    })
+                    .max()
+                    .unwrap_or_default();
+                assert!(
+                    longest < Duration::from_millis(bound),
+                    "{spec}: {longest:?}"
+                );
+                if bound > 20 {
+                    assert!(longest >= Duration::from_millis(20), "{spec}: {longest:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! don't wait for big ones and a single straggler layer cannot idle the
 //! rest of the pool (contrast with
 //! [`DseEngine::explore_network`](drmap_core::dse::DseEngine::explore_network),
-//! which runs a bounded worker crew inside one process-wide call).
+//! which sweeps one network's layers in order on the calling thread).
 //!
 //! The layer is the unit of work: a whole zoo layer sweeps in 5–27 µs
 //! inside a worker (the model zoo's largest has 3 456 tilings) — about

@@ -156,12 +156,12 @@ fn bucket_upper_bound(index: usize) -> u64 {
 
 /// A fixed-bucket log-linear histogram over `u64` samples
 /// (nanoseconds, by convention). [`Histogram::record`] is lock-free —
-/// one relaxed `fetch_add` per bucket/count/sum, plus `fetch_min`/
-/// `fetch_max` for a sample past a value already read — so it is safe
-/// on the DSE hot path.
+/// one relaxed `fetch_add` on the sample's bucket and one on the sum,
+/// plus `fetch_min`/`fetch_max` for a sample past a value already read
+/// — so it is safe on the DSE hot path. The sample count is the bucket
+/// total, so nothing keeps it separately.
 pub struct Histogram {
     buckets: Box<[AtomicU64; BUCKETS]>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -176,7 +176,6 @@ impl Default for Histogram {
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
-            .field("count", &self.count.load(Ordering::Relaxed))
             .field("sum", &self.sum.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -192,7 +191,6 @@ impl Histogram {
         };
         Self {
             buckets,
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -202,7 +200,6 @@ impl Histogram {
     /// Record one sample.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         // `min` only falls and `max` only rises, so a sample no more
         // extreme than a value already read cannot move them: skip the
@@ -216,9 +213,9 @@ impl Histogram {
     }
 
     /// A point-in-time copy of the distribution. Concurrent `record`
-    /// calls may straddle the copy (a sample visible in `count` but not
-    /// yet its bucket, or vice versa); the snapshot normalizes `count`
-    /// to the bucket total so quantile walks are always consistent.
+    /// calls may straddle the copy (a sample visible in its bucket but
+    /// not yet in `sum`, or vice versa); `count` is the bucket total,
+    /// so quantile walks are always consistent.
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
         for (index, bucket) in self.buckets.iter().enumerate() {

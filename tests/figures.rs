@@ -706,8 +706,11 @@ fn ablation_subarrays(o: &mut String) {
          subarrays\tdrmap_EDP_Js\tworst_EDP_Js\timprovement_%\n",
     );
     for subarrays in [2usize, 4, 8, 16, 32] {
-        let geometry = Geometry::builder().subarrays(subarrays).build();
-        let geometry = geometry.expect("a valid geometry");
+        let geometry = Geometry {
+            subarrays,
+            ..Geometry::ddr3_2gb_x8()
+        };
+        geometry.validate().expect("a valid geometry");
         let acc = AcceleratorConfig::table_ii();
         let timing = TimingParams::ddr3_1600k();
         let engine = engine(geometry, timing, acc, DramArch::SalpMasa);
@@ -813,8 +816,12 @@ fn custom_network(o: &mut String) {
         ],
     )
     .expect("a valid network");
-    let geometry = Geometry::builder().channels(2).subarrays(16).build();
-    let geometry = geometry.expect("a valid geometry");
+    let geometry = Geometry {
+        channels: 2,
+        subarrays: 16,
+        ..Geometry::ddr3_2gb_x8()
+    };
+    geometry.validate().expect("a valid geometry");
     let acc = AcceleratorConfig {
         ifms_buffer: 128 * 1024,
         wghs_buffer: 128 * 1024,

@@ -16,15 +16,17 @@ fn geometry_strategy() -> impl Strategy<Value = Geometry> {
         5usize..=8,  // columns exponent
     )
         .prop_map(|(ch, ra, ba, sa_exp, row_exp, col_exp)| {
-            Geometry::builder()
-                .channels(ch)
-                .ranks(ra)
-                .banks(ba)
-                .subarrays(1 << sa_exp)
-                .rows(1 << row_exp.max(sa_exp))
-                .columns(1 << col_exp)
-                .build()
-                .expect("constructed geometry is valid")
+            let geometry = Geometry {
+                channels: ch,
+                ranks: ra,
+                banks: ba,
+                subarrays: 1 << sa_exp,
+                rows: 1 << row_exp.max(sa_exp),
+                columns: 1 << col_exp,
+                ..Geometry::ddr3_2gb_x8()
+            };
+            geometry.validate().expect("constructed geometry is valid");
+            geometry
         })
 }
 
