@@ -59,7 +59,7 @@ impl Lint {
                 "mutex locks must recover from poisoning via unwrap_or_else(|e| e.into_inner())"
             }
             Lint::NoUnwrapHotPath => {
-                "no .unwrap()/panic! in server request-path modules (server, cache, pool, wire, engine)"
+                "no .unwrap()/panic! in request-path modules (conn, server, cache, pool, wire, engine, the codec, the router)"
             }
             Lint::OrderingAudit => {
                 "raw atomic Ordering uses outside crates/telemetry need an `// ordering:` justification"

@@ -1,11 +1,11 @@
 //! `lock-poison`: `.lock().unwrap()` and `.lock().expect(…)` are
-//! banned in non-test service/store/telemetry code.
+//! banned in non-test service/store/telemetry/router code.
 //!
 //! A panic on one thread must not cascade into every thread that
 //! later touches the same mutex: every structure those crates guard is
 //! left structurally valid on unwind, so lock sites must recover with
-//! `lock().unwrap_or_else(|e| e.into_inner())` (the shared
-//! `lock_recovered` helpers) instead of propagating the poison.
+//! `lock().unwrap_or_else(|e| e.into_inner())` (the one helper,
+//! `drmap_telemetry::lock_recovered`) instead of propagating the poison.
 
 use crate::diag::{Diagnostic, Lint};
 use crate::engine::Workspace;
@@ -48,7 +48,7 @@ pub fn run(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
                     line: toks[i].line,
                     message: format!(
                         ".lock().{}() propagates mutex poisoning; recover with \
-                         .lock().unwrap_or_else(|e| e.into_inner()) (see sync::lock_recovered)",
+                         .lock().unwrap_or_else(|e| e.into_inner()) (see drmap_telemetry::lock_recovered)",
                         sink.text
                     ),
                 });

@@ -12,14 +12,18 @@ use crate::engine::Workspace;
 use crate::lexer::TokKind::{Ident, Punct};
 use crate::lints::seq_at;
 
-/// The modules every request flows through.
-const HOT_PATH: [&str; 8] = [
+/// The modules every request flows through: the codec parses every
+/// request and encodes every response.
+const HOT_PATH: [&str; 11] = [
     "crates/service/src/conn.rs",
     "crates/service/src/server.rs",
     "crates/service/src/cache.rs",
     "crates/service/src/pool.rs",
     "crates/service/src/wire.rs",
     "crates/service/src/engine.rs",
+    "crates/service/src/json.rs",
+    "crates/service/src/proto.rs",
+    "crates/service/src/spec.rs",
     "crates/router/src/proxy.rs",
     "crates/router/src/backend.rs",
 ];

@@ -25,8 +25,8 @@ use std::time::Duration;
 use drmap_service::client::{Client, ClientConfig};
 use drmap_service::error::ServiceError;
 use drmap_service::proto::{Request, Response, PROTOCOL_VERSION};
-use drmap_service::sync::lock_recovered;
 use drmap_service::wire;
+use drmap_telemetry::lock_recovered;
 
 /// Bound on establishing any backend connection.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);

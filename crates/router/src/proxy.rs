@@ -41,9 +41,8 @@ use drmap_service::proto::{
 };
 use drmap_service::server::DEFAULT_MAX_INFLIGHT;
 use drmap_service::spec::JobSpec;
-use drmap_service::sync::lock_recovered;
 use drmap_service::wire;
-use drmap_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use drmap_telemetry::{elapsed_ns, lock_recovered, Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::backend::{self, Backend, DataConn};
 use crate::hash;
@@ -331,9 +330,7 @@ impl RouterCore {
         let started = Instant::now();
         let healthy: Vec<bool> = self.backends.iter().map(Backend::is_healthy).collect();
         let picked = hash::pick(&key, &self.addrs, &healthy);
-        self.m
-            .route_pick_ns
-            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        self.m.route_pick_ns.record(elapsed_ns(started));
         let Some(idx) = picked else {
             reply_error(pending, "no healthy backend available");
             return;

@@ -53,16 +53,10 @@ use drmap_core::bytes::{decode_stored_result, encode_stored_result};
 use drmap_core::dse::LayerDseResult;
 use drmap_core::error::DseError;
 use drmap_store::store::Store;
-use drmap_telemetry::Histogram;
+use drmap_telemetry::{elapsed_ns, lock_recovered, Histogram};
 
 use crate::error::panic_message;
 use crate::spec::CacheMode;
-use crate::sync::lock_recovered;
-
-/// Nanoseconds since `start`, saturating.
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
 
 /// Run `compute`, timed, with a panic converted into a [`DseError`].
 fn run_timed<F>(compute: F) -> (Result<LayerDseResult, DseError>, u64)

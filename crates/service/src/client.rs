@@ -71,7 +71,7 @@ impl HelloInfo {
 pub(crate) fn hello_request() -> Request {
     Request::Hello {
         version: PROTOCOL_VERSION,
-        client: Some(concat!("drmap-service/", env!("CARGO_PKG_VERSION")).to_owned()),
+        client: Some(crate::IDENTITY.to_owned()),
     }
 }
 

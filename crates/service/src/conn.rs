@@ -44,9 +44,10 @@ use std::sync::{Arc, Condvar, Mutex, TryLockError};
 use std::thread::{self, ThreadId};
 use std::time::Duration;
 
+use drmap_telemetry::lock_recovered;
+
 use crate::error::ServiceError;
 use crate::proto::Response;
-use crate::sync::lock_recovered;
 use crate::wire;
 
 /// What a tier plugs into the connection layer.
@@ -477,14 +478,13 @@ mod tests {
     use drmap_cnn::layer::Layer;
     use drmap_cnn::network::Network;
 
-    use super::Link;
+    use super::{lock_recovered, Link};
     use crate::client::{Client, ClientConfig};
     use crate::engine::ServiceState;
     use crate::pool::DsePool;
     use crate::proto::{Request, Response};
     use crate::server::JobServer;
     use crate::spec::{CacheMode, EngineSpec, JobOptions, JobSpec};
-    use crate::sync::lock_recovered;
     use crate::wire;
 
     /// The frames each connection has written, by its client's address.

@@ -16,13 +16,15 @@ use drmap_cnn::layer::Layer;
 use drmap_core::dse::{
     layer_cache_key, DseConfig, DseEngine, LayerDseResult, Objective, SharedEngine,
 };
-use drmap_core::edp::EdpModel;
+use drmap_core::edp::{EdpEstimate, EdpModel};
 use drmap_core::error::DseError;
 use drmap_dram::geometry::Geometry;
 use drmap_dram::profiler::{AccessCostTable, Profiler};
 use drmap_dram::timing::DramArch;
 use drmap_store::store::FaultDirective;
-use drmap_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, SlowLog, Span, Trace};
+use drmap_telemetry::{
+    elapsed_ns, lock_recovered, Counter, Gauge, Histogram, MetricsRegistry, SlowLog, Span, Trace,
+};
 
 use crate::cache::{CacheConfig, CacheMetrics, CacheOutcome, DseCache};
 use crate::error::ServiceError;
@@ -324,16 +326,13 @@ impl ServiceState {
     /// [`ServiceState::maybe_auto_compact`] compacts the store. `None`
     /// means the background check is disabled.
     pub fn auto_compact_ratio(&self) -> Option<f64> {
-        *crate::sync::lock_recovered(&self.auto_compact_ratio)
+        *lock_recovered(&self.auto_compact_ratio)
     }
 
     /// Arm (`Some`) or disarm (`None`) the background auto-compaction
     /// check; returns the previous threshold.
     pub fn set_auto_compact_ratio(&self, ratio: Option<f64>) -> Option<f64> {
-        std::mem::replace(
-            &mut *crate::sync::lock_recovered(&self.auto_compact_ratio),
-            ratio,
-        )
+        std::mem::replace(&mut *lock_recovered(&self.auto_compact_ratio), ratio)
     }
 
     /// One background auto-compaction check (the server's background
@@ -502,7 +501,7 @@ impl ServiceState {
         }
         self.stages.layers_total.inc();
         self.stages.cache_hits_total.inc();
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let ns = elapsed_ns(start);
         self.stages.cache_lookup_ns.record(ns);
         if let Some(trace) = trace {
             trace.add("cache_lookup", ns);
@@ -519,22 +518,38 @@ impl ServiceState {
     pub fn run_job(&self, spec: &JobSpec) -> Result<JobResult, ServiceError> {
         let engine = self.factory.shared(&spec.engine, spec.options.keep_points);
         let tag = self.factory.tag(spec.engine.arch);
-        let mut outcomes = Vec::with_capacity(spec.workload.layers().len());
-        let mut total = drmap_core::edp::EdpEstimate::zero(engine.model().table().t_ck_ns);
-        for layer in spec.workload.layers() {
+        let replies = spec.workload.layers().iter().map(|layer| {
             let key = engine.layer_key(tag, layer);
-            let (result, outcome) =
-                self.explore_keyed(&key, &engine, layer, spec.options.cache, None)?;
-            total.accumulate(&result.best.estimate);
-            outcomes.push(outcome_from_result(result, outcome));
-        }
-        Ok(JobResult {
-            id: spec.id,
-            workload: spec.workload.name().to_owned(),
-            total,
-            layers: outcomes,
-        })
+            Ok(self.explore_keyed(&key, &engine, layer, spec.options.cache, None)?)
+        });
+        let t_ck_ns = engine.model().table().t_ck_ns;
+        assemble_job(spec.id, spec.workload.name().to_owned(), t_ck_ns, replies)
     }
+}
+
+/// A job's per-layer replies, in layer order, folded into its result:
+/// the total accumulated layer by layer, and the first failing layer's
+/// error returned as soon as it is read, so a lazy `replies` computes
+/// nothing past it. [`ServiceState::run_job`] and the pool both end here.
+pub(crate) fn assemble_job(
+    id: u64,
+    workload: String,
+    t_ck_ns: f64,
+    replies: impl ExactSizeIterator<Item = Result<(LayerDseResult, CacheOutcome), ServiceError>>,
+) -> Result<JobResult, ServiceError> {
+    let mut total = EdpEstimate::zero(t_ck_ns);
+    let mut layers = Vec::with_capacity(replies.len());
+    for reply in replies {
+        let (result, outcome) = reply?;
+        total.accumulate(&result.best.estimate);
+        layers.push(outcome_from_result(result, outcome));
+    }
+    Ok(JobResult {
+        id,
+        workload,
+        total,
+        layers,
+    })
 }
 
 /// The routing fingerprint for a job: the concatenated cache keys of

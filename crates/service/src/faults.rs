@@ -27,9 +27,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use drmap_telemetry::lock_recovered;
+
 use crate::error::ServiceError;
 use crate::loadgen::SplitMix64;
-use crate::sync::lock_recovered;
 
 /// Whether this build can arm fault plans at all: always in debug
 /// builds, and in release builds only with the `faults` cargo feature.

@@ -1,5 +1,5 @@
-//! A minimal JSON value type with a hand-rolled parser, and the two
-//! sinks every encoder writes into.
+//! A minimal JSON value type with a hand-rolled parser, and the one
+//! writer every encoder writes into.
 //!
 //! The job server speaks newline-delimited JSON over TCP and must build
 //! **fully offline**, so the wire format cannot depend on serde. This
@@ -10,27 +10,26 @@
 //! — the property the service's "cached results are bit-identical"
 //! contract rests on.
 //!
-//! Every wire type has one encoder, generic over a [`JsonSink`], and two
-//! sinks take its tokens: [`JsonText`] appends compact text to a
-//! `String` — the connection writer's reused frame buffer, so a response
-//! reaches the wire without a tree — and [`JsonTree`] builds the [`Json`]
-//! value `to_json` returns. A tree renders through its own encoder
-//! (`Json::encode`) into a text sink, so both paths end in the same
-//! number and string writers and agree byte for byte.
+//! [`JsonText`] is the one writer: every wire type's encoder appends
+//! compact text through it to a `String` — the connection writer's
+//! reused frame buffer, so a response reaches the wire without a tree.
+//! A [`Json`] tree only ever comes from [`Json::parse`]; a message's
+//! `to_json` is the parse of its own encoded text, and a tree renders
+//! back through the same writer, so parse → render returns the
+//! encoder's bytes.
 //!
 //! # Examples
 //!
 //! ```
-//! use drmap_service::json::{Json, JsonSink, JsonText, JsonTree};
+//! use drmap_service::json::{Json, JsonText};
 //!
 //! let v = Json::parse(r#"{"id": 7, "nets": ["alexnet", "vgg16"]}"#)?;
 //! assert_eq!(v.get("id").and_then(Json::as_u64), Some(7));
 //! assert_eq!(v.get("nets").unwrap().as_array().unwrap().len(), 2);
 //! let mut text = String::new();
 //! JsonText::new(&mut text).object(|o| o.key("id").num(7.0));
-//! let tree = JsonTree::build(|t| t.object(|o| o.key("id").num(7.0)));
 //! assert_eq!(text, r#"{"id":7}"#);
-//! assert_eq!(tree.render(), text);
+//! assert_eq!(Json::parse(&text)?.render(), text);
 //! # Ok::<(), drmap_service::json::JsonError>(())
 //! ```
 
@@ -188,7 +187,7 @@ impl Json {
     }
 
     /// The tree's own encoder: write this value into `out`.
-    pub(crate) fn encode<S: JsonSink>(&self, out: &mut S) {
+    pub(crate) fn encode(&self, out: &mut JsonText<'_>) {
         match self {
             Json::Null => out.null(),
             Json::Bool(b) => out.bool(*b),
@@ -206,26 +205,9 @@ impl fmt::Display for Json {
     }
 }
 
-/// Where an encoder writes a JSON value, token by token. Inside
-/// [`JsonSink::object`] each member is a [`JsonSink::key`] and a value.
-pub trait JsonSink {
-    /// `null`.
-    fn null(&mut self);
-    /// `true` / `false`.
-    fn bool(&mut self, b: bool);
-    /// A number (integers pass as `n as f64`; non-finite renders `null`).
-    fn num(&mut self, n: f64);
-    /// A string.
-    fn str(&mut self, s: &str);
-    /// Name the open object's next member; its value follows.
-    fn key(&mut self, k: &str) -> &mut Self;
-    /// An object whose members `members` writes.
-    fn object(&mut self, members: impl FnOnce(&mut Self));
-    /// An array whose elements `items` writes.
-    fn array(&mut self, items: impl FnOnce(&mut Self));
-}
-
-/// The text sink: appends compact JSON to a `String`.
+/// The JSON writer: appends one compact value to a `String`, token by
+/// token. Inside [`JsonText::object`] each member is a
+/// [`JsonText::key`] and a value.
 #[derive(Debug)]
 pub struct JsonText<'a> {
     out: &'a mut String,
@@ -234,9 +216,47 @@ pub struct JsonText<'a> {
 }
 
 impl<'a> JsonText<'a> {
-    /// A sink appending one value to `out`.
+    /// A writer appending one value to `out`.
     pub fn new(out: &'a mut String) -> Self {
         JsonText { out, comma: false }
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.next().push_str("null");
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.next().push_str(if b { "true" } else { "false" });
+    }
+
+    /// A number (integers pass as `n as f64`; non-finite renders `null`).
+    pub fn num(&mut self, n: f64) {
+        write_number(n, self.next());
+    }
+
+    /// A string.
+    pub fn str(&mut self, s: &str) {
+        write_string(s, self.next());
+    }
+
+    /// Name the open object's next member; its value follows.
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        self.str(k);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// An object whose members `members` writes.
+    pub fn object(&mut self, members: impl FnOnce(&mut Self)) {
+        self.container('{', members, '}');
+    }
+
+    /// An array whose elements `items` writes.
+    pub fn array(&mut self, items: impl FnOnce(&mut Self)) {
+        self.container('[', items, ']');
     }
 
     /// The buffer, after a comma if a sibling precedes: whatever is
@@ -257,101 +277,6 @@ impl<'a> JsonText<'a> {
     }
 }
 
-impl JsonSink for JsonText<'_> {
-    fn null(&mut self) {
-        self.next().push_str("null");
-    }
-
-    fn bool(&mut self, b: bool) {
-        self.next().push_str(if b { "true" } else { "false" });
-    }
-
-    fn num(&mut self, n: f64) {
-        write_number(n, self.next());
-    }
-
-    fn str(&mut self, s: &str) {
-        write_string(s, self.next());
-    }
-
-    fn key(&mut self, k: &str) -> &mut Self {
-        self.str(k);
-        self.out.push(':');
-        self.comma = false;
-        self
-    }
-
-    fn object(&mut self, members: impl FnOnce(&mut Self)) {
-        self.container('{', members, '}');
-    }
-
-    fn array(&mut self, items: impl FnOnce(&mut Self)) {
-        self.container('[', items, ']');
-    }
-}
-
-/// The tree sink: builds the [`Json`] value an encoder writes, each
-/// container in a fresh sink of its own.
-#[derive(Debug, Default)]
-pub struct JsonTree {
-    /// Values written under no key: array elements, or the top level.
-    items: Vec<Json>,
-    /// Object members, each written after its [`JsonSink::key`].
-    members: Vec<(String, Json)>,
-    key: Option<String>,
-}
-
-impl JsonTree {
-    /// The value `encode` writes (`null` if it writes none).
-    pub fn build(encode: impl FnOnce(&mut JsonTree)) -> Json {
-        let mut tree = JsonTree::default();
-        encode(&mut tree);
-        tree.items.pop().unwrap_or(Json::Null)
-    }
-
-    fn put(&mut self, value: Json) {
-        match self.key.take() {
-            Some(key) => self.members.push((key, value)),
-            None => self.items.push(value),
-        }
-    }
-}
-
-impl JsonSink for JsonTree {
-    fn null(&mut self) {
-        self.put(Json::Null);
-    }
-
-    fn bool(&mut self, b: bool) {
-        self.put(Json::Bool(b));
-    }
-
-    fn num(&mut self, n: f64) {
-        self.put(Json::Num(n));
-    }
-
-    fn str(&mut self, s: &str) {
-        self.put(Json::str(s));
-    }
-
-    fn key(&mut self, k: &str) -> &mut Self {
-        self.key = Some(k.to_owned());
-        self
-    }
-
-    fn object(&mut self, members: impl FnOnce(&mut Self)) {
-        let mut object = JsonTree::default();
-        members(&mut object);
-        self.put(Json::Obj(object.members));
-    }
-
-    fn array(&mut self, items: impl FnOnce(&mut Self)) {
-        let mut array = JsonTree::default();
-        items(&mut array);
-        self.put(Json::Arr(array.items));
-    }
-}
-
 // Writing into a `String` cannot fail, so the `write!` results below
 // are always `Ok`.
 fn write_number(n: f64, out: &mut String) {
@@ -359,9 +284,11 @@ fn write_number(n: f64, out: &mut String) {
         // JSON has no Inf/NaN; the protocol never produces them, but a
         // defensive null beats emitting an unparsable token.
         out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 9.0e15 {
+    } else if n == n.trunc() && n.abs() < 9.0e15 && !(n == 0.0 && n.is_sign_negative()) {
         let _ = write!(out, "{}", n as i64);
     } else {
+        // `-0.0` comes here too: as the integer `0` it would read back
+        // as `+0.0`.
         // `{:?}` is Rust's shortest representation that round-trips the
         // exact bit pattern through `str::parse::<f64>()`.
         let _ = write!(out, "{n:?}");
@@ -666,10 +593,27 @@ mod tests {
             f64::MIN_POSITIVE,
             9.007199254740993e15,
             -3.3e300,
+            -0.0,
         ] {
             let rendered = Json::Num(bits).render();
             let reparsed = Json::parse(&rendered).unwrap().as_f64().unwrap();
             assert_eq!(reparsed.to_bits(), bits.to_bits(), "{rendered}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Any finite bit pattern — subnormals, integers, both zeros —
+        /// renders to text that parses back to the same bits.
+        #[test]
+        fn any_finite_f64_round_trips_bit_exactly(bits in 0_u64..u64::MAX) {
+            let n = f64::from_bits(bits);
+            if n.is_finite() {
+                let rendered = Json::Num(n).render();
+                let reparsed = Json::parse(&rendered).unwrap().as_f64().unwrap();
+                assert_eq!(reparsed.to_bits(), bits, "{rendered}");
+            }
         }
     }
 

@@ -62,7 +62,6 @@
 //!   with each response;
 //! * [`wire`] — the one codec: newline-delimited JSON text, one message
 //!   per line;
-//! * [`sync`] — the poison-recovering lock helper every tier uses;
 //! * [`json`] — the dependency-free JSON layer (floats round-trip
 //!   bit-exactly);
 //! * [`loadgen`] — what `benchmark/` builds its load plans from: the
@@ -120,8 +119,10 @@ pub mod pool;
 pub mod proto;
 pub mod server;
 pub mod spec;
-pub mod sync;
 pub mod wire;
+
+/// What this build calls itself in a `hello`, as client and as server.
+pub(crate) const IDENTITY: &str = concat!("drmap-service/", env!("CARGO_PKG_VERSION"));
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {

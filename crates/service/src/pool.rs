@@ -43,15 +43,13 @@ use std::time::{Duration, Instant};
 
 use drmap_cnn::layer::Layer;
 use drmap_core::dse::{LayerDseResult, SharedEngine};
-use drmap_core::edp::EdpEstimate;
 use drmap_core::error::DseError;
-use drmap_telemetry::Trace;
+use drmap_telemetry::{lock_recovered, Trace};
 
 use crate::cache::CacheOutcome;
-use crate::engine::{outcome_from_result, ServiceState};
+use crate::engine::{assemble_job, ServiceState};
 use crate::error::{panic_message, ServiceError};
 use crate::spec::{CacheMode, JobOptions, JobResult, JobSpec};
-use crate::sync::lock_recovered;
 
 type LayerReply = Result<(LayerDseResult, CacheOutcome), ServiceError>;
 
@@ -73,35 +71,14 @@ struct Assembling {
 }
 
 impl Assembling {
-    /// Assemble the result in layer order — totals accumulated exactly
-    /// as the direct engine does, the lowest-indexed layer failure
-    /// winning — and hand it to the completion.
+    /// Assemble the result as the direct engine does
+    /// ([`assemble_job`]: the lowest-indexed layer failure wins) and
+    /// hand it to the completion.
     fn finish(self) {
-        let Assembling {
-            id,
-            workload,
-            t_ck_ns,
-            replies,
-            on_complete,
-            ..
-        } = self;
-        let assemble = || -> Result<JobResult, ServiceError> {
-            let mut total = EdpEstimate::zero(t_ck_ns);
-            let mut layers = Vec::with_capacity(replies.len());
-            for reply in replies {
-                let (result, outcome) = reply
-                    .ok_or_else(|| ServiceError::protocol("a layer never received its reply"))??;
-                total.accumulate(&result.best.estimate);
-                layers.push(outcome_from_result(result, outcome));
-            }
-            Ok(JobResult {
-                id,
-                workload,
-                total,
-                layers,
-            })
-        };
-        on_complete(assemble());
+        let replies = self.replies.into_iter().map(|reply| {
+            reply.unwrap_or_else(|| Err(ServiceError::protocol("a layer never received its reply")))
+        });
+        (self.on_complete)(assemble_job(self.id, self.workload, self.t_ck_ns, replies));
     }
 }
 
@@ -423,6 +400,7 @@ impl PendingJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::outcome_from_result;
     use crate::spec::EngineSpec;
     use drmap_cnn::network::Network;
     use drmap_core::tiling::count_tilings;
@@ -495,6 +473,31 @@ mod tests {
             pool.submit(&bad).wait(),
             Err(ServiceError::Dse(_))
         ));
+    }
+
+    #[test]
+    fn the_first_failing_layer_decides_the_error_on_both_paths() {
+        // Layers 1 and 3 cannot fit the buffers; each error names its
+        // layer.
+        let fits = |name, p| drmap_cnn::layer::Layer::conv(name, 8, 8, 16, 8, p, p, 1);
+        let huge = |name, q| drmap_cnn::layer::Layer::conv(name, 1, 1, 1, 1, 4096, q, 1);
+        let layers = vec![
+            fits("A", 3),
+            huge("HUGE-I", 4096),
+            fits("C", 1),
+            huge("HUGE-J", 4000),
+        ];
+        let network = Network::new("two-failures", layers).unwrap();
+        let spec = JobSpec::network(5, EngineSpec::default(), network);
+        let state = ServiceState::new().unwrap();
+        let sequential = state.run_job(&spec).unwrap_err().to_string();
+        // The direct path stopped at layer 1: layer 2 was never computed.
+        assert_eq!(state.cache().stats().entries, 1);
+        let pool = DsePool::new(Arc::clone(&state), 2);
+        let pooled = pool.submit(&spec).wait().unwrap_err().to_string();
+        for error in [sequential, pooled] {
+            assert!(error.contains("HUGE-I"), "{error}");
+        }
     }
 
     #[test]

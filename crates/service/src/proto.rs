@@ -34,8 +34,9 @@
 //! the `id` accessors are all generated from the same rows, so a field
 //! cannot be written under one name and read under another.
 //!
-//! The one encoder writes into any [`JsonSink`]: text straight into the
-//! connection writer's frame buffer, or the tree `to_json` returns.
+//! The one encoder writes text through [`JsonText`], straight into the
+//! connection writer's frame buffer; `to_json` is the parse of that
+//! text.
 //! Messages travel as newline-delimited JSON text (see
 //! [`crate::wire`]).
 //!
@@ -53,7 +54,7 @@ use drmap_telemetry::{HistogramSnapshot, MetricsSnapshot, SlowEntry};
 
 use crate::cache::CacheStats;
 use crate::error::ServiceError;
-use crate::json::{Json, JsonSink, JsonTree};
+use crate::json::{Json, JsonText};
 use crate::spec::{CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome, Workload};
 
 /// The protocol version this build speaks. See the module docs for
@@ -463,20 +464,20 @@ pub struct DecodeError {
 /// messages; [`Request::decode`], [`Response::decode`] and
 /// [`JobSpec::from_json`] wrap them in their error types.
 pub(crate) trait Wire: Sized {
-    fn encode<S: JsonSink>(&self, out: &mut S);
+    fn encode(&self, out: &mut JsonText<'_>);
     fn from_json(v: &Json) -> Result<Self, String>;
 }
 
 /// A [`Wire`] value whose form is an object, so a `flat` row can splice
 /// its members into the object being written.
 trait Members: Wire {
-    fn members<S: JsonSink>(&self, out: &mut S);
+    fn members(&self, out: &mut JsonText<'_>);
 }
 
 macro_rules! wire_scalars {
     ($($ty:ty: $expected:literal, |$v:ident, $out:ident| $to:expr, $from:expr;)*) => {$(
         impl Wire for $ty {
-            fn encode<S: JsonSink>(&self, $out: &mut S) {
+            fn encode(&self, $out: &mut JsonText<'_>) {
                 let $v = self;
                 $to
             }
@@ -523,7 +524,7 @@ macro_rules! wire_labels {
         }
 
         impl Wire for $Ty {
-            fn encode<S: JsonSink>(&self, out: &mut S) {
+            fn encode(&self, out: &mut JsonText<'_>) {
                 out.str(($label)(*self));
             }
             fn from_json(v: &Json) -> Result<Self, String> {
@@ -546,7 +547,7 @@ wire_labels! {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode<S: JsonSink>(&self, out: &mut S) {
+    fn encode(&self, out: &mut JsonText<'_>) {
         out.array(|a| self.iter().for_each(|item| item.encode(a)));
     }
     fn from_json(v: &Json) -> Result<Self, String> {
@@ -557,7 +558,7 @@ impl<T: Wire> Wire for Vec<T> {
 
 /// Pairs travel as two-element arrays (histogram buckets, trace stages).
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode<S: JsonSink>(&self, out: &mut S) {
+    fn encode(&self, out: &mut JsonText<'_>) {
         out.array(|a| {
             self.0.encode(a);
             self.1.encode(a);
@@ -574,7 +575,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 /// An `Option` under a `skip` row travels as its value: `None` is the
 /// default, so it is never written, and `null` does not read as it.
 impl<T: Wire> Wire for Option<T> {
-    fn encode<S: JsonSink>(&self, out: &mut S) {
+    fn encode(&self, out: &mut JsonText<'_>) {
         match self {
             Some(value) => value.encode(out),
             None => out.null(),
@@ -586,10 +587,10 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 /// The write half of a field table: one method per mode, each writing
-/// members into the object its sink has open.
-struct Writer<'a, S>(&'a mut S);
+/// members into the object its writer has open.
+struct Writer<'a, 'b>(&'a mut JsonText<'b>);
 
-impl<S: JsonSink> Writer<'_, S> {
+impl Writer<'_, '_> {
     fn req<T: Wire>(&mut self, name: &str, value: &T) {
         value.encode(self.0.key(name));
     }
@@ -755,7 +756,7 @@ macro_rules! wire_object {
         $($mode:ident $field:tt $(as $name:literal)? $(= $value:expr)?),* $(,)?
     } $($validate:path)?) => {
         impl Members for $Ty {
-            fn members<S: JsonSink>(&self, out: &mut S) {
+            fn members(&self, out: &mut JsonText<'_>) {
                 let $this = self;
                 let $Ty $shape = $this;
                 let mut w = Writer(out);
@@ -764,7 +765,7 @@ macro_rules! wire_object {
         }
 
         impl Wire for $Ty {
-            fn encode<S: JsonSink>(&self, out: &mut S) {
+            fn encode(&self, out: &mut JsonText<'_>) {
                 out.object(|o| self.members(o));
             }
             fn from_json(v: &Json) -> Result<Self, String> {
@@ -780,7 +781,7 @@ macro_rules! wire_object {
 
 /// Declare a message enum's wire shapes, one row per verb:
 /// `"verb" Variant shape => { rows }`. Generates `encode` (and
-/// `to_json`, its tree), the `from_json` behind `decode`, and `id`. The `requests` form also
+/// `to_json`, the parse of its text), the `from_json` behind `decode`, and `id`. The `requests` form also
 /// takes, beside each verb, the `hello` capability that advertises it
 /// (`[None]` for the baseline verbs every server speaks) and generates
 /// `capability` — `drmap-check`'s `proto-doc-drift` lint reads those
@@ -794,7 +795,7 @@ macro_rules! wire_messages {
         impl $Enum {
             /// Write the message's wire form into `out`: `"type"`
             /// first, then the verb's fields.
-            pub fn encode<S: JsonSink>(&self, out: &mut S) {
+            pub fn encode(&self, out: &mut JsonText<'_>) {
                 out.object(|o| match self {$(
                     $Enum::$Variant $shape => {
                         let mut w = Writer(o);
@@ -804,10 +805,13 @@ macro_rules! wire_messages {
                 )*});
             }
 
-            /// The message's wire form as a tree: [`Self::encode`]
-            /// into a [`JsonTree`].
+            /// The message's wire form as a tree: the parse of the
+            /// text [`Self::encode`] writes, so it renders back to
+            /// those bytes.
             pub fn to_json(&self) -> Json {
-                JsonTree::build(|t| self.encode(t))
+                let mut text = String::new();
+                self.encode(&mut JsonText::new(&mut text));
+                Json::parse(&text).expect("the encoder writes well-formed JSON")
             }
 
             fn from_json(v: &Json) -> Result<Self, String> {
@@ -939,7 +943,7 @@ impl JobOptions {
 wire_object! { "job" JobSpec => { def id, def engine, flat workload, skip options }}
 
 impl Members for Workload {
-    fn members<S: JsonSink>(&self, out: &mut S) {
+    fn members(&self, out: &mut JsonText<'_>) {
         match self {
             Workload::Network(n) => {
                 // Prefer the compact zoo reference when the network is a
@@ -966,7 +970,7 @@ impl Members for Workload {
 /// and `layer`; a network is its zoo `model`, else its `spec` text,
 /// else its `layers` under its `name` (`"custom"` when unnamed).
 impl Wire for Workload {
-    fn encode<S: JsonSink>(&self, out: &mut S) {
+    fn encode(&self, out: &mut JsonText<'_>) {
         out.object(|o| self.members(o));
     }
     fn from_json(job: &Json) -> Result<Self, String> {
@@ -999,7 +1003,7 @@ impl Wire for Workload {
 /// `conv` layer (the default kind) six more, with `stride` and `groups`
 /// defaulting to 1.
 impl Wire for Layer {
-    fn encode<S: JsonSink>(&self, out: &mut S) {
+    fn encode(&self, out: &mut JsonText<'_>) {
         out.object(|o| {
             let mut w = Writer(o);
             w.req("name", &self.name);
@@ -1309,7 +1313,7 @@ mod tests {
         }
     }
 
-    /// What the text sink writes: the bytes a connection sends.
+    /// What the encoder writes: the bytes a connection sends.
     fn text(encode: impl FnOnce(&mut JsonText<'_>)) -> String {
         let mut out = String::new();
         encode(&mut JsonText::new(&mut out));

@@ -43,7 +43,7 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use drmap_telemetry::{Counter, Gauge, Span, Trace};
+use drmap_telemetry::{elapsed_ns, Counter, Gauge, Span, Trace};
 
 use crate::conn::{Listener, Reply, Service};
 use crate::engine::ServiceState;
@@ -54,10 +54,6 @@ use crate::pool::DsePool;
 use crate::proto::{answer_hello, capabilities, MetricsReport, Request, Response, StatsReport};
 use crate::spec::{JobResult, JobSpec};
 use crate::wire;
-
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
 
 /// Default cap on in-flight requests per connection (see
 /// [`ServerConfig::max_inflight`]); `drmap-router` applies it to its
@@ -407,7 +403,7 @@ fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
     let response = match request {
         Request::Hello { version, client: _ } => answer_hello(
             *version,
-            concat!("drmap-service/", env!("CARGO_PKG_VERSION")).to_owned(),
+            crate::IDENTITY.to_owned(),
             capabilities(pool.state().cache().store().is_some()),
         ),
         Request::Ping { id } => Response::Pong { id: *id },

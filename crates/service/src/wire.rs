@@ -74,7 +74,7 @@ pub fn write_message(
     write_line(writer, &frame)
 }
 
-/// [`write_message`] for a message `encode` writes into a text sink:
+/// [`write_message`] for a message `encode` writes through a [`JsonText`]:
 /// the line is encoded straight into `frame` (cleared first), so a
 /// long-lived writer — each connection's write half in
 /// [`crate::conn`] — builds no tree and pays for the buffer once, not

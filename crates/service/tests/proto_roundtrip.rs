@@ -2,14 +2,14 @@
 //! variant must survive a round trip through the wire codec (one NDJSON
 //! line each), and everything a server says — its answers to malformed
 //! and untyped messages included — must decode as a typed response.
-//! The JSON layer underneath must parse in linear time, and its text
-//! sink must write exactly what its tree sink renders.
+//! The JSON layer underneath must parse in linear time, and a tree
+//! parsed from its writer's text must render those bytes back.
 
 use std::io::BufReader;
 
 use drmap_service::cache::CacheStats;
 use drmap_service::engine::ServiceState;
-use drmap_service::json::{Json, JsonSink, JsonText, JsonTree};
+use drmap_service::json::{Json, JsonText};
 use drmap_service::pool::DsePool;
 use drmap_service::proto::{
     capabilities, BoundsUpdate, MetricsReport, Request, Response, StatsReport, PROTOCOL_VERSION,
@@ -297,7 +297,7 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
     }
 }
 
-/// What the text sink writes: the bytes a connection sends.
+/// What the encoder writes: the bytes a connection sends.
 fn text(encode: impl FnOnce(&mut JsonText<'_>)) -> String {
     let mut out = String::new();
     encode(&mut JsonText::new(&mut out));
@@ -376,8 +376,8 @@ fn tricky_result(pick: u64, x: f64, layers: usize, with_points: bool) -> JobResu
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The connection writer's text sink and the tree `to_json` builds
-    /// render the same bytes, whatever the names and numbers.
+    /// The tree `to_json` parses from the encoder's text renders those
+    /// same bytes, whatever the names and numbers.
     #[test]
     fn the_text_sink_equals_the_rendered_tree_on_any_job_result(
         pick in 0_u64..u64::MAX,
@@ -390,7 +390,7 @@ proptest! {
     }
 
     /// Every request variant survives the wire with nothing lost: same
-    /// variant, same fields; and the text sink writes the tree's bytes.
+    /// variant, same fields; and its tree renders the encoder's bytes.
     #[test]
     fn every_request_variant_round_trips_through_the_wire(
         a in 0_u64..1_000_000,
@@ -405,8 +405,8 @@ proptest! {
     }
 
     /// Every response variant survives the wire — including the job
-    /// result's floats, bit for bit — and the text sink writes the
-    /// tree's bytes.
+    /// result's floats, bit for bit — and its tree renders the
+    /// encoder's bytes.
     #[test]
     fn every_response_variant_round_trips_through_the_wire(
         a in 0_u64..1_000_000,
@@ -468,26 +468,25 @@ fn a_one_mebibyte_string_parses_in_linear_time() {
 
 #[test]
 fn the_text_sink_writes_what_the_tree_renders() {
-    fn sample<S: JsonSink>(t: &mut S) {
+    let text = text(|t| {
         t.object(|o| {
             o.key("a").array(|a| {
                 a.num(1.0);
                 a.object(|_| {});
                 a.array(|_| {});
                 a.null();
+                a.num(-0.0);
             });
             o.key("b\n").bool(false);
             o.key("c").object(|c| c.key("d").str("é\u{7}"));
             o.key("e").num(f64::NAN);
         });
-    }
-    let mut text = String::new();
-    sample(&mut JsonText::new(&mut text));
+    });
     assert_eq!(
         text,
-        r#"{"a":[1,{},[],null],"b\n":false,"c":{"d":"é\u0007"},"e":null}"#
+        r#"{"a":[1,{},[],null,-0.0],"b\n":false,"c":{"d":"é\u0007"},"e":null}"#
     );
-    assert_eq!(JsonTree::build(sample).render(), text);
+    assert_eq!(Json::parse(&text).unwrap().render(), text);
 }
 
 // ---------------------------------------------------------------------

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use drmap_telemetry::Histogram;
+use drmap_telemetry::{elapsed_ns, Histogram};
 
 use crate::error::StoreError;
 use crate::record::{
@@ -241,11 +241,6 @@ impl std::fmt::Debug for Store {
             .field("read_only", &self.read_only)
             .finish_non_exhaustive()
     }
-}
-
-/// Nanoseconds since `start`, saturating.
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn read_locked(lock: &RwLock<State>) -> RwLockReadGuard<'_, State> {

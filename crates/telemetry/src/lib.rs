@@ -48,13 +48,20 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Lock a mutex, recovering the guard if a previous holder panicked.
-/// Every structure here is a bag of atomics or append-only state, so a
-/// poisoned lock never implies a broken invariant.
-fn lock_recovered<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Lock `mutex`, recovering the guard if a panicking thread poisoned
+/// it: the one mutex policy of this crate, the service and the router.
+/// Every mutex there guards state that each code path leaves
+/// structurally valid (memo caches, counters, channel receivers,
+/// connection sets, the pending map), so a panic on one thread must not
+/// cascade into every thread that later takes the lock.
+pub fn lock_recovered<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Nanoseconds since `start`, saturating at `u64::MAX` (≈ 584 years):
+/// the one clock read behind every `_ns` histogram sample.
+pub fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 // ---------------------------------------------------------------------------
@@ -603,7 +610,7 @@ impl<'a> Span<'a> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let ns = elapsed_ns(self.start);
         self.hist.record(ns);
         if let Some(trace) = &self.trace {
             trace.add(self.name, ns);
@@ -633,11 +640,6 @@ impl Trace {
     /// The request id this trace belongs to.
     pub(crate) fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Nanoseconds since the trace started.
-    pub(crate) fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Add `ns` to stage `name` (same-name stages aggregate, e.g. one
@@ -725,7 +727,7 @@ impl SlowLog {
     /// its total nanoseconds either way. The oldest entry is evicted
     /// once the ring is full.
     pub fn observe(&self, trace: &Trace) -> u64 {
-        let total_ns = trace.elapsed_ns();
+        let total_ns = elapsed_ns(trace.start);
         if total_ns >= self.threshold_ns.load(Ordering::Relaxed) {
             let entry = SlowEntry {
                 trace_id: trace.id(),
