@@ -17,8 +17,7 @@
 //!
 //! * per **engine**: from the cost table alone, a *tile lower bound* —
 //!   what any mapping's per-tile cost is at least at a given burst
-//!   count — and the one *trust rule* that decides whether any sweep may
-//!   skip anything;
+//!   count — on a table that meets the engine's one precondition;
 //! * per **axis**: every candidate step with its trip count (the walk's
 //!   only divisions), all four axes in one buffer of exact size;
 //! * per **layer**: the wghs tile of every `(tj, ti)` — its bytes, burst
@@ -69,8 +68,7 @@
 //!
 //! The sweep returns what scoring every point in order would return —
 //! same winner, same front, same labels — while scoring almost none of
-//! them. It skips in two ways, and only on a table the trust rule
-//! accepts.
+//! them. It skips in two ways.
 //!
 //! **Duplicates.** Adaptive-reuse resolves, per tiling, to one of the
 //! concrete schemes. When that scheme (or adaptive-reuse itself) was
@@ -134,8 +132,8 @@
 //! 1)·step`, `n · lb(u) = lb(n·u) + (n − 1)·(first − step) ≥ lb(n·u)`
 //! when `first ≥ step`, and `lb` never falls as `u` grows when `step ≥
 //! 0`; so `n · lb(u) ≥ lb(⌈n·bytes/burst⌉)` for a tile of `bytes` bytes
-//! in `u` bursts. Both hold component-wise on a trusted table: `step` is
-//! the least class cost, `dif_rows` among them, and none is negative.
+//! in `u` bursts. Both hold component-wise on an engine's table: `step`
+//! is the least class cost, `dif_rows` among them, and none is negative.
 //! Every member loads `S·n_i` ifms tiles, `n_i` of them per spatial trip,
 //! and `n_i·ti ≥ i`, so those `n_i` hold at least the block's whole ifms
 //! bytes: its ifms column is at least `S · lb(⌈ifms_total/burst⌉)`. Its
@@ -149,7 +147,7 @@
 //!
 //! **One rounding budget.** The tile lower bound is the one bound that
 //! is not the candidates' own expression, so it alone needs room for
-//! rounding. Under the trust rule every class cost is `0` or in
+//! rounding. Under the precondition every class cost is `0` or in
 //! `[2⁻¹⁰²², 2⁵¹²]` and every count below `2⁶⁴`, so nothing overflows
 //! (no sum reaches `2⁷⁰⁶`) and none but a scaled lower bound can be
 //! subnormal; every rounding is then a relative error of at most
@@ -168,13 +166,14 @@
 //! its own. The unscaled columns and the tile-against-row check (`(1 +
 //! ε)⁴` against `(1 − ε)⁵`) take fewer roundings.
 //!
-//! **One trust rule**, decided once, in [`DseEngine::new`]: every class
-//! cost is `0` or a normal number in `(0, 2⁵¹²]`, and the clock is
-//! finite and non-negative ([`AccessCostTable::from_costs`] accepts
-//! anything). Such a table makes every row finite and non-negative —
-//! the precondition of the monotonicity argument. On any other table
-//! every point is scored, duplicates included, and nothing is skipped.
-//! The first group has no incumbent, so it is always scored.
+//! **One precondition**, checked once, by [`DseEngine::new`]: every
+//! class cost is `0` or a normal number in `(0, 2⁵¹²]`, and the clock is
+//! finite and non-negative. Such a table makes every row finite and
+//! non-negative, which the monotonicity argument starts from; every
+//! profiled table is one. [`AccessCostTable::from_costs`] builds any
+//! table, and the engine refuses the others, as it refuses an empty
+//! scheme or mapping list. The first group has no incumbent, so it is
+//! always scored.
 //!
 //! On the zoo on SALP-2 the block bound skips 2,341 of 3,433 blocks, and
 //! in the other 1,092 the loop bounds, read for 8,944 loops, end all
@@ -234,7 +233,7 @@ use crate::pareto::{DesignPoint, ParetoFront};
 use crate::schedule::{
     least_traffic, min_traffic_index, traffic_of_trips, ReuseScheme, TileTraffic,
 };
-use crate::tiling::{count_tilings, walk_tilings, Tiling, TilingVisitor};
+use crate::tiling::{walk_tilings, Tiling, TilingVisitor};
 
 /// Optimization objective for the exploration.
 ///
@@ -535,7 +534,7 @@ const INFINITE: AccessCost = AccessCost {
 /// its computed value stays `<=` every computed row (see the module docs).
 const SHRINK: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
 
-/// `2^512`, the largest class cost the closed-form bound trusts.
+/// `2^512`, the largest class cost the closed-form bound serves.
 const TRUSTED_MAX: f64 = f64::from_bits((1023 + 512) << 52);
 
 fn min_cost(a: AccessCost, b: AccessCost) -> AccessCost {
@@ -575,31 +574,36 @@ struct TileBound {
     first: (AccessCost, AccessCost),
     /// The component-wise least `(read, write)` class cost.
     step: (AccessCost, AccessCost),
-    /// Every class cost is `0` or a normal number in `(0, 2^512]`, and
-    /// the clock is finite and non-negative: the one rule under which a
-    /// sweep skips anything (see the module docs).
-    trusted: bool,
 }
 
 impl TileBound {
-    fn new(geometry: &Geometry, table: &AccessCostTable) -> Self {
-        let usable = |x: f64| x == 0.0 || (x.is_normal() && x > 0.0 && x <= TRUSTED_MAX);
-        let mut trusted = table.t_ck_ns.is_finite() && table.t_ck_ns >= 0.0;
+    /// The bound of `table`, or an error naming its first class cost or
+    /// clock outside the engine's precondition (see the module docs).
+    fn new(geometry: &Geometry, table: &AccessCostTable) -> Result<Self, DseError> {
+        let t_ck_ns = table.t_ck_ns;
+        if !(t_ck_ns.is_finite() && t_ck_ns >= 0.0) {
+            let clock = format!("clock {t_ck_ns} ns: negative or not finite");
+            return Err(DseError::new(clock));
+        }
         let mut step = [INFINITE; 2];
         for (step, kind) in step.iter_mut().zip([RequestKind::Read, RequestKind::Write]) {
             for class in TransitionClass::ALL {
                 let cost = table.cost(class, kind);
-                trusted &= usable(cost.cycles) && usable(cost.energy);
+                for (x, unit) in [(cost.cycles, "cycles"), (cost.energy, "energy")] {
+                    if !(x == 0.0 || (x.is_normal() && x > 0.0 && x <= TRUSTED_MAX)) {
+                        let why = "neither 0 nor a normal number in (0, 2^512]";
+                        return Err(DseError::new(format!("{kind} {class} {unit} {x:e}: {why}")));
+                    }
+                }
                 *step = min_cost(*step, cost);
             }
         }
         let first = |kind| table.cost(TransitionClass::DifRow, kind);
-        TileBound {
+        Ok(TileBound {
             burst_bytes: geometry.burst_bytes() as u64,
             first: (first(RequestKind::Read), first(RequestKind::Write)),
             step: (step[0], step[1]),
-            trusted,
-        }
+        })
     }
 
     /// The `(read, write)` bound for a tile of `units` bursts, at least
@@ -812,7 +816,7 @@ struct Sweep<'a> {
     keep_points: bool,
     batch: u64,
     t_ck_ns: f64,
-    /// The engine's tile lower bound and trust rule.
+    /// The engine's tile lower bound.
     bound: TileBound,
     rows: Rows<'a>,
     found: Accumulator,
@@ -881,8 +885,7 @@ impl<'a> Sweep<'a> {
     /// [`ReuseScheme::CONCRETE`] order (see the module docs): each column
     /// of the scheme's [`traffic_of_trips`] row weighted by the tiles'
     /// lower bounds at its least over the loop's `tilings`, read at the
-    /// loop's first, and summed in `TileCosts::estimate`'s order. Needs a
-    /// trusted [`TileBound`].
+    /// loop's first, and summed in `TileCosts::estimate`'s order.
     fn loop_bounds(
         &self,
         [(_, n_h), (_, n_w), (_, n_j)]: [(usize, u64); 3],
@@ -933,7 +936,7 @@ impl<'a> Sweep<'a> {
     /// The `(th, tw)` block's bound (see the module docs): the tiling
     /// bound's least traffic at `n_j = n_i = 1`, weighted by the tile
     /// lower bounds of the block's whole ifms and ofms and by the layer's
-    /// least wghs column. Needs a trusted [`TileBound`] and the wghs rows.
+    /// least wghs column. Needs the wghs rows.
     fn block_bound(&self, spatial: u64, ifms_bytes: u64, ofms_bytes: u64) -> EdpEstimate {
         let ifms = self.bound.tile(ifms_bytes).lb;
         let ofms = self.bound.tile(ofms_bytes).lb;
@@ -982,11 +985,9 @@ impl TilingVisitor for Sweep<'_> {
     /// The block bound: implied by every group bound of the block, so it
     /// too changes what is computed, never what is counted.
     fn block(&mut self, spatial: u64, ifms_bytes: u64, ofms_bytes: u64) -> bool {
-        if self.bound.trusted {
-            let bound = self.block_bound(spatial, ifms_bytes, ofms_bytes);
-            if self.found.shuts_out(&bound, self.keep_points) {
-                return false;
-            }
+        let bound = self.block_bound(spatial, ifms_bytes, ofms_bytes);
+        if self.found.shuts_out(&bound, self.keep_points) {
+            return false;
         }
         #[cfg(test)]
         {
@@ -1007,18 +1008,16 @@ impl TilingVisitor for Sweep<'_> {
         ofms: Tile,
         tilings: usize,
     ) -> bool {
-        if self.bound.trusted {
-            #[cfg(test)]
-            {
-                self.tally.bounded += 1;
-            }
-            let bounds = self.loop_bounds(outer, is, [ifms, wghs], &ofms, tilings);
-            if bounds
-                .iter()
-                .all(|bound| self.found.shuts_out(bound, self.keep_points))
-            {
-                return false;
-            }
+        #[cfg(test)]
+        {
+            self.tally.bounded += 1;
+        }
+        let bounds = self.loop_bounds(outer, is, [ifms, wghs], &ofms, tilings);
+        if bounds
+            .iter()
+            .all(|bound| self.found.shuts_out(bound, self.keep_points))
+        {
+            return false;
         }
         #[cfg(test)]
         {
@@ -1040,12 +1039,12 @@ impl TilingVisitor for Sweep<'_> {
             self.row(wghs.units),
             self.row(ofms.units),
         ];
-        let floor = self.bound.trusted.then(|| self.rows.floor_costs(rows));
+        let floor = self.rows.floor_costs(rows);
         let found = &mut self.found;
         // The tiling-level bound: implied by every group's bound below,
         // so it changes what is computed, never what is counted.
         let least = least_traffic(spatial, n_j, n_i);
-        if floor.is_some_and(|f| found.shuts_out(&f.estimate(&least, t_ck_ns), keep_points)) {
+        if found.shuts_out(&floor.estimate(&least, t_ck_ns), keep_points) {
             return;
         }
         let traffic = traffic_of_trips(spatial, n_j, n_i);
@@ -1056,9 +1055,7 @@ impl TilingVisitor for Sweep<'_> {
             let concrete = scheme.concrete_index().unwrap_or(adaptive);
             let traffic = &traffic[concrete];
             let duplicate = std::mem::replace(&mut covered[concrete], true);
-            if floor.is_some_and(|floor| {
-                duplicate || found.shuts_out(&floor.estimate(traffic, t_ck_ns), keep_points)
-            }) {
+            if duplicate || found.shuts_out(&floor.estimate(traffic, t_ck_ns), keep_points) {
                 continue;
             }
             for (slot, &mapping) in self.mappings.iter().enumerate() {
@@ -1090,7 +1087,7 @@ impl TilingVisitor for Sweep<'_> {
 /// let profiler = Profiler::table_ii()?;
 /// let table = profiler.cost_table(DramArch::Salp2);
 /// let model = EdpModel::new(Geometry::salp_2gb_x8(), table, AcceleratorConfig::table_ii());
-/// let engine = DseEngine::new(model, DseConfig::default());
+/// let engine = DseEngine::new(model, DseConfig::default())?;
 /// let result = engine.explore_network(&Network::alexnet())?;
 /// assert!(result.layers[0].best.mapping.is_drmap());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -1104,7 +1101,7 @@ pub struct DseEngine {
     config: DseConfig,
     /// The cost rows of `config.mappings`, built on demand.
     memo: Arc<RowMemo>,
-    /// The tile lower bound, and whether the sweep may skip anything.
+    /// The tile lower bound.
     bound: TileBound,
     /// Every layer's cache key after its shape (see
     /// [`DseEngine::layer_key`]).
@@ -1113,22 +1110,31 @@ pub struct DseEngine {
 
 impl DseEngine {
     /// Create an engine. No cost row is built until a sweep needs it.
-    pub fn new(model: EdpModel, config: DseConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DseError`] for an empty scheme or mapping list, or for a
+    /// table outside the module docs' precondition, naming its offending
+    /// class cost or clock.
+    pub fn new(model: EdpModel, config: DseConfig) -> Result<Self, DseError> {
+        if config.schemes.is_empty() || config.mappings.is_empty() {
+            return Err(DseError::new("empty scheme or mapping sweep"));
+        }
+        let bound = TileBound::new(model.geometry(), model.table())?;
         let memo = Arc::new(RowMemo::new(&model, &config.mappings));
-        let bound = TileBound::new(model.geometry(), model.table());
         let mut key_suffix = String::new();
         write_key_suffix(
             &mut key_suffix,
             model.traffic_model().accelerator(),
             &config,
         );
-        DseEngine {
+        Ok(DseEngine {
             model,
             config,
             memo,
             bound,
             key_suffix: key_suffix.into(),
-        }
+        })
     }
 
     /// [`layer_cache_key`] of `layer` on this engine's accelerator and
@@ -1206,17 +1212,14 @@ impl DseEngine {
                 self.sweep(layer, &schemes, mappings, rows, false)?.found
             }
         };
-        found
-            .best
-            .ok_or_else(|| DseError::new("no feasible tiling"))
+        Ok(found.best.expect("a feasible sweep has a winner"))
     }
 
     /// Algorithm 1 for one layer: sweep tilings × schemes × mappings.
     ///
     /// # Errors
     ///
-    /// Returns [`DseError`] if no tiling fits the buffers or the sweep
-    /// configuration is empty.
+    /// Returns [`DseError`] if no tiling fits the buffers.
     pub fn explore_layer(&self, layer: &Layer) -> Result<LayerDseResult, DseError> {
         self.explore_layer_counted(layer).map(|(result, _)| result)
     }
@@ -1233,11 +1236,6 @@ impl DseEngine {
         layer: &Layer,
     ) -> Result<(LayerDseResult, usize), DseError> {
         let config = &self.config;
-        if config.schemes.is_empty() || config.mappings.is_empty() {
-            // An infeasible layer is reported before an empty sweep.
-            count_tilings(layer, self.model.traffic_model().accelerator())?;
-            return Err(DseError::new("empty scheme or mapping sweep"));
-        }
         let rows = self.rows(None);
         let swept = self
             .sweep(
@@ -1251,7 +1249,7 @@ impl DseEngine {
         let pruned = swept.pruned();
         let result = LayerDseResult {
             layer_name: layer.name.clone(),
-            best: swept.best.expect("non-empty sweep produced no candidate"),
+            best: swept.best.expect("a feasible sweep has a winner"),
             evaluations: swept.evaluations,
             pareto: swept.front.into_design_points(tag_label),
         };
@@ -1316,7 +1314,7 @@ mod tests {
 
     /// A cost table with the qualitative ordering the hardware produces:
     /// columns cheapest, banks next, subarrays dearer, rows dearest.
-    fn ordered_table() -> AccessCostTable {
+    pub(super) fn ordered_table() -> AccessCostTable {
         let mk = |cycles: f64, energy: f64| AccessCost {
             cycles,
             energy: energy * 1e-9,
@@ -1330,14 +1328,9 @@ mod tests {
     }
 
     fn engine(config: DseConfig) -> DseEngine {
-        DseEngine::new(
-            EdpModel::new(
-                Geometry::salp_2gb_x8(),
-                ordered_table(),
-                AcceleratorConfig::table_ii(),
-            ),
-            config,
-        )
+        let acc = AcceleratorConfig::table_ii();
+        let model = EdpModel::new(Geometry::salp_2gb_x8(), ordered_table(), acc);
+        DseEngine::new(model, config).unwrap()
     }
 
     fn fingerprint(config: &DseConfig) -> String {
@@ -1392,11 +1385,22 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_an_error() {
-        let e = engine(DseConfig {
+        let no_schemes = DseConfig {
             schemes: vec![],
             ..DseConfig::default()
-        });
-        assert!(e.explore_layer(&conv3()).is_err());
+        };
+        let no_mappings = DseConfig {
+            mappings: vec![],
+            ..DseConfig::default()
+        };
+        for config in [no_schemes, no_mappings] {
+            let model = engine(DseConfig::default()).model().clone();
+            let refused = DseEngine::new(model, config).unwrap_err().to_string();
+            assert!(
+                refused.ends_with("empty scheme or mapping sweep"),
+                "{refused}"
+            );
+        }
     }
 
     #[test]

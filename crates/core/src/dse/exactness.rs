@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use super::*;
 use crate::access_model::{bytes_to_bursts, tile_cost};
 use crate::pareto::pareto_front;
-use crate::tiling::{candidate_steps, enumerate_tilings};
+use crate::tiling::{candidate_steps, count_tilings, enumerate_tilings};
 
 /// Every buffer-feasible tiling the slow way: the four candidate axes
 /// nested `th`, `tw`, `tj`, `ti`, each combination tested whole by
@@ -85,11 +85,10 @@ pub(super) fn naive_explore(e: &DseEngine, layer: &Layer) -> LayerDseResult {
 
 /// What the sweep must count: `(evaluations, pruned)` of a sweep over
 /// [`brute_force_tilings`] that skips a `(tiling, scheme)` group only as
-/// a duplicate or by its own bound — no tiling- or loop-level bound — and
-/// only on a table the trust rule accepts, with every cost from
-/// [`tile_cost`] and every point from [`DseEngine::evaluate`]. The bounds
-/// above the group bound are implied by it, so they may change what is
-/// computed but never these counts.
+/// a duplicate or by its own bound — no tiling- or loop-level bound —
+/// with every cost from [`tile_cost`] and every point from
+/// [`DseEngine::evaluate`]. The bounds above the group bound are implied
+/// by it, so they may change what is computed but never these counts.
 fn group_bound_reference(e: &DseEngine, layer: &Layer) -> (usize, usize) {
     let (model, config) = (e.model(), e.config());
     let traffic_model = model.traffic_model();
@@ -120,15 +119,13 @@ fn group_bound_reference(e: &DseEngine, layer: &Layer) -> (usize, usize) {
         (floor[0], floor[1])
     };
     for tiling in brute_force_tilings(layer, &acc) {
-        let floor = e.bound.trusted.then(|| {
-            let [ifms, wghs, ofms] = DataKind::ALL.map(|kind| floor_of(&tiling, kind));
-            TileCosts {
-                ifms_read: ifms.0,
-                wghs_read: wghs.0,
-                ofms_read: ofms.0,
-                ofms_write: ofms.1,
-            }
-        });
+        let [ifms, wghs, ofms] = DataKind::ALL.map(|kind| floor_of(&tiling, kind));
+        let floor = TileCosts {
+            ifms_read: ifms.0,
+            wghs_read: wghs.0,
+            ofms_read: ofms.0,
+            ofms_write: ofms.1,
+        };
         let mut covered = [false; 3];
         for &scheme in &config.schemes {
             let concrete = traffic_model.resolve_adaptive(layer, &tiling, scheme);
@@ -138,9 +135,8 @@ fn group_bound_reference(e: &DseEngine, layer: &Layer) -> (usize, usize) {
                 .expect("resolved schemes are concrete");
             let duplicate = std::mem::replace(&mut covered[index], true);
             found.evaluations += config.mappings.len();
-            if floor.is_some_and(|floor| {
-                duplicate || found.shuts_out(&floor.estimate(&traffic, t_ck_ns), config.keep_points)
-            }) {
+            if duplicate || found.shuts_out(&floor.estimate(&traffic, t_ck_ns), config.keep_points)
+            {
                 continue;
             }
             for &mapping in &config.mappings {
@@ -227,15 +223,22 @@ fn cost(cycles: f64, nj: f64) -> AccessCost {
     }
 }
 
-/// Cost tables the profiler would never produce next to one it would.
+/// A table's `(read, write)` class costs.
+type Costs = ([AccessCost; 4], [AccessCost; 4]);
+
+/// `(read, write)` class costs drawn from `[0, 50)` cycles and `[0, 10)`
+/// nJ, with no ordering between the classes or the directions.
+fn random_costs() -> impl Strategy<Value = Costs> {
+    prop::collection::vec((0.0f64..50.0, 0.0f64..10.0), 8..9).prop_map(|c| {
+        let c: Vec<AccessCost> = c.into_iter().map(|(cy, nj)| cost(cy, nj)).collect();
+        ([c[0], c[1], c[2], c[3]], [c[4], c[5], c[6], c[7]])
+    })
+}
+
+/// Cost tables an engine accepts that the profiler would never produce,
+/// next to one it would.
 fn table_strategy() -> impl Strategy<Value = AccessCostTable> {
     let table = |read, write| AccessCostTable::from_costs(DramArch::Ddr3, read, write, 1.25);
-    let random_costs = || {
-        prop::collection::vec((0.0f64..50.0, 0.0f64..10.0), 8..9).prop_map(|c| {
-            let c: Vec<AccessCost> = c.into_iter().map(|(cy, nj)| cost(cy, nj)).collect();
-            ([c[0], c[1], c[2], c[3]], [c[4], c[5], c[6], c[7]])
-        })
-    };
     prop_oneof![
         // Hardware-like: columns cheapest, rows dearest.
         Just(table(
@@ -272,32 +275,45 @@ fn table_strategy() -> impl Strategy<Value = AccessCostTable> {
             }
             table(read, write)
         }),
-        // A negative cost: the rows it drives below zero are no bound.
-        random_costs().prop_map(move |(mut read, write)| {
-            read[1] = cost(-3.0, 1.0);
+        // One class cost of −0.0, which the engine accepts (`x == 0.0`).
+        (random_costs(), 0usize..16).prop_map(move |(costs, at)| {
+            let (read, write) = with_class_value(costs, at, -0.0);
             table(read, write)
         }),
-        // One class cost the trust rule refuses — NaN, ±∞, a subnormal,
-        // a value above 2⁵¹² — or −0.0, which it accepts (`x == 0.0`).
-        (random_costs(), 0usize..16, 0usize..6).prop_map(move |((mut read, mut write), at, x)| {
-            let x = [
-                f64::NAN,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-                1e-310,
-                1e200,
-                -0.0,
-            ][x];
-            let costs = if at < 8 { &mut read } else { &mut write };
-            let cost = &mut costs[at / 2 % 4];
-            *[&mut cost.cycles, &mut cost.energy][at % 2] = x;
-            table(read, write)
-        }),
-        // A clock the trust rule refuses.
-        (random_costs(), 0usize..3).prop_map(|((read, write), clock)| {
-            let t_ck_ns = [f64::NAN, -1.0, f64::INFINITY][clock];
-            AccessCostTable::from_costs(DramArch::Ddr3, read, write, t_ck_ns)
-        }),
+    ]
+}
+
+/// `costs` with component `at % 2` (cycles, energy) of class `at / 2 % 4`
+/// of direction `at / 8` (read, write) set to `x`.
+fn with_class_value((mut read, mut write): Costs, at: usize, x: f64) -> Costs {
+    let costs = if at < 8 { &mut read } else { &mut write };
+    let cost = &mut costs[at / 2 % 4];
+    *[&mut cost.cycles, &mut cost.energy][at % 2] = x;
+    (read, write)
+}
+
+/// Every negative number but −0.0, from the least subnormal to `f64::MAX`.
+fn negative() -> impl Strategy<Value = f64> {
+    (1u64..=f64::MAX.to_bits()).prop_map(|bits| -f64::from_bits(bits))
+}
+
+/// A clock the engine refuses: NaN, ±∞ or a negative one.
+fn refused_clock() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        negative(),
+    ]
+}
+
+/// A class cost the engine refuses: a clock it refuses, a positive
+/// subnormal or a finite value above 2⁵¹².
+fn refused_cost() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        refused_clock(),
+        (1u64..f64::MIN_POSITIVE.to_bits()).prop_map(f64::from_bits),
+        (TRUSTED_MAX.to_bits() + 1..=f64::MAX.to_bits()).prop_map(f64::from_bits),
     ]
 }
 
@@ -352,6 +368,7 @@ fn engine_strategy() -> impl Strategy<Value = DseEngine> {
                         objective: Objective::ALL[objective],
                     },
                 )
+                .unwrap()
             },
         )
 }
@@ -402,6 +419,30 @@ proptest! {
         acc in accelerator_strategy(),
     ) {
         assert_walk_matches_brute_force(&layer, &acc);
+    }
+
+    /// The engine refuses a table with any one refused value, at any class
+    /// cost of either direction or at the clock, and names where it is;
+    /// the same table without it is accepted.
+    #[test]
+    fn the_gate_refuses_every_value_the_bound_cannot_serve(
+        costs in random_costs(),
+        at in 0usize..17,
+        bad_cost in refused_cost(),
+        bad_clock in refused_clock(),
+    ) {
+        prop_assert!(gate(costs, 1.25).is_ok());
+        let (refused, named) = if at == 16 {
+            (gate(costs, bad_clock), "clock".to_owned())
+        } else {
+            let kind = [RequestKind::Read, RequestKind::Write][at / 8];
+            let class = TransitionClass::ALL[at / 2 % 4];
+            let unit = ["cycles", "energy"][at % 2];
+            let costs = with_class_value(costs, at, bad_cost);
+            (gate(costs, 1.25), format!("{kind} {class} {unit}"))
+        };
+        let message = refused.unwrap_err().to_string();
+        prop_assert!(message.contains(&named), "{message} names no {named}");
     }
 }
 
@@ -464,15 +505,15 @@ fn scheme_bounds(
     })
 }
 
-/// On a trusted table, holds every row finite and non-negative and every
-/// fitting tile's lower bound against its row's floor, every seventh
+/// Holds every row finite and non-negative and every fitting tile's lower
+/// bound against its row's floor, every seventh
 /// tiling's bounds, computed from the sweep's own hoists (the walk's trip
 /// counts and tiles, [`RowMemo`], [`Rows::floor_costs`]), against each
 /// member of each of the tiling's groups, and every `ti` loop's bounds per
 /// scheme ([`Sweep::loop_bounds`], read in O(1) at the loop's first
 /// tiling) against that scheme's group bound at each of its tilings, and,
-/// up to rounding, against [`scheme_bounds`]' scan; on any table, every
-/// loop's tiling count against [`loop_tilings`]. Each of these breaks it:
+/// up to rounding, against [`scheme_bounds`]' scan; and every loop's
+/// tiling count against [`loop_tilings`]. Each of these breaks it:
 /// suffix minima taken as prefix minima, a loop started at its first ifms
 /// fit alone, ofms columns taken at the largest `n_i`.
 struct BoundCheck<'a> {
@@ -498,16 +539,14 @@ impl TilingVisitor for BoundCheck<'_> {
     /// swept mapping's cost.
     fn tile(&mut self, bytes: u64) -> Tile {
         let tile = self.sweep.tile(bytes);
-        if self.sweep.bound.trusted {
-            let row = self.sweep.row(tile.units);
-            for (read, write) in &row.costs {
-                for x in [read.cycles, read.energy, write.cycles, write.energy] {
-                    assert!(x.is_finite() && x >= 0.0, "a trusted table's row holds {x}");
-                }
+        let row = self.sweep.row(tile.units);
+        for (read, write) in &row.costs {
+            for x in [read.cycles, read.energy, write.cycles, write.energy] {
+                assert!(x.is_finite() && x >= 0.0, "an engine's row holds {x}");
             }
-            for (lb, floor) in [(tile.lb.0, row.floor.0), (tile.lb.1, row.floor.1)] {
-                assert!(lb.cycles <= floor.cycles && lb.energy <= floor.energy);
-            }
+        }
+        for (lb, floor) in [(tile.lb.0, row.floor.0), (tile.lb.1, row.floor.1)] {
+            assert!(lb.cycles <= floor.cycles && lb.energy <= floor.energy);
         }
         tile
     }
@@ -535,9 +574,6 @@ impl TilingVisitor for BoundCheck<'_> {
         tilings: usize,
     ) -> bool {
         assert_eq!(tilings, loop_tilings(ifms, wghs));
-        if !self.sweep.bound.trusted {
-            return true;
-        }
         let [(_, n_h), (_, n_w), (_, n_j)] = outer;
         let spatial = self.sweep.batch * n_h * n_w;
         let t_ck_ns = self.sweep.t_ck_ns;
@@ -569,7 +605,7 @@ impl TilingVisitor for BoundCheck<'_> {
 
     fn tiling(&mut self, tiling: Tiling, [n_h, n_w, n_j, n_i]: [u64; 4], tiles: [Tile; 3]) {
         self.visited += 1;
-        if self.visited % 7 != 1 || !self.sweep.bound.trusted {
+        if self.visited % 7 != 1 {
             return;
         }
         let floor = self.floor(tiles);
@@ -601,11 +637,10 @@ fn assert_no_worse(bound: &EdpEstimate, estimate: &EdpEstimate) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The block bound is a bound: on a trusted table it never exceeds a
-    /// member of its `(th, tw)` block — any of the block's tilings under
-    /// any concrete scheme and swept mapping — in either coordinate and
-    /// under any objective. And, on any table, a skipped block is counted
-    /// exactly: with one drawn block skipped, the walk visits every other
+    /// The block bound is a bound: it never exceeds a member of its `(th,
+    /// tw)` block — any of the block's tilings under any concrete scheme
+    /// and swept mapping — in either coordinate and under any objective.
+    /// And a skipped block is counted exactly: with one drawn block skipped, the walk visits every other
     /// block's tilings in brute-force order and counts the skipped
     /// block's brute-force tilings on top.
     #[test]
@@ -620,7 +655,7 @@ proptest! {
             mappings,
             ..DseConfig::default()
         };
-        let e = DseEngine::new(EdpModel::new(Geometry::salp_2gb_x8(), table, acc), config);
+        let e = DseEngine::new(EdpModel::new(Geometry::salp_2gb_x8(), table, acc), config).unwrap();
         let tilings = brute_force_tilings(&layer, &acc);
         let mut blocks = Vec::new();
         for &th in &candidate_steps(layer.h) {
@@ -654,9 +689,8 @@ proptest! {
     }
 }
 
-/// On a trusted table, holds each `(th, tw)` block's bound
-/// ([`Sweep::block_bound`]) against every member of the block; on any
-/// table, skips one block.
+/// Holds each `(th, tw)` block's bound ([`Sweep::block_bound`]) against
+/// every member of the block, and skips one block.
 struct BlockCheck<'a> {
     e: &'a DseEngine,
     layer: &'a Layer,
@@ -697,14 +731,12 @@ impl TilingVisitor for BlockCheck<'_> {
         assert_eq!(spatial, (acc.batch * n_h * n_w) as u64);
         assert_eq!(ifms_bytes, whole.tile_bytes(layer, acc, DataKind::Ifms));
         assert_eq!(ofms_bytes, whole.tile_bytes(layer, acc, DataKind::Ofms));
-        if self.sweep.bound.trusted {
-            let bound = self.sweep.block_bound(spatial, ifms_bytes, ofms_bytes);
-            for tiling in &members {
-                for scheme in ReuseScheme::CONCRETE {
-                    for mapping in &self.e.config().mappings {
-                        let member = self.e.evaluate(layer, tiling, scheme, mapping);
-                        assert_no_worse(&bound, &member);
-                    }
+        let bound = self.sweep.block_bound(spatial, ifms_bytes, ofms_bytes);
+        for tiling in &members {
+            for scheme in ReuseScheme::CONCRETE {
+                for mapping in &self.e.config().mappings {
+                    let member = self.e.evaluate(layer, tiling, scheme, mapping);
+                    assert_no_worse(&bound, &member);
                 }
             }
         }
@@ -758,81 +790,33 @@ fn conv3() -> Layer {
     Layer::conv("CONV3", 13, 13, 384, 256, 3, 3, 1)
 }
 
+/// An engine on `table` with Table II's geometry and accelerator, or its
+/// refusal.
+fn try_engine_on(table: AccessCostTable, config: DseConfig) -> Result<DseEngine, DseError> {
+    let acc = AcceleratorConfig::table_ii();
+    DseEngine::new(EdpModel::new(Geometry::salp_2gb_x8(), table, acc), config)
+}
+
 fn engine_on(table: AccessCostTable, config: DseConfig) -> DseEngine {
-    let model = EdpModel::new(
-        Geometry::salp_2gb_x8(),
-        table,
-        AcceleratorConfig::table_ii(),
-    );
-    DseEngine::new(model, config)
+    try_engine_on(table, config).unwrap()
 }
 
-#[test]
-fn rows_the_bound_cannot_trust_disable_every_skip() {
-    // A table outside the trust rule is swept point by point, duplicates
-    // included, whatever its rows: an unusable `dif_rows` read cost makes
-    // every row unusable (every tile opens with one), and so does the
-    // clock.
-    for (dif_rows, t_ck_ns) in [
-        (cost(-1e9, 1.0), 1.25),
-        (cost(f64::INFINITY, 1.0), 1.25),
-        (cost(42.0, f64::NAN), 1.25),
-        (cost(42.0, 6.0), -1.25),
-        (cost(42.0, 6.0), f64::NAN),
-    ] {
-        let table = read_class_replaced(3, dif_rows, t_ck_ns);
-        let (swept, pruned) = engine_on(table, DseConfig::default())
-            .explore_layer_counted(&conv3())
-            .unwrap();
-        assert_eq!(pruned, 0, "{dif_rows:?} at t_ck {t_ck_ns}");
-        assert!(swept.evaluations > 0);
-    }
-}
-
-/// A table of fixed class costs, read and write, but for read class
-/// `class`, which costs `bad`, on a clock of `t_ck_ns`.
-fn read_class_replaced(class: usize, bad: AccessCost, t_ck_ns: f64) -> AccessCostTable {
-    let good = [
+/// Class costs in the order the hardware's come in: columns cheapest,
+/// rows dearest.
+fn good() -> [AccessCost; 4] {
+    [
         cost(4.0, 1.0),
         cost(6.0, 2.0),
         cost(40.0, 5.0),
         cost(42.0, 6.0),
-    ];
-    let mut read = good;
-    read[class] = bad;
-    AccessCostTable::from_costs(DramArch::Ddr3, read, good, t_ck_ns)
+    ]
 }
 
-#[test]
-fn a_loop_mixing_trusted_and_untrusted_rows_is_walked_tiling_by_tiling() {
-    // A negative `dif_banks` read cost drives every row with a bank
-    // transition below zero. Under Mapping-6 (bank innermost) that is
-    // every row past one burst, so these layers' `ti` loops mix rows that
-    // are finite and non-negative with rows that are not: with
-    // `h = w = 1` and 1×1 kernels an ifms tile is `ti` bytes and a wghs
-    // tile `tj · ti`. The negative tilings score below zero, so skipping
-    // one would change the winner; nothing is skipped at all.
-    let mixed = read_class_replaced(1, cost(-1e6, 1.0), 1.25);
-    for layer in [
-        Layer::conv("mixed", 1, 1, 2, 16, 1, 1, 1),
-        Layer::conv("mixed-wghs", 1, 1, 16, 8, 1, 1, 1),
-    ] {
-        for objective in Objective::ALL {
-            for keep_points in [false, true] {
-                let config = DseConfig {
-                    objective,
-                    keep_points,
-                    ..DseConfig::default()
-                };
-                let e = engine_on(mixed.clone(), config);
-                let (swept, pruned) = e.explore_layer_counted(&layer).unwrap();
-                assert_eq!(pruned, 0, "{} {objective:?}", layer.name);
-                assert_results_bit_identical(&swept, &naive_explore(&e, &layer));
-                let counts = (swept.evaluations, pruned);
-                assert_eq!(counts, group_bound_reference(&e, &layer), "{objective:?}");
-            }
-        }
-    }
+/// A default-sweep engine on the table of `(read, write)` class costs and
+/// clock `t_ck_ns`, or the engine's refusal.
+fn gate((read, write): Costs, t_ck_ns: f64) -> Result<DseEngine, DseError> {
+    let table = AccessCostTable::from_costs(DramArch::Ddr3, read, write, t_ck_ns);
+    try_engine_on(table, DseConfig::default())
 }
 
 /// A table of uniformly drawn class costs, `[0, 50)` cycles and
@@ -862,8 +846,7 @@ fn the_tile_bound_never_exceeds_any_mappings_tile_cost() {
         .chain([seeded_table(29), seeded_table(4_242)]);
     let units = (1..=1100).chain([8191, 8192, 8193, 65536]);
     for table in tables {
-        let bound = TileBound::new(&geometry, &table);
-        assert!(bound.trusted, "{:?}", table.arch);
+        let bound = TileBound::new(&geometry, &table).unwrap();
         for units in units.clone() {
             let (read, write) = bound.at(units);
             for mapping in MappingPolicy::all_permutations() {
@@ -881,74 +864,87 @@ fn the_tile_bound_never_exceeds_any_mappings_tile_cost() {
 
 #[test]
 fn tables_outside_the_trust_rule_are_refused() {
-    let geometry = Geometry::salp_2gb_x8();
-    let good = [
-        cost(4.0, 1.0),
-        cost(6.0, 2.0),
-        cost(40.0, 5.0),
-        cost(42.0, 6.0),
-    ];
-    let trusted = |read, write, t_ck_ns| {
-        let table = AccessCostTable::from_costs(DramArch::Ddr3, read, write, t_ck_ns);
-        TileBound::new(&geometry, &table).trusted
-    };
-    assert!(trusted(good, good, 1.25));
-    assert!(trusted([cost(0.0, 0.0); 4], good, 0.0));
+    let good = good();
+    assert!(gate((good, good), 1.25).is_ok());
+    assert!(gate(([cost(0.0, 0.0); 4], good), 0.0).is_ok());
     let edge = AccessCost {
         cycles: TRUSTED_MAX,
         energy: f64::MIN_POSITIVE,
     };
-    assert!(trusted(good, [edge; 4], 1.25));
+    assert!(gate((good, [edge; 4]), 1.25).is_ok());
     let bad = [
-        AccessCost {
-            cycles: 1e-310, // subnormal
-            energy: 1e-9,
-        },
+        cost(1e-310, 1.0), // a subnormal cycle count
         cost(-1.0, 1.0),
+        cost(-1e6, 1.0),
+        cost(-1e9, 1.0),
         cost(1e300, 1.0),
         cost(f64::INFINITY, 1.0),
         cost(42.0, f64::NAN),
     ];
     for bad in bad {
-        for class in 0..4 {
+        for (class, name) in TransitionClass::ALL.into_iter().enumerate() {
             let mut costs = good;
             costs[class] = bad;
-            assert!(!trusted(costs, good, 1.25), "read {bad:?}");
-            assert!(!trusted(good, costs, 1.25), "write {bad:?}");
+            for (table, kind) in [((costs, good), "read"), ((good, costs), "write")] {
+                let refused = gate(table, 1.25).unwrap_err().to_string();
+                assert!(refused.contains(&format!("{kind} {name}")), "{refused}");
+            }
         }
     }
     for t_ck_ns in [-1.25, f64::NAN, f64::INFINITY] {
-        assert!(!trusted(good, good, t_ck_ns), "clock {t_ck_ns}");
+        let refused = gate((good, good), t_ck_ns).unwrap_err().to_string();
+        assert!(refused.contains("clock"), "{refused}");
     }
-    // −0.0 is `0`: the rule accepts it, and the sweep still skips.
+    // −0.0 is `0`: the engine accepts it, and the sweep still skips.
     let mut signed_zero = good;
     signed_zero[0] = cost(-0.0, -0.0);
-    assert!(trusted(signed_zero, good, 1.25));
-    let table = AccessCostTable::from_costs(DramArch::Ddr3, signed_zero, good, 1.25);
-    let e = engine_on(table, DseConfig::default());
+    let e = gate((signed_zero, good), 1.25).unwrap();
     let (swept, pruned) = e.explore_layer_counted(&conv3()).unwrap();
     assert!(pruned > 0);
     assert_results_bit_identical(&swept, &naive_explore(&e, &conv3()));
 }
 
+/// Every cost table the repository builds outside this suite passes the
+/// engine's gate: the four profiled Table II tables; every profiler the
+/// figures build (DDR4-2400 and LPDDR3-1600 timing, 2 to 32 subarrays, two
+/// channels) on every architecture; `dse::tests`' ordered table; and the
+/// flat table of `tests/property_tests.rs`.
+#[test]
+fn every_table_the_repository_builds_passes_the_gate() {
+    use drmap_dram::energy::EnergyParams;
+    use drmap_dram::timing::TimingParams;
+    let salp = Geometry::salp_2gb_x8();
+    let mut devices = vec![
+        (salp, TimingParams::ddr3_1600k()),
+        (salp, TimingParams::ddr4_2400r()),
+        (salp, TimingParams::lpddr3_1600()),
+    ];
+    for (channels, subarrays) in [(2, 16), (1, 2), (1, 4), (1, 8), (1, 16), (1, 32)] {
+        let geometry = Geometry {
+            channels,
+            subarrays,
+            ..Geometry::ddr3_2gb_x8()
+        };
+        devices.push((geometry, TimingParams::ddr3_1600k()));
+    }
+    let flat = cost(4.0, 1.0);
+    let mut tables = vec![
+        super::tests::ordered_table(),
+        AccessCostTable::from_costs(DramArch::Ddr3, [flat; 4], [flat; 4], 1.25),
+    ];
+    for (geometry, timing) in devices {
+        let profiler = Profiler::new(geometry, timing, EnergyParams::micron_2gb_x8()).unwrap();
+        tables.extend(DramArch::ALL.map(|arch| profiler.cost_table(arch)));
+    }
+    for table in tables {
+        let accepted = try_engine_on(table.clone(), DseConfig::default());
+        assert!(accepted.is_ok(), "{table:?}");
+    }
+}
+
 #[test]
 fn duplicate_groups_and_bounded_groups_are_counted_but_not_scored() {
-    let table = AccessCostTable::from_costs(
-        DramArch::Ddr3,
-        [
-            cost(4.0, 1.0),
-            cost(6.0, 2.0),
-            cost(40.0, 5.0),
-            cost(42.0, 6.0),
-        ],
-        [
-            cost(4.0, 1.0),
-            cost(6.0, 2.0),
-            cost(40.0, 5.0),
-            cost(42.0, 6.0),
-        ],
-        1.25,
-    );
+    let table = AccessCostTable::from_costs(DramArch::Ddr3, good(), good(), 1.25);
     let layer = conv3();
     let sweep = |schemes: Vec<ReuseScheme>, keep_points| {
         let e = engine_on(
@@ -1198,7 +1194,7 @@ fn an_engine_on_a_huge_buffer_constructs_fast_and_sweeps_exactly() {
     let model = EdpModel::new(Geometry::salp_2gb_x8(), salp2_table(), acc);
     let build = || {
         let at = std::time::Instant::now();
-        let e = DseEngine::new(model.clone(), DseConfig::default());
+        let e = DseEngine::new(model.clone(), DseConfig::default()).unwrap();
         (at.elapsed(), e)
     };
     let fastest = (0..5).map(|_| build().0).min().unwrap();

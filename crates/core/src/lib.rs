@@ -36,7 +36,7 @@
 //! let flat = AccessCost { cycles: 4.0, energy: 1e-9 };
 //! let table = AccessCostTable::from_costs(DramArch::Ddr3, [flat; 4], [flat; 4], 1.25);
 //! let model = EdpModel::new(Geometry::salp_2gb_x8(), table, AcceleratorConfig::table_ii());
-//! let engine = DseEngine::new(model, DseConfig::default());
+//! let engine = DseEngine::new(model, DseConfig::default())?;
 //! let layer = Layer::conv("CONV3", 13, 13, 384, 256, 3, 3, 1);
 //! let result = engine.explore_layer(&layer)?;
 //! println!("best: {}", result.best);

@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn validates_dse_winner_end_to_end() {
         let (model, validator) = setup(DramArch::Salp2);
-        let engine = DseEngine::new(model.clone(), DseConfig::default());
+        let engine = DseEngine::new(model.clone(), DseConfig::default()).unwrap();
         let layer = Layer::conv("CONV5", 13, 13, 256, 384, 3, 3, 1);
         let result = engine.explore_layer(&layer).unwrap();
         let report = validator.validate(&model, &layer, &result.best).unwrap();
@@ -379,7 +379,7 @@ mod tests {
         REPLAYED_CLASSES.with(|classes| classes.take());
         for arch in DramArch::ALL {
             let (model, validator) = setup(arch);
-            let engine = DseEngine::new(model.clone(), DseConfig::default());
+            let engine = DseEngine::new(model.clone(), DseConfig::default()).unwrap();
             // The measured agreement of ROADMAP direction 1(a), as
             // analytical ÷ simulated bands. SALP-MASA's energy gap is the
             // open-subarray question (Kim et al., ISCA 2012): a fix to

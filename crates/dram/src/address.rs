@@ -285,21 +285,18 @@ impl AddressCodec {
                 "no successor for burst index {index}"
             )));
         }
+        // Adding one carries through the maximal digits, innermost first,
+        // and stops at the first digit that is not at its maximum: the
+        // outermost digit that changes.
         let mut rest = index;
-        for (pos, &radix) in self.radices.iter().enumerate() {
-            let digit = rest % radix as u64;
-            if digit + 1 < radix as u64 {
-                // This digit increments without carrying; but divergence is
-                // the *outermost changed* level only when no carry happens
-                // beyond it. Since addition of 1 changes digits [0..=pos]
-                // where pos is the first non-maximal digit, the outermost
-                // changed level is order[pos].
-                return Ok(self.order[pos]);
-            }
-            rest /= radix as u64;
-            let _ = pos;
-        }
-        Err(AddressError::new("burst index at end of device"))
+        let pos = self.radices.iter().position(|&radix| {
+            let radix = radix as u64;
+            let digit = rest % radix;
+            rest /= radix;
+            digit + 1 < radix
+        });
+        pos.map(|pos| self.order[pos])
+            .ok_or_else(|| AddressError::new("burst index at end of device"))
     }
 }
 

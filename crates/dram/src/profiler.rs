@@ -166,6 +166,10 @@ impl AccessCostTable {
 
     /// Build a table from explicit entries (useful for tests and for
     /// feeding externally measured values, e.g. from real Ramulator runs).
+    /// Any entries are accepted here; `drmap-core`'s `DseEngine::new`
+    /// refuses a table its bound cannot serve: a class cost that is not
+    /// `0` or a normal number in `(0, 2⁵¹²]`, or a clock that is not
+    /// finite and non-negative.
     pub fn from_costs(
         arch: DramArch,
         read: [AccessCost; 4],
@@ -306,10 +310,7 @@ impl Profiler {
                         .build(),
                     kind,
                 );
-                let mut sim = self.simulator(arch);
-                sim.set_keep_records(true);
-                let _ = sim.run(&trace, self.isolation_gap());
-                self.average_outcome(&sim, RowBufferOutcome::Hit, &trace, arch)
+                self.average_outcome(arch, &trace, RowBufferOutcome::Hit)
             }
             AccessCondition::RowBufferMiss => {
                 // First touch of each bank: pure misses, isolated.
@@ -319,10 +320,7 @@ impl Profiler {
             AccessCondition::RowBufferConflict => {
                 let trace =
                     Self::with_kind(TraceBuilder::new().row_conflicts(0, 0, 48).build(), kind);
-                let mut sim = self.simulator(arch);
-                sim.set_keep_records(true);
-                let _ = sim.run(&trace, self.isolation_gap());
-                self.average_outcome(&sim, RowBufferOutcome::Conflict, &trace, arch)
+                self.average_outcome(arch, &trace, RowBufferOutcome::Conflict)
             }
             AccessCondition::SubarrayParallel => {
                 let trace = Self::with_kind(
@@ -343,15 +341,18 @@ impl Profiler {
         }
     }
 
-    /// Average latency over requests with the given outcome; energy is the
-    /// run total divided by all requests (the warm-up access amortizes).
+    /// One isolated run of `trace`: the average latency over requests with
+    /// the given outcome, and the run's energy divided by all requests (the
+    /// warm-up access amortizes).
     fn average_outcome(
         &self,
-        sim: &DramSimulator,
-        outcome: RowBufferOutcome,
-        trace: &[Request],
         arch: DramArch,
+        trace: &[Request],
+        outcome: RowBufferOutcome,
     ) -> AccessCost {
+        let mut sim = self.simulator(arch);
+        sim.set_keep_records(true);
+        let stats = sim.run(trace, self.isolation_gap());
         let matching: Vec<u64> = sim
             .records()
             .iter()
@@ -363,9 +364,6 @@ impl Profiler {
         } else {
             matching.iter().sum::<u64>() as f64 / matching.len() as f64
         };
-        // Re-run for energy (the records-run consumed the simulator state).
-        let mut fresh = self.simulator(arch);
-        let stats = fresh.run(trace, self.isolation_gap());
         AccessCost {
             cycles,
             energy: stats.energy_per_access(),

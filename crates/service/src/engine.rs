@@ -141,7 +141,8 @@ impl EngineFactory {
 
     /// The one engine for `spec` and `keep_points`, built on first use
     /// (profiling the architecture on its first); racing callers wait for
-    /// it and all get the same engine.
+    /// it and all get the same engine. A profiled table and the full
+    /// sweep always pass [`DseEngine::new`]'s gate, so it never refuses.
     pub(crate) fn shared(&self, spec: &EngineSpec, keep_points: bool) -> SharedEngine {
         let arch = arch_slot(spec.arch);
         let objective = Objective::ALL
@@ -151,7 +152,9 @@ impl EngineFactory {
         let engine = self.engines[arch][objective][usize::from(keep_points)].get_or_init(|| {
             let table = self.tables[arch].get_or_init(|| self.profiler.cost_table(spec.arch));
             let model = EdpModel::new(self.geometry, table.clone(), self.acc);
-            DseEngine::new(model, sweep_config(spec.objective, keep_points)).into_shared()
+            DseEngine::new(model, sweep_config(spec.objective, keep_points))
+                .expect("a profiled Table II table and the full sweep pass the engine's gate")
+                .into_shared()
         });
         Arc::clone(engine)
     }

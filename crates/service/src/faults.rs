@@ -13,10 +13,11 @@
 //! and live in the [`FaultState`] hanging
 //! off [`ServiceState`](crate::engine::ServiceState). Injection sites
 //! consult the state on their hot paths; with no plan armed the check
-//! is one relaxed atomic-free `Mutex` lock of an `Option` clone — and
-//! in release builds without the `faults` cargo feature, arming a plan
-//! is refused outright ([`FAULTS_COMPILED_IN`]), so production binaries
-//! cannot be talked into sabotaging themselves.
+//! is one `Mutex` lock and the clone of an empty `Option`. In release
+//! builds without the `faults` cargo feature, arming a plan is refused
+//! outright ([`FAULTS_COMPILED_IN`]), so production binaries cannot be
+//! talked into sabotaging themselves, and every check answers `None`
+//! without a lock: the injection sites compile away.
 //!
 //! Every injected fault is counted (`fault_store_total`,
 //! `fault_wire_total`, `fault_pool_total` — exposed with the `drmap_`
@@ -268,6 +269,9 @@ impl FaultState {
     }
 
     fn active(&self) -> Option<Arc<ActivePlan>> {
+        if !FAULTS_COMPILED_IN {
+            return None;
+        }
         lock_recovered(&self.active).clone()
     }
 

@@ -26,7 +26,7 @@
 //! let profiler = Profiler::table_ii()?;
 //! let table = profiler.cost_table(DramArch::Salp2);
 //! let model = EdpModel::new(Geometry::salp_2gb_x8(), table, AcceleratorConfig::table_ii());
-//! let engine = DseEngine::new(model, DseConfig::default());
+//! let engine = DseEngine::new(model, DseConfig::default())?;
 //! let network = Network::alexnet();
 //! let conv2 = &network.layers()[1];
 //! let result = engine.explore_layer(conv2)?;

@@ -169,7 +169,7 @@ fn every_zoo_winner_agrees_with_the_simulator() {
             profiler().cost_table(arch),
             AcceleratorConfig::table_ii(),
         );
-        let engine = DseEngine::new(model, DseConfig::default());
+        let engine = DseEngine::new(model, DseConfig::default()).expect("a profiled table");
         let validator = Validator::table_ii(arch).expect("the Table II device is valid");
         for (name, build) in Network::zoo() {
             for layer in build().layers() {
@@ -220,7 +220,7 @@ fn drmap_is_the_best_simulated_mapping_on_every_zoo_case() {
                 mappings: vec![mapping],
                 ..DseConfig::default()
             };
-            DseEngine::new(model.clone(), config)
+            DseEngine::new(model.clone(), config).expect("a profiled table")
         });
         let validator = Validator::table_ii(arch).expect("the Table II device is valid");
         for (name, build) in Network::zoo() {

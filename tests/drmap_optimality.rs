@@ -21,10 +21,9 @@ fn fixture() -> &'static Fixture {
             .iter()
             .map(|&arch| {
                 let table = profiler.cost_table(arch);
-                (
-                    arch,
-                    DseEngine::new(EdpModel::new(geometry, table, acc), DseConfig::default()),
-                )
+                let model = EdpModel::new(geometry, table, acc);
+                let engine = DseEngine::new(model, DseConfig::default()).expect("profiled");
+                (arch, engine)
             })
             .collect();
         let alexnet = Network::alexnet();

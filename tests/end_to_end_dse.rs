@@ -17,6 +17,7 @@ fn engine(arch: DramArch) -> DseEngine {
         ),
         DseConfig::default(),
     )
+    .expect("a profiled table")
 }
 
 #[test]

@@ -119,7 +119,7 @@ fn engine(
     let profiler = Profiler::new(geometry, timing, EnergyParams::micron_2gb_x8())
         .expect("a valid device configuration");
     let model = EdpModel::new(geometry, profiler.cost_table(arch), acc);
-    DseEngine::new(model, DseConfig::default())
+    DseEngine::new(model, DseConfig::default()).expect("a profiled table")
 }
 
 /// The Table II engines, one per architecture in [`DramArch::ALL`] order,
@@ -427,7 +427,7 @@ fn pareto_front(o: &mut String) {
             keep_points: true,
             ..DseConfig::default()
         };
-        let engine = DseEngine::new(engine.model().clone(), config);
+        let engine = DseEngine::new(engine.model().clone(), config).expect("a profiled table");
         let result = engine.explore_layer(conv2).expect("CONV2 explores");
         outln!(
             o,
