@@ -10,7 +10,7 @@
 
 use core::fmt::{self, Write as _};
 
-use drmap_dram::address::AddressCodec;
+use drmap_dram::address::{AddressCodec, AddressRuns};
 use drmap_dram::geometry::{Geometry, Level};
 use drmap_dram::request::{Request, RequestKind, RowRun};
 
@@ -230,10 +230,10 @@ impl MappingPolicy {
 }
 
 /// The row runs of a tile of `units` bursts of `kind`, mapped by `codec` (a
-/// [`MappingPolicy::codec`]) from flat index `start` onward: what
-/// [`DramSimulator::run_runs`](drmap_dram::sim::DramSimulator::run_runs)
-/// replays, one run per row the tile touches when `Column` is innermost
-/// ([`AddressCodec::runs`]).
+/// [`MappingPolicy::codec`]) from flat index `start` onward, one run per
+/// row the tile touches when `Column` is innermost
+/// ([`AddressCodec::runs`]): what [`MappingPolicy::request_stream`]
+/// expands, and each tile of a [`class_runs`] walk.
 ///
 /// # Errors
 ///
@@ -244,16 +244,76 @@ pub(crate) fn tile_runs(
     units: u64,
     kind: RequestKind,
 ) -> Result<impl Iterator<Item = RowRun> + '_, DseError> {
-    let runs = codec.runs(start, units).map_err(|_| {
-        DseError::new(format!(
-            "tile of {units} bursts at offset {start} exceeds device capacity {}",
-            codec.slots()
-        ))
-    })?;
+    let runs = walk(codec, start, units).ok_or_else(|| capacity_error(codec, start, units))?;
     Ok(runs.map(move |(address, len)| RowRun {
         head: Request { address, kind },
         len,
     }))
+}
+
+/// The row runs of a traffic class: `tiles` tiles of `units` bursts of
+/// `kind`, back to back from flat index `start`, handed out tile by tile
+/// by [`ClassRuns::next_tile`]. The class is one walk, decoded once: a run
+/// that crosses a tile's end is cut there
+/// ([`AddressRuns::take_units`]), so each tile's runs are its
+/// [`tile_runs`].
+///
+/// # Errors
+///
+/// Returns [`DseError`] if a tile exceeds the device capacity, naming the
+/// first that does and its offset.
+pub(crate) fn class_runs(
+    codec: &AddressCodec,
+    start: u64,
+    units: u64,
+    tiles: u64,
+    kind: RequestKind,
+) -> Result<ClassRuns<'_>, DseError> {
+    let runs = units
+        .checked_mul(tiles)
+        .and_then(|total| walk(codec, start, total));
+    let runs = runs.ok_or_else(|| {
+        let overrun = (0..tiles)
+            .map(|t| start.saturating_add(t.saturating_mul(units)))
+            .find(|at| at.checked_add(units).is_none_or(|end| end > codec.slots()));
+        capacity_error(codec, overrun.unwrap_or(start), units)
+    })?;
+    Ok(ClassRuns { runs, units, kind })
+}
+
+/// A traffic class's walk; see [`class_runs`].
+pub(crate) struct ClassRuns<'a> {
+    runs: AddressRuns<'a>,
+    units: u64,
+    kind: RequestKind,
+}
+
+impl<'a> ClassRuns<'a> {
+    /// The next tile's row runs.
+    pub(crate) fn next_tile(&mut self) -> impl Iterator<Item = RowRun> + use<'_, 'a> {
+        let kind = self.kind;
+        self.runs
+            .take_units(self.units)
+            .map(move |(address, len)| RowRun {
+                head: Request { address, kind },
+                len,
+            })
+    }
+}
+
+/// `codec.runs(start, units)`, the one decode of a walk; `None` past the
+/// device.
+fn walk(codec: &AddressCodec, start: u64, units: u64) -> Option<AddressRuns<'_>> {
+    #[cfg(test)]
+    crate::validate::tally(|t| t.decodes += 1);
+    codec.runs(start, units).ok()
+}
+
+fn capacity_error(codec: &AddressCodec, start: u64, units: u64) -> DseError {
+    DseError::new(format!(
+        "tile of {units} bursts at offset {start} exceeds device capacity {}",
+        codec.slots()
+    ))
 }
 
 impl fmt::Display for MappingPolicy {
@@ -274,6 +334,7 @@ impl fmt::Display for MappingPolicy {
 mod tests {
     use super::*;
     use drmap_dram::address::PhysicalAddress;
+    use proptest::prelude::*;
 
     /// The physical addresses of a tile's read stream, in request order.
     fn addresses(
@@ -385,7 +446,16 @@ mod tests {
                 .err()
                 .expect("a tile past the device is refused");
             assert!(err.to_string().contains("capacity"), "{err}");
+            let err = class_runs(&codec, start, units, 3, RequestKind::Read)
+                .err()
+                .expect("a class past the device is refused");
+            assert!(err.to_string().contains("capacity"), "{err}");
         }
+        // Three tiles whose total length overflows: the first overruns.
+        let err = class_runs(&codec, 0, u64::MAX / 2, 3, RequestKind::Read)
+            .err()
+            .expect("a class past the device is refused");
+        assert!(err.to_string().contains("at offset 0 "), "{err}");
         assert_eq!(addresses(policy, g, codec.slots(), 0).unwrap(), []);
     }
 
@@ -402,6 +472,89 @@ mod tests {
         assert!(tile_runs(&m2, 0, 20, RequestKind::Read)
             .unwrap()
             .all(|r| r.len == 1));
+    }
+
+    /// Every Table I mapping and `commodity_default`, by index 0–6.
+    fn policy(index: usize) -> MappingPolicy {
+        match index {
+            0 => MappingPolicy::commodity_default(),
+            n => MappingPolicy::table_i_policy(n),
+        }
+    }
+
+    /// A class of 1–8 tiles of 1–9,000 bursts of either kind, from a region
+    /// anywhere on the device or among the last tiles that fit (so that
+    /// some classes run past its end).
+    fn class_strategy() -> impl Strategy<Value = (usize, u64, u64, u64, RequestKind)> {
+        let slots = MappingPolicy::drmap()
+            .codec(Geometry::salp_2gb_x8())
+            .unwrap()
+            .slots();
+        let place = (prop::bool::ANY, 0.0..1.0, 0u64..12);
+        (0usize..7, 1u64..=9_000, place, 1u64..=8, prop::bool::ANY).prop_map(
+            move |(policy, units, (anywhere, at, back), tiles, write)| {
+                let fit = slots / units;
+                let region = match anywhere {
+                    true => (at * fit as f64) as u64,
+                    false => (fit + 2).saturating_sub(back),
+                };
+                let kind = match write {
+                    true => RequestKind::Write,
+                    false => RequestKind::Read,
+                };
+                (policy, units, region, tiles, kind)
+            },
+        )
+    }
+
+    /// Tile `t` of the class stream is `tile_runs` of `(region + t)·units`,
+    /// runs cut at tile ends included; a class past the device is refused
+    /// with the first overrunning tile's error.
+    fn assert_class_stream_matches_its_tiles(
+        (policy_index, units, region, tiles, kind): (usize, u64, u64, u64, RequestKind),
+    ) {
+        let codec = policy(policy_index).codec(Geometry::salp_2gb_x8()).unwrap();
+        let case = format!("policy {policy_index}, {tiles} tiles of {units} from region {region}");
+        let alone = (0..tiles).map(|t| {
+            let runs = tile_runs(&codec, (region + t) * units, units, kind);
+            runs.map(|runs| runs.collect::<Vec<_>>())
+        });
+        let alone = alone.collect::<Result<Vec<_>, _>>();
+        match (
+            class_runs(&codec, region * units, units, tiles, kind),
+            alone,
+        ) {
+            (Ok(mut class), Ok(alone)) => {
+                for (t, want) in alone.into_iter().enumerate() {
+                    let got: Vec<_> = class.next_tile().collect();
+                    assert_eq!(got, want, "{case}: tile {t}");
+                }
+                assert_eq!(class.next_tile().count(), 0, "{case}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string(), "{case}"),
+            (got, want) => panic!("{case}: {:?} vs {:?}", got.err(), want.err()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A class walked once is its tiles walked alone.
+        #[test]
+        fn a_class_stream_is_its_tiles_walked_alone(class in class_strategy()) {
+            assert_class_stream_matches_its_tiles(class);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96 * 24))]
+
+        /// The same identity at 24× the tier-1 case budget (run in release).
+        #[test]
+        #[ignore = "the class-stream identity at a larger case budget; run in release"]
+        fn a_class_stream_is_its_tiles_walked_alone_at_scale(class in class_strategy()) {
+            assert_class_stream_matches_its_tiles(class);
+        }
     }
 
     #[test]

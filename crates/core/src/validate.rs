@@ -6,9 +6,11 @@
 //! analytical estimate is from the simulated ground truth — the check a
 //! user should run before trusting an exploration result.
 //!
-//! A tile is replayed as its row runs (`mapping::tile_runs`), so
-//! a DRMap tile costs the simulator one closed-form run per row it
-//! touches, not one step per burst.
+//! A tile is replayed as its row runs, so a DRMap tile costs the
+//! simulator one closed-form run per row it touches, not one step per
+//! burst. A traffic class's replayed tiles lie back to back, so the class
+//! is one walk (`mapping::class_runs`): one decode per class, one
+//! odometer step per run, and a run cut where a tile ends.
 
 use core::fmt;
 
@@ -24,16 +26,28 @@ use crate::access_model::bytes_to_bursts;
 use crate::dse::DseCandidate;
 use crate::edp::{EdpEstimate, EdpModel};
 use crate::error::DseError;
-use crate::mapping::tile_runs;
+use crate::mapping::class_runs;
 
-/// Requests and row runs replayed on this thread, pinned by a test so that
-/// a fall-back to per-request replay, or a walk that splits runs, fails
-/// whatever the machine's timing noise.
+/// Requests, row runs and address decodes replayed on this thread, pinned
+/// by a test so that a fall-back to per-request replay, a walk that
+/// splits runs, or one that decodes per tile fails whatever the machine's
+/// timing noise.
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct Tally {
+pub(crate) struct Tally {
     requests: u64,
     runs: u64,
+    pub(crate) decodes: u64,
+}
+
+/// Apply `count` to this thread's tally.
+#[cfg(test)]
+pub(crate) fn tally(count: impl FnOnce(&mut Tally)) {
+    REPLAYED.with(|t| {
+        let mut tally = t.get();
+        count(&mut tally);
+        t.set(tally);
+    });
 }
 
 #[cfg(test)]
@@ -218,29 +232,18 @@ impl Validator {
             });
             let mut measured_cycles = 0.0;
             let mut measured_energy = 0.0;
-            for t in 0..replay {
-                // Place consecutive tiles in distinct regions, as the
-                // analytical model assumes fresh rows per tile.
-                let start = (region + t) * tile_units;
-                let runs = tile_runs(&codec, start, tile_units, kind)?;
+            // Place consecutive tiles in distinct regions, as the
+            // analytical model assumes fresh rows per tile: tile `t` of the
+            // class starts at `(region + t) · tile_units`.
+            let start = region.saturating_mul(tile_units);
+            let mut class = class_runs(&codec, start, tile_units, replay, kind)?;
+            for _ in 0..replay {
+                let runs = class.next_tile();
                 #[cfg(test)]
-                let runs = runs.inspect(|_| {
-                    REPLAYED.with(|t| {
-                        t.set(Tally {
-                            runs: t.get().runs + 1,
-                            ..t.get()
-                        })
-                    })
-                });
+                let runs = runs.inspect(|_| tally(|t| t.runs += 1));
                 let stats = sim.run_runs(runs, DriveMode::Streamed);
                 #[cfg(test)]
-                REPLAYED.with(|t| {
-                    let requests = t.get().requests + stats.requests;
-                    t.set(Tally {
-                        requests,
-                        ..t.get()
-                    })
-                });
+                tally(|t| t.requests += stats.requests);
                 measured_cycles += stats.makespan_cycles as f64;
                 measured_energy += stats.energy.total();
                 hits += stats.hit_rate() * stats.requests as f64;
@@ -380,10 +383,10 @@ mod tests {
         for arch in DramArch::ALL {
             let (model, validator) = setup(arch);
             let engine = DseEngine::new(model.clone(), DseConfig::default()).unwrap();
-            // The measured agreement of ROADMAP direction 1(a), as
-            // analytical ÷ simulated bands. SALP-MASA's energy gap is the
-            // open-subarray question (Kim et al., ISCA 2012): a fix to
-            // the model must move its band here on purpose.
+            // The measured agreement, as analytical ÷ simulated bands.
+            // SALP-MASA's energy gap is the open-subarray question (Kim et
+            // al., ISCA 2012; ROADMAP direction 4, "The MASA residual"): a
+            // fix to the model must move its band here on purpose.
             let energy_band = match arch {
                 DramArch::SalpMasa => 0.44..=0.48,
                 _ => 0.98..=1.02,
@@ -408,7 +411,8 @@ mod tests {
             tally,
             Tally {
                 requests: 2_009_284,
-                runs: 16_048
+                runs: 16_048,
+                decodes: 96,
             }
         );
         // The same replay, class by class, is what drmap-dram's kernel

@@ -8,6 +8,18 @@
 //! [`AddressCodec`] converts between a flat burst index (what a mapping
 //! policy produces) and a physical address, for any interleaving order,
 //! and walks a range of indices as row runs ([`AddressCodec::runs`]).
+//!
+//! # Walking a range in pieces
+//!
+//! A walk decodes its start once and then advances its digits like an
+//! odometer: each run adds its length to the innermost digit. A run that
+//! reaches the end of its row fills that digit, which wraps to 0 and
+//! carries 1 outward. [`AddressRuns::take_units`] hands a range out in
+//! pieces, as a traffic class's tiles lie back to back: a run that a
+//! piece's end cuts short leaves the innermost digit at the cut and
+//! carries nothing, so the next piece's first run starts there, mid-row.
+//! Each piece's runs are thus those of a walk of that piece alone, and a
+//! class of tiles costs one decode however many tiles it has.
 
 use core::fmt;
 
@@ -68,16 +80,16 @@ impl PhysicalAddress {
         }
     }
 
-    /// Mutable coordinate at an addressable `level` (any but the chip).
-    fn coordinate_mut(&mut self, level: Level) -> &mut usize {
-        match level {
-            Level::Channel => &mut self.channel,
-            Level::Rank => &mut self.rank,
-            Level::Bank => &mut self.bank,
-            Level::Subarray => &mut self.subarray,
-            Level::Row => &mut self.row,
-            Level::Column => &mut self.column,
-            Level::Chip => unreachable!("chips share addresses; no codec orders them"),
+    /// The address whose coordinates, in [`Level::ALL`] order, are
+    /// `coords`.
+    fn from_coords([channel, rank, bank, subarray, row, column]: [usize; 6]) -> Self {
+        PhysicalAddress {
+            channel,
+            rank,
+            bank,
+            subarray,
+            row,
+            column,
         }
     }
 
@@ -137,9 +149,12 @@ impl fmt::Display for PhysicalAddress {
 #[derive(Debug, Clone)]
 pub struct AddressCodec {
     geometry: Geometry,
-    order: Vec<Level>,
+    order: [Level; 6],
     /// Radix of each order position (same order as `order`).
-    radices: Vec<usize>,
+    radices: [usize; 6],
+    /// Where each order position's level sits in [`Level::ALL`], the
+    /// order of a [`PhysicalAddress`]'s coordinates.
+    fields: [usize; 6],
 }
 
 impl AddressCodec {
@@ -154,23 +169,25 @@ impl AddressCodec {
         geometry
             .validate()
             .map_err(|e| AddressError::new(e.to_string()))?;
-        if order.len() != Level::ALL.len() {
+        let Ok(order) = <[Level; 6]>::try_from(order.as_slice()) else {
             return Err(AddressError::new(format!(
                 "order must list all {} levels, got {}",
                 Level::ALL.len(),
                 order.len()
             )));
-        }
-        for level in Level::ALL {
-            if !order.contains(&level) {
+        };
+        let mut fields = [0; 6];
+        for (field, level) in Level::ALL.into_iter().enumerate() {
+            let Some(pos) = order.iter().position(|&l| l == level) else {
                 return Err(AddressError::new(format!("order missing level {level}")));
-            }
+            };
+            fields[pos] = field;
         }
-        let radices = order.iter().map(|&l| geometry.level_size(l)).collect();
         Ok(AddressCodec {
             geometry,
             order,
-            radices,
+            radices: order.map(|l| geometry.level_size(l)),
+            fields,
         })
     }
 
@@ -192,22 +209,18 @@ impl AddressCodec {
                 self.slots()
             )));
         }
-        let mut addr = PhysicalAddress::default();
+        Ok(PhysicalAddress::from_coords(self.coords(index)))
+    }
+
+    /// The coordinates of `index < self.slots()`, in [`Level::ALL`] order.
+    fn coords(&self, index: u64) -> [usize; 6] {
+        let mut coords = [0; 6];
         let mut rest = index;
-        for (level, &radix) in self.order.iter().zip(&self.radices) {
-            let digit = (rest % radix as u64) as usize;
+        for (&field, &radix) in self.fields.iter().zip(&self.radices) {
+            coords[field] = (rest % radix as u64) as usize;
             rest /= radix as u64;
-            match level {
-                Level::Channel => addr.channel = digit,
-                Level::Rank => addr.rank = digit,
-                Level::Chip => {}
-                Level::Bank => addr.bank = digit,
-                Level::Subarray => addr.subarray = digit,
-                Level::Row => addr.row = digit,
-                Level::Column => addr.column = digit,
-            }
         }
-        Ok(addr)
+        coords
     }
 
     /// The flat indices `start..start + units` as row runs, in index
@@ -215,7 +228,8 @@ impl AddressCodec {
     /// it step only the column — `bursts_per_row − column`, capped by what
     /// is left of the range, when `Column` is innermost, and 1 otherwise.
     /// `start` is decoded once; each run then advances the digits without
-    /// a division.
+    /// a division. [`AddressRuns::take_units`] hands the range out in
+    /// pieces, cutting runs at each piece's end.
     ///
     /// # Errors
     ///
@@ -243,13 +257,13 @@ impl AddressCodec {
                 "{units} bursts at burst index {start} exceed capacity {slots}"
             )));
         }
-        let next = match units {
-            0 => PhysicalAddress::default(),
-            _ => self.decode(start)?,
+        let coords = match units {
+            0 => [0; 6],
+            _ => self.coords(start),
         };
         Ok(AddressRuns {
             codec: self,
-            next,
+            coords,
             left: units,
         })
     }
@@ -304,32 +318,75 @@ impl AddressCodec {
 #[derive(Debug, Clone)]
 pub struct AddressRuns<'a> {
     codec: &'a AddressCodec,
-    /// Address of the next run's first index.
-    next: PhysicalAddress,
+    /// Coordinates of the next run's first index, in [`Level::ALL`] order.
+    coords: [usize; 6],
     /// Indices not yet handed out.
     left: u64,
 }
 
-impl Iterator for AddressRuns<'_> {
-    type Item = (PhysicalAddress, usize);
+impl<'a> AddressRuns<'a> {
+    /// The runs of the next `units` indices of the range (fewer if fewer
+    /// are left), the last one cut at their end; the walk then goes on
+    /// from there. Cut ranges hand out the runs of each range walked on
+    /// its own.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use drmap_dram::address::AddressCodec;
+    /// use drmap_dram::geometry::{Geometry, Level};
+    ///
+    /// let codec = AddressCodec::new(
+    ///     Geometry::salp_2gb_x8(),
+    ///     vec![Level::Column, Level::Bank, Level::Subarray, Level::Row, Level::Rank, Level::Channel],
+    /// )?;
+    /// // Two tiles of 100 bursts from column 0: the second starts mid-row.
+    /// let mut walk = codec.runs(0, 200)?;
+    /// let first: Vec<_> = walk.take_units(100).map(|(a, len)| (a.bank, a.column, len)).collect();
+    /// assert_eq!(first, [(0, 0, 100)]);
+    /// let second: Vec<_> = walk.take_units(100).map(|(a, len)| (a.bank, a.column, len)).collect();
+    /// assert_eq!(second, [(0, 100, 28), (1, 0, 72)]);
+    /// assert_eq!(walk.next(), None);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn take_units(
+        &mut self,
+        units: u64,
+    ) -> impl Iterator<Item = (PhysicalAddress, usize)> + use<'_, 'a> {
+        let mut cut = units;
+        std::iter::from_fn(move || {
+            let (head, len) = self.next_within(cut)?;
+            cut -= len as u64;
+            Some((head, len))
+        })
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.left == 0 {
+    /// The next run, at most `cap` indices long; `None` if `cap` or the
+    /// range is used up.
+    #[inline]
+    fn next_within(&mut self, cap: u64) -> Option<(PhysicalAddress, usize)> {
+        let cap = cap.min(self.left);
+        if cap == 0 {
             return None;
         }
-        let head = self.next;
-        let (order, radices) = (&self.codec.order, &self.codec.radices);
+        let AddressCodec {
+            order,
+            radices,
+            fields,
+            ..
+        } = self.codec;
         let len = match order[0] {
-            Level::Column => ((radices[0] - head.column) as u64).min(self.left),
+            Level::Column => ((radices[0] - self.coords[fields[0]]) as u64).min(cap),
             _ => 1,
         };
+        let head = PhysicalAddress::from_coords(self.coords);
         self.left -= len;
         if self.left > 0 {
-            // Add `len` to the innermost digit. A run that does not end
-            // the range fills that digit exactly, so it carries 1 on.
+            // Add `len` to the innermost digit. A run that fills it carries
+            // 1 on; one cut short of it does not.
             let mut carry = len as usize;
-            for (&level, &radix) in order.iter().zip(radices) {
-                let digit = self.next.coordinate_mut(level);
+            for (&field, &radix) in fields.iter().zip(radices) {
+                let digit = &mut self.coords[field];
                 *digit += carry;
                 if *digit < radix {
                     break;
@@ -339,6 +396,14 @@ impl Iterator for AddressRuns<'_> {
             }
         }
         Some((head, len as usize))
+    }
+}
+
+impl Iterator for AddressRuns<'_> {
+    type Item = (PhysicalAddress, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_within(self.left)
     }
 }
 
@@ -469,6 +534,16 @@ mod tests {
                     .map(|i| codec.decode(i).unwrap())
                     .collect();
                 assert_eq!(expanded, decoded, "{order:?} {start}+{units}");
+                // The same range in pieces of 13: each piece is a walk of
+                // its own.
+                let mut walk = codec.runs(start, units).unwrap();
+                for (piece, at) in (start..start + units).step_by(13).enumerate() {
+                    let len = (start + units - at).min(13);
+                    let runs: Vec<_> = walk.take_units(13).collect();
+                    let alone: Vec<_> = codec.runs(at, len).unwrap().collect();
+                    assert_eq!(runs, alone, "{order:?} {start}+{units} piece {piece}");
+                }
+                assert_eq!(walk.next(), None);
             }
         }
     }

@@ -85,6 +85,28 @@
 //! arrival of its first one, so it refreshes only there. A 64-row tile
 //! streams for ≈ 32.8k cycles, ≈ 5.3 `tREFI`, and its refreshes wait for
 //! the next call's first request, where they all run back to back.
+//!
+//! # Code shape
+//!
+//! A replay costs about one run head per row it touches, so the head is
+//! the simulator's hot path. `serve_run` and the steps of its head —
+//! `serve_valid`, `classify`, `do_activate`, `do_precharge`, `do_column`,
+//! `column_issued` and `issue` — are `#[inline(always)]`: under the
+//! default release profile (16 codegen units, no LTO), which the
+//! servers, the benchmark and any downstream build use, some of them
+//! were compiled as out-of-line calls, each paying its spills and
+//! argument copies on every run, and `serve_run` itself kept its loop
+//! invariants (the drive mode's step, the command kind, the row policy)
+//! out of the run engine's loop. Inlined, the head runs straight through
+//! the engine's loop. To check, disassemble a release binary that
+//! replays (`objdump -d -C`, e.g. the benchmark harness): none of those
+//! seven functions, nor `serve_run`, has a symbol of its own, and the
+//! calls inside `DramSimulator::run_runs` and `DramSimulator::run` go
+//! only to cold paths — `maybe_refresh` (refresh on), `close_stale_rows`
+//! or `close_bank` (the timeout policy), `replay_frfcfs` and its trace
+//! (FR-FCFS), growing the record and command vectors, the panics — and
+//! to the once-per-call `ActivityCounters::since` and
+//! `EnergyModel::breakdown`.
 
 use crate::address::PhysicalAddress;
 use crate::command::{CommandKind, ScheduledCommand};
@@ -472,6 +494,7 @@ impl MemoryController {
 
     /// [`MemoryController::serve`] of a request whose address lies in
     /// the geometry.
+    #[inline(always)]
     fn serve_valid(&mut self, request: Request, arrival: u64) -> ServiceRecord {
         let addr = request.address;
         if self.config.refresh_enabled {
@@ -555,12 +578,13 @@ impl MemoryController {
     /// later request arrives as `mode` drives it. Pushes one
     /// [`ServiceRecord`] per request to `records` when given. See the
     /// module docs for which requests are served in closed form and why
-    /// that is exact.
+    /// that is exact, and for why this is inlined.
     ///
     /// # Panics
     ///
     /// Panics if an address of the run lies outside the configured
     /// geometry.
+    #[inline(always)]
     pub(crate) fn serve_run(
         &mut self,
         run: RowRun,
@@ -686,6 +710,7 @@ impl MemoryController {
     }
 
     /// What an access to `addr` in bank `bi` would see right now.
+    #[inline(always)]
     fn classify(&self, bi: usize, addr: &PhysicalAddress) -> RowBufferOutcome {
         let bank = &self.banks[bi];
         let open = self.subarrays[self.sa_index(bi, addr.subarray)].open;
@@ -698,6 +723,7 @@ impl MemoryController {
         )
     }
 
+    #[inline(always)]
     fn issue(&mut self, kind: CommandKind, address: PhysicalAddress, earliest: u64) -> u64 {
         let ch = address.channel;
         let t = earliest.max(self.bus_free[ch]);
@@ -713,6 +739,7 @@ impl MemoryController {
         t
     }
 
+    #[inline(always)]
     fn do_precharge(
         &mut self,
         bi: usize,
@@ -749,6 +776,7 @@ impl MemoryController {
         t
     }
 
+    #[inline(always)]
     fn do_activate(&mut self, bi: usize, addr: &PhysicalAddress, earliest: u64) -> u64 {
         let si = self.sa_index(bi, addr.subarray);
         let ri = self.rank_index(addr);
@@ -803,6 +831,7 @@ impl MemoryController {
         t
     }
 
+    #[inline(always)]
     fn do_column(
         &mut self,
         bi: usize,
@@ -824,6 +853,7 @@ impl MemoryController {
     /// The state updates of a `kind` column command to `addr` issued at
     /// `t`; returns its completion. Each is a `max` with `t` plus a
     /// constant (see the module docs on row runs).
+    #[inline(always)]
     fn column_issued(
         &mut self,
         bi: usize,

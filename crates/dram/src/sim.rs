@@ -18,11 +18,22 @@
 //! both feed one engine.
 //! FR-FCFS reorders requests within a window counted in requests, so under
 //! it the engine is fed runs of length 1.
+//!
+//! # One snapshot per call
+//!
+//! A call's statistics are the controller's finalized counters at its end
+//! less those at its start. The simulator keeps each call's end snapshot
+//! and uses it as the next call's start, so a call finalizes the counters
+//! once, not twice. That is exact because only the run engine (`replay`)
+//! mutates the controller: [`DramSimulator::controller`] lends it out
+//! immutably, so nothing the controller finalizes (its counters, open
+//! intervals and makespan) moves between two calls.
 
 use std::collections::VecDeque;
 
 use crate::controller::{
-    ControllerConfig, MemoryController, SchedulerKind, ServiceRecord, REORDER_WINDOW,
+    ActivityCounters, ControllerConfig, MemoryController, SchedulerKind, ServiceRecord,
+    REORDER_WINDOW,
 };
 use crate::energy::{EnergyBreakdown, EnergyModel, EnergyParams};
 use crate::error::ConfigError;
@@ -121,6 +132,8 @@ impl SimStats {
 pub struct DramSimulator {
     controller: MemoryController,
     energy: EnergyModel,
+    /// The controller's finalized counters as the last call left them.
+    counters: ActivityCounters,
     records: Vec<ServiceRecord>,
     keep_records: bool,
 }
@@ -140,6 +153,7 @@ impl DramSimulator {
         let controller = MemoryController::new(geometry, timing, config)?;
         let energy = EnergyModel::new(geometry, timing, energy_params)?;
         Ok(DramSimulator {
+            counters: controller.finalized_counters(),
             controller,
             energy,
             records: Vec::new(),
@@ -225,7 +239,6 @@ impl DramSimulator {
     ) -> SimStats {
         self.records.clear();
         let start_makespan = self.controller.makespan();
-        let start_counters = self.controller.finalized_counters();
         let mut total_latency = 0u64;
         let mut arrival = start_makespan;
         while let Some(run) = next(&self.controller) {
@@ -236,7 +249,9 @@ impl DramSimulator {
         }
 
         let makespan = self.controller.makespan() - start_makespan;
-        let counters = self.controller.finalized_counters().since(&start_counters);
+        let start_counters =
+            std::mem::replace(&mut self.counters, self.controller.finalized_counters());
+        let counters = self.counters.since(&start_counters);
         let energy = self.energy.breakdown(&counters, makespan);
         SimStats {
             requests: counters.reads + counters.writes,
@@ -322,9 +337,11 @@ mod tests {
                 .unwrap();
             let [bursts, region, tiles] =
                 [bursts, region, tiles].map(|n| n.parse::<u64>().unwrap());
-            for t in 0..tiles {
-                let runs = codec.runs((region + t) * bursts, bursts).unwrap();
-                let runs = runs.map(|(address, len)| RowRun {
+            // One walk per class, cut at each tile's end, as the
+            // validator replays it.
+            let mut class = codec.runs(region * bursts, tiles * bursts).unwrap();
+            for _ in 0..tiles {
+                let runs = class.take_units(bursts).map(|(address, len)| RowRun {
                     head: Request { address, kind },
                     len,
                 });

@@ -313,10 +313,10 @@ fn segment_strategy() -> impl Strategy<Value = Vec<RowRun>> {
     prop_oneof![run, single]
 }
 
-/// Two traces, replayed one after the other on one simulator.
-fn trace_pair_strategy() -> impl Strategy<Value = [Vec<RowRun>; 2]> {
+/// Three traces, replayed one after the other on one simulator.
+fn trace_triple_strategy() -> impl Strategy<Value = [Vec<RowRun>; 3]> {
     let trace = || prop::collection::vec(segment_strategy(), 1..12).prop_map(|s| s.concat());
-    (trace(), trace()).prop_map(|(first, second)| [first, second])
+    (trace(), trace(), trace()).prop_map(|(first, second, third)| [first, second, third])
 }
 
 fn expand(segments: &[RowRun]) -> Vec<Request> {
@@ -364,11 +364,14 @@ fn matrix(gap: u64, timeout: u64) -> Vec<(ControllerConfig, DriveMode, bool)> {
     cells
 }
 
-/// On each cell of the matrix, with a trace pair of its own: replay the
-/// pair's traces one after the other on one simulator through `run`, on
-/// another through `run_runs` (the segments as given, not coalesced), and
-/// on the oracle; all three must agree bit for bit after each call.
-fn assert_run_engine_matches_oracle(traces: &[[Vec<RowRun>; 2]], gap: u64, timeout: u64) {
+/// On each cell of the matrix, with three traces of its own: replay them
+/// one after the other on one simulator through `run`, on another through
+/// `run_runs` (the segments as given, not coalesced), on a third through
+/// `run`, `run_runs` and `run` in turn, and on the oracle; all four must
+/// agree bit for bit after each call. The third shows that a call's
+/// statistics start where the last call, through either entry point,
+/// left the controller.
+fn assert_run_engine_matches_oracle(traces: &[[Vec<RowRun>; 3]], gap: u64, timeout: u64) {
     let geometry = Geometry::salp_2gb_x8();
     // A short refresh interval, so that refresh-on cells do refresh.
     let timing = TimingParams {
@@ -376,24 +379,29 @@ fn assert_run_engine_matches_oracle(traces: &[[Vec<RowRun>; 2]], gap: u64, timeo
         ..TimingParams::ddr3_1600k()
     };
     let energy = EnergyParams::micron_2gb_x8();
-    for ((cfg, mode, keep), pair) in matrix(gap, timeout).into_iter().zip(traces) {
+    for ((cfg, mode, keep), triple) in matrix(gap, timeout).into_iter().zip(traces) {
         let new_sim = || {
             let mut sim = DramSimulator::new(geometry, timing, cfg, energy).unwrap();
             sim.set_keep_records(keep);
             sim
         };
-        let (mut by_requests, mut by_runs) = (new_sim(), new_sim());
+        let (mut by_requests, mut by_runs, mut alternating) = (new_sim(), new_sim(), new_sim());
         let mut oracle = Oracle {
             mc: MemoryController::new(geometry, timing, cfg).unwrap(),
             energy: EnergyModel::new(geometry, timing, energy).unwrap(),
             records: Vec::new(),
         };
-        for segments in pair {
+        for (call, segments) in triple.iter().enumerate() {
             let trace = expand(segments);
             let want = oracle.run(&trace, mode, keep);
+            let either = match call % 2 {
+                0 => alternating.run(&trace, mode),
+                _ => alternating.run_runs(segments.iter().copied(), mode),
+            };
             let got = [
                 (by_requests.run(&trace, mode), &by_requests),
                 (by_runs.run_runs(segments.iter().copied(), mode), &by_runs),
+                (either, &alternating),
             ];
             for (stats, sim) in got {
                 let cell = format!("{cfg:?} {mode:?} keep={keep}");
@@ -414,10 +422,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     /// The run engine is the per-request driver, bit for bit, on every
-    /// cell of the configuration matrix and across two consecutive runs.
+    /// cell of the configuration matrix and across three consecutive
+    /// runs, through either entry point.
     #[test]
     fn run_engine_matches_the_per_request_oracle(
-        traces in prop::collection::vec(trace_pair_strategy(), CELLS..CELLS + 1),
+        traces in prop::collection::vec(trace_triple_strategy(), CELLS..CELLS + 1),
         gap in 1u64..64,
         timeout in 1u64..200,
     ) {
@@ -432,7 +441,7 @@ proptest! {
     #[test]
     #[ignore = "the run-engine oracle at a larger case budget; run in release"]
     fn run_engine_matches_the_per_request_oracle_at_scale(
-        traces in prop::collection::vec(trace_pair_strategy(), CELLS..CELLS + 1),
+        traces in prop::collection::vec(trace_triple_strategy(), CELLS..CELLS + 1),
         gap in 1u64..64,
         timeout in 1u64..200,
     ) {

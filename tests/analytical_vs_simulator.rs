@@ -183,7 +183,8 @@ fn every_zoo_winner_agrees_with_the_simulator() {
                     layer.name
                 );
                 if arch == DramArch::SalpMasa {
-                    // ROADMAP direction 1: the analytical model prices
+                    // ROADMAP direction 4, "The MASA residual": the
+                    // analytical model prices
                     // SALP-MASA's open subarrays below what the simulator
                     // charges. This pins today's band, so a fix has to
                     // move it on purpose.
