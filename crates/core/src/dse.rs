@@ -18,13 +18,13 @@
 //! * per **engine**: from the cost table alone, a *tile lower bound* —
 //!   what any mapping's per-tile cost is at least at a given burst
 //!   count — on a table that meets the engine's one precondition;
-//! * per **axis**: every candidate step with its trip count (the walk's
-//!   only divisions), all four axes in one buffer of exact size;
+//! * per **axis**: every candidate step with its trip count, all four
+//!   axes in one buffer that the thread's sweeps share (see "Code shape");
 //! * per **layer**: the wghs tile of every `(tj, ti)` — its bytes, burst
-//!   count, whether it fits, and its lower bound — and, as each `tj`'s
-//!   row is built, its first fitting `ti` step and the suffix minima of
-//!   the loop bounds' wghs column, whose least over the layer is the
-//!   block bound's;
+//!   count, whether it fits, and its read lower bound — and, as each
+//!   `tj`'s row is built, its first fitting `ti` step and the suffix
+//!   minima of the loop bounds' wghs column, whose least over the layer
+//!   is the block bound's;
 //! * per **`(th, tw)`**: one *block bound*, in O(1) from the block's
 //!   whole ifms and ofms bytes and the layer's least wghs column, before
 //!   anything in the block is built — it skips 2,341 of the zoo's 3,433
@@ -33,9 +33,10 @@
 //! * per **`(th, tw, tj)`**: the loop's tilings, counted without a scan
 //!   (the `ti` steps from the later of the two first fits on; a loop
 //!   with none is passed over), the ofms tile's bytes, burst count, fit
-//!   and lower bound — a tile that overflows its buffer skips the whole
-//!   `ti` loop — and one *loop bound* per scheme, each read in O(1): with
-//!   the block bound they end all but 516 of the zoo's 27,578 loops;
+//!   and `(read, write)` lower bound — a tile that overflows its buffer
+//!   skips the whole `ti` loop — and one *loop bound* per scheme, each
+//!   read in O(1): with the block bound they end all but 516 of the zoo's
+//!   27,578 loops;
 //! * per **burst count**, per **engine**: a *cost row*, built the first
 //!   time a visited tiling of any sweep needs it — the per-tile
 //!   `(read, write)` cost under every mapping the engine sweeps (the
@@ -211,9 +212,40 @@
 //! release binary that runs the sweep (`objdump -d -C`) and count the
 //! calls to `Wrapped`, `Map<I,F>`, `try_map` and `Drain` inside
 //! `walk_tilings` and `<Sweep as TilingVisitor>::{tiling, ti_loop,
-//! block}`: there are none (the one `from_iter` left is the per-layer
-//! index).
+//! block}`: there are none (the per-layer index's `extend` is inlined).
+//!
+//! A tile is priced once and only as far as it is read: its burst count
+//! when the walk makes it, then one lower bound where the sweep reads it —
+//! the read bound of an ifms or wghs tile in `Sweep::ti_row`, both
+//! directions of an ofms tile in `Sweep::loop_bounds`, and of a block's
+//! whole tiles in `Sweep::block_bound` — each from the one expression
+//! the rounding budget above counts. With a burst of a power of two bytes
+//! (Table II's is 8) the burst count is a shift and a carry
+//! (`TileBound::units`), and an ungrouped layer's wghs tile skips its
+//! `div_ceil(groups)`, so on the zoo a tile costs no division. The
+//! divisions left in the walk are the axes' trip counts (one per
+//! candidate step per layer), the split of the wghs rows (one per layer),
+//! a grouped layer's wghs bytes, and a burst count whose burst is not a
+//! power of two. To check, build a binary that runs the sweep with line
+//! tables (`CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build
+//! --release`; a build without them has the same `div`s), disassemble it
+//! (`objdump -d -C -l`) and list the `div` instructions inside
+//! `walk_tilings`, into which the visitor's `tile` is inlined: each is
+//! one of those. There are five sites, each a 64- and a 32-bit `div`: the
+//! `chunks_exact_mut` split of the wghs rows, the grouped `div_ceil` of
+//! `Tiling::tile_elems`, and three inlined copies of the `div_ceil`
+//! `TileBound::units` falls back to. The axes' divisions are in
+//! `Axes::fill`.
+//!
+//! A warm thread's walk allocates nothing: its axes, its tiles and its
+//! wghs rows' first fits sit in `tiling::WalkBuffers`, which each sweep
+//! borrows from a thread-local and hands back, and which a walk clears and
+//! refills before reading, growing it only for a layer larger than any the
+//! thread has swept (the zoo's largest `(tj, ti)` grid, VGG-16's FC6,
+//! takes ≈ 9 KB of tiles). Per layer, a sweep still allocates its
+//! result's name and, under `keep_points`, its front.
 
+use core::cell::Cell;
 use core::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -233,7 +265,7 @@ use crate::pareto::{DesignPoint, ParetoFront};
 use crate::schedule::{
     least_traffic, min_traffic_index, traffic_of_trips, ReuseScheme, TileTraffic,
 };
-use crate::tiling::{walk_tilings, Tiling, TilingVisitor};
+use crate::tiling::{walk_tilings, Tiling, TilingVisitor, WalkBuffers};
 
 /// Optimization objective for the exploration.
 ///
@@ -548,15 +580,12 @@ fn min_cost(a: AccessCost, b: AccessCost) -> AccessCost {
 #[derive(Debug, Clone, Copy)]
 struct Tile {
     bytes: u64,
-    /// Its burst count: the key of its cost row.
+    /// Its burst count: the key of its cost row and of its lower bound
+    /// ([`TileBound::at`]), which the sweep computes where it reads it.
     units: u64,
-    /// What every mapping's `(read, write)` cost of the tile is at least
-    /// ([`TileBound::at`]).
-    lb: (AccessCost, AccessCost),
     /// For an ifms or wghs tile, the component-wise least of the loop
-    /// bounds' column `lb.0 × trips·n_i` over its `ti` step and every
-    /// later one of its row ([`Sweep::ti_row`]); unused for ofms and for
-    /// a block's whole tiles.
+    /// bounds' column `read_at(units) × trips·n_i` over its `ti` step and
+    /// every later one of its row ([`Sweep::ti_row`]); unused for ofms.
     least: AccessCost,
 }
 
@@ -570,6 +599,9 @@ struct Tile {
 struct TileBound {
     /// Bytes per burst.
     burst_bytes: u64,
+    /// `log2(burst_bytes)` when a burst is a power of two of bytes, so
+    /// that a tile's burst count is a shift; `None` otherwise.
+    burst_shift: Option<u32>,
     /// The `(read, write)` `dif_rows` cost.
     first: (AccessCost, AccessCost),
     /// The component-wise least `(read, write)` class cost.
@@ -599,8 +631,12 @@ impl TileBound {
             }
         }
         let first = |kind| table.cost(TransitionClass::DifRow, kind);
+        let burst_bytes = geometry.burst_bytes() as u64;
         Ok(TileBound {
-            burst_bytes: geometry.burst_bytes() as u64,
+            burst_bytes,
+            burst_shift: burst_bytes
+                .is_power_of_two()
+                .then(|| burst_bytes.trailing_zeros()),
             first: (first(RequestKind::Read), first(RequestKind::Write)),
             step: (step[0], step[1]),
         })
@@ -610,23 +646,47 @@ impl TileBound {
     /// one (the walk validates the layer, so every tile holds an element).
     #[inline]
     fn at(&self, units: u64) -> (AccessCost, AccessCost) {
-        let transitions = (units - 1) as f64;
-        let at = |first: AccessCost, step: AccessCost| AccessCost {
-            cycles: (first.cycles + transitions * step.cycles) * SHRINK,
-            energy: (first.energy + transitions * step.energy) * SHRINK,
-        };
-        (at(self.first.0, self.step.0), at(self.first.1, self.step.1))
+        (
+            self.read_at(units),
+            scaled(self.first.1, self.step.1, units),
+        )
+    }
+
+    /// The read half of [`TileBound::at`]: all an ifms or wghs tile needs.
+    #[inline]
+    fn read_at(&self, units: u64) -> AccessCost {
+        scaled(self.first.0, self.step.0, units)
+    }
+
+    /// `⌈bytes / burst_bytes⌉`: a shift plus a carry, which cannot
+    /// overflow, when a burst is a power of two, a division otherwise.
+    #[inline]
+    fn units(&self, bytes: u64) -> u64 {
+        match self.burst_shift {
+            Some(shift) => (bytes >> shift) + u64::from(bytes & (self.burst_bytes - 1) != 0),
+            None => bytes.div_ceil(self.burst_bytes),
+        }
     }
 
     #[inline]
     fn tile(&self, bytes: u64) -> Tile {
-        let units = bytes.div_ceil(self.burst_bytes);
+        let units = self.units(bytes);
         Tile {
             bytes,
             units,
-            lb: self.at(units),
             least: INFINITE,
         }
+    }
+}
+
+/// One direction of [`TileBound::at`]: `(first + (units − 1) · step)`
+/// scaled by [`SHRINK`].
+#[inline]
+fn scaled(first: AccessCost, step: AccessCost, units: u64) -> AccessCost {
+    let transitions = (units - 1) as f64;
+    AccessCost {
+        cycles: (first.cycles + transitions * step.cycles) * SHRINK,
+        energy: (first.energy + transitions * step.energy) * SHRINK,
     }
 }
 
@@ -798,6 +858,9 @@ impl<'a> Rows<'a> {
 struct Tally {
     /// Rows the engine built.
     rows: usize,
+    /// Tiles whose burst count and lower bound the sweeps computed: every
+    /// fitting tile the walk made, and each block's whole ifms and ofms.
+    tiles: usize,
     /// Distinct rows each sweep read, summed over the sweeps.
     touched: usize,
     tilings: usize,
@@ -806,6 +869,11 @@ struct Tally {
     blocks: usize,
     /// `ti` loops whose loop bounds were read.
     bounded: usize,
+}
+
+thread_local! {
+    /// This thread's walk buffers, lent to each of its sweeps in turn.
+    static WALK: Cell<WalkBuffers<Tile>> = const { Cell::new(WalkBuffers::new()) };
 }
 
 /// One sweep in progress: what [`walk_tilings`] drives through the
@@ -821,7 +889,8 @@ struct Sweep<'a> {
     rows: Rows<'a>,
     found: Accumulator,
     /// The least over the layer's wghs rows of the loop bounds' column
-    /// `lb.0 × n_j·n_i`: each row's suffix minimum at its first fit.
+    /// `read_at(units) × n_j·n_i`: each row's suffix minimum at its first
+    /// fit.
     wghs_least: AccessCost,
     /// Tilings visited, `ti` loops walked and bounded, blocks walked.
     #[cfg(test)]
@@ -899,11 +968,12 @@ impl<'a> Sweep<'a> {
         let (Some(ifms), Some(wghs)) = (ifms[start], wghs[start]) else {
             unreachable!("both tiles fit at a loop's first tiling");
         };
+        let (ofms_read, ofms_write) = self.bound.at(ofms.units);
         let lb = TileCosts {
             ifms_read: ifms.least,
             wghs_read: wghs.least,
-            ofms_read: ofms.lb.0,
-            ofms_write: ofms.lb.1,
+            ofms_read,
+            ofms_write,
         };
         // The ofms columns are least at the least `n_i`, the loop's first.
         // The ifms and wghs columns already weigh `S·n_i` and `n_j·n_i`
@@ -938,13 +1008,13 @@ impl<'a> Sweep<'a> {
     /// lower bounds of the block's whole ifms and ofms and by the layer's
     /// least wghs column. Needs the wghs rows.
     fn block_bound(&self, spatial: u64, ifms_bytes: u64, ofms_bytes: u64) -> EdpEstimate {
-        let ifms = self.bound.tile(ifms_bytes).lb;
-        let ofms = self.bound.tile(ofms_bytes).lb;
+        let bound = &self.bound;
+        let (ofms_read, ofms_write) = bound.at(bound.units(ofms_bytes));
         let lb = TileCosts {
-            ifms_read: ifms.0,
+            ifms_read: bound.read_at(bound.units(ifms_bytes)),
             wghs_read: self.wghs_least,
-            ofms_read: ofms.0,
-            ofms_write: ofms.1,
+            ofms_read,
+            ofms_write,
         };
         lb.estimate(&least_traffic(spatial, 1, 1), self.t_ck_ns)
     }
@@ -954,6 +1024,10 @@ impl TilingVisitor for Sweep<'_> {
     type Tile = Tile;
 
     fn tile(&mut self, bytes: u64) -> Tile {
+        #[cfg(test)]
+        {
+            self.tally.tiles += 1;
+        }
         self.bound.tile(bytes)
     }
 
@@ -971,9 +1045,17 @@ impl TilingVisitor for Sweep<'_> {
         for (&(_, n_i), tile) in is.iter().zip(tiles).rev() {
             if let Some(tile) = tile {
                 // `TileCosts::components`' product, operand for operand.
-                let loads = (trips * n_i) as f64;
-                least.cycles = least.cycles.min(tile.lb.0.cycles * loads);
-                least.energy = least.energy.min(tile.lb.0.energy * loads);
+                let (lb, loads) = (self.bound.read_at(tile.units), (trips * n_i) as f64);
+                let (cycles, energy) = (lb.cycles * loads, lb.energy * loads);
+                // A compare, not `f64::min`: it compiles to a bare `minpd`
+                // where `min` adds a NaN fix-up, and under the engine's
+                // precondition neither operand is NaN.
+                if cycles < least.cycles {
+                    least.cycles = cycles;
+                }
+                if energy < least.energy {
+                    least.energy = energy;
+                }
                 tile.least = least;
             }
         }
@@ -985,6 +1067,10 @@ impl TilingVisitor for Sweep<'_> {
     /// The block bound: implied by every group bound of the block, so it
     /// too changes what is computed, never what is counted.
     fn block(&mut self, spatial: u64, ifms_bytes: u64, ofms_bytes: u64) -> bool {
+        #[cfg(test)]
+        {
+            self.tally.tiles += 2;
+        }
         let bound = self.block_bound(spatial, ifms_bytes, ofms_bytes);
         if self.found.shuts_out(&bound, self.keep_points) {
             return false;
@@ -1270,7 +1356,11 @@ impl DseEngine {
         keep_points: bool,
     ) -> Result<Sweep<'a>, DseError> {
         let mut sweep = Sweep::new(self, schemes, mappings, rows, keep_points);
-        let tilings = walk_tilings(layer, self.model.traffic_model().accelerator(), &mut sweep)?;
+        let acc = self.model.traffic_model().accelerator();
+        let mut buffers = WALK.replace(WalkBuffers::new());
+        let walked = walk_tilings(layer, acc, &mut sweep, &mut buffers);
+        WALK.set(buffers);
+        let tilings = walked?;
         sweep.found.evaluations = tilings * schemes.len() * mappings.len();
         Ok(sweep)
     }

@@ -408,7 +408,7 @@ proptest! {
             sweep: Sweep::new(&e, &config.schemes, &config.mappings, e.rows(None), config.keep_points),
             visited: 0,
         };
-        walk_tilings(&layer, &acc, &mut check).unwrap();
+        walk_tilings(&layer, &acc, &mut check, &mut WalkBuffers::new()).unwrap();
     }
 
     /// The axis walk visits exactly the brute-force sequence: the same
@@ -469,6 +469,7 @@ const EACH_ONCE: TileTraffic = TileTraffic {
 /// at its least over the loop's feasible tilings, summed in
 /// `TileCosts::estimate`'s order.
 fn scheme_bounds(
+    bound: &TileBound,
     [spatial, n_j]: [u64; 2],
     is: &[(usize, u64)],
     ifms: &[Option<Tile>],
@@ -481,11 +482,12 @@ fn scheme_bounds(
         let (Some(ifms), Some(wghs)) = (ifms, wghs) else {
             continue;
         };
+        let (ofms_read, ofms_write) = bound.at(ofms.units);
         let lb = TileCosts {
-            ifms_read: ifms.lb.0,
-            wghs_read: wghs.lb.0,
-            ofms_read: ofms.lb.0,
-            ofms_write: ofms.lb.1,
+            ifms_read: bound.read_at(ifms.units),
+            wghs_read: bound.read_at(wghs.units),
+            ofms_read,
+            ofms_write,
         };
         for (least, traffic) in least.iter_mut().zip(&traffic_of_trips(spatial, n_j, n_i)) {
             for (least, column) in least.iter_mut().zip(lb.components(traffic)) {
@@ -545,7 +547,8 @@ impl TilingVisitor for BoundCheck<'_> {
                 assert!(x.is_finite() && x >= 0.0, "an engine's row holds {x}");
             }
         }
-        for (lb, floor) in [(tile.lb.0, row.floor.0), (tile.lb.1, row.floor.1)] {
+        let lb = self.sweep.bound.at(tile.units);
+        for (lb, floor) in [(lb.0, row.floor.0), (lb.1, row.floor.1)] {
             assert!(lb.cycles <= floor.cycles && lb.energy <= floor.energy);
         }
         tile
@@ -580,7 +583,15 @@ impl TilingVisitor for BoundCheck<'_> {
         let per_scheme = self
             .sweep
             .loop_bounds(outer, is, [ifms, wghs], &ofms, tilings);
-        let scanned = scheme_bounds([spatial, n_j], is, ifms, wghs, &ofms, t_ck_ns);
+        let scanned = scheme_bounds(
+            &self.sweep.bound,
+            [spatial, n_j],
+            is,
+            ifms,
+            wghs,
+            &ofms,
+            t_ck_ns,
+        );
         for (bound, scanned) in per_scheme.iter().zip(&scanned) {
             // Scaling a least column by `n_j` or `S` rounds once more than
             // weighing each tile by the product: a few ulps apart at most.
@@ -682,7 +693,7 @@ proptest! {
             entered: 0,
             visited: Vec::new(),
         };
-        let count = walk_tilings(&layer, &acc, &mut check).unwrap();
+        let count = walk_tilings(&layer, &acc, &mut check, &mut WalkBuffers::new()).unwrap();
         prop_assert_eq!(count, tilings.len());
         prop_assert_eq!(count - check.visited.len(), skipped);
         prop_assert_eq!(check.visited, walked);
@@ -862,6 +873,32 @@ fn the_tile_bound_never_exceeds_any_mappings_tile_cost() {
     }
 }
 
+/// The burst count by shift and carry is `div_ceil`'s, at the edges of a
+/// burst and at the top of `u64` (where `(bytes + burst − 1) >> shift`
+/// would overflow), and so is the division kept for a burst that is not a
+/// power of two (three chips: 24 bytes).
+#[test]
+fn a_tiles_burst_count_is_its_bytes_over_the_burst_rounded_up() {
+    let table_ii = Geometry::salp_2gb_x8();
+    let three_chips = Geometry {
+        chips: 3,
+        ..table_ii
+    };
+    for (geometry, shift) in [(table_ii, Some(3)), (three_chips, None)] {
+        let bound = TileBound::new(&geometry, &salp2_table()).unwrap();
+        assert_eq!(bound.burst_shift, shift);
+        let burst = geometry.burst_bytes() as u64;
+        for bytes in [1, burst - 1, burst, burst + 1, 1 << 53, u64::MAX] {
+            let units = bound.tile(bytes).units;
+            assert_eq!(
+                units,
+                bytes.div_ceil(burst),
+                "{bytes} bytes in {burst}-byte bursts"
+            );
+        }
+    }
+}
+
 #[test]
 fn tables_outside_the_trust_rule_are_refused() {
     let good = good();
@@ -1032,8 +1069,9 @@ fn zoo_evaluation_and_pruned_counts_match_the_committed_table() {
 }
 
 /// The work the default sweep does on SALP-2 over `networks`, on one
-/// fresh engine: rows it built, rows each sweep read (summed), tilings
-/// visited, `ti` loops walked, blocks walked, loop bounds read.
+/// fresh engine: rows it built, tiles priced, rows each sweep read
+/// (summed), tilings visited, `ti` loops walked, blocks walked, loop
+/// bounds read.
 fn salp2_work(networks: &[Network]) -> Tally {
     let e = engine_on(salp2_table(), DseConfig::default());
     let config = e.config();
@@ -1047,6 +1085,7 @@ fn salp2_work(networks: &[Network]) -> Tally {
             false,
         );
         let tally = sweep.unwrap().tally();
+        total.tiles += tally.tiles;
         total.touched += tally.touched;
         total.tilings += tally.tilings;
         total.loops += tally.loops;
@@ -1058,7 +1097,9 @@ fn salp2_work(networks: &[Network]) -> Tally {
 }
 
 /// The zoo sweep's work on SALP-2 at its measured totals, so a weaker
-/// bound fails here whatever the machine's timing noise.
+/// bound, or a walk that prices a tile twice, fails here whatever the
+/// machine's timing noise. The 32,211 tiles are 25,345 the walk made and
+/// the whole ifms and ofms of each of the 3,433 blocks.
 #[test]
 fn the_zoo_sweep_on_salp2_does_the_measured_work() {
     let zoo: Vec<Network> = Network::zoo()
@@ -1067,6 +1108,7 @@ fn the_zoo_sweep_on_salp2_does_the_measured_work() {
         .collect();
     let measured = Tally {
         rows: 326,
+        tiles: 32_211,
         touched: 2_502,
         tilings: 3_537,
         loops: 516,
@@ -1082,6 +1124,7 @@ fn the_zoo_sweep_on_salp2_does_the_measured_work() {
 fn the_big_layers_sweep_on_salp2_does_the_measured_work() {
     let measured = Tally {
         rows: 274,
+        tiles: 70_414,
         touched: 2_547,
         tilings: 3_595,
         loops: 610,
@@ -1161,6 +1204,49 @@ fn racing_sweeps_match_a_lone_engine_on_every_architecture() {
     for arch in DramArch::ALL {
         for keep_points in [false, true] {
             assert_racing_sweeps_match_a_lone_engine(arch, keep_points, &zoo);
+        }
+    }
+}
+
+/// One thread's sweeps share its walk buffers, each walk refilling them:
+/// the zoo layer with the largest `(tj, ti)` grid, then `tiny`'s smallest
+/// grid, then a layer no tiling fits, then the large one again, then the
+/// unfit one straight after it (whose one-step ifms row, if a walk read
+/// past it, would find the large layer's tiles): each sweeps on that
+/// thread exactly as on a fresh one, result and pruned count alike.
+#[test]
+fn a_threads_sweeps_reuse_its_walk_buffers_exactly() {
+    let e = engine_on(salp2_table(), DseConfig::default());
+    let grid = |layer: &Layer| candidate_steps(layer.j).len() * candidate_steps(layer.i).len();
+    let zoo: Vec<Network> = Network::zoo()
+        .into_iter()
+        .map(|(_, build)| build())
+        .collect();
+    let large = zoo.iter().flat_map(Network::layers).max_by_key(|l| grid(l));
+    let tiny = Network::tiny();
+    let small = tiny.layers().iter().min_by_key(|l| grid(l));
+    let (large, small) = (large.unwrap().clone(), small.unwrap().clone());
+    let unfit = Layer::conv("HUGE", 1, 1, 1, 1, 4096, 4096, 1);
+    assert!(grid(&large) > grid(&small));
+    let order = [&large, &small, &unfit, &large, &unfit];
+    let on_fresh_threads: Vec<_> = order
+        .iter()
+        .map(|layer| std::thread::scope(|s| s.spawn(|| e.explore_layer_counted(layer)).join()))
+        .map(Result::unwrap)
+        .collect();
+    let on_one_thread = std::thread::scope(|s| {
+        let sweeps = s.spawn(|| order.map(|layer| e.explore_layer_counted(layer)));
+        sweeps.join().unwrap()
+    });
+    assert!(on_fresh_threads[2].is_err() && on_fresh_threads[4].is_err());
+    for (reused, fresh) in on_one_thread.iter().zip(&on_fresh_threads) {
+        match (reused, fresh) {
+            (Ok((reused, pruned)), Ok((fresh, fresh_pruned))) => {
+                assert_results_bit_identical(reused, fresh);
+                assert_eq!(pruned, fresh_pruned, "{}", fresh.layer_name);
+            }
+            (Err(reused), Err(fresh)) => assert_eq!(reused.to_string(), fresh.to_string()),
+            _ => panic!("one sweep of a layer failed and the other did not"),
         }
     }
 }

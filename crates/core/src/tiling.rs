@@ -79,9 +79,13 @@ impl Tiling {
             }
             DataKind::Wghs => {
                 // Grouped convolutions store 1/groups of the dense filter
-                // volume (each output channel sees i/groups inputs).
-                (layer.p as u64 * layer.q as u64 * self.ti as u64 * self.tj as u64)
-                    .div_ceil(layer.groups as u64)
+                // volume (each output channel sees i/groups inputs); an
+                // ungrouped one skips the division.
+                let dense = layer.p as u64 * layer.q as u64 * self.ti as u64 * self.tj as u64;
+                match layer.groups {
+                    1 => dense,
+                    groups => dense.div_ceil(groups as u64),
+                }
             }
             DataKind::Ofms => self.th as u64 * self.tw as u64 * self.tj as u64,
         }
@@ -132,8 +136,8 @@ fn steps(dim: usize) -> impl Iterator<Item = usize> {
 }
 
 /// The walk's four candidate axes `th`, `tw`, `tj`, `ti`, each step with
-/// its trip count (the walk's only divisions), back to back in one buffer
-/// of exact size: one allocation per layer, however long the axes are.
+/// its trip count, back to back in one buffer: of exact size when new,
+/// and regrown only for longer axes when reused.
 struct Axes {
     steps: Vec<(usize, u64)>,
     /// Each axis's length.
@@ -141,15 +145,23 @@ struct Axes {
 }
 
 impl Axes {
-    fn new(dims: [usize; 4]) -> Self {
-        let lens = dims.map(|dim| steps(dim).count());
-        let mut all = Vec::with_capacity(lens.iter().sum());
+    const fn new() -> Self {
+        Axes {
+            steps: Vec::new(),
+            lens: [0; 4],
+        }
+    }
+
+    /// Replace the axes with those of `dims`.
+    fn fill(&mut self, dims: [usize; 4]) {
+        self.lens = dims.map(|dim| steps(dim).count());
+        self.steps.clear();
+        self.steps.reserve_exact(self.lens.iter().sum());
         for dim in dims {
             for step in steps(dim) {
-                all.push((step, dim.div_ceil(step) as u64));
+                self.steps.push((step, dim.div_ceil(step) as u64));
             }
         }
-        Axes { steps: all, lens }
     }
 
     /// The four axes, in `th`, `tw`, `tj`, `ti` order.
@@ -158,6 +170,27 @@ impl Axes {
         let (ws, rest) = rest.split_at(self.lens[1]);
         let (js, is) = rest.split_at(self.lens[2]);
         [hs, ws, js, is]
+    }
+}
+
+/// What [`walk_tilings`] allocates, lent to it by the caller so that a
+/// thread's walks can share one: the axes, the tiles (every `tj`'s wghs
+/// row, then the one ifms row each walked block overwrites in place) and
+/// each wghs row's first fit. A walk refills all three before reading
+/// any, so what an earlier walk left in them never shows.
+pub(crate) struct WalkBuffers<T> {
+    axes: Axes,
+    tiles: Vec<Option<T>>,
+    wghs_first: Vec<usize>,
+}
+
+impl<T> WalkBuffers<T> {
+    pub(crate) const fn new() -> Self {
+        WalkBuffers {
+            axes: Axes::new(),
+            tiles: Vec::new(),
+            wghs_first: Vec::new(),
+        }
     }
 }
 
@@ -247,11 +280,16 @@ impl<F: FnMut(Tiling)> TilingVisitor for F {
 /// visitor declines ([`TilingVisitor::block`]) is counted the same way
 /// from bytes alone, without making a tile.
 ///
-/// The four axes, each step with its trip count, sit back to back in one
-/// buffer of exact size, counted from the halving rule before it is
-/// filled, so a layer's axes cost one allocation and no regrowth however
-/// long they are. The tiles sit in one more: every `tj`'s wghs row, then
-/// the one ifms row each walked block overwrites in place.
+/// The walk allocates only into `buffers`: the four axes, each step with
+/// its trip count, back to back in one buffer reserved from the halving
+/// rule before it is filled; the tiles in one more (every `tj`'s wghs
+/// row, then the one ifms row each walked block overwrites in place); and
+/// each wghs row's first fit. Each is cleared and refilled, so buffers
+/// that already hold a larger layer's cost no allocation, and the sweep
+/// lends every walk on a thread the same ones. Its divisions are the
+/// axes' trip counts, one per step; one to split the wghs rows; and a
+/// grouped layer's wghs tile bytes ([`Tiling::tile_bytes`] skips its
+/// `div_ceil(groups)` when `groups` is 1).
 ///
 /// # Errors
 ///
@@ -260,10 +298,16 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
     layer: &Layer,
     acc: &AcceleratorConfig,
     visitor: &mut V,
+    buffers: &mut WalkBuffers<V::Tile>,
 ) -> Result<usize, DseError> {
     acc.validate()?;
     layer.validate()?;
-    let axes = Axes::new([layer.h, layer.w, layer.j, layer.i]);
+    let WalkBuffers {
+        axes,
+        tiles,
+        wghs_first,
+    } = buffers;
+    axes.fill([layer.h, layer.w, layer.j, layer.i]);
     let [hs, ws, js, is] = axes.split();
     // `tile_bytes` ignores the steps `kind` does not depend on.
     let fits = |kind, tiling: Tiling| {
@@ -277,9 +321,8 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
         let fitting = tiles.iter().position(Option::is_some);
         fitting.unwrap_or(tiles.len())
     };
-    // Every `tj`'s wghs row, then the one ifms row each walked block
-    // rebuilds in place.
-    let mut tiles = vec![None; (js.len() + 1) * is.len()];
+    tiles.clear();
+    tiles.resize((js.len() + 1) * is.len(), None);
     let (wghs, ifms) = tiles.split_at_mut(js.len() * is.len());
     for (&(tj, n_j), row) in js.iter().zip(wghs.chunks_exact_mut(is.len())) {
         for (tile, &(ti, _)) in row.iter_mut().zip(is) {
@@ -287,7 +330,8 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
         }
         visitor.ti_row(DataKind::Wghs, is, row, n_j);
     }
-    let wghs: Vec<_> = wghs.chunks(is.len()).map(|c| (first_fit(c), c)).collect();
+    wghs_first.clear();
+    wghs_first.extend(wghs.chunks_exact(is.len()).map(first_fit));
     let mut count = 0;
     for &(th, n_h) in hs {
         for &(tw, n_w) in ws {
@@ -306,7 +350,7 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
                     }
                     ifms_first += 1;
                 }
-                for (&(tj, _), &(wghs_first, _)) in js.iter().zip(&wghs) {
+                for (&(tj, _), &wghs_first) in js.iter().zip(&*wghs_first) {
                     let ofms_fits = fits(DataKind::Ofms, Tiling::new(th, tw, tj, 1)).is_some();
                     count += usize::from(ofms_fits) * (is.len() - ifms_first.max(wghs_first));
                 }
@@ -317,7 +361,8 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
             }
             visitor.ti_row(DataKind::Ifms, is, ifms, spatial);
             let ifms_first = first_fit(ifms);
-            for (&(tj, n_j), &(wghs_first, wghs)) in js.iter().zip(&wghs) {
+            for (k, (&(tj, n_j), &wghs_first)) in js.iter().zip(&*wghs_first).enumerate() {
+                let wghs = &wghs[k * is.len()..][..is.len()];
                 let start = ifms_first.max(wghs_first);
                 if start == is.len() {
                     continue;
@@ -372,7 +417,12 @@ pub(crate) fn walk_tilings<V: TilingVisitor>(
 /// ```
 pub fn enumerate_tilings(layer: &Layer, acc: &AcceleratorConfig) -> Result<Vec<Tiling>, DseError> {
     let mut out = Vec::new();
-    walk_tilings(layer, acc, &mut |tiling| out.push(tiling))?;
+    walk_tilings(
+        layer,
+        acc,
+        &mut |tiling| out.push(tiling),
+        &mut WalkBuffers::new(),
+    )?;
     Ok(out)
 }
 
@@ -386,7 +436,7 @@ pub fn enumerate_tilings(layer: &Layer, acc: &AcceleratorConfig) -> Result<Vec<T
 /// Returns [`DseError`] under exactly the conditions
 /// [`enumerate_tilings`] does: invalid inputs or no feasible tiling.
 pub fn count_tilings(layer: &Layer, acc: &AcceleratorConfig) -> Result<usize, DseError> {
-    walk_tilings(layer, acc, &mut |_| {})
+    walk_tilings(layer, acc, &mut |_| {}, &mut WalkBuffers::new())
 }
 
 #[cfg(test)]
@@ -457,13 +507,19 @@ mod tests {
             candidate_steps(dim).into_iter().map(trips).collect()
         };
         // Each window of four, cyclically: every dim at every position,
-        // next to axes of other lengths.
+        // next to axes of other lengths; fresh axes of exact size, and one
+        // set refilled window after window, as a thread's walks reuse it.
+        let mut reused = Axes::new();
         for n in 0..dims.len() {
             let four = [0, 1, 2, 3].map(|k| dims[(n + k) % dims.len()]);
-            let axes = Axes::new(four);
+            let mut axes = Axes::new();
+            axes.fill(four);
             assert_eq!(axes.steps.capacity(), axes.steps.len(), "dims {four:?}");
-            for (axis, &dim) in axes.split().iter().zip(&four) {
-                assert_eq!(axis.to_vec(), expected(dim), "dim {dim} in {four:?}");
+            reused.fill(four);
+            for axes in [&axes, &reused] {
+                for (axis, &dim) in axes.split().iter().zip(&four) {
+                    assert_eq!(axis.to_vec(), expected(dim), "dim {dim} in {four:?}");
+                }
             }
         }
     }
