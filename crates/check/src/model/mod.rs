@@ -213,5 +213,6 @@ pub fn standard_suite(seed: u64) -> Vec<Report> {
         explore(&conn::ConnModel::default(), &cfg),
         explore(&conn::ConnModel::client_dies(), &cfg),
         explore(&conn::ConnModel::window(), &cfg),
+        explore(&conn::ConnModel::burst(), &cfg),
     ]
 }

@@ -86,18 +86,21 @@ fn single_flight_verifies_including_leader_failure() {
     }
 }
 
-/// The connection gate verifies with a client that reads at once, one
-/// that dies mid-session, and one that pipelines its whole script
-/// before reading through one-frame buffers: every response is written
-/// exactly once or dropped on a dead connection, no frame interleaves
-/// with an unfinished one, the gate drains, nothing deadlocks, and a
-/// stop loses nothing owed. The counts pin the models' size.
+/// The connection gate verifies with a client whose lines are all
+/// buffered at once, one that dies mid-session, one that pipelines its
+/// whole script in bursts before reading through one-frame buffers, and
+/// one that sends a burst past the cap and reads its answers before
+/// sending more: every response is written exactly once or dropped on
+/// a dead connection, no frame interleaves with an unfinished one, the
+/// gate drains, nothing deadlocks, and a stop loses nothing owed. The
+/// counts pin the models' size.
 #[test]
 fn connection_gate_verifies_inline_queued_windowed_and_dying_clients() {
     for (model, schedules) in [
-        (ConnModel::default(), 1_182_687),
-        (ConnModel::client_dies(), 200_128),
-        (ConnModel::window(), 186_787),
+        (ConnModel::default(), 1_059_835),
+        (ConnModel::client_dies(), 182_575),
+        (ConnModel::window(), 1_621_917),
+        (ConnModel::burst(), 1_638),
     ] {
         let report = explore(&model, &Config::default());
         assert!(
@@ -112,14 +115,19 @@ fn connection_gate_verifies_inline_queued_windowed_and_dying_clients() {
 
 /// Negative controls for the connection gate: an inline write that
 /// waits on the client deadlocks a pipelining one, an inline write past
-/// an unfinished frame interleaves two frames, and a session that drops
-/// the queue before the writer drains it loses a response.
+/// an unfinished frame interleaves two frames, a session that drops
+/// the queue before the writer drains it loses a response, a reader
+/// that blocks in a read holding frames deadlocks a client waiting for
+/// them, and one that waits at the gate holding frames waits on its own
+/// slots.
 #[test]
 fn connection_gate_negative_controls_are_caught() {
     for (model, symptom) in [
         (ConnModel::blocking_inline(), "deadlock"),
         (ConnModel::skip_unfinished(), "while another was unfinished"),
         (ConnModel::dropped_queue(), "dropped on a live connection"),
+        (ConnModel::hold_through_read(), "deadlock"),
+        (ConnModel::hold_at_gate(), "deadlock"),
     ] {
         let report = explore(&model, &Config::default());
         assert!(
@@ -173,7 +181,7 @@ fn seed_rotates_order_but_not_the_schedule_set() {
 #[test]
 fn standard_suite_verifies() {
     let reports = standard_suite(0);
-    assert_eq!(reports.len(), 8);
+    assert_eq!(reports.len(), 9);
     let mut total = 0;
     for report in &reports {
         assert!(

@@ -246,7 +246,7 @@
 //! result's name and, under `keep_points`, its front.
 
 use core::cell::Cell;
-use core::fmt::{self, Write as _};
+use core::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -406,28 +406,53 @@ pub fn layer_cache_key(
 
 /// A [`layer_cache_key`]'s per-layer part: the tag and the shape.
 fn write_key_head(key: &mut String, engine_tag: &str, layer: &Layer) {
-    write!(
+    key.push_str(engine_tag);
+    write_key_fields(
         key,
-        "{engine_tag}|h{}w{}j{}i{}p{}q{}s{}g{}",
-        layer.h, layer.w, layer.j, layer.i, layer.p, layer.q, layer.stride, layer.groups,
-    )
-    .expect("writing to a String cannot fail");
+        [
+            ("|h", layer.h),
+            ("w", layer.w),
+            ("j", layer.j),
+            ("i", layer.i),
+            ("p", layer.p),
+            ("q", layer.q),
+            ("s", layer.stride),
+            ("g", layer.groups),
+        ],
+    );
 }
 
 /// A [`layer_cache_key`]'s part after the shape — the accelerator and the
 /// sweep fingerprint — the same for every layer on one engine.
 fn write_key_suffix(key: &mut String, acc: &AcceleratorConfig, config: &DseConfig) {
-    write!(
+    write_key_fields(
         key,
-        "|ib{}wb{}ob{}px{}b{}|",
-        acc.ifms_buffer,
-        acc.wghs_buffer,
-        acc.ofms_buffer,
-        acc.precision.bytes(),
-        acc.batch,
-    )
-    .expect("writing to a String cannot fail");
+        [
+            ("|ib", acc.ifms_buffer),
+            ("wb", acc.wghs_buffer),
+            ("ob", acc.ofms_buffer),
+            ("px", acc.precision.bytes()),
+            ("b", acc.batch),
+        ],
+    );
+    key.push('|');
     config.write_fingerprint(key);
+}
+
+/// Append each field as its label and then its value in decimal, as
+/// `{}` writes it but without `core::fmt`: a served layer's key is
+/// written on every request.
+fn write_key_fields<const N: usize>(key: &mut String, fields: [(&str, usize); N]) {
+    fn digits(n: usize, key: &mut String) {
+        if n >= 10 {
+            digits(n / 10, key);
+        }
+        key.push(char::from(b'0' + (n % 10) as u8));
+    }
+    for (label, value) in fields {
+        key.push_str(label);
+        digits(value, key);
+    }
 }
 
 /// One evaluated configuration.
@@ -1660,6 +1685,16 @@ mod tests {
              mappings=Mapping-1+Mapping-2+Mapping-3 (DRMap)+Mapping-4+Mapping-5+Mapping-6;\
              points=false"
         );
+    }
+
+    /// A key's numbers are the digits `{}` writes, at every width.
+    #[test]
+    fn key_fields_are_written_as_format_writes_them() {
+        for value in [0, 1, 9, 10, 99, 100, 65_536, 1 << 30, usize::MAX] {
+            let mut key = String::new();
+            write_key_fields(&mut key, [("|h", value), ("w", 7)]);
+            assert_eq!(key, format!("|h{value}w7"));
+        }
     }
 
     #[test]

@@ -29,6 +29,20 @@
 //!   then flushes every response still owed on that connection, and
 //!   only then does the accept loop stop, since the process may exit
 //!   right after.
+//! * **One write per burst.** While the reader's buffer already holds
+//!   the client's next request line, an inline response is encoded
+//!   into the frame buffer behind the ones before it and **held**, not
+//!   written: a pipelined burst of resident hits costs one `send`, not
+//!   one per response. The reader writes what it holds — as above, as
+//!   far as the socket takes it — with the burst's last inline
+//!   response, or right after the burst's last request if that one was
+//!   not answered inline; before it waits at the in-flight gate; and
+//!   when the session ends. So it never blocks in a read or at the gate
+//!   holding frames a client may be waiting for. The writer writes any
+//!   held frames it finds before anything of its own. A held response
+//!   keeps its slot until its bytes reach the socket or the writer, and
+//!   the reader locks the write half after a request only if it holds
+//!   something.
 //! * **One in-flight gate** per connection: a request takes a slot when
 //!   it is accepted ([`Reply::reserve`]); the slot travels with its
 //!   response and frees once that has been written. At the cap the
@@ -36,11 +50,11 @@
 //!   queue neither unbounded work nor, by refusing to read, unbounded
 //!   response memory.
 
-use std::io::{self, BufReader, ErrorKind, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::{self, ThreadId};
 use std::time::Duration;
 
@@ -63,8 +77,10 @@ pub trait Service: Send + Sync + 'static {
     /// writes it: the reader for a response answered inline, the writer
     /// for a queued one. The reader's `write` never blocks on the
     /// socket; it leaves what the socket would not take to the writer.
-    /// A tier may time the write, delay it, or skip it — a skipped
-    /// frame is lost, and its slot still frees.
+    /// For a frame the reader holds for the rest of a burst, `write`
+    /// only encodes it; the burst's last inline frame's `write` sends
+    /// them all. A tier may time the write, delay it, or skip it — a
+    /// skipped frame is lost, and its slot still frees.
     fn write_frame(&self, write: &mut dyn FnMut()) {
         write();
     }
@@ -186,6 +202,8 @@ fn session<S: Service>(
         reader: thread::current().id(),
         #[cfg(test)]
         peer: stream.peer_addr().ok(),
+        burst: AtomicBool::new(false),
+        holding: AtomicBool::new(false),
         gate: Gate {
             limit: max_inflight,
             count: Mutex::new(0),
@@ -194,6 +212,7 @@ fn session<S: Service>(
         out: Mutex::new(Out {
             stream,
             frame: String::new(),
+            held: Vec::new(),
             backlog: None,
             dead: false,
         }),
@@ -209,7 +228,7 @@ fn session<S: Service>(
             })
         },
     });
-    let (tx, rx) = channel::<(Option<Response>, Slot)>();
+    let (tx, rx) = channel::<Queued>();
     let writer = {
         let link = Arc::clone(&link);
         thread::spawn(move || {
@@ -222,14 +241,21 @@ fn session<S: Service>(
     let result = loop {
         match wire::read_message(&mut reader) {
             Ok(Some((line, _))) => {
+                let burst = wire::holds_message(reader.buffer());
+                // ordering: Relaxed — only this thread stores or loads it.
+                reply.link.burst.store(burst, Ordering::Relaxed);
                 if service.dispatch(&line, &reply) {
                     break Ok(true);
+                }
+                if !burst {
+                    reply.flush();
                 }
             }
             Ok(None) => break Ok(false),
             Err(e) => break Err(e),
         }
     };
+    reply.flush();
     // Close this end of the queue: the writer exits once every
     // response still owed on the connection — queued, or held by a job
     // in flight — has been written.
@@ -246,10 +272,18 @@ struct Link {
     /// The client's address, which the tests' frame tally is keyed by.
     #[cfg(test)]
     peer: Option<SocketAddr>,
+    /// The reader's own notes: its buffer holds another request line
+    /// (so it holds what it answers inline), and it may hold frames.
+    burst: AtomicBool,
+    holding: AtomicBool,
     gate: Gate,
     out: Mutex<Out>,
     write_frame: WriteFrame,
 }
+
+/// What the writer's queue carries: a response to write, or `None` for
+/// the rest of a write the reader began, and the slot to free after.
+type Queued = (Option<Response>, Slot);
 
 /// The tier's [`Service::write_frame`], behind a pointer the
 /// non-generic [`Link`] can hold.
@@ -267,7 +301,12 @@ impl std::fmt::Debug for Link {
 /// A connection's write half.
 struct Out {
     stream: TcpStream,
+    /// The reused frame buffer. What it holds counts only while `held`
+    /// is not empty or `backlog` is set.
     frame: String,
+    /// The slots of the responses the reader has encoded into `frame`
+    /// but not written yet, freed by whoever writes them.
+    held: Vec<Slot>,
     /// How much of `frame` the reader got onto the wire before the
     /// socket would have blocked: the writer writes the rest before
     /// anything else, and the reader writes nothing inline meanwhile.
@@ -278,34 +317,73 @@ struct Out {
     dead: bool,
 }
 
-/// What became of a response the reader tried to write itself.
-enum Inline {
-    /// Written whole, or dropped on a dead connection.
-    Done,
-    /// Begun: the writer owes the rest of its frame.
-    Unfinished,
-    /// Not begun: the writer holds the write half or owes a frame, so
-    /// the response goes to its queue.
-    Busy,
+impl Out {
+    /// The reader's write of `frame`: as much as the socket takes
+    /// without blocking, with one `send` (a socket that takes part of it
+    /// has no room for more). What it would not take is the writer's to
+    /// finish, and the held slots go with it through `tx`; else they
+    /// free now. Only the reader calls this, holding the write half, so
+    /// no other thread uses the socket while it is non-blocking.
+    fn write_held(&mut self, tx: &Sender<Queued>) {
+        #[cfg(test)]
+        tests::tally_write(&self.stream);
+        let mut stream = &self.stream;
+        let written = stream
+            .set_nonblocking(true)
+            .and_then(|()| stream.write(self.frame.as_bytes()));
+        let written = match stream.set_nonblocking(false).and(written) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => Ok(0),
+            written => written,
+        };
+        match written {
+            Ok(sent) if sent < self.frame.len() => {
+                #[cfg(test)]
+                tests::tally_unfinished(&self.stream);
+                self.backlog = Some(sent);
+                for slot in self.held.drain(..) {
+                    let _ = tx.send((None, slot));
+                }
+            }
+            Ok(_) => self.held.clear(),
+            Err(_) => {
+                self.dead = true;
+                self.held.clear();
+            }
+        }
+    }
 }
 
 impl Link {
-    /// The writer's write: the rest of a frame the reader left
-    /// unfinished, then `response` encoded into the reused frame buffer
-    /// and written as one frame through the tier's
-    /// [`Service::write_frame`], each blocking until the socket takes it.
+    /// The write half, unless another thread holds it.
+    fn try_out(&self) -> Option<MutexGuard<'_, Out>> {
+        match self.out.try_lock() {
+            Ok(out) => Some(out),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// The writer's write: what the reader left — the rest of a frame
+    /// the socket would not take, or frames it held — then `response`
+    /// encoded into the reused frame buffer and written as one frame
+    /// through the tier's [`Service::write_frame`], each blocking until
+    /// the socket takes it.
     fn write_queued(&self, response: Option<&Response>) {
         let mut out = lock_recovered(&self.out);
         let Out {
             stream,
             frame,
+            held,
             backlog,
             dead,
         } = &mut *out;
-        if let Some(sent) = backlog.take() {
+        if let Some(sent) = backlog.take().or((!held.is_empty()).then_some(0)) {
             if !*dead {
+                #[cfg(test)]
+                tests::tally_write(stream);
                 *dead = stream.write_all(&frame.as_bytes()[sent..]).is_err();
             }
+            held.clear();
         }
         let Some(response) = response else { return };
         if *dead {
@@ -314,75 +392,45 @@ impl Link {
         #[cfg(test)]
         tests::tally(self, false);
         (self.write_frame)(&mut || {
+            #[cfg(test)]
+            tests::tally_write(stream);
             *dead = wire::write_encoded(stream, frame, |t| response.encode(t)).is_err();
         });
     }
 
     /// The reader's write of `response`: the same frame through the
-    /// same [`Service::write_frame`], but only as much of it as the
-    /// socket takes without blocking, and only if the write half is
-    /// free and owes no earlier frame — the reader never waits on the
-    /// writer, which may itself be waiting on the client.
-    fn write_inline(&self, response: &Response) -> Inline {
-        let mut out = match self.out.try_lock() {
-            Ok(out) => out,
-            Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(TryLockError::WouldBlock) => return Inline::Busy,
+    /// same [`Service::write_frame`], but only if the write half is free
+    /// and owes no earlier frame — the reader never waits on the writer,
+    /// which may itself be waiting on the client — else queued through
+    /// `tx`. Held in a burst; else written with what is held before it.
+    fn write_inline(&self, response: Response, slot: Slot, tx: &Sender<Queued>) {
+        let Some(mut out) = self.try_out().filter(|out| out.backlog.is_none()) else {
+            let _ = tx.send((Some(response), slot));
+            return;
         };
-        if out.backlog.is_some() {
-            return Inline::Busy;
-        }
         if out.dead {
-            return Inline::Done;
+            return;
         }
         #[cfg(test)]
         tests::tally(self, true);
-        let Out {
-            stream,
-            frame,
-            backlog,
-            dead,
-        } = &mut *out;
+        // ordering: Relaxed — only the reader stores or loads it.
+        let burst = self.burst.load(Ordering::Relaxed);
+        let out = &mut *out;
+        if out.held.is_empty() {
+            out.frame.clear();
+        }
+        // A frame the tier skips is lost, and its slot frees here.
+        let mut slot = Some(slot);
         (self.write_frame)(&mut || {
-            wire::encode_line(frame, |t| response.encode(t));
-            match write_nonblocking(stream, frame.as_bytes()) {
-                Ok(sent) if sent < frame.len() => *backlog = Some(sent),
-                Ok(_) => {}
-                Err(_) => *dead = true,
+            wire::append_line(&mut out.frame, |t| response.encode(t));
+            out.held.extend(slot.take());
+            if !burst {
+                out.write_held(tx);
             }
         });
-        if backlog.is_some() {
-            #[cfg(test)]
-            tests::tally_unfinished(self);
-            Inline::Unfinished
-        } else {
-            Inline::Done
-        }
+        // ordering: Relaxed — only the reader stores or loads it.
+        self.holding.store(!out.held.is_empty(), Ordering::Relaxed);
     }
-}
-
-/// Write as much of `bytes` as `stream` takes without blocking, and
-/// return how much that was. Only the reader calls this, holding the
-/// write half, so no other thread uses the socket while it is
-/// non-blocking.
-fn write_nonblocking(mut stream: &TcpStream, bytes: &[u8]) -> io::Result<usize> {
-    stream.set_nonblocking(true)?;
-    let mut sent = 0;
-    let written = loop {
-        match stream.write(&bytes[sent..]) {
-            Ok(0) => break Err(ErrorKind::WriteZero.into()),
-            Ok(n) => {
-                sent += n;
-                if sent == bytes.len() {
-                    break Ok(sent);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break Ok(sent),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => break Err(e),
-        }
-    };
-    stream.set_nonblocking(false).and(written)
 }
 
 /// A connection's counting semaphore of in-flight slots.
@@ -408,18 +456,27 @@ impl Drop for Slot {
 /// A connection's outbound half, as [`Service::dispatch`] sees it.
 #[derive(Debug)]
 pub struct Reply {
-    tx: Sender<(Option<Response>, Slot)>,
+    tx: Sender<Queued>,
     link: Arc<Link>,
 }
 
 impl Reply {
     /// Take an in-flight slot, blocking while the connection is at its
-    /// cap, as the right to send one response later.
+    /// cap, as the right to send one response later. The reader writes
+    /// what it holds before it waits: a held frame keeps its slot, so
+    /// the wait could otherwise be on itself.
     pub fn reserve(&self) -> Ticket {
         let gate = &self.link.gate;
         let mut count = lock_recovered(&gate.count);
         while *count >= gate.limit {
-            count = gate.cv.wait(count).unwrap_or_else(|e| e.into_inner());
+            // ordering: Relaxed — only the reader stores or loads it.
+            count = if self.link.holding.load(Ordering::Relaxed) {
+                drop(count);
+                self.flush();
+                lock_recovered(&gate.count)
+            } else {
+                gate.cv.wait(count).unwrap_or_else(|e| e.into_inner())
+            };
         }
         *count += 1;
         Ticket {
@@ -433,6 +490,19 @@ impl Reply {
     pub fn send(&self, response: Response) {
         self.reserve().send(response);
     }
+
+    /// Write the frames the reader holds. A writer that holds the write
+    /// half took it after they were encoded, and writes them itself.
+    fn flush(&self) {
+        let link = &*self.link;
+        // ordering: Relaxed — only the reader stores or loads it.
+        if !link.holding.swap(false, Ordering::Relaxed) {
+            return;
+        }
+        if let Some(mut out) = link.try_out().filter(|out| !out.held.is_empty()) {
+            out.write_held(&self.tx);
+        }
+    }
 }
 
 /// The right to send one response on a connection, holding its
@@ -440,36 +510,30 @@ impl Reply {
 /// it frees the slot.
 #[derive(Debug)]
 pub struct Ticket {
-    tx: Sender<(Option<Response>, Slot)>,
+    tx: Sender<Queued>,
     slot: Slot,
 }
 
 impl Ticket {
-    /// Send `response`: written right here on the connection's reader
-    /// thread as far as the socket takes it at once, queued for its
-    /// writer from any other thread and for whatever the reader could
-    /// not write. On a closed connection the response is dropped, and
-    /// its slot with it.
+    /// Send `response`: on the connection's reader thread, held for the
+    /// rest of a burst or written right there as far as the socket takes
+    /// it at once; queued for its writer from any other thread and for
+    /// whatever the reader could not write. On a closed connection the
+    /// response is dropped, and its slot with it.
     pub fn send(self, response: Response) {
         let Ticket { tx, slot } = self;
-        let link = &slot.0;
-        let queued = if thread::current().id() != link.reader {
-            Some(response)
+        if thread::current().id() == slot.0.reader {
+            Arc::clone(&slot.0).write_inline(response, slot, &tx);
         } else {
-            match link.write_inline(&response) {
-                Inline::Done => return,
-                Inline::Unfinished => None,
-                Inline::Busy => Some(response),
-            }
-        };
-        let _ = tx.send((queued, slot));
+            let _ = tx.send((Some(response), slot));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
-    use std::io::BufReader;
+    use std::io::{BufReader, Write};
     use std::net::{SocketAddr, TcpStream};
     use std::sync::{Arc, Mutex};
     use std::thread;
@@ -487,15 +551,18 @@ mod tests {
     use crate::spec::{CacheMode, EngineSpec, JobOptions, JobSpec};
     use crate::wire;
 
-    /// The frames each connection has written, by its client's address.
-    static FRAMES: Mutex<BTreeMap<SocketAddr, Frames>> = Mutex::new(BTreeMap::new());
+    /// The frames each connection has written, and its writes to the
+    /// socket, by its client's address. A write is each of the reader's
+    /// non-blocking writes and each of the writer's blocking ones: one
+    /// `send` unless the socket takes only part of it.
+    static FRAMES: Mutex<BTreeMap<SocketAddr, (Frames, usize)>> = Mutex::new(BTreeMap::new());
 
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     struct Frames {
         /// Begun on the reader thread.
         inline: usize,
-        /// Of those, left for the writer to finish: the socket would
-        /// not take the whole frame at once.
+        /// Writes of the reader's left for the writer to finish: the
+        /// socket would not take them whole at once.
         unfinished: usize,
         /// Queued, and written by the writer thread.
         queued: usize,
@@ -505,8 +572,8 @@ mod tests {
     /// has read a response sees it counted.
     pub(super) fn tally(link: &Link, inline: bool) {
         let Some(peer) = link.peer else { return };
-        let mut frames = lock_recovered(&FRAMES);
-        let frames = frames.entry(peer).or_default();
+        let mut tallies = lock_recovered(&FRAMES);
+        let frames = &mut tallies.entry(peer).or_default().0;
         if inline {
             frames.inline += 1;
         } else {
@@ -514,17 +581,28 @@ mod tests {
         }
     }
 
-    /// Count an inline frame of `link`'s the writer must finish.
-    pub(super) fn tally_unfinished(link: &Link) {
-        let Some(peer) = link.peer else { return };
-        lock_recovered(&FRAMES).entry(peer).or_default().unfinished += 1;
+    /// Count a write of the reader's the writer must finish.
+    pub(super) fn tally_unfinished(stream: &TcpStream) {
+        let Ok(peer) = stream.peer_addr() else { return };
+        let mut tallies = lock_recovered(&FRAMES);
+        tallies.entry(peer).or_default().0.unfinished += 1;
     }
 
-    fn frames_of(client: SocketAddr) -> Frames {
+    /// Count one write to `stream`, before it is made.
+    pub(super) fn tally_write(stream: &TcpStream) {
+        let Ok(peer) = stream.peer_addr() else { return };
+        lock_recovered(&FRAMES).entry(peer).or_default().1 += 1;
+    }
+
+    fn tally_of(client: SocketAddr) -> (Frames, usize) {
         lock_recovered(&FRAMES)
             .get(&client)
             .copied()
             .unwrap_or_default()
+    }
+
+    fn frames_of(client: SocketAddr) -> Frames {
+        tally_of(client).0
     }
 
     fn boot(workers: usize) -> (Arc<DsePool>, SocketAddr, thread::JoinHandle<()>) {
@@ -609,6 +687,40 @@ mod tests {
                 queued: 6
             }
         );
+
+        wire::write_request(&mut client, &Request::Shutdown { id: None }).unwrap();
+        assert!(matches!(
+            wire::read_response(&mut reader).unwrap(),
+            Some(Response::Shutdown { .. })
+        ));
+        handle.join().unwrap();
+    }
+
+    /// Resident hits the client sends in one write are answered in one
+    /// write: while the next request line is already in the reader's
+    /// buffer, it holds each response instead of writing it.
+    #[test]
+    fn a_burst_of_resident_hits_is_answered_inline_in_one_write() {
+        let (_pool, addr, handle) = boot(2);
+        // Warm every layer on another connection, so this one's writer
+        // never holds the write half.
+        let warm = JobSpec::network(0, EngineSpec::default(), Network::tiny());
+        Client::connect(addr).unwrap().submit(&warm).unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut burst = Vec::new();
+        for id in 1..=10 {
+            wire::write_request(&mut burst, &job(id, CacheMode::Default)).unwrap();
+        }
+        // One read of the reader's takes it all.
+        assert!(burst.len() < 8 << 10, "{} bytes", burst.len());
+        client.write_all(&burst).unwrap();
+        for _ in 0..10 {
+            let response = wire::read_response(&mut reader).unwrap().unwrap();
+            assert!(matches!(response, Response::Job { .. }), "{response:?}");
+        }
+        let (frames, writes) = tally_of(client.local_addr().unwrap());
+        assert_eq!((frames.inline, frames.queued, writes), (10, 0, 1));
 
         wire::write_request(&mut client, &Request::Shutdown { id: None }).unwrap();
         assert!(matches!(

@@ -285,7 +285,10 @@ fn write_number(n: f64, out: &mut String) {
         // defensive null beats emitting an unparsable token.
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9.0e15 && !(n == 0.0 && n.is_sign_negative()) {
-        let _ = write!(out, "{}", n as i64);
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_digits((n as i64).unsigned_abs(), out);
     } else {
         // `-0.0` comes here too: as the integer `0` it would read back
         // as `+0.0`.
@@ -293,6 +296,15 @@ fn write_number(n: f64, out: &mut String) {
         // exact bit pattern through `str::parse::<f64>()`.
         let _ = write!(out, "{n:?}");
     }
+}
+
+/// `n` in decimal, as `{}` writes it but without `core::fmt`: most
+/// numbers on the wire are integers.
+fn write_digits(n: u64, out: &mut String) {
+    if n >= 10 {
+        write_digits(n / 10, out);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
 }
 
 fn write_string(s: &str, out: &mut String) {
@@ -622,6 +634,9 @@ mod tests {
         assert_eq!(Json::num_u64(37_748_736).render(), "37748736");
         assert_eq!(Json::Num(-5.0).render(), "-5");
         assert_eq!(Json::Num(0.5).render(), "0.5");
+        for n in [0_i64, 9, -10, 1 << 40, -8_999_999_999_999_999] {
+            assert_eq!(Json::Num(n as f64).render(), n.to_string());
+        }
     }
 
     #[test]

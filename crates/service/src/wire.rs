@@ -88,14 +88,15 @@ pub fn write_encoded(
     frame: &mut String,
     encode: impl FnOnce(&mut JsonText<'_>),
 ) -> Result<(), ServiceError> {
-    encode_line(frame, encode);
+    frame.clear();
+    append_line(frame, encode);
     write_line(writer, frame)
 }
 
-/// Encode a message into `frame` (cleared first) as one
-/// newline-terminated line: what [`write_encoded`] writes.
-pub(crate) fn encode_line(frame: &mut String, encode: impl FnOnce(&mut JsonText<'_>)) {
-    frame.clear();
+/// Append a message to `frame` as one newline-terminated line, after
+/// the lines already there: a connection's reader gathers a burst's
+/// responses this way and writes them together.
+pub(crate) fn append_line(frame: &mut String, encode: impl FnOnce(&mut JsonText<'_>)) {
     encode(&mut JsonText::new(frame));
     frame.push('\n');
 }
@@ -155,6 +156,21 @@ pub(crate) fn wake_listener(mut addr: SocketAddr) {
 /// a leading `0x00` (a binary frame).
 pub fn read_message(reader: &mut impl BufRead) -> Result<Option<(String, Encoding)>, ServiceError> {
     Ok(read_line(reader)?.map(|text| (text, Encoding::Text)))
+}
+
+/// Whether `buffered` — what a reader's buffer holds past the message
+/// it just returned — holds a whole next message, so that the next
+/// [`read_message`] returns without reading the socket. A line that
+/// message would skip (blank, or only whitespace) does not count; one
+/// it would refuse (not UTF-8, or a leading `0x00`) does, since the
+/// refusal does not read either.
+pub(crate) fn holds_message(buffered: &[u8]) -> bool {
+    let Some(end) = buffered.iter().rposition(|&b| b == b'\n') else {
+        return false;
+    };
+    buffered[..end]
+        .split(|&b| b == b'\n')
+        .any(|line| std::str::from_utf8(line).map_or(true, |text| !text.trim().is_empty()))
 }
 
 /// [`read_message`] without the vestigial [`Encoding`].
@@ -274,6 +290,15 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    /// A socket whose read deadline has expired.
+    struct Stalled;
+
+    impl std::io::Read for Stalled {
+        fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
+        }
+    }
+
     #[test]
     fn text_messages_round_trip_and_skip_blank_lines() {
         let mut out = Vec::new();
@@ -289,6 +314,29 @@ mod tests {
             );
         }
         assert_eq!(read_message(&mut reader).unwrap(), None);
+    }
+
+    /// `holds_message` says of a buffer exactly whether `read_message`
+    /// answers from it without reading the socket: a reader that holds
+    /// its responses while the next message is buffered must never
+    /// block in a read holding them.
+    #[test]
+    fn a_buffered_message_is_read_without_touching_the_socket() {
+        let lines = [
+            "",
+            "{}",
+            "{}\n",
+            "\n",
+            "\r\n \t\n",
+            "\u{3000}\n",
+            "\n {\"id\":1}\r\n",
+            "\0\n",
+        ];
+        for buffered in lines.iter().map(|l| l.as_bytes()).chain([&b"\xff\n"[..]]) {
+            let read = read_message(&mut BufReader::new(std::io::Read::chain(buffered, Stalled)));
+            let stalled = matches!(read, Err(ServiceError::Timeout(_)));
+            assert_eq!(holds_message(buffered), !stalled, "{buffered:?}: {read:?}");
+        }
     }
 
     #[test]
@@ -311,12 +359,6 @@ mod tests {
     fn socket_deadline_errors_surface_as_typed_timeouts() {
         // A reader whose deadline expires (SO_RCVTIMEO → WouldBlock)
         // must yield the typed Timeout, not an opaque Io error.
-        struct Stalled;
-        impl std::io::Read for Stalled {
-            fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
-            }
-        }
         let err = read_message(&mut BufReader::new(Stalled)).unwrap_err();
         assert!(matches!(err, ServiceError::Timeout(_)), "{err}");
 

@@ -1,6 +1,7 @@
 //! Reliability integration tests over live sockets: chaos (a seeded
 //! fault plan against a fixed load plan), a dropped frame against the
-//! client's read timeout, a peer that never reads against its write
+//! client's read timeout and inside a pipelined burst, a peer that
+//! never reads against its write
 //! timeout, graceful-shutdown drain, and the wire-level
 //! `deadline_exceeded` response.
 //!
@@ -10,6 +11,8 @@
 //! response or a **typed error** — never a hang (a watchdog thread
 //! fails the test if the run wedges), never a silent wrong answer.
 
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -25,9 +28,10 @@ use drmap_service::faults::{FaultPlan, FAULTS_COMPILED_IN};
 use drmap_service::json::Json;
 use drmap_service::loadgen::default_catalog;
 use drmap_service::pool::DsePool;
-use drmap_service::proto::{MetricsReport, Request};
+use drmap_service::proto::{MetricsReport, Request, Response};
 use drmap_service::server::JobServer;
 use drmap_service::spec::{EngineSpec, JobOptions, JobResult, JobSpec};
+use drmap_service::wire;
 use drmap_store::store::Store;
 
 /// A scratch WAL path under the workspace `target/`, resolved from
@@ -258,6 +262,49 @@ fn a_dropped_frame_surfaces_as_a_typed_client_timeout() {
     assert!(started.elapsed() < Duration::from_secs(5));
 
     pool.state().faults().set_plan(None).unwrap();
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A frame dropped inside a pipelined burst loses only itself: the
+/// burst's other answers all arrive, and the dropped one never does.
+#[test]
+fn a_frame_dropped_inside_a_burst_loses_only_itself() {
+    if !FAULTS_COMPILED_IN {
+        return; // release build without the `faults` feature
+    }
+    let state = ServiceState::new().unwrap();
+    // The plan's draws are a pure function of its seed and each frame's
+    // ordinal: of the first ten frames, it drops the ninth.
+    let plan = FaultPlan::parse("seed=7,wire-drop=0.3").unwrap();
+    state.faults().set_plan(Some(plan)).unwrap();
+    let pool = Arc::new(DsePool::new(state, 1));
+    let server = JobServer::with_pool("127.0.0.1:0", Arc::clone(&pool)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = thread::spawn(move || server.run().unwrap());
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut pong = || match wire::read_response(&mut reader).unwrap() {
+        Some(Response::Pong { id: Some(id) }) => id,
+        other => panic!("{other:?}"),
+    };
+    let mut burst = Vec::new();
+    for id in 0..10 {
+        wire::write_request(&mut burst, &Request::Ping { id: Some(id) }).unwrap();
+    }
+    stream.write_all(&burst).unwrap();
+    let mut ids: Vec<u64> = (0..9).map(|_| pong()).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, [0, 1, 2, 3, 4, 5, 6, 7, 9]);
+    // Nothing of the burst is left to arrive late.
+    pool.state().faults().set_plan(None).unwrap();
+    wire::write_request(&mut stream, &Request::Ping { id: Some(10) }).unwrap();
+    assert_eq!(pong(), 10);
+
     Client::connect(addr).unwrap().shutdown().unwrap();
     handle.join().unwrap();
 }

@@ -1,6 +1,8 @@
 //! In-flight limit tests: the per-connection cap must bound
 //! concurrency without ever deadlocking or dropping responses.
 
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -10,9 +12,10 @@ use drmap_service::client::Client;
 use drmap_service::engine::ServiceState;
 use drmap_service::json::Json;
 use drmap_service::pool::DsePool;
-use drmap_service::proto::Request;
+use drmap_service::proto::{Request, Response};
 use drmap_service::server::{JobServer, ServerConfig};
 use drmap_service::spec::{CacheMode, EngineSpec, JobOptions, JobSpec};
+use drmap_service::wire;
 
 fn batch(ids: std::ops::Range<u64>) -> Vec<JobSpec> {
     ids.map(|id| JobSpec::network(id, EngineSpec::default(), Network::tiny()))
@@ -159,6 +162,49 @@ fn a_per_connection_cap_of_one_still_serves_a_pipelined_burst() {
         assert_eq!(result.unwrap().id, spec.id);
     }
     client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// The reader writes the answers it holds for a pipelined burst before
+/// it waits at the cap: with a cap of two, ten pings sent in one write
+/// are all answered, where a reader that waited for a third slot while
+/// holding the first two answers would wait on itself.
+#[test]
+fn a_burst_past_the_cap_is_answered_whole() {
+    let state = ServiceState::new().unwrap();
+    let pool = Arc::new(DsePool::new(state, 1));
+    let server = JobServer::with_config(
+        "127.0.0.1:0",
+        pool,
+        ServerConfig {
+            max_inflight: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut burst = Vec::new();
+    for id in 0..10 {
+        wire::write_request(&mut burst, &Request::Ping { id: Some(id) }).unwrap();
+    }
+    stream.write_all(&burst).unwrap();
+    let mut ids: Vec<u64> = (0..10)
+        .map(|_| match wire::read_response(&mut reader).unwrap() {
+            Some(Response::Pong { id: Some(id) }) => id,
+            other => panic!("{other:?}"),
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..10).collect::<Vec<_>>());
+
+    Client::connect(addr).unwrap().shutdown().unwrap();
     handle.join().unwrap();
 }
 
