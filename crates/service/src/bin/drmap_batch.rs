@@ -5,7 +5,7 @@
 //! ```text
 //! drmap-batch --connect HOST:PORT [SPEC_FILE] [--models a,b,c] [--arch ARCH]
 //!             [--objective OBJ] [--repeat R]
-//! drmap-batch --connect HOST:PORT --admin CMD [CMD…] [--text]
+//! drmap-batch --connect HOST:PORT --admin REQUEST [REQUEST…] [--text]
 //! ```
 //!
 //! `SPEC_FILE` holds one JSON job per line (the server's request
@@ -16,46 +16,36 @@
 //! coalesce onto one in-flight computation). Every job goes on the wire
 //! up front and responses return out of order as they complete.
 //!
-//! `--admin` switches to **control-plane mode**: the remaining
-//! arguments are admin commands, each parsed into its protocol request
-//! and sent in order, failing on the first non-ok response:
+//! `--admin` switches to **control-plane mode**: each remaining
+//! argument is one protocol request (`docs/PROTOCOL.md`), written as
+//! its JSON object or as a bare verb name standing for
+//! `{"type":"<verb>"}`. Every argument is decoded before the client
+//! connects; the requests go out in order, each answer is printed as
+//! its wire line, and the first `"ok": false` answer exits non-zero:
 //!
 //! ```text
-//! drmap-batch --connect 127.0.0.1:7878 --admin hello \
-//!     set-bounds=entries:512 cache-warm store-compact stats
+//! drmap-batch --connect 127.0.0.1:7878 --admin '{"type":"hello","version":1}' \
+//!     '{"type":"set-bounds","max_entries":512}' cache-warm store-compact stats
 //! ```
 //!
-//! The `metrics` admin command dumps the server's telemetry — request
-//! counters, latency histogram quantiles, and the slow-request log;
-//! with `--text` it prints Prometheus-style text exposition instead
-//! (see `docs/OBSERVABILITY.md`):
+//! With `--text`, a `metrics` answer prints as Prometheus-style text
+//! exposition instead (see `docs/OBSERVABILITY.md`):
 //!
 //! ```text
 //! drmap-batch --connect 127.0.0.1:7878 --admin metrics --text
-//! ```
-//!
-//! `set-slow-log=slow_ms:N,cap:N` retunes the slow log live,
-//! `store-compact=auto:R` arms background store compaction, and
-//! `set-faults=SPEC|off` arms or disarms a deterministic
-//! fault-injection plan (builds with faults compiled in only; see
-//! `docs/RELIABILITY.md`):
-//!
-//! ```text
-//! drmap-batch --connect 127.0.0.1:7878 --admin \
-//!     set-slow-log=slow_ms:250,cap:64 \
-//!     set-faults=seed=42,store-fail=0.1 set-faults=off
 //! ```
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use drmap_service::cli::{parse_admin_command, parse_positive as positive};
+use drmap_service::cli::parse_positive as positive;
 use drmap_service::client::Client;
 use drmap_service::error::ServiceError;
 use drmap_service::json::{Json, MAX_EXACT_INT};
 use drmap_service::prelude::Network;
-use drmap_service::proto::{Label, MetricsReport, Request, Response};
+use drmap_service::proto::{Label, Request, Response};
 use drmap_service::spec::{EngineSpec, JobResult, JobSpec};
+use drmap_service::wire;
 
 struct Args {
     spec_file: Option<String>,
@@ -63,7 +53,8 @@ struct Args {
     engine: EngineSpec,
     repeat: usize,
     connect: String,
-    /// Each admin command's verb (for error messages) and its request.
+    /// Each `--admin` argument as given (for error messages) and its
+    /// decoded request.
     admin: Option<Vec<(String, Request)>>,
     text: bool,
 }
@@ -94,7 +85,7 @@ fn parse_args() -> Result<Args, String> {
             "--objective" => args.engine.objective = label(&value("--objective")?)?,
             "--repeat" => args.repeat = positive("--repeat", &value("--repeat")?)?,
             "--connect" => connect = Some(value("--connect")?),
-            // A repeated --admin is a no-op, not a reset: commands
+            // A repeated --admin is a no-op, not a reset: requests
             // already collected must survive.
             "--admin" => {
                 args.admin.get_or_insert_with(Vec::new);
@@ -104,16 +95,15 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: drmap-batch --connect HOST:PORT [SPEC_FILE] [--models a,b,c] \
                      [--arch ARCH] [--objective OBJ] [--repeat R] \
-                     [--admin CMD [CMD...] [--text]]"
+                     [--admin REQUEST [REQUEST...] [--text]]"
                 );
                 std::process::exit(0);
             }
             other if !other.starts_with('-') && args.admin.is_some() => {
-                let verb = other.split_once('=').map_or(other, |(verb, _)| verb);
                 args.admin
                     .as_mut()
                     .expect("checked is_some")
-                    .push((verb.to_owned(), parse_admin_command(other)?));
+                    .push((other.to_owned(), admin_request(other)?));
             }
             other if !other.starts_with('-') && args.spec_file.is_none() => {
                 args.spec_file = Some(other.to_owned());
@@ -122,9 +112,9 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     args.connect = connect.ok_or("--connect HOST:PORT is required: jobs run on a live server")?;
-    if let Some(commands) = &args.admin {
-        if commands.is_empty() {
-            return Err("--admin needs at least one command (try --help)".to_owned());
+    if let Some(requests) = &args.admin {
+        if requests.is_empty() {
+            return Err("--admin needs at least one request (try --help)".to_owned());
         }
         // Batch-only arguments are rejected, not silently ignored.
         if let Some(path) = &args.spec_file {
@@ -136,8 +126,9 @@ fn parse_args() -> Result<Args, String> {
             return Err("--repeat does not apply in --admin mode".to_owned());
         }
     }
-    if args.text && args.admin.is_none() {
-        return Err("--text only applies in --admin mode (with the metrics command)".to_owned());
+    let metrics = |(_, request): &(String, Request)| matches!(request, Request::Metrics { .. });
+    if args.text && !args.admin.iter().flatten().any(metrics) {
+        return Err("--text only applies in --admin mode, to a metrics request".to_owned());
     }
     Ok(args)
 }
@@ -148,141 +139,37 @@ fn label<T: Label>(value: &str) -> Result<T, String> {
     T::parse_label(value).map_err(|e| ServiceError::protocol(e).to_string())
 }
 
-fn bound_label(b: Option<usize>) -> String {
-    match b {
-        Some(n) => n.to_string(),
-        None => "unbounded".to_owned(),
-    }
+/// One `--admin` argument as its request: a JSON object, or a bare
+/// verb name standing for `{"type":"<verb>"}`, through the server's
+/// own decoder.
+fn admin_request(arg: &str) -> Result<Request, String> {
+    let line = if arg.starts_with('{') {
+        arg.to_owned()
+    } else {
+        Json::obj([("type", Json::str(arg))]).render()
+    };
+    wire::decode_request(&line).map_err(|e| format!("--admin {arg}: {}", e.message))
 }
 
-/// Send each admin request in order, printing its response; the first
-/// non-ok response aborts with its error. `text` makes the `metrics`
-/// command print Prometheus-style exposition instead of the human
-/// summary.
-fn run_admin(addr: &str, text: bool, commands: &[(String, Request)]) -> Result<(), String> {
+/// Send each admin request in order and print its answer as its wire
+/// line; the first non-ok answer aborts with its error. `text` prints a
+/// `metrics` answer as Prometheus-style exposition instead.
+fn run_admin(addr: &str, text: bool, requests: &[(String, Request)]) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
-    for (verb, request) in commands {
-        match client
-            .typed_request(request)
-            .map_err(|e| format!("{verb}: {e}"))?
-        {
-            Response::Hello {
-                version,
-                server,
-                capabilities,
-            } => println!(
-                "hello: {server} speaks protocol v{version} (capabilities: {})",
-                capabilities.join(", "),
-            ),
-            Response::Pong { .. } => println!("ping: pong"),
-            Response::Stats { report, .. } => {
-                println!(
-                    "stats: {} hits / {} misses / {} coalesced ({} bypassed, {} refreshed), \
-                     {} entries, {} bytes, {} evictions, {} workers",
-                    report.cache.hits,
-                    report.cache.misses,
-                    report.cache.coalesced,
-                    report.cache.bypasses,
-                    report.cache.refreshes,
-                    report.cache.entries,
-                    report.cache.bytes,
-                    report.cache.evictions,
-                    report.workers,
-                );
-                println!(
-                    "config: cache bounds {} entries / {} bytes",
-                    bound_label(report.max_entries),
-                    bound_label(report.max_bytes),
-                );
-                if let Some(store) = report.store {
-                    println!(
-                        "store: {} live entries in {} bytes ({} dead records)",
-                        store.live_entries, store.file_bytes, store.dead_records,
-                    );
-                }
-            }
-            Response::BoundsSet {
-                max_entries,
-                max_bytes,
-                evicted,
-                ..
-            } => println!(
-                "set-bounds: {} entries / {} bytes ({evicted} evicted)",
-                bound_label(max_entries),
-                bound_label(max_bytes),
-            ),
+    let mut frame = String::new();
+    for (arg, request) in requests {
+        let fail = |e: ServiceError| format!("{arg}: {e}");
+        match client.typed_request(request).map_err(fail)? {
             Response::Metrics { report, .. } if text => {
                 print!("{}", report.snapshot.to_prometheus());
             }
-            Response::Metrics { report, .. } => print_metrics(&report),
-            Response::SlowLogSet { slow_ms, cap, .. } => println!(
-                "set-slow-log: threshold {}, ring capacity {cap}",
-                match slow_ms {
-                    Some(ms) => format!(">= {ms} ms"),
-                    None => "off".to_owned(),
-                },
-            ),
-            Response::FaultsSet {
-                spec: Some(spec), ..
-            } => println!("set-faults: armed {spec}"),
-            Response::FaultsSet { spec: None, .. } => println!("set-faults: disarmed"),
-            Response::CacheCleared { .. } => println!("cache-clear: done"),
-            Response::CacheWarmed { loaded, .. } => {
-                println!("cache-warm: {loaded} entries promoted");
+            response => {
+                wire::write_encoded(&mut std::io::stdout(), &mut frame, |t| response.encode(t))
+                    .map_err(fail)?;
             }
-            Response::StoreCompacted { report, .. } => println!(
-                "store-compact: {} -> {} bytes ({} records dropped, {} live)",
-                report.bytes_before,
-                report.bytes_after,
-                report.dropped_records,
-                report.live_records,
-            ),
-            Response::Shutdown { .. } => println!("shutdown: acknowledged"),
-            other => return Err(format!("{verb} got an unexpected response: {other:?}")),
         }
     }
     Ok(())
-}
-
-/// The human summary of a `metrics` response.
-fn print_metrics(report: &MetricsReport) {
-    for (name, v) in &report.snapshot.counters {
-        println!("counter  {name} = {v}");
-    }
-    for (name, v) in &report.snapshot.gauges {
-        println!("gauge    {name} = {v}");
-    }
-    for (name, h) in &report.snapshot.histograms {
-        if h.count == 0 {
-            println!("hist     {name}: empty");
-            continue;
-        }
-        println!(
-            "hist     {name}: count {} p50 {} p95 {} p99 {} p999 {} max {} (ns)",
-            h.count,
-            h.p50(),
-            h.p95(),
-            h.p99(),
-            h.p999(),
-            h.max,
-        );
-    }
-    if report.slow.is_empty() {
-        println!("slow log: empty");
-    }
-    for entry in &report.slow {
-        let stages = entry
-            .stages
-            .iter()
-            .map(|(name, ns)| format!("{name} {:.2}ms", *ns as f64 / 1e6))
-            .collect::<Vec<_>>()
-            .join(", ");
-        println!(
-            "slow job {}: {:.2}ms total ({stages})",
-            entry.trace_id,
-            entry.total_ns as f64 / 1e6,
-        );
-    }
 }
 
 fn load_specs(args: &Args) -> Result<Vec<JobSpec>, String> {
@@ -429,8 +316,8 @@ fn run_connected(addr: &str, batch: &[JobSpec]) -> Result<(), String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    if let Some(commands) = &args.admin {
-        return run_admin(&args.connect, args.text, commands);
+    if let Some(requests) = &args.admin {
+        return run_admin(&args.connect, args.text, requests);
     }
     let batch = batch_of(&load_specs(&args)?, args.repeat)?;
     run_connected(&args.connect, &batch)

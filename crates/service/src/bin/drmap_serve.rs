@@ -14,8 +14,8 @@
 //! `--store PATH` opens (or creates) a
 //! persistent result log beneath the cache — results survive restarts,
 //! and on boot the most recent stored results warm the cache (up to the
-//! cache's entry bound, or all of them). The `store-compact=auto:R`
-//! admin verb arms background store compaction: each background tick
+//! cache's entry bound, or all of them). `store-compact`'s `auto_ratio`
+//! R arms background store compaction: each background tick
 //! compacts the log when its dead-bytes ratio reaches R (counted in
 //! `drmap_wal_autocompact_total`). `--sample-secs N` sets that tick's
 //! cadence (default 10; `--sample-secs 0` disables it); the tick runs
@@ -61,7 +61,7 @@ fn parse_args() -> Result<Args, String> {
         store: None,
         server: ServerConfig {
             // The serve bin ticks every 10 s by default so
-            // store-compact=auto:R works out of the box; --sample-secs 0
+            // store-compact's auto_ratio works out of the box; --sample-secs 0
             // opts out. Library users opt *in* via ServerConfig.
             sample_interval: Some(Duration::from_secs(10)),
             ..ServerConfig::default()

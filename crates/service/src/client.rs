@@ -68,7 +68,7 @@ impl HelloInfo {
 
 /// The `hello` this crate's clients open with: [`PROTOCOL_VERSION`]
 /// and this crate's identity.
-pub(crate) fn hello_request() -> Request {
+fn hello_request() -> Request {
     Request::Hello {
         version: PROTOCOL_VERSION,
         client: Some(crate::IDENTITY.to_owned()),

@@ -381,6 +381,7 @@ mod tests {
             "store-fail=yes",
             "frobnicate=1",
             "seed",
+            "seed=nope",
             "seed=42",     // injects nothing
             "panic-job=0", // 1-based
         ] {

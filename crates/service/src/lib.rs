@@ -52,8 +52,7 @@
 //!   out of order as they complete; the client sends any typed
 //!   [`Request`](proto::Request) and wraps the common ones (`hello`,
 //!   `stats`, `metrics`, …);
-//! * [`cli`] — the binaries' flag helpers and the `drmap-batch --admin`
-//!   command language, parsed straight into requests;
+//! * [`cli`] — the binaries' flag-value helper;
 //! * [`conn`] — the connection layer the server and `drmap-router`
 //!   share: one accept loop, one reader/writer session per connection
 //!   (the reader writes what it answers itself, as far as the socket

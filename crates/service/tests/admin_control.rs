@@ -13,6 +13,7 @@ use drmap_service::cache::CacheConfig;
 use drmap_service::client::Client;
 use drmap_service::engine::ServiceState;
 use drmap_service::error::ServiceError;
+use drmap_service::json::Json;
 use drmap_service::pool::DsePool;
 use drmap_service::proto::{BoundsUpdate, Request, Response, PROTOCOL_VERSION};
 use drmap_service::server::{JobServer, ServerConfig};
@@ -439,13 +440,14 @@ fn drmap_batch_drives_a_live_server_over_connect_and_admin() {
     let stdout = String::from_utf8_lossy(&batch.stdout);
     assert!(stdout.contains("1 jobs (3 layers, 0 failed)"), "{stdout}");
 
+    let hello = format!(r#"{{"type":"hello","version":{PROTOCOL_VERSION}}}"#);
     let admin = drmap_batch(&[
         "--connect",
         &addr,
         "--admin",
-        "hello",
+        &hello,
         "ping",
-        "set-bounds=entries:32",
+        r#"{"type":"set-bounds","max_entries":32}"#,
         "cache-warm",
         "store-compact",
         "stats",
@@ -453,13 +455,21 @@ fn drmap_batch_drives_a_live_server_over_connect_and_admin() {
     ]);
     assert!(admin.status.success(), "{admin:?}");
     let stdout = String::from_utf8_lossy(&admin.stdout);
-    for line in [
-        "hello: ",
-        "ping: pong",
-        "set-bounds: 32 entries",
-        "cache-warm: ",
-    ] {
-        assert!(stdout.contains(line), "missing {line:?} in {stdout}");
+    // One answer per request, in order, each its wire line.
+    let lines: Vec<&str> = stdout.lines().collect();
+    let expected = [
+        r#"{"type":"hello","ok":true,"version":"#,
+        r#"{"type":"pong","ok":true}"#,
+        r#"{"type":"bounds-set","ok":true,"max_entries":32,"max_bytes":null,"#,
+        r#"{"type":"cache-warmed","ok":true,"#,
+        r#"{"type":"store-compacted","ok":true,"#,
+        r#"{"type":"stats","ok":true,"#,
+        r#"{"type":"metrics","ok":true,"#,
+    ];
+    assert_eq!(lines.len(), expected.len(), "{stdout}");
+    for (line, start) in lines.iter().zip(expected) {
+        assert!(line.starts_with(start), "{line:?} does not start {start:?}");
+        Response::decode(&Json::parse(line).unwrap()).unwrap();
     }
     assert_eq!(pool.state().cache().bounds(), (Some(32), None));
 
@@ -475,6 +485,23 @@ fn drmap_batch_drives_a_live_server_over_connect_and_admin() {
         "{refused:?}"
     );
 
+    // An argument that does not decode is refused before anything is
+    // sent: the error is the decoder's, not a failed connection.
+    let undecodable = drmap_batch(&[
+        "--connect",
+        "127.0.0.1:1",
+        "--admin",
+        "ping",
+        "set-bounds=entries:32",
+    ]);
+    assert!(!undecodable.status.success(), "{undecodable:?}");
+    let stderr = String::from_utf8_lossy(&undecodable.stderr);
+    assert!(
+        stderr.contains(r#"unknown request type "set-bounds=entries:32""#),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("cannot connect"), "{stderr}");
+
     Client::connect(&bare_addr).unwrap().shutdown().unwrap();
     bare_handle.join().unwrap();
     Client::connect(&addr).unwrap().shutdown().unwrap();
@@ -482,7 +509,8 @@ fn drmap_batch_drives_a_live_server_over_connect_and_admin() {
 }
 
 /// The three `drmap-batch` paths the test above leaves out: a spec
-/// file, `--repeat`, and `metrics --text`.
+/// file, `--repeat`, and `metrics --text` (and `--text` refused on any
+/// other request).
 #[test]
 fn drmap_batch_repeats_a_spec_file_and_prints_metrics_as_text() {
     // One worker: the two rounds' layers are looked up one after the
@@ -527,6 +555,13 @@ fn drmap_batch_repeats_a_spec_file_and_prints_metrics_as_text() {
         .parse()
         .unwrap();
     assert_eq!(jobs, 2, "{stdout}");
+
+    // `--text` applies only to a metrics request: it is refused, not
+    // ignored, elsewhere.
+    let stray = drmap_batch(&["--connect", &addr, "--admin", "stats", "--text"]);
+    assert!(!stray.status.success(), "{stray:?}");
+    let stderr = String::from_utf8_lossy(&stray.stderr);
+    assert!(stderr.contains("--text only applies"), "{stderr}");
 
     Client::connect(&addr).unwrap().shutdown().unwrap();
     handle.join().unwrap();

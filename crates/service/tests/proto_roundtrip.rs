@@ -655,6 +655,17 @@ fn mistyped_typed_requests_get_typed_errors() {
             "unknown request type",
         ),
         (r#"{"type":"cache-warm","limit":"many"}"#, "limit"),
+        (r#"{"type":"set-bounds","max_entries":"x"}"#, "max_entries"),
+        (r#"{"type":"set-slow-log","slow_ms":"fast"}"#, "slow_ms"),
+        (r#"{"type":"set-slow-log","cap":0}"#, "must be positive"),
+        (
+            r#"{"type":"store-compact","auto_ratio":"now"}"#,
+            "auto_ratio",
+        ),
+        (r#"{"type":"store-compact","auto_ratio":1.5}"#, "in [0, 1]"),
+        (r#"{"type":"store-compact","auto_ratio":-0.1}"#, "in [0, 1]"),
+        // A bad fault spec is the fault-plan parser's refusal.
+        (r#"{"type":"set-faults","spec":"seed=nope"}"#, "seed"),
         // A job's nested field names its whole path.
         (
             r#"{"type":"submit","id":2,"engine":{"arch":"HBM3"},"network":{"model":"tiny"}}"#,
