@@ -948,6 +948,7 @@ fn tables_outside_the_trust_rule_are_refused() {
 /// flat table of `tests/property_tests.rs`.
 #[test]
 fn every_table_the_repository_builds_passes_the_gate() {
+    use drmap_dram::device::Device;
     use drmap_dram::energy::EnergyParams;
     use drmap_dram::timing::TimingParams;
     let salp = Geometry::salp_2gb_x8();
@@ -970,7 +971,8 @@ fn every_table_the_repository_builds_passes_the_gate() {
         AccessCostTable::from_costs(DramArch::Ddr3, [flat; 4], [flat; 4], 1.25),
     ];
     for (geometry, timing) in devices {
-        let profiler = Profiler::new(geometry, timing, EnergyParams::micron_2gb_x8()).unwrap();
+        let device = Device::new(geometry, timing, EnergyParams::micron_2gb_x8()).unwrap();
+        let profiler = Profiler::new(device).unwrap();
         tables.extend(DramArch::ALL.map(|arch| profiler.cost_table(arch)));
     }
     for table in tables {

@@ -16,11 +16,10 @@ use core::fmt;
 
 use drmap_cnn::layer::{DataKind, Layer};
 use drmap_dram::controller::ControllerConfig;
-use drmap_dram::energy::EnergyParams;
-use drmap_dram::geometry::Geometry;
+use drmap_dram::device::Device;
 use drmap_dram::request::{DriveMode, RequestKind};
 use drmap_dram::sim::DramSimulator;
-use drmap_dram::timing::{DramArch, TimingParams};
+use drmap_dram::timing::DramArch;
 
 use crate::access_model::bytes_to_bursts;
 use crate::dse::DseCandidate;
@@ -109,9 +108,7 @@ impl fmt::Display for ValidationReport {
 /// Replays DSE candidates through the cycle-level simulator.
 #[derive(Debug, Clone)]
 pub struct Validator {
-    geometry: Geometry,
-    timing: TimingParams,
-    energy: EnergyParams,
+    device: Device,
     arch: DramArch,
 }
 
@@ -120,40 +117,19 @@ pub struct Validator {
 const MAX_TILES_PER_KIND: u64 = 8;
 
 impl Validator {
-    /// Create a validator for `arch` on the Table II device.
+    /// Create a validator for `arch` on [`Device::table_ii`].
     ///
     /// # Errors
     ///
-    /// Returns [`DseError`] on invalid configuration.
+    /// Never: the `Result` survives only because the frozen `benchmark/`
+    /// harness handles it.
     pub fn table_ii(arch: DramArch) -> Result<Self, DseError> {
-        Self::new(
-            Geometry::salp_2gb_x8(),
-            TimingParams::ddr3_1600k(),
-            EnergyParams::micron_2gb_x8(),
-            arch,
-        )
+        Ok(Self::new(Device::table_ii(), arch))
     }
 
-    /// Create a validator for a custom device.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError`] on invalid configuration.
-    pub(crate) fn new(
-        geometry: Geometry,
-        timing: TimingParams,
-        energy: EnergyParams,
-        arch: DramArch,
-    ) -> Result<Self, DseError> {
-        geometry.validate()?;
-        timing.validate()?;
-        energy.validate()?;
-        Ok(Validator {
-            geometry,
-            timing,
-            energy,
-            arch,
-        })
+    /// Create a validator for `arch` on a custom device.
+    pub(crate) fn new(device: Device, arch: DramArch) -> Self {
+        Validator { device, arch }
     }
 
     /// Replay `candidate`'s tile streams for `layer` and compare against
@@ -180,7 +156,7 @@ impl Validator {
         let units = |kind: DataKind| {
             bytes_to_bursts(
                 candidate.tiling.tile_bytes(layer, acc, kind),
-                &self.geometry,
+                self.device.geometry(),
             )
         };
 
@@ -196,14 +172,8 @@ impl Validator {
             ),
         ];
 
-        let mut sim = DramSimulator::new(
-            self.geometry,
-            self.timing,
-            ControllerConfig::new(self.arch),
-            self.energy,
-        )
-        .map_err(DseError::from)?;
-        let codec = candidate.mapping.codec(self.geometry)?;
+        let mut sim = DramSimulator::on(&self.device, ControllerConfig::new(self.arch))?;
+        let codec = candidate.mapping.codec(*self.device.geometry())?;
 
         let mut sim_cycles = 0.0;
         let mut sim_energy = 0.0;
@@ -261,7 +231,7 @@ impl Validator {
             simulated: EdpEstimate {
                 cycles: sim_cycles,
                 energy: sim_energy,
-                t_ck_ns: self.timing.t_ck_ns,
+                t_ck_ns: self.device.timing().t_ck_ns,
             },
             hit_rate: if requests == 0.0 {
                 0.0
@@ -291,10 +261,9 @@ mod tests {
     }
 
     fn setup(arch: DramArch) -> (EdpModel, Validator) {
-        let geometry = Geometry::salp_2gb_x8();
         let profiler = Profiler::table_ii().unwrap();
         let model = EdpModel::new(
-            geometry,
+            *profiler.device().geometry(),
             profiler.cost_table(arch),
             AcceleratorConfig::table_ii(),
         );

@@ -110,6 +110,7 @@
 
 use crate::address::PhysicalAddress;
 use crate::command::{CommandKind, ScheduledCommand};
+use crate::device::Device;
 use crate::error::ConfigError;
 use crate::geometry::Geometry;
 use crate::request::{DriveMode, Request, RequestKind, RowRun};
@@ -340,16 +341,12 @@ struct Rank {
 ///
 /// ```
 /// use drmap_dram::controller::{ControllerConfig, MemoryController};
-/// use drmap_dram::geometry::Geometry;
-/// use drmap_dram::timing::{DramArch, TimingParams};
+/// use drmap_dram::device::Device;
+/// use drmap_dram::timing::DramArch;
 /// use drmap_dram::request::Request;
 /// use drmap_dram::address::PhysicalAddress;
 ///
-/// let mut mc = MemoryController::new(
-///     Geometry::ddr3_2gb_x8(),
-///     TimingParams::ddr3_1600k(),
-///     ControllerConfig::new(DramArch::Ddr3),
-/// )?;
+/// let mut mc = MemoryController::new(&Device::table_ii(), ControllerConfig::new(DramArch::Ddr3))?;
 /// let rec = mc.serve(Request::read(PhysicalAddress::default()), 0);
 /// assert_eq!(rec.latency(), 26); // row-buffer miss: tRCD + CL + tBURST
 /// # Ok::<(), drmap_dram::error::ConfigError>(())
@@ -376,16 +373,10 @@ impl MemoryController {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the geometry or timing parameters are
-    /// inconsistent, or if a SALP architecture is configured on a geometry
-    /// with a single subarray per bank.
-    pub fn new(
-        geometry: Geometry,
-        timing: TimingParams,
-        config: ControllerConfig,
-    ) -> Result<Self, ConfigError> {
-        geometry.validate()?;
-        timing.validate()?;
+    /// Returns [`ConfigError`] if a SALP architecture is configured on a
+    /// geometry with a single subarray per bank.
+    pub fn new(device: &Device, config: ControllerConfig) -> Result<Self, ConfigError> {
+        let (geometry, timing) = (*device.geometry(), *device.timing());
         if config.arch.exploits_subarrays() && geometry.subarrays < 2 {
             return Err(ConfigError::new(format!(
                 "{} requires at least 2 subarrays per bank, geometry has {}",
@@ -952,6 +943,7 @@ impl MemoryController {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::energy::EnergyParams;
     use crate::state::tests::BankState;
     use proptest::prelude::*;
 
@@ -978,17 +970,30 @@ pub(crate) mod tests {
         });
     }
 
+    /// `geometry` with `timing` and the Micron 2 Gb x8 currents.
+    fn device(geometry: Geometry, timing: TimingParams) -> Device {
+        Device::new(geometry, timing, EnergyParams::micron_2gb_x8()).unwrap()
+    }
+
+    /// A controller on `geometry` with `timing` under `config`.
+    fn controller(
+        geometry: Geometry,
+        timing: TimingParams,
+        config: ControllerConfig,
+    ) -> MemoryController {
+        MemoryController::new(&device(geometry, timing), config).unwrap()
+    }
+
     fn mc(arch: DramArch) -> MemoryController {
         let geometry = match arch {
             DramArch::Ddr3 => Geometry::ddr3_2gb_x8(),
             _ => Geometry::salp_2gb_x8(),
         };
-        MemoryController::new(
+        controller(
             geometry,
             TimingParams::ddr3_1600k(),
             ControllerConfig::new(arch),
         )
-        .unwrap()
     }
 
     fn addr(bank: usize, subarray: usize, row: usize, column: usize) -> PhysicalAddress {
@@ -1005,8 +1010,7 @@ pub(crate) mod tests {
     #[test]
     fn salp_requires_subarrays() {
         let err = MemoryController::new(
-            Geometry::ddr3_2gb_x8(),
-            TimingParams::ddr3_1600k(),
+            &device(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k()),
             ControllerConfig::new(DramArch::Salp1),
         )
         .unwrap_err();
@@ -1058,12 +1062,11 @@ pub(crate) mod tests {
     #[test]
     fn ddr3_cross_subarray_is_plain_conflict() {
         let geometry = Geometry::salp_2gb_x8();
-        let mut c = MemoryController::new(
+        let mut c = controller(
             geometry,
             TimingParams::ddr3_1600k(),
             ControllerConfig::new(DramArch::Ddr3),
-        )
-        .unwrap();
+        );
         let r0 = c.serve(Request::read(addr(0, 0, 0, 0)), 0);
         let r1 = c.serve(Request::read(addr(0, 3, 0, 0)), r0.completion + 100);
         assert_eq!(r1.outcome, RowBufferOutcome::Conflict);
@@ -1145,7 +1148,7 @@ pub(crate) mod tests {
             row_policy: RowPolicy::Closed,
             ..ControllerConfig::new(DramArch::Ddr3)
         };
-        let mut c = MemoryController::new(geometry, TimingParams::ddr3_1600k(), config).unwrap();
+        let mut c = controller(geometry, TimingParams::ddr3_1600k(), config);
         let r0 = c.serve(Request::read(addr(0, 0, 0, 0)), 0);
         let r1 = c.serve(Request::read(addr(0, 0, 0, 1)), r0.completion + 100);
         // Same row, but the closed-row policy precharged it.
@@ -1199,7 +1202,7 @@ pub(crate) mod tests {
             refresh_enabled: true,
             ..ControllerConfig::new(DramArch::Ddr3)
         };
-        let mut c = MemoryController::new(geometry, TimingParams::ddr3_1600k(), config).unwrap();
+        let mut c = controller(geometry, TimingParams::ddr3_1600k(), config);
         let t = TimingParams::ddr3_1600k();
         let _ = c.serve(Request::read(addr(0, 0, 0, 0)), 2 * t.t_refi + 1);
         assert_eq!(c.counters().command_count(CommandKind::Refresh), 2);
@@ -1211,9 +1214,7 @@ pub(crate) mod tests {
             record_commands: true,
             ..ControllerConfig::new(DramArch::Ddr3)
         };
-        let mut c =
-            MemoryController::new(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config)
-                .unwrap();
+        let mut c = controller(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config);
         let _ = c.serve(Request::read(addr(0, 0, 0, 0)), 0);
         let kinds: Vec<_> = c.commands().iter().map(|c| c.kind).collect();
         assert_eq!(kinds, vec![CommandKind::Activate, CommandKind::Read]);
@@ -1236,9 +1237,7 @@ pub(crate) mod tests {
             record_commands: true,
             ..ControllerConfig::new(DramArch::Ddr3)
         };
-        let mut c2 =
-            MemoryController::new(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config)
-                .unwrap();
+        let mut c2 = controller(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config);
         for b in 0..5 {
             let _ = c2.serve(Request::read(addr(b, 0, 0, 0)), 0);
         }
@@ -1265,7 +1264,7 @@ pub(crate) mod tests {
             record_commands: true,
             ..ControllerConfig::new(DramArch::Ddr3)
         };
-        let mut c = MemoryController::new(Geometry::ddr3_2gb_x8(), timing, config).unwrap();
+        let mut c = controller(Geometry::ddr3_2gb_x8(), timing, config);
         for b in 0..8 {
             let _ = c.serve(Request::read(addr(b, 0, 0, 0)), 0);
         }
@@ -1285,9 +1284,7 @@ pub(crate) mod tests {
             row_policy: RowPolicy::Timeout(100),
             ..ControllerConfig::new(DramArch::Ddr3)
         };
-        let mut c =
-            MemoryController::new(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config)
-                .unwrap();
+        let mut c = controller(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config);
         let r0 = c.serve(Request::read(addr(0, 0, 0, 0)), 0);
         // Within the timeout: still a hit.
         let r1 = c.serve(Request::read(addr(0, 0, 0, 1)), r0.completion + 50);
@@ -1307,8 +1304,7 @@ pub(crate) mod tests {
                 row_policy: policy,
                 ..ControllerConfig::new(DramArch::Ddr3)
             };
-            MemoryController::new(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config)
-                .unwrap()
+            controller(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config)
         };
         // Spaced accesses to alternating rows: timeout behaves like
         // closed-row (misses), open-row pays conflicts.
@@ -1332,12 +1328,11 @@ pub(crate) mod tests {
             channels: 2,
             ..Geometry::ddr3_2gb_x8()
         };
-        let mut c = MemoryController::new(
+        let mut c = controller(
             geometry,
             TimingParams::ddr3_1600k(),
             ControllerConfig::new(DramArch::Ddr3),
-        )
-        .unwrap();
+        );
         // Same bank/row coordinates on two channels: no interference at
         // all — both are plain misses with identical latency, and the
         // second channel's command bus is free.
@@ -1356,12 +1351,11 @@ pub(crate) mod tests {
             ranks: 2,
             ..Geometry::ddr3_2gb_x8()
         };
-        let mut c = MemoryController::new(
+        let mut c = controller(
             geometry,
             TimingParams::ddr3_1600k(),
             ControllerConfig::new(DramArch::Ddr3),
-        )
-        .unwrap();
+        );
         let a0 = addr(0, 0, 0, 0);
         let a1 = PhysicalAddress {
             rank: 1,
@@ -1389,7 +1383,7 @@ pub(crate) mod tests {
             record_commands: true,
             ..ControllerConfig::new(DramArch::Ddr3)
         };
-        let mut c = MemoryController::new(geometry, TimingParams::ddr3_1600k(), config).unwrap();
+        let mut c = controller(geometry, TimingParams::ddr3_1600k(), config);
         let t = TimingParams::ddr3_1600k();
         // Open a row in the last bank of the last rank of channel 1, then
         // trigger a refresh: the precharge bookkeeping must hit the right
@@ -1420,12 +1414,11 @@ pub(crate) mod tests {
             ranks: 2,
             ..Geometry::ddr3_2gb_x8()
         };
-        let c = MemoryController::new(
+        let c = controller(
             geometry,
             TimingParams::ddr3_1600k(),
             ControllerConfig::new(DramArch::Ddr3),
-        )
-        .unwrap();
+        );
         for ch in 0..2 {
             for ra in 0..2 {
                 for ba in 0..8 {
@@ -1454,7 +1447,7 @@ pub(crate) mod tests {
             refresh_enabled: true,
             ..config
         };
-        MemoryController::new(Geometry::ddr3_2gb_x8(), timing, config).unwrap()
+        controller(Geometry::ddr3_2gb_x8(), timing, config)
     }
 
     /// Serve `run` request by request, as `serve_run` must.
@@ -1532,9 +1525,7 @@ pub(crate) mod tests {
             row_policy: RowPolicy::Closed,
             ..ControllerConfig::new(DramArch::Ddr3)
         };
-        let mut c =
-            MemoryController::new(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config)
-                .unwrap();
+        let mut c = controller(Geometry::ddr3_2gb_x8(), TimingParams::ddr3_1600k(), config);
         let run = RowRun {
             head: Request::read(addr(0, 0, 0, 0)),
             len: 16,
@@ -1645,7 +1636,7 @@ pub(crate) mod tests {
                 refresh_enabled,
                 ..ControllerConfig::new(arch)
             };
-            let mut c = MemoryController::new(geometry, timing, config).unwrap();
+            let mut c = controller(geometry, timing, config);
             let mut arrival = 0;
             for (request, gap) in requests {
                 let address = PhysicalAddress {

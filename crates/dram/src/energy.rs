@@ -15,9 +15,8 @@
 
 use crate::command::CommandKind;
 use crate::controller::ActivityCounters;
+use crate::device::Device;
 use crate::error::ConfigError;
-use crate::geometry::Geometry;
-use crate::timing::TimingParams;
 
 /// Datasheet currents (in amperes) and voltages for the energy model.
 ///
@@ -114,12 +113,6 @@ impl EnergyParams {
     }
 }
 
-impl Default for EnergyParams {
-    fn default() -> Self {
-        Self::micron_2gb_x8()
-    }
-}
-
 /// Energy consumed by a simulated interval, broken down by source.
 /// All values in joules.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -150,56 +143,32 @@ impl EnergyBreakdown {
 /// # Examples
 ///
 /// ```
-/// use drmap_dram::energy::{EnergyModel, EnergyParams};
-/// use drmap_dram::geometry::Geometry;
-/// use drmap_dram::timing::TimingParams;
+/// use drmap_dram::device::Device;
+/// use drmap_dram::energy::EnergyModel;
 ///
-/// let model = EnergyModel::new(
-///     Geometry::ddr3_2gb_x8(),
-///     TimingParams::ddr3_1600k(),
-///     EnergyParams::micron_2gb_x8(),
-/// )?;
+/// let model = EnergyModel::new(&Device::table_ii());
 /// assert!(model.act_pre_energy() > 0.0);
-/// # Ok::<(), drmap_dram::error::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct EnergyModel {
-    geometry: Geometry,
-    timing: TimingParams,
-    params: EnergyParams,
+    device: Device,
 }
 
 impl EnergyModel {
     /// Create an energy model for the given device.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if geometry, timing, or energy parameters
-    /// fail validation.
-    pub fn new(
-        geometry: Geometry,
-        timing: TimingParams,
-        params: EnergyParams,
-    ) -> Result<Self, ConfigError> {
-        geometry.validate()?;
-        timing.validate()?;
-        params.validate()?;
-        Ok(EnergyModel {
-            geometry,
-            timing,
-            params,
-        })
+    pub fn new(device: &Device) -> Self {
+        EnergyModel { device: *device }
     }
 
     fn ns(&self, cycles: u64) -> f64 {
-        self.timing.cycles_to_ns(cycles) * 1e-9
+        self.device.timing().cycles_to_ns(cycles) * 1e-9
     }
 
     /// Energy of one ACT/PRE pair in one chip (J):
     /// `(IDD0·tRC − IDD3N·tRAS − IDD2N·(tRC − tRAS))·VDD`.
     pub fn act_pre_energy(&self) -> f64 {
-        let p = &self.params;
-        let t = &self.timing;
+        let p = self.device.energy();
+        let t = self.device.timing();
         (p.idd0 * self.ns(t.t_rc)
             - p.idd3n * self.ns(t.t_ras)
             - p.idd2n * self.ns(t.t_rc - t.t_ras))
@@ -210,43 +179,44 @@ impl EnergyModel {
     /// random data (toggle rate 0.5); the data-dependent share scales
     /// linearly with the toggle rate, per VAMPIRE's observation.
     fn burst_array_energy(&self, idd4: f64) -> f64 {
-        let p = &self.params;
-        let base = (idd4 - p.idd3n) * p.vdd * self.ns(self.timing.t_burst);
+        let p = self.device.energy();
+        let base = (idd4 - p.idd3n) * p.vdd * self.ns(self.device.timing().t_burst);
         let data_dependent = 1.0 - p.static_burst_fraction;
         base * (p.static_burst_fraction + data_dependent * 2.0 * p.toggle_rate)
     }
 
     /// Bits transferred by one burst in one chip.
     fn burst_bits_per_chip(&self) -> f64 {
-        (self.geometry.device_width * self.geometry.burst_length) as f64
+        let g = self.device.geometry();
+        (g.device_width * g.burst_length) as f64
     }
 
     /// Energy of one read burst in one chip (J), including I/O.
     pub(crate) fn read_energy(&self) -> f64 {
-        self.burst_array_energy(self.params.idd4r)
-            + self.params.read_io_pj_per_bit * self.burst_bits_per_chip()
+        self.burst_array_energy(self.device.energy().idd4r)
+            + self.device.energy().read_io_pj_per_bit * self.burst_bits_per_chip()
     }
 
     /// Energy of one write burst in one chip (J), including termination.
     pub(crate) fn write_energy(&self) -> f64 {
-        self.burst_array_energy(self.params.idd4w)
-            + self.params.write_term_pj_per_bit * self.burst_bits_per_chip()
+        self.burst_array_energy(self.device.energy().idd4w)
+            + self.device.energy().write_term_pj_per_bit * self.burst_bits_per_chip()
     }
 
     /// Energy of one refresh in one chip (J).
     pub(crate) fn refresh_energy(&self) -> f64 {
-        let p = &self.params;
-        (p.idd5b - p.idd3n) * p.vdd * self.ns(self.timing.t_rfc)
+        let p = self.device.energy();
+        (p.idd5b - p.idd3n) * p.vdd * self.ns(self.device.timing().t_rfc)
     }
 
     /// Active-standby power per chip (W).
     pub(crate) fn active_standby_power(&self) -> f64 {
-        self.params.idd3n * self.params.vdd
+        self.device.energy().idd3n * self.device.energy().vdd
     }
 
     /// Precharged-standby power per chip (W).
     pub(crate) fn precharged_standby_power(&self) -> f64 {
-        self.params.idd2n * self.params.vdd
+        self.device.energy().idd2n * self.device.energy().vdd
     }
 
     /// Full breakdown for a simulated interval.
@@ -255,18 +225,19 @@ impl EnergyModel {
     /// `counters` the finalized controller activity. Chip count scales every
     /// component (chips in a rank operate in lock-step).
     pub fn breakdown(&self, counters: &ActivityCounters, makespan_cycles: u64) -> EnergyBreakdown {
-        let chips = self.geometry.chips as f64;
-        let p = &self.params;
+        let g = self.device.geometry();
+        let chips = g.chips as f64;
+        let p = self.device.energy();
         let acts = counters.command_count(CommandKind::Activate) as f64;
         let reads = counters.command_count(CommandKind::Read) as f64;
         let writes = counters.command_count(CommandKind::Write) as f64;
         let refs = counters.command_count(CommandKind::Refresh) as f64;
         let sasels = counters.command_count(CommandKind::SubarraySelect) as f64;
 
-        let total_ranks = (self.geometry.channels * self.geometry.ranks) as f64;
+        let total_ranks = (g.channels * g.ranks) as f64;
         let active = self.ns(counters
             .rank_active_cycles
-            .min(makespan_cycles * self.geometry.channels as u64 * self.geometry.ranks as u64));
+            .min(makespan_cycles * g.channels as u64 * g.ranks as u64));
         let total_time = self.ns(makespan_cycles) * total_ranks;
         let precharged = (total_time - active).max(0.0);
         let mut background =
@@ -295,14 +266,16 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::Geometry;
+    use crate::timing::TimingParams;
+
+    /// The model of the DDR3 2 Gb x8 device with `params`.
+    fn model_with(geometry: Geometry, params: EnergyParams) -> EnergyModel {
+        EnergyModel::new(&Device::new(geometry, TimingParams::ddr3_1600k(), params).unwrap())
+    }
 
     fn model() -> EnergyModel {
-        EnergyModel::new(
-            Geometry::ddr3_2gb_x8(),
-            TimingParams::ddr3_1600k(),
-            EnergyParams::micron_2gb_x8(),
-        )
-        .unwrap()
+        model_with(Geometry::ddr3_2gb_x8(), EnergyParams::micron_2gb_x8())
     }
 
     #[test]
@@ -381,10 +354,8 @@ mod tests {
         lo.toggle_rate = 0.0;
         let mut hi = EnergyParams::micron_2gb_x8();
         hi.toggle_rate = 1.0;
-        let g = Geometry::ddr3_2gb_x8();
-        let t = TimingParams::ddr3_1600k();
-        let m_lo = EnergyModel::new(g, t, lo).unwrap();
-        let m_hi = EnergyModel::new(g, t, hi).unwrap();
+        let m_lo = model_with(Geometry::ddr3_2gb_x8(), lo);
+        let m_hi = model_with(Geometry::ddr3_2gb_x8(), hi);
         assert!(m_hi.read_energy() > m_lo.read_energy());
     }
 
@@ -405,12 +376,7 @@ mod tests {
             ..Geometry::ddr3_2gb_x8()
         };
         let m1 = model();
-        let m8 = EnergyModel::new(
-            g8,
-            TimingParams::ddr3_1600k(),
-            EnergyParams::micron_2gb_x8(),
-        )
-        .unwrap();
+        let m8 = model_with(g8, EnergyParams::micron_2gb_x8());
         let mut c = ActivityCounters::default();
         c.commands[0] = 1;
         let b1 = m1.breakdown(&c, 100);

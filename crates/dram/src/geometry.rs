@@ -241,12 +241,6 @@ impl Geometry {
     }
 }
 
-impl Default for Geometry {
-    fn default() -> Self {
-        Self::ddr3_2gb_x8()
-    }
-}
-
 impl fmt::Display for Geometry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -11,6 +11,8 @@
 //!   arithmetic,
 //! * [`address`] — physical addresses and flat-index codecs,
 //! * [`timing`] — JEDEC DDR3-1600 parameters and architecture variants,
+//! * [`device`] — one validated part: geometry, timing and energy
+//!   parameters together, and the Table II preset,
 //! * [`command`] / [`state`] — the command set and row-buffer state
 //!   machines,
 //! * [`controller`] — the timing-constraint scheduling engine,
@@ -43,6 +45,7 @@
 pub mod address;
 pub mod command;
 pub mod controller;
+pub mod device;
 pub mod energy;
 pub mod error;
 pub mod geometry;
@@ -58,6 +61,7 @@ pub mod prelude {
     pub use crate::address::PhysicalAddress;
     pub use crate::command::CommandKind;
     pub use crate::controller::{ControllerConfig, MemoryController, RowPolicy, SchedulerKind};
+    pub use crate::device::Device;
     pub use crate::energy::{EnergyModel, EnergyParams};
     pub use crate::geometry::Geometry;
     pub use crate::profiler::{AccessCondition, AccessCost, AccessCostTable, Profiler};

@@ -16,13 +16,13 @@
 use core::fmt;
 
 use crate::controller::ControllerConfig;
-use crate::energy::EnergyParams;
+use crate::device::Device;
 use crate::error::ConfigError;
-use crate::geometry::{Geometry, Level};
+use crate::geometry::Level;
 use crate::request::{DriveMode, Request, RequestKind};
 use crate::sim::DramSimulator;
 use crate::state::RowBufferOutcome;
-use crate::timing::{DramArch, TimingParams};
+use crate::timing::DramArch;
 use crate::trace::TraceBuilder;
 
 /// The five access conditions of Fig. 1.
@@ -204,69 +204,48 @@ impl AccessCostTable {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Profiler {
-    geometry: Geometry,
-    timing: TimingParams,
-    energy: EnergyParams,
+    device: Device,
     /// Sweep rounds for the streamed patterns.
     rounds: usize,
 }
 
 impl Profiler {
-    /// Profiler for the paper's Table II configuration (SALP geometry is
-    /// used for every architecture so footprints are identical; DDR3 simply
-    /// does not exploit the subarrays).
+    /// Profiler for [`Device::table_ii`].
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the built-in configuration fails
-    /// validation (it does not).
+    /// Returns [`ConfigError`] if [`Profiler::new`] refuses the Table II
+    /// device (it does not).
     pub fn table_ii() -> Result<Self, ConfigError> {
-        Self::new(
-            Geometry::salp_2gb_x8(),
-            TimingParams::ddr3_1600k(),
-            EnergyParams::micron_2gb_x8(),
-        )
+        Self::new(Device::table_ii())
     }
 
-    /// Profiler for a custom configuration.
+    /// Profiler for a custom device.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] on invalid geometry/timing/energy
-    /// parameters, or if the geometry has fewer than two banks or subarrays
-    /// (the sweep patterns need them).
-    pub fn new(
-        geometry: Geometry,
-        timing: TimingParams,
-        energy: EnergyParams,
-    ) -> Result<Self, ConfigError> {
-        geometry.validate()?;
-        timing.validate()?;
-        energy.validate()?;
-        if geometry.banks < 2 {
+    /// Returns [`ConfigError`] if the geometry has fewer than two banks or
+    /// subarrays (the sweep patterns need them).
+    pub fn new(device: Device) -> Result<Self, ConfigError> {
+        if device.geometry().banks < 2 {
             return Err(ConfigError::new("profiler needs at least 2 banks"));
         }
-        if geometry.subarrays < 2 {
+        if device.geometry().subarrays < 2 {
             return Err(ConfigError::new(
                 "profiler needs at least 2 subarrays per bank",
             ));
         }
-        Ok(Profiler {
-            geometry,
-            timing,
-            energy,
-            rounds: 16,
-        })
+        Ok(Profiler { device, rounds: 16 })
+    }
+
+    /// The device the profiler measures.
+    pub fn device(&self) -> &Device {
+        &self.device
     }
 
     fn simulator(&self, arch: DramArch) -> DramSimulator {
-        DramSimulator::new(
-            self.geometry,
-            self.timing,
-            ControllerConfig::new(arch),
-            self.energy,
-        )
-        .expect("profiler configuration already validated")
+        DramSimulator::on(&self.device, ControllerConfig::new(arch))
+            .expect("the profiler's device has the subarrays SALP needs")
     }
 
     fn measure(&self, arch: DramArch, trace: &[Request], mode: DriveMode) -> AccessCost {
@@ -285,7 +264,7 @@ impl Profiler {
 
     /// Gap that quiesces all bank-local timings (tRC is the longest).
     fn isolation_gap(&self) -> DriveMode {
-        DriveMode::Spaced(self.timing.t_rc)
+        DriveMode::Spaced(self.device.timing().t_rc)
     }
 
     fn with_kind(trace: Vec<Request>, kind: RequestKind) -> Vec<Request> {
@@ -299,14 +278,14 @@ impl Profiler {
         condition: AccessCondition,
         kind: RequestKind,
     ) -> AccessCost {
-        let banks = self.geometry.banks;
-        let subarrays = self.geometry.subarrays;
+        let geometry = self.device.geometry();
+        let (banks, subarrays) = (geometry.banks, geometry.subarrays);
         match condition {
             AccessCondition::RowBufferHit => {
                 // Isolated hits: one warm-up miss then spaced hits.
                 let trace = Self::with_kind(
                     TraceBuilder::new()
-                        .sequential_columns(0, 0, 0, self.geometry.bursts_per_row().min(64))
+                        .sequential_columns(0, 0, 0, geometry.bursts_per_row().min(64))
                         .build(),
                     kind,
                 );
@@ -377,11 +356,11 @@ impl Profiler {
         class: TransitionClass,
         kind: RequestKind,
     ) -> AccessCost {
-        let banks = self.geometry.banks;
-        let subarrays = self.geometry.subarrays;
+        let geometry = self.device.geometry();
+        let (banks, subarrays) = (geometry.banks, geometry.subarrays);
         let trace = match class {
             TransitionClass::DifColumn => TraceBuilder::new()
-                .sequential_columns(0, 0, 0, self.geometry.bursts_per_row())
+                .sequential_columns(0, 0, 0, geometry.bursts_per_row())
                 .build(),
             TransitionClass::DifBank => TraceBuilder::new().bank_sweep(banks, self.rounds).build(),
             TransitionClass::DifSubarray => TraceBuilder::new()
@@ -404,7 +383,7 @@ impl Profiler {
             arch,
             read,
             write,
-            t_ck_ns: self.timing.t_ck_ns,
+            t_ck_ns: self.device.timing().t_ck_ns,
         }
     }
 }
@@ -412,6 +391,7 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::Geometry;
 
     fn profiler() -> Profiler {
         Profiler {
@@ -423,7 +403,7 @@ mod tests {
     #[test]
     fn isolated_hit_miss_conflict_latencies_match_theory() {
         let p = profiler();
-        let t = TimingParams::ddr3_1600k();
+        let t = p.device().timing();
         let hit = p.fig1_condition(
             DramArch::Ddr3,
             AccessCondition::RowBufferHit,
@@ -571,13 +551,14 @@ mod tests {
 
     #[test]
     fn profiler_rejects_single_bank() {
+        let table_ii = Device::table_ii();
         let g = Geometry {
             banks: 1,
-            rows: 32768,
-            ..Geometry::ddr3_2gb_x8()
+            ..*table_ii.geometry()
         };
-        g.validate().unwrap();
-        assert!(Profiler::new(g, TimingParams::ddr3_1600k(), EnergyParams::default()).is_err());
+        let device = Device::new(g, *table_ii.timing(), *table_ii.energy()).unwrap();
+        let err = Profiler::new(device).unwrap_err();
+        assert!(err.to_string().contains("2 banks"), "{err}");
     }
 
     #[test]

@@ -35,6 +35,7 @@ use crate::controller::{
     ActivityCounters, ControllerConfig, MemoryController, SchedulerKind, ServiceRecord,
     REORDER_WINDOW,
 };
+use crate::device::Device;
 use crate::energy::{EnergyBreakdown, EnergyModel, EnergyParams};
 use crate::error::ConfigError;
 use crate::geometry::Geometry;
@@ -109,17 +110,12 @@ impl SimStats {
 /// ```
 /// use drmap_dram::sim::DramSimulator;
 /// use drmap_dram::controller::ControllerConfig;
-/// use drmap_dram::geometry::Geometry;
-/// use drmap_dram::timing::{DramArch, TimingParams};
+/// use drmap_dram::device::Device;
+/// use drmap_dram::timing::DramArch;
 /// use drmap_dram::request::{DriveMode, Request};
 /// use drmap_dram::address::PhysicalAddress;
 ///
-/// let mut sim = DramSimulator::new(
-///     Geometry::ddr3_2gb_x8(),
-///     TimingParams::ddr3_1600k(),
-///     ControllerConfig::new(DramArch::Ddr3),
-///     Default::default(),
-/// )?;
+/// let mut sim = DramSimulator::on(&Device::table_ii(), ControllerConfig::new(DramArch::Ddr3))?;
 /// let trace: Vec<Request> = (0..16)
 ///     .map(|c| Request::read(PhysicalAddress { column: c, ..PhysicalAddress::default() }))
 ///     .collect();
@@ -139,19 +135,15 @@ pub struct DramSimulator {
 }
 
 impl DramSimulator {
-    /// Create a simulator.
+    /// A simulator of `device` under `config`.
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation failures.
-    pub fn new(
-        geometry: Geometry,
-        timing: TimingParams,
-        config: ControllerConfig,
-        energy_params: EnergyParams,
-    ) -> Result<Self, ConfigError> {
-        let controller = MemoryController::new(geometry, timing, config)?;
-        let energy = EnergyModel::new(geometry, timing, energy_params)?;
+    /// Propagates [`MemoryController::new`]'s refusal of `config` on
+    /// `device`.
+    pub fn on(device: &Device, config: ControllerConfig) -> Result<Self, ConfigError> {
+        let controller = MemoryController::new(device, config)?;
+        let energy = EnergyModel::new(device);
         Ok(DramSimulator {
             counters: controller.finalized_counters(),
             controller,
@@ -159,6 +151,21 @@ impl DramSimulator {
             records: Vec::new(),
             keep_records: false,
         })
+    }
+
+    /// [`DramSimulator::on`] the device made of the three parts. It
+    /// survives only because the frozen `benchmark/` harness calls it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Device::new`]'s and [`DramSimulator::on`]'s refusals.
+    pub fn new(
+        geometry: Geometry,
+        timing: TimingParams,
+        config: ControllerConfig,
+        energy: EnergyParams,
+    ) -> Result<Self, ConfigError> {
+        Self::on(&Device::new(geometry, timing, energy)?, config)
     }
 
     /// Keep per-request [`ServiceRecord`]s for inspection.
@@ -283,18 +290,23 @@ mod tests {
         }
     }
 
-    fn sim(arch: DramArch) -> DramSimulator {
-        let geometry = match arch {
-            DramArch::Ddr3 => Geometry::ddr3_2gb_x8(),
-            _ => Geometry::salp_2gb_x8(),
-        };
-        DramSimulator::new(
-            geometry,
-            TimingParams::ddr3_1600k(),
-            ControllerConfig::new(arch),
-            EnergyParams::default(),
+    /// The commodity DDR3 view of the Table II part: one subarray.
+    fn ddr3() -> Device {
+        let table_ii = Device::table_ii();
+        Device::new(
+            Geometry::ddr3_2gb_x8(),
+            *table_ii.timing(),
+            *table_ii.energy(),
         )
         .unwrap()
+    }
+
+    fn sim(arch: DramArch) -> DramSimulator {
+        let device = match arch {
+            DramArch::Ddr3 => ddr3(),
+            _ => Device::table_ii(),
+        };
+        DramSimulator::on(&device, ControllerConfig::new(arch)).unwrap()
     }
 
     /// Replay `tests/data/alexnet_replay.tsv` — the row runs
@@ -303,7 +315,8 @@ mod tests {
     /// requests served.
     fn replay_alexnet_winners(refresh_enabled: bool) -> u64 {
         let fixture = include_str!("../../../tests/data/alexnet_replay.tsv");
-        let geometry = Geometry::salp_2gb_x8();
+        let device = Device::table_ii();
+        let geometry = *device.geometry();
         let (mut requests, mut case, mut sim) = (0, None, None);
         for line in fixture.lines().filter(|l| !l.starts_with('#')) {
             let fields: Vec<&str> = line.split('\t').collect();
@@ -320,8 +333,7 @@ mod tests {
                     refresh_enabled,
                     ..ControllerConfig::new(arch)
                 };
-                let energy = EnergyParams::micron_2gb_x8();
-                sim = DramSimulator::new(geometry, TimingParams::ddr3_1600k(), config, energy).ok();
+                sim = DramSimulator::on(&device, config).ok();
             }
             let sim = sim.as_mut().unwrap();
             let level = |name| {
@@ -420,13 +432,7 @@ mod tests {
             scheduler: SchedulerKind::FrFcfs,
             ..ControllerConfig::new(DramArch::Ddr3)
         };
-        let mut frf = DramSimulator::new(
-            Geometry::ddr3_2gb_x8(),
-            TimingParams::ddr3_1600k(),
-            cfg,
-            EnergyParams::default(),
-        )
-        .unwrap();
+        let mut frf = DramSimulator::on(&ddr3(), cfg).unwrap();
         let s2 = frf.run(&mk_trace(), DriveMode::Streamed);
         assert!(s2.hit_rate() > s1.hit_rate());
         assert!(s2.makespan_cycles <= s1.makespan_cycles);
@@ -439,13 +445,8 @@ mod tests {
             .collect();
         let mut m = sim(DramArch::SalpMasa);
         let mut s1 = sim(DramArch::Salp1);
-        let mut d = DramSimulator::new(
-            Geometry::salp_2gb_x8(),
-            TimingParams::ddr3_1600k(),
-            ControllerConfig::new(DramArch::Ddr3),
-            EnergyParams::default(),
-        )
-        .unwrap();
+        let mut d =
+            DramSimulator::on(&Device::table_ii(), ControllerConfig::new(DramArch::Ddr3)).unwrap();
         let masa = m.run(&pattern, DriveMode::Streamed);
         let salp1 = s1.run(&pattern, DriveMode::Streamed);
         let ddr3 = d.run(&pattern, DriveMode::Streamed);

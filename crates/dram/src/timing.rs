@@ -7,8 +7,8 @@
 //! The SALP architectures (Kim et al., ISCA 2012) do not change the JEDEC
 //! parameters themselves; they *re-interpret* which constraints apply across
 //! subarrays of the same bank. That re-interpretation is captured by
-//! [`DramArch`] and consumed by the timing-constraint table in
-//! [`crate::command`].
+//! [`DramArch`] and applied where the controller enforces the timing
+//! constraints, in [`crate::controller`].
 
 use core::fmt;
 
@@ -243,12 +243,6 @@ impl TimingParams {
     }
 }
 
-impl Default for TimingParams {
-    fn default() -> Self {
-        Self::ddr3_1600k()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,17 +256,20 @@ mod tests {
     }
 
     #[test]
+    fn default_validates() {
+        crate::device::Device::table_ii()
+            .timing()
+            .validate()
+            .unwrap();
+    }
+
+    #[test]
     fn ddr3_1600k_is_11_11_11() {
         let t = TimingParams::ddr3_1600k();
         assert_eq!(t.cl, 11);
         assert_eq!(t.t_rcd, 11);
         assert_eq!(t.t_rp, 11);
         assert_eq!(t.t_rc, t.t_ras + t.t_rp);
-    }
-
-    #[test]
-    fn default_validates() {
-        TimingParams::default().validate().unwrap();
     }
 
     #[test]

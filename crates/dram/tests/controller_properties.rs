@@ -50,13 +50,8 @@ fn mode_strategy() -> impl Strategy<Value = DriveMode> {
 }
 
 fn run(arch: DramArch, requests: &[Request], mode: DriveMode) -> (SimStats, Vec<ServiceRecord>) {
-    let mut sim = DramSimulator::new(
-        Geometry::salp_2gb_x8(),
-        TimingParams::ddr3_1600k(),
-        ControllerConfig::new(arch),
-        EnergyParams::micron_2gb_x8(),
-    )
-    .expect("valid config");
+    let mut sim =
+        DramSimulator::on(&Device::table_ii(), ControllerConfig::new(arch)).expect("valid config");
     sim.set_keep_records(true);
     let stats = sim.run(requests, mode);
     let records = sim.records().to_vec();
@@ -103,12 +98,7 @@ proptest! {
     ) {
         let n = requests.len() as u64;
         let reads = requests.iter().filter(|r| r.kind == RequestKind::Read).count() as u64;
-        let mut sim = DramSimulator::new(
-            Geometry::salp_2gb_x8(),
-            TimingParams::ddr3_1600k(),
-            ControllerConfig::new(arch),
-            EnergyParams::micron_2gb_x8(),
-        ).unwrap();
+        let mut sim = DramSimulator::on(&Device::table_ii(), ControllerConfig::new(arch)).unwrap();
         let stats = sim.run(&requests, DriveMode::Streamed);
         prop_assert_eq!(stats.outcome_counts.iter().sum::<u64>(), n);
         let k = sim.controller().counters();
@@ -177,15 +167,11 @@ proptest! {
         arch in arch_strategy(),
         requests in prop::collection::vec(request_strategy(), 1..60),
     ) {
-        let mut sim = DramSimulator::new(
-            Geometry::salp_2gb_x8(),
-            TimingParams::ddr3_1600k(),
-            ControllerConfig {
-                scheduler: SchedulerKind::FrFcfs,
-                ..ControllerConfig::new(arch)
-            },
-            EnergyParams::micron_2gb_x8(),
-        ).unwrap();
+        let config = ControllerConfig {
+            scheduler: SchedulerKind::FrFcfs,
+            ..ControllerConfig::new(arch)
+        };
+        let mut sim = DramSimulator::on(&Device::table_ii(), config).unwrap();
         let stats = sim.run(&requests, DriveMode::Streamed);
         prop_assert_eq!(stats.requests, requests.len() as u64);
         let k = sim.controller().counters();
@@ -372,23 +358,23 @@ fn matrix(gap: u64, timeout: u64) -> Vec<(ControllerConfig, DriveMode, bool)> {
 /// statistics start where the last call, through either entry point,
 /// left the controller.
 fn assert_run_engine_matches_oracle(traces: &[[Vec<RowRun>; 3]], gap: u64, timeout: u64) {
-    let geometry = Geometry::salp_2gb_x8();
+    let table_ii = Device::table_ii();
     // A short refresh interval, so that refresh-on cells do refresh.
     let timing = TimingParams {
         t_refi: 700,
-        ..TimingParams::ddr3_1600k()
+        ..*table_ii.timing()
     };
-    let energy = EnergyParams::micron_2gb_x8();
+    let device = Device::new(*table_ii.geometry(), timing, *table_ii.energy()).unwrap();
     for ((cfg, mode, keep), triple) in matrix(gap, timeout).into_iter().zip(traces) {
         let new_sim = || {
-            let mut sim = DramSimulator::new(geometry, timing, cfg, energy).unwrap();
+            let mut sim = DramSimulator::on(&device, cfg).unwrap();
             sim.set_keep_records(keep);
             sim
         };
         let (mut by_requests, mut by_runs, mut alternating) = (new_sim(), new_sim(), new_sim());
         let mut oracle = Oracle {
-            mc: MemoryController::new(geometry, timing, cfg).unwrap(),
-            energy: EnergyModel::new(geometry, timing, energy).unwrap(),
+            mc: MemoryController::new(&device, cfg).unwrap(),
+            energy: EnergyModel::new(&device),
             records: Vec::new(),
         };
         for (call, segments) in triple.iter().enumerate() {

@@ -18,7 +18,6 @@ use drmap_core::dse::{
 };
 use drmap_core::edp::{EdpEstimate, EdpModel};
 use drmap_core::error::DseError;
-use drmap_dram::geometry::Geometry;
 use drmap_dram::profiler::{AccessCostTable, Profiler};
 use drmap_dram::timing::DramArch;
 use drmap_store::store::FaultDirective;
@@ -35,9 +34,9 @@ use crate::spec::{CacheMode, EngineSpec, JobResult, JobSpec, LayerOutcome};
 /// default (retunable live with the `set-slow-log` admin verb).
 const SLOW_LOG_CAPACITY: usize = 32;
 
-/// The profiled substrate every served engine runs on: Table II
-/// geometry and accelerator, DDR3-1600K timing, Micron 2Gb x8 energy
-/// parameters. Part of every cache fingerprint — and therefore of
+/// The profiled substrate every served engine runs on:
+/// [`Device::table_ii`](drmap_dram::device::Device::table_ii) and Table
+/// II's accelerator. Part of every cache fingerprint — and therefore of
 /// [`job_route_key`], which must agree with the backends' keys without
 /// building an engine.
 const SUBSTRATE: &str = "salp_2gb_x8/ddr3_1600k/micron_2gb_x8/table_ii";
@@ -46,7 +45,6 @@ const SUBSTRATE: &str = "salp_2gb_x8/ddr3_1600k/micron_2gb_x8/table_ii";
 /// `keep_points`), shared by every caller.
 #[derive(Debug)]
 pub struct EngineFactory {
-    geometry: Geometry,
     acc: AcceleratorConfig,
     profiler: Profiler,
     /// Each architecture's [`EngineFactory::engine_tag`], in
@@ -88,8 +86,8 @@ fn arch_slot(arch: DramArch) -> usize {
 }
 
 impl EngineFactory {
-    /// The paper's substrate: Table II geometry and accelerator, DDR3-1600K
-    /// timing, Micron 2Gb x8 energy parameters.
+    /// The paper's substrate: [`Profiler::table_ii`]'s device and Table
+    /// II's accelerator.
     ///
     /// # Errors
     ///
@@ -97,7 +95,6 @@ impl EngineFactory {
     /// configuration).
     pub fn table_ii() -> Result<Self, ServiceError> {
         Ok(EngineFactory {
-            geometry: Geometry::salp_2gb_x8(),
             acc: served_accelerator(),
             profiler: Profiler::table_ii()?,
             tags: DramArch::ALL.map(arch_tag),
@@ -151,7 +148,7 @@ impl EngineFactory {
             .expect("every objective is in Objective::ALL");
         let engine = self.engines[arch][objective][usize::from(keep_points)].get_or_init(|| {
             let table = self.tables[arch].get_or_init(|| self.profiler.cost_table(spec.arch));
-            let model = EdpModel::new(self.geometry, table.clone(), self.acc);
+            let model = EdpModel::new(*self.profiler.device().geometry(), table.clone(), self.acc);
             DseEngine::new(model, sweep_config(spec.objective, keep_points))
                 .expect("a profiled Table II table and the full sweep pass the engine's gate")
                 .into_shared()

@@ -528,6 +528,9 @@ fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
                     id: *id,
                     spec: plan.map(|p| p.render()),
                 },
+                // The client prefixes "protocol error: " to every refusal
+                // itself, so answer the plan's own message.
+                Err(ServiceError::Protocol(message)) => Response::Error { id: *id, message },
                 Err(e) => Response::Error {
                     id: *id,
                     message: e.to_string(),

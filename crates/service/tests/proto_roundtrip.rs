@@ -664,8 +664,12 @@ fn mistyped_typed_requests_get_typed_errors() {
         ),
         (r#"{"type":"store-compact","auto_ratio":1.5}"#, "in [0, 1]"),
         (r#"{"type":"store-compact","auto_ratio":-0.1}"#, "in [0, 1]"),
-        // A bad fault spec is the fault-plan parser's refusal.
-        (r#"{"type":"set-faults","spec":"seed=nope"}"#, "seed"),
+        // A bad fault spec is the fault-plan parser's refusal, named once:
+        // the client adds the "protocol error: " prefix.
+        (
+            r#"{"type":"set-faults","spec":"seed=nope"}"#,
+            "fault plan: seed needs",
+        ),
         // A job's nested field names its whole path.
         (
             r#"{"type":"submit","id":2,"engine":{"arch":"HBM3"},"network":{"model":"tiny"}}"#,
@@ -682,6 +686,7 @@ fn mistyped_typed_requests_get_typed_errors() {
         );
         let message = response.get("error").and_then(Json::as_str).unwrap();
         assert!(message.contains(expect), "{bad} -> {message}");
+        assert!(!message.starts_with("protocol error"), "{bad} -> {message}");
         let sent = Json::parse(bad).unwrap();
         assert_eq!(response.get("id"), sent.get("id"), "{bad} echoes its id");
         // ...and the next request is served as if nothing happened.

@@ -14,17 +14,11 @@ fn profiler() -> &'static Profiler {
 
 /// Simulate a tile's request stream and return (cycles, energy).
 fn simulate_tile(arch: DramArch, policy: &MappingPolicy, units: u64) -> (f64, f64) {
-    let geometry = Geometry::salp_2gb_x8();
+    let device = Device::table_ii();
     let requests = policy
-        .request_stream(geometry, 0, units, RequestKind::Read)
+        .request_stream(*device.geometry(), 0, units, RequestKind::Read)
         .expect("stream fits device");
-    let mut sim = DramSimulator::new(
-        geometry,
-        TimingParams::ddr3_1600k(),
-        ControllerConfig::new(arch),
-        EnergyParams::micron_2gb_x8(),
-    )
-    .expect("simulator config valid");
+    let mut sim = DramSimulator::on(&device, ControllerConfig::new(arch)).expect("a SALP geometry");
     let stats = sim.run(&requests, DriveMode::Streamed);
     (stats.makespan_cycles as f64, stats.energy.total())
 }
@@ -128,20 +122,14 @@ fn analytical_magnitude_within_2x_of_simulator() {
 #[test]
 fn drmap_stream_maximizes_hit_rate() {
     let units = 2048u64;
-    let geometry = Geometry::salp_2gb_x8();
+    let device = Device::table_ii();
     for arch in DramArch::ALL {
         let mut rates = Vec::new();
         for policy in MappingPolicy::table_i() {
             let requests = policy
-                .request_stream(geometry, 0, units, RequestKind::Read)
+                .request_stream(*device.geometry(), 0, units, RequestKind::Read)
                 .unwrap();
-            let mut sim = DramSimulator::new(
-                geometry,
-                TimingParams::ddr3_1600k(),
-                ControllerConfig::new(arch),
-                EnergyParams::micron_2gb_x8(),
-            )
-            .unwrap();
+            let mut sim = DramSimulator::on(&device, ControllerConfig::new(arch)).unwrap();
             let stats = sim.run(&requests, DriveMode::Streamed);
             rates.push((policy.index(), stats.hit_rate()));
         }

@@ -108,17 +108,17 @@ fn check(name: &str, render: fn(&mut String)) {
 // Shared engines and arithmetic
 // ---------------------------------------------------------------------------
 
-/// A DSE engine on the Micron 2 Gb x8 energy model with the default
-/// configuration (Table I mappings, all four schemes, EDP).
-fn engine(
-    geometry: Geometry,
-    timing: TimingParams,
-    acc: AcceleratorConfig,
-    arch: DramArch,
-) -> DseEngine {
-    let profiler = Profiler::new(geometry, timing, EnergyParams::micron_2gb_x8())
-        .expect("a valid device configuration");
-    let model = EdpModel::new(geometry, profiler.cost_table(arch), acc);
+/// `geometry` with `timing` and the Micron 2 Gb x8 currents.
+fn device(geometry: Geometry, timing: TimingParams) -> Device {
+    Device::new(geometry, timing, EnergyParams::micron_2gb_x8())
+        .expect("a valid device configuration")
+}
+
+/// A DSE engine on `device` with the default configuration (Table I
+/// mappings, all four schemes, EDP).
+fn engine(device: Device, acc: AcceleratorConfig, arch: DramArch) -> DseEngine {
+    let profiler = Profiler::new(device).expect("a device the profiler can sweep");
+    let model = EdpModel::new(*device.geometry(), profiler.cost_table(arch), acc);
     DseEngine::new(model, DseConfig::default()).expect("a profiled table")
 }
 
@@ -131,8 +131,7 @@ fn engines() -> &'static [(DramArch, DseEngine)] {
             .iter()
             .map(|&arch| {
                 let acc = AcceleratorConfig::table_ii();
-                let salp = Geometry::salp_2gb_x8();
-                (arch, engine(salp, TimingParams::ddr3_1600k(), acc, arch))
+                (arch, engine(Device::table_ii(), acc, arch))
             })
             .collect()
     })
@@ -193,13 +192,7 @@ fn order(policy: &MappingPolicy, sep: &str) -> String {
 
 /// The Table II simulator under `config`.
 fn simulator(config: ControllerConfig) -> DramSimulator {
-    DramSimulator::new(
-        Geometry::salp_2gb_x8(),
-        TimingParams::ddr3_1600k(),
-        config,
-        EnergyParams::micron_2gb_x8(),
-    )
-    .expect("a valid device configuration")
+    DramSimulator::on(&Device::table_ii(), config).expect("the Table II device serves every arch")
 }
 
 // ---------------------------------------------------------------------------
@@ -533,7 +526,8 @@ fn ablation_ddr4(o: &mut String) {
     );
     for (name, timing) in generations {
         let acc = AcceleratorConfig::table_ii();
-        let engine = engine(Geometry::salp_2gb_x8(), timing, acc, DramArch::Ddr3);
+        let salp = device(Geometry::salp_2gb_x8(), timing);
+        let engine = engine(salp, acc, DramArch::Ddr3);
         let totals = network_totals(&engine, &network, ReuseScheme::AdaptiveReuse);
         let (drmap, worst) = (totals[2].1, worst(&totals));
         outln!(
@@ -604,8 +598,7 @@ fn ablation_precision(o: &mut String) {
             precision,
             ..AcceleratorConfig::table_ii()
         };
-        let timing = TimingParams::ddr3_1600k();
-        let engine = engine(Geometry::salp_2gb_x8(), timing, acc, DramArch::Ddr3);
+        let engine = engine(Device::table_ii(), acc, DramArch::Ddr3);
         let totals = network_totals(&engine, &network, ReuseScheme::AdaptiveReuse);
         for (mapping, edp) in &totals {
             let rank = 1 + totals.iter().filter(|t| t.1 < *edp).count();
@@ -710,10 +703,12 @@ fn ablation_subarrays(o: &mut String) {
             subarrays,
             ..Geometry::ddr3_2gb_x8()
         };
-        geometry.validate().expect("a valid geometry");
         let acc = AcceleratorConfig::table_ii();
-        let timing = TimingParams::ddr3_1600k();
-        let engine = engine(geometry, timing, acc, DramArch::SalpMasa);
+        let engine = engine(
+            device(geometry, TimingParams::ddr3_1600k()),
+            acc,
+            DramArch::SalpMasa,
+        );
         let totals = network_totals(&engine, &network, ReuseScheme::AdaptiveReuse);
         let (drmap, worst) = (totals[2].1, worst(&totals));
         let imp = improvement_pct(drmap, worst);
@@ -821,7 +816,7 @@ fn custom_network(o: &mut String) {
         subarrays: 16,
         ..Geometry::ddr3_2gb_x8()
     };
-    geometry.validate().expect("a valid geometry");
+    let edge = device(geometry, TimingParams::ddr3_1600k());
     let acc = AcceleratorConfig {
         ifms_buffer: 128 * 1024,
         wghs_buffer: 128 * 1024,
@@ -835,7 +830,7 @@ fn custom_network(o: &mut String) {
     outln!(o, "accel   : {acc}");
     outln!(o);
     for arch in [DramArch::Ddr3, DramArch::SalpMasa] {
-        let engine = engine(geometry, TimingParams::ddr3_1600k(), acc, arch);
+        let engine = engine(edge, acc, arch);
         let result = engine.explore_network(&network).expect("EdgeNet explores");
         outln!(o, "=== {arch} ===");
         for layer in &result.layers {
