@@ -25,8 +25,8 @@
 //! taking at least N ms is captured with its per-stage span breakdown
 //! and dumped by the `metrics` admin verb (`--slow-ms 0` logs every
 //! job); its ring holds 32 entries, retunable live via `set-slow-log`.
-//! A fault plan is armed live with `set-faults` (see
-//! `docs/RELIABILITY.md`). On `shutdown` the server drains in-flight
+//! A fault plan is armed live with `set-faults`, whose `spec` is a JSON
+//! object (see `docs/RELIABILITY.md`). On `shutdown` the server drains in-flight
 //! jobs for at most 5 s. Try it with netcat:
 //!
 //! ```text

@@ -9,8 +9,9 @@
 //! same fault sequence at each site on every run: chaos tests are
 //! reproducible, not flaky.
 //!
-//! Plans are armed on a live server by the `set-faults` admin verb
-//! and live in the [`FaultState`] hanging
+//! Plans are armed on a live server by the `set-faults` admin verb,
+//! which carries one as a JSON object (its members are the fields
+//! below), and live in the [`FaultState`] hanging
 //! off [`ServiceState`](crate::engine::ServiceState). Injection sites
 //! consult the state on their hot paths; with no plan armed the check
 //! is one `Mutex` lock and the clone of an empty `Option`. In release
@@ -21,7 +22,7 @@
 //!
 //! Every injected fault is counted (`fault_store_total`,
 //! `fault_wire_total`, `fault_pool_total` — exposed with the `drmap_`
-//! prefix); see `docs/RELIABILITY.md` for the spec grammar and
+//! prefix); see `docs/RELIABILITY.md` for the plan's JSON members and
 //! `docs/OBSERVABILITY.md` for the metric taxonomy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,119 +85,6 @@ impl Default for FaultPlan {
             wire_stall_ms: 20,
             panic_job: None,
         }
-    }
-}
-
-fn parse_fraction(key: &str, value: &str) -> Result<f64, ServiceError> {
-    let p: f64 = value.parse().map_err(|_| {
-        ServiceError::protocol(format!("fault plan: {key} needs a number, got {value:?}"))
-    })?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(ServiceError::protocol(format!(
-            "fault plan: {key} must be in 0..=1, got {value}"
-        )));
-    }
-    Ok(p)
-}
-
-fn parse_u64(key: &str, value: &str) -> Result<u64, ServiceError> {
-    value.parse().map_err(|_| {
-        ServiceError::protocol(format!(
-            "fault plan: {key} needs a non-negative integer, got {value:?}"
-        ))
-    })
-}
-
-impl FaultPlan {
-    /// Parse a `key=value,key=value` spec. Keys: `seed`, `store-fail`,
-    /// `store-delay`, `store-delay-ms`, `wire-drop`, `wire-stall`,
-    /// `wire-stall-ms`, `panic-job`. Probabilities are `0..=1`
-    /// fractions; omitted keys keep [`FaultPlan::default`] values.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown keys, malformed numbers, out-of-range
-    /// probabilities, and plans that inject nothing.
-    pub fn parse(spec: &str) -> Result<Self, ServiceError> {
-        let mut plan = FaultPlan::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, value) = part.split_once('=').ok_or_else(|| {
-                ServiceError::protocol(format!("fault plan: expected key=value, got {part:?}"))
-            })?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "seed" => plan.seed = parse_u64(key, value)?,
-                "store-fail" => plan.store_fail = parse_fraction(key, value)?,
-                "store-delay" => plan.store_delay = parse_fraction(key, value)?,
-                "store-delay-ms" => plan.store_delay_ms = parse_u64(key, value)?,
-                "wire-drop" => plan.wire_drop = parse_fraction(key, value)?,
-                "wire-stall" => plan.wire_stall = parse_fraction(key, value)?,
-                "wire-stall-ms" => plan.wire_stall_ms = parse_u64(key, value)?,
-                "panic-job" => {
-                    let n = parse_u64(key, value)?;
-                    if n == 0 {
-                        return Err(ServiceError::protocol(
-                            "fault plan: panic-job is 1-based (use panic-job=1 for the first job)",
-                        ));
-                    }
-                    plan.panic_job = Some(n);
-                }
-                other => {
-                    return Err(ServiceError::protocol(format!(
-                        "fault plan: unknown key {other:?} (known: seed, store-fail, store-delay, \
-                         store-delay-ms, wire-drop, wire-stall, wire-stall-ms, panic-job)"
-                    )))
-                }
-            }
-        }
-        if plan.injects_nothing() {
-            return Err(ServiceError::protocol(
-                "fault plan injects nothing (set at least one of store-fail/store-delay/\
-                 wire-drop/wire-stall/panic-job)",
-            ));
-        }
-        Ok(plan)
-    }
-
-    fn injects_nothing(&self) -> bool {
-        self.store_fail == 0.0
-            && self.store_delay == 0.0
-            && self.wire_drop == 0.0
-            && self.wire_stall == 0.0
-            && self.panic_job.is_none()
-    }
-
-    /// The canonical spec string this plan re-parses from (non-default
-    /// fields only, seed always included).
-    pub(crate) fn render(&self) -> String {
-        let mut parts = vec![format!("seed={}", self.seed)];
-        let defaults = FaultPlan::default();
-        if self.store_fail != 0.0 {
-            parts.push(format!("store-fail={}", self.store_fail));
-        }
-        if self.store_delay != 0.0 {
-            parts.push(format!("store-delay={}", self.store_delay));
-            if self.store_delay_ms != defaults.store_delay_ms {
-                parts.push(format!("store-delay-ms={}", self.store_delay_ms));
-            }
-        }
-        if self.wire_drop != 0.0 {
-            parts.push(format!("wire-drop={}", self.wire_drop));
-        }
-        if self.wire_stall != 0.0 {
-            parts.push(format!("wire-stall={}", self.wire_stall));
-            if self.wire_stall_ms != defaults.wire_stall_ms {
-                parts.push(format!("wire-stall-ms={}", self.wire_stall_ms));
-            }
-        }
-        if let Some(n) = self.panic_job {
-            parts.push(format!("panic-job={n}"));
-        }
-        parts.join(",")
     }
 }
 
@@ -337,12 +225,15 @@ impl FaultState {
     }
 }
 
-/// Arm the plan `spec` on `state` and say whether it took: in a build
-/// that compiles fault injection in it must, and in one that does not
-/// it must be refused with the documented error, leaving nothing armed.
+/// Arm the plan the JSON object `plan` describes on `state`, and return
+/// it if it took: in a build that compiles fault injection in it must,
+/// and in one that does not it must be refused with the documented
+/// error, leaving nothing armed.
 #[cfg(test)]
-pub(crate) fn arm_where_compiled_in(state: &FaultState, spec: &str) -> bool {
-    let armed = state.set_plan(Some(FaultPlan::parse(spec).unwrap()));
+pub(crate) fn arm_where_compiled_in(state: &FaultState, plan: &str) -> Option<FaultPlan> {
+    use crate::proto::Wire;
+    let plan = FaultPlan::from_json(&crate::json::Json::parse(plan).unwrap()).unwrap();
+    let armed = state.set_plan(Some(plan));
     assert_eq!(armed.is_ok(), FAULTS_COMPILED_IN, "{armed:?}");
     if let Err(err) = armed {
         let text = err.to_string();
@@ -353,7 +244,7 @@ pub(crate) fn arm_where_compiled_in(state: &FaultState, spec: &str) -> bool {
         assert_eq!((state.store_action(), state.wire_action()), (None, None));
         assert!(!state.job_panics(1));
     }
-    FAULTS_COMPILED_IN
+    FAULTS_COMPILED_IN.then_some(plan)
 }
 
 #[cfg(test)]
@@ -361,42 +252,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn specs_parse_and_render_round_trip() {
-        let plan = FaultPlan::parse(
-            "seed=42, store-fail=0.1, store-delay=0.05, store-delay-ms=7, \
-             wire-drop=0.02, wire-stall=0.02, wire-stall-ms=30, panic-job=3",
-        )
-        .unwrap();
-        assert_eq!(plan.seed, 42);
-        assert_eq!(plan.store_fail, 0.1);
-        assert_eq!(plan.store_delay_ms, 7);
-        assert_eq!(plan.panic_job, Some(3));
-        assert_eq!(FaultPlan::parse(&plan.render()).unwrap(), plan);
-    }
-
-    #[test]
-    fn malformed_specs_are_rejected() {
-        for bad in [
-            "store-fail=1.5",
-            "store-fail=yes",
-            "frobnicate=1",
-            "seed",
-            "seed=nope",
-            "seed=42",     // injects nothing
-            "panic-job=0", // 1-based
-        ] {
-            assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
     fn decisions_are_deterministic_per_seed_and_site() {
         let state = FaultState::default();
-        let spec = "seed=7,store-fail=0.3,wire-stall=0.3";
-        if !arm_where_compiled_in(&state, spec) {
+        let spec = r#"{"seed":7,"store_fail":0.3,"wire_stall":0.3}"#;
+        let Some(plan) = arm_where_compiled_in(&state, spec) else {
             return;
-        }
-        let plan = FaultPlan::parse(spec).unwrap();
+        };
         let first: Vec<_> = (0..64).map(|_| state.store_action()).collect();
         let wire_first: Vec<_> = (0..64).map(|_| state.wire_action()).collect();
         // Re-arming resets the ordinals: the sequence replays exactly.
@@ -420,7 +281,7 @@ mod tests {
     #[test]
     fn injection_rate_tracks_the_configured_probability() {
         let state = FaultState::default();
-        if !arm_where_compiled_in(&state, "seed=11,store-fail=0.1") {
+        if arm_where_compiled_in(&state, r#"{"seed":11,"store_fail":0.1}"#).is_none() {
             return;
         }
         let fired = (0..2000).filter(|_| state.store_action().is_some()).count();
@@ -430,8 +291,8 @@ mod tests {
         );
     }
 
-    /// `store-delay=1` delays every store call and `wire-stall=1` every
-    /// frame, each by jitter below its `-ms` bound. A small bound holds
+    /// `store_delay: 1` delays every store call and `wire_stall: 1` every
+    /// frame, each by jitter below its `_ms` bound. A small bound holds
     /// every draw under it; a large one lets each site's draws pass both
     /// defaults (5 and 20 ms), so neither site ignores its bound.
     #[test]
@@ -439,9 +300,9 @@ mod tests {
         for bound in [3u64, 200] {
             let state = FaultState::default();
             let spec = format!(
-                "seed=9,store-delay=1,store-delay-ms={bound},wire-stall=1,wire-stall-ms={bound}"
+                r#"{{"seed":9,"store_delay":1,"store_delay_ms":{bound},"wire_stall":1,"wire_stall_ms":{bound}}}"#
             );
-            if !arm_where_compiled_in(&state, &spec) {
+            if arm_where_compiled_in(&state, &spec).is_none() {
                 return;
             }
             for site in [FaultState::store_action, FaultState::wire_action] {
@@ -466,7 +327,7 @@ mod tests {
     #[test]
     fn worker_panic_fires_exactly_once_at_its_ordinal() {
         let state = FaultState::default();
-        if !arm_where_compiled_in(&state, "seed=1,panic-job=2") {
+        if arm_where_compiled_in(&state, r#"{"seed":1,"panic_job":2}"#).is_none() {
             return;
         }
         assert!(!state.job_panics(1));
@@ -480,10 +341,8 @@ mod tests {
         let state = FaultState::default();
         assert!(state.store_action().is_none());
         assert!(state.wire_action().is_none());
-        let spec = "seed=5,store-fail=1";
-        if arm_where_compiled_in(&state, spec) {
+        if let Some(plan) = arm_where_compiled_in(&state, r#"{"seed":5,"store_fail":1}"#) {
             assert_eq!(state.store_action(), Some(FaultAction::Fail));
-            let plan = FaultPlan::parse(spec).unwrap();
             assert_eq!(state.set_plan(None).unwrap(), Some(plan));
         }
         // Disarming always works, whatever the build.

@@ -159,7 +159,10 @@ impl Json {
         }
     }
 
-    /// Parse a complete JSON document (trailing whitespace allowed).
+    /// Parse a complete JSON document (trailing whitespace allowed),
+    /// refusing what RFC 8259 forbids: numbers off its grammar or out
+    /// of `f64`'s range, `\u` escapes that are not four hex digits, and
+    /// raw control characters in strings.
     ///
     /// # Errors
     ///
@@ -403,17 +406,53 @@ impl Parser<'_> {
         }
     }
 
+    /// Step past `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let next = self.bytes.get(self.pos) == Some(&b);
+        self.pos += usize::from(next);
+        next
+    }
+
+    /// RFC 8259's number, `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`,
+    /// if it is finite.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.bytes.get(self.pos) {
+        self.eat(b'-');
+        let int = self.pos;
+        self.digits()?;
+        if self.bytes[int] == b'0' && self.pos > int + 1 {
+            return Err(JsonError::new(int, "leading zero in a number"));
+        }
+        if self.eat(b'.') {
+            self.digits()?;
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            self.digits()?;
+        }
+        // The grammar admits only ASCII.
+        let token = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        match token.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(JsonError::new(
+                start,
+                format!("number {token} out of range"),
+            )),
+        }
+    }
+
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while let Some(b'0'..=b'9') = self.bytes.get(self.pos) {
             self.pos += 1;
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::new(start, "invalid number"))?;
-        token
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError::new(start, format!("invalid number {token:?}")))
+        if self.pos == start {
+            return Err(JsonError::new(self.pos, "expected a digit"));
+        }
+        Ok(())
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -470,14 +509,17 @@ impl Parser<'_> {
                         }
                     }
                 }
+                Some(0..=0x1f) => {
+                    return Err(JsonError::new(self.pos, "unescaped control character"))
+                }
                 Some(_) => {
-                    // Copy the run up to the next quote or backslash
-                    // whole. Both are ASCII, so the run ends on a char
-                    // boundary of the `&str` being parsed.
+                    // Copy the run up to the next quote, backslash or
+                    // control character whole. All are ASCII, so the run
+                    // ends on a char boundary of the `&str` being parsed.
                     let rest = &self.bytes[self.pos..];
                     let len = rest
                         .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .unwrap_or(rest.len());
                     let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| JsonError::new(self.pos, "invalid UTF-8"))?;
@@ -488,16 +530,20 @@ impl Parser<'_> {
         }
     }
 
+    /// Exactly four hex digits.
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        let token = self
+        let digits = self
             .bytes
-            .get(self.pos..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
+            .get(self.pos..self.pos + 4)
             .ok_or_else(|| JsonError::new(self.pos, "truncated \\u escape"))?;
-        let code = u32::from_str_radix(token, 16)
-            .map_err(|_| JsonError::new(self.pos, format!("invalid \\u escape {token:?}")))?;
-        self.pos = end;
+        let code = digits
+            .iter()
+            .try_fold(0, |code, &d| Some(code * 16 + char::from(d).to_digit(16)?))
+            .ok_or_else(|| {
+                let token = String::from_utf8_lossy(digits);
+                JsonError::new(self.pos, format!("invalid \\u escape {token:?}"))
+            })?;
+        self.pos += 4;
         Ok(code)
     }
 
@@ -653,6 +699,38 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("[1] trailing").is_err());
         assert!(Json::parse("nul").is_err());
+        // What RFC 8259 forbids, with the byte the refusal points at:
+        // numbers off its grammar or out of `f64`'s range, a `\u` escape
+        // that is not four hex digits, and a raw control character.
+        for (bad, offset) in [
+            ("5.", 2),
+            ("01", 0),
+            ("-.5", 1),
+            ("1.e5", 2),
+            ("-", 1),
+            ("1e", 2),
+            ("1e+", 3),
+            ("+1", 0),
+            ("[.5]", 1),
+            ("1e999", 0),
+            ("-1e999", 0),
+            (r#""\u+041""#, 3),
+            (r#""\u00e""#, 3),
+            ("\"a\tb\"", 2),
+            ("\"\u{0}\"", 1),
+        ] {
+            let err = Json::parse(bad).unwrap_err();
+            assert_eq!(err.offset, offset, "{bad:?}: {err}");
+        }
+        for (good, n) in [
+            ("1E5", 1e5),
+            ("-0", -0.0),
+            ("0.5e-3", 0.5e-3),
+            ("-0.0e+0", -0.0),
+        ] {
+            let parsed = Json::parse(good).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), f64::to_bits(n), "{good}");
+        }
     }
 
     #[test]

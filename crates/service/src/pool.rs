@@ -236,7 +236,7 @@ impl DsePool {
     {
         self.state.stages().jobs_total.inc();
         // ordering: Relaxed — a pure submission ticket; the fault
-        // plan's panic-job match needs uniqueness, not ordering.
+        // plan's `panic_job` match needs uniqueness, not ordering.
         let ordinal = self.submitted.fetch_add(1, Ordering::Relaxed) + 1;
         // An armed plan's chosen job panics in exactly one of its
         // layer tasks (the first): one injected panic per plan, and
@@ -741,7 +741,8 @@ mod tests {
     #[test]
     fn armed_panic_job_surfaces_a_typed_error_and_is_counted() {
         let state = ServiceState::new().unwrap();
-        let armed = crate::faults::arm_where_compiled_in(state.faults(), "seed=1,panic-job=2");
+        let plan = r#"{"seed":1,"panic_job":2}"#;
+        let armed = crate::faults::arm_where_compiled_in(state.faults(), plan).is_some();
         let pool = DsePool::new(Arc::clone(&state), 2);
         let spec = JobSpec::network(9, EngineSpec::default(), Network::tiny());
         // Job 1 is not the chosen ordinal.

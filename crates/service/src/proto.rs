@@ -54,6 +54,7 @@ use drmap_telemetry::{HistogramSnapshot, MetricsSnapshot, SlowEntry};
 
 use crate::cache::CacheStats;
 use crate::error::ServiceError;
+use crate::faults::FaultPlan;
 use crate::json::{Json, JsonText};
 use crate::spec::{CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome, Workload};
 
@@ -265,10 +266,8 @@ pub enum Request {
     SetFaults {
         /// Optional correlation id, echoed in the response.
         id: Option<u64>,
-        /// The plan to arm, in `key=value,…` form (see
-        /// [`FaultPlan::parse`](crate::faults::FaultPlan::parse));
-        /// absent disarms fault injection.
-        spec: Option<String>,
+        /// The plan to arm; absent disarms fault injection.
+        spec: Option<FaultPlan>,
     },
     /// Run a DSE job (the job's own `id` is the correlation key).
     Submit(JobSpec),
@@ -399,9 +398,8 @@ pub enum Response {
     FaultsSet {
         /// Echoed request id.
         id: Option<u64>,
-        /// The canonical rendering of the plan now armed (`None`:
-        /// fault injection disarmed).
-        spec: Option<String>,
+        /// The plan now armed (`None`: fault injection disarmed).
+        spec: Option<FaultPlan>,
     },
     /// The job's `deadline_ms` elapsed before its result was ready;
     /// the server abandoned the remaining work.
@@ -447,7 +445,9 @@ pub struct DecodeError {
 //   null  `Option` field, rendered as `null` when `None`
 //   def   always written; absent reads as the default, while a present
 //         value — `null` included — must decode
-//   skip  left out when equal to the default; read as `def` reads
+//   skip  left out when equal to the default; read as `def` reads.
+//         `skip field = expr` takes `expr` as the default instead of
+//         the type's
 //   flat  nested object whose members are spliced into this one
 //   map   name/value pairs rendered as one `{name: value}` object
 //   out   write-only field computed from the others: `out "name" = expr`
@@ -457,8 +457,8 @@ pub struct DecodeError {
 // `validate` per type. Labels (`"SALP-2"`, `"refresh"`) are
 // `wire_labels!` rows. Two shapes are not rows, and keep one
 // hand-written `Wire` impl each below: a job's `Workload` (a `network`
-// or a `layer`, a network by zoo name, text spec or layer list) and a
-// `Layer` (its kind decides which dimensions it reads).
+// or a `layer`, a network by zoo name or layer list) and a `Layer`
+// (its kind decides which dimensions it reads).
 
 /// A value with exactly one JSON form. Decode failures are plain
 /// messages; [`Request::decode`], [`Response::decode`] and
@@ -613,7 +613,11 @@ impl Writer<'_, '_> {
     }
 
     fn skip<T: Wire + Default + PartialEq>(&mut self, name: &str, value: &T) {
-        if *value != T::default() {
+        self.skip_unless(name, value, &T::default());
+    }
+
+    fn skip_unless<T: Wire + PartialEq>(&mut self, name: &str, value: &T, default: &T) {
+        if value != default {
             self.req(name, value);
         }
     }
@@ -704,6 +708,9 @@ macro_rules! put {
     ($w:ident, out $name:literal = $value:expr) => {
         $w.req($name, &$value)
     };
+    ($w:ident, skip $field:ident = $default:expr) => {
+        $w.skip_unless(stringify!($field), $field, &$default)
+    };
     ($w:ident, $mode:ident $field:ident) => {
         $w.$mode(stringify!($field), $field)
     };
@@ -715,6 +722,9 @@ macro_rules! put {
 /// One table row → the binding that reads it (`out` rows read nothing).
 macro_rules! get {
     ($r:ident, out $name:literal = $value:expr) => {};
+    ($r:ident, skip $field:ident = $default:expr) => {
+        let $field = $r.present(stringify!($field))?.unwrap_or($default);
+    };
     ($r:ident, $mode:ident $field:ident) => {
         let $field = $r.$mode(stringify!($field))?;
     };
@@ -746,10 +756,10 @@ macro_rules! id_of {
 /// a `fn(&Ty, &Json) -> Result<(), String>` that checks the decoded value.
 macro_rules! wire_object {
     ($what:literal $Ty:ident => {
-        $($mode:ident $field:ident $(as $name:literal)?),* $(,)?
+        $($mode:ident $field:ident $(as $name:literal)? $(= $value:expr)?),* $(,)?
     } $($validate:path)?) => {
         wire_object!(_this: $what $Ty { $($field),* } => {
-            $($mode $field $(as $name)?),*
+            $($mode $field $(as $name)? $(= $value)?),*
         } $($validate)?);
     };
     ($this:ident: $what:literal $Ty:ident $shape:tt => {
@@ -913,6 +923,49 @@ wire_object! { "metrics" MetricsSnapshot => { map counters, map gauges, map hist
 
 wire_object! { "metrics" MetricsReport => { flat snapshot, req slow }}
 
+// Absent members keep the default plan's values.
+wire_object! { "fault plan" FaultPlan => {
+    def seed, skip store_fail, skip store_delay,
+    skip store_delay_ms = FaultPlan::default().store_delay_ms,
+    skip wire_drop, skip wire_stall,
+    skip wire_stall_ms = FaultPlan::default().wire_stall_ms,
+    skip panic_job,
+} FaultPlan::validate }
+
+impl FaultPlan {
+    /// The rules the plan's rows cannot state: only its own members,
+    /// fractions in `0..=1`, a 1-based `panic_job`, and something to
+    /// inject.
+    fn validate(&self, v: &Json) -> Result<(), String> {
+        const MEMBERS: &str = "seed, store_fail, store_delay, store_delay_ms, wire_drop, \
+                               wire_stall, wire_stall_ms, panic_job";
+        if let Json::Obj(members) = v {
+            let known = |name: &str| MEMBERS.split(", ").any(|m| m == name);
+            if let Some((name, _)) = members.iter().find(|(name, _)| !known(name)) {
+                return Err(format!(
+                    "unknown fault plan member {name:?} (known: {MEMBERS})"
+                ));
+            }
+        }
+        let fractions = [
+            ("store_fail", self.store_fail),
+            ("store_delay", self.store_delay),
+            ("wire_drop", self.wire_drop),
+            ("wire_stall", self.wire_stall),
+        ];
+        if let Some((name, p)) = fractions.iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
+            return Err(format!("{name:?} must be a fraction in 0..=1, got {p}"));
+        }
+        if self.panic_job == Some(0) {
+            return Err("\"panic_job\" is 1-based (1 panics the first job)".to_owned());
+        }
+        if fractions.iter().all(|&(_, p)| p == 0.0) && self.panic_job.is_none() {
+            return Err("the fault plan injects nothing: set a fraction or panic_job".to_owned());
+        }
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------
 // Jobs: the spec a client submits, the result it gets back
 // ---------------------------------------------------------------------
@@ -967,8 +1020,8 @@ impl Members for Workload {
 }
 
 /// Read from the job object itself (`flat`): exactly one of `network`
-/// and `layer`; a network is its zoo `model`, else its `spec` text,
-/// else its `layers` under its `name` (`"custom"` when unnamed).
+/// and `layer`; a network is its zoo `model`, else its `layers` under
+/// its `name` (`"custom"` when unnamed).
 impl Wire for Workload {
     fn encode(&self, out: &mut JsonText<'_>) {
         out.object(|o| self.members(o));
@@ -986,12 +1039,10 @@ impl Wire for Workload {
                 let known: Vec<&str> = Network::zoo().into_iter().map(|(n, _)| n).collect();
                 format!("unknown model {model:?} (known: {})", known.join(", "))
             })?
-        } else if let Some(text) = r.opt::<String>("spec")? {
-            drmap_cnn::spec::parse_network(&text).map_err(|e| e.to_string())?
         } else {
             let layers = r
                 .opt("layers")?
-                .ok_or("network needs \"model\", \"spec\", or \"layers\"")?;
+                .ok_or("network needs \"model\" or \"layers\"")?;
             let name = r.opt::<String>("name")?;
             Network::new(name.as_deref().unwrap_or("custom"), layers).map_err(|e| e.to_string())?
         };
@@ -1173,8 +1224,10 @@ mod tests {
     /// One rendered line per message below — every `Request` variant,
     /// then every `Response` variant, each optional field once present
     /// and once absent. Generated by the hand-paired codec that
-    /// preceded the field tables and never regenerated: a codec change
-    /// that moves one byte on the wire fails the two tests below.
+    /// preceded the field tables and never regenerated, but for the two
+    /// armed `set-faults`/`faults-set` lines, rewritten once when fault
+    /// plans became JSON objects: a codec change that moves one byte on
+    /// the wire fails the two tests below.
     const GOLDEN: &str = include_str!("../tests/golden/proto_v1.ndjson");
 
     fn requests() -> Vec<Request> {
@@ -1245,7 +1298,7 @@ mod tests {
             },
             Request::SetFaults {
                 id: Some(16),
-                spec: Some("seed=7,store-fail=0.1".into()),
+                spec: Some(fault_plan()),
             },
             Request::SetFaults {
                 id: None,
@@ -1254,6 +1307,21 @@ mod tests {
             Request::Submit(JobSpec::network(5, EngineSpec::default(), Network::tiny())),
             Request::Submit(optioned_layer),
         ]
+    }
+
+    /// A plan that sets every member, both delay bounds off their
+    /// defaults.
+    fn fault_plan() -> FaultPlan {
+        FaultPlan {
+            seed: 7,
+            store_fail: 0.1,
+            store_delay: 0.05,
+            store_delay_ms: 7,
+            wire_drop: 0.02,
+            wire_stall: 0.02,
+            wire_stall_ms: 30,
+            panic_job: Some(3),
+        }
     }
 
     fn metrics_snapshot(scale: u64) -> MetricsSnapshot {
@@ -1430,7 +1498,7 @@ mod tests {
             },
             Response::FaultsSet {
                 id: Some(13),
-                spec: Some("seed=7,store-fail=0.1".into()),
+                spec: Some(fault_plan()),
             },
             Response::FaultsSet {
                 id: None,

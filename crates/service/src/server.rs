@@ -48,7 +48,7 @@ use drmap_telemetry::{elapsed_ns, Counter, Gauge, Span, Trace};
 use crate::conn::{Listener, Reply, Service};
 use crate::engine::ServiceState;
 use crate::error::ServiceError;
-use crate::faults::{FaultAction, FaultPlan};
+use crate::faults::FaultAction;
 use crate::json::Json;
 use crate::pool::DsePool;
 use crate::proto::{answer_hello, capabilities, MetricsReport, Request, Response, StatsReport};
@@ -515,28 +515,19 @@ fn control_response(pool: &DsePool, request: &Request) -> (Response, bool) {
                 }
             }
         }
-        Request::SetFaults { id, spec } => {
-            let parsed = match spec {
-                None => Ok(None),
-                Some(spec) => FaultPlan::parse(spec).map(Some),
-            };
-            match parsed.and_then(|plan| {
-                pool.state().faults().set_plan(plan)?;
-                Ok(plan)
-            }) {
-                Ok(plan) => Response::FaultsSet {
-                    id: *id,
-                    spec: plan.map(|p| p.render()),
-                },
-                // The client prefixes "protocol error: " to every refusal
-                // itself, so answer the plan's own message.
-                Err(ServiceError::Protocol(message)) => Response::Error { id: *id, message },
-                Err(e) => Response::Error {
-                    id: *id,
-                    message: e.to_string(),
-                },
-            }
-        }
+        Request::SetFaults { id, spec } => match pool.state().faults().set_plan(*spec) {
+            Ok(_) => Response::FaultsSet {
+                id: *id,
+                spec: *spec,
+            },
+            // The client prefixes "protocol error: " to every refusal
+            // itself, so answer the refusal's own message.
+            Err(ServiceError::Protocol(message)) => Response::Error { id: *id, message },
+            Err(e) => Response::Error {
+                id: *id,
+                message: e.to_string(),
+            },
+        },
         Request::Submit(_) => unreachable!("job submissions are dispatched before control verbs"),
     };
     (response, false)

@@ -1,7 +1,7 @@
 //! Typed job requests and results.
 //!
-//! A [`JobSpec`] names a workload (a zoo network, an inline layer list, a
-//! `drmap-cnn` text spec, or a single layer) and the engine to explore it
+//! A [`JobSpec`] names a workload (a zoo network, an inline layer list,
+//! or a single layer) and the engine to explore it
 //! on (DRAM architecture × optimization objective). A [`JobResult`]
 //! carries the per-layer minimum-objective configurations plus the
 //! accumulated totals — bit-identical to what a direct
@@ -320,12 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn job_spec_accepts_text_specs_and_single_layers() {
-        let job =
-            job(r#"{"id": 9, "network": {"spec": "network t\nconv C 8 8 16 3 3 3 1\n"}}"#).unwrap();
-        assert_eq!(job.workload.name(), "t");
-        assert_eq!(job.workload.layers().len(), 1);
-
+    fn job_spec_accepts_single_layers() {
         let layer = JobSpec::layer(
             1,
             EngineSpec::default(),
@@ -437,10 +432,10 @@ mod tests {
             (r#"{"layer": {"name": "F", "kind": "fc", "i": 1024, "j": 10}}"#, layer(fc())),
             (r#"{"layer": {"name": "C", "h": 8, "w": 8, "j": 16, "i": 8, "p": 3, "q": 3}}"#, layer(Layer::conv("C", 8, 8, 16, 8, 3, 3, 1))),
             (r#"{"layer": {"name": "C", "h": 8, "w": 8, "j": 16, "i": 8, "p": 3, "q": 3, "stride": null}}"#, Err("\"stride\"")),
-            // `model` wins over `spec` and `layers`, `spec` over `layers`,
-            // and an unnamed layer list is called "custom".
-            (r#"{"network": {"model": "tiny", "spec": "network t\nfc X 1 1\n", "layers": [{"name": "X", "kind": "fc", "i": 1, "j": 1}]}}"#, tiny()),
-            (r#"{"network": {"spec": "network t\nfc F 1024 10\n", "layers": [{"name": "X", "kind": "fc", "i": 1, "j": 1}]}}"#, custom("t")),
+            // `model` wins over `layers`, an unnamed layer list is called
+            // "custom", and a `drmap-cnn` text `spec` is no network.
+            (r#"{"network": {"model": "tiny", "layers": [{"name": "X", "kind": "fc", "i": 1, "j": 1}]}}"#, tiny()),
+            (r#"{"network": {"spec": "network t\nfc F 1024 10\n"}}"#, Err("network needs \"model\" or \"layers\"")),
             (r#"{"network": {"layers": [{"name": "F", "kind": "fc", "i": 1024, "j": 10}]}}"#, custom("custom")),
             (r#"{"network": {"name": null, "layers": [{"name": "F", "kind": "fc", "i": 1024, "j": 10}]}}"#, custom("custom")),
             // A retired hint is ignored; a retired slice is refused.
@@ -451,13 +446,12 @@ mod tests {
             (r#"{"id": "42", "network": {"model": "tiny"}}"#, Err("\"id\"")),
             (r#"{"network": {"model": "tiny"}, "options": {"deadline_ms": null}}"#, Err("\"deadline_ms\"")),
             // Stricter than the hand-written decoder, which read each of
-            // these as its default, or (`model`, `spec`) skipped it.
+            // these as its default, or (`model`) skipped it.
             (r#"{"engine": null, "network": {"model": "tiny"}}"#, Err("\"engine\": expected an object")),
             (r#"{"engine": "DDR3", "network": {"model": "tiny"}}"#, Err("\"engine\": expected an object")),
             (r#"{"network": {"model": "tiny"}, "options": null}"#, Err("\"options\": expected an object")),
             (r#"{"layer": {"name": "F", "kind": 2, "i": 1024, "j": 10}}"#, Err("\"kind\": expected a string")),
-            (r#"{"network": {"model": 7, "spec": "network t\nfc F 1024 10\n"}}"#, Err("\"model\": expected a string")),
-            (r#"{"network": {"spec": 7, "layers": [{"name": "F", "kind": "fc", "i": 1024, "j": 10}]}}"#, Err("\"spec\": expected a string")),
+            (r#"{"network": {"model": 7, "layers": [{"name": "F", "kind": "fc", "i": 1024, "j": 10}]}}"#, Err("\"model\": expected a string")),
             (r#"{"network": {"name": 7, "layers": [{"name": "F", "kind": "fc", "i": 1024, "j": 10}]}}"#, Err("\"name\": expected a string")),
         ];
         for (line, expected) in cases {

@@ -9,6 +9,7 @@ use std::io::BufReader;
 
 use drmap_service::cache::CacheStats;
 use drmap_service::engine::ServiceState;
+use drmap_service::faults::FaultPlan;
 use drmap_service::json::{Json, JsonText};
 use drmap_service::pool::DsePool;
 use drmap_service::proto::{
@@ -93,9 +94,38 @@ fn request_variant(kind: usize, a: u64, b: u64, flag: bool) -> Request {
         },
         10 => Request::SetFaults {
             id,
-            spec: (!b.is_multiple_of(2)).then(|| format!("seed={a},store-fail=0.{}", b % 10)),
+            spec: (!b.is_multiple_of(2)).then(|| fault_plan(a, b)),
         },
         _ => Request::Submit(job_spec(a, b)),
+    }
+}
+
+/// A plan that injects something: each fraction is zero or a draw in
+/// `0..=1`, each delay bound its default or not, `panic_job` absent or
+/// 1-based.
+fn fault_plan(a: u64, b: u64) -> FaultPlan {
+    let fraction = |n: u64| {
+        let hundredths = if n.is_multiple_of(3) { 0 } else { n % 101 };
+        hundredths as f64 / 100.0
+    };
+    let bound = |n: u64, default| {
+        if n.is_multiple_of(2) {
+            default
+        } else {
+            n % 1_000
+        }
+    };
+    let defaults = FaultPlan::default();
+    FaultPlan {
+        seed: a,
+        store_fail: fraction(b),
+        store_delay: fraction(b / 3),
+        store_delay_ms: bound(b / 4, defaults.store_delay_ms),
+        wire_drop: fraction(b / 9),
+        wire_stall: fraction(b / 27),
+        wire_stall_ms: bound(a, defaults.wire_stall_ms),
+        // Never absent where every fraction is zero.
+        panic_job: (!b.is_multiple_of(5) || fraction(b) == 0.0).then_some(b % 64 + 1),
     }
 }
 
@@ -241,7 +271,7 @@ fn response_variant(kind: usize, a: u64, b: u64, x: f64, flag: bool) -> Response
         },
         10 => Response::FaultsSet {
             id,
-            spec: (!b.is_multiple_of(2)).then(|| format!("seed={a}")),
+            spec: (!b.is_multiple_of(2)).then(|| fault_plan(b, a)),
         },
         11 => Response::DeadlineExceeded {
             id,
@@ -445,8 +475,10 @@ fn multi_byte_characters_next_to_escapes_parse_and_render() {
     let rendered = Json::str(expected).render();
     assert_eq!(rendered, r#""é\"ü\\😀\né€\t漢""#);
     assert_eq!(Json::parse(&rendered).unwrap(), Json::str(expected));
-    // Unescaped control characters are accepted, as they always were.
-    assert_eq!(Json::parse("\"a\u{1}b\"").unwrap(), Json::str("a\u{1}b"));
+    // Unescaped control characters are refused (RFC 8259 §7); escaped,
+    // they read back.
+    assert_eq!(Json::parse("\"a\u{1}b\"").unwrap_err().offset, 2);
+    assert_eq!(Json::parse(r#""a\u0001b""#).unwrap(), Json::str("a\u{1}b"));
 }
 
 #[test]
@@ -664,11 +696,36 @@ fn mistyped_typed_requests_get_typed_errors() {
         ),
         (r#"{"type":"store-compact","auto_ratio":1.5}"#, "in [0, 1]"),
         (r#"{"type":"store-compact","auto_ratio":-0.1}"#, "in [0, 1]"),
-        // A bad fault spec is the fault-plan parser's refusal, named once:
-        // the client adds the "protocol error: " prefix.
+        // A bad fault plan is named once, under its member: the client
+        // adds the "protocol error: " prefix. The retired string form is
+        // refused, never read as a disarm.
         (
-            r#"{"type":"set-faults","spec":"seed=nope"}"#,
-            "fault plan: seed needs",
+            r#"{"type":"set-faults","id":11,"spec":"seed=7,store-fail=0.1"}"#,
+            r#""spec": expected an object"#,
+        ),
+        (
+            r#"{"type":"set-faults","spec":{"store_fail":1.5}}"#,
+            r#""spec": "store_fail" must be a fraction in 0..=1, got 1.5"#,
+        ),
+        (
+            r#"{"type":"set-faults","spec":{"store_fail":"yes"}}"#,
+            r#""spec": "store_fail": expected a number"#,
+        ),
+        (
+            r#"{"type":"set-faults","spec":{"wire_drop":0.5,"frobnicate":1}}"#,
+            r#""spec": unknown fault plan member "frobnicate""#,
+        ),
+        (
+            r#"{"type":"set-faults","spec":{"seed":"nope","wire_drop":0.5}}"#,
+            r#""spec": "seed": expected a non-negative integer"#,
+        ),
+        (
+            r#"{"type":"set-faults","id":12,"spec":{"seed":42}}"#,
+            r#""spec": the fault plan injects nothing"#,
+        ),
+        (
+            r#"{"type":"set-faults","spec":{"panic_job":0}}"#,
+            r#""spec": "panic_job" is 1-based"#,
         ),
         // A job's nested field names its whole path.
         (

@@ -29,7 +29,7 @@ use drmap_service::json::Json;
 use drmap_service::loadgen::default_catalog;
 use drmap_service::pool::DsePool;
 use drmap_service::proto::{MetricsReport, Request, Response};
-use drmap_service::server::JobServer;
+use drmap_service::server::{handle_request, JobServer};
 use drmap_service::spec::{EngineSpec, JobOptions, JobResult, JobSpec};
 use drmap_service::wire;
 use drmap_store::store::Store;
@@ -77,9 +77,11 @@ fn bits(result: &JobResult) -> (u64, u64) {
 /// The plan the chaos run arms. Probabilities are deliberately high
 /// enough that every fault site fires within a 48-job run (the draws
 /// are a pure function of the seed, so the firing pattern is stable
-/// across runs and machines); `wire-stall-ms` is kept tiny so the
-/// stalls prove the path without slowing the suite.
-const CHAOS_PLAN: &str = "seed=42,store-fail=0.1,wire-stall=0.15,wire-stall-ms=2,panic-job=1";
+/// across runs and machines); `wire_stall_ms` is kept tiny so the
+/// stalls prove the path without slowing the suite. Written as the
+/// encoder writes it, so the `faults-set` echo is this text exactly.
+const CHAOS_PLAN: &str =
+    r#"{"seed":42,"store_fail":0.1,"wire_stall":0.15,"wire_stall_ms":2,"panic_job":1}"#;
 const CHAOS_JOBS: usize = 48;
 
 #[test]
@@ -130,14 +132,17 @@ fn run_chaos() {
     };
 
     // Chaos server: store-backed (so store faults have a site to hit),
-    // with the seeded plan armed before any job arrives.
+    // with the seeded plan armed through `set-faults` before any job
+    // arrives. The answer echoes exactly the plan armed.
     let store = Arc::new(Store::open(scratch_path("chaos.wal")).unwrap());
     let state = ServiceState::with_cache_and_store(CacheConfig::unbounded(), Some(store)).unwrap();
-    state
-        .faults()
-        .set_plan(Some(FaultPlan::parse(CHAOS_PLAN).unwrap()))
-        .unwrap();
     let pool = Arc::new(DsePool::new(state, 2));
+    let arm = format!(r#"{{"type":"set-faults","id":1,"spec":{CHAOS_PLAN}}}"#);
+    let (armed, _) = handle_request(&pool, &arm);
+    assert_eq!(
+        armed.render(),
+        format!(r#"{{"type":"faults-set","ok":true,"id":1,"spec":{CHAOS_PLAN}}}"#)
+    );
     let server = JobServer::with_pool("127.0.0.1:0", Arc::clone(&pool)).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = thread::spawn(move || server.run().unwrap());
@@ -242,7 +247,11 @@ fn a_dropped_frame_surfaces_as_a_typed_client_timeout() {
     let state = ServiceState::new().unwrap();
     state
         .faults()
-        .set_plan(Some(FaultPlan::parse("seed=1,wire-drop=1").unwrap()))
+        .set_plan(Some(FaultPlan {
+            seed: 1,
+            wire_drop: 1.0,
+            ..FaultPlan::default()
+        }))
         .unwrap();
     let pool = Arc::new(DsePool::new(state, 1));
     let server = JobServer::with_pool("127.0.0.1:0", Arc::clone(&pool)).unwrap();
@@ -276,7 +285,11 @@ fn a_frame_dropped_inside_a_burst_loses_only_itself() {
     let state = ServiceState::new().unwrap();
     // The plan's draws are a pure function of its seed and each frame's
     // ordinal: of the first ten frames, it drops the ninth.
-    let plan = FaultPlan::parse("seed=7,wire-drop=0.3").unwrap();
+    let plan = FaultPlan {
+        seed: 7,
+        wire_drop: 0.3,
+        ..FaultPlan::default()
+    };
     state.faults().set_plan(Some(plan)).unwrap();
     let pool = Arc::new(DsePool::new(state, 1));
     let server = JobServer::with_pool("127.0.0.1:0", Arc::clone(&pool)).unwrap();
