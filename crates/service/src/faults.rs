@@ -250,6 +250,60 @@ pub(crate) fn arm_where_compiled_in(state: &FaultState, plan: &str) -> Option<Fa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{Json, JsonText};
+    use crate::proto::Wire;
+
+    fn decode(plan: &str) -> Result<FaultPlan, String> {
+        FaultPlan::from_json(&Json::parse(plan).map_err(|e| e.to_string())?)
+    }
+
+    #[test]
+    fn specs_parse_and_render_round_trip() {
+        let plan = decode(
+            r#"{"seed":42,"store_fail":0.1,"store_delay":0.05,"store_delay_ms":7,
+                "wire_drop":0.02,"wire_stall":0.02,"wire_stall_ms":30,"panic_job":3}"#,
+        )
+        .unwrap();
+        assert_eq!(plan.seed, 42);
+        assert_eq!(plan.store_fail, 0.1);
+        assert_eq!(plan.store_delay_ms, 7);
+        assert_eq!(plan.panic_job, Some(3));
+        // Absent members keep the defaults, and are left out when rendered.
+        let sparse = decode(r#"{"seed":1,"wire_drop":0.5}"#).unwrap();
+        assert_eq!(
+            sparse,
+            FaultPlan {
+                seed: 1,
+                wire_drop: 0.5,
+                ..FaultPlan::default()
+            }
+        );
+        let render = |plan: &FaultPlan| {
+            let mut text = String::new();
+            plan.encode(&mut JsonText::new(&mut text));
+            text
+        };
+        assert_eq!(render(&sparse), r#"{"seed":1,"wire_drop":0.5}"#);
+        for plan in [plan, sparse] {
+            let text = render(&plan);
+            assert_eq!(decode(&text).unwrap(), plan, "{text}");
+        }
+    }
+
+    #[test]
+    fn malformed_specs_are_rejected() {
+        for bad in [
+            r#"{"seed":1,"store_fail":1.5}"#,
+            r#"{"seed":1,"store_fail":"yes"}"#,
+            r#"{"seed":1,"frobnicate":1}"#,
+            r#"{"seed":"nope","store_fail":0.1}"#,
+            r#"{"seed":42}"#,              // injects nothing
+            r#"{"seed":1,"panic_job":0}"#, // 1-based
+            r#""seed=42,store-fail=0.1""#, // the retired string form
+        ] {
+            assert!(decode(bad).is_err(), "accepted {bad}");
+        }
+    }
 
     #[test]
     fn decisions_are_deterministic_per_seed_and_site() {
